@@ -59,8 +59,8 @@ impl std::error::Error for AuditError {}
 
 impl GpmaPlus {
     /// Deep-validate the PMA state: sorted keys without duplicates, the len
-    /// counter in sync, one guard per vertex, a never-understated monotone
-    /// prefix-max index, and the density post-conditions above.
+    /// counter in sync, one guard per vertex, the leaf index's routing
+    /// invariant, and the density post-conditions above.
     pub fn validate(&self) -> Result<(), AuditError> {
         let s = &self.storage;
         let geom = s.geometry();
@@ -103,28 +103,9 @@ impl GpmaPlus {
             )));
         }
 
-        // Prefix-max index: never understated, monotone.
+        // Leaf index: the routing invariant (storage module docs).
+        s.check_routing().map_err(AuditError::Storage)?;
         let seg_len = geom.seg_len;
-        let pm = s.leaf_max_prefix.as_slice();
-        let mut running = 0u64;
-        for l in 0..geom.num_segs {
-            let actual = keys[l * seg_len..(l + 1) * seg_len]
-                .iter()
-                .filter(|&&k| k != EMPTY)
-                .max()
-                .copied()
-                .unwrap_or(0);
-            running = running.max(actual);
-            if pm[l] < running {
-                return Err(AuditError::Storage(format!(
-                    "leaf {l} prefix max understated: {:#x} < {running:#x}",
-                    pm[l]
-                )));
-            }
-            if l > 0 && pm[l] < pm[l - 1] {
-                return Err(AuditError::Storage(format!("prefix max not monotone at leaf {l}")));
-            }
-        }
 
         // Density post-conditions (Figure 3 as the update paths enforce it).
         let leaf_bound = (density.tau_leaf * seg_len as f64).ceil() as usize;

@@ -17,6 +17,7 @@ use gpma_graph::{Edge, UpdateBatch};
 use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
 
 use crate::storage::{GpmaStorage, EMPTY};
+use crate::update::UpdateScratch;
 
 /// Per-batch statistics for lock-based GPMA updates.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -55,7 +56,9 @@ impl Gpma {
     /// GPMA under the sliding-window model where deletions are "performed
     /// via marking the location as deleted"), insertions run Algorithm 1.
     pub fn update_batch(&mut self, dev: &Device, batch: &UpdateBatch) -> LockStats {
-        let lazy = self.storage.delete_lazy(dev, &batch.deletions);
+        let lazy = self
+            .storage
+            .delete_lazy(dev, &batch.deletions, &mut UpdateScratch::default());
         let mut stats = self.insert_batch(dev, &batch.insertions);
         stats.lazy_deletes = lazy;
         stats

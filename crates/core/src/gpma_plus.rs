@@ -76,6 +76,9 @@ struct LevelScratch {
     vals: DeviceBuffer<u64>,
     ops: DeviceBuffer<u32>,
     segs: DeviceBuffer<u32>,
+    /// Segment id of every pending update at the current level (leaf ids
+    /// from `locate_leaves`, then swapped with `segs` on each promotion).
+    seg_ids: DeviceBuffer<u32>,
     /// Reused by the per-level `UniqueSegments` run-length encoding
     /// ([`process_level`](GpmaPlus::process_level)) — kills the five fresh
     /// buffers the RLE otherwise allocates each level.
@@ -83,8 +86,8 @@ struct LevelScratch {
     /// Per-segment accept flags of `TryInsert+` (sized like the update
     /// count, an upper bound on the segment count).
     accept: DeviceBuffer<u32>,
-    /// Per-update consumed flags handed back to the level loop.
-    consumed: DeviceBuffer<u32>,
+    /// Segments the small tier merged at the current level (one slot).
+    merged_ctr: DeviceBuffer<u64>,
 }
 
 impl Default for LevelScratch {
@@ -96,9 +99,10 @@ impl Default for LevelScratch {
             vals: DeviceBuffer::new(0),
             ops: DeviceBuffer::new(0),
             segs: DeviceBuffer::new(0),
+            seg_ids: DeviceBuffer::new(0),
             rle: primitives::RleScratch::default(),
             accept: DeviceBuffer::new(0),
-            consumed: DeviceBuffer::new(0),
+            merged_ctr: DeviceBuffer::new(1),
         }
     }
 }
@@ -119,8 +123,8 @@ impl LevelScratch {
         grow(&mut self.vals, n);
         grow(&mut self.ops, n);
         grow(&mut self.segs, n);
+        grow(&mut self.seg_ids, n);
         grow(&mut self.accept, n);
-        grow(&mut self.consumed, n);
     }
 }
 
@@ -162,7 +166,7 @@ impl GpmaPlus {
     /// (recycled by later merges), insertions take the normal path — passed
     /// as a slice so the insert-only view costs no batch clone.
     pub fn update_batch_lazy(&mut self, dev: &Device, batch: &UpdateBatch) -> PlusStats {
-        let lazy = self.storage.delete_lazy(dev, &batch.deletions);
+        let lazy = self.storage.delete_lazy(dev, &batch.deletions, &mut self.scratch);
         let nv = self.storage.num_vertices();
         let u = prepare_updates_parts(dev, nv, &[], &batch.insertions, &mut self.scratch);
         self.apply_sorted(dev, u, lazy)
@@ -179,14 +183,19 @@ impl GpmaPlus {
             return stats;
         }
 
+        // Size every reused level buffer (incl. the RLE scratch inputs and
+        // the keep mask process_level fills) once: the batch only shrinks
+        // from here, and the ping-pong swaps below exchange buffers that
+        // all hold at least this many slots.
+        let mut cur = updates;
+        self.level_scratch.ensure(cur.len);
+
         // Line 3: locate every update's leaf segment (coalesced binary
         // search — updates are sorted, so adjacent lanes walk the same path).
-        let mut cur = updates;
-        let mut seg_ids = DeviceBuffer::<u32>::new(cur.len);
         {
             let storage = &self.storage;
             let keys = &cur.keys;
-            let sid = &seg_ids;
+            let sid = &self.level_scratch.seg_ids;
             dev.launch("locate_leaves", cur.len, |lane| {
                 let k = keys.get(lane, lane.tid);
                 let leaf = storage.find_leaf(lane, k) as u32;
@@ -207,10 +216,7 @@ impl GpmaPlus {
                 break;
             }
             stats.levels = level + 1;
-            // Size every reused level buffer (incl. the RLE scratch inputs
-            // and the consumed mask process_level fills) up front.
-            self.level_scratch.ensure(cur.len);
-            self.process_level(dev, &cur, &seg_ids, level, &mut stats);
+            self.process_level(dev, &cur, level, &mut stats);
 
             // Lines 12-15: drop consumed updates, promote the rest. The
             // four survivor streams share one keep-mask scan and scatter
@@ -219,14 +225,6 @@ impl GpmaPlus {
             // one fused kernel instead of four scans + five scatters.
             let nupd = cur.len;
             let scratch = &mut self.level_scratch;
-            {
-                let c = &scratch.consumed;
-                let k = &scratch.keep;
-                dev.launch("invert_flags", nupd, |lane| {
-                    let v = c.get(lane, lane.tid);
-                    k.set(lane, lane.tid, 1 - v);
-                });
-            }
             let remaining =
                 primitives::exclusive_scan_u32_into(dev, &scratch.keep, nupd, &scratch.positions)
                     as usize;
@@ -236,7 +234,7 @@ impl GpmaPlus {
                 let (sk, sv, so, sg) =
                     (&scratch.keys, &scratch.vals, &scratch.ops, &scratch.segs);
                 let (ck, cv, co) = (&cur.keys, &cur.vals, &cur.ops);
-                let sid = &seg_ids;
+                let sid = &scratch.seg_ids;
                 dev.launch("compact_promote", nupd, |lane| {
                     let i = lane.tid;
                     if k.get(lane, i) != 0 {
@@ -256,7 +254,7 @@ impl GpmaPlus {
             std::mem::swap(&mut cur.keys, &mut scratch.keys);
             std::mem::swap(&mut cur.vals, &mut scratch.vals);
             std::mem::swap(&mut cur.ops, &mut scratch.ops);
-            std::mem::swap(&mut seg_ids, &mut scratch.segs);
+            std::mem::swap(&mut scratch.seg_ids, &mut scratch.segs);
             cur.len = remaining;
             level += 1;
         }
@@ -278,19 +276,20 @@ impl GpmaPlus {
             stats.resizes += 1;
         }
 
-        self.storage.rebuild_leaf_max(dev);
         stats
     }
 
-    /// One level of Algorithm 4's loop: group updates into unique segments,
-    /// run `TryInsert+` on each, and fill the per-update consumed flags
-    /// (`level_scratch.consumed`, pre-sized by the caller's `ensure`).
+    /// One level of Algorithm 4's loop: group updates (segment ids in
+    /// `level_scratch.seg_ids`) into unique segments, run `TryInsert+` on
+    /// each, and fill the per-update keep mask (`level_scratch.keep`: 1 for
+    /// an update whose segment was too dense; pre-sized by the caller's
+    /// `ensure`). Every merge writes its window's routing bounds as it
+    /// places the keys (`storage` module docs).
     // lint: hot-path
     fn process_level(
         &mut self,
         dev: &Device,
         cur: &DeviceUpdates,
-        seg_ids: &DeviceBuffer<u32>,
         level: usize,
         stats: &mut PlusStats,
     ) {
@@ -312,7 +311,13 @@ impl GpmaPlus {
         // Length-bounded: seg_ids may be an over-sized reused buffer, and
         // the RLE writes into the reused level scratch (the per-call
         // allocation churn the ROADMAP called out).
-        let nseg = primitives::run_length_encode_u32_into(dev, seg_ids, cur.len, &mut level_scratch.rle);
+        let nseg = primitives::run_length_encode_u32_into(
+            dev,
+            &level_scratch.seg_ids,
+            cur.len,
+            &mut level_scratch.rle,
+        );
+        let seg_ids = &level_scratch.seg_ids;
         let rle = &level_scratch.rle;
         let accept = &level_scratch.accept;
         let nupd = cur.len;
@@ -346,7 +351,9 @@ impl GpmaPlus {
             let starts = &rle.starts;
             let counts = &rle.counts;
             let acc = accept;
-            let merged_ctr = DeviceBuffer::<u64>::new(1);
+            let bounds = &storage.leaf_max_prefix;
+            level_scratch.merged_ctr.host_write(0, 0);
+            let merged_ctr = &level_scratch.merged_ctr;
             dev.launch("tryinsert_small", nseg, |lane| {
                 let j = lane.tid;
                 if acc.get(lane, j) == 0 {
@@ -364,12 +371,16 @@ impl GpmaPlus {
                 let n = with_merge_scratch(|merged| {
                     merge_window_serial_into(lane, storage, ws..ws + window_slots, cur, s..s + c, merged);
                     // Redispatch evenly across the window's leaves,
-                    // left-packed.
+                    // left-packed. `bound` carries the last key placed so
+                    // far: each leaf's routing bound, the window's max for
+                    // its trailing empty leaves, and nothing to write (old
+                    // bounds stay) when the window ends up empty.
                     let leaves = window_slots / seg_len;
                     let n = merged.len();
                     let base = n / leaves;
                     let extra = n % leaves;
                     let mut it = merged.iter().copied();
+                    let mut bound = None;
                     for leaf in 0..leaves {
                         let take = base + usize::from(leaf < extra);
                         let start = ws + leaf * seg_len;
@@ -378,9 +389,13 @@ impl GpmaPlus {
                                 let (k, v) = it.next().expect("merge count mismatch");
                                 storage.keys.set(lane, start + i, k);
                                 storage.vals.set(lane, start + i, v);
+                                bound = Some(k);
                             } else {
                                 storage.keys.set(lane, start + i, EMPTY);
                             }
+                        }
+                        if let Some(b) = bound {
+                            bounds.set(lane, start / seg_len, b);
                         }
                     }
                     n
@@ -427,12 +442,13 @@ impl GpmaPlus {
             }
         }
 
-        // Per-update consumed flags: an update is consumed iff its segment
-        // was accepted (binary search into the sorted unique-segment list).
+        // Per-update keep mask: an update survives to the parent level iff
+        // its segment was rejected (binary search into the sorted
+        // unique-segment list).
         {
             let unique = &rle.unique;
             let acc = accept;
-            let cons = &level_scratch.consumed;
+            let keep = &level_scratch.keep;
             let sid = seg_ids;
             dev.launch("mark_consumed", nupd, |lane| {
                 let g = sid.get(lane, lane.tid);
@@ -448,7 +464,7 @@ impl GpmaPlus {
                     }
                 }
                 let a = acc.get(lane, lo);
-                cons.set(lane, lane.tid, a);
+                keep.set(lane, lane.tid, 1 - a);
             });
         }
     }
@@ -689,6 +705,49 @@ mod tests {
             g.storage.check_invariants();
             assert_eq!(oracle_of(&g), oracle);
         }
+    }
+
+    #[test]
+    fn leaf_index_and_sim_time_repeat_across_runs_and_host_parallelism() {
+        // The merge lanes write routing bounds for disjoint windows, so the
+        // index (and the simulated clock) must not depend on how many host
+        // threads execute the lanes, nor differ between two identical runs.
+        use rand::{Rng, SeedableRng};
+        let run = |host_parallelism: usize| {
+            let d = Device::new(DeviceConfig {
+                host_parallelism,
+                ..DeviceConfig::deterministic()
+            });
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+            let n = 200u32;
+            // Never the same edge twice: two lanes deleting one key would
+            // race for its slot, and who wins is not part of this test.
+            let mut seen = std::collections::HashSet::new();
+            let mut edge = || loop {
+                let s = rng.gen_range(0..n);
+                let e = Edge::new(s, (s + rng.gen_range(1..n)) % n);
+                if seen.insert(e.key()) {
+                    return e;
+                }
+            };
+            let initial: Vec<Edge> = (0..4000).map(|_| edge()).collect();
+            let mut g = GpmaPlus::build(&d, n, &initial);
+            let mut window: std::collections::VecDeque<Edge> = initial.into();
+            let mut update_time = Vec::new();
+            for _ in 0..30 {
+                let insertions: Vec<Edge> = (0..256).map(|_| edge()).collect();
+                let deletions: Vec<Edge> = window.drain(..256).collect();
+                window.extend(insertions.iter().copied());
+                let batch = UpdateBatch { insertions, deletions };
+                let (_, t) = d.timed(|d| g.update_batch_lazy(d, &batch));
+                update_time.push(t.secs().to_bits());
+            }
+            g.storage.check_invariants();
+            (g.storage.leaf_max_prefix.to_vec(), update_time)
+        };
+        let first = run(1);
+        assert_eq!(run(1), first, "two identical runs differ");
+        assert_eq!(run(8), first, "host_parallelism 8 differs from 1");
     }
 
     #[test]

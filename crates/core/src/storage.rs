@@ -5,13 +5,45 @@
 //! Layout (Figure 5): one edge per slot, keyed `src << 32 | dst`, sorted with
 //! gaps (`EMPTY`). Every vertex owns an immortal *guard* entry `(v, ∞)` so
 //! row boundaries survive arbitrary edge churn. An implicit segment tree over
-//! fixed-size leaves carries the density thresholds of Figure 3. A per-leaf
-//! prefix-max array (rebuilt by a kernel after each batch) makes leaf lookup
-//! a coalesced binary search.
+//! fixed-size leaves carries the density thresholds of Figure 3.
+//!
+//! # The leaf index and its routing invariant
+//!
+//! [`GpmaStorage::leaf_max_prefix`] holds one *routing bound* per leaf and
+//! makes leaf lookup a coalesced binary search ([`GpmaStorage::find_leaf`]:
+//! the first leaf whose bound is `>= key`). It only has to satisfy the
+//! **routing invariant**:
+//!
+//! * bounds are non-decreasing, and
+//! * every live key in leaf `j` lies in `(bound[j-1], bound[j]]`
+//!   (`bound[-1]` = −∞).
+//!
+//! That is all the search needs: a present key is found in the leaf it
+//! routes to, and an absent key routes to a leaf where inserting it keeps
+//! the array globally sorted. A bound may *overstate* its leaf's largest
+//! key — the state lazy deletions leave behind — and an empty leaf may carry
+//! any bound between its neighbours'.
+//!
+//! Who maintains it: whoever redistributes a window writes that window's
+//! bounds while placing the keys — [`GpmaStorage::redispatch_window`] and
+//! the GPMA+ small-tier merge lane set `bound[leaf]` to the last key placed
+//! in the leaf; the window's trailing empty leaves (even left-packing
+//! leaves no others empty) take the window's largest key; a window left
+//! with no entries keeps its old bounds; lazy deletion touches nothing.
+//! Each rule preserves the invariant: every key merged into a window was
+//! routed there, so it lies in `(bound[first-1], bound[last]]` of the old
+//! bounds; the new bounds are exact, so they never exceed the old last
+//! bound, and the keys to the window's right still exceed it. A GPMA+ batch
+//! therefore costs work proportional to the windows it touches, never to
+//! the array. [`GpmaStorage::rebuild_leaf_max`] is the from-scratch path
+//! (exact prefix maxima) for `build`, `resize_to` and the lock-based
+//! [`Gpma`](crate::Gpma), whose single-entry merges do not write bounds.
 
 use gpma_graph::edge::{guard_key, Edge, GUARD_DST};
 use gpma_pma::{DensityConfig, Geometry};
 use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
+
+use crate::update::UpdateScratch;
 
 /// Gap sentinel in the device key array (same as the CPU PMA).
 pub const EMPTY: u64 = u64::MAX;
@@ -22,8 +54,10 @@ pub struct GpmaStorage {
     pub keys: DeviceBuffer<u64>,
     /// Slot values (edge weights; unused for guards).
     pub vals: DeviceBuffer<u64>,
-    /// Inclusive prefix max of per-leaf max keys (empty leaves inherit),
-    /// non-decreasing — the device-side leaf index.
+    /// The device-side leaf index: one routing bound per leaf, non-decreasing,
+    /// every live key of leaf `j` in `(bound[j-1], bound[j]]` (module docs).
+    /// Written by the kernels that redistribute a window; exact prefix
+    /// maxima right after [`Self::rebuild_leaf_max`].
     pub leaf_max_prefix: DeviceBuffer<u64>,
     geom: Geometry,
     density: DensityConfig,
@@ -145,16 +179,14 @@ impl GpmaStorage {
     /// Lazy deletions for the sliding-window model (§6.1): mark each slot
     /// `EMPTY` without density maintenance; the holes are recycled by later
     /// insert merges. A CAS guards against duplicate deletes of one key.
-    pub fn delete_lazy(&mut self, dev: &Device, edges: &[Edge]) -> usize {
+    /// Routing bounds are left alone (an overstated bound still routes).
+    /// Keys and the deleted count are staged through `scratch`.
+    // lint: hot-path
+    pub fn delete_lazy(&mut self, dev: &Device, edges: &[Edge], scratch: &mut UpdateScratch) -> usize {
         if edges.is_empty() {
             return 0;
         }
-        for e in edges {
-            assert!(e.dst != GUARD_DST, "cannot delete a guard entry");
-        }
-        let del_keys =
-            DeviceBuffer::from_slice(&edges.iter().map(|e| e.key()).collect::<Vec<_>>());
-        let deleted = DeviceBuffer::<u64>::new(1);
+        let (del_keys, deleted) = scratch.stage_deletions(edges);
         let keys = &self.keys;
         let this = &*self;
         dev.launch("lazy_delete", edges.len(), |lane| {
@@ -174,8 +206,10 @@ impl GpmaStorage {
     // Leaf search
     // ------------------------------------------------------------------
 
-    /// Rebuild the per-leaf prefix-max index with device kernels:
-    /// leaf-local max, then a blocked inclusive max-scan.
+    /// Rebuild the leaf index from scratch with device kernels: leaf-local
+    /// max, then a blocked inclusive max-scan (empty leaves inherit). Reads
+    /// every slot — for `build`, `resize_to` and the lock-based baseline,
+    /// not for the GPMA+ batch path.
     pub fn rebuild_leaf_max(&mut self, dev: &Device) {
         let seg_len = self.geom.seg_len;
         let num_segs = self.geom.num_segs;
@@ -196,7 +230,7 @@ impl GpmaStorage {
     }
 
     /// Device-side binary search: index of the leaf where `key` belongs
-    /// (first leaf whose prefix max is `>= key`, else the last leaf).
+    /// (first leaf whose routing bound is `>= key`, else the last leaf).
     #[inline]
     pub fn find_leaf(&self, lane: &mut Lane, key: u64) -> usize {
         let n = self.geom.num_segs;
@@ -258,7 +292,8 @@ impl GpmaStorage {
 
     /// Evenly redistribute the first `n` entries of `src_keys`/`src_vals`
     /// (sorted) across `window`, left-packing each leaf — the "re-dispatch
-    /// entries evenly" step. Fully parallel: one lane per leaf.
+    /// entries evenly" step. Fully parallel: one lane per leaf, which also
+    /// writes the leaf's routing bound (module docs).
     pub fn redispatch_window(
         &self,
         dev: &Device,
@@ -277,20 +312,31 @@ impl GpmaStorage {
         let extra = n % leaves;
         let keys = &self.keys;
         let vals = &self.vals;
+        let bounds = &self.leaf_max_prefix;
         dev.launch("redispatch", leaves, |lane| {
             let j = lane.tid;
             let take = base + usize::from(j < extra);
             let src_from = j * base + j.min(extra);
             let dst_from = (first_leaf + j) * seg_len;
+            // The leaf's routing bound: its last key, or the window's for a
+            // trailing empty leaf; an emptied window keeps its old bounds.
+            let mut bound = None;
             for i in 0..seg_len {
                 if i < take {
                     let k = src_keys.get(lane, src_from + i);
                     let v = src_vals.get(lane, src_from + i);
                     keys.set(lane, dst_from + i, k);
                     vals.set(lane, dst_from + i, v);
+                    bound = Some(k);
                 } else {
                     keys.set(lane, dst_from + i, EMPTY);
                 }
+            }
+            if bound.is_none() && n > 0 {
+                bound = Some(src_keys.get(lane, n - 1));
+            }
+            if let Some(b) = bound {
+                bounds.set(lane, first_leaf + j, b);
             }
         });
     }
@@ -403,16 +449,45 @@ impl GpmaStorage {
             .collect()
     }
 
-    /// Live real edges in key order — host readback.
+    /// Live real edges in key order — host readback (one pass, one
+    /// exactly-sized allocation: this is the snapshot publish path).
     pub fn host_edges(&self) -> Vec<Edge> {
-        self.host_entries()
-            .into_iter()
-            .filter(|&(k, _)| Self::is_entry(k))
-            .map(|(k, w)| {
+        let mut edges = Vec::with_capacity(self.num_edges());
+        for (&k, &w) in self.keys.as_slice().iter().zip(self.vals.as_slice()) {
+            if Self::is_entry(k) {
                 let (s, d) = gpma_graph::decode_key(k);
-                Edge::weighted(s, d, w)
-            })
-            .collect()
+                edges.push(Edge::weighted(s, d, w));
+            }
+        }
+        edges
+    }
+
+    /// Check the leaf index's routing invariant (module docs) on the host;
+    /// `Err` names the first leaf that breaks it.
+    pub fn check_routing(&self) -> Result<(), String> {
+        let keys = self.keys.as_slice();
+        let bounds = self.leaf_max_prefix.as_slice();
+        let mut below: Option<u64> = None;
+        for (l, (leaf, &bound)) in keys.chunks(self.geom.seg_len).zip(bounds).enumerate() {
+            if below.is_some_and(|b| bound < b) {
+                return Err(format!("routing bounds not monotone at leaf {l}"));
+            }
+            for &k in leaf.iter().filter(|&&k| k != EMPTY) {
+                if k > bound {
+                    return Err(format!(
+                        "leaf {l} routing bound understated: {bound:#x} < key {k:#x}"
+                    ));
+                }
+                if let Some(b) = below.filter(|&b| k <= b) {
+                    return Err(format!(
+                        "leaf {l} holds key {k:#x} at or below leaf {}'s routing bound {b:#x}",
+                        l - 1
+                    ));
+                }
+            }
+            below = Some(bound);
+        }
+        Ok(())
     }
 
     /// Check structural invariants on the host; panics on violation.
@@ -440,21 +515,8 @@ impl GpmaStorage {
             }
         }
         assert_eq!(guards, self.num_vertices as usize, "guards lost");
-        // Prefix-max index must never understate (overstating is legal after
-        // lazy deletions).
-        let seg_len = self.geom.seg_len;
-        let pm = self.leaf_max_prefix.as_slice();
-        let mut running = 0u64;
-        for l in 0..self.geom.num_segs {
-            let actual = keys[l * seg_len..(l + 1) * seg_len]
-                .iter()
-                .filter(|&&k| k != EMPTY)
-                .max()
-                .copied()
-                .unwrap_or(0);
-            running = running.max(actual);
-            assert!(pm[l] >= running, "leaf {l} prefix max understated");
-            assert!(l == 0 || pm[l] >= pm[l - 1], "prefix max not monotone");
+        if let Err(m) = self.check_routing() {
+            panic!("{m}");
         }
     }
 }
@@ -603,6 +665,30 @@ mod tests {
         s.redispatch_window(&d, 0..cap, &ck, &cv, n);
         assert_eq!(s.host_entries(), before);
         s.check_invariants();
+    }
+
+    #[test]
+    fn redispatch_bounds_trailing_empty_leaves_by_the_window_max() {
+        // 48 entries over 16 leaves; shrink the left half (8 leaves) to its
+        // three largest keys, as a merge full of deletions would. Leaves
+        // 3..8 end up empty under old bounds *below* the new leaf 2's key
+        // unless the redispatch lifts them to the window's max.
+        let d = dev();
+        let all: Vec<Edge> = (0..8).flat_map(|s| (0..6).map(move |i| Edge::new(s, (s + i + 1) % 8))).collect();
+        let s = GpmaStorage::build(&d, 8, &all);
+        assert_eq!(s.geometry().num_segs, 16);
+        let half = s.capacity() / 2;
+        let (ck, cv, n) = s.compact_window(&d, 0..half);
+        let tail = |b: &DeviceBuffer<u64>| DeviceBuffer::from_slice(&b.to_vec()[n - 3..]);
+        s.redispatch_window(&d, 0..half, &tail(&ck), &tail(&cv), 3);
+        s.check_routing().expect("routing invariant after a sparse redispatch");
+        let window_max = ck.host_read(n - 1);
+        assert_eq!(s.leaf_max_prefix.as_slice()[2..8], [window_max; 6]);
+        // An emptied window keeps its old bounds.
+        let before = s.leaf_max_prefix.to_vec();
+        s.redispatch_window(&d, 0..half, &ck, &cv, 0);
+        assert_eq!(s.leaf_max_prefix.to_vec(), before);
+        s.check_routing().expect("routing invariant after emptying a window");
     }
 
     #[test]

@@ -37,13 +37,51 @@ impl DeviceUpdates {
 /// op upload vectors (and the sort-index iota) are cleared and refilled per
 /// batch instead of reallocated, so a steady-state stream of flushes does no
 /// per-launch host allocation on the upload path (the ROADMAP profiling
-/// item). [`crate::GpmaPlus`] owns one and threads it through every batch.
-#[derive(Debug, Default)]
+/// item). Also stages the lazy-delete kernel's inputs (device key buffer,
+/// capacity only grows, and its one-slot deleted counter).
+/// [`crate::GpmaPlus`] owns one and threads it through every batch.
+#[derive(Debug)]
 pub struct UpdateScratch {
     keys: Vec<u64>,
     vals: Vec<u64>,
     ops: Vec<u32>,
     idx: Vec<u64>,
+    del_keys: DeviceBuffer<u64>,
+    del_count: DeviceBuffer<u64>,
+}
+
+impl Default for UpdateScratch {
+    fn default() -> Self {
+        UpdateScratch {
+            keys: Vec::new(),
+            vals: Vec::new(),
+            ops: Vec::new(),
+            idx: Vec::new(),
+            del_keys: DeviceBuffer::new(0),
+            del_count: DeviceBuffer::new(1),
+        }
+    }
+}
+
+impl UpdateScratch {
+    /// Upload the keys of `edges` for [`GpmaStorage::delete_lazy`] and zero
+    /// its counter. Returns `(keys, deleted count)`; only the first
+    /// `edges.len()` keys are meaningful.
+    // lint: hot-path
+    pub(crate) fn stage_deletions(&mut self, edges: &[Edge]) -> (&DeviceBuffer<u64>, &DeviceBuffer<u64>) {
+        self.keys.clear();
+        self.keys.reserve(edges.len());
+        for e in edges {
+            assert!(e.dst != GUARD_DST, "cannot delete a guard entry");
+            self.keys.push(e.key());
+        }
+        if self.del_keys.len() < edges.len() {
+            self.del_keys = DeviceBuffer::new(edges.len());
+        }
+        self.del_keys.copy_from_slice(0, &self.keys);
+        self.del_count.host_write(0, 0);
+        (&self.del_keys, &self.del_count)
+    }
 }
 
 /// Upload a batch and radix-sort it by key on the device. Deletions are
@@ -72,7 +110,7 @@ pub fn prepare_updates_parts(
     scratch: &mut UpdateScratch,
 ) -> DeviceUpdates {
     let n = deletions.len() + insertions.len();
-    let UpdateScratch { keys, vals, ops, idx } = scratch;
+    let UpdateScratch { keys, vals, ops, idx, .. } = scratch;
     keys.clear();
     vals.clear();
     ops.clear();

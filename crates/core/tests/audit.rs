@@ -91,13 +91,39 @@ fn lost_guard_is_rejected() {
 }
 
 #[test]
-fn understated_prefix_max_is_rejected() {
+fn understated_routing_bound_is_rejected() {
     let (_dev, mut g) = build_plus(16, &star_edges(12));
     let last = g.storage.leaf_max_prefix.len() - 1;
     g.storage.leaf_max_prefix.host_write(last, 0);
     match g.validate() {
-        Err(AuditError::Storage(m)) => assert!(m.contains("prefix max"), "{m}"),
-        other => panic!("expected prefix-max rejection, got {other:?}"),
+        Err(AuditError::Storage(m)) => assert!(m.contains("routing bound"), "{m}"),
+        other => panic!("expected routing-bound rejection, got {other:?}"),
+    }
+}
+
+#[test]
+fn bound_raised_to_the_next_leafs_min_is_rejected() {
+    // Raise a bound to the smallest key of the next non-empty leaf. The
+    // index stays monotone and nothing is understated, yet that key now
+    // routes one leaf too early and `find_slot` misses it: only the routing
+    // invariant catches this.
+    let (_dev, mut g) = build_plus(16, &star_edges(12));
+    let seg_len = g.storage.geometry().seg_len;
+    let (next, next_min) = g
+        .storage
+        .keys
+        .as_slice()
+        .chunks(seg_len)
+        .enumerate()
+        .skip(1)
+        .find_map(|(l, leaf)| leaf.iter().find(|&&k| k != EMPTY).map(|&k| (l, k)))
+        .expect("a non-empty leaf after the first");
+    g.storage.leaf_max_prefix.host_write(next - 1, next_min);
+    match g.validate() {
+        Err(AuditError::Storage(m)) => {
+            assert!(m.contains("at or below") && m.contains("routing bound"), "{m}")
+        }
+        other => panic!("expected routing-bound rejection, got {other:?}"),
     }
 }
 

@@ -2,9 +2,10 @@
 //! a sorted-map oracle under arbitrary batch sequences, preserve their
 //! structural invariants, and agree with each other.
 
+use gpma_core::storage::EMPTY;
 use gpma_core::{Gpma, GpmaPlus};
-use gpma_graph::{Edge, UpdateBatch};
-use gpma_sim::{Device, DeviceConfig};
+use gpma_graph::{encode_key, Edge, UpdateBatch};
+use gpma_sim::{Device, DeviceConfig, Lane};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -60,8 +61,141 @@ fn edges_of_plus(g: &GpmaPlus) -> BTreeMap<(u32, u32), u64> {
         .collect()
 }
 
+/// One step of the leaf-index property test: the two GPMA+ update paths
+/// plus the shapes that stress a locally maintained index.
+#[derive(Debug, Clone)]
+enum Step {
+    /// `update_batch`: deletions travel through the merges.
+    Merge(Vec<Op>),
+    /// `update_batch_lazy`: deletions tombstone, bounds stay.
+    Lazy(Vec<Op>),
+    /// Lazily delete the largest real edge of leaf `i % leaves` (its bound
+    /// becomes overstated).
+    DropLeafMax(usize),
+    /// Lazily delete every real edge of leaf `i % leaves` (a guard-free
+    /// leaf ends up empty under a stale bound).
+    EmptyLeaf(usize),
+    /// Insert six full rows at once: overflows the root, forcing a grow.
+    Grow(u32),
+    /// Delete every edge through the merge path: forces a shrink.
+    MassDelete,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let ops = || prop::collection::vec(op_strategy(), 1..40);
+    prop_oneof![
+        4 => ops().prop_map(Step::Merge),
+        4 => ops().prop_map(Step::Lazy),
+        3 => (0usize..1024).prop_map(Step::DropLeafMax),
+        3 => (0usize..1024).prop_map(Step::EmptyLeaf),
+        1 => (0..NV).prop_map(Step::Grow),
+        1 => (0u32..1).prop_map(|_| Step::MassDelete),
+    ]
+}
+
+/// Real edges stored in leaf `i % leaves`, in key order.
+fn leaf_edges(g: &GpmaPlus, i: usize) -> Vec<Edge> {
+    let geom = g.storage.geometry();
+    let leaf = i % geom.num_segs;
+    g.storage.keys.as_slice()[leaf * geom.seg_len..(leaf + 1) * geom.seg_len]
+        .iter()
+        .filter(|&&k| gpma_core::GpmaStorage::is_entry(k))
+        .map(|&k| {
+            let (s, d) = gpma_graph::decode_key(k);
+            Edge::new(s, d)
+        })
+        .collect()
+}
+
+/// The search contract the leaf index exists for: every live key is found,
+/// and every absent key routes to a leaf where inserting it keeps the
+/// array globally sorted.
+fn assert_index_routes_every_key(g: &GpmaPlus) {
+    let geom = g.storage.geometry();
+    let keys = g.storage.keys.as_slice();
+    let leaves: Vec<&[u64]> = keys.chunks(geom.seg_len).collect();
+    // Largest live key strictly left of each leaf, smallest strictly right
+    // (a leaf's live keys are sorted, so its ends are its extremes).
+    let is_live = |k: &u64| *k != EMPTY;
+    let mut max_left = vec![None; leaves.len()];
+    let mut running = None;
+    for (l, leaf) in leaves.iter().enumerate() {
+        max_left[l] = running;
+        running = leaf.iter().copied().rfind(is_live).or(running);
+    }
+    let mut min_right = vec![None; leaves.len()];
+    let mut running = None;
+    for (l, leaf) in leaves.iter().enumerate().rev() {
+        min_right[l] = running;
+        running = leaf.iter().copied().find(is_live).or(running);
+    }
+    let mut lane = Lane::test_lane(0);
+    for src in 0..NV {
+        for dst in (0..NV).chain([gpma_graph::GUARD_DST]) {
+            let key = encode_key(src, dst);
+            match g.storage.find_slot(&mut lane, key) {
+                Some(slot) => assert_eq!(keys[slot], key),
+                None => {
+                    assert!(!keys.contains(&key), "live key {key:#x} not found");
+                    let leaf = g.storage.find_leaf(&mut lane, key);
+                    assert!(
+                        max_left[leaf].is_none_or(|m| m < key)
+                            && min_right[leaf].is_none_or(|m| key < m),
+                        "absent key {key:#x} routes to leaf {leaf}, out of order"
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn leaf_index_routes_after_any_interleaving(
+        steps in prop::collection::vec(step_strategy(), 1..14),
+        device_tier in any::<bool>(),
+    ) {
+        // Both writers of routing bounds: the small-tier merge lane, and
+        // `redispatch_window` under the device tier.
+        let tier_max = if device_tier { 0 } else { gpma_core::gpma_plus::SMALL_WINDOW_MAX };
+        let dev = Device::new(DeviceConfig::deterministic());
+        let mut g = GpmaPlus::build(&dev, NV, &[]).with_tier_max(tier_max);
+        let mut oracle = BTreeMap::new();
+        for step in &steps {
+            let (batch, lazy) = match step {
+                Step::Merge(ops) => (to_batch(ops), false),
+                Step::Lazy(ops) => (to_batch(ops), true),
+                Step::DropLeafMax(i) => {
+                    let deletions = leaf_edges(&g, *i).pop().into_iter().collect();
+                    (UpdateBatch { insertions: vec![], deletions }, true)
+                }
+                Step::EmptyLeaf(i) => {
+                    (UpdateBatch { insertions: vec![], deletions: leaf_edges(&g, *i) }, true)
+                }
+                Step::Grow(row) => {
+                    let insertions = (0..6)
+                        .flat_map(|r| (0..NV).map(move |d| Edge::new((row + r) % NV, d)))
+                        .collect();
+                    (UpdateBatch { insertions, deletions: vec![] }, false)
+                }
+                Step::MassDelete => {
+                    let deletions = oracle.keys().map(|&(s, d)| Edge::new(s, d)).collect();
+                    (UpdateBatch { insertions: vec![], deletions }, false)
+                }
+            };
+            if lazy {
+                g.update_batch_lazy(&dev, &batch);
+            } else {
+                g.update_batch(&dev, &batch);
+            }
+            apply_oracle(&mut oracle, &batch);
+            g.storage.check_invariants();
+            prop_assert_eq!(edges_of_plus(&g), oracle.clone());
+            assert_index_routes_every_key(&g);
+        }
+    }
 
     #[test]
     fn gpma_plus_matches_oracle(batches in batches_strategy()) {

@@ -149,7 +149,11 @@ impl IncrementalBfs {
             }
         }
         // Invalidate, then repair from the surviving boundary: a bounded
-        // multi-source unit-weight Dijkstra restricted to the orphaned set.
+        // multi-source unit-weight Dijkstra, decrease-only like
+        // `repair_insertions`. It must not stop at the orphaned set: `g` is
+        // the post-delta graph, so an orphan can re-attach through an edge
+        // added by the same delta *below* its old distance, and that
+        // decrease has to reach its non-orphaned out-neighbours too.
         for &v in &affected {
             self.dist[v as usize] = UNREACHED;
         }
@@ -169,13 +173,13 @@ impl IncrementalBfs {
         }
         while let Some(Reverse((d, v))) = heap.pop() {
             self.work += 1;
-            if self.dist[v as usize] != UNREACHED {
+            if d >= self.dist[v as usize] {
                 continue; // already repaired at an equal-or-better level
             }
             self.dist[v as usize] = d;
             for (w, _) in g.out_neighbors(v) {
                 self.work += 1;
-                if orphaned[w as usize] && self.dist[w as usize] == UNREACHED {
+                if d + 1 < self.dist[w as usize] {
                     heap.push(Reverse((d + 1, w)));
                 }
             }
@@ -292,6 +296,32 @@ mod tests {
         // One epoch both cuts the chain and reroutes it further out.
         step(&mut g, &mut bfs, 1, &[(0, 5), (5, 6), (6, 2)], &[(1, 2)]);
         assert_eq!(bfs.distances(), &[0, 1, 3, 4, UNREACHED, 1, 2]);
+    }
+
+    #[test]
+    fn sliding_window_deltas_stay_exact() {
+        // Every slide both removes and adds edges, so orphans re-attach
+        // through edges of the same delta — sometimes closer to the root
+        // than they were, which must then pull their old neighbourhood in.
+        let edges = gpma_graph::datasets::pokec_like(2_000, 40_000, 1).edges;
+        let window = edges.len() / 2;
+        let snap = GraphSnapshot::from_edges(0, 2_000, edges[..window].to_vec());
+        let mut g = DeltaGraph::from_snapshot(&snap);
+        let mut bfs = IncrementalBfs::new(0);
+        bfs.rebase(&g);
+        // 128 consecutive edges of the distinct-edge stream, walked
+        // circularly.
+        let run = |from: usize| -> Vec<(u32, u32)> {
+            (from..from + 128)
+                .map(|i| edges[i % edges.len()])
+                .map(|e| (e.src, e.dst))
+                .collect()
+        };
+        for epoch in 1..=200usize {
+            // 256 updates: the 128 next edges in, the 128 oldest out.
+            let slid = (epoch - 1) * 128;
+            step(&mut g, &mut bfs, epoch as u64, &run(window + slid), &run(slid));
+        }
     }
 
     #[test]
