@@ -1361,11 +1361,14 @@ pub fn ablation(cfg: &ExpConfig) {
 
 /// `repro -- audit`: exercise every `gpma_core::audit` validator mid-stream
 /// — the GPMA+ state after each slide of a sliding-window stream, the delta
-/// publication ring after each epoch, every shipped partition policy, a
-/// migration plan between two plans, and a coordinated cluster cut.
+/// publication ring and the delta-advanced graph image after each epoch,
+/// every shipped partition policy, a migration plan between two plans, and
+/// a coordinated cluster cut.
 pub fn audit(cfg: &ExpConfig) {
     use gpma_cluster::{ClusterConfig, GraphCluster, PartitionPolicy};
-    use gpma_core::delta::{DeltaLog, SnapshotDelta};
+    use gpma_core::audit::validate_image;
+    use gpma_core::delta::{apply_delta, DeltaLog, SnapshotDelta};
+    use gpma_core::framework::GraphSnapshot;
     use gpma_core::migration::MigrationPlan;
     use gpma_core::multi::{DegreePartition, PartitionEpoch};
     use gpma_graph::Edge;
@@ -1378,18 +1381,24 @@ pub fn audit(cfg: &ExpConfig) {
     let mut rows = Vec::new();
 
     // GPMA+ structural/density audit after every sliding-window slide, and
-    // the delta ring contract after every published epoch.
+    // after every published epoch the delta ring contract and the graph
+    // image advanced by the epoch's delta (layout, and equality with a
+    // readback of the store the batch was applied to).
     let dev = Device::new(cfg.device_cfg.clone());
     let mut g = GpmaPlus::build(&dev, nv, stream.initial_edges());
     g.validate().expect("initial GPMA+ state audits clean");
     let mut log = DeltaLog::new(8);
+    let mut image = GraphSnapshot::from_store(0, &g.storage);
     let mut epoch = 0u64;
     for b in stream.sliding(batch).take(slides) {
         g.update_batch(&dev, &b);
         g.validate()
             .unwrap_or_else(|e| panic!("epoch {}: {e}", epoch + 1));
         epoch += 1;
-        log.push(Arc::new(SnapshotDelta::from_batch(epoch, &b)));
+        let delta = Arc::new(SnapshotDelta::from_batch(epoch, &b));
+        image = apply_delta(&image, &delta);
+        validate_image(&image, Some(&g.storage)).unwrap_or_else(|e| panic!("{e}"));
+        log.push(delta);
         log.validate()
             .unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
     }
@@ -1401,6 +1410,11 @@ pub fn audit(cfg: &ExpConfig) {
     rows.push(vec![
         "DeltaLog::validate".into(),
         format!("{} epochs, ring of {}", epoch, log.capacity()),
+        "ok".into(),
+    ]);
+    rows.push(vec![
+        "validate_image".into(),
+        format!("{} epochs, {} blocks vs store", epoch, image.num_blocks()),
         "ok".into(),
     ]);
 
@@ -1496,6 +1510,7 @@ pub fn recovery(cfg: &ExpConfig) {
         RecoveryPolicy,
     };
     use gpma_core::checkpoint::Checkpoint;
+    use gpma_core::delta::DeltaCatchUp;
     use gpma_graph::Edge;
     use gpma_service::{ServiceConfig, StreamingService};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1520,10 +1535,11 @@ pub fn recovery(cfg: &ExpConfig) {
         b
     };
 
-    // (a) Recovery time vs delta-chain length. The leader publishes its
-    // full snapshot as rarely as the ring allows, so the checkpoint's chain
-    // grows with the stream; we then kill the worker and measure the whole
-    // recovery path: decode the durable bytes, replay the chain, respawn.
+    // (a) Recovery time vs delta-chain length. The checkpoint pairs the
+    // leader's epoch-0 image with the ring's whole chain since then (an old
+    // base and a long tail, the worst case a checkpoint store can hold); we
+    // then kill the worker and measure the whole recovery path: decode the
+    // durable bytes, replay the chain, respawn.
     let chain_lens: &[usize] = if cfg.max_slides <= 1 {
         &[0, 8, 32]
     } else {
@@ -1535,22 +1551,24 @@ pub fn recovery(cfg: &ExpConfig) {
         let cap = (2 * len).max(4);
         let svc_cfg = ServiceConfig {
             delta_log_capacity: cap,
-            snapshot_interval: cap,
             ..ServiceConfig::default()
         };
         let dev = Device::new(cfg.device_cfg.clone());
         let sys = DynamicGraphSystem::new(dev, nv, stream.initial_edges(), batch);
         let svc = StreamingService::spawn(svc_cfg.clone(), sys);
+        let base = svc.snapshot();
         let h = svc.handle();
         for step in 0..len {
             h.ingest(step_batch(step)).expect("service alive");
         }
         drop(h);
-        // Serialize behind the queued batches without forcing a fresh
-        // snapshot publication (a barrier would collapse the chain).
-        svc.ad_hoc(|_| ()).expect("service alive");
+        svc.barrier().expect("service alive");
 
-        let ckpt = svc.checkpoint();
+        let chain = match svc.deltas_since(base.epoch()) {
+            DeltaCatchUp::Deltas(chain) => chain,
+            DeltaCatchUp::Snapshot(_) => panic!("the ring is sized to hold the whole chain"),
+        };
+        let ckpt = Checkpoint::new((*base).clone(), chain);
         let t_enc = Instant::now();
         let bytes = ckpt.encode();
         let encode_secs = t_enc.elapsed().as_secs_f64();

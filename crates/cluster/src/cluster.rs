@@ -576,7 +576,7 @@ impl GraphCluster {
                     format!("shard {shard} checkpoint corrupt: {e}"),
                 )
             })?;
-            edges.extend_from_slice(ckpt.restore().edges());
+            edges.extend(ckpt.restore().edges());
             shard += 1;
         }
         if shard == 0 {
@@ -1017,14 +1017,12 @@ fn spawn_shard_service(
 ) -> (StreamingService, Arc<GraphSnapshot>) {
     let dev = Device::named(device_cfg.clone(), format!("shard{shard}"));
     let sys = DynamicGraphSystem::new(dev, num_vertices, edges, cfg.flush_threshold);
-    let initial = Arc::new(sys.snapshot());
     // Every shard worker records into the one cluster registry, so flush
     // histograms aggregate cluster-wide and survive shard respawns.
     let svc = StreamingService::spawn_instrumented(
         ServiceConfig {
             queue_capacity: cfg.shard_queue_capacity,
             delta_log_capacity: cfg.shard_delta_log_capacity,
-            ..Default::default()
         },
         sys,
         Vec::new(),
@@ -1032,6 +1030,8 @@ fn spawn_shard_service(
         obs.clone(),
         shard as u32,
     );
+    // The image the service built at spawn, not a second store readback.
+    let initial = svc.snapshot();
     (svc, initial)
 }
 
@@ -1461,8 +1461,9 @@ impl Router {
         drop(restore_span);
 
         let replay_span = obs.span(Stage::RecoveryReplay);
+        let recovered_edges = recovered.edges().to_vec();
         let (svc, _) =
-            spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, recovered.edges(), &obs);
+            spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, &recovered_edges, &obs);
         let log = std::mem::take(&mut self.replay[i]);
         let replayed_updates: u64 = log.iter().map(|b| b.len() as u64).sum();
         let h = svc.handle();

@@ -89,16 +89,18 @@ impl ClusterSnapshot {
     pub fn merged_edges(&self) -> Vec<Edge> {
         let mut out: Vec<Edge> = Vec::with_capacity(self.num_edges());
         for s in &self.shards {
-            out.extend_from_slice(s.edges());
+            out.extend(s.edges());
         }
         out.sort_by_key(Edge::key);
         out
     }
 
-    /// Collapse the cut into one flat [`GraphSnapshot`] (epoch := cut) —
-    /// the O(E) merged copy, for callers that want single-store semantics.
+    /// Collapse the cut into one [`GraphSnapshot`] (epoch := cut), for
+    /// callers that want single-store semantics. The shards' images are
+    /// merged row by row into one allocation — no flat edge list, no global
+    /// sort; only a row block that several shards populate is sorted.
     pub fn to_graph_snapshot(&self) -> GraphSnapshot {
-        GraphSnapshot::from_edges(self.cut, self.num_vertices, self.merged_edges())
+        GraphSnapshot::merged(self.cut, self.num_vertices, &self.shard_refs())
     }
 
     /// True when edge `(src, dst)` was live on any shard at this cut.
@@ -176,6 +178,38 @@ mod tests {
         let flat = cs.to_graph_snapshot();
         assert_eq!(flat.epoch(), 3);
         assert_eq!(flat.num_edges(), 5);
+    }
+
+    #[test]
+    fn merged_image_equals_the_flat_rebuild_under_every_policy() {
+        use crate::PartitionPolicy;
+        // Rows that straddle block boundaries, a hub whose row the grid
+        // splits across shards (one of its keys is listed twice: the later
+        // weight wins), and an empty stretch of rows.
+        let mut edges: Vec<Edge> = (0..40u32).map(|v| Edge::weighted(v, (v * 7 + 3) % 40, 2)).collect();
+        edges.extend((0..40u32).filter(|d| d % 3 != 0).map(|d| Edge::weighted(8, d, 5)));
+        edges.retain(|e| !(16..24).contains(&e.src));
+        for policy in PartitionPolicy::ALL {
+            let part = policy.build(40, 4);
+            let mut per: Vec<Vec<Edge>> = vec![Vec::new(); part.num_shards()];
+            for e in &edges {
+                per[part.shard_of_edge(e.src, e.dst)].push(*e);
+            }
+            let shards = per
+                .into_iter()
+                .map(|es| Arc::new(GraphSnapshot::from_edges(1, 40, es)))
+                .collect();
+            let cs = ClusterSnapshot::new(9, 40, shards);
+            let merged = cs.to_graph_snapshot();
+            assert_eq!(
+                merged,
+                GraphSnapshot::from_edges(9, 40, cs.merged_edges()),
+                "{}",
+                policy.name()
+            );
+            assert_eq!(merged.check_layout(), Ok(()));
+            assert_eq!(merged.num_edges(), cs.num_edges());
+        }
     }
 
     #[test]

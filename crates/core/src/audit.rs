@@ -26,7 +26,7 @@ use crate::framework::GraphSnapshot;
 use crate::gpma_plus::GpmaPlus;
 use crate::migration::MigrationPlan;
 use crate::multi::{PartitionEpoch, Partitioner};
-use crate::storage::EMPTY;
+use crate::storage::{GpmaStorage, EMPTY};
 
 /// A validator rejection: which structure failed and exactly how.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,6 +41,8 @@ pub enum AuditError {
     Migration(String),
     /// A cluster cut is inconsistent with its per-shard snapshots.
     Cluster(String),
+    /// A published graph image broke its layout or diverged from the store.
+    Image(String),
 }
 
 impl std::fmt::Display for AuditError {
@@ -51,11 +53,42 @@ impl std::fmt::Display for AuditError {
             AuditError::Partition(m) => write!(f, "partition audit: {m}"),
             AuditError::Migration(m) => write!(f, "migration audit: {m}"),
             AuditError::Cluster(m) => write!(f, "cluster audit: {m}"),
+            AuditError::Image(m) => write!(f, "image audit: {m}"),
         }
     }
 }
 
 impl std::error::Error for AuditError {}
+
+/// Deep-validate a published image: the block layout
+/// ([`GraphSnapshot::check_layout`] — every block inside its slab and
+/// overlapping no other, offsets monotone from 0, every edge in the block
+/// and row its `src` names, rows strictly `dst`-sorted, the slabs' live
+/// counts and `num_edges` equal to the sums) and, when `store` is given,
+/// equality with a fresh readback of it (the epoch stamp aside).
+pub fn validate_image(image: &GraphSnapshot, store: Option<&GpmaStorage>) -> Result<(), AuditError> {
+    image.check_layout().map_err(AuditError::Image)?;
+    if let Some(store) = store {
+        let readback = GraphSnapshot::from_store(image.epoch(), store);
+        if *image != readback {
+            let diverged = image
+                .edges()
+                .iter()
+                .zip(readback.edges())
+                .find(|(a, b)| a != b)
+                .map_or("one is a prefix of the other".to_string(), |(a, b)| {
+                    format!("first difference: image {a:?}, store {b:?}")
+                });
+            return Err(AuditError::Image(format!(
+                "epoch {}: image holds {} edges, store {} ({diverged})",
+                image.epoch(),
+                image.num_edges(),
+                readback.num_edges()
+            )));
+        }
+    }
+    Ok(())
+}
 
 impl GpmaPlus {
     /// Deep-validate the PMA state: sorted keys without duplicates, the len

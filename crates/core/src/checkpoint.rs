@@ -115,9 +115,12 @@ impl Checkpoint {
         buf
     }
 
-    /// Parse and fully validate a container: magic, version, per-field
-    /// bounds, chain contiguity, no trailing garbage, and the payload
-    /// checksum. Every defect maps to a precise [`CodecError`].
+    /// Parse and fully validate a container: magic, version, the payload
+    /// checksum, then per-field bounds, chain contiguity and no trailing
+    /// garbage. Every defect maps to a precise [`CodecError`]. The checksum
+    /// goes before the payload because decoding the snapshot builds an
+    /// image sized by the stored vertex count — only verified bytes may
+    /// size an allocation.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CodecError> {
         // Header + checksum are the fixed costs; anything shorter cannot
         // even state what it claims to be.
@@ -139,6 +142,13 @@ impl Checkpoint {
             return Err(CodecError::BadVersion { found: version });
         }
         let _flags = r.u16("checkpoint flags")?;
+        let stored = u64::from_le_bytes([
+            tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
+        ]);
+        let computed = fnv1a64(body);
+        if stored != computed {
+            return Err(CodecError::ChecksumMismatch { stored, computed });
+        }
         let snapshot = decode_snapshot(&mut r)?;
         let count = r.u64("checkpoint delta count")?;
         let count = r.checked_count(count, MIN_DELTA_WIRE_BYTES, "checkpoint deltas")?;
@@ -158,13 +168,6 @@ impl Checkpoint {
             return Err(CodecError::TrailingBytes {
                 extra: r.remaining(),
             });
-        }
-        let stored = u64::from_le_bytes([
-            tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
-        ]);
-        let computed = fnv1a64(body);
-        if stored != computed {
-            return Err(CodecError::ChecksumMismatch { stored, computed });
         }
         Ok(Checkpoint { snapshot, deltas })
     }
@@ -396,12 +399,13 @@ mod tests {
     #[test]
     fn flipped_payload_byte_fails_the_checksum() {
         let mut bytes = checkpoint().encode();
-        // Flip an edge-weight byte: still parses, checksum catches it.
+        // Flip an edge-weight byte: it would still parse; the checksum,
+        // verified before the payload is decoded, catches it.
         let idx = bytes.len() - 9 - 8;
         bytes[idx] ^= 0x40;
         match Checkpoint::decode(&bytes) {
-            Err(CodecError::ChecksumMismatch { .. }) | Err(CodecError::Corrupt(_)) => {}
-            other => panic!("expected checksum/corrupt rejection, got {other:?}"),
+            Err(CodecError::ChecksumMismatch { .. }) => {}
+            other => panic!("expected checksum rejection, got {other:?}"),
         }
     }
 

@@ -238,9 +238,14 @@ pub fn encode_snapshot(snap: &GraphSnapshot, buf: &mut Vec<u8>) {
 }
 
 /// Decode a snapshot encoded by [`encode_snapshot`], validating the length
-/// prefix against the remaining bytes and that edges arrive strictly
-/// key-sorted (the canonical form [`GraphSnapshot::from_edges`] guarantees,
-/// so any deviation is corruption, not a formatting choice).
+/// prefix against the remaining bytes, that every edge's source is inside
+/// the stored vertex count, and that edges arrive strictly key-sorted (the
+/// canonical form [`GraphSnapshot::from_edges`] guarantees, so any
+/// deviation is corruption, not a formatting choice).
+///
+/// The image this builds is sized by the stored vertex count; callers
+/// holding unverified bytes check their integrity first (as
+/// [`Checkpoint::decode`](crate::checkpoint::Checkpoint::decode) does).
 pub fn decode_snapshot(r: &mut ByteReader<'_>) -> Result<GraphSnapshot, CodecError> {
     let epoch = r.u64("snapshot epoch")?;
     let num_vertices = r.u32("snapshot vertex count")?;
@@ -250,6 +255,12 @@ pub fn decode_snapshot(r: &mut ByteReader<'_>) -> Result<GraphSnapshot, CodecErr
     let mut prev: Option<u64> = None;
     for _ in 0..count {
         let e = read_edge(r, "snapshot edge")?;
+        if e.src >= num_vertices {
+            return Err(CodecError::Corrupt(format!(
+                "snapshot edge source {} outside its {num_vertices} vertices",
+                e.src
+            )));
+        }
         if prev.is_some_and(|p| p >= e.key()) {
             return Err(CodecError::Corrupt(format!(
                 "snapshot edges out of order at key {:#x}",
@@ -397,6 +408,19 @@ mod tests {
                 assert_eq!(count, u64::MAX);
             }
             other => panic!("expected length-overflow rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_edge_past_the_vertex_count_is_rejected() {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 1); // epoch
+        put_u32(&mut buf, 4); // vertices
+        put_u64(&mut buf, 1); // edge count
+        put_edge(&mut buf, &Edge::new(4, 0));
+        match decode_snapshot(&mut ByteReader::new(&buf)) {
+            Err(CodecError::Corrupt(m)) => assert!(m.contains("outside its 4 vertices"), "{m}"),
+            other => panic!("expected corrupt rejection, got {other:?}"),
         }
     }
 

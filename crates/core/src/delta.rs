@@ -1,5 +1,5 @@
-//! Epoch delta publication: the read-path seam that replaces O(E) full
-//! snapshot republication with O(|Δ|) per-epoch deltas.
+//! Epoch delta publication: the O(|Δ|) per-epoch record every reader and
+//! every published [`GraphSnapshot`] image is advanced with.
 //!
 //! Every flush of a [`DynamicGraphSystem`](crate::framework::DynamicGraphSystem)
 //! advances the epoch by one and has a well-defined *net effect* on the live
@@ -21,6 +21,7 @@ use std::sync::Arc;
 use gpma_graph::{Edge, UpdateBatch};
 
 use crate::framework::GraphSnapshot;
+use crate::image::sort_last_write_wins;
 use crate::multi::Partitioner;
 
 /// Bytes a snapshot edge occupies on the modeled wire (key + weight).
@@ -53,13 +54,8 @@ impl SnapshotDelta {
     /// for repeated insertion keys the last write wins. A key both deleted
     /// and (re)inserted in one batch nets to *inserted*.
     pub fn from_batch(epoch: u64, batch: &UpdateBatch) -> Self {
-        // Last-write-wins upsert set (stable sort keeps arrival order within
-        // equal keys, mirroring GraphSnapshot::from_edges).
         let mut inserted = batch.insertions.clone();
-        inserted.sort_by_key(Edge::key);
-        inserted.reverse();
-        inserted.dedup_by_key(|e| e.key());
-        inserted.reverse();
+        sort_last_write_wins(&mut inserted);
         let mut deleted: Vec<u64> = batch
             .deletions
             .iter()
@@ -117,8 +113,7 @@ impl SnapshotDelta {
         self.inserted.is_empty() && self.deleted.is_empty()
     }
 
-    /// Bytes this delta occupies on the modeled publication wire — the
-    /// O(|Δ|) cost the delta path ships instead of an O(E) snapshot copy.
+    /// Bytes this delta occupies on the modeled publication wire.
     pub fn wire_bytes(&self) -> usize {
         8 + self.inserted.len() * BYTES_PER_EDGE + self.deleted.len() * BYTES_PER_DELETED_KEY
     }
@@ -159,39 +154,21 @@ impl SnapshotDelta {
     }
 }
 
-/// Replay one delta on an epoch-stamped snapshot, producing the next epoch's
-/// snapshot — the reader-side half of the delta contract.
+/// Replay one delta on an epoch-stamped image, producing the next epoch's
+/// image — the reader-side half of the delta contract, and the step every
+/// publisher (service worker, follower, recovery replay) advances with.
+///
+/// A path copy, not a rebuild: only the row blocks the delta touches are
+/// rewritten (plus, now and then, the live rest of a slab that is mostly
+/// garbage), every other block is shared with `snap`, which stays valid
+/// ([`GraphSnapshot::advance`] is the same step and also reports the bytes
+/// it copied). Cost O(|Δ| · block + V / block), independent of E.
 ///
 /// Exactness: if `snap` is the true epoch-`k` state and `delta` the epoch
-/// `k+1` net effect, the result equals the true epoch-`k+1` snapshot
+/// `k+1` net effect, the result equals the true epoch-`k+1` image
 /// (same edges, same weights, same order).
 pub fn apply_delta(snap: &GraphSnapshot, delta: &SnapshotDelta) -> GraphSnapshot {
-    let mut edges: Vec<Edge> = Vec::with_capacity(snap.num_edges() + delta.inserted.len());
-    // Both inputs are key-sorted: a linear merge keeps the result sorted,
-    // dropping deleted and superseded keys as it goes.
-    let mut ins = delta.inserted.iter().peekable();
-    for e in snap.edges() {
-        let k = e.key();
-        while let Some(n) = ins.peek() {
-            if n.key() < k {
-                edges.push(**n);
-                ins.next();
-            } else {
-                break;
-            }
-        }
-        if let Some(n) = ins.peek() {
-            if n.key() == k {
-                continue; // superseded by the delta's upsert
-            }
-        }
-        if delta.deleted.binary_search(&k).is_ok() {
-            continue;
-        }
-        edges.push(*e);
-    }
-    edges.extend(ins.copied());
-    GraphSnapshot::from_edges(delta.epoch, snap.num_vertices(), edges)
+    snap.advance(delta).0
 }
 
 /// Split one shard's epoch delta across a partition boundary: every entry

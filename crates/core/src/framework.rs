@@ -15,6 +15,7 @@ use gpma_sim::{Device, PcieConfig, SimTime};
 
 use crate::delta::SnapshotDelta;
 use crate::gpma_plus::GpmaPlus;
+pub use crate::image::{Edges, GraphSnapshot};
 
 /// Bytes shipped over PCIe per streamed update (key + weight + op tag).
 pub const BYTES_PER_UPDATE: usize = 8 + 8 + 4;
@@ -160,9 +161,9 @@ pub struct StepReport {
     /// duplicate-edge counter.
     pub duplicate_inserts: usize,
     /// The net effect of this step on the live edge set — the O(|Δ|) record
-    /// service layers publish instead of (or alongside) an O(E) snapshot
-    /// copy. Shared, because the same delta typically fans out to a delta
-    /// log, monitor threads, and cluster-level chains.
+    /// service layers publish and advance their [`GraphSnapshot`] with.
+    /// Shared, because the same delta typically fans out to a delta log,
+    /// monitor threads, and cluster-level chains.
     pub delta: Arc<SnapshotDelta>,
     /// Simulated device time of the GPMA+ batch apply.
     pub update_time: SimTime,
@@ -176,93 +177,6 @@ impl StepReport {
     /// Total simulated time spent in monitor analytics this step.
     pub fn analytics_time(&self) -> SimTime {
         self.analytics.iter().map(|&(_, t, _)| t).sum()
-    }
-}
-
-/// An immutable, epoch-stamped host-side copy of the active graph — the
-/// read side of the concurrent streaming facade (`gpma-service`).
-///
-/// A snapshot is taken after a flush completes, so it is always *consistent*:
-/// every update of epochs `1..=epoch` is reflected, none of the still-queued
-/// ones are. Readers (continuous monitors, ad-hoc queries) work on the
-/// snapshot while the writer keeps mutating the live [`GpmaPlus`], which is
-/// the paper's "concurrent streams and queries" scenario (§6.5) expressed in
-/// host memory. Edges are sorted by `(src, dst)` key, so per-vertex rows are
-/// contiguous and found by binary search.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphSnapshot {
-    epoch: u64,
-    num_vertices: u32,
-    /// Live edges sorted by storage key (row-major CSR order).
-    edges: Vec<Edge>,
-}
-
-impl GraphSnapshot {
-    /// Build a snapshot from parts; `edges` may arrive unsorted and may
-    /// repeat `(src, dst)` keys — the later occurrence wins, matching the
-    /// store's modification semantics.
-    pub fn from_edges(epoch: u64, num_vertices: u32, mut edges: Vec<Edge>) -> Self {
-        // Stable sort keeps arrival order within equal keys, so keeping the
-        // last element of each run is last-write-wins.
-        edges.sort_by_key(Edge::key);
-        edges.reverse();
-        edges.dedup_by_key(|e| e.key());
-        edges.reverse();
-        GraphSnapshot {
-            epoch,
-            num_vertices,
-            edges,
-        }
-    }
-
-    /// Epoch stamp: the number of flushes applied before this copy was taken.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Vertex count of the underlying store.
-    pub fn num_vertices(&self) -> u32 {
-        self.num_vertices
-    }
-
-    /// Live edges at this epoch.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// True when the graph had no live edges at this epoch.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// All live edges in row-major `(src, dst)` order.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
-    }
-
-    /// Row of vertex `v`: its out-edges as a contiguous sorted slice.
-    pub fn neighbors(&self, v: u32) -> &[Edge] {
-        let lo = self.edges.partition_point(|e| e.src < v);
-        let hi = self.edges.partition_point(|e| e.src <= v);
-        &self.edges[lo..hi]
-    }
-
-    /// Out-degree of vertex `v`.
-    pub fn out_degree(&self, v: u32) -> usize {
-        self.neighbors(v).len()
-    }
-
-    /// Weight of edge `(src, dst)` at this epoch, if live.
-    pub fn weight(&self, src: u32, dst: u32) -> Option<u64> {
-        let row = self.neighbors(src);
-        row.binary_search_by_key(&dst, |e| e.dst)
-            .ok()
-            .map(|i| row[i].weight)
-    }
-
-    /// True when edge `(src, dst)` was live at this epoch.
-    pub fn contains(&self, src: u32, dst: u32) -> bool {
-        self.weight(src, dst).is_some()
     }
 }
 
@@ -327,16 +241,14 @@ impl DynamicGraphSystem {
         self.epoch
     }
 
-    /// Copy the live graph into an epoch-stamped immutable [`GraphSnapshot`]
-    /// (the D2H readback a real deployment would DMA). Consistent by
-    /// construction: called between flushes, it reflects exactly the updates
-    /// of epochs `1..=epoch()`.
+    /// Read the live store back into a fresh epoch-stamped
+    /// [`GraphSnapshot`] — the O(E) from-scratch build (spawn, checkpoints,
+    /// end-to-end checks of the store). Steady-state publication advances an
+    /// existing image with [`apply_delta`](crate::delta::apply_delta)
+    /// instead. Consistent by construction: called between flushes, it
+    /// reflects exactly the updates of epochs `1..=epoch()`.
     pub fn snapshot(&self) -> GraphSnapshot {
-        GraphSnapshot {
-            epoch: self.epoch,
-            num_vertices: self.graph.storage.num_vertices(),
-            edges: self.graph.storage.host_edges(),
-        }
+        GraphSnapshot::from_store(self.epoch, &self.graph.storage)
     }
 
     /// Feed stream elements; flushes automatically when the buffer fills.
@@ -537,50 +449,6 @@ mod tests {
         assert_eq!(snap.num_edges(), 5);
         // snap0 is immutable: it still sees the initial graph.
         assert_eq!(snap0.num_edges(), 1);
-    }
-
-    #[test]
-    fn snapshot_rows_and_lookups() {
-        let snap = GraphSnapshot::from_edges(
-            7,
-            5,
-            vec![
-                Edge::weighted(2, 0, 9),
-                Edge::new(0, 1),
-                Edge::new(0, 3),
-                Edge::new(2, 4),
-            ],
-        );
-        assert_eq!(snap.epoch(), 7);
-        assert_eq!(snap.num_vertices(), 5);
-        assert_eq!(snap.num_edges(), 4);
-        assert!(!snap.is_empty());
-        assert_eq!(snap.out_degree(0), 2);
-        assert_eq!(snap.out_degree(1), 0);
-        let row2: Vec<u32> = snap.neighbors(2).iter().map(|e| e.dst).collect();
-        assert_eq!(row2, vec![0, 4]);
-        assert_eq!(snap.weight(2, 0), Some(9));
-        assert!(snap.contains(0, 3));
-        assert!(!snap.contains(3, 0));
-        // Edges come back sorted in row-major key order.
-        let keys: Vec<u64> = snap.edges().iter().map(Edge::key).collect();
-        assert!(keys.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn snapshot_from_edges_dedups_last_write_wins() {
-        let snap = GraphSnapshot::from_edges(
-            1,
-            3,
-            vec![
-                Edge::weighted(0, 1, 5),
-                Edge::weighted(1, 2, 1),
-                Edge::weighted(0, 1, 9),
-            ],
-        );
-        assert_eq!(snap.num_edges(), 2);
-        assert_eq!(snap.weight(0, 1), Some(9), "later duplicate wins");
-        assert_eq!(snap.out_degree(0), 1);
     }
 
     #[test]

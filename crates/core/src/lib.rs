@@ -13,6 +13,10 @@
 //!   algorithms run unmodified up to an `IsEntryExist` check (§4.2).
 //! * [`framework`] — the dynamic graph analytic framework of §3 (Figure 1):
 //!   stream/query buffers and the PCIe-overlapping pipeline (Figure 2).
+//! * [`image`] — the published [`GraphSnapshot`](image::GraphSnapshot): a
+//!   persistent row-block image over a few shared slabs that each epoch's
+//!   delta advances in O(|Δ|), sharing every untouched block with the
+//!   previous epoch.
 //! * [`delta`] — per-epoch [`SnapshotDelta`] capture and the bounded
 //!   [`DeltaLog`] publication ring, the O(|Δ|) read-path seam the
 //!   `gpma-incremental` engine consumes.
@@ -51,6 +55,7 @@ pub mod delta;
 pub mod framework;
 pub mod gpma;
 pub mod gpma_plus;
+pub mod image;
 pub mod migration;
 pub mod multi;
 pub mod storage;

@@ -449,8 +449,8 @@ impl GpmaStorage {
             .collect()
     }
 
-    /// Live real edges in key order — host readback (one pass, one
-    /// exactly-sized allocation: this is the snapshot publish path).
+    /// Live real edges in key order — host readback as one flat list (one
+    /// pass, one exactly-sized allocation).
     pub fn host_edges(&self) -> Vec<Edge> {
         let mut edges = Vec::with_capacity(self.num_edges());
         for (&k, &w) in self.keys.as_slice().iter().zip(self.vals.as_slice()) {

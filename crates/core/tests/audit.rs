@@ -8,8 +8,9 @@
 
 use std::sync::Arc;
 
-use gpma_core::audit::AuditError;
-use gpma_core::delta::{DeltaLog, SnapshotDelta};
+use gpma_core::audit::{validate_image, AuditError};
+use gpma_core::delta::{apply_delta, DeltaLog, SnapshotDelta};
+use gpma_core::framework::GraphSnapshot;
 use gpma_core::migration::MigrationPlan;
 use gpma_core::multi::{PartitionEpoch, Partitioner, VertexPartition};
 use gpma_core::storage::EMPTY;
@@ -26,6 +27,42 @@ fn build_plus(nv: u32, edges: &[Edge]) -> (Device, GpmaPlus) {
 
 fn star_edges(n: u32) -> Vec<Edge> {
     (1..n).map(|d| Edge::weighted(0, d, u64::from(d))).collect()
+}
+
+// ------------------------------------------------------------------ image
+
+#[test]
+fn delta_advanced_image_validates_against_the_store() {
+    let (dev, mut g) = build_plus(16, &star_edges(12));
+    let base = GraphSnapshot::from_store(0, &g.storage);
+    validate_image(&base, Some(&g.storage)).expect("fresh readback");
+    let batch = UpdateBatch {
+        insertions: vec![Edge::new(3, 4), Edge::weighted(0, 2, 9), Edge::new(15, 0)],
+        deletions: vec![Edge::new(0, 1), Edge::new(7, 7)],
+    };
+    g.update_batch(&dev, &batch);
+    let next = apply_delta(&base, &SnapshotDelta::from_batch(1, &batch));
+    validate_image(&next, Some(&g.storage)).expect("image advanced by the batch's delta");
+    // The image that missed the batch has a sound layout but a stale content.
+    validate_image(&base, None).expect("layout alone");
+    match validate_image(&base, Some(&g.storage)) {
+        Err(AuditError::Image(m)) => assert!(m.contains("first difference"), "{m}"),
+        other => panic!("expected a divergence rejection, got {other:?}"),
+    }
+}
+
+#[test]
+fn edges_swapped_across_a_row_boundary_are_rejected() {
+    // Block 0 holds (0,1) (0,2) | (1,0): positions 1 and 2 straddle the
+    // boundary between rows 0 and 1.
+    let edges = vec![Edge::new(0, 1), Edge::new(0, 2), Edge::new(1, 0), Edge::new(9, 3)];
+    let mut image = GraphSnapshot::from_edges(0, 16, edges);
+    validate_image(&image, None).expect("intact image");
+    image.corrupt_swap(0, 1, 2);
+    match validate_image(&image, None) {
+        Err(AuditError::Image(m)) => assert!(m.contains("row 0 holds edge (1, 0)"), "{m}"),
+        other => panic!("expected a misplaced-edge rejection, got {other:?}"),
+    }
 }
 
 // ---------------------------------------------------------------- storage

@@ -1,0 +1,144 @@
+//! Property tests of the persistent row-block image: random delta chains
+//! replayed through `apply_delta` against a `BTreeMap` oracle. After every
+//! step the image must equal a from-scratch build of the oracle, answer
+//! row queries like it, share every block the delta left alone with its
+//! predecessor (unless the step also emptied a slab, which moves blocks) —
+//! and the predecessor must not have changed.
+
+use std::collections::BTreeMap;
+
+use gpma_core::delta::{apply_delta, SnapshotDelta};
+use gpma_core::framework::GraphSnapshot;
+use gpma_core::image::ROWS_PER_BLOCK;
+use gpma_graph::{Edge, UpdateBatch};
+use proptest::prelude::*;
+
+/// Three full blocks and a short last one (rows 24..27).
+const NV: u32 = 3 * ROWS_PER_BLOCK as u32 + 3;
+
+type Oracle = BTreeMap<(u32, u32), u64>;
+
+#[derive(Debug, Clone)]
+enum Op {
+    Upsert(Edge),
+    /// May name an absent key, or a row past the last vertex.
+    Delete(Edge),
+    /// Delete every live edge of one block (empties its rows).
+    ClearBlock(u32),
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    (0u32..10, 0..NV + 6, 0..NV, 1u64..5).prop_map(|(kind, s, d, w)| match kind {
+        0..=4 => Op::Upsert(Edge::weighted(s % NV, d, w)),
+        5..=8 => Op::Delete(Edge::new(s, d)),
+        _ => Op::ClearBlock(s % NV.div_ceil(ROWS_PER_BLOCK as u32)),
+    })
+}
+
+/// Turn one step's ops into a batch (deletions apply before insertions, the
+/// later insertion of a key wins) and apply the same to the oracle.
+fn step(oracle: &mut Oracle, ops: &[Op]) -> UpdateBatch {
+    let mut batch = UpdateBatch::default();
+    for op in ops {
+        match op {
+            Op::Upsert(e) => batch.insertions.push(*e),
+            Op::Delete(e) => batch.deletions.push(*e),
+            Op::ClearBlock(b) => {
+                let rows = b * ROWS_PER_BLOCK as u32..(b + 1) * ROWS_PER_BLOCK as u32;
+                let doomed = oracle.keys().filter(|(s, _)| rows.contains(s));
+                batch
+                    .deletions
+                    .extend(doomed.map(|&(s, d)| Edge::new(s, d)));
+            }
+        }
+    }
+    for e in &batch.deletions {
+        oracle.remove(&(e.src, e.dst));
+    }
+    for e in &batch.insertions {
+        oracle.insert((e.src, e.dst), e.weight);
+    }
+    batch
+}
+
+fn image_of(epoch: u64, oracle: &Oracle) -> GraphSnapshot {
+    let edges = oracle.iter().map(|(&(s, d), &w)| Edge::weighted(s, d, w));
+    GraphSnapshot::from_edges(epoch, NV, edges.collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn delta_chains_advance_the_image_exactly_and_persistently(
+        initial in prop::collection::vec(op_strategy(), 0..40),
+        steps in prop::collection::vec(prop::collection::vec(op_strategy(), 0..12), 1..12),
+    ) {
+        let mut oracle = Oracle::new();
+        step(&mut oracle, &initial);
+        let mut image = image_of(0, &oracle);
+        for (i, ops) in steps.iter().enumerate() {
+            let epoch = i as u64 + 1;
+            let before = image_of(epoch - 1, &oracle);
+            let batch = step(&mut oracle, ops);
+            let delta = SnapshotDelta::from_batch(epoch, &batch);
+            let next = apply_delta(&image, &delta);
+
+            prop_assert_eq!(&next, &image_of(epoch, &oracle));
+            prop_assert_eq!(next.check_layout(), Ok(()));
+            prop_assert_eq!(next.num_edges(), oracle.len());
+            for v in 0..NV + 2 {
+                let want: Vec<Edge> = oracle
+                    .range((v, 0)..=(v, u32::MAX))
+                    .map(|(&(s, d), &w)| Edge::weighted(s, d, w))
+                    .collect();
+                prop_assert_eq!(next.neighbors(v), &want[..], "row {}", v);
+                prop_assert_eq!(next.out_degree(v), want.len());
+                for d in 0..NV {
+                    prop_assert_eq!(next.weight(v, d), oracle.get(&(v, d)).copied());
+                }
+            }
+
+            // Persistence: advancing did not disturb the previous image.
+            prop_assert_eq!(&image, &before);
+            // Structural sharing: a k-key delta rewrites at most k blocks,
+            // all into one new slab — unless it also emptied an old slab to
+            // bound the garbage, which moves that slab's blocks too.
+            let rebuilt = next.num_blocks() - next.shared_blocks(&image);
+            if next.num_slabs() == image.num_slabs() + 1 {
+                prop_assert!(rebuilt <= delta.len(), "{} blocks rebuilt for {} keys", rebuilt, delta.len());
+            }
+            prop_assert!(next.num_slabs() <= image.num_slabs() + 1);
+            image = next;
+        }
+    }
+}
+
+#[test]
+fn an_empty_delta_shares_every_block() {
+    let base = GraphSnapshot::from_edges(4, NV, vec![Edge::new(0, 1), Edge::new(NV - 1, 0)]);
+    let next = apply_delta(
+        &base,
+        &SnapshotDelta::from_batch(5, &UpdateBatch::default()),
+    );
+    assert_eq!(next.epoch(), 5);
+    assert_eq!(next.edges(), base.edges());
+    assert_eq!(next.shared_blocks(&base), base.num_blocks());
+}
+
+#[test]
+fn one_key_in_a_large_image_rebuilds_one_block() {
+    let nv = 4_000u32;
+    let edges: Vec<Edge> = (0..nv).map(|v| Edge::new(v, (v + 1) % nv)).collect();
+    let base = GraphSnapshot::from_edges(0, nv, edges);
+    let delta = SnapshotDelta::from_batch(
+        1,
+        &UpdateBatch {
+            insertions: vec![Edge::weighted(1_234, 7, 9)],
+            deletions: vec![],
+        },
+    );
+    let next = apply_delta(&base, &delta);
+    assert_eq!(next.num_edges(), base.num_edges() + 1);
+    assert_eq!(next.shared_blocks(&base), base.num_blocks() - 1);
+}

@@ -133,8 +133,8 @@ impl Follower {
             }
             DeltaCatchUp::Snapshot(snap) => {
                 let jump = snap.epoch().saturating_sub(self.state.epoch());
-                // Never step backwards: the published snapshot can trail the
-                // ring head under a sparse snapshot cadence.
+                // Never step backwards: the published image trails the ring
+                // head between a flush's delta push and its image swap.
                 if snap.epoch() >= self.state.epoch() {
                     self.state = snap;
                 }

@@ -24,18 +24,19 @@
 //!   `GraphStreamBuffer` and flushes threshold-sized batches to the (simulated)
 //!   device, exactly like the paper's Figure 1 update module.
 //! * **Epoch-versioned reads** — after every flush the worker publishes an
-//!   immutable, epoch-stamped [`GraphSnapshot`]. Queries and continuous
+//!   immutable, epoch-stamped [`GraphSnapshot`]: the previous image
+//!   advanced by the flush's delta, sharing every row block the delta did
+//!   not touch, so a publish costs O(|Δ|), not O(E). Queries and continuous
 //!   analytics ([`SnapshotMonitor`]s on their own thread) always see a
-//!   consistent graph while updates keep flowing.
+//!   consistent graph while updates keep flowing. The store itself is read
+//!   back only at spawn and at shutdown, where it is compared with the
+//!   published image ([`ServiceReport::final_snapshot`]).
 //! * **Delta publication** — every flush also publishes its O(|Δ|) net
 //!   effect as a [`SnapshotDelta`] into a bounded ring
 //!   ([`StreamingService::deltas_since`] catches readers up, falling back
-//!   to a full snapshot past the ring); [`DeltaMonitor`]s consume every
-//!   epoch in order on their own thread, and
-//!   [`ServiceConfig::snapshot_interval`] makes deltas the steady-state
-//!   read path (full snapshots at a sparse cadence; barriers always
-//!   fresh). The `gpma-incremental` crate builds live incremental
-//!   BFS / CC / PageRank on this seam.
+//!   to the latest image past the ring); [`DeltaMonitor`]s consume every
+//!   epoch in order on their own thread. The `gpma-incremental` crate
+//!   builds live incremental BFS / CC / PageRank on this seam.
 //! * **Durability & replication** — [`StreamingService::checkpoint`]
 //!   captures the latest snapshot plus its trailing delta chain as a
 //!   [`gpma_core::checkpoint::Checkpoint`] (respawn with

@@ -4,17 +4,23 @@
 use gpma_sim::ServiceCounters;
 
 /// Cumulative read-path publication accounting: what the worker shipped as
-/// O(|Δ|) epoch deltas versus O(E) full snapshot copies. The modeled-byte
-/// ratio is the headline number of the `repro -- incremental` experiment.
+/// epoch deltas and what advancing the published image by them copied —
+/// both O(|Δ|) per flush.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PublicationStats {
     /// Epoch deltas published (one per flush).
     pub deltas: u64,
     /// Modeled bytes shipped by delta publication.
     pub delta_bytes: u64,
-    /// Full snapshots published (cadence flushes + barrier/shutdown forces).
+    /// Images published: one per flush, each the previous image advanced
+    /// by the flush's delta.
     pub snapshots: u64,
-    /// Modeled bytes copied by full-snapshot publication.
+    /// Modeled bytes image publication copied: 8 per publish plus
+    /// [`BYTES_PER_EDGE`](gpma_core::delta::BYTES_PER_EDGE) for every edge
+    /// of every row block the publish wrote — the blocks its delta changed
+    /// and the blocks it moved to keep the image's garbage bounded
+    /// (`gpma_core::image`), not the graph. The per-publish copy of the
+    /// block vector (O(V / rows-per-block), no edge data) is not counted.
     pub snapshot_bytes: u64,
 }
 
@@ -28,7 +34,7 @@ impl PublicationStats {
         }
     }
 
-    /// Mean modeled bytes per published full snapshot (0 before the first).
+    /// Mean modeled bytes copied per published image (0 before the first).
     pub fn avg_snapshot_bytes(&self) -> f64 {
         if self.snapshots == 0 {
             0.0

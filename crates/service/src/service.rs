@@ -1,5 +1,5 @@
 //! The service runtime: ingest handles, the worker thread that drains the
-//! queue into the framework's [`GraphStreamBuffer`], snapshot + delta
+//! queue into the framework's [`GraphStreamBuffer`], delta + image
 //! publication and the shutdown protocol.
 //!
 //! [`GraphStreamBuffer`]: gpma_core::framework::GraphStreamBuffer
@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use gpma_core::checkpoint::Checkpoint;
-use gpma_core::delta::{DeltaCatchUp, DeltaLog, SnapshotDelta, BYTES_PER_EDGE};
+use gpma_core::delta::{DeltaCatchUp, DeltaLog, SnapshotDelta};
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot};
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_obs::{EventKind, Registry as ObsRegistry, Stage, NO_SHARD};
@@ -34,14 +34,6 @@ pub struct ServiceConfig {
     /// ([`StreamingService::deltas_since`]). A reader that lags past the
     /// ring falls back to a full snapshot. Clamped to at least 1.
     pub delta_log_capacity: usize,
-    /// Publish a full O(E) snapshot every this-many flushes; O(|Δ|) deltas
-    /// publish on *every* flush. `1` (the default) preserves the classic
-    /// snapshot-per-flush behavior; larger values make delta publication
-    /// the steady-state read path ([`StreamingService::barrier`] and
-    /// shutdown still force a fresh snapshot). Clamped to
-    /// `[1, delta_log_capacity]` so the snapshot fallback always reconnects
-    /// to the delta ring.
-    pub snapshot_interval: usize,
 }
 
 impl Default for ServiceConfig {
@@ -49,7 +41,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             queue_capacity: 1024,
             delta_log_capacity: 1024,
-            snapshot_interval: 1,
         }
     }
 }
@@ -110,7 +101,7 @@ enum Command {
     Insert(Edge),
     Delete(Edge),
     Batch(UpdateBatch),
-    /// Flush all residue, publish a snapshot, and ack with it.
+    /// Flush all residue and ack with the published image.
     Barrier(Sender<Arc<GraphSnapshot>>),
     /// Run a closure against the live system, serialized with updates
     /// (Figure 1's dynamic query buffer). The closure carries its own
@@ -144,8 +135,8 @@ struct Shared {
     /// High-water mark of the queue depth the worker observed (sampled on
     /// every popped command, so it must not take the metrics mutex).
     max_queue_depth: AtomicU64,
-    /// Latest published snapshot; swapped whole so readers never block the
-    /// worker for longer than an `Arc` clone.
+    /// Latest published image; swapped whole so readers never block the
+    /// worker for longer than an `Arc` clone. Only the worker advances it.
     snapshot: Mutex<Arc<GraphSnapshot>>,
     /// Published epoch deltas retained for reader catch-up.
     delta_log: Mutex<DeltaLog>,
@@ -153,13 +144,13 @@ struct Shared {
     published_deltas: AtomicU64,
     /// Modeled bytes shipped by delta publication (O(|Δ|) per epoch).
     delta_bytes: AtomicU64,
-    /// Full snapshots published (every `snapshot_interval`-th flush, plus
-    /// barrier/shutdown forces).
+    /// Images published (one per flush).
     published_snapshots: AtomicU64,
-    /// Modeled bytes copied by full-snapshot publication (O(E) per copy).
+    /// Modeled bytes of the row blocks image publication wrote.
     snapshot_bytes: AtomicU64,
     /// Errors the worker thread recovered from instead of panicking (a
-    /// misdispatched control command); surfaced as
+    /// misdispatched control command, a published image that diverged from
+    /// the store); surfaced as
     /// [`ServiceMetrics::worker_errors`].
     worker_errors: AtomicU64,
     /// The telemetry hub (DESIGN.md §13): per-stage latency histograms and
@@ -351,7 +342,10 @@ pub struct ServiceReport {
     /// The framework system, handed back for post-mortem inspection or
     /// continued single-threaded use.
     pub system: DynamicGraphSystem,
-    /// The snapshot published by the final flush.
+    /// The final state, read back from the store at shutdown — not the
+    /// delta-advanced image the worker published. The two are compared and
+    /// a divergence counts in [`ServiceMetrics::worker_errors`], so checking
+    /// this against an oracle checks the device store end to end.
     pub final_snapshot: Arc<GraphSnapshot>,
     /// Metrics frozen at shutdown.
     pub metrics: ServiceMetrics,
@@ -364,9 +358,9 @@ pub struct ServiceReport {
 ///
 /// Spawning moves the system onto a dedicated worker thread; producers feed
 /// it through cloneable [`IngestHandle`]s over a bounded queue, and readers
-/// consume epoch-stamped [`GraphSnapshot`]s that the worker publishes after
-/// every flush. See the crate docs for the architecture diagram and a
-/// runnable end-to-end example.
+/// consume the epoch-stamped [`GraphSnapshot`] image the worker advances
+/// by every flush's delta. See the crate docs for the architecture diagram
+/// and a runnable end-to-end example.
 pub struct StreamingService {
     tx: Sender<Command>,
     worker: Option<JoinHandle<DynamicGraphSystem>>,
@@ -481,7 +475,6 @@ impl StreamingService {
             shared: shared.clone(),
             snap_tx,
             delta_tx,
-            snapshot_interval: cfg.snapshot_interval.clamp(1, delta_log_capacity) as u64,
         };
         let worker = std::thread::Builder::new()
             .name("gpma-service-worker".into())
@@ -513,7 +506,7 @@ impl StreamingService {
         let sys = DynamicGraphSystem::new(
             device,
             restored.num_vertices(),
-            restored.edges(),
+            &restored.edges().to_vec(),
             flush_threshold,
         );
         Self::spawn(cfg, sys)
@@ -527,12 +520,9 @@ impl StreamingService {
         }
     }
 
-    /// The latest published snapshot (epoch-stamped, immutable, cheap to
-    /// clone). Never blocks on the worker beyond an `Arc` swap. With
-    /// [`ServiceConfig::snapshot_interval`] above 1 this can trail the live
-    /// epoch by up to `interval - 1` flushes — delta consumers stay exactly
-    /// current via [`Self::deltas_since`], and [`Self::barrier`] always
-    /// returns a fresh snapshot.
+    /// The latest published image (epoch-stamped, immutable, cheap to
+    /// clone): the state as of the last completed flush. Never blocks on
+    /// the worker beyond an `Arc` swap.
     pub fn snapshot(&self) -> Arc<GraphSnapshot> {
         self.shared.queries.fetch_add(1, Ordering::Relaxed);
         self.shared.latest()
@@ -587,7 +577,8 @@ impl StreamingService {
     }
 
     /// An immutable cut of this shard *right now*, without flushing: the
-    /// latest published snapshot aligned forward to the delta-ring head.
+    /// latest published image aligned forward to the delta-ring head (the
+    /// worker pushes a flush's delta just before it swaps the image in).
     /// Updates still queued ahead of the worker are not included — they
     /// land in later deltas, which is exactly what lets copy-on-write
     /// reshard migrate from this cut while ingest keeps flowing and replay
@@ -661,9 +652,9 @@ impl StreamingService {
     /// remains available after the worker died — a crashed shard's final
     /// published state can still be checkpointed for respawn.
     ///
-    /// With the default every-flush snapshot cadence the chain is empty or
-    /// one epoch long; sparser cadences leave up to `interval - 1` trailing
-    /// deltas to replay on restore.
+    /// The image is advanced on every flush, so the chain is empty — or
+    /// one epoch long when the capture lands between a flush's delta push
+    /// and its image swap.
     pub fn checkpoint(&self) -> Checkpoint {
         let snap = self.shared.latest();
         let chain = self
@@ -720,9 +711,13 @@ impl StreamingService {
         self.shared.obs.render_json()
     }
 
-    /// Stop the service: drain the queue, final-flush all residue, publish
-    /// the final snapshot, join every thread and hand everything back.
-    /// Outstanding [`IngestHandle`]s get [`ServiceClosed`] afterwards.
+    /// Stop the service: drain the queue, final-flush all residue, join
+    /// every thread and hand everything back. Outstanding [`IngestHandle`]s
+    /// get [`ServiceClosed`] afterwards.
+    ///
+    /// [`ServiceReport::final_snapshot`] is read back from the returned
+    /// store and compared with the image the worker published; a mismatch
+    /// is logged and counted in [`ServiceMetrics::worker_errors`].
     ///
     /// Exactness contract: join (or otherwise quiesce) producer threads
     /// before calling this. The worker keeps draining and flushing until
@@ -738,8 +733,10 @@ impl StreamingService {
             // Re-raise the worker's own panic with its original payload.
             Err(payload) => std::panic::resume_unwind(payload),
         };
+        let final_snapshot = Arc::new(system.snapshot());
+        check_published(&final_snapshot, &self.shared);
         ServiceReport {
-            final_snapshot: self.shared.latest(),
+            final_snapshot,
             metrics: ServiceMetrics {
                 counters: self.shared.counters_snapshot(),
                 queue_depth: 0,
@@ -796,19 +793,16 @@ impl Drop for StreamingService {
 }
 
 /// Everything the worker loop threads through its helpers besides the
-/// system itself: shared state, the two publication channels and the
-/// snapshot cadence.
+/// system itself: shared state and the two publication channels.
 struct WorkerCtx {
     shared: Arc<Shared>,
     snap_tx: Option<Sender<Arc<GraphSnapshot>>>,
     delta_tx: Option<Sender<Arc<SnapshotDelta>>>,
-    /// Publish a full snapshot every this-many epochs (≥ 1).
-    snapshot_interval: u64,
 }
 
 /// The worker loop: block on the queue, buffer updates into the system's
-/// stream buffer, flush threshold-sized steps, publish deltas (every epoch)
-/// and snapshots (at the configured cadence).
+/// stream buffer, flush threshold-sized steps, and publish each epoch's
+/// delta and the image advanced by it.
 fn run_worker(rx: Receiver<Command>, mut sys: DynamicGraphSystem, ctx: WorkerCtx) -> DynamicGraphSystem {
     loop {
         let cmd = match rx.recv() {
@@ -867,14 +861,7 @@ fn handle_command(
             buffer_update(cmd, sys, &ctx.shared);
         }
         Command::Barrier(ack) => {
-            while !sys.stream.is_empty() {
-                flush_once(sys, ctx);
-            }
-            // With an every-flush cadence the latest snapshot is already
-            // current; a sparser cadence forces one fresh publish here so
-            // the barrier contract (everything accepted is visible) holds.
-            ensure_snapshot_current(sys, ctx);
-            let _ = ack.send(ctx.shared.latest());
+            ack_barrier(ack, sys, ctx);
         }
         Command::AdHoc(f) => f(sys),
         Command::Shutdown => {
@@ -948,13 +935,7 @@ fn drain_and_stop(rx: &Receiver<Command>, sys: &mut DynamicGraphSystem, ctx: &Wo
                 Command::Insert(_) | Command::Delete(_) | Command::Batch(_) => {
                     buffer_update(cmd, sys, &ctx.shared);
                 }
-                Command::Barrier(ack) => {
-                    while !sys.stream.is_empty() {
-                        flush_once(sys, ctx);
-                    }
-                    ensure_snapshot_current(sys, ctx);
-                    let _ = ack.send(ctx.shared.latest());
-                }
+                Command::Barrier(ack) => ack_barrier(ack, sys, ctx),
                 Command::AdHoc(f) => f(sys),
                 Command::Shutdown => {}
                 Command::Crash(ack) => {
@@ -971,14 +952,38 @@ fn drain_and_stop(rx: &Receiver<Command>, sys: &mut DynamicGraphSystem, ctx: &Wo
             break;
         }
     }
-    // The final snapshot must reflect every applied epoch even under a
-    // sparse snapshot cadence.
-    ensure_snapshot_current(sys, ctx);
 }
 
-/// One threshold-sized device step + metrics + publication: the epoch's
-/// delta always (O(|Δ|)), a full snapshot only at the configured cadence
-/// (O(E)).
+/// Serve one barrier: flush all residue, then ack with the published image
+/// (already current — every flush publishes). Debug builds and the `audit`
+/// feature also read the store back here and compare, so a delta that lies
+/// about its batch is caught at the next barrier, not only at shutdown.
+fn ack_barrier(ack: Sender<Arc<GraphSnapshot>>, sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
+    while !sys.stream.is_empty() {
+        flush_once(sys, ctx);
+    }
+    if cfg!(any(debug_assertions, feature = "audit")) {
+        check_published(&sys.snapshot(), &ctx.shared);
+    }
+    let _ = ack.send(ctx.shared.latest());
+}
+
+/// Compare a store readback with the published image; a divergence means a
+/// flush's delta did not describe what the store did. Logged and counted,
+/// never fatal.
+fn check_published(readback: &GraphSnapshot, shared: &Shared) {
+    if *shared.latest() != *readback {
+        shared.worker_errors.fetch_add(1, Ordering::Relaxed);
+        eprintln!(
+            "gpma-service: published image diverged from the store at epoch {}",
+            readback.epoch()
+        );
+    }
+}
+
+/// One threshold-sized device step + metrics + publication of the epoch's
+/// delta and of the image advanced by it — both O(|Δ|); nothing here reads
+/// the store back.
 fn flush_once(sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
     let obs = &ctx.shared.obs;
     let t0 = Instant::now();
@@ -1004,9 +1009,7 @@ fn flush_once(sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
         if let Some(tx) = &ctx.delta_tx {
             let _ = tx.send(report.delta.clone());
         }
-        if sys.epoch().is_multiple_of(ctx.snapshot_interval) {
-            publish(sys, ctx);
-        }
+        publish(&report.delta, ctx);
     }
     obs.event(
         Stage::FlushTotal,
@@ -1017,24 +1020,21 @@ fn flush_once(sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
     );
 }
 
-/// Publish a fresh snapshot unless the latest published one is already the
-/// live epoch (the every-flush cadence, or a barrier right after a flush).
-fn ensure_snapshot_current(sys: &DynamicGraphSystem, ctx: &WorkerCtx) {
-    if ctx.shared.latest().epoch() != sys.epoch() {
-        publish(sys, ctx);
-    }
-}
-
-/// Copy the live graph into a fresh epoch-stamped snapshot and make it the
-/// one readers see; also feed the analytics thread when one exists.
-fn publish(sys: &DynamicGraphSystem, ctx: &WorkerCtx) {
-    let snap = Arc::new(sys.snapshot());
+/// Advance the published image by one epoch's delta (a path copy: only the
+/// row blocks the delta touches are rewritten, into one new slab) and make
+/// the result the one readers see; also feed the analytics thread when one
+/// exists.
+fn publish(delta: &SnapshotDelta, ctx: &WorkerCtx) {
+    let (next, copied_bytes) = ctx.shared.latest().advance(delta);
+    let snap = Arc::new(next);
     ctx.shared.published_snapshots.fetch_add(1, Ordering::Relaxed);
-    ctx.shared.snapshot_bytes.fetch_add(
-        (8 + snap.num_edges() * BYTES_PER_EDGE) as u64,
-        Ordering::Relaxed,
-    );
-    *ctx.shared.snapshot.lock() = snap.clone();
+    ctx.shared
+        .snapshot_bytes
+        .fetch_add((8 + copied_bytes) as u64, Ordering::Relaxed);
+    // Swap under the lock, free outside it: when no reader holds the old
+    // image this drop frees its block vector and the slabs only it used.
+    let old = std::mem::replace(&mut *ctx.shared.snapshot.lock(), snap.clone());
+    drop(old);
     if let Some(tx) = &ctx.snap_tx {
         let _ = tx.send(snap);
     }
@@ -1210,26 +1210,19 @@ mod tests {
 
     #[test]
     fn checkpoint_of_a_dead_service_respawns_exactly() {
-        // Sparse snapshot cadence so the checkpoint carries a real trailing
-        // delta chain (published snapshot at epoch 0, ring head at epoch 2).
-        let svc = StreamingService::spawn(
-            ServiceConfig {
-                snapshot_interval: 8,
-                ..Default::default()
-            },
-            system(4),
-        );
+        let svc = StreamingService::spawn(ServiceConfig::default(), system(4));
         let h = svc.handle();
         for i in 1..=8u32 {
             h.insert(Edge::new(i, 0)).unwrap();
         }
-        // Serialize behind the inserts without forcing a snapshot publish.
+        // Serialize behind the inserts, then kill the worker.
         svc.ad_hoc(|_| ()).unwrap();
         svc.inject_failure().unwrap();
 
+        // The front object still holds the image of the last flush.
         let ckpt = svc.checkpoint();
-        assert_eq!(ckpt.base_epoch(), 0);
-        assert_eq!(ckpt.chain_len(), 2, "two threshold-4 flushes to replay");
+        assert_eq!(ckpt.base_epoch(), 2, "two threshold-4 flushes published");
+        assert_eq!(ckpt.chain_len(), 0, "the image is always at the ring head");
         assert_eq!(ckpt.epoch(), 2);
 
         // Durable round trip, then respawn a fresh incarnation from it.
@@ -1423,20 +1416,14 @@ mod tests {
     }
 
     #[test]
-    fn sparse_snapshot_cadence_still_honors_barrier_and_shutdown() {
-        let svc = StreamingService::spawn(
-            ServiceConfig {
-                snapshot_interval: 64,
-                ..Default::default()
-            },
-            system(1),
-        );
+    fn every_flush_publishes_and_barrier_and_shutdown_see_it() {
+        let svc = StreamingService::spawn(ServiceConfig::default(), system(1));
         let h = svc.handle();
         for i in 1..=5u32 {
             h.insert(Edge::new(i, 0)).unwrap();
         }
         let snap = svc.barrier().unwrap();
-        assert_eq!(snap.epoch(), 5, "barrier forces a fresh snapshot");
+        assert_eq!(snap.epoch(), 5, "the barrier image is at the live epoch");
         assert_eq!(snap.num_edges(), 6);
         for i in 6..=8u32 {
             h.insert(Edge::new(i, 0)).unwrap();
@@ -1444,15 +1431,46 @@ mod tests {
         let report = svc.shutdown();
         assert_eq!(report.final_snapshot.epoch(), 8);
         assert_eq!(report.final_snapshot.num_edges(), 9);
+        assert_eq!(report.metrics.worker_errors, 0, "image and store agree");
         let p = &report.metrics.publication;
         assert_eq!(p.deltas, 8, "every epoch published a delta");
-        assert!(
-            p.snapshots < p.deltas,
-            "sparse cadence: {} snapshots for {} deltas",
-            p.snapshots,
-            p.deltas
-        );
+        assert_eq!(p.snapshots, 8, "and advanced the image");
         assert!(p.delta_bytes > 0 && p.snapshot_bytes > 0);
+    }
+
+    #[test]
+    fn shutdown_returns_the_store_readback_and_counts_a_diverged_image() {
+        let svc = StreamingService::spawn(ServiceConfig::default(), system(4));
+        let h = svc.handle();
+        for i in 1..=8u32 {
+            h.insert(Edge::new(i, 0)).unwrap();
+        }
+        let honest = svc.barrier().unwrap();
+        // A delta that lies about its batch: it claims (9, 0) was upserted,
+        // which the store never saw.
+        let lie = SnapshotDelta::from_parts(honest.epoch(), vec![Edge::new(9, 0)], vec![]);
+        *svc.shared.snapshot.lock() = Arc::new(gpma_core::delta::apply_delta(&honest, &lie));
+        assert!(svc.snapshot().contains(9, 0));
+        let report = svc.shutdown();
+        assert_eq!(report.metrics.worker_errors, 1, "the divergence is counted");
+        assert_eq!(*report.final_snapshot, *honest, "the report carries the store's state");
+        assert_eq!(*report.final_snapshot, report.system.snapshot());
+    }
+
+    #[test]
+    fn barrier_cross_check_catches_a_diverged_image() {
+        // Debug builds (and the `audit` feature) re-read the store at every
+        // barrier; release builds without it check at shutdown only.
+        if !cfg!(any(debug_assertions, feature = "audit")) {
+            return;
+        }
+        let svc = StreamingService::spawn(ServiceConfig::default(), system(4));
+        let clean = svc.barrier().unwrap();
+        assert_eq!(svc.metrics().worker_errors, 0);
+        let lie = SnapshotDelta::from_parts(clean.epoch(), vec![], vec![Edge::new(0, 1).key()]);
+        *svc.shared.snapshot.lock() = Arc::new(gpma_core::delta::apply_delta(&clean, &lie));
+        svc.barrier().unwrap();
+        assert_eq!(svc.metrics().worker_errors, 1);
     }
 
     #[test]

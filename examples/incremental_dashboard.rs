@@ -39,16 +39,11 @@ fn main() {
         .with_pagerank(0.85, 1e-3);
     let (monitor, dashboard) = engine.into_shared();
 
-    // Sparse snapshot cadence: deltas carry the read path; full snapshots
-    // publish only every 64th flush (barriers still force a fresh one).
     let batch_size = stream.slide_batch_size(0.01);
     let dev = Device::new(DeviceConfig::default());
     let sys = DynamicGraphSystem::new(dev, stream.num_vertices, stream.initial_edges(), batch_size);
     let svc = StreamingService::spawn_with_delta_monitors(
-        ServiceConfig {
-            snapshot_interval: 64,
-            ..Default::default()
-        },
+        ServiceConfig::default(),
         sys,
         Vec::new(),
         vec![Box::new(monitor)],

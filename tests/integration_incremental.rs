@@ -52,19 +52,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Service path: the delta ring's chain from epoch 0 reconstructs the
-    /// barrier snapshot bit-for-bit, and a sparse snapshot cadence does
-    /// not change what deltas see.
+    /// barrier snapshot bit-for-bit.
     #[test]
     fn service_delta_chain_replays_exactly(ops in ops_strategy(160)) {
         let dev = Device::new(DeviceConfig::deterministic());
         let sys = DynamicGraphSystem::new(dev, NUM_VERTICES, &[Edge::new(0, 1)], 5);
-        let svc = StreamingService::spawn(
-            ServiceConfig {
-                snapshot_interval: 7,
-                ..Default::default()
-            },
-            sys,
-        );
+        let svc = StreamingService::spawn(ServiceConfig::default(), sys);
         let epoch0 = svc.snapshot();
         let h = svc.handle();
         for op in ops {
@@ -82,7 +75,7 @@ proptest! {
         };
         let replayed = replay(&epoch0, &chain);
         prop_assert_eq!(&replayed, &*barrier);
-        // The final report agrees too (shutdown forces a final publish).
+        // The final report (a store readback) agrees too.
         let report = svc.shutdown();
         prop_assert_eq!(report.final_snapshot.edges(), replayed.edges());
     }

@@ -124,6 +124,87 @@ fn multi_producer_ingest_with_concurrent_queries() {
     assert!(report.metrics.counters.duplicate_edges > 0);
 }
 
+/// The published image is advanced by deltas and never re-read from the
+/// store on the flush path, so check the two against each other after every
+/// barrier of a mixed stream: single updates, batches, upserts of live keys,
+/// deletes of absent ones, insert-then-delete inside one flush window.
+#[test]
+fn published_image_equals_the_store_after_every_barrier() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(15);
+    let initial: Vec<Edge> = (0..NUM_VERTICES).map(|v| Edge::new(v, (v + 1) % NUM_VERTICES)).collect();
+    let svc = spawn_service(&initial, 7);
+    let h = svc.handle();
+    let mut random_edge = move || {
+        let (s, d) = (rng.gen_range(0..NUM_VERTICES), rng.gen_range(0..NUM_VERTICES - 1));
+        (rng.gen_range(0..4u32), Edge::weighted(s, d, rng.gen_range(1..9)))
+    };
+    for round in 0..24 {
+        let mut batch = gpma_graph::UpdateBatch::default();
+        for _ in 0..(round % 5) * 6 {
+            match random_edge() {
+                (0, e) => batch.deletions.push(e),
+                (_, e) => batch.insertions.push(e),
+            }
+        }
+        h.ingest(batch).expect("service alive");
+        for _ in 0..round % 7 {
+            match random_edge() {
+                (0, e) => h.delete(e),
+                (1, e) => h.insert(e).and_then(|()| h.delete(e)),
+                (_, e) => h.insert(e),
+            }
+            .expect("service alive");
+        }
+        let published = svc.barrier().expect("service alive");
+        let store = svc.ad_hoc(|sys| sys.snapshot()).expect("service alive");
+        assert_eq!(*published, store, "round {round}");
+        assert_eq!(published.check_layout(), Ok(()));
+    }
+    let report = svc.shutdown();
+    assert_eq!(report.metrics.worker_errors, 0);
+}
+
+/// Publishing an epoch copies the row blocks its delta touches, so the
+/// bytes per flush follow |Δ|, not E: two graphs of equal degree, one with
+/// ten times the vertices and edges, fed the same batches.
+#[test]
+fn publish_cost_follows_the_delta_not_the_graph() {
+    const BATCH: usize = 64;
+    let bytes_per_flush = |num_vertices: u32| -> f64 {
+        let ring: Vec<Edge> = (0..num_vertices)
+            .flat_map(|v| (1..=8).map(move |k| Edge::new(v, (v + k) % num_vertices)))
+            .collect();
+        let dev = Device::new(DeviceConfig::deterministic());
+        let sys = DynamicGraphSystem::new(dev, num_vertices, &ring, BATCH);
+        let svc = StreamingService::spawn(ServiceConfig::default(), sys);
+        let h = svc.handle();
+        for round in 0..20u32 {
+            let mut batch = gpma_graph::UpdateBatch::default();
+            for i in 0..BATCH as u32 / 2 {
+                let v = (round * 37 + i * 11) % 400;
+                batch.insertions.push(Edge::weighted(v, (v + 20 + i) % 400, 3));
+                batch.deletions.push(Edge::new(v, (v + 1) % 400));
+            }
+            h.ingest(batch).expect("service alive");
+        }
+        svc.barrier().expect("service alive");
+        let report = svc.shutdown();
+        assert_eq!(report.metrics.worker_errors, 0);
+        let p = report.metrics.publication;
+        assert_eq!(p.snapshots, 20);
+        p.snapshot_bytes as f64 / p.snapshots as f64
+    };
+    let (small, large) = (bytes_per_flush(400), bytes_per_flush(4_000));
+    assert!(small > 0.0);
+    assert!(
+        large < 2.0 * small && small < 2.0 * large,
+        "per-flush publish bytes: {small} on 3.2k edges, {large} on 32k edges"
+    );
+    // Far below one full copy of the larger graph (16 B per edge).
+    assert!(large < 32_000.0 * 16.0 / 4.0, "{large}");
+}
+
 /// Sequential oracle for one producer's op stream over its private source
 /// range: arrival order, last write wins, deletes remove.
 fn apply_oracle(oracle: &mut BTreeMap<(u32, u32), u64>, ops: &[(u8, u32, u32, u64)], src_base: u32) {
