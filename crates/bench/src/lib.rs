@@ -10,8 +10,11 @@
 //! `fig11` (PCIe overlap), `fig12` (multi-GPU), `sorted`, `explicit`,
 //! `ablation`, `service` (the concurrent streaming facade), `cluster`
 //! (sharded scaling), `incremental` (delta-fed analytics), `elastic`
-//! (live resharding + skew-driven rebalance), `recovery` (durable
-//! checkpoints, shard failover, follower replicas).
+//! (live resharding + skew-driven rebalance), `audit` (every deep
+//! validator run mid-stream), `recovery` (durable checkpoints, shard
+//! failover, follower replicas), `obs` (telemetry overhead, ingest latency
+//! under reshard and shard kill), `serving` (cached multi-tenant queries,
+//! tenant isolation).
 //!
 //! ## Quick example
 //!

@@ -2,7 +2,7 @@
 //! ingest stream out across per-shard [`StreamingService`] workers, the
 //! coordinated epoch cut, and the shutdown protocol.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -12,9 +12,9 @@ use crossbeam::channel::{
     bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
 };
 use gpma_core::checkpoint::{Checkpoint, CheckpointStore, MemoryCheckpointStore};
-use gpma_core::delta::{apply_delta, split_delta_moves, DeltaCatchUp, DeltaLog, SnapshotDelta};
+use gpma_core::delta::{apply_delta, DeltaCatchUp, DeltaLog, SnapshotDelta};
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot, BYTES_PER_UPDATE};
-use gpma_core::multi::{DegreePartition, PartitionEpoch, Partitioner};
+use gpma_core::multi::{PartitionEpoch, Partitioner};
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_obs::{EventKind, Registry as ObsRegistry, Stage, NO_SHARD};
 use gpma_service::{DeltaMonitor, IngestHandle, ServiceConfig, ServiceReport, StreamingService};
@@ -24,6 +24,9 @@ use parking_lot::Mutex;
 
 use crate::metrics::ClusterMetrics;
 use crate::snapshot::ClusterSnapshot;
+use reshard::Reshard;
+
+mod reshard;
 
 /// Tuning knobs for a [`GraphCluster`].
 #[derive(Debug, Clone)]
@@ -141,11 +144,11 @@ pub struct FaultPlan {
 /// [`min_updates`](Self::min_updates) routed updates under the current
 /// plan, a max/mean update skew above
 /// [`skew_threshold`](Self::skew_threshold) triggers a live reshard onto a
-/// [`DegreePartition`] built from the per-vertex update counts the router
-/// has observed. The per-shard window counters reset at every reshard, so
-/// the policy re-arms only after another `min_updates` observations — the
-/// cooldown that keeps a persistently hot single vertex from thrashing the
-/// cluster.
+/// [`DegreePartition`](crate::DegreePartition) built from the per-vertex
+/// update counts the router has observed. The per-shard window counters
+/// reset at every reshard, so the policy re-arms only after another
+/// `min_updates` observations — the cooldown that keeps a persistently hot
+/// single vertex from thrashing the cluster.
 #[derive(Debug, Clone, Copy)]
 pub struct RebalancePolicy {
     /// Trigger when the busiest shard's routed-update count exceeds this
@@ -235,9 +238,11 @@ pub struct ReshardReport {
     /// protocol migrates from a frozen cut and replays delta chains in the
     /// background while ingest keeps flowing (see `background_secs`).
     pub pause_secs: f64,
-    /// Wall-clock seconds the reshard spent on background copy-on-write
-    /// work (frozen-cut copy + delta-chain replay rounds) with ingest
-    /// still flowing. Not a stall.
+    /// Wall-clock seconds of the reshard outside the pause — the
+    /// frozen-cut copy, the delta-chain replay rounds, and the waits for
+    /// the destinations to apply the staged copy and the sources their
+    /// retractions — with ingest still flowing. Not a stall; `pause_secs +
+    /// background_secs` is the reshard's whole wall.
     pub background_secs: f64,
     /// Cut number of the snapshot-style epoch marker the reshard published.
     pub cut: u64,
@@ -734,10 +739,10 @@ impl GraphCluster {
         ack_rx.recv().map_err(|_| ReshardError::Closed)?
     }
 
-    /// Reshard onto a [`DegreePartition`] built from the per-vertex update
-    /// load the router has observed — the same plan the automatic
-    /// [`RebalancePolicy`] targets, fired on demand. `target_shards`
-    /// `None` keeps the current shard count.
+    /// Reshard onto a [`DegreePartition`](crate::DegreePartition) built
+    /// from the per-vertex update load the router has observed — the same
+    /// plan the automatic [`RebalancePolicy`] targets, fired on demand.
+    /// `target_shards` `None` keeps the current shard count.
     pub fn rebalance(&self, target_shards: Option<usize>) -> Result<ReshardReport, ReshardError> {
         let (ack_tx, ack_rx) = bounded(1);
         self.tx
@@ -1073,63 +1078,63 @@ fn run_cut_monitors(
     monitors
 }
 
-/// Cap on background copy/replay rounds one reshard may spend chasing a
-/// hot ingest stream before it settles anyway — the final barrier makes
-/// the delta chains static and the settle replay drains them exactly, so
-/// the cap only bounds how long a reshard may defer its plan swap.
-const COW_MAX_ROUNDS: u64 = 256;
-
-/// Cap on the post-barrier settle replay. With ingest paused the chains
-/// are static and one round normally drains them; extra rounds only run
-/// when a ring outrun or mid-settle recovery forces a frozen-cut resync.
-const COW_SETTLE_ROUNDS: u64 = 64;
-
-/// Cap on pre-settle barrier reissues. Each reissue flushes the residue
-/// the previous round's barrier itself produced; on a quiet stream two or
-/// three suffice and the settle then sees empty queues. Under saturating
-/// ingest the loop would never converge — the cap bounds it and hands the
-/// (one-flush) residue to the paused settle.
-const COW_PRESETTLE_REISSUES: u32 = 16;
-
-/// In-flight state of one copy-on-write reshard (owned by `reshard`'s
-/// stack, threaded through the background-round helpers).
-struct CowState {
-    /// The target plan the background rounds stage toward.
-    new: Arc<dyn Partitioner>,
-    /// Shard count before the reshard (sources are `0..old_n`).
-    old_n: usize,
-    /// Shard count after (destinations are `0..new_n`).
-    new_n: usize,
-    /// Per-destination image of every edge shipped there so far, keyed by
-    /// edge key — what the final barrier diffs the true move set against.
-    staged: Vec<BTreeMap<u64, Edge>>,
-    /// Per-source replay cursor: the shard-local epoch through which the
-    /// delta chain has been split and shipped.
-    handled: Vec<u64>,
-    /// Per-destination staged-insert counts (the modeled DMA charges).
-    arrived: Vec<usize>,
-    /// Edges shipped by frozen-cut copy rounds.
-    copied: u64,
-    /// Updates shipped by delta-chain replay rounds.
-    replayed: u64,
-    /// Wall clock actually spent copying/replaying (ingest kept flowing).
-    background: Duration,
+/// One async barrier per shard, each FIFO behind everything already
+/// forwarded to that shard; the acks are collected as the workers reach
+/// them, so the router never stalls on a cluster-wide quiesce. The
+/// non-blocking cut and the reshard's pre-settle and retire waits are all
+/// this.
+struct BarrierRound {
+    /// Outstanding ack receivers (`None` = answered, or the service was
+    /// already closed when the barrier was issued).
+    waits: Vec<Option<Receiver<Arc<GraphSnapshot>>>>,
+    /// Collected barrier snapshots. One still `None` once the round is
+    /// complete means that worker died before acking.
+    got: Vec<Option<Arc<GraphSnapshot>>>,
 }
 
-/// One in-flight non-blocking cut round: barriers issued to every shard,
-/// acks collected as the workers reach them — producers never stall on a
-/// cluster-wide quiesce.
+impl BarrierRound {
+    fn issue(services: &[StreamingService]) -> Self {
+        let waits: Vec<_> = services
+            .iter()
+            .map(|svc| svc.barrier_async().ok())
+            .collect();
+        BarrierRound {
+            got: vec![None; waits.len()],
+            waits,
+        }
+    }
+
+    /// Collect the acks that have arrived (with `block`, park on each
+    /// outstanding one). True once every shard has answered or died.
+    fn poll(&mut self, block: bool) -> bool {
+        let mut all = true;
+        for (wait, got) in self.waits.iter_mut().zip(&mut self.got) {
+            let Some(rx) = wait else {
+                continue;
+            };
+            *got = if block {
+                rx.recv().ok()
+            } else {
+                match rx.try_recv() {
+                    Ok(snap) => Some(snap),
+                    Err(TryRecvError::Empty) => {
+                        all = false;
+                        continue;
+                    }
+                    Err(TryRecvError::Disconnected) => None,
+                }
+            };
+            *wait = None;
+        }
+        all
+    }
+}
+
+/// One in-flight non-blocking cut round.
 struct PendingCut {
     /// Every `epoch_cut` caller waiting on this round.
     acks: Vec<Sender<Arc<ClusterSnapshot>>>,
-    /// Per-shard barrier ack receivers (`None` = service already closed
-    /// when the barrier was issued).
-    waits: Vec<Option<Receiver<Arc<GraphSnapshot>>>>,
-    /// Collected per-shard barrier snapshots.
-    got: Vec<Option<Arc<GraphSnapshot>>>,
-    /// A shard degraded to its aligned published snapshot: the round's
-    /// barrier wall is not representative, so it is not recorded.
-    degraded: bool,
+    round: BarrierRound,
     /// When the round's barriers were issued.
     t0: Instant,
 }
@@ -1154,8 +1159,8 @@ struct Router {
     local_cut_edges: u64,
     local_cancelled: u64,
     /// Per-source-vertex routed update counts — the observed degrees a
-    /// [`DegreePartition`] rebalance target is built from. Cumulative
-    /// across reshards (the estimate only sharpens).
+    /// [`DegreePartition`](crate::DegreePartition) rebalance target is
+    /// built from. Cumulative across reshards (the estimate only sharpens).
     observed: Vec<u64>,
     /// Each shard's local epoch at the previous coordinated cut — the
     /// resume points for assembling the next cut's delta chain.
@@ -1188,30 +1193,11 @@ struct Router {
     /// join the *next* round (their pre-cut updates may not have been
     /// forwarded when the current round's barriers were issued).
     queued_cut_acks: Vec<Sender<Arc<ClusterSnapshot>>>,
-    /// Cut/reshard/rebalance commands that arrived during a copy-on-write
-    /// reshard; run in arrival order right after it completes.
+    /// The copy-on-write reshard in flight, if any (see [`reshard`]).
+    reshard: Option<Reshard>,
+    /// Cut/reshard/rebalance commands that arrived with a reshard in
+    /// flight; run in arrival order right after it completes.
     deferred: VecDeque<Command>,
-    /// True while a copy-on-write reshard is in flight (gates the
-    /// `during_reshard` fault plan and the recovery resync hook).
-    cow_active: bool,
-    /// A recovery (or an outrun source ring) invalidated the in-flight
-    /// reshard's replay cursors: the next background round must be a full
-    /// frozen-cut resync instead of a delta replay.
-    cow_sync_dirty: bool,
-    /// Shards respawned while `cow_active` — their staged image must be
-    /// rebuilt from their actual settled state at the next resync (staged
-    /// arrivals queued but unflushed at death are not in the replay log).
-    cow_recovered: Vec<usize>,
-    /// The reshard already swapped the plan and is retiring the movers
-    /// from their old owners in the background: recovery must *not* queue
-    /// a staged resync (the sources' delta streams now carry retraction
-    /// deletions that would replay as destination deletes) — the router
-    /// replay log, which records every internal ship, repairs a death in
-    /// this window instead.
-    cow_retiring: bool,
-    /// A `Shutdown` absorbed mid-reshard; honored as soon as the reshard
-    /// completes.
-    shutdown_pending: bool,
 }
 
 impl Router {
@@ -1289,7 +1275,7 @@ impl Router {
             return;
         };
         if self.lifetime_routed < plan.after_routed_updates
-            || (plan.during_reshard && !self.cow_active)
+            || (plan.during_reshard && self.reshard.is_none())
         {
             return;
         }
@@ -1479,17 +1465,8 @@ impl Router {
         self.handles[i] = svc.handle();
         self.services[i] = svc;
         self.force_rebase = true;
-        if self.cow_active && !self.cow_retiring {
-            // The respawned incarnation's ring restarts at epoch 0 and any
-            // staged arrivals queued (unflushed) at death died with the
-            // worker: the in-flight reshard's replay cursor and staged
-            // image for this shard are both stale. Force a full frozen-cut
-            // resync, rebuilding this shard's staged image from its actual
-            // settled state. (Post-swap — `cow_retiring` — the replay log
-            // above already re-ingested every internal ship, and a resync
-            // would mis-read the sources' retraction deltas as moves.)
-            self.cow_sync_dirty = true;
-            self.cow_recovered.push(i);
+        if let Some(rs) = self.reshard.as_mut() {
+            rs.shard_recovered(i);
         }
         drop(replay_span);
         obs.event(
@@ -1499,7 +1476,7 @@ impl Router {
             EventKind::Recovered,
             t0.elapsed().as_micros() as u64,
         );
-        let (saved, bytes_len) = self.save_checkpoint(&policy, i);
+        self.save_checkpoint(i);
 
         let mut c = self.shared.router.lock();
         c.recoveries += 1;
@@ -1509,17 +1486,17 @@ impl Router {
         if fallback {
             c.recovery_snapshot_fallbacks += 1;
         }
-        if saved {
-            c.checkpoints_taken += 1;
-            c.checkpoint_bytes += bytes_len;
-        }
     }
 
-    /// Encode shard `i`'s current checkpoint and persist it. Returns
-    /// `(saved, encoded_bytes)`; a save failure is logged and counted, and
-    /// the shard's replay log is trimmed only on success (the log must
-    /// reach back to whatever checkpoint recovery would actually load).
-    fn save_checkpoint(&mut self, policy: &RecoveryPolicy, i: usize) -> (bool, u64) {
+    /// Encode shard `i`'s current checkpoint, persist it and count it
+    /// (no-op without a recovery policy). A save failure is logged and
+    /// counted, and the shard's replay log is trimmed only on success (the
+    /// log must reach back to whatever checkpoint recovery would actually
+    /// load).
+    fn save_checkpoint(&mut self, i: usize) {
+        let Some(policy) = &self.recovery else {
+            return;
+        };
         let obs = self.shared.obs.clone();
         let _save = obs.span(Stage::CheckpointSave);
         let ckpt = self.services[i].checkpoint();
@@ -1528,12 +1505,13 @@ impl Router {
         match policy.store.save(i, epoch, &bytes) {
             Ok(()) => {
                 self.replay[i].clear();
-                (true, bytes.len() as u64)
+                let mut c = self.shared.router.lock();
+                c.checkpoints_taken += 1;
+                c.checkpoint_bytes += bytes.len() as u64;
             }
             Err(e) => {
                 self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
                 eprintln!("gpma-cluster: shard {i} checkpoint save failed ({e})");
-                (false, 0)
             }
         }
     }
@@ -1542,24 +1520,15 @@ impl Router {
     /// (and the shards are freshly barriered, so each checkpoint captures
     /// exactly the cut state), persist every shard and trim its replay log.
     fn maybe_checkpoint(&mut self, cut: u64) {
-        let Some(policy) = self.recovery.clone() else {
+        let Some(policy) = &self.recovery else {
             return;
         };
         if !cut.is_multiple_of(policy.checkpoint_every_cuts.max(1)) {
             return;
         }
-        let mut taken = 0u64;
-        let mut total = 0u64;
         for i in 0..self.services.len() {
-            let (saved, n) = self.save_checkpoint(&policy, i);
-            if saved {
-                taken += 1;
-                total += n;
-            }
+            self.save_checkpoint(i);
         }
-        let mut c = self.shared.router.lock();
-        c.checkpoints_taken += taken;
-        c.checkpoint_bytes += total;
     }
 
     /// Barrier every shard and collect the epoch-stamped snapshots. A shard
@@ -1577,22 +1546,29 @@ impl Router {
             .services
             .iter()
             .enumerate()
-            .map(|(i, svc)| match svc.barrier() {
-                Ok(snap) => snap,
-                Err(_) => {
+            .map(|(i, svc)| {
+                svc.barrier().unwrap_or_else(|_| {
                     degraded = true;
-                    self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "gpma-cluster: shard {i} service closed at barrier; \
-                         falling back to its aligned published snapshot"
-                    );
-                    let obs = self.shared.obs.clone();
-                    let _align = obs.span(Stage::CutAlign);
-                    svc.frozen_cut()
-                }
+                    self.degraded_cut(i)
+                })
             })
             .collect();
         (snaps, degraded)
+    }
+
+    /// What stands in for shard `i` in a cut when its worker gave no
+    /// barrier ack (closed when asked, or died before answering): its
+    /// latest published snapshot aligned to its ring head. Logged and
+    /// counted.
+    fn degraded_cut(&self, i: usize) -> Arc<GraphSnapshot> {
+        self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
+        eprintln!(
+            "gpma-cluster: shard {i} gave no barrier ack; \
+             falling back to its aligned published snapshot"
+        );
+        let obs = self.shared.obs.clone();
+        let _align = obs.span(Stage::CutAlign);
+        self.services[i].frozen_cut()
     }
 
     /// Synchronous coordinated cut — the shutdown path's final cut, where
@@ -1665,31 +1641,10 @@ impl Router {
     fn start_cut_round(&mut self, acks: Vec<Sender<Arc<ClusterSnapshot>>>) {
         self.forward();
         self.ensure_shards_alive();
-        let t0 = Instant::now();
-        let mut degraded = false;
-        let mut waits: Vec<Option<Receiver<Arc<GraphSnapshot>>>> =
-            Vec::with_capacity(self.services.len());
-        for (i, svc) in self.services.iter().enumerate() {
-            match svc.barrier_async() {
-                Ok(rx) => waits.push(Some(rx)),
-                Err(_) => {
-                    degraded = true;
-                    self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "gpma-cluster: shard {i} service closed at barrier; \
-                         falling back to its aligned published snapshot"
-                    );
-                    waits.push(None);
-                }
-            }
-        }
-        let n = waits.len();
         self.pending_cut = Some(PendingCut {
             acks,
-            waits,
-            got: vec![None; n],
-            degraded,
-            t0,
+            t0: Instant::now(),
+            round: BarrierRound::issue(&self.services),
         });
         self.poll_pending_cut(false);
     }
@@ -1703,52 +1658,25 @@ impl Router {
             let Some(mut pc) = self.pending_cut.take() else {
                 return;
             };
-            let mut all = true;
-            for i in 0..pc.waits.len() {
-                if pc.got[i].is_some() {
-                    continue;
-                }
-                let filled = match &pc.waits[i] {
-                    Some(rx) => {
-                        if block {
-                            rx.recv().ok()
-                        } else {
-                            match rx.try_recv() {
-                                Ok(s) => Some(s),
-                                Err(TryRecvError::Empty) => {
-                                    all = false;
-                                    continue;
-                                }
-                                Err(TryRecvError::Disconnected) => None,
-                            }
-                        }
-                    }
-                    None => None,
-                };
-                pc.got[i] = Some(match filled {
-                    Some(s) => s,
-                    None => {
-                        // The worker died mid-barrier (its ack channel
-                        // dropped): align its latest published snapshot to
-                        // its ring head and degrade, like the sync path.
-                        pc.degraded = true;
-                        self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-                        let obs = self.shared.obs.clone();
-                        let _align = obs.span(Stage::CutAlign);
-                        self.services[i].frozen_cut()
-                    }
-                });
-            }
-            if !all {
+            if !pc.round.poll(block) {
                 self.pending_cut = Some(pc);
                 return;
             }
-            if !pc.degraded {
+            // A shard that gave no ack degrades like the sync path — and a
+            // corpse's stall is not barrier latency: drop the sample.
+            let mut degraded = false;
+            let mut snaps = Vec::with_capacity(pc.round.got.len());
+            for (i, got) in pc.round.got.into_iter().enumerate() {
+                snaps.push(got.unwrap_or_else(|| {
+                    degraded = true;
+                    self.degraded_cut(i)
+                }));
+            }
+            if !degraded {
                 self.shared
                     .obs
                     .record_duration(Stage::CutBarrier, pc.t0.elapsed());
             }
-            let snaps: Vec<Arc<GraphSnapshot>> = pc.got.into_iter().flatten().collect();
             let snap = self.publish_cut(snaps, pc.t0);
             for ack in pc.acks {
                 let _ = ack.send(snap.clone());
@@ -1774,162 +1702,6 @@ impl Router {
         }
     }
 
-    /// Ship the frozen-cut copy: align every source shard to its delta-ring
-    /// head (no flush forced — `cut.align`), compute the boundary-crossing
-    /// edge set under the new plan, and ship the diff against what is
-    /// already staged at each destination. This is also the resync path
-    /// after a recovery or an outrun source ring; a recovered shard's
-    /// staged image is first rebuilt from its *actual* settled state,
-    /// because staged arrivals that were still queued at its death are
-    /// gone — the diff then re-ships them (idempotent upserts, and
-    /// retractions of absent keys are no-ops).
-    fn cow_full_sync(&mut self, cow: &mut CowState) {
-        let t = Instant::now();
-        let obs = self.shared.obs.clone();
-        let old_plan = self.part.plan().clone();
-        for d in std::mem::take(&mut self.cow_recovered) {
-            if d >= cow.new_n {
-                // A recovered source with no destination role under the
-                // new plan: nothing was ever staged at it.
-                continue;
-            }
-            let snap = {
-                let _align = obs.span(Stage::CutAlign);
-                self.services[d].frozen_cut()
-            };
-            cow.staged[d] = snap
-                .edges()
-                .iter()
-                .filter(|e| old_plan.shard_of_edge(e.src, e.dst) != d)
-                .map(|e| (e.key(), *e))
-                .collect();
-        }
-        let mut desired: Vec<BTreeMap<u64, Edge>> = vec![BTreeMap::new(); cow.new_n];
-        for s in 0..cow.old_n {
-            let snap = {
-                let _align = obs.span(Stage::CutAlign);
-                self.services[s].frozen_cut()
-            };
-            cow.handled[s] = snap.epoch();
-            for e in snap.edges() {
-                if old_plan.shard_of_edge(e.src, e.dst) != s {
-                    // A staged copy parked here by an earlier round — its
-                    // source still owns the original.
-                    continue;
-                }
-                let to = cow.new.shard_of_edge(e.src, e.dst);
-                if to != s && to < cow.new_n {
-                    desired[to].insert(e.key(), *e);
-                }
-            }
-        }
-        for (d, want) in desired.iter().enumerate() {
-            let mut batch = UpdateBatch::default();
-            for k in cow.staged[d].keys() {
-                if !want.contains_key(k) {
-                    let (src, dst) = gpma_graph::decode_key(*k);
-                    batch.deletions.push(Edge::new(src, dst));
-                }
-            }
-            for (k, e) in want {
-                if cow.staged[d].get(k) != Some(e) {
-                    batch.insertions.push(*e);
-                }
-            }
-            if !batch.is_empty() {
-                cow.arrived[d] += batch.insertions.len();
-                cow.copied += batch.len() as u64;
-                if self.recovery.is_some() {
-                    // Internal ships enter the replay log like client
-                    // batches: a destination dying with this queued but
-                    // unapplied replays it from the log on respawn.
-                    self.replay[d].push(batch.clone());
-                }
-                let _ = self.handles[d].ingest_unmetered(batch);
-            }
-        }
-        cow.staged = desired;
-        self.cow_sync_dirty = false;
-        cow.background += t.elapsed();
-    }
-
-    /// One background replay round: split each source's in-flight delta
-    /// chain across the new partition boundary and ship the movers to
-    /// their destinations — one batch per delta, because a batch applies
-    /// deletions before insertions and folding a chain would reorder an
-    /// insert-then-delete of the same key. Returns the updates shipped;
-    /// an outrun source ring flags a full resync for the next round
-    /// instead.
-    fn cow_replay_round(&mut self, cow: &mut CowState) -> u64 {
-        let t = Instant::now();
-        let obs = self.shared.obs.clone();
-        let _replay = obs.span(Stage::ReshardReplay);
-        let mut shipped = 0u64;
-        let mut scratch: Vec<UpdateBatch> = vec![UpdateBatch::default(); cow.new_n];
-        for s in 0..cow.old_n {
-            match self.services[s].deltas_since(cow.handled[s]) {
-                DeltaCatchUp::Deltas(chain) => {
-                    for dlt in &chain {
-                        if split_delta_moves(dlt, s, &*cow.new, &mut scratch) == 0 {
-                            continue;
-                        }
-                        for (d, b) in scratch.iter_mut().enumerate() {
-                            if b.is_empty() {
-                                continue;
-                            }
-                            for e in &b.insertions {
-                                cow.staged[d].insert(e.key(), *e);
-                            }
-                            for e in &b.deletions {
-                                cow.staged[d].remove(&e.key());
-                            }
-                            cow.arrived[d] += b.insertions.len();
-                            shipped += b.len() as u64;
-                            let b = std::mem::take(b);
-                            if self.recovery.is_some() {
-                                self.replay[d].push(b.clone());
-                            }
-                            let _ = self.handles[d].ingest_unmetered(b);
-                        }
-                    }
-                    if let Some(last) = chain.last() {
-                        cow.handled[s] = last.epoch();
-                    }
-                }
-                DeltaCatchUp::Snapshot(_) => {
-                    // The source flushed past its ring since the last
-                    // round: the cursor is gone, resync from a fresh
-                    // frozen cut.
-                    self.cow_sync_dirty = true;
-                }
-            }
-        }
-        cow.replayed += shipped;
-        cow.background += t.elapsed();
-        shipped
-    }
-
-    /// Absorb one command mid-reshard: data keeps routing under the old
-    /// plan (pre-swap; the post-swap retire window routes under the new
-    /// one), stats and kills serve inline, cut/plan changes defer to right
-    /// after the marker cut (a mid-copy barrier would observe staged
-    /// duplicates, a mid-retire one un-retracted movers, and plan changes
-    /// cannot nest), and shutdown is honored once the reshard completes.
-    fn cow_absorb(&mut self, cmd: Command) {
-        match cmd {
-            Command::Insert(_) | Command::Delete(_) | Command::Batch(_) => self.route(cmd),
-            Command::Stats(reply) => {
-                self.forward();
-                let _ = reply.send(self.services.iter().map(|s| s.metrics()).collect());
-            }
-            Command::Kill(shard, ack) => self.kill(shard, ack),
-            Command::Shutdown => self.shutdown_pending = true,
-            other @ (Command::Cut(_) | Command::Reshard(..) | Command::Rebalance(..)) => {
-                self.deferred.push_back(other);
-            }
-        }
-    }
-
     /// Kill one shard's worker (fault injection), acking whether it landed.
     fn kill(&mut self, shard: usize, ack: Sender<bool>) {
         let landed = if shard < self.services.len() {
@@ -1945,537 +1717,18 @@ impl Router {
         let _ = ack.send(landed);
     }
 
-    /// The live copy-on-write reshard protocol — ingest keeps flowing
-    /// through everything except the final settle:
-    ///
-    /// 1. **Frozen-cut copy** (background) — align every source shard's
-    ///    published snapshot to its delta-ring head (no flush forced) and
-    ///    ship each edge whose owner changes under the new plan to its
-    ///    destination, while the router keeps absorbing and forwarding
-    ///    ingest under the *old* plan.
-    /// 2. **Delta replay rounds** (background) — each source's in-flight
-    ///    delta chain is split across the new partition boundary
-    ///    ([`split_delta_moves`]) and the boundary-crossing updates replay
-    ///    onto their destinations, one batch per delta so arrival order
-    ///    survives. Rounds repeat, interleaved with live ingest, until
-    ///    the chains run dry (or [`COW_MAX_ROUNDS`]).
-    /// 3. **Settle + swap** (the only pause, bounded by one flush of the
-    ///    trailing residue) — barrier every shard so the delta chains go
-    ///    static, replay the post-barrier residue onto the staged images,
-    ///    enqueue the movers' retraction from their old owners and swap
-    ///    the plan atomically.
-    /// 4. **Background retire** — the sources apply their retraction
-    ///    deletions while ingest already flows under the new plan; the
-    ///    snapshot-style epoch marker publishes once they settle, and the
-    ///    deferred cuts run against it.
-    ///
-    /// After the final replay the staged images *are* the mover set: the
-    /// frozen-cut copy plus the complete delta chains reconstruct each
-    /// shard's boundary-crossing edges exactly, so no full-state diff runs
-    /// inside the pause. Whenever that reconstruction breaks — a delta
-    /// ring outruns a reader, a shard is recovered mid-copy — the dirty
-    /// flag forces a full frozen-cut resync (staged arrivals that died
-    /// queued are re-shipped idempotently), so a kill-during-COW recovers
-    /// exactly. Cuts requested mid-reshard are deferred to right after the
-    /// swap. Arrival-order semantics hold across the boundary: client
-    /// updates route under the old plan until the swap, and the marker cut
-    /// rebases every delta reader past it.
-    fn reshard(
-        &mut self,
-        new: Arc<dyn Partitioner>,
-        auto: bool,
-        rx: &Receiver<Command>,
-    ) -> Result<ReshardReport, ReshardError> {
-        let nv = self.part.plan().num_vertices();
-        if new.num_vertices() != nv {
-            return Err(ReshardError::VertexMismatch {
-                expected: nv,
-                got: new.num_vertices(),
-            });
-        }
-        // A cut round still in flight would barrier against shards the
-        // copy below floods with internal traffic: drain it first.
-        self.resolve_pending_cut();
-        let from_policy = self.part.plan().name().to_string();
-        let old_plan = self.part.plan().clone();
-        let new_n = new.num_shards().max(1);
-        let old_n = self.services.len();
-        let obs = self.shared.obs.clone();
-        obs.event(Stage::ReshardQuiesce, NO_SHARD, 0, EventKind::ReshardBegin, 0);
-        // Producer sends completing from here to the end of the reshard are
-        // additionally sampled into `ingest.reshard` (see ClusterHandle).
-        self.shared.reshard_active.store(true, Ordering::Relaxed);
-        self.cow_active = true;
-        self.cow_sync_dirty = false;
-        self.cow_recovered.clear();
-        let mut cow = CowState {
-            new: new.clone(),
-            old_n,
-            new_n,
-            staged: vec![BTreeMap::new(); new_n],
-            handled: vec![0; old_n],
-            arrived: vec![0; new_n],
-            copied: 0,
-            replayed: 0,
-            background: Duration::ZERO,
-        };
-
-        // Phase A: grow fresh services for new shard ids, then ship the
-        // frozen-cut copy. Ingest is not paused — the router returns to
-        // absorbing traffic between every background round below.
-        {
-            let _migrate = obs.span(Stage::ReshardMigrate);
-            for i in old_n..new_n {
-                let (svc, _) =
-                    spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, &[], &obs);
-                self.handles.push(svc.handle());
-                self.services.push(svc);
-                self.replay.push(Vec::new());
-            }
-            if new_n > old_n {
-                if let Some(policy) = self.recovery.clone() {
-                    // Persist the fresh (empty) incarnations immediately
-                    // so a crash during the copy never restores a stale
-                    // checkpoint from a retired shard slot of the same id.
-                    let mut taken = 0u64;
-                    let mut total = 0u64;
-                    for i in old_n..new_n {
-                        let (saved, n) = self.save_checkpoint(&policy, i);
-                        if saved {
-                            taken += 1;
-                            total += n;
-                        }
-                    }
-                    let mut c = self.shared.router.lock();
-                    c.checkpoints_taken += taken;
-                    c.checkpoint_bytes += total;
-                }
-            }
-            self.cow_full_sync(&mut cow);
-        }
-
-        // Phase B: background replay rounds interleaved with live ingest.
-        // The recv_timeout is the blocking point — traffic is absorbed the
-        // moment it arrives, and an idle queue costs one short wait per
-        // replay round instead of a busy spin.
-        let router_batch = self.cfg.router_batch.max(1);
-        let mut rounds_left = COW_MAX_ROUNDS;
-        loop {
-            match rx.recv_timeout(Duration::from_micros(500)) {
-                Ok(cmd) => self.cow_absorb(cmd),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => self.shutdown_pending = true,
-            }
-            while self.pending_len < router_batch {
-                match rx.try_recv() {
-                    Ok(cmd) => self.cow_absorb(cmd),
-                    Err(_) => break,
-                }
-            }
-            self.forward();
-            let shipped = if self.cow_sync_dirty {
-                self.cow_full_sync(&mut cow);
-                1
-            } else {
-                self.cow_replay_round(&mut cow)
-            };
-            rounds_left -= 1;
-            if self.shutdown_pending || rounds_left == 0 || (shipped == 0 && rx.is_empty()) {
-                break;
-            }
-        }
-
-        // Phase B2: pre-settle. The staged copy is cheap to *ship* but the
-        // destinations still owe its apply cost, and a naive final barrier
-        // would eat all of it inside the pause. Async barriers are FIFO
-        // behind every staged ship, so keep absorbing ingest (and keep the
-        // replay cursors warm) while the destinations chew through the
-        // backlog. Each barrier flush itself produces delta residue the
-        // replay then ships, so reissue the barriers until a full round
-        // lands with nothing shipped and nothing queued — the settle below
-        // then finds empty queues and drained chains. Under saturating
-        // ingest this never converges; the reissue cap hands the (bounded)
-        // residue to the settle instead of looping forever.
-        if !self.shutdown_pending {
-            let t = Instant::now();
-            let mut reissues = COW_PRESETTLE_REISSUES;
-            'presettle: loop {
-                let mut waits: Vec<Option<Receiver<Arc<GraphSnapshot>>>> = self
-                    .services
-                    .iter()
-                    .map(|svc| svc.barrier_async().ok())
-                    .collect();
-                let mut shipped_since = 0u64;
-                loop {
-                    match rx.recv_timeout(Duration::from_micros(500)) {
-                        Ok(cmd) => self.cow_absorb(cmd),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => self.shutdown_pending = true,
-                    }
-                    while self.pending_len < router_batch {
-                        match rx.try_recv() {
-                            Ok(cmd) => self.cow_absorb(cmd),
-                            Err(_) => break,
-                        }
-                    }
-                    self.forward();
-                    shipped_since += if self.cow_sync_dirty {
-                        self.cow_full_sync(&mut cow);
-                        1
-                    } else {
-                        self.cow_replay_round(&mut cow)
-                    };
-                    let mut all = true;
-                    for w in waits.iter_mut() {
-                        let done = match w {
-                            // A dead worker's ack never comes (Disconnected):
-                            // phase C's recovery settles it instead.
-                            Some(ack) => !matches!(ack.try_recv(), Err(TryRecvError::Empty)),
-                            None => true,
-                        };
-                        if done {
-                            *w = None;
-                        } else {
-                            all = false;
-                        }
-                    }
-                    if self.shutdown_pending {
-                        break 'presettle;
-                    }
-                    if all {
-                        reissues -= 1;
-                        if reissues == 0 || (shipped_since == 0 && rx.is_empty()) {
-                            break 'presettle;
-                        }
-                        continue 'presettle;
-                    }
-                }
-            }
-            cow.background += t.elapsed();
-        }
-
-        // Phase C: settle. Ingest pauses from here to the plan swap — the
-        // window this whole protocol exists to shrink. A shard that died
-        // mid-stream must be recovered *before* the final replay reads its
-        // delta chain. Work done here is pause, not background: remember
-        // the background total so the sync helpers' bookkeeping inside the
-        // pause can be reverted.
-        let quiesce_span = obs.span(Stage::ReshardQuiesce);
-        self.forward();
-        self.ensure_shards_alive();
-        if self.cow_sync_dirty {
-            // A recovery landed after the last background round: restore
-            // the staged images before the chains go static.
-            self.cow_full_sync(&mut cow);
-        }
-        let t0 = Instant::now();
-        let background_before = cow.background;
-        let (snaps2, _) = self.barrier_all();
-        // The barrier flushed every source's trailing updates, so the
-        // delta chains are now complete and static: replay them dry. After
-        // this loop the staged images *are* the mover set — the frozen-cut
-        // copy plus the full chains reconstruct every boundary-crossing
-        // edge, weights included. A ring outrun or recovery inside this
-        // window trips the dirty flag and re-syncs from the (now settled)
-        // frozen cuts; with no client traffic flowing the loop converges.
-        for round in 0..COW_SETTLE_ROUNDS {
-            if self.cow_sync_dirty {
-                self.cow_full_sync(&mut cow);
-            } else if self.cow_replay_round(&mut cow) == 0 {
-                break;
-            } else if round + 1 == COW_SETTLE_ROUNDS {
-                self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "gpma-cluster: reshard settle did not run dry in \
-                     {COW_SETTLE_ROUNDS} rounds; proceeding with last state"
-                );
-            }
-        }
-        cow.background = background_before;
-        drop(quiesce_span);
-
-        let migrated: usize = cow.staged.iter().map(|m| m.len()).sum();
-        // Retract every mover from its old owner: the staged copies on the
-        // destinations become the only live copies at the swap, keeping
-        // the marker cut duplicate-free. Retiring shards (shrink) skip the
-        // retraction — their stores are dropped whole below.
-        let mut retract_keys: Vec<Vec<u64>> = vec![Vec::new(); old_n];
-        for staged in &cow.staged {
-            for k in staged.keys() {
-                let (src, dst) = gpma_graph::decode_key(*k);
-                let from = old_plan.shard_of_edge(src, dst);
-                if from < new_n {
-                    retract_keys[from].push(*k);
-                }
-            }
-        }
-        // Each destination's staged map contributes a sorted run; the
-        // concatenation is not globally sorted, and the shard apply path
-        // wants key order — restore it before shipping.
-        let retract: Vec<Vec<Edge>> = retract_keys
-            .into_iter()
-            .map(|mut ks| {
-                ks.sort_unstable();
-                ks.into_iter()
-                    .map(|k| {
-                        let (src, dst) = gpma_graph::decode_key(k);
-                        Edge::new(src, dst)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Fast path: same shard count, nothing moved AND nothing was ever
-        // staged — the new plan only changes where *future* updates route,
-        // so swap it, reset the skew window (the rebalance cooldown) and
-        // keep the delta ring intact: zero internal traffic entered any
-        // shard's delta stream, so consumers keep composing deltas across
-        // the boundary instead of rebasing. (Any staged ship disqualifies
-        // this path — it already leaked into a destination's stream.) This
-        // is what keeps a persistently hot vertex (skew irreducible by any
-        // 1D plan) from thrashing every delta consumer once per window.
-        if migrated == 0 && new_n == old_n && cow.copied == 0 && cow.replayed == 0 {
-            let resident_edges: usize = snaps2.iter().map(|s| s.edges().len()).sum();
-            let pause_secs = t0.elapsed().as_secs_f64();
-            {
-                let mut c = self.shared.router.lock();
-                c.routed = vec![0; new_n];
-                c.sub_batches = vec![0; new_n];
-                c.reshard_count += 1;
-                c.migration_pause_secs += pause_secs;
-                c.migration_background_secs += cow.background.as_secs_f64();
-            }
-            {
-                let mut p = self.shared.partition.lock();
-                *p = p.advance(new.clone());
-                self.part = p.clone();
-            }
-            let report = ReshardReport {
-                version: self.part.version(),
-                from_policy,
-                to_policy: new.name().to_string(),
-                from_shards: old_n,
-                to_shards: new_n,
-                migrated_edges: 0,
-                resident_edges,
-                migration_bytes: 0,
-                full_rebuild_bytes: (resident_edges * BYTES_PER_UPDATE) as u64,
-                pause_secs,
-                background_secs: cow.background.as_secs_f64(),
-                cut: self.shared.snapshot.lock().cut(),
-                auto,
-            };
-            self.shared.reshards.lock().push(report.clone());
-            self.cow_active = false;
-            self.shared.reshard_active.store(false, Ordering::Relaxed);
-            obs.event(
-                Stage::ReshardResume,
-                NO_SHARD,
-                report.version,
-                EventKind::ReshardEnd,
-                (pause_secs * 1e6) as u64,
-            );
-            return Ok(report);
-        }
-
-        // Swap first, retract in the background. The staged copies on the
-        // destinations are settled, so the moment the plan swaps every
-        // future update routes to them and the movers' old copies are
-        // garbage, not state — and deleting ~the whole mover set from the
-        // sources is GPMA apply work far too slow to sit inside a pause.
-        // Enqueue the retraction batches (send cost only), swap the plan,
-        // and the pause ends: the sources chew through the deletions while
-        // the router is back to absorbing live ingest under the new plan.
-        // A reader pairing `partitioner()` with `snapshot()` inside this
-        // window sees the new plan against the pre-reshard marker — the
-        // benign direction (snapshots carry their own shard structure);
-        // cuts stay deferred until the post-retire marker publishes.
-        let resume_span = obs.span(Stage::ReshardResume);
-        {
-            let mut p = self.shared.partition.lock();
-            *p = p.advance(new.clone());
-            self.part = p.clone();
-        }
-        self.pending = vec![UpdateBatch::default(); new_n];
-        self.pending_len = 0;
-        // Surviving shards keep their replay logs — until the fresh
-        // checkpoints below land, a death recovers from the pre-reshard
-        // checkpoint plus the log, which recorded every internal ship.
-        self.replay.truncate(new_n);
-        for (i, edges) in retract.into_iter().enumerate() {
-            if edges.is_empty() {
-                continue;
-            }
-            let b = UpdateBatch {
-                insertions: Vec::new(),
-                deletions: edges,
-            };
-            if self.recovery.is_some() {
-                self.replay[i].push(b.clone());
-            }
-            let _ = self.handles[i].ingest_unmetered(b);
-        }
-        let pause_secs = t0.elapsed().as_secs_f64();
-        {
-            let mut c = self.shared.router.lock();
-            let old_ledgers = std::mem::take(&mut c.transfer);
-            for t in &old_ledgers {
-                c.retired_transfer.merge(t);
-            }
-            c.routed = vec![0; new_n];
-            c.sub_batches = vec![0; new_n];
-            c.transfer = vec![TransferLedger::default(); new_n];
-            for to in 0..new_n {
-                let n = cow.arrived[to];
-                if n > 0 {
-                    c.transfer[to].record(&self.link, n * BYTES_PER_UPDATE);
-                }
-            }
-            c.reshard_count += 1;
-            c.migrated_edges += migrated as u64;
-            c.migration_bytes += (migrated * BYTES_PER_UPDATE) as u64;
-            c.migration_pause_secs += pause_secs;
-        }
-        drop(resume_span);
-
-        // Background retire: absorb live ingest under the new plan while
-        // the sources apply their retractions, then assemble the marker
-        // cut. Replay rounds must NOT run in this window — the sources'
-        // delta streams now carry the retraction deletions, and a replay
-        // would ship them to the destinations as deletes of the live
-        // copies. `cow_retiring` points a mid-window recovery at the
-        // replay log for the same reason. Retiring shards (shrink) drain
-        // and drop here too: their stores are dead weight, not movers.
-        self.cow_retiring = true;
-        let t_retire = Instant::now();
-        if new_n < self.services.len() {
-            self.handles.truncate(new_n);
-            for svc in self.services.drain(new_n..) {
-                let _ = svc.shutdown();
-            }
-        }
-        let mut waits: Vec<Option<Receiver<Arc<GraphSnapshot>>>> = self
-            .services
-            .iter()
-            .map(|svc| svc.barrier_async().ok())
-            .collect();
-        loop {
-            match rx.recv_timeout(Duration::from_micros(500)) {
-                Ok(cmd) => self.cow_absorb(cmd),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => self.shutdown_pending = true,
-            }
-            while self.pending_len < router_batch {
-                match rx.try_recv() {
-                    Ok(cmd) => self.cow_absorb(cmd),
-                    Err(_) => break,
-                }
-            }
-            self.forward();
-            let mut all = true;
-            for w in waits.iter_mut() {
-                let done = match w {
-                    // A dead worker's ack never comes (Disconnected): the
-                    // pre-marker probe below recovers it.
-                    Some(ack) => !matches!(ack.try_recv(), Err(TryRecvError::Empty)),
-                    None => true,
-                };
-                if done {
-                    *w = None;
-                } else {
-                    all = false;
-                }
-            }
-            if self.shutdown_pending || all {
-                break;
-            }
-        }
-        self.forward();
-        self.ensure_shards_alive();
-        let (snaps3, _) = self.barrier_all();
-        cow.background += t_retire.elapsed();
-
-        let cut = self.shared.cuts.fetch_add(1, Ordering::Relaxed) + 1;
-        let snap = Arc::new(ClusterSnapshot::new(cut, nv, snaps3));
-        let total_edges = snap.num_edges();
-        self.last_cut_epochs = snap.shards().iter().map(|s| s.epoch()).collect();
-        *self.shared.snapshot.lock() = snap.clone();
-        self.shared.delta_log.lock().reset_to(cut);
-        if let Some(tx) = &self.cut_tx {
-            let _ = tx.send(CutEvent::Rebase(snap));
-        }
-        // The marker barrier settled every surviving shard, so fresh
-        // checkpoints capture the fully retired post-migration state and
-        // trim the replay logs (client batches and internal ships alike)
-        // they subsume.
-        if let Some(policy) = self.recovery.clone() {
-            let mut taken = 0u64;
-            let mut total = 0u64;
-            for i in 0..self.services.len() {
-                let (saved, n) = self.save_checkpoint(&policy, i);
-                if saved {
-                    taken += 1;
-                    total += n;
-                }
-            }
-            let mut c = self.shared.router.lock();
-            c.checkpoints_taken += taken;
-            c.checkpoint_bytes += total;
-        }
-        self.shared.router.lock().migration_background_secs += cow.background.as_secs_f64();
-
-        self.cow_retiring = false;
-        self.cow_active = false;
-        self.shared.reshard_active.store(false, Ordering::Relaxed);
-        obs.event(
-            Stage::ReshardResume,
-            NO_SHARD,
-            self.part.version(),
-            EventKind::ReshardEnd,
-            (pause_secs * 1e6) as u64,
-        );
-
-        let report = ReshardReport {
-            version: self.part.version(),
-            from_policy,
-            to_policy: new.name().to_string(),
-            from_shards: old_n,
-            to_shards: new_n,
-            migrated_edges: migrated,
-            resident_edges: total_edges.saturating_sub(migrated),
-            migration_bytes: (migrated * BYTES_PER_UPDATE) as u64,
-            full_rebuild_bytes: (total_edges * BYTES_PER_UPDATE) as u64,
-            pause_secs,
-            background_secs: cow.background.as_secs_f64(),
-            cut,
-            auto,
-        };
-        self.shared.reshards.lock().push(report.clone());
-        Ok(report)
-    }
-
-    /// Reshard onto a degree-aware plan built from the observed per-vertex
-    /// update load.
-    fn rebalance(
-        &mut self,
-        target_shards: Option<usize>,
-        auto: bool,
-        rx: &Receiver<Command>,
-    ) -> Result<ReshardReport, ReshardError> {
-        let shards = target_shards.unwrap_or(self.services.len()).max(1);
-        let plan = Arc::new(DegreePartition::from_degrees(&self.observed, shards));
-        self.reshard(plan, auto, rx)
-    }
-
     /// The skew-driven trigger, evaluated after each forwarded burst: once
     /// enough updates accumulated under the current plan, a max/mean
     /// routed-update skew above the policy threshold fires a rebalance.
     /// The reshard resets the window counters, so the policy re-arms only
     /// after another `min_updates` observations.
-    fn maybe_rebalance(&mut self, rx: &Receiver<Command>) {
+    fn maybe_rebalance(&mut self) {
         let Some(policy) = self.cfg.rebalance else {
             return;
         };
+        if self.reshard.is_some() {
+            return;
+        }
         let skew = {
             let c = self.shared.router.lock();
             let total: u64 = c.routed.iter().sum();
@@ -2486,7 +1739,7 @@ impl Router {
             max / (total as f64 / c.routed.len() as f64)
         };
         if skew > policy.skew_threshold {
-            let _ = self.rebalance(policy.target_shards, true, rx);
+            self.begin_rebalance(policy.target_shards, None);
         }
     }
 
@@ -2587,19 +1840,16 @@ fn run_router(
         force_rebase: false,
         pending_cut: None,
         queued_cut_acks: Vec::new(),
+        reshard: None,
         deferred: VecDeque::new(),
-        cow_active: false,
-        cow_sync_dirty: false,
-        cow_recovered: Vec::new(),
-        cow_retiring: false,
-        shutdown_pending: false,
     };
     'serve: loop {
-        // With a cut round in flight, poll its barrier acks between short
+        // With a cut round or a reshard in flight, poll it between short
         // queue waits instead of blocking on the queue — an idle cluster
-        // must still complete its cuts.
-        let cmd = if r.pending_cut.is_some() {
-            match rx.recv_timeout(Duration::from_micros(200)) {
+        // must still complete its cuts and reshards.
+        let cmd = if r.pending_cut.is_some() || r.reshard.is_some() {
+            let wait_us = if r.reshard.is_some() { 500 } else { 200 };
+            match rx.recv_timeout(Duration::from_micros(wait_us)) {
                 Ok(cmd) => Some(cmd),
                 Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => break 'serve,
@@ -2613,53 +1863,45 @@ fn run_router(
         };
         let mut stop = false;
         if let Some(cmd) = cmd {
-            stop = handle_command(cmd, &mut r, &rx);
+            stop = handle_command(cmd, &mut r);
             // Coalesce whatever else is already queued before forwarding,
             // so bursts ship as few, large modeled DMAs.
             while !stop && r.pending_len < router_batch {
                 match rx.try_recv() {
-                    Ok(cmd) => stop = handle_command(cmd, &mut r, &rx),
+                    Ok(cmd) => stop = handle_command(cmd, &mut r),
                     Err(_) => break,
                 }
             }
         }
         r.forward();
         r.poll_pending_cut(false);
-        if !stop {
-            r.maybe_rebalance(&rx);
-        }
-        // Cuts and plan changes a reshard deferred run now, in arrival
-        // order, against the settled post-swap cluster. This runs after
-        // `maybe_rebalance` so an auto-reshard's deferrals drain before
-        // the loop blocks on the queue again — a parked cut ack would
-        // otherwise wait on unrelated future traffic.
-        while !stop {
-            let Some(cmd) = r.deferred.pop_front() else {
-                break;
-            };
-            stop = handle_command(cmd, &mut r, &rx);
-        }
         if stop {
             break 'serve;
         }
+        r.step_reshard(rx.is_empty());
+        // Cuts and plan changes a reshard deferred run the pass it
+        // completes, in arrival order, against the settled post-swap
+        // cluster; a deferred reshard parks the rest behind itself.
+        while r.reshard.is_none() {
+            let Some(cmd) = r.deferred.pop_front() else {
+                break;
+            };
+            handle_command(cmd, &mut r);
+        }
+        r.maybe_rebalance();
     }
-    // Shutdown (or disconnect) path: absorb everything still queued, then
+    // Shutdown (or disconnect) path: absorb everything still queued, run
+    // the reshard in flight (and any queued behind it) to completion, then
     // take the final coordinated cut and stop the shards.
-    while let Ok(cmd) = rx.try_recv() {
-        match cmd {
-            Command::Shutdown => {}
-            other => {
-                handle_command(other, &mut r, &rx);
-            }
+    loop {
+        while let Ok(cmd) = rx.try_recv() {
+            handle_command(cmd, &mut r);
         }
-    }
-    while let Some(cmd) = r.deferred.pop_front() {
-        match cmd {
-            Command::Shutdown => {}
-            other => {
-                handle_command(other, &mut r, &rx);
-            }
-        }
+        r.finish_reshard();
+        let Some(cmd) = r.deferred.pop_front() else {
+            break;
+        };
+        handle_command(cmd, &mut r);
     }
     r.resolve_pending_cut();
     r.cut_sync();
@@ -2670,18 +1912,21 @@ fn run_router(
         .collect()
 }
 
-/// Apply one command. Returns `true` when the router must begin shutdown
-/// (an explicit `Shutdown`, or one absorbed mid-reshard).
-fn handle_command(cmd: Command, r: &mut Router, rx: &Receiver<Command>) -> bool {
+/// Apply one command. Returns `true` when the router must begin shutdown.
+fn handle_command(cmd: Command, r: &mut Router) -> bool {
     match cmd {
         Command::Insert(_) | Command::Delete(_) | Command::Batch(_) => r.route(cmd),
+        // Mid-reshard, cuts and plan changes wait for the marker cut: a
+        // mid-copy barrier would observe staged duplicates, a mid-retire
+        // one un-retracted movers, and plan changes cannot nest. Data keeps
+        // routing (under the old plan until the swap), stats and kills
+        // serve inline.
+        Command::Cut(_) | Command::Reshard(..) | Command::Rebalance(..) if r.reshard.is_some() => {
+            r.deferred.push_back(cmd)
+        }
         Command::Cut(ack) => r.begin_cut(ack),
-        Command::Reshard(new, ack) => {
-            let _ = ack.send(r.reshard(new, false, rx));
-        }
-        Command::Rebalance(target, ack) => {
-            let _ = ack.send(r.rebalance(target, false, rx));
-        }
+        Command::Reshard(new, ack) => r.begin_reshard(new, Some(ack)),
+        Command::Rebalance(target, ack) => r.begin_rebalance(target, Some(ack)),
         Command::Stats(reply) => {
             // Flush residue first so the reply (and the shared counters it
             // is read alongside) reflect everything accepted so far.
@@ -2691,7 +1936,7 @@ fn handle_command(cmd: Command, r: &mut Router, rx: &Receiver<Command>) -> bool 
         Command::Kill(shard, ack) => r.kill(shard, ack),
         Command::Shutdown => return true,
     }
-    std::mem::take(&mut r.shutdown_pending)
+    false
 }
 
 #[cfg(test)]

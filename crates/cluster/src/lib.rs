@@ -53,11 +53,14 @@
 //!   delta fallbacks, migration counters ([`MigrationStats`]) and every
 //!   shard's own [`ServiceMetrics`](gpma_service::ServiceMetrics).
 //! * **Elasticity** — [`GraphCluster::reshard`] migrates live onto any new
-//!   [`Partitioner`] (shard counts may grow or shrink): quiesce → minimal
-//!   edge-move set ([`MigrationPlan`]) shipped as device-to-device DMAs →
-//!   resume under the advanced [`PartitionEpoch`], publishing a
-//!   snapshot-style epoch marker so delta readers and monitors rebase
-//!   exactly. [`GraphCluster::rebalance`] (or an automatic
+//!   [`Partitioner`] (shard counts may grow or shrink), copy-on-write: the
+//!   edges whose owner changes are copied from a frozen cut and kept
+//!   current by replaying the sources' delta chains while ingest keeps
+//!   flowing; ingest pauses only for the settle barrier and the swap to
+//!   the advanced [`PartitionEpoch`]; the old copies retire in the
+//!   background and a snapshot-style epoch marker makes delta readers and
+//!   monitors rebase exactly. The router steps the reshard as an explicit
+//!   phase machine, one step per pass of its loop (DESIGN.md §15). [`GraphCluster::rebalance`] (or an automatic
 //!   [`RebalancePolicy`] in [`ClusterConfig`]) targets a [`DegreePartition`]
 //!   built from the router's observed per-vertex load — the skew-driven
 //!   answer to the edge grid's ~2× power-law imbalance.
@@ -123,7 +126,6 @@ pub use cluster::{
 };
 pub use gpma_core::checkpoint::{CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
 pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
-pub use gpma_core::migration::{EdgeMove, MigrationPlan, MigrationSummary};
 pub use gpma_service::DeltaMonitor;
 pub use metrics::{ClusterMetrics, MigrationStats, RecoveryStats, RoutingSkew};
 pub use snapshot::ClusterSnapshot;

@@ -69,5 +69,5 @@ pub use csr::CsrView;
 pub use delta::{apply_delta, split_delta_moves, DeltaCatchUp, DeltaLog, SnapshotDelta};
 pub use gpma::{Gpma, LockStats};
 pub use gpma_plus::{GpmaPlus, PlusStats};
-pub use migration::{EdgeMove, MigrationPlan, MigrationSummary};
+pub use migration::{EdgeMove, MigrationPlan};
 pub use storage::{GpmaStorage, EMPTY};

@@ -1,6 +1,12 @@
 //! State migration between partition plans: the minimal edge-move set that
 //! turns the placement of one [`Partitioner`] into another.
 //!
+//! This is the reference definition of what a reshard must move, not the
+//! path a live one takes: `gpma-cluster`'s copy-on-write reshard
+//! reconstructs the same set incrementally from a frozen cut plus delta
+//! chains (DESIGN.md §15), and its tests hold that against
+//! [`MigrationPlan::compute`].
+//!
 //! A reshard never rebuilds shards from scratch. Given per-shard snapshots
 //! of the resident edges, [`MigrationPlan::compute`] keeps every edge whose
 //! owner is unchanged in place and schedules one move per edge whose owner
@@ -33,33 +39,12 @@ pub struct EdgeMove {
     pub edges: Vec<Edge>,
 }
 
-/// Compact accounting of a [`MigrationPlan`] (what metrics and reshard
-/// reports carry once the edge lists themselves are consumed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MigrationSummary {
-    /// Shard count before the reshard.
-    pub from_shards: usize,
-    /// Shard count after the reshard.
-    pub to_shards: usize,
-    /// Edges changing owner.
-    pub moved_edges: usize,
-    /// Edges staying on their current shard.
-    pub resident_edges: usize,
-    /// Modeled bytes the migration ships (`moved_edges` updates).
-    pub migration_bytes: usize,
-    /// Modeled bytes a from-scratch repartition would ship (every live
-    /// edge re-uploaded).
-    pub full_rebuild_bytes: usize,
-}
-
 /// The minimal edge-move set between two partition plans, computed from
 /// per-shard snapshots of the resident edges.
 #[derive(Debug, Clone, Default)]
 pub struct MigrationPlan {
     moves: Vec<EdgeMove>,
     resident_edges: usize,
-    from_shards: usize,
-    to_shards: usize,
 }
 
 impl MigrationPlan {
@@ -89,8 +74,6 @@ impl MigrationPlan {
                 .map(|((from, to), edges)| EdgeMove { from, to, edges })
                 .collect(),
             resident_edges: resident,
-            from_shards: per_shard.len(),
-            to_shards,
         }
     }
 
@@ -124,18 +107,6 @@ impl MigrationPlan {
     /// measured against.
     pub fn full_rebuild_bytes(&self) -> usize {
         (self.moved_edges() + self.resident_edges) * BYTES_PER_UPDATE
-    }
-
-    /// The compact accounting of this plan.
-    pub fn summary(&self) -> MigrationSummary {
-        MigrationSummary {
-            from_shards: self.from_shards,
-            to_shards: self.to_shards,
-            moved_edges: self.moved_edges(),
-            resident_edges: self.resident_edges,
-            migration_bytes: self.bytes(),
-            full_rebuild_bytes: self.full_rebuild_bytes(),
-        }
     }
 }
 
@@ -214,8 +185,6 @@ mod tests {
         };
         let per = place(&ring(16), &old);
         let plan = MigrationPlan::compute(&per, &new);
-        let s = plan.summary();
-        assert_eq!((s.from_shards, s.to_shards), (4, 2));
         // Everything on shards 2 and 3 must leave; targets stay in range.
         for m in plan.moves() {
             assert!(m.to < 2);
@@ -228,6 +197,6 @@ mod tests {
             .sum();
         let resident_on_retired: usize = per[2].len() + per[3].len();
         assert_eq!(from_retired, resident_on_retired);
-        assert_eq!(s.migration_bytes, plan.moved_edges() * BYTES_PER_UPDATE);
+        assert_eq!(plan.bytes(), plan.moved_edges() * BYTES_PER_UPDATE);
     }
 }

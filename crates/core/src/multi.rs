@@ -390,7 +390,6 @@ pub struct MultiGpma {
     devices: Vec<Device>,
     shards: Vec<GpmaPlus>,
     partition: PartitionEpoch,
-    device_cfg: DeviceConfig,
     pcie: Pcie,
 }
 
@@ -440,7 +439,6 @@ impl MultiGpma {
             devices,
             shards,
             partition: PartitionEpoch::new(partitioner),
-            device_cfg: cfg.clone(),
             pcie: Pcie::new(PcieConfig::default()),
         }
     }
@@ -460,8 +458,7 @@ impl MultiGpma {
         self.partition.plan()
     }
 
-    /// The versioned partition plan (version 0 until the first
-    /// [`Self::reshard`]).
+    /// The versioned partition plan the shards were built under.
     pub fn partition_epoch(&self) -> &PartitionEpoch {
         &self.partition
     }
@@ -535,66 +532,6 @@ impl MultiGpma {
         }
         let t = self.pcie.transfer_time(bytes_per_device);
         SimTime(t.secs() * (d - 1) as f64)
-    }
-
-    /// Live reshard onto a new partition plan: compute the minimal edge-move
-    /// set ([`MigrationPlan`](crate::migration::MigrationPlan)), grow or
-    /// retire shard devices to match the new shard count, apply the moves
-    /// (deletion batch on each surviving source, insertion batch on each
-    /// destination — both through the normal merge path, so the migration
-    /// pays real simulated device time), and advance the
-    /// [`PartitionEpoch`]. Edges whose owner is unchanged never leave their
-    /// device. Returns the migration accounting.
-    ///
-    /// # Panics
-    /// When `new`'s vertex-id space differs from the current plan's (vertex
-    /// ids are global; a reshard moves edges, it does not renumber them).
-    pub fn reshard(&mut self, new: Arc<dyn Partitioner>) -> crate::migration::MigrationSummary {
-        assert_eq!(
-            new.num_vertices(),
-            self.num_vertices(),
-            "reshard cannot change the vertex-id space"
-        );
-        let new_n = new.num_shards().max(1);
-        let old_n = self.shards.len();
-        let per_shard: Vec<Vec<Edge>> = self
-            .shards
-            .iter()
-            .map(|s| s.storage.host_edges())
-            .collect();
-        let plan = crate::migration::MigrationPlan::compute(&per_shard, &*new);
-
-        // Grow: fresh empty shards for the new ids.
-        let num_vertices = self.num_vertices();
-        for i in old_n..new_n {
-            let dev = Device::named(self.device_cfg.clone(), format!("gpu{i}"));
-            self.shards.push(GpmaPlus::build(&dev, num_vertices, &[]));
-            self.devices.push(dev);
-        }
-
-        // Apply the moves. Retiring shards (from ≥ new_n) skip the deletion
-        // half — their stores are dropped whole below.
-        for m in plan.moves() {
-            if m.from < new_n {
-                let batch = UpdateBatch {
-                    insertions: Vec::new(),
-                    deletions: m.edges.clone(),
-                };
-                self.shards[m.from].update_batch(&self.devices[m.from], &batch);
-            }
-            let batch = UpdateBatch {
-                insertions: m.edges.clone(),
-                deletions: Vec::new(),
-            };
-            self.shards[m.to].update_batch(&self.devices[m.to], &batch);
-        }
-
-        // Shrink: retire the emptied high shards.
-        self.shards.truncate(new_n);
-        self.devices.truncate(new_n);
-
-        self.partition = self.partition.advance(new);
-        plan.summary()
     }
 
     /// Makespan helper over per-device timed closures: runs `f(i, dev,
@@ -869,63 +806,6 @@ mod tests {
         assert_eq!(e1.plan().num_shards(), 4);
         let dbg = format!("{e1:?}");
         assert!(dbg.contains("vertex-hash") && dbg.contains('1'), "{dbg}");
-    }
-
-    #[test]
-    fn reshard_moves_minimal_set_and_preserves_graph() {
-        use std::collections::BTreeSet;
-        let nv = 24u32;
-        let mut m = MultiGpma::build(&cfg(), 4, nv, &ring(nv));
-        let before: BTreeSet<(u32, u32)> = m
-            .shards()
-            .iter()
-            .flat_map(|s| s.storage.host_edges())
-            .map(|e| (e.src, e.dst))
-            .collect();
-
-        // 4 → 2: retire the top shards.
-        let shrink = m.reshard(Arc::new(VertexPartition {
-            num_vertices: nv,
-            num_shards: 2,
-        }));
-        assert_eq!((shrink.from_shards, shrink.to_shards), (4, 2));
-        assert_eq!(m.num_devices(), 2);
-        assert_eq!(m.partition_epoch().version(), 1);
-        assert_eq!(
-            shrink.moved_edges + shrink.resident_edges,
-            before.len(),
-            "every edge accounted"
-        );
-        assert!(shrink.migration_bytes < shrink.full_rebuild_bytes);
-
-        // 2 → 8 under a degree-aware plan: grow with fresh shards.
-        let degrees: Vec<u64> = (0..nv as u64).map(|v| v % 5 + 1).collect();
-        let grow = m.reshard(Arc::new(DegreePartition::from_degrees(&degrees, 8)));
-        assert_eq!((grow.from_shards, grow.to_shards), (2, 8));
-        assert_eq!(m.num_devices(), 8);
-        assert_eq!(m.partition_epoch().version(), 2);
-        assert_eq!(m.partitioner().name(), "degree-aware");
-
-        // The graph is unchanged and every edge sits on its new owner.
-        let after: BTreeSet<(u32, u32)> = m
-            .shards()
-            .iter()
-            .flat_map(|s| s.storage.host_edges())
-            .map(|e| (e.src, e.dst))
-            .collect();
-        assert_eq!(after, before);
-        for (i, shard) in m.shards().iter().enumerate() {
-            for e in shard.storage.host_edges() {
-                assert_eq!(m.partitioner().shard_of_edge(e.src, e.dst), i);
-            }
-        }
-
-        // Updates route correctly under the post-reshard plan.
-        m.update_batch(&UpdateBatch {
-            insertions: vec![Edge::new(3, 17)],
-            deletions: vec![Edge::new(0, 1)],
-        });
-        assert_eq!(m.num_edges(), before.len());
     }
 
     #[test]

@@ -7,14 +7,17 @@
 //! snapshot-style epoch markers each reshard publishes.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 use gpma_analytics::{bfs_host, cc_host, pagerank_host};
 use gpma_baselines::AdjLists;
 use gpma_cluster::{
-    ClusterConfig, ClusterHandle, DegreePartition, GraphCluster, HashVertexPartition,
-    PartitionPolicy, RebalancePolicy,
+    ClusterConfig, ClusterHandle, ClusterSnapshot, DegreePartition, GraphCluster,
+    HashVertexPartition, PartitionPolicy, RebalancePolicy, VertexPartition,
 };
+use gpma_core::migration::MigrationPlan;
+use gpma_core::multi::Partitioner;
 use gpma_graph::Edge;
 use gpma_incremental::IncrementalEngine;
 use gpma_sim::DeviceConfig;
@@ -70,24 +73,33 @@ fn oracle_graph(oracle: &BTreeMap<(u32, u32), u64>) -> AdjLists {
     AdjLists::build(NUM_VERTICES, &edges)
 }
 
-/// Cut contents + host analytics on the cut must equal the oracle's.
+/// A fresh cut's contents + host analytics must equal the oracle's.
 fn assert_cut_matches(
     cluster: &GraphCluster,
     oracle: &BTreeMap<(u32, u32), u64>,
     label: &str,
 ) {
     let snap = cluster.epoch_cut().expect("cluster alive");
-    let got: BTreeMap<(u32, u32), u64> = snap
-        .merged_edges()
+    assert_snapshot_matches(&snap, oracle, label);
+}
+
+fn assert_snapshot_matches(
+    snap: &ClusterSnapshot,
+    oracle: &BTreeMap<(u32, u32), u64>,
+    label: &str,
+) {
+    let merged = snap.merged_edges();
+    assert_eq!(merged.len(), oracle.len(), "{label}: an edge lives on two shards");
+    let got: BTreeMap<(u32, u32), u64> = merged
         .iter()
         .map(|e| ((e.src, e.dst), e.weight))
         .collect();
     assert_eq!(&got, oracle, "{label}: edge sets diverged");
     let adj = oracle_graph(oracle);
     let root = oracle.keys().next().map(|&(s, _)| s).unwrap_or(0);
-    assert_eq!(bfs_host(&*snap, root), bfs_host(&adj, root), "{label}: BFS");
-    assert_eq!(cc_host(&*snap), cc_host(&adj), "{label}: CC");
-    let pr_cut = pagerank_host(&*snap, 0.85, 1e-10, 200);
+    assert_eq!(bfs_host(snap, root), bfs_host(&adj, root), "{label}: BFS");
+    assert_eq!(cc_host(snap), cc_host(&adj), "{label}: CC");
+    let pr_cut = pagerank_host(snap, 0.85, 1e-10, 200);
     let pr_adj = pagerank_host(&adj, 0.85, 1e-10, 200);
     for v in 0..NUM_VERTICES as usize {
         assert!(
@@ -279,16 +291,22 @@ fn explicit_degree_aware_reshard_places_rows_whole() {
     for e in &edges {
         h.insert(*e).unwrap();
     }
-    cluster.epoch_cut().unwrap();
+    let before = cluster.epoch_cut().unwrap();
     let plan = Arc::new(DegreePartition::from_edges(NUM_VERTICES, &edges, 4));
     let report = cluster.reshard(plan.clone()).unwrap();
-    assert_eq!(report.migrated_edges + report.resident_edges, edges.len());
+    // Nothing streams through this reshard, so the mover set the
+    // copy-on-write protocol reconstructed incrementally must be exactly
+    // the owner-diff of the pre-reshard placement — the reference oracle.
+    let placed: Vec<Vec<Edge>> = before.shards().iter().map(|s| s.edges().to_vec()).collect();
+    let reference = MigrationPlan::compute(&placed, &*plan);
+    assert_eq!(report.migrated_edges, reference.moved_edges());
+    assert_eq!(report.resident_edges, reference.resident_edges());
     let snap = cluster.epoch_cut().unwrap();
     assert_eq!(snap.num_edges(), edges.len());
     for (i, s) in snap.shards().iter().enumerate() {
         for e in s.edges() {
             assert_eq!(
-                gpma_core::multi::Partitioner::shard_of_edge(&*plan, e.src, e.dst),
+                plan.shard_of_edge(e.src, e.dst),
                 i,
                 "edge ({},{}) misplaced",
                 e.src,
@@ -304,4 +322,148 @@ fn explicit_degree_aware_reshard_places_rows_whole() {
         .count();
     assert_eq!(hub_shards, 1);
     drop(cluster.shutdown());
+}
+
+/// A vertex-range plan whose first placement lookup — made by the router,
+/// inside the frozen-cut copy of the reshard onto it — parks the caller at
+/// a two-party gate until the test opens it.
+struct GatedPlan {
+    inner: VertexPartition,
+    gate: Arc<Barrier>,
+    passed: AtomicBool,
+}
+
+impl Partitioner for GatedPlan {
+    fn name(&self) -> &str {
+        "gated-range"
+    }
+    fn num_shards(&self) -> usize {
+        self.inner.num_shards
+    }
+    fn num_vertices(&self) -> u32 {
+        self.inner.num_vertices
+    }
+    fn shard_of_edge(&self, src: u32, dst: u32) -> usize {
+        if !self.passed.swap(true, Ordering::SeqCst) {
+            self.gate.wait(); // "the router is inside the copy"
+            self.gate.wait(); // "carry on"
+        }
+        self.inner.shard_of_edge(src, dst)
+    }
+    fn home_of_vertex(&self, v: u32) -> usize {
+        self.inner.home_of_vertex(v)
+    }
+    fn stores_row(&self, shard: usize, v: u32) -> bool {
+        self.inner.stores_row(shard, v)
+    }
+}
+
+/// A cut and a second reshard that arrive while a reshard is in flight
+/// wait for its marker cut and then run in arrival order: the cut sees the
+/// first reshard's plan (and everything accepted before it, once), the
+/// second reshard starts from there.
+#[test]
+fn commands_deferred_mid_reshard_run_in_arrival_order() {
+    let cluster = spawn_cluster(4, 8);
+    let h = cluster.handle();
+    let mut oracle = BTreeMap::new();
+    let ops_a: Vec<_> = (0..48u32).map(|i| (0u8, i, i * 7 + 3, u64::from(i + 1))).collect();
+    feed(&h, &ops_a);
+    apply_oracle(&mut oracle, &ops_a);
+    cluster.epoch_cut().unwrap();
+
+    let gate = Arc::new(Barrier::new(2));
+    let first = Arc::new(GatedPlan {
+        inner: VertexPartition {
+            num_vertices: NUM_VERTICES,
+            num_shards: 2,
+        },
+        gate: gate.clone(),
+        passed: AtomicBool::new(false),
+    });
+    let second = Arc::new(HashVertexPartition {
+        num_vertices: NUM_VERTICES,
+        num_shards: 8,
+    });
+    let (r1, snap, r2) = std::thread::scope(|s| {
+        let r1 = s.spawn(|| cluster.reshard(first.clone()));
+        gate.wait();
+        // The router is parked inside the first reshard's copy: whatever
+        // is sent now queues behind it, in this order.
+        let ops_b: Vec<_> = (0..24u32)
+            .map(|i| (i as u8 % 4, i * 5, i + 9, u64::from(i + 100)))
+            .collect();
+        feed(&h, &ops_b);
+        apply_oracle(&mut oracle, &ops_b);
+        let cut = s.spawn(|| cluster.epoch_cut());
+        while h.queue_depth() < ops_b.len() + 1 {
+            std::thread::yield_now();
+        }
+        let r2 = s.spawn(|| cluster.reshard(second.clone()));
+        while h.queue_depth() < ops_b.len() + 2 {
+            std::thread::yield_now();
+        }
+        gate.wait();
+        (
+            r1.join().expect("first reshard caller").expect("reshard 1"),
+            cut.join().expect("cut caller").expect("cluster alive"),
+            r2.join().expect("second reshard caller").expect("reshard 2"),
+        )
+    });
+
+    assert_eq!((r1.version, r1.to_shards), (1, 2));
+    assert_eq!(snap.cut(), r1.cut + 1, "the cut is the first thing after the marker");
+    assert_eq!(snap.num_shards(), 2, "the cut ran before the second reshard began");
+    assert_snapshot_matches(&snap, &oracle, "deferred cut");
+    assert_eq!((r2.version, r2.from_shards, r2.to_shards), (2, 2, 8));
+    assert!(r2.cut > snap.cut());
+
+    assert_eq!(cluster.partition_version(), 2);
+    let history: Vec<(String, usize)> = cluster
+        .reshard_history()
+        .into_iter()
+        .map(|r| (r.to_policy, r.to_shards))
+        .collect();
+    assert_eq!(
+        history,
+        [("gated-range".to_string(), 2), ("vertex-hash".to_string(), 8)]
+    );
+    assert_cut_matches(&cluster, &oracle, "after both reshards");
+    let report = cluster.shutdown();
+    assert_eq!(report.metrics.worker_errors, 0);
+}
+
+/// `shutdown()` with an automatic rebalance in flight (or about to fire,
+/// or just done — the feed and the router race): the call returns, the
+/// final snapshot is oracle-exact and nothing was logged as an error.
+#[test]
+fn shutdown_racing_auto_rebalance_is_exact() {
+    let cluster = GraphCluster::spawn(
+        ClusterConfig {
+            flush_threshold: 8,
+            router_batch: 16,
+            rebalance: Some(RebalancePolicy {
+                skew_threshold: 1.5,
+                min_updates: 64,
+                target_shards: Some(2),
+            }),
+            ..Default::default()
+        },
+        &DeviceConfig::deterministic(),
+        PartitionPolicy::VertexHash.build(NUM_VERTICES, 4),
+        &[],
+    );
+    let h = cluster.handle();
+    // One hot source: max/mean = 4 on 4 shards, so the policy fires on the
+    // burst that takes the window past `min_updates` — with a few more
+    // updates and the shutdown right behind it.
+    let ops: Vec<_> = (0..96u32).map(|i| (i as u8 % 4, 7, i % 40, u64::from(i + 1))).collect();
+    let mut oracle = BTreeMap::new();
+    feed(&h, &ops);
+    apply_oracle(&mut oracle, &ops);
+    let report = cluster.shutdown();
+    assert_snapshot_matches(&report.final_snapshot, &oracle, "final snapshot");
+    assert_eq!(report.metrics.worker_errors, 0);
+    assert!(report.metrics.reshard_count >= 1, "the policy fired before the shutdown");
+    assert_eq!(report.final_snapshot.num_shards(), 2);
 }
