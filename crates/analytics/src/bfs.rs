@@ -16,8 +16,8 @@ pub const UNREACHED: u32 = u32::MAX;
 pub fn bfs_device<G: DeviceGraphView>(dev: &Device, g: &G, root: u32) -> DeviceBuffer<u32> {
     let nv = g.num_vertices() as usize;
     assert!((root as usize) < nv, "root out of range");
-    let dist = DeviceBuffer::<u32>::filled(UNREACHED, nv);
-    dist.host_write_at(root as usize, 0);
+    let mut dist = DeviceBuffer::<u32>::filled(UNREACHED, nv);
+    dist.host_write(root as usize, 0);
     let mut frontier = DeviceBuffer::<u32>::from_slice(&[root]);
     let mut level = 0u32;
     while !frontier.is_empty() {
@@ -81,22 +81,6 @@ pub fn bfs_host<G: HostGraph + ?Sized>(g: &G, root: u32) -> Vec<u32> {
         queue.extend(pushes);
     }
     dist
-}
-
-/// Extension helper for one-off host writes on a shared buffer before any
-/// kernel runs (BFS owns the buffer it just allocated).
-trait HostWriteAt {
-    fn host_write_at(&self, i: usize, v: u32);
-}
-
-impl HostWriteAt for DeviceBuffer<u32> {
-    fn host_write_at(&self, i: usize, v: u32) {
-        // SAFETY-equivalent: exclusive by construction — the buffer was just
-        // created and no kernel has been launched on it yet. Uses the safe
-        // atomic store path to avoid an unsafe block.
-        let mut lane = gpma_sim::Lane::test_lane(0);
-        self.atomic_exchange(&mut lane, i, v);
-    }
 }
 
 #[cfg(test)]

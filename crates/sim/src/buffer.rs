@@ -101,8 +101,10 @@ impl<T: DevicePod> DeviceBuffer<T> {
 
     #[inline]
     fn ptr(&self, i: usize) -> *mut T {
-        assert!(i < self.cells.len(), "device OOB: {} >= {}", i, self.cells.len());
-        self.cells[i].0.get()
+        match self.cells.get(i) {
+            Some(cell) => cell.0.get(),
+            None => panic!("device OOB: {} >= {}", i, self.cells.len()),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -268,7 +270,7 @@ mod tests {
     use super::*;
     use crate::device::Lane;
 
-    fn lane() -> Lane {
+    fn lane() -> Lane<'static> {
         Lane::test_lane(0)
     }
 

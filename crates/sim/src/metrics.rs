@@ -3,10 +3,10 @@
 use serde::{Deserialize, Serialize};
 
 /// Statistics for a single kernel launch, produced by the cost model.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct KernelStats {
-    /// Kernel name.
-    pub name: String,
+    /// Kernel name (the literal the launch site passed).
+    pub name: &'static str,
     /// Logical lanes launched.
     pub threads: usize,
     /// Warps covering those lanes.
@@ -43,24 +43,15 @@ pub struct DeviceMetrics {
     pub total_atomic_ops: u64,
     /// Atomics serialized by a same-address conflict.
     pub total_atomic_conflicts: u64,
-    /// Ring of the most recent kernels (bounded so long benches do not
-    /// accumulate unbounded logs).
-    pub recent: Vec<KernelStats>,
 }
 
-pub(crate) const RECENT_CAP: usize = 64;
-
 impl DeviceMetrics {
-    pub(crate) fn record(&mut self, stats: KernelStats) {
+    pub(crate) fn record(&mut self, stats: &KernelStats) {
         self.launches += 1;
         self.total_cycles += stats.cycles;
         self.total_mem_transactions += stats.mem_transactions;
         self.total_atomic_ops += stats.atomic_ops;
         self.total_atomic_conflicts += stats.atomic_conflicts;
-        if self.recent.len() == RECENT_CAP {
-            self.recent.remove(0);
-        }
-        self.recent.push(stats);
     }
 }
 
@@ -246,21 +237,5 @@ mod tests {
         assert_eq!(c.ingest_throughput(2.0), 8.0);
         assert_eq!(c.ingest_throughput(0.0), 0.0);
         assert_eq!(ServiceCounters::default().avg_flush_wall_secs(), 0.0);
-    }
-
-    #[test]
-    fn metrics_ring_is_bounded() {
-        let mut m = DeviceMetrics::default();
-        for i in 0..(RECENT_CAP + 10) {
-            m.record(KernelStats {
-                name: format!("k{i}"),
-                cycles: 1,
-                ..Default::default()
-            });
-        }
-        assert_eq!(m.recent.len(), RECENT_CAP);
-        assert_eq!(m.launches, (RECENT_CAP + 10) as u64);
-        assert_eq!(m.total_cycles, (RECENT_CAP + 10) as u64);
-        assert_eq!(m.recent.last().unwrap().name, format!("k{}", RECENT_CAP + 9));
     }
 }

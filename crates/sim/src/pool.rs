@@ -65,13 +65,18 @@ impl Pool {
         Pool { tx, workers, size }
     }
 
+    /// Whether jobs run inline on the caller (no worker threads).
+    pub(crate) fn is_inline(&self) -> bool {
+        self.workers.is_empty()
+    }
+
     /// Execute `f` over each `(start, end)` range, in parallel when workers
     /// exist. Blocks until all ranges complete; propagates worker panics.
     pub(crate) fn run<F>(&self, ranges: &[(usize, usize)], f: &F)
     where
         F: Fn(usize, usize) + Sync,
     {
-        if self.workers.is_empty() || ranges.len() == 1 {
+        if self.is_inline() || ranges.len() == 1 {
             for &(s, e) in ranges {
                 f(s, e);
             }
