@@ -11,9 +11,35 @@
 //! labels — bit-identical to [`cc_host`](gpma_analytics::cc_host) — come
 //! from the per-component minimum tracked across merges and splits.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+
+use gpma_analytics::cc_host;
 
 use crate::graph::{AppliedDelta, DeltaGraph};
+
+/// One frontier of a reconnection search. The maintainer keeps both across
+/// calls, so a search that finds the component still whole — nearly every
+/// one — allocates nothing. Between calls every `visited` flag is false.
+#[derive(Debug, Clone, Default)]
+struct SearchSide {
+    visited: Vec<bool>,
+    queue: VecDeque<u32>,
+    /// Every vertex this side marked visited, in discovery order.
+    touched: Vec<u32>,
+    /// Vertices expanded plus neighbours looked at, this search.
+    traversed: u64,
+}
+
+impl SearchSide {
+    fn start_at(&mut self, v: u32) {
+        self.queue.clear();
+        self.touched.clear();
+        self.traversed = 0;
+        self.visited[v as usize] = true;
+        self.queue.push_back(v);
+        self.touched.push(v);
+    }
+}
 
 /// A live component labeling over the undirected edge set, maintained from
 /// epoch deltas.
@@ -31,10 +57,7 @@ pub struct IncrementalCc {
     cmin: HashMap<u32, u32>,
     next_id: u32,
     work: u64,
-    /// Scratch for the two reconnection frontiers (kept across epochs so
-    /// the common no-split case allocates nothing).
-    visited_a: Vec<bool>,
-    visited_b: Vec<bool>,
+    sides: [SearchSide; 2],
 }
 
 impl IncrementalCc {
@@ -63,23 +86,23 @@ impl IncrementalCc {
         self.size.len()
     }
 
-    /// Rebuild the labeling from scratch on `g`.
+    /// Rebuild the labeling from scratch on `g`: [`cc_host`] labels every
+    /// vertex with the smallest id in its component, which is both a unique
+    /// component id and the component's canonical minimum.
     pub fn rebase(&mut self, g: &DeltaGraph) {
         let n = g.num_vertices() as usize;
-        self.comp = (0..n as u32).collect();
-        self.members = (0..n as u32).map(|v| (v, vec![v])).collect();
-        self.size = (0..n as u32).map(|v| (v, 1)).collect();
-        self.cmin = (0..n as u32).map(|v| (v, v)).collect();
-        self.next_id = n as u32;
-        self.visited_a = vec![false; n];
-        self.visited_b = vec![false; n];
-        for v in 0..n as u32 {
-            let mut targets = Vec::new();
-            g.for_each_undirected_neighbor(v, &mut |w| targets.push(w));
-            for w in targets {
-                self.union(v, w);
-            }
+        self.comp = cc_host(g);
+        self.members.clear();
+        for (v, &c) in self.comp.iter().enumerate() {
+            self.members.entry(c).or_default().push(v as u32);
         }
+        self.size = self.members.iter().map(|(&c, m)| (c, m.len() as u32)).collect();
+        self.cmin = self.members.keys().map(|&c| (c, c)).collect();
+        self.next_id = n as u32;
+        self.sides = [(); 2].map(|()| SearchSide {
+            visited: vec![false; n],
+            ..Default::default()
+        });
         self.work += (n + g.num_edges()) as u64;
     }
 
@@ -139,55 +162,44 @@ impl IncrementalCc {
     /// side that has traversed less until the searches meet (`None` — the
     /// component held together) or one side exhausts — returning that
     /// side's full member list, which is then a component of its own.
+    // lint: hot-path
     fn reconnects(&mut self, g: &DeltaGraph, u: u32, v: u32) -> Option<Vec<u32>> {
-        use std::collections::VecDeque;
-        let mut visited_a = std::mem::take(&mut self.visited_a);
-        let mut visited_b = std::mem::take(&mut self.visited_b);
-        visited_a[u as usize] = true;
-        visited_b[v as usize] = true;
-        let mut queue_a = VecDeque::from([u]);
-        let mut queue_b = VecDeque::from([v]);
-        let mut touched_a = vec![u];
-        let mut touched_b = vec![v];
-        let (mut traversed_a, mut traversed_b) = (0u64, 0u64);
-        let mut neighbors = Vec::new();
-        let result = 'search: loop {
-            let expand_a = traversed_a <= traversed_b;
-            let (queue, visited, other_visited, touched, traversed) = if expand_a {
-                (&mut queue_a, &mut visited_a, &visited_b, &mut touched_a, &mut traversed_a)
-            } else {
-                (&mut queue_b, &mut visited_b, &visited_a, &mut touched_b, &mut traversed_b)
-            };
-            let Some(x) = queue.pop_front() else {
+        let [a, b] = &mut self.sides;
+        a.start_at(u);
+        b.start_at(v);
+        // `Some(true)`: side a exhausted; `Some(false)`: side b did.
+        let split = loop {
+            let expand_a = a.traversed <= b.traversed;
+            let (side, other) = if expand_a { (&mut *a, &*b) } else { (&mut *b, &*a) };
+            let Some(x) = side.queue.pop_front() else {
                 // This side enumerated its whole (new) component without
                 // reaching the other endpoint: a genuine split.
-                break 'search Some(touched.clone());
+                break Some(expand_a);
             };
-            neighbors.clear();
-            g.for_each_undirected_neighbor(x, &mut |w| neighbors.push(w));
-            *traversed += neighbors.len() as u64 + 1;
-            for &w in &neighbors {
-                if other_visited[w as usize] {
-                    break 'search None; // frontiers met: still connected
+            let mut met = false;
+            side.traversed += 1;
+            g.for_each_undirected_neighbor(x, &mut |w| {
+                side.traversed += 1;
+                if met || other.visited[w as usize] {
+                    met = true; // frontiers met: still connected
+                } else if !side.visited[w as usize] {
+                    side.visited[w as usize] = true;
+                    side.touched.push(w);
+                    side.queue.push_back(w);
                 }
-                if !visited[w as usize] {
-                    visited[w as usize] = true;
-                    touched.push(w);
-                    queue.push_back(w);
-                }
+            });
+            if met {
+                break None;
             }
         };
-        self.work += traversed_a + traversed_b;
+        self.work += a.traversed + b.traversed;
         // Clear only what the searches touched (O(touched), not O(N)).
-        for &m in &touched_a {
-            visited_a[m as usize] = false;
+        for side in [&mut *a, &mut *b] {
+            for &m in &side.touched {
+                side.visited[m as usize] = false;
+            }
         }
-        for &m in &touched_b {
-            visited_b[m as usize] = false;
-        }
-        self.visited_a = visited_a;
-        self.visited_b = visited_b;
-        result
+        split.map(|a_side| std::mem::take(if a_side { &mut a.touched } else { &mut b.touched }))
     }
 
     /// Carve the enumerated `side` out of component `old` as a fresh

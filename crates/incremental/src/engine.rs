@@ -1,5 +1,6 @@
-//! The incremental engine: one shared [`DeltaGraph`] feeding any subset of
-//! the three maintainers, packaged as a drop-in
+//! The incremental engine: one [`DeltaGraph`] (the published image plus its
+//! transpose) feeding any subset of the three maintainers, packaged as a
+//! drop-in
 //! [`DeltaMonitor`](gpma_service::DeltaMonitor) for `gpma-service` workers
 //! and `gpma-cluster` coordinated cuts.
 //!
@@ -121,9 +122,17 @@ impl IncrementalEngine {
         s
     }
 
-    /// Rebase graph and every maintainer on a full snapshot.
+    /// Rebase graph and every maintainer on a copy of `snapshot` (an image
+    /// clone shares its slabs). Callers that hold the published `Arc` use
+    /// [`rebase_shared`](Self::rebase_shared) and share the image itself.
     pub fn rebase(&mut self, snapshot: &GraphSnapshot) {
-        self.graph = DeltaGraph::from_snapshot(snapshot);
+        self.rebase_shared(Arc::new(snapshot.clone()));
+    }
+
+    /// Rebase graph and every maintainer on `image`, which the engine
+    /// adopts as its forward adjacency without copying it.
+    pub fn rebase_shared(&mut self, image: Arc<GraphSnapshot>) {
+        self.graph = DeltaGraph::from_image(image);
         for m in &mut self.bfs {
             m.rebase(&self.graph);
         }
@@ -137,9 +146,19 @@ impl IncrementalEngine {
         self.stats.epochs = 0;
     }
 
-    /// Apply one epoch delta to the graph and repair every maintainer.
+    /// Apply one epoch delta and repair every maintainer, advancing a
+    /// private image — for callers that only see the delta stream (a
+    /// [`DeltaMonitor`] gets no image with `on_delta`).
     pub fn apply(&mut self, delta: &SnapshotDelta) {
-        let applied = self.graph.apply(delta);
+        let next = Arc::new(self.graph.image().advance(delta).0);
+        self.apply_at(delta, next);
+    }
+
+    /// Apply one epoch delta and repair every maintainer, adopting `next` —
+    /// the image published for `delta.epoch()` — instead of advancing one
+    /// ([`DeltaGraph::apply_at`]).
+    pub fn apply_at(&mut self, delta: &SnapshotDelta, next: Arc<GraphSnapshot>) {
+        let applied = self.graph.apply_at(delta, next);
         self.stats.epochs += 1;
         self.stats.changed_edges += applied.topology_changes() as u64;
         for m in &mut self.bfs {

@@ -1,13 +1,15 @@
-//! The host-side adjacency every incremental maintainer shares: built once
-//! from a full snapshot, then kept current by applying epoch deltas.
+//! The graph every incremental maintainer reads: the published
+//! [`GraphSnapshot`] image itself for the forward adjacency, plus the one
+//! thing the image does not hold — sorted in-neighbour rows, built from the
+//! image once and patched from each delta's actual changes.
 //!
-//! [`DeltaGraph::apply`] also *classifies* each delta record against the
-//! actual pre-state — an upsert of an already-identical edge is a no-op, an
+//! [`DeltaGraph::apply_at`] also *classifies* each delta record against the
+//! pre-delta image — an upsert of an already-identical edge is a no-op, an
 //! upsert of a present edge with a new weight is a reweight, a deletion of
 //! an absent key is dropped — so maintainers only ever repair around edges
 //! that really changed ([`AppliedDelta`]).
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gpma_analytics::HostGraph;
 use gpma_core::delta::SnapshotDelta;
@@ -17,7 +19,8 @@ use gpma_graph::{decode_key, Edge};
 /// The *actual* topology changes one applied delta caused, after filtering
 /// no-ops against the pre-state. `added` and `removed` drive the repair
 /// logic of the maintainers; `reweighted` matters only to weight-sensitive
-/// consumers (the shipped analytics are unweighted).
+/// consumers (the shipped analytics are unweighted). Each list is in
+/// ascending `(src, dst)` order, as the delta's own lists are.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppliedDelta {
     /// Epoch the graph reached by applying this delta.
@@ -44,85 +47,103 @@ impl AppliedDelta {
     }
 }
 
-/// A forward+reverse host adjacency kept exactly in sync with the epoch
-/// delta stream.
+/// The image an engine is current with, plus its transpose.
 ///
-/// Out-rows are ordered maps `dst → weight` (deterministic iteration); the
-/// reverse rows hold in-neighbor sets, which the decremental repairs (BFS
-/// parent checks, CC component walks) need. Implements the
-/// [`HostGraph`] contract, so every from-scratch oracle
-/// (`bfs_host`/`cc_host`/`pagerank_host`) runs directly on it — the
-/// validation path the proptests use.
-#[derive(Debug, Clone, Default)]
+/// Every forward read (`weight`, `out_neighbors`, `out_degree`, the
+/// [`HostGraph`] contract the from-scratch oracles run on) goes to the
+/// shared image — the engine keeps no copy of the edges. Only the reverse
+/// rows are engine-owned: `incoming[v]` is the ascending list of `v`'s
+/// in-neighbours, which the decremental repairs (BFS parent checks, CC
+/// component walks) need and the image does not index.
+#[derive(Debug, Clone)]
 pub struct DeltaGraph {
-    epoch: u64,
-    num_vertices: u32,
-    out: Vec<BTreeMap<u32, u64>>,
-    incoming: Vec<BTreeMap<u32, ()>>,
-    num_edges: usize,
+    image: Arc<GraphSnapshot>,
+    incoming: Vec<Vec<u32>>,
+}
+
+impl Default for DeltaGraph {
+    fn default() -> Self {
+        DeltaGraph::new(0)
+    }
 }
 
 impl DeltaGraph {
     /// An empty graph over `num_vertices` vertices at epoch 0.
     pub fn new(num_vertices: u32) -> Self {
-        DeltaGraph {
-            epoch: 0,
+        DeltaGraph::from_image(Arc::new(GraphSnapshot::from_edges(
+            0,
             num_vertices,
-            out: vec![BTreeMap::new(); num_vertices as usize],
-            incoming: vec![BTreeMap::new(); num_vertices as usize],
-            num_edges: 0,
-        }
+            Vec::new(),
+        )))
     }
 
-    /// Rebase on a full snapshot (initial spawn, or a reader that lagged
-    /// past the delta ring).
+    /// Adopt a copy of `snap` (cheap: an image clone shares its slabs).
     pub fn from_snapshot(snap: &GraphSnapshot) -> Self {
-        let mut g = DeltaGraph::new(snap.num_vertices());
-        g.epoch = snap.epoch();
-        for e in snap.edges() {
-            g.insert_edge(e.src, e.dst, e.weight);
-        }
-        g
+        DeltaGraph::from_image(Arc::new(snap.clone()))
     }
 
-    /// Epoch of the last applied delta (or the rebase snapshot).
+    /// Adopt `image` as it is — the very `Arc` the service published, when
+    /// the caller has it — and build the in-neighbour rows from it: one
+    /// pass to size each row exactly, one to fill it. The image's edges come
+    /// in `(src, dst)` order, so every row fills in ascending order.
+    pub fn from_image(image: Arc<GraphSnapshot>) -> Self {
+        let mut in_degree = vec![0usize; image.num_vertices() as usize];
+        for e in image.edges() {
+            in_degree[e.dst as usize] += 1;
+        }
+        let mut incoming: Vec<Vec<u32>> =
+            in_degree.into_iter().map(Vec::with_capacity).collect();
+        for e in image.edges() {
+            incoming[e.dst as usize].push(e.src);
+        }
+        DeltaGraph { image, incoming }
+    }
+
+    /// The image this graph is current with. After
+    /// [`apply_at`](Self::apply_at) / [`from_image`](Self::from_image) it is
+    /// the `Arc` the caller handed in, not a copy.
+    pub fn image(&self) -> &Arc<GraphSnapshot> {
+        &self.image
+    }
+
+    /// Epoch of the image (the last applied delta, or the rebase snapshot).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.image.epoch()
     }
 
     /// Vertex count (fixed at construction; vertex ids are dense `0..n`).
     pub fn num_vertices(&self) -> u32 {
-        self.num_vertices
+        self.image.num_vertices()
     }
 
     /// Live edge count.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.image.num_edges()
     }
 
     /// Weight of `(src, dst)` if the edge is live.
     pub fn weight(&self, src: u32, dst: u32) -> Option<u64> {
-        self.out.get(src as usize).and_then(|row| row.get(&dst)).copied()
+        self.image.weight(src, dst)
     }
 
     /// True when `(src, dst)` is live.
     pub fn contains(&self, src: u32, dst: u32) -> bool {
-        self.weight(src, dst).is_some()
+        self.image.contains(src, dst)
     }
 
     /// Out-neighbors of `v` in ascending dst order.
     pub fn out_neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.out[v as usize].iter().map(|(&d, &w)| (d, w))
+        self.image.neighbors(v).iter().map(|e| (e.dst, e.weight))
     }
 
     /// Out-degree of `v`.
     pub fn out_degree(&self, v: u32) -> usize {
-        self.out[v as usize].len()
+        self.image.out_degree(v)
     }
 
     /// In-neighbors of `v` in ascending src order.
     pub fn in_neighbors(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
-        self.incoming[v as usize].keys().copied()
+        self.incoming[v as usize].iter().copied()
     }
 
     /// In-degree of `v`.
@@ -130,96 +151,90 @@ impl DeltaGraph {
         self.incoming[v as usize].len()
     }
 
-    /// Visit each *undirected* neighbor of `v` exactly once (the union of
-    /// out- and in-neighbors) — the adjacency the CC maintainer walks.
+    /// Visit each *undirected* neighbor of `v` exactly once, ascending (the
+    /// union of out- and in-neighbors) — the adjacency the CC maintainer
+    /// walks, once per vertex a reconnection search expands.
+    // lint: hot-path
     pub fn for_each_undirected_neighbor(&self, v: u32, f: &mut dyn FnMut(u32)) {
-        let mut outs = self.out[v as usize].keys().copied().peekable();
-        let mut ins = self.incoming[v as usize].keys().copied().peekable();
-        loop {
-            match (outs.peek().copied(), ins.peek().copied()) {
-                (Some(a), Some(b)) if a == b => {
-                    f(a);
-                    outs.next();
-                    ins.next();
-                }
-                (Some(a), Some(b)) if a < b => {
-                    f(a);
-                    outs.next();
-                }
-                (Some(_), Some(b)) => {
-                    f(b);
-                    ins.next();
-                }
-                (Some(a), None) => {
-                    f(a);
-                    outs.next();
-                }
-                (None, Some(b)) => {
-                    f(b);
-                    ins.next();
-                }
-                (None, None) => break,
-            }
+        let outs = self.image.neighbors(v);
+        let ins = self.incoming[v as usize].as_slice();
+        let (mut i, mut j) = (0, 0);
+        while i < outs.len() && j < ins.len() {
+            let (a, b) = (outs[i].dst, ins[j]);
+            f(a.min(b));
+            i += usize::from(a <= b);
+            j += usize::from(b <= a);
         }
+        outs[i..].iter().for_each(|e| f(e.dst));
+        ins[j..].iter().for_each(|&u| f(u));
     }
 
-    /// Apply one epoch delta, returning the classified actual changes.
+    /// Apply one epoch delta when nobody has the image it leads to: advance
+    /// a private image ([`GraphSnapshot::advance`], O(|Δ|)) and adopt it.
     pub fn apply(&mut self, delta: &SnapshotDelta) -> AppliedDelta {
+        let next = Arc::new(self.image.advance(delta).0);
+        self.apply_at(delta, next)
+    }
+
+    /// Apply one epoch delta and adopt `next`, which must be the image
+    /// `delta` produces from the current one (the snapshot the service
+    /// published for `delta.epoch()`). Classifies the delta's records
+    /// against the current image, patches the in-neighbour rows from the
+    /// edges that really appeared or disappeared, and returns them.
+    pub fn apply_at(&mut self, delta: &SnapshotDelta, next: Arc<GraphSnapshot>) -> AppliedDelta {
         let mut applied = AppliedDelta {
             epoch: delta.epoch(),
             ..Default::default()
         };
         for &key in delta.deleted_keys() {
             let (s, d) = decode_key(key);
-            if let Some(w) = self.remove_edge(s, d) {
+            if let Some(w) = self.image.weight(s, d) {
+                let row = &mut self.incoming[d as usize];
+                let at = row.binary_search(&s);
+                debug_assert!(at.is_ok(), "in-rows mirror the image");
+                if let Ok(at) = at {
+                    row.remove(at);
+                }
                 applied.removed.push(Edge::weighted(s, d, w));
             }
         }
         for e in delta.inserted() {
-            match self.weight(e.src, e.dst) {
+            match self.image.weight(e.src, e.dst) {
                 Some(w) if w == e.weight => {} // exact re-insert: no-op
-                Some(w) => {
-                    self.out[e.src as usize].insert(e.dst, e.weight);
-                    applied.reweighted.push((e.src, e.dst, w, e.weight));
-                }
+                Some(w) => applied.reweighted.push((e.src, e.dst, w, e.weight)),
                 None => {
-                    self.insert_edge(e.src, e.dst, e.weight);
+                    let row = &mut self.incoming[e.dst as usize];
+                    let at = row.binary_search(&e.src);
+                    debug_assert!(at.is_err(), "in-rows mirror the image");
+                    if let Err(at) = at {
+                        row.insert(at, e.src);
+                    }
                     applied.added.push(*e);
                 }
             }
         }
-        self.epoch = delta.epoch();
+        debug_assert_eq!(next.epoch(), delta.epoch(), "adopted image is of another epoch");
+        debug_assert_eq!(
+            next.num_edges() + applied.removed.len(),
+            self.image.num_edges() + applied.added.len(),
+            "adopted image is not what the delta produces from the current one"
+        );
+        self.image = next;
         applied
-    }
-
-    fn insert_edge(&mut self, src: u32, dst: u32, weight: u64) {
-        let prev = self.out[src as usize].insert(dst, weight);
-        debug_assert!(prev.is_none(), "insert_edge requires absence");
-        self.incoming[dst as usize].insert(src, ());
-        self.num_edges += 1;
-    }
-
-    fn remove_edge(&mut self, src: u32, dst: u32) -> Option<u64> {
-        let w = self.out.get_mut(src as usize)?.remove(&dst)?;
-        self.incoming[dst as usize].remove(&src);
-        self.num_edges -= 1;
-        Some(w)
     }
 }
 
 impl HostGraph for DeltaGraph {
     fn num_vertices(&self) -> u32 {
-        DeltaGraph::num_vertices(self)
+        self.image.num_vertices()
     }
 
     fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32, u64)) {
-        for (&d, &w) in self.out[v as usize].iter() {
-            f(d, w);
-        }
+        HostGraph::for_each_neighbor(&*self.image, v, f)
     }
 
     fn out_degree(&self, v: u32) -> usize {
-        DeltaGraph::out_degree(self, v)
+        self.image.out_degree(v)
     }
 }
 
@@ -270,6 +285,25 @@ mod tests {
         assert_eq!(applied.removed, vec![Edge::weighted(1, 2, 9)]);
         assert_eq!(g.num_edges(), 2);
         assert!(!g.contains(1, 2));
+    }
+
+    #[test]
+    fn apply_at_adopts_the_published_image() {
+        let s0 = Arc::new(GraphSnapshot::from_edges(0, 6, vec![Edge::new(0, 3), Edge::new(3, 2)]));
+        let d = delta(1, &[(1, 3, 1), (0, 3, 4)], &[(3, 2), (5, 5)]);
+        let s1 = Arc::new(s0.advance(&d).0);
+        let mut advancing = DeltaGraph::from_image(s0.clone());
+        let mut adopting = DeltaGraph::from_image(s0.clone());
+        assert!(Arc::ptr_eq(adopting.image(), &s0));
+        let applied = adopting.apply_at(&d, s1.clone());
+        assert_eq!(applied, advancing.apply(&d));
+        assert_eq!(applied.added, vec![Edge::weighted(1, 3, 1)]);
+        assert_eq!(applied.removed, vec![Edge::weighted(3, 2, 1)]);
+        assert_eq!(applied.reweighted, vec![(0, 3, 1, 4)]);
+        assert!(Arc::ptr_eq(adopting.image(), &s1));
+        assert_eq!(**advancing.image(), *s1);
+        assert_eq!(adopting.in_neighbors(3).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(adopting.in_degree(2), 0);
     }
 
     #[test]

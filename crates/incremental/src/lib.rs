@@ -24,11 +24,21 @@
 //!  service worker                      delta-monitor thread
 //!  ──────────────                      ────────────────────
 //!  flush → SnapshotDelta ──ring──►  EngineMonitor ──► DeltaGraph.apply
-//!        └─► DeltaLog (catch-up)        │                │ AppliedDelta
-//!  snapshot every k-th flush            ▼                ▼
-//!  (barrier forces fresh)            IncrementalBfs / Cc / DeltaPageRank
+//!        ├─► DeltaLog (catch-up)        │                │ AppliedDelta
+//!        └─► image.advance(delta)       ▼                ▼
+//!            = the published snapshot  IncrementalBfs / Cc / DeltaPageRank
 //!                                       ▲ EngineHandle.with(..) — queries
 //! ```
+//!
+//! The maintainers keep no copy of the edges: a [`DeltaGraph`] is the
+//! [`GraphSnapshot`](gpma_core::framework::GraphSnapshot) image it is
+//! current with — every forward read is a row lookup in it — plus sorted
+//! in-neighbour rows of its own. A caller that holds the published image
+//! hands it over ([`IncrementalEngine::rebase_shared`],
+//! [`IncrementalEngine::apply_at`]) and shares it with every other reader;
+//! one that only sees deltas ([`IncrementalEngine::apply`], the monitor
+//! above) advances a private image by the same O(|Δ|) step the service
+//! takes.
 //!
 //! ## Example: a live engine on a streaming service
 //!

@@ -84,17 +84,18 @@ impl DeltaPageRank {
         }
         let nv = self.p.len() as f64;
         let d = self.damping;
-        // Sources whose out-row changed, with their per-source added /
-        // removed destinations.
-        let mut by_src: std::collections::BTreeMap<u32, (Vec<u32>, Vec<u32>)> =
-            std::collections::BTreeMap::new();
-        for e in &changes.added {
-            by_src.entry(e.src).or_default().0.push(e.dst);
-        }
-        for e in &changes.removed {
-            by_src.entry(e.src).or_default().1.push(e.dst);
-        }
-        for (u, (added, removed)) in by_src {
+        // Both lists are key-sorted: visit each source whose out-row
+        // changed once, ascending, with its runs of added / removed edges.
+        let (mut added_rest, mut removed_rest) = (&changes.added[..], &changes.removed[..]);
+        loop {
+            let heads = added_rest.first().into_iter().chain(removed_rest.first());
+            let Some(u) = heads.map(|e| e.src).min() else {
+                break;
+            };
+            let n_added = added_rest.partition_point(|e| e.src == u);
+            let n_removed = removed_rest.partition_point(|e| e.src == u);
+            let (added, removed) = (&added_rest[..n_added], &removed_rest[..n_removed]);
+            (added_rest, removed_rest) = (&added_rest[n_added..], &removed_rest[n_removed..]);
             let pu = self.p[u as usize];
             let deg_new = g.out_degree(u);
             let deg_old = deg_new + removed.len() - added.len();
@@ -103,15 +104,14 @@ impl DeltaPageRank {
                 self.uniform_r -= d * pu / nv;
             } else {
                 let c_old = d * pu / deg_old as f64;
-                let added_set: &[u32] = &added;
                 for (v, _) in g.out_neighbors(u) {
-                    if !added_set.contains(&v) {
+                    if !added.iter().any(|e| e.dst == v) {
                         self.r[v as usize] -= c_old;
                         self.work += 1;
                     }
                 }
-                for &v in &removed {
-                    self.r[v as usize] -= c_old;
+                for e in removed {
+                    self.r[e.dst as usize] -= c_old;
                     self.work += 1;
                 }
             }

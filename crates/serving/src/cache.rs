@@ -63,8 +63,6 @@ pub struct CacheStats {
 ///
 /// [`QueryServer`]: crate::QueryServer
 pub struct ResultCache {
-    epoch: u64,
-    snap: Arc<GraphSnapshot>,
     entries: HashMap<(u32, Query), QueryResult>,
     engine: IncrementalEngine,
     bfs_roots: Vec<u32>,
@@ -84,10 +82,8 @@ impl ResultCache {
         for &r in &bfs_roots {
             engine = engine.with_bfs(r);
         }
-        engine.rebase(&initial);
+        engine.rebase_shared(initial);
         ResultCache {
-            epoch: initial.epoch(),
-            snap: initial,
             entries: HashMap::new(),
             engine,
             bfs_roots,
@@ -97,12 +93,14 @@ impl ResultCache {
 
     /// Epoch every entry is pinned to.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.engine.graph().epoch()
     }
 
-    /// The snapshot backing that epoch (what misses compute against).
+    /// The snapshot backing that epoch (what misses compute against): the
+    /// image the engine's maintainers read, which is the very `Arc` the
+    /// backend published.
     pub fn snapshot(&self) -> &Arc<GraphSnapshot> {
-        &self.snap
+        self.engine.graph().image()
     }
 
     /// Memoized entries currently held.
@@ -149,7 +147,7 @@ impl ResultCache {
         latest: Arc<GraphSnapshot>,
         catchup: DeltaCatchUp<Arc<GraphSnapshot>>,
     ) {
-        if latest.epoch() <= self.epoch {
+        if latest.epoch() <= self.epoch() {
             // A concurrent refresher already advanced us past `latest`.
             return;
         }
@@ -160,12 +158,11 @@ impl ResultCache {
                 // between the two loads); entries must stop exactly at the
                 // snapshot epoch or hits would disagree with misses.
                 for d in &chain {
-                    if d.epoch() > self.epoch && d.epoch() <= latest.epoch() {
-                        self.apply_delta(d);
+                    if d.epoch() > self.epoch() && d.epoch() <= latest.epoch() {
+                        self.apply_delta(d, &latest);
                     }
                 }
-                if self.epoch == latest.epoch() {
-                    self.snap = latest;
+                if self.epoch() == latest.epoch() {
                     self.refill_engine_entries();
                 } else {
                     // The chain did not reach the snapshot (raced with a
@@ -181,10 +178,15 @@ impl ResultCache {
     }
 
     /// Apply one epoch delta: advance the engine, patch patchable entries,
-    /// drop the rest.
-    fn apply_delta(&mut self, d: &SnapshotDelta) {
-        self.engine.apply(d);
-        self.epoch = d.epoch();
+    /// drop the rest. The delta that reaches `latest` makes the engine adopt
+    /// it; an earlier delta of a longer catch-up advances an image of the
+    /// engine's own, which the next delta lets go of.
+    fn apply_delta(&mut self, d: &SnapshotDelta, latest: &Arc<GraphSnapshot>) {
+        if d.epoch() == latest.epoch() {
+            self.engine.apply_at(d, latest.clone());
+        } else {
+            self.engine.apply(d);
+        }
         let inserted = d.inserted();
         let deleted = d.deleted_keys();
         let roots = &self.bfs_roots;
@@ -301,9 +303,7 @@ impl ResultCache {
         self.stats.flushes += 1;
         self.stats.invalidations += self.entries.len() as u64;
         self.entries.clear();
-        self.engine.rebase(&s);
-        self.epoch = s.epoch();
-        self.snap = s;
+        self.engine.rebase_shared(s);
     }
 }
 
@@ -363,6 +363,9 @@ mod tests {
         let s2 = Arc::new(apply_delta(&s1, &d2));
         cache.refresh(s2.clone(), DeltaCatchUp::Deltas(vec![d1, d2]));
         assert_eq!(cache.epoch(), 2);
+        // Epoch 1 advanced an image of the engine's own; epoch 2 adopted
+        // the published one, not a copy equal to it.
+        assert!(Arc::ptr_eq(cache.snapshot(), &s2));
 
         for q in queries {
             if let Some(hit) = cache.lookup(7, q) {
@@ -407,6 +410,7 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.stats().flushes, 1);
         assert_eq!(cache.snapshot().num_edges(), 1);
+        assert!(Arc::ptr_eq(cache.snapshot(), &s9));
     }
 
     #[test]

@@ -139,7 +139,11 @@ proptest! {
             vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(5, 6)],
         );
         engine.rebase(&initial);
-        let mut shadow = DeltaGraph::from_snapshot(&initial);
+        // The oracle is the snapshot replay itself, not a second engine
+        // graph; the two bare graphs only compare the two apply paths.
+        let mut shadow = initial.clone();
+        let mut advancing = DeltaGraph::from_snapshot(&initial);
+        let mut adopting = DeltaGraph::from_snapshot(&initial);
         for (epoch, chunk) in ops.chunks(6).enumerate() {
             let mut batch = UpdateBatch::default();
             for &op in chunk {
@@ -151,9 +155,29 @@ proptest! {
                 }
             }
             let delta = SnapshotDelta::from_batch(epoch as u64 + 1, &batch);
-            shadow.apply(&delta);
+            shadow = apply_delta(&shadow, &delta);
             engine.apply(&delta);
+            prop_assert_eq!(&**engine.graph().image(), &shadow);
             prop_assert_eq!(engine.graph().num_edges(), shadow.num_edges());
+            let mut transpose = vec![Vec::new(); NUM_VERTICES as usize];
+            for e in shadow.edges() {
+                transpose[e.dst as usize].push(e.src);
+            }
+            for v in 0..NUM_VERTICES {
+                prop_assert_eq!(
+                    engine.graph().in_neighbors(v).collect::<Vec<_>>(),
+                    transpose[v as usize].clone(),
+                    "in-neighbours of {} diverged at epoch {}",
+                    v,
+                    epoch + 1
+                );
+            }
+            let published = Arc::new(shadow.clone());
+            prop_assert_eq!(
+                advancing.apply(&delta),
+                adopting.apply_at(&delta, published.clone())
+            );
+            prop_assert!(Arc::ptr_eq(adopting.image(), &published));
             prop_assert_eq!(
                 engine.bfs().unwrap().distances(),
                 bfs_host(&shadow, root).as_slice(),
