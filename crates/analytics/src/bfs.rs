@@ -71,14 +71,12 @@ pub fn bfs_host<G: HostGraph + ?Sized>(g: &G, root: u32) -> Vec<u32> {
     queue.push_back(root);
     while let Some(u) = queue.pop_front() {
         let du = dist[u as usize];
-        let mut pushes = Vec::new();
         g.for_each_neighbor(u, &mut |v, _| {
             if dist[v as usize] == UNREACHED {
                 dist[v as usize] = du + 1;
-                pushes.push(v);
+                queue.push_back(v);
             }
         });
-        queue.extend(pushes);
     }
     dist
 }

@@ -84,16 +84,14 @@ pub fn cc_host<G: HostGraph + ?Sized>(g: &G) -> Vec<u32> {
     }
 
     for u in 0..nv as u32 {
-        let mut targets = Vec::new();
-        g.for_each_neighbor(u, &mut |v, _| targets.push(v));
-        for v in targets {
+        g.for_each_neighbor(u, &mut |v, _| {
             let ru = find(&mut parent, u);
             let rv = find(&mut parent, v);
             if ru != rv {
                 let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
                 parent[hi as usize] = lo;
             }
-        }
+        });
     }
     // Canonicalize to minimum-id labels.
     (0..nv as u32).map(|v| find(&mut parent, v)).collect()

@@ -51,5 +51,7 @@ pub mod view;
 pub use bfs::{bfs_device, bfs_host, UNREACHED};
 pub use cc::{cc_device, cc_host, component_count};
 pub use multi::{bfs_sharded, pagerank_sharded, ExchangeStats};
-pub use pagerank::{pagerank_device, pagerank_host, PageRank, DAMPING, EPSILON, MAX_ITERS};
+pub use pagerank::{
+    pagerank_device, pagerank_host, pagerank_host_from, PageRank, DAMPING, EPSILON, MAX_ITERS,
+};
 pub use view::{DeviceGraphView, GpmaView, HostGraph, RebuildView};

@@ -18,7 +18,7 @@ use gpma_sim::pcie::Pcie;
 use gpma_sim::{DeviceBuffer, SimTime};
 
 use crate::bfs::UNREACHED;
-use crate::pagerank::PageRank;
+use crate::pagerank::{finalize_host, PageRank};
 use crate::util::{atomic_add_f64, filled_f64, load_f64};
 use crate::view::{DeviceGraphView, GpmaView, HostGraph};
 
@@ -163,11 +163,7 @@ pub fn pagerank_multi(
             }
         }
         let dangling: f64 = (0..nv).filter(|&v| degs[v] == 0).map(|v| x[v]).sum();
-        let mut err = 0.0;
-        for v in 0..nv {
-            y[v] = (1.0 - damping) / nv as f64 + damping * (y[v] + dangling / nv as f64);
-            err += (y[v] - x[v]).abs();
-        }
+        let err = finalize_host(&mut y, &x, dangling, damping);
         x = y;
         if err < epsilon {
             converged = true;
@@ -390,11 +386,7 @@ pub fn pagerank_sharded<G: HostGraph + ?Sized>(
         }
         stats.charge(link, &vec![nv * 8; shards.len()]);
         let dangling: f64 = (0..nv).filter(|&v| degs[v] == 0).map(|v| x[v]).sum();
-        let mut err = 0.0;
-        for v in 0..nv {
-            y[v] = (1.0 - damping) / nv as f64 + damping * (y[v] + dangling / nv as f64);
-            err += (y[v] - x[v]).abs();
-        }
+        let err = finalize_host(&mut y, &x, dangling, damping);
         x = y;
         if err < epsilon {
             converged = true;

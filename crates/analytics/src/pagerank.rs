@@ -22,7 +22,8 @@ pub struct PageRank {
     pub ranks: Vec<f64>,
     /// Iterations executed.
     pub iterations: usize,
-    /// Whether the L1 delta fell below [`EPSILON`].
+    /// Whether the L1 delta between two sweeps fell below the `epsilon`
+    /// argument.
     pub converged: bool,
 }
 
@@ -111,7 +112,8 @@ pub fn pagerank_device<G: DeviceGraphView>(
     }
 }
 
-/// CPU reference power iteration (same math, sequential).
+/// CPU reference power iteration (same math, sequential), from the uniform
+/// start vector.
 pub fn pagerank_host<G: HostGraph + ?Sized>(
     g: &G,
     damping: f64,
@@ -120,13 +122,29 @@ pub fn pagerank_host<G: HostGraph + ?Sized>(
 ) -> PageRank {
     let nv = g.num_vertices() as usize;
     assert!(nv > 0);
-    let mut x = vec![1.0 / nv as f64; nv];
+    pagerank_host_from(g, vec![1.0 / nv as f64; nv], damping, epsilon, max_iters)
+}
+
+/// The host power iteration started from `start` (one entry per vertex)
+/// instead of the uniform vector: a caller holding the ranks of a graph a
+/// small delta ago re-converges in a few sweeps.
+pub fn pagerank_host_from<G: HostGraph + ?Sized>(
+    g: &G,
+    start: Vec<f64>,
+    damping: f64,
+    epsilon: f64,
+    max_iters: usize,
+) -> PageRank {
+    let nv = g.num_vertices() as usize;
+    assert_eq!(start.len(), nv, "one start rank per vertex");
+    let mut x = start;
+    let mut y = vec![0.0f64; nv];
     let degs: Vec<usize> = (0..nv as u32).map(|v| g.out_degree(v)).collect();
     let mut iterations = 0;
     let mut converged = false;
     while iterations < max_iters {
         iterations += 1;
-        let mut y = vec![0.0f64; nv];
+        y.fill(0.0);
         let mut dangling = 0.0;
         for u in 0..nv as u32 {
             if degs[u as usize] == 0 {
@@ -138,12 +156,8 @@ pub fn pagerank_host<G: HostGraph + ?Sized>(
                 y[v as usize] += share;
             });
         }
-        let mut err = 0.0;
-        for v in 0..nv {
-            y[v] = (1.0 - damping) / nv as f64 + damping * (y[v] + dangling / nv as f64);
-            err += (y[v] - x[v]).abs();
-        }
-        x = y;
+        let err = finalize_host(&mut y, &x, dangling, damping);
+        std::mem::swap(&mut x, &mut y);
         if err < epsilon {
             converged = true;
             break;
@@ -154,6 +168,19 @@ pub fn pagerank_host<G: HostGraph + ?Sized>(
         iterations,
         converged,
     }
+}
+
+/// The finalize step every host sweep ends with, in place on the scattered
+/// sums: `y ← (1−d)/N + d·(y + dangling/N)`. Returns the L1 distance
+/// `Σ|y − x|` to the previous ranks `x`.
+pub(crate) fn finalize_host(y: &mut [f64], x: &[f64], dangling: f64, damping: f64) -> f64 {
+    let nv = y.len();
+    let mut err = 0.0;
+    for (yv, xv) in y.iter_mut().zip(x) {
+        *yv = (1.0 - damping) / nv as f64 + damping * (*yv + dangling / nv as f64);
+        err += (*yv - xv).abs();
+    }
+    err
 }
 
 #[cfg(test)]
@@ -206,6 +233,92 @@ mod tests {
                 got.ranks[v],
                 expect.ranks[v]
             );
+        }
+    }
+
+    /// The host loop as it stood before it took a start vector (a fresh
+    /// `y` per sweep, finalize written out): the bit-for-bit reference.
+    fn pagerank_host_ref(g: &AdjLists, damping: f64, epsilon: f64, max_iters: usize) -> PageRank {
+        let nv = g.num_vertices() as usize;
+        let mut x = vec![1.0 / nv as f64; nv];
+        let degs: Vec<usize> = (0..nv as u32).map(|v| g.out_degree(v)).collect();
+        let mut iterations = 0;
+        let mut converged = false;
+        while iterations < max_iters {
+            iterations += 1;
+            let mut y = vec![0.0f64; nv];
+            let mut dangling = 0.0;
+            for u in 0..nv as u32 {
+                if degs[u as usize] == 0 {
+                    dangling += x[u as usize];
+                    continue;
+                }
+                let share = x[u as usize] / degs[u as usize] as f64;
+                for (v, _) in g.neighbors(u) {
+                    y[v as usize] += share;
+                }
+            }
+            let mut err = 0.0;
+            for v in 0..nv {
+                y[v] = (1.0 - damping) / nv as f64 + damping * (y[v] + dangling / nv as f64);
+                err += (y[v] - x[v]).abs();
+            }
+            x = y;
+            if err < epsilon {
+                converged = true;
+                break;
+            }
+        }
+        PageRank {
+            ranks: x,
+            iterations,
+            converged,
+        }
+    }
+
+    #[test]
+    fn host_sweep_is_bit_identical_to_the_loop_it_replaced() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(21);
+        let n = 50u32;
+        // Sources 0..40 only: vertices 40..50 are dangling.
+        let edges: Vec<Edge> = (0..260)
+            .map(|_| Edge::new(rng.gen_range(0..40), rng.gen_range(0..n)))
+            .collect();
+        let g = AdjLists::build(n, &edges);
+        assert!((40..n).all(|v| g.out_degree(v) == 0));
+        let bits = |pr: &PageRank| pr.ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        // Converging, and cut short by the iteration cap.
+        for (epsilon, max_iters) in [(1e-9, 300), (1e-12, 7)] {
+            let want = pagerank_host_ref(&g, DAMPING, epsilon, max_iters);
+            let got = pagerank_host(&g, DAMPING, epsilon, max_iters);
+            let uniform = vec![1.0 / n as f64; n as usize];
+            let from = pagerank_host_from(&g, uniform, DAMPING, epsilon, max_iters);
+            for pr in [&got, &from] {
+                assert_eq!(bits(pr), bits(&want));
+                assert_eq!(pr.iterations, want.iterations);
+                assert_eq!(pr.converged, want.converged);
+            }
+            assert_eq!(want.converged, max_iters == 300);
+        }
+    }
+
+    #[test]
+    fn warm_start_reaches_the_same_fixpoint_in_fewer_sweeps() {
+        // Skewed in-degrees, so the uniform start is far from the fixpoint.
+        let edges: Vec<Edge> = (0..200u32)
+            .flat_map(|v| [Edge::new(v, (v + 1) % 200), Edge::new(v, v % 10)])
+            .collect();
+        let before = pagerank_host(&AdjLists::build(200, &edges), DAMPING, 1e-9, 300);
+        let mut after = edges;
+        after.push(Edge::new(3, 150));
+        let g = AdjLists::build(200, &after);
+        let cold = pagerank_host(&g, DAMPING, 1e-9, 300);
+        let warm = pagerank_host_from(&g, before.ranks, DAMPING, 1e-9, 300);
+        assert!(cold.converged && warm.converged);
+        assert!(warm.iterations < cold.iterations);
+        for (w, c) in warm.ranks.iter().zip(&cold.ranks) {
+            assert!((w - c).abs() < 1e-7, "{w} vs {c}");
         }
     }
 

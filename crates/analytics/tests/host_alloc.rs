@@ -1,0 +1,94 @@
+//! `bfs_host` and `cc_host` do their per-neighbour work inside the
+//! neighbour closure: a run allocates its result, its queue or parent array
+//! and nothing per vertex, so the number of allocations stays under a small
+//! constant whatever the vertex count.
+//!
+//! The allocator below counts per thread, so the two tests of this binary
+//! (the harness runs them on sibling threads) cannot disturb each other.
+
+use gpma_analytics::{bfs_host, cc_host};
+use gpma_core::framework::GraphSnapshot;
+use gpma_graph::Edge;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter is a const-initialised `Cell` without a destructor,
+// so touching it neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// A ring with two chords per vertex: one component, every vertex has
+/// out-neighbours, BFS from 0 discovers from every vertex it visits.
+fn ring_with_chords(nv: u32) -> GraphSnapshot {
+    let edges = (0..nv)
+        .flat_map(|v| [1, 7, 31].map(|step| Edge::new(v, (v + step) % nv)))
+        .collect();
+    GraphSnapshot::from_edges(0, nv, edges)
+}
+
+/// Result + queue growth (a `VecDeque` doubles: log2 of its peak length).
+const BFS_CEILING: u64 = 16;
+/// Parent array + result.
+const CC_CEILING: u64 = 4;
+
+#[test]
+fn bfs_host_allocations_do_not_grow_with_the_graph() {
+    for nv in [500, 2_000] {
+        let g = ring_with_chords(nv);
+        let mut reached = 0;
+        let allocs = allocations_during(|| {
+            reached = bfs_host(&g, 0).iter().filter(|&&d| d != u32::MAX).count();
+        });
+        assert_eq!(reached, nv as usize);
+        assert!(allocs <= BFS_CEILING, "{nv} vertices: {allocs} allocations");
+    }
+}
+
+#[test]
+fn cc_host_allocations_do_not_grow_with_the_graph() {
+    for nv in [500, 2_000] {
+        let g = ring_with_chords(nv);
+        let mut labels = Vec::new();
+        let allocs = allocations_during(|| labels = cc_host(&g));
+        assert!(labels.iter().all(|&l| l == 0));
+        assert!(allocs <= CC_CEILING, "{nv} vertices: {allocs} allocations");
+    }
+}

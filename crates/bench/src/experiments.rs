@@ -746,10 +746,11 @@ pub fn cluster(cfg: &ExpConfig) {
 ///   repair work against the from-scratch host oracles (sampled every few
 ///   hundred epochs, extrapolated, and *checked for exact agreement*).
 ///
-/// Also re-measures the single-device GPMA+ update hot path (this PR:
-/// the level-compaction chains in `apply_sorted` reuse device buffers and
-/// share one keep-mask scan). Saves `results/incremental.csv` and
-/// machine-readable `results/BENCH_incremental.json`.
+/// PageRank work is vertex + edge visits on both sides (sweeps × (V + E)):
+/// the maintainer warm-starts the oracle's own sweep, so its saving is the
+/// ratio of sweep counts. Also re-measures the single-device GPMA+ update
+/// hot path. Saves `results/incremental.csv` and machine-readable
+/// `results/BENCH_incremental.json`.
 pub fn incremental(cfg: &ExpConfig) {
     use gpma_analytics::{bfs_host, cc_host, pagerank_host};
     use gpma_core::delta::BYTES_PER_EDGE;

@@ -1531,69 +1531,37 @@ impl Router {
         }
     }
 
-    /// Barrier every shard and collect the epoch-stamped snapshots. A shard
-    /// whose service is found closed (only possible mid-teardown) does not
-    /// panic the router: the error is logged, counted in
-    /// [`ClusterMetrics::worker_errors`], and the shard's latest published
-    /// snapshot — aligned forward to its delta-ring head (`cut.align`) —
-    /// stands in, so cuts and reshards complete instead of poisoning the
-    /// router thread. Returns whether any shard degraded, so callers can
-    /// cancel the barrier-wall sample rather than fold a corpse's failure
-    /// latency into the `cut.barrier` histogram.
-    fn barrier_all(&self) -> (Vec<Arc<GraphSnapshot>>, bool) {
+    /// The per-shard snapshots of a completed barrier round. A shard that
+    /// gave no ack (closed when asked — only possible mid-teardown — or died
+    /// before answering) does not panic the router: it is logged, counted
+    /// in [`ClusterMetrics::worker_errors`], and its latest published
+    /// snapshot stands in, so cuts and reshards complete instead of
+    /// poisoning the router thread. Returns whether any shard degraded, so
+    /// a cut can drop its barrier-wall sample rather than fold a corpse's
+    /// failure latency into the `cut.barrier` histogram.
+    fn round_snapshots(&self, round: BarrierRound) -> (Vec<Arc<GraphSnapshot>>, bool) {
         let mut degraded = false;
-        let snaps = self
-            .services
-            .iter()
+        let snaps = round
+            .got
+            .into_iter()
             .enumerate()
-            .map(|(i, svc)| {
-                svc.barrier().unwrap_or_else(|_| {
+            .map(|(i, got)| {
+                got.unwrap_or_else(|| {
                     degraded = true;
-                    self.degraded_cut(i)
+                    self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
+                    eprintln!(
+                        "gpma-cluster: shard {i} gave no barrier ack; \
+                         falling back to its published snapshot"
+                    );
+                    self.services[i].snapshot()
                 })
             })
             .collect();
         (snaps, degraded)
     }
 
-    /// What stands in for shard `i` in a cut when its worker gave no
-    /// barrier ack (closed when asked, or died before answering): its
-    /// latest published snapshot aligned to its ring head. Logged and
-    /// counted.
-    fn degraded_cut(&self, i: usize) -> Arc<GraphSnapshot> {
-        self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-        eprintln!(
-            "gpma-cluster: shard {i} gave no barrier ack; \
-             falling back to its aligned published snapshot"
-        );
-        let obs = self.shared.obs.clone();
-        let _align = obs.span(Stage::CutAlign);
-        self.services[i].frozen_cut()
-    }
-
-    /// Synchronous coordinated cut — the shutdown path's final cut, where
-    /// blocking the router is the point. Live `epoch_cut` requests go
-    /// through [`Self::begin_cut`] instead and never stall producers.
-    fn cut_sync(&mut self) -> Arc<ClusterSnapshot> {
-        let obs = self.shared.obs.clone();
-        let t0 = Instant::now();
-        let barrier_span = obs.span(Stage::CutBarrier);
-        self.forward();
-        // `forward` recovers shards whose sends failed; shards that died
-        // with no in-flight traffic are only detectable by probing.
-        self.ensure_shards_alive();
-        let (snaps, degraded) = self.barrier_all();
-        if degraded {
-            // A corpse's stall is not barrier latency: drop the sample.
-            barrier_span.cancel();
-        } else {
-            drop(barrier_span);
-        }
-        self.publish_cut(snaps, t0)
-    }
-
-    /// Assemble and publish one coordinated cut from barriered (or aligned)
-    /// per-shard snapshots, plus its merged delta and cadence checkpoint.
+    /// Assemble and publish one coordinated cut from barriered (or fallen
+    /// back) per-shard snapshots, plus its merged delta and cadence checkpoint.
     fn publish_cut(&mut self, snaps: Vec<Arc<GraphSnapshot>>, t0: Instant) -> Arc<ClusterSnapshot> {
         let obs = self.shared.obs.clone();
         let cut = self.shared.cuts.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1662,16 +1630,8 @@ impl Router {
                 self.pending_cut = Some(pc);
                 return;
             }
-            // A shard that gave no ack degrades like the sync path — and a
-            // corpse's stall is not barrier latency: drop the sample.
-            let mut degraded = false;
-            let mut snaps = Vec::with_capacity(pc.round.got.len());
-            for (i, got) in pc.round.got.into_iter().enumerate() {
-                snaps.push(got.unwrap_or_else(|| {
-                    degraded = true;
-                    self.degraded_cut(i)
-                }));
-            }
+            let (snaps, degraded) = self.round_snapshots(pc.round);
+            // A corpse's stall is not barrier latency: drop the sample.
             if !degraded {
                 self.shared
                     .obs
@@ -1904,7 +1864,8 @@ fn run_router(
         handle_command(cmd, &mut r);
     }
     r.resolve_pending_cut();
-    r.cut_sync();
+    r.start_cut_round(Vec::new());
+    r.resolve_pending_cut();
     r.handles.clear();
     r.services
         .drain(..)
@@ -2016,7 +1977,6 @@ mod tests {
             Stage::ReshardMigrate,
             Stage::ReshardReplay,
             Stage::ReshardResume,
-            Stage::CutAlign,
         ] {
             assert!(
                 obs.hist(stage).snapshot().count > 0,

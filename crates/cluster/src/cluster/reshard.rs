@@ -2,9 +2,9 @@
 //! steps — ingest keeps flowing through everything except the settle:
 //!
 //! 1. **Frozen-cut copy** ([`Router::begin_reshard`], synchronous) — grow
-//!    services for new shard ids, align every source shard's published
-//!    snapshot to its delta-ring head (no flush forced) and ship each
-//!    edge whose owner changes under the new plan to its destination.
+//!    services for new shard ids, take every source shard's latest
+//!    published snapshot (no flush forced) and ship each edge whose owner
+//!    changes under the new plan to its destination.
 //! 2. **Delta replay rounds** ([`Phase::Replay`], one per router pass) —
 //!    each source's in-flight delta chain is split across the new
 //!    partition boundary ([`split_delta_moves`]) and the
@@ -340,9 +340,9 @@ impl Router {
         }
     }
 
-    /// Ship the frozen-cut copy: align every source shard to its delta-ring
-    /// head (no flush forced — `cut.align`), compute the boundary-crossing
-    /// edge set under the new plan, and ship the diff against what is
+    /// Ship the frozen-cut copy: take every source shard's latest published
+    /// image (no flush forced), compute the boundary-crossing edge set
+    /// under the new plan, and ship the diff against what is
     /// already staged at each destination. This is also the resync path
     /// after a recovery or an outrun source ring; a recovered shard's
     /// staged image is first rebuilt from its *actual* settled state,
@@ -350,7 +350,6 @@ impl Router {
     /// gone — the diff then re-ships them (idempotent upserts, and
     /// retractions of absent keys are no-ops).
     fn cow_full_sync(&mut self, cow: &mut CowState) {
-        let obs = self.shared.obs.clone();
         let old_plan = self.part.plan().clone();
         for d in std::mem::take(&mut cow.recovered) {
             if d >= cow.new_n {
@@ -358,10 +357,7 @@ impl Router {
                 // new plan: nothing was ever staged at it.
                 continue;
             }
-            let snap = {
-                let _align = obs.span(Stage::CutAlign);
-                self.services[d].frozen_cut()
-            };
+            let snap = self.services[d].snapshot();
             cow.staged[d] = snap
                 .edges()
                 .iter()
@@ -371,10 +367,7 @@ impl Router {
         }
         let mut desired: Vec<BTreeMap<u64, Edge>> = vec![BTreeMap::new(); cow.new_n];
         for s in 0..cow.old_n {
-            let snap = {
-                let _align = obs.span(Stage::CutAlign);
-                self.services[s].frozen_cut()
-            };
+            let snap = self.services[s].snapshot();
             cow.handled[s] = snap.epoch();
             for e in snap.edges() {
                 if old_plan.shard_of_edge(e.src, e.dst) != s {
@@ -499,7 +492,10 @@ impl Router {
             self.cow_full_sync(cow);
         }
         let t0 = Instant::now();
-        let (snaps, _) = self.barrier_all();
+        // Every shard flushes its trailing updates at once.
+        let mut round = BarrierRound::issue(&self.services);
+        round.poll(true);
+        let (snaps, _) = self.round_snapshots(round);
         // The barrier flushed every source's trailing updates, so the
         // delta chains are now complete and static: replay them dry. A
         // ring outrun inside this window trips the dirty flag and re-syncs
@@ -614,7 +610,9 @@ impl Router {
         let Some(rs) = self.reshard.take() else {
             return;
         };
-        let (snaps, _) = self.barrier_all();
+        let mut round = BarrierRound::issue(&self.services);
+        round.poll(true);
+        let (snaps, _) = self.round_snapshots(round);
         let cut = self.shared.cuts.fetch_add(1, Ordering::Relaxed) + 1;
         let snap = Arc::new(ClusterSnapshot::new(
             cut,

@@ -34,7 +34,8 @@ pub struct EngineStats {
     pub bfs_work: u64,
     /// Incremental CC work units (0 when not enabled).
     pub cc_work: u64,
-    /// Delta-PageRank work units (0 when not enabled).
+    /// PageRank vertex + edge visits, `V + E` per sweep (0 when not
+    /// enabled).
     pub pagerank_work: u64,
 }
 

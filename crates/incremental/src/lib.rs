@@ -8,14 +8,15 @@
 //! layer captures each flush's net effect as a [`SnapshotDelta`], the
 //! service/cluster layers publish those deltas through bounded rings, and
 //! the maintainers
-//! here keep results *live* across epochs with work proportional to the
-//! affected region, not the graph:
+//! here keep results *live* across epochs — BFS and CC with work
+//! proportional to the affected region, PageRank by re-converging from the
+//! previous ranks instead of from scratch:
 //!
 //! | maintainer | insert repair | delete repair | per-epoch cost |
 //! |---|---|---|---|
 //! | [`IncrementalBfs`] | decrease-only relaxation from added edges | orphan detection + bounded re-search | O(affected + incident edges) |
 //! | [`IncrementalCc`] | union-find union | recompute only components that lost an edge | O(N scan + affected-component edges) |
-//! | [`DeltaPageRank`] | residual push from changed endpoints | same (negative residuals) | O(deg(changed) + pushed mass) |
+//! | [`DeltaPageRank`] | power-iteration sweeps warm-started from the previous ranks | same | sweeps × (V + E), a few sweeps |
 //!
 //! versus O(V + E) (BFS/CC) and O(iterations · E) (PageRank) for the
 //! from-scratch oracles they are validated against.
@@ -26,7 +27,8 @@
 //!  flush → SnapshotDelta ──ring──►  EngineMonitor ──► DeltaGraph.apply
 //!        ├─► DeltaLog (catch-up)        │                │ AppliedDelta
 //!        └─► image.advance(delta)       ▼                ▼
-//!            = the published snapshot  IncrementalBfs / Cc / DeltaPageRank
+//!            = the published snapshot  IncrementalBfs / Cc    (repair from the changes)
+//!                                      DeltaPageRank         (re-sweeps the image)
 //!                                       ▲ EngineHandle.with(..) — queries
 //! ```
 //!

@@ -1,222 +1,87 @@
-//! Delta-PageRank: maintain ranks across epoch deltas by *residual
-//! pushing* from the endpoints of changed edges (Gauss–Southwell style),
-//! instead of re-running power iteration from a cold start.
+//! PageRank kept current across epoch deltas by *warm-starting* the host
+//! power iteration ([`pagerank_host_from`]): after a delta the previous
+//! ranks are a start vector already within the delta's perturbation of the
+//! new fixpoint, so re-converging takes a few full sweeps over the image
+//! where a uniform start takes tens.
 //!
-//! The maintainer keeps the pair `(p, r)` with the invariant
-//! `p* = p + solve(r)` for the PageRank fixpoint
-//! `p* = (1-d)/N + d·(Aᵀ D⁻¹ p* + dangling(p*)/N)`. A *push* at `v` moves
-//! `v`'s residual into its rank and forwards `d·res/outdeg(v)` to its
-//! out-neighbors; work is proportional to the residual mass actually moved,
-//! which after a small edge delta is concentrated around the changed
-//! endpoints. Dangling vertices spread their push uniformly — tracked as a
-//! scalar *uniform residual* that is folded into the per-vertex residuals
-//! (one O(N) sweep) only when it accumulates past the push threshold, so a
-//! dangling push stays O(1).
-//!
-//! On an edge change at source `u`, only `u`'s old and new out-rows see a
-//! residual adjustment (`O(deg(u))`), replacing `u`'s old per-neighbor
-//! contribution `d·p[u]/deg_old` with the new one. Ranks converge to the
-//! same fixpoint power iteration approximates: the proptests compare
-//! against [`pagerank_host`](gpma_analytics::pagerank_host) at matched
-//! tolerances.
+//! Every sweep visits the whole graph, so a delta costs
+//! `sweeps × (V + E)` whatever its size. Residual pushing from the changed
+//! endpoints (Gauss–Southwell) is cheaper only for deltas of a few updates;
+//! at the batch sizes this system publishes (≥ 256 updates per flush) it
+//! ties or loses per delta and is 9× slower to rebase — the measurements
+//! are in DESIGN.md §9 — so the sweep every other layer already runs is the
+//! only host implementation.
+
+use gpma_analytics::{pagerank_host, pagerank_host_from, PageRank, MAX_ITERS};
 
 use crate::graph::{AppliedDelta, DeltaGraph};
 
-/// A live PageRank vector maintained from epoch deltas by residual pushing.
+/// A live PageRank vector re-converged from its previous value after every
+/// epoch delta.
 #[derive(Debug, Clone)]
 pub struct DeltaPageRank {
     damping: f64,
-    /// Target total L1 distance to the fixpoint.
+    /// Stopping rule of [`pagerank_host_from`]: L1 change of one sweep.
     epsilon: f64,
-    /// Per-vertex push threshold derived from `epsilon` at rebase.
-    tol: f64,
-    p: Vec<f64>,
-    r: Vec<f64>,
-    /// Residual carried by *every* vertex (the dangling spread), folded
-    /// into `r` lazily.
-    uniform_r: f64,
+    ranks: Vec<f64>,
     work: u64,
 }
 
 impl DeltaPageRank {
-    /// A maintainer targeting `|p - p*|₁ ≲ epsilon / (1 - damping)` (the
-    /// same guarantee shape power iteration's L1 stopping rule gives);
-    /// call [`rebase`](Self::rebase) before the first
-    /// [`apply`](Self::apply).
+    /// A maintainer that stops sweeping once a sweep moves the ranks by
+    /// less than `epsilon` in L1, which leaves them within
+    /// `epsilon · damping / (1 - damping)` of the fixpoint — the guarantee
+    /// of the from-scratch oracle at the same parameters. Call
+    /// [`rebase`](Self::rebase) before the first [`apply`](Self::apply).
     pub fn new(damping: f64, epsilon: f64) -> Self {
         DeltaPageRank {
             damping,
             epsilon,
-            tol: epsilon,
-            p: Vec::new(),
-            r: Vec::new(),
-            uniform_r: 0.0,
+            ranks: Vec::new(),
             work: 0,
         }
     }
 
-    /// Current rank estimates (sum ≈ 1, like the oracle's).
+    /// Current rank estimates (sum = 1 up to rounding, like the oracle's).
     pub fn ranks(&self) -> &[f64] {
-        &self.p
+        &self.ranks
     }
 
-    /// Cumulative pushes + residual adjustments + fold sweeps.
+    /// Cumulative vertex + edge visits: `V + E` per sweep.
     pub fn work(&self) -> u64 {
         self.work
     }
 
-    /// Solve from scratch on `g` by pushing from a zero start.
+    /// Solve from scratch on `g`: the oracle itself, uniform start.
     pub fn rebase(&mut self, g: &DeltaGraph) {
-        let nv = g.num_vertices() as usize;
-        assert!(nv > 0, "PageRank needs at least one vertex");
-        self.tol = self.epsilon / (1.5 * nv as f64);
-        self.p = vec![0.0; nv];
-        self.r = vec![(1.0 - self.damping) / nv as f64; nv];
-        self.uniform_r = 0.0;
-        self.push_to_convergence(g);
+        self.adopt(g, pagerank_host(g, self.damping, self.epsilon, MAX_ITERS));
     }
 
     /// Repair the ranks for one applied delta (`g` is the post-delta
-    /// graph): adjust residuals at the changed sources, then push.
+    /// graph): re-converge from the pre-delta ranks.
     pub fn apply(&mut self, g: &DeltaGraph, changes: &AppliedDelta) {
         if changes.added.is_empty() && changes.removed.is_empty() {
             return;
         }
-        let nv = self.p.len() as f64;
-        let d = self.damping;
-        // Both lists are key-sorted: visit each source whose out-row
-        // changed once, ascending, with its runs of added / removed edges.
-        let (mut added_rest, mut removed_rest) = (&changes.added[..], &changes.removed[..]);
-        loop {
-            let heads = added_rest.first().into_iter().chain(removed_rest.first());
-            let Some(u) = heads.map(|e| e.src).min() else {
-                break;
-            };
-            let n_added = added_rest.partition_point(|e| e.src == u);
-            let n_removed = removed_rest.partition_point(|e| e.src == u);
-            let (added, removed) = (&added_rest[..n_added], &removed_rest[..n_removed]);
-            (added_rest, removed_rest) = (&added_rest[n_added..], &removed_rest[n_removed..]);
-            let pu = self.p[u as usize];
-            let deg_new = g.out_degree(u);
-            let deg_old = deg_new + removed.len() - added.len();
-            // Retract u's old contribution...
-            if deg_old == 0 {
-                self.uniform_r -= d * pu / nv;
-            } else {
-                let c_old = d * pu / deg_old as f64;
-                for (v, _) in g.out_neighbors(u) {
-                    if !added.iter().any(|e| e.dst == v) {
-                        self.r[v as usize] -= c_old;
-                        self.work += 1;
-                    }
-                }
-                for e in removed {
-                    self.r[e.dst as usize] -= c_old;
-                    self.work += 1;
-                }
-            }
-            // ...and grant the new one.
-            if deg_new == 0 {
-                self.uniform_r += d * pu / nv;
-            } else {
-                let c_new = d * pu / deg_new as f64;
-                for (v, _) in g.out_neighbors(u) {
-                    self.r[v as usize] += c_new;
-                    self.work += 1;
-                }
-            }
-        }
-        self.push_to_convergence(g);
+        let start = std::mem::take(&mut self.ranks);
+        self.adopt(g, pagerank_host_from(g, start, self.damping, self.epsilon, MAX_ITERS));
     }
 
-    /// Push until every effective residual `|r[v] + uniform_r|` is within
-    /// the per-vertex tolerance.
-    fn push_to_convergence(&mut self, g: &DeltaGraph) {
-        let nv = self.p.len();
-        let d = self.damping;
-        let tol = self.tol;
-        let mut queued = vec![false; nv];
-        let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-        fn enqueue_all(
-            tol: f64,
-            r: &[f64],
-            uniform_r: f64,
-            queued: &mut [bool],
-            queue: &mut std::collections::VecDeque<u32>,
-        ) {
-            for (v, rv) in r.iter().enumerate() {
-                if !queued[v] && (rv + uniform_r).abs() > tol {
-                    queued[v] = true;
-                    queue.push_back(v as u32);
-                }
-            }
-        }
-        enqueue_all(tol, &self.r, self.uniform_r, &mut queued, &mut queue);
-        self.work += nv as u64;
-        loop {
-            while let Some(v) = queue.pop_front() {
-                queued[v as usize] = false;
-                let res = self.r[v as usize] + self.uniform_r;
-                if res.abs() <= self.tol {
-                    continue;
-                }
-                self.work += 1;
-                self.p[v as usize] += res;
-                self.r[v as usize] = -self.uniform_r;
-                let deg = g.out_degree(v);
-                if deg == 0 {
-                    // Dangling: the spread goes to everyone, as a scalar.
-                    self.uniform_r += d * res / nv as f64;
-                    // Folding decides when that scalar matters; but v
-                    // itself may immediately exceed tolerance again, so
-                    // recheck it cheaply.
-                    if (self.r[v as usize] + self.uniform_r).abs() > self.tol
-                        && !queued[v as usize]
-                    {
-                        queued[v as usize] = true;
-                        queue.push_back(v);
-                    }
-                } else {
-                    let share = d * res / deg as f64;
-                    for (w, _) in g.out_neighbors(v) {
-                        self.r[w as usize] += share;
-                        self.work += 1;
-                        if !queued[w as usize]
-                            && (self.r[w as usize] + self.uniform_r).abs() > self.tol
-                        {
-                            queued[w as usize] = true;
-                            queue.push_back(w);
-                        }
-                    }
-                }
-            }
-            // The queue is empty under the *current* uniform residual. If
-            // the accumulated dangling spread is big enough to push any
-            // vertex past tolerance, fold it in and rescan once.
-            if self.uniform_r.abs() > self.tol * 0.5 {
-                for v in 0..nv {
-                    self.r[v] += self.uniform_r;
-                }
-                self.uniform_r = 0.0;
-                self.work += nv as u64;
-                enqueue_all(tol, &self.r, 0.0, &mut queued, &mut queue);
-                if queue.is_empty() {
-                    break;
-                }
-            } else {
-                break;
-            }
-        }
+    /// Keep the ranks `pr` converged to on `g` and count its sweeps.
+    fn adopt(&mut self, g: &DeltaGraph, pr: PageRank) {
+        self.work += pr.iterations as u64 * (g.num_vertices() as u64 + g.num_edges() as u64);
+        self.ranks = pr.ranks;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpma_analytics::pagerank_host;
     use gpma_core::delta::SnapshotDelta;
     use gpma_core::framework::GraphSnapshot;
+    use gpma_graph::datasets::pokec_like;
     use gpma_graph::{Edge, UpdateBatch};
+    use proptest::prelude::*;
 
     const D: f64 = 0.85;
     const EPS: f64 = 1e-9;
@@ -292,9 +157,9 @@ mod tests {
 
     #[test]
     fn incremental_work_beats_recompute_for_local_deltas() {
-        // A long chain: changes at the far end perturb only a small
-        // neighborhood of the rank vector, which is exactly the case
-        // residual pushing localizes and power iteration cannot.
+        // A long chain: a change at the far end perturbs only a small
+        // neighborhood of the rank vector, so the previous ranks are a
+        // start a few sweeps from the new fixpoint.
         let n = 1000u32;
         let chain: Vec<Edge> = (0..n - 2).map(|i| Edge::new(i, i + 1)).collect();
         let snap = GraphSnapshot::from_edges(0, n, chain);
@@ -337,5 +202,51 @@ mod tests {
         );
         let applied = g.apply(&delta);
         pr.apply(g, &applied);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The traffic the maintainer serves: 256-update mixed slides of a
+        /// 20 k-edge window over 2 k vertices at the serving tolerance.
+        #[test]
+        fn mixed_256_update_deltas_stay_within_the_oracles_bound(
+            seed in 0u64..1_000,
+            epochs in 3u64..8,
+        ) {
+            const NV: u32 = 2_000;
+            const WINDOW: usize = 20_000;
+            const HALF: usize = 128;
+            let eps = 1e-3;
+            let stream = pokec_like(NV, 2 * WINDOW, seed).edges;
+            let snap = GraphSnapshot::from_edges(0, NV, stream[..WINDOW].to_vec());
+            let mut g = DeltaGraph::from_snapshot(&snap);
+            let mut pr = DeltaPageRank::new(D, eps);
+            pr.rebase(&g);
+            for epoch in 1..=epochs {
+                let at = (epoch as usize - 1) * HALF;
+                let delta = SnapshotDelta::from_batch(
+                    epoch,
+                    &UpdateBatch {
+                        insertions: stream[WINDOW + at..WINDOW + at + HALF].to_vec(),
+                        deletions: stream[at..at + HALF].to_vec(),
+                    },
+                );
+                let applied = g.apply(&delta);
+                prop_assert_eq!(applied.topology_changes(), 2 * HALF);
+                pr.apply(&g, &applied);
+                let reference = pagerank_host(&g, D, 1e-12, 100_000);
+                prop_assert!(reference.converged);
+                let l1: f64 = pr
+                    .ranks()
+                    .iter()
+                    .zip(&reference.ranks)
+                    .map(|(x, y)| (x - y).abs())
+                    .sum();
+                prop_assert!(l1 <= eps * D / (1.0 - D), "epoch {}: L1 {}", epoch, l1);
+                let sum: f64 = pr.ranks().iter().sum();
+                prop_assert!((sum - 1.0).abs() < 1e-9, "epoch {}: rank mass {}", epoch, sum);
+            }
+        }
     }
 }

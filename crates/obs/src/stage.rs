@@ -30,9 +30,6 @@ pub enum Stage {
     Forward,
     /// Coordinated cut: the all-shards barrier round.
     CutBarrier,
-    /// Aligning a shard's latest published snapshot to its delta-ring head
-    /// (frozen cuts and degraded barriers — no flush forced).
-    CutAlign,
     /// Coordinated cut: assembling + publishing the `ClusterSnapshot`.
     CutPublish,
     /// Encoding + persisting one shard checkpoint.
@@ -80,7 +77,7 @@ pub enum Unit {
 
 impl Stage {
     /// Every stage, in table order.
-    pub const ALL: [Stage; 24] = [
+    pub const ALL: [Stage; 23] = [
         Stage::IngestEnqueue,
         Stage::IngestReshard,
         Stage::FlushDrain,
@@ -90,7 +87,6 @@ impl Stage {
         Stage::RouteBatch,
         Stage::Forward,
         Stage::CutBarrier,
-        Stage::CutAlign,
         Stage::CutPublish,
         Stage::CheckpointSave,
         Stage::ReshardQuiesce,
@@ -128,7 +124,6 @@ impl Stage {
             Stage::RouteBatch => "router.route",
             Stage::Forward => "router.forward",
             Stage::CutBarrier => "cut.barrier",
-            Stage::CutAlign => "cut.align",
             Stage::CutPublish => "cut.publish",
             Stage::CheckpointSave => "checkpoint.save",
             Stage::ReshardQuiesce => "reshard.quiesce",

@@ -133,11 +133,7 @@ impl Follower {
             }
             DeltaCatchUp::Snapshot(snap) => {
                 let jump = snap.epoch().saturating_sub(self.state.epoch());
-                // Never step backwards: the published image trails the ring
-                // head between a flush's delta push and its image swap.
-                if snap.epoch() >= self.state.epoch() {
-                    self.state = snap;
-                }
+                self.state = snap;
                 self.rebases += 1;
                 jump
             }

@@ -135,11 +135,10 @@ struct Shared {
     /// High-water mark of the queue depth the worker observed (sampled on
     /// every popped command, so it must not take the metrics mutex).
     max_queue_depth: AtomicU64,
-    /// Latest published image; swapped whole so readers never block the
-    /// worker for longer than an `Arc` clone. Only the worker advances it.
-    snapshot: Mutex<Arc<GraphSnapshot>>,
-    /// Published epoch deltas retained for reader catch-up.
-    delta_log: Mutex<DeltaLog>,
+    /// What readers see. One lock over both halves, and the worker stores
+    /// a flush's image and delta in one acquisition, so the image is always
+    /// at the ring head for every reader.
+    published: Mutex<Published>,
     /// Deltas published (one per flush).
     published_deltas: AtomicU64,
     /// Modeled bytes shipped by delta publication (O(|Δ|) per epoch).
@@ -163,9 +162,20 @@ struct Shared {
     started: Instant,
 }
 
+/// The publication state of a service: the latest image and the ring of
+/// epoch deltas that led to it.
+struct Published {
+    /// Swapped whole, so readers hold the lock for an `Arc` clone. Only the
+    /// worker advances it.
+    image: Arc<GraphSnapshot>,
+    /// Published epoch deltas retained for reader catch-up; its head is
+    /// `image`'s epoch.
+    log: DeltaLog,
+}
+
 impl Shared {
     fn latest(&self) -> Arc<GraphSnapshot> {
-        self.snapshot.lock().clone()
+        self.published.lock().image.clone()
     }
 
     fn publication_stats(&self) -> PublicationStats {
@@ -437,8 +447,10 @@ impl StreamingService {
             dropped_updates: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
-            snapshot: Mutex::new(initial.clone()),
-            delta_log: Mutex::new(DeltaLog::new(delta_log_capacity)),
+            published: Mutex::new(Published {
+                image: initial.clone(),
+                log: DeltaLog::new(delta_log_capacity),
+            }),
             published_deltas: AtomicU64::new(0),
             delta_bytes: AtomicU64::new(0),
             published_snapshots: AtomicU64::new(0),
@@ -531,12 +543,12 @@ impl StreamingService {
     /// Catch a delta reader up from `epoch`: the missing delta chain when
     /// the ring still covers it, or a full-snapshot rebase when the reader
     /// lagged past [`ServiceConfig::delta_log_capacity`] epochs. Never
-    /// blocks on the worker beyond the log lock.
+    /// blocks on the worker beyond the publication lock.
     pub fn deltas_since(&self, epoch: u64) -> DeltaCatchUp<Arc<GraphSnapshot>> {
-        let chain = self.shared.delta_log.lock().deltas_since(epoch);
-        match chain {
+        let published = self.shared.published.lock();
+        match published.log.deltas_since(epoch) {
             Some(chain) => DeltaCatchUp::Deltas(chain),
-            None => DeltaCatchUp::Snapshot(self.shared.latest()),
+            None => DeltaCatchUp::Snapshot(published.image.clone()),
         }
     }
 
@@ -574,29 +586,6 @@ impl StreamingService {
             .send(Command::Barrier(ack_tx))
             .map_err(|_| ServiceClosed)?;
         Ok(ack_rx)
-    }
-
-    /// An immutable cut of this shard *right now*, without flushing: the
-    /// latest published image aligned forward to the delta-ring head (the
-    /// worker pushes a flush's delta just before it swaps the image in).
-    /// Updates still queued ahead of the worker are not included — they
-    /// land in later deltas, which is exactly what lets copy-on-write
-    /// reshard migrate from this cut while ingest keeps flowing and replay
-    /// the remainder from `deltas_since(cut.epoch())`. Never blocks on the
-    /// worker beyond the log lock.
-    pub fn frozen_cut(&self) -> Arc<GraphSnapshot> {
-        let snap = self.shared.latest();
-        let chain = self.shared.delta_log.lock().deltas_since(snap.epoch());
-        match chain {
-            Some(chain) if !chain.is_empty() => {
-                let mut cur = gpma_core::delta::apply_delta(&snap, &chain[0]);
-                for d in &chain[1..] {
-                    cur = gpma_core::delta::apply_delta(&cur, d);
-                }
-                Arc::new(cur)
-            }
-            _ => snap,
-        }
     }
 
     /// Run a closure against the *live* system, serialized with updates on
@@ -647,23 +636,13 @@ impl StreamingService {
         self.worker.as_ref().is_some_and(|w| !w.is_finished())
     }
 
-    /// Capture a durable [`Checkpoint`]: the latest published snapshot plus
-    /// every ring delta past it. Works from the front object alone, so it
-    /// remains available after the worker died — a crashed shard's final
-    /// published state can still be checkpointed for respawn.
-    ///
-    /// The image is advanced on every flush, so the chain is empty — or
-    /// one epoch long when the capture lands between a flush's delta push
-    /// and its image swap.
+    /// Capture a durable [`Checkpoint`] of the latest published image
+    /// (every flush advances it, so there is no delta chain to carry).
+    /// Works from the front object alone, so it remains available after the
+    /// worker died — a crashed shard's final published state can still be
+    /// checkpointed for respawn.
     pub fn checkpoint(&self) -> Checkpoint {
-        let snap = self.shared.latest();
-        let chain = self
-            .shared
-            .delta_log
-            .lock()
-            .deltas_since(snap.epoch())
-            .unwrap_or_default();
-        Checkpoint::new((*snap).clone(), chain)
+        Checkpoint::new((*self.shared.latest()).clone(), Vec::new())
     }
 
     /// Spawn a read-only [`Follower`] replica seeded from the latest
@@ -1001,14 +980,6 @@ fn flush_once(sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
     );
     {
         let _publish = obs.span(Stage::FlushPublish);
-        ctx.shared.delta_log.lock().push(report.delta.clone());
-        ctx.shared.published_deltas.fetch_add(1, Ordering::Relaxed);
-        ctx.shared
-            .delta_bytes
-            .fetch_add(report.delta.wire_bytes() as u64, Ordering::Relaxed);
-        if let Some(tx) = &ctx.delta_tx {
-            let _ = tx.send(report.delta.clone());
-        }
         publish(&report.delta, ctx);
     }
     obs.event(
@@ -1020,21 +991,32 @@ fn flush_once(sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
     );
 }
 
-/// Advance the published image by one epoch's delta (a path copy: only the
-/// row blocks the delta touches are rewritten, into one new slab) and make
-/// the result the one readers see; also feed the analytics thread when one
-/// exists.
-fn publish(delta: &SnapshotDelta, ctx: &WorkerCtx) {
+/// Publish one epoch: advance the image by the delta outside any lock (a
+/// path copy: only the row blocks the delta touches are rewritten, into one
+/// new slab), then store image and delta together so no reader sees the
+/// ring ahead of the image; also feed the monitor threads that exist.
+fn publish(delta: &Arc<SnapshotDelta>, ctx: &WorkerCtx) {
     let (next, copied_bytes) = ctx.shared.latest().advance(delta);
     let snap = Arc::new(next);
+    let old = {
+        let mut published = ctx.shared.published.lock();
+        published.log.push(delta.clone());
+        std::mem::replace(&mut published.image, snap.clone())
+    };
+    // Freed outside the lock: when no reader holds the old image this drop
+    // frees its block vector and the slabs only it used.
+    drop(old);
+    ctx.shared.published_deltas.fetch_add(1, Ordering::Relaxed);
+    ctx.shared
+        .delta_bytes
+        .fetch_add(delta.wire_bytes() as u64, Ordering::Relaxed);
     ctx.shared.published_snapshots.fetch_add(1, Ordering::Relaxed);
     ctx.shared
         .snapshot_bytes
         .fetch_add((8 + copied_bytes) as u64, Ordering::Relaxed);
-    // Swap under the lock, free outside it: when no reader holds the old
-    // image this drop frees its block vector and the slabs only it used.
-    let old = std::mem::replace(&mut *ctx.shared.snapshot.lock(), snap.clone());
-    drop(old);
+    if let Some(tx) = &ctx.delta_tx {
+        let _ = tx.send(delta.clone());
+    }
     if let Some(tx) = &ctx.snap_tx {
         let _ = tx.send(snap);
     }
@@ -1449,7 +1431,8 @@ mod tests {
         // A delta that lies about its batch: it claims (9, 0) was upserted,
         // which the store never saw.
         let lie = SnapshotDelta::from_parts(honest.epoch(), vec![Edge::new(9, 0)], vec![]);
-        *svc.shared.snapshot.lock() = Arc::new(gpma_core::delta::apply_delta(&honest, &lie));
+        svc.shared.published.lock().image =
+            Arc::new(gpma_core::delta::apply_delta(&honest, &lie));
         assert!(svc.snapshot().contains(9, 0));
         let report = svc.shutdown();
         assert_eq!(report.metrics.worker_errors, 1, "the divergence is counted");
@@ -1468,7 +1451,8 @@ mod tests {
         let clean = svc.barrier().unwrap();
         assert_eq!(svc.metrics().worker_errors, 0);
         let lie = SnapshotDelta::from_parts(clean.epoch(), vec![], vec![Edge::new(0, 1).key()]);
-        *svc.shared.snapshot.lock() = Arc::new(gpma_core::delta::apply_delta(&clean, &lie));
+        svc.shared.published.lock().image =
+            Arc::new(gpma_core::delta::apply_delta(&clean, &lie));
         svc.barrier().unwrap();
         assert_eq!(svc.metrics().worker_errors, 1);
     }
