@@ -19,9 +19,11 @@ pub fn bfs_device<G: DeviceGraphView>(dev: &Device, g: &G, root: u32) -> DeviceB
     let mut dist = DeviceBuffer::<u32>::filled(UNREACHED, nv);
     dist.host_write(root as usize, 0);
     let mut frontier = DeviceBuffer::<u32>::from_slice(&[root]);
+    // Discovery flags of the level being expanded; all zero between levels
+    // (the compaction clears each flag it reads).
+    let next_flags = DeviceBuffer::<u32>::new(nv);
     let mut level = 0u32;
     while !frontier.is_empty() {
-        let next_flags = DeviceBuffer::<u32>::new(nv);
         {
             let f = &frontier;
             let d = &dist;
@@ -30,7 +32,7 @@ pub fn bfs_device<G: DeviceGraphView>(dev: &Device, g: &G, root: u32) -> DeviceB
                 let v = f.get(lane, lane.tid);
                 for slot in g.row_range(lane, v) {
                     // Algorithm 3 line 4: IsEntryExist.
-                    if let Some((_, dst, _)) = g.slot_entry(lane, slot) {
+                    if let Some((_, dst)) = g.slot_entry(lane, slot) {
                         if d.get(lane, dst as usize) == UNREACHED
                             && d.atomic_cas(lane, dst as usize, UNREACHED, level + 1) == UNREACHED
                         {
@@ -51,6 +53,7 @@ pub fn bfs_device<G: DeviceGraphView>(dev: &Device, g: &G, root: u32) -> DeviceB
             dev.launch("bfs_frontier_compact", nv, |lane| {
                 let v = lane.tid;
                 if nf.get(lane, v) != 0 {
+                    nf.set(lane, v, 0);
                     let p = pos.get(lane, v) as usize;
                     nx.set(lane, p, v as u32);
                 }
@@ -167,6 +170,27 @@ mod tests {
                 bfs_host(&oracle, root),
                 "root {root}"
             );
+        }
+    }
+
+    #[test]
+    fn bfs_over_a_slid_array_matches_host_on_both_views_call_after_call() {
+        use crate::util::{slid_pokec, ISOLATED};
+        let d = dev();
+        let (g, live) = slid_pokec(&d);
+        let nv = g.storage.num_vertices();
+        let gv = GpmaView::build(&d, &g.storage);
+        let rc = RebuildCsr::build(&d, nv, &live);
+        let rv = RebuildView::build(&d, &rc);
+        let oracle = AdjLists::build(nv, &live);
+        for root in [0, 1, ISOLATED] {
+            let want = bfs_host(&oracle, root);
+            let reached = want.iter().filter(|&&x| x != UNREACHED).count();
+            assert_eq!(reached == 1, root == ISOLATED);
+            for _ in 0..2 {
+                assert_eq!(bfs_device(&d, &gv, root).to_vec(), want, "gpma, root {root}");
+                assert_eq!(bfs_device(&d, &rv, root).to_vec(), want, "rebuild, root {root}");
+            }
         }
     }
 

@@ -8,6 +8,31 @@ use gpma_sim::{Device, DeviceBuffer};
 
 use crate::view::{DeviceGraphView, HostGraph};
 
+/// Hooking: every live entry (u, v) pulls both endpoints' labels to their
+/// minimum (edge-centric scan over the whole slot array — the paper's
+/// edge-centric execution model for CC). Sets `changed[0]` when a label
+/// dropped.
+pub(crate) fn cc_hook<G: DeviceGraphView>(
+    dev: &Device,
+    g: &G,
+    labels: &DeviceBuffer<u32>,
+    changed: &DeviceBuffer<u32>,
+) {
+    dev.launch("cc_hook", g.num_slots(), |lane| {
+        if let Some((u, v)) = g.slot_entry(lane, lane.tid) {
+            let lu = labels.get(lane, u as usize);
+            let lv = labels.get(lane, v as usize);
+            if lu < lv {
+                if labels.atomic_min(lane, v as usize, lu) > lu {
+                    changed.set(lane, 0, 1);
+                }
+            } else if lv < lu && labels.atomic_min(lane, u as usize, lv) > lv {
+                changed.set(lane, 0, 1);
+            }
+        }
+    });
+}
+
 /// Device connected components; returns per-vertex component labels
 /// (the minimum vertex id in each component).
 pub fn cc_device<G: DeviceGraphView>(dev: &Device, g: &G) -> DeviceBuffer<u32> {
@@ -19,29 +44,10 @@ pub fn cc_device<G: DeviceGraphView>(dev: &Device, g: &G) -> DeviceBuffer<u32> {
             l.set(lane, lane.tid, lane.tid as u32);
         });
     }
-    let slots = g.num_slots();
+    let mut changed = DeviceBuffer::<u32>::new(1);
     loop {
-        let changed = DeviceBuffer::<u32>::new(1);
-        // Hooking: every live entry (u, v) pulls both endpoints' labels to
-        // their minimum (edge-centric scan over the whole slot array — the
-        // paper's edge-centric execution model for CC).
-        {
-            let l = &labels;
-            let ch = &changed;
-            dev.launch("cc_hook", slots, |lane| {
-                if let Some((u, v, _)) = g.slot_entry(lane, lane.tid) {
-                    let lu = l.get(lane, u as usize);
-                    let lv = l.get(lane, v as usize);
-                    if lu < lv {
-                        if l.atomic_min(lane, v as usize, lu) > lu {
-                            ch.set(lane, 0, 1);
-                        }
-                    } else if lv < lu && l.atomic_min(lane, u as usize, lv) > lv {
-                        ch.set(lane, 0, 1);
-                    }
-                }
-            });
-        }
+        changed.host_write(0, 0);
+        cc_hook(dev, g, &labels, &changed);
         // Pointer jumping: compress label chains (multi-pass shortcutting).
         {
             let l = &labels;
@@ -185,6 +191,23 @@ mod tests {
         let got = cc_device(&d, &view).to_vec();
         let expect = cc_host(&AdjLists::build(n, &edges));
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn cc_over_a_slid_array_matches_host_on_both_views_call_after_call() {
+        use crate::util::{slid_pokec, ISOLATED};
+        let d = dev();
+        let (g, live) = slid_pokec(&d);
+        let nv = g.storage.num_vertices();
+        let gv = GpmaView::build(&d, &g.storage);
+        let rc = RebuildCsr::build(&d, nv, &live);
+        let rv = RebuildView::build(&d, &rc);
+        let want = cc_host(&AdjLists::build(nv, &live));
+        assert_eq!(want[ISOLATED as usize], ISOLATED);
+        for _ in 0..2 {
+            assert_eq!(cc_device(&d, &gv).to_vec(), want, "gpma");
+            assert_eq!(cc_device(&d, &rv).to_vec(), want, "rebuild");
+        }
     }
 
     #[test]

@@ -18,8 +18,9 @@ use gpma_sim::pcie::Pcie;
 use gpma_sim::{DeviceBuffer, SimTime};
 
 use crate::bfs::UNREACHED;
-use crate::pagerank::{finalize_host, PageRank};
-use crate::util::{atomic_add_f64, filled_f64, load_f64};
+use crate::cc::cc_hook;
+use crate::pagerank::{finalize_host, pr_scatter, PageRank};
+use crate::util::filled_f64;
 use crate::view::{DeviceGraphView, GpmaView, HostGraph};
 
 /// Timing of a multi-device analytic run.
@@ -73,7 +74,7 @@ pub fn bfs_multi(m: &mut MultiGpma, root: u32) -> (Vec<u32>, MultiTime) {
                 dev.launch("bfs_multi_gather", mine.len(), |lane| {
                     let v = fr.get(lane, lane.tid);
                     for slot in view.row_range(lane, v) {
-                        if let Some((_, dst, _)) = view.slot_entry(lane, slot) {
+                        if let Some((_, dst)) = view.slot_entry(lane, slot) {
                             if dist_dev.get(lane, dst as usize) == UNREACHED {
                                 fl.set(lane, dst as usize, 1);
                             }
@@ -131,25 +132,19 @@ pub fn pagerank_multi(
     while time.iterations < max_iters {
         time.iterations += 1;
         let mut partials: Vec<Vec<f64>> = Vec::with_capacity(m.num_devices());
-        let x_bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-        let x_ref = &x_bits;
-        let degs_ref = &degs;
+        // What every device uploads: x[u] / outdeg[u] (unread where 0).
+        let share_bits: Vec<u64> = x
+            .iter()
+            .zip(&degs)
+            .map(|(&xu, &d)| if d == 0 { 0.0 } else { xu / d as f64 })
+            .map(f64::to_bits)
+            .collect();
+        let share_ref = &share_bits;
         let step = m.parallel_step(|_, dev, shard| {
             let view = GpmaView::build(dev, &shard.storage);
-            let xd = DeviceBuffer::from_slice(x_ref);
+            let share = DeviceBuffer::from_slice(share_ref);
             let y = filled_f64(0.0, nv);
-            let slots = view.num_slots();
-            let deg = DeviceBuffer::from_slice(degs_ref);
-            {
-                let yr = &y;
-                dev.launch("pr_multi_spmv", slots, |lane| {
-                    if let Some((u, v, _)) = view.slot_entry(lane, lane.tid) {
-                        let xu = load_f64(lane, &xd, u as usize);
-                        let d = deg.get(lane, u as usize) as f64;
-                        atomic_add_f64(lane, yr, v as usize, xu / d);
-                    }
-                });
-            }
+            pr_scatter(dev, &view, &share, &y);
             partials.push(y.to_vec().into_iter().map(f64::from_bits).collect());
         });
         time.compute += step.makespan;
@@ -194,18 +189,10 @@ pub fn cc_multi(m: &mut MultiGpma) -> (Vec<u32>, MultiTime) {
         let step = m.parallel_step(|_, dev, shard| {
             let view = GpmaView::build(dev, &shard.storage);
             let l = DeviceBuffer::from_slice(labels_ref);
-            let slots = view.num_slots();
-            dev.launch("cc_multi_hook", slots, |lane| {
-                if let Some((u, v, _)) = view.slot_entry(lane, lane.tid) {
-                    let lu = l.get(lane, u as usize);
-                    let lv = l.get(lane, v as usize);
-                    if lu < lv {
-                        l.atomic_min(lane, v as usize, lu);
-                    } else if lv < lu {
-                        l.atomic_min(lane, u as usize, lv);
-                    }
-                }
-            });
+            // The fixpoint is decided on the host after the min-combine;
+            // the hook's own flag goes unread.
+            let changed = DeviceBuffer::<u32>::new(1);
+            cc_hook(dev, &view, &l, &changed);
             partials.push(l.to_vec());
         });
         time.compute += step.makespan;

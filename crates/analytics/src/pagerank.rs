@@ -2,8 +2,17 @@
 //! kernel executed edge-centrically with atomic scatter, damping 0.85,
 //! terminating when the L1 error drops below 1e-3 (the paper's standard
 //! setup). Dangling mass is redistributed uniformly.
+//!
+//! Device kernels: `pr_init` once (uniform ranks, their shares and
+//! dangling partials), then per iteration `pr_spmv` (a slot-wide scatter of
+//! `share[u] = x[u] / outdeg[u]` into `y[v]`: one key load, one share load,
+//! one atomic add per live entry) and `pr_update` (per vertex: the new rank
+//! from `y[v]`, then `|rank − old|`, the dangling partial, the next share
+//! and `y[v] = 0` written in the same pass), followed by the two
+//! `reduce_f64` sums the stopping rule and the next update need. Five
+//! `|V|`-sized buffers, allocated once per call.
 
-use gpma_sim::{Device, DeviceBuffer};
+use gpma_sim::{Device, DeviceBuffer, Lane};
 
 use crate::util::{atomic_add_f64, filled_f64, load_f64, reduce_f64, store_f64};
 use crate::view::{DeviceGraphView, HostGraph};
@@ -27,7 +36,25 @@ pub struct PageRank {
     pub converged: bool,
 }
 
-/// Device PageRank via iterated SpMV.
+/// SpMV scatter: every live entry (u → v) adds `share[u]` to `y[v]`, where
+/// `share[u]` is `x[u] / outdeg[u]` divided once per vertex, not per edge.
+pub(crate) fn pr_scatter<G: DeviceGraphView>(
+    dev: &Device,
+    g: &G,
+    share: &DeviceBuffer<u64>,
+    y: &DeviceBuffer<u64>,
+) {
+    dev.launch("pr_spmv", g.num_slots(), |lane| {
+        if let Some((u, v)) = g.slot_entry(lane, lane.tid) {
+            let s = load_f64(lane, share, u as usize);
+            atomic_add_f64(lane, y, v as usize, s);
+        }
+    });
+}
+
+/// Device PageRank via iterated SpMV: per iteration one scatter
+/// (`pr_spmv`), one fused per-vertex pass (`pr_update`) and the two
+/// reductions (L1 error, dangling mass) over what that pass wrote.
 pub fn pagerank_device<G: DeviceGraphView>(
     dev: &Device,
     g: &G,
@@ -37,68 +64,49 @@ pub fn pagerank_device<G: DeviceGraphView>(
 ) -> PageRank {
     let nv = g.num_vertices() as usize;
     assert!(nv > 0);
-    let slots = g.num_slots();
     let deg = g.degrees();
-    let mut x = filled_f64(1.0 / nv as f64, nv);
+    // The whole buffer set, allocated once: ranks, scattered sums, the
+    // pre-divided shares, and the two per-vertex reduction inputs.
+    let x = DeviceBuffer::<u64>::new(nv);
+    let y = filled_f64(0.0, nv);
+    let share = DeviceBuffer::<u64>::new(nv);
+    let diff = DeviceBuffer::<u64>::new(nv);
+    let dangling_parts = DeviceBuffer::<u64>::new(nv);
+    // Rank, share and dangling partial of one vertex, as `pr_init` and
+    // `pr_update` both leave them for the next scatter.
+    let publish = |lane: &mut Lane, v: usize, rank: f64, d: u32| {
+        store_f64(lane, &x, v, rank);
+        let (s, dangling) = if d == 0 { (0.0, rank) } else { (rank / d as f64, 0.0) };
+        store_f64(lane, &share, v, s);
+        store_f64(lane, &dangling_parts, v, dangling);
+    };
+    dev.launch("pr_init", nv, |lane| {
+        let v = lane.tid;
+        let d = deg.get(lane, v);
+        publish(lane, v, 1.0 / nv as f64, d);
+    });
+    // Mass held by out-degree-0 vertices.
+    let mut dangling = reduce_f64(dev, &dangling_parts);
     let mut iterations = 0;
     let mut converged = false;
 
     while iterations < max_iters {
         iterations += 1;
-        let y = filled_f64(0.0, nv);
-        // SpMV scatter: every live entry (u → v) sends x[u]/outdeg[u] to v.
-        {
-            let xr = &x;
-            let yr = &y;
-            dev.launch("pr_spmv", slots, |lane| {
-                if let Some((u, v, _)) = g.slot_entry(lane, lane.tid) {
-                    let xu = load_f64(lane, xr, u as usize);
-                    let d = deg.get(lane, u as usize) as f64;
-                    atomic_add_f64(lane, yr, v as usize, xu / d);
-                }
-            });
-        }
-        // Dangling mass (out-degree-0 vertices).
-        let dangling_parts = DeviceBuffer::<u64>::new(nv);
-        {
-            let xr = &x;
-            let dp = &dangling_parts;
-            dev.launch("pr_dangling", nv, |lane| {
-                let v = lane.tid;
-                let val = if deg.get(lane, v) == 0 {
-                    load_f64(lane, xr, v)
-                } else {
-                    0.0
-                };
-                store_f64(lane, dp, v, val);
-            });
-        }
-        let dangling = reduce_f64(dev, &dangling_parts);
-        // Finalize: y = (1-d)/N + d * (y + dangling/N).
-        {
-            let yr = &y;
-            dev.launch("pr_finalize", nv, |lane| {
-                let v = lane.tid;
-                let raw = load_f64(lane, yr, v);
-                let rank =
-                    (1.0 - damping) / nv as f64 + damping * (raw + dangling / nv as f64);
-                store_f64(lane, yr, v, rank);
-            });
-        }
-        // L1 error.
-        let diff = DeviceBuffer::<u64>::new(nv);
-        {
-            let xr = &x;
-            let yr = &y;
-            let df = &diff;
-            dev.launch("pr_l1", nv, |lane| {
-                let v = lane.tid;
-                let e = (load_f64(lane, yr, v) - load_f64(lane, xr, v)).abs();
-                store_f64(lane, df, v, e);
-            });
-        }
+        pr_scatter(dev, g, &share, &y);
+        // rank = (1-d)/N + d * (y + dangling/N), with everything the next
+        // iteration reads derived from it in the same pass.
+        dev.launch("pr_update", nv, |lane| {
+            let v = lane.tid;
+            let raw = load_f64(lane, &y, v);
+            let old = load_f64(lane, &x, v);
+            let d = deg.get(lane, v);
+            let rank = (1.0 - damping) / nv as f64 + damping * (raw + dangling / nv as f64);
+            publish(lane, v, rank, d);
+            store_f64(lane, &diff, v, (rank - old).abs());
+            store_f64(lane, &y, v, 0.0);
+        });
         let err = reduce_f64(dev, &diff);
-        x = y;
+        dangling = reduce_f64(dev, &dangling_parts);
         if err < epsilon {
             converged = true;
             break;
@@ -234,6 +242,118 @@ mod tests {
                 expect.ranks[v]
             );
         }
+    }
+
+    /// The device loop as it stood before the iteration was fused: eight
+    /// launches and three fresh `|V|`-sized buffers per iteration, the
+    /// division done per edge (kernel labels prefixed `ref_`). The
+    /// bit-for-bit reference.
+    fn pagerank_device_ref<G: DeviceGraphView>(
+        dev: &Device,
+        g: &G,
+        damping: f64,
+        epsilon: f64,
+        max_iters: usize,
+    ) -> PageRank {
+        let nv = g.num_vertices() as usize;
+        assert!(nv > 0);
+        let slots = g.num_slots();
+        let deg = g.degrees();
+        let mut x = filled_f64(1.0 / nv as f64, nv);
+        let mut iterations = 0;
+        let mut converged = false;
+
+        while iterations < max_iters {
+            iterations += 1;
+            let y = filled_f64(0.0, nv);
+            // SpMV scatter: every live entry (u → v) sends x[u]/outdeg[u] to v.
+            {
+                let xr = &x;
+                let yr = &y;
+                dev.launch("ref_spmv", slots, |lane| {
+                    if let Some((u, v)) = g.slot_entry(lane, lane.tid) {
+                        let xu = load_f64(lane, xr, u as usize);
+                        let d = deg.get(lane, u as usize) as f64;
+                        atomic_add_f64(lane, yr, v as usize, xu / d);
+                    }
+                });
+            }
+            // Dangling mass (out-degree-0 vertices).
+            let dangling_parts = DeviceBuffer::<u64>::new(nv);
+            {
+                let xr = &x;
+                let dp = &dangling_parts;
+                dev.launch("ref_dangling", nv, |lane| {
+                    let v = lane.tid;
+                    let val = if deg.get(lane, v) == 0 {
+                        load_f64(lane, xr, v)
+                    } else {
+                        0.0
+                    };
+                    store_f64(lane, dp, v, val);
+                });
+            }
+            let dangling = reduce_f64(dev, &dangling_parts);
+            // Finalize: y = (1-d)/N + d * (y + dangling/N).
+            {
+                let yr = &y;
+                dev.launch("ref_finalize", nv, |lane| {
+                    let v = lane.tid;
+                    let raw = load_f64(lane, yr, v);
+                    let rank =
+                        (1.0 - damping) / nv as f64 + damping * (raw + dangling / nv as f64);
+                    store_f64(lane, yr, v, rank);
+                });
+            }
+            // L1 error.
+            let diff = DeviceBuffer::<u64>::new(nv);
+            {
+                let xr = &x;
+                let yr = &y;
+                let df = &diff;
+                dev.launch("ref_l1", nv, |lane| {
+                    let v = lane.tid;
+                    let e = (load_f64(lane, yr, v) - load_f64(lane, xr, v)).abs();
+                    store_f64(lane, df, v, e);
+                });
+            }
+            let err = reduce_f64(dev, &diff);
+            x = y;
+            if err < epsilon {
+                converged = true;
+                break;
+            }
+        }
+
+        PageRank {
+            ranks: x.to_vec().into_iter().map(f64::from_bits).collect(),
+            iterations,
+            converged,
+        }
+    }
+
+    #[test]
+    fn fused_iteration_is_bit_identical_to_the_loop_it_replaced() {
+        fn check<G: DeviceGraphView>(d: &Device, g: &G) {
+            let bits = |pr: &PageRank| pr.ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            // Cut short by the iteration cap, and converging.
+            for (epsilon, max_iters) in [(0.0, 10), (EPSILON, MAX_ITERS)] {
+                let got = pagerank_device(d, g, DAMPING, epsilon, max_iters);
+                let want = pagerank_device_ref(d, g, DAMPING, epsilon, max_iters);
+                assert_eq!(bits(&got), bits(&want));
+                assert_eq!(got.iterations, want.iterations);
+                assert_eq!(got.converged, want.converged);
+                assert_eq!(want.converged, epsilon > 0.0);
+            }
+        }
+        let d = dev();
+        let (g, live) = crate::util::slid_pokec(&d);
+        let gv = GpmaView::build(&d, &g.storage);
+        assert!(gv.num_slots() > live.len(), "the array must carry gaps");
+        assert!(gv.degrees().as_slice().iter().filter(|&&deg| deg == 0).count() >= 40);
+        check(&d, &gv);
+        let rc = RebuildCsr::build(&d, g.storage.num_vertices(), &live);
+        check(&d, &RebuildView::build(&d, &rc));
     }
 
     /// The host loop as it stood before it took a start vector (a fresh

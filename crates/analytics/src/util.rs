@@ -69,6 +69,39 @@ pub fn filled_f64(v: f64, n: usize) -> DeviceBuffer<u64> {
     DeviceBuffer::filled(v.to_bits(), n)
 }
 
+/// Vertex no edge of [`slid_pokec`] touches.
+#[cfg(test)]
+pub(crate) const ISOLATED: u32 = 1_999;
+
+/// Fixture of the device-kernel tests: a 2 000-vertex `pokec_like` graph
+/// after three lazy slides (so the array carries gaps and tombstones), with
+/// vertices `7, 57, 107, …` dangling and [`ISOLATED`] isolated. Returns the
+/// store and its live edges.
+#[cfg(test)]
+pub(crate) fn slid_pokec(dev: &Device) -> (gpma_core::GpmaPlus, Vec<gpma_graph::Edge>) {
+    use gpma_graph::{datasets::pokec_like, Edge, UpdateBatch};
+    const NV: u32 = 2_000;
+    const INITIAL: usize = 20_000;
+    const SLIDE: usize = 1_000;
+    let edges: Vec<Edge> = pokec_like(NV, 26_000, 7)
+        .edges
+        .into_iter()
+        .filter(|e| e.src % 50 != 7 && e.src != ISOLATED && e.dst != ISOLATED)
+        .collect();
+    assert!(edges.len() >= INITIAL + 3 * SLIDE);
+    let mut g = gpma_core::GpmaPlus::build(dev, NV, &edges[..INITIAL]);
+    for i in 0..3 {
+        let batch = UpdateBatch {
+            insertions: edges[INITIAL + i * SLIDE..INITIAL + (i + 1) * SLIDE].to_vec(),
+            deletions: edges[i * SLIDE..(i + 1) * SLIDE].to_vec(),
+        };
+        g.update_batch_lazy(dev, &batch);
+    }
+    let live = g.storage.host_edges();
+    assert_eq!(live.len(), INITIAL);
+    (g, live)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,6 +7,23 @@
 //! CSR — demonstrating the paper's claim that existing GPU algorithms adapt
 //! to GPMA by only adding that check.
 //!
+//! A slot is read in two parts. `slot_entry` is the existence check plus
+//! the endpoints — one load of the slot's key, which is all BFS, CC and
+//! PageRank use; `slot_weight` loads the value stored beside it, for a
+//! kernel that wants it. A lane pays (in simulated transactions and in host
+//! time) only for the field it reads.
+//!
+//! The kernels over this trait (`bfs_device<G>`, `cc_device<G>`,
+//! `pagerank_device<G>`) are generic, so they are compiled in the crate
+//! that *calls* them, once per view type. The impls below are not generic:
+//! without `#[inline]` their bodies stay in this crate and every lane of a
+//! slot-wide launch makes a real cross-crate call per slot, with the
+//! `Lane` counters forced out to memory around it. Every lane-taking impl
+//! method here therefore carries `#[inline]` (`gpma-lint` rule
+//! `lane-inline` keeps it that way), and the [`HostGraph`] impls do too,
+//! for the same reason under `bfs_host<G>` / `cc_host<G>` /
+//! `pagerank_host_from<G>`.
+//!
 //! [`HostGraph`] is the equivalent CPU-side contract for the AdjLists, PMA
 //! and Stinger baselines.
 
@@ -26,15 +43,20 @@ pub trait DeviceGraphView: Sync {
     /// Slot range of row `v`.
     fn row_range(&self, lane: &mut Lane, v: u32) -> std::ops::Range<usize>;
 
-    /// Decode one slot: `Some((src, dst, weight))` for a live edge, `None`
-    /// for a gap or guard (the `IsEntryExist` check).
-    fn slot_entry(&self, lane: &mut Lane, slot: usize) -> Option<(u32, u32, u64)>;
+    /// Decode one slot: `Some((src, dst))` for a live edge, `None` for a
+    /// gap or guard (the `IsEntryExist` check). One load of the slot's key.
+    fn slot_entry(&self, lane: &mut Lane, slot: usize) -> Option<(u32, u32)>;
+
+    /// Weight stored at `slot`; meaningful only where
+    /// [`slot_entry`](Self::slot_entry) is `Some`.
+    fn slot_weight(&self, lane: &mut Lane, slot: usize) -> u64;
 
     /// Live out-degree per vertex.
     fn degrees(&self) -> &DeviceBuffer<u32>;
 }
 
-/// CSR-on-GPMA view (storage + offsets), built after each update batch.
+/// CSR-on-GPMA view (storage + offsets). Built per read: it borrows the
+/// storage, so it lives between two update batches at most.
 pub struct GpmaView<'a> {
     /// The underlying GPMA storage.
     pub storage: &'a GpmaStorage,
@@ -53,28 +75,34 @@ impl<'a> GpmaView<'a> {
 }
 
 impl<'a> DeviceGraphView for GpmaView<'a> {
+    #[inline]
     fn num_vertices(&self) -> u32 {
         self.storage.num_vertices()
     }
 
+    #[inline]
     fn num_slots(&self) -> usize {
         self.storage.capacity()
     }
 
+    #[inline]
     fn row_range(&self, lane: &mut Lane, v: u32) -> std::ops::Range<usize> {
         self.csr.row_range(lane, v)
     }
 
-    fn slot_entry(&self, lane: &mut Lane, slot: usize) -> Option<(u32, u32, u64)> {
+    #[inline]
+    fn slot_entry(&self, lane: &mut Lane, slot: usize) -> Option<(u32, u32)> {
         let k = self.storage.keys.get(lane, slot);
-        if !GpmaStorage::is_entry(k) {
-            return None; // gap or guard
-        }
-        let (s, d) = decode_key(k);
-        let w = self.storage.vals.get(lane, slot);
-        Some((s, d, w))
+        // Gap or guard: not an entry.
+        GpmaStorage::is_entry(k).then(|| decode_key(k))
     }
 
+    #[inline]
+    fn slot_weight(&self, lane: &mut Lane, slot: usize) -> u64 {
+        self.storage.vals.get(lane, slot)
+    }
+
+    #[inline]
     fn degrees(&self) -> &DeviceBuffer<u32> {
         &self.csr.degrees
     }
@@ -107,26 +135,33 @@ impl<'a> RebuildView<'a> {
 }
 
 impl<'a> DeviceGraphView for RebuildView<'a> {
+    #[inline]
     fn num_vertices(&self) -> u32 {
         self.csr.num_vertices()
     }
 
+    #[inline]
     fn num_slots(&self) -> usize {
         self.csr.num_edges()
     }
 
+    #[inline]
     fn row_range(&self, lane: &mut Lane, v: u32) -> std::ops::Range<usize> {
         self.csr.row_range(lane, v)
     }
 
-    fn slot_entry(&self, lane: &mut Lane, slot: usize) -> Option<(u32, u32, u64)> {
+    #[inline]
+    fn slot_entry(&self, lane: &mut Lane, slot: usize) -> Option<(u32, u32)> {
         // Dense CSR: every slot is live.
-        let k = self.csr.keys.get(lane, slot);
-        let (s, d) = decode_key(k);
-        let w = self.csr.vals.get(lane, slot);
-        Some((s, d, w))
+        Some(decode_key(self.csr.keys.get(lane, slot)))
     }
 
+    #[inline]
+    fn slot_weight(&self, lane: &mut Lane, slot: usize) -> u64 {
+        self.csr.vals.get(lane, slot)
+    }
+
+    #[inline]
     fn degrees(&self) -> &DeviceBuffer<u32> {
         &self.degrees
     }
@@ -147,23 +182,28 @@ pub trait HostGraph {
 }
 
 impl HostGraph for AdjLists {
+    #[inline]
     fn num_vertices(&self) -> u32 {
         AdjLists::num_vertices(self)
     }
+    #[inline]
     fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32, u64)) {
         for (d, w) in self.neighbors(v) {
             f(d, w);
         }
     }
+    #[inline]
     fn out_degree(&self, v: u32) -> usize {
         AdjLists::out_degree(self, v)
     }
 }
 
 impl HostGraph for PmaGraph {
+    #[inline]
     fn num_vertices(&self) -> u32 {
         PmaGraph::num_vertices(self)
     }
+    #[inline]
     fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32, u64)) {
         for (d, w) in self.neighbors(v) {
             f(d, w);
@@ -177,28 +217,34 @@ impl HostGraph for PmaGraph {
 /// [`GraphSnapshot`](gpma_core::framework::GraphSnapshot) while updates keep
 /// flowing on the service worker (the paper's §6.5 concurrency scenario).
 impl HostGraph for gpma_core::framework::GraphSnapshot {
+    #[inline]
     fn num_vertices(&self) -> u32 {
         gpma_core::framework::GraphSnapshot::num_vertices(self)
     }
+    #[inline]
     fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32, u64)) {
         for e in self.neighbors(v) {
             f(e.dst, e.weight);
         }
     }
+    #[inline]
     fn out_degree(&self, v: u32) -> usize {
         gpma_core::framework::GraphSnapshot::out_degree(self, v)
     }
 }
 
 impl HostGraph for StingerGraph {
+    #[inline]
     fn num_vertices(&self) -> u32 {
         StingerGraph::num_vertices(self)
     }
+    #[inline]
     fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32, u64)) {
         for (d, w) in self.neighbors(v) {
             f(d, w);
         }
     }
+    #[inline]
     fn out_degree(&self, v: u32) -> usize {
         StingerGraph::out_degree(self, v)
     }
@@ -227,7 +273,8 @@ mod tests {
         dev.launch("collect", nv, |lane| {
             let v = lane.tid as u32;
             for slot in g.row_range(lane, v) {
-                if let Some((s, d, w)) = g.slot_entry(lane, slot) {
+                if let Some((s, d)) = g.slot_entry(lane, slot) {
+                    let w = g.slot_weight(lane, slot);
                     out.set(lane, slot, ((s as u64) << 40) | ((d as u64) << 16) | w);
                 }
             }
@@ -253,6 +300,15 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
         assert_eq!(gv.degrees().to_vec(), rv.degrees().to_vec());
+        // `slot_weight` reads what the host readback of the same array reads.
+        let csr = gv.csr.to_host_csr(gv.storage);
+        let mut host = Vec::new();
+        for v in 0..3 {
+            for i in csr.offsets[v] as usize..csr.offsets[v + 1] as usize {
+                host.push((v as u32, csr.dsts[i], csr.weights[i]));
+            }
+        }
+        assert_eq!(a, host);
     }
 
     #[test]

@@ -2,57 +2,16 @@
 //! neighbour closure: a run allocates its result, its queue or parent array
 //! and nothing per vertex, so the number of allocations stays under a small
 //! constant whatever the vertex count.
-//!
-//! The allocator below counts per thread, so the two tests of this binary
-//! (the harness runs them on sibling threads) cannot disturb each other.
+
+mod common;
 
 use gpma_analytics::{bfs_host, cc_host};
 use gpma_core::framework::GraphSnapshot;
 use gpma_graph::Edge;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocations (and reallocations) made by this thread.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn count() {
-    // `try_with`: the allocator also runs while a thread's locals are torn down.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter is a const-initialised `Cell` without a destructor,
-// so touching it neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: same contract as the caller's.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
+/// Allocations (and reallocations) this thread made while `f` ran.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
+    common::allocated_during(f).0
 }
 
 /// A ring with two chords per vertex: one component, every vertex has

@@ -228,8 +228,10 @@ pub trait ErasedDeviceView: Sync {
     fn num_slots(&self) -> usize;
     /// Slot range of row `v`.
     fn row_range(&self, lane: &mut gpma_sim::Lane, v: u32) -> std::ops::Range<usize>;
-    /// Decode `slot` as `(src, dst, weight)`; `None` for gaps and guards.
-    fn slot_entry(&self, lane: &mut gpma_sim::Lane, slot: usize) -> Option<(u32, u32, u64)>;
+    /// Decode `slot` as `(src, dst)`; `None` for gaps and guards.
+    fn slot_entry(&self, lane: &mut gpma_sim::Lane, slot: usize) -> Option<(u32, u32)>;
+    /// Weight stored at `slot` (meaningful where `slot_entry` is `Some`).
+    fn slot_weight(&self, lane: &mut gpma_sim::Lane, slot: usize) -> u64;
     /// Per-vertex out-degrees (device resident).
     fn degrees(&self) -> &gpma_sim::DeviceBuffer<u32>;
 }
@@ -244,8 +246,11 @@ impl<T: gpma_analytics::DeviceGraphView> ErasedDeviceView for T {
     fn row_range(&self, lane: &mut gpma_sim::Lane, v: u32) -> std::ops::Range<usize> {
         gpma_analytics::DeviceGraphView::row_range(self, lane, v)
     }
-    fn slot_entry(&self, lane: &mut gpma_sim::Lane, slot: usize) -> Option<(u32, u32, u64)> {
+    fn slot_entry(&self, lane: &mut gpma_sim::Lane, slot: usize) -> Option<(u32, u32)> {
         gpma_analytics::DeviceGraphView::slot_entry(self, lane, slot)
+    }
+    fn slot_weight(&self, lane: &mut gpma_sim::Lane, slot: usize) -> u64 {
+        gpma_analytics::DeviceGraphView::slot_weight(self, lane, slot)
     }
     fn degrees(&self) -> &gpma_sim::DeviceBuffer<u32> {
         gpma_analytics::DeviceGraphView::degrees(self)
@@ -255,18 +260,27 @@ impl<T: gpma_analytics::DeviceGraphView> ErasedDeviceView for T {
 /// `&dyn ErasedDeviceView` itself satisfies the analytics trait, closing the
 /// loop so the generic kernels run unmodified on erased views.
 impl gpma_analytics::DeviceGraphView for &dyn ErasedDeviceView {
+    #[inline]
     fn num_vertices(&self) -> u32 {
         (**self).num_vertices()
     }
+    #[inline]
     fn num_slots(&self) -> usize {
         (**self).num_slots()
     }
+    #[inline]
     fn row_range(&self, lane: &mut gpma_sim::Lane, v: u32) -> std::ops::Range<usize> {
         (**self).row_range(lane, v)
     }
-    fn slot_entry(&self, lane: &mut gpma_sim::Lane, slot: usize) -> Option<(u32, u32, u64)> {
+    #[inline]
+    fn slot_entry(&self, lane: &mut gpma_sim::Lane, slot: usize) -> Option<(u32, u32)> {
         (**self).slot_entry(lane, slot)
     }
+    #[inline]
+    fn slot_weight(&self, lane: &mut gpma_sim::Lane, slot: usize) -> u64 {
+        (**self).slot_weight(lane, slot)
+    }
+    #[inline]
     fn degrees(&self) -> &gpma_sim::DeviceBuffer<u32> {
         (**self).degrees()
     }

@@ -116,10 +116,12 @@ impl ClusterSnapshot {
 }
 
 impl HostGraph for ClusterSnapshot {
+    #[inline]
     fn num_vertices(&self) -> u32 {
         self.num_vertices
     }
 
+    #[inline]
     fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32, u64)) {
         for s in &self.shards {
             for e in s.neighbors(v) {
@@ -128,6 +130,7 @@ impl HostGraph for ClusterSnapshot {
         }
     }
 
+    #[inline]
     fn out_degree(&self, v: u32) -> usize {
         self.shards.iter().map(|s| s.out_degree(v)).sum()
     }

@@ -225,14 +225,17 @@ impl DeltaGraph {
 }
 
 impl HostGraph for DeltaGraph {
+    #[inline]
     fn num_vertices(&self) -> u32 {
         self.image.num_vertices()
     }
 
+    #[inline]
     fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32, u64)) {
         HostGraph::for_each_neighbor(&*self.image, v, f)
     }
 
+    #[inline]
     fn out_degree(&self, v: u32) -> usize {
         self.image.out_degree(v)
     }

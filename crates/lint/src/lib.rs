@@ -4,7 +4,7 @@
 //! This is a *source-level* pass, not a compiler plugin: it tokenizes each
 //! `.rs` file just enough (comments stripped, string/char literals blanked,
 //! brace depth tracked) to enforce conventions the compiler and clippy
-//! cannot express. Five rule classes:
+//! cannot express. Six rule classes:
 //!
 //! | rule id            | convention enforced                                   |
 //! |--------------------|-------------------------------------------------------|
@@ -15,6 +15,8 @@
 //! | `missing-docs`     | every `pub` item documented; crate roots carry        |
 //! |                    | `#![warn(missing_docs)]` (rule id `missing-docs-attr`)|
 //! | `thread-sleep`     | no `std::thread::sleep` in library code               |
+//! | `lane-inline`      | a non-generic `pub` or trait-impl `fn` taking         |
+//! |                    | `&mut Lane` carries `#[inline]`                       |
 //!
 //! The pass is deliberately conservative and *approximate*: worker
 //! reachability is a same-file call-graph walk by function name, so a
@@ -138,7 +140,7 @@ fn quoted_strings(text: &str) -> Vec<String> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Rule id (`hot-path-alloc`, `worker-panic`, `lock-order`,
-    /// `missing-docs`, `missing-docs-attr`, `thread-sleep`).
+    /// `missing-docs`, `missing-docs-attr`, `thread-sleep`, `lane-inline`).
     pub rule: &'static str,
     /// File path relative to the lint root, unix separators.
     pub file: String,
@@ -563,6 +565,7 @@ pub fn lint_source(rel: &str, text: &str, cfg: &Config, is_crate_root: bool, is_
     if !is_bin {
         rule_thread_sleep(&src, &mut out);
     }
+    rule_lane_inline(&src, &mut out);
     out.retain(|v| !cfg.allow.contains(&v.allow_key()));
     out
 }
@@ -1016,6 +1019,132 @@ fn rule_thread_sleep(src: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
+/// Rule `lane-inline`: a function that takes `&mut Lane` runs once per
+/// lane of a launch, called from a kernel closure that is compiled in
+/// whichever crate launches it. A generic function is compiled there too;
+/// a non-generic one stays in its own crate unless it says `#[inline]`, and
+/// then every lane makes a real call with its counters spilled around it.
+/// So a non-generic `fn` with a `&mut Lane` parameter that another crate
+/// can reach — `pub`, or a method of a trait impl — must carry `#[inline]`.
+fn rule_lane_inline(src: &SourceFile, out: &mut Vec<Violation>) {
+    for f in &src.fns {
+        if !src.fn_is_lib_code(f) {
+            continue;
+        }
+        let sig = src.code[f.sig_line..=f.body.0].join(" ");
+        let sig = &sig[sig.find("fn ").unwrap_or(0)..];
+        let sig = &sig[..sig.find('{').unwrap_or(sig.len())];
+        if !takes_mut_lane(sig) {
+            continue;
+        }
+        let header = enclosing_impl_header(src, f.sig_line);
+        let is_pub = src.code[f.sig_line].trim_start().starts_with("pub ");
+        let in_trait_impl = header.is_some_and(|h| find_word(h, "for").is_some());
+        let generic = has_type_params(sig, "fn")
+            || sig.contains("impl ")
+            || header.is_some_and(|h| has_type_params(h, "impl"));
+        if generic || !(is_pub || in_trait_impl) || has_inline_attr(src, f.sig_line) {
+            continue;
+        }
+        out.push(Violation {
+            rule: "lane-inline",
+            file: src.rel.clone(),
+            line: f.sig_line + 1,
+            item: f.name.clone(),
+            message: format!(
+                "non-generic `{}` takes `&mut Lane` and is reachable from other crates — add `#[inline]` so lane loops compiled there can inline it",
+                f.name
+            ),
+        });
+    }
+}
+
+/// Does the signature have a `&mut Lane` parameter (any path to `Lane`,
+/// with or without its lifetime argument)?
+fn takes_mut_lane(sig: &str) -> bool {
+    let bytes = sig.as_bytes();
+    let mut from = 0;
+    while let Some(rel) = sig[from..].find("Lane") {
+        let i = from + rel;
+        from = i + 4;
+        if bytes.get(i + 4).is_some_and(|&b| is_ident_byte(b)) {
+            continue;
+        }
+        // Walk back over a `path::to::` prefix.
+        let mut j = i;
+        while j > 0 && (is_ident_byte(bytes[j - 1]) || bytes[j - 1] == b':') {
+            j -= 1;
+        }
+        if sig[..j].ends_with("&mut ") {
+            return true;
+        }
+    }
+    false
+}
+
+/// Does the `<...>` list right after `keyword`'s name (for `fn`) or after
+/// `keyword` itself (for `impl`) declare a type or const parameter?
+/// Lifetimes alone leave one compiled copy, so they do not count.
+fn has_type_params(text: &str, keyword: &str) -> bool {
+    let Some(at) = find_word(text, keyword) else {
+        return false;
+    };
+    let after = text[at + keyword.len()..].trim_start();
+    let after = after.trim_start_matches(|c: char| c.is_alphanumeric() || c == '_');
+    let Some(list) = after.strip_prefix('<') else {
+        return false;
+    };
+    let mut depth = 0i32;
+    let mut param_start = true;
+    for ch in list.chars() {
+        match ch {
+            '<' | '(' | '[' => depth += 1,
+            '>' if depth == 0 => return false,
+            '>' | ')' | ']' => depth -= 1,
+            ',' if depth == 0 => param_start = true,
+            c if c.is_whitespace() => {}
+            c => {
+                if param_start && depth == 0 && c != '\'' {
+                    return true;
+                }
+                param_start = false;
+            }
+        }
+    }
+    false
+}
+
+/// The header line of the `impl` block the function at `line` sits in.
+fn enclosing_impl_header(src: &SourceFile, line: usize) -> Option<&str> {
+    let depth = src.depth[line];
+    if depth == 0 {
+        return None;
+    }
+    (0..line)
+        .rev()
+        .find(|&i| src.depth[i] < depth)
+        .map(|i| src.code[i].trim_start())
+        .filter(|l| l.starts_with("impl") || l.starts_with("unsafe impl"))
+}
+
+/// Is there an `#[inline]` / `#[inline(always)]` among the attributes
+/// directly above the signature?
+fn has_inline_attr(src: &SourceFile, sig_line: usize) -> bool {
+    let mut i = sig_line;
+    while i > 0 {
+        i -= 1;
+        let t = src.raw[i].trim();
+        if t.starts_with("#[inline") {
+            return true;
+        }
+        if t.starts_with("#[") || t.starts_with("//") {
+            continue;
+        }
+        break;
+    }
+    false
+}
+
 /// The innermost function whose body contains `line`.
 fn enclosing_fn(src: &SourceFile, line: usize) -> Option<&FnItem> {
     src.fns
@@ -1240,6 +1369,28 @@ order = ["router", "partition"]
             true,
         );
         assert!(in_bin.is_empty(), "{in_bin:?}");
+    }
+
+    #[test]
+    fn lane_inline_flags_exported_non_generic_lane_fns() {
+        let v = run(
+            "pub fn bare(lane: &mut Lane, i: usize) -> u64 {\n    0\n}\n\
+             #[inline]\npub fn marked(lane: &mut Lane) {}\n\
+             pub fn generic<T: Copy>(lane: &mut Lane, t: T) {}\n\
+             pub(crate) fn private(lane: &mut Lane) {}\n\
+             pub fn no_lane(x: &mut Vec<u32>) {}\n\
+             impl<'a> View for Gpma<'a> {\n    fn slot(&self, lane: &mut gpma_sim::Lane<'_>) {}\n    \
+             #[inline]\n    fn row(&self, lane: &mut Lane) {}\n}\n\
+             impl<T: View> Erased for T {\n    fn slot(&self, lane: &mut Lane) {}\n}\n\
+             impl Store {\n    fn helper(&self, lane: &mut Lane) {}\n    \
+             pub fn find(\n        &self,\n        lane: &mut Lane,\n    ) -> usize {\n        0\n    }\n}\n",
+        );
+        let items: Vec<_> = v
+            .iter()
+            .filter(|x| x.rule == "lane-inline")
+            .map(|x| (x.item.as_str(), x.line))
+            .collect();
+        assert_eq!(items, vec![("bare", 1), ("slot", 10), ("find", 19)], "{v:?}");
     }
 
     #[test]

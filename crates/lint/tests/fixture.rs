@@ -27,6 +27,7 @@ fn fixture_trips_every_rule_class() {
         "missing-docs",
         "missing-docs-attr",
         "thread-sleep",
+        "lane-inline",
     ] {
         assert!(
             violations.iter().any(|v| v.rule == rule),

@@ -83,5 +83,16 @@ pub fn lazy_wait() {
     std::thread::sleep(std::time::Duration::from_millis(1));
 }
 
+/// Stand-in for the simulator's per-lane context.
+pub struct Lane;
+
+/// Seeded `lane-inline` violation: an exported, non-generic per-lane
+/// accessor without the inline attribute — a kernel compiled in another
+/// crate would call it once per lane.
+pub fn slot_key(lane: &mut Lane, keys: &[u64], slot: usize) -> u64 {
+    let _ = lane;
+    keys[slot]
+}
+
 // Seeded `missing-docs` violation: a public function with no doc comment.
 pub fn undocumented() {}
