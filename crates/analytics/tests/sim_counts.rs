@@ -5,9 +5,13 @@
 //! build and the three device analytics, and were last re-recorded when
 //! the analytics kernels stopped loading weights and PageRank's iteration
 //! was fused (341 → 324 launches, cycles −4.6 %, atomics and conflicts
-//! unmoved). A change to how `gpma_sim::Device::launch` traces or counts a
-//! sampled warp must leave every number here alone; a deliberate change to
-//! the kernels or the cost model re-records the half it touches and says so.
+//! unmoved). A third set pins the small-launch path on its own: eight
+//! 256-update slides, where a launch is one to four warps, the always-sampled
+//! warp 0 is a quarter to all of it and many launches are a single lane
+//! (recorded before one-lane warps stopped being traced, unchanged after).
+//! A change to how `gpma_sim::Device::launch` traces or counts a sampled warp
+//! must leave every number here alone; a deliberate change to the kernels or
+//! the cost model re-records the half it touches and says so.
 //!
 //! Both devices run lanes inline (`host_parallelism: 1`), so CAS retry
 //! counts — the one scheduling-dependent input of the model — are fixed.
@@ -17,28 +21,38 @@
 use gpma_analytics::{bfs_device, cc_device, pagerank_device, GpmaView, DAMPING};
 use gpma_core::GpmaPlus;
 use gpma_graph::datasets::pokec_like;
-use gpma_graph::UpdateBatch;
+use gpma_graph::{Edge, UpdateBatch};
 use gpma_sim::{Device, DeviceConfig, DeviceMetrics};
 
 const NV: u32 = 2_000;
 const INITIAL: usize = 20_000;
 const SLIDE: usize = 1_000;
 
-/// Build on the first 20 000 edges, slide three mixed batches through the
-/// lazy-delete path, then run every device analytic once. Returns the
-/// device's totals after the slides and at the end.
+/// Bulk-build the store on the first 20 000 edges of a stream that has
+/// `extra` more.
+fn build(dev: &Device, extra: usize) -> (GpmaPlus, Vec<Edge>) {
+    let edges = pokec_like(NV, INITIAL + extra, 7).edges;
+    (GpmaPlus::build(dev, NV, &edges[..INITIAL]), edges)
+}
+
+/// `slides` mixed batches through the lazy-delete path: each inserts the
+/// next `slide` edges of the stream and deletes the `slide` oldest.
+fn slide_through(dev: &Device, g: &mut GpmaPlus, edges: &[Edge], slides: usize, slide: usize) {
+    for i in 0..slides {
+        let batch = UpdateBatch {
+            insertions: edges[INITIAL + i * slide..INITIAL + (i + 1) * slide].to_vec(),
+            deletions: edges[i * slide..(i + 1) * slide].to_vec(),
+        };
+        g.update_batch_lazy(dev, &batch);
+    }
+}
+
+/// Build, three 2 000-update slides, then every device analytic once.
+/// Returns the device's totals after the slides and at the end.
 fn run(cfg: DeviceConfig) -> [[u64; 5]; 2] {
     let dev = Device::new(cfg);
-    let stream = pokec_like(NV, INITIAL + 3 * SLIDE, 7);
-    let edges = &stream.edges;
-    let mut g = GpmaPlus::build(&dev, NV, &edges[..INITIAL]);
-    for i in 0..3 {
-        let batch = UpdateBatch {
-            insertions: edges[INITIAL + i * SLIDE..INITIAL + (i + 1) * SLIDE].to_vec(),
-            deletions: edges[i * SLIDE..(i + 1) * SLIDE].to_vec(),
-        };
-        g.update_batch_lazy(&dev, &batch);
-    }
+    let (mut g, edges) = build(&dev, 3 * SLIDE);
+    slide_through(&dev, &mut g, &edges, 3, SLIDE);
     let store = totals(&dev.metrics());
     let view = GpmaView::build(&dev, &g.storage);
     bfs_device(&dev, &view, 0);
@@ -58,6 +72,15 @@ fn totals(m: &DeviceMetrics) -> [u64; 5] {
     ]
 }
 
+/// Eight 256-update slides. Returns their totals alone, without the build.
+fn run_small_batches(cfg: DeviceConfig) -> [u64; 5] {
+    let dev = Device::new(cfg);
+    let (mut g, edges) = build(&dev, 8 * 128);
+    dev.reset_clock();
+    slide_through(&dev, &mut g, &edges, 8, 128);
+    totals(&dev.metrics())
+}
+
 #[test]
 fn benchmark_device_counts_are_pinned() {
     // What every benchmark device uses: inline lanes, every 16th warp traced.
@@ -67,6 +90,17 @@ fn benchmark_device_counts_are_pinned() {
     });
     assert_eq!(store, [230, 1_349_670, 2_312_578, 11_200, 7_944]);
     assert_eq!(all, [324, 1_916_574, 3_048_288, 215_198, 8_104]);
+}
+
+#[test]
+fn small_batch_counts_are_pinned() {
+    let benchmark = run_small_batches(DeviceConfig {
+        host_parallelism: 1,
+        ..Default::default()
+    });
+    assert_eq!(benchmark, [440, 2_589_030, 4_588_468, 4_054, 2_934]);
+    let deterministic = run_small_batches(DeviceConfig::deterministic());
+    assert_eq!(deterministic, [440, 2_589_068, 4_588_964, 4_054, 2_934]);
 }
 
 #[test]

@@ -10,12 +10,17 @@
 //!
 //! A sampled warp's lanes append their addresses to one flat trace owned by
 //! the host thread running them (`TRACE`, reused across warps and launches,
-//! released once a warp grows it past `TRACE_RETAIN` entries); the warp is
-//! then counted step by step — distinct lines, same-address atomics — and
-//! the launch extrapolates by the sampled ratios. Unsampled lanes trace nothing.
+//! each part released once a warp grows it past `TRACE_RETAIN` entries); the
+//! warp is then counted step by step — distinct lines, same-address atomics
+//! — in one pass over the trace in recording order, which is exact for every
+//! step whose lanes arrive in ascending order; the other steps are recounted
+//! one by one. The launch extrapolates by the sampled ratios. Unsampled
+//! lanes trace nothing, and neither does a sampled warp of one lane: each of
+//! its steps has one access, so one line and no conflict.
 
 use parking_lot::Mutex;
 use std::cell::Cell;
+use std::cmp::Reverse;
 
 use crate::config::DeviceConfig;
 use crate::metrics::{DeviceMetrics, KernelStats, SimTime};
@@ -31,7 +36,7 @@ pub struct Lane<'a> {
     ops: u64,
     mem_ops: u64,
     atomic_ops: u64,
-    /// The warp's trace, when the warp is sampled.
+    /// The warp's trace, when the warp is traced.
     trace: Option<&'a mut WarpTrace>,
 }
 
@@ -104,14 +109,47 @@ impl LaneTraces {
     }
 }
 
+/// What the counting pass knows about one aligned access step so far.
+#[derive(Clone, Copy)]
+struct Step {
+    /// Largest value a lane has had at this step.
+    max: u64,
+    /// Values that arrived above `max`, the first included: the step's
+    /// distinct count unless `below`.
+    distinct: u32,
+    /// A lane arrived below `max`, where it may or may not have been seen.
+    below: bool,
+}
+
+/// A slot of the recount's value set; in use while it carries the set's
+/// current stamp, so starting the next step's set is one increment.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    stamp: u64,
+    value: u64,
+}
+
+/// Scratch of the counting functions, reused across warps and launches.
+struct CountScratch {
+    /// One entry per step of the warp being counted.
+    steps: Vec<Step>,
+    /// `(length, start)` of the lanes still running at the step being
+    /// recounted, the longest first.
+    running: Vec<(usize, usize)>,
+    /// Open-addressing set of the step being recounted: a power of two of
+    /// slots, at least eight per lane.
+    slots: Vec<Slot>,
+    /// Stamp of the step being recounted; no slot carries a later one.
+    stamp: u64,
+}
+
 /// Everything a sampled warp records, plus the counting scratch.
 struct WarpTrace {
     /// Every memory access, atomics included (coalescing analysis).
     mem: LaneTraces,
     /// Atomic accesses only (conflict analysis).
     atomics: LaneTraces,
-    /// Distinct values of the step being counted; at most one per lane.
-    seen: Vec<u64>,
+    count: CountScratch,
 }
 
 impl WarpTrace {
@@ -119,7 +157,12 @@ impl WarpTrace {
         WarpTrace {
             mem: LaneTraces::new(),
             atomics: LaneTraces::new(),
-            seen: Vec::new(),
+            count: CountScratch {
+                steps: Vec::new(),
+                running: Vec::new(),
+                slots: Vec::new(),
+                stamp: 0,
+            },
         }
     }
 
@@ -132,12 +175,28 @@ impl WarpTrace {
         self.mem.end_lane();
         self.atomics.end_lane();
     }
+
+    /// Let go of every part a warp grew past [`TRACE_RETAIN`] entries; the
+    /// rest stays for the next launch.
+    fn shed_overgrown(&mut self) {
+        if self.mem.addrs.capacity() > TRACE_RETAIN {
+            self.mem = LaneTraces::new();
+        }
+        if self.atomics.addrs.capacity() > TRACE_RETAIN {
+            self.atomics = LaneTraces::new();
+        }
+        if self.count.steps.capacity() > TRACE_RETAIN {
+            self.count.steps = Vec::new();
+        }
+    }
 }
 
-/// A trace grown past this many entries by one warp is dropped rather than
-/// kept for the next launch: a block-sequential scan warp records 16 k
-/// accesses once, and pinning that per host thread would show up in the
-/// peak heap. Ordinary warps stay far below and reuse their allocation.
+/// A part of the trace grown past this many entries by one warp is dropped
+/// rather than kept for the next launch: a block-sequential scan warp
+/// records 16 k accesses once, and pinning that per host thread would show
+/// up in the peak heap. Ordinary warps stay far below and reuse their
+/// allocation, and the per-step scratch of that scan warp (513 steps) stays
+/// although its trace goes.
 const TRACE_RETAIN: usize = 4096;
 
 thread_local! {
@@ -256,31 +315,37 @@ impl Device {
             while warp_start < end {
                 let warp_end = (warp_start + warp).min(end);
                 let sampled = (warp_start / warp).is_multiple_of(sample);
+                // A lone lane has every step to itself: one line per access
+                // and no atomic to collide with, known without a trace.
+                let traced = sampled && warp_end - warp_start > 1;
+                let mem_ops_before = local.sampled_mem_ops;
                 let mut warp_max_ops = 0u64;
-                if sampled {
+                if traced {
                     trace.clear();
                 }
                 for tid in warp_start..warp_end {
-                    let mut lane = Lane::new(tid, sampled.then_some(&mut trace));
+                    let mut lane = Lane::new(tid, traced.then_some(&mut trace));
                     f(&mut lane);
                     warp_max_ops = warp_max_ops.max(lane.ops);
                     local.add_lane(&lane, sampled);
-                    if sampled {
+                    if traced {
                         trace.end_lane();
                     }
                 }
-                if sampled {
+                if traced {
                     local.sampled_transactions +=
-                        coalesced_transactions(&trace.mem, tx_bytes, &mut trace.seen);
+                        coalesced_transactions(&trace.mem, tx_bytes, &mut trace.count);
                     local.sampled_atomic_conflicts +=
-                        atomic_conflicts(&trace.atomics, &mut trace.seen);
+                        atomic_conflicts(&trace.atomics, &mut trace.count);
+                } else {
+                    // The lone lane's accesses; zero when nothing was sampled.
+                    local.sampled_transactions += local.sampled_mem_ops - mem_ops_before;
                 }
                 local.warp_max_ops_sum += warp_max_ops;
                 warp_start = warp_end;
             }
-            if trace.mem.addrs.capacity() <= TRACE_RETAIN {
-                TRACE.set(trace);
-            }
+            trace.shed_overgrown();
+            TRACE.set(trace);
             local
         };
 
@@ -391,36 +456,111 @@ impl Device {
 
 /// Sum over the warp's aligned access steps of the number of distinct
 /// `addr / granule` values the lanes still running at that step touch.
-/// `seen` is scratch; it never holds more than one entry per lane.
 // lint: hot-path
-fn distinct_per_step(t: &LaneTraces, granule: u64, seen: &mut Vec<u64>) -> u64 {
-    let mut steps = 0;
+fn distinct_per_step(t: &LaneTraces, granule: u64, scratch: &mut CountScratch) -> u64 {
+    if t.addrs.is_empty() {
+        // Most kernels have no atomics: no step, whatever the lane count.
+        return 0;
+    }
+    if granule.is_power_of_two() {
+        // The granule's first address orders and tells apart like its index.
+        let index_bits = !(granule - 1);
+        count_steps(t, |addr| addr & index_bits, scratch)
+    } else {
+        count_steps(t, |addr| addr / granule, scratch)
+    }
+}
+
+/// [`distinct_per_step`] over `unit(addr)`. One pass over the trace in the
+/// order it was recorded keeps, per step, the largest value so far and how
+/// many arrived above it: lanes mostly walk a buffer in lane order
+/// (coalesced, strided, one block each), so a step's next value is its
+/// largest again or a larger, hence new, one, and the count is exact. A step
+/// where some value arrived below the largest — its lanes were in different
+/// buffers, or ran against lane order — is left to [`recount_below`].
+// lint: hot-path
+fn count_steps(t: &LaneTraces, unit: impl Fn(u64) -> u64, scratch: &mut CountScratch) -> u64 {
+    let steps = &mut scratch.steps;
+    steps.clear();
     let mut start = 0;
     for &end in &t.ends {
-        steps = steps.max(end - start);
+        let lane = &t.addrs[start..end];
+        let (known, first) = lane.split_at(lane.len().min(steps.len()));
+        for (step, &addr) in steps.iter_mut().zip(known) {
+            let v = unit(addr);
+            step.distinct += u32::from(v > step.max);
+            step.below |= v < step.max;
+            step.max = step.max.max(v);
+        }
+        // This lane is the first to get this far.
+        steps.extend(first.iter().map(|&addr| Step {
+            max: unit(addr),
+            distinct: 1,
+            below: false,
+        }));
         start = end;
     }
-    let mut total = 0u64;
-    for step in 0..steps {
-        seen.clear();
-        // Largest value seen this step: lanes mostly walk memory in lane
-        // order (coalesced, strided, one block each), so the next value is
-        // that one again or a larger, hence new, one — no scan needed.
-        let mut max = None;
-        let mut start = 0;
-        for &end in &t.ends {
-            if start + step < end {
-                let v = t.addrs[start + step] / granule;
-                if max < Some(v) {
-                    seen.push(v);
-                    max = Some(v);
-                } else if max != Some(v) && !seen.contains(&v) {
-                    seen.push(v);
-                }
-            }
-            start = end;
+    let certified = steps.iter().filter(|step| !step.below);
+    let total: u64 = certified.map(|step| u64::from(step.distinct)).sum();
+    match steps.iter().position(|step| step.below) {
+        Some(first) => total + recount_below(t, first, unit, scratch),
+        None => total,
+    }
+}
+
+/// The exact distinct counts of the steps [`count_steps`] marked `below`,
+/// summed, `first` being the earliest of them: such a step's values go
+/// through a set. The lanes that reach `first` are listed longest first, so
+/// the lanes still running at a later step are a prefix of the list and a
+/// step is gathered without a test per lane, however ragged the warp.
+// lint: hot-path
+fn recount_below(
+    t: &LaneTraces,
+    first: usize,
+    unit: impl Fn(u64) -> u64,
+    scratch: &mut CountScratch,
+) -> u64 {
+    let CountScratch {
+        steps,
+        running,
+        slots,
+        stamp,
+    } = scratch;
+    running.clear();
+    let mut start = 0;
+    for &end in &t.ends {
+        if end - start > first {
+            running.push((end - start, start));
         }
-        total += seen.len() as u64;
+        start = end;
+    }
+    // Lanes of one length (a scatter's, say) are found in order and left so.
+    running.sort_unstable_by_key(|&(len, _)| Reverse(len));
+    // Sparse enough that a probe rarely meets another value.
+    let room = (8 * t.ends.len()).next_power_of_two();
+    if slots.len() < room {
+        slots.resize(room, Slot::default());
+    }
+    let mask = slots.len() - 1;
+    let shift = 64 - slots.len().trailing_zeros();
+    let mut total = 0u64;
+    for (s, _) in steps.iter().enumerate().skip(first).filter(|(_, step)| step.below) {
+        while running.last().is_some_and(|&(len, _)| len <= s) {
+            running.pop();
+        }
+        *stamp += 1;
+        for &(_, start) in running.iter() {
+            let v = unit(t.addrs[start + s]);
+            let mut i = (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+            while slots[i].stamp == *stamp && slots[i].value != v {
+                i = (i + 1) & mask;
+            }
+            total += u64::from(slots[i].stamp != *stamp);
+            slots[i] = Slot {
+                stamp: *stamp,
+                value: v,
+            };
+        }
     }
     total
 }
@@ -429,15 +569,15 @@ fn distinct_per_step(t: &LaneTraces, granule: u64, seen: &mut Vec<u64>) -> u64 {
 /// warp: at each step, lanes hitting the same `tx_bytes` line share one
 /// transaction (the hardware coalescer).
 // lint: hot-path
-fn coalesced_transactions(t: &LaneTraces, tx_bytes: u64, seen: &mut Vec<u64>) -> u64 {
-    distinct_per_step(t, tx_bytes, seen)
+fn coalesced_transactions(t: &LaneTraces, tx_bytes: u64, scratch: &mut CountScratch) -> u64 {
+    distinct_per_step(t, tx_bytes, scratch)
 }
 
 /// Same-address atomic collisions within a warp step (serialized by
 /// hardware): every atomic beyond the first on its address at its step.
 // lint: hot-path
-fn atomic_conflicts(t: &LaneTraces, seen: &mut Vec<u64>) -> u64 {
-    t.addrs.len() as u64 - distinct_per_step(t, 1, seen)
+fn atomic_conflicts(t: &LaneTraces, scratch: &mut CountScratch) -> u64 {
+    t.addrs.len() as u64 - distinct_per_step(t, 1, scratch)
 }
 
 #[cfg(test)]
@@ -490,6 +630,30 @@ mod tests {
         conflicts
     }
 
+    /// Scratch as earlier warps leave it: steps of another warp, a set too
+    /// small for a full warp with every slot stamped in use, lanes listed.
+    fn dirty_scratch() -> CountScratch {
+        CountScratch {
+            steps: vec![
+                Step {
+                    max: 7,
+                    distinct: 3,
+                    below: true,
+                };
+                40
+            ],
+            running: vec![(9, 9); 5],
+            slots: vec![
+                Slot {
+                    stamp: 41,
+                    value: 1 << 20,
+                };
+                16
+            ],
+            stamp: 41,
+        }
+    }
+
     fn flatten(traces: &[Vec<u64>]) -> LaneTraces {
         let mut flat = LaneTraces::new();
         for t in traces {
@@ -504,12 +668,15 @@ mod tests {
     fn ragged_traces(lanes: usize, max_len: usize, pattern: u8, seed: u64) -> Vec<Vec<u64>> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let base = 1u64 << 20;
+        let streams = rng.gen_range(2..=6u64);
         (0..lanes as u64)
             .map(|lane| {
                 if rng.gen_range(0..4) == 0 {
                     return Vec::new();
                 }
                 let len = rng.gen_range(0..=max_len) as u64;
+                // How far this lane has read into each of its streams.
+                let mut cursors = [0u64; 6];
                 (0..len)
                     .map(|step| match pattern {
                         // Every access on one address.
@@ -521,45 +688,159 @@ mod tests {
                         // Strided: each lane walks its own block.
                         3 => base + (lane * 513 + step) * 4,
                         // Lanes in descending address order.
-                        4 => base + ((31 - lane) * 2048 + step) * 4,
+                        4 => base + ((63 - lane) * 2048 + step) * 4,
                         // A pool of six hot addresses.
                         5 => base + rng.gen_range(0..6u64) * 64,
                         // Fully scattered.
-                        _ => rng.gen_range(0..u64::MAX),
+                        6 => rng.gen_range(0..u64::MAX),
+                        // A merge kernel: every lane reads a few buffers in
+                        // a data-dependent order, each one forwards from a
+                        // place that grows with the lane.
+                        _ => {
+                            let k = rng.gen_range(0..streams);
+                            cursors[k as usize] += 1;
+                            base + (k << 24) + (lane * 24 + cursors[k as usize]) * 8
+                        }
                     })
                     .collect()
             })
             .collect()
     }
 
+    /// A warp's lanes as `launch` sees them: a script of `(index, atomic)`
+    /// accesses into one `u32` buffer per lane. Lanes read 2 to 6 regions of
+    /// the buffer in a data-dependent order, forwards from a place that grows
+    /// with the lane; one access in eight is an atomic on a few hot words;
+    /// one lane in five does nothing.
+    fn merge_scripts(lanes: usize, max_len: usize, seed: u64) -> Vec<Vec<(usize, bool)>> {
+        const REGION: usize = 1 << 13;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let streams = rng.gen_range(2..=6usize);
+        (0..lanes)
+            .map(|lane| {
+                if lanes > 1 && rng.gen_range(0..5) == 0 {
+                    return Vec::new();
+                }
+                let len = rng.gen_range(1..=max_len);
+                let mut cursors = [0usize; 6];
+                (0..len)
+                    .map(|_| {
+                        let k = rng.gen_range(0..streams);
+                        if rng.gen_range(0..8) == 0 {
+                            return (k * REGION + rng.gen_range(0..4usize), true);
+                        }
+                        cursors[k] += 1;
+                        (k * REGION + (lane * 24 + cursors[k]) % REGION, false)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    const WARP_SIZES: [usize; 3] = [1, 8, 64];
+    const LINE_BYTES: [usize; 2] = [96, 128];
+
+    /// Replay `scripts` as one launch with every warp sampled, and compare
+    /// its counts with the oracle's, taken warp by warp on the same addresses.
+    fn assert_launch_matches_the_oracle(
+        warp_size: usize,
+        transaction_bytes: usize,
+        scripts: &[Vec<(usize, bool)>],
+    ) {
+        let dev = Device::new(DeviceConfig {
+            warp_size,
+            transaction_bytes,
+            ..DeviceConfig::deterministic()
+        });
+        let buf = DeviceBuffer::<u32>::new(6 << 13);
+        let stats = dev.launch("replay", scripts.len(), |lane| {
+            for &(i, atomic) in &scripts[lane.tid] {
+                if atomic {
+                    buf.atomic_add(lane, i, 0);
+                } else {
+                    let _ = buf.get(lane, i);
+                }
+            }
+        });
+        let (mut transactions, mut conflicts) = (0u64, 0u64);
+        for warp in scripts.chunks(warp_size) {
+            let addrs = |atomics_only: bool| -> Vec<Vec<u64>> {
+                warp.iter()
+                    .map(|script| {
+                        script
+                            .iter()
+                            .filter(|&&(_, atomic)| atomic || !atomics_only)
+                            .map(|&(i, _)| buf.base_addr() + 4 * i as u64)
+                            .collect()
+                    })
+                    .collect()
+            };
+            transactions += coalesced_transactions_ref(&addrs(false), transaction_bytes as u64);
+            conflicts += atomic_conflicts_ref(&addrs(true));
+        }
+        // `cost_model` with every access sampled.
+        let scaled = |total: u64, sampled: u64| total as f64 * (sampled as f64 / total.max(1) as f64);
+        assert_eq!(stats.mem_transactions, scaled(stats.mem_ops, transactions).ceil() as u64);
+        assert_eq!(stats.atomic_conflicts, scaled(stats.atomic_ops, conflicts).round() as u64);
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn counting_matches_the_hashset_oracle(
-            lanes in 1usize..=32,
-            max_len in 0usize..=600,
-            pattern in 0u8..7,
+            lanes in 1usize..=64,
+            max_len in 0usize..=300,
+            pattern in 0u8..8,
             seed in any::<u64>(),
         ) {
             let traces = ragged_traces(lanes, max_len, pattern, seed);
             let flat = flatten(&traces);
-            // Scratch arrives dirty, as it does from the previous warp.
-            let mut seen = vec![7; 40];
-            for tx_bytes in [32, 128] {
+            let mut scratch = dirty_scratch();
+            for tx_bytes in [32, 96, 128] {
                 prop_assert_eq!(
-                    coalesced_transactions(&flat, tx_bytes, &mut seen),
+                    coalesced_transactions(&flat, tx_bytes, &mut scratch),
                     coalesced_transactions_ref(&traces, tx_bytes),
                     "lanes {} max_len {} pattern {} seed {} tx {}",
                     lanes, max_len, pattern, seed, tx_bytes
                 );
             }
             prop_assert_eq!(
-                atomic_conflicts(&flat, &mut seen),
+                atomic_conflicts(&flat, &mut scratch),
                 atomic_conflicts_ref(&traces),
                 "lanes {} max_len {} pattern {} seed {}",
                 lanes, max_len, pattern, seed
             );
+        }
+
+        #[test]
+        fn a_launch_of_merging_lanes_matches_the_oracle(
+            warp_size in 0usize..3,
+            transaction_bytes in 0usize..2,
+            lanes in 1usize..=150,
+            seed in any::<u64>(),
+        ) {
+            let scripts = merge_scripts(lanes, 200, seed);
+            assert_launch_matches_the_oracle(
+                WARP_SIZES[warp_size],
+                LINE_BYTES[transaction_bytes],
+                &scripts,
+            );
+        }
+
+        #[test]
+        fn a_warp_of_one_lane_is_exact_without_a_trace(
+            warp_size in 0usize..3,
+            transaction_bytes in 0usize..2,
+            full_warps in 0usize..=2,
+            max_len in 1usize..=20_000,
+            seed in any::<u64>(),
+        ) {
+            // The launch ends in a warp of one lane, the long one.
+            let warp_size = WARP_SIZES[warp_size];
+            let mut scripts = merge_scripts(full_warps * warp_size, 40, seed);
+            scripts.extend(merge_scripts(1, max_len, seed));
+            assert_launch_matches_the_oracle(warp_size, LINE_BYTES[transaction_bytes], &scripts);
         }
     }
 
@@ -650,34 +931,57 @@ mod tests {
         }
     }
 
-    /// Capacity of this thread's parked trace.
-    fn parked_trace_capacity() -> usize {
+    /// Capacities this thread's parked trace holds: accesses, atomics and
+    /// per-step counting scratch.
+    fn parked_capacities() -> [usize; 3] {
         let trace = TRACE.replace(WarpTrace::new());
-        let cap = trace.mem.addrs.capacity();
+        let caps = [
+            trace.mem.addrs.capacity(),
+            trace.atomics.addrs.capacity(),
+            trace.count.steps.capacity(),
+        ];
         TRACE.set(trace);
-        cap
+        caps
     }
 
     #[test]
     fn trace_scratch_is_kept_until_a_warp_outgrows_it() {
         let dev = det_device();
         let buf = DeviceBuffer::<u32>::new(1 << 16);
-        let walk = |per_lane: usize| {
-            dev.launch("walk", 64, |lane| {
+        // Each lane walks its own block and bumps one counter per access in
+        // `atomics`.
+        let walk = |lanes: usize, per_lane: usize, atomics: usize| {
+            dev.launch("walk", lanes, |lane| {
                 for k in 0..per_lane {
                     let _ = buf.get(lane, lane.tid * per_lane + k);
+                }
+                for _ in 0..atomics {
+                    buf.atomic_add(lane, lane.tid, 1);
                 }
             });
         };
         // 32 lanes x 128 accesses = TRACE_RETAIN entries per warp: kept.
-        walk(TRACE_RETAIN / 32);
-        let kept = parked_trace_capacity();
-        assert!((TRACE_RETAIN / 2..=TRACE_RETAIN).contains(&kept), "{kept}");
-        walk(8);
-        assert_eq!(parked_trace_capacity(), kept);
-        // One entry more per lane: the trace doubles and is let go.
-        walk(TRACE_RETAIN / 32 + 1);
-        assert_eq!(parked_trace_capacity(), 0);
+        walk(64, TRACE_RETAIN / 32 - 1, 1);
+        let kept = parked_capacities();
+        assert!((TRACE_RETAIN / 2..=TRACE_RETAIN).contains(&kept[0]), "{kept:?}");
+        assert!(kept[1] >= 32 && kept[2] >= TRACE_RETAIN / 32, "{kept:?}");
+        walk(64, 8, 0);
+        assert_eq!(parked_capacities(), kept);
+        // A lone lane records nothing, however long it runs.
+        walk(1, 4 * TRACE_RETAIN, TRACE_RETAIN);
+        assert_eq!(parked_capacities(), kept);
+        // One access more per lane: the accesses double and are let go; the
+        // atomics and the 129 steps stay.
+        walk(64, TRACE_RETAIN / 32 + 1, 0);
+        let [accesses, atomics, steps] = parked_capacities();
+        assert_eq!((accesses, atomics), (0, kept[1]));
+        assert!((129..=TRACE_RETAIN).contains(&steps), "{steps}");
+        // The same through atomics, which count as accesses too: both go.
+        walk(64, 0, TRACE_RETAIN / 32 + 1);
+        assert_eq!(parked_capacities(), [0, 0, steps]);
+        // Two lanes, one of them long: the steps go with the accesses.
+        walk(2, TRACE_RETAIN + 1, 0);
+        assert_eq!(parked_capacities(), [0, 0, 0]);
     }
 
     #[test]

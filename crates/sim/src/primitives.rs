@@ -375,10 +375,8 @@ pub fn radix_sort_pairs_u64(
         return;
     }
     let nb = n.div_ceil(BLOCK);
-    let mut src_k = keys.clone();
-    let mut src_v = vals.clone();
-    let mut dst_k = DeviceBuffer::<u64>::new(n);
-    let mut dst_v = DeviceBuffer::<u64>::new(n);
+    let mut other_k = DeviceBuffer::<u64>::new(n);
+    let mut other_v = DeviceBuffer::<u64>::new(n);
 
     for pass in 0..(64 / RADIX_BITS) {
         let shift = pass * RADIX_BITS;
@@ -388,18 +386,17 @@ pub fn radix_sort_pairs_u64(
             nb,
             shift,
             PassBufs {
-                src_k: &src_k,
-                src_v: &src_v,
-                dst_k: &dst_k,
-                dst_v: &dst_v,
+                src_k: keys,
+                src_v: vals,
+                dst_k: &other_k,
+                dst_v: &other_v,
             },
         );
-        std::mem::swap(&mut src_k, &mut dst_k);
-        std::mem::swap(&mut src_v, &mut dst_v);
+        std::mem::swap(keys, &mut other_k);
+        std::mem::swap(vals, &mut other_v);
     }
-    // 8 passes = even number of swaps: result lives in src_k/src_v.
-    *keys = src_k;
-    *vals = src_v;
+    // 8 passes = an even number of swaps: the result is in the caller's
+    // allocations again.
 }
 
 /// Sort a key-only buffer.

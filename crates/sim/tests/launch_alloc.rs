@@ -55,7 +55,10 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 /// One round of launches: a wide kernel with loads, stores and conflicting
 /// atomics, a kernel whose sampled warps trace 4 096 accesses each (the most
-/// the retained scratch holds), and an empty grid.
+/// the retained scratch holds), a ragged kernel whose lanes take turns on
+/// three buffers out of step with each other (1 to 200 accesses; most of its
+/// steps are recounted), one lane making 16 384 accesses (a warp of one,
+/// never traced), and an empty grid.
 fn launches(dev: &Device, data: &DeviceBuffer<u64>, counters: &DeviceBuffer<u32>) -> u64 {
     let wide = dev.launch("wide", 4_096, |lane| {
         let v = data.get(lane, lane.tid);
@@ -67,8 +70,22 @@ fn launches(dev: &Device, data: &DeviceBuffer<u64>, counters: &DeviceBuffer<u32>
             let _ = data.get(lane, lane.tid * 128 + k);
         }
     });
+    let thirds = data.len() / 3;
+    let ragged = dev.launch("ragged", 64, |lane| {
+        // 1 to 200 accesses, about 3 300 per warp.
+        for k in 0..=(lane.tid * 131) % 200 {
+            // Lane `tid` starts on buffer `tid % 3`.
+            let third = (lane.tid + k) % 3;
+            let _ = data.get(lane, third * thirds + (lane.tid * 7 + k) % thirds);
+        }
+    });
+    let lone = dev.launch("lone", 1, |lane| {
+        for k in 0..16_384 {
+            let _ = data.get(lane, k % data.len());
+        }
+    });
     let empty = dev.launch("empty", 0, |_| {});
-    wide.cycles + deep.cycles + empty.cycles
+    wide.cycles + deep.cycles + ragged.cycles + lone.cycles + empty.cycles
 }
 
 #[test]
