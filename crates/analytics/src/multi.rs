@@ -15,12 +15,12 @@
 
 use gpma_core::multi::MultiGpma;
 use gpma_sim::pcie::Pcie;
-use gpma_sim::{DeviceBuffer, SimTime};
+use gpma_sim::{Device, DeviceBuffer, SimTime};
 
 use crate::bfs::UNREACHED;
 use crate::cc::cc_hook;
-use crate::pagerank::{finalize_host, pr_scatter, PageRank};
-use crate::util::filled_f64;
+use crate::pagerank::{finalize_host, PageRank};
+use crate::util::{atomic_add_f64, filled_f64, load_f64};
 use crate::view::{DeviceGraphView, GpmaView, HostGraph};
 
 /// Timing of a multi-device analytic run.
@@ -102,6 +102,24 @@ pub fn bfs_multi(m: &mut MultiGpma, root: u32) -> (Vec<u32>, MultiTime) {
         level += 1;
     }
     (dist, time)
+}
+
+/// Push SpMV over one shard: every live entry (u → v) atomically adds
+/// `share[u]` to `y[v]`, where `share[u]` is `x[u] / outdeg[u]` divided
+/// once per vertex, not per edge. `pagerank_device` pulls instead; a pull
+/// here would change Figure 12's simulated times.
+fn pr_scatter<G: DeviceGraphView>(
+    dev: &Device,
+    g: &G,
+    share: &DeviceBuffer<u64>,
+    y: &DeviceBuffer<u64>,
+) {
+    dev.launch("pr_spmv", g.num_slots(), |lane| {
+        if let Some((u, v)) = g.slot_entry(lane, lane.tid) {
+            let s = load_f64(lane, share, u as usize);
+            atomic_add_f64(lane, y, v as usize, s);
+        }
+    });
 }
 
 /// Multi-device PageRank: each device scatters its shard's edges into a

@@ -1,20 +1,32 @@
-//! PageRank (§6.3): power iteration over the adjacency matrix — the SpMV
-//! kernel executed edge-centrically with atomic scatter, damping 0.85,
-//! terminating when the L1 error drops below 1e-3 (the paper's standard
-//! setup). Dangling mass is redistributed uniformly.
+//! PageRank (§6.3): power iteration over the adjacency matrix, damping
+//! 0.85, terminating when the L1 error drops below 1e-3 (the paper's
+//! standard setup). Dangling mass is redistributed uniformly.
 //!
-//! Device kernels: `pr_init` once (uniform ranks, their shares and
-//! dangling partials), then per iteration `pr_spmv` (a slot-wide scatter of
-//! `share[u] = x[u] / outdeg[u]` into `y[v]`: one key load, one share load,
-//! one atomic add per live entry) and `pr_update` (per vertex: the new rank
-//! from `y[v]`, then `|rank − old|`, the dangling partial, the next share
-//! and `y[v] = 0` written in the same pass), followed by the two
-//! `reduce_f64` sums the stopping rule and the next update need. Five
-//! `|V|`-sized buffers, allocated once per call.
+//! The device SpMV *pulls*, the form Gunrock runs PageRank in: each vertex
+//! gathers over its in-edges, so no lane writes another vertex's sum and no
+//! atomic is needed per edge. GPMA+ is keyed by source, so the in-edges are
+//! indexed once per call by a counting sort over the slot array
+//! (`in_edges`): `pr_in_count` counts each destination's live entries,
+//! `exclusive_scan_u32` turns the counts into row offsets, and
+//! `pr_in_place` writes every entry's source at its destination's cursor.
+//! Then `pr_init` (uniform ranks, their shares `x[v] / outdeg[v]`, dangling
+//! partials), and per iteration one per-vertex launch, `pr_pull`: sum
+//! `share[u]` over `v`'s in-edges, compute the rank, write it with
+//! `|rank − old|`, the dangling partial and the next share — into the other
+//! of two share buffers, as the sweep still reads this one — followed by
+//! the two `reduce_f64` sums the stopping rule and the next sweep need.
+//! Five `|V|`-sized f64 buffers and the index, allocated once per call.
+//!
+//! On an inline device the cursors hand out places in slot order, which is
+//! the order the edge-centric push scatter this replaced added the shares
+//! in, so the ranks are bit-identical to it. On a pooled device a row's
+//! order, and with it the last bits of a sum, vary between runs.
+//! `pagerank_multi` (`multi.rs`) still pushes, one atomic scatter per shard.
 
+use gpma_sim::primitives::exclusive_scan_u32;
 use gpma_sim::{Device, DeviceBuffer, Lane};
 
-use crate::util::{atomic_add_f64, filled_f64, load_f64, reduce_f64, store_f64};
+use crate::util::{load_f64, reduce_f64, store_f64};
 use crate::view::{DeviceGraphView, HostGraph};
 
 /// The paper's standard parameters.
@@ -36,25 +48,43 @@ pub struct PageRank {
     pub converged: bool,
 }
 
-/// SpMV scatter: every live entry (u → v) adds `share[u]` to `y[v]`, where
-/// `share[u]` is `x[u] / outdeg[u]` divided once per vertex, not per edge.
-pub(crate) fn pr_scatter<G: DeviceGraphView>(
-    dev: &Device,
-    g: &G,
-    share: &DeviceBuffer<u64>,
-    y: &DeviceBuffer<u64>,
-) {
-    dev.launch("pr_spmv", g.num_slots(), |lane| {
-        if let Some((u, v)) = g.slot_entry(lane, lane.tid) {
-            let s = load_f64(lane, share, u as usize);
-            atomic_add_f64(lane, y, v as usize, s);
-        }
-    });
+/// The live entries grouped by destination, CSR-style: the sources of
+/// `v`'s in-edges are `sources[offsets[v]..offsets[v + 1]]`.
+pub(crate) struct InEdges {
+    /// `|V| + 1` row offsets; the last is the number of live entries.
+    pub(crate) offsets: DeviceBuffer<u32>,
+    /// One source per live entry.
+    pub(crate) sources: DeviceBuffer<u32>,
 }
 
-/// Device PageRank via iterated SpMV: per iteration one scatter
-/// (`pr_spmv`), one fused per-vertex pass (`pr_update`) and the two
-/// reductions (L1 error, dangling mass) over what that pass wrote.
+/// Index `g`'s in-edges by counting sort: count each destination's live
+/// entries, scan the counts into offsets, then place every entry's source
+/// at an atomic per-destination cursor. Two slot-wide launches and a scan,
+/// one atomic per live entry in each pass.
+pub(crate) fn in_edges<G: DeviceGraphView>(dev: &Device, g: &G) -> InEdges {
+    let nv = g.num_vertices() as usize;
+    // One count past the last vertex, so the scan ends on the total.
+    let counts = DeviceBuffer::<u32>::new(nv + 1);
+    dev.launch("pr_in_count", g.num_slots(), |lane| {
+        if let Some((_, v)) = g.slot_entry(lane, lane.tid) {
+            counts.atomic_add(lane, v as usize, 1);
+        }
+    });
+    let (offsets, entries) = exclusive_scan_u32(dev, &counts);
+    let sources = DeviceBuffer::<u32>::new(entries as usize);
+    let cursors = DeviceBuffer::<u32>::new(nv);
+    dev.launch("pr_in_place", g.num_slots(), |lane| {
+        if let Some((u, v)) = g.slot_entry(lane, lane.tid) {
+            let at = offsets.get(lane, v as usize) + cursors.atomic_add(lane, v as usize, 1);
+            sources.set(lane, at as usize, u);
+        }
+    });
+    InEdges { offsets, sources }
+}
+
+/// Device PageRank via iterated SpMV over the in-edge index: per iteration
+/// one per-vertex gather (`pr_pull`) and the two reductions (L1 error,
+/// dangling mass) over what it wrote.
 pub fn pagerank_device<G: DeviceGraphView>(
     dev: &Device,
     g: &G,
@@ -65,25 +95,26 @@ pub fn pagerank_device<G: DeviceGraphView>(
     let nv = g.num_vertices() as usize;
     assert!(nv > 0);
     let deg = g.degrees();
-    // The whole buffer set, allocated once: ranks, scattered sums, the
-    // pre-divided shares, and the two per-vertex reduction inputs.
+    let InEdges { offsets, sources } = in_edges(dev, g);
+    // The whole buffer set, allocated once: ranks, the pre-divided shares
+    // one sweep reads and the next one's (swapped every sweep), and the two
+    // per-vertex reduction inputs.
     let x = DeviceBuffer::<u64>::new(nv);
-    let y = filled_f64(0.0, nv);
-    let share = DeviceBuffer::<u64>::new(nv);
+    let shares = [DeviceBuffer::<u64>::new(nv), DeviceBuffer::<u64>::new(nv)];
     let diff = DeviceBuffer::<u64>::new(nv);
     let dangling_parts = DeviceBuffer::<u64>::new(nv);
     // Rank, share and dangling partial of one vertex, as `pr_init` and
-    // `pr_update` both leave them for the next scatter.
-    let publish = |lane: &mut Lane, v: usize, rank: f64, d: u32| {
+    // `pr_pull` both leave them for the next sweep.
+    let publish = |lane: &mut Lane, share: &DeviceBuffer<u64>, v: usize, rank: f64, d: u32| {
         store_f64(lane, &x, v, rank);
         let (s, dangling) = if d == 0 { (0.0, rank) } else { (rank / d as f64, 0.0) };
-        store_f64(lane, &share, v, s);
+        store_f64(lane, share, v, s);
         store_f64(lane, &dangling_parts, v, dangling);
     };
     dev.launch("pr_init", nv, |lane| {
         let v = lane.tid;
         let d = deg.get(lane, v);
-        publish(lane, v, 1.0 / nv as f64, d);
+        publish(lane, &shares[0], v, 1.0 / nv as f64, d);
     });
     // Mass held by out-degree-0 vertices.
     let mut dangling = reduce_f64(dev, &dangling_parts);
@@ -91,19 +122,22 @@ pub fn pagerank_device<G: DeviceGraphView>(
     let mut converged = false;
 
     while iterations < max_iters {
+        let (share, next) = (&shares[iterations % 2], &shares[(iterations + 1) % 2]);
         iterations += 1;
-        pr_scatter(dev, g, &share, &y);
-        // rank = (1-d)/N + d * (y + dangling/N), with everything the next
-        // iteration reads derived from it in the same pass.
-        dev.launch("pr_update", nv, |lane| {
+        // rank = (1-d)/N + d * (Σ share[u] over in-edges + dangling/N), with
+        // everything the next sweep reads derived from it in the same pass.
+        dev.launch("pr_pull", nv, |lane| {
             let v = lane.tid;
-            let raw = load_f64(lane, &y, v);
             let old = load_f64(lane, &x, v);
             let d = deg.get(lane, v);
+            let mut raw = 0.0;
+            for i in offsets.get(lane, v)..offsets.get(lane, v + 1) {
+                let u = sources.get(lane, i as usize);
+                raw += load_f64(lane, share, u as usize);
+            }
             let rank = (1.0 - damping) / nv as f64 + damping * (raw + dangling / nv as f64);
-            publish(lane, v, rank, d);
+            publish(lane, next, v, rank, d);
             store_f64(lane, &diff, v, (rank - old).abs());
-            store_f64(lane, &y, v, 0.0);
         });
         let err = reduce_f64(dev, &diff);
         dangling = reduce_f64(dev, &dangling_parts);
@@ -194,6 +228,7 @@ pub(crate) fn finalize_host(y: &mut [f64], x: &[f64], dangling: f64, damping: f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::{atomic_add_f64, filled_f64};
     use crate::view::{GpmaView, RebuildView};
     use gpma_baselines::{AdjLists, RebuildCsr};
     use gpma_core::GpmaPlus;
@@ -244,10 +279,10 @@ mod tests {
         }
     }
 
-    /// The device loop as it stood before the iteration was fused: eight
-    /// launches and three fresh `|V|`-sized buffers per iteration, the
-    /// division done per edge (kernel labels prefixed `ref_`). The
-    /// bit-for-bit reference.
+    /// The device loop as it stood before the iteration was fused and
+    /// turned into a pull: an edge-centric atomic scatter, eight launches
+    /// and three fresh `|V|`-sized buffers per iteration, the division done
+    /// per edge (kernel labels prefixed `ref_`). The bit-for-bit reference.
     fn pagerank_device_ref<G: DeviceGraphView>(
         dev: &Device,
         g: &G,
@@ -353,6 +388,77 @@ mod tests {
         assert!(gv.degrees().as_slice().iter().filter(|&&deg| deg == 0).count() >= 40);
         check(&d, &gv);
         let rc = RebuildCsr::build(&d, g.storage.num_vertices(), &live);
+        check(&d, &RebuildView::build(&d, &rc));
+    }
+
+    /// Each vertex's in-edge sources, as `in_edges` lays them out.
+    fn index_rows(index: &InEdges) -> Vec<Vec<u32>> {
+        let (offsets, sources) = (index.offsets.to_vec(), index.sources.to_vec());
+        offsets.windows(2).map(|w| sources[w[0] as usize..w[1] as usize].to_vec()).collect()
+    }
+
+    #[test]
+    fn in_edge_index_is_the_host_transpose_on_both_views() {
+        use crate::util::{slid_pokec, ISOLATED};
+        fn check<G: DeviceGraphView>(inline: &Device, pooled: &Device, g: &G, want: &[Vec<u32>]) {
+            // Inline lanes place sources in slot order, exactly.
+            let index = in_edges(inline, g);
+            assert_eq!(index.offsets.len(), want.len() + 1);
+            assert_eq!(index.sources.len(), want.iter().map(Vec::len).sum::<usize>());
+            assert_eq!(index_rows(&index), want);
+            // Pooled lanes race for the cursors: the same rows as multisets.
+            let mut rows = index_rows(&in_edges(pooled, g));
+            rows.iter_mut().for_each(|row| row.sort_unstable());
+            assert_eq!(rows, want);
+            // The pooled sums differ from the inline ones only in the order
+            // of their additions.
+            let a = pagerank_device(inline, g, DAMPING, 0.0, 10);
+            let b = pagerank_device(pooled, g, DAMPING, 0.0, 10);
+            for (v, (ra, rb)) in a.ranks.iter().zip(&b.ranks).enumerate() {
+                assert!((ra - rb).abs() < 1e-12, "vertex {v}: {ra} vs {rb}");
+            }
+            let sum: f64 = b.ranks.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-9, "rank mass {sum}");
+        }
+        let inline = dev();
+        let pooled = Device::new(DeviceConfig {
+            host_parallelism: 4,
+            ..DeviceConfig::deterministic()
+        });
+        let (g, live) = slid_pokec(&inline);
+        // The host transpose. Both views' arrays are sorted by the key
+        // `src << 32 | dst`, so slot order within a destination is
+        // ascending source: the order a sorted edge list visits them in.
+        let mut by_key: Vec<(u32, u32)> = live.iter().map(|e| (e.src, e.dst)).collect();
+        by_key.sort_unstable();
+        let mut want = vec![Vec::new(); g.storage.num_vertices() as usize];
+        for (s, d) in by_key {
+            want[d as usize].push(s);
+        }
+        assert!(want[ISOLATED as usize].is_empty());
+        let gv = GpmaView::build(&inline, &g.storage);
+        assert!(gv.num_slots() > live.len(), "the array must carry gaps");
+        check(&inline, &pooled, &gv, &want);
+        let rc = RebuildCsr::build(&inline, g.storage.num_vertices(), &live);
+        check(&inline, &pooled, &RebuildView::build(&inline, &rc), &want);
+    }
+
+    #[test]
+    fn empty_graph_has_an_empty_index_and_uniform_ranks() {
+        fn check<G: DeviceGraphView>(d: &Device, g: &G) {
+            let index = in_edges(d, g);
+            assert_eq!(index.offsets.to_vec(), vec![0; 6]);
+            assert_eq!(index.sources.len(), 0);
+            let pr = pagerank_device(d, g, DAMPING, EPSILON, MAX_ITERS);
+            assert!(pr.converged);
+            for r in &pr.ranks {
+                assert!((r - 0.2).abs() < 1e-12, "{r}");
+            }
+        }
+        let d = dev();
+        let g = GpmaPlus::build(&d, 5, &[]);
+        check(&d, &GpmaView::build(&d, &g.storage));
+        let rc = RebuildCsr::build(&d, 5, &[]);
         check(&d, &RebuildView::build(&d, &rc));
     }
 

@@ -1,7 +1,8 @@
 //! `pagerank_device` and `cc_device` allocate their buffers once per call:
 //! ten more PageRank iterations cost the reductions' few hundred bytes of
-//! partials each and no `|V|`-sized buffer, and a `cc_device` run allocates
-//! the same number of times whatever its round count.
+//! partials each and no `|V|`- or `|E|`-sized buffer, and a `cc_device` run
+//! allocates the same number of times whatever its round count. PageRank's
+//! in-edge index is built once per call, before the first iteration.
 
 mod common;
 
@@ -45,7 +46,8 @@ fn pagerank_iterations_allocate_no_vertex_sized_buffer() {
         bytes
     };
     let (ten, twenty) = (bytes_at(10), bytes_at(20));
-    // One `|V|`-sized f64 buffer is 160 000 bytes.
+    // One `|V|`-sized f64 buffer is 160 000 bytes, the index's `|E|`-sized
+    // source list 106 664.
     assert!(
         twenty - ten < 10 * 4096,
         "10 more iterations allocated {} bytes",

@@ -2,12 +2,22 @@
 //! build → update → analytics sequence, snapshotted twice. The *store*
 //! totals (after the build and the three slides) move only with the update
 //! kernels or the cost model; the *whole-sequence* totals add the view
-//! build and the three device analytics, and were last re-recorded when
-//! the analytics kernels stopped loading weights and PageRank's iteration
-//! was fused (341 → 324 launches, cycles −4.6 %, atomics and conflicts
-//! unmoved). A third set pins the small-launch path on its own: eight
-//! 256-update slides, where a launch is one to four warps, the always-sampled
-//! warp 0 is a quarter to all of it and many launches are a single lane
+//! build and the three device analytics. They were re-recorded when the
+//! analytics kernels stopped loading weights and PageRank's iteration was
+//! fused (341 → 324 launches, cycles −4.6 %, atomics and conflicts
+//! unmoved), and last when device PageRank turned from an atomic push
+//! scatter per iteration into a pull over an in-edge index counting-sorted
+//! once per call. Benchmark device `[324, 1_916_574, 3_048_288, 215_198,
+//! 8_104]` → `[319, 1_865_961, 3_069_252, 55_198, 7_976]`, deterministic
+//! `[324, 1_916_225, 3_044_628, 215_198, 8_010]` → `[319, 1_858_891,
+//! 2_984_579, 55_198, 7_954]`: ten per-iteration scatters (20 000 CAS
+//! each) became two index passes (20 000 atomic adds each), and the ten
+//! `pr_spmv` + `pr_update` pairs became ten `pr_pull` launches beside the
+//! index build's five.
+//!
+//! A third set pins the small-launch path on its own: eight 256-update
+//! slides, where a launch is one to four warps, the always-sampled warp 0
+//! is a quarter to all of it and many launches are a single lane
 //! (recorded before one-lane warps stopped being traced, unchanged after).
 //! A change to how `gpma_sim::Device::launch` traces or counts a sampled warp
 //! must leave every number here alone; a deliberate change to the kernels or
@@ -89,7 +99,7 @@ fn benchmark_device_counts_are_pinned() {
         ..Default::default()
     });
     assert_eq!(store, [230, 1_349_670, 2_312_578, 11_200, 7_944]);
-    assert_eq!(all, [324, 1_916_574, 3_048_288, 215_198, 8_104]);
+    assert_eq!(all, [319, 1_865_961, 3_069_252, 55_198, 7_976]);
 }
 
 #[test]
@@ -108,5 +118,5 @@ fn deterministic_device_counts_are_pinned() {
     // Every warp traced.
     let [store, all] = run(DeviceConfig::deterministic());
     assert_eq!(store, [230, 1_349_656, 2_312_476, 11_200, 7_940]);
-    assert_eq!(all, [324, 1_916_225, 3_044_628, 215_198, 8_010]);
+    assert_eq!(all, [319, 1_858_891, 2_984_579, 55_198, 7_954]);
 }

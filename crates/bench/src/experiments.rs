@@ -216,9 +216,25 @@ pub fn fig7(cfg: &ExpConfig) {
 /// Slide ratios of Figures 8–10 ("0.01%", "0.1%", "1%").
 pub const SLIDE_RATIOS: [f64; 3] = [0.0001, 0.001, 0.01];
 
-/// Figures 8-10: streaming application latency at each slide ratio.
+/// The approaches of `digests` whose last analytic digest differs from the
+/// first approach's, described as `name: digest vs first`. Every approach
+/// of one (dataset, slide) group saw the same batches, so they must agree.
+fn digest_mismatches(digests: &[(ApproachKind, u64)]) -> Vec<String> {
+    let Some(&(_, first)) = digests.first() else {
+        return Vec::new();
+    };
+    digests
+        .iter()
+        .filter(|(_, d)| *d != first)
+        .map(|(k, d)| format!("{}: {d} vs {first}", k.name()))
+        .collect()
+}
+
+/// Figures 8-10: streaming application latency at each slide ratio. Panics
+/// after writing the figure if two approaches disagree on a digest.
 pub fn fig_app(cfg: &ExpConfig, app: App, fig_name: &str) {
     let mut rows = Vec::new();
+    let mut mismatches = Vec::new();
     for kind in DatasetKind::ALL {
         let stream = generate(kind, cfg.scale, cfg.seed);
         for ratio in SLIDE_RATIOS {
@@ -257,20 +273,8 @@ pub fn fig_app(cfg: &ExpConfig, app: App, fig_name: &str) {
                     format!("{last_digest}"),
                 ]);
             }
-            // Cross-approach consistency: every store saw the same batches,
-            // so the analytic digests must agree.
-            if let Some((_, first)) = digests.first() {
-                for (k, d) in &digests {
-                    if d != first {
-                        eprintln!(
-                            "WARNING {fig_name}: digest mismatch on {} {}: {} vs {}",
-                            kind.name(),
-                            k.name(),
-                            d,
-                            first
-                        );
-                    }
-                }
+            for m in digest_mismatches(&digests) {
+                mismatches.push(format!("{} {}% {m}", kind.name(), ratio * 100.0));
             }
         }
         eprintln!("{fig_name}: {} done", kind.name());
@@ -284,6 +288,11 @@ pub fn fig_app(cfg: &ExpConfig, app: App, fig_name: &str) {
         ),
         &["Dataset", "Slide", "Approach", "UpdateMs", "AnalyticsMs", "Digest"],
         &rows,
+    );
+    assert!(
+        mismatches.is_empty(),
+        "{fig_name}: digest mismatch: {}",
+        mismatches.join("; ")
     );
 }
 
@@ -2367,5 +2376,25 @@ pub fn serving(cfg: &ExpConfig) {
     );
     if let Err(e) = crate::report::save_json("BENCH_serving", &json) {
         eprintln!("(json save failed for serving: {e})");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn digest_mismatches_name_every_approach_that_disagrees_with_the_first() {
+        assert!(digest_mismatches(&[]).is_empty());
+        let agree: Vec<_> = ApproachKind::ALL.iter().map(|&k| (k, 10)).collect();
+        assert!(digest_mismatches(&agree).is_empty());
+        let mut one_off = agree.clone();
+        one_off[4].1 = 11;
+        let got = digest_mismatches(&one_off);
+        assert_eq!(got, vec![format!("{}: 11 vs 10", ApproachKind::Gpma.name())]);
+        // Measured against the first approach, so a disagreeing first one
+        // names every other.
+        one_off[0].1 = 12;
+        assert_eq!(digest_mismatches(&one_off).len(), 5);
     }
 }
