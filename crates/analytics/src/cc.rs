@@ -67,13 +67,18 @@ pub fn cc_device<G: DeviceGraphView>(dev: &Device, g: &G) -> DeviceBuffer<u32> {
     labels
 }
 
-/// Number of distinct components in a label vector.
+/// Number of distinct components in a label vector. Labels are vertex ids
+/// (each component's minimum), so one bit per vertex marks the labels seen.
 pub fn component_count(labels: &[u32]) -> usize {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = vec![0u64; labels.len().div_ceil(64)];
+    let mut count = 0;
     for &l in labels {
-        seen.insert(l);
+        debug_assert!((l as usize) < labels.len(), "label {l} is not a vertex id");
+        let (word, bit) = (&mut seen[l as usize / 64], 1u64 << (l % 64));
+        count += usize::from(*word & bit == 0);
+        *word |= bit;
     }
-    seen.len()
+    count
 }
 
 /// CPU reference: union-find with path halving, undirected semantics.
@@ -207,6 +212,21 @@ mod tests {
         for _ in 0..2 {
             assert_eq!(cc_device(&d, &gv).to_vec(), want, "gpma");
             assert_eq!(cc_device(&d, &rv).to_vec(), want, "rebuild");
+        }
+    }
+
+    #[test]
+    fn component_count_equals_the_distinct_labels() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        assert_eq!(component_count(&[]), 0);
+        for len in [1usize, 63, 64, 65, 200, 1000] {
+            // Drawn from a third of the ids: repeats, and ids never used.
+            let labels: Vec<u32> = (0..len)
+                .map(|_| rng.gen_range(0..(len as u32).div_ceil(3)))
+                .collect();
+            let distinct: std::collections::HashSet<u32> = labels.iter().copied().collect();
+            assert_eq!(component_count(&labels), distinct.len(), "{len} labels");
         }
     }
 

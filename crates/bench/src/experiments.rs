@@ -818,7 +818,7 @@ pub fn incremental(cfg: &ExpConfig) {
             scratch_cc += live;
             scratch_pr += pr.iterations as u64 * live;
             let bfs_ok = engine.bfs().unwrap().distances() == dist.as_slice();
-            let cc_ok = engine.cc_mut().unwrap().labels() == labels;
+            let cc_ok = engine.cc().unwrap().labels() == labels;
             let pr_ok = engine
                 .pagerank()
                 .unwrap()

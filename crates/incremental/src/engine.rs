@@ -103,10 +103,9 @@ impl IncrementalEngine {
         &self.bfs
     }
 
-    /// The CC maintainer, when enabled (mutable: label queries compress
-    /// paths).
-    pub fn cc_mut(&mut self) -> Option<&mut IncrementalCc> {
-        self.cc.as_mut()
+    /// The CC maintainer, when enabled.
+    pub fn cc(&self) -> Option<&IncrementalCc> {
+        self.cc.as_ref()
     }
 
     /// The PageRank maintainer, when enabled.
@@ -264,7 +263,7 @@ mod tests {
             engine.apply(&delta);
             let g = engine.graph().clone();
             assert_eq!(engine.bfs().unwrap().distances(), bfs_host(&g, 0));
-            assert_eq!(engine.cc_mut().unwrap().labels(), cc_host(&g));
+            assert_eq!(engine.cc().unwrap().labels(), cc_host(&g));
             let expect = pagerank_host(&g, 0.85, 1e-9, 100_000).ranks;
             for (x, y) in engine.pagerank().unwrap().ranks().iter().zip(&expect) {
                 assert!((x - y).abs() < 1e-6, "{x} vs {y}");
@@ -321,7 +320,7 @@ mod tests {
             },
         ));
         assert_eq!(handle.epoch(), 1);
-        let components = handle.with(|e| e.cc_mut().unwrap().component_count());
+        let components = handle.with(|e| e.cc().unwrap().component_count());
         assert_eq!(components, 2);
         assert_eq!(handle.stats().epochs, 1);
     }

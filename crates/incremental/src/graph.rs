@@ -54,7 +54,7 @@ impl AppliedDelta {
 /// shared image — the engine keeps no copy of the edges. Only the reverse
 /// rows are engine-owned: `incoming[v]` is the ascending list of `v`'s
 /// in-neighbours, which the decremental repairs (BFS parent checks, CC
-/// component walks) need and the image does not index.
+/// fragment searches) need and the image does not index.
 #[derive(Debug, Clone)]
 pub struct DeltaGraph {
     image: Arc<GraphSnapshot>,
@@ -149,24 +149,6 @@ impl DeltaGraph {
     /// In-degree of `v`.
     pub fn in_degree(&self, v: u32) -> usize {
         self.incoming[v as usize].len()
-    }
-
-    /// Visit each *undirected* neighbor of `v` exactly once, ascending (the
-    /// union of out- and in-neighbors) — the adjacency the CC maintainer
-    /// walks, once per vertex a reconnection search expands.
-    // lint: hot-path
-    pub fn for_each_undirected_neighbor(&self, v: u32, f: &mut dyn FnMut(u32)) {
-        let outs = self.image.neighbors(v);
-        let ins = self.incoming[v as usize].as_slice();
-        let (mut i, mut j) = (0, 0);
-        while i < outs.len() && j < ins.len() {
-            let (a, b) = (outs[i].dst, ins[j]);
-            f(a.min(b));
-            i += usize::from(a <= b);
-            j += usize::from(b <= a);
-        }
-        outs[i..].iter().for_each(|e| f(e.dst));
-        ins[j..].iter().for_each(|&u| f(u));
     }
 
     /// Apply one epoch delta when nobody has the image it leads to: advance
@@ -315,20 +297,8 @@ mod tests {
         g.apply(&delta(1, &[(0, 3, 1), (1, 3, 1), (3, 2, 1)], &[]));
         assert_eq!(g.in_neighbors(3).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(g.in_degree(2), 1);
-        let mut und = Vec::new();
-        g.for_each_undirected_neighbor(3, &mut |v| und.push(v));
-        assert_eq!(und, vec![0, 1, 2]);
         g.apply(&delta(2, &[], &[(1, 3)]));
         assert_eq!(g.in_neighbors(3).collect::<Vec<_>>(), vec![0]);
-    }
-
-    #[test]
-    fn undirected_neighbors_dedup_mutual_edges() {
-        let mut g = DeltaGraph::new(4);
-        g.apply(&delta(1, &[(0, 1, 1), (1, 0, 1), (1, 2, 1)], &[]));
-        let mut und = Vec::new();
-        g.for_each_undirected_neighbor(1, &mut |v| und.push(v));
-        assert_eq!(und, vec![0, 2], "mutual edge (0,1)/(1,0) visits 0 once");
     }
 
     #[test]

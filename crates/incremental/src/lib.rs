@@ -15,7 +15,7 @@
 //! | maintainer | insert repair | delete repair | per-epoch cost |
 //! |---|---|---|---|
 //! | [`IncrementalBfs`] | decrease-only relaxation from added edges | orphan detection + bounded re-search | O(affected + incident edges) |
-//! | [`IncrementalCc`] | union-find union | recompute only components that lost an edge | O(N scan + affected-component edges) |
+//! | [`IncrementalCc`] | relabel the smaller component, hang its spanning tree from the edge | non-tree edge: nothing; cut tree edge: search the cut-off fragment for a replacement edge, split it off if none | O(smaller side + cut fragments searched) |
 //! | [`DeltaPageRank`] | power-iteration sweeps warm-started from the previous ranks | same | sweeps × (V + E), a few sweeps |
 //!
 //! versus O(V + E) (BFS/CC) and O(iterations · E) (PageRank) for the

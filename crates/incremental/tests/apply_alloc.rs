@@ -1,11 +1,11 @@
-//! Applying a deletion that splits nothing allocates only what it returns:
-//! the `AppliedDelta` vectors, the removed edges' endpoint list and the
-//! anchor map of the verify pass. The reconnection search — here a walk
-//! round a 4 096-vertex ring, the longest detour a deletion can force — runs
-//! in scratch the CC maintainer keeps between deltas, and the forward
-//! adjacency is the image the caller hands in, not a copy.
+//! Applying a deletion allocates only what it returns — the `AppliedDelta`
+//! vectors — whatever the CC maintainer does with it: a non-tree deletion
+//! costs it O(1) work, a tree-edge deletion that relinks searches in
+//! scratch kept between deltas, and a bridge deletion splits off exactly
+//! the cut side in that same scratch. The forward adjacency is the image
+//! the caller hands in, not a copy.
 //!
-//! The allocator below counts per thread, so the other test of this binary
+//! The allocator below counts per thread, so the other tests of this binary
 //! (the harness runs them on sibling threads) cannot disturb a count.
 
 use gpma_core::delta::{apply_delta, SnapshotDelta};
@@ -59,46 +59,132 @@ fn bytes_during(f: impl FnOnce()) -> usize {
     BYTES.with(Cell::get) - before
 }
 
-const RING: u32 = 4_096;
+/// What one delta may allocate: its `AppliedDelta`.
+const CEILING: usize = 512;
 
-/// The delta of `epoch` that toggles ring edge `(0, 1)`, and the image it
-/// leads to from `prev`.
-fn toggle(prev: &GraphSnapshot, epoch: u64, insert: bool) -> (SnapshotDelta, Arc<GraphSnapshot>) {
-    let mut batch = UpdateBatch::default();
-    match insert {
-        true => batch.insertions.push(Edge::new(0, 1)),
-        false => batch.deletions.push(Edge::new(0, 1)),
+const RING: u32 = 1_024;
+const TAIL: u32 = 64;
+/// Vertices per component: a ring `0 → 1 → … → RING-1 → 0` plus a tail path
+/// `RING → … → RING+TAIL-1` hung from ring vertex 0 by the bridge
+/// `(0, RING)`.
+const COMPONENT: u32 = RING + TAIL;
+
+/// Two identical components, the second shifted by `COMPONENT`: whatever a
+/// deletion in the first makes the maintainer size, the same deletion in the
+/// second finds sized.
+fn twins() -> Arc<GraphSnapshot> {
+    let mut edges = Vec::new();
+    for at in [0, COMPONENT] {
+        edges.extend((0..RING).map(|v| Edge::new(at + v, at + (v + 1) % RING)));
+        edges.push(Edge::new(at, at + RING));
+        edges.extend((RING..COMPONENT - 1).map(|v| Edge::new(at + v, at + v + 1)));
     }
+    Arc::new(GraphSnapshot::from_edges(0, 2 * COMPONENT, edges))
+}
+
+/// The delta of `epoch` over `prev`, and the image it leads to.
+fn delta(
+    prev: &GraphSnapshot,
+    epoch: u64,
+    ins: &[(u32, u32)],
+    del: &[(u32, u32)],
+) -> (SnapshotDelta, Arc<GraphSnapshot>) {
+    let batch = UpdateBatch {
+        insertions: ins.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
+        deletions: del.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
+    };
     let delta = SnapshotDelta::from_batch(epoch, &batch);
     let next = Arc::new(apply_delta(prev, &delta));
     (delta, next)
 }
 
-#[test]
-fn a_deletion_that_splits_nothing_allocates_only_its_result() {
-    let ring = (0..RING).map(|v| Edge::new(v, (v + 1) % RING)).collect();
-    let s0 = Arc::new(GraphSnapshot::from_edges(0, RING, ring));
+fn cc_engine(s0: &Arc<GraphSnapshot>) -> IncrementalEngine {
     let mut engine = IncrementalEngine::new().with_cc();
     engine.rebase_shared(s0.clone());
-    // The first deletion sizes the search scratch; the insertion restores
-    // the ring for the measured one.
-    let (d1, s1) = toggle(&s0, 1, false);
-    let (d2, s2) = toggle(&s1, 2, true);
-    let (d3, s3) = toggle(&s2, 3, false);
-    engine.apply_at(&d1, s1);
-    engine.apply_at(&d2, s2);
+    engine
+}
+
+/// Apply `(d, next)` to `engine`; the bytes it requested and the CC work it
+/// did.
+fn measured(
+    engine: &mut IncrementalEngine,
+    d: &SnapshotDelta,
+    next: Arc<GraphSnapshot>,
+) -> (usize, u64) {
     let work = engine.stats().cc_work;
-    let bytes = bytes_during(|| engine.apply_at(&d3, s3.clone()));
-    let searched = engine.stats().cc_work - work;
+    let bytes = bytes_during(|| engine.apply_at(d, next));
+    (bytes, engine.stats().cc_work - work)
+}
+
+#[test]
+fn a_deletion_that_splits_nothing_allocates_only_its_result() {
+    // A chord inserted inside the ring's component is a non-tree edge, so
+    // deleting it again is one classification and nothing else.
+    let s0 = twins();
+    let mut engine = cc_engine(&s0);
+    let chord = [(0, RING / 2)];
+    let (d1, s1) = delta(&s0, 1, &chord, &[]);
+    let (d2, s2) = delta(&s1, 2, &[], &chord);
+    engine.apply_at(&d1, s1);
+    let (bytes, work) = measured(&mut engine, &d2, s2.clone());
+    assert!(work <= 2, "a non-tree deletion did {work} units of work");
+    assert_eq!(engine.cc().unwrap().component_count(), 2);
+    assert!(Arc::ptr_eq(engine.graph().image(), &s2));
     assert!(
-        searched > u64::from(RING),
-        "the search should have walked the ring, did {searched} units"
+        bytes <= CEILING,
+        "a non-tree deletion requested {bytes} bytes"
     );
-    assert_eq!(engine.cc_mut().unwrap().component_count(), 1);
-    assert!(Arc::ptr_eq(engine.graph().image(), &s3));
+}
+
+#[test]
+fn a_tree_edge_deletion_relinks_in_scratch_kept_between_deltas() {
+    // The rebase's BFS from 0 makes 1 → 2 a tree edge; cutting it leaves
+    // the fragment 2, 3, … that must be searched until it meets the rest of
+    // the ring, about half of it away.
+    let s0 = twins();
+    let mut engine = cc_engine(&s0);
+    let (d1, s1) = delta(&s0, 1, &[], &[(1, 2)]);
+    let (d2, s2) = delta(&s1, 2, &[], &[(COMPONENT + 1, COMPONENT + 2)]);
+    engine.apply_at(&d1, s1);
+    let (bytes, work) = measured(&mut engine, &d2, s2);
     assert!(
-        bytes <= 512,
-        "a {searched}-unit reconnection search requested {bytes} bytes"
+        work > u64::from(RING / 4),
+        "the search should have walked round the ring, did {work} units"
+    );
+    assert_eq!(
+        engine.cc().unwrap().component_count(),
+        2,
+        "the ring held together"
+    );
+    assert!(
+        bytes <= CEILING,
+        "a {work}-unit relinking search requested {bytes} bytes"
+    );
+}
+
+#[test]
+fn a_bridge_deletion_splits_off_exactly_the_cut_side() {
+    let s0 = twins();
+    let mut engine = cc_engine(&s0);
+    let (d1, s1) = delta(&s0, 1, &[], &[(0, RING)]);
+    let (d2, s2) = delta(&s1, 2, &[], &[(COMPONENT, COMPONENT + RING)]);
+    engine.apply_at(&d1, s1);
+    let (bytes, _) = measured(&mut engine, &d2, s2);
+    let cc = engine.cc().unwrap();
+    assert_eq!(cc.component_count(), 4);
+    let label_of = |v: u32| match v % COMPONENT {
+        x if x < RING => v - x,
+        x => v - x + RING,
+    };
+    let want: Vec<u32> = (0..2 * COMPONENT).map(label_of).collect();
+    assert_eq!(
+        cc.labels(),
+        want,
+        "each tail is its own component, labelled by its head"
+    );
+    assert!(
+        bytes <= CEILING,
+        "a {TAIL}-vertex split requested {bytes} bytes"
     );
 }
 

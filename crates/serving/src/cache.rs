@@ -37,7 +37,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gpma_analytics::component_count;
 use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
 use gpma_core::framework::GraphSnapshot;
 use gpma_graph::decode_key;
@@ -274,12 +273,9 @@ impl ResultCache {
                     .engine
                     .bfs_from(src)
                     .map(|m| QueryResult::Distances(Arc::new(m.distances().to_vec()))),
-                Query::Cc => self.engine.cc_mut().map(|m| {
-                    let labels = m.labels();
-                    QueryResult::Components {
-                        count: component_count(&labels),
-                        labels: Arc::new(labels),
-                    }
+                Query::Cc => self.engine.cc().map(|m| QueryResult::Components {
+                    count: m.component_count(),
+                    labels: Arc::new(m.labels()),
                 }),
                 _ => None,
             };

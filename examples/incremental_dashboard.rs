@@ -82,7 +82,7 @@ fn main() {
                     .map(|(v, r)| (v, *r))
             });
             let graph_edges = e.graph().num_edges();
-            let components = e.cc_mut().map(|c| c.component_count()).unwrap_or(0);
+            let components = e.cc().map(|c| c.component_count()).unwrap_or(0);
             (e.graph().epoch(), graph_edges, reachable, components, top)
         });
         let (top_v, top_r) = top.unwrap_or((0, 0.0));

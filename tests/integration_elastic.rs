@@ -202,7 +202,7 @@ proptest! {
         engine_handle.with(|e| {
             assert_eq!(e.graph().num_edges(), final_edges, "engine edge count");
             assert_eq!(e.bfs().unwrap().distances(), bfs_host(&adj, 0), "engine BFS");
-            assert_eq!(e.cc_mut().unwrap().labels(), cc_host(&adj), "engine CC");
+            assert_eq!(e.cc().unwrap().labels(), cc_host(&adj), "engine CC");
             let expect = pagerank_host(&adj, 0.85, 1e-10, 100_000).ranks;
             for (got, want) in e.pagerank().unwrap().ranks().iter().zip(&expect) {
                 assert!((got - want).abs() < 1e-6, "engine pagerank {got} vs {want}");

@@ -185,7 +185,7 @@ proptest! {
                 epoch + 1
             );
             prop_assert_eq!(
-                engine.cc_mut().unwrap().labels(),
+                engine.cc().unwrap().labels(),
                 cc_host(&shadow),
                 "CC diverged at epoch {}",
                 epoch + 1
