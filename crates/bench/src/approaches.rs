@@ -10,10 +10,9 @@ use gpma_baselines::{AdjLists, PmaGraph, RebuildCsr, StingerGraph};
 use gpma_core::{Gpma, GpmaPlus};
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_sim::{Device, DeviceConfig};
-use serde::{Deserialize, Serialize};
 
 /// The compared approaches of §6.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ApproachKind {
     /// AdjLists (CPU).
     AdjLists,

@@ -2,11 +2,10 @@
 //! per-run timing in the store's native metric (wall vs simulated).
 
 use gpma_analytics::{bfs_device, bfs_host, cc_device, cc_host, pagerank_device, pagerank_host};
-use serde::{Deserialize, Serialize};
 
 use crate::approaches::Store;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 /// The three evaluation applications of §6.3.
 pub enum App {
     /// Breadth-first search.

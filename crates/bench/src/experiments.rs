@@ -521,465 +521,38 @@ pub fn explicit_stream(cfg: &ExpConfig) {
 }
 
 // ----------------------------------------------------------------------
-// Ablations (DESIGN.md §5)
-// ----------------------------------------------------------------------
-
-// ----------------------------------------------------------------------
-// Service — concurrent streaming facade throughput (§6.5 scenario)
-// ----------------------------------------------------------------------
-
-/// Streaming-service scaling: end-to-end ingest of the live half of the
-/// Reddit stream through `gpma-service` with a growing producer count.
-/// Host wall-clock (the queueing and flush cadence are real host work);
-/// the simulated device time spent inside flushes is reported alongside.
-pub fn service(cfg: &ExpConfig) {
-    use gpma_graph::Edge;
-    use gpma_service::{ServiceConfig, StreamingService};
-
-    let stream = generate(DatasetKind::RedditLike, cfg.scale, cfg.seed);
-    let batch = stream.slide_batch_size(0.01).max(1);
-    // Bound the fed tail so `--quick` stays a smoke run.
-    let cap = (batch * 20 * cfg.max_slides.max(1)).min(stream.len() - stream.initial_size());
-    let tail: Vec<Edge> = stream.edges[stream.initial_size()..stream.initial_size() + cap].to_vec();
-
-    let mut rows = Vec::new();
-    for producers in [1usize, 2, 4, 8] {
-        let dev = Device::new(cfg.device_cfg.clone());
-        let sys = DynamicGraphSystem::new(dev, stream.num_vertices, stream.initial_edges(), batch);
-        let svc = StreamingService::spawn(ServiceConfig::default(), sys);
-        let t0 = std::time::Instant::now();
-        let snap = crate::feed_concurrently(&svc, &tail, producers);
-        let wall = t0.elapsed().as_secs_f64();
-        let report = svc.shutdown();
-        let c = &report.metrics.counters;
-        rows.push(vec![
-            format!("{producers}"),
-            format!("{}", c.ingested()),
-            fmt_meps(c.ingested() as usize, wall),
-            format!("{}", c.flushes),
-            fmt_ms(c.avg_flush_wall_secs()),
-            fmt_ms(c.update_sim.secs() / c.flushes.max(1) as f64),
-            format!("{}", c.max_queue_depth),
-            format!("{}", snap.epoch()),
-        ]);
-    }
-    emit(
-        "service",
-        "Streaming service: concurrent ingest through the facade (Reddit, 1% flush batches)",
-        &[
-            "Producers", "Updates", "HostMeps", "Flushes", "FlushMs", "SimUpdateMs", "MaxQueue",
-            "FinalEpoch",
-        ],
-        &rows,
-    );
-}
-
-// ----------------------------------------------------------------------
-// Cluster — sharded streaming service scaling (§6.6 / Figure 12 trade-off)
-// ----------------------------------------------------------------------
-
-/// Shard-scaling study of the `gpma-cluster` facade: stream the live half
-/// of a Graph500 stream through 1/2/4/8-shard clusters under both
-/// partitioning policies, then run the distributed analytics on the final
-/// coordinated cut. Reports host ingest throughput, routing balance, the
-/// modeled cross-shard transfer volume, and the frontier/rank exchange
-/// traffic — Figure 12's trade-off space with communication made explicit.
-/// Also measures the single-device GPMA+ update hot path (wall + sim) so
-/// the perf trajectory of the streaming path accumulates run over run.
-/// Saves `results/cluster.csv` and machine-readable
-/// `results/BENCH_cluster.json`.
-pub fn cluster(cfg: &ExpConfig) {
-    use gpma_analytics::{bfs_sharded, pagerank_sharded};
-    use gpma_cluster::{ClusterConfig, GraphCluster, PartitionPolicy};
-
-    const PRODUCERS: usize = 4;
-    let stream = generate(DatasetKind::Graph500, cfg.scale, cfg.seed);
-    let nv = stream.num_vertices;
-    let batch = stream.slide_batch_size(0.01).max(1);
-    // Bound the fed tail so `--quick` stays a smoke run.
-    let cap = (batch * 20 * cfg.max_slides.max(1)).min(stream.len() - stream.initial_size());
-    let tail = &stream.edges[stream.initial_size()..stream.initial_size() + cap];
-    let link = Pcie::new(PcieConfig::default());
-
-    // Single-device update hot path: the streaming flush loop the perf
-    // work targets (reusable upload staging + merge-tier scratch).
-    let hot = {
-        let dev = Device::new(cfg.device_cfg.clone());
-        let mut g = GpmaPlus::build(&dev, nv, stream.initial_edges());
-        let t0 = std::time::Instant::now();
-        let mut sim = 0.0f64;
-        let mut batches = 0usize;
-        for b in tail.chunks(batch) {
-            let ub = UpdateBatch {
-                insertions: b.to_vec(),
-                deletions: vec![],
-            };
-            let (_, t) = dev.timed(|d| {
-                g.update_batch_lazy(d, &ub);
-            });
-            sim += t.secs();
-            batches += 1;
-        }
-        (batches, tail.len(), t0.elapsed().as_secs_f64(), sim)
-    };
-
-    let mut rows = Vec::new();
-    let mut json_rows: Vec<String> = Vec::new();
-    for policy in [PartitionPolicy::VertexHash, PartitionPolicy::EdgeGrid] {
-        for shards in [1usize, 2, 4, 8] {
-            let part = policy.build(nv, shards);
-            let cluster = GraphCluster::spawn(
-                ClusterConfig {
-                    flush_threshold: batch,
-                    ..Default::default()
-                },
-                &cfg.device_cfg,
-                part,
-                stream.initial_edges(),
-            );
-            let t0 = std::time::Instant::now();
-            let snap = crate::feed_cluster_concurrently(&cluster, tail, PRODUCERS);
-            let wall = t0.elapsed().as_secs_f64();
-
-            // Distributed analytics over the cut's shard snapshots.
-            let refs = snap.shard_refs();
-            let (_, bfs_stats) = bfs_sharded(&refs, nv, 0, &link);
-            let (pr, pr_stats) = pagerank_sharded(&refs, nv, 0.85, 1e-3, 50, &link);
-
-            let report = cluster.shutdown();
-            let m = &report.metrics;
-            let t = m.total_transfer();
-            let flushes: u64 = m.shards.iter().map(|s| s.counters.flushes).sum();
-            rows.push(vec![
-                policy.name().to_string(),
-                format!("{shards}"),
-                format!("{}", m.ingested()),
-                fmt_meps(m.ingested() as usize, wall),
-                format!("{:.1}%", m.cut_fraction() * 100.0),
-                format!("{:.2}", m.imbalance()),
-                format!("{}", t.bytes / 1024),
-                fmt_ms(t.time.secs()),
-                format!("{flushes}"),
-                fmt_ms(bfs_stats.comm.secs()),
-                format!("{}", bfs_stats.bytes / 1024),
-                format!("{}", pr.iterations),
-                fmt_ms(pr_stats.comm.secs()),
-                format!("{}", pr_stats.bytes / 1024),
-            ]);
-            json_rows.push(format!(
-                concat!(
-                    "    {{\"policy\": \"{}\", \"shards\": {}, \"updates\": {}, ",
-                    "\"ingest_wall_secs\": {:.6}, \"cut_edge_fraction\": {:.4}, ",
-                    "\"route_imbalance\": {:.4}, \"router_transfer_bytes\": {}, ",
-                    "\"router_transfer_secs\": {:.6}, \"router_dmas\": {}, ",
-                    "\"shard_flushes\": {}, \"final_edges\": {}, ",
-                    "\"bfs_supersteps\": {}, \"bfs_exchange_bytes\": {}, ",
-                    "\"bfs_comm_secs\": {:.6}, \"pagerank_iters\": {}, ",
-                    "\"pagerank_exchange_bytes\": {}, \"pagerank_comm_secs\": {:.6}}}"
-                ),
-                policy.name(),
-                shards,
-                m.ingested(),
-                wall,
-                m.cut_fraction(),
-                m.imbalance(),
-                t.bytes,
-                t.time.secs(),
-                t.transfers,
-                flushes,
-                report.final_snapshot.num_edges(),
-                bfs_stats.supersteps,
-                bfs_stats.bytes,
-                bfs_stats.comm.secs(),
-                pr.iterations,
-                pr_stats.bytes,
-                pr_stats.comm.secs(),
-            ));
-            eprintln!("cluster: {} × {shards} shard(s) done", policy.name());
-        }
-    }
-    emit(
-        "cluster",
-        "Cluster: sharded streaming service scaling (Graph500, 4 producers, 1% flush batches)",
-        &[
-            "Policy", "Shards", "Updates", "HostMeps", "CutEdge", "Imbal", "RouteKB",
-            "RouteMs", "Flushes", "BfsCommMs", "BfsKB", "PrIters", "PrCommMs", "PrKB",
-        ],
-        &rows,
-    );
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"cluster\",\n",
-            "  \"dataset\": \"{}\",\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"num_vertices\": {},\n",
-            "  \"streamed_updates\": {},\n",
-            "  \"producers\": {},\n",
-            "  \"flush_batch\": {},\n",
-            "  \"update_hot_path\": {{\"batches\": {}, \"updates\": {}, ",
-            "\"wall_secs\": {:.6}, \"sim_secs\": {:.6}}},\n",
-            "  \"rows\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        crate::report::json_escape(&stream.name),
-        cfg.scale,
-        cfg.seed,
-        nv,
-        tail.len(),
-        PRODUCERS,
-        batch,
-        hot.0,
-        hot.1,
-        hot.2,
-        hot.3,
-        json_rows.join(",\n"),
-    );
-    if let Err(e) = crate::report::save_json("BENCH_cluster", &json) {
-        eprintln!("(json save failed for cluster: {e})");
-    }
-}
-
-// ----------------------------------------------------------------------
-// Incremental — delta publication + incremental analytics vs full
-// republication / from-scratch recompute
-// ----------------------------------------------------------------------
-
-/// The `gpma-incremental` headline experiment: slide a Graph500 window for
-/// ~10k one-flush epochs and compare, per epoch,
-///
-/// * **bytes published**: the O(|Δ|) `SnapshotDelta` wire size against the
-///   O(E) full-snapshot copy the pre-delta read path shipped, and
-/// * **analytics work**: the incremental BFS / CC / PageRank maintainers'
-///   repair work against the from-scratch host oracles (sampled every few
-///   hundred epochs, extrapolated, and *checked for exact agreement*).
-///
-/// PageRank work is vertex + edge visits on both sides (sweeps × (V + E)):
-/// the maintainer warm-starts the oracle's own sweep, so its saving is the
-/// ratio of sweep counts. Also re-measures the single-device GPMA+ update
-/// hot path. Saves `results/incremental.csv` and machine-readable
-/// `results/BENCH_incremental.json`.
-pub fn incremental(cfg: &ExpConfig) {
-    use gpma_analytics::{bfs_host, cc_host, pagerank_host};
-    use gpma_core::delta::BYTES_PER_EDGE;
-    use gpma_incremental::IncrementalEngine;
-
-    let stream = generate(DatasetKind::Graph500, cfg.scale, cfg.seed);
-    let nv = stream.num_vertices;
-    let tail = stream.len() - stream.initial_size();
-    // ~10k epochs at the default scale; the quick smoke keeps a few
-    // hundred. Epochs are *delta-sized* by design (the paper's premise):
-    // cap the per-epoch slide at 0.02% of the stream so the comparison
-    // measures the small-batch steady state, not bulk reloads.
-    let target_epochs = if cfg.max_slides <= 1 { 300 } else { 10_000 };
-    let batch = (tail / target_epochs)
-        .clamp(1, stream.slide_batch_size(0.0002));
-    let epochs = (tail / batch).min(target_epochs);
-    let root = stream.initial_edges()[0].src;
-
-    let dev = Device::new(cfg.device_cfg.clone());
-    let mut sys = DynamicGraphSystem::new(dev, nv, stream.initial_edges(), batch);
-    let mut engine = IncrementalEngine::new()
-        .with_bfs(root)
-        .with_cc()
-        .with_pagerank(0.85, 1e-3);
-    engine.rebase(&sys.snapshot());
-    let rebase_work = engine.stats();
-
-    let sample_every = (epochs / 8).max(1);
-    let mut delta_bytes = 0u64;
-    let mut snapshot_bytes = 0u64;
-    let mut engine_wall = 0.0f64;
-    let mut samples = 0u64;
-    let mut oracle_wall = 0.0f64;
-    let (mut scratch_bfs, mut scratch_cc, mut scratch_pr) = (0u64, 0u64, 0u64);
-    let mut agreement = true;
-    for (i, b) in stream.sliding(batch).take(epochs).enumerate() {
-        sys.stream.offer_batch(&b);
-        let report = sys.flush();
-        delta_bytes += report.delta.wire_bytes() as u64;
-        snapshot_bytes += (8 + sys.graph.storage.num_edges() * BYTES_PER_EDGE) as u64;
-        let t0 = std::time::Instant::now();
-        engine.apply(&report.delta);
-        engine_wall += t0.elapsed().as_secs_f64();
-
-        if (i + 1) % sample_every == 0 {
-            // From-scratch oracles on the same graph state: timed for the
-            // work comparison, checked for agreement with the maintainers.
-            let live = nv as u64 + engine.graph().num_edges() as u64;
-            let t0 = std::time::Instant::now();
-            let dist = bfs_host(engine.graph(), root);
-            let labels = cc_host(engine.graph());
-            let pr = pagerank_host(engine.graph(), 0.85, 1e-3, 200);
-            oracle_wall += t0.elapsed().as_secs_f64();
-            samples += 1;
-            scratch_bfs += live;
-            scratch_cc += live;
-            scratch_pr += pr.iterations as u64 * live;
-            let bfs_ok = engine.bfs().unwrap().distances() == dist.as_slice();
-            let cc_ok = engine.cc().unwrap().labels() == labels;
-            let pr_ok = engine
-                .pagerank()
-                .unwrap()
-                .ranks()
-                .iter()
-                .zip(&pr.ranks)
-                .all(|(a, b)| (a - b).abs() < 2e-2);
-            if !(bfs_ok && cc_ok && pr_ok) {
-                eprintln!(
-                    "incremental: oracle mismatch at epoch {} (bfs={bfs_ok} cc={cc_ok} pr={pr_ok})",
-                    i + 1
-                );
-            }
-            agreement &= bfs_ok && cc_ok && pr_ok;
-        }
-    }
-    let stats = engine.stats();
-    let extrapolate =
-        |sampled: u64| sampled.checked_div(samples).map_or(0, |per| per * epochs as u64);
-    let (sb, sc, sp) = (
-        extrapolate(scratch_bfs),
-        extrapolate(scratch_cc),
-        extrapolate(scratch_pr),
-    );
-    let ratio = |inc: u64, scratch: u64| {
-        if inc == 0 {
-            0.0
-        } else {
-            scratch as f64 / inc as f64
-        }
-    };
-    let inc_bfs = stats.bfs_work - rebase_work.bfs_work;
-    let inc_cc = stats.cc_work - rebase_work.cc_work;
-    let inc_pr = stats.pagerank_work - rebase_work.pagerank_work;
-
-    // Update hot path: the streaming flush loop the level-scratch reuse
-    // targets (same shape as the cluster experiment's block, so the wall
-    // numbers are comparable across BENCH_*.json files).
-    let hot = {
-        let dev = Device::new(cfg.device_cfg.clone());
-        let mut g = GpmaPlus::build(&dev, nv, stream.initial_edges());
-        let hot_batch = stream.slide_batch_size(0.01).max(1);
-        let cap = (hot_batch * 20 * cfg.max_slides.max(1)).min(tail);
-        let hot_tail = &stream.edges[stream.initial_size()..stream.initial_size() + cap];
-        let t0 = std::time::Instant::now();
-        let mut sim = 0.0f64;
-        let mut batches = 0usize;
-        for b in hot_tail.chunks(hot_batch) {
-            let ub = UpdateBatch {
-                insertions: b.to_vec(),
-                deletions: vec![],
-            };
-            let (_, t) = dev.timed(|d| {
-                g.update_batch_lazy(d, &ub);
-            });
-            sim += t.secs();
-            batches += 1;
-        }
-        (batches, hot_tail.len(), t0.elapsed().as_secs_f64(), sim)
-    };
-
-    let rows = vec![
-        vec![
-            "delta-publication".to_string(),
-            format!("{}", delta_bytes / epochs as u64),
-            format!("{}", snapshot_bytes / epochs as u64),
-            format!("{:.1}×", ratio(delta_bytes, snapshot_bytes)),
-            "bytes/epoch".to_string(),
-        ],
-        vec![
-            "incremental-bfs".to_string(),
-            format!("{}", inc_bfs / epochs as u64),
-            format!("{}", sb / epochs as u64),
-            format!("{:.1}×", ratio(inc_bfs, sb)),
-            "work/epoch".to_string(),
-        ],
-        vec![
-            "incremental-cc".to_string(),
-            format!("{}", inc_cc / epochs as u64),
-            format!("{}", sc / epochs as u64),
-            format!("{:.1}×", ratio(inc_cc, sc)),
-            "work/epoch".to_string(),
-        ],
-        vec![
-            "delta-pagerank".to_string(),
-            format!("{}", inc_pr / epochs as u64),
-            format!("{}", sp / epochs as u64),
-            format!("{:.1}×", ratio(inc_pr, sp)),
-            "work/epoch".to_string(),
-        ],
-    ];
-    emit(
-        "incremental",
-        &format!(
-            "Incremental engine vs full republication/recompute \
-             (Graph500, {epochs} epochs × {batch} updates, agreement={agreement})"
-        ),
-        &["Path", "Incremental", "FullPerEpoch", "Saving", "Unit"],
-        &rows,
-    );
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"incremental\",\n",
-            "  \"dataset\": \"{}\",\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"num_vertices\": {},\n",
-            "  \"epochs\": {},\n",
-            "  \"batch\": {},\n",
-            "  \"oracle_samples\": {},\n",
-            "  \"oracle_agreement\": {},\n",
-            "  \"publication\": {{\"delta_bytes_per_epoch\": {}, ",
-            "\"snapshot_bytes_per_epoch\": {}, \"bytes_saving\": {:.2}}},\n",
-            "  \"work_per_epoch\": {{\n",
-            "    \"bfs\": {{\"incremental\": {}, \"from_scratch\": {}, \"saving\": {:.2}}},\n",
-            "    \"cc\": {{\"incremental\": {}, \"from_scratch\": {}, \"saving\": {:.2}}},\n",
-            "    \"pagerank\": {{\"incremental\": {}, \"from_scratch\": {}, \"saving\": {:.2}}}\n",
-            "  }},\n",
-            "  \"engine_wall_secs\": {:.6},\n",
-            "  \"oracle_wall_secs_sampled\": {:.6},\n",
-            "  \"update_hot_path\": {{\"batches\": {}, \"updates\": {}, ",
-            "\"wall_secs\": {:.6}, \"sim_secs\": {:.6}}}\n",
-            "}}\n"
-        ),
-        crate::report::json_escape(&stream.name),
-        cfg.scale,
-        cfg.seed,
-        nv,
-        epochs,
-        batch,
-        samples,
-        agreement,
-        delta_bytes / epochs as u64,
-        snapshot_bytes / epochs as u64,
-        ratio(delta_bytes, snapshot_bytes),
-        inc_bfs / epochs as u64,
-        sb / epochs as u64,
-        ratio(inc_bfs, sb),
-        inc_cc / epochs as u64,
-        sc / epochs as u64,
-        ratio(inc_cc, sc),
-        inc_pr / epochs as u64,
-        sp / epochs as u64,
-        ratio(inc_pr, sp),
-        engine_wall,
-        oracle_wall,
-        hot.0,
-        hot.1,
-        hot.2,
-        hot.3,
-    );
-    if let Err(e) = crate::report::save_json("BENCH_incremental", &json) {
-        eprintln!("(json save failed for incremental: {e})");
-    }
-    assert!(agreement, "incremental maintainers diverged from the oracles");
-}
-
-// ----------------------------------------------------------------------
 // Elastic — live resharding with skew-driven degree-aware rebalancing
 // ----------------------------------------------------------------------
+
+/// Producer threads `elastic` streams through, each taking every
+/// `PRODUCERS`-th edge.
+const PRODUCERS: usize = 4;
+
+/// Stream `edges` into `cluster` from [`PRODUCERS`] threads while
+/// `meanwhile` runs on this one; return its result once every producer has
+/// finished.
+fn stream_during<T>(
+    cluster: &gpma_cluster::GraphCluster,
+    edges: &[gpma_graph::Edge],
+    meanwhile: impl FnOnce() -> T,
+) -> T {
+    std::thread::scope(|s| {
+        for p in 0..PRODUCERS {
+            let h = cluster.handle();
+            s.spawn(move || {
+                for &e in edges.iter().skip(p).step_by(PRODUCERS) {
+                    // A closed cluster means teardown won the race; stop
+                    // feeding instead of panicking the producer thread.
+                    if h.insert(e).is_err() {
+                        eprintln!("gpma-bench: cluster closed mid-feed; producer stopping");
+                        return;
+                    }
+                }
+            });
+        }
+        meanwhile()
+    })
+}
 
 /// The cluster-elasticity experiment: stream the first half of a power-law
 /// (Graph500) stream into a static cluster, read the accumulated
@@ -997,15 +570,13 @@ pub fn incremental(cfg: &ExpConfig) {
 ///   replay that overlapped live ingest — vs the wall cost of bulk-building
 ///   a fresh cluster from the same state. Producers keep streaming *during*
 ///   the reshard; the client-observed enqueue p99 while a reshard is in
-///   flight (`ingest.reshard`) is reported next to the steady-state p99.
+///   flight (`ingest.reshard`) must stay inside the swap window.
 ///
-/// Saves `results/elastic.csv` and machine-readable
-/// `results/BENCH_elastic.json`.
+/// Saves `results/elastic.csv`.
 pub fn elastic(cfg: &ExpConfig) {
     use gpma_cluster::{ClusterConfig, GraphCluster, PartitionPolicy};
     use gpma_obs::Stage;
 
-    const PRODUCERS: usize = 4;
     let stream = generate(DatasetKind::Graph500, cfg.scale, cfg.seed);
     let nv = stream.num_vertices;
     let batch = stream.slide_batch_size(0.01).max(1);
@@ -1022,29 +593,7 @@ pub fn elastic(cfg: &ExpConfig) {
     let live_cap = (8 * batch).min(second_half.len() / 2);
     let (during_slice, after_slice) = second_half.split_at(live_cap);
 
-    // Spawn producers that stream `edges` without joining, so the reshard
-    // below runs with ingest live.
-    let spawn_live = |cluster: &GraphCluster, edges: &[gpma_graph::Edge]| {
-        (0..PRODUCERS)
-            .map(|p| {
-                let h = cluster.handle();
-                let chunk: Vec<gpma_graph::Edge> =
-                    edges.iter().skip(p).step_by(PRODUCERS).copied().collect();
-                std::thread::spawn(move || {
-                    for e in chunk {
-                        if h.insert(e).is_err() {
-                            eprintln!("gpma-bench: cluster closed mid-feed; producer stopping");
-                            return;
-                        }
-                    }
-                })
-            })
-            .collect::<Vec<_>>()
-    };
-
-    let link = Pcie::new(PcieConfig::default());
     let mut rows = Vec::new();
-    let mut json_rows: Vec<String> = Vec::new();
     for policy in [PartitionPolicy::VertexHash, PartitionPolicy::EdgeGrid] {
         for shards in [4usize, 8] {
             let cluster = GraphCluster::spawn(
@@ -1056,40 +605,37 @@ pub fn elastic(cfg: &ExpConfig) {
                 policy.build(nv, shards),
                 stream.initial_edges(),
             );
-            crate::feed_cluster_concurrently(&cluster, first_half, PRODUCERS);
+            stream_during(&cluster, first_half, || ());
+            cluster.epoch_cut().expect("cluster alive");
             let before = cluster
                 .metrics()
                 .expect("cluster alive")
                 .routing_skew()
                 .max_mean_updates;
-            let steady_p99 = cluster.obs().hist(Stage::IngestEnqueue).snapshot().p99;
 
             // Rebalance with ingest live: the producers race the reshard,
             // so `pause_secs` and the `ingest.reshard` histogram reflect
             // what clients actually felt mid-migration.
-            let live = spawn_live(&cluster, during_slice);
-            let report = cluster
-                .rebalance(None)
+            let report = stream_during(&cluster, during_slice, || cluster.rebalance(None))
                 .expect("degree-aware rebalance succeeds");
-            for f in live {
-                f.join().expect("live producer");
-            }
-            crate::feed_cluster_concurrently(&cluster, after_slice, PRODUCERS);
+            stream_during(&cluster, after_slice, || ());
+            cluster.epoch_cut().expect("cluster alive");
             let during = cluster.obs().hist(Stage::IngestReshard).snapshot();
             let flush_max_secs = cluster.obs().hist(Stage::FlushApply).snapshot().max as f64 / 1e6;
             let quiesce_us = cluster.obs().hist(Stage::ReshardQuiesce).snapshot().max;
             let resume_us = cluster.obs().hist(Stage::ReshardResume).snapshot().max;
-            let metrics = cluster.metrics().expect("cluster alive");
-            let after = metrics.routing_skew().max_mean_updates;
-            let stats = metrics.migration_stats();
+            let after = cluster
+                .metrics()
+                .expect("cluster alive")
+                .routing_skew()
+                .max_mean_updates;
             let final_snap = cluster.snapshot();
-            let final_edges = final_snap.num_edges();
             drop(cluster.shutdown());
 
             // Copy-on-write keeps the swap window bounded by draining one
-            // trailing flush, and enqueue stays wait-free mid-reshard. The
-            // p99 bound carries an absolute floor so an integer-µs zero
-            // bucket on the steady side can't make the 2× ratio degenerate.
+            // trailing flush, and enqueue stays wait-free mid-reshard:
+            // fewer than 1 % of the sends that completed mid-reshard may
+            // have waited out the swap window.
             if cfg.quick {
                 let pause_bound = (4.0 * flush_max_secs).max(0.05);
                 assert!(
@@ -1101,11 +647,11 @@ pub fn elastic(cfg: &ExpConfig) {
                 );
             }
             assert!(
-                (during.p99 as f64) <= (2.0 * steady_p99 as f64).max(200.0),
-                "{} × {shards}: mid-reshard enqueue p99 {}µs vs steady {}µs",
+                during.p99 as f64 <= report.pause_secs * 1e6,
+                "{} × {shards}: mid-reshard enqueue p99 {}µs exceeds the {:.0}µs pause",
                 policy.name(),
                 during.p99,
-                steady_p99
+                report.pause_secs * 1e6
             );
 
             // The alternative the live path is measured against: stop the
@@ -1147,51 +693,13 @@ pub fn elastic(cfg: &ExpConfig) {
                 fmt_ms(report.background_secs),
                 fmt_ms(rebuild_wall),
             ]);
-            // The modeled-wire comparison (the wall pause is bound by host
-            // execution of the simulated merge kernels; on the modeled
-            // PCIe the byte advantage is what transfers).
-            let migration_modeled = link.transfer_time(report.migration_bytes as usize).secs();
-            let rebuild_modeled = link.transfer_time(report.full_rebuild_bytes as usize).secs();
-            json_rows.push(format!(
-                concat!(
-                    "    {{\"policy\": \"{}\", \"shards\": {}, ",
-                    "\"skew_before\": {:.4}, \"skew_after\": {:.4}, ",
-                    "\"migrated_edges\": {}, \"resident_edges\": {}, ",
-                    "\"migration_bytes\": {}, \"full_rebuild_bytes\": {}, ",
-                    "\"migration_modeled_secs\": {:.6}, ",
-                    "\"rebuild_modeled_secs\": {:.6}, ",
-                    "\"pause_secs\": {:.6}, \"background_secs\": {:.6}, ",
-                    "\"rebuild_wall_secs\": {:.6}, ",
-                    "\"pause_total_secs\": {:.6}, \"background_total_secs\": {:.6}, ",
-                    "\"steady_enqueue_p99_us\": {}, \"reshard_enqueue_p99_us\": {}, ",
-                    "\"reshard_enqueue_samples\": {}, \"final_edges\": {}}}"
-                ),
-                policy.name(),
-                shards,
-                before,
-                after,
-                report.migrated_edges,
-                report.resident_edges,
-                report.migration_bytes,
-                report.full_rebuild_bytes,
-                migration_modeled,
-                rebuild_modeled,
-                report.pause_secs,
-                report.background_secs,
-                rebuild_wall,
-                stats.pause_secs,
-                stats.background_secs,
-                steady_p99,
-                during.p99,
-                during.count,
-                final_edges,
-            ));
             eprintln!(
                 "elastic: {} × {shards} done (skew {before:.2} → {after:.2}, \
-                 settle {:.1} ms + swap {:.1} ms)",
+                 settle {:.1} ms + swap {:.1} ms, mid-reshard enqueue p99 {}µs)",
                 policy.name(),
                 quiesce_us as f64 / 1e3,
                 resume_us as f64 / 1e3,
+                during.p99,
             );
         }
     }
@@ -1199,52 +707,36 @@ pub fn elastic(cfg: &ExpConfig) {
     // Shard-count elasticity on the same stream: 4 → 2 → 8 mid-stream with
     // every update preserved (the integration proptest checks exactness;
     // here we record the migration economics of scale-in/scale-out).
-    let resize_json = {
-        let cluster = GraphCluster::spawn(
-            ClusterConfig {
-                flush_threshold: batch,
-                ..Default::default()
-            },
-            &cfg.device_cfg,
-            PartitionPolicy::VertexHash.build(nv, 4),
-            stream.initial_edges(),
-        );
-        crate::feed_cluster_concurrently(&cluster, first_half, PRODUCERS);
-        let live = spawn_live(&cluster, during_slice);
-        let shrink = cluster.rebalance(Some(2)).expect("shrink to 2");
-        for f in live {
-            f.join().expect("live producer");
-        }
-        crate::feed_cluster_concurrently(&cluster, after_slice, PRODUCERS);
-        let grow = cluster.rebalance(Some(8)).expect("grow to 8");
-        let edges = cluster.snapshot().num_edges();
-        drop(cluster.shutdown());
-        rows.push(vec![
-            "resize 4→2→8".to_string(),
-            "2,8".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            format!("{}", shrink.migrated_edges + grow.migrated_edges),
-            format!("{}", grow.resident_edges),
-            format!("{}", (shrink.migration_bytes + grow.migration_bytes) / 1024),
-            format!("{}", grow.full_rebuild_bytes / 1024),
-            fmt_ms(shrink.pause_secs + grow.pause_secs),
-            fmt_ms(shrink.background_secs + grow.background_secs),
-            "-".to_string(),
-        ]);
-        format!(
-            concat!(
-                "  \"resize\": {{\"path\": [4, 2, 8], \"shrink_moved\": {}, ",
-                "\"grow_moved\": {}, \"final_edges\": {}, ",
-                "\"pause_secs\": {:.6}, \"background_secs\": {:.6}}}"
-            ),
-            shrink.migrated_edges,
-            grow.migrated_edges,
-            edges,
-            shrink.pause_secs + grow.pause_secs,
-            shrink.background_secs + grow.background_secs,
-        )
-    };
+    let cluster = GraphCluster::spawn(
+        ClusterConfig {
+            flush_threshold: batch,
+            ..Default::default()
+        },
+        &cfg.device_cfg,
+        PartitionPolicy::VertexHash.build(nv, 4),
+        stream.initial_edges(),
+    );
+    stream_during(&cluster, first_half, || ());
+    cluster.epoch_cut().expect("cluster alive");
+    let shrink =
+        stream_during(&cluster, during_slice, || cluster.rebalance(Some(2))).expect("shrink to 2");
+    stream_during(&cluster, after_slice, || ());
+    cluster.epoch_cut().expect("cluster alive");
+    let grow = cluster.rebalance(Some(8)).expect("grow to 8");
+    drop(cluster.shutdown());
+    rows.push(vec![
+        "resize 4→2→8".to_string(),
+        "2,8".to_string(),
+        "-".to_string(),
+        "-".to_string(),
+        format!("{}", shrink.migrated_edges + grow.migrated_edges),
+        format!("{}", grow.resident_edges),
+        format!("{}", (shrink.migration_bytes + grow.migration_bytes) / 1024),
+        format!("{}", grow.full_rebuild_bytes / 1024),
+        fmt_ms(shrink.pause_secs + grow.pause_secs),
+        fmt_ms(shrink.background_secs + grow.background_secs),
+        "-".to_string(),
+    ]);
 
     emit(
         "elastic",
@@ -1256,35 +748,11 @@ pub fn elastic(cfg: &ExpConfig) {
         ],
         &rows,
     );
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"elastic\",\n",
-            "  \"dataset\": \"{}\",\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"num_vertices\": {},\n",
-            "  \"streamed_updates\": {},\n",
-            "  \"producers\": {},\n",
-            "  \"flush_batch\": {},\n",
-            "  \"rows\": [\n{}\n  ],\n",
-            "{}\n",
-            "}}\n"
-        ),
-        crate::report::json_escape(&stream.name),
-        cfg.scale,
-        cfg.seed,
-        nv,
-        tail.len(),
-        PRODUCERS,
-        batch,
-        json_rows.join(",\n"),
-        resize_json,
-    );
-    if let Err(e) = crate::report::save_json("BENCH_elastic", &json) {
-        eprintln!("(json save failed for elastic: {e})");
-    }
 }
+
+// ----------------------------------------------------------------------
+// Ablations (DESIGN.md §5)
+// ----------------------------------------------------------------------
 
 /// Ablation: merge tiers, density thresholds and scan variants.
 pub fn ablation(cfg: &ExpConfig) {
@@ -1556,7 +1024,6 @@ pub fn recovery(cfg: &ExpConfig) {
         &[0, 16, 64, 256]
     };
     let mut rows = Vec::new();
-    let mut chain_json: Vec<String> = Vec::new();
     for &len in chain_lens {
         let cap = (2 * len).max(4);
         let svc_cfg = ServiceConfig {
@@ -1609,17 +1076,6 @@ pub fn recovery(cfg: &ExpConfig) {
             fmt_ms(encode_secs),
             fmt_ms(recover_secs),
         ]);
-        chain_json.push(format!(
-            concat!(
-                "    {{\"chain_len\": {}, \"edges\": {}, \"checkpoint_bytes\": {}, ",
-                "\"encode_secs\": {:.6}, \"recover_secs\": {:.6}}}"
-            ),
-            ckpt.chain_len(),
-            snap.num_edges(),
-            bytes.len(),
-            encode_secs,
-            recover_secs,
-        ));
         eprintln!(
             "recovery: chain {} recovered in {:.2} ms",
             ckpt.chain_len(),
@@ -1636,7 +1092,7 @@ pub fn recovery(cfg: &ExpConfig) {
     // (b) Cluster failover under a FaultPlan: one shard dies mid-stream,
     // the router detects it on the next forward and respawns it from the
     // latest checkpoint + delta ring + replay log.
-    let failover_json = {
+    {
         let n_updates = (batch * 8 * cfg.max_slides.max(1)).min(tail.len());
         let store = Arc::new(MemoryCheckpointStore::new());
         let cluster = GraphCluster::spawn(
@@ -1666,8 +1122,7 @@ pub fn recovery(cfg: &ExpConfig) {
                 cluster.epoch_cut().expect("cluster alive");
             }
         }
-        let snap = cluster.epoch_cut().expect("cluster alive");
-        let final_edges = snap.num_edges();
+        cluster.epoch_cut().expect("cluster alive");
         let report = cluster.shutdown();
         let rs = report.metrics.recovery_stats();
         assert!(rs.recoveries >= 1, "the fault plan must have fired");
@@ -1679,31 +1134,12 @@ pub fn recovery(cfg: &ExpConfig) {
             rs.checkpoints_taken,
             rs.checkpoint_bytes,
         );
-        format!(
-            concat!(
-                "  \"failover\": {{\"shards\": 4, \"streamed_updates\": {}, ",
-                "\"recoveries\": {}, \"recovery_secs\": {:.6}, ",
-                "\"replayed_deltas\": {}, \"replayed_updates\": {}, ",
-                "\"snapshot_fallbacks\": {}, \"checkpoints_taken\": {}, ",
-                "\"checkpoint_bytes\": {}, \"final_edges\": {}}}"
-            ),
-            n_updates,
-            rs.recoveries,
-            rs.recovery_secs,
-            rs.replayed_deltas,
-            rs.replayed_updates,
-            rs.snapshot_fallbacks,
-            rs.checkpoints_taken,
-            rs.checkpoint_bytes,
-            final_edges,
-        )
-    };
+    }
 
     // (c) Follower staleness vs read throughput: a producer thread streams
     // continuously while a read-only follower serves queries from local
     // state, syncing from the leader's delta ring every `sync_every` reads.
     let mut follower_rows = Vec::new();
-    let mut follower_json: Vec<String> = Vec::new();
     {
         // Small fixed flush batches so leader epochs advance on the read
         // loop's timescale — otherwise every sync observes zero staleness.
@@ -1756,21 +1192,6 @@ pub fn recovery(cfg: &ExpConfig) {
                 format!("{}", stats.max_staleness),
                 format!("{}", stats.rebases),
             ]);
-            follower_json.push(format!(
-                concat!(
-                    "    {{\"sync_every\": {}, \"reads\": {}, \"wall_secs\": {:.6}, ",
-                    "\"reads_per_sec\": {:.1}, \"avg_staleness\": {:.3}, ",
-                    "\"max_staleness\": {}, \"deltas_applied\": {}, \"rebases\": {}}}"
-                ),
-                sync_every,
-                reads,
-                wall,
-                reads as f64 / wall.max(1e-12),
-                stats.avg_staleness,
-                stats.max_staleness,
-                stats.deltas_applied,
-                stats.rebases,
-            ));
         }
         stop.store(true, Ordering::Relaxed);
         producer.join().expect("producer thread");
@@ -1789,594 +1210,6 @@ pub fn recovery(cfg: &ExpConfig) {
         ],
         &follower_rows,
     );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"recovery\",\n",
-            "  \"dataset\": \"{}\",\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"num_vertices\": {},\n",
-            "  \"flush_batch\": {},\n",
-            "  \"chain\": [\n{}\n  ],\n",
-            "{},\n",
-            "  \"follower\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        crate::report::json_escape(&stream.name),
-        cfg.scale,
-        cfg.seed,
-        nv,
-        batch,
-        chain_json.join(",\n"),
-        failover_json,
-        follower_json.join(",\n"),
-    );
-    if let Err(e) = crate::report::save_json("BENCH_recovery", &json) {
-        eprintln!("(json save failed for recovery: {e})");
-    }
-}
-
-// ----------------------------------------------------------------------
-// obs — unified tracing, latency histograms and stage telemetry
-// ----------------------------------------------------------------------
-
-/// The observability experiment (DESIGN.md §13):
-///
-/// **(a) Instrumentation overhead** — the same single-service ingest
-/// workload runs with the telemetry registry enabled and disabled
-/// (runtime-inert spans: no clock reads, no samples); the wall-clock delta
-/// is the cost of the measurement plane itself. Target: < 2 %.
-///
-/// **(b) Steady vs chaos ingest latency** — a 4-shard cluster under
-/// multi-producer per-edge traffic, first undisturbed, then with a
-/// mid-stream grow reshard (4 → 6) and a mid-stream shard kill + recovery.
-/// Reported: client ingest p50/p99 per scenario, the
-/// `ingest.reshard` histogram (sends completing while migration held the
-/// router), and the full per-stage breakdown (flush, route/forward,
-/// cut barrier/publish, reshard quiesce/migrate/resume, recovery
-/// restore/replay, checkpoint) from the cluster registry.
-pub fn obs(cfg: &ExpConfig) {
-    use gpma_cluster::{
-        ClusterConfig, GraphCluster, MemoryCheckpointStore, PartitionPolicy, RecoveryPolicy,
-    };
-    use gpma_graph::Edge;
-    use gpma_obs::Stage;
-    use gpma_service::{ServiceConfig, StreamingService};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    let stream = generate(DatasetKind::Graph500, cfg.scale, cfg.seed);
-    let nv = stream.num_vertices;
-    let batch = stream.slide_batch_size(0.01).max(1);
-    let tail = &stream.edges[stream.initial_size()..];
-    assert!(!tail.is_empty(), "obs needs a streamed tail");
-
-    // (a) Overhead: flush-sized batches + per-flush spans, measured with
-    // the registry on and off (interleaved best-of-N so scheduler noise
-    // hits both arms equally).
-    let slides = if cfg.max_slides <= 1 {
-        8
-    } else {
-        8 * cfg.max_slides
-    };
-    let run_once = |metered: bool| -> f64 {
-        let dev = Device::new(cfg.device_cfg.clone());
-        let sys = DynamicGraphSystem::new(dev, nv, stream.initial_edges(), batch);
-        let svc = StreamingService::spawn(ServiceConfig::default(), sys);
-        svc.obs().set_enabled(metered);
-        let h = svc.handle();
-        let t0 = Instant::now();
-        for step in 0..slides {
-            let mut b = UpdateBatch::default();
-            for i in 0..batch {
-                let n = step * batch + i;
-                let e = tail[n % tail.len()];
-                b.insertions
-                    .push(Edge::weighted(e.src, e.dst, (n + 1) as u64));
-            }
-            h.ingest(b).expect("service alive");
-        }
-        svc.barrier().expect("service alive");
-        let wall = t0.elapsed().as_secs_f64();
-        drop(svc.shutdown());
-        wall
-    };
-    run_once(true); // warm-up: page in the dataset + code paths
-    let (mut on, mut off) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        off = off.min(run_once(false));
-        on = on.min(run_once(true));
-    }
-    let overhead_pct = (on - off) / off.max(1e-12) * 100.0;
-    eprintln!(
-        "obs: overhead {overhead_pct:+.2}% (enabled {:.2} ms vs disabled {:.2} ms, {slides} flushes)",
-        on * 1e3,
-        off * 1e3,
-    );
-
-    // (b) Steady vs chaos: the same producer pattern, one quiet cluster and
-    // one that reshards and loses a shard mid-stream.
-    let cuts_per_phase = if cfg.max_slides <= 1 { 2 } else { 4 };
-    let run_cluster = |chaos: bool| -> (GraphCluster, u64) {
-        let store = Arc::new(MemoryCheckpointStore::new());
-        let cluster = GraphCluster::spawn(
-            ClusterConfig {
-                flush_threshold: batch.clamp(16, 1024),
-                recovery: Some(RecoveryPolicy {
-                    store,
-                    checkpoint_every_cuts: 2,
-                }),
-                ..Default::default()
-            },
-            &cfg.device_cfg,
-            PartitionPolicy::VertexHash.build(nv, 4),
-            stream.initial_edges(),
-        );
-        let stop = Arc::new(AtomicBool::new(false));
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let h = cluster.handle();
-                let stop = stop.clone();
-                let feed: Vec<Edge> = tail.to_vec();
-                std::thread::spawn(move || {
-                    let mut n = p;
-                    while !stop.load(Ordering::Relaxed) {
-                        let e = feed[n % feed.len()];
-                        if h
-                            .insert(Edge::weighted(e.src, e.dst, (n + 1) as u64))
-                            .is_err()
-                        {
-                            return;
-                        }
-                        n += 4;
-                    }
-                })
-            })
-            .collect();
-        // Control activity paces the phases: each cut forwards + barriers,
-        // so real producer traffic flows between the control points.
-        for _ in 0..cuts_per_phase {
-            cluster.epoch_cut().expect("cluster alive");
-        }
-        if chaos {
-            cluster
-                .reshard(PartitionPolicy::VertexHash.build(nv, 6))
-                .expect("mid-stream grow reshard");
-            for _ in 0..cuts_per_phase {
-                cluster.epoch_cut().expect("cluster alive");
-            }
-            cluster.kill_shard(1).expect("cluster alive");
-            // The next cuts detect the corpse and recover it.
-            for _ in 0..cuts_per_phase {
-                cluster.epoch_cut().expect("cluster alive");
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        for p in producers {
-            p.join().expect("producer thread");
-        }
-        let updates = cluster
-            .obs()
-            .hist(Stage::IngestEnqueue)
-            .snapshot()
-            .count;
-        (cluster, updates)
-    };
-
-    let (steady, steady_updates) = run_cluster(false);
-    let steady_ingest = steady.obs().hist(Stage::IngestEnqueue).snapshot();
-    drop(steady.shutdown());
-
-    let (chaos, chaos_updates) = run_cluster(true);
-    let chaos_ingest = chaos.obs().hist(Stage::IngestEnqueue).snapshot();
-    let under_reshard = chaos.obs().hist(Stage::IngestReshard).snapshot();
-    eprintln!("{}", chaos.metrics_report().expect("cluster alive"));
-    let telemetry_json = chaos.obs_dump();
-    let chaos_report = chaos.shutdown();
-    let rs = chaos_report.metrics.recovery_stats();
-
-    emit(
-        "obs",
-        "Ingest latency under chaos (4 shards; grow reshard + shard kill mid-stream)",
-        &["Scenario", "Updates", "p50us", "p99us", "Maxus"],
-        &[
-            vec![
-                "steady".into(),
-                format!("{steady_updates}"),
-                format!("{}", steady_ingest.p50),
-                format!("{}", steady_ingest.p99),
-                format!("{}", steady_ingest.max),
-            ],
-            vec![
-                "chaos".into(),
-                format!("{chaos_updates}"),
-                format!("{}", chaos_ingest.p50),
-                format!("{}", chaos_ingest.p99),
-                format!("{}", chaos_ingest.max),
-            ],
-            vec![
-                "under-reshard".into(),
-                format!("{}", under_reshard.count),
-                format!("{}", under_reshard.p50),
-                format!("{}", under_reshard.p99),
-                format!("{}", under_reshard.max),
-            ],
-        ],
-    );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"obs\",\n",
-            "  \"dataset\": \"{}\",\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"num_vertices\": {},\n",
-            "  \"flush_batch\": {},\n",
-            "  \"overhead\": {{\"flushes\": {}, \"enabled_secs\": {:.6}, ",
-            "\"disabled_secs\": {:.6}, \"overhead_pct\": {:.3}}},\n",
-            "  \"steady\": {{\"updates\": {}, \"ingest_p50_us\": {}, ",
-            "\"ingest_p99_us\": {}, \"ingest_max_us\": {}}},\n",
-            "  \"chaos\": {{\"updates\": {}, \"reshards\": 1, \"recoveries\": {}, ",
-            "\"ingest_p50_us\": {}, \"ingest_p99_us\": {}, \"ingest_max_us\": {}, ",
-            "\"under_reshard\": {{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, ",
-            "\"max_us\": {}}}}},\n",
-            "  \"telemetry\": {}",
-            "}}\n"
-        ),
-        crate::report::json_escape(&stream.name),
-        cfg.scale,
-        cfg.seed,
-        nv,
-        batch,
-        slides,
-        on,
-        off,
-        overhead_pct,
-        steady_updates,
-        steady_ingest.p50,
-        steady_ingest.p99,
-        steady_ingest.max,
-        chaos_updates,
-        rs.recoveries,
-        chaos_ingest.p50,
-        chaos_ingest.p99,
-        chaos_ingest.max,
-        under_reshard.count,
-        under_reshard.p50,
-        under_reshard.p99,
-        under_reshard.max,
-        telemetry_json,
-    );
-    if let Err(e) = crate::report::save_json("BENCH_obs", &json) {
-        eprintln!("(json save failed for obs: {e})");
-    }
-}
-
-// ----------------------------------------------------------------------
-// serving — multi-tenant cached query serving over live ingest
-// ----------------------------------------------------------------------
-
-/// The query-serving experiment (DESIGN.md §14):
-///
-/// **(a) Cache value under a mixed read/write load** — three unlimited
-/// tenants run an interleaved workload (each round: one 4-edge ingest
-/// batch, six queries across the typed vocabulary — a ≥50 % read mix by
-/// operation count) against a [`gpma_serving::QueryServer`] with the
-/// delta-maintained cache on and off. Reported: client-observed query
-/// p50/p99, the cache hit rate, and the cached/uncached p99 ratio. The
-/// cache should win p99 decisively: the expensive tail (PageRank, CC) is
-/// served from patched/refilled entries instead of recomputed per query.
-///
-/// **(b) Tenant isolation under an over-quota abuser** — two well-behaved
-/// tenants run a paced query load while an abuser tenant floods
-/// PageRank queries far beyond its token-bucket quota from two threads.
-/// Admission sheds the overflow synchronously
-/// ([`gpma_serving::Rejected::QuotaExceeded`]) without blocking, so the
-/// victims' p99 must stay within 2× of an abuser-free baseline run.
-pub fn serving(cfg: &ExpConfig) {
-    use gpma_graph::Edge;
-    use gpma_service::{ServiceConfig, StreamingService};
-    use gpma_serving::{
-        PageRankParams, Query, QueryServer, Rejected, ServingConfig, ServingMetrics, TenantConfig,
-    };
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let stream = generate(DatasetKind::Graph500, cfg.scale, cfg.seed);
-    let nv = stream.num_vertices;
-    let tail = &stream.edges[stream.initial_size()..];
-    assert!(!tail.is_empty(), "serving needs a streamed tail");
-    let probe = tail[0];
-
-    /// Nearest-rank percentile over an unsorted latency sample.
-    fn pctl(lat_us: &mut [u64], p: f64) -> u64 {
-        if lat_us.is_empty() {
-            return 0;
-        }
-        lat_us.sort_unstable();
-        lat_us[((lat_us.len() - 1) as f64 * p) as usize]
-    }
-
-    // Bench-friendly PageRank: the point is relative cached/uncached cost,
-    // not convergence to 1e-9.
-    let pr = PageRankParams {
-        damping: 0.85,
-        epsilon: 1e-6,
-        max_iters: 20,
-    };
-    let rounds = 40 * cfg.max_slides.max(1);
-    // The repeating query set: one of each kind, so every round mixes
-    // engine-refilled (BFS/CC), patched (exists/neighbors/degree) and
-    // invalidate-always (PageRank) cache behavior.
-    let query_set = [
-        Query::Bfs { src: 0 },
-        Query::Cc,
-        Query::PageRank { top_k: 8 },
-        Query::Degree { v: probe.src },
-        Query::EdgeExists {
-            u: probe.src,
-            v: probe.dst,
-        },
-        Query::Neighbors { v: probe.src },
-    ];
-    let round_batch = |round: usize| -> UpdateBatch {
-        let mut b = UpdateBatch::default();
-        for i in 0..4 {
-            let e = tail[(round * 4 + i) % tail.len()];
-            b.insertions
-                .push(Edge::weighted(e.src, e.dst, (round * 4 + i + 1) as u64));
-        }
-        if round.is_multiple_of(4) && round >= 8 {
-            // Re-delete something inserted two epochs back so deletions
-            // exercise the patch path too.
-            b.deletions.push(tail[(round - 8) * 4 % tail.len()]);
-        }
-        b
-    };
-
-    // (a) Mixed load, cache on vs off.
-    let run_mixed = |cached: bool| -> (Vec<u64>, ServingMetrics) {
-        let dev = Device::new(cfg.device_cfg.clone());
-        // Small flush threshold: epochs publish every ~2 rounds, so the
-        // cache is continuously invalidated/patched, not just warm.
-        let sys = DynamicGraphSystem::new(dev, nv, stream.initial_edges(), 8);
-        let svc = Arc::new(StreamingService::spawn(ServiceConfig::default(), sys));
-        let server = QueryServer::spawn(
-            Arc::clone(&svc),
-            ServingConfig {
-                workers: 3,
-                queue_capacity: 256,
-                default_deadline: Duration::from_secs(60),
-                cache: cached,
-                bfs_roots: vec![0],
-                pagerank: pr,
-                tenants: vec![
-                    TenantConfig::unlimited("analytics"),
-                    TenantConfig::unlimited("dashboard"),
-                    TenantConfig::unlimited("adhoc"),
-                ],
-            },
-        );
-        let mut lat_us = Vec::with_capacity(rounds * query_set.len());
-        for round in 0..rounds {
-            let writer = (round % 3) as u32;
-            let _ = server.ingest(writer, round_batch(round));
-            let tickets: Vec<_> = query_set
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &q)| {
-                    let tenant = ((round + i) % 3) as u32;
-                    let t0 = Instant::now();
-                    server.submit(tenant, q).ok().map(|t| (t0, t))
-                })
-                .collect();
-            for (t0, t) in tickets {
-                if t.wait().is_ok() {
-                    lat_us.push(t0.elapsed().as_micros() as u64);
-                }
-            }
-        }
-        let metrics = server.shutdown();
-        drop(
-            Arc::into_inner(svc)
-                .expect("server released its backend handle")
-                .shutdown(),
-        );
-        (lat_us, metrics)
-    };
-
-    let (mut cached_lat, cached_m) = run_mixed(true);
-    let (mut uncached_lat, uncached_m) = run_mixed(false);
-    let cached_tot = cached_m.totals();
-    let uncached_tot = uncached_m.totals();
-    let (c_p50, c_p99) = (pctl(&mut cached_lat, 0.50), pctl(&mut cached_lat, 0.99));
-    let (u_p50, u_p99) = (pctl(&mut uncached_lat, 0.50), pctl(&mut uncached_lat, 0.99));
-    let read_mix = cached_tot.completed() as f64
-        / (cached_tot.completed() + cached_tot.ingested).max(1) as f64;
-    let p99_speedup = u_p99 as f64 / (c_p99 as f64).max(1.0);
-    eprintln!(
-        "serving: mixed load {:.0}% reads, cache hit rate {:.1}%, p99 {}us cached vs {}us uncached ({p99_speedup:.2}x)",
-        read_mix * 100.0,
-        cached_tot.hit_rate() * 100.0,
-        c_p99,
-        u_p99,
-    );
-
-    // (b) Isolation: victims paced, abuser flooding past its quota.
-    let rounds_iso = 30 * cfg.max_slides.max(1);
-    let run_isolation = |with_abuser: bool| -> (Vec<u64>, ServingMetrics) {
-        let dev = Device::new(cfg.device_cfg.clone());
-        let sys = DynamicGraphSystem::new(dev, nv, stream.initial_edges(), 8);
-        let svc = Arc::new(StreamingService::spawn(ServiceConfig::default(), sys));
-        let server = Arc::new(QueryServer::spawn(
-            Arc::clone(&svc),
-            ServingConfig {
-                workers: 2,
-                queue_capacity: 64,
-                default_deadline: Duration::from_secs(60),
-                cache: true,
-                bfs_roots: vec![0],
-                pagerank: pr,
-                tenants: vec![
-                    TenantConfig::unlimited("dashboard"),
-                    TenantConfig::unlimited("analytics"),
-                    TenantConfig::new("abuser", 100.0, 0.0).with_bursts(10.0, 1.0),
-                ],
-            },
-        ));
-        let abuser = server.tenant_id("abuser").expect("registered tenant");
-        let stop = Arc::new(AtomicBool::new(false));
-        let flooders: Vec<_> = (0..if with_abuser { 2 } else { 0 })
-            .map(|_| {
-                let server = Arc::clone(&server);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        // Fire-and-forget: the shed path must stay
-                        // synchronous and cheap; admitted tickets complete
-                        // unobserved.
-                        match server.submit(abuser, Query::PageRank { top_k: 8 }) {
-                            Ok(_) | Err(Rejected::QuotaExceeded) => {}
-                            Err(_) => return,
-                        }
-                        std::thread::yield_now();
-                    }
-                })
-            })
-            .collect();
-        let mut lat_us = Vec::with_capacity(rounds_iso * 4);
-        for round in 0..rounds_iso {
-            let _ = server.ingest(0, round_batch(round));
-            for (i, &q) in query_set.iter().enumerate().filter(|(i, _)| *i != 2) {
-                let tenant = ((round + i) % 2) as u32;
-                let t0 = Instant::now();
-                if let Ok(t) = server.submit(tenant, q) {
-                    if t.wait().is_ok() {
-                        lat_us.push(t0.elapsed().as_micros() as u64);
-                    }
-                }
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        for f in flooders {
-            f.join().expect("flooder thread");
-        }
-        let metrics = Arc::into_inner(server)
-            .expect("flooders joined")
-            .shutdown();
-        drop(
-            Arc::into_inner(svc)
-                .expect("server released its backend handle")
-                .shutdown(),
-        );
-        (lat_us, metrics)
-    };
-
-    let (mut base_lat, _base_m) = run_isolation(false);
-    let (mut cont_lat, cont_m) = run_isolation(true);
-    let (b_p50, b_p99) = (pctl(&mut base_lat, 0.50), pctl(&mut base_lat, 0.99));
-    let (i_p50, i_p99) = (pctl(&mut cont_lat, 0.50), pctl(&mut cont_lat, 0.99));
-    let abuser_m = cont_m.tenants[2].clone();
-    let degradation = i_p99 as f64 / (b_p99 as f64).max(1.0);
-    eprintln!(
-        "serving: abuser shed {} of {} ({} admitted), victim p99 {}us vs {}us baseline ({degradation:.2}x)",
-        abuser_m.rejected_quota, abuser_m.submitted, abuser_m.admitted, i_p99, b_p99,
-    );
-    if degradation > 2.0 {
-        eprintln!("serving: WARNING victim p99 degraded more than 2x under abuse");
-    }
-
-    emit(
-        "serving",
-        "Multi-tenant query serving (mixed ingest+query load; quota abuse)",
-        &["Scenario", "Queries", "p50us", "p99us", "HitRate", "Shed"],
-        &[
-            vec![
-                "cached".into(),
-                format!("{}", cached_tot.completed()),
-                format!("{c_p50}"),
-                format!("{c_p99}"),
-                format!("{:.1}%", cached_tot.hit_rate() * 100.0),
-                format!("{}", cached_tot.rejected()),
-            ],
-            vec![
-                "uncached".into(),
-                format!("{}", uncached_tot.completed()),
-                format!("{u_p50}"),
-                format!("{u_p99}"),
-                format!("{:.1}%", uncached_tot.hit_rate() * 100.0),
-                format!("{}", uncached_tot.rejected()),
-            ],
-            vec![
-                "victims-baseline".into(),
-                format!("{}", base_lat.len()),
-                format!("{b_p50}"),
-                format!("{b_p99}"),
-                "-".into(),
-                "0".into(),
-            ],
-            vec![
-                "victims-abused".into(),
-                format!("{}", cont_lat.len()),
-                format!("{i_p50}"),
-                format!("{i_p99}"),
-                "-".into(),
-                format!("{}", abuser_m.rejected_quota),
-            ],
-        ],
-    );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"experiment\": \"serving\",\n",
-            "  \"dataset\": \"{}\",\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"num_vertices\": {},\n",
-            "  \"mixed\": {{\"read_mix\": {:.3}, \"p99_speedup\": {:.3},\n",
-            "    \"cached\": {{\"queries\": {}, \"p50_us\": {}, \"p99_us\": {}, ",
-            "\"hit_rate\": {:.4}, \"ingested\": {}}},\n",
-            "    \"uncached\": {{\"queries\": {}, \"p50_us\": {}, \"p99_us\": {}, ",
-            "\"hit_rate\": {:.4}, \"ingested\": {}}}}},\n",
-            "  \"isolation\": {{\"baseline_p50_us\": {}, \"baseline_p99_us\": {}, ",
-            "\"contended_p50_us\": {}, \"contended_p99_us\": {}, \"degradation\": {:.3},\n",
-            "    \"abuser\": {{\"submitted\": {}, \"admitted\": {}, \"shed_quota\": {}}}}}\n",
-            "}}\n"
-        ),
-        crate::report::json_escape(&stream.name),
-        cfg.scale,
-        cfg.seed,
-        nv,
-        read_mix,
-        p99_speedup,
-        cached_tot.completed(),
-        c_p50,
-        c_p99,
-        cached_tot.hit_rate(),
-        cached_tot.ingested,
-        uncached_tot.completed(),
-        u_p50,
-        u_p99,
-        uncached_tot.hit_rate(),
-        uncached_tot.ingested,
-        b_p50,
-        b_p99,
-        i_p50,
-        i_p99,
-        degradation,
-        abuser_m.submitted,
-        abuser_m.admitted,
-        abuser_m.rejected_quota,
-    );
-    if let Err(e) = crate::report::save_json("BENCH_serving", &json) {
-        eprintln!("(json save failed for serving: {e})");
-    }
 }
 
 #[cfg(test)]

@@ -69,35 +69,6 @@ pub fn save_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::
     Ok(())
 }
 
-/// Write pre-rendered JSON under `results/<name>.json` — the
-/// machine-readable side of an experiment (the vendor set has no
-/// `serde_json`, so drivers render with [`json_escape`] + `format!`).
-pub fn save_json(name: &str, content: &str) -> std::io::Result<()> {
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, content)?;
-    println!("(saved results/{name}.json)");
-    Ok(())
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Milliseconds with adaptive precision.
 pub fn fmt_ms(secs: f64) -> String {
     let ms = secs * 1e3;

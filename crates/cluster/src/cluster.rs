@@ -874,22 +874,6 @@ impl GraphCluster {
         &self.shared.obs
     }
 
-    /// The one-line [`ClusterMetrics`] summary followed by the per-stage
-    /// latency table — the human-readable health readout. Queues behind
-    /// in-flight updates like [`Self::metrics`].
-    pub fn metrics_report(&self) -> Result<String, ClusterClosed> {
-        let m = self.metrics()?;
-        Ok(format!("{m}\n{}", self.shared.obs.render_table()))
-    }
-
-    /// The full telemetry dump as JSON: every stage histogram's summary
-    /// statistics plus the buffered event timeline. Machine-readable
-    /// counterpart of [`Self::metrics_report`]; see also
-    /// [`gpma_obs::Registry::render_prometheus`] via [`Self::obs`].
-    pub fn obs_dump(&self) -> String {
-        self.shared.obs.render_json()
-    }
-
     /// Stop the cluster: drain the router queue, forward all residue, take
     /// a final coordinated cut, shut every shard service down and hand all
     /// reports back. Outstanding [`ClusterHandle`]s get [`ClusterClosed`]
@@ -1989,9 +1973,6 @@ mod tests {
         assert!(events.iter().any(|e| e.kind == EventKind::ReshardBegin));
         assert!(events.iter().any(|e| e.kind == EventKind::ReshardEnd));
         gpma_obs::parse_exposition(&obs.render_prometheus()).unwrap();
-        let report = c.metrics_report().unwrap();
-        assert!(report.contains("cut.barrier"), "{report}");
-        assert!(c.obs_dump().contains("\"events\""));
         c.shutdown();
     }
 

@@ -131,7 +131,7 @@ pub use metrics::{ClusterMetrics, MigrationStats, RecoveryStats, RoutingSkew};
 pub use snapshot::ClusterSnapshot;
 
 /// Named constructor for the shipped partitioning policies — the CLI/bench
-/// surface (`repro -- cluster` loops over these).
+/// surface (`repro -- elastic` loops over these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionPolicy {
     /// Contiguous vertex ranges ([`VertexPartition`]).

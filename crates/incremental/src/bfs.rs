@@ -14,7 +14,7 @@
 //!
 //! Per-epoch cost is O(affected vertices + their incident edges), versus
 //! O(V + E) for a from-scratch traversal; [`IncrementalBfs::work`] counts
-//! the units so the `repro -- incremental` experiment can report the ratio.
+//! the units the benchmark reports as `incremental.bfs_work_per_delta`.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};

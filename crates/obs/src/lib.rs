@@ -18,15 +18,13 @@
 //! * [`ObsEvent`] — structured timeline events in a bounded ring.
 //! * [`Registry`] — one histogram per stage + the ring + renderers:
 //!   Prometheus text exposition ([`Registry::render_prometheus`],
-//!   validated by [`parse_exposition`]), machine-readable JSON
-//!   ([`Registry::render_json`], persisted by the bench harness), and a
-//!   human-readable table ([`Registry::render_table`]).
+//!   validated by [`parse_exposition`]) and a human-readable table
+//!   ([`Registry::render_table`]).
 //! * [`LineReport`] — the shared one-line metrics formatter
 //!   `ServiceMetrics` and `ClusterMetrics` both render `Display` through.
 //!
 //! A registry built with [`Registry::disabled`] hands out inert spans
-//! that never read the clock; `repro -- obs` measures instrumentation
-//! overhead as enabled-vs-disabled wall time on the same workload.
+//! that never read the clock.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,6 @@
 //! The [`Registry`]: one histogram per [`Stage`], a bounded structured
-//! event ring, and the renderers (Prometheus text exposition, JSON for
-//! `save_json`, aligned table for humans).
+//! event ring, and the renderers (Prometheus text exposition, aligned
+//! table for humans).
 
 use crate::fmt::fmt_micros;
 use crate::histogram::{HistSnapshot, Histogram};
@@ -230,68 +230,6 @@ impl Registry {
         out
     }
 
-    /// Machine-readable JSON (the `save_json` form the bench harness
-    /// writes): per-stage snapshots plus the event timeline.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"stages\": [");
-        let mut first = true;
-        for s in Stage::ALL {
-            let snap = self.hist(s).snapshot();
-            if snap.count == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let unit = match s.unit() {
-                Unit::Micros => "us",
-                Unit::Epochs => "epochs",
-            };
-            let _ = write!(
-                out,
-                "\n    {{\"stage\": \"{}\", \"unit\": \"{}\", \"count\": {}, \"sum\": {}, \
-                 \"min\": {}, \"max\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}, \
-                 \"saturated\": {}}}",
-                s.name(),
-                unit,
-                snap.count,
-                snap.sum,
-                snap.min,
-                snap.max,
-                snap.p50,
-                snap.p90,
-                snap.p99,
-                snap.p999,
-                snap.saturated
-            );
-        }
-        out.push_str("\n  ],\n  \"events\": [");
-        let events = self.events();
-        for (i, ev) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"ts_us\": {}, \"stage\": \"{}\", \"shard\": {}, \"epoch\": {}, \
-                 \"kind\": \"{}\", \"value\": {}}}",
-                ev.ts,
-                ev.stage.name(),
-                ev.shard,
-                ev.epoch,
-                ev.kind.name(),
-                ev.value
-            );
-        }
-        let _ = write!(
-            out,
-            "\n  ],\n  \"events_dropped\": {}\n}}",
-            self.events_dropped()
-        );
-        out
-    }
-
     /// Human-readable aligned table of every stage with samples: count,
     /// mean, p50/p90/p99, max, and total time (µs values rendered with
     /// adaptive units).
@@ -461,17 +399,6 @@ mod tests {
         assert!(parse_exposition("m{k=\"v\"} notanumber\n").is_err());
         assert!(parse_exposition("m{k=noquotes} 1\n").is_err());
         assert_eq!(parse_exposition("# TYPE m counter\nm{k=\"v\"} 1\nm 2.5\n"), Ok(2));
-    }
-
-    #[test]
-    fn json_contains_stages_and_events() {
-        let r = Registry::new();
-        r.record(Stage::ReshardQuiesce, 5000);
-        r.event(Stage::ReshardQuiesce, NO_SHARD, 2, EventKind::ReshardBegin, 0);
-        let json = r.render_json();
-        assert!(json.contains("\"stage\": \"reshard.quiesce\""), "{json}");
-        assert!(json.contains("\"kind\": \"reshard_begin\""), "{json}");
-        assert!(json.contains("\"events_dropped\": 0"), "{json}");
     }
 
     #[test]

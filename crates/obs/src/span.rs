@@ -3,8 +3,7 @@
 //!
 //! The guard is two words (an optional histogram reference and a start
 //! instant); a disabled registry hands out inert guards that never call
-//! `Instant::now`, which is what the `repro -- obs` overhead experiment
-//! compares against.
+//! `Instant::now`, so switching telemetry off removes its clock reads.
 
 use crate::histogram::Histogram;
 use std::time::Instant;

@@ -173,23 +173,6 @@ pub enum EventKind {
     Rebalance,
 }
 
-impl EventKind {
-    /// Stable lowercase name for exposition/JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Flush => "flush",
-            EventKind::Cut => "cut",
-            EventKind::ReshardBegin => "reshard_begin",
-            EventKind::ReshardEnd => "reshard_end",
-            EventKind::ShardDead => "shard_dead",
-            EventKind::Recovered => "recovered",
-            EventKind::FollowerSync => "follower_sync",
-            EventKind::Checkpoint => "checkpoint",
-            EventKind::Rebalance => "rebalance",
-        }
-    }
-}
-
 /// One structured timeline event: *when* (µs since registry start),
 /// *where* (stage + shard), *what* (kind + a kind-specific value, e.g. the
 /// epoch a flush published or the microseconds a reshard paused ingest).

@@ -675,21 +675,6 @@ impl StreamingService {
         &self.shared.obs
     }
 
-    /// The one-line [`ServiceMetrics`] summary followed by the per-stage
-    /// latency table (count / mean / p50 / p90 / p99 / max per stage) —
-    /// the human-readable health readout.
-    pub fn metrics_report(&self) -> String {
-        format!("{}\n{}", self.metrics(), self.shared.obs.render_table())
-    }
-
-    /// The full telemetry dump as JSON: every stage histogram's summary
-    /// statistics plus the buffered event timeline. Machine-readable
-    /// counterpart of [`Self::metrics_report`]; see also
-    /// [`gpma_obs::Registry::render_prometheus`] via [`Self::obs`].
-    pub fn obs_dump(&self) -> String {
-        self.shared.obs.render_json()
-    }
-
     /// Stop the service: drain the queue, final-flush all residue, join
     /// every thread and hand everything back. Outstanding [`IngestHandle`]s
     /// get [`ServiceClosed`] afterwards.
@@ -1113,9 +1098,6 @@ mod tests {
         );
         // The rendered exposition must satisfy the line-format checker.
         gpma_obs::parse_exposition(&obs.render_prometheus()).unwrap();
-        let report = svc.metrics_report();
-        assert!(report.contains("flush.apply"), "{report}");
-        assert!(svc.obs_dump().contains("\"stages\""));
         svc.shutdown();
     }
 

@@ -103,7 +103,7 @@ fn main() {
 
         // Client-observed ingest latency plus the per-stage pipeline
         // breakdown behind it (DESIGN.md §13) — the same telemetry the
-        // `repro -- obs` experiment sweeps under chaos.
+        // repo benchmark's `cluster-ingest` workload reports.
         let ingest = cluster.obs().hist(Stage::IngestEnqueue).snapshot();
         println!(
             "ingest latency: p50 {} µs / p99 {} µs / max {} µs over {} enqueues",
