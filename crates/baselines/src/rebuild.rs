@@ -5,7 +5,7 @@
 //! `Θ(sort(|E| + b))` regardless of the batch size `b`, which is exactly the
 //! flat, high line Figure 7 shows for the rebuild approach.
 
-use gpma_graph::edge::{row_start_key, GUARD_DST};
+use gpma_graph::edge::{edge_key_mask, row_start_key, GUARD_DST};
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
 
@@ -105,9 +105,13 @@ impl RebuildCsr {
             });
         }
 
+        // Every key, current or new, has both ends below |V|: the same
+        // masked sort as GPMA+'s batch sort, so the figures compare like
+        // with like.
         let mut sorted_keys = all_keys;
         let mut sorted_idx = all_idx;
-        primitives::radix_sort_pairs_u64(dev, &mut sorted_keys, &mut sorted_idx);
+        let mask = edge_key_mask(self.num_vertices);
+        primitives::radix_sort_pairs_u64_masked(dev, &mut sorted_keys, &mut sorted_idx, mask);
 
         // Gather values and op tags through the permutation.
         let host_tail_vals: Vec<u64> = batch

@@ -151,7 +151,9 @@ pub fn table2(cfg: &ExpConfig) -> Vec<DatasetStats> {
 /// Figure 7: update latency versus sliding-batch size, per approach.
 pub fn fig7(cfg: &ExpConfig) {
     let mut rows = Vec::new();
+    let mut summaries = Vec::new();
     for kind in DatasetKind::ALL {
+        let mut times = Vec::new();
         let stream = generate(kind, cfg.scale, cfg.seed);
         let max_batch = (stream.initial_size() / 4).max(1);
         // Base-4 exponential batch sizes, as Figure 7's log-scale x-axis.
@@ -190,6 +192,7 @@ pub fn fig7(cfg: &ExpConfig) {
                 if slides == 0 {
                     continue;
                 }
+                times.push((approach, bsz, total / slides as f64));
                 rows.push(vec![
                     kind.name().to_string(),
                     approach.name().to_string(),
@@ -199,6 +202,13 @@ pub fn fig7(cfg: &ExpConfig) {
                 ]);
             }
         }
+        let batch = |b: Option<usize>| b.map_or("none".to_string(), |b| b.to_string());
+        summaries.push(format!(
+            "fig7 {}: GPMA+ beats GPMA from batch {}; rebuild beats GPMA+ from batch {}",
+            kind.name(),
+            batch(first_win(&times, ApproachKind::GpmaPlus, ApproachKind::Gpma)),
+            batch(first_win(&times, ApproachKind::CuSparseCsr, ApproachKind::GpmaPlus)),
+        ));
         eprintln!("fig7: {} done", kind.name());
     }
     emit(
@@ -207,6 +217,19 @@ pub fn fig7(cfg: &ExpConfig) {
         &["Dataset", "Approach", "BatchSize", "UpdateMs", "Metric"],
         &rows,
     );
+    for line in summaries {
+        println!("{line}");
+    }
+}
+
+/// The smallest batch size at which `fast` took less time per slide than
+/// `slow`, among `(approach, batch size, seconds)` rows of one dataset.
+fn first_win(times: &[(ApproachKind, usize, f64)], fast: ApproachKind, slow: ApproachKind) -> Option<usize> {
+    times
+        .iter()
+        .filter(|&&(a, _, _)| a == fast)
+        .find(|&&(_, b, t)| times.iter().any(|&(a, b2, t2)| a == slow && b2 == b && t < t2))
+        .map(|&(_, b, _)| b)
 }
 
 // ----------------------------------------------------------------------
@@ -1229,5 +1252,25 @@ mod tests {
         // names every other.
         one_off[0].1 = 12;
         assert_eq!(digest_mismatches(&one_off).len(), 5);
+    }
+
+    #[test]
+    fn first_win_is_the_smallest_batch_where_fast_is_faster() {
+        use ApproachKind::{CuSparseCsr as Rebuild, Gpma, GpmaPlus as Plus};
+        let times = [
+            (Gpma, 1, 1.0),
+            (Gpma, 4, 2.0),
+            (Gpma, 16, 8.0),
+            (Plus, 1, 1.5),
+            (Plus, 4, 2.0),
+            (Plus, 16, 3.0),
+            (Rebuild, 1, 9.0),
+            (Rebuild, 4, 9.0),
+        ];
+        // A tie is not a win.
+        assert_eq!(first_win(&times, Plus, Gpma), Some(16));
+        assert_eq!(first_win(&times, Gpma, Plus), Some(1));
+        // Rebuild never wins, and has no row at 16 to compare.
+        assert_eq!(first_win(&times, Rebuild, Plus), None);
     }
 }

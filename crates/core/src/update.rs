@@ -3,7 +3,7 @@
 //! resize path use.
 
 use gpma_graph::edge::GUARD_DST;
-use gpma_graph::{Edge, UpdateBatch};
+use gpma_graph::{edge_key_mask, Edge, UpdateBatch};
 use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
 
 use crate::storage::{GpmaStorage, EMPTY};
@@ -133,7 +133,9 @@ pub fn prepare_updates_parts(
     idx.extend(0..n as u64);
     let mut dkeys = DeviceBuffer::from_slice(keys);
     let mut idx = DeviceBuffer::from_slice(idx);
-    primitives::radix_sort_pairs_u64(dev, &mut dkeys, &mut idx);
+    // Both ends were just checked below |V|: only the mask's digits vary.
+    let mask = edge_key_mask(num_vertices);
+    primitives::radix_sort_pairs_u64_masked(dev, &mut dkeys, &mut idx, mask);
 
     // Gather the payloads into sorted order.
     let src_vals = DeviceBuffer::from_slice(vals.as_slice());

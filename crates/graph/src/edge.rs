@@ -77,6 +77,17 @@ pub fn row_start_key(row: VertexId) -> u64 {
     encode_key(row, 0)
 }
 
+/// The bits an edge key can set when both ends are below `num_vertices`:
+/// `2·⌈log₂|V|⌉` of them, the low `⌈log₂|V|⌉` of each half. Sorting by
+/// these bits alone orders such keys exactly as sorting by all 64 does.
+#[inline]
+pub fn edge_key_mask(num_vertices: u32) -> u64 {
+    let id_bits = u32::BITS - num_vertices.saturating_sub(1).leading_zeros();
+    // `id_bits <= 32`, so the shift cannot overflow.
+    let ids = (1u64 << id_bits) - 1;
+    (ids << 32) | ids
+}
+
 /// True if `key` is a guard entry.
 #[inline]
 pub fn is_guard(key: u64) -> bool {
@@ -108,6 +119,57 @@ mod tests {
         assert!(is_guard(guard_key(9)));
         assert!(!is_guard(encode_key(9, 0)));
         assert!(!is_guard(encode_key(9, MAX_DST)));
+    }
+
+    #[test]
+    fn edge_key_mask_is_exact_at_every_width_boundary() {
+        // The largest |V| an update may name: every id below it is a real
+        // vertex and none is the guard sentinel.
+        let largest = GUARD_DST;
+        for nv in [0u32, 1, 2, 256, 257, 65_536, 65_537, largest] {
+            let mask = edge_key_mask(nv);
+            // The ids that set each bit an id below `nv` can set: the
+            // largest id and every power of two below `nv`.
+            let ids: Vec<u32> = (0..32)
+                .map(|b| 1u32 << b)
+                .chain(nv.checked_sub(1))
+                .filter(|&v| v < nv)
+                .collect();
+            let mut union = 0u64;
+            for &s in &ids {
+                for &d in &ids {
+                    let k = encode_key(s, d);
+                    assert_eq!(k & !mask, 0, "({s}, {d}) at |V| = {nv}");
+                    union |= k;
+                }
+            }
+            assert_eq!(union, mask, "|V| = {nv}");
+        }
+        assert_eq!(edge_key_mask(0), 0);
+        assert_eq!(edge_key_mask(1), 0);
+        assert_eq!(edge_key_mask(2), 0x1_0000_0001);
+        assert_eq!(edge_key_mask(256), 0xFF_0000_00FF);
+        assert_eq!(edge_key_mask(257), 0x1FF_0000_01FF);
+        assert_eq!(edge_key_mask(20_000), 0x7FFF_0000_7FFF);
+        assert_eq!(edge_key_mask(65_537), 0x1_FFFF_0001_FFFF);
+        assert_eq!(edge_key_mask(largest), u64::MAX);
+    }
+
+    #[test]
+    fn every_key_below_a_small_vertex_count_lies_inside_its_mask() {
+        for nv in [1u32, 2, 3, 17, 256, 257] {
+            let mask = edge_key_mask(nv);
+            let mut union = 0u64;
+            for s in 0..nv {
+                for d in 0..nv {
+                    let k = encode_key(s, d);
+                    assert_eq!(k & !mask, 0, "({s}, {d}) at |V| = {nv}");
+                    union |= k;
+                }
+            }
+            // Exact: every mask bit is set by some in-range key.
+            assert_eq!(union, mask, "|V| = {nv}");
+        }
     }
 
     #[test]

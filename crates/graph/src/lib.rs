@@ -35,6 +35,6 @@ pub mod formats;
 pub mod gen;
 pub mod stream;
 
-pub use edge::{decode_key, encode_key, guard_key, is_guard, row_start_key, Edge, VertexId, GUARD_DST, MAX_DST};
+pub use edge::{decode_key, edge_key_mask, encode_key, guard_key, is_guard, row_start_key, Edge, VertexId, GUARD_DST, MAX_DST};
 pub use formats::{Coo, Csr};
 pub use stream::{GraphStream, UpdateBatch};

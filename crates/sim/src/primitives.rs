@@ -362,24 +362,46 @@ pub fn compact_flagged_into<T: DevicePod>(
 const RADIX_BITS: u32 = 8;
 const RADIX: usize = 1 << RADIX_BITS;
 
-/// Stable LSD radix sort of `(key, value)` pairs by full 64-bit key
+/// Stable LSD radix sort of `(key, value)` pairs by all 64 key bits
 /// (CUB `DeviceRadixSort::SortPairs`). Sorts in place.
 pub fn radix_sort_pairs_u64(
     dev: &Device,
     keys: &mut DeviceBuffer<u64>,
     vals: &mut DeviceBuffer<u64>,
 ) {
+    radix_sort_pairs_u64_masked(dev, keys, vals, u64::MAX);
+}
+
+/// [`radix_sort_pairs_u64`] over the key bits in `mask` only: every key
+/// must agree with every other on the bits outside it (zero, say). A digit
+/// pass runs only when its 8 bits meet the mask; any other digit has the
+/// same value in every key, so its pass would be an identity permutation
+/// and the result is bit-identical to the full sort. Like CUB, an input of
+/// at most [`BLOCK`] pairs is sorted by one launch (`radix_sort_tile`).
+pub fn radix_sort_pairs_u64_masked(
+    dev: &Device,
+    keys: &mut DeviceBuffer<u64>,
+    vals: &mut DeviceBuffer<u64>,
+    mask: u64,
+) {
     assert_eq!(keys.len(), vals.len());
     let n = keys.len();
-    if n <= 1 {
+    debug_assert!(
+        keys.as_slice().windows(2).all(|w| (w[0] ^ w[1]) & !mask == 0),
+        "keys differ outside the sort mask {mask:#x}"
+    );
+    if n <= 1 || mask == 0 {
+        return;
+    }
+    if n <= BLOCK {
+        radix_sort_tile(dev, keys, vals, mask);
         return;
     }
     let nb = n.div_ceil(BLOCK);
     let mut other_k = DeviceBuffer::<u64>::new(n);
     let mut other_v = DeviceBuffer::<u64>::new(n);
 
-    for pass in 0..(64 / RADIX_BITS) {
-        let shift = pass * RADIX_BITS;
+    for shift in digit_shifts(mask) {
         radix_pass(
             dev,
             n,
@@ -392,17 +414,71 @@ pub fn radix_sort_pairs_u64(
                 dst_v: &other_v,
             },
         );
+        // The pass's output becomes `keys` / `vals`, so after any number
+        // of passes the caller holds the sorted pairs.
         std::mem::swap(keys, &mut other_k);
         std::mem::swap(vals, &mut other_v);
     }
-    // 8 passes = an even number of swaps: the result is in the caller's
-    // allocations again.
 }
 
 /// Sort a key-only buffer.
 pub fn radix_sort_u64(dev: &Device, keys: &mut DeviceBuffer<u64>) {
     let mut dummy = DeviceBuffer::<u64>::new(keys.len());
     radix_sort_pairs_u64(dev, keys, &mut dummy);
+}
+
+/// The shifts of the 8-bit digits that meet `mask`, least significant
+/// first.
+fn digit_shifts(mask: u64) -> impl Iterator<Item = u32> {
+    (0..u64::BITS)
+        .step_by(RADIX_BITS as usize)
+        .filter(move |&shift| (mask >> shift) & (RADIX as u64 - 1) != 0)
+}
+
+#[inline]
+fn digit(key: u64, shift: u32) -> usize {
+    ((key >> shift) as usize) & (RADIX - 1)
+}
+
+/// Sort at most [`BLOCK`] pairs in one one-lane launch, the analogue of
+/// CUB's single-tile sort: each pair is loaded and stored once, and each
+/// digit pass of `mask` is a lane-local histogram, digit scan and scatter
+/// charged through `lane.work`.
+fn radix_sort_tile(dev: &Device, keys: &DeviceBuffer<u64>, vals: &DeviceBuffer<u64>, mask: u64) {
+    let n = keys.len();
+    assert!(n <= BLOCK);
+    dev.launch("radix_sort_tile", 1, |lane| {
+        let mut tile = [[(0u64, 0u64); BLOCK]; 2];
+        for (i, pair) in tile[0][..n].iter_mut().enumerate() {
+            *pair = (keys.get(lane, i), vals.get(lane, i));
+        }
+        let mut cur = 0;
+        for shift in digit_shifts(mask) {
+            let [a, b] = &mut tile;
+            let (src, dst) = if cur == 0 { (a, b) } else { (b, a) };
+            let mut offset = [0u32; RADIX];
+            for &(k, _) in &src[..n] {
+                offset[digit(k, shift)] += 1;
+            }
+            let mut acc = 0;
+            for o in offset.iter_mut() {
+                let c = *o;
+                *o = acc;
+                acc += c;
+            }
+            for &(k, v) in &src[..n] {
+                let d = digit(k, shift);
+                dst[offset[d] as usize] = (k, v);
+                offset[d] += 1;
+            }
+            lane.work((2 * n + RADIX) as u64);
+            cur ^= 1;
+        }
+        for (i, &(k, v)) in tile[cur][..n].iter().enumerate() {
+            keys.set(lane, i, k);
+            vals.set(lane, i, v);
+        }
+    });
 }
 
 /// The ping-pong buffer set one radix pass reads from and scatters into.
@@ -430,7 +506,7 @@ fn radix_pass(dev: &Device, n: usize, nb: usize, shift: u32, bufs: PassBufs<'_>)
         let end = (start + BLOCK).min(n);
         let mut local = [0u32; RADIX];
         for i in start..end {
-            let d = ((src_k.get(lane, i) >> shift) & 0xFF) as usize;
+            let d = digit(src_k.get(lane, i), shift);
             local[d] += 1;
             lane.work(1);
         }
@@ -452,7 +528,7 @@ fn radix_pass(dev: &Device, n: usize, nb: usize, shift: u32, bufs: PassBufs<'_>)
         for i in start..end {
             let k = src_k.get(lane, i);
             let v = src_v.get(lane, i);
-            let d = ((k >> shift) & 0xFF) as usize;
+            let d = digit(k, shift);
             if !used[d] {
                 local[d] = offsets.get(lane, d * nb + b);
                 used[d] = true;
@@ -632,6 +708,50 @@ mod tests {
         radix_sort_pairs_u64(&d, &mut keys, &mut vals);
         assert_eq!(keys.to_vec(), vec![1, 1, 1, 1, 5, 5, 5, 5]);
         assert_eq!(vals.to_vec(), vec![1, 3, 5, 7, 0, 2, 4, 6]);
+    }
+
+    #[test]
+    fn masked_sort_runs_only_the_digits_it_needs() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+        // Four digits of eight: the edge keys of 20 000 vertices.
+        let mask = 0x7FFF_0000_7FFFu64;
+        for (n, launches) in [(BLOCK, 1), (BLOCK + 1, 4 * 5), (4_000, 4 * 5)] {
+            let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() & mask).collect();
+            let d = dev();
+            let mut keys = DeviceBuffer::from_slice(&data);
+            let mut vals = DeviceBuffer::from_slice(&(0..n as u64).collect::<Vec<_>>());
+            radix_sort_pairs_u64_masked(&d, &mut keys, &mut vals, mask);
+            // One tile launch, or per pass a histogram, a three-launch
+            // scan of its 256 · blocks counts and a scatter.
+            assert_eq!(d.metrics().launches, launches, "n={n}");
+            let mut expect: Vec<(u64, u64)> = data.iter().copied().zip(0..).collect();
+            expect.sort(); // (key, input index): the stable order
+            let got: Vec<(u64, u64)> = keys.to_vec().into_iter().zip(vals.to_vec()).collect();
+            assert_eq!(got, expect, "n={n}");
+        }
+    }
+
+    #[test]
+    fn masked_sort_with_an_odd_pass_count_leaves_the_result_in_place() {
+        let d = dev();
+        // One digit: a single pass, so the output sits in the scratch
+        // allocation the sort swapped into the caller's buffers.
+        let data: Vec<u64> = (0..1_000u64).map(|i| (i * 37) % 251).collect();
+        let mut keys = DeviceBuffer::from_slice(&data);
+        let mut vals = DeviceBuffer::from_slice(&data);
+        radix_sort_pairs_u64_masked(&d, &mut keys, &mut vals, 0xFF);
+        let mut expect = data;
+        expect.sort_unstable();
+        assert_eq!(keys.to_vec(), expect);
+        assert_eq!(vals.to_vec(), expect);
+        // No digit at all: every key is equal, nothing launches.
+        let d = dev();
+        let mut keys = DeviceBuffer::from_slice(&[7u64 << 40; 300]);
+        let mut vals = DeviceBuffer::from_slice(&(0..300u64).collect::<Vec<_>>());
+        radix_sort_pairs_u64_masked(&d, &mut keys, &mut vals, 0);
+        assert_eq!(d.metrics().launches, 0);
+        assert_eq!(vals.to_vec(), (0..300u64).collect::<Vec<_>>());
     }
 
     #[test]

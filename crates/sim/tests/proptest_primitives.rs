@@ -2,6 +2,7 @@
 //! reference implementations on arbitrary inputs, under both deterministic
 //! and parallel host execution.
 
+use gpma_sim::primitives::BLOCK;
 use gpma_sim::{primitives, Device, DeviceBuffer, DeviceConfig};
 use proptest::prelude::*;
 
@@ -9,8 +10,58 @@ fn det() -> Device {
     Device::new(DeviceConfig::deterministic())
 }
 
+fn pooled() -> Device {
+    Device::new(DeviceConfig { host_parallelism: 4, ..DeviceConfig::default() })
+}
+
+/// Sort masks: random (about half the digits), sparse (few digits, many
+/// equal keys) and the edge-key shape `ids << 32 | ids` of 0–32-bit ids.
+fn sort_mask() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(a, b, c)| a & b & c),
+        (0u32..=32).prop_map(|bits| {
+            let ids = (1u64 << bits) - 1;
+            (ids << 32) | ids
+        }),
+    ]
+}
+
+/// Raw keys: arbitrary, or one of 16 values spread over all 64 bits, so
+/// that any mask leaves runs of equal keys.
+fn raw_key() -> impl Strategy<Value = u64> {
+    prop_oneof![any::<u64>(), (0u64..16).prop_map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15))]
+}
+
+/// Masked and full sort of `keys` (each inside `mask`) with their input
+/// indices as values: both must equal the stable order.
+fn check_masked_sort(dev: &Device, keys: &[u64], mask: u64) {
+    let idx: Vec<u64> = (0..keys.len() as u64).collect();
+    let mut expect: Vec<(u64, u64)> = keys.iter().copied().zip(idx.iter().copied()).collect();
+    expect.sort_by_key(|&(k, _)| k); // stable: equal keys keep input order
+    let (mut fk, mut fv) = (DeviceBuffer::from_slice(keys), DeviceBuffer::from_slice(&idx));
+    primitives::radix_sort_pairs_u64(dev, &mut fk, &mut fv);
+    let (mut mk, mut mv) = (DeviceBuffer::from_slice(keys), DeviceBuffer::from_slice(&idx));
+    primitives::radix_sort_pairs_u64_masked(dev, &mut mk, &mut mv, mask);
+    let full: Vec<(u64, u64)> = fk.to_vec().into_iter().zip(fv.to_vec()).collect();
+    let masked: Vec<(u64, u64)> = mk.to_vec().into_iter().zip(mv.to_vec()).collect();
+    assert_eq!(full, expect, "full sort, n={} mask={mask:#x}", keys.len());
+    assert_eq!(masked, expect, "masked sort, n={} mask={mask:#x}", keys.len());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn masked_sort_equals_full_sort(raw in prop::collection::vec(raw_key(), 2000),
+                                    mask in sort_mask(),
+                                    n in prop_oneof![0usize..=BLOCK, BLOCK + 1..=2 * BLOCK, 2 * BLOCK + 1..2000]) {
+        // Up to one block is the one-launch tile; past it every digit pass
+        // is three-plus launches, over two blocks or over up to eight.
+        let keys: Vec<u64> = raw[..n].iter().map(|&k| k & mask).collect();
+        check_masked_sort(&det(), &keys, mask);
+        check_masked_sort(&pooled(), &keys, mask);
+    }
 
     #[test]
     fn radix_sort_sorts_any_input(mut data in prop::collection::vec(any::<u64>(), 0..2000)) {
