@@ -579,7 +579,7 @@ fn stream_during<T>(
 
 /// The cluster-elasticity experiment: stream the first half of a power-law
 /// (Graph500) stream into a static cluster, read the accumulated
-/// `routing_skew`, then live-`rebalance` onto the degree-aware plan built
+/// `imbalance`, then live-`rebalance` onto the degree-aware plan built
 /// from the router's observations and stream the second half. Reports, per
 /// policy × shard count,
 ///
@@ -633,8 +633,7 @@ pub fn elastic(cfg: &ExpConfig) {
             let before = cluster
                 .metrics()
                 .expect("cluster alive")
-                .routing_skew()
-                .max_mean_updates;
+                .imbalance();
 
             // Rebalance with ingest live: the producers race the reshard,
             // so `pause_secs` and the `ingest.reshard` histogram reflect
@@ -650,8 +649,7 @@ pub fn elastic(cfg: &ExpConfig) {
             let after = cluster
                 .metrics()
                 .expect("cluster alive")
-                .routing_skew()
-                .max_mean_updates;
+                .imbalance();
             let final_snap = cluster.snapshot();
             drop(cluster.shutdown());
 
@@ -1001,7 +999,7 @@ pub fn audit(cfg: &ExpConfig) {
 /// recovery cost vs the checkpoint's trailing delta-chain length — a longer
 /// chain makes checkpoints cheaper to take but a restart pays decode plus
 /// chain replay plus respawn. (b) A live cluster failover: a `FaultPlan`
-/// kills a shard worker mid-stream and the `RecoveryStats` counters report
+/// kills a shard worker mid-stream and the `ClusterMetrics` recovery counters report
 /// what the respawn cost. (c) Follower staleness vs read throughput as the
 /// replica's sync cadence stretches — the replication trade every read-only
 /// follower makes.
@@ -1123,7 +1121,6 @@ pub fn recovery(cfg: &ExpConfig) {
                 flush_threshold: batch,
                 recovery: Some(RecoveryPolicy {
                     store: store.clone(),
-                    checkpoint_every_cuts: 1,
                 }),
                 fault: Some(FaultPlan {
                     kill_shard: 1,
@@ -1147,15 +1144,15 @@ pub fn recovery(cfg: &ExpConfig) {
         }
         cluster.epoch_cut().expect("cluster alive");
         let report = cluster.shutdown();
-        let rs = report.metrics.recovery_stats();
-        assert!(rs.recoveries >= 1, "the fault plan must have fired");
+        let m = &report.metrics;
+        assert!(m.recoveries >= 1, "the fault plan must have fired");
         eprintln!(
             "recovery: failover x{} in {:.2} ms avg ({} updates replayed, {} ckpts, {} B)",
-            rs.recoveries,
-            rs.avg_recovery_secs * 1e3,
-            rs.replayed_updates,
-            rs.checkpoints_taken,
-            rs.checkpoint_bytes,
+            m.recoveries,
+            m.recovery_secs / m.recoveries as f64 * 1e3,
+            m.recovery_replayed_updates,
+            m.checkpoints_taken,
+            m.checkpoint_bytes,
         );
     }
 

@@ -54,13 +54,13 @@ pub struct ClusterConfig {
     pub shard_delta_log_capacity: usize,
     /// Skew-driven automatic resharding. `None` (the default) keeps the
     /// cluster static; `Some` makes the router watch
-    /// [`routing_skew`](crate::ClusterMetrics::routing_skew) and migrate
+    /// [`imbalance`](crate::ClusterMetrics::imbalance) and migrate
     /// onto a degree-aware plan when the threshold is crossed.
     pub rebalance: Option<RebalancePolicy>,
     /// Durability and failover. `None` (the default) keeps PR-6 behavior: a
     /// dead shard degrades cuts to its last published snapshot. `Some`
     /// makes the router checkpoint every shard to the policy's
-    /// [`CheckpointStore`] at the configured cut cadence, keep per-shard
+    /// [`CheckpointStore`] at every coordinated cut, keep per-shard
     /// replay logs of forwarded sub-batches, and — when a dead worker is
     /// detected — respawn it from the latest checkpoint, replay the flush
     /// gap from the dead worker's delta ring (published-snapshot fallback
@@ -88,24 +88,20 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Durability and failover policy (see [`ClusterConfig::recovery`]).
+/// Durability and failover policy (see [`ClusterConfig::recovery`]): every
+/// coordinated cut checkpoints every shard to [`Self::store`].
 #[derive(Clone)]
 pub struct RecoveryPolicy {
     /// Where per-shard checkpoints are persisted. "Latest" means most
     /// recently *saved* — epochs restart when a shard worker is respawned,
     /// so save order, not epoch order, identifies the newest incarnation.
     pub store: Arc<dyn CheckpointStore>,
-    /// Checkpoint every shard at every `n`-th coordinated cut (clamped to
-    /// ≥ 1). Sparser cadences trade checkpoint bandwidth for longer
-    /// delta-chain / replay-log recovery.
-    pub checkpoint_every_cuts: u64,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             store: Arc::new(MemoryCheckpointStore::new()),
-            checkpoint_every_cuts: 1,
         }
     }
 }
@@ -114,7 +110,6 @@ impl std::fmt::Debug for RecoveryPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RecoveryPolicy")
             .field("store", &"Arc<dyn CheckpointStore>")
-            .field("checkpoint_every_cuts", &self.checkpoint_every_cuts)
             .finish()
     }
 }
@@ -561,8 +556,8 @@ impl GraphCluster {
     /// match the old cluster's, so a restart can also re-plan.
     ///
     /// State later than the last persisted checkpoint is gone by
-    /// definition; with `checkpoint_every_cuts: 1` that is at most one
-    /// cut's worth. Corrupt containers surface as
+    /// definition; every cut checkpoints, so that is at most one cut's
+    /// worth. Corrupt containers surface as
     /// [`io::ErrorKind::InvalidData`](std::io::ErrorKind::InvalidData); an
     /// empty store (no shard 0) yields
     /// [`io::ErrorKind::NotFound`](std::io::ErrorKind::NotFound).
@@ -600,9 +595,10 @@ impl GraphCluster {
     }
 
     /// Spawn with cluster-level [`DeltaMonitor`]s: after every coordinated
-    /// cut they receive the cut's merged [`SnapshotDelta`] (or a full
-    /// rebase when a shard's ring was outrun) on a dedicated thread — the
-    /// incremental read path over globally consistent cuts.
+    /// cut they receive the cut's merged [`SnapshotDelta`] with the cut
+    /// flattened into one image (or a full rebase when a shard's ring was
+    /// outrun) on a dedicated thread — the incremental read path over
+    /// globally consistent cuts.
     pub fn spawn_with_delta_monitors(
         cfg: ClusterConfig,
         device_cfg: &DeviceConfig,
@@ -1015,7 +1011,6 @@ fn spawn_shard_service(
         },
         sys,
         Vec::new(),
-        Vec::new(),
         obs.clone(),
         shard as u32,
     );
@@ -1033,26 +1028,29 @@ enum CutEvent {
     Rebase(Arc<ClusterSnapshot>),
 }
 
-/// The cluster delta-monitor thread: rebase on the initial state, then feed
-/// each coordinated cut's merged delta (or a forced rebase) in cut order.
+/// The cluster monitor thread: keep one flat image of the latest cut —
+/// flattened at start and on every forced rebase, advanced once per cut
+/// delta — and hand every monitor that same `Arc` with each event, in cut
+/// order.
 fn run_cut_monitors(
     initial: Arc<ClusterSnapshot>,
     rx: Receiver<CutEvent>,
     mut monitors: Vec<Box<dyn DeltaMonitor>>,
 ) -> Vec<Box<dyn DeltaMonitor>> {
-    let flat = initial.to_graph_snapshot();
+    let mut flat = Arc::new(initial.to_graph_snapshot());
     for m in monitors.iter_mut() {
         m.on_rebase(&flat);
     }
     while let Ok(event) = rx.recv() {
         match event {
             CutEvent::Delta(delta) => {
+                flat = Arc::new(flat.advance(&delta).0);
                 for m in monitors.iter_mut() {
-                    m.on_delta(&delta);
+                    m.on_delta(&delta, &flat);
                 }
             }
             CutEvent::Rebase(cut) => {
-                let flat = cut.to_graph_snapshot();
+                flat = Arc::new(cut.to_graph_snapshot());
                 for m in monitors.iter_mut() {
                     m.on_rebase(&flat);
                 }
@@ -1500,21 +1498,6 @@ impl Router {
         }
     }
 
-    /// Cut-cadence checkpointing: at every `checkpoint_every_cuts`-th cut
-    /// (and the shards are freshly barriered, so each checkpoint captures
-    /// exactly the cut state), persist every shard and trim its replay log.
-    fn maybe_checkpoint(&mut self, cut: u64) {
-        let Some(policy) = &self.recovery else {
-            return;
-        };
-        if !cut.is_multiple_of(policy.checkpoint_every_cuts.max(1)) {
-            return;
-        }
-        for i in 0..self.services.len() {
-            self.save_checkpoint(i);
-        }
-    }
-
     /// The per-shard snapshots of a completed barrier round. A shard that
     /// gave no ack (closed when asked — only possible mid-teardown — or died
     /// before answering) does not panic the router: it is logged, counted
@@ -1545,7 +1528,8 @@ impl Router {
     }
 
     /// Assemble and publish one coordinated cut from barriered (or fallen
-    /// back) per-shard snapshots, plus its merged delta and cadence checkpoint.
+    /// back) per-shard snapshots, plus its merged delta and the shards'
+    /// checkpoints.
     fn publish_cut(&mut self, snaps: Vec<Arc<GraphSnapshot>>, t0: Instant) -> Arc<ClusterSnapshot> {
         let obs = self.shared.obs.clone();
         let cut = self.shared.cuts.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1558,7 +1542,11 @@ impl Router {
             ));
             *self.shared.snapshot.lock() = snap.clone();
             self.publish_cut_delta(cut, &snap);
-            self.maybe_checkpoint(cut);
+            // The shards are freshly barriered, so each checkpoint captures
+            // exactly the cut state.
+            for i in 0..self.services.len() {
+                self.save_checkpoint(i);
+            }
             snap
         };
         obs.event(
@@ -2092,10 +2080,10 @@ mod tests {
             fn name(&self) -> &str {
                 "cut-recorder"
             }
-            fn on_rebase(&mut self, snapshot: &GraphSnapshot) {
-                self.0.lock().push((true, snapshot.epoch()));
+            fn on_rebase(&mut self, image: &Arc<GraphSnapshot>) {
+                self.0.lock().push((true, image.epoch()));
             }
-            fn on_delta(&mut self, delta: &SnapshotDelta) {
+            fn on_delta(&mut self, delta: &SnapshotDelta, _image: &Arc<GraphSnapshot>) {
                 self.0.lock().push((false, delta.epoch()));
             }
         }
@@ -2130,6 +2118,62 @@ mod tests {
         assert!(events[1..].iter().all(|&(rebase, _)| !rebase));
         let expect: Vec<u64> = (1..=report.final_snapshot.cut()).collect();
         assert_eq!(cuts, expect);
+    }
+
+    #[test]
+    fn cut_monitors_share_one_flat_image_per_cut() {
+        type Seen = Arc<parking_lot::Mutex<Vec<Arc<GraphSnapshot>>>>;
+        struct Images(Seen);
+        impl gpma_service::DeltaMonitor for Images {
+            fn name(&self) -> &str {
+                "images"
+            }
+            fn on_rebase(&mut self, image: &Arc<GraphSnapshot>) {
+                self.0.lock().push(image.clone());
+            }
+            fn on_delta(&mut self, _: &SnapshotDelta, image: &Arc<GraphSnapshot>) {
+                self.0.lock().push(image.clone());
+            }
+        }
+        let a: Seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let b: Seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let c = GraphCluster::spawn_with_delta_monitors(
+            ClusterConfig {
+                flush_threshold: 2,
+                router_batch: 4,
+                ..Default::default()
+            },
+            &DeviceConfig::deterministic(),
+            Arc::new(HashVertexPartition {
+                num_vertices: 32,
+                num_shards: 4,
+            }),
+            &[Edge::new(0, 1)],
+            vec![Box::new(Images(a.clone())), Box::new(Images(b.clone()))],
+        );
+        let h = c.handle();
+        let mut cuts = vec![c.snapshot()];
+        for round in 0..3u32 {
+            for i in 0..6u32 {
+                h.insert(Edge::new(i + 6 * round, (i * 5 + round) % 32)).unwrap();
+            }
+            h.delete(Edge::new(round, (round * 5 + 1) % 32)).unwrap();
+            cuts.push(c.epoch_cut().unwrap());
+        }
+        let report = c.shutdown();
+        cuts.push(report.final_snapshot.clone());
+        let (a, b) = (a.lock(), b.lock());
+        // A rebase at cut 0, then one delta per cut (the shutdown cut too).
+        assert_eq!(a.len() as u64, report.final_snapshot.cut() + 1);
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert!(Arc::ptr_eq(x, y), "both monitors got the one flat image");
+        }
+        for cut in &cuts {
+            let image = &a[cut.cut() as usize];
+            assert_eq!(image.epoch(), cut.cut());
+            assert_eq!(**image, cut.to_graph_snapshot());
+        }
     }
 
     #[test]
@@ -2187,18 +2231,12 @@ mod tests {
         }
 
         let report = c.shutdown();
-        let stats = report.metrics.migration_stats();
-        assert_eq!(stats.reshards, 2);
-        assert_eq!(
-            stats.migrated_edges,
-            (r1.migrated_edges + r2.migrated_edges) as u64
-        );
-        assert_eq!(
-            stats.migration_bytes,
-            r1.migration_bytes + r2.migration_bytes
-        );
-        assert!(stats.pause_secs > 0.0 && stats.avg_pause_secs > 0.0);
-        assert_eq!(report.metrics.partition_version, 2);
+        let m = &report.metrics;
+        assert_eq!(m.reshard_count, 2);
+        assert_eq!(m.migrated_edges, (r1.migrated_edges + r2.migrated_edges) as u64);
+        assert_eq!(m.migration_bytes, r1.migration_bytes + r2.migration_bytes);
+        assert!(m.migration_pause_secs > 0.0);
+        assert_eq!(m.partition_version, 2);
         // Migration DMAs were charged to the ledgers; lifetime totals keep
         // the pre-reshard host→shard traffic too (retired ledgers).
         assert!(report.metrics.total_transfer().bytes >= 24 * BYTES_PER_UPDATE as u64);
@@ -2443,7 +2481,6 @@ mod tests {
                 router_batch: 8,
                 recovery: Some(RecoveryPolicy {
                     store: store.clone(),
-                    checkpoint_every_cuts: 1,
                 }),
                 ..Default::default()
             },
@@ -2484,9 +2521,7 @@ mod tests {
         assert!(m.recovery_replayed_updates >= 6, "{m}");
         assert!(m.checkpoints_taken >= 9, "4 at cut1 + 1 post-recovery + 4 at cut2");
         assert!(m.checkpoint_bytes > 0);
-        let s = m.recovery_stats();
-        assert_eq!(s.recoveries, 1);
-        assert!(s.recovery_secs > 0.0 && s.avg_recovery_secs > 0.0);
+        assert!(m.recovery_secs > 0.0);
 
         // The cut spanning the crash published as a rebase (epochs restart
         // per incarnation, so its delta cannot be stitched) — readers at

@@ -46,12 +46,13 @@
 //!   rings; shards own disjoint edge sets). Readers catch up with
 //!   [`GraphCluster::deltas_since`]; cluster-level [`DeltaMonitor`]s —
 //!   e.g. the `gpma-incremental` engine — consume one delta per cut on a
-//!   dedicated thread, rebasing on a full snapshot only when a shard ring
-//!   was outrun.
+//!   dedicated thread, each with the cut flattened into one image that all
+//!   of them share, rebasing on a full image only when a shard ring was
+//!   outrun.
 //! * **Observability** — [`ClusterMetrics`] reports routing balance and
-//!   per-shard skew ([`RoutingSkew`]), cut edges, modeled transfer totals,
-//!   delta fallbacks, migration counters ([`MigrationStats`]) and every
-//!   shard's own [`ServiceMetrics`](gpma_service::ServiceMetrics).
+//!   per-shard skew, cut edges, modeled transfer totals, delta fallbacks,
+//!   migration and recovery counters and every shard's own
+//!   [`ServiceMetrics`](gpma_service::ServiceMetrics).
 //! * **Elasticity** — [`GraphCluster::reshard`] migrates live onto any new
 //!   [`Partitioner`] (shard counts may grow or shrink), copy-on-write: the
 //!   edges whose owner changes are copied from a frozen cut and kept
@@ -71,8 +72,8 @@
 //!   control paths), and respawns them from the latest checkpoint + delta
 //!   ring + replay-log gap, rejoining oracle-exact. [`FaultPlan`] /
 //!   [`GraphCluster::kill_shard`] are the fault-injection hooks the
-//!   crash-recovery proptest harness drives; [`RecoveryStats`] summarizes
-//!   what failover cost.
+//!   crash-recovery proptest harness drives; [`ClusterMetrics`] counts what
+//!   failover cost.
 //!
 //! ## Example: 4 shards, two policies
 //!
@@ -127,7 +128,7 @@ pub use cluster::{
 pub use gpma_core::checkpoint::{CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
 pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
 pub use gpma_service::DeltaMonitor;
-pub use metrics::{ClusterMetrics, MigrationStats, RecoveryStats, RoutingSkew};
+pub use metrics::ClusterMetrics;
 pub use snapshot::ClusterSnapshot;
 
 /// Named constructor for the shipped partitioning policies — the CLI/bench

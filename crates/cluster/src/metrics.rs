@@ -104,76 +104,6 @@ pub struct ClusterMetrics {
     pub shards: Vec<ServiceMetrics>,
 }
 
-/// Migration accounting derived from [`ClusterMetrics`] — the
-/// [`RoutingSkew`]-style summary of what elasticity has cost so far.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrationStats {
-    /// Live reshards performed.
-    pub reshards: u64,
-    /// Edges that changed owner across all reshards.
-    pub migrated_edges: u64,
-    /// Modeled device-to-device bytes those moves shipped.
-    pub migration_bytes: u64,
-    /// Total ingest pause across all reshards, wall-clock seconds — the
-    /// swap + residual-replay stall only.
-    pub pause_secs: f64,
-    /// Mean ingest pause per reshard, wall-clock seconds (`0.0` when no
-    /// reshard has run).
-    pub avg_pause_secs: f64,
-    /// Total background copy-on-write work across all reshards, wall-clock
-    /// seconds ingest kept flowing through (frozen-cut copy + replay).
-    pub background_secs: f64,
-}
-
-/// Failover accounting derived from [`ClusterMetrics`] — what crash
-/// recovery has detected, restored and re-ingested so far (the
-/// [`MigrationStats`]-style summary for the durability layer).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryStats {
-    /// Dead shard workers detected and respawned.
-    pub recoveries: u64,
-    /// Total recovery wall-clock, seconds.
-    pub recovery_secs: f64,
-    /// Mean recovery wall-clock per incident, seconds (`0.0` when none).
-    pub avg_recovery_secs: f64,
-    /// Epoch deltas replayed from dead rings onto restored checkpoints.
-    pub replayed_deltas: u64,
-    /// Routed updates re-ingested from the router's replay logs.
-    pub replayed_updates: u64,
-    /// Recoveries forced onto a published-snapshot rebase.
-    pub snapshot_fallbacks: u64,
-    /// Checkpoints persisted so far.
-    pub checkpoints_taken: u64,
-    /// Encoded bytes those checkpoints wrote.
-    pub checkpoint_bytes: u64,
-}
-
-/// Per-shard routing-skew summary derived from the router's sub-batch and
-/// edge counters — the observable behind the edge grid's known ~2×
-/// power-law imbalance, and the signal a future elasticity policy (shard
-/// splits/merges) will act on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoutingSkew {
-    /// Updates routed to each shard (edge counts, index = shard id).
-    pub updates: Vec<u64>,
-    /// Sub-batches (modeled DMAs) forwarded to each shard.
-    pub sub_batches: Vec<u64>,
-    /// Busiest shard's update count over the per-shard mean
-    /// (`1.0` = perfectly balanced; `0.0` with no traffic).
-    pub max_mean_updates: f64,
-    /// Busiest shard's sub-batch count over the per-shard mean.
-    pub max_mean_sub_batches: f64,
-}
-
-fn max_over_mean(counts: &[u64]) -> f64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 || counts.is_empty() {
-        return 0.0;
-    }
-    let max = *counts.iter().max().unwrap_or(&0) as f64;
-    max / (total as f64 / counts.len() as f64)
-}
-
 impl ClusterMetrics {
     /// Total updates accepted (insertions + deletions).
     pub fn ingested(&self) -> u64 {
@@ -190,42 +120,6 @@ impl ClusterMetrics {
         total
     }
 
-    /// The migration accounting: what live resharding has moved, shipped
-    /// and paused so far.
-    pub fn migration_stats(&self) -> MigrationStats {
-        MigrationStats {
-            reshards: self.reshard_count,
-            migrated_edges: self.migrated_edges,
-            migration_bytes: self.migration_bytes,
-            pause_secs: self.migration_pause_secs,
-            avg_pause_secs: if self.reshard_count == 0 {
-                0.0
-            } else {
-                self.migration_pause_secs / self.reshard_count as f64
-            },
-            background_secs: self.migration_background_secs,
-        }
-    }
-
-    /// The failover accounting: what crash recovery has detected, restored
-    /// and re-ingested so far.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        RecoveryStats {
-            recoveries: self.recoveries,
-            recovery_secs: self.recovery_secs,
-            avg_recovery_secs: if self.recoveries == 0 {
-                0.0
-            } else {
-                self.recovery_secs / self.recoveries as f64
-            },
-            replayed_deltas: self.recovery_replayed_deltas,
-            replayed_updates: self.recovery_replayed_updates,
-            snapshot_fallbacks: self.recovery_snapshot_fallbacks,
-            checkpoints_taken: self.checkpoints_taken,
-            checkpoint_bytes: self.checkpoint_bytes,
-        }
-    }
-
     /// Fraction of routed insertions crossing home-shard boundaries
     /// (`0.0` with no traffic).
     pub fn cut_fraction(&self) -> f64 {
@@ -239,18 +133,12 @@ impl ClusterMetrics {
     /// Load imbalance of the routing: max shard share over the ideal even
     /// share (`1.0` = perfectly balanced; `0.0` with no traffic).
     pub fn imbalance(&self) -> f64 {
-        max_over_mean(&self.routed)
-    }
-
-    /// The full per-shard routing-skew report (sub-batch and edge counts
-    /// plus max/mean ratios).
-    pub fn routing_skew(&self) -> RoutingSkew {
-        RoutingSkew {
-            updates: self.routed.clone(),
-            sub_batches: self.sub_batches.clone(),
-            max_mean_updates: max_over_mean(&self.routed),
-            max_mean_sub_batches: max_over_mean(&self.sub_batches),
+        let total: u64 = self.routed.iter().sum();
+        if total == 0 {
+            return 0.0;
         }
+        let max = *self.routed.iter().max().unwrap_or(&0) as f64;
+        max / (total as f64 / self.routed.len() as f64)
     }
 
     /// Cluster-level ingest throughput in updates/second of wall-clock.
@@ -382,89 +270,26 @@ mod tests {
         assert!((m.ingest_throughput() - 50.0).abs() < 1e-12);
         let s = m.to_string();
         assert!(s.contains("vertex-hash") && s.contains("cut 3"), "{s}");
-    }
-
-    #[test]
-    fn migration_stats_aggregate_reshard_counters() {
-        // No reshards: all-zero stats, no division by zero.
-        let idle = metrics();
-        assert_eq!(
-            idle.migration_stats(),
-            MigrationStats {
-                reshards: 0,
-                migrated_edges: 0,
-                migration_bytes: 0,
-                pause_secs: 0.0,
-                avg_pause_secs: 0.0,
-                background_secs: 0.0,
-            }
-        );
-        let m = ClusterMetrics {
+        // No traffic → no imbalance, no division by zero.
+        let idle = ClusterMetrics {
+            routed: vec![0, 0],
+            ..metrics()
+        };
+        assert_eq!(idle.imbalance(), 0.0);
+        // The one-line report carries the reshard and recovery counters.
+        let busy = ClusterMetrics {
             partition_version: 2,
             reshard_count: 2,
-            migrated_edges: 700,
-            migration_bytes: 14_000,
             migration_pause_secs: 0.5,
             migration_background_secs: 1.25,
-            ..metrics()
-        };
-        let s = m.migration_stats();
-        assert_eq!(s.reshards, 2);
-        assert_eq!(s.migrated_edges, 700);
-        assert_eq!(s.migration_bytes, 14_000);
-        // The COW split: the pause wall covers only the settle+swap; the
-        // copy/replay wall lands in background_secs, never in pause_secs.
-        assert!((s.pause_secs - 0.5).abs() < 1e-12);
-        assert!((s.avg_pause_secs - 0.25).abs() < 1e-12);
-        assert!((s.background_secs - 1.25).abs() < 1e-12);
-        let line = m.to_string();
-        assert!(line.contains("reshards 2") && line.contains("v2"), "{line}");
-        assert!(
-            line.contains("paused") && line.contains("background"),
-            "{line}"
-        );
-    }
-
-    #[test]
-    fn recovery_stats_aggregate_failover_counters() {
-        // No recoveries: all-zero stats, no division by zero.
-        let idle = metrics();
-        assert_eq!(
-            idle.recovery_stats(),
-            RecoveryStats {
-                recoveries: 0,
-                recovery_secs: 0.0,
-                avg_recovery_secs: 0.0,
-                replayed_deltas: 0,
-                replayed_updates: 0,
-                snapshot_fallbacks: 0,
-                checkpoints_taken: 0,
-                checkpoint_bytes: 0,
-            }
-        );
-        let m = ClusterMetrics {
             recoveries: 2,
-            recovery_secs: 0.4,
-            recovery_replayed_deltas: 6,
-            recovery_replayed_updates: 120,
-            recovery_snapshot_fallbacks: 1,
             checkpoints_taken: 5,
-            checkpoint_bytes: 10_000,
             ..metrics()
         };
-        let s = m.recovery_stats();
-        assert_eq!(s.recoveries, 2);
-        assert!((s.avg_recovery_secs - 0.2).abs() < 1e-12);
-        assert_eq!(s.replayed_deltas, 6);
-        assert_eq!(s.replayed_updates, 120);
-        assert_eq!(s.snapshot_fallbacks, 1);
-        assert_eq!(s.checkpoints_taken, 5);
-        assert_eq!(s.checkpoint_bytes, 10_000);
-        let line = m.to_string();
-        assert!(
-            line.contains("recoveries 2") && line.contains("5 ckpts"),
-            "{line}"
-        );
+        let line = busy.to_string();
+        for part in ["v2", "reshards 2", "paused", "background", "recoveries 2", "5 ckpts"] {
+            assert!(line.contains(part), "{part}: {line}");
+        }
     }
 
     #[test]
@@ -479,23 +304,5 @@ mod tests {
         // 4000 live (from the two shard ledgers) + 5000 retired.
         assert_eq!(m.total_transfer().bytes, 9000);
         assert_eq!(m.total_transfer().transfers, 3);
-    }
-
-    #[test]
-    fn routing_skew_reports_both_observables() {
-        let m = metrics();
-        let skew = m.routing_skew();
-        assert_eq!(skew.updates, vec![75, 25]);
-        assert_eq!(skew.sub_batches, vec![10, 6]);
-        assert!((skew.max_mean_updates - 1.5).abs() < 1e-12);
-        assert!((skew.max_mean_sub_batches - 10.0 / 8.0).abs() < 1e-12);
-        // No traffic → no skew, no division by zero.
-        let empty = ClusterMetrics {
-            routed: vec![0, 0],
-            sub_batches: vec![0, 0],
-            ..metrics()
-        };
-        assert_eq!(empty.routing_skew().max_mean_updates, 0.0);
-        assert_eq!(empty.routing_skew().max_mean_sub_batches, 0.0);
     }
 }

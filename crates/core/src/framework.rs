@@ -198,8 +198,6 @@ pub struct DynamicGraphSystem {
     monitors: Vec<Box<dyn Monitor>>,
     /// Flushes applied so far; stamps [`StepReport`]s and [`GraphSnapshot`]s.
     epoch: u64,
-    /// Use the sliding-window lazy-deletion fast path.
-    pub lazy_deletes: bool,
 }
 
 impl DynamicGraphSystem {
@@ -220,7 +218,6 @@ impl DynamicGraphSystem {
             pipeline: Pipeline::new(Pcie::new(PcieConfig::default())),
             monitors: Vec::new(),
             epoch: 0,
-            lazy_deletes: true,
         }
     }
 
@@ -269,14 +266,9 @@ impl DynamicGraphSystem {
         let batch_size = batch.len();
         let duplicate_inserts = count_duplicate_inserts(&batch);
         let delta = Arc::new(SnapshotDelta::from_batch(self.epoch + 1, &batch));
-        let lazy = self.lazy_deletes;
         let graph = &mut self.graph;
         let (_, update_time) = self.device.timed(|d| {
-            if lazy {
-                graph.update_batch_lazy(d, &batch);
-            } else {
-                graph.update_batch(d, &batch);
-            }
+            graph.update_batch_lazy(d, &batch);
         });
         let mut analytics = Vec::new();
         let mut result_bytes = 0usize;

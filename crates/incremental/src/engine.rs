@@ -147,8 +147,9 @@ impl IncrementalEngine {
     }
 
     /// Apply one epoch delta and repair every maintainer, advancing a
-    /// private image — for callers that only see the delta stream (a
-    /// [`DeltaMonitor`] gets no image with `on_delta`).
+    /// private image — for callers that drive the engine from a bare delta
+    /// stream. A [`DeltaMonitor`] is handed the published image and uses
+    /// [`apply_at`](Self::apply_at).
     pub fn apply(&mut self, delta: &SnapshotDelta) {
         let next = Arc::new(self.graph.image().advance(delta).0);
         self.apply_at(delta, next);
@@ -182,7 +183,8 @@ impl IncrementalEngine {
 
 /// The [`DeltaMonitor`] half of a shared engine — hand this to
 /// [`StreamingService::spawn_with_delta_monitors`] or
-/// [`GraphCluster::spawn_with_delta_monitors`].
+/// [`GraphCluster::spawn_with_delta_monitors`]. It adopts the image each
+/// callback carries, so the engine keeps no graph copy of its own.
 ///
 /// [`StreamingService::spawn_with_delta_monitors`]:
 ///     gpma_service::StreamingService::spawn_with_delta_monitors
@@ -195,12 +197,12 @@ impl DeltaMonitor for EngineMonitor {
         "incremental-engine"
     }
 
-    fn on_rebase(&mut self, snapshot: &GraphSnapshot) {
-        self.0.lock().rebase(snapshot);
+    fn on_rebase(&mut self, image: &Arc<GraphSnapshot>) {
+        self.0.lock().rebase_shared(image.clone());
     }
 
-    fn on_delta(&mut self, delta: &SnapshotDelta) {
-        self.0.lock().apply(delta);
+    fn on_delta(&mut self, delta: &SnapshotDelta, image: &Arc<GraphSnapshot>) {
+        self.0.lock().apply_at(delta, image.clone());
     }
 }
 
@@ -309,19 +311,48 @@ mod tests {
     fn shared_halves_stay_consistent() {
         let engine = IncrementalEngine::new().with_cc();
         let (mut monitor, handle) = engine.into_shared();
-        let snap = GraphSnapshot::from_edges(0, 4, vec![Edge::new(0, 1)]);
+        let snap = Arc::new(GraphSnapshot::from_edges(0, 4, vec![Edge::new(0, 1)]));
         monitor.on_rebase(&snap);
         assert_eq!(handle.epoch(), 0);
-        monitor.on_delta(&SnapshotDelta::from_batch(
+        let delta = SnapshotDelta::from_batch(
             1,
             &UpdateBatch {
                 insertions: vec![Edge::new(2, 3)],
                 deletions: vec![],
             },
-        ));
+        );
+        let next = Arc::new(snap.advance(&delta).0);
+        monitor.on_delta(&delta, &next);
         assert_eq!(handle.epoch(), 1);
+        assert!(handle.with(|e| Arc::ptr_eq(e.graph().image(), &next)), "adopted, not copied");
         let components = handle.with(|e| e.cc().unwrap().component_count());
         assert_eq!(components, 2);
         assert_eq!(handle.stats().epochs, 1);
+    }
+
+    #[test]
+    fn service_monitor_holds_the_published_image() {
+        use gpma_core::framework::DynamicGraphSystem;
+        use gpma_service::{ServiceConfig, StreamingService};
+        use gpma_sim::{Device, DeviceConfig};
+
+        let (monitor, handle) = IncrementalEngine::new().with_cc().into_shared();
+        let dev = Device::new(DeviceConfig::deterministic());
+        let sys = DynamicGraphSystem::new(dev, 16, &[Edge::new(0, 1)], 2);
+        let svc = StreamingService::spawn_with_delta_monitors(
+            ServiceConfig::default(),
+            sys,
+            vec![Box::new(monitor)],
+        );
+        let h = svc.handle();
+        for i in 1..8u32 {
+            h.insert(Edge::new(i, i + 1)).unwrap();
+        }
+        let barrier = svc.barrier().unwrap();
+        svc.shutdown(); // joins the monitor thread
+        handle.with(|e| {
+            assert!(Arc::ptr_eq(e.graph().image(), &barrier), "no private copy");
+            assert_eq!(e.stats().epochs, barrier.epoch());
+        });
     }
 }

@@ -22,14 +22,14 @@
 //! from-scratch oracles they are validated against.
 //!
 //! ```text
-//!  service worker                      delta-monitor thread
-//!  ──────────────                      ────────────────────
-//!  flush → SnapshotDelta ──ring──►  EngineMonitor ──► DeltaGraph.apply
-//!        ├─► DeltaLog (catch-up)        │                │ AppliedDelta
-//!        └─► image.advance(delta)       ▼                ▼
-//!            = the published snapshot  IncrementalBfs / Cc    (repair from the changes)
-//!                                      DeltaPageRank         (re-sweeps the image)
-//!                                       ▲ EngineHandle.with(..) — queries
+//!  service worker                          monitor thread
+//!  ──────────────                          ──────────────
+//!  flush → SnapshotDelta ─┬─(Δ, image)──►  EngineMonitor ──► DeltaGraph.apply_at(Δ, image)
+//!        image.advance(Δ) ┘                    │                │ AppliedDelta
+//!        = the published snapshot              ▼                ▼
+//!        └─► DeltaLog (catch-up)      IncrementalBfs / Cc    (repair from the changes)
+//!                                     DeltaPageRank          (re-sweeps the image)
+//!                                      ▲ EngineHandle.with(..) — queries
 //! ```
 //!
 //! The maintainers keep no copy of the edges: a [`DeltaGraph`] is the
@@ -37,10 +37,11 @@
 //! current with — every forward read is a row lookup in it — plus sorted
 //! in-neighbour rows of its own. A caller that holds the published image
 //! hands it over ([`IncrementalEngine::rebase_shared`],
-//! [`IncrementalEngine::apply_at`]) and shares it with every other reader;
-//! one that only sees deltas ([`IncrementalEngine::apply`], the monitor
-//! above) advances a private image by the same O(|Δ|) step the service
-//! takes.
+//! [`IncrementalEngine::apply_at`]) and shares it with every other reader —
+//! the [`EngineMonitor`] above does, since every monitor callback carries
+//! the image its delta produced. One that only has deltas
+//! ([`IncrementalEngine::apply`]) advances a private image by the same
+//! O(|Δ|) step the service takes.
 //!
 //! ## Example: a live engine on a streaming service
 //!
@@ -62,7 +63,6 @@
 //! let svc = StreamingService::spawn_with_delta_monitors(
 //!     ServiceConfig::default(),
 //!     sys,
-//!     Vec::new(),
 //!     vec![Box::new(monitor)],
 //! );
 //!
@@ -82,7 +82,7 @@
 //!
 //! The engine plugs into `gpma-cluster` the same way
 //! (`GraphCluster::spawn_with_delta_monitors`), consuming one merged delta
-//! per coordinated cut. When a reader outruns a delta ring, the publication
+//! per coordinated cut with the cut flattened into one image. When a reader outruns a delta ring, the publication
 //! layer hands a full snapshot instead and the engine transparently
 //! [rebases](IncrementalEngine::rebase).
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use gpma_core::delta::{apply_delta, DeltaCatchUp};
 use gpma_core::framework::GraphSnapshot;
-use gpma_obs::{Registry as ObsRegistry, Stage, NO_SHARD};
+use gpma_obs::{Registry as ObsRegistry, Stage};
 
 use crate::service::StreamingService;
 
@@ -39,9 +39,6 @@ pub struct Follower {
     /// registry when spawned via [`StreamingService::spawn_follower`], a
     /// private inert one for hand-built followers.
     obs: Arc<ObsRegistry>,
-    /// Shard tag inherited from the leader (for cluster-side followers).
-    #[allow(dead_code)]
-    shard: u32,
 }
 
 /// Replication counters frozen by [`Follower::stats`].
@@ -78,16 +75,14 @@ impl Follower {
             lag_sum: 0,
             lag_max: 0,
             obs: Arc::new(ObsRegistry::disabled()),
-            shard: NO_SHARD,
         }
     }
 
     /// Redirect staleness telemetry into `obs` (normally the leader's
-    /// registry), tagging samples with the leader's shard id. Builder-style;
-    /// used by [`StreamingService::spawn_follower`].
-    pub fn with_obs(mut self, obs: Arc<ObsRegistry>, shard: u32) -> Self {
+    /// registry). Builder-style; used by
+    /// [`StreamingService::spawn_follower`].
+    pub fn with_obs(mut self, obs: Arc<ObsRegistry>) -> Self {
         self.obs = obs;
-        self.shard = shard;
         self
     }
 

@@ -12,8 +12,9 @@
 //!  IngestHandle ─┐   bounded        ┌─────────────────┐
 //!  IngestHandle ─┼─► MPMC queue ──► │ GraphStreamBuffer│  flush  ┌──────────────┐
 //!  IngestHandle ─┘  (backpressure)  │  → GPMA+ update  │ ──────► │ GraphSnapshot │──► query()
-//!                                   │  → monitors      │  epoch  │  (Arc, immut) │──► SnapshotMonitor
-//!                                   └─────────────────┘  N → N+1 └──────────────┘     (analytics thread)
+//!                                   │  → monitors      │  epoch  │  (Arc, immut) │──► DeltaMonitor
+//!                                   └─────────────────┘  N → N+1 └──────────────┘     (delta + image,
+//!                                                                                      monitor thread)
 //! ```
 //!
 //! * **Ingest** — any number of producers hold cloneable [`IngestHandle`]s
@@ -27,7 +28,7 @@
 //!   immutable, epoch-stamped [`GraphSnapshot`]: the previous image
 //!   advanced by the flush's delta, sharing every row block the delta did
 //!   not touch, so a publish costs O(|Δ|), not O(E). Queries and continuous
-//!   analytics ([`SnapshotMonitor`]s on their own thread) always see a
+//!   analytics ([`DeltaMonitor`]s on their own thread) always see a
 //!   consistent graph while updates keep flowing. The store itself is read
 //!   back only at spawn and at shutdown, where it is compared with the
 //!   published image ([`ServiceReport::final_snapshot`]).
@@ -35,8 +36,9 @@
 //!   effect as a [`SnapshotDelta`] into a bounded ring
 //!   ([`StreamingService::deltas_since`] catches readers up, falling back
 //!   to the latest image past the ring); [`DeltaMonitor`]s consume every
-//!   epoch in order on their own thread. The `gpma-incremental` crate
-//!   builds live incremental BFS / CC / PageRank on this seam.
+//!   epoch in order on their own thread, each delta with the image it
+//!   produced. The `gpma-incremental` crate builds live incremental BFS /
+//!   CC / PageRank on this seam.
 //! * **Durability & replication** — [`StreamingService::checkpoint`]
 //!   captures the latest snapshot plus its trailing delta chain as a
 //!   [`gpma_core::checkpoint::Checkpoint`] (respawn with
@@ -56,7 +58,7 @@
 //! | [`IngestHandle`] + queue       | §3 graph stream buffer (host side)          |
 //! | worker flush loop              | §3 graph update module / Algorithm 4 batches |
 //! | [`GraphSnapshot`] epochs       | §6.5 concurrent streams & consistent queries |
-//! | [`SnapshotMonitor`] thread     | §3 continuous monitoring, off the write path |
+//! | [`DeltaMonitor`] thread        | §3 continuous monitoring, off the write path |
 //! | [`StreamingService::ad_hoc`]   | §3 dynamic query buffer (serialized reads)   |
 //!
 //! ## Example: two producers, concurrent queries
@@ -112,6 +114,5 @@ pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
 pub use gpma_core::framework::GraphSnapshot;
 pub use metrics::{PublicationStats, ServiceMetrics};
 pub use service::{
-    DeltaMonitor, IngestHandle, ServiceClosed, ServiceConfig, ServiceReport, SnapshotMonitor,
-    StreamingService,
+    DeltaMonitor, IngestHandle, ServiceClosed, ServiceConfig, ServiceReport, StreamingService,
 };

@@ -58,42 +58,30 @@ impl std::fmt::Display for ServiceClosed {
 
 impl std::error::Error for ServiceClosed {}
 
-/// A continuous analytic fed with every published snapshot, run on the
-/// service's dedicated analytics thread — the concurrent-queries half of the
-/// paper's §6.5 scenario. Implementations typically run PageRank / BFS / CC
-/// from `gpma-analytics` against the [`GraphSnapshot`] (which implements the
-/// host graph contract there).
-pub trait SnapshotMonitor: Send {
-    /// Short stable name (used in logs and reports).
-    fn name(&self) -> &str;
-
-    /// Observe one published snapshot. Snapshots arrive in epoch order but
-    /// may skip epochs: while an analytic runs, newer snapshots supersede
-    /// queued ones so monitors always work on the freshest state.
-    fn on_snapshot(&mut self, snapshot: &GraphSnapshot);
-}
-
-/// A continuous analytic fed with the per-epoch [`SnapshotDelta`] stream
-/// instead of full snapshots — the incremental read path. Unlike
-/// [`SnapshotMonitor`]s, delta monitors see *every* epoch in order (deltas
-/// compose; skipping one would corrupt the maintained state), so they run on
-/// their own thread behind an unbounded in-order queue.
+/// A continuous analytic run on the service's monitor thread — the §3
+/// continuous-monitoring task of the paper's Figure 1, off the write path.
+/// A monitor sees *every* epoch in order, each as the [`SnapshotDelta`] the
+/// flush produced together with the published image it produced, so an
+/// analytic can repair incrementally from the delta (`gpma-incremental`'s
+/// maintainers), rerun from scratch on the image (PageRank / BFS / CC from
+/// `gpma-analytics`, which take a [`GraphSnapshot`] as a host graph), or
+/// both — without keeping a graph copy of its own.
 ///
-/// `gpma-incremental` implements this trait for its incremental BFS / CC /
-/// PageRank maintainers; the same trait plugs into
-/// `gpma-cluster`'s coordinated cuts.
+/// The same trait plugs into `gpma-cluster`'s coordinated cuts, where the
+/// image is the cut flattened into one [`GraphSnapshot`].
 pub trait DeltaMonitor: Send {
     /// Short stable name (used in logs and reports).
     fn name(&self) -> &str;
 
-    /// (Re)base on a full snapshot: called once with the initial state
-    /// before any delta arrives, and again if the consumer ever has to fall
-    /// back past the delta ring.
-    fn on_rebase(&mut self, snapshot: &GraphSnapshot);
+    /// (Re)base on a full image: called once with the initial state before
+    /// any delta arrives, and again if the consumer ever has to fall back
+    /// past the delta ring.
+    fn on_rebase(&mut self, image: &Arc<GraphSnapshot>);
 
-    /// Observe one epoch's net effect. Deltas arrive strictly in epoch
-    /// order with no gaps.
-    fn on_delta(&mut self, delta: &SnapshotDelta);
+    /// Observe one epoch: its net effect and the image it produced
+    /// (`image.epoch() == delta.epoch()`; the very `Arc` readers of that
+    /// epoch get). Deltas arrive strictly in epoch order with no gaps.
+    fn on_delta(&mut self, delta: &SnapshotDelta, image: &Arc<GraphSnapshot>);
 }
 
 /// Commands flowing through the bounded ingest queue to the worker.
@@ -374,7 +362,6 @@ pub struct ServiceReport {
 pub struct StreamingService {
     tx: Sender<Command>,
     worker: Option<JoinHandle<DynamicGraphSystem>>,
-    monitors: Option<JoinHandle<Vec<Box<dyn SnapshotMonitor>>>>,
     delta_monitors: Option<JoinHandle<Vec<Box<dyn DeltaMonitor>>>>,
     shared: Arc<Shared>,
 }
@@ -386,34 +373,22 @@ impl StreamingService {
     ///
     /// [`Monitor`]: gpma_core::framework::Monitor
     pub fn spawn(cfg: ServiceConfig, system: DynamicGraphSystem) -> Self {
-        Self::spawn_with_monitors(cfg, system, Vec::new())
+        Self::spawn_with_delta_monitors(cfg, system, Vec::new())
     }
 
-    /// Spawn with additional [`SnapshotMonitor`]s that run on a dedicated
-    /// analytics thread, concurrently with ingest, against every published
-    /// snapshot (superseded snapshots are skipped, never reordered).
-    pub fn spawn_with_monitors(
-        cfg: ServiceConfig,
-        system: DynamicGraphSystem,
-        monitors: Vec<Box<dyn SnapshotMonitor>>,
-    ) -> Self {
-        Self::spawn_with_delta_monitors(cfg, system, monitors, Vec::new())
-    }
-
-    /// Spawn with both snapshot monitors and [`DeltaMonitor`]s. Delta
-    /// monitors run on their own thread: they are rebased on the initial
-    /// snapshot, then fed *every* epoch delta in order — the incremental
-    /// read path (`gpma-incremental` maintainers plug in here).
+    /// Spawn with [`DeltaMonitor`]s on their own thread, concurrently with
+    /// ingest: they are rebased on the initial image, then fed *every*
+    /// epoch in order — its delta and the image it produced
+    /// (`gpma-incremental` maintainers and from-scratch analytics plug in
+    /// here).
     pub fn spawn_with_delta_monitors(
         cfg: ServiceConfig,
         system: DynamicGraphSystem,
-        monitors: Vec<Box<dyn SnapshotMonitor>>,
         delta_monitors: Vec<Box<dyn DeltaMonitor>>,
     ) -> Self {
         Self::spawn_instrumented(
             cfg,
             system,
-            monitors,
             delta_monitors,
             Arc::new(ObsRegistry::new()),
             NO_SHARD,
@@ -432,7 +407,6 @@ impl StreamingService {
     pub fn spawn_instrumented(
         cfg: ServiceConfig,
         system: DynamicGraphSystem,
-        monitors: Vec<Box<dyn SnapshotMonitor>>,
         delta_monitors: Vec<Box<dyn DeltaMonitor>>,
         obs: Arc<ObsRegistry>,
         shard: u32,
@@ -461,31 +435,20 @@ impl StreamingService {
             started: Instant::now(),
         });
 
-        let (monitor_handle, snap_tx) = if monitors.is_empty() {
-            (None, None)
-        } else {
-            let (snap_tx, snap_rx) = crossbeam::channel::unbounded::<Arc<GraphSnapshot>>();
-            let handle = std::thread::Builder::new()
-                .name("gpma-service-monitors".into())
-                .spawn(move || run_monitors(snap_rx, monitors))
-                .expect("spawn service monitor thread");
-            (Some(handle), Some(snap_tx))
-        };
-
         let (delta_handle, delta_tx) = if delta_monitors.is_empty() {
             (None, None)
         } else {
-            let (delta_tx, delta_rx) = crossbeam::channel::unbounded::<Arc<SnapshotDelta>>();
+            let (delta_tx, delta_rx) =
+                crossbeam::channel::unbounded::<(Arc<SnapshotDelta>, Arc<GraphSnapshot>)>();
             let handle = std::thread::Builder::new()
-                .name("gpma-service-deltas".into())
+                .name("gpma-service-monitors".into())
                 .spawn(move || run_delta_monitors(initial, delta_rx, delta_monitors))
-                .expect("spawn service delta-monitor thread");
+                .expect("spawn service monitor thread");
             (Some(handle), Some(delta_tx))
         };
 
         let ctx = WorkerCtx {
             shared: shared.clone(),
-            snap_tx,
             delta_tx,
         };
         let worker = std::thread::Builder::new()
@@ -496,7 +459,6 @@ impl StreamingService {
         StreamingService {
             tx,
             worker: Some(worker),
-            monitors: monitor_handle,
             delta_monitors: delta_handle,
             shared,
         }
@@ -650,8 +612,7 @@ impl StreamingService {
     /// [`Follower::sync`] on its own schedule and serves queries from its
     /// local state with measured staleness.
     pub fn spawn_follower(&self) -> Follower {
-        Follower::new(self.shared.latest())
-            .with_obs(self.shared.obs.clone(), self.shared.obs_shard)
+        Follower::new(self.shared.latest()).with_obs(self.shared.obs.clone())
     }
 
     /// Current metrics: cumulative counters plus live queue depth, latest
@@ -715,8 +676,8 @@ impl StreamingService {
     }
 
     /// Send `Shutdown`, join the worker (recovering the system or its panic
-    /// payload), then join the monitor threads (which exit once the worker
-    /// drops its publication senders). Used by both `shutdown` and `Drop`.
+    /// payload), then join the monitor thread (which exits once the worker
+    /// drops its sender). Used by both `shutdown` and `Drop`.
     #[allow(clippy::type_complexity)]
     fn stop_worker(
         &mut self,
@@ -727,16 +688,13 @@ impl StreamingService {
         let worker = self.worker.take()?;
         let _ = self.tx.send(Command::Shutdown);
         let result = worker.join();
-        if let Some(m) = self.monitors.take() {
-            let _ = m.join();
-        }
         let delta_monitors = match self.delta_monitors.take().map(|h| h.join()) {
             Some(Ok(monitors)) => monitors,
             Some(Err(_)) => {
                 // Unlike the worker (whose panic is re-raised), monitors
                 // are advisory — but a silent empty vec would read as "no
                 // monitors were registered", so say what happened.
-                eprintln!("gpma-service: delta-monitor thread panicked; results discarded");
+                eprintln!("gpma-service: monitor thread panicked; results discarded");
                 Vec::new()
             }
             None => Vec::new(),
@@ -757,11 +715,10 @@ impl Drop for StreamingService {
 }
 
 /// Everything the worker loop threads through its helpers besides the
-/// system itself: shared state and the two publication channels.
+/// system itself: shared state and the monitor thread's feed.
 struct WorkerCtx {
     shared: Arc<Shared>,
-    snap_tx: Option<Sender<Arc<GraphSnapshot>>>,
-    delta_tx: Option<Sender<Arc<SnapshotDelta>>>,
+    delta_tx: Option<Sender<(Arc<SnapshotDelta>, Arc<GraphSnapshot>)>>,
 }
 
 /// The worker loop: block on the queue, buffer updates into the system's
@@ -979,7 +936,8 @@ fn flush_once(sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
 /// Publish one epoch: advance the image by the delta outside any lock (a
 /// path copy: only the row blocks the delta touches are rewritten, into one
 /// new slab), then store image and delta together so no reader sees the
-/// ring ahead of the image; also feed the monitor threads that exist.
+/// ring ahead of the image; then hand the monitor thread, if any, the delta
+/// with the image it produced.
 fn publish(delta: &Arc<SnapshotDelta>, ctx: &WorkerCtx) {
     let (next, copied_bytes) = ctx.shared.latest().advance(delta);
     let snap = Arc::new(next);
@@ -1000,45 +958,24 @@ fn publish(delta: &Arc<SnapshotDelta>, ctx: &WorkerCtx) {
         .snapshot_bytes
         .fetch_add((8 + copied_bytes) as u64, Ordering::Relaxed);
     if let Some(tx) = &ctx.delta_tx {
-        let _ = tx.send(delta.clone());
-    }
-    if let Some(tx) = &ctx.snap_tx {
-        let _ = tx.send(snap);
+        let _ = tx.send((delta.clone(), snap));
     }
 }
 
-/// The delta-monitor thread: rebase every monitor on the initial snapshot,
-/// then feed each published epoch delta in order (no skipping — deltas
-/// compose).
+/// The monitor thread: rebase every monitor on the initial image, then feed
+/// each published epoch in order — its delta and the image it produced (no
+/// skipping: deltas compose).
 fn run_delta_monitors(
     initial: Arc<GraphSnapshot>,
-    rx: Receiver<Arc<SnapshotDelta>>,
+    rx: Receiver<(Arc<SnapshotDelta>, Arc<GraphSnapshot>)>,
     mut monitors: Vec<Box<dyn DeltaMonitor>>,
 ) -> Vec<Box<dyn DeltaMonitor>> {
     for m in monitors.iter_mut() {
         m.on_rebase(&initial);
     }
-    while let Ok(delta) = rx.recv() {
+    while let Ok((delta, image)) = rx.recv() {
         for m in monitors.iter_mut() {
-            m.on_delta(&delta);
-        }
-    }
-    monitors
-}
-
-/// The analytics thread: run every monitor on each published snapshot,
-/// skipping to the newest when the queue backs up (fresh beats complete).
-fn run_monitors(
-    rx: Receiver<Arc<GraphSnapshot>>,
-    mut monitors: Vec<Box<dyn SnapshotMonitor>>,
-) -> Vec<Box<dyn SnapshotMonitor>> {
-    while let Ok(mut snap) = rx.recv() {
-        // Supersede: only the newest queued snapshot is worth analysing.
-        while let Ok(newer) = rx.try_recv() {
-            snap = newer;
-        }
-        for m in monitors.iter_mut() {
-            m.on_snapshot(&snap);
+            m.on_delta(&delta, &image);
         }
     }
     monitors
@@ -1048,7 +985,6 @@ fn run_monitors(
 mod tests {
     use super::*;
     use gpma_sim::{Device, DeviceConfig};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn system(threshold: usize) -> DynamicGraphSystem {
         let dev = Device::new(DeviceConfig::deterministic());
@@ -1251,36 +1187,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_monitors_observe_published_epochs() {
-        static SEEN: AtomicU64 = AtomicU64::new(0);
-        struct CountingMonitor;
-        impl SnapshotMonitor for CountingMonitor {
-            fn name(&self) -> &str {
-                "seen-epochs"
-            }
-            fn on_snapshot(&mut self, snapshot: &GraphSnapshot) {
-                SEEN.fetch_max(snapshot.epoch(), Ordering::SeqCst);
-            }
-        }
-        SEEN.store(0, Ordering::SeqCst);
-        let svc = StreamingService::spawn_with_monitors(
-            ServiceConfig::default(),
-            system(2),
-            vec![Box::new(CountingMonitor)],
-        );
-        let h = svc.handle();
-        for i in 0..6u32 {
-            h.insert(Edge::new(1 + i, 0)).unwrap();
-        }
-        let snap = svc.barrier().unwrap();
-        let report = svc.shutdown();
-        // The monitor thread is joined by shutdown, so the final epoch has
-        // been observed.
-        assert_eq!(SEEN.load(Ordering::SeqCst), report.final_snapshot.epoch());
-        assert!(snap.epoch() >= 3);
-    }
-
-    #[test]
     fn ad_hoc_runs_serialized_on_live_graph() {
         let svc = StreamingService::spawn(ServiceConfig::default(), system(2));
         let h = svc.handle();
@@ -1441,24 +1347,23 @@ mod tests {
 
     #[test]
     fn delta_monitors_see_every_epoch_in_order() {
-        type Log = Arc<parking_lot::Mutex<(u64, Vec<u64>)>>;
+        type Log = Arc<parking_lot::Mutex<(u64, Vec<(u64, u64)>)>>;
         struct Recorder(Log);
         impl DeltaMonitor for Recorder {
             fn name(&self) -> &str {
                 "recorder"
             }
-            fn on_rebase(&mut self, snapshot: &GraphSnapshot) {
-                self.0.lock().0 = snapshot.num_edges() as u64;
+            fn on_rebase(&mut self, image: &Arc<GraphSnapshot>) {
+                self.0.lock().0 = image.num_edges() as u64;
             }
-            fn on_delta(&mut self, delta: &SnapshotDelta) {
-                self.0.lock().1.push(delta.epoch());
+            fn on_delta(&mut self, delta: &SnapshotDelta, image: &Arc<GraphSnapshot>) {
+                self.0.lock().1.push((delta.epoch(), image.epoch()));
             }
         }
         let log: Log = Arc::new(parking_lot::Mutex::new((u64::MAX, Vec::new())));
         let svc = StreamingService::spawn_with_delta_monitors(
             ServiceConfig::default(),
             system(2),
-            Vec::new(),
             vec![Box::new(Recorder(log.clone()))],
         );
         let h = svc.handle();
@@ -1468,12 +1373,12 @@ mod tests {
         let report = svc.shutdown();
         assert_eq!(report.delta_monitors.len(), 1);
         assert_eq!(report.delta_monitors[0].name(), "recorder");
-        // Shutdown joined the delta thread: every epoch was observed, in
-        // order, with no gaps — unlike snapshot monitors, which may skip.
-        let (rebased_edges, epochs) = log.lock().clone();
+        // Shutdown joined the monitor thread: every epoch was observed, in
+        // order, with no gaps, each with the image its delta produced.
+        let (rebased_edges, seen) = log.lock().clone();
         assert_eq!(rebased_edges, 1, "rebased on the initial snapshot");
-        let expect: Vec<u64> = (1..=report.final_snapshot.epoch()).collect();
-        assert_eq!(epochs, expect);
+        let expect: Vec<(u64, u64)> = (1..=report.final_snapshot.epoch()).map(|e| (e, e)).collect();
+        assert_eq!(seen, expect);
         assert_eq!(report.final_snapshot.num_edges(), 7);
     }
 

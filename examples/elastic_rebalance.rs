@@ -83,10 +83,10 @@ fn main() {
         );
     }
     let metrics = cluster.metrics().expect("cluster alive");
-    let skew = metrics.routing_skew();
     println!(
         "post-rebalance window: routed {:?} (max/mean {:.2})",
-        skew.updates, skew.max_mean_updates
+        metrics.routed,
+        metrics.imbalance()
     );
 
     // Elastic scale-out on demand: the same degree observations, 8 shards —
@@ -151,14 +151,14 @@ fn main() {
     println!("{}", obs.render_table());
 
     let report = cluster.shutdown();
-    let stats = report.metrics.migration_stats();
+    let m = &report.metrics;
     println!(
         "\n{} reshards total: {} edges migrated, {} KB shipped, {:.2} ms cumulative pause (+{:.2} ms background copy/replay)",
-        stats.reshards,
-        stats.migrated_edges,
-        stats.migration_bytes / 1024,
-        stats.pause_secs * 1e3,
-        stats.background_secs * 1e3,
+        m.reshard_count,
+        m.migrated_edges,
+        m.migration_bytes / 1024,
+        m.migration_pause_secs * 1e3,
+        m.migration_background_secs * 1e3,
     );
     println!("{}", report.metrics);
 }

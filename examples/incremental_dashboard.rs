@@ -45,7 +45,6 @@ fn main() {
     let svc = StreamingService::spawn_with_delta_monitors(
         ServiceConfig::default(),
         sys,
-        Vec::new(),
         vec![Box::new(monitor)],
     );
 

@@ -113,14 +113,6 @@ fn main() {
 
         let report = cluster.shutdown();
         println!("{}", report.metrics);
-        // The imbalance an elastic rebalance would act on (see
-        // examples/elastic_rebalance.rs): per-shard routed updates and the
-        // max/mean skew ratios behind the one-line metrics above.
-        let skew = report.metrics.routing_skew();
-        println!(
-            "routing skew: updates {:?} (max/mean {:.2}), sub-batches {:?} (max/mean {:.2})",
-            skew.updates, skew.max_mean_updates, skew.sub_batches, skew.max_mean_sub_batches
-        );
     }
     println!("\nvertex-hash balances routing; edge-grid halves frontier exchange at the cost of imbalance (Figure 12's trade-off)");
     println!("run examples/elastic_rebalance.rs to watch the skew-driven rebalancer fix it live");

@@ -14,24 +14,28 @@ use std::sync::Arc;
 use gpma_analytics::pagerank_host;
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot};
 use gpma_graph::datasets::{generate, DatasetKind};
-use gpma_service::{ServiceConfig, SnapshotMonitor, StreamingService};
+use gpma_service::{DeltaMonitor, ServiceConfig, SnapshotDelta, StreamingService};
 use gpma_sim::{Device, DeviceConfig};
 
 const PRODUCERS: usize = 4;
 
 /// Continuous PageRank tracking (the paper's TunkRank motivation), run on
-/// the service's analytics thread against immutable snapshots.
+/// the service's monitor thread against the image every epoch published.
 struct PageRankTracker {
     epochs_analyzed: Arc<AtomicU64>,
 }
 
-impl SnapshotMonitor for PageRankTracker {
+impl DeltaMonitor for PageRankTracker {
     fn name(&self) -> &str {
         "pagerank-tracker"
     }
 
-    fn on_snapshot(&mut self, snap: &GraphSnapshot) {
-        let pr = pagerank_host(snap, 0.85, 1e-3, 50);
+    /// Stateless between epochs: nothing to rebase.
+    fn on_rebase(&mut self, _image: &Arc<GraphSnapshot>) {}
+
+    /// Rank the image this epoch's delta produced, from scratch.
+    fn on_delta(&mut self, _delta: &SnapshotDelta, snap: &Arc<GraphSnapshot>) {
+        let pr = pagerank_host(&**snap, 0.85, 1e-3, 50);
         let top = pr
             .ranks
             .iter()
@@ -66,7 +70,7 @@ fn main() {
     let dev = Device::new(DeviceConfig::default());
     let sys = DynamicGraphSystem::new(dev, stream.num_vertices, stream.initial_edges(), batch_size);
     let epochs_analyzed = Arc::new(AtomicU64::new(0));
-    let svc = StreamingService::spawn_with_monitors(
+    let svc = StreamingService::spawn_with_delta_monitors(
         ServiceConfig::default(),
         sys,
         vec![Box::new(PageRankTracker {
@@ -113,9 +117,12 @@ fn main() {
 
     let report = svc.shutdown();
     println!("service metrics: {}", report.metrics);
-    println!(
-        "epochs analyzed by PageRank monitor: {}",
-        epochs_analyzed.load(Ordering::Relaxed)
+    let analyzed = epochs_analyzed.load(Ordering::Relaxed);
+    println!("epochs analyzed by PageRank monitor: {analyzed}");
+    assert_eq!(
+        analyzed,
+        report.final_snapshot.epoch(),
+        "the tracker ranked every published epoch"
     );
     assert_eq!(
         report.metrics.counters.ingested(),

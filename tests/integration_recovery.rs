@@ -30,7 +30,6 @@ fn recovery_config(threshold: usize) -> ClusterConfig {
         router_batch: 16,
         recovery: Some(RecoveryPolicy {
             store: Arc::new(MemoryCheckpointStore::new()),
-            checkpoint_every_cuts: 1,
         }),
         ..Default::default()
     }
@@ -223,7 +222,6 @@ fn kill_during_cow_reshard_recovers_exactly() {
             router_batch: 8,
             recovery: Some(RecoveryPolicy {
                 store: Arc::new(MemoryCheckpointStore::new()),
-                checkpoint_every_cuts: 1,
             }),
             // Armed by phase A below (48 > 44 routed), fires at the first
             // forwarded burst inside the reshard.
@@ -290,8 +288,7 @@ fn kill_during_cow_reshard_recovers_exactly() {
     assert_eq!(metrics.reshard_count, 1);
     assert!(
         metrics.recoveries >= 1,
-        "the armed kill must fire inside the reshard and be recovered: {:?}",
-        metrics.recovery_stats()
+        "the armed kill must fire inside the reshard and be recovered: {metrics}"
     );
 }
 
@@ -308,7 +305,6 @@ fn ring_outrun_recovery_falls_back_to_snapshot() {
             shard_delta_log_capacity: 2,
             recovery: Some(RecoveryPolicy {
                 store: Arc::new(MemoryCheckpointStore::new()),
-                checkpoint_every_cuts: 1,
             }),
             ..Default::default()
         },
@@ -349,8 +345,8 @@ fn ring_outrun_recovery_falls_back_to_snapshot() {
     assert!(report.metrics.recoveries >= 1);
     assert!(
         report.metrics.recovery_snapshot_fallbacks >= 1,
-        "a 2-deep ring cannot cover a 16-flush gap: {:?}",
-        report.metrics.recovery_stats()
+        "a 2-deep ring cannot cover a 16-flush gap: {}",
+        report.metrics
     );
 }
 
@@ -393,7 +389,6 @@ fn cluster_restarts_from_dir_checkpoint_store() {
                 router_batch: 16,
                 recovery: Some(RecoveryPolicy {
                     store,
-                    checkpoint_every_cuts: 1,
                 }),
                 ..Default::default()
             },

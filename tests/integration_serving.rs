@@ -82,7 +82,6 @@ proptest! {
                 flush_threshold: 6,
                 recovery: Some(RecoveryPolicy {
                     store: Arc::new(MemoryCheckpointStore::new()),
-                    checkpoint_every_cuts: 1,
                 }),
                 ..Default::default()
             },
