@@ -992,17 +992,15 @@ pub fn audit(cfg: &ExpConfig) {
 }
 
 // ----------------------------------------------------------------------
-// Recovery — durable checkpoints, failover and follower replicas
+// Recovery — durable checkpoints and failover
 // ----------------------------------------------------------------------
 
-/// `recovery`: three measurements of the durability layer. (a) Crash
+/// `recovery`: two measurements of the durability layer. (a) Crash
 /// recovery cost vs the checkpoint's trailing delta-chain length — a longer
 /// chain makes checkpoints cheaper to take but a restart pays decode plus
 /// chain replay plus respawn. (b) A live cluster failover: a `FaultPlan`
 /// kills a shard worker mid-stream and the `ClusterMetrics` recovery counters report
-/// what the respawn cost. (c) Follower staleness vs read throughput as the
-/// replica's sync cadence stretches — the replication trade every read-only
-/// follower makes.
+/// what the respawn cost.
 pub fn recovery(cfg: &ExpConfig) {
     use gpma_cluster::{
         ClusterConfig, FaultPlan, GraphCluster, MemoryCheckpointStore, PartitionPolicy,
@@ -1012,7 +1010,6 @@ pub fn recovery(cfg: &ExpConfig) {
     use gpma_core::delta::DeltaCatchUp;
     use gpma_graph::Edge;
     use gpma_service::{ServiceConfig, StreamingService};
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -1155,81 +1152,6 @@ pub fn recovery(cfg: &ExpConfig) {
             m.checkpoint_bytes,
         );
     }
-
-    // (c) Follower staleness vs read throughput: a producer thread streams
-    // continuously while a read-only follower serves queries from local
-    // state, syncing from the leader's delta ring every `sync_every` reads.
-    let mut follower_rows = Vec::new();
-    {
-        // Small fixed flush batches so leader epochs advance on the read
-        // loop's timescale — otherwise every sync observes zero staleness.
-        let fthresh = 64usize;
-        let dev = Device::new(cfg.device_cfg.clone());
-        let sys = DynamicGraphSystem::new(dev, nv, stream.initial_edges(), fthresh);
-        let svc = StreamingService::spawn(ServiceConfig::default(), sys);
-        let stop = Arc::new(AtomicBool::new(false));
-        let producer = {
-            let h = svc.handle();
-            let stop = stop.clone();
-            let feed: Vec<Edge> = tail.to_vec();
-            std::thread::spawn(move || {
-                let mut step = 0usize;
-                while !stop.load(Ordering::Relaxed) {
-                    let mut b = UpdateBatch::default();
-                    for i in 0..fthresh {
-                        let n = step * fthresh + i;
-                        let e = feed[n % feed.len()];
-                        b.insertions.push(Edge::weighted(e.src, e.dst, (n + 1) as u64));
-                    }
-                    if h.ingest(b).is_err() {
-                        return;
-                    }
-                    step += 1;
-                }
-            })
-        };
-        let reads = if cfg.max_slides <= 1 { 2_000usize } else { 10_000 };
-        for &sync_every in &[1usize, 8, 64, 512] {
-            let mut follower = svc.spawn_follower();
-            let t0 = Instant::now();
-            for i in 0..reads {
-                if i % sync_every == 0 {
-                    follower.sync(&svc);
-                }
-                // A full-scan aggregate (total edge weight) — the analytic
-                // read a replica typically serves.
-                std::hint::black_box(
-                    follower.query(|s| s.edges().iter().map(|e| e.weight).sum::<u64>()),
-                );
-            }
-            let wall = t0.elapsed().as_secs_f64();
-            let stats = follower.stats();
-            follower_rows.push(vec![
-                format!("{sync_every}"),
-                format!("{reads}"),
-                format!("{:.0}", reads as f64 / wall.max(1e-12)),
-                format!("{:.2}", stats.avg_staleness),
-                format!("{}", stats.max_staleness),
-                format!("{}", stats.rebases),
-            ]);
-        }
-        stop.store(true, Ordering::Relaxed);
-        producer.join().expect("producer thread");
-        drop(svc.shutdown());
-    }
-    emit(
-        "recovery_follower",
-        "Follower staleness vs read throughput (reads served locally, sync every k reads)",
-        &[
-            "SyncEvery",
-            "Reads",
-            "Reads/s",
-            "AvgStaleEpochs",
-            "MaxStale",
-            "Rebases",
-        ],
-        &follower_rows,
-    );
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! `fig11` (PCIe overlap), `fig12` (multi-GPU), `sorted`, `explicit`,
 //! `ablation`, `elastic` (live resharding + skew-driven rebalance), `audit`
 //! (every deep validator run mid-stream), `recovery` (durable checkpoints,
-//! shard failover, follower replicas).
+//! shard failover).
 //!
 //! ## Quick example
 //!

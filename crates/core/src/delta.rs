@@ -156,7 +156,7 @@ impl SnapshotDelta {
 
 /// Replay one delta on an epoch-stamped image, producing the next epoch's
 /// image — the reader-side half of the delta contract, and the step every
-/// publisher (service worker, follower, recovery replay) advances with.
+/// publisher (service worker, recovery replay) advances with.
 ///
 /// A path copy, not a rebuild: only the row blocks the delta touches are
 /// rewritten (plus, now and then, the live rest of a slab that is mostly

@@ -13,7 +13,7 @@
 //! * [`Stage`] — the closed static registry of instrumented pipeline
 //!   stages (ingest enqueue, flush drain/apply/publish, router
 //!   route/forward, cut barrier/publish, reshard quiesce/migrate/resume,
-//!   recovery detect/restore/replay, follower staleness).
+//!   recovery detect/restore/replay, query admit/exec/cache-hit/total).
 //! * [`SpanGuard`] — two-word RAII span timer; drop records elapsed µs.
 //! * [`ObsEvent`] — structured timeline events in a bounded ring.
 //! * [`Registry`] — one histogram per stage + the ring + renderers:
@@ -38,7 +38,7 @@ pub use fmt::{fmt_bytes, fmt_micros, LineReport};
 pub use histogram::{HistSnapshot, Histogram, NUM_BUCKETS, SUB_BUCKETS};
 pub use registry::{parse_exposition, Registry, DEFAULT_EVENT_CAP};
 pub use span::SpanGuard;
-pub use stage::{EventKind, ObsEvent, Stage, Unit, NO_SHARD};
+pub use stage::{EventKind, ObsEvent, Stage, NO_SHARD};
 
 #[cfg(test)]
 mod proptests {

@@ -5,7 +5,7 @@
 use crate::fmt::fmt_micros;
 use crate::histogram::{HistSnapshot, Histogram};
 use crate::span::SpanGuard;
-use crate::stage::{EventKind, ObsEvent, Stage, Unit};
+use crate::stage::{EventKind, ObsEvent, Stage};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Mutex;
@@ -122,8 +122,7 @@ impl Registry {
         }
     }
 
-    /// Record a raw sample for `stage` (epoch staleness, pre-measured
-    /// durations).
+    /// Record a raw sample for `stage` (a pre-measured duration in µs).
     #[inline]
     pub fn record(&self, stage: Stage, value: u64) {
         if self.enabled.load(Relaxed) {
@@ -187,41 +186,34 @@ impl Registry {
         }
     }
 
-    /// Prometheus-style text exposition: one `summary` family per unit
-    /// (`gpma_stage_micros`, `gpma_stage_epochs`) with `stage` labels and
-    /// the standard quantile set, plus event-ring gauges. Only stages with
-    /// samples are emitted.
+    /// Prometheus-style text exposition: one `gpma_stage_micros` summary
+    /// family with `stage` labels and the standard quantile set, plus
+    /// event-ring gauges. Only stages with samples are emitted.
     pub fn render_prometheus(&self) -> String {
+        const FAMILY: &str = "gpma_stage_micros";
         let mut out = String::new();
-        for (family, unit) in [
-            ("gpma_stage_micros", Unit::Micros),
-            ("gpma_stage_epochs", Unit::Epochs),
-        ] {
-            let live: Vec<(Stage, HistSnapshot)> = Stage::ALL
-                .iter()
-                .filter(|s| s.unit() == unit)
-                .map(|s| (*s, self.hist(*s).snapshot()))
-                .filter(|(_, snap)| snap.count > 0)
-                .collect();
-            if live.is_empty() {
-                continue;
+        let live: Vec<(Stage, HistSnapshot)> = Stage::ALL
+            .iter()
+            .map(|s| (*s, self.hist(*s).snapshot()))
+            .filter(|(_, snap)| snap.count > 0)
+            .collect();
+        if !live.is_empty() {
+            let _ = writeln!(out, "# HELP {FAMILY} Per-stage latency distribution.");
+            let _ = writeln!(out, "# TYPE {FAMILY} summary");
+        }
+        for (s, snap) in live {
+            let n = s.name();
+            for (q, v) in [
+                ("0.5", snap.p50),
+                ("0.9", snap.p90),
+                ("0.99", snap.p99),
+                ("0.999", snap.p999),
+            ] {
+                let _ = writeln!(out, "{FAMILY}{{stage=\"{n}\",quantile=\"{q}\"}} {v}");
             }
-            let _ = writeln!(out, "# HELP {family} Per-stage latency distribution.");
-            let _ = writeln!(out, "# TYPE {family} summary");
-            for (s, snap) in live {
-                let n = s.name();
-                for (q, v) in [
-                    ("0.5", snap.p50),
-                    ("0.9", snap.p90),
-                    ("0.99", snap.p99),
-                    ("0.999", snap.p999),
-                ] {
-                    let _ = writeln!(out, "{family}{{stage=\"{n}\",quantile=\"{q}\"}} {v}");
-                }
-                let _ = writeln!(out, "{family}_sum{{stage=\"{n}\"}} {}", snap.sum);
-                let _ = writeln!(out, "{family}_count{{stage=\"{n}\"}} {}", snap.count);
-                let _ = writeln!(out, "{family}_max{{stage=\"{n}\"}} {}", snap.max);
-            }
+            let _ = writeln!(out, "{FAMILY}_sum{{stage=\"{n}\"}} {}", snap.sum);
+            let _ = writeln!(out, "{FAMILY}_count{{stage=\"{n}\"}} {}", snap.count);
+            let _ = writeln!(out, "{FAMILY}_max{{stage=\"{n}\"}} {}", snap.max);
         }
         let _ = writeln!(out, "# TYPE gpma_events_total counter");
         let _ = writeln!(out, "gpma_events_total {}", self.events().len());
@@ -245,22 +237,18 @@ impl Registry {
             if snap.count == 0 {
                 continue;
             }
-            let fmt_v: fn(u64) -> String = match s.unit() {
-                Unit::Micros => fmt_micros,
-                Unit::Epochs => |v: u64| v.to_string(),
-            };
             let mean = (snap.sum as f64 / snap.count as f64).round() as u64;
             let _ = writeln!(
                 out,
                 "{:<20} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
                 s.name(),
                 snap.count,
-                fmt_v(mean),
-                fmt_v(snap.p50),
-                fmt_v(snap.p90),
-                fmt_v(snap.p99),
-                fmt_v(snap.max),
-                fmt_v(snap.sum)
+                fmt_micros(mean),
+                fmt_micros(snap.p50),
+                fmt_micros(snap.p90),
+                fmt_micros(snap.p99),
+                fmt_micros(snap.max),
+                fmt_micros(snap.sum)
             );
         }
         out
@@ -351,15 +339,15 @@ mod tests {
             let s = r.span(Stage::FlushApply);
             assert!(!s.is_active());
         }
-        r.record(Stage::FollowerStaleness, 5);
+        r.record(Stage::QueryExec, 5);
         r.event(Stage::CutBarrier, NO_SHARD, 1, EventKind::Cut, 0);
         assert_eq!(r.hist(Stage::FlushApply).count(), 0);
-        assert_eq!(r.hist(Stage::FollowerStaleness).count(), 0);
+        assert_eq!(r.hist(Stage::QueryExec).count(), 0);
         assert!(r.events().is_empty());
         // Re-enabling makes future records land.
         r.set_enabled(true);
-        r.record(Stage::FollowerStaleness, 5);
-        assert_eq!(r.hist(Stage::FollowerStaleness).count(), 1);
+        r.record(Stage::QueryExec, 5);
+        assert_eq!(r.hist(Stage::QueryExec).count(), 1);
     }
 
     #[test]
@@ -381,14 +369,19 @@ mod tests {
         for v in [10u64, 100, 1000] {
             r.record(Stage::IngestEnqueue, v);
         }
-        r.record(Stage::FollowerStaleness, 3);
+        r.record(Stage::QueryExec, 3);
         r.event(Stage::FlushTotal, 1, 7, EventKind::Flush, 42);
         let text = r.render_prometheus();
         let samples = parse_exposition(&text).expect("exposition must parse");
         // 2 stages × (4 quantiles + sum + count + max) + 2 event counters.
         assert_eq!(samples, 2 * 7 + 2, "{text}");
         assert!(text.contains("gpma_stage_micros{stage=\"ingest.enqueue\",quantile=\"0.99\"}"));
-        assert!(text.contains("gpma_stage_epochs_count{stage=\"follower.staleness\"} 1"));
+        assert!(text.contains("gpma_stage_micros_count{stage=\"query.exec\"} 1"));
+        assert_eq!(
+            text.matches("# TYPE").count(),
+            3,
+            "one stage family + two counters"
+        );
     }
 
     #[test]

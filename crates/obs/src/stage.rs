@@ -1,6 +1,6 @@
 //! The static stage registry: every instrumented pipeline stage in the
-//! workspace, with its exposition name and sample unit, plus the
-//! structured-event vocabulary ([`ObsEvent`]).
+//! workspace with its exposition name (every stage samples wall-clock
+//! microseconds), plus the structured-event vocabulary ([`ObsEvent`]).
 //!
 //! Stages are a closed enum rather than string keys so span creation and
 //! histogram lookup are a single array index — no hashing, no interning,
@@ -51,33 +51,23 @@ pub enum Stage {
     RecoveryRestore,
     /// Recovery: delta-chain + replay-log re-ingestion and respawn.
     RecoveryReplay,
-    /// Follower staleness at sync time, in *epochs* (not a span).
-    FollowerStaleness,
     /// Serving front: admission (quota check + queue submission) for one
     /// query — the shed/accept decision a tenant observes.
     QueryAdmit,
-    /// Serving worker: executing one query against the latest snapshot
-    /// (cache misses only; hits never reach this stage).
+    /// Serving worker: executing one query against the cache's refreshed
+    /// snapshot — every point query and every whole-graph cache miss
+    /// (hits never reach this stage).
     QueryExec,
-    /// Serving worker: answering one query from the delta-maintained
-    /// result cache (lookup + any delta patching amortised in refresh).
+    /// Serving worker: answering one whole-graph query from the
+    /// delta-maintained result cache (lock, any refresh, lookup).
     QueryCacheHit,
     /// One whole query, submission → completion, queue wait included.
     QueryTotal,
 }
 
-/// What a stage's samples measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
-    /// Wall-clock microseconds (span stages).
-    Micros,
-    /// Published-epoch counts (staleness).
-    Epochs,
-}
-
 impl Stage {
     /// Every stage, in table order.
-    pub const ALL: [Stage; 23] = [
+    pub const ALL: [Stage; 22] = [
         Stage::IngestEnqueue,
         Stage::IngestReshard,
         Stage::FlushDrain,
@@ -96,7 +86,6 @@ impl Stage {
         Stage::RecoveryDetect,
         Stage::RecoveryRestore,
         Stage::RecoveryReplay,
-        Stage::FollowerStaleness,
         Stage::QueryAdmit,
         Stage::QueryExec,
         Stage::QueryCacheHit,
@@ -133,19 +122,10 @@ impl Stage {
             Stage::RecoveryDetect => "recovery.detect",
             Stage::RecoveryRestore => "recovery.restore",
             Stage::RecoveryReplay => "recovery.replay",
-            Stage::FollowerStaleness => "follower.staleness",
             Stage::QueryAdmit => "query.admit",
             Stage::QueryExec => "query.exec",
             Stage::QueryCacheHit => "query.cache_hit",
             Stage::QueryTotal => "query.total",
-        }
-    }
-
-    /// Sample unit for this stage's histogram.
-    pub fn unit(self) -> Unit {
-        match self {
-            Stage::FollowerStaleness => Unit::Epochs,
-            _ => Unit::Micros,
         }
     }
 }
@@ -165,8 +145,6 @@ pub enum EventKind {
     ShardDead,
     /// A dead shard rejoined after recovery.
     Recovered,
-    /// A follower synced against the leader's ring.
-    FollowerSync,
     /// A checkpoint was persisted.
     Checkpoint,
     /// The skew policy triggered an automatic rebalance.
@@ -188,7 +166,7 @@ pub struct ObsEvent {
     pub epoch: u64,
     /// What happened.
     pub kind: EventKind,
-    /// Kind-specific payload (duration µs, staleness epochs, bytes, …).
+    /// Kind-specific payload (duration µs, bytes, …).
     pub value: u64,
 }
 
@@ -213,18 +191,6 @@ mod tests {
         for s in Stage::ALL {
             assert!(seen.insert(s.name()), "duplicate stage name {}", s.name());
             assert!(s.name().contains('.'), "{} not dotted", s.name());
-        }
-    }
-
-    #[test]
-    fn staleness_is_the_only_epoch_stage() {
-        for s in Stage::ALL {
-            let want = if s == Stage::FollowerStaleness {
-                Unit::Epochs
-            } else {
-                Unit::Micros
-            };
-            assert_eq!(s.unit(), want, "{}", s.name());
         }
     }
 }

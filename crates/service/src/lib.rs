@@ -39,13 +39,14 @@
 //!   epoch in order on their own thread, each delta with the image it
 //!   produced. The `gpma-incremental` crate builds live incremental BFS /
 //!   CC / PageRank on this seam.
-//! * **Durability & replication** — [`StreamingService::checkpoint`]
-//!   captures the latest snapshot plus its trailing delta chain as a
+//! * **Durability** — [`StreamingService::checkpoint`] captures the latest
+//!   snapshot plus its trailing delta chain as a
 //!   [`gpma_core::checkpoint::Checkpoint`] (respawn with
-//!   [`StreamingService::spawn_from_checkpoint`]); [`Follower`] replicas
-//!   tail the delta ring to serve reads with measured staleness; and
+//!   [`StreamingService::spawn_from_checkpoint`]), and
 //!   [`StreamingService::inject_failure`] is the fault hook that kills the
-//!   worker mid-stream for crash-recovery tests.
+//!   worker mid-stream for crash-recovery tests. Any reader in the process
+//!   gets a lock-free replica at the latest epoch with one `Arc` clone of
+//!   the published image.
 //! * **Observability** — [`ServiceMetrics`] reports ingest throughput, flush
 //!   latency, queue depth, dropped/duplicate edge counts and the
 //!   delta-vs-snapshot publication byte split ([`PublicationStats`]),
@@ -105,11 +106,9 @@
 
 #![warn(missing_docs)]
 
-mod follower;
 mod metrics;
 mod service;
 
-pub use follower::{Follower, FollowerStats};
 pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
 pub use gpma_core::framework::GraphSnapshot;
 pub use metrics::{PublicationStats, ServiceMetrics};

@@ -18,7 +18,6 @@ use gpma_obs::{EventKind, Registry as ObsRegistry, Stage, NO_SHARD};
 use gpma_sim::{Device, ServiceCounters};
 use parking_lot::Mutex;
 
-use crate::follower::Follower;
 
 use crate::metrics::{PublicationStats, ServiceMetrics};
 
@@ -607,14 +606,6 @@ impl StreamingService {
         Checkpoint::new((*self.shared.latest()).clone(), Vec::new())
     }
 
-    /// Spawn a read-only [`Follower`] replica seeded from the latest
-    /// published snapshot. The follower tails this service's delta ring via
-    /// [`Follower::sync`] on its own schedule and serves queries from its
-    /// local state with measured staleness.
-    pub fn spawn_follower(&self) -> Follower {
-        Follower::new(self.shared.latest()).with_obs(self.shared.obs.clone())
-    }
-
     /// Current metrics: cumulative counters plus live queue depth, latest
     /// epoch and service wall-clock age.
     pub fn metrics(&self) -> ServiceMetrics {
@@ -629,7 +620,7 @@ impl StreamingService {
     }
 
     /// The telemetry registry this service records into: per-stage latency
-    /// histograms (`ingest.enqueue`, `flush.*`, `follower.staleness`) plus
+    /// histograms (`ingest.enqueue`, `flush.*`) plus
     /// the bounded event ring. Shared with the cluster when spawned via
     /// [`Self::spawn_instrumented`].
     pub fn obs(&self) -> &Arc<ObsRegistry> {
@@ -1053,22 +1044,6 @@ mod tests {
             0,
             "internal traffic stays out of ingest.enqueue"
         );
-        svc.shutdown();
-    }
-
-    #[test]
-    fn follower_staleness_feeds_the_epoch_histogram() {
-        let svc = StreamingService::spawn(ServiceConfig::default(), system(4));
-        let mut follower = svc.spawn_follower();
-        let h = svc.handle();
-        for i in 1..=8u32 {
-            h.insert(Edge::new(i, 0)).unwrap();
-        }
-        svc.barrier().unwrap();
-        let advanced = follower.sync(&svc);
-        let s = svc.obs().hist(Stage::FollowerStaleness).snapshot();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.max, advanced);
         svc.shutdown();
     }
 

@@ -1,30 +1,30 @@
-//! The memoized result cache, kept exact by tailing the delta stream.
+//! The memoized result cache of whole-graph answers, kept exact by tailing
+//! the delta stream.
 //!
 //! Entries are keyed `(tenant, query)` and all pinned to one epoch — the
-//! cache's current snapshot. On refresh the cache pulls the backend's
-//! delta chain ([`DeltaLog::deltas_since`] semantics via
-//! [`ServingBackend::deltas_since`](crate::ServingBackend::deltas_since))
-//! and advances every entry to the new epoch:
+//! cache's current snapshot. Only whole-graph queries are memoized
+//! (`ResultCache::memoizes`): a point query (`Degree`, `EdgeExists`,
+//! `Neighbors`) is answered by the published image itself in O(degree),
+//! so keeping a copy of its answer would only add maintenance. On refresh
+//! the cache pulls the backend's delta chain ([`DeltaLog::deltas_since`]
+//! semantics via
+//! [`ServingBackend::deltas_since`](crate::ServingBackend::deltas_since)),
+//! folds the span it missed into one delta with [`SnapshotDelta::merge`],
+//! and advances every entry to the new epoch in one step:
 //!
 //! | query kind        | maintenance                                        |
 //! |-------------------|----------------------------------------------------|
 //! | `Bfs` (maintained)| refilled from the [`IncrementalEngine`] maintainer |
 //! | `Cc`              | refilled from the engine's CC maintainer           |
-//! | `EdgeExists`      | patched per delta (insert wins over delete, the    |
-//! |                   | [`apply_delta`](gpma_core::delta::apply_delta) rule)|
-//! | `Neighbors`       | patched per delta (sorted set add/remove)          |
-//! | `Degree`          | invalidated when a delta touches the vertex        |
 //! | `PageRank`        | invalidated by any delta                           |
 //! | `Bfs` (other src) | invalidated by any delta                           |
 //!
 //! A hit at the current epoch is therefore *oracle-exact by construction*:
-//! patched entries replay exactly the transformation
-//! [`apply_delta`](gpma_core::delta::apply_delta) performs on the snapshot
-//! itself, engine-refilled entries inherit the incremental maintainers'
-//! exactness guarantee (PR 4), and anything weaker is invalidated and
-//! recomputed fresh on the next miss. The root-level
-//! `integration_serving.rs` proptest holds every served answer to
-//! [`execute`](crate::execute) on a fresh snapshot.
+//! engine-refilled entries inherit the incremental maintainers' exactness
+//! guarantee (PR 4), and anything weaker is invalidated and recomputed
+//! fresh on the next miss. The root-level `integration_serving.rs`
+//! proptest holds every served answer to [`execute`](crate::execute) on a
+//! fresh snapshot.
 //!
 //! When the reader is outrun (ring eviction, a cluster reshard's
 //! [`DeltaLog::reset_to`] marker) the catch-up arrives as a full snapshot:
@@ -34,12 +34,12 @@
 //! [`DeltaLog::deltas_since`]: gpma_core::delta::DeltaLog::deltas_since
 //! [`DeltaLog::reset_to`]: gpma_core::delta::DeltaLog::reset_to
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
 use gpma_core::framework::GraphSnapshot;
-use gpma_graph::decode_key;
 use gpma_incremental::IncrementalEngine;
 
 use crate::query::{Query, QueryResult};
@@ -49,8 +49,6 @@ use crate::query::{Query, QueryResult};
 pub struct CacheStats {
     /// Refresh passes that advanced the cache epoch.
     pub refreshes: u64,
-    /// Entries carried across an epoch by patching / engine refill.
-    pub patches: u64,
     /// Entries dropped because a delta (or fallback) stale-d them.
     pub invalidations: u64,
     /// Full flushes forced by a snapshot-fallback catch-up.
@@ -88,6 +86,15 @@ impl ResultCache {
             bfs_roots,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Whether the cache memoizes `query`: the whole-graph kinds (`Bfs`,
+    /// `Cc`, `PageRank`). Point queries are always executed on the image.
+    pub(crate) fn memoizes(query: Query) -> bool {
+        matches!(
+            query,
+            Query::Bfs { .. } | Query::Cc | Query::PageRank { .. }
+        )
     }
 
     /// Epoch every entry is pinned to.
@@ -132,21 +139,26 @@ impl ResultCache {
     }
 
     /// Memoize a miss computed at [`epoch`](Self::epoch). The caller must
-    /// have verified the epoch did not advance while it computed.
+    /// have verified the epoch did not advance while it computed. A point
+    /// query is ignored: the cache holds whole-graph answers only.
     pub fn insert(&mut self, tenant: u32, query: Query, result: QueryResult) {
-        self.entries.insert((tenant, query), result);
+        if Self::memoizes(query) {
+            self.entries.insert((tenant, query), result);
+        }
     }
 
     /// Advance the cache to `latest` using `catchup` (obtained from the
-    /// backend *for this cache's epoch*). Entries are patched, refilled or
-    /// invalidated per the module table; on a snapshot-fallback catch-up
+    /// backend *for this cache's epoch*). The missed span of the chain is
+    /// folded into one delta and applied once; entries are refilled or
+    /// invalidated per the module table. On a snapshot-fallback catch-up
     /// everything flushes.
     pub fn refresh(
         &mut self,
         latest: Arc<GraphSnapshot>,
         catchup: DeltaCatchUp<Arc<GraphSnapshot>>,
     ) {
-        if latest.epoch() <= self.epoch() {
+        let (from, to) = (self.epoch(), latest.epoch());
+        if to <= from {
             // A concurrent refresher already advanced us past `latest`.
             return;
         }
@@ -156,17 +168,19 @@ impl ResultCache {
                 // The ring head can lead the snapshot we read (a publish
                 // between the two loads); entries must stop exactly at the
                 // snapshot epoch or hits would disagree with misses.
-                for d in &chain {
-                    if d.epoch() > self.epoch() && d.epoch() <= latest.epoch() {
-                        self.apply_delta(d, &latest);
+                let mut span = chain.iter().filter(|d| d.epoch() > from && d.epoch() <= to);
+                let merged = span.next().map(|first| {
+                    let mut merged = Cow::Borrowed(&**first);
+                    for d in span {
+                        merged.to_mut().merge(d);
                     }
-                }
-                if self.epoch() == latest.epoch() {
-                    self.refill_engine_entries();
-                } else {
+                    merged
+                });
+                match merged {
+                    Some(delta) if delta.epoch() == to => self.advance(&delta, latest),
                     // The chain did not reach the snapshot (raced with a
                     // ring reset): rebase rather than serve a stale mix.
-                    self.flush_all(latest);
+                    _ => self.flush_all(latest),
                 }
             }
             DeltaCatchUp::Snapshot(s) => {
@@ -176,121 +190,34 @@ impl ResultCache {
         }
     }
 
-    /// Apply one epoch delta: advance the engine, patch patchable entries,
-    /// drop the rest. The delta that reaches `latest` makes the engine adopt
-    /// it; an earlier delta of a longer catch-up advances an image of the
-    /// engine's own, which the next delta lets go of.
-    fn apply_delta(&mut self, d: &SnapshotDelta, latest: &Arc<GraphSnapshot>) {
-        if d.epoch() == latest.epoch() {
-            self.engine.apply_at(d, latest.clone());
-        } else {
-            self.engine.apply(d);
-        }
-        let inserted = d.inserted();
-        let deleted = d.deleted_keys();
-        let roots = &self.bfs_roots;
-        let mut patches = 0u64;
-        let mut invalidations = 0u64;
+    /// Apply the merged catch-up delta: the engine adopts `latest` (the
+    /// image `delta` produces), every engine-backed entry (BFS at a
+    /// maintained root, CC) is refilled from its maintainer, and the rest
+    /// are dropped: they have no maintenance cheaper than recompute.
+    fn advance(&mut self, delta: &SnapshotDelta, latest: Arc<GraphSnapshot>) {
+        self.engine.apply_at(delta, latest);
+        let engine = &self.engine;
+        let before = self.entries.len();
         self.entries.retain(|&(_, q), r| {
-            let keep = match q {
-                // Engine-maintained: kept, refilled after the chain lands.
-                Query::Bfs { src } => roots.contains(&src),
-                Query::Cc => true,
-                // No incremental maintenance cheaper than recompute.
-                Query::PageRank { .. } => false,
-                // An inserted edge may be a weight-only upsert, so the
-                // degree cannot be patched from the delta alone; drop the
-                // entry whenever the vertex is touched.
-                Query::Degree { v } => {
-                    !inserted.iter().any(|e| e.src == v)
-                        && !deleted.iter().any(|&k| decode_key(k).0 == v)
-                }
-                Query::EdgeExists { u, v } => {
-                    if let QueryResult::Exists(b) = r {
-                        let key = gpma_graph::Edge::new(u, v).key();
-                        // Insert wins over delete within one delta — the
-                        // `apply_delta` merge rule.
-                        if inserted.binary_search_by_key(&key, |e| e.key()).is_ok() {
-                            *b = true;
-                            patches += 1;
-                        } else if deleted.binary_search(&key).is_ok() {
-                            *b = false;
-                            patches += 1;
-                        }
-                    }
-                    true
-                }
-                Query::Neighbors { v } => {
-                    if let QueryResult::Neighbors(list) = r {
-                        let mut changed = false;
-                        for &k in deleted {
-                            let (s, dst) = decode_key(k);
-                            if s == v {
-                                let vec = Arc::make_mut(list);
-                                if let Ok(i) = vec.binary_search(&dst) {
-                                    vec.remove(i);
-                                    changed = true;
-                                }
-                            }
-                        }
-                        for e in inserted {
-                            if e.src == v {
-                                let vec = Arc::make_mut(list);
-                                if let Err(i) = vec.binary_search(&e.dst) {
-                                    vec.insert(i, e.dst);
-                                    changed = true;
-                                }
-                            }
-                        }
-                        if changed {
-                            patches += 1;
-                        }
-                    }
-                    true
-                }
-            };
-            if !keep {
-                invalidations += 1;
-            }
-            keep
-        });
-        self.stats.patches += patches;
-        self.stats.invalidations += invalidations;
-    }
-
-    /// Re-fill every surviving engine-backed entry (BFS at maintained
-    /// roots, CC) from the maintainers, which are now at the cache epoch.
-    fn refill_engine_entries(&mut self) {
-        let keys: Vec<(u32, Query)> = self
-            .entries
-            .keys()
-            .filter(|(_, q)| matches!(q, Query::Bfs { .. } | Query::Cc))
-            .copied()
-            .collect();
-        for key in keys {
-            let refilled = match key.1 {
-                Query::Bfs { src } => self
-                    .engine
+            let refilled = match q {
+                Query::Bfs { src } => engine
                     .bfs_from(src)
                     .map(|m| QueryResult::Distances(Arc::new(m.distances().to_vec()))),
-                Query::Cc => self.engine.cc().map(|m| QueryResult::Components {
+                Query::Cc => engine.cc().map(|m| QueryResult::Components {
                     count: m.component_count(),
                     labels: Arc::new(m.labels()),
                 }),
                 _ => None,
             };
             match refilled {
-                Some(r) => {
-                    self.entries.insert(key, r);
-                    self.stats.patches += 1;
+                Some(fresh) => {
+                    *r = fresh;
+                    true
                 }
-                None => {
-                    // Defensive: an entry whose maintainer vanished.
-                    self.entries.remove(&key);
-                    self.stats.invalidations += 1;
-                }
+                None => false,
             }
-        }
+        });
+        self.stats.invalidations += (before - self.entries.len()) as u64;
     }
 
     /// Drop every entry and rebase the engine on `s` (the
@@ -328,6 +255,19 @@ mod tests {
         ))
     }
 
+    fn whole_graph_entries(cache: &mut ResultCache, snap: &GraphSnapshot) -> [Query; 4] {
+        let queries = [
+            Query::Bfs { src: 0 },     // maintained root
+            Query::Bfs { src: 3 },     // unmaintained root
+            Query::Cc,
+            Query::PageRank { top_k: 4 },
+        ];
+        for q in queries {
+            cache.insert(7, q, execute(q, snap, PageRankParams::default()));
+        }
+        queries
+    }
+
     /// Fill the cache with one entry per query kind, advance it by a delta
     /// chain, and hold every surviving or refilled entry to the oracle.
     #[test]
@@ -335,21 +275,16 @@ mod tests {
         let pr = PageRankParams::default();
         let s0 = base();
         let mut cache = ResultCache::new(s0.clone(), vec![0]);
-        let queries = [
-            Query::Bfs { src: 0 },     // maintained root
-            Query::Bfs { src: 3 },     // unmaintained root
-            Query::Cc,
-            Query::PageRank { top_k: 4 },
+        let queries = whole_graph_entries(&mut cache, &s0);
+        // Point queries are answered by the image, never memoized.
+        for q in [
             Query::Degree { v: 1 },
-            Query::Degree { v: 5 },
             Query::EdgeExists { u: 0, v: 1 },
-            Query::EdgeExists { u: 2, v: 3 },
             Query::Neighbors { v: 1 },
-            Query::Neighbors { v: 6 },
-        ];
-        for q in queries {
-            let r = execute(q, &s0, pr);
-            cache.insert(7, q, r);
+        ] {
+            assert!(!ResultCache::memoizes(q));
+            cache.insert(7, q, execute(q, &s0, pr));
+            assert!(cache.lookup(7, q).is_none(), "{q:?} was memoized");
         }
         assert_eq!(cache.len(), queries.len());
 
@@ -359,8 +294,7 @@ mod tests {
         let s2 = Arc::new(apply_delta(&s1, &d2));
         cache.refresh(s2.clone(), DeltaCatchUp::Deltas(vec![d1, d2]));
         assert_eq!(cache.epoch(), 2);
-        // Epoch 1 advanced an image of the engine's own; epoch 2 adopted
-        // the published one, not a copy equal to it.
+        // The engine adopted the published image, not a copy equal to it.
         assert!(Arc::ptr_eq(cache.snapshot(), &s2));
 
         for q in queries {
@@ -368,31 +302,63 @@ mod tests {
                 assert_eq!(hit, &execute(q, &s2, pr), "stale hit for {q:?}");
             }
         }
-        // The patched/maintained kinds must actually survive.
-        for q in [
-            Query::Bfs { src: 0 },
-            Query::Cc,
-            Query::EdgeExists { u: 0, v: 1 },
-            Query::Neighbors { v: 1 },
-        ] {
+        // The maintained kinds must actually survive.
+        for q in [Query::Bfs { src: 0 }, Query::Cc] {
             assert!(cache.lookup(7, q).is_some(), "{q:?} should survive refresh");
         }
         // And the unmaintainable kinds must be gone.
-        for q in [
-            Query::Bfs { src: 3 },
-            Query::PageRank { top_k: 4 },
-            Query::Degree { v: 1 }, // touched by (1,5) insert
-            Query::Degree { v: 3 }, // touched by (3,4) delete
-        ] {
+        for q in [Query::Bfs { src: 3 }, Query::PageRank { top_k: 4 }] {
             assert!(cache.lookup(7, q).is_none(), "{q:?} should invalidate");
         }
-        // A degree no delta's source touches survives unchanged.
-        assert_eq!(
-            cache.lookup(7, Query::Degree { v: 5 }),
-            Some(&execute(Query::Degree { v: 5 }, &s2, pr))
-        );
         let st = cache.stats();
-        assert!(st.patches > 0 && st.invalidations > 0 && st.refreshes == 1);
+        assert_eq!((st.refreshes, st.invalidations, st.flushes), (1, 2, 0));
+    }
+
+    /// A multi-delta catch-up folds into one delta: the engine applies
+    /// once, adopts the published image, and its maintained entries equal
+    /// the oracle on it.
+    #[test]
+    fn catch_up_applies_one_merged_delta() {
+        let pr = PageRankParams::default();
+        let s0 = base();
+        let mut cache = ResultCache::new(s0.clone(), vec![0]);
+        whole_graph_entries(&mut cache, &s0);
+        let before = cache.engine.stats().epochs;
+
+        // (2, 6) appears in d1 and goes again in d3, so the merged delta
+        // deletes a key the cache's image never held.
+        let d1 = delta(1, &[(1, 5), (2, 6)], &[(0, 1)]);
+        let d2 = delta(2, &[(0, 1), (5, 6)], &[(3, 4)]);
+        let d3 = delta(3, &[(6, 7)], &[(2, 6), (1, 2)]);
+        // The ring head may lead the snapshot the reader loaded.
+        let d4 = delta(4, &[(7, 0)], &[]);
+        let s1 = Arc::new(apply_delta(&s0, &d1));
+        let s2 = Arc::new(apply_delta(&s1, &d2));
+        let s3 = Arc::new(apply_delta(&s2, &d3));
+        cache.refresh(s3.clone(), DeltaCatchUp::Deltas(vec![d1, d2, d3, d4]));
+
+        assert_eq!(cache.epoch(), 3);
+        assert_eq!(cache.engine.stats().epochs, before + 1, "one apply, not three");
+        assert!(Arc::ptr_eq(cache.snapshot(), &s3));
+        for q in [Query::Bfs { src: 0 }, Query::Cc] {
+            assert_eq!(cache.lookup(7, q), Some(&execute(q, &s3, pr)), "{q:?}");
+        }
+        assert_eq!(cache.stats().flushes, 0);
+    }
+
+    #[test]
+    fn chain_short_of_the_snapshot_rebases() {
+        let s0 = base();
+        let mut cache = ResultCache::new(s0.clone(), vec![0]);
+        whole_graph_entries(&mut cache, &s0);
+        let d1 = delta(1, &[(2, 3)], &[]);
+        let d2 = delta(2, &[(6, 7)], &[]);
+        let s1 = Arc::new(apply_delta(&s0, &d1));
+        let s2 = Arc::new(apply_delta(&s1, &d2));
+        cache.refresh(s2.clone(), DeltaCatchUp::Deltas(vec![d1]));
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats().flushes, 1);
+        assert!(Arc::ptr_eq(cache.snapshot(), &s2));
     }
 
     #[test]
@@ -413,7 +379,7 @@ mod tests {
     fn stale_refresh_is_a_no_op() {
         let s0 = base();
         let mut cache = ResultCache::new(s0.clone(), vec![]);
-        cache.insert(0, Query::Degree { v: 0 }, QueryResult::Degree(1));
+        cache.insert(0, Query::Cc, execute(Query::Cc, &s0, PageRankParams::default()));
         // A "latest" at or below the cache epoch must change nothing.
         cache.refresh(s0.clone(), DeltaCatchUp::Deltas(vec![]));
         assert_eq!(cache.epoch(), 0);
@@ -424,10 +390,10 @@ mod tests {
     #[test]
     fn tenants_are_isolated_keys() {
         let s0 = base();
-        let mut cache = ResultCache::new(s0, vec![]);
-        cache.insert(0, Query::Degree { v: 0 }, QueryResult::Degree(1));
-        assert!(cache.lookup(0, Query::Degree { v: 0 }).is_some());
-        assert!(cache.lookup(1, Query::Degree { v: 0 }).is_none());
+        let mut cache = ResultCache::new(s0.clone(), vec![]);
+        cache.insert(0, Query::Cc, execute(Query::Cc, &s0, PageRankParams::default()));
+        assert!(cache.lookup(0, Query::Cc).is_some());
+        assert!(cache.lookup(1, Query::Cc).is_none());
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!                                             worker pool  ◄─┘
 //!                                                  │
 //!                    ┌─────────────────────────────┤
-//!                    ▼ hit                         ▼ miss
+//!                    ▼ hit                         ▼ miss / point query
 //!            ResultCache (tails the          execute() on the
-//!            backend's delta ring;           cached epoch's snapshot,
-//!            patch / refill / invalidate)    then memoize
+//!            backend's delta ring: one       cached epoch's snapshot,
+//!            merged delta per refresh;       then memoize whole-graph
+//!            refill / invalidate)            answers only
 //! ```
 //!
 //! The pieces:
@@ -27,9 +28,11 @@
 //!   (the seam where a tokio runtime would slot in).
 //! - [`Query`] / [`QueryResult`] / [`execute`]: the typed query vocabulary
 //!   and its fresh-from-snapshot oracle.
-//! - [`ResultCache`]: memoized results keyed `(tenant, query)` at one
-//!   epoch, advanced by tailing [`SnapshotDelta`]s — a hit at the current
-//!   epoch is oracle-exact by construction (see the `cache` module docs).
+//! - [`ResultCache`]: memoized whole-graph results (BFS, CC, PageRank)
+//!   keyed `(tenant, query)` at one epoch, advanced by tailing
+//!   [`SnapshotDelta`]s — a hit at the current epoch is oracle-exact by
+//!   construction (see the `cache` module docs). Point queries are
+//!   answered by the published image and never memoized.
 //! - [`TenantConfig`] / [`TokenBucket`]: per-tenant query and ingest
 //!   quotas; admission sheds ([`Rejected`]) and never blocks.
 //! - [`ServingBackend`]: the snapshot/delta/ingest contract, implemented

@@ -116,8 +116,8 @@ pub struct ServingMetrics {
     pub epoch: u64,
     /// Entries currently memoized.
     pub cache_entries: usize,
-    /// Cache maintenance counters (refreshes, patches, invalidations,
-    /// full flushes).
+    /// Cache maintenance counters (refreshes, invalidations, full
+    /// flushes).
     pub cache: CacheStats,
 }
 
@@ -163,8 +163,8 @@ impl std::fmt::Display for ServingMetrics {
         .annotate(format_args!("{} shed", t.ingest_shed))
         .group()
         .raw(format_args!(
-            "cache {} refreshes, {} patched, {} invalidated, {} flushes",
-            self.cache.refreshes, self.cache.patches, self.cache.invalidations, self.cache.flushes
+            "cache {} refreshes, {} invalidated, {} flushes",
+            self.cache.refreshes, self.cache.invalidations, self.cache.flushes
         ))
         .finish();
         f.write_str(&line)

@@ -14,6 +14,7 @@
 //!                                        cache refresh (tail delta ring)
 //!                                            hit? ──► clone Arc, done
 //!                                            miss ──► execute(), memoize
+//!                                           point ──► execute() on the image
 //! ```
 //!
 //! Admission *sheds, never blocks*: every rejection is a typed
@@ -364,6 +365,8 @@ fn run_query<B: ServingBackend>(
                 bump(&stats.cache_hits);
                 result
             } else {
+                // A miss, or a point query: execute on the refreshed image
+                // outside the lock.
                 let snap = guard.snapshot().clone();
                 let epoch = guard.epoch();
                 drop(guard);
@@ -371,11 +374,14 @@ fn run_query<B: ServingBackend>(
                 let result = execute(query, &snap, shared.pagerank);
                 shared.obs.record_duration(Stage::QueryExec, t1.elapsed());
                 bump(&stats.cache_misses);
-                let mut guard = cache_lock.lock().unwrap_or_else(PoisonError::into_inner);
-                if guard.epoch() == epoch {
-                    // Only memoize if no refresh advanced the cache while
-                    // we computed — a stale entry would poison later hits.
-                    guard.insert(tenant, query, result.clone());
+                if ResultCache::memoizes(query) {
+                    let mut guard = cache_lock.lock().unwrap_or_else(PoisonError::into_inner);
+                    if guard.epoch() == epoch {
+                        // Only memoize if no refresh advanced the cache
+                        // while we computed — a stale entry would poison
+                        // later hits.
+                        guard.insert(tenant, query, result.clone());
+                    }
                 }
                 result
             }

@@ -4,7 +4,8 @@
 //! cluster, across a live reshard (delta-ring reset → snapshot-fallback
 //! flush) and a shard kill + recovery — plus deterministic behavioral
 //! checks of the shed-never-block admission contract (quota, queue-full,
-//! deadline, cancellation, tenant isolation of the memo key space).
+//! deadline, cancellation, tenant isolation of the memo key space) and of
+//! which answers the cache holds.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -17,7 +18,7 @@ use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot};
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_service::{ServiceConfig, StreamingService};
 use gpma_serving::{
-    execute, ClusterBackend, PageRankParams, Query, QueryResult, QueryServer, Rejected,
+    execute, ClusterBackend, PageRankParams, Query, QueryServer, Rejected,
     ServingBackend, ServingConfig, TenantConfig,
 };
 use gpma_sim::{Device, DeviceConfig};
@@ -49,8 +50,9 @@ fn feed(cluster: &GraphCluster, ops: &[Op]) {
 }
 
 /// The query vocabulary exercised at every checkpoint of the stream: both
-/// maintained (0) and unmaintained (5) BFS roots, patched kinds over a few
-/// vertices, and the invalidate-always PageRank.
+/// maintained (0) and unmaintained (5) BFS roots, the invalidate-always
+/// PageRank, and point kinds over a few vertices (answered by the image,
+/// never memoized).
 fn probe_queries() -> Vec<Query> {
     vec![
         Query::Bfs { src: 0 },
@@ -326,16 +328,75 @@ fn tenants_do_not_share_memoized_results() {
         TenantConfig::unlimited("a"),
         TenantConfig::unlimited("b"),
     ]);
+    let want = execute(Query::Cc, &svc.snapshot(), PageRankParams::default());
     // Same query, two tenants: each misses once (separate memo keys),
     // then each hits its own entry.
     for tenant in [0u32, 1, 0, 1] {
-        let ticket = server.submit(tenant, Query::Degree { v: 0 }).unwrap();
-        assert_eq!(ticket.wait(), Ok(QueryResult::Degree(1)));
+        let ticket = server.submit(tenant, Query::Cc).unwrap();
+        assert_eq!(ticket.wait(), Ok(want.clone()));
     }
     let m = server.shutdown();
     for t in &m.tenants {
         assert_eq!(t.cache_misses, 1, "{}", t.name);
         assert_eq!(t.cache_hits, 1, "{}", t.name);
     }
+    drop(Arc::into_inner(svc).unwrap().shutdown());
+}
+
+/// Point queries skip the memo but not the refresh: after every barrier
+/// they answer exactly what `execute` computes on the barrier's image.
+#[test]
+fn point_answers_equal_the_barrier_image() {
+    let (svc, server) = service_server(vec![TenantConfig::unlimited("t")]);
+    let h = svc.handle();
+    let points = [
+        Query::Degree { v: 0 },
+        Query::Degree { v: 3 },
+        Query::EdgeExists { u: 0, v: 1 },
+        Query::EdgeExists { u: 3, v: 4 },
+        Query::Neighbors { v: 0 },
+        Query::Neighbors { v: 3 },
+    ];
+    let mut asked = 0u64;
+    for round in 0..5u32 {
+        h.ingest(UpdateBatch {
+            insertions: vec![Edge::new(round % 4, round + 1), Edge::new(3, 4 + round)],
+            deletions: vec![Edge::new(0, 1 + round / 2), Edge::new(3, 3 + round)],
+        })
+        .unwrap();
+        let snap = svc.barrier().unwrap();
+        for q in points {
+            let want = execute(q, &snap, PageRankParams::default());
+            let got = server.submit(0, q).unwrap().wait();
+            assert_eq!(got, Ok(want), "round {round} {q:?}");
+            asked += 1;
+        }
+    }
+    drop(h);
+    let m = server.shutdown();
+    let t = m.totals();
+    assert_eq!((t.cache_hits, t.cache_misses), (0, asked), "point queries always execute");
+    assert_eq!(t.cache_hits + t.cache_misses, t.completed());
+    assert_eq!(m.cache_entries, 0);
+    drop(Arc::into_inner(svc).unwrap().shutdown());
+}
+
+/// The cache holds whole-graph answers only: asking every query kind
+/// memoizes exactly the BFS, CC and PageRank entries.
+#[test]
+fn cache_entries_count_only_whole_graph_queries() {
+    let (svc, server) = service_server(vec![TenantConfig::unlimited("t")]);
+    for q in [
+        Query::Bfs { src: 0 },
+        Query::Cc,
+        Query::PageRank { top_k: 3 },
+        Query::Degree { v: 0 },
+        Query::EdgeExists { u: 0, v: 1 },
+        Query::Neighbors { v: 0 },
+    ] {
+        server.submit(0, q).unwrap().wait().unwrap();
+    }
+    assert_eq!(server.metrics().cache_entries, 3);
+    drop(server.shutdown());
     drop(Arc::into_inner(svc).unwrap().shutdown());
 }
