@@ -6,7 +6,6 @@
 //! approaches, simulated device time for GPU approaches (see EXPERIMENTS.md
 //! for the comparison methodology).
 
-use gpma_core::framework::DynamicGraphSystem;
 use gpma_core::multi::MultiGpma;
 use gpma_core::{Gpma, GpmaPlus};
 use gpma_graph::datasets::{generate, DatasetKind, DatasetStats};
@@ -992,26 +991,19 @@ pub fn audit(cfg: &ExpConfig) {
 }
 
 // ----------------------------------------------------------------------
-// Recovery — durable checkpoints and failover
+// Recovery — shard failover from checkpoint + replay log
 // ----------------------------------------------------------------------
 
-/// `recovery`: two measurements of the durability layer. (a) Crash
-/// recovery cost vs the checkpoint's trailing delta-chain length — a longer
-/// chain makes checkpoints cheaper to take but a restart pays decode plus
-/// chain replay plus respawn. (b) A live cluster failover: a `FaultPlan`
-/// kills a shard worker mid-stream and the `ClusterMetrics` recovery counters report
-/// what the respawn cost.
+/// `recovery`: a live cluster failover. A `FaultPlan` kills a shard worker
+/// mid-stream; the router respawns it from its latest checkpoint plus its
+/// replay log, and the `ClusterMetrics` recovery counters report what the
+/// failover cost.
 pub fn recovery(cfg: &ExpConfig) {
     use gpma_cluster::{
         ClusterConfig, FaultPlan, GraphCluster, MemoryCheckpointStore, PartitionPolicy,
         RecoveryPolicy,
     };
-    use gpma_core::checkpoint::Checkpoint;
-    use gpma_core::delta::DeltaCatchUp;
-    use gpma_graph::Edge;
-    use gpma_service::{ServiceConfig, StreamingService};
     use std::sync::Arc;
-    use std::time::Instant;
 
     let stream = generate(DatasetKind::Graph500, cfg.scale, cfg.seed);
     let nv = stream.num_vertices;
@@ -1019,139 +1011,50 @@ pub fn recovery(cfg: &ExpConfig) {
     let tail = &stream.edges[stream.initial_size()..];
     assert!(!tail.is_empty(), "recovery needs a streamed tail");
 
-    // One flush-sized update batch, cycling over the streamed tail and
-    // re-weighting so repeated passes still change state (upserts).
-    let step_batch = |step: usize| -> UpdateBatch {
-        let mut b = UpdateBatch::default();
-        for i in 0..batch {
-            let e = tail[(step * batch + i) % tail.len()];
-            b.insertions
-                .push(Edge::weighted(e.src, e.dst, (step * batch + i + 1) as u64));
+    let n_updates = (batch * 8 * cfg.max_slides.max(1)).min(tail.len());
+    let cluster = GraphCluster::spawn(
+        ClusterConfig {
+            flush_threshold: batch,
+            recovery: Some(RecoveryPolicy {
+                store: Arc::new(MemoryCheckpointStore::new()),
+            }),
+            fault: Some(FaultPlan {
+                kill_shard: 1,
+                after_routed_updates: (n_updates / 2) as u64,
+                during_reshard: false,
+            }),
+            ..Default::default()
+        },
+        &cfg.device_cfg,
+        PartitionPolicy::VertexHash.build(nv, 4),
+        stream.initial_edges(),
+    );
+    let h = cluster.handle();
+    for (i, e) in tail[..n_updates].iter().enumerate() {
+        h.insert(*e).expect("cluster alive");
+        if i == n_updates / 4 {
+            // A mid-stream cut so checkpoints exist and the replay logs
+            // are trimmed before the fault fires.
+            cluster.epoch_cut().expect("cluster alive");
         }
-        b
-    };
-
-    // (a) Recovery time vs delta-chain length. The checkpoint pairs the
-    // leader's epoch-0 image with the ring's whole chain since then (an old
-    // base and a long tail, the worst case a checkpoint store can hold); we
-    // then kill the worker and measure the whole recovery path: decode the
-    // durable bytes, replay the chain, respawn.
-    let chain_lens: &[usize] = if cfg.max_slides <= 1 {
-        &[0, 8, 32]
-    } else {
-        &[0, 16, 64, 256]
-    };
-    let mut rows = Vec::new();
-    for &len in chain_lens {
-        let cap = (2 * len).max(4);
-        let svc_cfg = ServiceConfig {
-            delta_log_capacity: cap,
-            ..ServiceConfig::default()
-        };
-        let dev = Device::new(cfg.device_cfg.clone());
-        let sys = DynamicGraphSystem::new(dev, nv, stream.initial_edges(), batch);
-        let svc = StreamingService::spawn(svc_cfg.clone(), sys);
-        let base = svc.snapshot();
-        let h = svc.handle();
-        for step in 0..len {
-            h.ingest(step_batch(step)).expect("service alive");
-        }
-        drop(h);
-        svc.barrier().expect("service alive");
-
-        let chain = match svc.deltas_since(base.epoch()) {
-            DeltaCatchUp::Deltas(chain) => chain,
-            DeltaCatchUp::Snapshot(_) => panic!("the ring is sized to hold the whole chain"),
-        };
-        let ckpt = Checkpoint::new((*base).clone(), chain);
-        let t_enc = Instant::now();
-        let bytes = ckpt.encode();
-        let encode_secs = t_enc.elapsed().as_secs_f64();
-
-        svc.inject_failure().expect("fault injection lands");
-        let t_rec = Instant::now();
-        let durable = Checkpoint::decode(&bytes).expect("durable bytes decode");
-        let fresh = StreamingService::spawn_from_checkpoint(
-            svc_cfg,
-            Device::new(cfg.device_cfg.clone()),
-            &durable,
-            batch,
-        );
-        let snap = fresh.barrier().expect("respawned service alive");
-        let recover_secs = t_rec.elapsed().as_secs_f64();
-        assert_eq!(
-            snap.edges(),
-            durable.restore().edges(),
-            "respawned service serves exactly the checkpointed state"
-        );
-        drop(fresh.shutdown());
-        drop(svc.shutdown());
-
-        rows.push(vec![
-            format!("{}", ckpt.chain_len()),
-            format!("{}", snap.num_edges()),
-            format!("{}", bytes.len() / 1024),
-            fmt_ms(encode_secs),
-            fmt_ms(recover_secs),
-        ]);
-        eprintln!(
-            "recovery: chain {} recovered in {:.2} ms",
-            ckpt.chain_len(),
-            recover_secs * 1e3
-        );
     }
+    cluster.epoch_cut().expect("cluster alive");
+    let report = cluster.shutdown();
+    let m = &report.metrics;
+    assert!(m.recoveries >= 1, "the fault plan must have fired");
+    assert_eq!(m.recovery_snapshot_fallbacks, 0, "every recovery found its checkpoint");
     emit(
         "recovery",
-        "Recovery time vs checkpointed delta-chain length (Graph500, kill + respawn)",
-        &["ChainLen", "Edges", "CkptKB", "EncodeMs", "RecoverMs"],
-        &rows,
+        "Cluster failover under a FaultPlan (Graph500, 4 shards, kill + respawn)",
+        &["Recoveries", "RecoverMs", "ReplayedUpdates", "Checkpoints", "CkptKB"],
+        &[vec![
+            format!("{}", m.recoveries),
+            fmt_ms(m.recovery_secs / m.recoveries as f64),
+            format!("{}", m.recovery_replayed_updates),
+            format!("{}", m.checkpoints_taken),
+            format!("{}", m.checkpoint_bytes / 1024),
+        ]],
     );
-
-    // (b) Cluster failover under a FaultPlan: one shard dies mid-stream,
-    // the router detects it on the next forward and respawns it from the
-    // latest checkpoint + delta ring + replay log.
-    {
-        let n_updates = (batch * 8 * cfg.max_slides.max(1)).min(tail.len());
-        let store = Arc::new(MemoryCheckpointStore::new());
-        let cluster = GraphCluster::spawn(
-            ClusterConfig {
-                flush_threshold: batch,
-                recovery: Some(RecoveryPolicy {
-                    store: store.clone(),
-                }),
-                fault: Some(FaultPlan {
-                    kill_shard: 1,
-                    after_routed_updates: (n_updates / 2) as u64,
-                    during_reshard: false,
-                }),
-                ..Default::default()
-            },
-            &cfg.device_cfg,
-            PartitionPolicy::VertexHash.build(nv, 4),
-            stream.initial_edges(),
-        );
-        let h = cluster.handle();
-        for (i, e) in tail[..n_updates].iter().enumerate() {
-            h.insert(*e).expect("cluster alive");
-            if i == n_updates / 4 {
-                // A mid-stream cut so checkpoints + delta chains exist
-                // before the fault fires.
-                cluster.epoch_cut().expect("cluster alive");
-            }
-        }
-        cluster.epoch_cut().expect("cluster alive");
-        let report = cluster.shutdown();
-        let m = &report.metrics;
-        assert!(m.recoveries >= 1, "the fault plan must have fired");
-        eprintln!(
-            "recovery: failover x{} in {:.2} ms avg ({} updates replayed, {} ckpts, {} B)",
-            m.recoveries,
-            m.recovery_secs / m.recoveries as f64 * 1e3,
-            m.recovery_replayed_updates,
-            m.checkpoints_taken,
-            m.checkpoint_bytes,
-        );
-    }
 }
 
 #[cfg(test)]

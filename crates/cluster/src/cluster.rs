@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{
     bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
 };
-use gpma_core::checkpoint::{Checkpoint, CheckpointStore, MemoryCheckpointStore};
-use gpma_core::delta::{apply_delta, DeltaCatchUp, DeltaLog, SnapshotDelta};
+use gpma_core::checkpoint::{self, CheckpointStore, MemoryCheckpointStore};
+use gpma_core::delta::{DeltaCatchUp, DeltaLog, SnapshotDelta};
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot, BYTES_PER_UPDATE};
 use gpma_core::multi::{PartitionEpoch, Partitioner};
 use gpma_graph::{Edge, UpdateBatch};
@@ -59,12 +59,12 @@ pub struct ClusterConfig {
     pub rebalance: Option<RebalancePolicy>,
     /// Durability and failover. `None` (the default) keeps PR-6 behavior: a
     /// dead shard degrades cuts to its last published snapshot. `Some`
-    /// makes the router checkpoint every shard to the policy's
-    /// [`CheckpointStore`] at every coordinated cut, keep per-shard
-    /// replay logs of forwarded sub-batches, and — when a dead worker is
-    /// detected — respawn it from the latest checkpoint, replay the flush
-    /// gap from the dead worker's delta ring (published-snapshot fallback
-    /// if outrun) and re-ingest the replay log, rejoining oracle-exact.
+    /// makes the router keep a per-shard replay log of forwarded
+    /// sub-batches and, at every coordinated cut, checkpoint each shard's
+    /// barrier image to the policy's [`CheckpointStore`] and drop the log
+    /// prefix that image holds. When a dead worker is detected it is
+    /// respawned from its latest checkpoint (its last published image if
+    /// none decodes) and re-ingests its replay log, rejoining oracle-exact.
     pub recovery: Option<RecoveryPolicy>,
     /// Fault injection for crash-recovery tests: kill one shard worker once
     /// a routed-update threshold is crossed. `None` (the default) injects
@@ -320,8 +320,6 @@ pub(crate) struct RouterCounters {
     pub recoveries: u64,
     /// Total wall-clock seconds spent recovering.
     pub recovery_secs: f64,
-    /// Epoch deltas replayed from dead rings onto restored checkpoints.
-    pub recovery_replayed_deltas: u64,
     /// Routed updates re-ingested from the router's replay logs.
     pub recovery_replayed_updates: u64,
     /// Recoveries forced onto a published-snapshot rebase.
@@ -544,20 +542,23 @@ impl GraphCluster {
     }
 
     /// Rebuild a cluster purely from a [`CheckpointStore`] — the
-    /// process-restart path: no live workers, no rings, no replay logs,
-    /// just whatever the previous process persisted.
+    /// process-restart path: no live workers, no replay logs, just
+    /// whatever the previous process persisted.
     ///
     /// Shard ids are probed densely from 0 until the store has no latest
     /// checkpoint for an id (a cluster always checkpoints shards `0..n`,
-    /// so the first gap is the end). Each checkpoint's trailing delta
-    /// chain is folded onto its base snapshot ([`Checkpoint::restore`]),
-    /// the restored shard states are merged, and a *fresh* cluster is
-    /// spawned over them — the new `partitioner` and shard count need not
-    /// match the old cluster's, so a restart can also re-plan.
+    /// so the first gap is the end). Each checkpoint is decoded
+    /// ([`checkpoint::decode`]), the shard images are merged, and a *fresh*
+    /// cluster is spawned over them — the new `partitioner` and shard count
+    /// need not match the old cluster's, so a restart can also re-plan.
     ///
-    /// State later than the last persisted checkpoint is gone by
-    /// definition; every cut checkpoints, so that is at most one cut's
-    /// worth. Corrupt containers surface as
+    /// Every cut checkpoints each shard's barrier image, so the restored
+    /// graph is exactly the last cut whose saves all succeeded (a shard
+    /// recovered since then contributes its post-recovery image instead).
+    /// Updates after that cut are gone by definition. One exception: a
+    /// shrinking reshard leaves the retired shard ids' last checkpoints in
+    /// the store, and the dense probe still merges them. Corrupt containers
+    /// surface as
     /// [`io::ErrorKind::InvalidData`](std::io::ErrorKind::InvalidData); an
     /// empty store (no shard 0) yields
     /// [`io::ErrorKind::NotFound`](std::io::ErrorKind::NotFound).
@@ -570,13 +571,13 @@ impl GraphCluster {
         let mut edges: Vec<Edge> = Vec::new();
         let mut shard = 0usize;
         while let Some(bytes) = store.load_latest(shard)? {
-            let ckpt = Checkpoint::decode(&bytes).map_err(|e| {
+            let image = checkpoint::decode(&bytes).map_err(|e| {
                 std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!("shard {shard} checkpoint corrupt: {e}"),
                 )
             })?;
-            edges.extend(ckpt.restore().edges());
+            edges.extend(image.edges());
             shard += 1;
         }
         if shard == 0 {
@@ -852,7 +853,6 @@ impl GraphCluster {
             migration_background_secs: router.migration_background_secs,
             recoveries: router.recoveries,
             recovery_secs: router.recovery_secs,
-            recovery_replayed_deltas: router.recovery_replayed_deltas,
             recovery_replayed_updates: router.recovery_replayed_updates,
             recovery_snapshot_fallbacks: router.recovery_snapshot_fallbacks,
             checkpoints_taken: router.checkpoints_taken,
@@ -1119,6 +1119,12 @@ struct PendingCut {
     round: BarrierRound,
     /// When the round's barriers were issued.
     t0: Instant,
+    /// Each shard's replay-log length when its barrier was issued: the log
+    /// prefix its barrier image holds. `None` for a shard recovered while
+    /// the round was in flight (its image no longer matches its log), and
+    /// the round checkpoints only the shards with a length. Empty without
+    /// a recovery policy.
+    log_lens: Vec<Option<usize>>,
 }
 
 /// Everything the router loop threads through its helpers.
@@ -1159,11 +1165,13 @@ struct Router {
     /// plan's trigger clock.
     lifetime_routed: u64,
     /// Per-shard sub-batches forwarded since that shard's last checkpoint
-    /// (maintained only under a recovery policy). Re-ingested verbatim into
-    /// a respawned worker after its checkpoint + ring-gap state: replaying
-    /// a suffix the restored state already includes is idempotent, because
-    /// FIFO order makes each key's final presence the batch sequence's last
-    /// word on it.
+    /// (maintained only under a recovery policy): the durable copy of the
+    /// shard's stream buffer. A checkpoint save drops the prefix its image
+    /// holds, and only once the save succeeded; recovery re-ingests the
+    /// rest verbatim on top of the restored image. Replaying a prefix the
+    /// restored state already includes (the published-image fallback) is
+    /// idempotent, because FIFO order makes each key's final presence the
+    /// batch sequence's last word on it.
     replay: Vec<Vec<UpdateBatch>>,
     /// Set by a recovery: the respawned incarnation's epochs restart at 0,
     /// so the next cut's delta cannot be stitched across the crash — force
@@ -1362,23 +1370,22 @@ impl Router {
     /// The failover protocol, one shard at a time:
     ///
     /// 1. **Restore** — decode the latest durable checkpoint for this shard
-    ///    slot and fold its trailing delta chain (corrupt/missing
-    ///    checkpoints fall through to step 3's snapshot fallback).
-    /// 2. **Ring replay** — catch the restored state up through the dead
-    ///    worker's surviving delta ring (`deltas_since` on its front
-    ///    object), covering every flush after the checkpoint.
-    /// 3. **Snapshot fallback** — if the ring was outrun (or step 1 found
-    ///    nothing usable), rebase on the dead worker's last *published*
-    ///    snapshot instead; counted in
-    ///    [`ClusterMetrics::recovery_snapshot_fallbacks`].
-    /// 4. **Respawn + log replay** — build a fresh service from the
-    ///    recovered edge set (epochs restart at 0), re-ingest this shard's
-    ///    replay log (idempotent; covers updates that died unflushed),
-    ///    barrier it settled, and swap it into the routing tables.
-    /// 5. **Re-checkpoint** — persist the recovered incarnation immediately
-    ///    so the store's "latest" always matches the live epoch space, and
-    ///    force the next cut to publish as a rebase (cross-incarnation
-    ///    deltas cannot be stitched).
+    ///    slot: the image of its last successful save, which holds every
+    ///    update up to the start of the shard's replay log.
+    /// 2. **Snapshot fallback** — if no checkpoint decodes (none saved yet,
+    ///    a load error, a corrupt container), rebase on the dead worker's
+    ///    last *published* image instead, which holds the log's start too;
+    ///    counted in [`ClusterMetrics::recovery_snapshot_fallbacks`].
+    /// 3. **Respawn + log replay** — build a fresh service from the
+    ///    restored edge set (epochs restart at 0), re-ingest this shard's
+    ///    whole replay log (covering updates that died unflushed), barrier
+    ///    it settled, and swap it into the routing tables.
+    /// 4. **Re-checkpoint** — persist the settling barrier's image, and
+    ///    drop the log it holds only once that save succeeded, so the
+    ///    store's "latest" matches the live epoch space. The next cut
+    ///    publishes as a rebase (cross-incarnation deltas cannot be
+    ///    stitched), and a cut round in flight does not checkpoint this
+    ///    shard.
     fn recover_shard(&mut self, i: usize) {
         let Some(policy) = self.recovery.clone() else {
             return;
@@ -1386,13 +1393,11 @@ impl Router {
         let obs = self.shared.obs.clone();
         let t0 = Instant::now();
         let nv = self.part.plan().num_vertices();
-        let mut fallback = false;
-        let mut replayed_deltas = 0u64;
 
         let restore_span = obs.span(Stage::RecoveryRestore);
-        let restored_ckpt: Option<GraphSnapshot> = match policy.store.load_latest(i) {
-            Ok(Some(bytes)) => match Checkpoint::decode(&bytes) {
-                Ok(ckpt) => Some(ckpt.restore()),
+        let restored: Option<GraphSnapshot> = match policy.store.load_latest(i) {
+            Ok(Some(bytes)) => match checkpoint::decode(&bytes) {
+                Ok(image) => Some(image),
                 Err(e) => {
                     self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
                     eprintln!("gpma-cluster: shard {i} checkpoint corrupt ({e}); falling back");
@@ -1406,49 +1411,43 @@ impl Router {
                 None
             }
         };
-        let dead = &self.services[i];
-        let recovered = match restored_ckpt {
-            Some(mut state) => match dead.deltas_since(state.epoch()) {
-                DeltaCatchUp::Deltas(chain) => {
-                    for d in &chain {
-                        state = apply_delta(&state, d);
-                    }
-                    replayed_deltas = chain.len() as u64;
-                    state
-                }
-                DeltaCatchUp::Snapshot(s) => {
-                    fallback = true;
-                    (*s).clone()
-                }
-            },
-            None => {
-                fallback = true;
-                (*dead.snapshot()).clone()
-            }
+        let fallback = restored.is_none();
+        let recovered_edges = match restored {
+            Some(image) => image.edges().to_vec(),
+            None => self.services[i].snapshot().edges().to_vec(),
         };
         drop(restore_span);
 
         let replay_span = obs.span(Stage::RecoveryReplay);
-        let recovered_edges = recovered.edges().to_vec();
         let (svc, _) =
             spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, &recovered_edges, &obs);
-        let log = std::mem::take(&mut self.replay[i]);
-        let replayed_updates: u64 = log.iter().map(|b| b.len() as u64).sum();
+        // The log stays whole until the re-checkpoint below lands: should
+        // that save fail, the next recovery needs all of it again.
         let h = svc.handle();
-        for b in log {
-            let _ = h.ingest_unmetered(b);
+        let mut replayed_updates = 0u64;
+        for b in &self.replay[i] {
+            replayed_updates += b.len() as u64;
+            let _ = h.ingest_unmetered(b.clone());
         }
-        if svc.barrier().is_err() {
+        let settled = svc.barrier();
+        if settled.is_err() {
             // A freshly spawned worker dying inside recovery means the
             // machine itself is failing; record it and keep the cluster up.
             self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
             eprintln!("gpma-cluster: shard {i} respawn failed its settling barrier");
         }
-        self.handles[i] = svc.handle();
+        self.handles[i] = h;
         self.services[i] = svc;
         self.force_rebase = true;
         if let Some(rs) = self.reshard.as_mut() {
             rs.shard_recovered(i);
+        }
+        if let Some(len) = self
+            .pending_cut
+            .as_mut()
+            .and_then(|pc| pc.log_lens.get_mut(i))
+        {
+            *len = None;
         }
         drop(replay_span);
         obs.event(
@@ -1458,35 +1457,36 @@ impl Router {
             EventKind::Recovered,
             t0.elapsed().as_micros() as u64,
         );
-        self.save_checkpoint(i);
+        if let Ok(image) = settled {
+            let contained = self.replay[i].len();
+            self.save_checkpoint(i, &image, contained);
+        }
 
         let mut c = self.shared.router.lock();
         c.recoveries += 1;
         c.recovery_secs += t0.elapsed().as_secs_f64();
-        c.recovery_replayed_deltas += replayed_deltas;
         c.recovery_replayed_updates += replayed_updates;
         if fallback {
             c.recovery_snapshot_fallbacks += 1;
         }
     }
 
-    /// Encode shard `i`'s current checkpoint, persist it and count it
-    /// (no-op without a recovery policy). A save failure is logged and
-    /// counted, and the shard's replay log is trimmed only on success (the
-    /// log must reach back to whatever checkpoint recovery would actually
-    /// load).
-    fn save_checkpoint(&mut self, i: usize) {
+    /// Persist `image` as shard `i`'s checkpoint and count it (no-op
+    /// without a recovery policy); only once the save succeeded, drop the
+    /// first `contained` entries of the shard's replay log, the ones the
+    /// image holds. A save failure is logged and counted and leaves the
+    /// log whole: it must reach back to whatever checkpoint recovery would
+    /// actually load.
+    fn save_checkpoint(&mut self, i: usize, image: &GraphSnapshot, contained: usize) {
         let Some(policy) = &self.recovery else {
             return;
         };
         let obs = self.shared.obs.clone();
         let _save = obs.span(Stage::CheckpointSave);
-        let ckpt = self.services[i].checkpoint();
-        let epoch = ckpt.epoch();
-        let bytes = ckpt.encode();
-        match policy.store.save(i, epoch, &bytes) {
+        let bytes = checkpoint::encode(image);
+        match policy.store.save(i, image.epoch(), &bytes) {
             Ok(()) => {
-                self.replay[i].clear();
+                self.replay[i].drain(..contained);
                 let mut c = self.shared.router.lock();
                 c.checkpoints_taken += 1;
                 c.checkpoint_bytes += bytes.len() as u64;
@@ -1494,6 +1494,16 @@ impl Router {
             Err(e) => {
                 self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
                 eprintln!("gpma-cluster: shard {i} checkpoint save failed ({e})");
+            }
+        }
+    }
+
+    /// Checkpoint each shard of a published cut that has a log length: its
+    /// barrier image, holding that many log entries.
+    fn checkpoint_cut(&mut self, snap: &ClusterSnapshot, log_lens: Vec<Option<usize>>) {
+        for (i, len) in log_lens.into_iter().enumerate() {
+            if let Some(contained) = len {
+                self.save_checkpoint(i, &snap.shards()[i], contained);
             }
         }
     }
@@ -1528,9 +1538,14 @@ impl Router {
     }
 
     /// Assemble and publish one coordinated cut from barriered (or fallen
-    /// back) per-shard snapshots, plus its merged delta and the shards'
-    /// checkpoints.
-    fn publish_cut(&mut self, snaps: Vec<Arc<GraphSnapshot>>, t0: Instant) -> Arc<ClusterSnapshot> {
+    /// back) per-shard snapshots, plus its merged delta and the
+    /// checkpoints of the shards with a log length.
+    fn publish_cut(
+        &mut self,
+        snaps: Vec<Arc<GraphSnapshot>>,
+        log_lens: Vec<Option<usize>>,
+        t0: Instant,
+    ) -> Arc<ClusterSnapshot> {
         let obs = self.shared.obs.clone();
         let cut = self.shared.cuts.fetch_add(1, Ordering::Relaxed) + 1;
         let snap = {
@@ -1542,11 +1557,7 @@ impl Router {
             ));
             *self.shared.snapshot.lock() = snap.clone();
             self.publish_cut_delta(cut, &snap);
-            // The shards are freshly barriered, so each checkpoint captures
-            // exactly the cut state.
-            for i in 0..self.services.len() {
-                self.save_checkpoint(i);
-            }
+            self.checkpoint_cut(&snap, log_lens);
             snap
         };
         obs.event(
@@ -1581,10 +1592,18 @@ impl Router {
     fn start_cut_round(&mut self, acks: Vec<Sender<Arc<ClusterSnapshot>>>) {
         self.forward();
         self.ensure_shards_alive();
+        // Each barrier queues behind everything logged so far, so its
+        // image holds exactly this prefix of its shard's log.
+        let log_lens = if self.recovery.is_some() {
+            self.replay.iter().map(|log| Some(log.len())).collect()
+        } else {
+            Vec::new()
+        };
         self.pending_cut = Some(PendingCut {
             acks,
             t0: Instant::now(),
             round: BarrierRound::issue(&self.services),
+            log_lens,
         });
         self.poll_pending_cut(false);
     }
@@ -1602,6 +1621,12 @@ impl Router {
                 self.pending_cut = Some(pc);
                 return;
             }
+            // A shard that gave no ack has no barrier image to checkpoint.
+            for (len, got) in pc.log_lens.iter_mut().zip(&pc.round.got) {
+                if got.is_none() {
+                    *len = None;
+                }
+            }
             let (snaps, degraded) = self.round_snapshots(pc.round);
             // A corpse's stall is not barrier latency: drop the sample.
             if !degraded {
@@ -1609,7 +1634,7 @@ impl Router {
                     .obs
                     .record_duration(Stage::CutBarrier, pc.t0.elapsed());
             }
-            let snap = self.publish_cut(snaps, pc.t0);
+            let snap = self.publish_cut(snaps, pc.log_lens, pc.t0);
             for ack in pc.acks {
                 let _ = ack.send(snap.clone());
             }

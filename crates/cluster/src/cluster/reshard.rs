@@ -239,14 +239,15 @@ impl Router {
         {
             let _migrate = obs.span(Stage::ReshardMigrate);
             for i in old_n..new_n {
-                let (svc, _) = spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, &[], &obs);
+                let (svc, image) =
+                    spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, &[], &obs);
                 self.handles.push(svc.handle());
                 self.services.push(svc);
                 self.replay.push(Vec::new());
                 // Persist the fresh (empty) incarnation immediately so a
                 // crash during the copy never restores a stale checkpoint
                 // from a retired shard slot of the same id.
-                self.save_checkpoint(i);
+                self.save_checkpoint(i, &image, 0);
             }
             self.cow_full_sync(&mut cow);
         }
@@ -612,6 +613,15 @@ impl Router {
         };
         let mut round = BarrierRound::issue(&self.services);
         round.poll(true);
+        // The round blocked with nothing forwarded after its barriers, so
+        // each acked image holds its shard's whole replay log (client
+        // batches and internal ships alike).
+        let log_lens: Vec<Option<usize>> = round
+            .got
+            .iter()
+            .zip(&self.replay)
+            .map(|(got, log)| got.as_ref().map(|_| log.len()))
+            .collect();
         let (snaps, _) = self.round_snapshots(round);
         let cut = self.shared.cuts.fetch_add(1, Ordering::Relaxed) + 1;
         let snap = Arc::new(ClusterSnapshot::new(
@@ -624,15 +634,11 @@ impl Router {
         *self.shared.snapshot.lock() = snap.clone();
         self.shared.delta_log.lock().reset_to(cut);
         if let Some(tx) = &self.cut_tx {
-            let _ = tx.send(CutEvent::Rebase(snap));
+            let _ = tx.send(CutEvent::Rebase(snap.clone()));
         }
-        // The marker barrier settled every surviving shard, so fresh
-        // checkpoints capture the fully retired post-migration state and
-        // trim the replay logs (client batches and internal ships alike)
-        // they subsume.
-        for i in 0..self.services.len() {
-            self.save_checkpoint(i);
-        }
+        // The marker barrier settled every surviving shard, so its images
+        // are the fully retired post-migration state.
+        self.checkpoint_cut(&snap, log_lens);
         self.complete_reshard(rs, total_edges, cut);
     }
 

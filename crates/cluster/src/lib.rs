@@ -66,11 +66,14 @@
 //!   built from the router's observed per-vertex load — the skew-driven
 //!   answer to the edge grid's ~2× power-law imbalance.
 //! * **Durability & failover** — with [`ClusterConfig::recovery`] set, the
-//!   router persists per-shard checkpoints (snapshot + trailing delta
-//!   chain, hand-rolled binary codec) to a [`CheckpointStore`] at every
-//!   cut, detects dead shard workers (failed forwards, or probes on the
-//!   control paths), and respawns them from the latest checkpoint + delta
-//!   ring + replay-log gap, rejoining oracle-exact. [`FaultPlan`] /
+//!   router keeps a per-shard replay log of forwarded sub-batches and, at
+//!   every cut, persists each shard's barrier image (hand-rolled binary
+//!   codec) to a [`CheckpointStore`], dropping the log prefix that image
+//!   holds once the save succeeded. It detects dead shard workers (failed
+//!   forwards, or probes on the control paths) and respawns them from the
+//!   latest checkpoint plus the replay log, rejoining oracle-exact.
+//!   [`GraphCluster::spawn_from_store`] restarts a whole cluster at the
+//!   last checkpointed cut. [`FaultPlan`] /
 //!   [`GraphCluster::kill_shard`] are the fault-injection hooks the
 //!   crash-recovery proptest harness drives; [`ClusterMetrics`] counts what
 //!   failover cost.

@@ -80,18 +80,15 @@ pub struct ClusterMetrics {
     /// Dead shard workers detected and respawned (requires
     /// [`ClusterConfig::recovery`](crate::ClusterConfig::recovery)).
     pub recoveries: u64,
-    /// Total wall-clock seconds spent in recovery (detect → restore →
-    /// replay → respawn), across all recoveries.
+    /// Total wall-clock seconds spent in recovery (restore → respawn →
+    /// log replay → re-checkpoint), across all recoveries.
     pub recovery_secs: f64,
-    /// Epoch deltas replayed from dead workers' rings onto restored
-    /// checkpoints across all recoveries.
-    pub recovery_replayed_deltas: u64,
     /// Routed updates re-ingested into respawned workers from the router's
     /// replay logs across all recoveries.
     pub recovery_replayed_updates: u64,
-    /// Recoveries that could not use checkpoint + delta-chain replay (no
-    /// checkpoint yet, a corrupt one, or a ring outrun) and rebased on the
-    /// dead worker's last published snapshot instead.
+    /// Recoveries that found no checkpoint to decode (none saved yet, a
+    /// load error, or a corrupt one) and rebased on the dead worker's last
+    /// published snapshot instead.
     pub recovery_snapshot_fallbacks: u64,
     /// Per-shard checkpoints persisted to the [`CheckpointStore`]
     /// (cut-cadence checkpoints plus the post-recovery re-checkpoint).
@@ -250,7 +247,6 @@ mod tests {
             migration_background_secs: 0.0,
             recoveries: 0,
             recovery_secs: 0.0,
-            recovery_replayed_deltas: 0,
             recovery_replayed_updates: 0,
             recovery_snapshot_fallbacks: 0,
             checkpoints_taken: 0,

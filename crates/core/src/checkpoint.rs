@@ -1,34 +1,35 @@
-//! Durable epoch-stamped checkpoints: a full [`GraphSnapshot`] plus the
-//! trailing [`SnapshotDelta`] chain that brings it to the checkpoint epoch,
-//! wrapped in a self-validating binary container ([`crate::codec`]) and
-//! persisted through a [`CheckpointStore`].
+//! Durable epoch-stamped checkpoints: one [`GraphSnapshot`] wrapped in a
+//! self-validating binary container ([`crate::codec`]) and persisted
+//! through a [`CheckpointStore`].
 //!
-//! Restore path: [`Checkpoint::decode`] → [`Checkpoint::restore`] folds the
-//! chain onto the base snapshot — the exact state the producer held at
-//! [`Checkpoint::epoch`]. The delta-replay proptests (`gpma-incremental`,
-//! PR 4) are what make this a write-ahead log rather than a hopeful copy:
-//! replaying the chain is *proven* equal to the live graph.
+//! [`encode`] writes the container and [`decode`] validates it and returns
+//! the snapshot it holds: the exact state the producer published at that
+//! snapshot's epoch. A checkpoint carries no delta chain. The updates since
+//! it live in the producer's own replay log (the cluster router keeps one
+//! per shard), which recovery re-ingests on top of the decoded snapshot.
 //!
 //! Container layout (all little-endian):
 //!
 //! ```text
-//! magic   u32   "GPCK" (0x4b435047)
-//! version u16   1
-//! flags   u16   reserved, must be 0
-//! payload       snapshot, delta count u64, deltas (codec formats)
-//! checksum u64  FNV-1a over everything above
+//! magic    u32   "GPCK" (0x4b435047)
+//! version  u16   1
+//! flags    u16   reserved, must be 0
+//! payload        snapshot (codec format), delta count u64 = 0
+//! checksum u64   FNV-1a over everything above
 //! ```
+//!
+//! Version 1 reserved a trailing delta chain after the snapshot. Nothing
+//! writes one, so the count is always 0, and [`decode`] rejects any other
+//! count as [`CodecError::Corrupt`].
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use crate::codec::{
-    decode_delta, decode_snapshot, encode_delta, encode_snapshot, fnv1a64, put_u16, put_u32,
-    put_u64, ByteReader, CodecError,
+    decode_snapshot, encode_snapshot, fnv1a64, put_u16, put_u32, put_u64, ByteReader, CodecError,
 };
-use crate::delta::{apply_delta, SnapshotDelta};
 use crate::framework::GraphSnapshot;
 
 /// First four container bytes: `GPCK` read as a little-endian `u32`.
@@ -37,140 +38,66 @@ pub const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"GPCK");
 /// Container format version this build writes and accepts.
 pub const CHECKPOINT_VERSION: u16 = 1;
 
-/// Minimum bytes a delta can occupy on the wire (its three-count header) —
-/// the element size the container's delta-count prefix is validated with.
-const MIN_DELTA_WIRE_BYTES: usize = 24;
-
-/// A durable unit of graph state: the last full snapshot the producer
-/// published plus the delta chain flushed since, contiguous from
-/// `snapshot.epoch() + 1` to [`Self::epoch`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
-    snapshot: GraphSnapshot,
-    deltas: Vec<Arc<SnapshotDelta>>,
+/// Serialize `snapshot` into the self-validating container format.
+pub fn encode(snapshot: &GraphSnapshot) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_u32(&mut buf, CHECKPOINT_MAGIC);
+    put_u16(&mut buf, CHECKPOINT_VERSION);
+    put_u16(&mut buf, 0); // flags, reserved
+    encode_snapshot(snapshot, &mut buf);
+    put_u64(&mut buf, 0); // delta count
+    let checksum = fnv1a64(&buf);
+    put_u64(&mut buf, checksum);
+    buf
 }
 
-impl Checkpoint {
-    /// Bundle a snapshot with its trailing delta chain. The chain must be
-    /// contiguous starting at `snapshot.epoch() + 1` (debug-asserted; the
-    /// decode path re-validates it on every load).
-    pub fn new(snapshot: GraphSnapshot, deltas: Vec<Arc<SnapshotDelta>>) -> Self {
-        debug_assert!(deltas
-            .iter()
-            .enumerate()
-            .all(|(i, d)| d.epoch() == snapshot.epoch() + 1 + i as u64));
-        Checkpoint { snapshot, deltas }
+/// Parse and fully validate a container: magic, version, the payload
+/// checksum, then per-field bounds, a zero delta count and no trailing
+/// garbage. Every defect maps to a precise [`CodecError`]. The checksum
+/// goes before the payload because decoding the snapshot builds an image
+/// sized by the stored vertex count — only verified bytes may size an
+/// allocation.
+pub fn decode(bytes: &[u8]) -> Result<GraphSnapshot, CodecError> {
+    // Header + checksum are the fixed costs; anything shorter cannot even
+    // state what it claims to be.
+    if bytes.len() < 8 + 8 {
+        return Err(CodecError::Truncated {
+            context: "checkpoint container",
+            needed: 16,
+            have: bytes.len(),
+        });
     }
-
-    /// Epoch of the base snapshot.
-    pub fn base_epoch(&self) -> u64 {
-        self.snapshot.epoch()
+    let (body, tail) = bytes.split_at(bytes.len() - 8);
+    let mut r = ByteReader::new(body);
+    let magic = r.u32("checkpoint magic")?;
+    if magic != CHECKPOINT_MAGIC {
+        return Err(CodecError::BadMagic { found: magic });
     }
-
-    /// Epoch this checkpoint restores to (base epoch plus the chain).
-    pub fn epoch(&self) -> u64 {
-        self.deltas
-            .last()
-            .map_or(self.snapshot.epoch(), |d| d.epoch())
+    let version = r.u16("checkpoint version")?;
+    if version != CHECKPOINT_VERSION {
+        return Err(CodecError::BadVersion { found: version });
     }
-
-    /// Number of trailing deltas carried.
-    pub fn chain_len(&self) -> usize {
-        self.deltas.len()
+    let _flags = r.u16("checkpoint flags")?;
+    let stored = u64::from_le_bytes([
+        tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
+    ]);
+    let computed = fnv1a64(body);
+    if stored != computed {
+        return Err(CodecError::ChecksumMismatch { stored, computed });
     }
-
-    /// The base snapshot.
-    pub fn snapshot(&self) -> &GraphSnapshot {
-        &self.snapshot
+    let snapshot = decode_snapshot(&mut r)?;
+    let count = r.u64("checkpoint delta count")?;
+    if count != 0 {
+        return Err(CodecError::Corrupt(format!(
+            "checkpoint carries {count} trailing deltas; none are written"
+        )));
     }
-
-    /// The trailing delta chain, oldest first.
-    pub fn deltas(&self) -> &[Arc<SnapshotDelta>] {
-        &self.deltas
+    if !r.is_empty() {
+        return Err(CodecError::TrailingBytes {
+            extra: r.remaining(),
+        });
     }
-
-    /// Fold the trailing chain onto the base snapshot, producing the state
-    /// at [`Self::epoch`].
-    pub fn restore(&self) -> GraphSnapshot {
-        let mut state = self.snapshot.clone();
-        for d in &self.deltas {
-            state = apply_delta(&state, d);
-        }
-        state
-    }
-
-    /// Serialize into the self-validating container format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        put_u32(&mut buf, CHECKPOINT_MAGIC);
-        put_u16(&mut buf, CHECKPOINT_VERSION);
-        put_u16(&mut buf, 0); // flags, reserved
-        encode_snapshot(&self.snapshot, &mut buf);
-        put_u64(&mut buf, self.deltas.len() as u64);
-        for d in &self.deltas {
-            encode_delta(d, &mut buf);
-        }
-        let checksum = fnv1a64(&buf);
-        put_u64(&mut buf, checksum);
-        buf
-    }
-
-    /// Parse and fully validate a container: magic, version, the payload
-    /// checksum, then per-field bounds, chain contiguity and no trailing
-    /// garbage. Every defect maps to a precise [`CodecError`]. The checksum
-    /// goes before the payload because decoding the snapshot builds an
-    /// image sized by the stored vertex count — only verified bytes may
-    /// size an allocation.
-    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CodecError> {
-        // Header + checksum are the fixed costs; anything shorter cannot
-        // even state what it claims to be.
-        if bytes.len() < 8 + 8 {
-            return Err(CodecError::Truncated {
-                context: "checkpoint container",
-                needed: 16,
-                have: bytes.len(),
-            });
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut r = ByteReader::new(body);
-        let magic = r.u32("checkpoint magic")?;
-        if magic != CHECKPOINT_MAGIC {
-            return Err(CodecError::BadMagic { found: magic });
-        }
-        let version = r.u16("checkpoint version")?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CodecError::BadVersion { found: version });
-        }
-        let _flags = r.u16("checkpoint flags")?;
-        let stored = u64::from_le_bytes([
-            tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
-        ]);
-        let computed = fnv1a64(body);
-        if stored != computed {
-            return Err(CodecError::ChecksumMismatch { stored, computed });
-        }
-        let snapshot = decode_snapshot(&mut r)?;
-        let count = r.u64("checkpoint delta count")?;
-        let count = r.checked_count(count, MIN_DELTA_WIRE_BYTES, "checkpoint deltas")?;
-        let mut deltas = Vec::with_capacity(count);
-        for i in 0..count {
-            let d = decode_delta(&mut r)?;
-            let expect = snapshot.epoch() + 1 + i as u64;
-            if d.epoch() != expect {
-                return Err(CodecError::Corrupt(format!(
-                    "delta chain not contiguous: expected epoch {expect}, found {}",
-                    d.epoch()
-                )));
-            }
-            deltas.push(Arc::new(d));
-        }
-        if !r.is_empty() {
-            return Err(CodecError::TrailingBytes {
-                extra: r.remaining(),
-            });
-        }
-        Ok(Checkpoint { snapshot, deltas })
-    }
+    Ok(snapshot)
 }
 
 /// Where encoded checkpoints go: keyed by shard id, with "latest" meaning
@@ -186,9 +113,6 @@ pub trait CheckpointStore: Send + Sync {
 
     /// The most recently saved checkpoint for `shard`, if any.
     fn load_latest(&self, shard: usize) -> io::Result<Option<Vec<u8>>>;
-
-    /// Epoch of the most recently saved checkpoint for `shard`.
-    fn latest_epoch(&self, shard: usize) -> io::Result<Option<u64>>;
 }
 
 /// In-memory [`CheckpointStore`] for tests, fault-injection harnesses and
@@ -198,8 +122,8 @@ pub struct MemoryCheckpointStore {
     retain: usize,
 }
 
-/// Per-shard retained checkpoints: `(epoch, encoded bytes)` in save order.
-type ShardSlots = HashMap<usize, Vec<(u64, Vec<u8>)>>;
+/// Per-shard retained checkpoints: encoded bytes in save order.
+type ShardSlots = HashMap<usize, Vec<Vec<u8>>>;
 
 impl MemoryCheckpointStore {
     /// An empty store retaining the default 2 checkpoints per shard.
@@ -236,7 +160,7 @@ impl MemoryCheckpointStore {
     pub fn total_bytes(&self) -> usize {
         self.lock()
             .values()
-            .flat_map(|v| v.iter().map(|(_, b)| b.len()))
+            .flat_map(|v| v.iter().map(Vec::len))
             .sum()
     }
 }
@@ -248,10 +172,10 @@ impl Default for MemoryCheckpointStore {
 }
 
 impl CheckpointStore for MemoryCheckpointStore {
-    fn save(&self, shard: usize, epoch: u64, bytes: &[u8]) -> io::Result<()> {
+    fn save(&self, shard: usize, _epoch: u64, bytes: &[u8]) -> io::Result<()> {
         let mut slots = self.lock();
         let shard_slots = slots.entry(shard).or_default();
-        shard_slots.push((epoch, bytes.to_vec()));
+        shard_slots.push(bytes.to_vec());
         if shard_slots.len() > self.retain {
             let excess = shard_slots.len() - self.retain;
             shard_slots.drain(..excess);
@@ -260,15 +184,7 @@ impl CheckpointStore for MemoryCheckpointStore {
     }
 
     fn load_latest(&self, shard: usize) -> io::Result<Option<Vec<u8>>> {
-        Ok(self
-            .lock()
-            .get(&shard)
-            .and_then(|v| v.last())
-            .map(|(_, b)| b.clone()))
-    }
-
-    fn latest_epoch(&self, shard: usize) -> io::Result<Option<u64>> {
-        Ok(self.lock().get(&shard).and_then(|v| v.last()).map(|(e, _)| *e))
+        Ok(self.lock().get(&shard).and_then(|v| v.last()).cloned())
     }
 }
 
@@ -293,27 +209,28 @@ impl DirCheckpointStore {
         &self.root
     }
 
-    /// Parse `shard<i>-seq<n>-epoch<e>.gpck`; `None` for foreign files.
-    fn parse_name(name: &str) -> Option<(usize, u64, u64)> {
+    /// Parse `shard<i>-seq<n>-epoch<e>.gpck` into `(i, n)`; `None` for
+    /// foreign files.
+    fn parse_name(name: &str) -> Option<(usize, u64)> {
         let rest = name.strip_prefix("shard")?.strip_suffix(".gpck")?;
         let (shard, rest) = rest.split_once("-seq")?;
         let (seq, epoch) = rest.split_once("-epoch")?;
-        Some((shard.parse().ok()?, seq.parse().ok()?, epoch.parse().ok()?))
+        epoch.parse::<u64>().ok()?;
+        Some((shard.parse().ok()?, seq.parse().ok()?))
     }
 
-    /// The highest sequence number recorded for `shard`, with its epoch and
-    /// file path.
-    fn latest_entry(&self, shard: usize) -> io::Result<Option<(u64, u64, PathBuf)>> {
-        let mut best: Option<(u64, u64, PathBuf)> = None;
+    /// The highest sequence number recorded for `shard`, with its file path.
+    fn latest_entry(&self, shard: usize) -> io::Result<Option<(u64, PathBuf)>> {
+        let mut best: Option<(u64, PathBuf)> = None;
         for entry in std::fs::read_dir(&self.root)? {
             let entry = entry?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let Some((s, seq, epoch)) = Self::parse_name(name) else {
+            let Some((s, seq)) = Self::parse_name(name) else {
                 continue;
             };
-            if s == shard && best.as_ref().is_none_or(|(b, _, _)| seq > *b) {
-                best = Some((seq, epoch, entry.path()));
+            if s == shard && best.as_ref().is_none_or(|(b, _)| seq > *b) {
+                best = Some((seq, entry.path()));
             }
         }
         Ok(best)
@@ -322,9 +239,7 @@ impl DirCheckpointStore {
 
 impl CheckpointStore for DirCheckpointStore {
     fn save(&self, shard: usize, epoch: u64, bytes: &[u8]) -> io::Result<()> {
-        let seq = self
-            .latest_entry(shard)?
-            .map_or(0, |(seq, _, _)| seq + 1);
+        let seq = self.latest_entry(shard)?.map_or(0, |(seq, _)| seq + 1);
         let path = self
             .root
             .join(format!("shard{shard}-seq{seq:08}-epoch{epoch}.gpck"));
@@ -333,64 +248,55 @@ impl CheckpointStore for DirCheckpointStore {
 
     fn load_latest(&self, shard: usize) -> io::Result<Option<Vec<u8>>> {
         match self.latest_entry(shard)? {
-            Some((_, _, path)) => std::fs::read(path).map(Some),
+            Some((_, path)) => std::fs::read(path).map(Some),
             None => Ok(None),
         }
-    }
-
-    fn latest_epoch(&self, shard: usize) -> io::Result<Option<u64>> {
-        Ok(self.latest_entry(shard)?.map(|(_, epoch, _)| epoch))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpma_graph::{Edge, UpdateBatch};
+    use gpma_graph::Edge;
 
-    fn checkpoint() -> Checkpoint {
-        let snap = GraphSnapshot::from_edges(
-            3,
-            8,
-            vec![Edge::weighted(0, 1, 2), Edge::weighted(4, 5, 7)],
-        );
-        let d4 = SnapshotDelta::from_batch(
-            4,
-            &UpdateBatch {
-                insertions: vec![Edge::weighted(2, 3, 1)],
-                deletions: vec![Edge::new(0, 1)],
-            },
-        );
-        let d5 = SnapshotDelta::from_batch(
-            5,
-            &UpdateBatch {
-                insertions: vec![Edge::weighted(0, 1, 9)],
-                deletions: vec![],
-            },
-        );
-        Checkpoint::new(snap, vec![Arc::new(d4), Arc::new(d5)])
+    fn snapshot() -> GraphSnapshot {
+        GraphSnapshot::from_edges(3, 8, vec![Edge::weighted(0, 1, 2), Edge::weighted(4, 5, 7)])
     }
 
     #[test]
     fn container_roundtrip_and_restore() {
-        let ck = checkpoint();
-        assert_eq!(ck.base_epoch(), 3);
-        assert_eq!(ck.epoch(), 5);
-        assert_eq!(ck.chain_len(), 2);
-        let back = Checkpoint::decode(&ck.encode()).expect("roundtrip");
-        assert_eq!(back, ck);
-        let restored = back.restore();
-        assert_eq!(restored.epoch(), 5);
-        assert_eq!(restored.weight(0, 1), Some(9));
-        assert!(restored.contains(2, 3));
-        assert!(restored.contains(4, 5));
+        let snap = snapshot();
+        let back = decode(&encode(&snap)).expect("roundtrip");
+        assert_eq!(back, snap);
+        assert_eq!(back.epoch(), 3);
+        assert_eq!(back.weight(0, 1), Some(2));
+        assert!(back.contains(4, 5));
+    }
+
+    #[test]
+    fn nonzero_delta_count_is_rejected() {
+        // A well-formed, correctly checksummed container whose delta count
+        // claims two trailing deltas: the decoder refuses it as corrupt
+        // before reading a single delta byte.
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, CHECKPOINT_MAGIC);
+        put_u16(&mut bytes, CHECKPOINT_VERSION);
+        put_u16(&mut bytes, 0);
+        encode_snapshot(&snapshot(), &mut bytes);
+        put_u64(&mut bytes, 2);
+        let checksum = fnv1a64(&bytes);
+        put_u64(&mut bytes, checksum);
+        match decode(&bytes) {
+            Err(CodecError::Corrupt(m)) => assert!(m.contains("2 trailing deltas"), "{m}"),
+            other => panic!("expected corrupt rejection, got {other:?}"),
+        }
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = checkpoint().encode();
+        let mut bytes = encode(&snapshot());
         bytes[0] ^= 0xff;
-        match Checkpoint::decode(&bytes) {
+        match decode(&bytes) {
             Err(CodecError::BadMagic { .. }) => {}
             other => panic!("expected bad-magic rejection, got {other:?}"),
         }
@@ -398,12 +304,12 @@ mod tests {
 
     #[test]
     fn flipped_payload_byte_fails_the_checksum() {
-        let mut bytes = checkpoint().encode();
-        // Flip an edge-weight byte: it would still parse; the checksum,
-        // verified before the payload is decoded, catches it.
-        let idx = bytes.len() - 9 - 8;
+        let mut bytes = encode(&snapshot());
+        // Flip the last edge's weight byte: it would still parse; the
+        // checksum, verified before the payload is decoded, catches it.
+        let idx = bytes.len() - 8 - 8 - 8;
         bytes[idx] ^= 0x40;
-        match Checkpoint::decode(&bytes) {
+        match decode(&bytes) {
             Err(CodecError::ChecksumMismatch { .. }) => {}
             other => panic!("expected checksum rejection, got {other:?}"),
         }
@@ -417,8 +323,7 @@ mod tests {
         store.save(1, 7, b"other-shard").unwrap();
         // Epoch 3 saved after epoch 10 wins: save order, not epoch order.
         assert_eq!(store.load_latest(0).unwrap().unwrap(), b"new-incarnation");
-        assert_eq!(store.latest_epoch(0).unwrap(), Some(3));
-        assert_eq!(store.latest_epoch(1).unwrap(), Some(7));
+        assert_eq!(store.load_latest(1).unwrap().unwrap(), b"other-shard");
         assert_eq!(store.load_latest(9).unwrap(), None);
         assert_eq!(store.len(), 3);
         assert!(store.total_bytes() > 0);
@@ -431,7 +336,7 @@ mod tests {
             store.save(0, e, &[e as u8]).unwrap();
         }
         assert_eq!(store.len(), 2);
-        assert_eq!(store.latest_epoch(0).unwrap(), Some(5));
+        assert_eq!(store.load_latest(0).unwrap().unwrap(), [5]);
     }
 
     #[test]
@@ -446,8 +351,9 @@ mod tests {
         assert_eq!(store.load_latest(0).unwrap(), None);
         store.save(0, 10, b"first").unwrap();
         store.save(0, 2, b"second").unwrap();
+        // Sequence order, not epoch order: epoch 2 saved second wins.
         assert_eq!(store.load_latest(0).unwrap().unwrap(), b"second");
-        assert_eq!(store.latest_epoch(0).unwrap(), Some(2));
+        assert_eq!(store.load_latest(1).unwrap(), None);
         assert_eq!(store.root(), root.as_path());
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -1,7 +1,6 @@
 //! Hand-rolled binary codec for durable graph state.
 //!
-//! Persists [`GraphSnapshot`]s and [`SnapshotDelta`]s as little-endian byte
-//! streams with no external dependencies (the same vendored-stub discipline
+//! Persists [`GraphSnapshot`]s as little-endian byte streams with no external dependencies (the same vendored-stub discipline
 //! as the rest of the workspace — see `vendor/README.md`): fixed-width
 //! integers only, explicit length prefixes, and strict decode-side
 //! validation so a truncated, bit-flipped or hostile buffer is rejected
@@ -13,7 +12,6 @@
 
 use gpma_graph::Edge;
 
-use crate::delta::SnapshotDelta;
 use crate::framework::GraphSnapshot;
 
 /// Why a buffer failed to decode. Each variant names the precise defect so
@@ -59,7 +57,8 @@ pub enum CodecError {
         computed: u64,
     },
     /// The buffer parsed but violates a structural invariant (unsorted
-    /// keys, overlapping insert/delete sets, a delta chain with holes).
+    /// keys, an edge outside the vertex count, a non-zero checkpoint delta
+    /// count).
     Corrupt(String),
     /// Decoding finished with unconsumed bytes left over.
     TrailingBytes {
@@ -245,7 +244,7 @@ pub fn encode_snapshot(snap: &GraphSnapshot, buf: &mut Vec<u8>) {
 ///
 /// The image this builds is sized by the stored vertex count; callers
 /// holding unverified bytes check their integrity first (as
-/// [`Checkpoint::decode`](crate::checkpoint::Checkpoint::decode) does).
+/// [`checkpoint::decode`](crate::checkpoint::decode) does).
 pub fn decode_snapshot(r: &mut ByteReader<'_>) -> Result<GraphSnapshot, CodecError> {
     let epoch = r.u64("snapshot epoch")?;
     let num_vertices = r.u32("snapshot vertex count")?;
@@ -273,67 +272,9 @@ pub fn decode_snapshot(r: &mut ByteReader<'_>) -> Result<GraphSnapshot, CodecErr
     Ok(GraphSnapshot::from_edges(epoch, num_vertices, edges))
 }
 
-/// Encode a delta: epoch, upsert count, deleted-key count, the upserted
-/// edges in key order, then the deleted keys in order.
-pub fn encode_delta(delta: &SnapshotDelta, buf: &mut Vec<u8>) {
-    put_u64(buf, delta.epoch());
-    put_u64(buf, delta.inserted().len() as u64);
-    put_u64(buf, delta.deleted_keys().len() as u64);
-    for e in delta.inserted() {
-        put_edge(buf, e);
-    }
-    for k in delta.deleted_keys() {
-        put_u64(buf, *k);
-    }
-}
-
-/// Decode a delta encoded by [`encode_delta`], re-validating the replay
-/// contract ([`SnapshotDelta::from_parts`] invariants): both sets strictly
-/// sorted and mutually disjoint. A buffer that violates them decodes to
-/// `Corrupt` rather than a delta that silently mis-replays.
-pub fn decode_delta(r: &mut ByteReader<'_>) -> Result<SnapshotDelta, CodecError> {
-    let epoch = r.u64("delta epoch")?;
-    let n_ins = r.u64("delta upsert count")?;
-    let n_del = r.u64("delta deleted-key count")?;
-    let n_ins = r.checked_count(n_ins, EDGE_WIRE_BYTES, "delta upserts")?;
-    let mut inserted = Vec::with_capacity(n_ins);
-    let mut prev: Option<u64> = None;
-    for _ in 0..n_ins {
-        let e = read_edge(r, "delta upsert")?;
-        if prev.is_some_and(|p| p >= e.key()) {
-            return Err(CodecError::Corrupt(format!(
-                "delta upserts out of order at key {:#x}",
-                e.key()
-            )));
-        }
-        prev = Some(e.key());
-        inserted.push(e);
-    }
-    let n_del = r.checked_count(n_del, 8, "delta deleted keys")?;
-    let mut deleted = Vec::with_capacity(n_del);
-    let mut prev: Option<u64> = None;
-    for _ in 0..n_del {
-        let k = r.u64("delta deleted key")?;
-        if prev.is_some_and(|p| p >= k) {
-            return Err(CodecError::Corrupt(format!(
-                "delta deleted keys out of order at {k:#x}"
-            )));
-        }
-        if inserted.binary_search_by_key(&k, Edge::key).is_ok() {
-            return Err(CodecError::Corrupt(format!(
-                "delta key {k:#x} both upserted and deleted"
-            )));
-        }
-        prev = Some(k);
-        deleted.push(k);
-    }
-    Ok(SnapshotDelta::from_parts(epoch, inserted, deleted))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpma_graph::UpdateBatch;
 
     #[test]
     fn snapshot_roundtrip() {
@@ -352,23 +293,6 @@ mod tests {
         let back = decode_snapshot(&mut r).expect("roundtrip");
         assert!(r.is_empty());
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn delta_roundtrip() {
-        let d = SnapshotDelta::from_batch(
-            4,
-            &UpdateBatch {
-                insertions: vec![Edge::weighted(1, 2, 8), Edge::weighted(0, 3, 2)],
-                deletions: vec![Edge::new(5, 6)],
-            },
-        );
-        let mut buf = Vec::new();
-        encode_delta(&d, &mut buf);
-        let mut r = ByteReader::new(&buf);
-        let back = decode_delta(&mut r).expect("roundtrip");
-        assert!(r.is_empty());
-        assert_eq!(back, d);
     }
 
     #[test]
@@ -420,28 +344,6 @@ mod tests {
         put_edge(&mut buf, &Edge::new(4, 0));
         match decode_snapshot(&mut ByteReader::new(&buf)) {
             Err(CodecError::Corrupt(m)) => assert!(m.contains("outside its 4 vertices"), "{m}"),
-            other => panic!("expected corrupt rejection, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unsorted_delta_payload_is_rejected() {
-        let d = SnapshotDelta::from_batch(
-            2,
-            &UpdateBatch {
-                insertions: vec![Edge::new(1, 1), Edge::new(2, 2)],
-                deletions: vec![],
-            },
-        );
-        let mut buf = Vec::new();
-        encode_delta(&d, &mut buf);
-        // Swap the two encoded edges: parses fine, violates key order.
-        let (a, b) = (24, 24 + EDGE_WIRE_BYTES);
-        for i in 0..EDGE_WIRE_BYTES {
-            buf.swap(a + i, b + i);
-        }
-        match decode_delta(&mut ByteReader::new(&buf)) {
-            Err(CodecError::Corrupt(m)) => assert!(m.contains("out of order"), "{m}"),
             other => panic!("expected corrupt rejection, got {other:?}"),
         }
     }

@@ -22,9 +22,10 @@
 //!   `gpma-incremental` engine consumes.
 //! * [`multi`] — vertex-partitioned GPMA+ across multiple devices (§6.4).
 //! * [`codec`] / [`checkpoint`] — the hand-rolled binary wire format and
-//!   the durable snapshot-plus-delta-chain [`Checkpoint`] container with
-//!   its [`CheckpointStore`] backends, the persistence layer `gpma-service`
-//!   and `gpma-cluster` recover crashed workers from.
+//!   the durable one-snapshot checkpoint container
+//!   ([`checkpoint::encode`] / [`checkpoint::decode`]) with its
+//!   [`CheckpointStore`] backends, the persistence layer `gpma-cluster`
+//!   recovers crashed shard workers from.
 //!
 //! ## Quick example
 //!
@@ -63,7 +64,7 @@ pub mod update;
 
 #[cfg(feature = "audit")]
 pub use audit::AuditError;
-pub use checkpoint::{Checkpoint, CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
+pub use checkpoint::{CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
 pub use codec::CodecError;
 pub use csr::CsrView;
 pub use delta::{apply_delta, split_delta_moves, DeltaCatchUp, DeltaLog, SnapshotDelta};

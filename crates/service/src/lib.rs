@@ -39,14 +39,12 @@
 //!   epoch in order on their own thread, each delta with the image it
 //!   produced. The `gpma-incremental` crate builds live incremental BFS /
 //!   CC / PageRank on this seam.
-//! * **Durability** — [`StreamingService::checkpoint`] captures the latest
-//!   snapshot plus its trailing delta chain as a
-//!   [`gpma_core::checkpoint::Checkpoint`] (respawn with
-//!   [`StreamingService::spawn_from_checkpoint`]), and
-//!   [`StreamingService::inject_failure`] is the fault hook that kills the
-//!   worker mid-stream for crash-recovery tests. Any reader in the process
-//!   gets a lock-free replica at the latest epoch with one `Arc` clone of
-//!   the published image.
+//! * **Failure** — [`StreamingService::inject_failure`] is the fault hook
+//!   that kills the worker mid-stream for crash-recovery tests; the front
+//!   object keeps serving the last published image, which any caller can
+//!   encode with [`gpma_core::checkpoint::encode`]. Any reader in the
+//!   process gets a lock-free replica at the latest epoch with one `Arc`
+//!   clone of the published image.
 //! * **Observability** — [`ServiceMetrics`] reports ingest throughput, flush
 //!   latency, queue depth, dropped/duplicate edge counts and the
 //!   delta-vs-snapshot publication byte split ([`PublicationStats`]),

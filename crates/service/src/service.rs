@@ -10,12 +10,11 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
-use gpma_core::checkpoint::Checkpoint;
 use gpma_core::delta::{DeltaCatchUp, DeltaLog, SnapshotDelta};
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot};
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_obs::{EventKind, Registry as ObsRegistry, Stage, NO_SHARD};
-use gpma_sim::{Device, ServiceCounters};
+use gpma_sim::ServiceCounters;
 use parking_lot::Mutex;
 
 
@@ -463,28 +462,6 @@ impl StreamingService {
         }
     }
 
-    /// Respawn a service from a durable [`Checkpoint`]: the snapshot plus
-    /// its trailing delta chain are folded back into a full edge list and a
-    /// fresh system is built from it. The new incarnation's epoch counter
-    /// restarts from 0 — recovery coordinators must track epochs per
-    /// incarnation (checkpoint recency is save order, not epoch order; see
-    /// [`gpma_core::checkpoint::CheckpointStore`]).
-    pub fn spawn_from_checkpoint(
-        cfg: ServiceConfig,
-        device: Device,
-        checkpoint: &Checkpoint,
-        flush_threshold: usize,
-    ) -> Self {
-        let restored = checkpoint.restore();
-        let sys = DynamicGraphSystem::new(
-            device,
-            restored.num_vertices(),
-            &restored.edges().to_vec(),
-            flush_threshold,
-        );
-        Self::spawn(cfg, sys)
-    }
-
     /// A new producer handle; clone freely across threads.
     pub fn handle(&self) -> IngestHandle {
         IngestHandle {
@@ -574,7 +551,7 @@ impl StreamingService {
     /// the last published snapshot and the delta ring stay readable through
     /// the front object — exactly the state a recovery coordinator has to
     /// work from. Test/chaos hook; there is no way to un-crash a service
-    /// short of [`Self::spawn_from_checkpoint`].
+    /// short of spawning a new one from its last image.
     pub fn inject_failure(&self) -> Result<(), ServiceClosed> {
         let (ack_tx, ack_rx) = bounded(1);
         self.tx
@@ -595,15 +572,6 @@ impl StreamingService {
     /// probe recovery coordinators poll.
     pub fn is_alive(&self) -> bool {
         self.worker.as_ref().is_some_and(|w| !w.is_finished())
-    }
-
-    /// Capture a durable [`Checkpoint`] of the latest published image
-    /// (every flush advances it, so there is no delta chain to carry).
-    /// Works from the front object alone, so it remains available after the
-    /// worker died — a crashed shard's final published state can still be
-    /// checkpointed for respawn.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::new((*self.shared.latest()).clone(), Vec::new())
     }
 
     /// Current metrics: cumulative counters plus live queue depth, latest
@@ -1084,7 +1052,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_of_a_dead_service_respawns_exactly() {
+    fn dead_service_still_serves_its_last_image() {
         let svc = StreamingService::spawn(ServiceConfig::default(), system(4));
         let h = svc.handle();
         for i in 1..=8u32 {
@@ -1094,33 +1062,14 @@ mod tests {
         svc.ad_hoc(|_| ()).unwrap();
         svc.inject_failure().unwrap();
 
-        // The front object still holds the image of the last flush.
-        let ckpt = svc.checkpoint();
-        assert_eq!(ckpt.base_epoch(), 2, "two threshold-4 flushes published");
-        assert_eq!(ckpt.chain_len(), 0, "the image is always at the ring head");
-        assert_eq!(ckpt.epoch(), 2);
-
-        // Durable round trip, then respawn a fresh incarnation from it.
-        let bytes = ckpt.encode();
-        let restored = Checkpoint::decode(&bytes).unwrap();
-        let svc2 = StreamingService::spawn_from_checkpoint(
-            ServiceConfig::default(),
-            Device::new(gpma_sim::DeviceConfig::deterministic()),
-            &restored,
-            4,
-        );
-        let snap2 = svc2.snapshot();
-        assert_eq!(snap2.epoch(), 0, "epochs restart per incarnation");
-        assert_eq!(snap2.num_edges(), 9);
+        // The front object still holds the image of the last flush: two
+        // threshold-4 flushes, no barrier needed to publish them.
+        let last = svc.snapshot();
+        assert_eq!(last.epoch(), 2, "two threshold-4 flushes published");
+        assert_eq!(last.num_edges(), 9);
         for i in 1..=8u32 {
-            assert!(snap2.contains(i, 0));
+            assert!(last.contains(i, 0));
         }
-        // The respawned service is live again.
-        let h2 = svc2.handle();
-        h2.insert(Edge::new(40, 41)).unwrap();
-        let fin = svc2.barrier().unwrap();
-        assert!(fin.contains(40, 41));
-        svc2.shutdown();
     }
 
     #[test]

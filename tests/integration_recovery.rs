@@ -1,23 +1,27 @@
 //! Crash-recovery fault-injection harness: a shard worker is killed at a
 //! random point of a random insert/delete stream — under both 1D partition
 //! policies — and the recovered cluster (respawned from its latest durable
-//! checkpoint, delta-ring gap replay, and the router's replay log) must
-//! equal the single-device sequential oracle at every subsequent cut: same
-//! edge set, same BFS/CC/PageRank. Deterministic cases cover a kill
-//! straddling a live reshard and a delta ring too small to cover the gap
-//! (forced snapshot fallback).
+//! checkpoint plus the router's replay log) must equal the single-device
+//! sequential oracle at every subsequent cut: same edge set, same
+//! BFS/CC/PageRank. Deterministic cases cover a kill straddling a live
+//! reshard, a delta ring too small to cover the gap, an update forwarded
+//! while a cut round is in flight, checkpoints that must equal the cut's
+//! shard images, and a store whose saves fail.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use gpma_analytics::{bfs_host, cc_host, pagerank_host};
 use gpma_baselines::AdjLists;
 use gpma_cluster::{
-    ClusterConfig, ClusterHandle, FaultPlan, GraphCluster, HashVertexPartition,
-    MemoryCheckpointStore, RecoveryPolicy, VertexPartition,
+    CheckpointStore, ClusterConfig, ClusterHandle, ClusterSnapshot, FaultPlan, GraphCluster,
+    HashVertexPartition, MemoryCheckpointStore, RecoveryPolicy, VertexPartition,
 };
+use gpma_core::checkpoint;
 use gpma_core::multi::Partitioner;
-use gpma_graph::Edge;
+use gpma_graph::{Edge, UpdateBatch};
 use gpma_sim::DeviceConfig;
 
 use proptest::prelude::*;
@@ -96,7 +100,7 @@ proptest! {
     /// either 1D policy: the recovered cluster equals the sequential
     /// oracle at every subsequent cut. The kill lands mid-stream, so
     /// whatever the victim had buffered but not flushed dies with it and
-    /// must come back from checkpoint + delta-ring + replay-log recovery.
+    /// must come back from checkpoint + replay-log recovery.
     #[test]
     fn killed_shard_stream_matches_sequential_oracle(
         ops_a in prop::collection::vec((0u8..4, 0u32..64, 0u32..64, 1u64..100), 1..60),
@@ -293,11 +297,11 @@ fn kill_during_cow_reshard_recovers_exactly() {
 }
 
 /// A shard delta ring far too small to cover the flushes since the last
-/// checkpoint: recovery cannot stitch the gap from deltas and must fall
-/// back to the dead worker's published snapshot — counted, and still
-/// oracle-exact.
+/// checkpoint: recovery never reads the ring, so it restores the
+/// checkpoint, re-ingests the replay log and stays oracle-exact with no
+/// snapshot fallback.
 #[test]
-fn ring_outrun_recovery_falls_back_to_snapshot() {
+fn outrun_delta_ring_recovers_from_checkpoint_and_log() {
     let cluster = GraphCluster::spawn(
         ClusterConfig {
             flush_threshold: 2,
@@ -343,9 +347,9 @@ fn ring_outrun_recovery_falls_back_to_snapshot() {
 
     let report = cluster.shutdown();
     assert!(report.metrics.recoveries >= 1);
-    assert!(
-        report.metrics.recovery_snapshot_fallbacks >= 1,
-        "a 2-deep ring cannot cover a 16-flush gap: {}",
+    assert_eq!(
+        report.metrics.recovery_snapshot_fallbacks, 0,
+        "the checkpoint decodes, so recovery needs no published image: {}",
         report.metrics
     );
 }
@@ -441,4 +445,236 @@ fn cluster_restarts_from_dir_checkpoint_store() {
 
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&empty);
+}
+
+/// Vertex space of the bulk-batch tests below.
+const BULK_NV: u32 = 1024;
+
+/// Edges in one bulk batch: enough that a shard's barrier apply outlasts
+/// the 2 ms before the next update arrives. A debug build applies several
+/// times slower, so a quarter of the batch keeps the same window.
+const BULK_EDGES: u32 = if cfg!(debug_assertions) { 50_000 } else { 200_000 };
+
+/// Rounds of each timing-dependent scenario: the interleaving it needs
+/// happens in most rounds, not all.
+const BULK_ROUNDS: usize = 5;
+
+/// A 2-shard range-partitioned cluster over [`BULK_NV`] vertices: shard 0
+/// owns sources `0..512`, shard 1 the rest.
+fn bulk_cluster(flush_threshold: usize, store: Arc<dyn CheckpointStore>) -> GraphCluster {
+    GraphCluster::spawn(
+        ClusterConfig {
+            flush_threshold,
+            recovery: Some(RecoveryPolicy { store }),
+            ..Default::default()
+        },
+        &DeviceConfig::deterministic(),
+        Arc::new(VertexPartition {
+            num_vertices: BULK_NV,
+            num_shards: 2,
+        }),
+        &[],
+    )
+}
+
+/// `n` distinct edges `(first_src + k % sources, k / sources)`.
+fn grid_edges(n: u32, first_src: u32, sources: u32) -> Vec<Edge> {
+    (0..n)
+        .map(|k| Edge::new(first_src + k % sources, k / sources))
+        .collect()
+}
+
+/// Ingest `bulk`, start a cut on another thread and run `during` 2 ms
+/// later, while the cut round is (in most runs) still waiting on the
+/// shard applying the bulk. Returns that cut.
+fn cut_behind_bulk(
+    cluster: &GraphCluster,
+    bulk: Vec<Edge>,
+    during: impl FnOnce(&ClusterHandle),
+) -> Arc<ClusterSnapshot> {
+    let h = cluster.handle();
+    h.ingest(UpdateBatch {
+        insertions: bulk,
+        deletions: Vec::new(),
+    })
+    .expect("cluster alive");
+    std::thread::scope(|s| {
+        let cut = s.spawn(|| cluster.epoch_cut().expect("cluster alive"));
+        std::thread::sleep(Duration::from_millis(2));
+        during(&h);
+        cut.join().expect("cut thread")
+    })
+}
+
+/// An update forwarded while a cut round is in flight lands in the replay
+/// log *after* the shard's barrier, so the cut's checkpoint does not hold
+/// it. Publishing the cut must keep that log entry: the flush threshold
+/// never flushes the update, and the kill takes the buffered copy down.
+#[test]
+fn update_forwarded_during_a_cut_round_survives_a_kill() {
+    for round in 0..BULK_ROUNDS {
+        let cluster = bulk_cluster(1 << 30, Arc::new(MemoryCheckpointStore::new()));
+        let bulk = grid_edges(BULK_EDGES, 0, BULK_NV);
+        let late = Edge::new(3, BULK_NV - 1);
+        cut_behind_bulk(&cluster, bulk, |h| h.insert(late).expect("cluster alive"));
+        // Stats forward the router's residue, so `late` reaches shard 0's
+        // stream buffer before the kill.
+        cluster.metrics().expect("cluster alive");
+        assert!(cluster.kill_shard(0).expect("cluster alive"));
+        let cut = cluster.epoch_cut().expect("cluster alive");
+        assert!(
+            cut.contains(late.src, late.dst),
+            "round {round}: the update forwarded during the cut round was lost"
+        );
+        assert_eq!(cut.num_edges(), BULK_EDGES as usize + 1, "round {round}");
+        let m = cluster.shutdown().metrics;
+        assert_eq!(m.recoveries, 1, "round {round}");
+        assert_eq!(m.recovery_snapshot_fallbacks, 0, "round {round}");
+    }
+}
+
+/// Every checkpoint a cut saves is that cut's barrier image of the shard,
+/// even when the shard flushed more updates before the round completed,
+/// so a restart from the store rebuilds exactly the cut.
+#[test]
+fn cut_checkpoints_are_the_cut_images_and_restart_to_the_cut() {
+    let half = BULK_NV / 2;
+    for round in 0..BULK_ROUNDS {
+        let store = Arc::new(MemoryCheckpointStore::new());
+        let cluster = bulk_cluster(1024, store.clone());
+        // Shard 1 applies the bulk while shard 0, already acked, flushes
+        // two threshold batches past its barrier. At threshold 1024 the
+        // bulk costs ~50 flushes per 50 k edges, so a quarter of it keeps
+        // the window open.
+        let cut = cut_behind_bulk(&cluster, grid_edges(BULK_EDGES / 4, half, half), |h| {
+            for e in grid_edges(2048, 0, half) {
+                h.insert(e).expect("cluster alive");
+            }
+        });
+        for (i, image) in cut.shards().iter().enumerate() {
+            let bytes = store.load_latest(i).unwrap().expect("the cut saved every shard");
+            let saved = checkpoint::decode(&bytes).expect("checkpoint decodes");
+            assert!(
+                saved == **image,
+                "round {round}: shard {i}'s checkpoint (epoch {}, {} edges) is not the \
+                 cut's image (epoch {}, {} edges)",
+                saved.epoch(),
+                saved.num_edges(),
+                image.epoch(),
+                image.num_edges()
+            );
+        }
+        let restarted = GraphCluster::spawn_from_store(
+            ClusterConfig::default(),
+            &DeviceConfig::deterministic(),
+            Arc::new(VertexPartition {
+                num_vertices: BULK_NV,
+                num_shards: 2,
+            }),
+            &*store,
+        )
+        .expect("restart from the cut's checkpoints");
+        assert!(
+            restarted.snapshot().merged_edges() == cut.merged_edges(),
+            "round {round}: the restart is not the cut ({} vs {} edges)",
+            restarted.snapshot().num_edges(),
+            cut.num_edges()
+        );
+        drop(restarted.shutdown());
+        drop(cluster.shutdown());
+    }
+}
+
+/// A [`CheckpointStore`] whose saves fail once [`Self::fail_saves`] is
+/// called, as a full disk would.
+#[derive(Default)]
+struct FailingStore {
+    inner: MemoryCheckpointStore,
+    failing: AtomicBool,
+}
+
+impl FailingStore {
+    fn fail_saves(&self) {
+        self.failing.store(true, Ordering::Relaxed);
+    }
+}
+
+impl CheckpointStore for FailingStore {
+    fn save(&self, shard: usize, epoch: u64, bytes: &[u8]) -> std::io::Result<()> {
+        if self.failing.load(Ordering::Relaxed) {
+            return Err(std::io::Error::other("injected save failure"));
+        }
+        self.inner.save(shard, epoch, bytes)
+    }
+
+    fn load_latest(&self, shard: usize) -> std::io::Result<Option<Vec<u8>>> {
+        self.inner.load_latest(shard)
+    }
+}
+
+/// Phase `p` of the failing-store stream: 12 inserts on shard 0 (sources
+/// below 32) that no other phase writes, 4 on shard 1, and 2 deletions of
+/// the previous phase's shard-0 inserts.
+fn failing_store_phase(p: u32) -> Vec<(u8, u32, u32, u64)> {
+    let shard0 = |p: u32, i: u32| ((i * 3 + p) % 32, 32 + p * 6 + i / 2);
+    let mut ops: Vec<(u8, u32, u32, u64)> = (0..12u32)
+        .map(|i| {
+            let (s, d) = shard0(p, i);
+            (0u8, s, d, u64::from(p * 100 + i + 1))
+        })
+        .collect();
+    ops.extend((0..4u32).map(|i| (0u8, 32 + i * 7 + p, i + p, u64::from(p + 1))));
+    if p > 0 {
+        ops.extend([0u32, 5].map(|i| {
+            let (s, d) = shard0(p - 1, i);
+            (3u8, s, d, 0)
+        }));
+    }
+    ops
+}
+
+/// Once every save fails, the checkpoint store keeps the first cut's
+/// images, so the replay log must keep everything since then: a recovery
+/// whose re-checkpoint fails may not drop it, or a second kill loses the
+/// updates the first recovery replayed.
+#[test]
+fn failed_checkpoint_saves_keep_the_replay_log_across_two_kills() {
+    let store = Arc::new(FailingStore::default());
+    let cluster = GraphCluster::spawn(
+        ClusterConfig {
+            flush_threshold: 4,
+            router_batch: 16,
+            recovery: Some(RecoveryPolicy {
+                store: store.clone(),
+            }),
+            ..Default::default()
+        },
+        &DeviceConfig::deterministic(),
+        Arc::new(VertexPartition {
+            num_vertices: NUM_VERTICES,
+            num_shards: 2,
+        }),
+        &[],
+    );
+    let h = cluster.handle();
+    let mut oracle = BTreeMap::new();
+    let feed_phase = |p: u32, oracle: &mut BTreeMap<(u32, u32), u64>| {
+        let ops = failing_store_phase(p);
+        feed(&h, &ops);
+        apply_oracle(oracle, &ops);
+    };
+
+    feed_phase(0, &mut oracle);
+    assert_cut_matches(&cluster, &oracle, "first cut");
+    store.fail_saves();
+    for kill in 1..=2u32 {
+        feed_phase(2 * kill - 1, &mut oracle);
+        assert!(cluster.kill_shard(0).expect("cluster alive"));
+        feed_phase(2 * kill, &mut oracle);
+        assert_cut_matches(&cluster, &oracle, &format!("cut after kill {kill}"));
+    }
+    let m = cluster.shutdown().metrics;
+    assert_eq!(m.recoveries, 2);
+    assert_eq!(m.recovery_snapshot_fallbacks, 0);
+    assert!(m.worker_errors >= 2, "every failed save is counted: {m}");
 }
