@@ -555,9 +555,7 @@ impl GraphCluster {
     /// Every cut checkpoints each shard's barrier image, so the restored
     /// graph is exactly the last cut whose saves all succeeded (a shard
     /// recovered since then contributes its post-recovery image instead).
-    /// Updates after that cut are gone by definition. One exception: a
-    /// shrinking reshard leaves the retired shard ids' last checkpoints in
-    /// the store, and the dense probe still merges them. Corrupt containers
+    /// Updates after that cut are gone by definition. Corrupt containers
     /// surface as
     /// [`io::ErrorKind::InvalidData`](std::io::ErrorKind::InvalidData); an
     /// empty store (no shard 0) yields
@@ -1478,22 +1476,32 @@ impl Router {
     /// log whole: it must reach back to whatever checkpoint recovery would
     /// actually load.
     fn save_checkpoint(&mut self, i: usize, image: &GraphSnapshot, contained: usize) {
+        if self.persist(i, image) {
+            self.replay[i].drain(..contained);
+        }
+    }
+
+    /// Persist `image` as shard id `i`'s checkpoint and count it; whether
+    /// it was saved. No recovery policy saves nothing; a save failure is
+    /// logged and counted.
+    fn persist(&self, i: usize, image: &GraphSnapshot) -> bool {
         let Some(policy) = &self.recovery else {
-            return;
+            return false;
         };
         let obs = self.shared.obs.clone();
         let _save = obs.span(Stage::CheckpointSave);
         let bytes = checkpoint::encode(image);
         match policy.store.save(i, image.epoch(), &bytes) {
             Ok(()) => {
-                self.replay[i].drain(..contained);
                 let mut c = self.shared.router.lock();
                 c.checkpoints_taken += 1;
                 c.checkpoint_bytes += bytes.len() as u64;
+                true
             }
             Err(e) => {
                 self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
                 eprintln!("gpma-cluster: shard {i} checkpoint save failed ({e})");
+                false
             }
         }
     }

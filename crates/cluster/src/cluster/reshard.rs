@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::Sender;
 use gpma_core::delta::{split_delta_moves, DeltaCatchUp};
-use gpma_core::framework::BYTES_PER_UPDATE;
+use gpma_core::framework::{GraphSnapshot, BYTES_PER_UPDATE};
 use gpma_core::multi::{DegreePartition, Partitioner};
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_obs::{EventKind, Stage, NO_SHARD};
@@ -639,6 +639,12 @@ impl Router {
         // The marker barrier settled every surviving shard, so its images
         // are the fully retired post-migration state.
         self.checkpoint_cut(&snap, log_lens);
+        // A restart probes shard ids densely from 0: a shard id a shrink
+        // retired must hold nothing from now on.
+        let retired = GraphSnapshot::from_edges(0, snap.num_vertices(), Vec::new());
+        for i in rs.cow.new_n..rs.cow.old_n {
+            self.persist(i, &retired);
+        }
         self.complete_reshard(rs, total_edges, cut);
     }
 

@@ -98,7 +98,7 @@ impl ClusterSnapshot {
     /// Collapse the cut into one [`GraphSnapshot`] (epoch := cut), for
     /// callers that want single-store semantics. The shards' images are
     /// merged row by row into one allocation — no flat edge list, no global
-    /// sort; only a row block that several shards populate is sorted.
+    /// sort; only a row that several shards hold is sorted.
     pub fn to_graph_snapshot(&self) -> GraphSnapshot {
         GraphSnapshot::merged(self.cut, self.num_vertices, &self.shard_refs())
     }

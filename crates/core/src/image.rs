@@ -13,10 +13,13 @@
 //! [`apply_delta`](crate::delta::apply_delta)) copies the block vector,
 //! writes the blocks a delta touches into **one** new slab and leaves every
 //! other block pointing where it pointed, so its input stays valid and
-//! unchanged. Advancing an epoch costs O(|Δ| · block) plus the
-//! O(V / `ROWS_PER_BLOCK`) vector copy — never O(E) — and takes one
-//! allocation however many blocks the delta touches; cloning or dropping an
-//! image touches one reference count per slab, not per block.
+//! unchanged. It visits only the touched blocks, and merges each by copying
+//! the runs of old edges between the delta's keys; its row offsets come
+//! from the old ones and each row's count of edges gained and lost.
+//! Advancing an epoch costs O(|Δ| · block) plus one O(V / `ROWS_PER_BLOCK`)
+//! copy of the block vector — never O(E) — and takes one allocation however
+//! many blocks the delta touches; cloning or dropping an image touches one
+//! reference count per slab, not per block.
 //!
 //! What a rewritten block leaves behind in its old slab is garbage that
 //! lives as long as the slab does. It is bounded: when the garbage in an
@@ -24,10 +27,14 @@
 //! the live blocks of the emptiest slabs into the new one, which frees those
 //! slabs once older images let go of them (the budget trades copying for
 //! memory: at an eighth both get worse, at a half a cluster's cuts pin too
-//! much). Where a block's edges sit is therefore a matter of history, not
-//! content; equality ([`PartialEq`]) compares content only. The from-scratch
-//! builders ([`GraphSnapshot::from_edges`], [`GraphSnapshot::from_store`],
+//! much). Only such a step walks the whole block vector, to find the blocks
+//! it moves and to renumber the slabs that stay. Where a block's edges sit
+//! is therefore a matter of history, not content; equality ([`PartialEq`])
+//! compares content only. The from-scratch builders
+//! ([`GraphSnapshot::from_edges`], [`GraphSnapshot::from_store`],
 //! [`GraphSnapshot::merged`]) produce one slab and are the only O(E) paths.
+//! `merged` copies a row that one part holds and sorts only a row that
+//! several parts hold.
 //!
 //! Why slabs and not one allocation per block: the worker that advances the
 //! image also allocates the long-lived entries of the delta ring, and the
@@ -142,26 +149,6 @@ fn new_slab(capacity: usize) -> Vec<Edge> {
         "a slab of {capacity} edges is past the 32-bit block offsets"
     );
     Vec::with_capacity(capacity)
-}
-
-/// The block whose first row is `first_row` and whose edges are the tail of
-/// `slab` from `start` on, `slab` being slab number `number` of its image.
-fn block_at(slab: &[Edge], start: usize, first_row: usize, number: usize) -> RowBlock {
-    let edges = &slab[start..];
-    if edges.is_empty() {
-        return RowBlock::EMPTY;
-    }
-    let (offsets, len) = block_prefix(first_row, edges);
-    assert_eq!(
-        len,
-        edges.len(),
-        "an edge outside the block it was written to"
-    );
-    RowBlock {
-        offsets,
-        start: start as u32,
-        slab: number as u8,
-    }
 }
 
 /// An immutable, epoch-stamped host image of the active graph — the read
@@ -316,6 +303,11 @@ impl GraphSnapshot {
     /// The union of `parts` (all over `num_vertices` vertices) stamped
     /// `epoch`, merged row by row into one slab. Where two parts hold the
     /// same key the later part wins.
+    ///
+    /// A block one part populates is copied whole with its offsets; in a
+    /// block several parts populate, a row one part holds is copied and only
+    /// a row several parts hold is sorted. Row offsets are written as the
+    /// rows are appended.
     pub fn merged(epoch: u64, num_vertices: u32, parts: &[&GraphSnapshot]) -> Self {
         assert!(
             parts.iter().all(|p| p.num_vertices == num_vertices),
@@ -323,27 +315,51 @@ impl GraphSnapshot {
         );
         let mut out = new_slab(parts.iter().map(|p| p.num_edges).sum());
         let mut blocks = Vec::with_capacity(num_blocks_for(num_vertices));
-        let mut block: Vec<Edge> = Vec::new();
+        let mut shared_row: Vec<Edge> = Vec::new();
         for index in 0..num_blocks_for(num_vertices) {
             let start = out.len();
             let mut live = parts.iter().filter(|p| p.blocks[index].len() > 0);
             match (live.next(), live.next()) {
-                (None, _) => {}
-                (Some(only), None) => out.extend_from_slice(only.block_edges(&only.blocks[index])),
+                (None, _) => blocks.push(RowBlock::EMPTY),
+                (Some(only), None) => {
+                    let block = &only.blocks[index];
+                    out.extend_from_slice(only.block_edges(block));
+                    blocks.push(RowBlock {
+                        start: start as u32,
+                        slab: 0,
+                        ..*block
+                    });
+                }
                 _ => {
-                    block.clear();
+                    let mut offsets = [0u32; ROWS_PER_BLOCK + 1];
                     for r in 0..ROWS_PER_BLOCK {
-                        for p in parts {
-                            block.extend_from_slice(p.row(&p.blocks[index], r));
+                        let mut held = parts
+                            .iter()
+                            .map(|p| p.row(&p.blocks[index], r))
+                            .filter(|row| !row.is_empty());
+                        match (held.next(), held.next()) {
+                            (None, _) => {}
+                            (Some(only), None) => out.extend_from_slice(only),
+                            (Some(first), Some(second)) => {
+                                // Part order in, so of a key two parts hold
+                                // the later part's copy survives the sort.
+                                shared_row.clear();
+                                shared_row.extend_from_slice(first);
+                                shared_row.extend_from_slice(second);
+                                held.for_each(|row| shared_row.extend_from_slice(row));
+                                sort_last_write_wins(&mut shared_row);
+                                out.extend_from_slice(&shared_row);
+                            }
                         }
+                        offsets[r + 1] = (out.len() - start) as u32;
                     }
-                    // Already in key order unless a row spans parts; of a
-                    // key two parts hold, the later part's copy survives.
-                    sort_last_write_wins(&mut block);
-                    out.extend_from_slice(&block);
+                    blocks.push(RowBlock {
+                        offsets,
+                        start: start as u32,
+                        slab: 0,
+                    });
                 }
             }
-            blocks.push(block_at(&out, start, index * ROWS_PER_BLOCK, 0));
         }
         Self::single_slab(epoch, num_vertices, blocks, out)
     }
@@ -425,6 +441,12 @@ impl GraphSnapshot {
     /// key drops; otherwise the edge carries over. A block whose content the
     /// delta does not change (deletes of absent keys, identical upserts)
     /// stays where it is.
+    ///
+    /// Cost: one copy of the block vector, plus the touched blocks rewritten
+    /// as runs; a step that empties a slab also walks every block and copies
+    /// the ones that lived there. The copy is the cost: on the benchmark's
+    /// `stream-small` window (200 k edges) a 256-update flush rewrites ~25 k
+    /// edges of touched blocks and, amortised, moves ~41 k more, about 1 MB.
     pub fn advance(&self, delta: &SnapshotDelta) -> (GraphSnapshot, usize) {
         // Key-sorted, so the last upsert has the largest source.
         if let Some(e) = delta.inserted().last() {
@@ -480,47 +502,69 @@ impl GraphSnapshot {
             .sum();
         let mut out = new_slab(touched_edges + delta.inserted().len() + moved);
 
-        let mut blocks = Vec::with_capacity(self.blocks.len());
+        // Every block starts out where it was; the new slab takes the
+        // touched blocks and the ones that leave emptied slabs, in block
+        // order. Only a step that empties a slab visits every block: to find
+        // those and to renumber the kept slabs that shift down.
+        let mut blocks = self.blocks.clone();
         let mut num_edges = self.num_edges;
-        let mut touched = touched.into_iter().peekable();
-        for (index, old) in self.blocks.iter().enumerate() {
-            let old_edges = self.block_edges(old);
+        let mut visit = |index: usize, part: Option<(&[Edge], &[u64])>| {
+            let old = self.blocks[index];
             // An empty block sits nowhere, so it never moves.
             let moves = old.len() > 0 && emptied[old.slab as usize];
             let start = out.len();
-            let mut changed = false;
-            if let Some((_, ins, del)) = touched.next_if(|(i, _, _)| *i == index) {
-                merge_block(old_edges, ins, del, &mut out);
-                changed = out[start..] != *old_edges;
-                if !changed && !moves {
-                    out.truncate(start);
+            let offsets = match part {
+                Some((ins, del)) => merge_runs(&old, self.block_edges(&old), ins, del, &mut out),
+                None if moves => {
+                    out.extend_from_slice(self.block_edges(&old));
+                    None
                 }
-            } else if moves {
-                out.extend_from_slice(old_edges);
-            }
-            if !changed && !moves {
-                blocks.push(match old.len() {
-                    0 => RowBlock::EMPTY,
-                    _ => RowBlock {
-                        slab: new_index[old.slab as usize],
-                        ..*old
-                    },
-                });
-                continue;
-            }
-            if old.len() > 0 && !moves {
-                slabs[new_index[old.slab as usize] as usize].live -= old.len();
-            }
-            num_edges = num_edges - old.len() + (out.len() - start);
-            blocks.push(match changed {
-                true => block_at(&out, start, index * ROWS_PER_BLOCK, fresh),
+                None => None,
+            };
+            blocks[index] = match offsets {
+                // Unchanged and staying.
+                None if !moves => {
+                    out.truncate(start);
+                    match old.len() {
+                        0 => RowBlock::EMPTY,
+                        _ => RowBlock {
+                            slab: new_index[old.slab as usize],
+                            ..old
+                        },
+                    }
+                }
                 // Moved as it is.
-                false => RowBlock {
+                None => RowBlock {
                     start: start as u32,
                     slab: fresh as u8,
-                    ..*old
+                    ..old
                 },
-            });
+                Some(offsets) => {
+                    if old.len() > 0 && !moves {
+                        slabs[new_index[old.slab as usize] as usize].live -= old.len();
+                    }
+                    num_edges = num_edges - old.len() + (out.len() - start);
+                    match out.len() - start {
+                        0 => RowBlock::EMPTY,
+                        _ => RowBlock {
+                            offsets,
+                            start: start as u32,
+                            slab: fresh as u8,
+                        },
+                    }
+                }
+            };
+        };
+        if emptied.contains(&true) {
+            let mut touched = touched.into_iter().peekable();
+            for index in 0..self.blocks.len() {
+                let part = touched.next_if(|&(i, _, _)| i == index);
+                visit(index, part.map(|(_, ins, del)| (ins, del)));
+            }
+        } else {
+            for (index, ins, del) in touched {
+                visit(index, Some((ins, del)));
+            }
         }
         let written = out.len();
         // Slab 0 must exist even when nothing was written and nothing stays.
@@ -718,28 +762,68 @@ impl GraphSnapshot {
     }
 }
 
-/// One block's merge: `old` with `ins` upserted and `del` dropped, appended
-/// to `out`. All three inputs are key-sorted.
-fn merge_block(old: &[Edge], ins: &[Edge], del: &[u64], out: &mut Vec<Edge>) {
-    let (mut i, mut d) = (0, 0);
-    for e in old {
-        let k = e.key();
-        while i < ins.len() && ins[i].key() < k {
-            out.push(ins[i]);
-            i += 1;
+/// One block's merge: `old_edges` (the edges of block `old`) with `ins`
+/// upserted and `del` dropped, appended to `out`, all three inputs
+/// key-sorted. The old edges between two delta keys are copied as one run.
+/// Returns the merged block's row offsets, or `None` when the delta leaves
+/// its content as it was (deletes of absent keys, identical upserts) — the
+/// edges are appended either way.
+fn merge_runs(
+    old: &RowBlock,
+    old_edges: &[Edge],
+    ins: &[Edge],
+    del: &[u64],
+    out: &mut Vec<Edge>,
+) -> Option<[u32; ROWS_PER_BLOCK + 1]> {
+    // Edges each row gains (inserted keys) or loses (deleted live keys).
+    let mut grown = [0i64; ROWS_PER_BLOCK];
+    let mut changed = false;
+    let (mut pos, mut i, mut d) = (0, 0, 0);
+    loop {
+        let k = match (ins.get(i), del.get(d)) {
+            (None, None) => break,
+            (Some(e), Some(&k)) => e.key().min(k),
+            (Some(e), None) => e.key(),
+            (None, Some(&k)) => k,
+        };
+        let run = pos + old_edges[pos..].partition_point(|e| e.key() < k);
+        out.extend_from_slice(&old_edges[pos..run]);
+        pos = run;
+        let present = old_edges.get(pos).is_some_and(|e| e.key() == k);
+        let row = decode_key(k).0 as usize % ROWS_PER_BLOCK;
+        // An upsert goes first, so a delete of the same key finds it gone:
+        // the upsert wins.
+        match ins.get(i).filter(|e| e.key() == k) {
+            Some(&e) => {
+                out.push(e);
+                i += 1;
+                if present {
+                    changed |= old_edges[pos] != e;
+                } else {
+                    grown[row] += 1;
+                    changed = true;
+                }
+            }
+            None => {
+                d += 1;
+                if present {
+                    grown[row] -= 1;
+                    changed = true;
+                }
+            }
         }
-        if i < ins.len() && ins[i].key() == k {
-            continue; // superseded; the upsert is pushed on the next round
-        }
-        while d < del.len() && del[d] < k {
-            d += 1;
-        }
-        if d < del.len() && del[d] == k {
-            continue;
-        }
-        out.push(*e);
+        pos += present as usize;
     }
-    out.extend_from_slice(&ins[i..]);
+    out.extend_from_slice(&old_edges[pos..]);
+    changed.then(|| {
+        let mut offsets = old.offsets;
+        let mut shift = 0i64;
+        for r in 0..ROWS_PER_BLOCK {
+            shift += grown[r];
+            offsets[r + 1] = (offsets[r + 1] as i64 + shift) as u32;
+        }
+        offsets
+    })
 }
 
 /// All edges of a [`GraphSnapshot`] in row-major `(src, dst)` order — what
@@ -825,6 +909,9 @@ impl<'a> Iterator for EdgeIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpma_graph::UpdateBatch;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn e(s: u32, d: u32, w: u64) -> Edge {
         Edge::weighted(s, d, w)
@@ -1045,6 +1132,283 @@ mod tests {
         assert!(
             per_delta <= 8 * 6,
             "{per_delta} edges copied per one-key delta"
+        );
+    }
+
+    /// The full-walk `advance` the run-copy one replaced, kept as its
+    /// layout oracle: it visits every block, merges a touched block edge by
+    /// edge, compares the result with the old block and rescans it for its
+    /// row offsets.
+    fn advance_full_walk(image: &GraphSnapshot, delta: &SnapshotDelta) -> (GraphSnapshot, usize) {
+        let block_of = |src: u32| src as usize / ROWS_PER_BLOCK;
+        let mut touched: Vec<(usize, &[Edge], &[u64])> = Vec::new();
+        let mut touched_edges = 0usize;
+        let (mut ins, mut del) = (delta.inserted(), delta.deleted_keys());
+        loop {
+            let next_ins = ins.first().map(|e| block_of(e.src));
+            let next_del = del.first().map(|&k| block_of(decode_key(k).0));
+            let Some(index) = next_ins.into_iter().chain(next_del).min() else {
+                break;
+            };
+            let n_ins = ins.partition_point(|e| block_of(e.src) == index);
+            let n_del = del.partition_point(|&k| block_of(decode_key(k).0) == index);
+            if index < image.blocks.len() {
+                touched.push((index, &ins[..n_ins], &del[..n_del]));
+                touched_edges += image.blocks[index].len();
+            }
+            (ins, del) = (&ins[n_ins..], &del[n_del..]);
+        }
+        if touched.is_empty() {
+            let mut next = image.clone();
+            next.epoch = delta.epoch();
+            return (next, 0);
+        }
+
+        let emptied = image.slabs_to_empty(touched_edges + delta.inserted().len());
+        let mut slabs: Vec<Slab> = Vec::with_capacity(image.slabs.len() + 1);
+        let mut new_index = vec![0u8; image.slabs.len()];
+        for (i, slab) in image.slabs.iter().enumerate() {
+            if !emptied[i] {
+                new_index[i] = slabs.len() as u8;
+                slabs.push(slab.clone());
+            }
+        }
+        let fresh = slabs.len();
+        let moved: usize = (0..image.slabs.len())
+            .filter(|&i| emptied[i])
+            .map(|i| image.slabs[i].live)
+            .sum();
+        let mut out = new_slab(touched_edges + delta.inserted().len() + moved);
+
+        let mut blocks = Vec::with_capacity(image.blocks.len());
+        let mut num_edges = image.num_edges;
+        let mut touched = touched.into_iter().peekable();
+        for (index, old) in image.blocks.iter().enumerate() {
+            let old_edges = image.block_edges(old);
+            let moves = old.len() > 0 && emptied[old.slab as usize];
+            let start = out.len();
+            let mut changed = false;
+            if let Some((_, ins, del)) = touched.next_if(|(i, _, _)| *i == index) {
+                merge_edge_by_edge(old_edges, ins, del, &mut out);
+                changed = out[start..] != *old_edges;
+                if !changed && !moves {
+                    out.truncate(start);
+                }
+            } else if moves {
+                out.extend_from_slice(old_edges);
+            }
+            if !changed && !moves {
+                blocks.push(match old.len() {
+                    0 => RowBlock::EMPTY,
+                    _ => RowBlock {
+                        slab: new_index[old.slab as usize],
+                        ..*old
+                    },
+                });
+                continue;
+            }
+            if old.len() > 0 && !moves {
+                slabs[new_index[old.slab as usize] as usize].live -= old.len();
+            }
+            num_edges = num_edges - old.len() + (out.len() - start);
+            blocks.push(match changed {
+                true => rescanned(&out, start, index * ROWS_PER_BLOCK, fresh),
+                false => RowBlock {
+                    start: start as u32,
+                    slab: fresh as u8,
+                    ..*old
+                },
+            });
+        }
+        let written = out.len();
+        if written > 0 || slabs.is_empty() {
+            slabs.push(Slab {
+                edges: Arc::new(out),
+                live: written,
+            });
+        }
+        let next = GraphSnapshot {
+            epoch: delta.epoch(),
+            num_vertices: image.num_vertices,
+            num_edges,
+            blocks,
+            slabs,
+        };
+        (next, written * BYTES_PER_EDGE)
+    }
+
+    fn merge_edge_by_edge(old: &[Edge], ins: &[Edge], del: &[u64], out: &mut Vec<Edge>) {
+        let (mut i, mut d) = (0, 0);
+        for e in old {
+            let k = e.key();
+            while i < ins.len() && ins[i].key() < k {
+                out.push(ins[i]);
+                i += 1;
+            }
+            if i < ins.len() && ins[i].key() == k {
+                continue;
+            }
+            while d < del.len() && del[d] < k {
+                d += 1;
+            }
+            if d < del.len() && del[d] == k {
+                continue;
+            }
+            out.push(*e);
+        }
+        out.extend_from_slice(&ins[i..]);
+    }
+
+    fn rescanned(slab: &[Edge], start: usize, first_row: usize, number: usize) -> RowBlock {
+        let edges = &slab[start..];
+        if edges.is_empty() {
+            return RowBlock::EMPTY;
+        }
+        let (offsets, len) = block_prefix(first_row, edges);
+        assert_eq!(len, edges.len());
+        RowBlock {
+            offsets,
+            start: start as u32,
+            slab: number as u8,
+        }
+    }
+
+    /// A slab as the layout test compares it: one `input` already had is
+    /// named by its address, a new one by its capacity and contents; either
+    /// way with this image's live count.
+    #[derive(Debug, PartialEq)]
+    enum SlabLayout {
+        Kept(*const Vec<Edge>, usize),
+        New(usize, Vec<Edge>, usize),
+    }
+
+    type Layout = (
+        u64,
+        usize,
+        Vec<(u32, u8, [u32; ROWS_PER_BLOCK + 1])>,
+        Vec<SlabLayout>,
+    );
+
+    /// Where every block and edge of `next`, advanced from `input`, sits.
+    fn layout(input: &GraphSnapshot, next: &GraphSnapshot) -> Layout {
+        let slabs = next.slabs.iter().map(|s| {
+            let ptr = Arc::as_ptr(&s.edges);
+            match input.slabs.iter().any(|old| Arc::as_ptr(&old.edges) == ptr) {
+                true => SlabLayout::Kept(ptr, s.live),
+                false => SlabLayout::New(s.edges.capacity(), s.edges.to_vec(), s.live),
+            }
+        });
+        (
+            next.epoch,
+            next.num_edges,
+            next.blocks
+                .iter()
+                .map(|b| (b.start, b.slab, b.offsets))
+                .collect(),
+            slabs.collect(),
+        )
+    }
+
+    /// One random step: upserts (new keys, weight changes and identical
+    /// re-upserts), deletes (live keys, absent keys, keys past the last
+    /// vertex) and cleared blocks, over a few blocks — now and then many.
+    fn random_delta(rng: &mut SmallRng, image: &GraphSnapshot, epoch: u64) -> SnapshotDelta {
+        let nv = image.num_vertices();
+        let mut batch = UpdateBatch::default();
+        let blocks = match rng.gen_range(0..10) {
+            0 => rng.gen_range(8..40),
+            _ => rng.gen_range(1..4),
+        };
+        for _ in 0..blocks {
+            let v = rng.gen_range(0..nv);
+            let row = image.neighbors(v);
+            match rng.gen_range(0..8) {
+                0 | 1 => batch.insertions.push(Edge::weighted(
+                    v,
+                    rng.gen_range(0..8),
+                    rng.gen_range(1..3),
+                )),
+                2 => batch.insertions.extend(row.first().copied()),
+                3 => batch
+                    .deletions
+                    .extend(row.last().map(|e| Edge::new(e.src, e.dst))),
+                4 => batch.deletions.push(Edge::new(v, rng.gen_range(8..16))),
+                5 => batch
+                    .deletions
+                    .push(Edge::new(nv + rng.gen_range(0..8u32), 0)),
+                6 => {
+                    let first = v - v % ROWS_PER_BLOCK as u32;
+                    let last = (first + ROWS_PER_BLOCK as u32).min(nv);
+                    for u in first..last {
+                        let doomed = image.neighbors(u).iter();
+                        batch
+                            .deletions
+                            .extend(doomed.map(|e| Edge::new(e.src, e.dst)));
+                    }
+                }
+                _ => {
+                    let w = rng.gen_range(1..3);
+                    batch
+                        .insertions
+                        .push(Edge::weighted(v, rng.gen_range(0..8), w));
+                    batch.deletions.push(Edge::new(v, rng.gen_range(0..8)));
+                }
+            }
+        }
+        SnapshotDelta::from_batch(epoch, &batch)
+    }
+
+    #[test]
+    fn run_copy_advance_lays_out_every_block_like_the_full_walk() {
+        let mut rng = SmallRng::seed_from_u64(34);
+        // Steps that emptied a slab, advanced a pinned image, found the
+        // slab list full, and emptied a block to zero.
+        let (mut emptying, mut pinned, mut full, mut cleared) = (0, 0, 0, 0);
+        for case in 0..24u64 {
+            let nv = [27u32, 200, 4096][case as usize % 3];
+            let degree = rng.gen_range(1..5);
+            let initial: Vec<Edge> = (0..nv)
+                .flat_map(|v| (0..rng.gen_range(0..=degree)).map(move |d| Edge::new(v, d)))
+                .collect();
+            let mut image = GraphSnapshot::from_edges(0, nv, initial);
+            let mut held: Option<GraphSnapshot> = None;
+            for epoch in 1..=80u64 {
+                match rng.gen_range(0..12) {
+                    0 => held = Some(image.clone()),
+                    1 => held = None,
+                    _ => {}
+                }
+                let delta = random_delta(&mut rng, &image, epoch);
+                let (want, want_copied) = advance_full_walk(&image, &delta);
+                let want_layout = layout(&image, &want);
+                // The oracle's image would pin the input's slabs.
+                drop(want);
+                let (next, copied) = image.advance(&delta);
+                assert_eq!(
+                    layout(&image, &next),
+                    want_layout,
+                    "case {case} epoch {epoch}"
+                );
+                assert_eq!(copied, want_copied, "case {case} epoch {epoch}");
+                next.check_layout().unwrap();
+
+                let kept = |s: &Slab| next.slabs.iter().any(|n| Arc::ptr_eq(&n.edges, &s.edges));
+                emptying += image.slabs.iter().any(|s| s.live > 0 && !kept(s)) as usize;
+                pinned += (held.is_some()
+                    && image.slabs.iter().any(|s| Arc::strong_count(&s.edges) > 1))
+                    as usize;
+                full += (image.num_slabs() == MAX_SLABS) as usize;
+                cleared += image
+                    .blocks
+                    .iter()
+                    .zip(&next.blocks)
+                    .any(|(a, b)| a.len() > 0 && b.len() == 0) as usize;
+                image = next;
+            }
+        }
+        assert!(
+            emptying > 0 && pinned > 0 && full > 0 && cleared > 0,
+            "emptying {emptying}, pinned {pinned}, full {full}, cleared {cleared}"
         );
     }
 }

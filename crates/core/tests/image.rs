@@ -3,7 +3,8 @@
 //! step the image must equal a from-scratch build of the oracle, answer
 //! row queries like it, share every block the delta left alone with its
 //! predecessor (unless the step also emptied a slab, which moves blocks) —
-//! and the predecessor must not have changed.
+//! and the predecessor must not have changed. A second property holds
+//! `GraphSnapshot::merged` to a from-scratch build of its parts' edges.
 
 use std::collections::BTreeMap;
 
@@ -110,6 +111,48 @@ proptest! {
             }
             prop_assert!(next.num_slabs() <= image.num_slabs() + 1);
             image = next;
+        }
+    }
+}
+
+/// One part of a merge: the blocks it may populate (one bit per block) and
+/// its edges there. Narrow destinations make parts share keys, and each part
+/// weighs its edges by its own index so the winner of a shared key shows.
+fn part_strategy() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
+    (0u32..16, prop::collection::vec((0..NV, 0u32..6), 0..30))
+}
+
+fn part_image(index: usize, (mask, edges): &(u32, Vec<(u32, u32)>)) -> GraphSnapshot {
+    let in_mask = |s: u32| mask >> (s as usize / ROWS_PER_BLOCK) & 1 == 1;
+    let edges = edges
+        .iter()
+        .filter(|&&(s, _)| in_mask(s))
+        .map(|&(s, d)| Edge::weighted(s, d, index as u64 + 1));
+    GraphSnapshot::from_edges(index as u64, NV, edges.collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Rows split across parts, keys two parts hold (the later part wins),
+    /// empty parts and blocks only one part populates.
+    #[test]
+    fn merged_equals_a_flat_build_of_its_parts_in_order(
+        specs in prop::collection::vec(part_strategy(), 0..5),
+    ) {
+        let parts: Vec<GraphSnapshot> =
+            specs.iter().enumerate().map(|(i, p)| part_image(i, p)).collect();
+        let refs: Vec<&GraphSnapshot> = parts.iter().collect();
+        let merged = GraphSnapshot::merged(9, NV, &refs);
+        let flat: Vec<Edge> = parts.iter().flat_map(|p| p.edges().to_vec()).collect();
+        prop_assert_eq!(&merged, &GraphSnapshot::from_edges(9, NV, flat));
+        prop_assert_eq!(merged.check_layout(), Ok(()));
+        prop_assert_eq!(merged.num_slabs(), 1);
+        for v in 0..NV {
+            for d in 0..6 {
+                let last = parts.iter().rev().find_map(|p| p.weight(v, d));
+                prop_assert_eq!(merged.weight(v, d), last, "({}, {})", v, d);
+            }
         }
     }
 }

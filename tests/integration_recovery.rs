@@ -585,6 +585,67 @@ fn cut_checkpoints_are_the_cut_images_and_restart_to_the_cut() {
     }
 }
 
+/// A shrinking reshard retires shard ids whose last checkpoints stay in the
+/// store, and a restart probes shard ids densely from 0. The reshard must
+/// overwrite them with empty images, or a restart after the survivors
+/// deleted those edges brings them back.
+#[test]
+fn a_restart_after_a_shrinking_reshard_ignores_the_retired_shards() {
+    let store = Arc::new(MemoryCheckpointStore::new());
+    let cluster = GraphCluster::spawn(
+        ClusterConfig {
+            flush_threshold: 4,
+            router_batch: 16,
+            recovery: Some(RecoveryPolicy {
+                store: store.clone(),
+            }),
+            ..Default::default()
+        },
+        &DeviceConfig::deterministic(),
+        Arc::new(HashVertexPartition {
+            num_vertices: NUM_VERTICES,
+            num_shards: 4,
+        }),
+        &[],
+    );
+    let h = cluster.handle();
+    let ring: Vec<Edge> = (0..NUM_VERTICES)
+        .map(|v| Edge::new(v, (v + 1) % NUM_VERTICES))
+        .collect();
+    for &e in &ring {
+        h.insert(e).expect("cluster alive");
+    }
+    assert_eq!(cluster.epoch_cut().expect("cluster alive").num_edges(), 64);
+    cluster
+        .reshard(Arc::new(HashVertexPartition {
+            num_vertices: NUM_VERTICES,
+            num_shards: 2,
+        }))
+        .expect("shrink to 2 shards");
+    for &e in &ring {
+        h.delete(e).expect("cluster alive");
+    }
+    assert_eq!(cluster.epoch_cut().expect("cluster alive").num_edges(), 0);
+    drop(cluster.shutdown());
+
+    let restarted = GraphCluster::spawn_from_store(
+        ClusterConfig::default(),
+        &DeviceConfig::deterministic(),
+        Arc::new(HashVertexPartition {
+            num_vertices: NUM_VERTICES,
+            num_shards: 2,
+        }),
+        &*store,
+    )
+    .expect("restart from the store");
+    assert_eq!(
+        restarted.snapshot().num_edges(),
+        0,
+        "the retired shards' checkpoints came back"
+    );
+    drop(restarted.shutdown());
+}
+
 /// A [`CheckpointStore`] whose saves fail once [`Self::fail_saves`] is
 /// called, as a full disk would.
 #[derive(Default)]
