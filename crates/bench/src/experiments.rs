@@ -587,9 +587,9 @@ fn stream_during<T>(
 ///   imbalance should drop below 1.2×),
 /// * **migration cost**: edges moved and modeled bytes shipped vs the
 ///   bytes a from-scratch repartition would ship, and
-/// * **pause**: the copy-on-write split — `pause_secs` is the swap window
-///   producers can feel, `background_secs` the frozen-cut copy and delta
-///   replay that overlapped live ingest — vs the wall cost of bulk-building
+/// * **pause**: the live-reshard split — `pause_secs` is the swap window
+///   producers can feel, `background_secs` the barrier wait, copy and
+///   retire that overlapped live ingest — vs the wall cost of bulk-building
 ///   a fresh cluster from the same state. Producers keep streaming *during*
 ///   the reshard; the client-observed enqueue p99 while a reshard is in
 ///   flight (`ingest.reshard`) must stay inside the swap window.
@@ -606,12 +606,11 @@ pub fn elastic(cfg: &ExpConfig) {
     let tail = &stream.edges[stream.initial_size()..stream.initial_size() + cap];
     let (first_half, second_half) = tail.split_at(tail.len() / 2);
     // A bounded slice streams *through* the reshard (exercising the
-    // copy-on-write replay path); the rest lands after the swap so the
-    // post-swap routing window has traffic to measure skew from. The live
-    // slice is capped at a few flush batches: the zero-pause contract holds
-    // for arrivals below apply capacity — producers that outrun the shards
-    // indefinitely turn the final settle into a backlog drain no reshard
-    // protocol can avoid paying.
+    // router's mirroring of moving updates); the rest lands after the swap
+    // so the post-swap routing window has traffic to measure skew from.
+    // The live slice is capped at a few flush batches: producers that
+    // outrun the shards indefinitely back up the router's queue whatever
+    // the reshard does.
     let live_cap = (8 * batch).min(second_half.len() / 2);
     let (during_slice, after_slice) = second_half.split_at(live_cap);
 

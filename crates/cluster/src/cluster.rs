@@ -12,7 +12,7 @@ use crossbeam::channel::{
     bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
 };
 use gpma_core::checkpoint::{self, CheckpointStore, MemoryCheckpointStore};
-use gpma_core::delta::{DeltaCatchUp, DeltaLog, SnapshotDelta};
+use gpma_core::delta::{DeltaCatchUp, DeltaLog, OpLog, SnapshotDelta};
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot, BYTES_PER_UPDATE};
 use gpma_core::multi::{PartitionEpoch, Partitioner};
 use gpma_graph::{Edge, UpdateBatch};
@@ -48,17 +48,14 @@ pub struct ClusterConfig {
     /// Cut-level deltas the cluster retains for reader catch-up
     /// ([`GraphCluster::deltas_since`]).
     pub delta_log_capacity: usize,
-    /// Epoch deltas each *shard* service retains. Must comfortably cover
-    /// the flushes a shard performs between two coordinated cuts, or the
-    /// cluster falls back to publishing the cut as a full snapshot.
-    pub shard_delta_log_capacity: usize,
     /// Skew-driven automatic resharding. `None` (the default) keeps the
     /// cluster static; `Some` makes the router watch
     /// [`imbalance`](crate::ClusterMetrics::imbalance) and migrate
     /// onto a degree-aware plan when the threshold is crossed.
     pub rebalance: Option<RebalancePolicy>,
     /// Durability and failover. `None` (the default) keeps PR-6 behavior: a
-    /// dead shard degrades cuts to its last published snapshot. `Some`
+    /// dead shard degrades cuts to its last published snapshot, each
+    /// published as a rebase. `Some`
     /// makes the router keep a per-shard replay log of forwarded
     /// sub-batches and, at every coordinated cut, checkpoint each shard's
     /// barrier image to the policy's [`CheckpointStore`] and drop the log
@@ -80,7 +77,6 @@ impl Default for ClusterConfig {
             flush_threshold: 64,
             router_batch: 256,
             delta_log_capacity: 256,
-            shard_delta_log_capacity: 4096,
             rebalance: None,
             recovery: None,
             fault: None,
@@ -128,10 +124,10 @@ pub struct FaultPlan {
     /// Routed-update count (cluster lifetime, all shards) at which the
     /// kill fires.
     pub after_routed_updates: u64,
-    /// When true, the plan stays armed past its threshold until a
-    /// copy-on-write reshard is in flight, and fires *inside* it — the
-    /// crash window the COW recovery interaction tests need to hit
-    /// deterministically.
+    /// When true, the plan stays armed past its threshold until a reshard
+    /// is in flight, and fires *inside* it: at the reshard's first forward,
+    /// before the copy's barriers are issued, so the victim never answers
+    /// them — the crash window the reshard × recovery tests need to hit.
     pub during_reshard: bool,
 }
 
@@ -228,16 +224,18 @@ pub struct ReshardReport {
     /// Modeled bytes a from-scratch repartition would have shipped
     /// (every live edge re-uploaded).
     pub full_rebuild_bytes: u64,
-    /// Wall-clock seconds ingest was actually paused: the final settle
-    /// barrier, residual diff and plan swap only — the copy-on-write
-    /// protocol migrates from a frozen cut and replays delta chains in the
-    /// background while ingest keeps flowing (see `background_secs`).
+    /// Wall-clock seconds ingest was actually paused: the swap alone —
+    /// forwarding the pending sub-batches, swapping the plan and enqueueing
+    /// the retractions. It issues no barrier and waits on no ack, so it
+    /// does not grow with the shards' backlog: the router mirrors moving
+    /// updates to their new owners from the start of the reshard, and the
+    /// copy and the retire run while ingest keeps flowing (see
+    /// `background_secs`).
     pub pause_secs: f64,
-    /// Wall-clock seconds of the reshard outside the pause — the
-    /// frozen-cut copy, the delta-chain replay rounds, and the waits for
-    /// the destinations to apply the staged copy and the sources their
-    /// retractions — with ingest still flowing. Not a stall; `pause_secs +
-    /// background_secs` is the reshard's whole wall.
+    /// Wall-clock seconds of the reshard outside the pause — the wait for
+    /// the barrier images, the copy, and the waits for the sources to apply
+    /// their retractions — with ingest still flowing. Not a stall;
+    /// `pause_secs + background_secs` is the reshard's whole wall.
     pub background_secs: f64,
     /// Cut number of the snapshot-style epoch marker the reshard published.
     pub cut: u64,
@@ -274,9 +272,14 @@ enum Command {
     Rebalance(Option<usize>, Sender<Result<ReshardReport, ReshardError>>),
     /// Reply with each shard service's live metrics.
     Stats(Sender<Vec<gpma_service::ServiceMetrics>>),
-    /// Fault injection: kill one shard's worker mid-stream; ack whether the
-    /// kill landed.
-    Kill(usize, Sender<bool>),
+    /// Fault injection: kill one shard's worker mid-stream — now, or with
+    /// `at_barrier` when it reaches its next barrier; ack whether the kill
+    /// landed (or was armed).
+    Kill {
+        shard: usize,
+        at_barrier: bool,
+        ack: Sender<bool>,
+    },
     /// Drain everything queued, final-cut, stop the shard services, exit.
     Shutdown,
 }
@@ -310,11 +313,10 @@ pub(crate) struct RouterCounters {
     pub migrated_edges: u64,
     /// Modeled migration bytes shipped as device-to-device DMAs.
     pub migration_bytes: u64,
-    /// Total wall-clock seconds ingest was paused by reshards (settle +
-    /// residual only under the copy-on-write protocol).
+    /// Total wall-clock seconds ingest was paused by reshards (the swaps).
     pub migration_pause_secs: f64,
-    /// Total wall-clock seconds reshards spent in background copy/replay
-    /// rounds while ingest kept flowing.
+    /// Total wall-clock seconds reshards spent outside their swaps while
+    /// ingest kept flowing.
     pub migration_background_secs: f64,
     /// Dead shard workers detected and respawned.
     pub recoveries: u64,
@@ -337,15 +339,11 @@ struct Shared {
     partition: Mutex<PartitionEpoch>,
     /// Every reshard performed, in order (explicit and policy-triggered).
     reshards: Mutex<Vec<ReshardReport>>,
-    /// Latest published cut; swapped whole so readers never block the
-    /// router for longer than an `Arc` clone.
-    snapshot: Mutex<Arc<ClusterSnapshot>>,
-    /// Cut-level deltas (epoch = cut number), assembled from the shard
-    /// delta logs at every coordinated cut.
-    delta_log: Mutex<DeltaLog>,
-    /// Cuts whose delta could not be assembled because a shard's ring had
-    /// already evicted part of the inter-cut chain (readers rebase on the
-    /// full cut instead).
+    /// The latest published cut and the cut-delta ring that ends at it.
+    published_cut: Mutex<PublishedCut>,
+    /// Cuts published as rebases because some shard gave no barrier ack
+    /// (readers rebase on the full cut instead; the next cut's delta
+    /// carries the round's keys too).
     delta_fallbacks: AtomicU64,
     /// Errors the router thread recovered from instead of panicking (a
     /// shard service found closed at a barrier, a misrouted control
@@ -368,6 +366,15 @@ struct Shared {
     /// headline number of the `obs` experiment.
     reshard_active: AtomicBool,
     started: Instant,
+}
+
+/// The cluster's publication: one lock over the cut and its delta ring, so
+/// no reader sees a cut without the delta that produced it.
+struct PublishedCut {
+    /// Swapped whole, so readers hold the lock for an `Arc` clone.
+    snapshot: Arc<ClusterSnapshot>,
+    /// Cut-level deltas (epoch = cut number); its head is `snapshot`'s cut.
+    deltas: DeltaLog,
 }
 
 /// A cloneable producer handle feeding the cluster's bounded router queue.
@@ -594,10 +601,10 @@ impl GraphCluster {
     }
 
     /// Spawn with cluster-level [`DeltaMonitor`]s: after every coordinated
-    /// cut they receive the cut's merged [`SnapshotDelta`] with the cut
-    /// flattened into one image (or a full rebase when a shard's ring was
-    /// outrun) on a dedicated thread — the incremental read path over
-    /// globally consistent cuts.
+    /// cut they receive the cut's [`SnapshotDelta`] with the cut flattened
+    /// into one image (or a full rebase when a shard gave no barrier ack,
+    /// and at a reshard's marker cut) on a dedicated thread — the
+    /// incremental read path over globally consistent cuts.
     pub fn spawn_with_delta_monitors(
         cfg: ClusterConfig,
         device_cfg: &DeviceConfig,
@@ -626,8 +633,10 @@ impl GraphCluster {
         let shared = Arc::new(Shared {
             partition: Mutex::new(PartitionEpoch::new(partitioner.clone())),
             reshards: Mutex::new(Vec::new()),
-            snapshot: Mutex::new(initial.clone()),
-            delta_log: Mutex::new(DeltaLog::new(cfg.delta_log_capacity)),
+            published_cut: Mutex::new(PublishedCut {
+                snapshot: initial.clone(),
+                deltas: DeltaLog::new(cfg.delta_log_capacity),
+            }),
             delta_fallbacks: AtomicU64::new(0),
             worker_errors: AtomicU64::new(0),
             router: Mutex::new(RouterCounters {
@@ -716,16 +725,18 @@ impl GraphCluster {
         self.shared.reshards.lock().clone()
     }
 
-    /// Live reshard onto an explicit new plan: quiesce ingest, migrate the
-    /// minimal edge-move set between the plans (device-to-device DMAs,
-    /// charged to the transfer ledgers), resume routing under the new plan,
+    /// Live reshard onto an explicit new plan: migrate the minimal
+    /// edge-move set between the plans (device-to-device DMAs, charged to
+    /// the transfer ledgers) while ingest keeps flowing — the router
+    /// mirrors every update to a moving edge onto its new owner and copies
+    /// the rest from barrier images — then swap the plan, the only pause,
     /// and publish a snapshot-style epoch marker (readers of
     /// [`Self::deltas_since`] at older cuts rebase on the marker cut;
     /// [`DeltaMonitor`]s receive an `on_rebase`). The shard count may grow
     /// or shrink; edges whose owner is unchanged never move. Arrival-order
-    /// semantics hold across the boundary: updates accepted before this
-    /// call land under the old plan, updates accepted after it route under
-    /// the new plan, and a queued insert-then-delete still nets to absent.
+    /// semantics hold across the boundary: each key's updates reach its
+    /// final owner in the order they were accepted, and a queued
+    /// insert-then-delete still nets to absent.
     pub fn reshard(&self, new: Arc<dyn Partitioner>) -> Result<ReshardReport, ReshardError> {
         let (ack_tx, ack_rx) = bounded(1);
         self.tx
@@ -750,7 +761,7 @@ impl GraphCluster {
     /// [`Self::epoch_cut`]). Never blocks beyond an `Arc` swap.
     pub fn snapshot(&self) -> Arc<ClusterSnapshot> {
         self.shared.queries.fetch_add(1, Ordering::Relaxed);
-        self.shared.snapshot.lock().clone()
+        self.shared.published_cut.lock().snapshot.clone()
     }
 
     /// Run a read against the latest published cut — reads never queue
@@ -759,17 +770,20 @@ impl GraphCluster {
         f(&self.snapshot())
     }
 
-    /// Catch a delta reader up from cut number `cut`: the merged per-cut
+    /// Catch a delta reader up from cut number `cut`: the per-cut
     /// [`SnapshotDelta`] chain when the cluster ring still covers it (one
-    /// delta per coordinated cut, epoch = cut number), or the latest full
-    /// cut to rebase on when the reader lagged past
-    /// [`ClusterConfig::delta_log_capacity`] cuts (or a shard ring was
-    /// outrun between cuts). Never blocks beyond the log lock.
+    /// delta per coordinated cut, epoch = cut number, each folded from what
+    /// the router forwarded between the two cuts), or the latest full cut
+    /// to rebase on when the reader lagged past
+    /// [`ClusterConfig::delta_log_capacity`] cuts or past a rebase point (a
+    /// reshard's marker cut, or a cut some shard gave no barrier ack for).
+    /// The chain and the cut are read under one lock, so a chain always
+    /// reaches the latest cut. Never blocks beyond that lock.
     pub fn deltas_since(&self, cut: u64) -> DeltaCatchUp<Arc<ClusterSnapshot>> {
-        let chain = self.shared.delta_log.lock().deltas_since(cut);
-        match chain {
+        let published = self.shared.published_cut.lock();
+        match published.deltas.deltas_since(cut) {
             Some(chain) => DeltaCatchUp::Deltas(chain),
-            None => DeltaCatchUp::Snapshot(self.shared.snapshot.lock().clone()),
+            None => DeltaCatchUp::Snapshot(published.snapshot.clone()),
         }
     }
 
@@ -798,7 +812,11 @@ impl GraphCluster {
     pub fn kill_shard(&self, shard: usize) -> Result<bool, ClusterClosed> {
         let (ack_tx, ack_rx) = bounded(1);
         self.tx
-            .send(Command::Kill(shard, ack_tx))
+            .send(Command::Kill {
+                shard,
+                at_barrier: false,
+                ack: ack_tx,
+            })
             .map_err(|_| ClusterClosed)?;
         ack_rx.recv().map_err(|_| ClusterClosed)
     }
@@ -829,7 +847,7 @@ impl GraphCluster {
             policy,
             partition_version,
             cuts: self.shared.cuts.load(Ordering::Relaxed),
-            latest_cut: self.shared.snapshot.lock().cut(),
+            latest_cut: self.shared.published_cut.lock().snapshot.cut(),
             queue_depth: self.tx.len(),
             ingested_inserts: self.shared.ingested_inserts.load(Ordering::Relaxed),
             ingested_deletes: self.shared.ingested_deletes.load(Ordering::Relaxed),
@@ -889,7 +907,7 @@ impl GraphCluster {
         let metrics =
             self.assemble_metrics(shard_reports.iter().map(|r| r.metrics.clone()).collect());
         ClusterReport {
-            final_snapshot: self.shared.snapshot.lock().clone(),
+            final_snapshot: self.shared.published_cut.lock().snapshot.clone(),
             metrics,
             shard_reports,
             delta_monitors,
@@ -962,7 +980,7 @@ impl GraphCluster {
                 w[1].key()
             )));
         }
-        if self.shared.snapshot.lock().cut() < snap.cut() {
+        if self.shared.published_cut.lock().snapshot.cut() < snap.cut() {
             return Err(AuditError::Cluster(format!(
                 "cut {} was never published as the latest snapshot",
                 snap.cut()
@@ -1005,7 +1023,9 @@ fn spawn_shard_service(
     let svc = StreamingService::spawn_instrumented(
         ServiceConfig {
             queue_capacity: cfg.shard_queue_capacity,
-            delta_log_capacity: cfg.shard_delta_log_capacity,
+            // Nothing reads a shard's delta ring: the router's op log is
+            // the record of what each shard was sent.
+            delta_log_capacity: 1,
         },
         sys,
         Vec::new(),
@@ -1019,10 +1039,10 @@ fn spawn_shard_service(
 
 /// Events the router publishes to the cluster's delta-monitor thread.
 enum CutEvent {
-    /// A cut whose inter-cut delta chain was fully assembled.
+    /// A cut published with its exact delta from the previous cut.
     Delta(Arc<SnapshotDelta>),
-    /// A cut that outran a shard's delta ring: monitors must rebase on the
-    /// full merged state.
+    /// A cut published as a rebase point: monitors must rebase on the full
+    /// merged state.
     Rebase(Arc<ClusterSnapshot>),
 }
 
@@ -1061,8 +1081,8 @@ fn run_cut_monitors(
 /// One async barrier per shard, each FIFO behind everything already
 /// forwarded to that shard; the acks are collected as the workers reach
 /// them, so the router never stalls on a cluster-wide quiesce. The
-/// non-blocking cut and the reshard's pre-settle and retire waits are all
-/// this.
+/// non-blocking cut and the reshard's copy and retire waits are all this.
+#[derive(Default)]
 struct BarrierRound {
     /// Outstanding ack receivers (`None` = answered, or the service was
     /// already closed when the barrier was issued).
@@ -1123,6 +1143,9 @@ struct PendingCut {
     /// the round checkpoints only the shards with a length. Empty without
     /// a recovery policy.
     log_lens: Vec<Option<usize>>,
+    /// The router's op log, folded when the barriers were issued: exactly
+    /// what the round's images add to the previous cut.
+    delta: SnapshotDelta,
 }
 
 /// Everything the router loop threads through its helpers.
@@ -1138,6 +1161,10 @@ struct Router {
     /// the framework batch convention).
     pending: Vec<UpdateBatch>,
     pending_len: usize,
+    /// Every client update routed since the last cut round was issued, in
+    /// arrival order: folded into that round's delta. Mirrored updates are
+    /// not logged — they move edges, they do not change the graph.
+    ops: OpLog,
     /// Counters accumulated lock-free in the per-edge routing loop and
     /// published under the single metrics lock [`Self::forward`] already
     /// takes per burst (the same rule the service crate applies to its
@@ -1148,9 +1175,6 @@ struct Router {
     /// [`DegreePartition`](crate::DegreePartition) rebalance target is
     /// built from. Cumulative across reshards (the estimate only sharpens).
     observed: Vec<u64>,
-    /// Each shard's local epoch at the previous coordinated cut — the
-    /// resume points for assembling the next cut's delta chain.
-    last_cut_epochs: Vec<u64>,
     /// Feed to the cluster delta-monitor thread, when one exists.
     cut_tx: Option<Sender<CutEvent>>,
     /// Durability/failover policy ([`ClusterConfig::recovery`]); `None`
@@ -1171,17 +1195,13 @@ struct Router {
     /// idempotent, because FIFO order makes each key's final presence the
     /// batch sequence's last word on it.
     replay: Vec<Vec<UpdateBatch>>,
-    /// Set by a recovery: the respawned incarnation's epochs restart at 0,
-    /// so the next cut's delta cannot be stitched across the crash — force
-    /// that one cut to publish as a full-snapshot rebase.
-    force_rebase: bool,
     /// The non-blocking cut round in flight, if any.
     pending_cut: Option<PendingCut>,
     /// `epoch_cut` callers that arrived while a round was in flight; they
     /// join the *next* round (their pre-cut updates may not have been
     /// forwarded when the current round's barriers were issued).
     queued_cut_acks: Vec<Sender<Arc<ClusterSnapshot>>>,
-    /// The copy-on-write reshard in flight, if any (see [`reshard`]).
+    /// The reshard in flight, if any (see [`reshard`]).
     reshard: Option<Reshard>,
     /// Cut/reshard/rebalance commands that arrived with a reshard in
     /// flight; run in arrival order right after it completes.
@@ -1222,7 +1242,7 @@ impl Router {
             | Command::Reshard(..)
             | Command::Rebalance(..)
             | Command::Stats(_)
-            | Command::Kill(..)
+            | Command::Kill { .. }
             | Command::Shutdown => {
                 // Control commands are dispatched by the router loop, not
                 // routed; reaching here is a dispatch bug — but the router
@@ -1234,30 +1254,40 @@ impl Router {
         }
     }
 
+    /// Buffer one insertion for its owner, and for its new owner too while
+    /// a reshard mirrors.
+    // lint: hot-path
     fn route_insert(&mut self, e: Edge) {
         let s = self.part.plan().shard_of_edge(e.src, e.dst);
         if self.part.plan().is_cut_edge(e.src, e.dst) {
             self.local_cut_edges += 1;
         }
         self.observed[e.src as usize] += 1;
+        self.ops.insert(e);
         self.pending[s].insertions.push(e);
+        if let Some(d) = self.mirror_owner(e, s, true) {
+            self.pending[d].insertions.push(e);
+        }
     }
 
+    /// Buffer one deletion for its owner, and for its new owner too while a
+    /// reshard mirrors; each cancels the same-key insertion pending there.
+    // lint: hot-path
     fn route_delete(&mut self, e: Edge) {
         let s = self.part.plan().shard_of_edge(e.src, e.dst);
         self.observed[e.src as usize] += 1;
-        let key = e.key();
-        let before = self.pending[s].insertions.len();
-        self.pending[s].insertions.retain(|p| p.key() != key);
-        self.local_cancelled += (before - self.pending[s].insertions.len()) as u64;
-        self.pending[s].deletions.push(e);
+        self.ops.delete(e);
+        self.local_cancelled += buffer_deletion(&mut self.pending[s], e);
+        if let Some(d) = self.mirror_owner(e, s, false) {
+            buffer_deletion(&mut self.pending[d], e);
+        }
     }
 
     /// The one-shot fault plan fires right after the burst that crossed
     /// its threshold: the victim's queued updates die unflushed, exactly
     /// like a process kill between flushes. A `during_reshard` plan stays
     /// armed past its threshold and fires at the first check inside a
-    /// copy-on-write window instead.
+    /// reshard instead.
     fn maybe_fire_fault(&mut self) {
         let Some(plan) = self.fault else {
             return;
@@ -1288,8 +1318,8 @@ impl Router {
     fn forward(&mut self) {
         if self.pending_len == 0 {
             // Nothing to ship, but an armed `during_reshard` fault plan
-            // must still get its shot: a copy-on-write window with no
-            // client traffic in flight would otherwise never fire it.
+            // must still get its shot: a reshard with no client traffic in
+            // flight would otherwise never fire it.
             self.maybe_fire_fault();
             return;
         }
@@ -1380,10 +1410,13 @@ impl Router {
     ///    it settled, and swap it into the routing tables.
     /// 4. **Re-checkpoint** — persist the settling barrier's image, and
     ///    drop the log it holds only once that save succeeded, so the
-    ///    store's "latest" matches the live epoch space. The next cut
-    ///    publishes as a rebase (cross-incarnation deltas cannot be
-    ///    stitched), and a cut round in flight does not checkpoint this
-    ///    shard.
+    ///    store's "latest" matches the live epoch space. A cut round in
+    ///    flight does not checkpoint this shard.
+    ///
+    /// The respawned shard holds exactly what was forwarded to it, so the
+    /// next cut's delta stays exact; only a round the dead worker left
+    /// unanswered publishes as a rebase (and its keys ride in the next
+    /// cut's delta).
     fn recover_shard(&mut self, i: usize) {
         let Some(policy) = self.recovery.clone() else {
             return;
@@ -1436,10 +1469,6 @@ impl Router {
         }
         self.handles[i] = h;
         self.services[i] = svc;
-        self.force_rebase = true;
-        if let Some(rs) = self.reshard.as_mut() {
-            rs.shard_recovered(i);
-        }
         if let Some(len) = self
             .pending_cut
             .as_mut()
@@ -1546,12 +1575,14 @@ impl Router {
     }
 
     /// Assemble and publish one coordinated cut from barriered (or fallen
-    /// back) per-shard snapshots, plus its merged delta and the
-    /// checkpoints of the shards with a log length.
+    /// back) per-shard snapshots, with its delta — `None` publishes it as a
+    /// counted rebase — and the checkpoints of the shards with a log
+    /// length.
     fn publish_cut(
         &mut self,
         snaps: Vec<Arc<GraphSnapshot>>,
         log_lens: Vec<Option<usize>>,
+        delta: Option<SnapshotDelta>,
         t0: Instant,
     ) -> Arc<ClusterSnapshot> {
         let obs = self.shared.obs.clone();
@@ -1563,8 +1594,11 @@ impl Router {
                 self.part.plan().num_vertices(),
                 snaps,
             ));
-            *self.shared.snapshot.lock() = snap.clone();
-            self.publish_cut_delta(cut, &snap);
+            debug_assert!(delta.as_ref().is_none_or(|d| d.epoch() == cut));
+            if delta.is_none() {
+                self.shared.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
+            }
+            self.publish(&snap, delta.map(Arc::new));
             self.checkpoint_cut(&snap, log_lens);
             snap
         };
@@ -1576,6 +1610,26 @@ impl Router {
             t0.elapsed().as_micros() as u64,
         );
         snap
+    }
+
+    /// Publish `snap` with the delta that produced it from the previous
+    /// cut, or — `None` — as a rebase point readers at older cuts must
+    /// rebase past: cut and ring under one lock, then the monitors.
+    fn publish(&self, snap: &Arc<ClusterSnapshot>, delta: Option<Arc<SnapshotDelta>>) {
+        {
+            let mut published = self.shared.published_cut.lock();
+            published.snapshot = snap.clone();
+            match &delta {
+                Some(d) => published.deltas.push(d.clone()),
+                None => published.deltas.reset_to(snap.cut()),
+            }
+        }
+        if let Some(tx) = &self.cut_tx {
+            let _ = tx.send(match delta {
+                Some(d) => CutEvent::Delta(d),
+                None => CutEvent::Rebase(snap.clone()),
+            });
+        }
     }
 
     /// Start (or queue into) a non-blocking cut round. The barrier command
@@ -1596,7 +1650,9 @@ impl Router {
     }
 
     /// Forward residue and issue one barrier to every shard, registering
-    /// the round as [`Router::pending_cut`].
+    /// the round as [`Router::pending_cut`] with its delta: the op log,
+    /// folded. Only one round is in flight and a reshard's marker waits
+    /// for it, so this round publishes the next cut number.
     fn start_cut_round(&mut self, acks: Vec<Sender<Arc<ClusterSnapshot>>>) {
         self.forward();
         self.ensure_shards_alive();
@@ -1607,11 +1663,13 @@ impl Router {
         } else {
             Vec::new()
         };
+        let cut = self.shared.cuts.load(Ordering::Relaxed) + 1;
         self.pending_cut = Some(PendingCut {
             acks,
             t0: Instant::now(),
             round: BarrierRound::issue(&self.services),
             log_lens,
+            delta: self.ops.fold(cut),
         });
         self.poll_pending_cut(false);
     }
@@ -1636,13 +1694,21 @@ impl Router {
                 }
             }
             let (snaps, degraded) = self.round_snapshots(pc.round);
-            // A corpse's stall is not barrier latency: drop the sample.
-            if !degraded {
+            // A corpse's stall is not barrier latency: drop the sample. Nor
+            // need the image standing in for it match the op log, so the
+            // round publishes as a rebase, and its delta goes back into the
+            // log: the stand-in can be wrong only on keys logged since the
+            // last exact cut, and the next delta then covers all of them.
+            let delta = if degraded {
+                self.ops.restore(pc.delta);
+                None
+            } else {
                 self.shared
                     .obs
                     .record_duration(Stage::CutBarrier, pc.t0.elapsed());
-            }
-            let snap = self.publish_cut(snaps, pc.log_lens, pc.t0);
+                Some(pc.delta)
+            };
+            let snap = self.publish_cut(snaps, pc.log_lens, delta, pc.t0);
             for ack in pc.acks {
                 let _ = ack.send(snap.clone());
             }
@@ -1667,17 +1733,23 @@ impl Router {
         }
     }
 
-    /// Kill one shard's worker (fault injection), acking whether it landed.
-    fn kill(&mut self, shard: usize, ack: Sender<bool>) {
-        let landed = if shard < self.services.len() {
-            self.services[shard].inject_failure().is_ok()
-        } else {
-            self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "gpma-cluster: kill_shard({shard}) out of range ({} shards); ignored",
-                self.services.len()
-            );
-            false
+    /// Kill one shard's worker (fault injection) — now, or with
+    /// `at_barrier` at its next barrier — acking whether it landed.
+    fn kill(&mut self, shard: usize, at_barrier: bool, ack: Sender<bool>) {
+        let landed = match self.services.get(shard) {
+            Some(svc) if at_barrier => {
+                svc.crash_at_next_barrier();
+                svc.is_alive()
+            }
+            Some(svc) => svc.inject_failure().is_ok(),
+            None => {
+                self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
+                eprintln!(
+                    "gpma-cluster: kill_shard({shard}) out of range ({} shards); ignored",
+                    self.services.len()
+                );
+                false
+            }
         };
         let _ = ack.send(landed);
     }
@@ -1707,63 +1779,17 @@ impl Router {
             self.begin_rebalance(policy.target_shards, None);
         }
     }
+}
 
-    /// Assemble the delta between the previous cut and this one: each
-    /// shard's inter-cut epoch chain folds into one per-shard delta, and
-    /// shards own disjoint edge sets, so their union is the cut's exact net
-    /// effect. A shard whose ring already evicted part of its chain forces
-    /// a full-snapshot fallback (counted, and pushed as a ring reset so
-    /// readers rebase too).
-    fn publish_cut_delta(&mut self, cut: u64, snap: &Arc<ClusterSnapshot>) {
-        let mut inserted: Vec<Edge> = Vec::new();
-        let mut deleted: Vec<u64> = Vec::new();
-        // A recovery since the last cut restarted a shard's epoch space, so
-        // its inter-cut chain cannot be stitched: rebase this one cut.
-        let mut lagged = std::mem::take(&mut self.force_rebase);
-        for (i, svc) in self.services.iter().enumerate() {
-            // Async cut rounds leave a gap between a shard acking its
-            // barrier and the round completing; traffic forwarded in that
-            // gap flushes as deltas *beyond* this cut. Fold only up to the
-            // epoch the cut's own snapshot carries — later deltas belong
-            // to the next cut's chain.
-            let bound = snap.shards()[i].epoch();
-            if !lagged {
-                match svc.deltas_since(self.last_cut_epochs[i]) {
-                    DeltaCatchUp::Deltas(chain) => {
-                        let mut folded = SnapshotDelta::default();
-                        for d in chain.iter().filter(|d| d.epoch() <= bound) {
-                            folded.merge(d);
-                        }
-                        inserted.extend_from_slice(folded.inserted());
-                        deleted.extend_from_slice(folded.deleted_keys());
-                    }
-                    DeltaCatchUp::Snapshot(_) => lagged = true,
-                }
-            }
-            self.last_cut_epochs[i] = bound;
-        }
-        if lagged {
-            // Readers of the cluster ring must rebase: clear it so
-            // `deltas_since` reports the lag, and tell the monitors.
-            {
-                let mut log = self.shared.delta_log.lock();
-                let capacity = log.capacity();
-                *log = DeltaLog::new(capacity);
-            }
-            self.shared.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
-            if let Some(tx) = &self.cut_tx {
-                let _ = tx.send(CutEvent::Rebase(snap.clone()));
-            }
-            return;
-        }
-        inserted.sort_by_key(Edge::key);
-        deleted.sort_unstable();
-        let delta = Arc::new(SnapshotDelta::from_parts(cut, inserted, deleted));
-        self.shared.delta_log.lock().push(delta.clone());
-        if let Some(tx) = &self.cut_tx {
-            let _ = tx.send(CutEvent::Delta(delta));
-        }
-    }
+/// Buffer deletion `e` into a pending sub-batch after cancelling the
+/// same-key insertion pending there; returns how many it cancelled.
+// lint: hot-path
+fn buffer_deletion(batch: &mut UpdateBatch, e: Edge) -> u64 {
+    let key = e.key();
+    let before = batch.insertions.len();
+    batch.insertions.retain(|p| p.key() != key);
+    batch.deletions.push(e);
+    (before - batch.insertions.len()) as u64
 }
 
 /// The router loop: block on the queue, coalesce bursts into per-shard
@@ -1796,13 +1822,12 @@ fn run_router(
         local_cut_edges: 0,
         local_cancelled: 0,
         observed: vec![0; num_vertices as usize],
-        last_cut_epochs: vec![0; num_shards],
+        ops: OpLog::default(),
         cut_tx,
         recovery,
         fault,
         lifetime_routed: 0,
         replay: vec![Vec::new(); num_shards],
-        force_rebase: false,
         pending_cut: None,
         queued_cut_acks: Vec::new(),
         reshard: None,
@@ -1843,7 +1868,7 @@ fn run_router(
         if stop {
             break 'serve;
         }
-        r.step_reshard(rx.is_empty());
+        r.step_reshard(false);
         // Cuts and plan changes a reshard deferred run the pass it
         // completes, in arrival order, against the settled post-swap
         // cluster; a deferred reshard parks the rest behind itself.
@@ -1883,10 +1908,9 @@ fn handle_command(cmd: Command, r: &mut Router) -> bool {
     match cmd {
         Command::Insert(_) | Command::Delete(_) | Command::Batch(_) => r.route(cmd),
         // Mid-reshard, cuts and plan changes wait for the marker cut: a
-        // mid-copy barrier would observe staged duplicates, a mid-retire
-        // one un-retracted movers, and plan changes cannot nest. Data keeps
-        // routing (under the old plan until the swap), stats and kills
-        // serve inline.
+        // barrier before it would observe movers on both owners, and plan
+        // changes cannot nest. Data keeps routing (under the old plan,
+        // mirrored, until the swap), stats and kills serve inline.
         Command::Cut(_) | Command::Reshard(..) | Command::Rebalance(..) if r.reshard.is_some() => {
             r.deferred.push_back(cmd)
         }
@@ -1899,7 +1923,11 @@ fn handle_command(cmd: Command, r: &mut Router) -> bool {
             r.forward();
             let _ = reply.send(r.services.iter().map(|s| s.metrics()).collect());
         }
-        Command::Kill(shard, ack) => r.kill(shard, ack),
+        Command::Kill {
+            shard,
+            at_barrier,
+            ack,
+        } => r.kill(shard, at_barrier, ack),
         Command::Shutdown => return true,
     }
     false
@@ -1980,7 +2008,6 @@ mod tests {
             Stage::CutPublish,
             Stage::ReshardQuiesce,
             Stage::ReshardMigrate,
-            Stage::ReshardReplay,
             Stage::ReshardResume,
         ] {
             assert!(
@@ -2497,6 +2524,13 @@ mod tests {
         // (cut 2 and the shutdown cut both hit the corpse).
         assert!(m.worker_errors >= 2, "worker errors: {}", m.worker_errors);
         assert_eq!(m.recoveries, 0, "no recovery policy, no respawn");
+        // The degraded cut is a counted rebase: the stale image standing in
+        // for shard 0 is not what the router forwarded to it.
+        assert_eq!(m.delta_fallbacks, 1);
+        match c.deltas_since(cut1.cut()) {
+            DeltaCatchUp::Snapshot(s) => assert_eq!(s.cut(), cut2.cut()),
+            DeltaCatchUp::Deltas(_) => panic!("a degraded cut must publish as a rebase"),
+        }
         let report = c.shutdown();
         assert!(report.metrics.worker_errors >= 3);
     }
@@ -2556,14 +2590,89 @@ mod tests {
         assert!(m.checkpoint_bytes > 0);
         assert!(m.recovery_secs > 0.0);
 
-        // The cut spanning the crash published as a rebase (epochs restart
-        // per incarnation, so its delta cannot be stitched) — readers at
-        // cut 1 must be told to fall back, not fed a wrong chain.
+        // The cut spanning the crash still publishes an exact delta: the
+        // recovered shard holds exactly what the router forwarded to it,
+        // which is what the router's op log recorded.
         match c.deltas_since(1) {
-            DeltaCatchUp::Snapshot(s) => assert_eq!(s.cut(), cut2.cut()),
-            DeltaCatchUp::Deltas(_) => panic!("cross-incarnation delta must not be stitched"),
+            DeltaCatchUp::Deltas(chain) => {
+                assert_eq!(chain.len(), 1);
+                assert_eq!(chain[0].epoch(), cut2.cut());
+                let replayed = gpma_core::delta::apply_delta(&cut1.to_graph_snapshot(), &chain[0]);
+                assert_eq!(
+                    replayed.edges().to_vec(),
+                    cut2.to_graph_snapshot().edges().to_vec()
+                );
+            }
+            DeltaCatchUp::Snapshot(_) => panic!("the recovered cut must keep the delta chain"),
         }
-        assert!(m.delta_fallbacks >= 1);
+        assert_eq!(m.delta_fallbacks, 0);
+        c.shutdown();
+    }
+
+    #[test]
+    fn a_shard_dying_behind_its_barrier_keeps_the_delta_chain_exact() {
+        let part = Arc::new(VertexPartition {
+            num_vertices: 16,
+            num_shards: 4,
+        });
+        let c = GraphCluster::spawn(
+            ClusterConfig {
+                flush_threshold: 64,
+                router_batch: 8,
+                recovery: Some(RecoveryPolicy {
+                    store: Arc::new(MemoryCheckpointStore::new()),
+                }),
+                ..Default::default()
+            },
+            &DeviceConfig::deterministic(),
+            part,
+            &[Edge::new(0, 1)],
+        );
+        let h = c.handle();
+        for i in 0..4u32 {
+            h.insert(Edge::new(0, 4 + i)).unwrap();
+        }
+        c.epoch_cut().unwrap();
+
+        // Shard 0 dies on reaching cut 2's barrier, with this burst still
+        // buffered below its flush threshold: cut 2 stands in its last
+        // published image, which lacks all of it.
+        let (ack_tx, ack_rx) = bounded(1);
+        c.tx.send(Command::Kill {
+            shard: 0,
+            at_barrier: true,
+            ack: ack_tx,
+        })
+        .unwrap();
+        assert!(ack_rx.recv().unwrap());
+        h.insert(Edge::new(1, 8)).unwrap();
+        h.insert(Edge::new(1, 9)).unwrap();
+        h.delete(Edge::new(0, 4)).unwrap();
+        h.insert(Edge::new(4, 0)).unwrap();
+        let cut2 = c.epoch_cut().unwrap();
+        assert!(!cut2.contains(1, 8) && cut2.contains(0, 4), "stale stand-in");
+        assert!(cut2.contains(4, 0));
+        assert_eq!(c.metrics().unwrap().delta_fallbacks, 1);
+
+        // Cut 3 recovers shard 0 from checkpoint and log; its delta must
+        // also carry what cut 2's stand-in missed.
+        h.insert(Edge::new(2, 3)).unwrap();
+        let cut3 = c.epoch_cut().unwrap();
+        assert!(cut3.contains(1, 8) && cut3.contains(1, 9) && !cut3.contains(0, 4));
+        match c.deltas_since(cut2.cut()) {
+            DeltaCatchUp::Deltas(chain) => {
+                assert_eq!(chain.len(), 1);
+                let replayed = gpma_core::delta::apply_delta(&cut2.to_graph_snapshot(), &chain[0]);
+                assert_eq!(
+                    replayed.edges().to_vec(),
+                    cut3.to_graph_snapshot().edges().to_vec()
+                );
+            }
+            DeltaCatchUp::Snapshot(_) => panic!("cut 3 acked on every shard: exact delta"),
+        }
+        let m = c.metrics().unwrap();
+        assert_eq!(m.recoveries, 1);
+        assert_eq!(m.delta_fallbacks, 1);
         c.shutdown();
     }
 
@@ -2600,5 +2709,170 @@ mod tests {
         }
         let report = c.shutdown();
         assert_eq!(report.metrics.recoveries, 1, "the plan fires exactly once");
+    }
+
+    #[test]
+    fn a_reader_never_sees_a_cut_without_its_delta() {
+        let c = spawn4(
+            Arc::new(HashVertexPartition {
+                num_vertices: 32,
+                num_shards: 2,
+            }),
+            &[],
+        );
+        c.epoch_cut().unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut reads = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let snap = c.snapshot();
+                    if let DeltaCatchUp::Deltas(chain) = c.deltas_since(snap.cut() - 1) {
+                        let head = chain.last().map(|d| d.epoch());
+                        assert!(
+                            head >= Some(snap.cut()),
+                            "cut {} visible before its delta (chain head {head:?})",
+                            snap.cut()
+                        );
+                    }
+                    reads += 1;
+                }
+                reads
+            });
+            let h = c.handle();
+            for i in 0..1000u32 {
+                h.insert(Edge::new(i % 32, (i * 7 + 1) % 32)).unwrap();
+                c.epoch_cut().unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+            assert!(reader.join().unwrap() > 0);
+        });
+        c.shutdown();
+    }
+
+    /// Vertex ranges that park the router at `gate` on the first placement
+    /// lookup after `armed` is set, so a test can queue commands behind
+    /// the update the router is routing.
+    struct Parking {
+        inner: VertexPartition,
+        armed: AtomicBool,
+        gate: std::sync::Barrier,
+    }
+
+    impl Partitioner for Parking {
+        fn name(&self) -> &str {
+            "parking-range"
+        }
+        fn num_shards(&self) -> usize {
+            self.inner.num_shards
+        }
+        fn num_vertices(&self) -> u32 {
+            self.inner.num_vertices
+        }
+        fn shard_of_edge(&self, src: u32, dst: u32) -> usize {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.gate.wait(); // the router is parked
+                self.gate.wait(); // carry on
+            }
+            self.inner.shard_of_edge(src, dst)
+        }
+        fn home_of_vertex(&self, v: u32) -> usize {
+            self.inner.home_of_vertex(v)
+        }
+        fn stores_row(&self, shard: usize, v: u32) -> bool {
+            self.inner.stores_row(shard, v)
+        }
+    }
+
+    /// Reshard 2 → 4 vertex ranges (owner `src / 8` → `src / 4`) with
+    /// updates the router routes — mirrored — after the copy's barriers
+    /// and before it polls their acks, because they queue behind the
+    /// `Reshard` command while the router is parked.
+    fn dual_write_reshard(fault: Option<FaultPlan>) {
+        let old = Arc::new(Parking {
+            inner: VertexPartition {
+                num_vertices: 16,
+                num_shards: 2,
+            },
+            armed: AtomicBool::new(false),
+            gate: std::sync::Barrier::new(2),
+        });
+        let initial = [
+            Edge::new(0, 1),
+            Edge::new(4, 1),
+            Edge::new(5, 1),
+            Edge::new(6, 1),
+            Edge::new(12, 3),
+        ];
+        let c = GraphCluster::spawn(
+            ClusterConfig {
+                flush_threshold: 4,
+                router_batch: 64,
+                recovery: fault.map(|_| RecoveryPolicy::default()),
+                fault,
+                ..Default::default()
+            },
+            &DeviceConfig::deterministic(),
+            old.clone(),
+            &initial,
+        );
+        let h = c.handle();
+        old.armed.store(true, Ordering::SeqCst);
+        h.insert(Edge::new(0, 2)).unwrap(); // stays on shard 0
+        old.gate.wait();
+        let (ack_tx, ack_rx) = bounded(1);
+        let new = Arc::new(VertexPartition {
+            num_vertices: 16,
+            num_shards: 4,
+        });
+        c.tx.send(Command::Reshard(new, ack_tx)).unwrap();
+        h.delete(Edge::new(4, 1)).unwrap(); // moving, in its source's image
+        h.insert(Edge::weighted(5, 1, 9)).unwrap(); // weight upsert of a mover
+        h.insert(Edge::new(9, 2)).unwrap(); // a new moving key ...
+        h.delete(Edge::new(9, 2)).unwrap(); // ... inserted, then deleted
+        old.gate.wait();
+        let report = ack_rx.recv().unwrap().unwrap();
+        // The live moved set: (5, 1) reweighted, (6, 1) and (12, 3) copied.
+        assert_eq!(report.migrated_edges, 3);
+        assert_eq!(report.to_shards, 4);
+
+        let snap = c.epoch_cut().unwrap();
+        // (src, dst, weight, owner under the new plan).
+        let expect = [
+            (0, 1, 1, 0),
+            (0, 2, 1, 0),
+            (5, 1, 9, 1),
+            (6, 1, 1, 1),
+            (12, 3, 1, 3),
+        ];
+        assert_eq!(snap.num_edges(), expect.len());
+        for (src, dst, w, owner) in expect {
+            for (i, shard) in snap.shards().iter().enumerate() {
+                assert_eq!(
+                    shard.weight(src, dst),
+                    (i == owner).then_some(w),
+                    "({src}, {dst}) on shard {i}"
+                );
+            }
+        }
+        let m = c.metrics().unwrap();
+        assert_eq!(m.migrated_edges, 3);
+        assert_eq!(m.worker_errors, 0);
+        assert_eq!(m.recoveries, u64::from(fault.is_some()));
+        c.shutdown();
+    }
+
+    #[test]
+    fn updates_routed_in_the_copy_window_reach_their_new_owner() {
+        dual_write_reshard(None);
+    }
+
+    #[test]
+    fn a_source_killed_before_it_acks_is_recovered_and_copied() {
+        dual_write_reshard(Some(FaultPlan {
+            kill_shard: 1,
+            after_routed_updates: 0,
+            during_reshard: true,
+        }));
     }
 }

@@ -42,25 +42,26 @@
 //!   [`gpma_analytics::bfs_sharded`] / [`gpma_analytics::pagerank_sharded`],
 //!   which charge explicit frontier / rank exchange traffic.
 //! * **Delta cuts** — each coordinated cut also publishes its net effect
-//!   as one merged [`SnapshotDelta`] (stitched from the shard delta
-//!   rings; shards own disjoint edge sets). Readers catch up with
-//!   [`GraphCluster::deltas_since`]; cluster-level [`DeltaMonitor`]s —
-//!   e.g. the `gpma-incremental` engine — consume one delta per cut on a
-//!   dedicated thread, each with the cut flattened into one image that all
-//!   of them share, rebasing on a full image only when a shard ring was
-//!   outrun.
+//!   as one [`SnapshotDelta`], folded from the router's log of the client
+//!   updates it forwarded since the previous cut (the router is the only
+//!   record of what each shard was sent; no shard ring is read). Readers
+//!   catch up with [`GraphCluster::deltas_since`]; cluster-level
+//!   [`DeltaMonitor`]s — e.g. the `gpma-incremental` engine — consume one
+//!   delta per cut on a dedicated thread, each with the cut flattened into
+//!   one image that all of them share, rebasing on a full image only at a
+//!   reshard's marker cut or a cut some shard gave no barrier ack for.
 //! * **Observability** — [`ClusterMetrics`] reports routing balance and
 //!   per-shard skew, cut edges, modeled transfer totals, delta fallbacks,
 //!   migration and recovery counters and every shard's own
 //!   [`ServiceMetrics`](gpma_service::ServiceMetrics).
 //! * **Elasticity** — [`GraphCluster::reshard`] migrates live onto any new
-//!   [`Partitioner`] (shard counts may grow or shrink), copy-on-write: the
-//!   edges whose owner changes are copied from a frozen cut and kept
-//!   current by replaying the sources' delta chains while ingest keeps
-//!   flowing; ingest pauses only for the settle barrier and the swap to
-//!   the advanced [`PartitionEpoch`]; the old copies retire in the
-//!   background and a snapshot-style epoch marker makes delta readers and
-//!   monitors rebase exactly. The router steps the reshard as an explicit
+//!   [`Partitioner`] (shard counts may grow or shrink) while ingest keeps
+//!   flowing: the router mirrors every update to a moving edge onto its
+//!   new owner and copies the untouched movers from barrier images;
+//!   ingest pauses only for the swap to the advanced [`PartitionEpoch`],
+//!   which issues no barrier; the old copies retire in the background and
+//!   a snapshot-style epoch marker makes delta readers and monitors
+//!   rebase exactly. The router steps the reshard as an explicit
 //!   phase machine, one step per pass of its loop (DESIGN.md §15). [`GraphCluster::rebalance`] (or an automatic
 //!   [`RebalancePolicy`] in [`ClusterConfig`]) targets a [`DegreePartition`]
 //!   built from the router's observed per-vertex load — the skew-driven

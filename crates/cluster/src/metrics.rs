@@ -54,8 +54,13 @@ pub struct ClusterMetrics {
     pub cut_edges: u64,
     /// Pending insertions the router cancelled for arrival-order semantics.
     pub cancelled_inserts: u64,
-    /// Coordinated cuts whose delta chain could not be assembled (a shard
-    /// ring was outrun); those cuts published as full-snapshot rebases.
+    /// Coordinated cuts published as full-snapshot rebases instead of
+    /// deltas: rounds in which some shard gave no barrier ack (a shard
+    /// dead without a recovery policy, or one that died between its
+    /// barrier and its ack), whose stand-in image need not match what the
+    /// router forwarded. The next cut's delta carries such a round's keys
+    /// too, so it replays the rebase cut exactly. A reshard's marker cut is
+    /// a rebase too, but not counted here.
     pub delta_fallbacks: u64,
     /// Errors the router thread recovered from instead of panicking (a
     /// shard service found closed at a barrier, a misrouted control
@@ -68,14 +73,14 @@ pub struct ClusterMetrics {
     pub migrated_edges: u64,
     /// Modeled bytes those migrations shipped as device-to-device DMAs.
     pub migration_bytes: u64,
-    /// Total wall-clock seconds ingest was actually paused by reshards —
-    /// under the copy-on-write protocol only the final swap + residual
-    /// replay, bounded by one flush.
+    /// Total wall-clock seconds ingest was actually paused by reshards:
+    /// their swaps (forward, plan swap, retraction enqueue), which issue
+    /// no barrier and wait on no ack, so they do not grow with the shards'
+    /// backlog.
     pub migration_pause_secs: f64,
-    /// Total wall-clock seconds reshards spent copying and replaying in
-    /// the background *while ingest kept flowing* (frozen-cut copy +
-    /// delta-chain replay rounds). Not a stall: the complement of
-    /// [`Self::migration_pause_secs`].
+    /// Total wall-clock seconds reshards spent outside their swaps *while
+    /// ingest kept flowing* (barrier waits, the copy, the retire). Not a
+    /// stall: the complement of [`Self::migration_pause_secs`].
     pub migration_background_secs: f64,
     /// Dead shard workers detected and respawned (requires
     /// [`ClusterConfig::recovery`](crate::ClusterConfig::recovery)).

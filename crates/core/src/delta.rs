@@ -14,6 +14,8 @@
 //! delta per epoch, readers catch up with [`DeltaLog::deltas_since`], and a
 //! reader that lags past the ring's tail falls back to a full snapshot
 //! ([`DeltaCatchUp::Snapshot`]) and resumes delta consumption from there.
+//! [`OpLog`] folds an arrival-ordered update stream into one delta: the
+//! cluster router's record of what it forwarded between two cuts.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -22,7 +24,6 @@ use gpma_graph::{Edge, UpdateBatch};
 
 use crate::framework::GraphSnapshot;
 use crate::image::sort_last_write_wins;
-use crate::multi::Partitioner;
 
 /// Bytes a snapshot edge occupies on the modeled wire (key + weight).
 pub const BYTES_PER_EDGE: usize = 8 + 8;
@@ -171,44 +172,129 @@ pub fn apply_delta(snap: &GraphSnapshot, delta: &SnapshotDelta) -> GraphSnapshot
     snap.advance(delta).0
 }
 
-/// Split one shard's epoch delta across a partition boundary: every entry
-/// that currently lives on shard `src` but that plan `new` assigns to a
-/// *different* shard is routed into the caller-owned per-destination batch
-/// `out[new_owner]`; entries staying on `src` are skipped. Returns the
-/// number of routed (moved) entries.
+/// Below this many logged operations [`OpLog`] grows instead of compacting.
+const OP_LOG_MIN_COMPACT: usize = 4096;
+
+/// One logged update: the edge, its arrival index, and whether it deletes.
+#[derive(Debug, Clone, Copy)]
+struct LoggedOp {
+    edge: Edge,
+    seq: u64,
+    delete: bool,
+}
+
+/// Arrival-ordered edge updates awaiting one fold into a [`SnapshotDelta`]:
+/// the cluster router appends every client update it routes, and each cut
+/// folds the log into that cut's delta. The last operation on a key wins,
+/// so a batch's deletions are appended before its insertions — the
+/// [`SnapshotDelta::from_batch`] convention — and a fold equals
+/// `from_batch` + [`SnapshotDelta::merge`] over the same batches.
 ///
-/// This is the replay kernel of a copy-on-write reshard: while ingest keeps
-/// flowing under the old plan, each shard's in-flight delta chain is split
-/// with this function (in chain order — later deltas override earlier ones
-/// at the destination, preserving last-write-wins) and replayed onto the
-/// destinations before the plan swap. The batches in `out` are reused
-/// across rounds, so the split itself never allocates; destinations the
-/// slice does not cover (a retiring shard is never a destination) are
-/// skipped and not counted.
-// lint: hot-path
-pub fn split_delta_moves(
-    delta: &SnapshotDelta,
-    src: usize,
-    new: &dyn Partitioner,
-    out: &mut [UpdateBatch],
-) -> usize {
-    let mut moved = 0usize;
-    for e in &delta.inserted {
-        let to = new.shard_of_edge(e.src, e.dst);
-        if to != src && to < out.len() {
-            out[to].insertions.push(*e);
-            moved += 1;
+/// The buffer is reused across folds. When it is full it first compacts in
+/// place to one entry per key, so its size is bounded by the keys touched
+/// between two folds, not by the updates; a compaction that leaves it more
+/// than half full also doubles it, so one sort pays for at least as many
+/// pushes as it kept entries.
+#[derive(Debug, Default)]
+pub struct OpLog {
+    ops: Vec<LoggedOp>,
+    seq: u64,
+    /// Folded deltas put back by [`Self::restore`], merged in order: older
+    /// than everything in `ops`.
+    restored: Option<SnapshotDelta>,
+}
+
+impl OpLog {
+    /// Log an upsert of `e`.
+    // lint: hot-path
+    pub fn insert(&mut self, e: Edge) {
+        self.push(e, false);
+    }
+
+    /// Log a deletion of `e`'s key.
+    // lint: hot-path
+    pub fn delete(&mut self, e: Edge) {
+        self.push(e, true);
+    }
+
+    // lint: hot-path
+    fn push(&mut self, edge: Edge, delete: bool) {
+        if self.ops.len() == self.ops.capacity() && self.ops.len() >= OP_LOG_MIN_COMPACT {
+            self.compact();
+            if self.ops.len() > self.ops.capacity() / 2 {
+                self.ops.reserve(self.ops.len());
+            }
+        }
+        self.ops.push(LoggedOp {
+            edge,
+            seq: self.seq,
+            delete,
+        });
+        self.seq += 1;
+    }
+
+    /// Sort by (key, arrival index) and keep each key's last operation.
+    fn compact(&mut self) {
+        self.ops.sort_unstable_by_key(|op| (op.edge.key(), op.seq));
+        self.ops.dedup_by(|later, kept| {
+            let same = later.edge.key() == kept.edge.key();
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+    }
+
+    /// Operations currently logged (after any compaction), not counting a
+    /// restored delta.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// True when nothing was logged or restored since the last fold or
+    /// clear.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty() && self.restored.is_none()
+    }
+
+    /// Drop everything logged or restored (capacity is kept).
+    pub fn clear(&mut self) {
+        self.ops.clear();
+        self.restored = None;
+    }
+
+    /// Put a folded delta back ahead of everything logged since it was
+    /// folded, so the next fold covers its keys too.
+    pub fn restore(&mut self, delta: SnapshotDelta) {
+        match &mut self.restored {
+            Some(earlier) => earlier.merge(&delta),
+            None => self.restored = Some(delta),
         }
     }
-    for &k in &delta.deleted {
-        let (s, d) = gpma_graph::decode_key(k);
-        let to = new.shard_of_edge(s, d);
-        if to != src && to < out.len() {
-            out[to].deletions.push(Edge::new(s, d));
-            moved += 1;
+
+    /// Fold the log (after any restored delta) into the net delta it stamps
+    /// with `epoch`, and empty it.
+    pub fn fold(&mut self, epoch: u64) -> SnapshotDelta {
+        self.compact();
+        let deletes = self.ops.iter().filter(|op| op.delete).count();
+        let mut inserted = Vec::with_capacity(self.ops.len() - deletes);
+        let mut deleted = Vec::with_capacity(deletes);
+        for op in self.ops.drain(..) {
+            if op.delete {
+                deleted.push(op.edge.key());
+            } else {
+                inserted.push(op.edge);
+            }
+        }
+        let folded = SnapshotDelta::from_parts(epoch, inserted, deleted);
+        match self.restored.take() {
+            Some(mut earlier) => {
+                earlier.merge(&folded);
+                earlier
+            }
+            None => folded,
         }
     }
-    moved
 }
 
 /// How a delta reader catches up after falling behind: either the missing
@@ -310,10 +396,7 @@ impl DeltaLog {
 
     /// The rebase floor: the epoch readers are considered current at while
     /// the ring is empty — 0 at construction, the marker epoch after a
-    /// [`Self::reset_to`]. A copy-on-write reshard replaying a shard's
-    /// in-flight chain uses this to distinguish "nothing published since
-    /// the frozen cut" (floor == frozen epoch) from "the ring was rebased
-    /// under us" (floor moved) without forcing a flush.
+    /// [`Self::reset_to`].
     pub fn floor(&self) -> u64 {
         self.floor
     }
@@ -594,38 +677,98 @@ mod tests {
     }
 
     #[test]
-    fn split_delta_moves_routes_only_boundary_crossers() {
-        use crate::multi::VertexPartition;
-        // 8 vertices over 4 shards: shard = src / 2.
-        let plan = VertexPartition {
-            num_vertices: 8,
-            num_shards: 4,
+    fn op_log_folds_like_from_batch_and_merge() {
+        // Few keys and many batches, so the log compacts mid-stream too.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
         };
-        // A delta that shard 0 produced while the cluster still routed by an
-        // older plan: some entries stay on shard 0, some now belong to 1/3.
-        let delta = SnapshotDelta::from_parts(
-            9,
-            vec![e(0, 5, 2), e(1, 1, 7), e(3, 0, 4), e(7, 7, 1)],
-            vec![Edge::new(1, 9).key(), Edge::new(2, 2).key()],
+        let mut log = OpLog::default();
+        for round in 1..=3u64 {
+            let mut folded = SnapshotDelta::default();
+            for _ in 0..400 {
+                let mut batch = UpdateBatch::default();
+                for _ in 0..next(24) {
+                    let (s, d) = (next(12) as u32, next(12) as u32);
+                    if next(3) == 0 {
+                        batch.deletions.push(Edge::new(s, d));
+                    } else {
+                        batch.insertions.push(e(s, d, next(5)));
+                    }
+                }
+                for x in &batch.deletions {
+                    log.delete(*x);
+                }
+                for x in &batch.insertions {
+                    log.insert(*x);
+                }
+                folded.merge(&SnapshotDelta::from_batch(round, &batch));
+            }
+            assert!(log.len() <= OP_LOG_MIN_COMPACT + 144, "log compacts");
+            assert_eq!(log.fold(round), folded, "round {round}");
+            assert!(log.is_empty());
+        }
+    }
+
+    #[test]
+    fn op_log_grows_when_compaction_frees_little() {
+        // One key short of the compaction threshold, rewritten over and
+        // over: a log that compacted without growing would re-sort itself
+        // on nearly every push.
+        let keys = OP_LOG_MIN_COMPACT as u32 - 1;
+        let pushes = 64 * OP_LOG_MIN_COMPACT;
+        let mut log = OpLog::default();
+        let mut compactions = 0usize;
+        for i in 0..pushes {
+            let k = i as u32 % keys;
+            let before = log.len();
+            log.insert(e(k / 64, k % 64, i as u64));
+            if log.len() <= before {
+                compactions += 1;
+            }
+        }
+        assert!(
+            compactions <= 2 * pushes / OP_LOG_MIN_COMPACT,
+            "{compactions} compactions"
         );
-        let mut out = vec![UpdateBatch::default(); 4];
-        let moved = split_delta_moves(&delta, 0, &plan, &mut out);
-        // (0,5) and (1,1) stay on shard 0; (3,0) → 1, (7,7) → 3,
-        // del(2,2) → 1, del(1,9) stays on 0.
-        assert_eq!(moved, 3);
-        assert!(out[0].is_empty());
-        assert_eq!(out[1].insertions, vec![e(3, 0, 4)]);
-        assert_eq!(out[1].deletions, vec![Edge::new(2, 2)]);
-        assert!(out[2].is_empty());
-        assert_eq!(out[3].insertions, vec![e(7, 7, 1)]);
-        // Reusing the same scratch accumulates (caller clears per round).
-        let moved_again = split_delta_moves(&delta, 0, &plan, &mut out);
-        assert_eq!(moved_again, 3);
-        assert_eq!(out[1].insertions.len(), 2);
-        // Destinations outside the scratch (a retiring shard never is one)
-        // are skipped, not counted.
-        let mut short = vec![UpdateBatch::default(); 2];
-        let moved_short = split_delta_moves(&delta, 0, &plan, &mut short);
-        assert_eq!(moved_short, 2);
+        let folded = log.fold(1);
+        assert_eq!(folded.inserted().len(), keys as usize);
+        let last = (pushes - keys as usize..pushes).map(|i| {
+            let k = i as u32 % keys;
+            e(k / 64, k % 64, i as u64)
+        });
+        let mut want: Vec<Edge> = last.collect();
+        want.sort_by_key(Edge::key);
+        assert_eq!(folded.inserted(), &want[..]);
+    }
+
+    #[test]
+    fn op_log_restore_goes_ahead_of_later_ops() {
+        let mut log = OpLog::default();
+        log.insert(e(0, 1, 1));
+        log.insert(e(0, 2, 1));
+        log.delete(Edge::new(0, 3));
+        let first = log.fold(1);
+        log.delete(Edge::new(0, 1));
+        log.insert(e(0, 3, 5));
+        log.restore(first.clone());
+        assert!(!log.is_empty());
+        let mut want = first;
+        want.merge(&SnapshotDelta::from_parts(
+            2,
+            vec![e(0, 3, 5)],
+            vec![Edge::new(0, 1).key()],
+        ));
+        assert_eq!(log.fold(2), want);
+        assert_eq!(want.inserted(), &[e(0, 2, 1), e(0, 3, 5)]);
+        assert_eq!(want.deleted_keys(), &[Edge::new(0, 1).key()]);
+        assert!(log.is_empty());
+        log.insert(e(1, 1, 1));
+        log.restore(want);
+        log.clear();
+        assert!(log.is_empty());
     }
 }

@@ -67,7 +67,7 @@ pub use audit::AuditError;
 pub use checkpoint::{CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
 pub use codec::CodecError;
 pub use csr::CsrView;
-pub use delta::{apply_delta, split_delta_moves, DeltaCatchUp, DeltaLog, SnapshotDelta};
+pub use delta::{apply_delta, DeltaCatchUp, DeltaLog, OpLog, SnapshotDelta};
 pub use gpma::{Gpma, LockStats};
 pub use gpma_plus::{GpmaPlus, PlusStats};
 pub use migration::{EdgeMove, MigrationPlan};

@@ -2,9 +2,9 @@
 //! turns the placement of one [`Partitioner`] into another.
 //!
 //! This is the reference definition of what a reshard must move, not the
-//! path a live one takes: `gpma-cluster`'s copy-on-write reshard
-//! reconstructs the same set incrementally from a frozen cut plus delta
-//! chains (DESIGN.md §15), and its tests hold that against
+//! path a live one takes: `gpma-cluster`'s reshard reconstructs the same
+//! set from barrier images plus the updates its router mirrors while the
+//! copy runs (DESIGN.md §15), and its tests hold that against
 //! [`MigrationPlan::compute`].
 //!
 //! A reshard never rebuilds shards from scratch. Given per-shard snapshots

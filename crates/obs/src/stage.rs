@@ -34,16 +34,12 @@ pub enum Stage {
     CutPublish,
     /// Encoding + persisting one shard checkpoint.
     CheckpointSave,
-    /// Reshard: the quiesce barrier (ingest paused from here).
+    /// Reshard: forwarding the pre-swap residue (ingest paused from here).
     ReshardQuiesce,
-    /// Reshard: computing + shipping the migration plan.
+    /// Reshard: shipping the moving edges of the barrier images to their
+    /// new owners (ingest keeps flowing, mirrored, around it).
     ReshardMigrate,
-    /// Reshard: one background round splitting the in-flight delta chains
-    /// across the new partition boundary and replaying the moved entries
-    /// onto their destinations (ingest keeps flowing throughout).
-    ReshardReplay,
-    /// Reshard: settle barrier, epoch-marker publish, plan swap (ingest
-    /// resumes after).
+    /// Reshard: plan swap and retraction enqueue (ingest resumes after).
     ReshardResume,
     /// Recovery: noticing a dead shard worker.
     RecoveryDetect,
@@ -67,7 +63,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in table order.
-    pub const ALL: [Stage; 22] = [
+    pub const ALL: [Stage; 21] = [
         Stage::IngestEnqueue,
         Stage::IngestReshard,
         Stage::FlushDrain,
@@ -81,7 +77,6 @@ impl Stage {
         Stage::CheckpointSave,
         Stage::ReshardQuiesce,
         Stage::ReshardMigrate,
-        Stage::ReshardReplay,
         Stage::ReshardResume,
         Stage::RecoveryDetect,
         Stage::RecoveryRestore,
@@ -117,7 +112,6 @@ impl Stage {
             Stage::CheckpointSave => "checkpoint.save",
             Stage::ReshardQuiesce => "reshard.quiesce",
             Stage::ReshardMigrate => "reshard.migrate",
-            Stage::ReshardReplay => "reshard.replay",
             Stage::ReshardResume => "reshard.resume",
             Stage::RecoveryDetect => "recovery.detect",
             Stage::RecoveryRestore => "recovery.restore",

@@ -4,7 +4,7 @@
 //!
 //! [`GraphStreamBuffer`]: gpma_core::framework::GraphStreamBuffer
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -138,6 +138,9 @@ struct Shared {
     /// the store); surfaced as
     /// [`ServiceMetrics::worker_errors`].
     worker_errors: AtomicU64,
+    /// Armed by [`StreamingService::crash_at_next_barrier`]: the worker
+    /// dies at the next barrier it reaches instead of answering it.
+    crash_at_barrier: AtomicBool,
     /// The telemetry hub (DESIGN.md §13): per-stage latency histograms and
     /// the structured-event ring. A cluster passes one shared registry to
     /// every shard service so flush-stage histograms aggregate
@@ -428,6 +431,7 @@ impl StreamingService {
             published_snapshots: AtomicU64::new(0),
             snapshot_bytes: AtomicU64::new(0),
             worker_errors: AtomicU64::new(0),
+            crash_at_barrier: AtomicBool::new(false),
             obs,
             obs_shard: shard,
             started: Instant::now(),
@@ -565,6 +569,15 @@ impl StreamingService {
             std::thread::yield_now();
         }
         Ok(())
+    }
+
+    /// Fault injection: the worker dies, as under [`Self::inject_failure`],
+    /// when it next reaches a barrier — without flushing or answering it,
+    /// and with every command queued behind it. This is the kill that lands
+    /// after a coordinator issued its barrier and before the ack, which a
+    /// FIFO [`Self::inject_failure`] can never beat. Returns at once.
+    pub fn crash_at_next_barrier(&self) {
+        self.shared.crash_at_barrier.store(true, Ordering::Relaxed);
     }
 
     /// Whether the worker thread is still running. `false` after
@@ -741,6 +754,11 @@ fn handle_command(
             buffer_update(cmd, sys, &ctx.shared);
         }
         Command::Barrier(ack) => {
+            if ctx.shared.crash_at_barrier.swap(false, Ordering::Relaxed) {
+                // Dropping `ack` unanswered is what the waiter observes.
+                record_death(sys, ctx);
+                return true;
+            }
             ack_barrier(ack, sys, ctx);
         }
         Command::AdHoc(f) => f(sys),
@@ -751,20 +769,25 @@ fn handle_command(
         Command::Crash(ack) => {
             // A crash is not a shutdown: skip the drain entirely so buffered
             // residue and queued commands die with the worker, exactly like
-            // a real process kill between flushes. The death lands on the
-            // telemetry timeline so recovery latency can be read off it.
-            ctx.shared.obs.event(
-                Stage::RecoveryDetect,
-                ctx.shared.obs_shard,
-                sys.epoch(),
-                EventKind::ShardDead,
-                0,
-            );
+            // a real process kill between flushes.
+            record_death(sys, ctx);
             let _ = ack.send(());
             return true;
         }
     }
     false
+}
+
+/// Put an injected death on the telemetry timeline, so recovery latency
+/// can be read off it.
+fn record_death(sys: &DynamicGraphSystem, ctx: &WorkerCtx) {
+    ctx.shared.obs.event(
+        Stage::RecoveryDetect,
+        ctx.shared.obs_shard,
+        sys.epoch(),
+        EventKind::ShardDead,
+        0,
+    );
 }
 
 /// Buffer an update command, enforcing per-producer arrival-order
@@ -1048,6 +1071,28 @@ mod tests {
         let last = svc.snapshot();
         assert_eq!(last.epoch(), snap.epoch());
         assert_eq!(last.num_edges(), 9);
+        assert!(!last.contains(20, 21));
+    }
+
+    #[test]
+    fn crash_at_next_barrier_dies_without_answering_it() {
+        let svc = StreamingService::spawn(ServiceConfig::default(), system(4));
+        let h = svc.handle();
+        for i in 1..=4u32 {
+            h.insert(Edge::new(i, 0)).unwrap();
+        }
+        let snap = svc.barrier().unwrap();
+        svc.crash_at_next_barrier();
+        // Queued ahead of the barrier, below the flush threshold: dies
+        // buffered.
+        h.insert(Edge::new(20, 21)).unwrap();
+        assert!(svc.barrier().is_err(), "the barrier is never answered");
+        while svc.is_alive() {
+            std::thread::yield_now();
+        }
+        assert_eq!(h.insert(Edge::new(30, 31)), Err(ServiceClosed));
+        let last = svc.snapshot();
+        assert_eq!(last.epoch(), snap.epoch());
         assert!(!last.contains(20, 21));
     }
 

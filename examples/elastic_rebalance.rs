@@ -62,10 +62,10 @@ fn main() {
         snap.num_shards()
     );
 
-    // What the policy did while we streamed. Copy-on-write reshard splits
-    // the cost: `paused` is the only window producers can feel (final
-    // settle + plan swap), `background` is the frozen-cut copy and delta
-    // replay that ran while ingest kept flowing.
+    // What the policy did while we streamed. A reshard splits the cost:
+    // `paused` is the only window producers can feel (the plan swap), and
+    // `background` is the barrier wait, the copy and the retire that ran
+    // while ingest kept flowing.
     for r in cluster.reshard_history() {
         println!(
             "reshard v{} ({}): {} × {} → {} × {} | moved {} edges ({} KB vs {} KB rebuild) | paused {:.2} ms + {:.2} ms background",
@@ -130,7 +130,6 @@ fn main() {
     for stage in [
         Stage::ReshardQuiesce,
         Stage::ReshardMigrate,
-        Stage::ReshardReplay,
         Stage::ReshardResume,
     ] {
         let s = obs.hist(stage).snapshot();
@@ -153,7 +152,7 @@ fn main() {
     let report = cluster.shutdown();
     let m = &report.metrics;
     println!(
-        "\n{} reshards total: {} edges migrated, {} KB shipped, {:.2} ms cumulative pause (+{:.2} ms background copy/replay)",
+        "\n{} reshards total: {} edges migrated, {} KB shipped, {:.2} ms cumulative pause (+{:.2} ms background copy/retire)",
         m.reshard_count,
         m.migrated_edges,
         m.migration_bytes / 1024,

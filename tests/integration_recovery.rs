@@ -296,17 +296,16 @@ fn kill_during_cow_reshard_recovers_exactly() {
     );
 }
 
-/// A shard delta ring far too small to cover the flushes since the last
-/// checkpoint: recovery never reads the ring, so it restores the
-/// checkpoint, re-ingests the replay log and stays oracle-exact with no
-/// snapshot fallback.
+/// Shard delta rings (one delta each) far too small to cover the flushes
+/// since the last checkpoint: recovery never reads the ring, so it
+/// restores the checkpoint, re-ingests the replay log and stays
+/// oracle-exact with no snapshot fallback.
 #[test]
 fn outrun_delta_ring_recovers_from_checkpoint_and_log() {
     let cluster = GraphCluster::spawn(
         ClusterConfig {
             flush_threshold: 2,
             router_batch: 4,
-            shard_delta_log_capacity: 2,
             recovery: Some(RecoveryPolicy {
                 store: Arc::new(MemoryCheckpointStore::new()),
             }),
@@ -330,7 +329,7 @@ fn outrun_delta_ring_recovers_from_checkpoint_and_log() {
     assert_cut_matches(&cluster, &oracle, "checkpoint cut");
 
     // 32 updates for shard 0 alone (VertexPartition ranges: vertices 0..16)
-    // = 16 flushes at threshold 2, blowing far past the 2-deep ring.
+    // = 16 flushes at threshold 2, blowing far past the 1-deep ring.
     let burst: Vec<(u8, u32, u32, u64)> = (0..32u32)
         .map(|i| (0u8, i % 16, (i * 5 + 3) % NUM_VERTICES, u64::from(i + 200)))
         .collect();

@@ -54,10 +54,11 @@ pub fn hot_cache_lookup(
     entries.get(&(tenant, query)).map(|hit| hit.clone())
 }
 
-/// Seeded replay-flavored `hot-path-alloc` violation: a delta-split loop
-/// that allocates a fresh per-destination scratch vector for every delta
-/// instead of reusing one across the chain — exactly the allocation the
-/// gpma-cluster `split_delta_moves` replay path must never make.
+/// Seeded routing-flavored `hot-path-alloc` violation: a per-destination
+/// split loop that allocates a fresh scratch vector for every chunk
+/// instead of reusing one — exactly the allocation the gpma-cluster
+/// router's per-edge routing and mirroring (`route_insert` /
+/// `route_delete`) must never make.
 // lint: hot-path
 pub fn hot_split_replay(deltas: &[Vec<u64>], shards: usize) -> u64 {
     let mut moved = 0u64;
