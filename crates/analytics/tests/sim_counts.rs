@@ -37,6 +37,24 @@
 //! launch sees the same store, and the whole-sequence totals (319 → 259
 //! launches) moved by exactly the store's difference.
 //!
+//! They were re-recorded again when GPMA+'s warp/block tier became one
+//! launch per level (`tryinsert_small` merges, decides, writes back only
+//! the slots that change and marks its updates; `tryinsert_count` and
+//! `mark_consumed` stay for the device tier only) and the level loop
+//! started stopping, without a keep-mask scan, at the level that consumes
+//! the batch. Store, benchmark device `[170, 1_041_258, 2_215_546, 11_200,
+//! 7_944]` → `[155, 954_873, 2_079_991, 11_200, 7_944]`, deterministic
+//! `[170, 1_041_244, 2_215_444, 11_200, 7_940]` → `[155, 954_836,
+//! 2_079_599, 11_200, 7_940]`: five launches fewer per slide. Small
+//! batches, benchmark `[256, 1_662_118, 4_515_258, 4_054, 2_934]` → `[232,
+//! 1_537_950, 4_465_888, 4_054, 2_934]`, deterministic `[256, 1_662_156,
+//! 4_515_754, 4_054, 2_934]` → `[232, 1_537_931, 4_465_724, 4_054,
+//! 2_934]`: three launches fewer per slide. Atomics and conflicts did not
+//! move (each accepted segment still makes one length and one counter
+//! atomic), and the analytics half is unchanged: the slot layout after
+//! every batch is bit-identical (`gpma_plus` tests hold it to the kept
+//! three-launch tier).
+//!
 //! A change to how `gpma_sim::Device::launch` traces or counts a sampled warp
 //! must leave every number here alone; a deliberate change to the kernels or
 //! the cost model re-records the half it touches and says so.
@@ -122,7 +140,7 @@ fn benchmark_device_counts_are_pinned() {
         host_parallelism: 1,
         ..Default::default()
     });
-    assert_eq!(store, [170, 1_041_258, 2_215_546, 11_200, 7_944]);
+    assert_eq!(store, [155, 954_873, 2_079_991, 11_200, 7_944]);
     assert_eq!(analytics_half(store, all), [89, 516_291, 756_674, 43_998, 32]);
 }
 
@@ -132,15 +150,15 @@ fn small_batch_counts_are_pinned() {
         host_parallelism: 1,
         ..Default::default()
     });
-    assert_eq!(benchmark, [256, 1_662_118, 4_515_258, 4_054, 2_934]);
+    assert_eq!(benchmark, [232, 1_537_950, 4_465_888, 4_054, 2_934]);
     let deterministic = run_small_batches(DeviceConfig::deterministic());
-    assert_eq!(deterministic, [256, 1_662_156, 4_515_754, 4_054, 2_934]);
+    assert_eq!(deterministic, [232, 1_537_931, 4_465_724, 4_054, 2_934]);
 }
 
 #[test]
 fn deterministic_device_counts_are_pinned() {
     // Every warp traced.
     let [store, all] = run(DeviceConfig::deterministic());
-    assert_eq!(store, [170, 1_041_244, 2_215_444, 11_200, 7_940]);
+    assert_eq!(store, [155, 954_836, 2_079_599, 11_200, 7_940]);
     assert_eq!(analytics_half(store, all), [89, 509_235, 672_103, 43_998, 14]);
 }

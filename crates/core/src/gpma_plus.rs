@@ -10,18 +10,29 @@
 //! identical by construction, and the root overflow path doubles the array.
 //!
 //! Tiers (§5.2's warp/block/device optimization): segments whose window fits
-//! a block-sized scratch are merged by a single lane over fast local memory
-//! (all windows at one level have equal capacity, so these launches are
-//! perfectly balanced); larger windows switch to a fully parallel
-//! compact + rank-merge + redispatch pipeline over global memory.
+//! a block-sized scratch are merged by a single lane over fast local memory,
+//! in **one launch per level** — the lane reads its window once, merges,
+//! decides, writes back only the slots that change and marks its own
+//! updates consumed or promoted (all windows at one level have equal
+//! capacity, so the launch is perfectly balanced). Larger windows switch to
+//! a fully parallel count + compact + rank-merge + redispatch pipeline over
+//! global memory.
+//!
+//! Algorithm 4's lines in the code: line 3 is `locate_leaves`, line 7 the
+//! run-length encoding in `process_level`; `TryInsert+` (lines 23-28) is
+//! `tryinsert_small` on the warp/block tier and `tryinsert_count` (23-25)
+//! plus the parallel merge (26-28) on the device tier; lines 12-15 (drop the
+//! consumed updates, promote the rest) are the keep-mask scan and
+//! `compact_promote`, skipped at the level whose merges consumed the whole
+//! batch; line 16 is the root resize.
 
 use gpma_graph::{Edge, UpdateBatch};
-use gpma_sim::{primitives, Device, DeviceBuffer};
+use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
 
 use crate::storage::{CompactScratch, GpmaStorage, EMPTY};
 use crate::update::{
-    merge_parallel_into, merge_window_serial_into, merged_count_serial, prepare_updates_parts,
-    with_merge_scratch, DeviceUpdates, MergeScratch, UpdateScratch,
+    merge_parallel_into, merge_window_into, merged_count_serial, prepare_updates_parts,
+    with_merge_scratch, DeviceUpdates, MergeScratch, UpdateScratch, WindowMerge,
 };
 
 /// Windows with at most this many slots are merged by the warp/block tier
@@ -63,6 +74,10 @@ pub struct GpmaPlus {
     /// Reusable parallel-merge staging for the device tier and the resize
     /// path (kills `merge_parallel`'s per-call output churn).
     merge_scratch: MergeScratch,
+    /// Route the warp/block tier through the three-launch reference the
+    /// layout-identity tests hold the one-pass kernel to.
+    #[cfg(test)]
+    reference_small_tier: bool,
 }
 
 /// Device-buffer set the level loop ping-pongs survivors through instead
@@ -83,10 +98,11 @@ struct LevelScratch {
     /// ([`process_level`](GpmaPlus::process_level)) — kills the five fresh
     /// buffers the RLE otherwise allocates each level.
     rle: primitives::RleScratch,
-    /// Per-segment accept flags of `TryInsert+` (sized like the update
-    /// count, an upper bound on the segment count).
+    /// Per-segment accept flags of the device tier's count phase (sized
+    /// like the update count, an upper bound on the segment count).
     accept: DeviceBuffer<u32>,
-    /// Segments the small tier merged at the current level (one slot).
+    /// The small tier's tally at the current level (one slot): segments
+    /// merged in the high half, updates they consumed in the low half.
     merged_ctr: DeviceBuffer<u64>,
 }
 
@@ -138,6 +154,8 @@ impl GpmaPlus {
             level_scratch: LevelScratch::default(),
             compact_scratch: CompactScratch::default(),
             merge_scratch: MergeScratch::default(),
+            #[cfg(test)]
+            reference_small_tier: false,
         }
     }
 
@@ -216,7 +234,11 @@ impl GpmaPlus {
                 break;
             }
             stats.levels = level + 1;
-            self.process_level(dev, &cur, level, &mut stats);
+            if self.process_level(dev, &cur, level, &mut stats) {
+                // The level consumed the whole batch: lines 12-15 have
+                // nothing to drop or promote, so skip the keep-mask scan.
+                break;
+            }
 
             // Lines 12-15: drop consumed updates, promote the rest. The
             // four survivor streams share one keep-mask scan and scatter
@@ -284,7 +306,9 @@ impl GpmaPlus {
     /// each, and fill the per-update keep mask (`level_scratch.keep`: 1 for
     /// an update whose segment was too dense; pre-sized by the caller's
     /// `ensure`). Every merge writes its window's routing bounds as it
-    /// places the keys (`storage` module docs).
+    /// places the keys (`storage` module docs). Returns true when the level
+    /// consumed every update — the warp/block tier counts what it merged —
+    /// so the caller has no survivors to scan for.
     // lint: hot-path
     fn process_level(
         &mut self,
@@ -292,7 +316,9 @@ impl GpmaPlus {
         cur: &DeviceUpdates,
         level: usize,
         stats: &mut PlusStats,
-    ) {
+    ) -> bool {
+        #[cfg(test)]
+        let reference = self.reference_small_tier;
         let GpmaPlus {
             storage,
             tier_max,
@@ -317,14 +343,68 @@ impl GpmaPlus {
             cur.len,
             &mut level_scratch.rle,
         );
+
+        if window_slots <= *tier_max {
+            #[cfg(test)]
+            if reference {
+                stats.small_merges +=
+                    tests::ref_small_tier(dev, storage, level_scratch, cur, nseg, window_slots, max_entries);
+                return false;
+            }
+            // Warp/block tier, `TryInsert+` (lines 23-28) in one launch:
+            // one lane per unique segment merges its window with its update
+            // run over local scratch, accepts when the merged size fits the
+            // threshold, writes the window back (`write_back`) and flags its
+            // run consumed (`keep` 0) or promoted (1). Every window at this
+            // level has identical capacity → perfectly balanced lanes (the
+            // paper's observation). An accepted segment adds `1 << 32 | run
+            // length` to one counter: merges above, consumed updates below.
+            let storage = &*storage;
+            let seg_len = geom.seg_len;
+            let rle = &level_scratch.rle;
+            let (unique, starts, counts) = (&rle.unique, &rle.starts, &rle.counts);
+            let keep = &level_scratch.keep;
+            level_scratch.merged_ctr.host_write(0, 0);
+            let merged_ctr = &level_scratch.merged_ctr;
+            dev.launch("tryinsert_small", nseg, |lane| {
+                let j = lane.tid;
+                let g = unique.get(lane, j) as usize;
+                let s = starts.get(lane, j) as usize;
+                let c = counts.get(lane, j) as usize;
+                let ws = g * window_slots;
+                // The merge stages through the worker's reusable scratch
+                // (modeled shared memory) instead of a fresh Vec per
+                // segment — the merge-tier hot path stays allocation-free
+                // in steady state.
+                with_merge_scratch(|m| {
+                    let before = merge_window_into(lane, storage, ws..ws + window_slots, cur, s..s + c, m);
+                    let n = m.merged.len();
+                    let accepted = n <= max_entries;
+                    for i in s..s + c {
+                        keep.set(lane, i, u32::from(!accepted));
+                    }
+                    if accepted {
+                        write_back(lane, storage, ws, seg_len, m);
+                        storage.add_len_delta(lane, n as i64 - before as i64);
+                        merged_ctr.atomic_add(lane, 0, 1 << 32 | c as u64);
+                    }
+                });
+            });
+            let tally = level_scratch.merged_ctr.host_read(0);
+            stats.small_merges += tally >> 32;
+            return (tally & 0xffff_ffff) as usize == cur.len;
+        }
+
+        // Device tier: few large segments. The count phase (lines 23-25)
+        // sizes each window exactly against the level's threshold; each
+        // accepted one is merged by fully parallel kernels (compaction +
+        // rank merge + redispatch). Host views (free) instead of per-level
+        // `to_vec` copies; only the first `nseg` entries of the reused
+        // buffers are meaningful.
         let seg_ids = &level_scratch.seg_ids;
         let rle = &level_scratch.rle;
         let accept = &level_scratch.accept;
         let nupd = cur.len;
-
-        // TryInsert+ count phase (lines 23-25): exact post-merge size vs
-        // the level's threshold. Every window at this level has identical
-        // capacity → perfectly balanced lanes (the paper's observation).
         {
             let storage = &*storage;
             let unique = &rle.unique;
@@ -341,105 +421,36 @@ impl GpmaPlus {
                 acc.set(lane, j, (merged <= max_entries) as u32);
             });
         }
-
-        if window_slots <= *tier_max {
-            // Warp/block tier: one lane merges each accepted segment over
-            // local scratch and redistributes evenly (lines 26-28).
-            let storage = &*storage;
-            let seg_len = geom.seg_len;
-            let unique = &rle.unique;
-            let starts = &rle.starts;
-            let counts = &rle.counts;
-            let acc = accept;
-            let bounds = &storage.leaf_max_prefix;
-            level_scratch.merged_ctr.host_write(0, 0);
-            let merged_ctr = &level_scratch.merged_ctr;
-            dev.launch("tryinsert_small", nseg, |lane| {
-                let j = lane.tid;
-                if acc.get(lane, j) == 0 {
-                    return;
-                }
-                let g = unique.get(lane, j) as usize;
-                let s = starts.get(lane, j) as usize;
-                let c = counts.get(lane, j) as usize;
-                let ws = g * window_slots;
-                let before = storage.count_window(lane, ws..ws + window_slots);
-                // The merge stages through the worker's reusable scratch
-                // (modeled shared memory) instead of a fresh Vec per
-                // accepted segment — the merge-tier hot path stays
-                // allocation-free in steady state.
-                let n = with_merge_scratch(|merged| {
-                    merge_window_serial_into(lane, storage, ws..ws + window_slots, cur, s..s + c, merged);
-                    // Redispatch evenly across the window's leaves,
-                    // left-packed. `bound` carries the last key placed so
-                    // far: each leaf's routing bound, the window's max for
-                    // its trailing empty leaves, and nothing to write (old
-                    // bounds stay) when the window ends up empty.
-                    let leaves = window_slots / seg_len;
-                    let n = merged.len();
-                    let base = n / leaves;
-                    let extra = n % leaves;
-                    let mut it = merged.iter().copied();
-                    let mut bound = None;
-                    for leaf in 0..leaves {
-                        let take = base + usize::from(leaf < extra);
-                        let start = ws + leaf * seg_len;
-                        for i in 0..seg_len {
-                            if i < take {
-                                let (k, v) = it.next().expect("merge count mismatch");
-                                storage.keys.set(lane, start + i, k);
-                                storage.vals.set(lane, start + i, v);
-                                bound = Some(k);
-                            } else {
-                                storage.keys.set(lane, start + i, EMPTY);
-                            }
-                        }
-                        if let Some(b) = bound {
-                            bounds.set(lane, start / seg_len, b);
-                        }
-                    }
-                    n
-                });
-                storage.add_len_delta(lane, n as i64 - before as i64);
-                merged_ctr.atomic_add(lane, 0, 1);
-            });
-            stats.small_merges += merged_ctr.host_read(0);
-        } else {
-            // Device tier: few large segments; each is merged by fully
-            // parallel kernels (compaction + rank merge + redispatch). Host
-            // views (free) instead of per-level `to_vec` copies; only the
-            // first `nseg` entries of the reused buffers are meaningful.
-            let accept_host = &accept.as_slice()[..nseg];
-            let unique_host = &rle.unique.as_slice()[..nseg];
-            let starts_host = &rle.starts.as_slice()[..nseg];
-            let counts_host = &rle.counts.as_slice()[..nseg];
-            for j in 0..nseg {
-                if accept_host[j] == 0 {
-                    continue;
-                }
-                let g = unique_host[j] as usize;
-                let ws = g * window_slots;
-                let ur = starts_host[j] as usize..(starts_host[j] + counts_host[j]) as usize;
-                let before = storage.compact_window_into(dev, ws..ws + window_slots, compact_scratch);
-                let n = merge_parallel_into(
-                    dev,
-                    &compact_scratch.keys,
-                    &compact_scratch.vals,
-                    before,
-                    cur,
-                    ur,
-                    merge_scratch,
-                );
-                storage.redispatch_window(
-                    dev,
-                    ws..ws + window_slots,
-                    &merge_scratch.out_keys,
-                    &merge_scratch.out_vals,
-                    n,
-                );
-                storage.host_adjust_len(n as i64 - before as i64);
-                stats.device_merges += 1;
+        let accept_host = &accept.as_slice()[..nseg];
+        let unique_host = &rle.unique.as_slice()[..nseg];
+        let starts_host = &rle.starts.as_slice()[..nseg];
+        let counts_host = &rle.counts.as_slice()[..nseg];
+        for j in 0..nseg {
+            if accept_host[j] == 0 {
+                continue;
             }
+            let g = unique_host[j] as usize;
+            let ws = g * window_slots;
+            let ur = starts_host[j] as usize..(starts_host[j] + counts_host[j]) as usize;
+            let before = storage.compact_window_into(dev, ws..ws + window_slots, compact_scratch);
+            let n = merge_parallel_into(
+                dev,
+                &compact_scratch.keys,
+                &compact_scratch.vals,
+                before,
+                cur,
+                ur,
+                merge_scratch,
+            );
+            storage.redispatch_window(
+                dev,
+                ws..ws + window_slots,
+                &merge_scratch.out_keys,
+                &merge_scratch.out_vals,
+                n,
+            );
+            storage.host_adjust_len(n as i64 - before as i64);
+            stats.device_merges += 1;
         }
 
         // Per-update keep mask: an update survives to the parent level iff
@@ -467,6 +478,7 @@ impl GpmaPlus {
                 keep.set(lane, lane.tid, 1 - a);
             });
         }
+        false
     }
 
     /// Root overflow/underflow: rebuild the whole array at ~60% density,
@@ -493,15 +505,415 @@ impl GpmaPlus {
     }
 }
 
+/// Write a merged window starting at slot `ws` back, redistributed evenly
+/// across its leaves and left-packed (lines 26-28), touching only the slots
+/// that change: a key where it differs from the slot's old key, a value
+/// where the key moved or an update supplied it, `EMPTY` where an entry
+/// was. The old keys are the merge's local copy, so each slot costs one
+/// compare (`lane.work`) and no read. `bound` carries the last key placed
+/// so far: each leaf's routing bound, the window's max for its trailing
+/// empty leaves, and nothing to write (old bounds stay) when the window
+/// ends up empty.
+// lint: hot-path
+#[inline]
+fn write_back(lane: &mut Lane, storage: &GpmaStorage, ws: usize, seg_len: usize, m: &WindowMerge) {
+    let leaves = m.old.len() / seg_len;
+    let n = m.merged.len();
+    let base = n / leaves;
+    let extra = n % leaves;
+    let mut it = m.merged.iter();
+    let mut bound = None;
+    for leaf in 0..leaves {
+        let take = base + usize::from(leaf < extra);
+        let first = leaf * seg_len;
+        for (i, &old) in m.old[first..first + seg_len].iter().enumerate() {
+            let slot = ws + first + i;
+            lane.work(1);
+            if i < take {
+                let &(k, v, from_update) = it.next().expect("merge count mismatch");
+                if k != old {
+                    storage.keys.set(lane, slot, k);
+                }
+                if k != old || from_update {
+                    storage.vals.set(lane, slot, v);
+                }
+                bound = Some(k);
+            } else if old != EMPTY {
+                storage.keys.set(lane, slot, EMPTY);
+            }
+        }
+        if let Some(b) = bound {
+            storage.leaf_max_prefix.set(lane, ws / seg_len + leaf, b);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    
+    use crate::update::OP_INSERT;
     use gpma_sim::DeviceConfig;
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     fn dev() -> Device {
         Device::new(DeviceConfig::deterministic())
+    }
+
+    /// The three-launch warp/block tier the one-pass `tryinsert_small`
+    /// replaced, kept as its layout oracle: size every window
+    /// (`ref_tryinsert_count`), merge each accepted one and rewrite every
+    /// slot of it (`ref_tryinsert_small`), then look up each update's
+    /// verdict (`ref_mark_consumed`). Returns the segments merged.
+    pub(super) fn ref_small_tier(
+        dev: &Device,
+        storage: &GpmaStorage,
+        scratch: &mut LevelScratch,
+        cur: &DeviceUpdates,
+        nseg: usize,
+        window_slots: usize,
+        max_entries: usize,
+    ) -> u64 {
+        scratch.merged_ctr.host_write(0, 0);
+        let LevelScratch {
+            rle,
+            accept,
+            keep,
+            seg_ids,
+            merged_ctr,
+            ..
+        } = &*scratch;
+        let (unique, starts, counts) = (&rle.unique, &rle.starts, &rle.counts);
+        dev.launch("ref_tryinsert_count", nseg, |lane| {
+            let j = lane.tid;
+            let g = unique.get(lane, j) as usize;
+            let s = starts.get(lane, j) as usize;
+            let c = counts.get(lane, j) as usize;
+            let window = g * window_slots..(g + 1) * window_slots;
+            let merged = merged_count_serial(lane, storage, window, cur, s..s + c);
+            accept.set(lane, j, (merged <= max_entries) as u32);
+        });
+        let seg_len = storage.geometry().seg_len;
+        dev.launch("ref_tryinsert_small", nseg, |lane| {
+            let j = lane.tid;
+            if accept.get(lane, j) == 0 {
+                return;
+            }
+            let g = unique.get(lane, j) as usize;
+            let s = starts.get(lane, j) as usize;
+            let c = counts.get(lane, j) as usize;
+            let ws = g * window_slots;
+            let mut before = 0usize;
+            for i in ws..ws + window_slots {
+                if storage.keys.get(lane, i) != EMPTY {
+                    before += 1;
+                }
+            }
+            let merged = ref_merge_window(lane, storage, ws..ws + window_slots, cur, s..s + c);
+            let leaves = window_slots / seg_len;
+            let n = merged.len();
+            let base = n / leaves;
+            let extra = n % leaves;
+            let mut it = merged.iter().copied();
+            let mut bound = None;
+            for leaf in 0..leaves {
+                let take = base + usize::from(leaf < extra);
+                let start = ws + leaf * seg_len;
+                for i in 0..seg_len {
+                    if i < take {
+                        let (k, v) = it.next().expect("merge count mismatch");
+                        storage.keys.set(lane, start + i, k);
+                        storage.vals.set(lane, start + i, v);
+                        bound = Some(k);
+                    } else {
+                        storage.keys.set(lane, start + i, EMPTY);
+                    }
+                }
+                if let Some(b) = bound {
+                    storage.leaf_max_prefix.set(lane, start / seg_len, b);
+                }
+            }
+            storage.add_len_delta(lane, n as i64 - before as i64);
+            merged_ctr.atomic_add(lane, 0, 1);
+        });
+        dev.launch("ref_mark_consumed", cur.len, |lane| {
+            let g = seg_ids.get(lane, lane.tid);
+            let mut lo = 0usize;
+            let mut hi = nseg;
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if unique.get(lane, mid) < g {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let a = accept.get(lane, lo);
+            keep.set(lane, lane.tid, 1 - a);
+        });
+        merged_ctr.host_read(0)
+    }
+
+    /// The reference tier's merge: window entries and effective updates in
+    /// key order, last update of a key wins, a deletion drops the entry.
+    fn ref_merge_window(
+        lane: &mut Lane,
+        storage: &GpmaStorage,
+        window: std::ops::Range<usize>,
+        u: &DeviceUpdates,
+        ur: std::ops::Range<usize>,
+    ) -> Vec<(u64, u64)> {
+        let mut merged = Vec::new();
+        let mut ui = ur.start;
+        macro_rules! drain_updates_below {
+            ($bound:expr) => {
+                while ui < ur.end {
+                    let uk = u.keys.get(lane, ui);
+                    if uk >= $bound {
+                        break;
+                    }
+                    if ui + 1 < ur.end && u.keys.get(lane, ui + 1) == uk {
+                        ui += 1;
+                        continue;
+                    }
+                    if u.ops.get(lane, ui) == OP_INSERT {
+                        let v = u.vals.get(lane, ui);
+                        merged.push((uk, v));
+                        lane.work(1);
+                    }
+                    ui += 1;
+                }
+            };
+        }
+        for i in window {
+            let k = storage.keys.get(lane, i);
+            if k == EMPTY {
+                continue;
+            }
+            drain_updates_below!(k);
+            if ui < ur.end && u.keys.get(lane, ui) == k {
+                while ui + 1 < ur.end && u.keys.get(lane, ui + 1) == k {
+                    ui += 1;
+                }
+                if u.ops.get(lane, ui) == OP_INSERT {
+                    let v = u.vals.get(lane, ui);
+                    merged.push((k, v));
+                }
+                ui += 1;
+            } else {
+                let v = storage.vals.get(lane, i);
+                merged.push((k, v));
+            }
+            lane.work(1);
+        }
+        drain_updates_below!(u64::MAX);
+        merged
+    }
+
+    /// A one-pass store and its three-launch reference, built alike.
+    fn fused_and_reference(d: &Device, nv: u32, initial: &[Edge], tier_max: usize) -> (GpmaPlus, GpmaPlus) {
+        let fused = GpmaPlus::build(d, nv, initial).with_tier_max(tier_max);
+        let mut reference = GpmaPlus::build(d, nv, initial).with_tier_max(tier_max);
+        reference.reference_small_tier = true;
+        (fused, reference)
+    }
+
+    /// Apply `batch` to both stores and require the same layout after it:
+    /// every slot's key and value, the leaf index, the length and the
+    /// batch's stats. Returns the stats.
+    fn apply_both(
+        d: &Device,
+        fused: &mut GpmaPlus,
+        reference: &mut GpmaPlus,
+        batch: &UpdateBatch,
+        lazy: bool,
+    ) -> PlusStats {
+        let apply = |g: &mut GpmaPlus| {
+            if lazy {
+                g.update_batch_lazy(d, batch)
+            } else {
+                g.update_batch(d, batch)
+            }
+        };
+        let stats = apply(fused);
+        assert_eq!(stats, apply(reference), "PlusStats differ");
+        let (a, b) = (&fused.storage, &reference.storage);
+        assert_eq!(a.keys.as_slice(), b.keys.as_slice(), "keys differ");
+        assert_eq!(a.vals.as_slice(), b.vals.as_slice(), "vals differ");
+        assert_eq!(a.leaf_max_prefix.as_slice(), b.leaf_max_prefix.as_slice(), "leaf index differs");
+        assert_eq!(a.len(), b.len(), "len differs");
+        a.check_invariants();
+        stats
+    }
+
+    /// A deterministic device whose lanes run inline or on a pool of four.
+    fn device(pooled: bool) -> Device {
+        Device::new(DeviceConfig {
+            host_parallelism: if pooled { 4 } else { 1 },
+            ..DeviceConfig::deterministic()
+        })
+    }
+
+    #[test]
+    fn one_pass_small_tier_matches_reference_on_every_shape() {
+        // Scripted so that every shape the write-skip rule tells apart
+        // provably occurs; the proptest below adds random interleavings.
+        const NV: u32 = 64;
+        let insert = |insertions: Vec<Edge>| UpdateBatch {
+            insertions,
+            deletions: vec![],
+        };
+        let initial: Vec<Edge> = (0..NV)
+            .flat_map(|s| (1..4).map(move |k| Edge::weighted(s, (s + 3 * k) % NV, 1)))
+            .collect();
+        let batches = [
+            // Weight upserts: every key keeps its slot.
+            (insert(initial.iter().map(|e| Edge::weighted(e.src, e.dst, 7)).collect()), false),
+            // Keys past a row's last edge (gaps) and below its first
+            // (shifting the row right over its old slots).
+            (
+                insert(
+                    (0..NV)
+                        .step_by(5)
+                        .flat_map(|s| [Edge::new(s, (s + 11) % NV), Edge::new(s, (s + 1) % NV)])
+                        .collect(),
+                ),
+                false,
+            ),
+            // Deletes through the merge: the leaves compact their holes.
+            (
+                UpdateBatch {
+                    insertions: vec![],
+                    deletions: initial.iter().step_by(4).copied().collect(),
+                },
+                false,
+            ),
+            // A lazy slide: tombstones, and inserts that recycle them.
+            (
+                UpdateBatch {
+                    insertions: (0..NV).step_by(3).map(|s| Edge::new(s, (s + 2) % NV)).collect(),
+                    deletions: initial.iter().skip(1).step_by(4).copied().collect(),
+                },
+                true,
+            ),
+            // Rows filled up: their leaves reject, a parent takes the run,
+            // and past the warp/block tier the device does.
+            (insert((0..10).map(|t| Edge::weighted(40, t, 3)).collect()), false),
+            (insert((0..NV).filter(|&t| t != 9).map(|t| Edge::weighted(9, t, 3)).collect()), false),
+            (
+                insert(
+                    (20..26)
+                        .flat_map(|s| (0..NV).filter(move |&t| t != s).map(move |t| Edge::new(s, t)))
+                        .collect(),
+                ),
+                false,
+            ),
+        ];
+        for pooled in [false, true] {
+            let d = device(pooled);
+            let seg_len = GpmaPlus::build(&d, NV, &initial).storage.geometry().seg_len;
+            // Leaves and their parents merge on the warp/block tier, every
+            // larger window on the device tier.
+            let (mut fused, mut reference) = fused_and_reference(&d, NV, &initial, 2 * seg_len);
+            let mut seen = [false; 7];
+            for (batch, lazy) in &batches {
+                let keys = fused.storage.keys.to_vec();
+                let vals = fused.storage.vals.to_vec();
+                let stats = apply_both(&d, &mut fused, &mut reference, batch, *lazy);
+                if fused.storage.capacity() == keys.len() {
+                    let (keys2, vals2) = (fused.storage.keys.as_slice(), fused.storage.vals.as_slice());
+                    for i in 0..keys.len() {
+                        let (k, k2) = (keys[i], keys2[i]);
+                        seen[0] |= k != EMPTY && k2 == k && vals2[i] != vals[i]; // upsert in place
+                        seen[1] |= k == EMPTY && k2 != EMPTY; // gap filled
+                        seen[2] |= k != EMPTY && k2 != EMPTY && k2 != k; // entry shifted
+                        seen[3] |= !lazy && k != EMPTY && k2 == EMPTY; // hole compacted
+                    }
+                }
+                seen[4] |= stats.lazy_deletes > 0;
+                seen[5] |= stats.levels >= 2 && stats.small_merges > 0;
+                seen[6] |= stats.device_merges > 0;
+            }
+            assert_eq!(
+                seen, [true; 7],
+                "upsert, gap, shift, compact, lazy, promoted, device (pooled: {pooled})"
+            );
+        }
+    }
+
+    /// One step of the layout-identity proptest.
+    #[derive(Debug, Clone)]
+    enum Shape {
+        /// Mixed inserts and deletes through the merges.
+        Merge(Vec<(u32, u32, u64, bool)>),
+        /// The same through the lazy-delete path.
+        Lazy(Vec<(u32, u32, u64, bool)>),
+        /// Re-insert every other live edge with weight `w`.
+        Reweigh(u64),
+        /// Insert the whole out-row of a vertex: its leaf rejects.
+        Row(u32),
+    }
+
+    const PROP_NV: u32 = 24;
+
+    fn shape_strategy() -> impl Strategy<Value = Shape> {
+        let ops = || {
+            let op = (0..PROP_NV, 0..PROP_NV - 1, 1u64..100, any::<bool>())
+                .prop_map(|(s, t, w, del)| (s, if t == s { PROP_NV - 1 } else { t }, w, del));
+            prop::collection::vec(op, 1..40)
+        };
+        prop_oneof![
+            4 => ops().prop_map(Shape::Merge),
+            3 => ops().prop_map(Shape::Lazy),
+            2 => (1u64..100).prop_map(Shape::Reweigh),
+            2 => (0..PROP_NV).prop_map(Shape::Row),
+        ]
+    }
+
+    fn to_batch(ops: &[(u32, u32, u64, bool)]) -> UpdateBatch {
+        let mut b = UpdateBatch::default();
+        for &(s, t, w, del) in ops {
+            if del {
+                b.deletions.push(Edge::new(s, t));
+            } else {
+                b.insertions.push(Edge::weighted(s, t, w));
+            }
+        }
+        b
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn one_pass_small_tier_is_layout_identical_to_the_reference(
+            shapes in prop::collection::vec(shape_strategy(), 1..12),
+            tier_shift in 0usize..4,
+            pooled in any::<bool>(),
+        ) {
+            let d = device(pooled);
+            let seg_len = GpmaPlus::build(&d, PROP_NV, &[]).storage.geometry().seg_len;
+            // Shift 3 keeps every window of this small array on the
+            // warp/block tier; 0-2 send the larger ones to the device.
+            let tier_max = if tier_shift == 3 { SMALL_WINDOW_MAX } else { seg_len << tier_shift };
+            let (mut fused, mut reference) = fused_and_reference(&d, PROP_NV, &[], tier_max);
+            for shape in &shapes {
+                let (batch, lazy) = match shape {
+                    Shape::Merge(ops) => (to_batch(ops), false),
+                    Shape::Lazy(ops) => (to_batch(ops), true),
+                    Shape::Reweigh(w) => {
+                        let insertions = fused.storage.host_edges().into_iter().step_by(2)
+                            .map(|e| Edge::weighted(e.src, e.dst, *w)).collect();
+                        (UpdateBatch { insertions, deletions: vec![] }, false)
+                    }
+                    Shape::Row(r) => {
+                        let insertions = (0..PROP_NV).filter(|t| t != r).map(|t| Edge::new(*r, t)).collect();
+                        (UpdateBatch { insertions, deletions: vec![] }, false)
+                    }
+                };
+                apply_both(&d, &mut fused, &mut reference, &batch, lazy);
+            }
+        }
     }
 
     fn edges(pairs: &[(u32, u32)]) -> Vec<Edge> {

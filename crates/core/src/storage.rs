@@ -278,18 +278,6 @@ impl GpmaStorage {
     // Window machinery (shared by GPMA, GPMA+ and the rebuild baseline)
     // ------------------------------------------------------------------
 
-    /// Count live entries in a slot window (serial per caller lane — the
-    /// `CountSegment` of Algorithm 4).
-    pub fn count_window(&self, lane: &mut Lane, window: std::ops::Range<usize>) -> usize {
-        let mut count = 0usize;
-        for i in window {
-            if self.keys.get(lane, i) != EMPTY {
-                count += 1;
-            }
-        }
-        count
-    }
-
     /// Evenly redistribute the first `n` entries of `src_keys`/`src_vals`
     /// (sorted) across `window`, left-packing each leaf — the "re-dispatch
     /// entries evenly" step. Fully parallel: one lane per leaf, which also
@@ -749,15 +737,6 @@ mod tests {
                 .collect();
             assert_eq!(output.to_vec(), expect, "n={n}");
         }
-    }
-
-    #[test]
-    fn count_window_counts_live_slots() {
-        let d = dev();
-        let s = GpmaStorage::build(&d, 2, &edges(&[(0, 1), (1, 0)]));
-        let mut lane = Lane::test_lane(0);
-        let total = s.count_window(&mut lane, 0..s.capacity());
-        assert_eq!(total, s.len());
     }
 
     #[test]

@@ -172,55 +172,59 @@ thread_local! {
     /// Per-worker staging for the warp/block merge tier — the simulated
     /// shared-memory buffer one block fills during `TryInsert+`. Kernel
     /// lanes run on the device's persistent host pool, so routing the merge
-    /// through a thread-local (instead of a fresh `Vec` per accepted
-    /// segment) makes the steady-state merge path allocation-free.
-    static MERGE_SCRATCH: std::cell::RefCell<Vec<(u64, u64)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// through a thread-local (instead of a fresh `Vec` per segment) makes
+    /// the steady-state merge path allocation-free.
+    static MERGE_SCRATCH: std::cell::RefCell<WindowMerge> =
+        const { std::cell::RefCell::new(WindowMerge { merged: Vec::new(), old: Vec::new() }) };
 }
 
-/// Run `f` with this worker thread's cleared merge scratch. Not reentrant
-/// (the merge kernels never nest).
-pub fn with_merge_scratch<R>(f: impl FnOnce(&mut Vec<(u64, u64)>) -> R) -> R {
-    MERGE_SCRATCH.with(|s| {
-        let mut buf = s.borrow_mut();
-        buf.clear();
-        f(&mut buf)
-    })
+/// One window merged with its update run by [`merge_window_into`]: the
+/// local copy a warp/block keeps while it writes the window back.
+#[derive(Debug)]
+pub struct WindowMerge {
+    /// The merged entries in key order: `(key, value, from_update)`, where
+    /// `from_update` marks a value an update supplied (an insertion or a
+    /// modification) rather than one carried over from the window.
+    pub merged: Vec<(u64, u64, bool)>,
+    /// The window's keys as the merge read them, slot by slot (`EMPTY`
+    /// included), so the write-back compares against them without a
+    /// second read.
+    pub old: Vec<u64>,
 }
 
-/// Serial (per-lane) merge of a slot window with a sorted update slice,
-/// returning the merged entries. This is the work one warp/block performs in
-/// GPMA+'s small-segment tiers; the local vector models shared memory
-/// (`lane.work` charges its traffic). Allocating callers use this wrapper;
-/// the hot path pairs [`merge_window_serial_into`] with
-/// [`with_merge_scratch`].
+/// Run `f` with this worker thread's merge scratch ([`merge_window_into`]
+/// clears it before filling it). Not reentrant (the merge kernels never
+/// nest).
+pub fn with_merge_scratch<R>(f: impl FnOnce(&mut WindowMerge) -> R) -> R {
+    MERGE_SCRATCH.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// Serial (per-lane) merge of a slot window with a sorted update slice —
+/// the work one warp/block performs in GPMA+'s small-segment tier; `out`
+/// models shared memory (`lane.work` charges its traffic). Reads every slot
+/// of the window once, recording its key in `out.old`, and each carried
+/// entry's value as it goes (a deferred value read could land on a slot the
+/// write-back already overwrote). Returns the window's live entry count
+/// before the merge.
 ///
 /// Semantics per update run of equal keys (last wins): `INSERT` adds or
 /// overwrites; `DELETE` removes if present and is a no-op otherwise.
-pub fn merge_window_serial(
-    lane: &mut Lane,
-    storage: &GpmaStorage,
-    window: std::ops::Range<usize>,
-    u: &DeviceUpdates,
-    ur: std::ops::Range<usize>,
-) -> Vec<(u64, u64)> {
-    let mut merged = Vec::new();
-    merge_window_serial_into(lane, storage, window, u, ur, &mut merged);
-    merged
-}
-
-/// [`merge_window_serial`] into a caller-owned buffer (cleared first).
 // lint: hot-path
-pub fn merge_window_serial_into(
+#[inline]
+pub fn merge_window_into(
     lane: &mut Lane,
     storage: &GpmaStorage,
     window: std::ops::Range<usize>,
     u: &DeviceUpdates,
     ur: std::ops::Range<usize>,
-    merged: &mut Vec<(u64, u64)>,
-) {
+    out: &mut WindowMerge,
+) -> usize {
+    let WindowMerge { merged, old } = out;
     merged.clear();
+    old.clear();
     merged.reserve(window.len() + ur.len());
+    old.reserve(window.len());
+    let mut before = 0usize;
     let mut ui = ur.start;
 
     // Emit all effective updates with keys strictly below `bound`.
@@ -238,7 +242,7 @@ pub fn merge_window_serial_into(
                 }
                 if u.ops.get(lane, ui) == OP_INSERT {
                     let v = u.vals.get(lane, ui);
-                    merged.push((uk, v));
+                    merged.push((uk, v, true));
                     lane.work(1);
                 }
                 ui += 1;
@@ -248,9 +252,11 @@ pub fn merge_window_serial_into(
 
     for i in window {
         let k = storage.keys.get(lane, i);
+        old.push(k);
         if k == EMPTY {
             continue;
         }
+        before += 1;
         drain_updates_below!(k);
         // An update run equal to the existing key overrides it.
         if ui < ur.end && u.keys.get(lane, ui) == k {
@@ -259,21 +265,23 @@ pub fn merge_window_serial_into(
             }
             if u.ops.get(lane, ui) == OP_INSERT {
                 let v = u.vals.get(lane, ui);
-                merged.push((k, v)); // modification
+                merged.push((k, v, true)); // modification
             } // DELETE: drop the entry
             ui += 1;
         } else {
             let v = storage.vals.get(lane, i);
-            merged.push((k, v));
+            merged.push((k, v, false));
         }
         lane.work(1);
     }
     drain_updates_below!(u64::MAX);
+    before
 }
 
-/// Count-only version of [`merge_window_serial`] (Algorithm 4's
+/// Count-only version of [`merge_window_into`] (Algorithm 4's
 /// `CountSegment` + `CountUpdatesInSegment` combined into an exact
-/// post-merge size).
+/// post-merge size): the device tier's count phase, which sizes a window
+/// before its parallel merge.
 pub fn merged_count_serial(
     lane: &mut Lane,
     storage: &GpmaStorage,
