@@ -990,13 +990,13 @@ pub fn audit(cfg: &ExpConfig) {
 }
 
 // ----------------------------------------------------------------------
-// Recovery — shard failover from checkpoint + replay log
+// Recovery — shard failover from checkpoint + the router's op log
 // ----------------------------------------------------------------------
 
 /// `recovery`: a live cluster failover. A `FaultPlan` kills a shard worker
-/// mid-stream; the router respawns it from its latest checkpoint plus its
-/// replay log, and the `ClusterMetrics` recovery counters report what the
-/// failover cost.
+/// mid-stream; the router rebuilds it from its latest checkpoint plus the
+/// updates since, and the `ClusterMetrics` recovery counters report what
+/// the failover cost.
 pub fn recovery(cfg: &ExpConfig) {
     use gpma_cluster::{
         ClusterConfig, FaultPlan, GraphCluster, MemoryCheckpointStore, PartitionPolicy,
@@ -1032,8 +1032,8 @@ pub fn recovery(cfg: &ExpConfig) {
     for (i, e) in tail[..n_updates].iter().enumerate() {
         h.insert(*e).expect("cluster alive");
         if i == n_updates / 4 {
-            // A mid-stream cut so checkpoints exist and the replay logs
-            // are trimmed before the fault fires.
+            // A mid-stream cut so checkpoints exist before the fault
+            // fires.
             cluster.epoch_cut().expect("cluster alive");
         }
     }
@@ -1042,6 +1042,16 @@ pub fn recovery(cfg: &ExpConfig) {
     let m = &report.metrics;
     assert!(m.recoveries >= 1, "the fault plan must have fired");
     assert_eq!(m.recovery_snapshot_fallbacks, 0, "every recovery found its checkpoint");
+    // The stream only inserts: an exact failover ends on exactly its keys.
+    let streamed = stream.initial_edges().iter().chain(&tail[..n_updates]);
+    let keys: std::collections::BTreeSet<u64> = streamed.clone().map(|e| e.key()).collect();
+    let last = &report.final_snapshot;
+    assert!(
+        last.num_edges() == keys.len() && streamed.clone().all(|e| last.contains(e.src, e.dst)),
+        "the recovered cluster holds {} edges, the stream {}",
+        last.num_edges(),
+        keys.len()
+    );
     emit(
         "recovery",
         "Cluster failover under a FaultPlan (Graph500, 4 shards, kill + respawn)",

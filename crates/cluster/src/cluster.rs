@@ -2,7 +2,7 @@
 //! ingest stream out across per-shard [`StreamingService`] workers, the
 //! coordinated epoch cut, and the shutdown protocol.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -56,12 +56,13 @@ pub struct ClusterConfig {
     /// Durability and failover. `None` (the default) keeps PR-6 behavior: a
     /// dead shard degrades cuts to its last published snapshot, each
     /// published as a rebase. `Some`
-    /// makes the router keep a per-shard replay log of forwarded
-    /// sub-batches and, at every coordinated cut, checkpoint each shard's
-    /// barrier image to the policy's [`CheckpointStore`] and drop the log
-    /// prefix that image holds. When a dead worker is detected it is
-    /// respawned from its latest checkpoint (its last published image if
-    /// none decodes) and re-ingests its replay log, rejoining oracle-exact.
+    /// makes the router checkpoint each shard's barrier image to the
+    /// policy's [`CheckpointStore`] at every coordinated cut, and keep the
+    /// merged cut deltas since a save last failed. When a dead worker is
+    /// detected, the router rebuilds the shard's edge set from its latest
+    /// checkpoint (its last published image if none decodes) and every
+    /// update since, out of those deltas and its op log, and respawns the
+    /// shard on it, oracle-exact.
     pub recovery: Option<RecoveryPolicy>,
     /// Fault injection for crash-recovery tests: kill one shard worker once
     /// a routed-update threshold is crossed. `None` (the default) injects
@@ -322,7 +323,8 @@ pub(crate) struct RouterCounters {
     pub recoveries: u64,
     /// Total wall-clock seconds spent recovering.
     pub recovery_secs: f64,
-    /// Routed updates re-ingested from the router's replay logs.
+    /// Op-log entries (one per key) re-applied on top of recovered shards'
+    /// base images.
     pub recovery_replayed_updates: u64,
     /// Recoveries forced onto a published-snapshot rebase.
     pub recovery_snapshot_fallbacks: u64,
@@ -549,8 +551,8 @@ impl GraphCluster {
     }
 
     /// Rebuild a cluster purely from a [`CheckpointStore`] — the
-    /// process-restart path: no live workers, no replay logs, just
-    /// whatever the previous process persisted.
+    /// process-restart path: no live workers, no op log, just whatever
+    /// the previous process persisted.
     ///
     /// Shard ids are probed densely from 0 until the store has no latest
     /// checkpoint for an id (a cluster always checkpoints shards `0..n`,
@@ -1137,12 +1139,6 @@ struct PendingCut {
     round: BarrierRound,
     /// When the round's barriers were issued.
     t0: Instant,
-    /// Each shard's replay-log length when its barrier was issued: the log
-    /// prefix its barrier image holds. `None` for a shard recovered while
-    /// the round was in flight (its image no longer matches its log), and
-    /// the round checkpoints only the shards with a length. Empty without
-    /// a recovery policy.
-    log_lens: Vec<Option<usize>>,
     /// The router's op log, folded when the barriers were issued: exactly
     /// what the round's images add to the previous cut.
     delta: SnapshotDelta,
@@ -1178,7 +1174,7 @@ struct Router {
     /// Feed to the cluster delta-monitor thread, when one exists.
     cut_tx: Option<Sender<CutEvent>>,
     /// Durability/failover policy ([`ClusterConfig::recovery`]); `None`
-    /// disables detection, checkpointing and the replay logs entirely.
+    /// disables detection, checkpointing and `unsaved` entirely.
     recovery: Option<RecoveryPolicy>,
     /// One-shot fault plan ([`ClusterConfig::fault`]); taken when it fires.
     fault: Option<FaultPlan>,
@@ -1186,15 +1182,12 @@ struct Router {
     /// per-plan skew window in [`RouterCounters::routed`]); the fault
     /// plan's trigger clock.
     lifetime_routed: u64,
-    /// Per-shard sub-batches forwarded since that shard's last checkpoint
-    /// (maintained only under a recovery policy): the durable copy of the
-    /// shard's stream buffer. A checkpoint save drops the prefix its image
-    /// holds, and only once the save succeeded; recovery re-ingests the
-    /// rest verbatim on top of the restored image. Replaying a prefix the
-    /// restored state already includes (the published-image fallback) is
-    /// idempotent, because FIFO order makes each key's final presence the
-    /// batch sequence's last word on it.
-    replay: Vec<Vec<UpdateBatch>>,
+    /// Under a recovery policy, what some shard's latest checkpoint lacks
+    /// and the op log no longer holds: every cut delta published since a
+    /// cut or marker left a save failed or skipped, and the copies of a
+    /// reshard's swap. A cut or marker whose saves all land empties it.
+    /// [`Self::recover_shard`] applies it first.
+    unsaved: SnapshotDelta,
     /// The non-blocking cut round in flight, if any.
     pending_cut: Option<PendingCut>,
     /// `epoch_cut` callers that arrived while a round was in flight; they
@@ -1341,13 +1334,8 @@ impl Router {
                 c.transfer[*i].record(&self.link, b.len() * BYTES_PER_UPDATE);
             }
         }
-        if self.recovery.is_some() {
-            // Log before sending: a batch whose send fails (dead shard) is
-            // recovered from the log, never re-sent inline.
-            for (i, b) in &outgoing {
-                self.replay[*i].push(b.clone());
-            }
-        }
+        // A batch whose send fails (dead shard) is never re-sent inline: the
+        // op log already holds it, and recovery rebuilds the shard from that.
         let mut dead: Vec<usize> = Vec::new();
         for (i, b) in outgoing {
             // Unmetered: router-internal traffic must not pollute the
@@ -1398,25 +1386,23 @@ impl Router {
     /// The failover protocol, one shard at a time:
     ///
     /// 1. **Restore** — decode the latest durable checkpoint for this shard
-    ///    slot: the image of its last successful save, which holds every
-    ///    update up to the start of the shard's replay log.
+    ///    slot: the image of its last successful save.
     /// 2. **Snapshot fallback** — if no checkpoint decodes (none saved yet,
-    ///    a load error, a corrupt container), rebase on the dead worker's
-    ///    last *published* image instead, which holds the log's start too;
+    ///    a load error, a corrupt container), take the dead worker's last
+    ///    *published* image instead, no older than its last acked barrier;
     ///    counted in [`ClusterMetrics::recovery_snapshot_fallbacks`].
-    /// 3. **Respawn + log replay** — build a fresh service from the
-    ///    restored edge set (epochs restart at 0), re-ingest this shard's
-    ///    whole replay log (covering updates that died unflushed), barrier
-    ///    it settled, and swap it into the routing tables.
-    /// 4. **Re-checkpoint** — persist the settling barrier's image, and
-    ///    drop the log it holds only once that save succeeded, so the
-    ///    store's "latest" matches the live epoch space. A cut round in
-    ///    flight does not checkpoint this shard.
+    /// 3. **Rebuild + respawn** — apply [`Self::unsaved`], the in-flight
+    ///    round's delta and the op log to that base, keep what the shard
+    ///    owns ([`rebuild_shard`]), build a fresh service on the result
+    ///    (epochs restart at 0) and swap it into the routing tables.
+    /// 4. **Re-checkpoint** — persist the spawn image, so the store's
+    ///    "latest" matches the live epoch space.
     ///
-    /// The respawned shard holds exactly what was forwarded to it, so the
-    /// next cut's delta stays exact; only a round the dead worker left
-    /// unanswered publishes as a rebase (and its keys ride in the next
-    /// cut's delta).
+    /// Every term of the rebuild is last-op-per-key and together they reach
+    /// back to the shard's last landed save, so the rebuilt shard holds
+    /// exactly what was forwarded to it and the next cut's delta stays
+    /// exact; only a round the dead worker left unanswered publishes as a
+    /// rebase (and its keys ride in the next cut's delta).
     fn recover_shard(&mut self, i: usize) {
         let Some(policy) = self.recovery.clone() else {
             return;
@@ -1443,39 +1429,23 @@ impl Router {
             }
         };
         let fallback = restored.is_none();
-        let recovered_edges = match restored {
-            Some(image) => image.edges().to_vec(),
-            None => self.services[i].snapshot().edges().to_vec(),
+        let base = match restored {
+            Some(image) => Arc::new(image),
+            None => self.services[i].snapshot(),
         };
         drop(restore_span);
 
         let replay_span = obs.span(Stage::RecoveryReplay);
-        let (svc, _) =
-            spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, &recovered_edges, &obs);
-        // The log stays whole until the re-checkpoint below lands: should
-        // that save fail, the next recovery needs all of it again.
-        let h = svc.handle();
-        let mut replayed_updates = 0u64;
-        for b in &self.replay[i] {
-            replayed_updates += b.len() as u64;
-            let _ = h.ingest_unmetered(b.clone());
+        let mut since = self.unsaved.clone();
+        if let Some(pc) = &self.pending_cut {
+            since.merge(&pc.delta);
         }
-        let settled = svc.barrier();
-        if settled.is_err() {
-            // A freshly spawned worker dying inside recovery means the
-            // machine itself is failing; record it and keep the cluster up.
-            self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-            eprintln!("gpma-cluster: shard {i} respawn failed its settling barrier");
-        }
-        self.handles[i] = h;
+        since.merge(&self.ops.peek());
+        let mirror = self.reshard.as_ref().and_then(Reshard::mirror);
+        let edges = rebuild_shard(&base, &since, owned_by(i, &**self.part.plan(), mirror));
+        let (svc, image) = spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, &edges, &obs);
+        self.handles[i] = svc.handle();
         self.services[i] = svc;
-        if let Some(len) = self
-            .pending_cut
-            .as_mut()
-            .and_then(|pc| pc.log_lens.get_mut(i))
-        {
-            *len = None;
-        }
         drop(replay_span);
         obs.event(
             Stage::RecoveryReplay,
@@ -1484,29 +1454,14 @@ impl Router {
             EventKind::Recovered,
             t0.elapsed().as_micros() as u64,
         );
-        if let Ok(image) = settled {
-            let contained = self.replay[i].len();
-            self.save_checkpoint(i, &image, contained);
-        }
+        self.persist(i, &image);
 
         let mut c = self.shared.router.lock();
         c.recoveries += 1;
         c.recovery_secs += t0.elapsed().as_secs_f64();
-        c.recovery_replayed_updates += replayed_updates;
+        c.recovery_replayed_updates += since.len() as u64;
         if fallback {
             c.recovery_snapshot_fallbacks += 1;
-        }
-    }
-
-    /// Persist `image` as shard `i`'s checkpoint and count it (no-op
-    /// without a recovery policy); only once the save succeeded, drop the
-    /// first `contained` entries of the shard's replay log, the ones the
-    /// image holds. A save failure is logged and counted and leaves the
-    /// log whole: it must reach back to whatever checkpoint recovery would
-    /// actually load.
-    fn save_checkpoint(&mut self, i: usize, image: &GraphSnapshot, contained: usize) {
-        if self.persist(i, image) {
-            self.replay[i].drain(..contained);
         }
     }
 
@@ -1535,13 +1490,23 @@ impl Router {
         }
     }
 
-    /// Checkpoint each shard of a published cut that has a log length: its
-    /// barrier image, holding that many log entries.
-    fn checkpoint_cut(&mut self, snap: &ClusterSnapshot, log_lens: Vec<Option<usize>>) {
-        for (i, len) in log_lens.into_iter().enumerate() {
-            if let Some(contained) = len {
-                self.save_checkpoint(i, &snap.shards()[i], contained);
-            }
+    /// Checkpoint every shard image of a cut or marker that every shard
+    /// acked, then settle [`Self::unsaved`]: emptied when every save
+    /// landed, otherwise extended by `delta`, what the cut or marker took
+    /// out of the op log. (A round with a stand-in saves nothing and puts
+    /// its delta back into the op log instead.)
+    fn checkpoint_cut(&mut self, snap: &ClusterSnapshot, delta: &SnapshotDelta) {
+        if self.recovery.is_none() {
+            return;
+        }
+        let mut landed = true;
+        for (i, image) in snap.shards().iter().enumerate() {
+            landed &= self.persist(i, image);
+        }
+        if landed {
+            self.unsaved = SnapshotDelta::default();
+        } else {
+            self.unsaved.merge(delta);
         }
     }
 
@@ -1552,7 +1517,7 @@ impl Router {
     /// snapshot stands in, so cuts and reshards complete instead of
     /// poisoning the router thread. Returns whether any shard degraded, so
     /// a cut can drop its barrier-wall sample rather than fold a corpse's
-    /// failure latency into the `cut.barrier` histogram.
+    /// failure latency into the `cut.barrier` histogram, nor save a stand-in.
     fn round_snapshots(&self, round: BarrierRound) -> (Vec<Arc<GraphSnapshot>>, bool) {
         let mut degraded = false;
         let snaps = round
@@ -1576,12 +1541,10 @@ impl Router {
 
     /// Assemble and publish one coordinated cut from barriered (or fallen
     /// back) per-shard snapshots, with its delta — `None` publishes it as a
-    /// counted rebase — and the checkpoints of the shards with a log
-    /// length.
+    /// counted rebase, which checkpoints nothing.
     fn publish_cut(
         &mut self,
         snaps: Vec<Arc<GraphSnapshot>>,
-        log_lens: Vec<Option<usize>>,
         delta: Option<SnapshotDelta>,
         t0: Instant,
     ) -> Arc<ClusterSnapshot> {
@@ -1598,8 +1561,11 @@ impl Router {
             if delta.is_none() {
                 self.shared.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
             }
-            self.publish(&snap, delta.map(Arc::new));
-            self.checkpoint_cut(&snap, log_lens);
+            let delta = delta.map(Arc::new);
+            self.publish(&snap, delta.clone());
+            if let Some(d) = delta {
+                self.checkpoint_cut(&snap, &d);
+            }
             snap
         };
         obs.event(
@@ -1656,19 +1622,11 @@ impl Router {
     fn start_cut_round(&mut self, acks: Vec<Sender<Arc<ClusterSnapshot>>>) {
         self.forward();
         self.ensure_shards_alive();
-        // Each barrier queues behind everything logged so far, so its
-        // image holds exactly this prefix of its shard's log.
-        let log_lens = if self.recovery.is_some() {
-            self.replay.iter().map(|log| Some(log.len())).collect()
-        } else {
-            Vec::new()
-        };
         let cut = self.shared.cuts.load(Ordering::Relaxed) + 1;
         self.pending_cut = Some(PendingCut {
             acks,
             t0: Instant::now(),
             round: BarrierRound::issue(&self.services),
-            log_lens,
             delta: self.ops.fold(cut),
         });
         self.poll_pending_cut(false);
@@ -1687,12 +1645,6 @@ impl Router {
                 self.pending_cut = Some(pc);
                 return;
             }
-            // A shard that gave no ack has no barrier image to checkpoint.
-            for (len, got) in pc.log_lens.iter_mut().zip(&pc.round.got) {
-                if got.is_none() {
-                    *len = None;
-                }
-            }
             let (snaps, degraded) = self.round_snapshots(pc.round);
             // A corpse's stall is not barrier latency: drop the sample. Nor
             // need the image standing in for it match the op log, so the
@@ -1708,7 +1660,7 @@ impl Router {
                     .record_duration(Stage::CutBarrier, pc.t0.elapsed());
                 Some(pc.delta)
             };
-            let snap = self.publish_cut(snaps, pc.log_lens, delta, pc.t0);
+            let snap = self.publish_cut(snaps, delta, pc.t0);
             for ack in pc.acks {
                 let _ = ack.send(snap.clone());
             }
@@ -1781,6 +1733,41 @@ impl Router {
     }
 }
 
+/// Which edges shard `i` holds: those `plan`, the plan in force, routes to
+/// it, and in a reshard's copy window (`mirror`: the target plan and its
+/// moved keys) the moved keys the target plan gives it.
+fn owned_by<'a>(
+    i: usize,
+    plan: &'a dyn Partitioner,
+    mirror: Option<(&'a dyn Partitioner, &'a BTreeMap<u64, bool>)>,
+) -> impl Fn(&Edge) -> bool + 'a {
+    move |e| {
+        plan.shard_of_edge(e.src, e.dst) == i
+            || mirror.is_some_and(|(new, moved)| {
+                moved.contains_key(&e.key()) && new.shard_of_edge(e.src, e.dst) == i
+            })
+    }
+}
+
+/// A shard's edge set rebuilt from `base`, an image of it taken at any
+/// point `delta` reaches back to: `base` advanced by `delta`, keeping the
+/// edges `owns` accepts, key-sorted. Each key's last operation since the
+/// base is in `delta`, and a key it lacks has not changed since, so the
+/// result does not depend on where in that span the base was taken.
+fn rebuild_shard(
+    base: &GraphSnapshot,
+    delta: &SnapshotDelta,
+    owns: impl Fn(&Edge) -> bool,
+) -> Vec<Edge> {
+    base.advance(delta)
+        .0
+        .edges()
+        .iter()
+        .filter(|e| owns(e))
+        .copied()
+        .collect()
+}
+
 /// Buffer deletion `e` into a pending sub-batch after cancelling the
 /// same-key insertion pending there; returns how many it cancelled.
 // lint: hot-path
@@ -1827,7 +1814,7 @@ fn run_router(
         recovery,
         fault,
         lifetime_routed: 0,
-        replay: vec![Vec::new(); num_shards],
+        unsaved: SnapshotDelta::default(),
         pending_cut: None,
         queued_cut_acks: Vec::new(),
         reshard: None,
@@ -1938,6 +1925,7 @@ mod tests {
     use super::*;
     use gpma_core::multi::{EdgeGridPartition, HashVertexPartition, VertexPartition};
     use gpma_sim::DeviceConfig;
+    use proptest::prelude::{any, prop, prop_assert_eq, proptest, ProptestConfig};
 
     fn spawn4(policy: Arc<dyn Partitioner>, initial: &[Edge]) -> GraphCluster {
         GraphCluster::spawn(
@@ -2751,11 +2739,14 @@ mod tests {
     }
 
     /// Vertex ranges that park the router at `gate` on the first placement
-    /// lookup after `armed` is set, so a test can queue commands behind
-    /// the update the router is routing.
+    /// lookup after `armed` is set — of any edge, or of the key in
+    /// `park_on` only — so a test can queue commands behind the update the
+    /// router is routing, or the swap it is in.
     struct Parking {
         inner: VertexPartition,
         armed: AtomicBool,
+        /// The key whose lookup parks (`u64::MAX`: any key).
+        park_on: AtomicU64,
         gate: std::sync::Barrier,
     }
 
@@ -2770,7 +2761,10 @@ mod tests {
             self.inner.num_vertices
         }
         fn shard_of_edge(&self, src: u32, dst: u32) -> usize {
-            if self.armed.swap(false, Ordering::SeqCst) {
+            let key = self.park_on.load(Ordering::SeqCst);
+            if (key == u64::MAX || key == Edge::new(src, dst).key())
+                && self.armed.swap(false, Ordering::SeqCst)
+            {
                 self.gate.wait(); // the router is parked
                 self.gate.wait(); // carry on
             }
@@ -2784,18 +2778,38 @@ mod tests {
         }
     }
 
+    /// Which shard [`dual_write_reshard`] kills, and when.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Crash {
+        /// No kill, and no recovery policy.
+        None,
+        /// Source shard 1 dies at the reshard's first forward, before it
+        /// acks the copy round (a `during_reshard` fault plan).
+        SourceBeforeAck,
+        /// Destination shard 3, whose one edge is a copy, dies after the
+        /// swap and before the marker.
+        DestinationAfterSwap,
+    }
+
     /// Reshard 2 → 4 vertex ranges (owner `src / 8` → `src / 4`) with
     /// updates the router routes — mirrored — after the copy's barriers
     /// and before it polls their acks, because they queue behind the
-    /// `Reshard` command while the router is parked.
-    fn dual_write_reshard(fault: Option<FaultPlan>) {
+    /// `Reshard` command while the router is parked. The marker cut and the
+    /// cut after it must both hold the expected table.
+    fn dual_write_reshard(crash: Crash) {
         let old = Arc::new(Parking {
             inner: VertexPartition {
                 num_vertices: 16,
                 num_shards: 2,
             },
             armed: AtomicBool::new(false),
+            park_on: AtomicU64::new(u64::MAX),
             gate: std::sync::Barrier::new(2),
+        });
+        let fault = (crash == Crash::SourceBeforeAck).then_some(FaultPlan {
+            kill_shard: 1,
+            after_routed_updates: 0,
+            during_reshard: true,
         });
         let initial = [
             Edge::new(0, 1),
@@ -2808,7 +2822,7 @@ mod tests {
             ClusterConfig {
                 flush_threshold: 4,
                 router_batch: 64,
-                recovery: fault.map(|_| RecoveryPolicy::default()),
+                recovery: (crash != Crash::None).then(RecoveryPolicy::default),
                 fault,
                 ..Default::default()
             },
@@ -2830,13 +2844,38 @@ mod tests {
         h.insert(Edge::weighted(5, 1, 9)).unwrap(); // weight upsert of a mover
         h.insert(Edge::new(9, 2)).unwrap(); // a new moving key ...
         h.delete(Edge::new(9, 2)).unwrap(); // ... inserted, then deleted
+        let killed = (crash == Crash::DestinationAfterSwap).then(|| {
+            // Park again inside the swap, on the retraction of (12, 3), and
+            // queue the kill there: the router serves it once the swap is
+            // done, before it polls the retire round.
+            old.park_on.store(Edge::new(12, 3).key(), Ordering::SeqCst);
+            old.armed.store(true, Ordering::SeqCst);
+            old.gate.wait();
+            old.gate.wait();
+            let (kill_tx, kill_rx) = bounded(1);
+            c.tx.send(Command::Kill {
+                shard: 3,
+                at_barrier: false,
+                ack: kill_tx,
+            })
+            .unwrap();
+            kill_rx
+        });
         old.gate.wait();
+        if let Some(kill_rx) = killed {
+            assert!(
+                kill_rx.recv().unwrap(),
+                "shard 3 killed in the retire window"
+            );
+        }
         let report = ack_rx.recv().unwrap().unwrap();
         // The live moved set: (5, 1) reweighted, (6, 1) and (12, 3) copied.
         assert_eq!(report.migrated_edges, 3);
         assert_eq!(report.to_shards, 4);
 
-        let snap = c.epoch_cut().unwrap();
+        let marker = c.snapshot();
+        assert_eq!(marker.cut(), report.cut);
+        let next = c.epoch_cut().unwrap();
         // (src, dst, weight, owner under the new plan).
         let expect = [
             (0, 1, 1, 0),
@@ -2845,34 +2884,116 @@ mod tests {
             (6, 1, 1, 1),
             (12, 3, 1, 3),
         ];
-        assert_eq!(snap.num_edges(), expect.len());
-        for (src, dst, w, owner) in expect {
-            for (i, shard) in snap.shards().iter().enumerate() {
-                assert_eq!(
-                    shard.weight(src, dst),
-                    (i == owner).then_some(w),
-                    "({src}, {dst}) on shard {i}"
-                );
+        for snap in [&marker, &next] {
+            assert_eq!(snap.num_edges(), expect.len(), "cut {}", snap.cut());
+            for (src, dst, w, owner) in expect {
+                for (i, shard) in snap.shards().iter().enumerate() {
+                    assert_eq!(
+                        shard.weight(src, dst),
+                        (i == owner).then_some(w),
+                        "({src}, {dst}) on shard {i} at cut {}",
+                        snap.cut()
+                    );
+                }
             }
         }
         let m = c.metrics().unwrap();
         assert_eq!(m.migrated_edges, 3);
         assert_eq!(m.worker_errors, 0);
-        assert_eq!(m.recoveries, u64::from(fault.is_some()));
+        assert_eq!(m.recoveries, u64::from(crash != Crash::None));
         c.shutdown();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A shard rebuilt from a base taken anywhere between its last save
+        /// and now, plus the deltas since that save, equals the sequential
+        /// oracle filtered to the shard — under a plain plan and inside a
+        /// copy window whose moved keys are the keys a random subset of the
+        /// updates since the save touched.
+        #[test]
+        fn rebuild_matches_the_sequential_oracle(
+            ops in prop::collection::vec((0u8..3, 0u32..12, 0u32..12, 1u64..5), 0..80),
+            points in (0usize..81, 0usize..81, 0usize..81),
+            mirrored in prop::collection::vec((0usize..80, any::<bool>()), 0..10),
+            shard in 0usize..4,
+            window in any::<bool>(),
+            base_mirrors in any::<bool>(),
+        ) {
+            let edge = |(_, s, d, w): (u8, u32, u32, u64)| Edge::weighted(s, d, w);
+            let oracle_at = |n: usize| {
+                let mut g = BTreeMap::new();
+                for &op in &ops[..n] {
+                    match op.0 {
+                        0 => g.remove(&edge(op).key()),
+                        _ => g.insert(edge(op).key(), edge(op)),
+                    };
+                }
+                g
+            };
+            // save <= base <= fold <= now: the base image may postdate the
+            // save, and a cut folded the op log in between.
+            let n = ops.len() + 1;
+            let mut p = [points.0 % n, points.1 % n, points.2 % n];
+            p.sort_unstable();
+            let [save, base_at, fold_at] = p;
+            let plan = HashVertexPartition { num_vertices: 12, num_shards: 3 };
+            let new = VertexPartition { num_vertices: 12, num_shards: 4 };
+            let moved: BTreeMap<u64, bool> = mirrored
+                .iter()
+                .filter(|(at, _)| save + at < ops.len())
+                .map(|&(at, live)| (edge(ops[save + at]).key(), live))
+                .collect();
+            // The shard holds what the plan routes to it, and in a copy
+            // window the moved keys the new plan gives it; a base taken
+            // before the window opened lacks the latter.
+            let holds = |e: &Edge, mirrors: bool| {
+                plan.shard_of_edge(e.src, e.dst) == shard
+                    || (mirrors
+                        && moved.contains_key(&e.key())
+                        && new.shard_of_edge(e.src, e.dst) == shard)
+            };
+            let base: Vec<Edge> = oracle_at(base_at)
+                .into_values()
+                .filter(|e| holds(e, window && base_mirrors))
+                .collect();
+            let base = GraphSnapshot::from_edges(0, 12, base);
+
+            let mut log = OpLog::default();
+            let mut since = SnapshotDelta::default();
+            for (i, &op) in ops.iter().enumerate().skip(save) {
+                if i == fold_at {
+                    since = log.fold(0);
+                }
+                match op.0 {
+                    0 => log.delete(edge(op)),
+                    _ => log.insert(edge(op)),
+                }
+            }
+            since.merge(&log.peek());
+            let mirror = window.then_some((&new as &dyn Partitioner, &moved));
+            let got = rebuild_shard(&base, &since, owned_by(shard, &plan, mirror));
+            let want: Vec<Edge> = oracle_at(ops.len())
+                .into_values()
+                .filter(|e| holds(e, window))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]
     fn updates_routed_in_the_copy_window_reach_their_new_owner() {
-        dual_write_reshard(None);
+        dual_write_reshard(Crash::None);
     }
 
     #[test]
     fn a_source_killed_before_it_acks_is_recovered_and_copied() {
-        dual_write_reshard(Some(FaultPlan {
-            kill_shard: 1,
-            after_routed_updates: 0,
-            during_reshard: true,
-        }));
+        dual_write_reshard(Crash::SourceBeforeAck);
+    }
+
+    #[test]
+    fn a_destination_killed_after_the_swap_is_rebuilt_with_its_copies() {
+        dual_write_reshard(Crash::DestinationAfterSwap);
     }
 }

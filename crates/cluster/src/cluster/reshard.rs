@@ -14,8 +14,8 @@
 //!    `moved` already holds its key: a mirrored update is newer than any
 //!    image. A source that gave no ack is recovered and the round reissued
 //!    — any image taken after mirroring began is valid for the keys
-//!    `moved` does not hold. Without a recovery policy, or when the
-//!    respawn fails too, the source's published image stands in.
+//!    `moved` does not hold. Without a recovery policy the source's
+//!    published image stands in.
 //! 3. **Swap** (the same step; the only pause) — forward the pending
 //!    sub-batches, swap the plan and enqueue the retractions: `moved`'s
 //!    live keys, already key-sorted, grouped by old owner.
@@ -30,8 +30,9 @@
 //! keys no mirrored update has touched, so it never overwrites a newer
 //! value. The swap changes only where the *next* update goes, and every
 //! pre-swap update to the new owner is already queued ahead of it.
-//! Recovery needs no special case either: mirrored updates, copies and
-//! retractions all enter the router's replay log like client batches.
+//! Recovery rebuilds a shard from the router's record of the graph: the op
+//! log holds the mirrored updates, a shard in the copy window also owns the
+//! moved keys it mirrors, and the swap keeps its copies in `unsaved`.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -48,6 +49,7 @@ use gpma_sim::pcie::TransferLedger;
 
 use super::{spawn_shard_service, BarrierRound, ReshardError, ReshardReport, Router};
 use crate::snapshot::ClusterSnapshot;
+use gpma_core::delta::SnapshotDelta;
 
 /// Where a reshard's caller waits for its report (`None` = fired by the
 /// [`RebalancePolicy`](super::RebalancePolicy), nobody waits).
@@ -88,6 +90,14 @@ pub(super) struct Reshard {
     pause: Duration,
     /// Edges whose owner changed (`moved`'s live keys at the swap).
     migrated: usize,
+}
+
+impl Reshard {
+    /// In the copy window, the target plan and the moved keys, which a
+    /// shard also holds where the target plan gives them to it.
+    pub(super) fn mirror(&self) -> Option<(&dyn Partitioner, &BTreeMap<u64, bool>)> {
+        (self.phase == Phase::Copy).then_some((&*self.new, &self.moved))
+    }
 }
 
 impl Router {
@@ -138,12 +148,11 @@ impl Router {
             let (svc, image) = spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, &[], &obs);
             self.handles.push(svc.handle());
             self.services.push(svc);
-            self.replay.push(Vec::new());
             self.pending.push(UpdateBatch::default());
             // Persist the fresh (empty) incarnation immediately so a crash
             // before the marker never restores a stale checkpoint from a
             // retired shard slot of the same id.
-            self.save_checkpoint(i, &image, 0);
+            self.persist(i, &image);
         }
         if new_n > old_n {
             // Mirrored updates reach the new shards through `forward`,
@@ -203,12 +212,11 @@ impl Router {
         if !rs.round.poll(block) {
             return;
         }
-        let Some(rs) = self.reshard.take() else {
-            return;
-        };
-        match rs.phase {
-            Phase::Copy => self.copy_and_swap(rs),
-            Phase::Retire => self.publish_marker(rs),
+        if rs.phase == Phase::Copy {
+            return self.copy_and_swap();
+        }
+        if let Some(rs) = self.reshard.take() {
+            self.publish_marker(rs);
         }
     }
 
@@ -222,23 +230,26 @@ impl Router {
     /// Copy → swap, once the copy round is answered. Leaves the reshard in
     /// [`Phase::Retire`], finished when nothing had to move, or back in
     /// [`Phase::Copy`] with a fresh round when a source that died
-    /// unanswered was recovered.
-    fn copy_and_swap(&mut self, mut rs: Reshard) {
+    /// unanswered was recovered. The reshard stays in [`Router::reshard`]
+    /// until the swap, so a recovery before it sees what the shard mirrors.
+    fn copy_and_swap(&mut self) {
+        let Some(rs) = self.reshard.as_mut() else {
+            return;
+        };
         let round = std::mem::take(&mut rs.round);
-        let missing: Vec<usize> = (0..rs.old_n).filter(|&i| round.got[i].is_none()).collect();
-        if !missing.is_empty() && self.recovery.is_some() {
-            // A source died before answering: recover it and ask again —
-            // unless a respawn failed too, and its published image stands
-            // in below.
+        if self.recovery.is_some() && round.got[..rs.old_n].iter().any(Option::is_none) {
+            // A source died before answering: recover it and ask again.
             self.ensure_shards_alive();
-            if missing.iter().all(|&i| self.services[i].is_alive()) {
+            if let Some(rs) = self.reshard.as_mut() {
                 rs.round = BarrierRound::issue(&self.services);
-                self.reshard = Some(rs);
-                return;
             }
+            return;
         }
         let obs = self.shared.obs.clone();
         let (snaps, _) = self.round_snapshots(round);
+        let Some(rs) = self.reshard.as_mut() else {
+            return;
+        };
         let migrate_span = obs.span(Stage::ReshardMigrate);
         let mut copies = vec![Vec::new(); rs.new_n];
         for (s, snap) in snaps.iter().enumerate().take(rs.old_n) {
@@ -258,11 +269,14 @@ impl Router {
         // final, and the copies, shipped in the swap, still reach their
         // shards ahead of any update routed under the new plan.
         rs.migrated = rs.moved.values().filter(|&&live| live).count();
-        let (old_n, new_n) = (rs.old_n, rs.new_n);
         let t0 = Instant::now();
         let quiesce_span = obs.span(Stage::ReshardQuiesce);
         self.forward();
         drop(quiesce_span);
+        let Some(mut rs) = self.reshard.take() else {
+            return;
+        };
+        let (old_n, new_n) = (rs.old_n, rs.new_n);
         // Fast path: same shard count and nothing moved — no edge of a
         // barrier image and no update since. The new plan only changes
         // where *future* updates route, so swap it, reset the skew window
@@ -295,35 +309,35 @@ impl Router {
         // deferred until the marker.
         let resume_span = obs.span(Stage::ReshardResume);
         let retract = retractions(&rs, &**self.part.plan());
+        if self.recovery.is_some() {
+            // No op log holds the copies, and once the sources' retractions
+            // apply nothing can copy them again.
+            let shipped = UpdateBatch {
+                insertions: copies.concat(),
+                deletions: Vec::new(),
+            };
+            self.unsaved.merge(&SnapshotDelta::from_batch(0, &shipped));
+        }
         // Every shard gets its copies ahead of its retractions, so it grows
-        // before it shrinks — far cheaper for the PMA than the reverse.
+        // before it shrinks — far cheaper for the PMA than the reverse. A
+        // send to a dead shard is dropped: recovery rebuilds it.
         let copied: Vec<usize> = copies.iter().map(Vec::len).collect();
         for (d, insertions) in copies.into_iter().enumerate() {
             if !insertions.is_empty() {
-                self.ship(
-                    d,
-                    UpdateBatch {
-                        insertions,
-                        deletions: Vec::new(),
-                    },
-                );
+                let _ = self.handles[d].ingest_unmetered(UpdateBatch {
+                    insertions,
+                    deletions: Vec::new(),
+                });
             }
         }
         self.swap_plan(rs.new.clone());
         self.pending.truncate(new_n);
-        // Surviving shards keep their replay logs — until the marker's
-        // checkpoints land, a death recovers from the pre-reshard
-        // checkpoint plus the log, which recorded every internal ship.
-        self.replay.truncate(new_n);
         for (i, deletions) in retract.into_iter().enumerate() {
             if !deletions.is_empty() {
-                self.ship(
-                    i,
-                    UpdateBatch {
-                        insertions: Vec::new(),
-                        deletions,
-                    },
-                );
+                let _ = self.handles[i].ingest_unmetered(UpdateBatch {
+                    insertions: Vec::new(),
+                    deletions,
+                });
             }
         }
         rs.pause = t0.elapsed();
@@ -355,17 +369,6 @@ impl Router {
         self.reshard = Some(rs);
     }
 
-    /// Send one router-internal batch (copy, retraction) to shard `d`.
-    /// Internal ships enter the replay log like client batches: a shard
-    /// dying with this queued but unapplied replays it from the log on
-    /// respawn.
-    fn ship(&mut self, d: usize, batch: UpdateBatch) {
-        if self.recovery.is_some() {
-            self.replay[d].push(batch.clone());
-        }
-        let _ = self.handles[d].ingest_unmetered(batch);
-    }
-
     /// Swap the plan in force, for the router and every reader at once.
     fn swap_plan(&mut self, new: Arc<dyn Partitioner>) {
         let mut p = self.shared.partition.lock();
@@ -376,25 +379,15 @@ impl Router {
     /// Retire → done: settle every surviving shard, publish the
     /// snapshot-style marker cut, checkpoint, report.
     fn publish_marker(&mut self, rs: Reshard) {
-        // A worker that died mid-retire is recovered here, from the replay
-        // log alone.
+        // A worker that died mid-retire is recovered here.
         self.forward();
         self.ensure_shards_alive();
         let mut round = BarrierRound::issue(&self.services);
-        // The marker is a rebase point: what was routed before it needs
-        // no delta.
-        self.ops.clear();
+        // The marker is a rebase point: what was routed before it needs no
+        // delta, but recovery needs it until the marker's saves land.
+        let routed = self.ops.fold(0);
         round.poll(true);
-        // The round blocked with nothing forwarded after its barriers, so
-        // each acked image holds its shard's whole replay log (client
-        // batches and internal ships alike).
-        let log_lens: Vec<Option<usize>> = round
-            .got
-            .iter()
-            .zip(&self.replay)
-            .map(|(got, log)| got.as_ref().map(|_| log.len()))
-            .collect();
-        let (snaps, _) = self.round_snapshots(round);
+        let (snaps, degraded) = self.round_snapshots(round);
         let cut = self.shared.cuts.fetch_add(1, Ordering::Relaxed) + 1;
         let snap = Arc::new(ClusterSnapshot::new(
             cut,
@@ -404,8 +397,13 @@ impl Router {
         let total_edges = snap.num_edges();
         self.publish(&snap, None);
         // The marker barrier settled every surviving shard, so its images
-        // are the fully retired post-migration state.
-        self.checkpoint_cut(&snap, log_lens);
+        // are the fully retired post-migration state. With a stand-in it
+        // saves nothing and, like a cut round, puts its fold back.
+        if degraded {
+            self.ops.restore(routed);
+        } else {
+            self.checkpoint_cut(&snap, &routed);
+        }
         // A restart probes shard ids densely from 0: a shard id a shrink
         // retired must hold nothing from now on.
         let retired = GraphSnapshot::from_edges(0, snap.num_vertices(), Vec::new());

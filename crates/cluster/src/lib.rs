@@ -67,12 +67,12 @@
 //!   built from the router's observed per-vertex load — the skew-driven
 //!   answer to the edge grid's ~2× power-law imbalance.
 //! * **Durability & failover** — with [`ClusterConfig::recovery`] set, the
-//!   router keeps a per-shard replay log of forwarded sub-batches and, at
-//!   every cut, persists each shard's barrier image (hand-rolled binary
-//!   codec) to a [`CheckpointStore`], dropping the log prefix that image
-//!   holds once the save succeeded. It detects dead shard workers (failed
-//!   forwards, or probes on the control paths) and respawns them from the
-//!   latest checkpoint plus the replay log, rejoining oracle-exact.
+//!   router persists each shard's barrier image (hand-rolled binary codec)
+//!   to a [`CheckpointStore`] at every cut, and keeps the cut deltas of any
+//!   cut whose saves did not all land. It detects dead shard workers
+//!   (failed forwards, or probes on the control paths), rebuilds each one's
+//!   edge set from its latest checkpoint, those deltas and the op log it
+//!   folds cut deltas from, and respawns it on that, oracle-exact.
 //!   [`GraphCluster::spawn_from_store`] restarts a whole cluster at the
 //!   last checkpointed cut. [`FaultPlan`] /
 //!   [`GraphCluster::kill_shard`] are the fault-injection hooks the

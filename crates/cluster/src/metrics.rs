@@ -85,11 +85,11 @@ pub struct ClusterMetrics {
     /// Dead shard workers detected and respawned (requires
     /// [`ClusterConfig::recovery`](crate::ClusterConfig::recovery)).
     pub recoveries: u64,
-    /// Total wall-clock seconds spent in recovery (restore → respawn →
-    /// log replay → re-checkpoint), across all recoveries.
+    /// Total wall-clock seconds spent in recovery (restore → rebuild →
+    /// respawn → re-checkpoint), across all recoveries.
     pub recovery_secs: f64,
-    /// Routed updates re-ingested into respawned workers from the router's
-    /// replay logs across all recoveries.
+    /// Op-log entries (one per key) re-applied on top of recovered shards'
+    /// base images, across all recoveries.
     pub recovery_replayed_updates: u64,
     /// Recoveries that found no checkpoint to decode (none saved yet, a
     /// load error, or a corrupt one) and rebased on the dead worker's last

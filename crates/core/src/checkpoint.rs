@@ -5,8 +5,8 @@
 //! [`encode`] writes the container and [`decode`] validates it and returns
 //! the snapshot it holds: the exact state the producer published at that
 //! snapshot's epoch. A checkpoint carries no delta chain. The updates since
-//! it live in the producer's own replay log (the cluster router keeps one
-//! per shard), which recovery re-ingests on top of the decoded snapshot.
+//! it live with the producer (the cluster router's op log and unsaved cut
+//! deltas), which recovery applies on top of the decoded snapshot.
 //!
 //! Container layout (all little-endian):
 //!

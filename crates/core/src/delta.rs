@@ -195,7 +195,7 @@ struct LoggedOp {
 /// between two folds, not by the updates; a compaction that leaves it more
 /// than half full also doubles it, so one sort pays for at least as many
 /// pushes as it kept entries.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct OpLog {
     ops: Vec<LoggedOp>,
     seq: u64,
@@ -257,12 +257,6 @@ impl OpLog {
         self.ops.is_empty() && self.restored.is_none()
     }
 
-    /// Drop everything logged or restored (capacity is kept).
-    pub fn clear(&mut self) {
-        self.ops.clear();
-        self.restored = None;
-    }
-
     /// Put a folded delta back ahead of everything logged since it was
     /// folded, so the next fold covers its keys too.
     pub fn restore(&mut self, delta: SnapshotDelta) {
@@ -294,6 +288,12 @@ impl OpLog {
             }
             None => folded,
         }
+    }
+
+    /// What [`Self::fold`] would return (stamped with epoch 0), leaving the
+    /// log as it is.
+    pub fn peek(&self) -> SnapshotDelta {
+        self.clone().fold(0)
     }
 }
 
@@ -708,6 +708,13 @@ mod tests {
                 folded.merge(&SnapshotDelta::from_batch(round, &batch));
             }
             assert!(log.len() <= OP_LOG_MIN_COMPACT + 144, "log compacts");
+            let peeked = log.peek();
+            assert_eq!(peeked.inserted(), folded.inserted(), "round {round}");
+            assert_eq!(
+                peeked.deleted_keys(),
+                folded.deleted_keys(),
+                "round {round}"
+            );
             assert_eq!(log.fold(round), folded, "round {round}");
             assert!(log.is_empty());
         }
@@ -756,6 +763,10 @@ mod tests {
         log.insert(e(0, 3, 5));
         log.restore(first.clone());
         assert!(!log.is_empty());
+        // A peek sees the restored delta and leaves the log whole.
+        let peeked = log.peek();
+        assert_eq!(peeked.inserted(), &[e(0, 2, 1), e(0, 3, 5)]);
+        assert_eq!(peeked.deleted_keys(), &[Edge::new(0, 1).key()]);
         let mut want = first;
         want.merge(&SnapshotDelta::from_parts(
             2,
@@ -768,7 +779,7 @@ mod tests {
         assert!(log.is_empty());
         log.insert(e(1, 1, 1));
         log.restore(want);
-        log.clear();
+        log.fold(3);
         assert!(log.is_empty());
     }
 }

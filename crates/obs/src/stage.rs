@@ -45,7 +45,7 @@ pub enum Stage {
     RecoveryDetect,
     /// Recovery: checkpoint decode / snapshot rebase of the lost state.
     RecoveryRestore,
-    /// Recovery: delta-chain + replay-log re-ingestion and respawn.
+    /// Recovery: rebuild from the router's deltas and op log, and respawn.
     RecoveryReplay,
     /// Serving front: admission (quota check + queue submission) for one
     /// query — the shed/accept decision a tenant observes.

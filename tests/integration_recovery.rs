@@ -1,7 +1,7 @@
 //! Crash-recovery fault-injection harness: a shard worker is killed at a
 //! random point of a random insert/delete stream — under both 1D partition
 //! policies — and the recovered cluster (respawned from its latest durable
-//! checkpoint plus the router's replay log) must equal the single-device
+//! checkpoint plus the router's op log) must equal the single-device
 //! sequential oracle at every subsequent cut: same edge set, same
 //! BFS/CC/PageRank. Deterministic cases cover a kill straddling a live
 //! reshard, a delta ring too small to cover the gap, an update forwarded
@@ -100,7 +100,7 @@ proptest! {
     /// either 1D policy: the recovered cluster equals the sequential
     /// oracle at every subsequent cut. The kill lands mid-stream, so
     /// whatever the victim had buffered but not flushed dies with it and
-    /// must come back from checkpoint + replay-log recovery.
+    /// must come back from checkpoint + op-log recovery.
     #[test]
     fn killed_shard_stream_matches_sequential_oracle(
         ops_a in prop::collection::vec((0u8..4, 0u32..64, 0u32..64, 1u64..100), 1..60),
@@ -298,7 +298,7 @@ fn kill_during_cow_reshard_recovers_exactly() {
 
 /// Shard delta rings (one delta each) far too small to cover the flushes
 /// since the last checkpoint: recovery never reads the ring, so it
-/// restores the checkpoint, re-ingests the replay log and stays
+/// restores the checkpoint, re-applies the router's op log and stays
 /// oracle-exact with no snapshot fallback.
 #[test]
 fn outrun_delta_ring_recovers_from_checkpoint_and_log() {
@@ -355,7 +355,7 @@ fn outrun_delta_ring_recovers_from_checkpoint_and_log() {
 
 /// Process-restart durability: drive a cluster whose checkpoints land in
 /// an on-disk [`DirCheckpointStore`], shut the whole cluster down (the
-/// "process" exits — every worker, ring and replay log is gone), then
+/// "process" exits — every worker, ring and op log is gone), then
 /// rebuild purely from the directory via `spawn_from_store` and require
 /// the restored edge set — under a *different* shard plan — to equal the
 /// last checkpointed cut exactly.
@@ -505,10 +505,10 @@ fn cut_behind_bulk(
     })
 }
 
-/// An update forwarded while a cut round is in flight lands in the replay
-/// log *after* the shard's barrier, so the cut's checkpoint does not hold
-/// it. Publishing the cut must keep that log entry: the flush threshold
-/// never flushes the update, and the kill takes the buffered copy down.
+/// An update forwarded while a cut round is in flight lands in the op log
+/// *after* the shard's barrier, so the cut's checkpoint does not hold it.
+/// Publishing the cut must keep that log entry: the flush threshold never
+/// flushes the update, and the kill takes the buffered copy down.
 #[test]
 fn update_forwarded_during_a_cut_round_survives_a_kill() {
     for round in 0..BULK_ROUNDS {
@@ -646,16 +646,22 @@ fn a_restart_after_a_shrinking_reshard_ignores_the_retired_shards() {
 }
 
 /// A [`CheckpointStore`] whose saves fail once [`Self::fail_saves`] is
-/// called, as a full disk would.
+/// called, as a full disk would, and whose loads fail once
+/// [`Self::fail_loads`] is, as an unreadable one would.
 #[derive(Default)]
 struct FailingStore {
     inner: MemoryCheckpointStore,
     failing: AtomicBool,
+    failing_loads: AtomicBool,
 }
 
 impl FailingStore {
     fn fail_saves(&self) {
         self.failing.store(true, Ordering::Relaxed);
+    }
+
+    fn fail_loads(&self) {
+        self.failing_loads.store(true, Ordering::Relaxed);
     }
 }
 
@@ -668,6 +674,9 @@ impl CheckpointStore for FailingStore {
     }
 
     fn load_latest(&self, shard: usize) -> std::io::Result<Option<Vec<u8>>> {
+        if self.failing_loads.load(Ordering::Relaxed) {
+            return Err(std::io::Error::other("injected load failure"));
+        }
         self.inner.load_latest(shard)
     }
 }
@@ -694,9 +703,10 @@ fn failing_store_phase(p: u32) -> Vec<(u8, u32, u32, u64)> {
 }
 
 /// Once every save fails, the checkpoint store keeps the first cut's
-/// images, so the replay log must keep everything since then: a recovery
-/// whose re-checkpoint fails may not drop it, or a second kill loses the
-/// updates the first recovery replayed.
+/// images, so the router must keep every update since then: a cut whose
+/// saves fail may not drop its delta, nor may a reshard's marker drop the
+/// op log or the copies, or a second kill loses the updates the first
+/// recovery re-applied.
 #[test]
 fn failed_checkpoint_saves_keep_the_replay_log_across_two_kills() {
     let store = Arc::new(FailingStore::default());
@@ -728,6 +738,19 @@ fn failed_checkpoint_saves_keep_the_replay_log_across_two_kills() {
     assert_cut_matches(&cluster, &oracle, "first cut");
     store.fail_saves();
     for kill in 1..=2u32 {
+        if kill == 2 {
+            // Between the kills, a reshard whose marker saves fail too:
+            // 2 → 3 ranges moves sources 22..32 off shard 0 by copy, and the
+            // updates routed since the last cut only reach the marker.
+            feed_phase(5, &mut oracle);
+            cluster
+                .reshard(Arc::new(VertexPartition {
+                    num_vertices: NUM_VERTICES,
+                    num_shards: 3,
+                }))
+                .expect("reshard with failing saves");
+            assert_cut_matches(&cluster, &oracle, "cut after the reshard");
+        }
         feed_phase(2 * kill - 1, &mut oracle);
         assert!(cluster.kill_shard(0).expect("cluster alive"));
         feed_phase(2 * kill, &mut oracle);
@@ -737,4 +760,47 @@ fn failed_checkpoint_saves_keep_the_replay_log_across_two_kills() {
     assert_eq!(m.recoveries, 2);
     assert_eq!(m.recovery_snapshot_fallbacks, 0);
     assert!(m.worker_errors >= 2, "every failed save is counted: {m}");
+}
+
+/// With every load failing, recovery cannot read a checkpoint: it rebuilds
+/// the shard from the dead worker's published image, counts the fallback
+/// and the load error, and the cluster stays oracle-exact.
+#[test]
+fn failed_checkpoint_loads_recover_from_the_published_image() {
+    let store = Arc::new(FailingStore::default());
+    let cluster = GraphCluster::spawn(
+        ClusterConfig {
+            flush_threshold: 4,
+            router_batch: 16,
+            recovery: Some(RecoveryPolicy {
+                store: store.clone(),
+            }),
+            ..Default::default()
+        },
+        &DeviceConfig::deterministic(),
+        Arc::new(VertexPartition {
+            num_vertices: NUM_VERTICES,
+            num_shards: 2,
+        }),
+        &[],
+    );
+    let h = cluster.handle();
+    let mut oracle = BTreeMap::new();
+    let feed_phase = |p: u32, oracle: &mut BTreeMap<(u32, u32), u64>| {
+        let ops = failing_store_phase(p);
+        feed(&h, &ops);
+        apply_oracle(oracle, &ops);
+    };
+
+    feed_phase(0, &mut oracle);
+    assert_cut_matches(&cluster, &oracle, "first cut");
+    store.fail_loads();
+    feed_phase(1, &mut oracle);
+    assert!(cluster.kill_shard(0).expect("cluster alive"));
+    feed_phase(2, &mut oracle);
+    assert_cut_matches(&cluster, &oracle, "cut after the kill");
+    let m = cluster.shutdown().metrics;
+    assert_eq!(m.recoveries, 1);
+    assert_eq!(m.recovery_snapshot_fallbacks, 1);
+    assert_eq!(m.worker_errors, 1, "the failed load is counted: {m}");
 }
