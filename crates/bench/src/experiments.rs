@@ -993,14 +993,13 @@ pub fn audit(cfg: &ExpConfig) {
 // Recovery — shard failover from checkpoint + the router's op log
 // ----------------------------------------------------------------------
 
-/// `recovery`: a live cluster failover. A `FaultPlan` kills a shard worker
+/// `recovery`: a live cluster failover. `kill_shard` kills a shard worker
 /// mid-stream; the router rebuilds it from its latest checkpoint plus the
 /// updates since, and the `ClusterMetrics` recovery counters report what
 /// the failover cost.
 pub fn recovery(cfg: &ExpConfig) {
     use gpma_cluster::{
-        ClusterConfig, FaultPlan, GraphCluster, MemoryCheckpointStore, PartitionPolicy,
-        RecoveryPolicy,
+        ClusterConfig, GraphCluster, MemoryCheckpointStore, PartitionPolicy, RecoveryPolicy,
     };
     use std::sync::Arc;
 
@@ -1017,11 +1016,6 @@ pub fn recovery(cfg: &ExpConfig) {
             recovery: Some(RecoveryPolicy {
                 store: Arc::new(MemoryCheckpointStore::new()),
             }),
-            fault: Some(FaultPlan {
-                kill_shard: 1,
-                after_routed_updates: (n_updates / 2) as u64,
-                during_reshard: false,
-            }),
             ..Default::default()
         },
         &cfg.device_cfg,
@@ -1032,15 +1026,17 @@ pub fn recovery(cfg: &ExpConfig) {
     for (i, e) in tail[..n_updates].iter().enumerate() {
         h.insert(*e).expect("cluster alive");
         if i == n_updates / 4 {
-            // A mid-stream cut so checkpoints exist before the fault
-            // fires.
+            // A mid-stream cut so checkpoints exist before the kill.
             cluster.epoch_cut().expect("cluster alive");
+        }
+        if i == n_updates / 2 {
+            assert!(cluster.kill_shard(1).expect("cluster alive"));
         }
     }
     cluster.epoch_cut().expect("cluster alive");
     let report = cluster.shutdown();
     let m = &report.metrics;
-    assert!(m.recoveries >= 1, "the fault plan must have fired");
+    assert!(m.recoveries >= 1, "the killed shard must have been recovered");
     assert_eq!(m.recovery_snapshot_fallbacks, 0, "every recovery found its checkpoint");
     // The stream only inserts: an exact failover ends on exactly its keys.
     let streamed = stream.initial_edges().iter().chain(&tail[..n_updates]);
@@ -1054,7 +1050,7 @@ pub fn recovery(cfg: &ExpConfig) {
     );
     emit(
         "recovery",
-        "Cluster failover under a FaultPlan (Graph500, 4 shards, kill + respawn)",
+        "Cluster failover after a mid-stream kill (Graph500, 4 shards, kill + respawn)",
         &["Recoveries", "RecoverMs", "ReplayedUpdates", "Checkpoints", "CkptKB"],
         &[vec![
             format!("{}", m.recoveries),

@@ -6,18 +6,18 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam::channel::{
-    bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
-};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use gpma_core::checkpoint::{self, CheckpointStore, MemoryCheckpointStore};
 use gpma_core::delta::{DeltaCatchUp, DeltaLog, OpLog, SnapshotDelta};
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot, BYTES_PER_UPDATE};
 use gpma_core::multi::{PartitionEpoch, Partitioner};
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_obs::{EventKind, Registry as ObsRegistry, Stage, NO_SHARD};
-use gpma_service::{DeltaMonitor, IngestHandle, ServiceConfig, ServiceReport, StreamingService};
+use gpma_service::{
+    BarrierAck, DeltaMonitor, IngestHandle, ServiceConfig, ServiceReport, StreamingService,
+};
 use gpma_sim::pcie::{Pcie, TransferLedger};
 use gpma_sim::{Device, DeviceConfig, PcieConfig};
 use parking_lot::Mutex;
@@ -64,10 +64,6 @@ pub struct ClusterConfig {
     /// update since, out of those deltas and its op log, and respawns the
     /// shard on it, oracle-exact.
     pub recovery: Option<RecoveryPolicy>,
-    /// Fault injection for crash-recovery tests: kill one shard worker once
-    /// a routed-update threshold is crossed. `None` (the default) injects
-    /// nothing.
-    pub fault: Option<FaultPlan>,
 }
 
 impl Default for ClusterConfig {
@@ -80,7 +76,6 @@ impl Default for ClusterConfig {
             delta_log_capacity: 256,
             rebalance: None,
             recovery: None,
-            fault: None,
         }
     }
 }
@@ -109,27 +104,6 @@ impl std::fmt::Debug for RecoveryPolicy {
             .field("store", &"Arc<dyn CheckpointStore>")
             .finish()
     }
-}
-
-/// One-shot fault injection (see [`ClusterConfig::fault`]): the router
-/// kills `kill_shard`'s worker — no drain, no final flush, exactly
-/// [`StreamingService::inject_failure`] — right after the burst in which
-/// the cluster-lifetime routed-update count crosses
-/// `after_routed_updates`. [`GraphCluster::kill_shard`] is the imperative
-/// equivalent for tests that want to pick the moment themselves.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPlan {
-    /// Shard whose worker dies (out-of-range plans are logged and counted
-    /// as [`ClusterMetrics::worker_errors`], never fatal).
-    pub kill_shard: usize,
-    /// Routed-update count (cluster lifetime, all shards) at which the
-    /// kill fires.
-    pub after_routed_updates: u64,
-    /// When true, the plan stays armed past its threshold until a reshard
-    /// is in flight, and fires *inside* it: at the reshard's first forward,
-    /// before the copy's barriers are issued, so the victim never answers
-    /// them — the crash window the reshard × recovery tests need to hit.
-    pub during_reshard: bool,
 }
 
 /// When (and toward what) the router reshards on its own: after at least
@@ -281,7 +255,11 @@ enum Command {
         at_barrier: bool,
         ack: Sender<bool>,
     },
-    /// Drain everything queued, final-cut, stop the shard services, exit.
+    /// A shard answered a barrier: its ack is on the router's ack channel.
+    /// Carries nothing — it only makes the router run a pass.
+    Wake,
+    /// Take no new plan changes, run the rounds in flight and a final cut,
+    /// stop the shard services, exit.
     Shutdown,
 }
 
@@ -669,6 +647,7 @@ impl GraphCluster {
         };
 
         let (tx, rx) = bounded(cfg.queue_capacity.max(1));
+        let wake = tx.clone();
         let router_shared = shared.clone();
         let router_part = partitioner.clone();
         let router_device_cfg = device_cfg.clone();
@@ -677,6 +656,7 @@ impl GraphCluster {
             .spawn(move || {
                 run_router(
                     rx,
+                    wake,
                     services,
                     router_part,
                     router_shared,
@@ -809,14 +789,27 @@ impl GraphCluster {
     /// [`ClusterConfig::recovery`] set the router detects the corpse at the
     /// next touch (a forwarded burst, cut, or reshard) and respawns it from
     /// the latest checkpoint; without it, cuts degrade to the dead shard's
-    /// last published snapshot. Test/chaos hook — see also
-    /// [`ClusterConfig::fault`] for the declarative variant.
+    /// last published snapshot. Test/chaos hook.
     pub fn kill_shard(&self, shard: usize) -> Result<bool, ClusterClosed> {
+        self.kill(shard, false)
+    }
+
+    /// Fault injection: `shard`'s worker dies when it next reaches a
+    /// barrier, without answering it
+    /// ([`StreamingService::crash_at_next_barrier`]) — the kill between a
+    /// round's barrier and its ack that a FIFO [`Self::kill_shard`] cannot
+    /// reach. Returns once the kill is armed: `Ok(true)` when the worker was
+    /// alive, `Ok(false)` as for [`Self::kill_shard`]. Test/chaos hook.
+    pub fn kill_shard_at_next_barrier(&self, shard: usize) -> Result<bool, ClusterClosed> {
+        self.kill(shard, true)
+    }
+
+    fn kill(&self, shard: usize, at_barrier: bool) -> Result<bool, ClusterClosed> {
         let (ack_tx, ack_rx) = bounded(1);
         self.tx
             .send(Command::Kill {
                 shard,
-                at_barrier: false,
+                at_barrier,
                 ack: ack_tx,
             })
             .map_err(|_| ClusterClosed)?;
@@ -1080,55 +1073,31 @@ fn run_cut_monitors(
     monitors
 }
 
-/// One async barrier per shard, each FIFO behind everything already
-/// forwarded to that shard; the acks are collected as the workers reach
-/// them, so the router never stalls on a cluster-wide quiesce. The
-/// non-blocking cut and the reshard's copy and retire waits are all this.
+/// One shard's answer to a barrier round: the round's id, the shard, and
+/// its barrier image (`None`: the worker died without answering).
+type Ack = (u64, usize, Option<Arc<GraphSnapshot>>);
+
+/// One barrier per shard, each FIFO behind everything already forwarded to
+/// that shard. Issuing it returns at once; each answer arrives as an event
+/// on the router's ack channel and is filed here, so the router never
+/// stalls on a cluster-wide quiesce. The cut, the reshard's copy and retire
+/// waits and its marker are all this.
 #[derive(Default)]
 struct BarrierRound {
-    /// Outstanding ack receivers (`None` = answered, or the service was
-    /// already closed when the barrier was issued).
-    waits: Vec<Option<Receiver<Arc<GraphSnapshot>>>>,
-    /// Collected barrier snapshots. One still `None` once the round is
-    /// complete means that worker died before acking.
+    /// Tags the round's acks. An ack for a round no longer in flight (a
+    /// copy round reissued after a recovery, a replaced shard's queued
+    /// barrier) matches nothing and is dropped.
+    id: u64,
+    /// Collected barrier images. One still `None` once the round is
+    /// complete means that worker died before answering.
     got: Vec<Option<Arc<GraphSnapshot>>>,
+    /// Shards yet to answer.
+    outstanding: usize,
 }
 
 impl BarrierRound {
-    fn issue(services: &[StreamingService]) -> Self {
-        let waits: Vec<_> = services
-            .iter()
-            .map(|svc| svc.barrier_async().ok())
-            .collect();
-        BarrierRound {
-            got: vec![None; waits.len()],
-            waits,
-        }
-    }
-
-    /// Collect the acks that have arrived (with `block`, park on each
-    /// outstanding one). True once every shard has answered or died.
-    fn poll(&mut self, block: bool) -> bool {
-        let mut all = true;
-        for (wait, got) in self.waits.iter_mut().zip(&mut self.got) {
-            let Some(rx) = wait else {
-                continue;
-            };
-            *got = if block {
-                rx.recv().ok()
-            } else {
-                match rx.try_recv() {
-                    Ok(snap) => Some(snap),
-                    Err(TryRecvError::Empty) => {
-                        all = false;
-                        continue;
-                    }
-                    Err(TryRecvError::Disconnected) => None,
-                }
-            };
-            *wait = None;
-        }
-        all
+    fn done(&self) -> bool {
+        self.outstanding == 0
     }
 }
 
@@ -1142,6 +1111,9 @@ struct PendingCut {
     /// The router's op log, folded when the barriers were issued: exactly
     /// what the round's images add to the previous cut.
     delta: SnapshotDelta,
+    /// The reshard whose marker this round is: it publishes as a rebase
+    /// point, and completes the reshard.
+    marker: Option<Reshard>,
 }
 
 /// Everything the router loop threads through its helpers.
@@ -1176,12 +1148,16 @@ struct Router {
     /// Durability/failover policy ([`ClusterConfig::recovery`]); `None`
     /// disables detection, checkpointing and `unsaved` entirely.
     recovery: Option<RecoveryPolicy>,
-    /// One-shot fault plan ([`ClusterConfig::fault`]); taken when it fires.
-    fault: Option<FaultPlan>,
-    /// Updates routed over the cluster lifetime — never reset (unlike the
-    /// per-plan skew window in [`RouterCounters::routed`]); the fault
-    /// plan's trigger clock.
-    lifetime_routed: u64,
+    /// Where every shard's barrier answer lands (unbounded: an ack never
+    /// blocks a shard worker), and the router's own queue, which the
+    /// answering worker rings with a [`Command::Wake`].
+    acks: (Sender<Ack>, Receiver<Ack>),
+    wake: Sender<Command>,
+    /// Id of the last barrier round issued.
+    rounds: u64,
+    /// Set by [`Command::Shutdown`]: no new plan changes; the loop exits
+    /// once the rounds in flight and a final cut round are done.
+    stopping: bool,
     /// Under a recovery policy, what some shard's latest checkpoint lacks
     /// and the op log no longer holds: every cut delta published since a
     /// cut or marker left a save failed or skipped, and the copies of a
@@ -1194,10 +1170,11 @@ struct Router {
     /// join the *next* round (their pre-cut updates may not have been
     /// forwarded when the current round's barriers were issued).
     queued_cut_acks: Vec<Sender<Arc<ClusterSnapshot>>>,
-    /// The reshard in flight, if any (see [`reshard`]).
+    /// The reshard in flight up to its marker round, if any (see
+    /// [`reshard`]).
     reshard: Option<Reshard>,
-    /// Cut/reshard/rebalance commands that arrived with a reshard in
-    /// flight; run in arrival order right after it completes.
+    /// Cut, reshard and rebalance commands in arrival order, each started
+    /// by [`Self::run_deferred`] as soon as nothing in flight blocks it.
     deferred: VecDeque<Command>,
 }
 
@@ -1236,6 +1213,7 @@ impl Router {
             | Command::Rebalance(..)
             | Command::Stats(_)
             | Command::Kill { .. }
+            | Command::Wake
             | Command::Shutdown => {
                 // Control commands are dispatched by the router loop, not
                 // routed; reaching here is a dispatch bug — but the router
@@ -1276,33 +1254,6 @@ impl Router {
         }
     }
 
-    /// The one-shot fault plan fires right after the burst that crossed
-    /// its threshold: the victim's queued updates die unflushed, exactly
-    /// like a process kill between flushes. A `during_reshard` plan stays
-    /// armed past its threshold and fires at the first check inside a
-    /// reshard instead.
-    fn maybe_fire_fault(&mut self) {
-        let Some(plan) = self.fault else {
-            return;
-        };
-        if self.lifetime_routed < plan.after_routed_updates
-            || (plan.during_reshard && self.reshard.is_none())
-        {
-            return;
-        }
-        self.fault = None;
-        if plan.kill_shard < self.services.len() {
-            let _ = self.services[plan.kill_shard].inject_failure();
-        } else {
-            self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "gpma-cluster: fault plan names shard {} of {}; ignored",
-                plan.kill_shard,
-                self.services.len()
-            );
-        }
-    }
-
     /// Ship every non-empty per-shard sub-batch: record one modeled DMA per
     /// sub-batch against that shard's ledger (all accounting under one lock
     /// per burst), then forward through the shards' (blocking) ingest
@@ -1310,10 +1261,6 @@ impl Router {
     /// cluster queue, which stalls producers.
     fn forward(&mut self) {
         if self.pending_len == 0 {
-            // Nothing to ship, but an armed `during_reshard` fault plan
-            // must still get its shot: a reshard with no client traffic in
-            // flight would otherwise never fire it.
-            self.maybe_fire_fault();
             return;
         }
         let obs = self.shared.obs.clone();
@@ -1350,12 +1297,10 @@ impl Router {
                 }
             }
         }
-        self.lifetime_routed += self.pending_len as u64;
         self.pending_len = 0;
-        // The forward span ends here: fault firing and recovery below are
-        // their own pipeline stages, not part of the send fan-out.
+        // The forward span ends here: recovery below is its own pipeline
+        // stage, not part of the send fan-out.
         drop(fwd_span);
-        self.maybe_fire_fault();
         for i in dead {
             self.recover_shard(i);
         }
@@ -1541,11 +1486,14 @@ impl Router {
 
     /// Assemble and publish one coordinated cut from barriered (or fallen
     /// back) per-shard snapshots, with its delta — `None` publishes it as a
-    /// counted rebase, which checkpoints nothing.
+    /// counted rebase, which checkpoints nothing. A `rebase` cut (a
+    /// reshard's marker) publishes as a rebase point either way, and still
+    /// checkpoints its delta.
     fn publish_cut(
         &mut self,
         snaps: Vec<Arc<GraphSnapshot>>,
         delta: Option<SnapshotDelta>,
+        rebase: bool,
         t0: Instant,
     ) -> Arc<ClusterSnapshot> {
         let obs = self.shared.obs.clone();
@@ -1562,7 +1510,7 @@ impl Router {
                 self.shared.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
             }
             let delta = delta.map(Arc::new);
-            self.publish(&snap, delta.clone());
+            self.publish(&snap, delta.clone().filter(|_| !rebase));
             if let Some(d) = delta {
                 self.checkpoint_cut(&snap, &d);
             }
@@ -1598,12 +1546,83 @@ impl Router {
         }
     }
 
+    /// Issue one barrier to every shard as a new round. Each shard's answer
+    /// goes onto the ack channel, tagged with the round and the shard, and
+    /// then rings the router with a `try_send` of [`Command::Wake`]: a
+    /// blocking send could deadlock against a router blocked in
+    /// [`Self::forward`] on that shard's full queue, and a full router
+    /// queue already guarantees the pass after which the acks are read.
+    fn issue_round(&mut self) -> BarrierRound {
+        self.rounds += 1;
+        let id = self.rounds;
+        for (i, svc) in self.services.iter().enumerate() {
+            let (acks, wake) = (self.acks.0.clone(), self.wake.clone());
+            svc.barrier_with(BarrierAck::new(move |image| {
+                let _ = acks.send((id, i, image));
+                let _ = wake.try_send(Command::Wake);
+            }));
+        }
+        let n = self.services.len();
+        BarrierRound {
+            id,
+            got: vec![None; n],
+            outstanding: n,
+        }
+    }
+
+    /// File every barrier answer that has arrived with the round it
+    /// belongs to, then run what the completed rounds let run: publish a
+    /// cut, step the reshard, start deferred commands, check the skew.
+    /// Acks are read once per pass; a round issued here waits for a later
+    /// pass, which its acks' `Wake`s bring.
+    fn advance(&mut self) {
+        while let Ok((id, shard, image)) = self.acks.1.try_recv() {
+            let cut = self.pending_cut.as_mut().map(|pc| &mut pc.round);
+            let reshard = self.reshard.as_mut().map(|rs| &mut rs.round);
+            if let Some(round) = cut.into_iter().chain(reshard).find(|r| r.id == id) {
+                round.got[shard] = image;
+                round.outstanding -= 1;
+            }
+        }
+        self.finish_cut_round();
+        self.step_reshard();
+        self.run_deferred();
+        self.maybe_rebalance();
+    }
+
+    /// Start the deferred control commands in arrival order while nothing
+    /// in flight blocks the one at the front: a cut waits for a reshard
+    /// (a barrier before its marker would observe movers on both owners),
+    /// a plan change for any round (plan changes cannot nest, and a cut
+    /// round must not barrier against shards a copy floods).
+    fn run_deferred(&mut self) {
+        while self.reshard.is_none() {
+            let plan_change = matches!(
+                self.deferred.front(),
+                Some(Command::Reshard(..) | Command::Rebalance(..))
+            );
+            if plan_change && self.pending_cut.is_some() {
+                return;
+            }
+            match self.deferred.pop_front() {
+                Some(Command::Cut(ack)) => self.begin_cut(ack),
+                Some(Command::Reshard(new, ack)) => self.begin_reshard(new, Some(ack)),
+                Some(Command::Rebalance(target, ack)) => self.begin_rebalance(target, Some(ack)),
+                _ => return,
+            }
+        }
+    }
+
+    /// No round in flight and nothing deferred.
+    fn is_idle(&self) -> bool {
+        self.pending_cut.is_none() && self.reshard.is_none() && self.deferred.is_empty()
+    }
+
     /// Start (or queue into) a non-blocking cut round. The barrier command
     /// is FIFO-ordered behind every update already forwarded to each shard,
     /// so the per-shard barrier snapshots form an exact global frontier
     /// even though their acks arrive at different times — the router keeps
-    /// absorbing and forwarding ingest while [`Self::poll_pending_cut`]
-    /// collects them.
+    /// absorbing and forwarding ingest while they come in.
     fn begin_cut(&mut self, ack: Sender<Arc<ClusterSnapshot>>) {
         if self.pending_cut.is_some() {
             // This caller's pre-cut updates may not have been forwarded
@@ -1612,76 +1631,59 @@ impl Router {
             self.queued_cut_acks.push(ack);
             return;
         }
-        self.start_cut_round(vec![ack]);
+        self.start_cut_round(vec![ack], None);
     }
 
     /// Forward residue and issue one barrier to every shard, registering
     /// the round as [`Router::pending_cut`] with its delta: the op log,
-    /// folded. Only one round is in flight and a reshard's marker waits
-    /// for it, so this round publishes the next cut number.
-    fn start_cut_round(&mut self, acks: Vec<Sender<Arc<ClusterSnapshot>>>) {
+    /// folded. Only one round is in flight, so this round publishes the
+    /// next cut number; with `marker` it is that reshard's marker.
+    fn start_cut_round(&mut self, acks: Vec<Sender<Arc<ClusterSnapshot>>>, marker: Option<Reshard>) {
         self.forward();
         self.ensure_shards_alive();
         let cut = self.shared.cuts.load(Ordering::Relaxed) + 1;
+        let round = self.issue_round();
         self.pending_cut = Some(PendingCut {
             acks,
             t0: Instant::now(),
-            round: BarrierRound::issue(&self.services),
+            round,
             delta: self.ops.fold(cut),
+            marker,
         });
-        self.poll_pending_cut(false);
     }
 
-    /// Collect whatever barrier acks have arrived for the in-flight cut
-    /// round; when the round completes, publish the cut, answer every
-    /// waiter, and start the next round if callers queued up meanwhile.
-    /// With `block` set, parks on each outstanding ack (the resolve path).
-    fn poll_pending_cut(&mut self, block: bool) {
-        loop {
-            let Some(mut pc) = self.pending_cut.take() else {
-                return;
-            };
-            if !pc.round.poll(block) {
-                self.pending_cut = Some(pc);
-                return;
-            }
-            let (snaps, degraded) = self.round_snapshots(pc.round);
-            // A corpse's stall is not barrier latency: drop the sample. Nor
-            // need the image standing in for it match the op log, so the
-            // round publishes as a rebase, and its delta goes back into the
-            // log: the stand-in can be wrong only on keys logged since the
-            // last exact cut, and the next delta then covers all of them.
-            let delta = if degraded {
-                self.ops.restore(pc.delta);
-                None
-            } else {
-                self.shared
-                    .obs
-                    .record_duration(Stage::CutBarrier, pc.t0.elapsed());
-                Some(pc.delta)
-            };
-            let snap = self.publish_cut(snaps, delta, pc.t0);
-            for ack in pc.acks {
-                let _ = ack.send(snap.clone());
-            }
-            if self.queued_cut_acks.is_empty() {
-                return;
-            }
-            let next = std::mem::take(&mut self.queued_cut_acks);
-            self.start_cut_round(next);
-            // start_cut_round polled once already; blocking callers keep
-            // draining rounds, the router loop polls again next pass.
-            if !block {
-                return;
-            }
+    /// Once every shard has answered the in-flight cut round: publish the
+    /// cut, answer every waiter, complete the reshard a marker round
+    /// belongs to, and start the next round if callers queued up meanwhile.
+    fn finish_cut_round(&mut self) {
+        let Some(pc) = self.pending_cut.take_if(|pc| pc.round.done()) else {
+            return;
+        };
+        let (snaps, degraded) = self.round_snapshots(pc.round);
+        // A corpse's stall is not barrier latency: drop the sample. Nor
+        // need the image standing in for it match the op log, so the round
+        // publishes as a rebase, and its delta goes back into the log: the
+        // stand-in can be wrong only on keys logged since the last exact
+        // cut, and the next delta then covers all of them.
+        let delta = if degraded {
+            self.ops.restore(pc.delta);
+            None
+        } else {
+            self.shared
+                .obs
+                .record_duration(Stage::CutBarrier, pc.t0.elapsed());
+            Some(pc.delta)
+        };
+        let snap = self.publish_cut(snaps, delta, pc.marker.is_some(), pc.t0);
+        for ack in pc.acks {
+            let _ = ack.send(snap.clone());
         }
-    }
-
-    /// Park until no cut round is in flight (reshard entry and shutdown —
-    /// the two points that need the cut pipeline drained).
-    fn resolve_pending_cut(&mut self) {
-        while self.pending_cut.is_some() {
-            self.poll_pending_cut(true);
+        if let Some(rs) = pc.marker {
+            self.marker_published(rs, &snap);
+        }
+        if !self.queued_cut_acks.is_empty() {
+            let next = std::mem::take(&mut self.queued_cut_acks);
+            self.start_cut_round(next, None);
         }
     }
 
@@ -1706,7 +1708,8 @@ impl Router {
         let _ = ack.send(landed);
     }
 
-    /// The skew-driven trigger, evaluated after each forwarded burst: once
+    /// The skew-driven trigger, evaluated every pass with no round in
+    /// flight: once
     /// enough updates accumulated under the current plan, a max/mean
     /// routed-update skew above the policy threshold fires a rebalance.
     /// The reshard resets the window counters, so the policy re-arms only
@@ -1715,7 +1718,7 @@ impl Router {
         let Some(policy) = self.cfg.rebalance else {
             return;
         };
-        if self.reshard.is_some() {
+        if self.stopping || !self.is_idle() {
             return;
         }
         let skew = {
@@ -1780,10 +1783,14 @@ fn buffer_deletion(batch: &mut UpdateBatch, e: Edge) -> u64 {
 }
 
 /// The router loop: block on the queue, coalesce bursts into per-shard
-/// sub-batches, forward, serve cuts and stats, and on shutdown drain
-/// everything, final-cut and stop the shard services.
+/// sub-batches, forward, then run whatever the barrier answers since the
+/// last pass let run. The queue is the one place the router waits: every
+/// answer rings it with a [`Command::Wake`]. On shutdown it runs the rounds
+/// in flight and a final cut round the same way, then stops the shards.
+#[allow(clippy::too_many_arguments)]
 fn run_router(
     rx: Receiver<Command>,
+    wake: Sender<Command>,
     services: Vec<StreamingService>,
     part: Arc<dyn Partitioner>,
     shared: Arc<Shared>,
@@ -1795,7 +1802,6 @@ fn run_router(
     let num_vertices = part.num_vertices();
     let router_batch = cfg.router_batch.max(1);
     let recovery = cfg.recovery.clone();
-    let fault = cfg.fault;
     let mut r = Router {
         handles: services.iter().map(|s| s.handle()).collect(),
         services,
@@ -1812,77 +1818,37 @@ fn run_router(
         ops: OpLog::default(),
         cut_tx,
         recovery,
-        fault,
-        lifetime_routed: 0,
+        acks: unbounded(),
+        wake,
+        rounds: 0,
+        stopping: false,
         unsaved: SnapshotDelta::default(),
         pending_cut: None,
         queued_cut_acks: Vec::new(),
         reshard: None,
         deferred: VecDeque::new(),
     };
-    'serve: loop {
-        // With a cut round or a reshard in flight, poll it between short
-        // queue waits instead of blocking on the queue — an idle cluster
-        // must still complete its cuts and reshards.
-        let cmd = if r.pending_cut.is_some() || r.reshard.is_some() {
-            let wait_us = if r.reshard.is_some() { 500 } else { 200 };
-            match rx.recv_timeout(Duration::from_micros(wait_us)) {
-                Ok(cmd) => Some(cmd),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break 'serve,
-            }
-        } else {
-            match rx.recv() {
-                Ok(cmd) => Some(cmd),
-                // Front object and every handle dropped: final flush.
-                Err(_) => break 'serve,
-            }
-        };
-        let mut stop = false;
-        if let Some(cmd) = cmd {
-            stop = handle_command(cmd, &mut r);
-            // Coalesce whatever else is already queued before forwarding,
-            // so bursts ship as few, large modeled DMAs.
-            while !stop && r.pending_len < router_batch {
-                match rx.try_recv() {
-                    Ok(cmd) => stop = handle_command(cmd, &mut r),
-                    Err(_) => break,
-                }
+    let mut final_cut = false;
+    while let Ok(cmd) = rx.recv() {
+        handle_command(cmd, &mut r);
+        // Coalesce whatever else is already queued before forwarding, so
+        // bursts ship as few, large modeled DMAs.
+        while r.pending_len < router_batch {
+            match rx.try_recv() {
+                Ok(cmd) => handle_command(cmd, &mut r),
+                Err(_) => break,
             }
         }
         r.forward();
-        r.poll_pending_cut(false);
-        if stop {
-            break 'serve;
-        }
-        r.step_reshard(false);
-        // Cuts and plan changes a reshard deferred run the pass it
-        // completes, in arrival order, against the settled post-swap
-        // cluster; a deferred reshard parks the rest behind itself.
-        while r.reshard.is_none() {
-            let Some(cmd) = r.deferred.pop_front() else {
+        r.advance();
+        if r.stopping && r.is_idle() {
+            if final_cut {
                 break;
-            };
-            handle_command(cmd, &mut r);
+            }
+            r.start_cut_round(Vec::new(), None);
+            final_cut = true;
         }
-        r.maybe_rebalance();
     }
-    // Shutdown (or disconnect) path: absorb everything still queued, run
-    // the reshard in flight (and any queued behind it) to completion, then
-    // take the final coordinated cut and stop the shards.
-    loop {
-        while let Ok(cmd) = rx.try_recv() {
-            handle_command(cmd, &mut r);
-        }
-        r.finish_reshard();
-        let Some(cmd) = r.deferred.pop_front() else {
-            break;
-        };
-        handle_command(cmd, &mut r);
-    }
-    r.resolve_pending_cut();
-    r.start_cut_round(Vec::new());
-    r.resolve_pending_cut();
     r.handles.clear();
     r.services
         .drain(..)
@@ -1890,20 +1856,19 @@ fn run_router(
         .collect()
 }
 
-/// Apply one command. Returns `true` when the router must begin shutdown.
-fn handle_command(cmd: Command, r: &mut Router) -> bool {
+/// Apply one command. Control commands queue in arrival order and start as
+/// soon as nothing in flight blocks them (see [`Router::run_deferred`]);
+/// data routes, stats and kills serve inline.
+fn handle_command(cmd: Command, r: &mut Router) {
     match cmd {
         Command::Insert(_) | Command::Delete(_) | Command::Batch(_) => r.route(cmd),
-        // Mid-reshard, cuts and plan changes wait for the marker cut: a
-        // barrier before it would observe movers on both owners, and plan
-        // changes cannot nest. Data keeps routing (under the old plan,
-        // mirrored, until the swap), stats and kills serve inline.
-        Command::Cut(_) | Command::Reshard(..) | Command::Rebalance(..) if r.reshard.is_some() => {
-            r.deferred.push_back(cmd)
+        Command::Reshard(_, ack) | Command::Rebalance(_, ack) if r.stopping => {
+            let _ = ack.send(Err(ReshardError::Closed));
         }
-        Command::Cut(ack) => r.begin_cut(ack),
-        Command::Reshard(new, ack) => r.begin_reshard(new, Some(ack)),
-        Command::Rebalance(target, ack) => r.begin_rebalance(target, Some(ack)),
+        Command::Cut(_) | Command::Reshard(..) | Command::Rebalance(..) => {
+            r.deferred.push_back(cmd);
+            r.run_deferred();
+        }
         Command::Stats(reply) => {
             // Flush residue first so the reply (and the shared counters it
             // is read alongside) reflect everything accepted so far.
@@ -1915,9 +1880,9 @@ fn handle_command(cmd: Command, r: &mut Router) -> bool {
             at_barrier,
             ack,
         } => r.kill(shard, at_barrier, ack),
-        Command::Shutdown => return true,
+        Command::Wake => {}
+        Command::Shutdown => r.stopping = true,
     }
-    false
 }
 
 #[cfg(test)]
@@ -2665,7 +2630,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_fires_once_and_cluster_rejoins_exactly() {
+    fn a_shard_killed_mid_stream_rejoins_exactly() {
         let part = Arc::new(HashVertexPartition {
             num_vertices: 32,
             num_shards: 4,
@@ -2675,11 +2640,6 @@ mod tests {
                 flush_threshold: 4,
                 router_batch: 8,
                 recovery: Some(RecoveryPolicy::default()),
-                fault: Some(FaultPlan {
-                    kill_shard: 1,
-                    after_routed_updates: 12,
-                    during_reshard: false,
-                }),
                 ..Default::default()
             },
             &DeviceConfig::deterministic(),
@@ -2689,6 +2649,9 @@ mod tests {
         let h = c.handle();
         for i in 0..32u32 {
             h.insert(Edge::new(i, (i + 1) % 32)).unwrap();
+            if i == 11 {
+                assert_eq!(c.kill_shard(1), Ok(true));
+            }
         }
         let snap = c.epoch_cut().unwrap();
         assert_eq!(snap.num_edges(), 32, "no update lost across the injected crash");
@@ -2738,6 +2701,95 @@ mod tests {
         c.shutdown();
     }
 
+    /// Producers flood tiny queues while another thread cuts in a loop: the
+    /// router blocks in `forward` on full shard queues and the workers'
+    /// `Wake`s find its own queue full, yet every cut must complete. A
+    /// watchdog fails the run on a stalled cut instead of hanging, and the
+    /// final cut must equal the oracle.
+    #[test]
+    fn cuts_complete_while_producers_saturate_every_queue() {
+        use std::time::{Duration, Instant};
+        const PRODUCERS: u32 = 3;
+        const OPS: u32 = 400;
+        let c = Arc::new(GraphCluster::spawn(
+            ClusterConfig {
+                queue_capacity: 4,
+                shard_queue_capacity: 2,
+                flush_threshold: 1,
+                router_batch: 8,
+                ..Default::default()
+            },
+            &DeviceConfig::deterministic(),
+            Arc::new(HashVertexPartition {
+                num_vertices: 64,
+                num_shards: 2,
+            }),
+            &[],
+        ));
+        // Producer p owns sources p, p + PRODUCERS, ...: disjoint keys, so
+        // the oracle does not depend on how the producers interleave.
+        let op = |p: u32, i: u32| {
+            let e = Edge::new(p + PRODUCERS * (i % 7), (i * 13 + p) % 64);
+            (i % 5 == 4, e)
+        };
+        let mut oracle = BTreeMap::new();
+        for p in 0..PRODUCERS {
+            for i in 0..OPS {
+                match op(p, i) {
+                    (true, e) => oracle.remove(&e.key()),
+                    (false, e) => oracle.insert(e.key(), e),
+                };
+            }
+        }
+        // When the cut in progress started (None: no cut in progress).
+        let cutting: Arc<Mutex<Option<Instant>>> = Arc::default();
+        let producing = Arc::new(AtomicU64::new(u64::from(PRODUCERS)));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let (h, producing) = (c.handle(), producing.clone());
+                std::thread::spawn(move || {
+                    for i in 0..OPS {
+                        match op(p, i) {
+                            (true, e) => h.delete(e).unwrap(),
+                            (false, e) => h.insert(e).unwrap(),
+                        }
+                    }
+                    producing.fetch_sub(1, Ordering::SeqCst);
+                })
+            })
+            .collect();
+        let cutter = {
+            let (c, cutting, producing) = (c.clone(), cutting.clone(), producing.clone());
+            std::thread::spawn(move || {
+                let mut cuts = 0u64;
+                loop {
+                    let last = producing.load(Ordering::SeqCst) == 0;
+                    *cutting.lock() = Some(Instant::now());
+                    let snap = c.epoch_cut().unwrap();
+                    *cutting.lock() = None;
+                    cuts += 1;
+                    if last {
+                        return (cuts, snap);
+                    }
+                }
+            })
+        };
+        while !cutter.is_finished() {
+            let stalled = cutting.lock().is_some_and(|t0| t0.elapsed() > Duration::from_secs(5));
+            // Panicking leaves the stuck threads behind rather than joining
+            // them: the run fails instead of hanging.
+            assert!(!stalled, "a cut stalled for 5 s under saturated queues");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
+        let (cuts, last) = cutter.join().unwrap();
+        assert!(cuts > 1);
+        let want: Vec<Edge> = oracle.into_values().collect();
+        assert_eq!(last.merged_edges(), want);
+    }
+
     /// Vertex ranges that park the router at `gate` on the first placement
     /// lookup after `armed` is set — of any edge, or of the key in
     /// `park_on` only — so a test can queue commands behind the update the
@@ -2783,20 +2835,26 @@ mod tests {
     enum Crash {
         /// No kill, and no recovery policy.
         None,
-        /// Source shard 1 dies at the reshard's first forward, before it
-        /// acks the copy round (a `during_reshard` fault plan).
+        /// Source shard 1 dies at the copy round's barrier, armed before
+        /// the reshard.
         SourceBeforeAck,
         /// Destination shard 3, whose one edge is a copy, dies after the
         /// swap and before the marker.
         DestinationAfterSwap,
+        /// Destination shard 3 dies at the marker round's barrier with an
+        /// update routed to it in the retire window still buffered: the
+        /// marker publishes as a counted rebase without it, and the next
+        /// cut recovers it.
+        AtMarker,
     }
 
     /// Reshard 2 → 4 vertex ranges (owner `src / 8` → `src / 4`) with
     /// updates the router routes — mirrored — after the copy's barriers
-    /// and before it polls their acks, because they queue behind the
+    /// and before it reads their acks, because they queue behind the
     /// `Reshard` command while the router is parked. The marker cut and the
     /// cut after it must both hold the expected table.
     fn dual_write_reshard(crash: Crash) {
+        use std::time::Duration;
         let old = Arc::new(Parking {
             inner: VertexPartition {
                 num_vertices: 16,
@@ -2806,10 +2864,14 @@ mod tests {
             park_on: AtomicU64::new(u64::MAX),
             gate: std::sync::Barrier::new(2),
         });
-        let fault = (crash == Crash::SourceBeforeAck).then_some(FaultPlan {
-            kill_shard: 1,
-            after_routed_updates: 0,
-            during_reshard: true,
+        let new = Arc::new(Parking {
+            inner: VertexPartition {
+                num_vertices: 16,
+                num_shards: 4,
+            },
+            armed: AtomicBool::new(false),
+            park_on: AtomicU64::new(u64::MAX),
+            gate: std::sync::Barrier::new(2),
         });
         let initial = [
             Edge::new(0, 1),
@@ -2823,7 +2885,6 @@ mod tests {
                 flush_threshold: 4,
                 router_batch: 64,
                 recovery: (crash != Crash::None).then(RecoveryPolicy::default),
-                fault,
                 ..Default::default()
             },
             &DeviceConfig::deterministic(),
@@ -2831,37 +2892,62 @@ mod tests {
             &initial,
         );
         let h = c.handle();
+        if crash == Crash::SourceBeforeAck {
+            assert_eq!(c.kill_shard_at_next_barrier(1), Ok(true));
+        }
         old.armed.store(true, Ordering::SeqCst);
         h.insert(Edge::new(0, 2)).unwrap(); // stays on shard 0
         old.gate.wait();
         let (ack_tx, ack_rx) = bounded(1);
-        let new = Arc::new(VertexPartition {
-            num_vertices: 16,
-            num_shards: 4,
-        });
-        c.tx.send(Command::Reshard(new, ack_tx)).unwrap();
+        c.tx.send(Command::Reshard(new.clone(), ack_tx)).unwrap();
         h.delete(Edge::new(4, 1)).unwrap(); // moving, in its source's image
         h.insert(Edge::weighted(5, 1, 9)).unwrap(); // weight upsert of a mover
         h.insert(Edge::new(9, 2)).unwrap(); // a new moving key ...
         h.delete(Edge::new(9, 2)).unwrap(); // ... inserted, then deleted
-        let killed = (crash == Crash::DestinationAfterSwap).then(|| {
-            // Park again inside the swap, on the retraction of (12, 3), and
-            // queue the kill there: the router serves it once the swap is
-            // done, before it polls the retire round.
-            old.park_on.store(Edge::new(12, 3).key(), Ordering::SeqCst);
-            old.armed.store(true, Ordering::SeqCst);
-            old.gate.wait();
-            old.gate.wait();
+        let kill = |at_barrier| {
             let (kill_tx, kill_rx) = bounded(1);
             c.tx.send(Command::Kill {
                 shard: 3,
-                at_barrier: false,
+                at_barrier,
                 ack: kill_tx,
             })
             .unwrap();
             kill_rx
-        });
-        old.gate.wait();
+        };
+        let mut killed = None;
+        if matches!(crash, Crash::DestinationAfterSwap | Crash::AtMarker) {
+            // Park again inside the swap, on the retraction of (12, 3).
+            old.park_on.store(Edge::new(12, 3).key(), Ordering::SeqCst);
+            old.armed.store(true, Ordering::SeqCst);
+            old.gate.wait();
+            old.gate.wait();
+        }
+        if crash == Crash::DestinationAfterSwap {
+            // The router serves the kill once the swap is done, before the
+            // retire round is answered.
+            killed = Some(kill(false));
+        }
+        if crash == Crash::AtMarker {
+            // Queue an update to shard 3 that parks the router once it is
+            // routed under the new plan: in the retire window. The sleep
+            // lets every copy-round `Wake` land in the queue ahead of it.
+            std::thread::sleep(Duration::from_millis(50));
+            new.park_on.store(Edge::new(13, 1).key(), Ordering::SeqCst);
+            new.armed.store(true, Ordering::SeqCst);
+            h.insert(Edge::new(13, 1)).unwrap();
+            old.gate.wait(); // the swap issues the retire round
+            new.gate.wait(); // parked routing (13, 1)
+            // Each shard's retire answer rings the router once. With all
+            // four in, shard 3 is past the retire barrier, and the next
+            // barrier it reaches is the marker's.
+            while h.queue_depth() < 4 {
+                std::thread::yield_now();
+            }
+            killed = Some(kill(true));
+            new.gate.wait();
+        } else {
+            old.gate.wait();
+        }
         if let Some(kill_rx) = killed {
             assert!(
                 kill_rx.recv().unwrap(),
@@ -2875,6 +2961,14 @@ mod tests {
 
         let marker = c.snapshot();
         assert_eq!(marker.cut(), report.cut);
+        if crash == Crash::AtMarker {
+            // Shard 3 answered the marker with `None` on its way out; wait
+            // for its thread to end, so the next cut's liveness probe
+            // recovers it rather than barriering the corpse again.
+            while c.kill_shard_at_next_barrier(3) == Ok(true) {
+                std::thread::yield_now();
+            }
+        }
         let next = c.epoch_cut().unwrap();
         // (src, dst, weight, owner under the new plan).
         let expect = [
@@ -2884,9 +2978,12 @@ mod tests {
             (6, 1, 1, 1),
             (12, 3, 1, 3),
         ];
-        for snap in [&marker, &next] {
+        // What shard 3 died holding at the marker, recovered by the next cut.
+        let recovered = (crash == Crash::AtMarker).then_some((13, 1, 1, 3));
+        for (snap, extra) in [(&marker, None), (&next, recovered)] {
+            let expect: Vec<_> = expect.into_iter().chain(extra).collect();
             assert_eq!(snap.num_edges(), expect.len(), "cut {}", snap.cut());
-            for (src, dst, w, owner) in expect {
+            for &(src, dst, w, owner) in &expect {
                 for (i, shard) in snap.shards().iter().enumerate() {
                     assert_eq!(
                         shard.weight(src, dst),
@@ -2899,8 +2996,22 @@ mod tests {
         }
         let m = c.metrics().unwrap();
         assert_eq!(m.migrated_edges, 3);
-        assert_eq!(m.worker_errors, 0);
+        // The marker's missing ack is the one error a kill at it leaves.
+        assert_eq!(m.worker_errors, u64::from(crash == Crash::AtMarker));
         assert_eq!(m.recoveries, u64::from(crash != Crash::None));
+        if crash == Crash::AtMarker {
+            assert_eq!(m.delta_fallbacks, 1, "the degraded marker is a counted rebase");
+            // Its fold went back into the op log: the next delta carries
+            // the update the stand-in lacks.
+            match c.deltas_since(marker.cut()) {
+                DeltaCatchUp::Deltas(chain) => {
+                    assert_eq!(chain.len(), 1);
+                    let replayed = gpma_core::delta::apply_delta(&marker.to_graph_snapshot(), &chain[0]);
+                    assert_eq!(replayed.edges(), next.to_graph_snapshot().edges());
+                }
+                DeltaCatchUp::Snapshot(_) => panic!("the cut after the marker is exact"),
+            }
+        }
         c.shutdown();
     }
 
@@ -2995,5 +3106,10 @@ mod tests {
     #[test]
     fn a_destination_killed_after_the_swap_is_rebuilt_with_its_copies() {
         dual_write_reshard(Crash::DestinationAfterSwap);
+    }
+
+    #[test]
+    fn a_shard_dying_at_the_marker_barrier_degrades_it_to_a_counted_rebase() {
+        dual_write_reshard(Crash::AtMarker);
     }
 }

@@ -20,9 +20,13 @@
 //!    sub-batches, swap the plan and enqueue the retractions: `moved`'s
 //!    live keys, already key-sorted, grouped by old owner.
 //! 4. **Retire** ([`Phase::Retire`]) — the sources apply their retractions
-//!    while ingest flows under the new plan; the snapshot-style epoch
-//!    marker publishes once they settle ([`Router::publish_marker`]), and
-//!    the deferred cuts run against it.
+//!    while ingest flows under the new plan. Once they settle, the
+//!    snapshot-style epoch marker is a cut round ([`Router::publish_marker`])
+//!    that publishes as a rebase point and checkpoints its fold; the
+//!    deferred cuts queue behind it.
+//!
+//! Every step runs on an event: the router steps the reshard in the pass
+//! whose barrier answers complete its round, and waits on nothing else.
 //!
 //! Ordering needs no barrier. Until the swap, every update to a moving key
 //! reaches its old owner (client traffic) and its new owner (the mirror),
@@ -55,8 +59,8 @@ use gpma_core::delta::SnapshotDelta;
 /// [`RebalancePolicy`](super::RebalancePolicy), nobody waits).
 pub(super) type ReshardAck = Sender<Result<ReshardReport, ReshardError>>;
 
-/// The two background phases. The copy + swap and the marker run on the
-/// transitions, once the phase's barrier round is answered.
+/// The two background phases. The copy + swap and the marker round start
+/// on the transitions, once the phase's barrier round is answered.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Mirroring; the round's images are what the copy reads.
@@ -79,7 +83,7 @@ pub(super) struct Reshard {
     moved: BTreeMap<u64, bool>,
     phase: Phase,
     /// The barrier round the phase waits on.
-    round: BarrierRound,
+    pub(super) round: BarrierRound,
     /// Policy name routed under before the swap (for the report).
     from_policy: String,
     ack: Option<ReshardAck>,
@@ -116,6 +120,8 @@ impl Router {
     /// Start a reshard onto `new` (or reject it): grow the destination
     /// services, forward the residue, issue the barrier round the copy
     /// reads, and start mirroring. [`Self::step_reshard`] does the rest.
+    /// Never called with a cut round in flight: it would barrier against
+    /// shards the copy floods with internal traffic.
     pub(super) fn begin_reshard(&mut self, new: Arc<dyn Partitioner>, ack: Option<ReshardAck>) {
         let nv = self.part.plan().num_vertices();
         if new.num_vertices() != nv {
@@ -127,9 +133,7 @@ impl Router {
             }
             return;
         }
-        // A cut round still in flight would barrier against shards the
-        // copy below floods with internal traffic: drain it first.
-        self.resolve_pending_cut();
+        debug_assert!(self.pending_cut.is_none());
         let started = Instant::now();
         let new_n = new.num_shards().max(1);
         let old_n = self.services.len();
@@ -175,11 +179,10 @@ impl Router {
             pause: Duration::ZERO,
             migrated: 0,
         });
-        // The residue goes out under the old plan (an armed
-        // `during_reshard` fault fires here, before any barrier), and the
-        // copy's barriers queue behind it.
+        // The residue goes out under the old plan, and the copy's barriers
+        // queue behind it.
         self.forward();
-        let round = BarrierRound::issue(&self.services);
+        let round = self.issue_round();
         if let Some(rs) = self.reshard.as_mut() {
             rs.round = round;
         }
@@ -204,12 +207,12 @@ impl Router {
     }
 
     /// Advance the in-flight reshard (if any) once its barrier round is
-    /// answered; with `block`, park on the round's outstanding acks.
-    pub(super) fn step_reshard(&mut self, block: bool) {
-        let Some(rs) = self.reshard.as_mut() else {
+    /// answered.
+    pub(super) fn step_reshard(&mut self) {
+        let Some(rs) = self.reshard.as_ref() else {
             return;
         };
-        if !rs.round.poll(block) {
+        if !rs.round.done() {
             return;
         }
         if rs.phase == Phase::Copy {
@@ -217,13 +220,6 @@ impl Router {
         }
         if let Some(rs) = self.reshard.take() {
             self.publish_marker(rs);
-        }
-    }
-
-    /// The shutdown path: run the in-flight reshard (if any) to completion.
-    pub(super) fn finish_reshard(&mut self) {
-        while self.reshard.is_some() {
-            self.step_reshard(true);
         }
     }
 
@@ -240,8 +236,9 @@ impl Router {
         if self.recovery.is_some() && round.got[..rs.old_n].iter().any(Option::is_none) {
             // A source died before answering: recover it and ask again.
             self.ensure_shards_alive();
+            let round = self.issue_round();
             if let Some(rs) = self.reshard.as_mut() {
-                rs.round = BarrierRound::issue(&self.services);
+                rs.round = round;
             }
             return;
         }
@@ -365,7 +362,7 @@ impl Router {
             let _ = svc.shutdown();
         }
         rs.phase = Phase::Retire;
-        rs.round = BarrierRound::issue(&self.services);
+        rs.round = self.issue_round();
         self.reshard = Some(rs);
     }
 
@@ -376,41 +373,25 @@ impl Router {
         self.part = p.clone();
     }
 
-    /// Retire → done: settle every surviving shard, publish the
-    /// snapshot-style marker cut, checkpoint, report.
+    /// Retire → marker: the sources have applied their retractions, so
+    /// the marker is a cut round over the fully retired post-migration
+    /// state. It recovers a worker that died mid-retire first, like any cut
+    /// round, and degrades like one: a shard that dies at its barrier makes
+    /// it a counted rebase that puts its fold back into the op log.
     fn publish_marker(&mut self, rs: Reshard) {
-        // A worker that died mid-retire is recovered here.
-        self.forward();
-        self.ensure_shards_alive();
-        let mut round = BarrierRound::issue(&self.services);
-        // The marker is a rebase point: what was routed before it needs no
-        // delta, but recovery needs it until the marker's saves land.
-        let routed = self.ops.fold(0);
-        round.poll(true);
-        let (snaps, degraded) = self.round_snapshots(round);
-        let cut = self.shared.cuts.fetch_add(1, Ordering::Relaxed) + 1;
-        let snap = Arc::new(ClusterSnapshot::new(
-            cut,
-            self.part.plan().num_vertices(),
-            snaps,
-        ));
-        let total_edges = snap.num_edges();
-        self.publish(&snap, None);
-        // The marker barrier settled every surviving shard, so its images
-        // are the fully retired post-migration state. With a stand-in it
-        // saves nothing and, like a cut round, puts its fold back.
-        if degraded {
-            self.ops.restore(routed);
-        } else {
-            self.checkpoint_cut(&snap, &routed);
-        }
+        self.start_cut_round(Vec::new(), Some(rs));
+    }
+
+    /// The marker round published `snap`: clear the shard ids a shrink
+    /// retired, and report.
+    pub(super) fn marker_published(&mut self, rs: Reshard, snap: &ClusterSnapshot) {
         // A restart probes shard ids densely from 0: a shard id a shrink
         // retired must hold nothing from now on.
         let retired = GraphSnapshot::from_edges(0, snap.num_vertices(), Vec::new());
         for i in rs.new_n..rs.old_n {
             self.persist(i, &retired);
         }
-        self.complete_reshard(rs, total_edges, cut);
+        self.complete_reshard(rs, snap.num_edges(), snap.cut());
     }
 
     /// Every reshard ends here: bump the migration counters, record and

@@ -74,10 +74,10 @@
 //!   edge set from its latest checkpoint, those deltas and the op log it
 //!   folds cut deltas from, and respawns it on that, oracle-exact.
 //!   [`GraphCluster::spawn_from_store`] restarts a whole cluster at the
-//!   last checkpointed cut. [`FaultPlan`] /
-//!   [`GraphCluster::kill_shard`] are the fault-injection hooks the
-//!   crash-recovery proptest harness drives; [`ClusterMetrics`] counts what
-//!   failover cost.
+//!   last checkpointed cut. [`GraphCluster::kill_shard`] and
+//!   [`GraphCluster::kill_shard_at_next_barrier`] are the fault-injection
+//!   hooks the crash-recovery proptest harness drives; [`ClusterMetrics`]
+//!   counts what failover cost.
 //!
 //! ## Example: 4 shards, two policies
 //!
@@ -126,8 +126,8 @@ pub use gpma_core::multi::{
 };
 
 pub use cluster::{
-    ClusterClosed, ClusterConfig, ClusterHandle, ClusterReport, FaultPlan, GraphCluster,
-    RebalancePolicy, RecoveryPolicy, ReshardError, ReshardReport,
+    ClusterClosed, ClusterConfig, ClusterHandle, ClusterReport, GraphCluster, RebalancePolicy,
+    RecoveryPolicy, ReshardError, ReshardReport,
 };
 pub use gpma_core::checkpoint::{CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
 pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};

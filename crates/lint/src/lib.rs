@@ -14,7 +14,8 @@
 //! | `lock-order`       | `.lock()` acquisitions respect the declared hierarchy |
 //! | `missing-docs`     | every `pub` item documented; crate roots carry        |
 //! |                    | `#![warn(missing_docs)]` (rule id `missing-docs-attr`)|
-//! | `thread-sleep`     | no `std::thread::sleep` in library code               |
+//! | `thread-sleep`     | no `std::thread::sleep` and no timed `recv_timeout`   |
+//! |                    | poll in library code                                  |
 //! | `lane-inline`      | a non-generic `pub` or trait-impl `fn` taking         |
 //! |                    | `&mut Lane` carries `#[inline]`                       |
 //!
@@ -1000,10 +1001,19 @@ fn rule_missing_docs(src: &SourceFile, is_crate_root: bool, out: &mut Vec<Violat
 
 /// Rule `thread-sleep`: wall-clock sleeps in library code hide
 /// synchronization bugs and make the simulated clock lie; use channels,
-/// condvars, or the sim clock instead.
+/// condvars, or the sim clock instead. A `recv_timeout` loop is the same
+/// sleep in disguise — a timed poll of something that could have sent an
+/// event — so it is flagged too.
 fn rule_thread_sleep(src: &SourceFile, out: &mut Vec<Violation>) {
     for (i, line) in src.code.iter().enumerate() {
-        if src.in_test[i] || !line.contains("thread::sleep") {
+        let call = if line.contains("thread::sleep") {
+            "thread::sleep"
+        } else if line.contains(".recv_timeout(") {
+            "recv_timeout"
+        } else {
+            continue;
+        };
+        if src.in_test[i] {
             continue;
         }
         let item = enclosing_fn(src, i)
@@ -1014,7 +1024,7 @@ fn rule_thread_sleep(src: &SourceFile, out: &mut Vec<Violation>) {
             file: src.rel.clone(),
             line: i + 1,
             item,
-            message: "`thread::sleep` in library code — synchronize on events, not wall-clock".to_string(),
+            message: format!("`{call}` in library code — synchronize on events, not wall-clock"),
         });
     }
 }
@@ -1357,6 +1367,10 @@ order = ["router", "partition"]
         let v = run("fn pace() {\n    std::thread::sleep(d);\n}\n");
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "thread-sleep");
+        let poll = run("fn poll(rx: &Receiver<u8>) {\n    let _ = rx.recv_timeout(d);\n}\n");
+        assert_eq!(poll.len(), 1, "{poll:?}");
+        assert_eq!((poll[0].rule, poll[0].item.as_str()), ("thread-sleep", "poll"));
+        assert!(poll[0].message.contains("recv_timeout"), "{poll:?}");
         let in_test = run(
             "#[cfg(test)]\nmod tests {\n    fn pace() {\n        std::thread::sleep(d);\n    }\n}\n",
         );

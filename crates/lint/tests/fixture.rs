@@ -34,6 +34,10 @@ fn fixture_trips_every_rule_class() {
             "fixture did not trip `{rule}`; got: {violations:?}"
         );
     }
+    assert!(
+        violations.iter().any(|v| v.rule == "thread-sleep" && v.item == "poll_for_ack"),
+        "fixture's timed `recv_timeout` poll not flagged; got: {violations:?}"
+    );
 }
 
 #[test]

@@ -111,5 +111,6 @@ pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
 pub use gpma_core::framework::GraphSnapshot;
 pub use metrics::{PublicationStats, ServiceMetrics};
 pub use service::{
-    DeltaMonitor, IngestHandle, ServiceClosed, ServiceConfig, ServiceReport, StreamingService,
+    BarrierAck, DeltaMonitor, IngestHandle, ServiceClosed, ServiceConfig, ServiceReport,
+    StreamingService,
 };

@@ -82,13 +82,44 @@ pub trait DeltaMonitor: Send {
     fn on_delta(&mut self, delta: &SnapshotDelta, image: &Arc<GraphSnapshot>);
 }
 
+/// The answer to one barrier: a callback the service calls exactly once,
+/// with the image the barrier's flush published, or with `None` when the
+/// barrier is never served — the worker died at it or before reaching it,
+/// or the service was already closed. `Drop` is what sends the `None`, so
+/// no path can lose an answer. The callback runs on whichever thread lets
+/// go of the ack (usually the worker): keep it short and non-blocking.
+pub struct BarrierAck(Option<AckFn>);
+
+type AckFn = Box<dyn FnOnce(Option<Arc<GraphSnapshot>>) + Send>;
+
+impl BarrierAck {
+    /// Wrap the callback the barrier's answer goes to.
+    pub fn new(f: impl FnOnce(Option<Arc<GraphSnapshot>>) + Send + 'static) -> Self {
+        BarrierAck(Some(Box::new(f)))
+    }
+
+    fn answer(mut self, image: Arc<GraphSnapshot>) {
+        if let Some(f) = self.0.take() {
+            f(Some(image));
+        }
+    }
+}
+
+impl Drop for BarrierAck {
+    fn drop(&mut self) {
+        if let Some(f) = self.0.take() {
+            f(None);
+        }
+    }
+}
+
 /// Commands flowing through the bounded ingest queue to the worker.
 enum Command {
     Insert(Edge),
     Delete(Edge),
     Batch(UpdateBatch),
     /// Flush all residue and ack with the published image.
-    Barrier(Sender<Arc<GraphSnapshot>>),
+    Barrier(BarrierAck),
     /// Run a closure against the live system, serialized with updates
     /// (Figure 1's dynamic query buffer). The closure carries its own
     /// reply channel.
@@ -511,23 +542,21 @@ impl StreamingService {
     /// concurrently by other producers may be included too).
     pub fn barrier(&self) -> Result<Arc<GraphSnapshot>, ServiceClosed> {
         let (ack_tx, ack_rx) = bounded(1);
-        self.tx
-            .send(Command::Barrier(ack_tx))
-            .map_err(|_| ServiceClosed)?;
-        ack_rx.recv().map_err(|_| ServiceClosed)
+        self.barrier_with(BarrierAck::new(move |image| {
+            let _ = ack_tx.send(image);
+        }));
+        ack_rx.recv().ok().flatten().ok_or(ServiceClosed)
     }
 
-    /// Start a [`Self::barrier`] round without waiting for it: the barrier
-    /// command is enqueued behind every update already accepted, and the
-    /// returned receiver yields the flushed snapshot when the worker gets
-    /// there. Callers poll several shards' receivers concurrently instead
-    /// of serialising full barriers — the non-blocking cut path.
-    pub fn barrier_async(&self) -> Result<Receiver<Arc<GraphSnapshot>>, ServiceClosed> {
-        let (ack_tx, ack_rx) = bounded(1);
-        self.tx
-            .send(Command::Barrier(ack_tx))
-            .map_err(|_| ServiceClosed)?;
-        Ok(ack_rx)
+    /// Enqueue a [`Self::barrier`] behind every update already accepted and
+    /// return at once: `ack` gets the flushed image when the worker gets
+    /// there, or `None` if it never will. A coordinator over several
+    /// services issues one per service and collects the answers as events
+    /// instead of serialising full barriers — the cluster's cut path.
+    pub fn barrier_with(&self, ack: BarrierAck) {
+        // A closed service hands the command back, and dropping it answers
+        // `None`.
+        let _ = self.tx.send(Command::Barrier(ack));
     }
 
     /// Run a closure against the *live* system, serialized with updates on
@@ -755,7 +784,7 @@ fn handle_command(
         }
         Command::Barrier(ack) => {
             if ctx.shared.crash_at_barrier.swap(false, Ordering::Relaxed) {
-                // Dropping `ack` unanswered is what the waiter observes.
+                // Dropping `ack` unanswered answers `None`.
                 record_death(sys, ctx);
                 return true;
             }
@@ -861,14 +890,14 @@ fn drain_and_stop(rx: &Receiver<Command>, sys: &mut DynamicGraphSystem, ctx: &Wo
 /// (already current — every flush publishes). Debug builds and the `audit`
 /// feature also read the store back here and compare, so a delta that lies
 /// about its batch is caught at the next barrier, not only at shutdown.
-fn ack_barrier(ack: Sender<Arc<GraphSnapshot>>, sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
+fn ack_barrier(ack: BarrierAck, sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
     while !sys.stream.is_empty() {
         flush_once(sys, ctx);
     }
     if cfg!(any(debug_assertions, feature = "audit")) {
         check_published(&sys.snapshot(), &ctx.shared);
     }
-    let _ = ack.send(ctx.shared.latest());
+    ack.answer(ctx.shared.latest());
 }
 
 /// Compare a store readback with the published image; a divergence means a
@@ -1094,6 +1123,47 @@ mod tests {
         let last = svc.snapshot();
         assert_eq!(last.epoch(), snap.epoch());
         assert!(!last.contains(20, 21));
+    }
+
+    #[test]
+    fn a_barrier_ack_is_answered_exactly_once() {
+        // Each ack records its answer (true = an image) into `log`.
+        type Log = Arc<Mutex<Vec<bool>>>;
+        let ack = |log: &Log| {
+            let log = log.clone();
+            BarrierAck::new(move |image| log.lock().push(image.is_some()))
+        };
+        let svc = StreamingService::spawn(ServiceConfig::default(), system(4));
+        let live: Log = Arc::default();
+        svc.barrier_with(ack(&live));
+        svc.barrier().unwrap(); // FIFO: the first barrier was served
+        assert_eq!(*live.lock(), [true], "a live worker answers with its image");
+
+        // Park the worker so that both barriers queue before it reaches
+        // the first.
+        let (crashed, behind): (Log, Log) = Default::default();
+        let (gate_tx, gate_rx) = bounded::<()>(1);
+        svc.tx
+            .send(Command::AdHoc(Box::new(move |_| {
+                let _ = gate_rx.recv();
+            })))
+            .unwrap();
+        svc.crash_at_next_barrier();
+        svc.barrier_with(ack(&crashed));
+        svc.barrier_with(ack(&behind));
+        gate_tx.send(()).unwrap();
+        while svc.is_alive() {
+            std::thread::yield_now();
+        }
+        assert_eq!(*crashed.lock(), [false], "a worker dying at it answers None");
+        assert_eq!(*behind.lock(), [false], "so does one queued behind it");
+
+        let closed: Log = Arc::default();
+        svc.barrier_with(ack(&closed));
+        assert_eq!(*closed.lock(), [false], "a closed service answers None at once");
+        drop(svc);
+        let answers = [&live, &crashed, &behind, &closed].map(|log| log.lock().len());
+        assert_eq!(answers, [1; 4], "never twice");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::time::Duration;
 use gpma_analytics::{bfs_host, cc_host, pagerank_host};
 use gpma_baselines::AdjLists;
 use gpma_cluster::{
-    CheckpointStore, ClusterConfig, ClusterHandle, ClusterSnapshot, FaultPlan, GraphCluster,
+    CheckpointStore, ClusterConfig, ClusterHandle, ClusterSnapshot, GraphCluster,
     HashVertexPartition, MemoryCheckpointStore, RecoveryPolicy, VertexPartition,
 };
 use gpma_core::checkpoint;
@@ -210,11 +210,11 @@ fn kill_straddling_a_reshard_recovers_exactly() {
     assert_eq!(report.metrics.reshard_count, 1);
 }
 
-/// A shard killed *inside* a copy-on-write reshard: the fault plan arms
-/// past its routed-update threshold but holds fire until the COW copy is
-/// actually in flight, so the victim dies somewhere between the frozen-cut
-/// copy and the final settle — taking whatever staged arrivals it had
-/// queued down with it. The router must recover the corpse mid-copy,
+/// A shard killed *inside* a copy-on-write reshard: the kill is armed
+/// before the reshard starts and fires at the victim's next barrier, the
+/// copy round's, so the victim dies between the frozen-cut copy's barrier
+/// and its ack — taking whatever staged arrivals it had queued down with
+/// it. The router must recover the corpse mid-copy,
 /// rebuild its staged image from the respawned incarnation's settled
 /// state, and land the reshard oracle-exact with ingest flowing the whole
 /// time.
@@ -226,13 +226,6 @@ fn kill_during_cow_reshard_recovers_exactly() {
             router_batch: 8,
             recovery: Some(RecoveryPolicy {
                 store: Arc::new(MemoryCheckpointStore::new()),
-            }),
-            // Armed by phase A below (48 > 44 routed), fires at the first
-            // forwarded burst inside the reshard.
-            fault: Some(FaultPlan {
-                kill_shard: 1,
-                after_routed_updates: 44,
-                during_reshard: true,
             }),
             ..Default::default()
         },
@@ -246,8 +239,7 @@ fn kill_during_cow_reshard_recovers_exactly() {
     let h = cluster.handle();
     let mut oracle = BTreeMap::new();
 
-    // Phase A: cross the fault threshold while *outside* any reshard — the
-    // `during_reshard` plan must hold fire.
+    // Phase A: ingest and cut outside any reshard.
     let phase_a: Vec<(u8, u32, u32, u64)> = (0..48u32)
         .map(|i| {
             let kind = if i % 7 == 6 { 3u8 } else { 0u8 };
@@ -257,9 +249,10 @@ fn kill_during_cow_reshard_recovers_exactly() {
     feed(&h, &phase_a);
     apply_oracle(&mut oracle, &phase_a);
     assert_cut_matches(&cluster, &oracle, "pre-reshard (fault armed)");
+    assert!(cluster.kill_shard_at_next_barrier(1).expect("cluster alive"));
 
     // Phase B: reshard 4 → 2 with a live concurrent stream. The armed kill
-    // fires inside the copy-on-write window and must be recovered there.
+    // fires at the copy round's barrier and must be recovered there.
     let phase_b: Vec<(u8, u32, u32, u64)> = (0..160u32)
         .map(|i| {
             let kind = if i % 6 == 5 { 3u8 } else { 0u8 };

@@ -84,6 +84,16 @@ pub fn lazy_wait() {
     std::thread::sleep(std::time::Duration::from_millis(1));
 }
 
+/// Seeded `thread-sleep` violation, timed-poll flavor: waits for an answer
+/// by waking every 200 µs instead of being woken when it arrives.
+pub fn poll_for_ack(rx: &std::sync::mpsc::Receiver<u64>) -> u64 {
+    loop {
+        if let Ok(v) = rx.recv_timeout(std::time::Duration::from_micros(200)) {
+            return v;
+        }
+    }
+}
+
 /// Stand-in for the simulator's per-lane context.
 pub struct Lane;
 
