@@ -55,6 +55,40 @@ pub trait DeviceGraphView: Sync {
     fn degrees(&self) -> &DeviceBuffer<u32>;
 }
 
+/// A borrowed view is a view, so the generic kernels also run on a
+/// `&dyn DeviceGraphView` picked at runtime.
+impl<G: DeviceGraphView + ?Sized> DeviceGraphView for &G {
+    #[inline]
+    fn num_vertices(&self) -> u32 {
+        (**self).num_vertices()
+    }
+
+    #[inline]
+    fn num_slots(&self) -> usize {
+        (**self).num_slots()
+    }
+
+    #[inline]
+    fn row_range(&self, lane: &mut Lane, v: u32) -> std::ops::Range<usize> {
+        (**self).row_range(lane, v)
+    }
+
+    #[inline]
+    fn slot_entry(&self, lane: &mut Lane, slot: usize) -> Option<(u32, u32)> {
+        (**self).slot_entry(lane, slot)
+    }
+
+    #[inline]
+    fn slot_weight(&self, lane: &mut Lane, slot: usize) -> u64 {
+        (**self).slot_weight(lane, slot)
+    }
+
+    #[inline]
+    fn degrees(&self) -> &DeviceBuffer<u32> {
+        (**self).degrees()
+    }
+}
+
 /// CSR-on-GPMA view (storage + offsets). Built per read: it borrows the
 /// storage, so it lives between two update batches at most.
 pub struct GpmaView<'a> {

@@ -80,11 +80,6 @@ impl PmaGraph {
     pub fn out_degree(&self, v: VertexId) -> usize {
         self.neighbors(v).count()
     }
-
-    /// Underlying PMA stats (rebalance counters used by the harness).
-    pub fn pma_stats(&self) -> gpma_pma::PmaStats {
-        self.pma.stats()
-    }
 }
 
 #[cfg(test)]

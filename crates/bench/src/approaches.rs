@@ -5,7 +5,7 @@
 //! simulated device time (`gpma-sim` cost model). EXPERIMENTS.md discusses
 //! why comparing those directly still reproduces the paper's *shapes*.
 
-use gpma_analytics::view::{GpmaView, RebuildView};
+use gpma_analytics::view::{DeviceGraphView, GpmaView, RebuildView};
 use gpma_baselines::{AdjLists, PmaGraph, RebuildCsr, StingerGraph};
 use gpma_core::{Gpma, GpmaPlus};
 use gpma_graph::{Edge, UpdateBatch};
@@ -188,7 +188,7 @@ impl Store {
     /// Run `f` with a device view when this is a device store.
     pub fn with_device_view<R>(
         &self,
-        f: impl FnOnce(&Device, &dyn ErasedDeviceView) -> R,
+        f: impl FnOnce(&Device, &dyn DeviceGraphView) -> R,
     ) -> Option<R> {
         match self {
             Store::CuSparseCsr { dev, csr } => {
@@ -215,73 +215,6 @@ impl Store {
             Store::Stinger(g) => Some(g),
             _ => None,
         }
-    }
-}
-
-/// Object-safe re-statement of [`gpma_analytics::DeviceGraphView`] so the
-/// harness can dispatch over store types at runtime.
-pub trait ErasedDeviceView: Sync {
-    /// Number of vertices.
-    fn num_vertices(&self) -> u32;
-    /// Total slots, for edge-centric kernels that stride the whole array.
-    fn num_slots(&self) -> usize;
-    /// Slot range of row `v`.
-    fn row_range(&self, lane: &mut gpma_sim::Lane, v: u32) -> std::ops::Range<usize>;
-    /// Decode `slot` as `(src, dst)`; `None` for gaps and guards.
-    fn slot_entry(&self, lane: &mut gpma_sim::Lane, slot: usize) -> Option<(u32, u32)>;
-    /// Weight stored at `slot` (meaningful where `slot_entry` is `Some`).
-    fn slot_weight(&self, lane: &mut gpma_sim::Lane, slot: usize) -> u64;
-    /// Per-vertex out-degrees (device resident).
-    fn degrees(&self) -> &gpma_sim::DeviceBuffer<u32>;
-}
-
-impl<T: gpma_analytics::DeviceGraphView> ErasedDeviceView for T {
-    fn num_vertices(&self) -> u32 {
-        gpma_analytics::DeviceGraphView::num_vertices(self)
-    }
-    fn num_slots(&self) -> usize {
-        gpma_analytics::DeviceGraphView::num_slots(self)
-    }
-    fn row_range(&self, lane: &mut gpma_sim::Lane, v: u32) -> std::ops::Range<usize> {
-        gpma_analytics::DeviceGraphView::row_range(self, lane, v)
-    }
-    fn slot_entry(&self, lane: &mut gpma_sim::Lane, slot: usize) -> Option<(u32, u32)> {
-        gpma_analytics::DeviceGraphView::slot_entry(self, lane, slot)
-    }
-    fn slot_weight(&self, lane: &mut gpma_sim::Lane, slot: usize) -> u64 {
-        gpma_analytics::DeviceGraphView::slot_weight(self, lane, slot)
-    }
-    fn degrees(&self) -> &gpma_sim::DeviceBuffer<u32> {
-        gpma_analytics::DeviceGraphView::degrees(self)
-    }
-}
-
-/// `&dyn ErasedDeviceView` itself satisfies the analytics trait, closing the
-/// loop so the generic kernels run unmodified on erased views.
-impl gpma_analytics::DeviceGraphView for &dyn ErasedDeviceView {
-    #[inline]
-    fn num_vertices(&self) -> u32 {
-        (**self).num_vertices()
-    }
-    #[inline]
-    fn num_slots(&self) -> usize {
-        (**self).num_slots()
-    }
-    #[inline]
-    fn row_range(&self, lane: &mut gpma_sim::Lane, v: u32) -> std::ops::Range<usize> {
-        (**self).row_range(lane, v)
-    }
-    #[inline]
-    fn slot_entry(&self, lane: &mut gpma_sim::Lane, slot: usize) -> Option<(u32, u32)> {
-        (**self).slot_entry(lane, slot)
-    }
-    #[inline]
-    fn slot_weight(&self, lane: &mut gpma_sim::Lane, slot: usize) -> u64 {
-        (**self).slot_weight(lane, slot)
-    }
-    #[inline]
-    fn degrees(&self) -> &gpma_sim::DeviceBuffer<u32> {
-        (**self).degrees()
     }
 }
 

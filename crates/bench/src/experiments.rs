@@ -677,7 +677,7 @@ pub fn elastic(cfg: &ExpConfig) {
             // world and bulk-rebuild a fresh cluster from the full state
             // under the new plan.
             let rebuild_wall = {
-                let edges = final_snap.merged_edges();
+                let edges = final_snap.image().edges().to_vec();
                 let plan = gpma_cluster::DegreePartition::from_edges(nv, &edges, shards);
                 let t0 = std::time::Instant::now();
                 let fresh = GraphCluster::spawn(
@@ -1042,8 +1042,9 @@ pub fn recovery(cfg: &ExpConfig) {
     let streamed = stream.initial_edges().iter().chain(&tail[..n_updates]);
     let keys: std::collections::BTreeSet<u64> = streamed.clone().map(|e| e.key()).collect();
     let last = &report.final_snapshot;
+    let image = last.image();
     assert!(
-        last.num_edges() == keys.len() && streamed.clone().all(|e| last.contains(e.src, e.dst)),
+        last.num_edges() == keys.len() && streamed.clone().all(|e| image.contains(e.src, e.dst)),
         "the recovered cluster holds {} edges, the stream {}",
         last.num_edges(),
         keys.len()

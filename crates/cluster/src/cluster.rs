@@ -234,8 +234,7 @@ impl std::error::Error for ClusterClosed {}
 
 /// Commands flowing through the bounded router queue.
 enum Command {
-    Insert(Edge),
-    Delete(Edge),
+    /// Updates; a single edge travels as a one-edge batch.
     Batch(UpdateBatch),
     /// Forward all residue, barrier every shard, publish a cut, ack it.
     Cut(Sender<Arc<ClusterSnapshot>>),
@@ -326,8 +325,8 @@ struct Shared {
     /// carries the round's keys too).
     delta_fallbacks: AtomicU64,
     /// Errors the router thread recovered from instead of panicking (a
-    /// shard service found closed at a barrier, a misrouted control
-    /// command); surfaced as [`ClusterMetrics::worker_errors`].
+    /// shard service found closed at a barrier); surfaced as
+    /// [`ClusterMetrics::worker_errors`].
     worker_errors: AtomicU64,
     router: Mutex<RouterCounters>,
     ingested_inserts: AtomicU64,
@@ -392,20 +391,12 @@ impl ClusterHandle {
 
     /// Stream one edge insertion, blocking while the router queue is full.
     pub fn insert(&self, e: Edge) -> Result<(), ClusterClosed> {
-        let t0 = self.enqueue_t0();
-        self.tx.send(Command::Insert(e)).map_err(|_| ClusterClosed)?;
-        self.record_enqueue(t0);
-        self.shared.ingested_inserts.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.ingest(UpdateBatch::single_insert(e))
     }
 
     /// Stream one edge deletion, blocking while the router queue is full.
     pub fn delete(&self, e: Edge) -> Result<(), ClusterClosed> {
-        let t0 = self.enqueue_t0();
-        self.tx.send(Command::Delete(e)).map_err(|_| ClusterClosed)?;
-        self.record_enqueue(t0);
-        self.shared.ingested_deletes.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.ingest(UpdateBatch::single_delete(e))
     }
 
     /// Stream a pre-assembled batch (deletions apply before insertions
@@ -427,36 +418,12 @@ impl ClusterHandle {
     /// router queue is full — the load-shedding policy for producers that
     /// must not stall. Mirrors [`IngestHandle::offer_insert`].
     pub fn offer_insert(&self, e: Edge) -> Result<bool, ClusterClosed> {
-        let t0 = self.enqueue_t0();
-        match self.tx.try_send(Command::Insert(e)) {
-            Ok(()) => {
-                self.record_enqueue(t0);
-                self.shared.ingested_inserts.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.dropped_updates.fetch_add(1, Ordering::Relaxed);
-                Ok(false)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ClusterClosed),
-        }
+        self.offer_batch(UpdateBatch::single_insert(e))
     }
 
     /// Non-blocking delete; same drop policy as [`Self::offer_insert`].
     pub fn offer_delete(&self, e: Edge) -> Result<bool, ClusterClosed> {
-        let t0 = self.enqueue_t0();
-        match self.tx.try_send(Command::Delete(e)) {
-            Ok(()) => {
-                self.record_enqueue(t0);
-                self.shared.ingested_deletes.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.dropped_updates.fetch_add(1, Ordering::Relaxed);
-                Ok(false)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ClusterClosed),
-        }
+        self.offer_batch(UpdateBatch::single_delete(e))
     }
 
     /// Non-blocking batch ingest: the whole batch is accepted or shed as
@@ -746,12 +713,6 @@ impl GraphCluster {
         self.shared.published_cut.lock().snapshot.clone()
     }
 
-    /// Run a read against the latest published cut — reads never queue
-    /// behind updates.
-    pub fn query<R>(&self, f: impl FnOnce(&ClusterSnapshot) -> R) -> R {
-        f(&self.snapshot())
-    }
-
     /// Catch a delta reader up from cut number `cut`: the per-cut
     /// [`SnapshotDelta`] chain when the cluster ring still covers it (one
     /// delta per coordinated cut, epoch = cut number, each folded from what
@@ -921,8 +882,8 @@ impl GraphCluster {
     /// Coordinate a fresh epoch cut and cross-check it against the
     /// per-shard snapshots it was assembled from: shard count and vertex
     /// space match the active plan, every edge sits on the shard the plan
-    /// owns it to, endpoints stay inside the vertex space, and the merged
-    /// view is strictly key-sorted (shards are edge-disjoint). Returns the
+    /// owns it to, endpoints stay inside the vertex space, and the cut's
+    /// image holds every shard edge (shards are edge-disjoint). Returns the
     /// validated cut. Assumes no reshard runs concurrently — a plan swap
     /// between the cut and the check makes ownership fail spuriously.
     pub fn audit_cut(&self) -> Result<Arc<ClusterSnapshot>, gpma_core::AuditError> {
@@ -967,12 +928,13 @@ impl GraphCluster {
                 }
             }
         }
-        let merged = snap.merged_edges();
-        if let Some(w) = merged.windows(2).find(|w| w[0].key() >= w[1].key()) {
+        // The image keeps one copy of a key several shards hold.
+        let image = snap.image();
+        if image.num_edges() < snap.num_edges() {
             return Err(AuditError::Cluster(format!(
-                "cut {} holds duplicate or unsorted key {:#x} across shards",
+                "cut {} holds {} duplicate key(s) across shards",
                 snap.cut(),
-                w[1].key()
+                snap.num_edges() - image.num_edges()
             )));
         }
         if self.shared.published_cut.lock().snapshot.cut() < snap.cut() {
@@ -1042,15 +1004,16 @@ enum CutEvent {
 }
 
 /// The cluster monitor thread: keep one flat image of the latest cut —
-/// flattened at start and on every forced rebase, advanced once per cut
-/// delta — and hand every monitor that same `Arc` with each event, in cut
-/// order.
+/// the cut's own [`ClusterSnapshot::image`] at start and on every forced
+/// rebase, advanced once per cut delta — and hand every monitor that same
+/// `Arc` with each event, in cut order. Advancing costs O(|Δ|) per cut
+/// where taking each cut's image would merge O(E).
 fn run_cut_monitors(
     initial: Arc<ClusterSnapshot>,
     rx: Receiver<CutEvent>,
     mut monitors: Vec<Box<dyn DeltaMonitor>>,
 ) -> Vec<Box<dyn DeltaMonitor>> {
-    let mut flat = Arc::new(initial.to_graph_snapshot());
+    let mut flat = initial.image().clone();
     for m in monitors.iter_mut() {
         m.on_rebase(&flat);
     }
@@ -1063,7 +1026,7 @@ fn run_cut_monitors(
                 }
             }
             CutEvent::Rebase(cut) => {
-                flat = Arc::new(cut.to_graph_snapshot());
+                flat = cut.image().clone();
                 for m in monitors.iter_mut() {
                     m.on_rebase(&flat);
                 }
@@ -1179,49 +1142,23 @@ struct Router {
 }
 
 impl Router {
-    /// Buffer one routed update, enforcing arrival-order semantics within
+    /// Buffer one routed batch, enforcing arrival-order semantics within
     /// the pending window (a deletion cancels a same-key pending insert on
     /// its shard before being buffered).
-    fn route(&mut self, cmd: Command) {
-        // One `router.route` sample per routed command: partition lookup,
+    fn route(&mut self, b: UpdateBatch) {
+        // One `router.route` sample per routed batch: partition lookup,
         // cut-edge accounting and pending-window cancellation.
         let obs = self.shared.obs.clone();
         let _route = obs.span(Stage::RouteBatch);
-        match cmd {
-            Command::Insert(e) => {
-                self.route_insert(e);
-                self.pending_len += 1;
-            }
-            Command::Delete(e) => {
-                self.route_delete(e);
-                self.pending_len += 1;
-            }
-            Command::Batch(b) => {
-                // Batch convention: its deletions precede its insertions,
-                // so route deletions first (cancelling only *earlier*
-                // pending inserts, never this batch's own).
-                self.pending_len += b.len();
-                for e in &b.deletions {
-                    self.route_delete(*e);
-                }
-                for e in b.insertions {
-                    self.route_insert(e);
-                }
-            }
-            Command::Cut(_)
-            | Command::Reshard(..)
-            | Command::Rebalance(..)
-            | Command::Stats(_)
-            | Command::Kill { .. }
-            | Command::Wake
-            | Command::Shutdown => {
-                // Control commands are dispatched by the router loop, not
-                // routed; reaching here is a dispatch bug — but the router
-                // thread must not panic over it (a poisoned router takes
-                // the whole cluster down). Log, count, drop.
-                self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-                eprintln!("gpma-cluster: control command reached the routing stage; dropped");
-            }
+        // Batch convention: its deletions precede its insertions, so route
+        // deletions first (cancelling only *earlier* pending inserts, never
+        // this batch's own).
+        self.pending_len += b.len();
+        for e in &b.deletions {
+            self.route_delete(*e);
+        }
+        for e in b.insertions {
+            self.route_insert(e);
         }
     }
 
@@ -1861,7 +1798,7 @@ fn run_router(
 /// data routes, stats and kills serve inline.
 fn handle_command(cmd: Command, r: &mut Router) {
     match cmd {
-        Command::Insert(_) | Command::Delete(_) | Command::Batch(_) => r.route(cmd),
+        Command::Batch(b) => r.route(b),
         Command::Reshard(_, ack) | Command::Rebalance(_, ack) if r.stopping => {
             let _ = ack.send(Err(ReshardError::Closed));
         }
@@ -1992,8 +1929,8 @@ mod tests {
         h.delete(Edge::new(9, 3)).unwrap();
         h.insert(Edge::new(9, 3)).unwrap();
         let snap = c.epoch_cut().unwrap();
-        assert!(!snap.contains(1, 2));
-        assert!(snap.contains(9, 3));
+        assert!(!snap.image().contains(1, 2));
+        assert!(snap.image().contains(9, 3));
         let report = c.shutdown();
         assert_eq!(
             report.metrics.cancelled_inserts
@@ -2030,8 +1967,7 @@ mod tests {
         }
         let snap = c.epoch_cut().unwrap();
         assert_eq!(snap.num_edges(), 15);
-        use gpma_analytics::HostGraph;
-        assert_eq!(HostGraph::out_degree(&*snap, 0), 15);
+        assert_eq!(snap.image().out_degree(0), 15);
         // The row genuinely lives on more than one shard.
         let shards_with_row = snap
             .shards()
@@ -2224,7 +2160,7 @@ mod tests {
         h.insert(Edge::new(5, 9)).unwrap();
         h.delete(Edge::new(5, 9)).unwrap();
         let snap = c.epoch_cut().unwrap();
-        assert!(!snap.contains(5, 9), "arrival order survives the reshard");
+        assert!(!snap.image().contains(5, 9), "arrival order survives the reshard");
 
         // 2 → 8 via the degree-aware rebalance target.
         let r2 = c.rebalance(Some(8)).unwrap();
@@ -2465,12 +2401,12 @@ mod tests {
         // published snapshot — the fallback this test pins down.
         h.insert(Edge::new(4, 0)).unwrap();
         let cut2 = c.epoch_cut().unwrap();
-        assert!(cut2.contains(4, 0));
-        assert!(!cut2.contains(1, 8), "unflushed residue died with the worker");
-        assert!(!cut2.contains(1, 9));
+        assert!(cut2.image().contains(4, 0));
+        assert!(!cut2.image().contains(1, 8), "unflushed residue died with the worker");
+        assert!(!cut2.image().contains(1, 9));
         assert_eq!(cut2.num_edges(), 5);
         for i in 0..4u32 {
-            assert!(cut2.contains(0, 4 + i), "flushed state survives as the fallback");
+            assert!(cut2.image().contains(0, 4 + i), "flushed state survives as the fallback");
         }
         let m = c.metrics().unwrap();
         // One error for the out-of-range kill, one per degraded barrier
@@ -2528,12 +2464,12 @@ mod tests {
         h.insert(Edge::new(2, 3)).unwrap();
         h.delete(Edge::new(0, 4)).unwrap();
         let cut2 = c.epoch_cut().unwrap();
-        assert!(cut2.contains(0, 1));
-        assert!(!cut2.contains(0, 4), "post-recovery deletes apply");
+        assert!(cut2.image().contains(0, 1));
+        assert!(!cut2.image().contains(0, 4), "post-recovery deletes apply");
         for i in 0..6u32 {
-            assert!(cut2.contains(1, 8 + i), "killed updates recovered");
+            assert!(cut2.image().contains(1, 8 + i), "killed updates recovered");
         }
-        assert!(cut2.contains(2, 3));
+        assert!(cut2.image().contains(2, 3));
         assert_eq!(cut2.num_edges(), 1 + 3 + 6 + 1);
 
         let m = c.metrics().unwrap();
@@ -2603,15 +2539,16 @@ mod tests {
         h.delete(Edge::new(0, 4)).unwrap();
         h.insert(Edge::new(4, 0)).unwrap();
         let cut2 = c.epoch_cut().unwrap();
-        assert!(!cut2.contains(1, 8) && cut2.contains(0, 4), "stale stand-in");
-        assert!(cut2.contains(4, 0));
+        assert!(!cut2.image().contains(1, 8) && cut2.image().contains(0, 4), "stale stand-in");
+        assert!(cut2.image().contains(4, 0));
         assert_eq!(c.metrics().unwrap().delta_fallbacks, 1);
 
         // Cut 3 recovers shard 0 from checkpoint and log; its delta must
         // also carry what cut 2's stand-in missed.
         h.insert(Edge::new(2, 3)).unwrap();
         let cut3 = c.epoch_cut().unwrap();
-        assert!(cut3.contains(1, 8) && cut3.contains(1, 9) && !cut3.contains(0, 4));
+        let image3 = cut3.image();
+        assert!(image3.contains(1, 8) && image3.contains(1, 9) && !image3.contains(0, 4));
         match c.deltas_since(cut2.cut()) {
             DeltaCatchUp::Deltas(chain) => {
                 assert_eq!(chain.len(), 1);
@@ -2656,7 +2593,7 @@ mod tests {
         let snap = c.epoch_cut().unwrap();
         assert_eq!(snap.num_edges(), 32, "no update lost across the injected crash");
         for i in 0..32u32 {
-            assert!(snap.contains(i, (i + 1) % 32));
+            assert!(snap.image().contains(i, (i + 1) % 32));
         }
         let report = c.shutdown();
         assert_eq!(report.metrics.recoveries, 1, "the plan fires exactly once");
@@ -2787,7 +2724,8 @@ mod tests {
         let (cuts, last) = cutter.join().unwrap();
         assert!(cuts > 1);
         let want: Vec<Edge> = oracle.into_values().collect();
-        assert_eq!(last.merged_edges(), want);
+        assert_eq!(last.num_edges(), want.len(), "no key on two shards");
+        assert_eq!(last.image().edges().to_vec(), want);
     }
 
     /// Vertex ranges that park the router at `gate` on the first placement

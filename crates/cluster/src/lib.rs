@@ -21,8 +21,8 @@
 //!                                   │ epoch cut: barrier all,  │ GraphSnapshot
 //!                                   ▼ merge, publish           ▼  (per shard)
 //!                            ┌────────────────────────────────────┐
-//!                            │ ClusterSnapshot (cut M, HostGraph) │──► query()
-//!                            └────────────────────────────────────┘    analytics
+//!                            │ ClusterSnapshot (cut M) ─► image() │──► analytics
+//!                            └────────────────────────────────────┘
 //! ```
 //!
 //! * **Routing** — every edge has exactly one owner under any policy
@@ -36,10 +36,12 @@
 //!   accepted before the cut is in, none accepted after it leak in.
 //!   Arrival-order semantics survive sharding (insert-then-delete nets to
 //!   absent even when routed through coalesced sub-batches).
-//! * **Analytics** — [`ClusterSnapshot`] implements the host-graph contract
-//!   (merged view), and its [`shard_refs`](ClusterSnapshot::shard_refs)
-//!   feed the distributed supersteps of
-//!   [`gpma_analytics::bfs_sharded`] / [`gpma_analytics::pagerank_sharded`],
+//! * **Analytics** — a reader reads a cut through one image,
+//!   [`ClusterSnapshot::image`]: the shard images merged the first time a
+//!   reader asks and shared by every later reader of that cut. Any host
+//!   analytic runs on it; the cut's
+//!   [`shard_refs`](ClusterSnapshot::shard_refs) feed the distributed
+//!   supersteps of [`gpma_analytics::bfs_sharded`] / [`gpma_analytics::pagerank_sharded`],
 //!   which charge explicit frontier / rank exchange traffic.
 //! * **Delta cuts** — each coordinated cut also publishes its net effect
 //!   as one [`SnapshotDelta`], folded from the router's log of the client
@@ -104,8 +106,8 @@
 //! assert_eq!(snap.num_edges(), 32);
 //! assert_eq!(snap.cut(), 1);
 //!
-//! // The merged cut is a host graph: run any host analytic directly.
-//! let dist = gpma_analytics::bfs_host(&*snap, 1);
+//! // The cut's image is a host graph: run any host analytic on it.
+//! let dist = gpma_analytics::bfs_host(&**snap.image(), 1);
 //! assert_eq!(dist[0], 1);
 //!
 //! let report = cluster.shutdown();

@@ -63,9 +63,8 @@ pub struct ClusterMetrics {
     /// a rebase too, but not counted here.
     pub delta_fallbacks: u64,
     /// Errors the router thread recovered from instead of panicking (a
-    /// shard service found closed at a barrier, a misrouted control
-    /// command). Non-zero means a cut or reshard degraded gracefully —
-    /// worth investigating, never fatal.
+    /// shard service found closed at a barrier). Non-zero means a cut or
+    /// reshard degraded gracefully — worth investigating, never fatal.
     pub worker_errors: u64,
     /// Live reshards performed (explicit and policy-triggered).
     pub reshard_count: u64,

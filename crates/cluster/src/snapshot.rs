@@ -10,26 +10,24 @@
 //! it leaks in — the cut is a consistent global state without stopping
 //! ingest on other handles for longer than the barrier round.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use gpma_analytics::HostGraph;
 use gpma_core::framework::GraphSnapshot;
-use gpma_graph::Edge;
 
 /// An immutable, cut-stamped view over all shard snapshots.
 ///
 /// The shards hold edge-disjoint subsets (each edge has exactly one owner
 /// under any [`Partitioner`](gpma_core::multi::Partitioner) policy), so the
-/// union over shards *is* the global graph. The snapshot implements
-/// [`HostGraph`] by iterating a row across shards — under vertex policies a
-/// row lives on one shard, under the edge grid it spans one grid row — so
-/// every host analytic (`bfs_host`, `cc_host`, `pagerank_host`) runs on it
-/// directly, and the sharded variants run on [`Self::shard_refs`].
+/// union over shards *is* the global graph. A reader reads that union
+/// through [`Self::image`], the cut flattened into one [`GraphSnapshot`] the
+/// first time anyone asks and shared by every later reader of the cut; the
+/// sharded analytics run on [`Self::shard_refs`].
 #[derive(Debug, Clone)]
 pub struct ClusterSnapshot {
     cut: u64,
     num_vertices: u32,
     shards: Vec<Arc<GraphSnapshot>>,
+    image: OnceLock<Arc<GraphSnapshot>>,
 }
 
 impl ClusterSnapshot {
@@ -40,6 +38,7 @@ impl ClusterSnapshot {
             cut,
             num_vertices,
             shards,
+            image: OnceLock::new(),
         }
     }
 
@@ -85,62 +84,33 @@ impl ClusterSnapshot {
         self.shards.iter().all(|s| s.is_empty())
     }
 
-    /// Live edges of every shard merged into global row-major key order.
-    pub fn merged_edges(&self) -> Vec<Edge> {
-        let mut out: Vec<Edge> = Vec::with_capacity(self.num_edges());
-        for s in &self.shards {
-            out.extend(s.edges());
-        }
-        out.sort_by_key(Edge::key);
-        out
+    /// The cut as one [`GraphSnapshot`] (epoch := cut): the one read path
+    /// over a cut. The shard images are merged row by row
+    /// ([`GraphSnapshot::merged`]) on the first call and the result is kept,
+    /// so every reader of this cut shares one `Arc`. Where two shards hold
+    /// one key the image keeps one copy, so a cut whose shards overlap has
+    /// `image().num_edges() < num_edges()`.
+    pub fn image(&self) -> &Arc<GraphSnapshot> {
+        self.image.get_or_init(|| {
+            Arc::new(GraphSnapshot::merged(
+                self.cut,
+                self.num_vertices,
+                &self.shard_refs(),
+            ))
+        })
     }
 
-    /// Collapse the cut into one [`GraphSnapshot`] (epoch := cut), for
-    /// callers that want single-store semantics. The shards' images are
-    /// merged row by row into one allocation — no flat edge list, no global
-    /// sort; only a row that several shards hold is sorted.
+    /// An owned copy of [`Self::image`].
     pub fn to_graph_snapshot(&self) -> GraphSnapshot {
-        GraphSnapshot::merged(self.cut, self.num_vertices, &self.shard_refs())
-    }
-
-    /// True when edge `(src, dst)` was live on any shard at this cut.
-    pub fn contains(&self, src: u32, dst: u32) -> bool {
-        self.shards.iter().any(|s| s.contains(src, dst))
-    }
-
-    /// Weight of `(src, dst)` at this cut, if live (shards are
-    /// edge-disjoint, so at most one answers).
-    pub fn weight(&self, src: u32, dst: u32) -> Option<u64> {
-        self.shards.iter().find_map(|s| s.weight(src, dst))
-    }
-}
-
-impl HostGraph for ClusterSnapshot {
-    #[inline]
-    fn num_vertices(&self) -> u32 {
-        self.num_vertices
-    }
-
-    #[inline]
-    fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32, u64)) {
-        for s in &self.shards {
-            for e in s.neighbors(v) {
-                f(e.dst, e.weight);
-            }
-        }
-    }
-
-    #[inline]
-    fn out_degree(&self, v: u32) -> usize {
-        self.shards.iter().map(|s| s.out_degree(v)).sum()
+        (**self.image()).clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpma_analytics::{bfs_host, cc_host, component_count};
     use gpma_core::multi::{EdgeGridPartition, Partitioner};
+    use gpma_graph::Edge;
 
     fn path_edges() -> Vec<Edge> {
         vec![
@@ -173,11 +143,13 @@ mod tests {
         assert_eq!(cs.cut(), 3);
         assert_eq!(cs.num_edges(), 5);
         assert!(!cs.is_empty());
-        assert!(cs.contains(3, 0));
-        assert_eq!(cs.weight(3, 0), Some(9));
-        assert!(!cs.contains(0, 3));
-        let keys: Vec<u64> = cs.merged_edges().iter().map(Edge::key).collect();
+        let image = cs.image();
+        assert!(image.contains(3, 0));
+        assert_eq!(image.weight(3, 0), Some(9));
+        assert!(!image.contains(0, 3));
+        let keys: Vec<u64> = image.edges().iter().map(Edge::key).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted, no dupes");
+        assert!(Arc::ptr_eq(image, cs.image()), "merged once, then shared");
         let flat = cs.to_graph_snapshot();
         assert_eq!(flat.epoch(), 3);
         assert_eq!(flat.num_edges(), 5);
@@ -203,34 +175,40 @@ mod tests {
                 .map(|es| Arc::new(GraphSnapshot::from_edges(1, 40, es)))
                 .collect();
             let cs = ClusterSnapshot::new(9, 40, shards);
-            let merged = cs.to_graph_snapshot();
+            // The oracle concatenates the shard edge lists and builds one
+            // image from scratch.
+            let flat: Vec<Edge> = cs
+                .shards()
+                .iter()
+                .flat_map(|s| s.edges().iter().copied())
+                .collect();
+            let merged = cs.image();
             assert_eq!(
-                merged,
-                GraphSnapshot::from_edges(9, 40, cs.merged_edges()),
+                **merged,
+                GraphSnapshot::from_edges(9, 40, flat),
                 "{}",
                 policy.name()
             );
             assert_eq!(merged.check_layout(), Ok(()));
             assert_eq!(merged.num_edges(), cs.num_edges());
+            assert_eq!(cs.to_graph_snapshot(), **merged);
         }
     }
 
     #[test]
-    fn host_graph_over_split_rows_matches_flat_snapshot() {
-        // The grid splits vertex 1's row if its dsts land in different
-        // column blocks; HostGraph must still see the full row.
-        let part = EdgeGridPartition::new(8, 4);
-        let cs = snapshot_under(&part);
-        let flat = cs.to_graph_snapshot();
-        for v in 0..8u32 {
-            assert_eq!(
-                HostGraph::out_degree(&cs, v),
-                HostGraph::out_degree(&flat, v),
-                "row {v}"
-            );
-        }
-        assert_eq!(bfs_host(&cs, 0), bfs_host(&flat, 0));
-        let labels = cc_host(&cs);
-        assert_eq!(component_count(&labels), component_count(&cc_host(&flat)));
+    fn a_key_two_shards_hold_shrinks_the_image() {
+        // The property `GraphCluster::audit_cut` relies on: `merged` keeps
+        // one copy of a key several shards hold.
+        let shard = |es: Vec<Edge>| Arc::new(GraphSnapshot::from_edges(1, 8, es));
+        let cs = ClusterSnapshot::new(
+            2,
+            8,
+            vec![
+                shard(vec![Edge::new(0, 1), Edge::new(2, 3)]),
+                shard(vec![Edge::weighted(2, 3, 7), Edge::new(4, 5)]),
+            ],
+        );
+        assert_eq!(cs.num_edges(), 4);
+        assert_eq!(cs.image().num_edges(), 3);
     }
 }

@@ -53,16 +53,6 @@ impl GraphStreamBuffer {
         }
     }
 
-    /// Buffer one edge insertion.
-    pub fn offer_insert(&mut self, e: Edge) {
-        self.pending.insertions.push(e);
-    }
-
-    /// Buffer one edge deletion.
-    pub fn offer_delete(&mut self, e: Edge) {
-        self.pending.deletions.push(e);
-    }
-
     /// Buffer a whole update batch (insertions and deletions).
     pub fn offer_batch(&mut self, batch: &UpdateBatch) {
         self.pending.insertions.extend_from_slice(&batch.insertions);
@@ -226,11 +216,6 @@ impl DynamicGraphSystem {
         self.monitors.push(m);
     }
 
-    /// Number of registered continuous monitors.
-    pub fn num_monitors(&self) -> usize {
-        self.monitors.len()
-    }
-
     /// Flushes applied so far. Epoch `0` is the initial bulk-built graph;
     /// each [`Self::flush`] increments it, including forced flushes of an
     /// empty buffer (an empty batch still advances the version).
@@ -264,8 +249,9 @@ impl DynamicGraphSystem {
     pub fn flush(&mut self) -> StepReport {
         let batch = self.stream.take_batch();
         let batch_size = batch.len();
-        let duplicate_inserts = count_duplicate_inserts(&batch);
         let delta = Arc::new(SnapshotDelta::from_batch(self.epoch + 1, &batch));
+        // `from_batch` keeps one insertion per key (last write wins).
+        let duplicate_inserts = batch.insertions.len() - delta.inserted().len();
         let graph = &mut self.graph;
         let (_, update_time) = self.device.timed(|d| {
             graph.update_batch_lazy(d, &batch);
@@ -305,17 +291,6 @@ impl DynamicGraphSystem {
     pub fn ad_hoc<R>(&self, f: impl FnOnce(&Device, &GpmaPlus) -> R) -> R {
         f(&self.device, &self.graph)
     }
-}
-
-/// Insertions whose `(src, dst)` key recurs later in the same batch (the
-/// earlier write is superseded — GPMA treats a re-insert as a modification).
-fn count_duplicate_inserts(batch: &UpdateBatch) -> usize {
-    if batch.insertions.len() < 2 {
-        return 0;
-    }
-    let mut keys: Vec<u64> = batch.insertions.iter().map(Edge::key).collect();
-    keys.sort_unstable();
-    keys.windows(2).filter(|w| w[0] == w[1]).count()
 }
 
 #[cfg(test)]
@@ -447,10 +422,10 @@ mod tests {
     fn take_drains_everything_take_batch_respects_threshold() {
         let mut buf = GraphStreamBuffer::new(3);
         assert_eq!(buf.threshold(), 3);
-        for i in 0..5u32 {
-            buf.offer_insert(Edge::new(i, i + 1));
-        }
-        buf.offer_delete(Edge::new(9, 8));
+        buf.offer_batch(&UpdateBatch {
+            insertions: (0..5u32).map(|i| Edge::new(i, i + 1)).collect(),
+            deletions: edges(&[(9, 8)]),
+        });
         assert!(buf.ready());
         let step = buf.take_batch();
         assert_eq!(step.len(), 3);
@@ -469,10 +444,10 @@ mod tests {
         // Arrival order: insert (1,2), then delete (1,2). Batch semantics
         // alone would re-apply the insert after the delete; cancelling the
         // buffered insert first preserves sequential semantics.
-        sys.stream.offer_insert(Edge::new(1, 2));
-        sys.stream.offer_insert(Edge::new(2, 3));
+        sys.stream.offer_batch(&UpdateBatch::single_insert(Edge::new(1, 2)));
+        sys.stream.offer_batch(&UpdateBatch::single_insert(Edge::new(2, 3)));
         assert_eq!(sys.stream.cancel_pending_inserts(Edge::new(1, 2).key()), 1);
-        sys.stream.offer_delete(Edge::new(1, 2));
+        sys.stream.offer_batch(&UpdateBatch::single_delete(Edge::new(1, 2)));
         sys.flush();
         assert_eq!(sys.graph.storage.num_edges(), 1);
         assert!(sys.snapshot().contains(2, 3));
@@ -498,6 +473,21 @@ mod tests {
         assert_eq!(sys.graph.storage.num_edges(), 2);
         let snap = sys.snapshot();
         assert_eq!(snap.weight(0, 1), Some(3));
+        // A key deleted and re-inserted in one step is one insertion, not a
+        // duplicate; a key inserted three times supersedes two.
+        sys.ingest(&UpdateBatch {
+            insertions: vec![
+                Edge::weighted(1, 2, 4),
+                Edge::weighted(2, 3, 1),
+                Edge::weighted(2, 3, 2),
+                Edge::weighted(2, 3, 3),
+            ],
+            deletions: edges(&[(1, 2)]),
+        });
+        let report = sys.flush();
+        assert_eq!(report.duplicate_inserts, 2);
+        let snap = sys.snapshot();
+        assert_eq!((snap.weight(1, 2), snap.weight(2, 3)), (Some(4), Some(3)));
     }
 
     #[test]

@@ -458,11 +458,6 @@ impl MultiGpma {
         self.partition.plan()
     }
 
-    /// The versioned partition plan the shards were built under.
-    pub fn partition_epoch(&self) -> &PartitionEpoch {
-        &self.partition
-    }
-
     /// All shard devices, index-aligned with [`Self::shards`].
     pub fn devices(&self) -> &[Device] {
         &self.devices
@@ -471,11 +466,6 @@ impl MultiGpma {
     /// All per-device GPMA+ shards.
     pub fn shards(&self) -> &[GpmaPlus] {
         &self.shards
-    }
-
-    /// Mutable access to the per-device shards (multi-GPU analytics).
-    pub fn shards_mut(&mut self) -> &mut [GpmaPlus] {
-        &mut self.shards
     }
 
     /// Device `i` (panics when out of range).

@@ -23,6 +23,22 @@ pub struct UpdateBatch {
 }
 
 impl UpdateBatch {
+    /// A batch holding the one insertion `e`.
+    pub fn single_insert(e: Edge) -> Self {
+        UpdateBatch {
+            insertions: vec![e],
+            deletions: Vec::new(),
+        }
+    }
+
+    /// A batch holding the one deletion `e`.
+    pub fn single_delete(e: Edge) -> Self {
+        UpdateBatch {
+            insertions: Vec::new(),
+            deletions: vec![e],
+        }
+    }
+
     /// Total updates in the batch (insertions plus deletions).
     pub fn len(&self) -> usize {
         self.insertions.len() + self.deletions.len()

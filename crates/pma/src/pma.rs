@@ -123,11 +123,6 @@ impl<V: Copy + Default> Pma<V> {
         &self.keys
     }
 
-    /// Raw value slots, aligned with [`Pma::raw_keys`].
-    pub fn raw_vals(&self) -> &[V] {
-        &self.vals
-    }
-
     // ------------------------------------------------------------------
     // Lookup
     // ------------------------------------------------------------------

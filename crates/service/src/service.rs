@@ -115,8 +115,7 @@ impl Drop for BarrierAck {
 
 /// Commands flowing through the bounded ingest queue to the worker.
 enum Command {
-    Insert(Edge),
-    Delete(Edge),
+    /// Updates; a single edge travels as a one-edge batch.
     Batch(UpdateBatch),
     /// Flush all residue and ack with the published image.
     Barrier(BarrierAck),
@@ -165,8 +164,7 @@ struct Shared {
     /// Modeled bytes of the row blocks image publication wrote.
     snapshot_bytes: AtomicU64,
     /// Errors the worker thread recovered from instead of panicking (a
-    /// misdispatched control command, a published image that diverged from
-    /// the store); surfaced as
+    /// published image that diverged from the store); surfaced as
     /// [`ServiceMetrics::worker_errors`].
     worker_errors: AtomicU64,
     /// Armed by [`StreamingService::crash_at_next_barrier`]: the worker
@@ -243,26 +241,12 @@ impl IngestHandle {
     /// followed by a [`delete`](Self::delete) of the same edge nets to
     /// *absent*, regardless of flush-batch boundaries.
     pub fn insert(&self, e: Edge) -> Result<(), ServiceClosed> {
-        let span = self.shared.obs.span(Stage::IngestEnqueue);
-        if self.tx.send(Command::Insert(e)).is_err() {
-            span.cancel();
-            return Err(ServiceClosed);
-        }
-        drop(span);
-        self.shared.ingested_inserts.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.ingest(UpdateBatch::single_insert(e))
     }
 
     /// Stream one edge deletion, blocking while the queue is full.
     pub fn delete(&self, e: Edge) -> Result<(), ServiceClosed> {
-        let span = self.shared.obs.span(Stage::IngestEnqueue);
-        if self.tx.send(Command::Delete(e)).is_err() {
-            span.cancel();
-            return Err(ServiceClosed);
-        }
-        drop(span);
-        self.shared.ingested_deletes.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.ingest(UpdateBatch::single_delete(e))
     }
 
     /// Stream a pre-assembled batch, blocking while the queue is full.
@@ -310,32 +294,12 @@ impl IngestHandle {
     /// Non-blocking insert: `Ok(false)` (and a counted drop) when the queue
     /// is full — the load-shedding policy for producers that must not stall.
     pub fn offer_insert(&self, e: Edge) -> Result<bool, ServiceClosed> {
-        match self.tx.try_send(Command::Insert(e)) {
-            Ok(()) => {
-                self.shared.ingested_inserts.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.dropped_updates.fetch_add(1, Ordering::Relaxed);
-                Ok(false)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ServiceClosed),
-        }
+        self.offer_batch(UpdateBatch::single_insert(e))
     }
 
     /// Non-blocking delete; same drop policy as [`Self::offer_insert`].
     pub fn offer_delete(&self, e: Edge) -> Result<bool, ServiceClosed> {
-        match self.tx.try_send(Command::Delete(e)) {
-            Ok(()) => {
-                self.shared.ingested_deletes.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.dropped_updates.fetch_add(1, Ordering::Relaxed);
-                Ok(false)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ServiceClosed),
-        }
+        self.offer_batch(UpdateBatch::single_delete(e))
     }
 
     /// Non-blocking batch ingest: the whole batch is accepted or shed as
@@ -779,9 +743,7 @@ fn handle_command(
     ctx: &WorkerCtx,
 ) -> bool {
     match cmd {
-        Command::Insert(_) | Command::Delete(_) | Command::Batch(_) => {
-            buffer_update(cmd, sys, &ctx.shared);
-        }
+        Command::Batch(b) => buffer_update(b, sys, &ctx.shared),
         Command::Barrier(ack) => {
             if ctx.shared.crash_at_barrier.swap(false, Ordering::Relaxed) {
                 // Dropping `ack` unanswered answers `None`.
@@ -819,39 +781,20 @@ fn record_death(sys: &DynamicGraphSystem, ctx: &WorkerCtx) {
     );
 }
 
-/// Buffer an update command, enforcing per-producer arrival-order
-/// semantics: a deletion cancels any same-key insertion still buffered, so
-/// "insert then delete" within one flush window nets to *absent* (within a
-/// pre-assembled [`UpdateBatch`] the framework's delete-first convention
-/// applies, as documented on [`IngestHandle::ingest`]).
-fn buffer_update(cmd: Command, sys: &mut DynamicGraphSystem, shared: &Shared) {
-    match cmd {
-        Command::Insert(e) => sys.stream.offer_insert(e),
-        Command::Delete(e) => {
-            let cancelled = sys.stream.cancel_pending_inserts(e.key());
-            if cancelled > 0 {
-                shared.counters.lock().record_cancelled(cancelled as u64);
-            }
-            sys.stream.offer_delete(e);
-        }
-        Command::Batch(b) => {
-            let mut cancelled = 0usize;
-            for d in &b.deletions {
-                cancelled += sys.stream.cancel_pending_inserts(d.key());
-            }
-            if cancelled > 0 {
-                shared.counters.lock().record_cancelled(cancelled as u64);
-            }
-            sys.stream.offer_batch(&b);
-        }
-        Command::Barrier(_) | Command::AdHoc(_) | Command::Shutdown | Command::Crash(_) => {
-            // Control commands are dispatched in `handle_command`; reaching
-            // here is a dispatch bug — but the worker thread must not panic
-            // over it (a dead worker closes every handle). Log, count, drop.
-            shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-            eprintln!("gpma-service: control command reached the update buffer; dropped");
-        }
+/// Buffer an update batch, enforcing per-producer arrival-order
+/// semantics: its deletions cancel any same-key insertion still buffered,
+/// so "insert then delete" within one flush window nets to *absent* (within
+/// one batch the framework's delete-first convention applies, as documented
+/// on [`IngestHandle::ingest`]).
+fn buffer_update(b: UpdateBatch, sys: &mut DynamicGraphSystem, shared: &Shared) {
+    let mut cancelled = 0usize;
+    for d in &b.deletions {
+        cancelled += sys.stream.cancel_pending_inserts(d.key());
     }
+    if cancelled > 0 {
+        shared.counters.lock().record_cancelled(cancelled as u64);
+    }
+    sys.stream.offer_batch(&b);
 }
 
 /// Shutdown path: absorb every command still queued (acking barriers,
@@ -864,9 +807,7 @@ fn drain_and_stop(rx: &Receiver<Command>, sys: &mut DynamicGraphSystem, ctx: &Wo
     loop {
         while let Ok(cmd) = rx.try_recv() {
             match cmd {
-                Command::Insert(_) | Command::Delete(_) | Command::Batch(_) => {
-                    buffer_update(cmd, sys, &ctx.shared);
-                }
+                Command::Batch(b) => buffer_update(b, sys, &ctx.shared),
                 Command::Barrier(ack) => ack_barrier(ack, sys, ctx),
                 Command::AdHoc(f) => f(sys),
                 Command::Shutdown => {}

@@ -4,13 +4,13 @@
 //!
 //! Two implementations ship: the single-shard [`StreamingService`] (which
 //! already speaks `Arc<GraphSnapshot>` natively) and [`ClusterBackend`],
-//! which adapts a sharded [`GraphCluster`] by merging its
-//! [`ClusterSnapshot`] into a single logical [`GraphSnapshot`] — memoized
-//! per cut, so concurrent queries at one epoch pay the O(E) merge once.
+//! which adapts a sharded [`GraphCluster`] by reading each cut through its
+//! one image ([`ClusterSnapshot::image`](gpma_cluster::ClusterSnapshot::image)),
+//! which the cut merges once and shares with every reader of it.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
-use gpma_cluster::{ClusterSnapshot, GraphCluster};
+use gpma_cluster::GraphCluster;
 use gpma_core::delta::DeltaCatchUp;
 use gpma_core::framework::GraphSnapshot;
 use gpma_graph::UpdateBatch;
@@ -68,25 +68,17 @@ impl ServingBackend for StreamingService {
 }
 
 /// Adapts a sharded [`GraphCluster`] to the single-snapshot
-/// [`ServingBackend`] contract.
-///
-/// `ClusterSnapshot::to_graph_snapshot` is an O(E) merge of every shard's
-/// edge list; under query load the same cut is merged over and over, so
-/// the adapter memoizes the most recent merge keyed by cut epoch.
+/// [`ServingBackend`] contract: a cut is served as its
+/// [`image`](gpma_cluster::ClusterSnapshot::image), so queries at one cut
+/// share one merge.
 pub struct ClusterBackend {
     cluster: Arc<GraphCluster>,
-    /// Last `(cut, merged snapshot)` pair; NOT one of the lint-ordered
-    /// cross-crate lock names — this is a leaf cache lock.
-    merged: Mutex<Option<(u64, Arc<GraphSnapshot>)>>,
 }
 
 impl ClusterBackend {
     /// Wrap `cluster` for serving.
     pub fn new(cluster: Arc<GraphCluster>) -> Self {
-        ClusterBackend {
-            cluster,
-            merged: Mutex::new(None),
-        }
+        ClusterBackend { cluster }
     }
 
     /// The wrapped cluster (for resharding, metrics, shutdown from the
@@ -94,30 +86,17 @@ impl ClusterBackend {
     pub fn cluster(&self) -> &Arc<GraphCluster> {
         &self.cluster
     }
-
-    /// Merge `cs` into one logical snapshot, memoized per cut.
-    fn merge(&self, cs: &ClusterSnapshot) -> Arc<GraphSnapshot> {
-        let mut memo = self.merged.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((cut, snap)) = memo.as_ref() {
-            if *cut == cs.cut() {
-                return snap.clone();
-            }
-        }
-        let snap = Arc::new(cs.to_graph_snapshot());
-        *memo = Some((cs.cut(), snap.clone()));
-        snap
-    }
 }
 
 impl ServingBackend for ClusterBackend {
     fn latest(&self) -> Arc<GraphSnapshot> {
-        self.merge(&self.cluster.snapshot())
+        self.cluster.snapshot().image().clone()
     }
 
     fn deltas_since(&self, epoch: u64) -> DeltaCatchUp<Arc<GraphSnapshot>> {
         match self.cluster.deltas_since(epoch) {
             DeltaCatchUp::Deltas(chain) => DeltaCatchUp::Deltas(chain),
-            DeltaCatchUp::Snapshot(cs) => DeltaCatchUp::Snapshot(self.merge(&cs)),
+            DeltaCatchUp::Snapshot(cut) => DeltaCatchUp::Snapshot(cut.image().clone()),
         }
     }
 

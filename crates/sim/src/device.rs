@@ -429,12 +429,6 @@ impl Device {
         SimTime(self.cfg.cycles_to_secs(self.metrics.lock().total_cycles))
     }
 
-    /// Advance the device clock by raw cycles (used by host-orchestrated
-    /// costs such as device-to-device copies).
-    pub fn advance_cycles(&self, cycles: u64) {
-        self.metrics.lock().total_cycles += cycles;
-    }
-
     /// Reset the device clock and aggregate metrics (not buffer contents).
     pub fn reset_clock(&self) {
         *self.metrics.lock() = DeviceMetrics::default();

@@ -97,8 +97,8 @@ fn main() {
             pr_x.bytes / 1024,
             pr_x.comm.millis()
         );
-        // The merged cut is itself a host graph.
-        let labels = cc_host(&*snap);
+        // The cut's image is a host graph.
+        let labels = cc_host(&**snap.image());
         println!("CC on the merged cut: {} components", component_count(&labels));
 
         // Client-observed ingest latency plus the per-stage pipeline

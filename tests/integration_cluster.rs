@@ -126,16 +126,17 @@ fn multi_producer_cluster_with_concurrent_cuts() {
         }
 
         let snap = cluster.epoch_cut().expect("cluster alive");
-        let got: BTreeMap<(u32, u32), u64> = snap
-            .merged_edges()
+        let image = snap.image();
+        let got: BTreeMap<(u32, u32), u64> = image
+            .edges()
             .iter()
             .map(|e| ((e.src, e.dst), e.weight))
             .collect();
         assert_eq!(got, oracle, "{policy:?}");
 
-        // Analytics on the merged cut: every streamed destination is two
+        // Analytics on the cut's image: every streamed destination is two
         // hops from the root through its producer's hub.
-        let dist = bfs_host(&*snap, 0);
+        let dist = bfs_host(&**image, 0);
         for p in 0..PRODUCERS {
             assert_eq!(dist[(1 + p) as usize], 1, "{policy:?} hub {p}");
             for d in 0..DSTS_EACH {
@@ -195,8 +196,9 @@ proptest! {
             apply_oracle(&mut oracle, &ops_b, 16);
 
             let snap = cluster.epoch_cut().expect("cluster alive");
-            let got: BTreeMap<(u32, u32), u64> = snap
-                .merged_edges()
+            let image = snap.image();
+            let got: BTreeMap<(u32, u32), u64> = image
+                .edges()
                 .iter()
                 .map(|e| ((e.src, e.dst), e.weight))
                 .collect();
@@ -209,12 +211,12 @@ proptest! {
                 .collect();
             let adj = AdjLists::build(NUM_VERTICES, &oracle_edges);
 
-            // Merged-snapshot analytics equal the single-device oracles.
+            // Analytics on the cut's image equal the single-device oracles.
             let root = oracle_edges.first().map(|e| e.src).unwrap_or(0);
-            prop_assert_eq!(bfs_host(&*snap, root), bfs_host(&adj, root), "{:?}", policy);
-            prop_assert_eq!(cc_host(&*snap), cc_host(&adj), "{:?}", policy);
+            prop_assert_eq!(bfs_host(&**image, root), bfs_host(&adj, root), "{:?}", policy);
+            prop_assert_eq!(cc_host(&**image), cc_host(&adj), "{:?}", policy);
             let pr_oracle = pagerank_host(&adj, 0.85, 1e-10, 200);
-            let pr_merged = pagerank_host(&*snap, 0.85, 1e-10, 200);
+            let pr_merged = pagerank_host(&**image, 0.85, 1e-10, 200);
             for v in 0..NUM_VERTICES as usize {
                 prop_assert!(
                     (pr_merged.ranks[v] - pr_oracle.ranks[v]).abs() < 1e-9,
@@ -235,9 +237,11 @@ proptest! {
                 );
             }
 
-            // Per-row HostGraph coherence of the cluster snapshot.
+            // The shards are edge-disjoint: their counts add up to the
+            // oracle's, and every row of the image is whole.
+            prop_assert_eq!(snap.num_edges(), oracle.len());
             let total: usize = (0..NUM_VERTICES)
-                .map(|v| HostGraph::out_degree(&*snap, v))
+                .map(|v| HostGraph::out_degree(&**image, v))
                 .sum();
             prop_assert_eq!(total, oracle.len());
 
@@ -250,13 +254,13 @@ proptest! {
     }
 }
 
-/// `Arc<ClusterSnapshot>` everywhere above: make sure deref'd use as a
-/// `HostGraph` trait object also works (monitors take `&dyn HostGraph`).
+/// A cut's image also works as a `HostGraph` trait object (monitors take
+/// `&dyn HostGraph`).
 #[test]
 fn cluster_snapshot_as_dyn_host_graph() {
     let cluster = spawn_cluster(PartitionPolicy::VertexHash, &[Edge::new(0, 1)], 4);
     let snap = cluster.epoch_cut().expect("cluster alive");
-    let g: &dyn HostGraph = &*snap;
+    let g: &dyn HostGraph = &**snap.image();
     assert_eq!(g.num_vertices(), NUM_VERTICES);
     assert_eq!(g.out_degree(0), 1);
     drop(cluster);
@@ -271,6 +275,7 @@ fn cut_isolation_between_epochs() {
     let early = cluster.epoch_cut().unwrap();
     h.insert(Edge::new(3, 4)).unwrap();
     let late = cluster.epoch_cut().unwrap();
+    let (early, late) = (early.image(), late.image());
     assert!(early.contains(1, 2) && !early.contains(3, 4));
     assert!(late.contains(1, 2) && late.contains(3, 4));
     drop(cluster.shutdown());

@@ -130,8 +130,10 @@ proptest! {
             }
             // Barrier: everything accepted so far is flushed + published.
             let cut = backend.cluster().epoch_cut().expect("cluster alive");
-            // Independent oracle merge (not the backend's memoized one).
-            let fresh = cut.to_graph_snapshot();
+            // Independent oracle: one image built from scratch over the
+            // concatenated shard edge lists, not the cut's memoized merge.
+            let edges = cut.shards().iter().flat_map(|s| s.edges().iter().copied()).collect();
+            let fresh = GraphSnapshot::from_edges(cut.cut(), cut.num_vertices(), edges);
             for q in probe_queries() {
                 // Twice: first may miss (computing + memoizing), second is
                 // a same-epoch hit — both must match the oracle.
@@ -153,6 +155,28 @@ proptest! {
         let t = m.totals();
         prop_assert!(t.cache_hits >= 1, "repeat queries must hit the memo");
         prop_assert_eq!(t.rejected(), 0, "unlimited tenant never sheds");
+    }
+}
+
+#[test]
+fn cluster_backend_serves_the_cut_image() {
+    let cluster = GraphCluster::spawn(
+        ClusterConfig::default(),
+        &DeviceConfig::deterministic(),
+        PartitionPolicy::VertexHash.build(NUM_VERTICES, 2),
+        &[Edge::new(0, 1), Edge::new(3, 4)],
+    );
+    let backend = ClusterBackend::new(Arc::new(cluster));
+    backend.cluster().handle().insert(Edge::new(5, 6)).expect("cluster alive");
+    let cut = backend.cluster().epoch_cut().expect("cluster alive");
+    let (a, b) = (backend.latest(), backend.latest());
+    assert!(Arc::ptr_eq(&a, &b), "one merge per cut");
+    assert!(Arc::ptr_eq(&a, backend.cluster().snapshot().image()));
+    assert!(Arc::ptr_eq(&a, cut.image()));
+    assert_eq!((a.epoch(), a.num_edges()), (cut.cut(), 3));
+    match backend.deltas_since(u64::MAX) {
+        DeltaCatchUp::Snapshot(image) => assert!(Arc::ptr_eq(&image, &a)),
+        DeltaCatchUp::Deltas(_) => panic!("no chain starts past the latest cut"),
     }
 }
 
