@@ -109,7 +109,7 @@ impl GraphStreamBuffer {
     /// were cancelled.
     ///
     /// Within one flushed batch deletions apply *before* insertions (the
-    /// sliding-window convention of `prepare_updates`), so a deletion that
+    /// sliding-window convention of `prepare_updates_parts`), so a deletion that
     /// arrives after a same-key insertion still sitting in this buffer would
     /// otherwise lose to it. A caller that needs arrival-order (sequential)
     /// semantics — the `gpma-service` ingest worker — cancels the pending
@@ -121,7 +121,7 @@ impl GraphStreamBuffer {
     }
 
     /// Shared drain: up to `limit` updates, deletions first (the batch-apply
-    /// order fixed by `prepare_updates`), remainder left buffered.
+    /// order fixed by `prepare_updates_parts`), remainder left buffered.
     fn take_up_to(&mut self, limit: usize) -> UpdateBatch {
         if self.pending.len() <= limit {
             return std::mem::take(&mut self.pending);

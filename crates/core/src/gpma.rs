@@ -16,7 +16,7 @@
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
 
-use crate::storage::{GpmaStorage, EMPTY};
+use crate::storage::{CompactScratch, GpmaStorage, EMPTY};
 use crate::update::UpdateScratch;
 
 /// Per-batch statistics for lock-based GPMA updates.
@@ -170,8 +170,9 @@ impl Gpma {
             let statuses = status.to_vec();
             if statuses.contains(&ST_ROOT) {
                 let cap = self.storage.capacity();
-                let (ck, cv, cn) = self.storage.compact_window(dev, 0..cap);
-                self.storage.resize_to(dev, &ck, &cv, cn);
+                let mut scratch = CompactScratch::default();
+                let cn = self.storage.compact_window_into(dev, 0..cap, &mut scratch);
+                self.storage.resize_to(dev, &scratch.keys, &scratch.vals, cn);
                 stats.grows += 1;
             }
 

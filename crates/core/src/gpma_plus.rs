@@ -66,13 +66,13 @@ pub struct GpmaPlus {
     /// `Vec` growth out of the streaming hot path).
     scratch: UpdateScratch,
     /// Reusable device buffers for the per-level survivor compaction in
-    /// [`Self::apply_sorted`] (the ROADMAP `compact_flagged`-chain churn).
+    /// [`Self::apply_sorted`].
     level_scratch: LevelScratch,
     /// Reusable window-compaction buffers for the device merge tier and the
-    /// resize path (kills `compact_window`'s per-call flag/scan churn).
+    /// resize path ([`GpmaStorage::compact_window_into`]).
     compact_scratch: CompactScratch,
     /// Reusable parallel-merge staging for the device tier and the resize
-    /// path (kills `merge_parallel`'s per-call output churn).
+    /// path ([`merge_parallel_into`]).
     merge_scratch: MergeScratch,
     /// Route the warp/block tier through the three-launch reference the
     /// layout-identity tests hold the one-pass kernel to.
@@ -82,8 +82,10 @@ pub struct GpmaPlus {
 
 /// Device-buffer set the level loop ping-pongs survivors through instead
 /// of allocating four fresh buffers (plus a scan buffer each) per level.
-/// Capacities only grow, so a steady-state stream of equally sized batches
-/// allocates nothing after the first.
+/// Capacities only grow ([`DeviceBuffer::grow_to`]), so a steady-state
+/// stream of equally sized batches reallocates none of these buffers after
+/// the first; the scans and the RLE still allocate their scan
+/// intermediates per call ([`primitives::exclusive_scan_u32_into`]).
 struct LevelScratch {
     keep: DeviceBuffer<u32>,
     positions: DeviceBuffer<u32>,
@@ -128,19 +130,14 @@ impl LevelScratch {
     /// swaps hand the key/val/op/seg slots back buffers of *earlier batch*
     /// sizes, so their capacities evolve independently of the mask pair.
     fn ensure(&mut self, n: usize) {
-        fn grow<T: gpma_sim::DevicePod>(buf: &mut DeviceBuffer<T>, n: usize) {
-            if buf.len() < n {
-                *buf = DeviceBuffer::new(n);
-            }
-        }
-        grow(&mut self.keep, n);
-        grow(&mut self.positions, n);
-        grow(&mut self.keys, n);
-        grow(&mut self.vals, n);
-        grow(&mut self.ops, n);
-        grow(&mut self.segs, n);
-        grow(&mut self.seg_ids, n);
-        grow(&mut self.accept, n);
+        self.keep.grow_to(n);
+        self.positions.grow_to(n);
+        self.keys.grow_to(n);
+        self.vals.grow_to(n);
+        self.ops.grow_to(n);
+        self.segs.grow_to(n);
+        self.seg_ids.grow_to(n);
+        self.accept.grow_to(n);
     }
 }
 
@@ -243,7 +240,8 @@ impl GpmaPlus {
             // Lines 12-15: drop consumed updates, promote the rest. The
             // four survivor streams share one keep-mask scan and scatter
             // through reusable ping-pong buffers (capacities only grow),
-            // so the steady-state level loop allocates nothing and runs
+            // so the steady-state level loop reallocates none of them
+            // (the scan still allocates its own intermediates) and runs
             // one fused kernel instead of four scans + five scatters.
             let nupd = cur.len;
             let scratch = &mut self.level_scratch;
@@ -1106,7 +1104,7 @@ mod tests {
                 }
             }
             // Oracle applies deletions first, then insertions (the batch
-            // semantics fixed by prepare_updates).
+            // semantics fixed by prepare_updates_parts).
             for e in &batch.deletions {
                 oracle.remove(&(e.src, e.dst));
             }

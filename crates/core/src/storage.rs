@@ -329,44 +329,12 @@ impl GpmaStorage {
         });
     }
 
-    /// Compact the live entries of `window` into fresh contiguous buffers
-    /// (parallel flags + scan + scatter). Returns `(keys, vals, count)`.
-    pub fn compact_window(
-        &self,
-        dev: &Device,
-        window: std::ops::Range<usize>,
-    ) -> (DeviceBuffer<u64>, DeviceBuffer<u64>, usize) {
-        let len = window.len();
-        let start = window.start;
-        let keys = &self.keys;
-        let flags = DeviceBuffer::<u32>::new(len);
-        dev.launch("window_flags", len, |lane| {
-            let occupied = keys.get(lane, start + lane.tid) != EMPTY;
-            flags.set(lane, lane.tid, occupied as u32);
-        });
-        let (positions, count) = primitives::exclusive_scan_u32(dev, &flags);
-        let out_keys = DeviceBuffer::<u64>::new(count as usize);
-        let out_vals = DeviceBuffer::<u64>::new(count as usize);
-        let vals = &self.vals;
-        dev.launch("window_compact", len, |lane| {
-            let i = lane.tid;
-            if flags.get(lane, i) != 0 {
-                let p = positions.get(lane, i) as usize;
-                let k = keys.get(lane, start + i);
-                let v = vals.get(lane, start + i);
-                out_keys.set(lane, p, k);
-                out_vals.set(lane, p, v);
-            }
-        });
-        (out_keys, out_vals, count as usize)
-    }
-
-    /// [`Self::compact_window`] into caller-owned scratch instead of fresh
-    /// buffers — the allocation-free variant the GPMA+ device tier reuses
-    /// across segments. Returns the live-entry count; the entries live in
-    /// `scratch.keys` / `scratch.vals` (over-sized: only the first `count`
-    /// slots are meaningful). The kernel sequence matches the allocating
-    /// variant exactly, so simulated times are bit-identical to it.
+    /// Compact the live entries of `window` into caller-owned scratch
+    /// (parallel flags + scan + scatter), so the GPMA+ device tier, the
+    /// resize path and GPMA's root doubling reuse one buffer set. Returns
+    /// the live-entry count; the entries live in `scratch.keys` /
+    /// `scratch.vals` (over-sized: only the first `count` slots are
+    /// meaningful).
     // lint: hot-path
     pub fn compact_window_into(
         &self,
@@ -511,9 +479,11 @@ impl GpmaStorage {
 
 /// Reusable buffer set for [`GpmaStorage::compact_window_into`]: the
 /// occupancy mask, its scan, and the compacted output pair (sized to the
-/// window length, an upper bound on the live count). Capacities only grow,
-/// so a steady-state stream of equally sized windows allocates nothing
-/// after the first call.
+/// window length, an upper bound on the live count). Capacities only grow
+/// ([`DeviceBuffer::grow_to`]), so a steady-state stream of equally sized
+/// windows reallocates none of these buffers after the first call; the
+/// scan's own intermediates are still allocated per call
+/// ([`primitives::exclusive_scan_u32_into`]).
 pub struct CompactScratch {
     flags: DeviceBuffer<u32>,
     positions: DeviceBuffer<u32>,
@@ -537,15 +507,10 @@ impl Default for CompactScratch {
 
 impl CompactScratch {
     fn ensure(&mut self, n: usize) {
-        fn grow<T: gpma_sim::DevicePod>(buf: &mut DeviceBuffer<T>, n: usize) {
-            if buf.len() < n {
-                *buf = DeviceBuffer::new(n);
-            }
-        }
-        grow(&mut self.flags, n);
-        grow(&mut self.positions, n);
-        grow(&mut self.keys, n);
-        grow(&mut self.vals, n);
+        self.flags.grow_to(n);
+        self.positions.grow_to(n);
+        self.keys.grow_to(n);
+        self.vals.grow_to(n);
     }
 }
 
@@ -648,9 +613,10 @@ mod tests {
         let s = GpmaStorage::build(&d, 8, &edges(&[(0, 1), (1, 2), (3, 4), (5, 6), (7, 0)]));
         let before = s.host_entries();
         let cap = s.capacity();
-        let (ck, cv, n) = s.compact_window(&d, 0..cap);
+        let mut scratch = CompactScratch::default();
+        let n = s.compact_window_into(&d, 0..cap, &mut scratch);
         assert_eq!(n, before.len());
-        s.redispatch_window(&d, 0..cap, &ck, &cv, n);
+        s.redispatch_window(&d, 0..cap, &scratch.keys, &scratch.vals, n);
         assert_eq!(s.host_entries(), before);
         s.check_invariants();
     }
@@ -666,45 +632,48 @@ mod tests {
         let s = GpmaStorage::build(&d, 8, &all);
         assert_eq!(s.geometry().num_segs, 16);
         let half = s.capacity() / 2;
-        let (ck, cv, n) = s.compact_window(&d, 0..half);
+        let mut scratch = CompactScratch::default();
+        let n = s.compact_window_into(&d, 0..half, &mut scratch);
+        let (ck, cv) = (&scratch.keys, &scratch.vals);
         let tail = |b: &DeviceBuffer<u64>| DeviceBuffer::from_slice(&b.to_vec()[n - 3..]);
-        s.redispatch_window(&d, 0..half, &tail(&ck), &tail(&cv), 3);
+        s.redispatch_window(&d, 0..half, &tail(ck), &tail(cv), 3);
         s.check_routing().expect("routing invariant after a sparse redispatch");
         let window_max = ck.host_read(n - 1);
         assert_eq!(s.leaf_max_prefix.as_slice()[2..8], [window_max; 6]);
         // An emptied window keeps its old bounds.
         let before = s.leaf_max_prefix.to_vec();
-        s.redispatch_window(&d, 0..half, &ck, &cv, 0);
+        s.redispatch_window(&d, 0..half, ck, cv, 0);
         assert_eq!(s.leaf_max_prefix.to_vec(), before);
         s.check_routing().expect("routing invariant after emptying a window");
     }
 
+    /// One scratch reused across shrinking windows compacts what a freshly
+    /// allocated scratch does, and both equal the host-side live slots.
     #[test]
     fn compact_window_scratch_matches_allocating_variant() {
         let d = dev();
         let s = GpmaStorage::build(&d, 8, &edges(&[(0, 1), (1, 2), (3, 4), (5, 6), (7, 0)]));
         let cap = s.capacity();
+        let slots = s.keys.to_vec();
+        let weights = s.vals.to_vec();
         let mut scratch = CompactScratch::default();
         // Shrinking windows across calls: the reused buffers keep stale
         // tails that the bounded `n` must mask out.
         for window in [0..cap, 0..cap / 2, cap / 2..cap] {
-            let (ck, cv, n) = s.compact_window(&d, window.clone());
-            let n2 = s.compact_window_into(&d, window, &mut scratch);
-            assert_eq!(n2, n);
-            assert_eq!(&scratch.keys.to_vec()[..n], ck.to_vec());
-            assert_eq!(&scratch.vals.to_vec()[..n], cv.to_vec());
+            let live: Vec<usize> = window.clone().filter(|&i| slots[i] != EMPTY).collect();
+            let mut fresh = CompactScratch::default();
+            let n = s.compact_window_into(&d, window.clone(), &mut fresh);
+            assert_eq!(s.compact_window_into(&d, window, &mut scratch), n);
+            assert_eq!(n, live.len());
+            let pairs = [
+                (&scratch.keys, &fresh.keys, &slots),
+                (&scratch.vals, &fresh.vals, &weights),
+            ];
+            for (reused, first, host) in pairs {
+                assert_eq!(reused.to_vec()[..n], first.to_vec()[..n]);
+                assert_eq!(first.to_vec()[..n], live.iter().map(|&i| host[i]).collect::<Vec<_>>());
+            }
         }
-        // Sim cost parity: identical kernel sequence, so two fresh devices
-        // running the same compaction end at the same simulated clock.
-        let d1 = dev();
-        let s1 = GpmaStorage::build(&d1, 8, &edges(&[(0, 1), (1, 2), (3, 4)]));
-        let cap1 = s1.capacity();
-        let _ = s1.compact_window(&d1, 0..cap1);
-        let d2 = dev();
-        let s2 = GpmaStorage::build(&d2, 8, &edges(&[(0, 1), (1, 2), (3, 4)]));
-        let mut sc2 = CompactScratch::default();
-        let _ = s2.compact_window_into(&d2, 0..cap1, &mut sc2);
-        assert_eq!(d1.elapsed().secs().to_bits(), d2.elapsed().secs().to_bits());
     }
 
     #[test]
@@ -713,8 +682,9 @@ mod tests {
         let mut s = GpmaStorage::build(&d, 4, &edges(&[(0, 1), (1, 2), (2, 3)]));
         let before = s.host_entries();
         let cap = s.capacity();
-        let (ck, cv, n) = s.compact_window(&d, 0..cap);
-        s.resize_to(&d, &ck, &cv, n);
+        let mut scratch = CompactScratch::default();
+        let n = s.compact_window_into(&d, 0..cap, &mut scratch);
+        s.resize_to(&d, &scratch.keys, &scratch.vals, n);
         assert_eq!(s.host_entries(), before);
         s.check_invariants();
     }

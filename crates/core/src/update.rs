@@ -3,7 +3,7 @@
 //! resize path use.
 
 use gpma_graph::edge::GUARD_DST;
-use gpma_graph::{edge_key_mask, Edge, UpdateBatch};
+use gpma_graph::{edge_key_mask, Edge};
 use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
 
 use crate::storage::{GpmaStorage, EMPTY};
@@ -75,33 +75,20 @@ impl UpdateScratch {
             assert!(e.dst != GUARD_DST, "cannot delete a guard entry");
             self.keys.push(e.key());
         }
-        if self.del_keys.len() < edges.len() {
-            self.del_keys = DeviceBuffer::new(edges.len());
-        }
+        self.del_keys.grow_to(edges.len());
         self.del_keys.copy_from_slice(0, &self.keys);
         self.del_count.host_write(0, 0);
         (&self.del_keys, &self.del_count)
     }
 }
 
-/// Upload a batch and radix-sort it by key on the device. Deletions are
-/// placed *before* insertions so that a slide which deletes and re-inserts
-/// the same edge nets out to the edge being present (stable sort keeps the
-/// insert last).
-pub fn prepare_updates(dev: &Device, num_vertices: u32, batch: &UpdateBatch) -> DeviceUpdates {
-    let mut scratch = UpdateScratch::default();
-    prepare_updates_parts(
-        dev,
-        num_vertices,
-        &batch.deletions,
-        &batch.insertions,
-        &mut scratch,
-    )
-}
-
-/// [`prepare_updates`] over raw slices with caller-owned staging: avoids
-/// both the per-batch `Vec` growth and the `UpdateBatch` clone the lazy
-/// deletion path would otherwise pay to strip deletions.
+/// Upload a batch's deletions and insertions and radix-sort them by key on
+/// the device. Deletions are placed *before* insertions so that a slide
+/// which deletes and re-inserts the same edge nets out to the edge being
+/// present (stable sort keeps the insert last). Takes raw slices and
+/// caller-owned staging: avoids both the per-batch `Vec` growth and the
+/// `UpdateBatch` clone the lazy deletion path would otherwise pay to strip
+/// deletions.
 pub fn prepare_updates_parts(
     dev: &Device,
     num_vertices: u32,
@@ -332,111 +319,14 @@ pub fn merged_count_serial(
     count
 }
 
-/// Fully parallel merge of compacted entries `A` with the update slice
-/// `ur` of `u` — GPMA+'s *device tier* for windows too large for one
-/// warp/block, and the engine behind resize and the rebuild baseline.
-///
-/// Returns merged `(keys, vals, count)` as fresh device buffers.
-pub fn merge_parallel(
-    dev: &Device,
-    a_keys: &DeviceBuffer<u64>,
-    a_vals: &DeviceBuffer<u64>,
-    u: &DeviceUpdates,
-    ur: std::ops::Range<usize>,
-) -> (DeviceBuffer<u64>, DeviceBuffer<u64>, usize) {
-    let na = a_keys.len();
-    let m = ur.len();
-    let ustart = ur.start;
-
-    // 1. Slice the updates into dedicated buffers (kept contiguous so the
-    //    rank kernels below are coalesced).
-    let u_keys = DeviceBuffer::<u64>::new(m);
-    let u_vals = DeviceBuffer::<u64>::new(m);
-    let u_ops = DeviceBuffer::<u32>::new(m);
-    if m > 0 {
-        let uk = &u.keys;
-        let uv = &u.vals;
-        let uo = &u.ops;
-        dev.launch("slice_updates", m, |lane| {
-            let i = lane.tid;
-            let k = uk.get(lane, ustart + i);
-            let v = uv.get(lane, ustart + i);
-            let o = uo.get(lane, ustart + i);
-            u_keys.set(lane, i, k);
-            u_vals.set(lane, i, v);
-            u_ops.set(lane, i, o);
-        });
-    }
-
-    // 2. Last-wins dedup of the updates, and drop effective DELETEs (they
-    //    act purely by overriding A below).
-    let u_flags = DeviceBuffer::<u32>::new(m);
-    if m > 0 {
-        dev.launch("dedup_updates", m, |lane| {
-            let i = lane.tid;
-            let k = u_keys.get(lane, i);
-            let is_last = i + 1 >= m || u_keys.get(lane, i + 1) != k;
-            let keep = is_last && u_ops.get(lane, i) == OP_INSERT;
-            u_flags.set(lane, i, keep as u32);
-        });
-    }
-
-    // 3. Mark surviving A entries: those whose key does NOT appear in the
-    //    updates at all (any appearance overrides: insert replaces, delete
-    //    removes).
-    let a_flags = DeviceBuffer::<u32>::new(na);
-    if na > 0 {
-        dev.launch("a_survivors", na, |lane| {
-            let i = lane.tid;
-            let k = a_keys.get(lane, i);
-            let overridden = m > 0 && binary_search_contains(lane, &u_keys, k);
-            a_flags.set(lane, i, (!overridden) as u32);
-        });
-    }
-
-    // 4. Compact both sides.
-    let a2_keys = primitives::compact_flagged(dev, a_keys, &a_flags);
-    let a2_vals = primitives::compact_flagged(dev, a_vals, &a_flags);
-    let u2_keys = primitives::compact_flagged(dev, &u_keys, &u_flags);
-    let u2_vals = primitives::compact_flagged(dev, &u_vals, &u_flags);
-    let na2 = a2_keys.len();
-    let m2 = u2_keys.len();
-    let total = na2 + m2;
-
-    // 5. Rank-merge scatter: the two sides are disjoint sorted sets, so each
-    //    element's merged position is its own index plus its rank in the
-    //    other side. One lane per element, O(log) each.
-    let out_keys = DeviceBuffer::<u64>::new(total);
-    let out_vals = DeviceBuffer::<u64>::new(total);
-    if na2 > 0 {
-        dev.launch("rank_scatter_a", na2, |lane| {
-            let i = lane.tid;
-            let k = a2_keys.get(lane, i);
-            let r = lower_bound_dev(lane, &u2_keys, k);
-            let v = a2_vals.get(lane, i);
-            out_keys.set(lane, i + r, k);
-            out_vals.set(lane, i + r, v);
-        });
-    }
-    if m2 > 0 {
-        dev.launch("rank_scatter_u", m2, |lane| {
-            let i = lane.tid;
-            let k = u2_keys.get(lane, i);
-            let r = lower_bound_dev(lane, &a2_keys, k);
-            let v = u2_vals.get(lane, i);
-            out_keys.set(lane, i + r, k);
-            out_vals.set(lane, i + r, v);
-        });
-    }
-    (out_keys, out_vals, total)
-}
-
 /// Reusable buffer set for [`merge_parallel_into`]: the update slice, both
 /// flag masks, the shared scan buffer, the two compacted sides and the
-/// merged output. Capacities only grow, so a steady-state stream of device-
-/// tier merges allocates nothing after the first — the last piece of the
-/// ROADMAP allocation de-churn item. Only the first `count` entries of
-/// [`Self::out_keys`] / [`Self::out_vals`] are meaningful after a call.
+/// merged output. Capacities only grow ([`DeviceBuffer::grow_to`]), so a
+/// steady-state stream of device-tier merges reallocates none of these
+/// buffers after the first; the four scans still allocate their own
+/// intermediates per call ([`primitives::exclusive_scan_u32_into`]). Only
+/// the first `count` entries of [`Self::out_keys`] / [`Self::out_vals`] are
+/// meaningful after a call.
 pub struct MergeScratch {
     u_keys: DeviceBuffer<u64>,
     u_vals: DeviceBuffer<u64>,
@@ -477,34 +367,28 @@ impl Default for MergeScratch {
 impl MergeScratch {
     /// Grow every buffer to cover `na` compacted entries and `m` updates.
     fn ensure(&mut self, na: usize, m: usize) {
-        fn grow<T: gpma_sim::DevicePod>(buf: &mut DeviceBuffer<T>, n: usize) {
-            if buf.len() < n {
-                *buf = DeviceBuffer::new(n);
-            }
-        }
-        grow(&mut self.u_keys, m);
-        grow(&mut self.u_vals, m);
-        grow(&mut self.u_ops, m);
-        grow(&mut self.u_flags, m);
-        grow(&mut self.a_flags, na);
-        grow(&mut self.positions, na.max(m));
-        grow(&mut self.a2_keys, na);
-        grow(&mut self.a2_vals, na);
-        grow(&mut self.u2_keys, m);
-        grow(&mut self.u2_vals, m);
-        grow(&mut self.out_keys, na + m);
-        grow(&mut self.out_vals, na + m);
+        self.u_keys.grow_to(m);
+        self.u_vals.grow_to(m);
+        self.u_ops.grow_to(m);
+        self.u_flags.grow_to(m);
+        self.a_flags.grow_to(na);
+        self.positions.grow_to(na.max(m));
+        self.a2_keys.grow_to(na);
+        self.a2_vals.grow_to(na);
+        self.u2_keys.grow_to(m);
+        self.u2_vals.grow_to(m);
+        self.out_keys.grow_to(na + m);
+        self.out_vals.grow_to(na + m);
     }
 }
 
-/// [`merge_parallel`] over the first `na` entries of `a_keys`/`a_vals`,
-/// staging through caller-owned scratch instead of fresh device buffers —
-/// the allocation-free variant the GPMA+ device tier reuses across
-/// segments. Returns the merged count; the result lives in
+/// Fully parallel merge of the first `na` compacted entries `A` of
+/// `a_keys`/`a_vals` with the update slice `ur` of `u` — GPMA+'s *device
+/// tier* for windows too large for one warp/block, and the engine behind
+/// resize. Stages through caller-owned scratch, which the device tier
+/// reuses across segments. Returns the merged count; the result lives in
 /// `scratch.out_keys` / `scratch.out_vals` (over-sized: only the first
-/// `count` entries are meaningful). The kernel launch sequence and every
-/// modeled memory access match the allocating variant exactly, so simulated
-/// times are bit-identical to it.
+/// `count` entries are meaningful).
 // lint: hot-path
 pub fn merge_parallel_into(
     dev: &Device,
@@ -534,7 +418,8 @@ pub fn merge_parallel_into(
         out_vals,
     } = &*scratch;
 
-    // 1. Slice the updates into the contiguous staging buffers.
+    // 1. Slice the updates into the contiguous staging buffers (kept
+    //    contiguous so the rank kernels below are coalesced).
     if m > 0 {
         let uk = &u.keys;
         let uv = &u.vals;
@@ -550,7 +435,8 @@ pub fn merge_parallel_into(
         });
     }
 
-    // 2. Last-wins dedup of the updates, dropping effective DELETEs.
+    // 2. Last-wins dedup of the updates, dropping effective DELETEs (they
+    //    act purely by overriding A below).
     if m > 0 {
         dev.launch("dedup_updates", m, |lane| {
             let i = lane.tid;
@@ -561,8 +447,10 @@ pub fn merge_parallel_into(
         });
     }
 
-    // 3. Mark surviving A entries (length-bounded search: the staging
-    //    buffers may be over-sized).
+    // 3. Mark surviving A entries: those whose key does NOT appear in the
+    //    updates at all (any appearance overrides: insert replaces, delete
+    //    removes). The search is length-bounded: the staging buffers may be
+    //    over-sized.
     if na > 0 {
         dev.launch("a_survivors", na, |lane| {
             let i = lane.tid;
@@ -572,8 +460,7 @@ pub fn merge_parallel_into(
         });
     }
 
-    // 4. Compact both sides. One scan per compaction, exactly like the
-    //    allocating `compact_flagged` chain it replaces (sim-cost parity).
+    // 4. Compact both sides, one scan per compaction.
     let na2 = primitives::exclusive_scan_u32_into(dev, a_flags, na, positions) as usize;
     primitives::compact_flagged_into(dev, a_keys, a_flags, na, positions, a2_keys);
     primitives::exclusive_scan_u32_into(dev, a_flags, na, positions);
@@ -584,7 +471,9 @@ pub fn merge_parallel_into(
     primitives::compact_flagged_into(dev, u_vals, u_flags, m, positions, u2_vals);
     let total = na2 + m2;
 
-    // 5. Rank-merge scatter with length-bounded ranks.
+    // 5. Rank-merge scatter: the two sides are disjoint sorted sets, so each
+    //    element's merged position is its own index plus its rank in the
+    //    other side. One lane per element, O(log) each, length-bounded.
     if na2 > 0 {
         dev.launch("rank_scatter_a", na2, |lane| {
             let i = lane.tid;
@@ -608,18 +497,12 @@ pub fn merge_parallel_into(
     total
 }
 
-/// Device binary search: first index with `buf[i] >= key`.
+/// Device binary search over `buf[..n]`: the first index with
+/// `buf[i] >= key`, or `n`. Bounded by `n` so reused over-sized scratch
+/// buffers whose tails hold stale data probe exactly the index sequence an
+/// exactly-sized buffer of length `n` would.
 #[inline]
-pub fn lower_bound_dev(lane: &mut Lane, buf: &DeviceBuffer<u64>, key: u64) -> usize {
-    lower_bound_dev_n(lane, buf, buf.len(), key)
-}
-
-/// [`lower_bound_dev`] over the first `n` elements — for reused over-sized
-/// scratch buffers whose tails hold stale data. Probes the identical index
-/// sequence an exactly-sized buffer of length `n` would, so the modeled
-/// memory traffic matches the allocating variants bit for bit.
-#[inline]
-pub fn lower_bound_dev_n(lane: &mut Lane, buf: &DeviceBuffer<u64>, n: usize, key: u64) -> usize {
+fn lower_bound_dev_n(lane: &mut Lane, buf: &DeviceBuffer<u64>, n: usize, key: u64) -> usize {
     let mut lo = 0usize;
     let mut hi = n;
     while lo < hi {
@@ -634,11 +517,6 @@ pub fn lower_bound_dev_n(lane: &mut Lane, buf: &DeviceBuffer<u64>, n: usize, key
 }
 
 #[inline]
-fn binary_search_contains(lane: &mut Lane, buf: &DeviceBuffer<u64>, key: u64) -> bool {
-    binary_search_contains_n(lane, buf, buf.len(), key)
-}
-
-#[inline]
 fn binary_search_contains_n(lane: &mut Lane, buf: &DeviceBuffer<u64>, n: usize, key: u64) -> bool {
     let i = lower_bound_dev_n(lane, buf, n, key);
     i < n && buf.get(lane, i) == key
@@ -647,11 +525,39 @@ fn binary_search_contains_n(lane: &mut Lane, buf: &DeviceBuffer<u64>, n: usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpma_graph::{encode_key, Edge};
+    use gpma_graph::{encode_key, Edge, UpdateBatch};
     use gpma_sim::DeviceConfig;
 
     fn dev() -> Device {
         Device::new(DeviceConfig::deterministic())
+    }
+
+    fn prepare(d: &Device, num_vertices: u32, batch: &UpdateBatch) -> DeviceUpdates {
+        let mut scratch = UpdateScratch::default();
+        prepare_updates_parts(d, num_vertices, &batch.deletions, &batch.insertions, &mut scratch)
+    }
+
+    fn updates(keys: &[u64], vals: &[u64], ops: &[u32]) -> DeviceUpdates {
+        DeviceUpdates {
+            keys: DeviceBuffer::from_slice(keys),
+            vals: DeviceBuffer::from_slice(vals),
+            ops: DeviceBuffer::from_slice(ops),
+            len: keys.len(),
+        }
+    }
+
+    /// Merge `A = (a_keys, a_vals)` with all of `u` through `scratch`;
+    /// returns the merged keys and values.
+    fn merge(
+        d: &Device,
+        a_keys: &[u64],
+        a_vals: &[u64],
+        u: &DeviceUpdates,
+        scratch: &mut MergeScratch,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let (ak, av) = (DeviceBuffer::from_slice(a_keys), DeviceBuffer::from_slice(a_vals));
+        let n = merge_parallel_into(d, &ak, &av, a_keys.len(), u, 0..u.len, scratch);
+        (scratch.out_keys.to_vec()[..n].to_vec(), scratch.out_vals.to_vec()[..n].to_vec())
     }
 
     #[test]
@@ -661,7 +567,7 @@ mod tests {
             insertions: vec![Edge::weighted(2, 1, 7), Edge::weighted(0, 5, 3)],
             deletions: vec![Edge::new(1, 1)],
         };
-        let u = prepare_updates(&d, 8, &batch);
+        let u = prepare(&d, 8, &batch);
         assert_eq!(u.len, 3);
         assert_eq!(
             u.keys.to_vec(),
@@ -678,7 +584,7 @@ mod tests {
             insertions: vec![Edge::weighted(1, 2, 9)],
             deletions: vec![Edge::new(1, 2)],
         };
-        let u = prepare_updates(&d, 4, &batch);
+        let u = prepare(&d, 4, &batch);
         assert_eq!(u.ops.to_vec(), vec![OP_DELETE, OP_INSERT]);
     }
 
@@ -687,72 +593,43 @@ mod tests {
         let d = dev();
         // A = keys 10,20,30; updates: delete 20, insert 25 (val 5),
         // insert 10 (val 99, modification), insert 40.
-        let a_keys = DeviceBuffer::from_slice(&[10u64, 20, 30]);
-        let a_vals = DeviceBuffer::from_slice(&[1u64, 2, 3]);
-        let batch_keys = [10u64, 20, 25, 40];
-        let batch_vals = [99u64, 0, 5, 7];
-        let batch_ops = [OP_INSERT, OP_DELETE, OP_INSERT, OP_INSERT];
-        let u = DeviceUpdates {
-            keys: DeviceBuffer::from_slice(&batch_keys),
-            vals: DeviceBuffer::from_slice(&batch_vals),
-            ops: DeviceBuffer::from_slice(&batch_ops),
-            len: 4,
-        };
-        let (mk, mv, n) = merge_parallel(&d, &a_keys, &a_vals, &u, 0..4);
-        assert_eq!(n, 4);
-        assert_eq!(mk.to_vec(), vec![10, 25, 30, 40]);
-        assert_eq!(mv.to_vec(), vec![99, 5, 3, 7]);
+        let u = updates(
+            &[10, 20, 25, 40],
+            &[99, 0, 5, 7],
+            &[OP_INSERT, OP_DELETE, OP_INSERT, OP_INSERT],
+        );
+        let (mk, mv) = merge(&d, &[10, 20, 30], &[1, 2, 3], &u, &mut MergeScratch::default());
+        assert_eq!(mk, vec![10, 25, 30, 40]);
+        assert_eq!(mv, vec![99, 5, 3, 7]);
     }
 
     #[test]
     fn merge_parallel_last_wins_within_batch() {
         let d = dev();
-        let a_keys = DeviceBuffer::<u64>::new(0);
-        let a_vals = DeviceBuffer::<u64>::new(0);
         // insert 5=1, delete 5, insert 5=42 → final 5=42.
-        let u = DeviceUpdates {
-            keys: DeviceBuffer::from_slice(&[5u64, 5, 5]),
-            vals: DeviceBuffer::from_slice(&[1u64, 0, 42]),
-            ops: DeviceBuffer::from_slice(&[OP_INSERT, OP_DELETE, OP_INSERT]),
-            len: 3,
-        };
-        let (mk, mv, n) = merge_parallel(&d, &a_keys, &a_vals, &u, 0..3);
-        assert_eq!(n, 1);
-        assert_eq!(mk.to_vec(), vec![5]);
-        assert_eq!(mv.to_vec(), vec![42]);
+        let u = updates(&[5, 5, 5], &[1, 0, 42], &[OP_INSERT, OP_DELETE, OP_INSERT]);
+        let (mk, mv) = merge(&d, &[], &[], &u, &mut MergeScratch::default());
+        assert_eq!(mk, vec![5]);
+        assert_eq!(mv, vec![42]);
     }
 
     #[test]
     fn merge_parallel_delete_of_absent_is_noop() {
         let d = dev();
-        let a_keys = DeviceBuffer::from_slice(&[7u64]);
-        let a_vals = DeviceBuffer::from_slice(&[1u64]);
-        let u = DeviceUpdates {
-            keys: DeviceBuffer::from_slice(&[3u64]),
-            vals: DeviceBuffer::from_slice(&[0u64]),
-            ops: DeviceBuffer::from_slice(&[OP_DELETE]),
-            len: 1,
-        };
-        let (mk, _, n) = merge_parallel(&d, &a_keys, &a_vals, &u, 0..1);
-        assert_eq!(n, 1);
-        assert_eq!(mk.to_vec(), vec![7]);
+        let u = updates(&[3], &[0], &[OP_DELETE]);
+        let (mk, _) = merge(&d, &[7], &[1], &u, &mut MergeScratch::default());
+        assert_eq!(mk, vec![7]);
     }
 
+    /// One scratch reused across shrinking inputs merges what a freshly
+    /// allocated scratch does, and both equal the host-computed merge.
     #[test]
     fn merge_parallel_scratch_matches_allocating_variant() {
-        fn updates(keys: &[u64], vals: &[u64], ops: &[u32]) -> DeviceUpdates {
-            DeviceUpdates {
-                keys: DeviceBuffer::from_slice(keys),
-                vals: DeviceBuffer::from_slice(vals),
-                ops: DeviceBuffer::from_slice(ops),
-                len: keys.len(),
-            }
-        }
         let d = dev();
         let mut scratch = MergeScratch::default();
         // Shrinking inputs across calls: the reused, over-sized scratch
         // keeps stale tails the length-bounded searches must ignore.
-        type Case<'a> = (&'a [u64], &'a [u64], (&'a [u64], &'a [u64], &'a [u32]));
+        type Case<'a> = (&'a [u64], &'a [u64], (&'a [u64], &'a [u64], &'a [u32]), &'a [(u64, u64)]);
         let cases: [Case; 3] = [
             (
                 &[10, 20, 30, 50, 60],
@@ -762,63 +639,41 @@ mod tests {
                     &[99, 0, 5, 7],
                     &[OP_INSERT, OP_DELETE, OP_INSERT, OP_INSERT],
                 ),
+                &[(10, 99), (25, 5), (30, 3), (40, 7), (50, 5), (60, 6)],
             ),
-            (&[7], &[1], (&[3], &[0], &[OP_DELETE])),
-            (&[], &[], (&[5, 5, 5], &[1, 0, 42], &[OP_INSERT, OP_DELETE, OP_INSERT])),
+            (&[7], &[1], (&[3], &[0], &[OP_DELETE]), &[(7, 1)]),
+            (
+                &[],
+                &[],
+                (&[5, 5, 5], &[1, 0, 42], &[OP_INSERT, OP_DELETE, OP_INSERT]),
+                &[(5, 42)],
+            ),
         ];
-        for (ak, av, (uk, uv, uo)) in cases {
-            let a_keys = DeviceBuffer::from_slice(ak);
-            let a_vals = DeviceBuffer::from_slice(av);
+        for (ak, av, (uk, uv, uo), expect) in cases {
             let u = updates(uk, uv, uo);
-            let (mk, mv, n) = merge_parallel(&d, &a_keys, &a_vals, &u, 0..u.len);
-            let n2 = merge_parallel_into(&d, &a_keys, &a_vals, ak.len(), &u, 0..u.len, &mut scratch);
-            assert_eq!(n2, n);
-            assert_eq!(&scratch.out_keys.to_vec()[..n], mk.to_vec());
-            assert_eq!(&scratch.out_vals.to_vec()[..n], mv.to_vec());
+            let fresh = merge(&d, ak, av, &u, &mut MergeScratch::default());
+            assert_eq!(merge(&d, ak, av, &u, &mut scratch), fresh);
+            let got: Vec<(u64, u64)> = fresh.0.into_iter().zip(fresh.1).collect();
+            assert_eq!(got, expect);
         }
-        // Sim cost parity: the scratch variant issues the identical kernel
-        // sequence, so two fresh devices end at the same simulated clock.
-        let ak = [10u64, 20, 30];
-        let av = [1u64, 2, 3];
-        let d1 = dev();
-        let u1 = updates(&[15, 20], &[4, 0], &[OP_INSERT, OP_DELETE]);
-        let _ = merge_parallel(
-            &d1,
-            &DeviceBuffer::from_slice(&ak),
-            &DeviceBuffer::from_slice(&av),
-            &u1,
-            0..2,
-        );
-        let d2 = dev();
-        let u2 = updates(&[15, 20], &[4, 0], &[OP_INSERT, OP_DELETE]);
-        let mut s2 = MergeScratch::default();
-        let _ = merge_parallel_into(
-            &d2,
-            &DeviceBuffer::from_slice(&ak),
-            &DeviceBuffer::from_slice(&av),
-            3,
-            &u2,
-            0..2,
-            &mut s2,
-        );
-        assert_eq!(d1.elapsed().secs().to_bits(), d2.elapsed().secs().to_bits());
     }
 
     #[test]
     fn lower_bound_dev_matches_std() {
         let d = dev();
-        let data: Vec<u64> = vec![2, 4, 4, 8, 16];
+        // Over-sized: the stale tail past `n` must not be probed.
+        let data: Vec<u64> = vec![2, 4, 4, 8, 16, 0, 0];
+        let n = 5;
         let buf = DeviceBuffer::from_slice(&data);
-        let probe = DeviceBuffer::<u64>::new(6);
-        dev().launch("noop", 0, |_| {}); // keep `d` used uniformly
-        d.launch("probe", 6, |lane| {
-            let keys = [0u64, 2, 3, 4, 16, 99];
-            let r = lower_bound_dev(lane, &buf, keys[lane.tid]) as u64;
+        let keys = [0u64, 2, 3, 4, 16, 99];
+        let probe = DeviceBuffer::<u64>::new(keys.len());
+        d.launch("probe", keys.len(), |lane| {
+            let r = lower_bound_dev_n(lane, &buf, n, keys[lane.tid]) as u64;
             probe.set(lane, lane.tid, r);
         });
-        let expect: Vec<u64> = [0u64, 2, 3, 4, 16, 99]
+        let expect: Vec<u64> = keys
             .iter()
-            .map(|&k| data.partition_point(|&x| x < k) as u64)
+            .map(|&k| data[..n].partition_point(|&x| x < k) as u64)
             .collect();
         assert_eq!(probe.to_vec(), expect);
     }
@@ -831,6 +686,6 @@ mod tests {
             insertions: vec![Edge::new(9, 1)],
             deletions: vec![],
         };
-        prepare_updates(&d, 4, &batch);
+        prepare(&d, 4, &batch);
     }
 }

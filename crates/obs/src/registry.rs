@@ -166,15 +166,6 @@ impl Registry {
         self.events.lock().map(|r| r.dropped).unwrap_or(0)
     }
 
-    /// Fold another registry's histograms into this one (cluster-level
-    /// aggregation across shard registries). Events are not merged — each
-    /// ring is its own timeline.
-    pub fn merge_hists(&self, other: &Registry) {
-        for (mine, theirs) in self.hists.iter().zip(other.hists.iter()) {
-            mine.merge(theirs);
-        }
-    }
-
     /// Reset every histogram and clear the event ring.
     pub fn reset(&self) {
         for h in &self.hists {
@@ -392,17 +383,6 @@ mod tests {
         assert!(parse_exposition("m{k=\"v\"} notanumber\n").is_err());
         assert!(parse_exposition("m{k=noquotes} 1\n").is_err());
         assert_eq!(parse_exposition("# TYPE m counter\nm{k=\"v\"} 1\nm 2.5\n"), Ok(2));
-    }
-
-    #[test]
-    fn merge_hists_aggregates_across_registries() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.record(Stage::FlushApply, 10);
-        b.record(Stage::FlushApply, 30);
-        a.merge_hists(&b);
-        assert_eq!(a.hist(Stage::FlushApply).count(), 2);
-        assert_eq!(a.hist(Stage::FlushApply).max(), 30);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl Geometry {
         1 << level
     }
 
-    /// Slot capacity of a window at `level`.
-    pub fn window_capacity(&self, level: usize) -> usize {
-        self.seg_len << level
-    }
-
     /// The window (slot range) at `level` containing leaf `leaf_idx`.
     pub fn window_of(&self, leaf_idx: usize, level: usize) -> std::ops::Range<usize> {
         let segs = self.window_segs(level);
@@ -166,7 +161,6 @@ mod tests {
         assert_eq!(g.window_of(5, 1), 16..24);
         assert_eq!(g.window_of(5, 2), 16..32);
         assert_eq!(g.window_of(5, 3), 0..32);
-        assert_eq!(g.window_capacity(2), 16);
     }
 
     #[test]

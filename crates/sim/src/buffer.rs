@@ -169,9 +169,15 @@ impl<T: DevicePod> DeviceBuffer<T> {
         self.as_mut_slice()[offset..offset + data.len()].copy_from_slice(data);
     }
 
-    /// Fill every slot with `v` (host side).
-    pub fn fill_host(&mut self, v: T) {
-        self.as_mut_slice().fill(v);
+    /// Make the buffer hold at least `n` slots — the one growth rule of
+    /// every reusable device scratch. A buffer already that long is kept as
+    /// it is; a shorter one is replaced by exactly `n` zeroed slots, and its
+    /// old contents are not kept. No slack is added, so a steady stream of
+    /// equally sized calls allocates once.
+    pub fn grow_to(&mut self, n: usize) {
+        if self.len() < n {
+            *self = DeviceBuffer::new(n);
+        }
     }
 }
 
@@ -230,27 +236,6 @@ macro_rules! impl_atomics {
                 self.atomic_ref(i).fetch_min(v, Ordering::AcqRel)
             }
 
-            /// `atomicMax`: returns the previous value.
-            #[inline]
-            pub fn atomic_max(&self, lane: &mut Lane, i: usize, v: $t) -> $t {
-                lane.record_atomic(self.base_addr() + (i * std::mem::size_of::<$t>()) as u64);
-                self.atomic_ref(i).fetch_max(v, Ordering::AcqRel)
-            }
-
-            /// `atomicExch`: returns the previous value.
-            #[inline]
-            pub fn atomic_exchange(&self, lane: &mut Lane, i: usize, v: $t) -> $t {
-                lane.record_atomic(self.base_addr() + (i * std::mem::size_of::<$t>()) as u64);
-                self.atomic_ref(i).swap(v, Ordering::AcqRel)
-            }
-
-            /// `atomicOr`: returns the previous value.
-            #[inline]
-            pub fn atomic_or(&self, lane: &mut Lane, i: usize, v: $t) -> $t {
-                lane.record_atomic(self.base_addr() + (i * std::mem::size_of::<$t>()) as u64);
-                self.atomic_ref(i).fetch_or(v, Ordering::AcqRel)
-            }
-
             /// Volatile-style load with acquire ordering (for spin loops on
             /// flags written by other lanes).
             #[inline]
@@ -300,8 +285,19 @@ mod tests {
         buf.copy_from_slice(1, &[5, 6]);
         buf.as_mut_slice()[3] = 1;
         assert_eq!(buf.to_vec(), vec![9, 5, 6, 1]);
-        buf.fill_host(2);
-        assert_eq!(buf.to_vec(), vec![2; 4]);
+    }
+
+    #[test]
+    fn grow_to_keeps_a_long_buffer_and_replaces_a_short_one() {
+        let mut buf = DeviceBuffer::<u32>::from_slice(&[4, 5, 6]);
+        let base = buf.base_addr();
+        buf.grow_to(2);
+        buf.grow_to(3);
+        assert_eq!(buf.to_vec(), vec![4, 5, 6]);
+        assert_eq!(buf.base_addr(), base, "a long-enough buffer is not reallocated");
+        buf.grow_to(5);
+        assert_eq!(buf.to_vec(), vec![0; 5], "exactly n zeroed slots, old contents dropped");
+        assert_ne!(buf.base_addr(), base);
     }
 
     #[test]
@@ -313,10 +309,7 @@ mod tests {
         assert_eq!(buf.host_read(0), 20);
         assert_eq!(buf.atomic_add(&mut l, 0, 5), 20);
         assert_eq!(buf.atomic_min(&mut l, 0, 3), 25);
-        assert_eq!(buf.atomic_max(&mut l, 0, 100), 3);
-        assert_eq!(buf.atomic_exchange(&mut l, 0, 1), 100);
-        assert_eq!(buf.atomic_or(&mut l, 0, 6), 1);
-        assert_eq!(buf.atomic_load(&mut l, 0), 7);
+        assert_eq!(buf.atomic_load(&mut l, 0), 3);
     }
 
     #[test]

@@ -75,9 +75,10 @@ mod integration_tests {
 
         // RLE over the low 32 bits of the sorted keys.
         let low = DeviceBuffer::from_slice(&sorted.iter().map(|&k| k as u32).collect::<Vec<_>>());
-        let rle = primitives::run_length_encode_u32(&dev, &low);
-        let total: u32 = rle.counts.to_vec().iter().sum();
+        let mut rle = primitives::RleScratch::default();
+        let runs = primitives::run_length_encode_u32_into(&dev, &low, n, &mut rle);
+        let total: u32 = rle.counts.to_vec()[..runs].iter().sum();
         assert_eq!(total as usize, n);
-        assert_eq!(rle.num_runs, 97);
+        assert_eq!(runs, 97);
     }
 }

@@ -1,6 +1,7 @@
 //! Device-wide parallel primitives, mirroring the NVIDIA CUB operations the
 //! paper builds GPMA+ from (Section 5.2): radix sort, exclusive scan,
-//! run-length encoding, stream compaction and reduction.
+//! run-length encoding and stream compaction. (The one reduction that runs,
+//! the analytics' `f64` sum, lives beside its callers in `gpma-analytics`.)
 //!
 //! Every primitive is implemented as a sequence of real kernel launches on
 //! the simulated device, so it both computes the correct result and charges
@@ -29,9 +30,12 @@ pub fn exclusive_scan_u32(dev: &Device, input: &DeviceBuffer<u32>) -> (DeviceBuf
 }
 
 /// [`exclusive_scan_u32`] over the first `n` elements, writing into a
-/// caller-owned output buffer (which may be larger than `n`) — the
-/// allocation-free variant hot loops reuse across launches. Returns the
-/// grand total.
+/// caller-owned output buffer (which may be larger than `n`), so hot loops
+/// reuse one output across launches. Returns the grand total.
+///
+/// Not allocation-free: each call still allocates its intermediates — a
+/// one-slot total up to [`BLOCK`] elements, above that the block-sum level
+/// and, recursively, that level's own scan.
 // lint: hot-path
 pub fn exclusive_scan_u32_into(
     dev: &Device,
@@ -88,63 +92,16 @@ pub fn exclusive_scan_u32_into(
 }
 
 // ----------------------------------------------------------------------
-// Reduce
-// ----------------------------------------------------------------------
-
-/// Sum-reduce a `u64` buffer.
-pub fn reduce_u64(dev: &Device, input: &DeviceBuffer<u64>) -> u64 {
-    let n = input.len();
-    if n == 0 {
-        return 0;
-    }
-    if n <= BLOCK {
-        let total = DeviceBuffer::<u64>::new(1);
-        dev.launch("reduce_small", 1, |lane| {
-            let mut acc = 0u64;
-            for i in 0..n {
-                acc = acc.wrapping_add(input.get(lane, i));
-            }
-            total.set(lane, 0, acc);
-        });
-        return total.host_read(0);
-    }
-    let nb = n.div_ceil(BLOCK);
-    let partials = DeviceBuffer::<u64>::new(nb);
-    dev.launch("reduce_partials", nb, |lane| {
-        let b = lane.tid;
-        let start = b * BLOCK;
-        let end = (start + BLOCK).min(n);
-        let mut acc = 0u64;
-        for i in start..end {
-            acc = acc.wrapping_add(input.get(lane, i));
-        }
-        partials.set(lane, b, acc);
-    });
-    reduce_u64(dev, &partials)
-}
-
-// ----------------------------------------------------------------------
 // Run-length encoding
 // ----------------------------------------------------------------------
 
-/// Output of [`run_length_encode_u32`]: `unique[j]` repeats `counts[j]`
-/// times starting at input index `starts[j]`.
-pub struct Rle {
-    /// Distinct values, in first-occurrence order.
-    pub unique: DeviceBuffer<u32>,
-    /// Run length per distinct value.
-    pub counts: DeviceBuffer<u32>,
-    /// Exclusive scan of `counts` — the index set `I` of Algorithm 4.
-    pub starts: DeviceBuffer<u32>,
-    /// Number of runs; only `[..num_runs]` of each buffer is valid.
-    pub num_runs: usize,
-}
-
 /// Reusable buffer set for [`run_length_encode_u32_into`]: the head-flag
 /// mask, its scan, and the three run outputs (sized to the *input* length,
-/// an upper bound on the run count). Capacities only grow, so a steady
-/// stream of equally sized inputs allocates nothing after the first call —
-/// the allocation-free shape the GPMA+ level loop needs.
+/// an upper bound on the run count). Capacities only grow
+/// ([`DeviceBuffer::grow_to`]), so a steady stream of equally sized inputs
+/// reallocates none of these buffers after the first call; the scan's own
+/// intermediates are still allocated per call
+/// ([`exclusive_scan_u32_into`]).
 pub struct RleScratch {
     flags: DeviceBuffer<u32>,
     positions: DeviceBuffer<u32>,
@@ -171,59 +128,20 @@ impl Default for RleScratch {
 
 impl RleScratch {
     fn ensure(&mut self, n: usize) {
-        fn grow(buf: &mut DeviceBuffer<u32>, n: usize) {
-            if buf.len() < n {
-                *buf = DeviceBuffer::new(n);
-            }
-        }
-        grow(&mut self.flags, n);
-        grow(&mut self.positions, n);
-        grow(&mut self.unique, n);
-        grow(&mut self.counts, n);
-        grow(&mut self.starts, n);
+        self.flags.grow_to(n);
+        self.positions.grow_to(n);
+        self.unique.grow_to(n);
+        self.counts.grow_to(n);
+        self.starts.grow_to(n);
     }
 }
 
-/// Run-length encode a buffer (CUB `DeviceRunLengthEncode::Encode`).
-pub fn run_length_encode_u32(dev: &Device, input: &DeviceBuffer<u32>) -> Rle {
-    run_length_encode_u32_n(dev, input, input.len())
-}
-
-/// [`run_length_encode_u32`] over the first `n` elements — for callers
-/// whose input buffer is a reused over-sized scratch.
-pub fn run_length_encode_u32_n(dev: &Device, input: &DeviceBuffer<u32>, n: usize) -> Rle {
-    assert!(input.len() >= n);
-    if n == 0 {
-        return Rle {
-            unique: DeviceBuffer::new(0),
-            counts: DeviceBuffer::new(0),
-            starts: DeviceBuffer::new(0),
-            num_runs: 0,
-        };
-    }
-    let flags = DeviceBuffer::<u32>::new(n);
-    rle_head_flags(dev, input, n, &flags);
-    let (positions, num_runs) = exclusive_scan_u32(dev, &flags);
-    let num_runs = num_runs as usize;
-    let unique = DeviceBuffer::<u32>::new(num_runs);
-    let run_starts = DeviceBuffer::<u32>::new(num_runs);
-    rle_scatter(dev, input, n, &flags, &positions, &unique, &run_starts);
-    let counts = DeviceBuffer::<u32>::new(num_runs);
-    rle_counts(dev, n, num_runs, &run_starts, &counts);
-    Rle {
-        unique,
-        counts,
-        starts: run_starts,
-        num_runs,
-    }
-}
-
-/// [`run_length_encode_u32_n`] writing into caller-owned scratch instead of
-/// fresh buffers — the allocation-free variant hot loops reuse across
-/// launches. Returns the run count; the runs live in `scratch.unique` /
-/// `scratch.counts` / `scratch.starts` (over-sized: only the first
-/// `num_runs` entries are meaningful). The kernel sequence is identical to
-/// the allocating variant, so simulated times match it bit for bit.
+/// Run-length encode `input[..n]` (CUB `DeviceRunLengthEncode::Encode`)
+/// into caller-owned scratch, so hot loops reuse one buffer set across
+/// launches. Returns the run count; run `j` repeats `scratch.unique[j]`
+/// `scratch.counts[j]` times from input index `scratch.starts[j]` (the index
+/// set `I` of Algorithm 4). The buffers are over-sized: only the first
+/// `num_runs` entries are meaningful.
 // lint: hot-path
 pub fn run_length_encode_u32_into(
     dev: &Device,
@@ -330,8 +248,8 @@ pub fn compact_flagged<T: DevicePod>(
 /// The scatter half of [`compact_flagged`] with caller-owned scan results
 /// and output: `positions` must be the exclusive scan of `flags[..n]` and
 /// `out` must have room for every kept element. Several streams flagged by
-/// the same mask can reuse one scan — the allocation-free (and
-/// scan-sharing) shape the GPMA+ level loop uses.
+/// the same mask can reuse one scan — the scan-sharing shape the GPMA+
+/// level loop uses.
 // lint: hot-path
 pub fn compact_flagged_into<T: DevicePod>(
     dev: &Device,
@@ -575,35 +493,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reduce_matches_reference() {
-        let d = dev();
-        for n in [0usize, 1, BLOCK, 3 * BLOCK + 5, 100_000] {
-            let data: Vec<u64> = (0..n).map(|i| i as u64).collect();
-            let input = DeviceBuffer::from_slice(&data);
-            assert_eq!(reduce_u64(&d, &input), data.iter().sum::<u64>(), "n={n}");
-        }
+    /// The runs of `input[..n]` as `(unique, counts, starts)`, read back
+    /// from `scratch`.
+    fn rle(
+        d: &Device,
+        input: &DeviceBuffer<u32>,
+        n: usize,
+        scratch: &mut RleScratch,
+    ) -> [Vec<u32>; 3] {
+        let runs = run_length_encode_u32_into(d, input, n, scratch);
+        [&scratch.unique, &scratch.counts, &scratch.starts].map(|b| b.to_vec()[..runs].to_vec())
     }
 
     #[test]
     fn rle_basic() {
         let d = dev();
         let input = DeviceBuffer::from_slice(&[3u32, 3, 3, 5, 7, 7, 9]);
-        let rle = run_length_encode_u32(&d, &input);
-        assert_eq!(rle.num_runs, 4);
-        assert_eq!(rle.unique.to_vec(), vec![3, 5, 7, 9]);
-        assert_eq!(rle.counts.to_vec(), vec![3, 1, 2, 1]);
-        assert_eq!(rle.starts.to_vec(), vec![0, 3, 4, 6]);
+        let [unique, counts, starts] = rle(&d, &input, 7, &mut RleScratch::default());
+        assert_eq!(unique, vec![3, 5, 7, 9]);
+        assert_eq!(counts, vec![3, 1, 2, 1]);
+        assert_eq!(starts, vec![0, 3, 4, 6]);
     }
 
     #[test]
     fn rle_single_run_and_empty() {
         let d = dev();
-        let rle = run_length_encode_u32(&d, &DeviceBuffer::from_slice(&[8u32; 1000]));
-        assert_eq!(rle.num_runs, 1);
-        assert_eq!(rle.counts.to_vec(), vec![1000]);
-        let empty = run_length_encode_u32(&d, &DeviceBuffer::new(0));
-        assert_eq!(empty.num_runs, 0);
+        let mut scratch = RleScratch::default();
+        let input = DeviceBuffer::from_slice(&[8u32; 1000]);
+        let [unique, counts, _] = rle(&d, &input, 1000, &mut scratch);
+        assert_eq!((unique, counts), (vec![8], vec![1000]));
+        assert_eq!(run_length_encode_u32_into(&d, &DeviceBuffer::new(0), 0, &mut scratch), 0);
     }
 
     #[test]
@@ -636,45 +555,37 @@ mod tests {
         assert_eq!(&out2.to_vec()[..kept as usize], &[6, 7]);
         // Bounded RLE stops at n.
         let runs = DeviceBuffer::from_slice(&[3u32, 3, 4, 4, 7, 7]);
-        let rle = run_length_encode_u32_n(&d, &runs, 4);
-        assert_eq!(rle.num_runs, 2);
-        assert_eq!(rle.unique.to_vec(), vec![3, 4]);
-        assert_eq!(rle.counts.to_vec(), vec![2, 2]);
-        assert_eq!(run_length_encode_u32_n(&d, &runs, 0).num_runs, 0);
+        let mut scratch = RleScratch::default();
+        let [unique, counts, _] = rle(&d, &runs, 4, &mut scratch);
+        assert_eq!((unique, counts), (vec![3, 4], vec![2, 2]));
+        assert_eq!(run_length_encode_u32_into(&d, &runs, 0, &mut scratch), 0);
     }
 
+    /// One scratch reused across shrinking inputs gives the runs a freshly
+    /// allocated scratch gives, and both equal the host-computed runs.
     #[test]
     fn rle_scratch_reuse_matches_allocating_variant() {
         let d = dev();
         let mut scratch = RleScratch::default();
         // Shrinking inputs across calls: results must ignore stale tails
         // left in the over-sized reused buffers.
-        for data in [
-            vec![1u32, 1, 2, 2, 2, 9, 9, 4],
-            vec![5u32, 5, 5, 5, 5],
-            vec![8u32, 7, 6],
+        for (data, expect) in [
+            (
+                vec![1u32, 1, 2, 2, 2, 9, 9, 4],
+                [vec![1, 2, 9, 4], vec![2, 3, 2, 1], vec![0, 2, 5, 7]],
+            ),
+            (vec![5u32, 5, 5, 5, 5], [vec![5], vec![5], vec![0]]),
+            (vec![8u32, 7, 6], [vec![8, 7, 6], vec![1, 1, 1], vec![0, 1, 2]]),
         ] {
             let input = DeviceBuffer::from_slice(&data);
-            let expect = run_length_encode_u32(&d, &input);
-            let n = run_length_encode_u32_into(&d, &input, data.len(), &mut scratch);
-            assert_eq!(n, expect.num_runs);
-            assert_eq!(&scratch.unique.to_vec()[..n], expect.unique.to_vec());
-            assert_eq!(&scratch.counts.to_vec()[..n], expect.counts.to_vec());
-            assert_eq!(&scratch.starts.to_vec()[..n], expect.starts.to_vec());
+            let fresh = rle(&d, &input, data.len(), &mut RleScratch::default());
+            assert_eq!(rle(&d, &input, data.len(), &mut scratch), fresh, "{data:?}");
+            assert_eq!(fresh, expect, "{data:?}");
         }
         assert_eq!(
             run_length_encode_u32_into(&d, &DeviceBuffer::new(0), 0, &mut scratch),
             0
         );
-        // Sim cost parity: the scratch variant issues the identical kernel
-        // sequence, so two fresh devices end at the same simulated clock.
-        let data = vec![3u32, 3, 4, 4, 4, 4, 11];
-        let d1 = dev();
-        let _ = run_length_encode_u32(&d1, &DeviceBuffer::from_slice(&data));
-        let d2 = dev();
-        let mut s2 = RleScratch::default();
-        let _ = run_length_encode_u32_into(&d2, &DeviceBuffer::from_slice(&data), data.len(), &mut s2);
-        assert_eq!(d1.elapsed().secs().to_bits(), d2.elapsed().secs().to_bits());
     }
 
     #[test]
