@@ -12,9 +12,8 @@
 //!   Stinger baseline;
 //! * **multi-device variants** ([`multi`]) over a partitioned
 //!   [`gpma_core::multi::MultiGpma`] for the Figure 12 scaling study, plus
-//!   the *sharded* variants ([`bfs_sharded`], [`pagerank_sharded`]) that run
-//!   supersteps over per-shard host snapshots with a modeled frontier/rank
-//!   exchange — the analytics half of the `gpma-cluster` layer.
+//!   the *sharded* BFS ([`bfs_sharded`]) that runs supersteps over per-shard
+//!   host snapshots with a modeled frontier exchange.
 //!
 //! ## Quick example
 //!
@@ -50,7 +49,7 @@ pub mod view;
 
 pub use bfs::{bfs_device, bfs_host, UNREACHED};
 pub use cc::{cc_device, cc_host, component_count};
-pub use multi::{bfs_sharded, pagerank_sharded, ExchangeStats};
+pub use multi::{bfs_sharded, ExchangeStats};
 pub use pagerank::{
     pagerank_device, pagerank_host, pagerank_host_from, PageRank, DAMPING, EPSILON, MAX_ITERS,
 };

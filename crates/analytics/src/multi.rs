@@ -1,8 +1,8 @@
 //! Multi-GPU analytics (§6.4): BFS, Connected Components and PageRank over
 //! a partitioned [`MultiGpma`], synchronizing all devices after each
-//! iteration — plus the *sharded* (cluster) variants that run the same
+//! iteration — plus the *sharded* (cluster) BFS that runs the same
 //! supersteps over per-shard host snapshots with an explicitly modeled
-//! frontier / rank exchange.
+//! frontier exchange.
 //!
 //! Each device processes the rows it owns (asked of the
 //! [`Partitioner`](gpma_core::multi::Partitioner) policy, so vertex-range,
@@ -238,10 +238,10 @@ pub fn cc_multi(m: &mut MultiGpma) -> (Vec<u32>, MultiTime) {
 }
 
 // ----------------------------------------------------------------------
-// Sharded (cluster) analytics over host-side shard snapshots
+// Sharded (cluster) BFS over host-side shard snapshots
 // ----------------------------------------------------------------------
 
-/// Traffic and timing of one distributed analytic over cluster shards.
+/// Traffic and timing of one distributed BFS over cluster shards.
 ///
 /// The shards are host-side snapshots (each shard service publishes one at
 /// an epoch cut), so there is no simulated device compute here — what the
@@ -250,7 +250,7 @@ pub fn cc_multi(m: &mut MultiGpma) -> (Vec<u32>, MultiTime) {
 /// and how long the modeled transfers took.
 #[derive(Debug, Clone, Default)]
 pub struct ExchangeStats {
-    /// Supersteps executed (BFS levels / power-iteration steps).
+    /// Supersteps executed (BFS levels).
     pub supersteps: usize,
     /// Total bytes shipped between shards across all supersteps.
     pub bytes: u64,
@@ -338,74 +338,6 @@ pub fn bfs_sharded<G: HostGraph + ?Sized>(
         level += 1;
     }
     (dist, stats)
-}
-
-/// Distributed PageRank over edge-disjoint shard graphs with a rank-vector
-/// exchange (`8 |V|` bytes per shard) between power-iteration supersteps.
-///
-/// Out-degrees are globally combined first (one `4 |V|`-byte exchange):
-/// under an edge-grid partitioning a vertex's out-edges span several
-/// shards, and dividing by a *local* degree would overweight its rank
-/// share. Converges to [`pagerank_host`](crate::pagerank_host) on the
-/// merged graph (same damping / dangling handling, floating-point
-/// association differs by shard order).
-pub fn pagerank_sharded<G: HostGraph + ?Sized>(
-    shards: &[&G],
-    num_vertices: u32,
-    damping: f64,
-    epsilon: f64,
-    max_iters: usize,
-    link: &Pcie,
-) -> (PageRank, ExchangeStats) {
-    let nv = num_vertices as usize;
-    assert!(nv > 0);
-    let mut stats = ExchangeStats::default();
-    // Global out-degrees: local degrees summed, one 4|V|-byte exchange.
-    let mut degs = vec![0u64; nv];
-    for g in shards {
-        for v in 0..num_vertices {
-            degs[v as usize] += g.out_degree(v) as u64;
-        }
-    }
-    stats.charge(link, &vec![nv * 4; shards.len()]);
-
-    let mut x = vec![1.0 / nv as f64; nv];
-    let mut converged = false;
-    let mut iterations = 0usize;
-    while iterations < max_iters {
-        iterations += 1;
-        stats.supersteps += 1;
-        // Per-shard partial scatter, then the modeled 8|V|-byte all-reduce.
-        let mut y = vec![0.0f64; nv];
-        for g in shards {
-            for u in 0..num_vertices {
-                let d = degs[u as usize];
-                if d == 0 {
-                    continue;
-                }
-                let share = x[u as usize] / d as f64;
-                g.for_each_neighbor(u, &mut |v, _| {
-                    y[v as usize] += share;
-                });
-            }
-        }
-        stats.charge(link, &vec![nv * 8; shards.len()]);
-        let dangling: f64 = (0..nv).filter(|&v| degs[v] == 0).map(|v| x[v]).sum();
-        let err = finalize_host(&mut y, &x, dangling, damping);
-        x = y;
-        if err < epsilon {
-            converged = true;
-            break;
-        }
-    }
-    (
-        PageRank {
-            ranks: x,
-            iterations,
-            converged,
-        },
-        stats,
-    )
 }
 
 #[cfg(test)]
@@ -574,32 +506,5 @@ mod tests {
         assert_eq!(dist, bfs_host(&AdjLists::build(8, &edges()), 0));
         assert_eq!(stats.bytes, 0);
         assert_eq!(stats.comm.secs(), 0.0);
-    }
-
-    #[test]
-    fn pagerank_sharded_matches_host_oracle() {
-        let expect = pagerank_host(&AdjLists::build(8, &edges()), 0.85, 1e-9, 300);
-        let link = Pcie::new(PcieConfig::default());
-        let policies: Vec<Box<dyn Partitioner>> = vec![
-            Box::new(HashVertexPartition {
-                num_vertices: 8,
-                num_shards: 4,
-            }),
-            Box::new(EdgeGridPartition::new(8, 4)),
-        ];
-        for part in &policies {
-            let snaps = shard_snapshots(part.as_ref(), &edges());
-            let refs: Vec<&GraphSnapshot> = snaps.iter().collect();
-            let (pr, stats) = pagerank_sharded(&refs, 8, 0.85, 1e-9, 300, &link);
-            assert!(pr.converged, "{}", part.name());
-            for v in 0..8 {
-                assert!(
-                    (pr.ranks[v] - expect.ranks[v]).abs() < 1e-7,
-                    "{} vertex {v}",
-                    part.name()
-                );
-            }
-            assert!(stats.bytes > 0, "{}", part.name());
-        }
     }
 }

@@ -859,16 +859,13 @@ pub fn ablation(cfg: &ExpConfig) {
 /// `repro -- audit`: exercise every `gpma_core::audit` validator mid-stream
 /// — the GPMA+ state after each slide of a sliding-window stream, the delta
 /// publication ring and the delta-advanced graph image after each epoch,
-/// every shipped partition policy, a migration plan between two plans, and
-/// a coordinated cluster cut.
+/// every shipped partition policy, and a coordinated cluster cut.
 pub fn audit(cfg: &ExpConfig) {
     use gpma_cluster::{ClusterConfig, GraphCluster, PartitionPolicy};
     use gpma_core::audit::validate_image;
     use gpma_core::delta::{apply_delta, DeltaLog, SnapshotDelta};
     use gpma_core::framework::GraphSnapshot;
-    use gpma_core::migration::MigrationPlan;
     use gpma_core::multi::{DegreePartition, PartitionEpoch};
-    use gpma_graph::Edge;
     use std::sync::Arc;
 
     let stream = generate(DatasetKind::Graph500, cfg.scale, cfg.seed);
@@ -936,26 +933,6 @@ pub fn audit(cfg: &ExpConfig) {
     rows.push(vec![
         "PartitionEpoch::validate".into(),
         format!("{num_plans} plans x {nv} vertices"),
-        "ok".into(),
-    ]);
-
-    // A migration plan between the first two policies equals the owner-diff.
-    let old_plan = &plans[0];
-    let new_plan = &plans[1];
-    let mut per_shard: Vec<Vec<Edge>> = vec![Vec::new(); old_plan.num_shards()];
-    for e in stream.initial_edges() {
-        per_shard[old_plan.shard_of_edge(e.src, e.dst)].push(*e);
-    }
-    let plan = MigrationPlan::compute(&per_shard, &**new_plan);
-    plan.validate(&per_shard, &**new_plan)
-        .expect("migration plan matches the owner-diff");
-    rows.push(vec![
-        "MigrationPlan::validate".into(),
-        format!(
-            "{} moved, {} resident",
-            plan.moved_edges(),
-            plan.resident_edges()
-        ),
         "ok".into(),
     ]);
 

@@ -2125,6 +2125,24 @@ mod tests {
         }
     }
 
+    /// The owner-diff of a cut against a new plan, as `(moved, resident)`:
+    /// an edge moves iff the plan places it on a shard other than the one
+    /// holding it, so every edge of a retiring shard moves.
+    fn owner_diff(cut: &ClusterSnapshot, plan: &dyn Partitioner) -> (usize, usize) {
+        let mut moved = 0;
+        let mut resident = 0;
+        for (i, s) in cut.shards().iter().enumerate() {
+            for e in s.edges() {
+                if plan.shard_of_edge(e.src, e.dst) == i {
+                    resident += 1;
+                } else {
+                    moved += 1;
+                }
+            }
+        }
+        (moved, resident)
+    }
+
     #[test]
     fn reshard_migrates_grows_and_shrinks() {
         let part = Arc::new(HashVertexPartition {
@@ -2136,19 +2154,23 @@ mod tests {
         for i in 0..24u32 {
             h.insert(Edge::new(i % 32, (i + 7) % 32)).unwrap();
         }
-        c.epoch_cut().unwrap();
+        let before_r1 = c.epoch_cut().unwrap();
 
-        // 4 → 2 under an explicit range plan.
-        let r1 = c
-            .reshard(Arc::new(VertexPartition {
-                num_vertices: 32,
-                num_shards: 2,
-            }))
-            .unwrap();
+        // 4 → 2 under an explicit range plan: shards 2 and 3 retire.
+        let range = VertexPartition {
+            num_vertices: 32,
+            num_shards: 2,
+        };
+        let r1 = c.reshard(Arc::new(range)).unwrap();
         assert_eq!((r1.from_shards, r1.to_shards), (4, 2));
         assert_eq!(r1.version, 1);
         assert!(!r1.auto);
         assert_eq!(r1.migrated_edges + r1.resident_edges, 24);
+        assert_eq!(
+            (r1.migrated_edges, r1.resident_edges),
+            owner_diff(&before_r1, &range),
+            "4 → 2 moves exactly the owner-diff"
+        );
         assert!(r1.migration_bytes <= r1.full_rebuild_bytes);
         assert_eq!(c.num_shards(), 2);
         assert_eq!(c.partition_version(), 1);
@@ -2167,6 +2189,11 @@ mod tests {
         assert_eq!((r2.from_shards, r2.to_shards), (2, 8));
         assert_eq!(r2.to_policy, "degree-aware");
         assert_eq!(c.num_shards(), 8);
+        assert_eq!(
+            (r2.migrated_edges, r2.resident_edges),
+            owner_diff(&snap, &*c.partitioner()),
+            "2 → 8 moves exactly the owner-diff"
+        );
         let final_snap = c.epoch_cut().unwrap();
         assert_eq!(final_snap.num_edges(), 24);
         assert_eq!(final_snap.num_shards(), 8);

@@ -41,8 +41,8 @@
 //!   reader asks and shared by every later reader of that cut. Any host
 //!   analytic runs on it; the cut's
 //!   [`shard_refs`](ClusterSnapshot::shard_refs) feed the distributed
-//!   supersteps of [`gpma_analytics::bfs_sharded`] / [`gpma_analytics::pagerank_sharded`],
-//!   which charge explicit frontier / rank exchange traffic.
+//!   supersteps of [`gpma_analytics::bfs_sharded`], which charges explicit
+//!   frontier exchange traffic.
 //! * **Delta cuts** — each coordinated cut also publishes its net effect
 //!   as one [`SnapshotDelta`], folded from the router's log of the client
 //!   updates it forwarded since the previous cut (the router is the only

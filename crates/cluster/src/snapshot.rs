@@ -21,7 +21,7 @@ use gpma_core::framework::GraphSnapshot;
 /// union over shards *is* the global graph. A reader reads that union
 /// through [`Self::image`], the cut flattened into one [`GraphSnapshot`] the
 /// first time anyone asks and shared by every later reader of the cut; the
-/// sharded analytics run on [`Self::shard_refs`].
+/// sharded BFS runs on [`Self::shard_refs`].
 #[derive(Debug, Clone)]
 pub struct ClusterSnapshot {
     cut: u64,
@@ -64,7 +64,7 @@ impl ClusterSnapshot {
     }
 
     /// Borrowed shard views, in shard order — the input shape the sharded
-    /// analytics (`gpma_analytics::bfs_sharded` / `pagerank_sharded`) take.
+    /// BFS (`gpma_analytics::bfs_sharded`) takes.
     pub fn shard_refs(&self) -> Vec<&GraphSnapshot> {
         self.shards.iter().map(|s| s.as_ref()).collect()
     }

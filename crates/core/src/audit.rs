@@ -16,7 +16,6 @@
 //! `2^l` times that, and the root stays above its lower density bound
 //! (or the array is at its minimum capacity).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use gpma_graph::edge::{Edge, GUARD_DST};
@@ -24,8 +23,7 @@ use gpma_graph::edge::{Edge, GUARD_DST};
 use crate::delta::{apply_delta, DeltaLog, SnapshotDelta};
 use crate::framework::GraphSnapshot;
 use crate::gpma_plus::GpmaPlus;
-use crate::migration::MigrationPlan;
-use crate::multi::{PartitionEpoch, Partitioner};
+use crate::multi::PartitionEpoch;
 use crate::storage::{GpmaStorage, EMPTY};
 
 /// A validator rejection: which structure failed and exactly how.
@@ -37,8 +35,6 @@ pub enum AuditError {
     DeltaLog(String),
     /// A partition plan is not total/consistent over the vertex space.
     Partition(String),
-    /// A migration plan's moved set differs from the owner-diff.
-    Migration(String),
     /// A cluster cut is inconsistent with its per-shard snapshots.
     Cluster(String),
     /// A published graph image broke its layout or diverged from the store.
@@ -51,7 +47,6 @@ impl std::fmt::Display for AuditError {
             AuditError::Storage(m) => write!(f, "storage audit: {m}"),
             AuditError::DeltaLog(m) => write!(f, "delta-log audit: {m}"),
             AuditError::Partition(m) => write!(f, "partition audit: {m}"),
-            AuditError::Migration(m) => write!(f, "migration audit: {m}"),
             AuditError::Cluster(m) => write!(f, "cluster audit: {m}"),
             AuditError::Image(m) => write!(f, "image audit: {m}"),
         }
@@ -315,87 +310,6 @@ impl PartitionEpoch {
                     )));
                 }
             }
-        }
-        Ok(())
-    }
-}
-
-impl MigrationPlan {
-    /// Validate this plan against the inputs it was computed from: the
-    /// moved-edge set must equal the owner-diff (an edge moves iff its new
-    /// owner differs from its resident shard), the resident count must
-    /// match, and the moves must be grouped one list per `(from, to)` pair
-    /// with in-range destinations.
-    pub fn validate<E: AsRef<[Edge]>>(
-        &self,
-        per_shard: &[E],
-        new: &dyn Partitioner,
-    ) -> Result<(), AuditError> {
-        let to_shards = new.num_shards();
-        let mut expected: BTreeMap<(usize, usize), BTreeSet<u64>> = BTreeMap::new();
-        let mut resident = 0usize;
-        for (from, edges) in per_shard.iter().enumerate() {
-            for e in edges.as_ref() {
-                let to = new.shard_of_edge(e.src, e.dst);
-                if to == from {
-                    resident += 1;
-                } else {
-                    expected.entry((from, to)).or_default().insert(e.key());
-                }
-            }
-        }
-        if resident != self.resident_edges() {
-            return Err(AuditError::Migration(format!(
-                "resident count mismatch: plan says {}, owner-diff says {resident}",
-                self.resident_edges()
-            )));
-        }
-        let mut actual: BTreeMap<(usize, usize), BTreeSet<u64>> = BTreeMap::new();
-        for m in self.moves() {
-            if m.from == m.to {
-                return Err(AuditError::Migration(format!(
-                    "self-move scheduled on shard {}",
-                    m.from
-                )));
-            }
-            if m.to >= to_shards {
-                return Err(AuditError::Migration(format!(
-                    "move targets retired shard {} (new plan has {to_shards})",
-                    m.to
-                )));
-            }
-            if m.edges.is_empty() {
-                return Err(AuditError::Migration(format!(
-                    "empty move scheduled for pair ({}, {})",
-                    m.from, m.to
-                )));
-            }
-            let set = actual.entry((m.from, m.to)).or_default();
-            if !set.is_empty() {
-                return Err(AuditError::Migration(format!(
-                    "pair ({}, {}) appears in more than one move",
-                    m.from, m.to
-                )));
-            }
-            set.extend(m.edges.iter().map(Edge::key));
-        }
-        if actual != expected {
-            for ((from, to), keys) in &expected {
-                let got = actual.get(&(*from, *to));
-                if got != Some(keys) {
-                    return Err(AuditError::Migration(format!(
-                        "moved set for pair ({from}, {to}) differs from the \
-                         owner-diff ({} expected, {} planned)",
-                        keys.len(),
-                        got.map_or(0, BTreeSet::len)
-                    )));
-                }
-            }
-            let extra = actual.keys().find(|k| !expected.contains_key(k));
-            return Err(AuditError::Migration(format!(
-                "plan schedules moves outside the owner-diff (e.g. pair {:?})",
-                extra
-            )));
         }
         Ok(())
     }

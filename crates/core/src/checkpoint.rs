@@ -155,14 +155,6 @@ impl MemoryCheckpointStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Total bytes currently retained (durability-footprint observable).
-    pub fn total_bytes(&self) -> usize {
-        self.lock()
-            .values()
-            .flat_map(|v| v.iter().map(Vec::len))
-            .sum()
-    }
 }
 
 impl Default for MemoryCheckpointStore {
@@ -326,7 +318,6 @@ mod tests {
         assert_eq!(store.load_latest(1).unwrap().unwrap(), b"other-shard");
         assert_eq!(store.load_latest(9).unwrap(), None);
         assert_eq!(store.len(), 3);
-        assert!(store.total_bytes() > 0);
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub mod framework;
 pub mod gpma;
 pub mod gpma_plus;
 pub mod image;
-pub mod migration;
 pub mod multi;
 pub mod storage;
 pub mod update;
@@ -70,5 +69,4 @@ pub use csr::CsrView;
 pub use delta::{apply_delta, DeltaCatchUp, DeltaLog, OpLog, SnapshotDelta};
 pub use gpma::{Gpma, LockStats};
 pub use gpma_plus::{GpmaPlus, PlusStats};
-pub use migration::{EdgeMove, MigrationPlan};
 pub use storage::{GpmaStorage, EMPTY};

@@ -11,8 +11,7 @@ use std::sync::Arc;
 use gpma_core::audit::{validate_image, AuditError};
 use gpma_core::delta::{apply_delta, DeltaLog, SnapshotDelta};
 use gpma_core::framework::GraphSnapshot;
-use gpma_core::migration::MigrationPlan;
-use gpma_core::multi::{PartitionEpoch, Partitioner, VertexPartition};
+use gpma_core::multi::{PartitionEpoch, Partitioner};
 use gpma_core::storage::EMPTY;
 use gpma_core::GpmaPlus;
 use gpma_graph::{Edge, UpdateBatch};
@@ -263,75 +262,6 @@ fn empty_row_set_is_rejected() {
     match epoch.validate() {
         Err(AuditError::Partition(m)) => assert!(m.contains("row-shard set"), "{m}"),
         other => panic!("expected empty-row-set rejection, got {other:?}"),
-    }
-}
-
-// --------------------------------------------------------------- migration
-
-fn split_by<P: Partitioner>(edges: &[Edge], plan: &P) -> Vec<Vec<Edge>> {
-    let mut per_shard = vec![Vec::new(); plan.num_shards()];
-    for e in edges {
-        per_shard[plan.shard_of_edge(e.src, e.dst)].push(*e);
-    }
-    per_shard
-}
-
-#[test]
-fn migration_plan_validates_against_its_inputs() {
-    let old = VertexPartition {
-        num_vertices: 32,
-        num_shards: 2,
-    };
-    let new = VertexPartition {
-        num_vertices: 32,
-        num_shards: 4,
-    };
-    let edges: Vec<Edge> = (0..32u32).map(|v| Edge::new(v, (v + 7) % 32)).collect();
-    let per_shard = split_by(&edges, &old);
-    let plan = MigrationPlan::compute(&per_shard, &new);
-    plan.validate(&per_shard, &new).expect("plan matches its inputs");
-}
-
-#[test]
-fn migration_plan_against_wrong_partitioner_is_rejected() {
-    let old = VertexPartition {
-        num_vertices: 32,
-        num_shards: 2,
-    };
-    let new = VertexPartition {
-        num_vertices: 32,
-        num_shards: 4,
-    };
-    let edges: Vec<Edge> = (0..32u32).map(|v| Edge::new(v, (v + 7) % 32)).collect();
-    let per_shard = split_by(&edges, &old);
-    let plan = MigrationPlan::compute(&per_shard, &new);
-    // Validating against a different target plan must expose the mismatch.
-    let wrong = VertexPartition {
-        num_vertices: 32,
-        num_shards: 3,
-    };
-    plan.validate(&per_shard, &wrong)
-        .expect_err("owner-diff computed for 4 shards cannot match 3");
-}
-
-#[test]
-fn tampered_move_inputs_are_rejected() {
-    let old = VertexPartition {
-        num_vertices: 32,
-        num_shards: 2,
-    };
-    let new = VertexPartition {
-        num_vertices: 32,
-        num_shards: 4,
-    };
-    let edges: Vec<Edge> = (0..32u32).map(|v| Edge::new(v, (v + 7) % 32)).collect();
-    let mut per_shard = split_by(&edges, &old);
-    let plan = MigrationPlan::compute(&per_shard, &new);
-    // An edge that appeared on shard 0 after the plan was computed.
-    per_shard[0].push(Edge::new(31, 0));
-    match plan.validate(&per_shard, &new) {
-        Err(AuditError::Migration(_)) => {}
-        other => panic!("expected migration rejection, got {other:?}"),
     }
 }
 

@@ -24,17 +24,6 @@ impl Coo {
         self.edges.len()
     }
 
-    /// Sort by row-major key and drop duplicate `(src, dst)` pairs, keeping
-    /// the *last* occurrence (update semantics: later writes win).
-    pub fn sorted_dedup(mut self) -> Coo {
-        self.edges.sort_by_key(|e| e.key());
-        self.edges.reverse();
-        let mut seen = std::collections::HashSet::with_capacity(self.edges.len());
-        self.edges.retain(|e| seen.insert(e.key()));
-        self.edges.reverse();
-        self
-    }
-
     /// Convert to CSR (sorts and deduplicates internally).
     pub fn to_csr(&self) -> Csr {
         Csr::from_coo(self)
@@ -175,21 +164,6 @@ mod tests {
         let csr = coo.to_csr();
         assert_eq!(csr.offsets, vec![0, 2, 3, 6]);
         csr.validate().unwrap();
-    }
-
-    #[test]
-    fn coo_dedup_keeps_last() {
-        let coo = Coo::new(
-            2,
-            vec![
-                Edge::weighted(0, 1, 1),
-                Edge::weighted(1, 0, 2),
-                Edge::weighted(0, 1, 9),
-            ],
-        )
-        .sorted_dedup();
-        assert_eq!(coo.num_edges(), 2);
-        assert_eq!(coo.edges[0], Edge::weighted(0, 1, 9));
     }
 
     #[test]

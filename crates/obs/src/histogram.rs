@@ -198,22 +198,6 @@ impl Histogram {
         self.max()
     }
 
-    /// Fold `other` into `self` (cluster-level aggregation across shard
-    /// registries).
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
-            let c = theirs.load(Relaxed);
-            if c != 0 {
-                mine.fetch_add(c, Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count.load(Relaxed), Relaxed);
-        self.sum.fetch_add(other.sum.load(Relaxed), Relaxed);
-        self.min.fetch_min(other.min.load(Relaxed), Relaxed);
-        self.max.fetch_max(other.max.load(Relaxed), Relaxed);
-        self.saturated.fetch_add(other.saturated.load(Relaxed), Relaxed);
-    }
-
     /// Reset every counter to the empty state.
     pub fn reset(&self) {
         for c in self.counts.iter() {
@@ -306,24 +290,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), 10);
         // The saturated sample's quantile degrades to the observed max.
         assert_eq!(h.quantile(1.0), big);
-    }
-
-    #[test]
-    fn merge_is_additive() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in [1u64, 5, 700] {
-            a.record(v);
-        }
-        for v in [3u64, 9_000, 1 << 45] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 6);
-        assert_eq!(a.min(), 1);
-        assert_eq!(a.max(), 1 << 45);
-        assert_eq!(a.saturated(), 1);
-        assert_eq!(a.sum(), 1 + 5 + 700 + 3 + 9_000 + (1 << 45));
     }
 
     #[test]

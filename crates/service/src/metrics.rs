@@ -25,24 +25,6 @@ pub struct PublicationStats {
 }
 
 impl PublicationStats {
-    /// Mean modeled bytes per published delta (0 before the first flush).
-    pub fn avg_delta_bytes(&self) -> f64 {
-        if self.deltas == 0 {
-            0.0
-        } else {
-            self.delta_bytes as f64 / self.deltas as f64
-        }
-    }
-
-    /// Mean modeled bytes copied per published image (0 before the first).
-    pub fn avg_snapshot_bytes(&self) -> f64 {
-        if self.snapshots == 0 {
-            0.0
-        } else {
-            self.snapshot_bytes as f64 / self.snapshots as f64
-        }
-    }
-
     /// Fold another report into this one (cluster-level aggregation).
     pub fn merge(&mut self, other: &PublicationStats) {
         self.deltas += other.deltas;
@@ -86,22 +68,6 @@ impl ServiceMetrics {
     /// Mean wall-clock flush latency in seconds (0 before the first flush).
     pub fn avg_flush_latency_secs(&self) -> f64 {
         self.counters.avg_flush_wall_secs()
-    }
-
-    /// Wall-clock latency of the most recent flush, in seconds.
-    pub fn last_flush_latency_secs(&self) -> f64 {
-        self.counters.last_flush_wall_secs
-    }
-
-    /// Fraction of offered updates shed by backpressure (0 when nothing was
-    /// offered).
-    pub fn drop_rate(&self) -> f64 {
-        let total = self.counters.ingested() + self.counters.dropped_updates;
-        if total == 0 {
-            0.0
-        } else {
-            self.counters.dropped_updates as f64 / total as f64
-        }
     }
 }
 
@@ -170,8 +136,6 @@ mod tests {
         let m = sample();
         assert_eq!(m.ingest_throughput(), 2.0);
         assert_eq!(m.avg_flush_latency_secs(), 0.002);
-        assert_eq!(m.last_flush_latency_secs(), 0.002);
-        assert_eq!(m.drop_rate(), 0.2);
         let line = m.to_string();
         assert!(line.contains("epoch 1"), "{line}");
         assert!(line.contains("dropped 25"), "{line}");
@@ -189,17 +153,12 @@ mod tests {
             worker_errors: 0,
         };
         assert_eq!(m.ingest_throughput(), 0.0);
-        assert_eq!(m.drop_rate(), 0.0);
         assert_eq!(m.avg_flush_latency_secs(), 0.0);
-        assert_eq!(m.publication.avg_delta_bytes(), 0.0);
-        assert_eq!(m.publication.avg_snapshot_bytes(), 0.0);
     }
 
     #[test]
     fn publication_stats_rates_and_merge() {
         let m = sample();
-        assert_eq!(m.publication.avg_delta_bytes(), 50.0);
-        assert_eq!(m.publication.avg_snapshot_bytes(), 500.0);
         let mut total = PublicationStats::default();
         total.merge(&m.publication);
         total.merge(&m.publication);

@@ -1,13 +1,14 @@
 //! Sharded streaming service (§6.6 / Figure 12 as a system): fan one live
 //! edge stream across a 4-shard `gpma-cluster`, take coordinated epoch
-//! cuts while producers keep streaming, and run the distributed analytics
-//! with their frontier/rank exchange made explicit.
+//! cuts while producers keep streaming, run the distributed BFS with its
+//! frontier exchange made explicit, and PageRank and CC on the cut's
+//! merged image.
 //!
 //! ```sh
 //! cargo run --release --example sharded_service
 //! ```
 
-use gpma_analytics::{bfs_sharded, component_count, cc_host, pagerank_sharded};
+use gpma_analytics::{bfs_sharded, component_count, cc_host, pagerank_host};
 use gpma_cluster::{ClusterConfig, GraphCluster, PartitionPolicy};
 use gpma_obs::Stage;
 use gpma_graph::gen::rmat;
@@ -77,7 +78,7 @@ fn main() {
             snap.num_shards()
         );
 
-        // Distributed analytics over the cut, exchange traffic included.
+        // Distributed BFS over the cut, exchange traffic included.
         let link = Pcie::new(PcieConfig::default());
         let refs = snap.shard_refs();
         let (dist, bfs_x) = bfs_sharded(&refs, nv, 0, &link);
@@ -89,16 +90,14 @@ fn main() {
             bfs_x.bytes / 1024,
             bfs_x.comm.millis()
         );
-        let (pr, pr_x) = pagerank_sharded(&refs, nv, 0.85, 1e-6, 100, &link);
-        println!(
-            "PageRank: {} iters (converged: {}), rank exchange {} KB ({:.3} ms modeled)",
-            pr.iterations,
-            pr.converged,
-            pr_x.bytes / 1024,
-            pr_x.comm.millis()
-        );
         // The cut's image is a host graph.
-        let labels = cc_host(&**snap.image());
+        let image = snap.image();
+        let pr = pagerank_host(&**image, 0.85, 1e-6, 100);
+        println!(
+            "PageRank on the merged cut: {} iters (converged: {})",
+            pr.iterations, pr.converged
+        );
+        let labels = cc_host(&**image);
         println!("CC on the merged cut: {} components", component_count(&labels));
 
         // Client-observed ingest latency plus the per-stage pipeline

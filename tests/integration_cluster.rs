@@ -2,14 +2,12 @@
 //! 4-shard cluster fed interleaved insert/delete streams must agree exactly
 //! with a single-device sequential oracle at the coordinated epoch cut —
 //! same edge set, same BFS/CC/PageRank results on the merged snapshot —
-//! under *both* partitioning policies, and the distributed (sharded)
-//! analytics must match the host oracles too.
+//! under *both* partitioning policies, and the distributed (sharded) BFS
+//! must match the host oracle too.
 
 use std::collections::BTreeMap;
 
-use gpma_analytics::{
-    bfs_host, bfs_sharded, cc_host, pagerank_host, pagerank_sharded, HostGraph, UNREACHED,
-};
+use gpma_analytics::{bfs_host, bfs_sharded, cc_host, pagerank_host, HostGraph, UNREACHED};
 use gpma_baselines::AdjLists;
 use gpma_cluster::{ClusterConfig, ClusterHandle, GraphCluster, PartitionPolicy};
 use gpma_graph::Edge;
@@ -224,18 +222,11 @@ proptest! {
                 );
             }
 
-            // Distributed analytics over the shard snapshots agree too.
+            // Distributed BFS over the shard snapshots agrees too.
             let link = Pcie::new(PcieConfig::default());
             let refs = snap.shard_refs();
             let (dist, _) = bfs_sharded(&refs, NUM_VERTICES, root, &link);
             prop_assert_eq!(dist, bfs_host(&adj, root), "{:?}", policy);
-            let (pr_shard, _) = pagerank_sharded(&refs, NUM_VERTICES, 0.85, 1e-10, 200, &link);
-            for v in 0..NUM_VERTICES as usize {
-                prop_assert!(
-                    (pr_shard.ranks[v] - pr_oracle.ranks[v]).abs() < 1e-7,
-                    "{:?} sharded pagerank vertex {}", policy, v
-                );
-            }
 
             // The shards are edge-disjoint: their counts add up to the
             // oracle's, and every row of the image is whole.
