@@ -971,13 +971,11 @@ pub fn audit(cfg: &ExpConfig) {
 // ----------------------------------------------------------------------
 
 /// `recovery`: a live cluster failover. `kill_shard` kills a shard worker
-/// mid-stream; the router rebuilds it from its latest checkpoint plus the
-/// updates since, and the `ClusterMetrics` recovery counters report what
-/// the failover cost.
+/// mid-stream; the cut that finds it silent rebuilds it from its latest
+/// checkpoint plus the updates since, and the `ClusterMetrics` recovery
+/// counters report what the failover cost.
 pub fn recovery(cfg: &ExpConfig) {
-    use gpma_cluster::{
-        ClusterConfig, GraphCluster, MemoryCheckpointStore, PartitionPolicy, RecoveryPolicy,
-    };
+    use gpma_cluster::{ClusterConfig, GraphCluster, MemoryCheckpointStore, PartitionPolicy};
     use std::sync::Arc;
 
     let stream = generate(DatasetKind::Graph500, cfg.scale, cfg.seed);
@@ -990,9 +988,7 @@ pub fn recovery(cfg: &ExpConfig) {
     let cluster = GraphCluster::spawn(
         ClusterConfig {
             flush_threshold: batch,
-            recovery: Some(RecoveryPolicy {
-                store: Arc::new(MemoryCheckpointStore::new()),
-            }),
+            checkpoints: Some(Arc::new(MemoryCheckpointStore::new())),
             ..Default::default()
         },
         &cfg.device_cfg,

@@ -9,7 +9,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use gpma_core::checkpoint::{self, CheckpointStore, MemoryCheckpointStore};
+use gpma_core::checkpoint::{self, CheckpointStore};
 use gpma_core::delta::{DeltaCatchUp, DeltaLog, OpLog, SnapshotDelta};
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot, BYTES_PER_UPDATE};
 use gpma_core::multi::{PartitionEpoch, Partitioner};
@@ -53,17 +53,15 @@ pub struct ClusterConfig {
     /// [`imbalance`](crate::ClusterMetrics::imbalance) and migrate
     /// onto a degree-aware plan when the threshold is crossed.
     pub rebalance: Option<RebalancePolicy>,
-    /// Durability and failover. `None` (the default) keeps PR-6 behavior: a
-    /// dead shard degrades cuts to its last published snapshot, each
-    /// published as a rebase. `Some`
-    /// makes the router checkpoint each shard's barrier image to the
-    /// policy's [`CheckpointStore`] at every coordinated cut, and keep the
-    /// merged cut deltas since a save last failed. When a dead worker is
-    /// detected, the router rebuilds the shard's edge set from its latest
-    /// checkpoint (its last published image if none decodes) and every
-    /// update since, out of those deltas and its op log, and respawns the
-    /// shard on it, oracle-exact.
-    pub recovery: Option<RecoveryPolicy>,
+    /// Where every coordinated cut checkpoints each shard's barrier image
+    /// (`None`, the default, saves nothing). "Latest" means most recently *saved* — epochs restart when a shard
+    /// worker is respawned, so save order, not epoch order, identifies the
+    /// newest incarnation. Storage only: failover is the same either way.
+    /// A shard whose barrier goes unanswered is rebuilt from its latest
+    /// decodable checkpoint here (or, with no store or nothing decodable,
+    /// its last published image) plus every update since, out of the
+    /// router's op log, and the round is reissued, oracle-exact.
+    pub checkpoints: Option<Arc<dyn CheckpointStore>>,
 }
 
 impl Default for ClusterConfig {
@@ -75,34 +73,8 @@ impl Default for ClusterConfig {
             router_batch: 256,
             delta_log_capacity: 256,
             rebalance: None,
-            recovery: None,
+            checkpoints: None,
         }
-    }
-}
-
-/// Durability and failover policy (see [`ClusterConfig::recovery`]): every
-/// coordinated cut checkpoints every shard to [`Self::store`].
-#[derive(Clone)]
-pub struct RecoveryPolicy {
-    /// Where per-shard checkpoints are persisted. "Latest" means most
-    /// recently *saved* — epochs restart when a shard worker is respawned,
-    /// so save order, not epoch order, identifies the newest incarnation.
-    pub store: Arc<dyn CheckpointStore>,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            store: Arc::new(MemoryCheckpointStore::new()),
-        }
-    }
-}
-
-impl std::fmt::Debug for RecoveryPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveryPolicy")
-            .field("store", &"Arc<dyn CheckpointStore>")
-            .finish()
     }
 }
 
@@ -303,9 +275,10 @@ pub(crate) struct RouterCounters {
     /// Op-log entries (one per key) re-applied on top of recovered shards'
     /// base images.
     pub recovery_replayed_updates: u64,
-    /// Recoveries forced onto a published-snapshot rebase.
+    /// Recoveries with a checkpoint store set that found nothing to decode
+    /// and rebuilt from the published image.
     pub recovery_snapshot_fallbacks: u64,
-    /// Checkpoints persisted to the recovery policy's store.
+    /// Checkpoints persisted to [`ClusterConfig::checkpoints`].
     pub checkpoints_taken: u64,
     /// Encoded bytes those checkpoints wrote.
     pub checkpoint_bytes: u64,
@@ -320,12 +293,10 @@ struct Shared {
     reshards: Mutex<Vec<ReshardReport>>,
     /// The latest published cut and the cut-delta ring that ends at it.
     published_cut: Mutex<PublishedCut>,
-    /// Cuts published as rebases because some shard gave no barrier ack
-    /// (readers rebase on the full cut instead; the next cut's delta
-    /// carries the round's keys too).
+    /// Barrier rounds reissued because some shard left them unanswered.
     delta_fallbacks: AtomicU64,
     /// Errors the router thread recovered from instead of panicking (a
-    /// shard service found closed at a barrier); surfaced as
+    /// missing barrier ack, a failed checkpoint save or load); surfaced as
     /// [`ClusterMetrics::worker_errors`].
     worker_errors: AtomicU64,
     router: Mutex<RouterCounters>,
@@ -549,9 +520,9 @@ impl GraphCluster {
 
     /// Spawn with cluster-level [`DeltaMonitor`]s: after every coordinated
     /// cut they receive the cut's [`SnapshotDelta`] with the cut flattened
-    /// into one image (or a full rebase when a shard gave no barrier ack,
-    /// and at a reshard's marker cut) on a dedicated thread — the
-    /// incremental read path over globally consistent cuts.
+    /// into one image (or a full rebase at a reshard's marker cut) on a
+    /// dedicated thread — the incremental read path over globally
+    /// consistent cuts.
     pub fn spawn_with_delta_monitors(
         cfg: ClusterConfig,
         device_cfg: &DeviceConfig,
@@ -719,7 +690,7 @@ impl GraphCluster {
     /// the router forwarded between the two cuts), or the latest full cut
     /// to rebase on when the reader lagged past
     /// [`ClusterConfig::delta_log_capacity`] cuts or past a rebase point (a
-    /// reshard's marker cut, or a cut some shard gave no barrier ack for).
+    /// reshard's marker cut).
     /// The chain and the cut are read under one lock, so a chain always
     /// reaches the latest cut. Never blocks beyond that lock.
     pub fn deltas_since(&self, cut: u64) -> DeltaCatchUp<Arc<ClusterSnapshot>> {
@@ -734,7 +705,9 @@ impl GraphCluster {
     /// any handle *before* this call is reflected in the returned snapshot
     /// (the router forwards its residue, then barriers every shard).
     /// Updates enqueued concurrently by other producers may be included
-    /// too; none accepted after the ack are.
+    /// too; none accepted after the ack are. A shard that dies before
+    /// answering its barrier is rebuilt and the round reissued under the
+    /// same cut number, so the promise holds through a shard death.
     pub fn epoch_cut(&self) -> Result<Arc<ClusterSnapshot>, ClusterClosed> {
         let (ack_tx, ack_rx) = bounded(1);
         self.tx
@@ -746,11 +719,11 @@ impl GraphCluster {
     /// Fault injection: kill `shard`'s worker mid-stream — no drain, no
     /// final flush ([`StreamingService::inject_failure`]). Returns
     /// `Ok(true)` when the kill landed, `Ok(false)` when the shard was out
-    /// of range (logged, counted as a worker error) or already dead. With
-    /// [`ClusterConfig::recovery`] set the router detects the corpse at the
-    /// next touch (a forwarded burst, cut, or reshard) and respawns it from
-    /// the latest checkpoint; without it, cuts degrade to the dead shard's
-    /// last published snapshot. Test/chaos hook.
+    /// of range (logged, counted as a worker error) or already dead. Updates
+    /// forwarded to the corpse are dropped (the router's op log holds
+    /// them); the next barrier round it leaves unanswered rebuilds the
+    /// shard and is reissued (see [`ClusterConfig::checkpoints`]).
+    /// Test/chaos hook.
     pub fn kill_shard(&self, shard: usize) -> Result<bool, ClusterClosed> {
         self.kill(shard, false)
     }
@@ -1044,12 +1017,12 @@ type Ack = (u64, usize, Option<Arc<GraphSnapshot>>);
 /// that shard. Issuing it returns at once; each answer arrives as an event
 /// on the router's ack channel and is filed here, so the router never
 /// stalls on a cluster-wide quiesce. The cut, the reshard's copy and retire
-/// waits and its marker are all this.
+/// waits and its marker are all this, and a round some shard leaves
+/// unanswered is reissued ([`Router::reissue_unanswered`]).
 #[derive(Default)]
 struct BarrierRound {
     /// Tags the round's acks. An ack for a round no longer in flight (a
-    /// copy round reissued after a recovery, a replaced shard's queued
-    /// barrier) matches nothing and is dropped.
+    /// round reissued after a recovery) matches nothing and is dropped.
     id: u64,
     /// Collected barrier images. One still `None` once the round is
     /// complete means that worker died before answering.
@@ -1059,8 +1032,20 @@ struct BarrierRound {
 }
 
 impl BarrierRound {
+    /// Every shard's answer is in: its image, or `None` if it died first.
     fn done(&self) -> bool {
         self.outstanding == 0
+    }
+
+    /// Done, and some shard answered `None`: the round must be reissued.
+    fn unanswered(&self) -> bool {
+        self.done() && self.got.iter().any(Option::is_none)
+    }
+
+    /// The barrier images of a done round no shard left unanswered.
+    fn images(self) -> Vec<Arc<GraphSnapshot>> {
+        debug_assert!(self.done() && !self.unanswered());
+        self.got.into_iter().flatten().collect()
     }
 }
 
@@ -1108,9 +1093,6 @@ struct Router {
     observed: Vec<u64>,
     /// Feed to the cluster delta-monitor thread, when one exists.
     cut_tx: Option<Sender<CutEvent>>,
-    /// Durability/failover policy ([`ClusterConfig::recovery`]); `None`
-    /// disables detection, checkpointing and `unsaved` entirely.
-    recovery: Option<RecoveryPolicy>,
     /// Where every shard's barrier answer lands (unbounded: an ack never
     /// blocks a shard worker), and the router's own queue, which the
     /// answering worker rings with a [`Command::Wake`].
@@ -1121,10 +1103,10 @@ struct Router {
     /// Set by [`Command::Shutdown`]: no new plan changes; the loop exits
     /// once the rounds in flight and a final cut round are done.
     stopping: bool,
-    /// Under a recovery policy, what some shard's latest checkpoint lacks
-    /// and the op log no longer holds: every cut delta published since a
-    /// cut or marker left a save failed or skipped, and the copies of a
-    /// reshard's swap. A cut or marker whose saves all land empties it.
+    /// What a dead shard's rebuild base may lack and the op log no longer
+    /// holds: the copies of a reshard's swap, and with a store, every cut
+    /// delta published since a cut or marker left a save failed. A
+    /// completed cut or marker empties it unless one of its saves failed.
     /// [`Self::recover_shard`] applies it first.
     unsaved: SnapshotDelta,
     /// The non-blocking cut round in flight, if any.
@@ -1201,7 +1183,7 @@ impl Router {
             return;
         }
         let obs = self.shared.obs.clone();
-        let fwd_span = obs.span(Stage::Forward);
+        let _forward = obs.span(Stage::Forward);
         let mut outgoing: Vec<(usize, UpdateBatch)> = Vec::with_capacity(self.pending.len());
         for (i, slot) in self.pending.iter_mut().enumerate() {
             if !slot.is_empty() {
@@ -1218,83 +1200,78 @@ impl Router {
                 c.transfer[*i].record(&self.link, b.len() * BYTES_PER_UPDATE);
             }
         }
-        // A batch whose send fails (dead shard) is never re-sent inline: the
-        // op log already holds it, and recovery rebuilds the shard from that.
-        let mut dead: Vec<usize> = Vec::new();
         for (i, b) in outgoing {
             // Unmetered: router-internal traffic must not pollute the
             // client-facing ingest-latency histogram (this whole burst is
-            // already timed by the `router.forward` span).
-            if self.handles[i].ingest_unmetered(b).is_err() {
-                // Without a recovery policy a closed shard only happens
-                // mid-teardown; drop silently like any send into a stopping
-                // server. With one, a failed send IS the failure detector.
-                if self.recovery.is_some() {
-                    dead.push(i);
-                }
-            }
+            // already timed by the `router.forward` span). A send to a dead
+            // shard is dropped: the op log already holds it, and the barrier
+            // the shard leaves unanswered rebuilds it from that.
+            let _ = self.handles[i].ingest_unmetered(b);
         }
         self.pending_len = 0;
-        // The forward span ends here: recovery below is its own pipeline
-        // stage, not part of the send fan-out.
-        drop(fwd_span);
-        for i in dead {
+    }
+
+    /// The one failover path. A round in flight that completed with some
+    /// shard silent — its worker died at or before the barrier — puts a
+    /// cut or marker round's fold back into the op log, rebuilds every
+    /// silent shard ([`Self::recover_shard`]) and reissues the round: a cut
+    /// round under the same cut number, waiters and marker, a reshard round
+    /// in the same phase. No round completes on anything but its barrier
+    /// answers.
+    fn reissue_unanswered(&mut self) {
+        if let Some(pc) = self.pending_cut.take_if(|pc| pc.round.unanswered()) {
+            self.ops.restore(pc.delta);
+            self.recover_silent(&pc.round);
+            self.start_cut_round(pc.acks, pc.marker);
+        } else if let Some(rs) = self.reshard.as_mut().filter(|rs| rs.round.unanswered()) {
+            let round = std::mem::take(&mut rs.round);
+            self.recover_silent(&round);
+            let round = self.issue_round();
+            if let Some(rs) = self.reshard.as_mut() {
+                rs.round = round;
+            }
+        }
+    }
+
+    /// Count `round`'s reissue and rebuild each shard it heard nothing from.
+    fn recover_silent(&mut self, round: &BarrierRound) {
+        self.shared.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
+        for (i, _) in round.got.iter().enumerate().filter(|(_, got)| got.is_none()) {
+            self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
+            eprintln!("gpma-cluster: shard {i} gave no barrier ack; rebuilding it");
             self.recover_shard(i);
         }
     }
 
-    /// Failure detection for shards with no in-flight traffic: probe every
-    /// worker and recover the dead ones. Called on the control paths (cut,
-    /// reshard) that need all shards answering barriers exactly; no-op
-    /// without a recovery policy (PR-6 degraded-cut behavior stands).
-    fn ensure_shards_alive(&mut self) {
-        if self.recovery.is_none() {
-            return;
-        }
-        // The probe pass is the failure *detection* stage; the recoveries it
-        // triggers are timed separately (`recovery.restore` / `.replay`).
-        let dead: Vec<usize> = {
-            let obs = self.shared.obs.clone();
-            let _detect = obs.span(Stage::RecoveryDetect);
-            (0..self.services.len())
-                .filter(|&i| !self.services[i].is_alive())
-                .collect()
-        };
-        for i in dead {
-            self.recover_shard(i);
-        }
-    }
-
-    /// The failover protocol, one shard at a time:
+    /// Rebuild dead shard `i` in place:
     ///
-    /// 1. **Restore** — decode the latest durable checkpoint for this shard
-    ///    slot: the image of its last successful save.
-    /// 2. **Snapshot fallback** — if no checkpoint decodes (none saved yet,
-    ///    a load error, a corrupt container), take the dead worker's last
-    ///    *published* image instead, no older than its last acked barrier;
-    ///    counted in [`ClusterMetrics::recovery_snapshot_fallbacks`].
-    /// 3. **Rebuild + respawn** — apply [`Self::unsaved`], the in-flight
-    ///    round's delta and the op log to that base, keep what the shard
-    ///    owns ([`rebuild_shard`]), build a fresh service on the result
-    ///    (epochs restart at 0) and swap it into the routing tables.
+    /// 1. **Restore** — with [`ClusterConfig::checkpoints`] set, decode the
+    ///    shard slot's latest checkpoint: the image of its last landed save.
+    /// 2. **Published image** — with no store, or when nothing decodes (none
+    ///    saved yet, a load error, a corrupt container; counted in
+    ///    [`ClusterMetrics::recovery_snapshot_fallbacks`]), take the dead
+    ///    worker's last *published* image instead, no older than its last
+    ///    acked barrier.
+    /// 3. **Rebuild + respawn** — apply [`Self::unsaved`] and the op log to
+    ///    that base, keep what the shard owns ([`rebuild_shard`]), build a
+    ///    fresh service on the result (epochs restart at 0) and swap it
+    ///    into the routing tables.
     /// 4. **Re-checkpoint** — persist the spawn image, so the store's
     ///    "latest" matches the live epoch space.
     ///
     /// Every term of the rebuild is last-op-per-key and together they reach
-    /// back to the shard's last landed save, so the rebuilt shard holds
-    /// exactly what was forwarded to it and the next cut's delta stays
-    /// exact; only a round the dead worker left unanswered publishes as a
-    /// rebase (and its keys ride in the next cut's delta).
+    /// back to the base, so the rebuilt shard holds exactly what was
+    /// forwarded to it and the reissued round's delta stays exact.
     fn recover_shard(&mut self, i: usize) {
-        let Some(policy) = self.recovery.clone() else {
-            return;
-        };
+        // An unanswered cut round's fold is back in the op log by now.
+        debug_assert!(self.pending_cut.is_none());
         let obs = self.shared.obs.clone();
         let t0 = Instant::now();
         let nv = self.part.plan().num_vertices();
 
         let restore_span = obs.span(Stage::RecoveryRestore);
-        let restored: Option<GraphSnapshot> = match policy.store.load_latest(i) {
+        // `None`: no store; `Some(None)`: a store with nothing to decode.
+        let restored = self.cfg.checkpoints.as_ref().map(|store| match store.load_latest(i) {
             Ok(Some(bytes)) => match checkpoint::decode(&bytes) {
                 Ok(image) => Some(image),
                 Err(e) => {
@@ -1309,9 +1286,9 @@ impl Router {
                 eprintln!("gpma-cluster: shard {i} checkpoint load failed ({e}); falling back");
                 None
             }
-        };
-        let fallback = restored.is_none();
-        let base = match restored {
+        });
+        let fallback = restored.as_ref().is_some_and(Option::is_none);
+        let base = match restored.flatten() {
             Some(image) => Arc::new(image),
             None => self.services[i].snapshot(),
         };
@@ -1319,9 +1296,6 @@ impl Router {
 
         let replay_span = obs.span(Stage::RecoveryReplay);
         let mut since = self.unsaved.clone();
-        if let Some(pc) = &self.pending_cut {
-            since.merge(&pc.delta);
-        }
         since.merge(&self.ops.peek());
         let mirror = self.reshard.as_ref().and_then(Reshard::mirror);
         let edges = rebuild_shard(&base, &since, owned_by(i, &**self.part.plan(), mirror));
@@ -1347,17 +1321,17 @@ impl Router {
         }
     }
 
-    /// Persist `image` as shard id `i`'s checkpoint and count it; whether
-    /// it was saved. No recovery policy saves nothing; a save failure is
-    /// logged and counted.
+    /// Persist `image` as shard id `i`'s checkpoint and count it; false
+    /// only when a save failed (logged and counted). With no store there
+    /// is nothing to save.
     fn persist(&self, i: usize, image: &GraphSnapshot) -> bool {
-        let Some(policy) = &self.recovery else {
-            return false;
+        let Some(store) = &self.cfg.checkpoints else {
+            return true;
         };
         let obs = self.shared.obs.clone();
         let _save = obs.span(Stage::CheckpointSave);
         let bytes = checkpoint::encode(image);
-        match policy.store.save(i, image.epoch(), &bytes) {
+        match store.save(i, image.epoch(), &bytes) {
             Ok(()) => {
                 let mut c = self.shared.router.lock();
                 c.checkpoints_taken += 1;
@@ -1372,15 +1346,10 @@ impl Router {
         }
     }
 
-    /// Checkpoint every shard image of a cut or marker that every shard
-    /// acked, then settle [`Self::unsaved`]: emptied when every save
-    /// landed, otherwise extended by `delta`, what the cut or marker took
-    /// out of the op log. (A round with a stand-in saves nothing and puts
-    /// its delta back into the op log instead.)
+    /// Checkpoint every shard image of a completed cut or marker, then
+    /// settle [`Self::unsaved`]: emptied unless a save failed, otherwise
+    /// extended by `delta`, what the cut or marker took out of the op log.
     fn checkpoint_cut(&mut self, snap: &ClusterSnapshot, delta: &SnapshotDelta) {
-        if self.recovery.is_none() {
-            return;
-        }
         let mut landed = true;
         for (i, image) in snap.shards().iter().enumerate() {
             landed &= self.persist(i, image);
@@ -1392,44 +1361,14 @@ impl Router {
         }
     }
 
-    /// The per-shard snapshots of a completed barrier round. A shard that
-    /// gave no ack (closed when asked — only possible mid-teardown — or died
-    /// before answering) does not panic the router: it is logged, counted
-    /// in [`ClusterMetrics::worker_errors`], and its latest published
-    /// snapshot stands in, so cuts and reshards complete instead of
-    /// poisoning the router thread. Returns whether any shard degraded, so
-    /// a cut can drop its barrier-wall sample rather than fold a corpse's
-    /// failure latency into the `cut.barrier` histogram, nor save a stand-in.
-    fn round_snapshots(&self, round: BarrierRound) -> (Vec<Arc<GraphSnapshot>>, bool) {
-        let mut degraded = false;
-        let snaps = round
-            .got
-            .into_iter()
-            .enumerate()
-            .map(|(i, got)| {
-                got.unwrap_or_else(|| {
-                    degraded = true;
-                    self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "gpma-cluster: shard {i} gave no barrier ack; \
-                         falling back to its published snapshot"
-                    );
-                    self.services[i].snapshot()
-                })
-            })
-            .collect();
-        (snaps, degraded)
-    }
-
-    /// Assemble and publish one coordinated cut from barriered (or fallen
-    /// back) per-shard snapshots, with its delta — `None` publishes it as a
-    /// counted rebase, which checkpoints nothing. A `rebase` cut (a
-    /// reshard's marker) publishes as a rebase point either way, and still
+    /// Assemble and publish one coordinated cut from a round's barrier
+    /// images with its delta, and checkpoint it. A `rebase` cut (a
+    /// reshard's marker) publishes as a rebase point, and still
     /// checkpoints its delta.
     fn publish_cut(
         &mut self,
         snaps: Vec<Arc<GraphSnapshot>>,
-        delta: Option<SnapshotDelta>,
+        delta: SnapshotDelta,
         rebase: bool,
         t0: Instant,
     ) -> Arc<ClusterSnapshot> {
@@ -1442,15 +1381,10 @@ impl Router {
                 self.part.plan().num_vertices(),
                 snaps,
             ));
-            debug_assert!(delta.as_ref().is_none_or(|d| d.epoch() == cut));
-            if delta.is_none() {
-                self.shared.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
-            }
-            let delta = delta.map(Arc::new);
-            self.publish(&snap, delta.clone().filter(|_| !rebase));
-            if let Some(d) = delta {
-                self.checkpoint_cut(&snap, &d);
-            }
+            debug_assert_eq!(delta.epoch(), cut);
+            let delta = Arc::new(delta);
+            self.publish(&snap, (!rebase).then(|| delta.clone()));
+            self.checkpoint_cut(&snap, &delta);
             snap
         };
         obs.event(
@@ -1508,8 +1442,9 @@ impl Router {
     }
 
     /// File every barrier answer that has arrived with the round it
-    /// belongs to, then run what the completed rounds let run: publish a
-    /// cut, step the reshard, start deferred commands, check the skew.
+    /// belongs to, then run what the completed rounds let run: reissue a
+    /// round some shard left unanswered, publish a cut, step the reshard,
+    /// start deferred commands, check the skew.
     /// Acks are read once per pass; a round issued here waits for a later
     /// pass, which its acks' `Wake`s bring.
     fn advance(&mut self) {
@@ -1521,6 +1456,7 @@ impl Router {
                 round.outstanding -= 1;
             }
         }
+        self.reissue_unanswered();
         self.finish_cut_round();
         self.step_reshard();
         self.run_deferred();
@@ -1577,7 +1513,6 @@ impl Router {
     /// next cut number; with `marker` it is that reshard's marker.
     fn start_cut_round(&mut self, acks: Vec<Sender<Arc<ClusterSnapshot>>>, marker: Option<Reshard>) {
         self.forward();
-        self.ensure_shards_alive();
         let cut = self.shared.cuts.load(Ordering::Relaxed) + 1;
         let round = self.issue_round();
         self.pending_cut = Some(PendingCut {
@@ -1596,22 +1531,10 @@ impl Router {
         let Some(pc) = self.pending_cut.take_if(|pc| pc.round.done()) else {
             return;
         };
-        let (snaps, degraded) = self.round_snapshots(pc.round);
-        // A corpse's stall is not barrier latency: drop the sample. Nor
-        // need the image standing in for it match the op log, so the round
-        // publishes as a rebase, and its delta goes back into the log: the
-        // stand-in can be wrong only on keys logged since the last exact
-        // cut, and the next delta then covers all of them.
-        let delta = if degraded {
-            self.ops.restore(pc.delta);
-            None
-        } else {
-            self.shared
-                .obs
-                .record_duration(Stage::CutBarrier, pc.t0.elapsed());
-            Some(pc.delta)
-        };
-        let snap = self.publish_cut(snaps, delta, pc.marker.is_some(), pc.t0);
+        self.shared
+            .obs
+            .record_duration(Stage::CutBarrier, pc.t0.elapsed());
+        let snap = self.publish_cut(pc.round.images(), pc.delta, pc.marker.is_some(), pc.t0);
         for ack in pc.acks {
             let _ = ack.send(snap.clone());
         }
@@ -1738,7 +1661,6 @@ fn run_router(
     let num_shards = services.len();
     let num_vertices = part.num_vertices();
     let router_batch = cfg.router_batch.max(1);
-    let recovery = cfg.recovery.clone();
     let mut r = Router {
         handles: services.iter().map(|s| s.handle()).collect(),
         services,
@@ -1754,7 +1676,6 @@ fn run_router(
         observed: vec![0; num_vertices as usize],
         ops: OpLog::default(),
         cut_tx,
-        recovery,
         acks: unbounded(),
         wake,
         rounds: 0,
@@ -1825,6 +1746,7 @@ fn handle_command(cmd: Command, r: &mut Router) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpma_core::checkpoint::MemoryCheckpointStore;
     use gpma_core::multi::{EdgeGridPartition, HashVertexPartition, VertexPartition};
     use gpma_sim::DeviceConfig;
     use proptest::prelude::{any, prop, prop_assert_eq, proptest, ProptestConfig};
@@ -2400,11 +2322,29 @@ mod tests {
         drop(c);
     }
 
+    /// A fresh in-memory checkpoint store.
+    fn memory_store() -> Arc<dyn CheckpointStore> {
+        Arc::new(MemoryCheckpointStore::new())
+    }
+
+    /// `c`'s delta chain from cut `from` replays it exactly to cut `to`.
+    fn assert_chain_replays(c: &GraphCluster, from: &ClusterSnapshot, to: &ClusterSnapshot) {
+        let DeltaCatchUp::Deltas(chain) = c.deltas_since(from.cut()) else {
+            panic!("no delta chain from cut {} to cut {}", from.cut(), to.cut());
+        };
+        assert_eq!(chain.last().map(|d| d.epoch()), Some(to.cut()));
+        let mut replayed = from.to_graph_snapshot();
+        for d in &chain {
+            replayed = gpma_core::delta::apply_delta(&replayed, d);
+        }
+        assert_eq!(replayed.edges(), to.image().edges());
+    }
+
     #[test]
-    fn barrier_falls_back_to_published_snapshot_on_a_closed_shard() {
-        // No recovery policy: killing a shard leaves a corpse, and cuts
-        // must degrade to its latest *published* snapshot (PR-6 fallback)
-        // instead of poisoning the router.
+    fn a_killed_shard_is_rebuilt_without_a_store() {
+        // No checkpoint store: the cut that finds shard 0 silent rebuilds
+        // it from its last published image and the router's op log, and
+        // reissues the round.
         let part = Arc::new(VertexPartition {
             num_vertices: 16,
             num_shards: 4,
@@ -2424,31 +2364,23 @@ mod tests {
         assert_eq!(c.kill_shard(0), Ok(true));
         assert_eq!(c.kill_shard(9), Ok(false), "out of range is non-fatal");
 
-        // Shard 1 keeps serving; shard 0's slice of the cut is its stale
-        // published snapshot — the fallback this test pins down.
+        // Forwarded to the corpse and dropped; the op log still holds it.
         h.insert(Edge::new(4, 0)).unwrap();
         let cut2 = c.epoch_cut().unwrap();
-        assert!(cut2.image().contains(4, 0));
-        assert!(!cut2.image().contains(1, 8), "unflushed residue died with the worker");
-        assert!(!cut2.image().contains(1, 9));
-        assert_eq!(cut2.num_edges(), 5);
-        for i in 0..4u32 {
-            assert!(cut2.image().contains(0, 4 + i), "flushed state survives as the fallback");
+        for (src, dst) in [(1, 8), (1, 9), (4, 0)] {
+            assert!(cut2.image().contains(src, dst), "cut 2 lacks ({src}, {dst})");
         }
+        assert_eq!(cut2.num_edges(), 7);
+        assert_chain_replays(&c, &cut1, &cut2);
         let m = c.metrics().unwrap();
-        // One error for the out-of-range kill, one per degraded barrier
-        // (cut 2 and the shutdown cut both hit the corpse).
-        assert!(m.worker_errors >= 2, "worker errors: {}", m.worker_errors);
-        assert_eq!(m.recoveries, 0, "no recovery policy, no respawn");
-        // The degraded cut is a counted rebase: the stale image standing in
-        // for shard 0 is not what the router forwarded to it.
+        assert_eq!(m.recoveries, 1);
+        // One error for the out-of-range kill, one for cut 2's missing ack,
+        // whose round was reissued once.
+        assert_eq!(m.worker_errors, 2);
         assert_eq!(m.delta_fallbacks, 1);
-        match c.deltas_since(cut1.cut()) {
-            DeltaCatchUp::Snapshot(s) => assert_eq!(s.cut(), cut2.cut()),
-            DeltaCatchUp::Deltas(_) => panic!("a degraded cut must publish as a rebase"),
-        }
+        assert_eq!((m.recovery_snapshot_fallbacks, m.checkpoints_taken), (0, 0));
         let report = c.shutdown();
-        assert!(report.metrics.worker_errors >= 3);
+        assert_eq!(report.metrics.worker_errors, 2, "the shutdown cut meets no corpse");
     }
 
     #[test]
@@ -2462,9 +2394,7 @@ mod tests {
             ClusterConfig {
                 flush_threshold: 4,
                 router_batch: 8,
-                recovery: Some(RecoveryPolicy {
-                    store: store.clone(),
-                }),
+                checkpoints: Some(store.clone()),
                 ..Default::default()
             },
             &DeviceConfig::deterministic(),
@@ -2485,9 +2415,9 @@ mod tests {
             h.insert(Edge::new(1, 8 + i)).unwrap();
         }
         assert_eq!(c.kill_shard(0), Ok(true));
-        // Traffic to the dead shard turns the failed forward into the
-        // failure detector; recovery runs inline, and the replayed log
-        // restores both this burst and the pre-kill residue.
+        // Traffic to the dead shard is dropped; the cut's barrier finds it
+        // silent, and the rebuild replays the log: this burst and the
+        // pre-kill residue both.
         h.insert(Edge::new(2, 3)).unwrap();
         h.delete(Edge::new(0, 4)).unwrap();
         let cut2 = c.epoch_cut().unwrap();
@@ -2509,88 +2439,61 @@ mod tests {
         // The cut spanning the crash still publishes an exact delta: the
         // recovered shard holds exactly what the router forwarded to it,
         // which is what the router's op log recorded.
-        match c.deltas_since(1) {
-            DeltaCatchUp::Deltas(chain) => {
-                assert_eq!(chain.len(), 1);
-                assert_eq!(chain[0].epoch(), cut2.cut());
-                let replayed = gpma_core::delta::apply_delta(&cut1.to_graph_snapshot(), &chain[0]);
-                assert_eq!(
-                    replayed.edges().to_vec(),
-                    cut2.to_graph_snapshot().edges().to_vec()
-                );
-            }
-            DeltaCatchUp::Snapshot(_) => panic!("the recovered cut must keep the delta chain"),
-        }
-        assert_eq!(m.delta_fallbacks, 0);
+        assert_chain_replays(&c, &cut1, &cut2);
+        assert_eq!(m.delta_fallbacks, 1, "cut 2's round was reissued once");
         c.shutdown();
     }
 
     #[test]
     fn a_shard_dying_behind_its_barrier_keeps_the_delta_chain_exact() {
-        let part = Arc::new(VertexPartition {
-            num_vertices: 16,
-            num_shards: 4,
-        });
-        let c = GraphCluster::spawn(
-            ClusterConfig {
-                flush_threshold: 64,
-                router_batch: 8,
-                recovery: Some(RecoveryPolicy {
-                    store: Arc::new(MemoryCheckpointStore::new()),
-                }),
-                ..Default::default()
-            },
-            &DeviceConfig::deterministic(),
-            part,
-            &[Edge::new(0, 1)],
-        );
-        let h = c.handle();
-        for i in 0..4u32 {
-            h.insert(Edge::new(0, 4 + i)).unwrap();
-        }
-        c.epoch_cut().unwrap();
-
-        // Shard 0 dies on reaching cut 2's barrier, with this burst still
-        // buffered below its flush threshold: cut 2 stands in its last
-        // published image, which lacks all of it.
-        let (ack_tx, ack_rx) = bounded(1);
-        c.tx.send(Command::Kill {
-            shard: 0,
-            at_barrier: true,
-            ack: ack_tx,
-        })
-        .unwrap();
-        assert!(ack_rx.recv().unwrap());
-        h.insert(Edge::new(1, 8)).unwrap();
-        h.insert(Edge::new(1, 9)).unwrap();
-        h.delete(Edge::new(0, 4)).unwrap();
-        h.insert(Edge::new(4, 0)).unwrap();
-        let cut2 = c.epoch_cut().unwrap();
-        assert!(!cut2.image().contains(1, 8) && cut2.image().contains(0, 4), "stale stand-in");
-        assert!(cut2.image().contains(4, 0));
-        assert_eq!(c.metrics().unwrap().delta_fallbacks, 1);
-
-        // Cut 3 recovers shard 0 from checkpoint and log; its delta must
-        // also carry what cut 2's stand-in missed.
-        h.insert(Edge::new(2, 3)).unwrap();
-        let cut3 = c.epoch_cut().unwrap();
-        let image3 = cut3.image();
-        assert!(image3.contains(1, 8) && image3.contains(1, 9) && !image3.contains(0, 4));
-        match c.deltas_since(cut2.cut()) {
-            DeltaCatchUp::Deltas(chain) => {
-                assert_eq!(chain.len(), 1);
-                let replayed = gpma_core::delta::apply_delta(&cut2.to_graph_snapshot(), &chain[0]);
-                assert_eq!(
-                    replayed.edges().to_vec(),
-                    cut3.to_graph_snapshot().edges().to_vec()
-                );
+        for store in [false, true] {
+            let part = Arc::new(VertexPartition {
+                num_vertices: 16,
+                num_shards: 4,
+            });
+            let c = GraphCluster::spawn(
+                ClusterConfig {
+                    flush_threshold: 64,
+                    router_batch: 8,
+                    checkpoints: store.then(memory_store),
+                    ..Default::default()
+                },
+                &DeviceConfig::deterministic(),
+                part,
+                &[Edge::new(0, 1)],
+            );
+            let h = c.handle();
+            for i in 0..4u32 {
+                h.insert(Edge::new(0, 4 + i)).unwrap();
             }
-            DeltaCatchUp::Snapshot(_) => panic!("cut 3 acked on every shard: exact delta"),
+            let cut1 = c.epoch_cut().unwrap();
+
+            // Shard 0 dies on reaching cut 2's barrier, with this burst
+            // still buffered below its flush threshold: the round is
+            // reissued on a shard rebuilt from the op log, so cut 2 itself
+            // holds all of it.
+            assert_eq!(c.kill_shard_at_next_barrier(0), Ok(true));
+            h.insert(Edge::new(1, 8)).unwrap();
+            h.insert(Edge::new(1, 9)).unwrap();
+            h.delete(Edge::new(0, 4)).unwrap();
+            h.insert(Edge::new(4, 0)).unwrap();
+            let cut2 = c.epoch_cut().unwrap();
+            let image2 = cut2.image();
+            assert!(
+                image2.contains(1, 8) && image2.contains(1, 9) && !image2.contains(0, 4),
+                "store {store}: cut 2 lacks what shard 0 died holding"
+            );
+            assert!(image2.contains(4, 0));
+            assert_eq!(cut2.cut(), cut1.cut() + 1, "the reissue keeps the cut number");
+            assert_chain_replays(&c, &cut1, &cut2);
+            let m = c.metrics().unwrap();
+            assert_eq!(
+                (m.recoveries, m.delta_fallbacks, m.worker_errors),
+                (1, 1, 1),
+                "store {store}"
+            );
+            c.shutdown();
         }
-        let m = c.metrics().unwrap();
-        assert_eq!(m.recoveries, 1);
-        assert_eq!(m.delta_fallbacks, 1);
-        c.shutdown();
     }
 
     #[test]
@@ -2603,7 +2506,7 @@ mod tests {
             ClusterConfig {
                 flush_threshold: 4,
                 router_batch: 8,
-                recovery: Some(RecoveryPolicy::default()),
+                checkpoints: Some(memory_store()),
                 ..Default::default()
             },
             &DeviceConfig::deterministic(),
@@ -2798,7 +2701,7 @@ mod tests {
     /// Which shard [`dual_write_reshard`] kills, and when.
     #[derive(Clone, Copy, PartialEq, Eq)]
     enum Crash {
-        /// No kill, and no recovery policy.
+        /// No kill.
         None,
         /// Source shard 1 dies at the copy round's barrier, armed before
         /// the reshard.
@@ -2808,8 +2711,7 @@ mod tests {
         DestinationAfterSwap,
         /// Destination shard 3 dies at the marker round's barrier with an
         /// update routed to it in the retire window still buffered: the
-        /// marker publishes as a counted rebase without it, and the next
-        /// cut recovers it.
+        /// marker round is reissued on a rebuilt shard 3 that holds it.
         AtMarker,
     }
 
@@ -2817,8 +2719,9 @@ mod tests {
     /// updates the router routes — mirrored — after the copy's barriers
     /// and before it reads their acks, because they queue behind the
     /// `Reshard` command while the router is parked. The marker cut and the
-    /// cut after it must both hold the expected table.
-    fn dual_write_reshard(crash: Crash) {
+    /// cut after it must both hold the expected table, and the delta from
+    /// the one to the other replay exactly. `store` sets a checkpoint store.
+    fn dual_write_reshard(crash: Crash, store: bool) {
         use std::time::Duration;
         let old = Arc::new(Parking {
             inner: VertexPartition {
@@ -2849,7 +2752,7 @@ mod tests {
             ClusterConfig {
                 flush_threshold: 4,
                 router_batch: 64,
-                recovery: (crash != Crash::None).then(RecoveryPolicy::default),
+                checkpoints: store.then(memory_store),
                 ..Default::default()
             },
             &DeviceConfig::deterministic(),
@@ -2926,14 +2829,6 @@ mod tests {
 
         let marker = c.snapshot();
         assert_eq!(marker.cut(), report.cut);
-        if crash == Crash::AtMarker {
-            // Shard 3 answered the marker with `None` on its way out; wait
-            // for its thread to end, so the next cut's liveness probe
-            // recovers it rather than barriering the corpse again.
-            while c.kill_shard_at_next_barrier(3) == Ok(true) {
-                std::thread::yield_now();
-            }
-        }
         let next = c.epoch_cut().unwrap();
         // (src, dst, weight, owner under the new plan).
         let expect = [
@@ -2943,40 +2838,33 @@ mod tests {
             (6, 1, 1, 1),
             (12, 3, 1, 3),
         ];
-        // What shard 3 died holding at the marker, recovered by the next cut.
+        // What shard 3 died holding at the marker, rebuilt into it.
         let recovered = (crash == Crash::AtMarker).then_some((13, 1, 1, 3));
-        for (snap, extra) in [(&marker, None), (&next, recovered)] {
-            let expect: Vec<_> = expect.into_iter().chain(extra).collect();
-            assert_eq!(snap.num_edges(), expect.len(), "cut {}", snap.cut());
+        let expect: Vec<_> = expect.into_iter().chain(recovered).collect();
+        for snap in [&marker, &next] {
+            assert_eq!(snap.num_edges(), expect.len(), "cut {} (store {store})", snap.cut());
             for &(src, dst, w, owner) in &expect {
                 for (i, shard) in snap.shards().iter().enumerate() {
                     assert_eq!(
                         shard.weight(src, dst),
                         (i == owner).then_some(w),
-                        "({src}, {dst}) on shard {i} at cut {}",
+                        "({src}, {dst}) on shard {i} at cut {} (store {store})",
                         snap.cut()
                     );
                 }
             }
         }
+        assert_chain_replays(&c, &marker, &next);
         let m = c.metrics().unwrap();
         assert_eq!(m.migrated_edges, 3);
-        // The marker's missing ack is the one error a kill at it leaves.
-        assert_eq!(m.worker_errors, u64::from(crash == Crash::AtMarker));
-        assert_eq!(m.recoveries, u64::from(crash != Crash::None));
-        if crash == Crash::AtMarker {
-            assert_eq!(m.delta_fallbacks, 1, "the degraded marker is a counted rebase");
-            // Its fold went back into the op log: the next delta carries
-            // the update the stand-in lacks.
-            match c.deltas_since(marker.cut()) {
-                DeltaCatchUp::Deltas(chain) => {
-                    assert_eq!(chain.len(), 1);
-                    let replayed = gpma_core::delta::apply_delta(&marker.to_graph_snapshot(), &chain[0]);
-                    assert_eq!(replayed.edges(), next.to_graph_snapshot().edges());
-                }
-                DeltaCatchUp::Snapshot(_) => panic!("the cut after the marker is exact"),
-            }
-        }
+        // A kill leaves one round unanswered: one error, one rebuild, one
+        // reissue.
+        let killed = u64::from(crash != Crash::None);
+        assert_eq!(
+            (m.worker_errors, m.recoveries, m.delta_fallbacks),
+            (killed, killed, killed),
+            "store {store}"
+        );
         c.shutdown();
     }
 
@@ -3060,21 +2948,25 @@ mod tests {
 
     #[test]
     fn updates_routed_in_the_copy_window_reach_their_new_owner() {
-        dual_write_reshard(Crash::None);
+        dual_write_reshard(Crash::None, false);
+        dual_write_reshard(Crash::None, true);
     }
 
     #[test]
     fn a_source_killed_before_it_acks_is_recovered_and_copied() {
-        dual_write_reshard(Crash::SourceBeforeAck);
+        dual_write_reshard(Crash::SourceBeforeAck, false);
+        dual_write_reshard(Crash::SourceBeforeAck, true);
     }
 
     #[test]
     fn a_destination_killed_after_the_swap_is_rebuilt_with_its_copies() {
-        dual_write_reshard(Crash::DestinationAfterSwap);
+        dual_write_reshard(Crash::DestinationAfterSwap, false);
+        dual_write_reshard(Crash::DestinationAfterSwap, true);
     }
 
     #[test]
-    fn a_shard_dying_at_the_marker_barrier_degrades_it_to_a_counted_rebase() {
-        dual_write_reshard(Crash::AtMarker);
+    fn a_shard_dying_at_the_marker_barrier_is_rebuilt_into_the_marker() {
+        dual_write_reshard(Crash::AtMarker, false);
+        dual_write_reshard(Crash::AtMarker, true);
     }
 }

@@ -12,10 +12,9 @@
 //! 2. **Copy** ([`Phase::Copy`]) — once the round's acks are in, ship from
 //!    each source's barrier image every edge whose owner changes, unless
 //!    `moved` already holds its key: a mirrored update is newer than any
-//!    image. A source that gave no ack is recovered and the round reissued
-//!    — any image taken after mirroring began is valid for the keys
-//!    `moved` does not hold. Without a recovery policy the source's
-//!    published image stands in.
+//!    image. A shard that gave no ack is rebuilt and the round reissued,
+//!    as for every round — any image taken after mirroring began is valid
+//!    for the keys `moved` does not hold.
 //! 3. **Swap** (the same step; the only pause) — forward the pending
 //!    sub-batches, swap the plan and enqueue the retractions: `moved`'s
 //!    live keys, already key-sorted, grouped by old owner.
@@ -223,30 +222,16 @@ impl Router {
         }
     }
 
-    /// Copy → swap, once the copy round is answered. Leaves the reshard in
-    /// [`Phase::Retire`], finished when nothing had to move, or back in
-    /// [`Phase::Copy`] with a fresh round when a source that died
-    /// unanswered was recovered. The reshard stays in [`Router::reshard`]
-    /// until the swap, so a recovery before it sees what the shard mirrors.
+    /// Copy → swap, once every shard answered the copy round. Leaves the
+    /// reshard in [`Phase::Retire`], or finished when nothing had to move.
+    /// The reshard stays in [`Router::reshard`] until the swap, so a
+    /// recovery before it sees what the shard mirrors.
     fn copy_and_swap(&mut self) {
-        let Some(rs) = self.reshard.as_mut() else {
-            return;
-        };
-        let round = std::mem::take(&mut rs.round);
-        if self.recovery.is_some() && round.got[..rs.old_n].iter().any(Option::is_none) {
-            // A source died before answering: recover it and ask again.
-            self.ensure_shards_alive();
-            let round = self.issue_round();
-            if let Some(rs) = self.reshard.as_mut() {
-                rs.round = round;
-            }
-            return;
-        }
         let obs = self.shared.obs.clone();
-        let (snaps, _) = self.round_snapshots(round);
         let Some(rs) = self.reshard.as_mut() else {
             return;
         };
+        let snaps = std::mem::take(&mut rs.round).images();
         let migrate_span = obs.span(Stage::ReshardMigrate);
         let mut copies = vec![Vec::new(); rs.new_n];
         for (s, snap) in snaps.iter().enumerate().take(rs.old_n) {
@@ -306,15 +291,13 @@ impl Router {
         // deferred until the marker.
         let resume_span = obs.span(Stage::ReshardResume);
         let retract = retractions(&rs, &**self.part.plan());
-        if self.recovery.is_some() {
-            // No op log holds the copies, and once the sources' retractions
-            // apply nothing can copy them again.
-            let shipped = UpdateBatch {
-                insertions: copies.concat(),
-                deletions: Vec::new(),
-            };
-            self.unsaved.merge(&SnapshotDelta::from_batch(0, &shipped));
-        }
+        // No op log holds the copies, and once the sources' retractions
+        // apply nothing can copy them again.
+        let shipped = UpdateBatch {
+            insertions: copies.concat(),
+            deletions: Vec::new(),
+        };
+        self.unsaved.merge(&SnapshotDelta::from_batch(0, &shipped));
         // Every shard gets its copies ahead of its retractions, so it grows
         // before it shrinks — far cheaper for the PMA than the reverse. A
         // send to a dead shard is dropped: recovery rebuilds it.
@@ -375,9 +358,8 @@ impl Router {
 
     /// Retire → marker: the sources have applied their retractions, so
     /// the marker is a cut round over the fully retired post-migration
-    /// state. It recovers a worker that died mid-retire first, like any cut
-    /// round, and degrades like one: a shard that dies at its barrier makes
-    /// it a counted rebase that puts its fold back into the op log.
+    /// state. A shard that dies at its barrier is rebuilt and the marker
+    /// reissued, like any cut round.
     fn publish_marker(&mut self, rs: Reshard) {
         self.start_cut_round(Vec::new(), Some(rs));
     }

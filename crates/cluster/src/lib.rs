@@ -51,7 +51,7 @@
 //!   [`DeltaMonitor`]s — e.g. the `gpma-incremental` engine — consume one
 //!   delta per cut on a dedicated thread, each with the cut flattened into
 //!   one image that all of them share, rebasing on a full image only at a
-//!   reshard's marker cut or a cut some shard gave no barrier ack for.
+//!   reshard's marker cut.
 //! * **Observability** — [`ClusterMetrics`] reports routing balance and
 //!   per-shard skew, cut edges, modeled transfer totals, delta fallbacks,
 //!   migration and recovery counters and every shard's own
@@ -68,13 +68,16 @@
 //!   [`RebalancePolicy`] in [`ClusterConfig`]) targets a [`DegreePartition`]
 //!   built from the router's observed per-vertex load — the skew-driven
 //!   answer to the edge grid's ~2× power-law imbalance.
-//! * **Durability & failover** — with [`ClusterConfig::recovery`] set, the
-//!   router persists each shard's barrier image (hand-rolled binary codec)
-//!   to a [`CheckpointStore`] at every cut, and keeps the cut deltas of any
-//!   cut whose saves did not all land. It detects dead shard workers
-//!   (failed forwards, or probes on the control paths), rebuilds each one's
-//!   edge set from its latest checkpoint, those deltas and the op log it
-//!   folds cut deltas from, and respawns it on that, oracle-exact.
+//! * **Durability & failover** — a barrier a shard leaves unanswered is
+//!   the one failure signal: the router rebuilds that shard's edge set
+//!   from a base image and the op log it folds cut deltas from, respawns
+//!   it on that, oracle-exact, and reissues the round, so every cut holds
+//!   every update accepted before it. With [`ClusterConfig::checkpoints`]
+//!   set, the router also persists each shard's barrier image (hand-rolled
+//!   binary codec) to a [`CheckpointStore`] at every cut and rebuilds from
+//!   the latest one, keeping the cut deltas of any cut whose saves did not
+//!   all land; without it, the base is the dead worker's last published
+//!   image.
 //!   [`GraphCluster::spawn_from_store`] restarts a whole cluster at the
 //!   last checkpointed cut. [`GraphCluster::kill_shard`] and
 //!   [`GraphCluster::kill_shard_at_next_barrier`] are the fault-injection
@@ -129,7 +132,7 @@ pub use gpma_core::multi::{
 
 pub use cluster::{
     ClusterClosed, ClusterConfig, ClusterHandle, ClusterReport, GraphCluster, RebalancePolicy,
-    RecoveryPolicy, ReshardError, ReshardReport,
+    ReshardError, ReshardReport,
 };
 pub use gpma_core::checkpoint::{CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
 pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};

@@ -54,17 +54,16 @@ pub struct ClusterMetrics {
     pub cut_edges: u64,
     /// Pending insertions the router cancelled for arrival-order semantics.
     pub cancelled_inserts: u64,
-    /// Coordinated cuts published as full-snapshot rebases instead of
-    /// deltas: rounds in which some shard gave no barrier ack (a shard
-    /// dead without a recovery policy, or one that died between its
-    /// barrier and its ack), whose stand-in image need not match what the
-    /// router forwarded. The next cut's delta carries such a round's keys
-    /// too, so it replays the rebase cut exactly. A reshard's marker cut is
-    /// a rebase too, but not counted here.
+    /// Barrier rounds (cut, marker, reshard copy or retire) reissued
+    /// because some shard left them unanswered: its worker died at or
+    /// before the barrier, and was rebuilt before the reissue. No cut
+    /// publishes without its delta on account of it; only a reshard's
+    /// marker cut is a rebase, and it is not counted here.
     pub delta_fallbacks: u64,
-    /// Errors the router thread recovered from instead of panicking (a
-    /// shard service found closed at a barrier). Non-zero means a cut or
-    /// reshard degraded gracefully — worth investigating, never fatal.
+    /// Errors the router thread recovered from instead of panicking: a
+    /// barrier a shard left unanswered, a checkpoint that failed to save
+    /// or load, a kill of a shard out of range. Non-zero means a shard was
+    /// rebuilt or a save lost — worth investigating, never fatal.
     pub worker_errors: u64,
     /// Live reshards performed (explicit and policy-triggered).
     pub reshard_count: u64,
@@ -81,8 +80,9 @@ pub struct ClusterMetrics {
     /// ingest kept flowing* (barrier waits, the copy, the retire). Not a
     /// stall: the complement of [`Self::migration_pause_secs`].
     pub migration_background_secs: f64,
-    /// Dead shard workers detected and respawned (requires
-    /// [`ClusterConfig::recovery`](crate::ClusterConfig::recovery)).
+    /// Dead shard workers rebuilt and respawned, one per barrier ack a
+    /// worker left unanswered (with or without
+    /// [`ClusterConfig::checkpoints`](crate::ClusterConfig::checkpoints)).
     pub recoveries: u64,
     /// Total wall-clock seconds spent in recovery (restore → rebuild →
     /// respawn → re-checkpoint), across all recoveries.
@@ -90,9 +90,10 @@ pub struct ClusterMetrics {
     /// Op-log entries (one per key) re-applied on top of recovered shards'
     /// base images, across all recoveries.
     pub recovery_replayed_updates: u64,
-    /// Recoveries that found no checkpoint to decode (none saved yet, a
-    /// load error, or a corrupt one) and rebased on the dead worker's last
-    /// published snapshot instead.
+    /// Recoveries with a checkpoint store set that found no checkpoint to
+    /// decode (none saved yet, a load error, or a corrupt one) and rebuilt
+    /// on the dead worker's last published image instead. Without a store
+    /// that image is the base by design, and not counted.
     pub recovery_snapshot_fallbacks: u64,
     /// Per-shard checkpoints persisted to the [`CheckpointStore`]
     /// (cut-cadence checkpoints plus the post-recovery re-checkpoint).

@@ -115,6 +115,13 @@ pub trait CheckpointStore: Send + Sync {
     fn load_latest(&self, shard: usize) -> io::Result<Option<Vec<u8>>>;
 }
 
+/// Opaque, so a config holding a store can derive `Debug`.
+impl std::fmt::Debug for dyn CheckpointStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("dyn CheckpointStore")
+    }
+}
+
 /// In-memory [`CheckpointStore`] for tests, fault-injection harnesses and
 /// benches: retains the last few checkpoints per shard in save order.
 pub struct MemoryCheckpointStore {

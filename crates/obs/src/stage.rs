@@ -41,7 +41,9 @@ pub enum Stage {
     ReshardMigrate,
     /// Reshard: plan swap and retraction enqueue (ingest resumes after).
     ReshardResume,
-    /// Recovery: noticing a dead shard worker.
+    /// Recovery: a shard worker's death, put on the event timeline as it
+    /// dies (the router learns of it from the barrier it leaves
+    /// unanswered).
     RecoveryDetect,
     /// Recovery: checkpoint decode / snapshot rebase of the lost state.
     RecoveryRestore,

@@ -24,16 +24,6 @@ pub struct PublicationStats {
     pub snapshot_bytes: u64,
 }
 
-impl PublicationStats {
-    /// Fold another report into this one (cluster-level aggregation).
-    pub fn merge(&mut self, other: &PublicationStats) {
-        self.deltas += other.deltas;
-        self.delta_bytes += other.delta_bytes;
-        self.snapshots += other.snapshots;
-        self.snapshot_bytes += other.snapshot_bytes;
-    }
-}
-
 /// A point-in-time metrics report from a running
 /// [`StreamingService`](crate::StreamingService).
 ///
@@ -157,13 +147,8 @@ mod tests {
     }
 
     #[test]
-    fn publication_stats_rates_and_merge() {
+    fn publication_stats_appear_in_the_summary_line() {
         let m = sample();
-        let mut total = PublicationStats::default();
-        total.merge(&m.publication);
-        total.merge(&m.publication);
-        assert_eq!(total.deltas, 8);
-        assert_eq!(total.snapshot_bytes, 2000);
         let line = m.to_string();
         assert!(line.contains("4 deltas"), "{line}");
     }

@@ -574,8 +574,9 @@ impl StreamingService {
     }
 
     /// Whether the worker thread is still running. `false` after
-    /// [`Self::inject_failure`] (or a worker panic); the failure-detection
-    /// probe recovery coordinators poll.
+    /// [`Self::inject_failure`] (or a worker panic). A diagnostic: no
+    /// coordinator polls it — a cluster learns of a dead worker from the
+    /// barrier it leaves unanswered ([`BarrierAck`] answers `None`).
     pub fn is_alive(&self) -> bool {
         self.worker.as_ref().is_some_and(|w| !w.is_finished())
     }

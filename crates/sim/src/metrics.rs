@@ -91,8 +91,6 @@ pub struct ServiceCounters {
     pub max_queue_depth: usize,
     /// Host wall-clock seconds spent inside flushes (queue-to-snapshot).
     pub flush_wall_secs: f64,
-    /// Wall-clock seconds of the most recent flush.
-    pub last_flush_wall_secs: f64,
     /// Simulated device time spent applying update batches.
     pub update_sim: SimTime,
     /// Simulated device time spent in monitor analytics.
@@ -116,7 +114,6 @@ impl ServiceCounters {
         self.flushes += 1;
         self.duplicate_edges += duplicates;
         self.flush_wall_secs += wall_secs;
-        self.last_flush_wall_secs = wall_secs;
         self.update_sim += update;
         self.analytics_sim += analytics;
         self.flushes
@@ -231,7 +228,6 @@ mod tests {
         assert_eq!(c.cancelled_inserts, 4);
         assert_eq!(c.flushes, 2);
         assert_eq!(c.avg_flush_wall_secs(), 1.0);
-        assert_eq!(c.last_flush_wall_secs, 1.5);
         assert_eq!(c.update_sim.secs(), 1.5);
         assert_eq!(c.analytics_sim.secs(), 2.5);
         assert_eq!(c.ingest_throughput(2.0), 8.0);

@@ -29,3 +29,8 @@ pub use gpma_pma as pma;
 pub use gpma_service as service;
 pub use gpma_serving as serving;
 pub use gpma_sim as sim;
+
+/// README.md's Rust blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

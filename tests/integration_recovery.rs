@@ -1,7 +1,8 @@
 //! Crash-recovery fault-injection harness: a shard worker is killed at a
 //! random point of a random insert/delete stream — under both 1D partition
-//! policies — and the recovered cluster (respawned from its latest durable
-//! checkpoint plus the router's op log) must equal the single-device
+//! policies, with and without a checkpoint store — and the recovered
+//! cluster (respawned from its latest durable checkpoint, or its last
+//! published image, plus the router's op log) must equal the single-device
 //! sequential oracle at every subsequent cut: same edge set, same
 //! BFS/CC/PageRank. Deterministic cases cover a kill straddling a live
 //! reshard, a delta ring too small to cover the gap, an update forwarded
@@ -17,7 +18,7 @@ use gpma_analytics::{bfs_host, cc_host, pagerank_host};
 use gpma_baselines::AdjLists;
 use gpma_cluster::{
     CheckpointStore, ClusterConfig, ClusterHandle, ClusterSnapshot, GraphCluster,
-    HashVertexPartition, MemoryCheckpointStore, RecoveryPolicy, VertexPartition,
+    HashVertexPartition, MemoryCheckpointStore, VertexPartition,
 };
 use gpma_core::checkpoint;
 use gpma_core::multi::Partitioner;
@@ -28,13 +29,12 @@ use proptest::prelude::*;
 
 const NUM_VERTICES: u32 = 64;
 
-fn recovery_config(threshold: usize) -> ClusterConfig {
+fn recovery_config(threshold: usize, store: bool) -> ClusterConfig {
+    let memory = || Arc::new(MemoryCheckpointStore::new()) as Arc<dyn CheckpointStore>;
     ClusterConfig {
         flush_threshold: threshold,
         router_batch: 16,
-        recovery: Some(RecoveryPolicy {
-            store: Arc::new(MemoryCheckpointStore::new()),
-        }),
+        checkpoints: store.then(memory),
         ..Default::default()
     }
 }
@@ -98,10 +98,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Kill a random shard at a random epoch of a random stream, under
-    /// either 1D policy: the recovered cluster equals the sequential
-    /// oracle at every subsequent cut. The kill lands mid-stream, so
-    /// whatever the victim had buffered but not flushed dies with it and
-    /// must come back from checkpoint + op-log recovery.
+    /// either 1D policy, with or without a checkpoint store: the recovered
+    /// cluster equals the sequential oracle at every subsequent cut. The
+    /// kill lands mid-stream, so whatever the victim had buffered but not
+    /// flushed dies with it and must come back from the rebuild.
     #[test]
     fn killed_shard_stream_matches_sequential_oracle(
         ops_a in prop::collection::vec((0u8..4, 0u32..64, 0u32..64, 1u64..100), 1..60),
@@ -110,6 +110,7 @@ proptest! {
         kill_shard in 0usize..4,
         use_hash in any::<bool>(),
         threshold in 1usize..10,
+        store in any::<bool>(),
     ) {
         let policy: Arc<dyn Partitioner> = if use_hash {
             Arc::new(HashVertexPartition { num_vertices: NUM_VERTICES, num_shards: 4 })
@@ -117,7 +118,7 @@ proptest! {
             Arc::new(VertexPartition { num_vertices: NUM_VERTICES, num_shards: 4 })
         };
         let cluster = GraphCluster::spawn(
-            recovery_config(threshold),
+            recovery_config(threshold, store),
             &DeviceConfig::deterministic(),
             policy,
             &[],
@@ -136,8 +137,8 @@ proptest! {
         apply_oracle(&mut oracle, &ops_b);
         prop_assert!(cluster.kill_shard(kill_shard).expect("cluster alive"));
 
-        // Phase 3: keep streaming over the corpse; the router detects the
-        // dead worker and respawns it inline.
+        // Phase 3: keep streaming over the corpse; the cut's barrier finds
+        // it silent, and the router respawns it and reissues the round.
         feed(&h, &ops_c);
         apply_oracle(&mut oracle, &ops_c);
         assert_cut_matches(&cluster, &oracle, "first post-kill cut");
@@ -153,14 +154,14 @@ proptest! {
     }
 }
 
-/// A kill straddling a live reshard: the dead worker is detected during the
-/// reshard's quiesce, recovered, and the migration proceeds onto the new
-/// plan; a second kill *after* the reshard recovers from the re-taken
+/// A kill straddling a live reshard: the dead worker leaves the copy round
+/// unanswered, is recovered, and the migration proceeds onto the new plan;
+/// a second kill *after* the reshard recovers from the re-taken
 /// checkpoints. Both sides stay oracle-exact.
 #[test]
 fn kill_straddling_a_reshard_recovers_exactly() {
     let cluster = GraphCluster::spawn(
-        recovery_config(4),
+        recovery_config(4, true),
         &DeviceConfig::deterministic(),
         Arc::new(HashVertexPartition {
             num_vertices: NUM_VERTICES,
@@ -178,8 +179,8 @@ fn kill_straddling_a_reshard_recovers_exactly() {
     apply_oracle(&mut oracle, &phase_a);
     assert_cut_matches(&cluster, &oracle, "pre-kill");
 
-    // Kill, then immediately reshard: the quiesce path must detect and
-    // recover the corpse before migrating state off it.
+    // Kill, then immediately reshard: the copy round the corpse leaves
+    // unanswered must recover it before migrating state off it.
     assert!(cluster.kill_shard(2).expect("cluster alive"));
     let report = cluster
         .reshard(Arc::new(VertexPartition {
@@ -225,9 +226,7 @@ fn kill_during_cow_reshard_recovers_exactly() {
         ClusterConfig {
             flush_threshold: 4,
             router_batch: 8,
-            recovery: Some(RecoveryPolicy {
-                store: Arc::new(MemoryCheckpointStore::new()),
-            }),
+            checkpoints: Some(Arc::new(MemoryCheckpointStore::new())),
             ..Default::default()
         },
         &DeviceConfig::deterministic(),
@@ -300,9 +299,7 @@ fn outrun_delta_ring_recovers_from_checkpoint_and_log() {
         ClusterConfig {
             flush_threshold: 2,
             router_batch: 4,
-            recovery: Some(RecoveryPolicy {
-                store: Arc::new(MemoryCheckpointStore::new()),
-            }),
+            checkpoints: Some(Arc::new(MemoryCheckpointStore::new())),
             ..Default::default()
         },
         &DeviceConfig::deterministic(),
@@ -384,9 +381,7 @@ fn cluster_restarts_from_dir_checkpoint_store() {
             ClusterConfig {
                 flush_threshold: 8,
                 router_batch: 16,
-                recovery: Some(RecoveryPolicy {
-                    store,
-                }),
+                checkpoints: Some(store),
                 ..Default::default()
             },
             &DeviceConfig::deterministic(),
@@ -458,7 +453,7 @@ fn bulk_cluster(flush_threshold: usize, store: Arc<dyn CheckpointStore>) -> Grap
     GraphCluster::spawn(
         ClusterConfig {
             flush_threshold,
-            recovery: Some(RecoveryPolicy { store }),
+            checkpoints: Some(store),
             ..Default::default()
         },
         &DeviceConfig::deterministic(),
@@ -590,9 +585,7 @@ fn a_restart_after_a_shrinking_reshard_ignores_the_retired_shards() {
         ClusterConfig {
             flush_threshold: 4,
             router_batch: 16,
-            recovery: Some(RecoveryPolicy {
-                store: store.clone(),
-            }),
+            checkpoints: Some(store.clone()),
             ..Default::default()
         },
         &DeviceConfig::deterministic(),
@@ -709,9 +702,7 @@ fn failed_checkpoint_saves_keep_the_replay_log_across_two_kills() {
         ClusterConfig {
             flush_threshold: 4,
             router_batch: 16,
-            recovery: Some(RecoveryPolicy {
-                store: store.clone(),
-            }),
+            checkpoints: Some(store.clone()),
             ..Default::default()
         },
         &DeviceConfig::deterministic(),
@@ -767,9 +758,7 @@ fn failed_checkpoint_loads_recover_from_the_published_image() {
         ClusterConfig {
             flush_threshold: 4,
             router_batch: 16,
-            recovery: Some(RecoveryPolicy {
-                store: store.clone(),
-            }),
+            checkpoints: Some(store.clone()),
             ..Default::default()
         },
         &DeviceConfig::deterministic(),
@@ -797,5 +786,5 @@ fn failed_checkpoint_loads_recover_from_the_published_image() {
     let m = cluster.shutdown().metrics;
     assert_eq!(m.recoveries, 1);
     assert_eq!(m.recovery_snapshot_fallbacks, 1);
-    assert_eq!(m.worker_errors, 1, "the failed load is counted: {m}");
+    assert_eq!(m.worker_errors, 2, "the missing ack and the failed load are counted: {m}");
 }

@@ -10,9 +10,7 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use gpma_cluster::{
-    ClusterConfig, GraphCluster, MemoryCheckpointStore, PartitionPolicy, RecoveryPolicy,
-};
+use gpma_cluster::{ClusterConfig, GraphCluster, MemoryCheckpointStore, PartitionPolicy};
 use gpma_core::delta::DeltaCatchUp;
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot};
 use gpma_graph::{Edge, UpdateBatch};
@@ -82,9 +80,7 @@ proptest! {
         let cluster = GraphCluster::spawn(
             ClusterConfig {
                 flush_threshold: 6,
-                recovery: Some(RecoveryPolicy {
-                    store: Arc::new(MemoryCheckpointStore::new()),
-                }),
+                checkpoints: Some(Arc::new(MemoryCheckpointStore::new())),
                 ..Default::default()
             },
             &DeviceConfig::deterministic(),
