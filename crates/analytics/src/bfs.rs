@@ -2,7 +2,7 @@
 //! the gap-aware Neighbour Gathering of Algorithms 2–3, plus the standard
 //! single-threaded CPU reference used by the AdjLists/PMA baselines.
 
-use gpma_sim::{primitives, Device, DeviceBuffer};
+use gpma_sim::{launch, primitives, Device, DeviceBuffer};
 use std::collections::VecDeque;
 
 use crate::view::{DeviceGraphView, HostGraph};
@@ -28,7 +28,7 @@ pub fn bfs_device<G: DeviceGraphView>(dev: &Device, g: &G, root: u32) -> DeviceB
             let f = &frontier;
             let d = &dist;
             let nf = &next_flags;
-            dev.launch("bfs_gather", frontier.len(), |lane| {
+            launch!(dev, "bfs_gather", frontier.len(), |lane| {
                 let v = f.get(lane, lane.tid);
                 for slot in g.row_range(lane, v) {
                     // Algorithm 3 line 4: IsEntryExist.
@@ -50,7 +50,7 @@ pub fn bfs_device<G: DeviceGraphView>(dev: &Device, g: &G, root: u32) -> DeviceB
             let nf = &next_flags;
             let pos = &positions;
             let nx = &next;
-            dev.launch("bfs_frontier_compact", nv, |lane| {
+            launch!(dev, "bfs_frontier_compact", nv, |lane| {
                 let v = lane.tid;
                 if nf.get(lane, v) != 0 {
                     nf.set(lane, v, 0);

@@ -4,7 +4,7 @@
 //! undirected, matching the paper's partition semantics. The CPU reference
 //! is union-find.
 
-use gpma_sim::{Device, DeviceBuffer};
+use gpma_sim::{launch, Device, DeviceBuffer};
 
 use crate::view::{DeviceGraphView, HostGraph};
 
@@ -18,7 +18,7 @@ pub(crate) fn cc_hook<G: DeviceGraphView>(
     labels: &DeviceBuffer<u32>,
     changed: &DeviceBuffer<u32>,
 ) {
-    dev.launch("cc_hook", g.num_slots(), |lane| {
+    launch!(dev, "cc_hook", g.num_slots(), |lane| {
         if let Some((u, v)) = g.slot_entry(lane, lane.tid) {
             let lu = labels.get(lane, u as usize);
             let lv = labels.get(lane, v as usize);
@@ -40,7 +40,7 @@ pub fn cc_device<G: DeviceGraphView>(dev: &Device, g: &G) -> DeviceBuffer<u32> {
     let labels = DeviceBuffer::<u32>::new(nv);
     {
         let l = &labels;
-        dev.launch("cc_init", nv, |lane| {
+        launch!(dev, "cc_init", nv, |lane| {
             l.set(lane, lane.tid, lane.tid as u32);
         });
     }
@@ -51,7 +51,7 @@ pub fn cc_device<G: DeviceGraphView>(dev: &Device, g: &G) -> DeviceBuffer<u32> {
         // Pointer jumping: compress label chains (multi-pass shortcutting).
         {
             let l = &labels;
-            dev.launch("cc_jump", nv, |lane| {
+            launch!(dev, "cc_jump", nv, |lane| {
                 let v = lane.tid;
                 let mut root = l.get(lane, v);
                 while l.get(lane, root as usize) != root {

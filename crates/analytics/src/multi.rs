@@ -15,7 +15,7 @@
 
 use gpma_core::multi::MultiGpma;
 use gpma_sim::pcie::Pcie;
-use gpma_sim::{Device, DeviceBuffer, SimTime};
+use gpma_sim::{launch, Device, DeviceBuffer, SimTime};
 
 use crate::bfs::UNREACHED;
 use crate::cc::cc_hook;
@@ -71,7 +71,7 @@ pub fn bfs_multi(m: &mut MultiGpma, root: u32) -> (Vec<u32>, MultiTime) {
                 let fr = DeviceBuffer::from_slice(&mine);
                 let dist_dev = DeviceBuffer::from_slice(dist_ref);
                 let fl = &flags;
-                dev.launch("bfs_multi_gather", mine.len(), |lane| {
+                launch!(dev, "bfs_multi_gather", mine.len(), |lane| {
                     let v = fr.get(lane, lane.tid);
                     for slot in view.row_range(lane, v) {
                         if let Some((_, dst)) = view.slot_entry(lane, slot) {
@@ -114,7 +114,7 @@ fn pr_scatter<G: DeviceGraphView>(
     share: &DeviceBuffer<u64>,
     y: &DeviceBuffer<u64>,
 ) {
-    dev.launch("pr_spmv", g.num_slots(), |lane| {
+    launch!(dev, "pr_spmv", g.num_slots(), |lane| {
         if let Some((u, v)) = g.slot_entry(lane, lane.tid) {
             let s = load_f64(lane, share, u as usize);
             atomic_add_f64(lane, y, v as usize, s);

@@ -24,7 +24,7 @@
 //! `pagerank_multi` (`multi.rs`) still pushes, one atomic scatter per shard.
 
 use gpma_sim::primitives::exclusive_scan_u32;
-use gpma_sim::{Device, DeviceBuffer, Lane};
+use gpma_sim::{launch, Device, DeviceBuffer, Lane, LaneMode};
 
 use crate::util::{load_f64, reduce_f64, store_f64};
 use crate::view::{DeviceGraphView, HostGraph};
@@ -65,7 +65,7 @@ pub(crate) fn in_edges<G: DeviceGraphView>(dev: &Device, g: &G) -> InEdges {
     let nv = g.num_vertices() as usize;
     // One count past the last vertex, so the scan ends on the total.
     let counts = DeviceBuffer::<u32>::new(nv + 1);
-    dev.launch("pr_in_count", g.num_slots(), |lane| {
+    launch!(dev, "pr_in_count", g.num_slots(), |lane| {
         if let Some((_, v)) = g.slot_entry(lane, lane.tid) {
             counts.atomic_add(lane, v as usize, 1);
         }
@@ -73,7 +73,7 @@ pub(crate) fn in_edges<G: DeviceGraphView>(dev: &Device, g: &G) -> InEdges {
     let (offsets, entries) = exclusive_scan_u32(dev, &counts);
     let sources = DeviceBuffer::<u32>::new(entries as usize);
     let cursors = DeviceBuffer::<u32>::new(nv);
-    dev.launch("pr_in_place", g.num_slots(), |lane| {
+    launch!(dev, "pr_in_place", g.num_slots(), |lane| {
         if let Some((u, v)) = g.slot_entry(lane, lane.tid) {
             let at = offsets.get(lane, v as usize) + cursors.atomic_add(lane, v as usize, 1);
             sources.set(lane, at as usize, u);
@@ -103,18 +103,10 @@ pub fn pagerank_device<G: DeviceGraphView>(
     let shares = [DeviceBuffer::<u64>::new(nv), DeviceBuffer::<u64>::new(nv)];
     let diff = DeviceBuffer::<u64>::new(nv);
     let dangling_parts = DeviceBuffer::<u64>::new(nv);
-    // Rank, share and dangling partial of one vertex, as `pr_init` and
-    // `pr_pull` both leave them for the next sweep.
-    let publish = |lane: &mut Lane, share: &DeviceBuffer<u64>, v: usize, rank: f64, d: u32| {
-        store_f64(lane, &x, v, rank);
-        let (s, dangling) = if d == 0 { (0.0, rank) } else { (rank / d as f64, 0.0) };
-        store_f64(lane, share, v, s);
-        store_f64(lane, &dangling_parts, v, dangling);
-    };
-    dev.launch("pr_init", nv, |lane| {
+    launch!(dev, "pr_init", nv, |lane| {
         let v = lane.tid;
         let d = deg.get(lane, v);
-        publish(lane, &shares[0], v, 1.0 / nv as f64, d);
+        publish(lane, [&x, &shares[0], &dangling_parts], v, 1.0 / nv as f64, d);
     });
     // Mass held by out-degree-0 vertices.
     let mut dangling = reduce_f64(dev, &dangling_parts);
@@ -126,7 +118,7 @@ pub fn pagerank_device<G: DeviceGraphView>(
         iterations += 1;
         // rank = (1-d)/N + d * (Σ share[u] over in-edges + dangling/N), with
         // everything the next sweep reads derived from it in the same pass.
-        dev.launch("pr_pull", nv, |lane| {
+        launch!(dev, "pr_pull", nv, |lane| {
             let v = lane.tid;
             let old = load_f64(lane, &x, v);
             let d = deg.get(lane, v);
@@ -136,7 +128,7 @@ pub fn pagerank_device<G: DeviceGraphView>(
                 raw += load_f64(lane, share, u as usize);
             }
             let rank = (1.0 - damping) / nv as f64 + damping * (raw + dangling / nv as f64);
-            publish(lane, next, v, rank, d);
+            publish(lane, [&x, next, &dangling_parts], v, rank, d);
             store_f64(lane, &diff, v, (rank - old).abs());
         });
         let err = reduce_f64(dev, &diff);
@@ -152,6 +144,24 @@ pub fn pagerank_device<G: DeviceGraphView>(
         iterations,
         converged,
     }
+}
+
+/// Rank, share and dangling partial of vertex `v` of out-degree `d`, into
+/// `[ranks, shares, dangling parts]`, as `pr_init` and `pr_pull` both leave
+/// them for the next sweep.
+#[inline]
+fn publish<M: LaneMode>(
+    lane: &mut Lane<'_, M>,
+    out: [&DeviceBuffer<u64>; 3],
+    v: usize,
+    rank: f64,
+    d: u32,
+) {
+    let [x, share, dangling_parts] = out;
+    store_f64(lane, x, v, rank);
+    let (s, dangling) = if d == 0 { (0.0, rank) } else { (rank / d as f64, 0.0) };
+    store_f64(lane, share, v, s);
+    store_f64(lane, dangling_parts, v, dangling);
 }
 
 /// CPU reference power iteration (same math, sequential), from the uniform

@@ -3,23 +3,28 @@
 //! add works, exactly like CUDA's pre-Pascal `atomicAdd(double*)` emulation)
 //! and a blocked f64 sum-reduction.
 
-use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
+use gpma_sim::{launch, primitives, Device, DeviceBuffer, Lane, LaneMode};
 
 /// Read an f64 stored as bits.
 #[inline]
-pub fn load_f64(lane: &mut Lane, buf: &DeviceBuffer<u64>, i: usize) -> f64 {
+pub fn load_f64<M: LaneMode>(lane: &mut Lane<'_, M>, buf: &DeviceBuffer<u64>, i: usize) -> f64 {
     f64::from_bits(buf.get(lane, i))
 }
 
 /// Write an f64 as bits.
 #[inline]
-pub fn store_f64(lane: &mut Lane, buf: &DeviceBuffer<u64>, i: usize, v: f64) {
+pub fn store_f64<M: LaneMode>(lane: &mut Lane<'_, M>, buf: &DeviceBuffer<u64>, i: usize, v: f64) {
     buf.set(lane, i, v.to_bits());
 }
 
 /// CAS-loop atomic f64 add (CUDA's classic double atomicAdd emulation).
 #[inline]
-pub fn atomic_add_f64(lane: &mut Lane, buf: &DeviceBuffer<u64>, i: usize, add: f64) {
+pub fn atomic_add_f64<M: LaneMode>(
+    lane: &mut Lane<'_, M>,
+    buf: &DeviceBuffer<u64>,
+    i: usize,
+    add: f64,
+) {
     let mut cur = buf.atomic_load(lane, i);
     loop {
         let new = (f64::from_bits(cur) + add).to_bits();
@@ -40,7 +45,7 @@ pub fn reduce_f64(dev: &Device, input: &DeviceBuffer<u64>) -> f64 {
     const B: usize = primitives::BLOCK;
     if n <= B {
         let total = DeviceBuffer::<u64>::new(1);
-        dev.launch("reduce_f64_small", 1, |lane| {
+        launch!(dev, "reduce_f64_small", 1, |lane| {
             let mut acc = 0.0f64;
             for i in 0..n {
                 acc += load_f64(lane, input, i);
@@ -51,7 +56,7 @@ pub fn reduce_f64(dev: &Device, input: &DeviceBuffer<u64>) -> f64 {
     }
     let nb = n.div_ceil(B);
     let partials = DeviceBuffer::<u64>::new(nb);
-    dev.launch("reduce_f64_blocks", nb, |lane| {
+    launch!(dev, "reduce_f64_blocks", nb, |lane| {
         let b = lane.tid;
         let start = b * B;
         let end = (start + B).min(n);

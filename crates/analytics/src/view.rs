@@ -15,14 +15,13 @@
 //!
 //! The kernels over this trait (`bfs_device<G>`, `cc_device<G>`,
 //! `pagerank_device<G>`) are generic, so they are compiled in the crate
-//! that *calls* them, once per view type. The impls below are not generic:
-//! without `#[inline]` their bodies stay in this crate and every lane of a
-//! slot-wide launch makes a real cross-crate call per slot, with the
-//! `Lane` counters forced out to memory around it. Every lane-taking impl
-//! method here therefore carries `#[inline]` (`gpma-lint` rule
-//! `lane-inline` keeps it that way), and the [`HostGraph`] impls do too,
-//! for the same reason under `bfs_host<G>` / `cc_host<G>` /
-//! `pagerank_host_from<G>`.
+//! that *calls* them, once per view type and lane kind. The lane-taking
+//! methods are generic over the lane's [`LaneMode`], so their bodies travel
+//! with them; they keep `#[inline]` all the same, and the non-generic
+//! [`HostGraph`] impls need it (`gpma-lint` rule `lane-inline` checks the
+//! lane-taking ones): without it their bodies stay in this crate and
+//! `bfs_host<G>` / `cc_host<G>` / `pagerank_host_from<G>` make a real
+//! cross-crate call per neighbour visit.
 //!
 //! [`HostGraph`] is the equivalent CPU-side contract for the AdjLists, PMA
 //! and Stinger baselines.
@@ -30,7 +29,7 @@
 use gpma_baselines::{AdjLists, PmaGraph, RebuildCsr, StingerGraph};
 use gpma_core::{CsrView, GpmaStorage};
 use gpma_graph::decode_key;
-use gpma_sim::{Device, DeviceBuffer, Lane};
+use gpma_sim::{launch, Device, DeviceBuffer, Lane, LaneMode};
 
 /// Device-side view of a CSR-ordered dynamic graph.
 pub trait DeviceGraphView: Sync {
@@ -41,23 +40,22 @@ pub trait DeviceGraphView: Sync {
     fn num_slots(&self) -> usize;
 
     /// Slot range of row `v`.
-    fn row_range(&self, lane: &mut Lane, v: u32) -> std::ops::Range<usize>;
+    fn row_range<M: LaneMode>(&self, lane: &mut Lane<'_, M>, v: u32) -> std::ops::Range<usize>;
 
     /// Decode one slot: `Some((src, dst))` for a live edge, `None` for a
     /// gap or guard (the `IsEntryExist` check). One load of the slot's key.
-    fn slot_entry(&self, lane: &mut Lane, slot: usize) -> Option<(u32, u32)>;
+    fn slot_entry<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> Option<(u32, u32)>;
 
     /// Weight stored at `slot`; meaningful only where
     /// [`slot_entry`](Self::slot_entry) is `Some`.
-    fn slot_weight(&self, lane: &mut Lane, slot: usize) -> u64;
+    fn slot_weight<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> u64;
 
     /// Live out-degree per vertex.
     fn degrees(&self) -> &DeviceBuffer<u32>;
 }
 
-/// A borrowed view is a view, so the generic kernels also run on a
-/// `&dyn DeviceGraphView` picked at runtime.
-impl<G: DeviceGraphView + ?Sized> DeviceGraphView for &G {
+/// A borrowed view is a view, so a kernel can be handed `&view`.
+impl<G: DeviceGraphView> DeviceGraphView for &G {
     #[inline]
     fn num_vertices(&self) -> u32 {
         (**self).num_vertices()
@@ -69,17 +67,17 @@ impl<G: DeviceGraphView + ?Sized> DeviceGraphView for &G {
     }
 
     #[inline]
-    fn row_range(&self, lane: &mut Lane, v: u32) -> std::ops::Range<usize> {
+    fn row_range<M: LaneMode>(&self, lane: &mut Lane<'_, M>, v: u32) -> std::ops::Range<usize> {
         (**self).row_range(lane, v)
     }
 
     #[inline]
-    fn slot_entry(&self, lane: &mut Lane, slot: usize) -> Option<(u32, u32)> {
+    fn slot_entry<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> Option<(u32, u32)> {
         (**self).slot_entry(lane, slot)
     }
 
     #[inline]
-    fn slot_weight(&self, lane: &mut Lane, slot: usize) -> u64 {
+    fn slot_weight<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> u64 {
         (**self).slot_weight(lane, slot)
     }
 
@@ -120,19 +118,19 @@ impl<'a> DeviceGraphView for GpmaView<'a> {
     }
 
     #[inline]
-    fn row_range(&self, lane: &mut Lane, v: u32) -> std::ops::Range<usize> {
+    fn row_range<M: LaneMode>(&self, lane: &mut Lane<'_, M>, v: u32) -> std::ops::Range<usize> {
         self.csr.row_range(lane, v)
     }
 
     #[inline]
-    fn slot_entry(&self, lane: &mut Lane, slot: usize) -> Option<(u32, u32)> {
+    fn slot_entry<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> Option<(u32, u32)> {
         let k = self.storage.keys.get(lane, slot);
         // Gap or guard: not an entry.
         GpmaStorage::is_entry(k).then(|| decode_key(k))
     }
 
     #[inline]
-    fn slot_weight(&self, lane: &mut Lane, slot: usize) -> u64 {
+    fn slot_weight<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> u64 {
         self.storage.vals.get(lane, slot)
     }
 
@@ -157,7 +155,7 @@ impl<'a> RebuildView<'a> {
         {
             let off = &csr.offsets;
             let deg = &degrees;
-            dev.launch("rebuild_degrees", nv, |lane| {
+            launch!(dev, "rebuild_degrees", nv, |lane| {
                 let v = lane.tid;
                 let lo = off.get(lane, v);
                 let hi = off.get(lane, v + 1);
@@ -180,18 +178,18 @@ impl<'a> DeviceGraphView for RebuildView<'a> {
     }
 
     #[inline]
-    fn row_range(&self, lane: &mut Lane, v: u32) -> std::ops::Range<usize> {
+    fn row_range<M: LaneMode>(&self, lane: &mut Lane<'_, M>, v: u32) -> std::ops::Range<usize> {
         self.csr.row_range(lane, v)
     }
 
     #[inline]
-    fn slot_entry(&self, lane: &mut Lane, slot: usize) -> Option<(u32, u32)> {
+    fn slot_entry<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> Option<(u32, u32)> {
         // Dense CSR: every slot is live.
         Some(decode_key(self.csr.keys.get(lane, slot)))
     }
 
     #[inline]
-    fn slot_weight(&self, lane: &mut Lane, slot: usize) -> u64 {
+    fn slot_weight<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> u64 {
         self.csr.vals.get(lane, slot)
     }
 

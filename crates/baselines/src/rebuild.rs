@@ -7,7 +7,7 @@
 
 use gpma_graph::edge::{edge_key_mask, row_start_key, GUARD_DST};
 use gpma_graph::{Edge, UpdateBatch};
-use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
+use gpma_sim::{launch, primitives, Device, DeviceBuffer, Lane, LaneMode};
 
 const TAG_INSERT: u64 = 0;
 const TAG_DELETE: u64 = 1;
@@ -79,7 +79,7 @@ impl RebuildCsr {
             let cur = &self.keys;
             let ak = &all_keys;
             let ai = &all_idx;
-            dev.launch("rebuild_concat_current", nc, |lane| {
+            launch!(dev, "rebuild_concat_current", nc, |lane| {
                 let i = lane.tid;
                 let k = cur.get(lane, i);
                 ak.set(lane, i, k);
@@ -97,7 +97,7 @@ impl RebuildCsr {
             let ak = &all_keys;
             let ai = &all_idx;
             let tk = &tail_keys;
-            dev.launch("rebuild_concat_updates", nd + ni, |lane| {
+            launch!(dev, "rebuild_concat_updates", nd + ni, |lane| {
                 let i = lane.tid;
                 let k = tk.get(lane, i);
                 ak.set(lane, nc + i, k);
@@ -129,7 +129,7 @@ impl RebuildCsr {
             let v = &vals;
             let t = &tags;
             let tv = &tail_vals;
-            dev.launch("rebuild_gather", total, |lane| {
+            launch!(dev, "rebuild_gather", total, |lane| {
                 let i = lane.tid;
                 let src = si.get(lane, i) as usize;
                 let (value, tag) = if src < nc {
@@ -150,7 +150,7 @@ impl RebuildCsr {
             let sk = &sorted_keys;
             let t = &tags;
             let f = &flags;
-            dev.launch("rebuild_resolve", total, |lane| {
+            launch!(dev, "rebuild_resolve", total, |lane| {
                 let i = lane.tid;
                 let k = sk.get(lane, i);
                 let last = i + 1 >= total || sk.get(lane, i + 1) != k;
@@ -170,7 +170,7 @@ impl RebuildCsr {
         {
             let keys = &self.keys;
             let off = &offsets;
-            dev.launch("rebuild_offsets", nv + 1, |lane| {
+            launch!(dev, "rebuild_offsets", nv + 1, |lane| {
                 let v = lane.tid;
                 let target = if v == nv {
                     u64::MAX
@@ -196,7 +196,7 @@ impl RebuildCsr {
 
     /// Row slot range (dense CSR — every slot in range is a live entry).
     #[inline]
-    pub fn row_range(&self, lane: &mut Lane, v: u32) -> std::ops::Range<usize> {
+    pub fn row_range<M: LaneMode>(&self, lane: &mut Lane<'_, M>, v: u32) -> std::ops::Range<usize> {
         let lo = self.offsets.get(lane, v as usize) as usize;
         let hi = self.offsets.get(lane, v as usize + 1) as usize;
         lo..hi

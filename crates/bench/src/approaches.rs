@@ -9,7 +9,7 @@ use gpma_analytics::view::{DeviceGraphView, GpmaView, RebuildView};
 use gpma_baselines::{AdjLists, PmaGraph, RebuildCsr, StingerGraph};
 use gpma_core::{Gpma, GpmaPlus};
 use gpma_graph::{Edge, UpdateBatch};
-use gpma_sim::{Device, DeviceConfig};
+use gpma_sim::{Device, DeviceBuffer, DeviceConfig, Lane, LaneMode};
 
 /// The compared approaches of §6.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -186,25 +186,16 @@ impl Store {
     }
 
     /// Run `f` with a device view when this is a device store.
-    pub fn with_device_view<R>(
-        &self,
-        f: impl FnOnce(&Device, &dyn DeviceGraphView) -> R,
-    ) -> Option<R> {
-        match self {
+    pub fn with_device_view<R>(&self, f: impl FnOnce(&Device, &DeviceView) -> R) -> Option<R> {
+        let (dev, view) = match self {
             Store::CuSparseCsr { dev, csr } => {
-                let view = RebuildView::build(dev, csr);
-                Some(f(dev, &view))
+                (dev, DeviceView::Rebuild(RebuildView::build(dev, csr)))
             }
-            Store::Gpma { dev, g } => {
-                let view = GpmaView::build(dev, &g.storage);
-                Some(f(dev, &view))
-            }
-            Store::GpmaPlus { dev, g } => {
-                let view = GpmaView::build(dev, &g.storage);
-                Some(f(dev, &view))
-            }
-            _ => None,
-        }
+            Store::Gpma { dev, g } => (dev, DeviceView::Gpma(GpmaView::build(dev, &g.storage))),
+            Store::GpmaPlus { dev, g } => (dev, DeviceView::Gpma(GpmaView::build(dev, &g.storage))),
+            _ => return None,
+        };
+        Some(f(dev, &view))
     }
 
     /// Host-graph access for CPU stores.
@@ -214,6 +205,65 @@ impl Store {
             Store::Pma(g) => Some(g),
             Store::Stinger(g) => Some(g),
             _ => None,
+        }
+    }
+}
+
+/// The device view of whichever device store is asked, picked at run time;
+/// each access dispatches on the variant.
+pub enum DeviceView<'a> {
+    /// GPMA or GPMA+ storage.
+    Gpma(GpmaView<'a>),
+    /// The rebuild baseline's dense CSR.
+    Rebuild(RebuildView<'a>),
+}
+
+impl DeviceGraphView for DeviceView<'_> {
+    #[inline]
+    fn num_vertices(&self) -> u32 {
+        match self {
+            DeviceView::Gpma(v) => v.num_vertices(),
+            DeviceView::Rebuild(v) => v.num_vertices(),
+        }
+    }
+
+    #[inline]
+    fn num_slots(&self) -> usize {
+        match self {
+            DeviceView::Gpma(v) => v.num_slots(),
+            DeviceView::Rebuild(v) => v.num_slots(),
+        }
+    }
+
+    #[inline]
+    fn row_range<M: LaneMode>(&self, lane: &mut Lane<'_, M>, v: u32) -> std::ops::Range<usize> {
+        match self {
+            DeviceView::Gpma(g) => g.row_range(lane, v),
+            DeviceView::Rebuild(g) => g.row_range(lane, v),
+        }
+    }
+
+    #[inline]
+    fn slot_entry<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> Option<(u32, u32)> {
+        match self {
+            DeviceView::Gpma(g) => g.slot_entry(lane, slot),
+            DeviceView::Rebuild(g) => g.slot_entry(lane, slot),
+        }
+    }
+
+    #[inline]
+    fn slot_weight<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> u64 {
+        match self {
+            DeviceView::Gpma(g) => g.slot_weight(lane, slot),
+            DeviceView::Rebuild(g) => g.slot_weight(lane, slot),
+        }
+    }
+
+    #[inline]
+    fn degrees(&self) -> &DeviceBuffer<u32> {
+        match self {
+            DeviceView::Gpma(v) => v.degrees(),
+            DeviceView::Rebuild(v) => v.degrees(),
         }
     }
 }

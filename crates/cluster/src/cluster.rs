@@ -1019,7 +1019,6 @@ type Ack = (u64, usize, Option<Arc<GraphSnapshot>>);
 /// stalls on a cluster-wide quiesce. The cut, the reshard's copy and retire
 /// waits and its marker are all this, and a round some shard leaves
 /// unanswered is reissued ([`Router::reissue_unanswered`]).
-#[derive(Default)]
 struct BarrierRound {
     /// Tags the round's acks. An ack for a round no longer in flight (a
     /// round reissued after a recovery) matches nothing and is dropped.
@@ -1029,6 +1028,21 @@ struct BarrierRound {
     got: Vec<Option<Arc<GraphSnapshot>>>,
     /// Shards yet to answer.
     outstanding: usize,
+    /// When the round's barriers were issued.
+    issued: Instant,
+}
+
+/// An empty round, done at once: the placeholder of a reshard phase whose
+/// round is not issued yet.
+impl Default for BarrierRound {
+    fn default() -> Self {
+        BarrierRound {
+            id: 0,
+            got: Vec::new(),
+            outstanding: 0,
+            issued: Instant::now(),
+        }
+    }
 }
 
 impl BarrierRound {
@@ -1054,8 +1068,6 @@ struct PendingCut {
     /// Every `epoch_cut` caller waiting on this round.
     acks: Vec<Sender<Arc<ClusterSnapshot>>>,
     round: BarrierRound,
-    /// When the round's barriers were issued.
-    t0: Instant,
     /// The router's op log, folded when the barriers were issued: exactly
     /// what the round's images add to the previous cut.
     delta: SnapshotDelta,
@@ -1233,10 +1245,15 @@ impl Router {
         }
     }
 
-    /// Count `round`'s reissue and rebuild each shard it heard nothing from.
+    /// Count `round`'s reissue and rebuild each shard it heard nothing from;
+    /// `recovery.detect` records, per such shard, the time from the round's
+    /// issue to the router finding it silent.
     fn recover_silent(&mut self, round: &BarrierRound) {
         self.shared.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
         for (i, _) in round.got.iter().enumerate().filter(|(_, got)| got.is_none()) {
+            self.shared
+                .obs
+                .record_duration(Stage::RecoveryDetect, round.issued.elapsed());
             self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
             eprintln!("gpma-cluster: shard {i} gave no barrier ack; rebuilding it");
             self.recover_shard(i);
@@ -1426,6 +1443,7 @@ impl Router {
     fn issue_round(&mut self) -> BarrierRound {
         self.rounds += 1;
         let id = self.rounds;
+        let issued = Instant::now();
         for (i, svc) in self.services.iter().enumerate() {
             let (acks, wake) = (self.acks.0.clone(), self.wake.clone());
             svc.barrier_with(BarrierAck::new(move |image| {
@@ -1438,6 +1456,7 @@ impl Router {
             id,
             got: vec![None; n],
             outstanding: n,
+            issued,
         }
     }
 
@@ -1517,7 +1536,6 @@ impl Router {
         let round = self.issue_round();
         self.pending_cut = Some(PendingCut {
             acks,
-            t0: Instant::now(),
             round,
             delta: self.ops.fold(cut),
             marker,
@@ -1531,10 +1549,9 @@ impl Router {
         let Some(pc) = self.pending_cut.take_if(|pc| pc.round.done()) else {
             return;
         };
-        self.shared
-            .obs
-            .record_duration(Stage::CutBarrier, pc.t0.elapsed());
-        let snap = self.publish_cut(pc.round.images(), pc.delta, pc.marker.is_some(), pc.t0);
+        let t0 = pc.round.issued;
+        self.shared.obs.record_duration(Stage::CutBarrier, t0.elapsed());
+        let snap = self.publish_cut(pc.round.images(), pc.delta, pc.marker.is_some(), t0);
         for ack in pc.acks {
             let _ = ack.send(snap.clone());
         }
@@ -2374,6 +2391,8 @@ mod tests {
         assert_chain_replays(&c, &cut1, &cut2);
         let m = c.metrics().unwrap();
         assert_eq!(m.recoveries, 1);
+        let detect = c.obs().hist(Stage::RecoveryDetect).snapshot();
+        assert_eq!(detect.count, m.recoveries, "one detection per rebuilt shard");
         // One error for the out-of-range kill, one for cut 2's missing ack,
         // whose round was reissued once.
         assert_eq!(m.worker_errors, 2);

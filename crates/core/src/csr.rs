@@ -7,7 +7,7 @@
 //! re-derived after each update batch by a parallel binary-search kernel.
 
 use gpma_graph::edge::row_start_key;
-use gpma_sim::{Device, DeviceBuffer, Lane};
+use gpma_sim::{launch, Device, DeviceBuffer, Lane, LaneMode};
 
 use crate::storage::GpmaStorage;
 
@@ -31,7 +31,7 @@ impl CsrView {
         let offsets = DeviceBuffer::<u32>::new(nv + 1);
         {
             let off = &offsets;
-            dev.launch("csr_offsets", nv + 1, |lane| {
+            launch!(dev, "csr_offsets", nv + 1, |lane| {
                 let v = lane.tid;
                 let pos = if v == nv {
                     cap
@@ -46,7 +46,7 @@ impl CsrView {
             let off = &offsets;
             let deg = &degrees;
             let keys = &storage.keys;
-            dev.launch("csr_degrees", nv, |lane| {
+            launch!(dev, "csr_degrees", nv, |lane| {
                 let v = lane.tid;
                 let lo = off.get(lane, v) as usize;
                 let hi = off.get(lane, v + 1) as usize;
@@ -74,7 +74,7 @@ impl CsrView {
 
     /// The slot range of row `v` (device-side; Algorithm 3 line 2).
     #[inline]
-    pub fn row_range(&self, lane: &mut Lane, v: u32) -> std::ops::Range<usize> {
+    pub fn row_range<M: LaneMode>(&self, lane: &mut Lane<'_, M>, v: u32) -> std::ops::Range<usize> {
         let lo = self.offsets.get(lane, v as usize) as usize;
         let hi = self.offsets.get(lane, v as usize + 1) as usize;
         lo..hi

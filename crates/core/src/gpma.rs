@@ -14,7 +14,7 @@
 //! measures exactly those effects.
 
 use gpma_graph::{Edge, UpdateBatch};
-use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
+use gpma_sim::{launch, primitives, Device, DeviceBuffer, Lane, LaneMode};
 
 use crate::storage::{CompactScratch, GpmaStorage, EMPTY};
 use crate::update::UpdateScratch;
@@ -114,7 +114,7 @@ impl Gpma {
                 let storage = &self.storage;
                 let pk = &pend_keys;
                 let lv = &leaves;
-                dev.launch("gpma_locate", n, |lane| {
+                launch!(dev, "gpma_locate", n, |lane| {
                     let k = pk.get(lane, lane.tid);
                     let leaf = storage.find_leaf(lane, k) as u32;
                     lv.set(lane, lane.tid, leaf);
@@ -134,7 +134,7 @@ impl Gpma {
                 let lf = &leaves;
                 let lk = &locks;
                 let ac = &abort_ctr;
-                dev.launch("gpma_tryinsert", n, |lane| {
+                launch!(dev, "gpma_tryinsert", n, |lane| {
                     let i = lane.tid;
                     if st.get(lane, i) != ST_ACTIVE || lv.get(lane, i) != h as u32 {
                         return;
@@ -181,7 +181,7 @@ impl Gpma {
             {
                 let st = &status;
                 let k = &keep;
-                dev.launch("gpma_keep", n, |lane| {
+                launch!(dev, "gpma_keep", n, |lane| {
                     let s = st.get(lane, lane.tid);
                     k.set(lane, lane.tid, (s != ST_DONE) as u32);
                 });
@@ -203,8 +203,8 @@ enum TryInsert {
 /// Single-entry merge into a locked window: counts the window, and if the
 /// density threshold holds, inserts (or overwrites) the key and re-dispatches
 /// the window's entries evenly (lines 13-19 of Algorithm 1).
-fn try_insert_window(
-    lane: &mut Lane,
+fn try_insert_window<M: LaneMode>(
+    lane: &mut Lane<'_, M>,
     storage: &GpmaStorage,
     window: std::ops::Range<usize>,
     max_entries: usize,

@@ -27,7 +27,7 @@
 //! batch; line 16 is the root resize.
 
 use gpma_graph::{Edge, UpdateBatch};
-use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
+use gpma_sim::{launch, primitives, Device, DeviceBuffer, Lane, LaneMode};
 
 use crate::storage::{CompactScratch, GpmaStorage, EMPTY};
 use crate::update::{
@@ -211,7 +211,7 @@ impl GpmaPlus {
             let storage = &self.storage;
             let keys = &cur.keys;
             let sid = &self.level_scratch.seg_ids;
-            dev.launch("locate_leaves", cur.len, |lane| {
+            launch!(dev, "locate_leaves", cur.len, |lane| {
                 let k = keys.get(lane, lane.tid);
                 let leaf = storage.find_leaf(lane, k) as u32;
                 sid.set(lane, lane.tid, leaf);
@@ -255,7 +255,7 @@ impl GpmaPlus {
                     (&scratch.keys, &scratch.vals, &scratch.ops, &scratch.segs);
                 let (ck, cv, co) = (&cur.keys, &cur.vals, &cur.ops);
                 let sid = &scratch.seg_ids;
-                dev.launch("compact_promote", nupd, |lane| {
+                launch!(dev, "compact_promote", nupd, |lane| {
                     let i = lane.tid;
                     if k.get(lane, i) != 0 {
                         let p = pos.get(lane, i) as usize;
@@ -364,7 +364,7 @@ impl GpmaPlus {
             let keep = &level_scratch.keep;
             level_scratch.merged_ctr.host_write(0, 0);
             let merged_ctr = &level_scratch.merged_ctr;
-            dev.launch("tryinsert_small", nseg, |lane| {
+            launch!(dev, "tryinsert_small", nseg, |lane| {
                 let j = lane.tid;
                 let g = unique.get(lane, j) as usize;
                 let s = starts.get(lane, j) as usize;
@@ -409,7 +409,7 @@ impl GpmaPlus {
             let starts = &rle.starts;
             let counts = &rle.counts;
             let acc = accept;
-            dev.launch("tryinsert_count", nseg, |lane| {
+            launch!(dev, "tryinsert_count", nseg, |lane| {
                 let j = lane.tid;
                 let g = unique.get(lane, j) as usize;
                 let s = starts.get(lane, j) as usize;
@@ -459,7 +459,7 @@ impl GpmaPlus {
             let acc = accept;
             let keep = &level_scratch.keep;
             let sid = seg_ids;
-            dev.launch("mark_consumed", nupd, |lane| {
+            launch!(dev, "mark_consumed", nupd, |lane| {
                 let g = sid.get(lane, lane.tid);
                 // lower_bound over unique (u32).
                 let mut lo = 0usize;
@@ -514,7 +514,13 @@ impl GpmaPlus {
 /// ends up empty.
 // lint: hot-path
 #[inline]
-fn write_back(lane: &mut Lane, storage: &GpmaStorage, ws: usize, seg_len: usize, m: &WindowMerge) {
+fn write_back<M: LaneMode>(
+    lane: &mut Lane<'_, M>,
+    storage: &GpmaStorage,
+    ws: usize,
+    seg_len: usize,
+    m: &WindowMerge,
+) {
     let leaves = m.old.len() / seg_len;
     let n = m.merged.len();
     let base = n / leaves;

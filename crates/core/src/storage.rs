@@ -41,7 +41,7 @@
 
 use gpma_graph::edge::{guard_key, Edge, GUARD_DST};
 use gpma_pma::{DensityConfig, Geometry};
-use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
+use gpma_sim::{launch, primitives, Device, DeviceBuffer, Lane, LaneMode};
 
 use crate::update::UpdateScratch;
 
@@ -157,7 +157,7 @@ impl GpmaStorage {
         self.len() - self.num_vertices as usize
     }
 
-    pub(crate) fn add_len_delta(&self, lane: &mut Lane, delta: i64) {
+    pub(crate) fn add_len_delta<M: LaneMode>(&self, lane: &mut Lane<'_, M>, delta: i64) {
         // Two's-complement wrapping add implements signed deltas on the u64
         // counter (same trick CUDA code uses with atomicAdd of negatives).
         self.len_counter.atomic_add(lane, 0, delta as u64);
@@ -189,7 +189,7 @@ impl GpmaStorage {
         let (del_keys, deleted) = scratch.stage_deletions(edges);
         let keys = &self.keys;
         let this = &*self;
-        dev.launch("lazy_delete", edges.len(), |lane| {
+        launch!(dev, "lazy_delete", edges.len(), |lane| {
             let key = del_keys.get(lane, lane.tid);
             if let Some(slot) = this.find_slot(lane, key) {
                 if keys.atomic_cas(lane, slot, key, EMPTY) == key {
@@ -215,7 +215,7 @@ impl GpmaStorage {
         let num_segs = self.geom.num_segs;
         let keys = &self.keys;
         let local = DeviceBuffer::<u64>::new(num_segs);
-        dev.launch("leaf_local_max", num_segs, |lane| {
+        launch!(dev, "leaf_local_max", num_segs, |lane| {
             let l = lane.tid;
             let mut max = 0u64;
             for i in l * seg_len..(l + 1) * seg_len {
@@ -232,7 +232,7 @@ impl GpmaStorage {
     /// Device-side binary search: index of the leaf where `key` belongs
     /// (first leaf whose routing bound is `>= key`, else the last leaf).
     #[inline]
-    pub fn find_leaf(&self, lane: &mut Lane, key: u64) -> usize {
+    pub fn find_leaf<M: LaneMode>(&self, lane: &mut Lane<'_, M>, key: u64) -> usize {
         let n = self.geom.num_segs;
         let mut lo = 0usize;
         let mut hi = n;
@@ -249,7 +249,7 @@ impl GpmaStorage {
 
     /// Slot index of the first live entry with key `>= key`; monotone in
     /// `key` even with mid-leaf holes from lazy deletions.
-    pub fn lower_bound_slot(&self, lane: &mut Lane, key: u64) -> usize {
+    pub fn lower_bound_slot<M: LaneMode>(&self, lane: &mut Lane<'_, M>, key: u64) -> usize {
         let leaf = self.find_leaf(lane, key);
         let seg_len = self.geom.seg_len;
         for i in leaf * seg_len..(leaf + 1) * seg_len {
@@ -262,7 +262,7 @@ impl GpmaStorage {
     }
 
     /// Exact slot of `key`, if present.
-    pub fn find_slot(&self, lane: &mut Lane, key: u64) -> Option<usize> {
+    pub fn find_slot<M: LaneMode>(&self, lane: &mut Lane<'_, M>, key: u64) -> Option<usize> {
         let leaf = self.find_leaf(lane, key);
         let seg_len = self.geom.seg_len;
         for i in leaf * seg_len..(leaf + 1) * seg_len {
@@ -301,7 +301,7 @@ impl GpmaStorage {
         let keys = &self.keys;
         let vals = &self.vals;
         let bounds = &self.leaf_max_prefix;
-        dev.launch("redispatch", leaves, |lane| {
+        launch!(dev, "redispatch", leaves, |lane| {
             let j = lane.tid;
             let take = base + usize::from(j < extra);
             let src_from = j * base + j.min(extra);
@@ -352,13 +352,13 @@ impl GpmaStorage {
             vals: out_vals,
         } = &*scratch;
         let keys = &self.keys;
-        dev.launch("window_flags", len, |lane| {
+        launch!(dev, "window_flags", len, |lane| {
             let occupied = keys.get(lane, start + lane.tid) != EMPTY;
             flags.set(lane, lane.tid, occupied as u32);
         });
         let count = primitives::exclusive_scan_u32_into(dev, flags, len, positions);
         let vals = &self.vals;
-        dev.launch("window_compact", len, |lane| {
+        launch!(dev, "window_compact", len, |lane| {
             let i = lane.tid;
             if flags.get(lane, i) != 0 {
                 let p = positions.get(lane, i) as usize;
@@ -523,7 +523,7 @@ pub fn inclusive_max_scan(dev: &Device, input: &DeviceBuffer<u64>, output: &Devi
     }
     const B: usize = primitives::BLOCK;
     if n <= B {
-        dev.launch("max_scan_small", 1, |lane| {
+        launch!(dev, "max_scan_small", 1, |lane| {
             let mut acc = 0u64;
             for i in 0..n {
                 acc = acc.max(input.get(lane, i));
@@ -534,7 +534,7 @@ pub fn inclusive_max_scan(dev: &Device, input: &DeviceBuffer<u64>, output: &Devi
     }
     let nb = n.div_ceil(B);
     let block_max = DeviceBuffer::<u64>::new(nb);
-    dev.launch("max_scan_blocks", nb, |lane| {
+    launch!(dev, "max_scan_blocks", nb, |lane| {
         let b = lane.tid;
         let start = b * B;
         let end = (start + B).min(n);
@@ -546,7 +546,7 @@ pub fn inclusive_max_scan(dev: &Device, input: &DeviceBuffer<u64>, output: &Devi
     });
     let block_prefix = DeviceBuffer::<u64>::new(nb);
     inclusive_max_scan(dev, &block_max, &block_prefix);
-    dev.launch("max_scan_add", nb, |lane| {
+    launch!(dev, "max_scan_add", nb, |lane| {
         let b = lane.tid;
         let start = b * B;
         let end = (start + B).min(n);

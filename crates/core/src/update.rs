@@ -4,7 +4,7 @@
 
 use gpma_graph::edge::GUARD_DST;
 use gpma_graph::{edge_key_mask, Edge};
-use gpma_sim::{primitives, Device, DeviceBuffer, Lane};
+use gpma_sim::{launch, primitives, Device, DeviceBuffer, Lane, LaneMode};
 
 use crate::storage::{GpmaStorage, EMPTY};
 
@@ -130,7 +130,7 @@ pub fn prepare_updates_parts(
     let out_vals = DeviceBuffer::<u64>::new(n);
     let out_ops = DeviceBuffer::<u32>::new(n);
     if n > 0 {
-        dev.launch("gather_payload", n, |lane| {
+        launch!(dev, "gather_payload", n, |lane| {
             let i = lane.tid;
             let j = idx.get(lane, i) as usize;
             let v = src_vals.get(lane, j);
@@ -198,8 +198,8 @@ pub fn with_merge_scratch<R>(f: impl FnOnce(&mut WindowMerge) -> R) -> R {
 /// overwrites; `DELETE` removes if present and is a no-op otherwise.
 // lint: hot-path
 #[inline]
-pub fn merge_window_into(
-    lane: &mut Lane,
+pub fn merge_window_into<M: LaneMode>(
+    lane: &mut Lane<'_, M>,
     storage: &GpmaStorage,
     window: std::ops::Range<usize>,
     u: &DeviceUpdates,
@@ -269,8 +269,8 @@ pub fn merge_window_into(
 /// `CountSegment` + `CountUpdatesInSegment` combined into an exact
 /// post-merge size): the device tier's count phase, which sizes a window
 /// before its parallel merge.
-pub fn merged_count_serial(
-    lane: &mut Lane,
+pub fn merged_count_serial<M: LaneMode>(
+    lane: &mut Lane<'_, M>,
     storage: &GpmaStorage,
     window: std::ops::Range<usize>,
     u: &DeviceUpdates,
@@ -424,7 +424,7 @@ pub fn merge_parallel_into(
         let uk = &u.keys;
         let uv = &u.vals;
         let uo = &u.ops;
-        dev.launch("slice_updates", m, |lane| {
+        launch!(dev, "slice_updates", m, |lane| {
             let i = lane.tid;
             let k = uk.get(lane, ustart + i);
             let v = uv.get(lane, ustart + i);
@@ -438,7 +438,7 @@ pub fn merge_parallel_into(
     // 2. Last-wins dedup of the updates, dropping effective DELETEs (they
     //    act purely by overriding A below).
     if m > 0 {
-        dev.launch("dedup_updates", m, |lane| {
+        launch!(dev, "dedup_updates", m, |lane| {
             let i = lane.tid;
             let k = u_keys.get(lane, i);
             let is_last = i + 1 >= m || u_keys.get(lane, i + 1) != k;
@@ -452,7 +452,7 @@ pub fn merge_parallel_into(
     //    removes). The search is length-bounded: the staging buffers may be
     //    over-sized.
     if na > 0 {
-        dev.launch("a_survivors", na, |lane| {
+        launch!(dev, "a_survivors", na, |lane| {
             let i = lane.tid;
             let k = a_keys.get(lane, i);
             let overridden = m > 0 && binary_search_contains_n(lane, u_keys, m, k);
@@ -475,7 +475,7 @@ pub fn merge_parallel_into(
     //    element's merged position is its own index plus its rank in the
     //    other side. One lane per element, O(log) each, length-bounded.
     if na2 > 0 {
-        dev.launch("rank_scatter_a", na2, |lane| {
+        launch!(dev, "rank_scatter_a", na2, |lane| {
             let i = lane.tid;
             let k = a2_keys.get(lane, i);
             let r = lower_bound_dev_n(lane, u2_keys, m2, k);
@@ -485,7 +485,7 @@ pub fn merge_parallel_into(
         });
     }
     if m2 > 0 {
-        dev.launch("rank_scatter_u", m2, |lane| {
+        launch!(dev, "rank_scatter_u", m2, |lane| {
             let i = lane.tid;
             let k = u2_keys.get(lane, i);
             let r = lower_bound_dev_n(lane, a2_keys, na2, k);
@@ -502,7 +502,12 @@ pub fn merge_parallel_into(
 /// buffers whose tails hold stale data probe exactly the index sequence an
 /// exactly-sized buffer of length `n` would.
 #[inline]
-fn lower_bound_dev_n(lane: &mut Lane, buf: &DeviceBuffer<u64>, n: usize, key: u64) -> usize {
+fn lower_bound_dev_n<M: LaneMode>(
+    lane: &mut Lane<'_, M>,
+    buf: &DeviceBuffer<u64>,
+    n: usize,
+    key: u64,
+) -> usize {
     let mut lo = 0usize;
     let mut hi = n;
     while lo < hi {
@@ -517,7 +522,12 @@ fn lower_bound_dev_n(lane: &mut Lane, buf: &DeviceBuffer<u64>, n: usize, key: u6
 }
 
 #[inline]
-fn binary_search_contains_n(lane: &mut Lane, buf: &DeviceBuffer<u64>, n: usize, key: u64) -> bool {
+fn binary_search_contains_n<M: LaneMode>(
+    lane: &mut Lane<'_, M>,
+    buf: &DeviceBuffer<u64>,
+    n: usize,
+    key: u64,
+) -> bool {
     let i = lower_bound_dev_n(lane, buf, n, key);
     i < n && buf.get(lane, i) == key
 }

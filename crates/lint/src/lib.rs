@@ -1036,6 +1036,9 @@ fn rule_thread_sleep(src: &SourceFile, out: &mut Vec<Violation>) {
 /// then every lane makes a real call with its counters spilled around it.
 /// So a non-generic `fn` with a `&mut Lane` parameter that another crate
 /// can reach — `pub`, or a method of a trait impl — must carry `#[inline]`.
+/// `Lane<'_, M>` with any arguments counts: a `fn` generic over the lane
+/// mode `M` is generic, one over a concrete kind (`Lane<'_, Untraced>`) is
+/// not.
 fn rule_lane_inline(src: &SourceFile, out: &mut Vec<Violation>) {
     for f in &src.fns {
         if !src.fn_is_lib_code(f) {
@@ -1070,7 +1073,7 @@ fn rule_lane_inline(src: &SourceFile, out: &mut Vec<Violation>) {
 }
 
 /// Does the signature have a `&mut Lane` parameter (any path to `Lane`,
-/// with or without its lifetime argument)?
+/// with or without its lifetime and mode arguments)?
 fn takes_mut_lane(sig: &str) -> bool {
     let bytes = sig.as_bytes();
     let mut from = 0;
@@ -1397,14 +1400,24 @@ order = ["router", "partition"]
              #[inline]\n    fn row(&self, lane: &mut Lane) {}\n}\n\
              impl<T: View> Erased for T {\n    fn slot(&self, lane: &mut Lane) {}\n}\n\
              impl Store {\n    fn helper(&self, lane: &mut Lane) {}\n    \
-             pub fn find(\n        &self,\n        lane: &mut Lane,\n    ) -> usize {\n        0\n    }\n}\n",
+             pub fn find(\n        &self,\n        lane: &mut Lane,\n    ) -> usize {\n        0\n    }\n}\n\
+             pub fn moded<M: LaneMode>(lane: &mut Lane<'_, M>, i: usize) {}\n\
+             pub fn concrete(lane: &mut Lane<'_, Untraced>) {}\n\
+             #[inline]\npub fn concrete_marked(lane: &mut gpma_sim::Lane<'_, gpma_sim::Traced>) {}\n\
+             impl DeviceGraphView for DeviceView<'_> {\n    \
+             fn slot_entry<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> u64 {\n        0\n    }\n    \
+             fn row_range(&self, lane: &mut Lane<'_, Untraced>) {}\n}\n",
         );
         let items: Vec<_> = v
             .iter()
             .filter(|x| x.rule == "lane-inline")
             .map(|x| (x.item.as_str(), x.line))
             .collect();
-        assert_eq!(items, vec![("bare", 1), ("slot", 10), ("find", 19)], "{v:?}");
+        assert_eq!(
+            items,
+            vec![("bare", 1), ("slot", 10), ("find", 19), ("concrete", 27), ("row_range", 34)],
+            "{v:?}"
+        );
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub enum Stage {
     /// Reshard: plan swap and retraction enqueue (ingest resumes after).
     ReshardResume,
     /// Recovery: a shard worker's death, put on the event timeline as it
-    /// dies (the router learns of it from the barrier it leaves
-    /// unanswered).
+    /// dies. The router learns of it from the barrier it leaves
+    /// unanswered; the histogram holds, per rebuilt shard, the time from
+    /// that barrier round's issue to the router finding the shard silent.
     RecoveryDetect,
     /// Recovery: checkpoint decode / snapshot rebase of the lost state.
     RecoveryRestore,

@@ -15,7 +15,7 @@
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use crate::device::Lane;
+use crate::device::{Lane, LaneMode};
 
 /// Marker for plain-old-data element types storable in device memory.
 pub trait DevicePod: Copy + Send + Sync + Default + 'static {}
@@ -113,7 +113,7 @@ impl<T: DevicePod> DeviceBuffer<T> {
 
     /// Global-memory load from a kernel lane.
     #[inline]
-    pub fn get(&self, lane: &mut Lane, i: usize) -> T {
+    pub fn get<M: LaneMode>(&self, lane: &mut Lane<'_, M>, i: usize) -> T {
         lane.record_mem(self.base_addr() + (i * std::mem::size_of::<T>()) as u64);
         // SAFETY: see module-level memory model. `ptr` bounds-checks.
         unsafe { *self.ptr(i) }
@@ -121,7 +121,7 @@ impl<T: DevicePod> DeviceBuffer<T> {
 
     /// Global-memory store from a kernel lane.
     #[inline]
-    pub fn set(&self, lane: &mut Lane, i: usize, v: T) {
+    pub fn set<M: LaneMode>(&self, lane: &mut Lane<'_, M>, i: usize, v: T) {
         lane.record_mem(self.base_addr() + (i * std::mem::size_of::<T>()) as u64);
         // SAFETY: see module-level memory model.
         unsafe { *self.ptr(i) = v }
@@ -211,7 +211,13 @@ macro_rules! impl_atomics {
 
             /// `atomicCAS`: returns the previous value.
             #[inline]
-            pub fn atomic_cas(&self, lane: &mut Lane, i: usize, current: $t, new: $t) -> $t {
+            pub fn atomic_cas<M: LaneMode>(
+                &self,
+                lane: &mut Lane<'_, M>,
+                i: usize,
+                current: $t,
+                new: $t,
+            ) -> $t {
                 lane.record_atomic(self.base_addr() + (i * std::mem::size_of::<$t>()) as u64);
                 match self
                     .atomic_ref(i)
@@ -224,14 +230,14 @@ macro_rules! impl_atomics {
 
             /// `atomicAdd`: returns the previous value.
             #[inline]
-            pub fn atomic_add(&self, lane: &mut Lane, i: usize, v: $t) -> $t {
+            pub fn atomic_add<M: LaneMode>(&self, lane: &mut Lane<'_, M>, i: usize, v: $t) -> $t {
                 lane.record_atomic(self.base_addr() + (i * std::mem::size_of::<$t>()) as u64);
                 self.atomic_ref(i).fetch_add(v, Ordering::AcqRel)
             }
 
             /// `atomicMin`: returns the previous value.
             #[inline]
-            pub fn atomic_min(&self, lane: &mut Lane, i: usize, v: $t) -> $t {
+            pub fn atomic_min<M: LaneMode>(&self, lane: &mut Lane<'_, M>, i: usize, v: $t) -> $t {
                 lane.record_atomic(self.base_addr() + (i * std::mem::size_of::<$t>()) as u64);
                 self.atomic_ref(i).fetch_min(v, Ordering::AcqRel)
             }
@@ -239,7 +245,7 @@ macro_rules! impl_atomics {
             /// Volatile-style load with acquire ordering (for spin loops on
             /// flags written by other lanes).
             #[inline]
-            pub fn atomic_load(&self, lane: &mut Lane, i: usize) -> $t {
+            pub fn atomic_load<M: LaneMode>(&self, lane: &mut Lane<'_, M>, i: usize) -> $t {
                 lane.record_mem(self.base_addr() + (i * std::mem::size_of::<$t>()) as u64);
                 self.atomic_ref(i).load(Ordering::Acquire)
             }

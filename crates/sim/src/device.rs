@@ -17,30 +17,82 @@
 //! one by one. The launch extrapolates by the sampled ratios. Unsampled
 //! lanes trace nothing, and neither does a sampled warp of one lane: each of
 //! its steps has one access, so one line and no conflict.
+//!
+//! Whether a lane can trace is part of its type ([`LaneMode`]). A kernel
+//! written with [`launch!`](crate::launch) is compiled twice: warps that are
+//! traced run its [`Traced`] copy, every other warp its [`Untraced`] copy,
+//! whose accesses carry no trace code at all. A kernel passed to
+//! [`Device::launch`] as one closure is compiled once, as [`Traced`], and
+//! every access checks at run time whether its warp handed it a trace.
 
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::cmp::Reverse;
+use std::marker::PhantomData;
+use std::ops::Range;
 
 use crate::config::DeviceConfig;
 use crate::metrics::{DeviceMetrics, KernelStats, SimTime};
 use crate::pool::Pool;
 
+mod sealed {
+    /// Closes [`LaneMode`](super::LaneMode) to the two lane kinds.
+    pub trait Sealed {}
+    impl Sealed for super::Traced {}
+    impl Sealed for super::Untraced {}
+}
+
+/// Whether a [`Lane`] can record into its warp's trace, fixed by its type:
+/// [`Traced`] or [`Untraced`]. Lane helpers are generic over it, so each
+/// kind of lane gets its own copy of them.
+pub trait LaneMode: sealed::Sealed + 'static {
+    /// Whether an access may append to the warp's trace.
+    const TRACES: bool;
+}
+
+/// The lane kind that records its accesses when its warp is traced, and
+/// checks on every access whether it is. The default of [`Lane`], so a
+/// kernel closure of [`Device::launch`] runs as one.
+pub enum Traced {}
+
+/// The lane kind of a warp that is not traced: its accesses only count.
+pub enum Untraced {}
+
+impl LaneMode for Traced {
+    const TRACES: bool = true;
+}
+
+impl LaneMode for Untraced {
+    const TRACES: bool = false;
+}
+
 /// Per-lane execution context handed to kernel closures.
 ///
 /// Tracks the lane id and instruction/memory counters that feed the cost
-/// model. Obtained only from [`Device::launch`].
-pub struct Lane<'a> {
+/// model, and, for a [`Traced`] lane of a traced warp, the warp's trace. An
+/// [`Untraced`] lane compiles the trace out. Obtained only from
+/// [`Device::launch`] and [`Device::launch_modes`].
+pub struct Lane<'a, M: LaneMode = Traced> {
     /// Logical global thread id of this lane.
     pub tid: usize,
     ops: u64,
     mem_ops: u64,
     atomic_ops: u64,
-    /// The warp's trace, when the warp is traced.
+    /// The warp's trace, when the warp is traced; always `None` when `M`
+    /// does not trace.
     trace: Option<&'a mut WarpTrace>,
+    mode: PhantomData<M>,
 }
 
-impl<'a> Lane<'a> {
+impl Lane<'static> {
+    /// Construct a free-standing lane for unit tests of buffer access.
+    pub fn test_lane(tid: usize) -> Self {
+        Lane::new(tid, None)
+    }
+}
+
+impl<'a, M: LaneMode> Lane<'a, M> {
+    #[inline(always)]
     fn new(tid: usize, trace: Option<&'a mut WarpTrace>) -> Self {
         Lane {
             tid,
@@ -48,12 +100,8 @@ impl<'a> Lane<'a> {
             mem_ops: 0,
             atomic_ops: 0,
             trace,
+            mode: PhantomData,
         }
-    }
-
-    /// Construct a free-standing lane for unit tests of buffer access.
-    pub fn test_lane(tid: usize) -> Lane<'static> {
-        Lane::new(tid, None)
     }
 
     /// Charge `n` ALU cycles of explicit compute work.
@@ -66,8 +114,10 @@ impl<'a> Lane<'a> {
     pub(crate) fn record_mem(&mut self, addr: u64) {
         self.ops += 1;
         self.mem_ops += 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.mem.addrs.push(addr);
+        if M::TRACES {
+            if let Some(t) = self.trace.as_mut() {
+                t.mem.addrs.push(addr);
+            }
         }
     }
 
@@ -76,11 +126,31 @@ impl<'a> Lane<'a> {
         self.ops += 2;
         self.mem_ops += 1;
         self.atomic_ops += 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.mem.addrs.push(addr);
-            t.atomics.addrs.push(addr);
+        if M::TRACES {
+            if let Some(t) = self.trace.as_mut() {
+                t.mem.addrs.push(addr);
+                t.atomics.addrs.push(addr);
+            }
         }
     }
+}
+
+/// Launch a kernel whose body is written once and compiled twice, one copy
+/// per lane kind: `launch!(dev, "name", n, |lane| body)` is
+/// [`Device::launch_modes`] with `body` as the [`Traced`] and the
+/// [`Untraced`] closure. It counts exactly as [`Device::launch`] with the
+/// same closure; only the host time of the untraced warps differs. The body
+/// is expanded twice, so it borrows what it captures rather than moving it.
+#[macro_export]
+macro_rules! launch {
+    ($dev:expr, $name:expr, $n:expr, |$lane:ident| $body:expr $(,)?) => {
+        $dev.launch_modes(
+            $name,
+            $n,
+            |$lane: &mut $crate::Lane<'_, $crate::Traced>| $body,
+            |$lane: &mut $crate::Lane<'_, $crate::Untraced>| $body,
+        )
+    };
 }
 
 /// The addresses a warp's lanes touched, lane after lane in one flat
@@ -230,7 +300,8 @@ impl LaunchAccum {
         self.sampled_atomic_conflicts += o.sampled_atomic_conflicts;
     }
 
-    fn add_lane(&mut self, lane: &Lane, sampled: bool) {
+    #[inline(always)]
+    fn add_lane<M: LaneMode>(&mut self, lane: &Lane<'_, M>, sampled: bool) {
         self.ops += lane.ops;
         self.mem_ops += lane.mem_ops;
         self.atomic_ops += lane.atomic_ops;
@@ -286,10 +357,52 @@ impl Device {
 
     /// Launch `n` lanes executing `f`. Returns the cost-model statistics for
     /// this kernel; the device clock advances by `stats.cycles`.
+    ///
+    /// `f` is compiled once, as a [`Traced`] lane, so each of its accesses
+    /// checks whether its warp is traced; [`launch!`](crate::launch) runs
+    /// untraced warps without that check, at the same counts.
     // lint: hot-path
     pub fn launch<F>(&self, name: &'static str, n: usize, f: F) -> KernelStats
     where
         F: Fn(&mut Lane) + Sync,
+    {
+        self.launch_warps(name, n, |lanes, sampled, trace, local| {
+            run_warp(&f, lanes, sampled, trace, local)
+        })
+    }
+
+    /// Launch `n` lanes of one kernel given as its two instantiations:
+    /// `traced` runs the warps whose accesses are traced, `untraced` every
+    /// other warp, a sampled warp of one lane included. Both must be the
+    /// same body, which [`launch!`](crate::launch) writes once; the
+    /// statistics then equal [`Device::launch`]'s with that body.
+    // lint: hot-path
+    pub fn launch_modes<FT, FU>(
+        &self,
+        name: &'static str,
+        n: usize,
+        traced: FT,
+        untraced: FU,
+    ) -> KernelStats
+    where
+        FT: Fn(&mut Lane<'_, Traced>) + Sync,
+        FU: Fn(&mut Lane<'_, Untraced>) + Sync,
+    {
+        // Each closure has one call site, in its own copy of the lane loop.
+        self.launch_warps(name, n, |lanes, sampled, trace, local| match trace {
+            Some(trace) => run_warp(&traced, lanes, sampled, Some(trace), local),
+            None => run_warp(&untraced, lanes, sampled, None, local),
+        })
+    }
+
+    /// Run every warp of an `n`-lane launch through `warp_fn(lanes, sampled,
+    /// trace, local)`, which runs the lanes and returns the warp's largest
+    /// lane op count; `trace` is the cleared trace when the warp is traced.
+    /// Counts the traced warps, applies the cost model and records it.
+    // lint: hot-path
+    fn launch_warps<W>(&self, name: &'static str, n: usize, warp_fn: W) -> KernelStats
+    where
+        W: Fn(Range<usize>, bool, Option<&mut WarpTrace>, &mut LaunchAccum) -> u64 + Sync,
     {
         if n == 0 {
             // Real drivers still charge a launch; an empty grid is usually a
@@ -319,19 +432,12 @@ impl Device {
                 // and no atomic to collide with, known without a trace.
                 let traced = sampled && warp_end - warp_start > 1;
                 let mem_ops_before = local.sampled_mem_ops;
-                let mut warp_max_ops = 0u64;
                 if traced {
                     trace.clear();
                 }
-                for tid in warp_start..warp_end {
-                    let mut lane = Lane::new(tid, traced.then_some(&mut trace));
-                    f(&mut lane);
-                    warp_max_ops = warp_max_ops.max(lane.ops);
-                    local.add_lane(&lane, sampled);
-                    if traced {
-                        trace.end_lane();
-                    }
-                }
+                let lanes = warp_start..warp_end;
+                let warp_trace = traced.then_some(&mut trace);
+                local.warp_max_ops_sum += warp_fn(lanes, sampled, warp_trace, &mut local);
                 if traced {
                     local.sampled_transactions +=
                         coalesced_transactions(&trace.mem, tx_bytes, &mut trace.count);
@@ -341,7 +447,6 @@ impl Device {
                     // The lone lane's accesses; zero when nothing was sampled.
                     local.sampled_transactions += local.sampled_mem_ops - mem_ops_before;
                 }
-                local.warp_max_ops_sum += warp_max_ops;
                 warp_start = warp_end;
             }
             trace.shed_overgrown();
@@ -446,6 +551,30 @@ impl Device {
         let after = self.metrics.lock().total_cycles;
         (r, SimTime(self.cfg.cycles_to_secs(after - before)))
     }
+}
+
+/// Run the lanes of one warp as `M` lanes, each with the warp's trace when
+/// it has one, and return the largest lane op count (the warp's compute
+/// cost under divergence).
+#[inline(always)]
+fn run_warp<M: LaneMode>(
+    f: &impl Fn(&mut Lane<'_, M>),
+    lanes: Range<usize>,
+    sampled: bool,
+    mut trace: Option<&mut WarpTrace>,
+    local: &mut LaunchAccum,
+) -> u64 {
+    let mut warp_max_ops = 0u64;
+    for tid in lanes {
+        let mut lane = Lane::new(tid, trace.as_deref_mut());
+        f(&mut lane);
+        warp_max_ops = warp_max_ops.max(lane.ops);
+        local.add_lane(&lane, sampled);
+        if let Some(t) = trace.as_deref_mut() {
+            t.end_lane();
+        }
+    }
+    warp_max_ops
 }
 
 /// Sum over the warp's aligned access steps of the number of distinct
@@ -733,31 +862,48 @@ mod tests {
 
     const WARP_SIZES: [usize; 3] = [1, 8, 64];
     const LINE_BYTES: [usize; 2] = [96, 128];
+    const SAMPLES: [usize; 3] = [1, 2, 16];
 
-    /// Replay `scripts` as one launch with every warp sampled, and compare
-    /// its counts with the oracle's, taken warp by warp on the same addresses.
+    /// One lane of a replayed launch: its script's accesses into `buf`.
+    fn replay<M: LaneMode>(
+        lane: &mut Lane<'_, M>,
+        script: &[(usize, bool)],
+        buf: &DeviceBuffer<u32>,
+    ) {
+        for &(i, atomic) in script {
+            if atomic {
+                buf.atomic_add(lane, i, 0);
+            } else {
+                let _ = buf.get(lane, i);
+            }
+        }
+    }
+
+    /// Replay `scripts` as one launch, sampling every `coalescing_sample`-th
+    /// warp, once through [`Device::launch`] and once through [`launch!`]:
+    /// the two must count alike, and as the oracle does, taken warp by warp
+    /// over the sampled warps on the same addresses.
     fn assert_launch_matches_the_oracle(
         warp_size: usize,
         transaction_bytes: usize,
+        coalescing_sample: usize,
         scripts: &[Vec<(usize, bool)>],
     ) {
         let dev = Device::new(DeviceConfig {
             warp_size,
             transaction_bytes,
+            coalescing_sample,
             ..DeviceConfig::deterministic()
         });
         let buf = DeviceBuffer::<u32>::new(6 << 13);
-        let stats = dev.launch("replay", scripts.len(), |lane| {
-            for &(i, atomic) in &scripts[lane.tid] {
-                if atomic {
-                    buf.atomic_add(lane, i, 0);
-                } else {
-                    let _ = buf.get(lane, i);
-                }
-            }
-        });
+        let n = scripts.len();
+        let stats = dev.launch("replay", n, |lane| replay(lane, &scripts[lane.tid], &buf));
+        let by_mode =
+            crate::launch!(dev, "replay", n, |lane| replay(lane, &scripts[lane.tid], &buf));
+        assert_eq!(by_mode, stats);
         let (mut transactions, mut conflicts) = (0u64, 0u64);
-        for warp in scripts.chunks(warp_size) {
+        let (mut sampled_mem_ops, mut sampled_atomic_ops) = (0u64, 0u64);
+        for warp in scripts.chunks(warp_size).step_by(coalescing_sample) {
             let addrs = |atomics_only: bool| -> Vec<Vec<u64>> {
                 warp.iter()
                     .map(|script| {
@@ -769,13 +915,25 @@ mod tests {
                     })
                     .collect()
             };
-            transactions += coalesced_transactions_ref(&addrs(false), transaction_bytes as u64);
-            conflicts += atomic_conflicts_ref(&addrs(true));
+            let (accesses, atomics) = (addrs(false), addrs(true));
+            transactions += coalesced_transactions_ref(&accesses, transaction_bytes as u64);
+            conflicts += atomic_conflicts_ref(&atomics);
+            sampled_mem_ops += accesses.iter().map(|a| a.len() as u64).sum::<u64>();
+            sampled_atomic_ops += atomics.iter().map(|a| a.len() as u64).sum::<u64>();
         }
-        // `cost_model` with every access sampled.
-        let scaled = |total: u64, sampled: u64| total as f64 * (sampled as f64 / total.max(1) as f64);
-        assert_eq!(stats.mem_transactions, scaled(stats.mem_ops, transactions).ceil() as u64);
-        assert_eq!(stats.atomic_conflicts, scaled(stats.atomic_ops, conflicts).round() as u64);
+        // `cost_model`'s extrapolation from the sampled warps.
+        let ratio = |part: u64, sampled: u64, none: f64| {
+            if sampled > 0 {
+                part as f64 / sampled as f64
+            } else {
+                none
+            }
+        };
+        let tx_ratio = ratio(transactions, sampled_mem_ops, 1.0);
+        let conflict_ratio = ratio(conflicts, sampled_atomic_ops, 0.0);
+        assert_eq!(stats.mem_transactions, (stats.mem_ops as f64 * tx_ratio).ceil() as u64);
+        let conflicts = (stats.atomic_ops as f64 * conflict_ratio).round() as u64;
+        assert_eq!(stats.atomic_conflicts, conflicts);
     }
 
     proptest! {
@@ -811,6 +969,7 @@ mod tests {
         fn a_launch_of_merging_lanes_matches_the_oracle(
             warp_size in 0usize..3,
             transaction_bytes in 0usize..2,
+            coalescing_sample in 0usize..3,
             lanes in 1usize..=150,
             seed in any::<u64>(),
         ) {
@@ -818,6 +977,7 @@ mod tests {
             assert_launch_matches_the_oracle(
                 WARP_SIZES[warp_size],
                 LINE_BYTES[transaction_bytes],
+                SAMPLES[coalescing_sample],
                 &scripts,
             );
         }
@@ -834,7 +994,7 @@ mod tests {
             let warp_size = WARP_SIZES[warp_size];
             let mut scripts = merge_scripts(full_warps * warp_size, 40, seed);
             scripts.extend(merge_scripts(1, max_len, seed));
-            assert_launch_matches_the_oracle(warp_size, LINE_BYTES[transaction_bytes], &scripts);
+            assert_launch_matches_the_oracle(warp_size, LINE_BYTES[transaction_bytes], 1, &scripts);
         }
     }
 

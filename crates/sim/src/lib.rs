@@ -38,6 +38,21 @@
 //! assert_eq!(stats.warps, 8);
 //! assert!(dev.elapsed().secs() > 0.0);
 //! ```
+//!
+//! The kernels of the other crates are written with [`launch!`], which
+//! compiles the body once per [`LaneMode`]: warps whose accesses are traced
+//! for the coalescing analysis run one copy, every other warp a copy with
+//! no trace code. It counts exactly as the closure form does:
+//!
+//! ```
+//! use gpma_sim::{launch, Device, DeviceBuffer, DeviceConfig};
+//!
+//! let dev = Device::new(DeviceConfig::default());
+//! let out = DeviceBuffer::<u64>::new(4096);
+//! let twice = launch!(dev, "stride", 4096, |lane| out.set(lane, lane.tid * 7 % 4096, 1));
+//! let once = dev.launch("stride", 4096, |lane| out.set(lane, lane.tid * 7 % 4096, 1));
+//! assert_eq!(twice, once);
+//! ```
 
 #![warn(missing_docs)]
 
@@ -52,7 +67,7 @@ pub mod primitives;
 
 pub use buffer::{DeviceBuffer, DevicePod};
 pub use config::{DeviceConfig, PcieConfig};
-pub use device::{Device, Lane};
+pub use device::{Device, Lane, LaneMode, Traced, Untraced};
 pub use metrics::{DeviceMetrics, KernelStats, ServiceCounters, SimTime};
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 
 use crate::buffer::{DeviceBuffer, DevicePod};
 use crate::device::Device;
+use crate::launch;
 
 /// Elements each block-thread processes sequentially in the blocked kernels
 /// (the analogue of a CUDA thread block's tile).
@@ -49,7 +50,7 @@ pub fn exclusive_scan_u32_into(
     }
     if n <= BLOCK {
         let total = DeviceBuffer::<u32>::new(1);
-        dev.launch("scan_small", 1, |lane| {
+        launch!(dev, "scan_small", 1, |lane| {
             let mut acc = 0u32;
             for i in 0..n {
                 let v = input.get(lane, i);
@@ -63,7 +64,7 @@ pub fn exclusive_scan_u32_into(
 
     let nb = n.div_ceil(BLOCK);
     let block_sums = DeviceBuffer::<u32>::new(nb);
-    dev.launch("scan_block_sums", nb, |lane| {
+    launch!(dev, "scan_block_sums", nb, |lane| {
         let b = lane.tid;
         let start = b * BLOCK;
         let end = (start + BLOCK).min(n);
@@ -76,7 +77,7 @@ pub fn exclusive_scan_u32_into(
 
     let (scanned_sums, total) = exclusive_scan_u32(dev, &block_sums);
 
-    dev.launch("scan_add_offsets", nb, |lane| {
+    launch!(dev, "scan_add_offsets", nb, |lane| {
         let b = lane.tid;
         let start = b * BLOCK;
         let end = (start + BLOCK).min(n);
@@ -171,7 +172,7 @@ pub fn run_length_encode_u32_into(
 
 /// Mark the first element of every run in `input[..n]`.
 fn rle_head_flags(dev: &Device, input: &DeviceBuffer<u32>, n: usize, flags: &DeviceBuffer<u32>) {
-    dev.launch("rle_head_flags", n, |lane| {
+    launch!(dev, "rle_head_flags", n, |lane| {
         let i = lane.tid;
         let head = if i == 0 {
             1
@@ -194,7 +195,7 @@ fn rle_scatter(
     unique: &DeviceBuffer<u32>,
     run_starts: &DeviceBuffer<u32>,
 ) {
-    dev.launch("rle_scatter", n, |lane| {
+    launch!(dev, "rle_scatter", n, |lane| {
         let i = lane.tid;
         if flags.get(lane, i) == 1 {
             let p = positions.get(lane, i) as usize;
@@ -213,7 +214,7 @@ fn rle_counts(
     run_starts: &DeviceBuffer<u32>,
     counts: &DeviceBuffer<u32>,
 ) {
-    dev.launch("rle_counts", num_runs, |lane| {
+    launch!(dev, "rle_counts", num_runs, |lane| {
         let j = lane.tid;
         let start = run_starts.get(lane, j);
         let end = if j + 1 < num_runs {
@@ -263,7 +264,7 @@ pub fn compact_flagged_into<T: DevicePod>(
     if n == 0 {
         return;
     }
-    dev.launch("compact_scatter", n, |lane| {
+    launch!(dev, "compact_scatter", n, |lane| {
         let i = lane.tid;
         if flags.get(lane, i) != 0 {
             let p = positions.get(lane, i) as usize;
@@ -365,7 +366,7 @@ fn digit(key: u64, shift: u32) -> usize {
 fn radix_sort_tile(dev: &Device, keys: &DeviceBuffer<u64>, vals: &DeviceBuffer<u64>, mask: u64) {
     let n = keys.len();
     assert!(n <= BLOCK);
-    dev.launch("radix_sort_tile", 1, |lane| {
+    launch!(dev, "radix_sort_tile", 1, |lane| {
         let mut tile = [[(0u64, 0u64); BLOCK]; 2];
         for (i, pair) in tile[0][..n].iter_mut().enumerate() {
             *pair = (keys.get(lane, i), vals.get(lane, i));
@@ -418,7 +419,7 @@ fn radix_pass(dev: &Device, n: usize, nb: usize, shift: u32, bufs: PassBufs<'_>)
     // Column-major histogram: hist[d * nb + b] so that the exclusive scan
     // yields digit-major/block-minor global offsets (stable order).
     let hist = DeviceBuffer::<u32>::new(RADIX * nb);
-    dev.launch("radix_hist", nb, |lane| {
+    launch!(dev, "radix_hist", nb, |lane| {
         let b = lane.tid;
         let start = b * BLOCK;
         let end = (start + BLOCK).min(n);
@@ -437,7 +438,7 @@ fn radix_pass(dev: &Device, n: usize, nb: usize, shift: u32, bufs: PassBufs<'_>)
 
     let (offsets, _) = exclusive_scan_u32(dev, &hist);
 
-    dev.launch("radix_scatter", nb, |lane| {
+    launch!(dev, "radix_scatter", nb, |lane| {
         let b = lane.tid;
         let start = b * BLOCK;
         let end = (start + BLOCK).min(n);
