@@ -3,7 +3,6 @@
 //! single-threaded CPU reference used by the AdjLists/PMA baselines.
 
 use gpma_sim::{launch, primitives, Device, DeviceBuffer};
-use std::collections::VecDeque;
 
 use crate::view::{DeviceGraphView, HostGraph};
 
@@ -66,19 +65,31 @@ pub fn bfs_device<G: DeviceGraphView>(dev: &Device, g: &G, root: u32) -> DeviceB
 }
 
 /// Reference CPU BFS (the "standard single thread algorithm" of Table 1).
+///
+/// The queue is one array: every vertex enters it at most once, so `nv`
+/// places plus a spare hold any run. The neighbour step has no branch on
+/// whether the neighbour is new, which the hardware cannot predict well
+/// and which cost more than the visit itself: it selects the distance to
+/// store, writes the neighbour at the queue's tail either way and advances
+/// the tail by one only for a new vertex (a write past the last vertex
+/// lands in the spare place).
 pub fn bfs_host<G: HostGraph + ?Sized>(g: &G, root: u32) -> Vec<u32> {
     let nv = g.num_vertices() as usize;
     let mut dist = vec![UNREACHED; nv];
     dist[root as usize] = 0;
-    let mut queue = VecDeque::new();
-    queue.push_back(root);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
+    let mut queue = vec![0u32; nv + 1];
+    queue[0] = root;
+    let (mut head, mut tail) = (0, 1);
+    while head < tail {
+        let u = queue[head];
+        head += 1;
+        let next = dist[u as usize] + 1;
         g.for_each_neighbor(u, &mut |v, _| {
-            if dist[v as usize] == UNREACHED {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
+            let old = dist[v as usize];
+            let new = old == UNREACHED;
+            dist[v as usize] = if new { next } else { old };
+            queue[tail] = v;
+            tail += new as usize;
         });
     }
     dist

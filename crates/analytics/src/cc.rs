@@ -94,16 +94,14 @@ pub fn cc_host<G: HostGraph + ?Sized>(g: &G) -> Vec<u32> {
         x
     }
 
-    for u in 0..nv as u32 {
-        g.for_each_neighbor(u, &mut |v, _| {
-            let ru = find(&mut parent, u);
-            let rv = find(&mut parent, v);
-            if ru != rv {
-                let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
-                parent[hi as usize] = lo;
-            }
-        });
-    }
+    g.for_each_edge(&mut |u, v| {
+        let ru = find(&mut parent, u);
+        let rv = find(&mut parent, v);
+        if ru != rv {
+            let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
+            parent[hi as usize] = lo;
+        }
+    });
     // Canonicalize to minimum-id labels.
     (0..nv as u32).map(|v| find(&mut parent, v)).collect()
 }

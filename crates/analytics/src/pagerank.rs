@@ -191,23 +191,27 @@ pub fn pagerank_host_from<G: HostGraph + ?Sized>(
     assert_eq!(start.len(), nv, "one start rank per vertex");
     let mut x = start;
     let mut y = vec![0.0f64; nv];
+    let mut share = vec![0.0f64; nv];
     let degs: Vec<usize> = (0..nv as u32).map(|v| g.out_degree(v)).collect();
     let mut iterations = 0;
     let mut converged = false;
     while iterations < max_iters {
         iterations += 1;
-        y.fill(0.0);
+        // Vertex pass: each rank's share per out-edge, and the mass of the
+        // dangling vertices summed in vertex order.
         let mut dangling = 0.0;
-        for u in 0..nv as u32 {
-            if degs[u as usize] == 0 {
-                dangling += x[u as usize];
-                continue;
-            }
-            let share = x[u as usize] / degs[u as usize] as f64;
-            g.for_each_neighbor(u, &mut |v, _| {
-                y[v as usize] += share;
-            });
+        for ((s, &xu), &d) in share.iter_mut().zip(&x).zip(&degs) {
+            *s = if d == 0 {
+                dangling += xu;
+                0.0
+            } else {
+                xu / d as f64
+            };
         }
+        // Edge pass: rows in vertex order, so every `y[v]` gets the same
+        // shares added in the same order as a row-by-row scatter.
+        y.fill(0.0);
+        g.for_each_edge(&mut |u, v| y[v as usize] += share[u as usize]);
         let err = finalize_host(&mut y, &x, dangling, damping);
         std::mem::swap(&mut x, &mut y);
         if err < epsilon {

@@ -18,13 +18,18 @@
 //! that *calls* them, once per view type and lane kind. The lane-taking
 //! methods are generic over the lane's [`LaneMode`], so their bodies travel
 //! with them; they keep `#[inline]` all the same, and the non-generic
-//! [`HostGraph`] impls need it (`gpma-lint` rule `lane-inline` checks the
-//! lane-taking ones): without it their bodies stay in this crate and
-//! `bfs_host<G>` / `cc_host<G>` / `pagerank_host_from<G>` make a real
-//! cross-crate call per neighbour visit.
+//! [`HostGraph`] impls need it (`gpma-lint` rule `lane-inline` checks both):
+//! without it their bodies stay in this crate and `bfs_host<G>` /
+//! `cc_host<G>` / `pagerank_host_from<G>` make a real cross-crate call per
+//! neighbour visit.
 //!
 //! [`HostGraph`] is the equivalent CPU-side contract for the AdjLists, PMA
-//! and Stinger baselines.
+//! and Stinger baselines and for the published `GraphSnapshot`. It reads a
+//! row at a time (`for_each_neighbor`, what BFS needs) or every edge in row
+//! order at once (`for_each_edge`, what PageRank's edge pass and CC's
+//! unions need). The provided `for_each_edge` walks the rows; a graph that
+//! stores its edges in that order streams them instead — the snapshot its
+//! blocks' edge runs, the PMA its array — with no per-row lookup.
 
 use gpma_baselines::{AdjLists, PmaGraph, RebuildCsr, StingerGraph};
 use gpma_core::{CsrView, GpmaStorage};
@@ -211,6 +216,15 @@ pub trait HostGraph {
         self.for_each_neighbor(v, &mut |_, _| n += 1);
         n
     }
+    /// Visit every edge as `(src, dst)`: rows in vertex order, each row in
+    /// [`for_each_neighbor`](Self::for_each_neighbor)'s order. A graph that
+    /// stores its edges in that order overrides it with one linear scan.
+    #[inline]
+    fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32)) {
+        for u in 0..self.num_vertices() {
+            self.for_each_neighbor(u, &mut |v, _| f(u, v));
+        }
+    }
 }
 
 impl HostGraph for AdjLists {
@@ -241,6 +255,12 @@ impl HostGraph for PmaGraph {
             f(d, w);
         }
     }
+    #[inline]
+    fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32)) {
+        for (u, v) in self.edges() {
+            f(u, v);
+        }
+    }
 }
 
 /// Epoch-stamped service snapshots are first-class host graphs, so the CPU
@@ -262,6 +282,14 @@ impl HostGraph for gpma_core::framework::GraphSnapshot {
     #[inline]
     fn out_degree(&self, v: u32) -> usize {
         gpma_core::framework::GraphSnapshot::out_degree(self, v)
+    }
+    #[inline]
+    fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32)) {
+        for run in self.edge_runs() {
+            for e in run {
+                f(e.src, e.dst);
+            }
+        }
     }
 }
 

@@ -1,11 +1,11 @@
-//! `bfs_host` and `cc_host` do their per-neighbour work inside the
-//! neighbour closure: a run allocates its result, its queue or parent array
-//! and nothing per vertex, so the number of allocations stays under a small
-//! constant whatever the vertex count.
+//! `bfs_host`, `cc_host` and `pagerank_host` do their per-neighbour work
+//! inside the visitor closure: a run allocates its result and its few
+//! `|V|`-sized working arrays up front and nothing per vertex or per sweep,
+//! so the number of allocations is a constant whatever the vertex count.
 
 mod common;
 
-use gpma_analytics::{bfs_host, cc_host};
+use gpma_analytics::{bfs_host, cc_host, pagerank_host, DAMPING};
 use gpma_core::framework::GraphSnapshot;
 use gpma_graph::Edge;
 
@@ -23,10 +23,12 @@ fn ring_with_chords(nv: u32) -> GraphSnapshot {
     GraphSnapshot::from_edges(0, nv, edges)
 }
 
-/// Result + queue growth (a `VecDeque` doubles: log2 of its peak length).
-const BFS_CEILING: u64 = 16;
+/// Result + the one queue, allocated at its final size.
+const BFS_CEILING: u64 = 2;
 /// Parent array + result.
 const CC_CEILING: u64 = 4;
+/// Start vector (returned as the ranks) + degrees + `y` + shares.
+const PAGERANK_CEILING: u64 = 4;
 
 #[test]
 fn bfs_host_allocations_do_not_grow_with_the_graph() {
@@ -49,5 +51,19 @@ fn cc_host_allocations_do_not_grow_with_the_graph() {
         let allocs = allocations_during(|| labels = cc_host(&g));
         assert!(labels.iter().all(|&l| l == 0));
         assert!(allocs <= CC_CEILING, "{nv} vertices: {allocs} allocations");
+    }
+}
+
+#[test]
+fn pagerank_host_allocations_do_not_grow_with_the_graph() {
+    for nv in [500, 2_000] {
+        let g = ring_with_chords(nv);
+        let mut iterations = 0;
+        // ε = 0 never converges: all 20 sweeps run.
+        let allocs = allocations_during(|| {
+            iterations = pagerank_host(&g, DAMPING, 0.0, 20).iterations;
+        });
+        assert_eq!(iterations, 20);
+        assert!(allocs <= PAGERANK_CEILING, "{nv} vertices: {allocs} allocations");
     }
 }

@@ -2,8 +2,8 @@
 //! `gpma-pma` adopted for the CSR format — edges stored under their
 //! row-major `(src, dst)` key, neighbor scans via range queries.
 
-use gpma_graph::{encode_key, row_start_key, Edge, UpdateBatch, VertexId};
-use gpma_pma::Pma;
+use gpma_graph::{decode_key, encode_key, row_start_key, Edge, UpdateBatch, VertexId};
+use gpma_pma::{Pma, EMPTY};
 
 /// A dynamic graph stored in a single CPU PMA.
 #[derive(Clone)]
@@ -74,6 +74,12 @@ impl PmaGraph {
         self.pma
             .range(row_start_key(v), row_start_key(v + 1))
             .map(|(k, w)| (k as u32, w))
+    }
+
+    /// Every edge as `(src, dst)` in key order — rows in vertex order: one
+    /// scan of the array, skipping its gaps, with no per-row search.
+    pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.pma.raw_keys().iter().filter(|&&k| k != EMPTY).map(|&k| decode_key(k))
     }
 
     /// Number of out-neighbors of `v` (counted via a range scan).

@@ -205,13 +205,13 @@ impl StingerGraph {
     /// Out-neighbors of `v` as `(dst, weight)`, walking the block chain.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.chains[v as usize].iter().flat_map(|b| {
-            (0..BLOCK_EDGES).filter_map(move |i| {
-                if b.valid & (1 << i) != 0 {
-                    Some((b.dsts[i], b.weights[i]))
-                } else {
-                    None
-                }
-            })
+            // The occupancy bitmap with its lowest set bit cleared each step.
+            std::iter::successors(Some(b.valid), |m| Some(m & m.wrapping_sub(1)))
+                .take_while(|&m| m != 0)
+                .map(move |m| {
+                    let i = m.trailing_zeros() as usize;
+                    (b.dsts[i], b.weights[i])
+                })
         })
     }
 

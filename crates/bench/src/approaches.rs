@@ -197,16 +197,6 @@ impl Store {
         };
         Some(f(dev, &view))
     }
-
-    /// Host-graph access for CPU stores.
-    pub fn host_graph(&self) -> Option<&dyn gpma_analytics::HostGraph> {
-        match self {
-            Store::AdjLists(g) => Some(g),
-            Store::Pma(g) => Some(g),
-            Store::Stinger(g) => Some(g),
-            _ => None,
-        }
-    }
 }
 
 /// The device view of whichever device store is asked, picked at run time;
@@ -306,7 +296,6 @@ mod tests {
             let store = Store::build_with(kind, 2, &initial, DeviceConfig::deterministic());
             let has_view = store.with_device_view(|_, v| v.num_vertices()).is_some();
             assert_eq!(has_view, kind.is_device(), "{}", kind.name());
-            assert_eq!(store.host_graph().is_some(), !kind.is_device());
         }
     }
 

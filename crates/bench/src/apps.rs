@@ -1,7 +1,9 @@
 //! The three streaming applications (§6.3) runnable against any store, with
 //! per-run timing in the store's native metric (wall vs simulated).
 
-use gpma_analytics::{bfs_device, bfs_host, cc_device, cc_host, pagerank_device, pagerank_host};
+use gpma_analytics::{
+    bfs_device, bfs_host, cc_device, cc_host, pagerank_device, pagerank_host, HostGraph,
+};
 
 use crate::approaches::Store;
 
@@ -75,7 +77,18 @@ pub fn run_app(app: App, store: &Store, root: u32) -> AppRun {
         return run;
     }
 
-    let g = store.host_graph().expect("store is neither device nor host");
+    match store {
+        Store::AdjLists(g) => run_host(app, g, root),
+        Store::Pma(g) => run_host(app, g, root),
+        Store::Stinger(g) => run_host(app, g, root),
+        _ => unreachable!("store is neither device nor host"),
+    }
+}
+
+/// The reference algorithms on a CPU store, wall-timed. Generic, so each
+/// store's neighbour walk is inlined into them; through `&dyn HostGraph`
+/// every neighbour visit would be a virtual call.
+fn run_host<G: HostGraph>(app: App, g: &G, root: u32) -> AppRun {
     let t0 = std::time::Instant::now();
     let digest = match app {
         App::Bfs => bfs_host(g, root)

@@ -9,6 +9,12 @@
 //! short last block padded with empty rows). A slab is one allocation of
 //! edges that any number of images share; a block itself is plain data.
 //!
+//! Readers take the edges a row at a time ([`GraphSnapshot::neighbors`], a
+//! block/offset lookup) or all at once: [`GraphSnapshot::edge_runs`] hands
+//! out each block's edges as one key-sorted slice, so a pass over the whole
+//! graph (the host PageRank's edge sweep, the host CC's unions) streams the
+//! slabs run by run with no per-row lookup.
+//!
 //! Images are *persistent*: [`GraphSnapshot::advance`] (the body of
 //! [`apply_delta`](crate::delta::apply_delta)) copies the block vector,
 //! writes the blocks a delta touches into **one** new slab and leaves every
@@ -610,6 +616,15 @@ impl GraphSnapshot {
         Edges { image: self }
     }
 
+    /// The same edges as [`Self::edges`], in the same order, as the
+    /// contiguous key-sorted runs the row blocks already are: one slice per
+    /// block, in block order (empty for a block without edges). A reader
+    /// that visits every edge walks each run as a plain slice, with no
+    /// per-row lookup and no per-edge iterator state.
+    pub fn edge_runs(&self) -> impl Iterator<Item = &[Edge]> + '_ {
+        self.blocks.iter().map(|block| self.block_edges(block))
+    }
+
     /// Row of vertex `v`: its out-edges as a contiguous `dst`-sorted slice
     /// (empty for `v >= num_vertices`).
     pub fn neighbors(&self, v: u32) -> &[Edge] {
@@ -857,8 +872,8 @@ impl<'a> Edges<'a> {
     /// Copy the edges into one flat, key-sorted vector.
     pub fn to_vec(&self) -> Vec<Edge> {
         let mut out = Vec::with_capacity(self.len());
-        for block in &self.image.blocks {
-            out.extend_from_slice(self.image.block_edges(block));
+        for run in self.image.edge_runs() {
+            out.extend_from_slice(run);
         }
         out
     }

@@ -221,6 +221,11 @@ impl HostGraph for DeltaGraph {
     fn out_degree(&self, v: u32) -> usize {
         self.image.out_degree(v)
     }
+
+    #[inline]
+    fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32)) {
+        HostGraph::for_each_edge(&*self.image, f)
+    }
 }
 
 #[cfg(test)]

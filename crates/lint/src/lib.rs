@@ -17,7 +17,8 @@
 //! | `thread-sleep`     | no `std::thread::sleep` and no timed `recv_timeout`   |
 //! |                    | poll in library code                                  |
 //! | `lane-inline`      | a non-generic `pub` or trait-impl `fn` taking         |
-//! |                    | `&mut Lane` carries `#[inline]`                       |
+//! |                    | `&mut Lane`, and a non-generic trait-impl `fn` taking |
+//! |                    | a `&mut dyn FnMut` visitor, carry `#[inline]`         |
 //!
 //! The pass is deliberately conservative and *approximate*: worker
 //! reachability is a same-file call-graph walk by function name, so a
@@ -1039,6 +1040,13 @@ fn rule_thread_sleep(src: &SourceFile, out: &mut Vec<Violation>) {
 /// `Lane<'_, M>` with any arguments counts: a `fn` generic over the lane
 /// mode `M` is generic, one over a concrete kind (`Lane<'_, Untraced>`) is
 /// not.
+///
+/// A trait-impl method that takes a `&mut dyn FnMut` visitor (the
+/// `HostGraph` walks) is the host-side case of the same thing: the generic
+/// algorithm calling it is compiled in another crate, and only an inlined
+/// body lets the visitor closure be devirtualised there instead of being
+/// called through its vtable once per neighbour. So a non-generic one must
+/// carry `#[inline]` too.
 fn rule_lane_inline(src: &SourceFile, out: &mut Vec<Violation>) {
     for f in &src.fns {
         if !src.fn_is_lib_code(f) {
@@ -1047,12 +1055,16 @@ fn rule_lane_inline(src: &SourceFile, out: &mut Vec<Violation>) {
         let sig = src.code[f.sig_line..=f.body.0].join(" ");
         let sig = &sig[sig.find("fn ").unwrap_or(0)..];
         let sig = &sig[..sig.find('{').unwrap_or(sig.len())];
-        if !takes_mut_lane(sig) {
-            continue;
-        }
         let header = enclosing_impl_header(src, f.sig_line);
         let is_pub = src.code[f.sig_line].trim_start().starts_with("pub ");
         let in_trait_impl = header.is_some_and(|h| find_word(h, "for").is_some());
+        let takes = if takes_mut_lane(sig) {
+            "`&mut Lane`"
+        } else if in_trait_impl && sig.contains("&mut dyn FnMut") {
+            "a `&mut dyn FnMut` visitor"
+        } else {
+            continue;
+        };
         let generic = has_type_params(sig, "fn")
             || sig.contains("impl ")
             || header.is_some_and(|h| has_type_params(h, "impl"));
@@ -1065,7 +1077,7 @@ fn rule_lane_inline(src: &SourceFile, out: &mut Vec<Violation>) {
             line: f.sig_line + 1,
             item: f.name.clone(),
             message: format!(
-                "non-generic `{}` takes `&mut Lane` and is reachable from other crates — add `#[inline]` so lane loops compiled there can inline it",
+                "non-generic `{}` takes {takes} and is reachable from other crates — add `#[inline]` so the loops compiled there can inline it",
                 f.name
             ),
         });
@@ -1406,7 +1418,14 @@ order = ["router", "partition"]
              #[inline]\npub fn concrete_marked(lane: &mut gpma_sim::Lane<'_, gpma_sim::Traced>) {}\n\
              impl DeviceGraphView for DeviceView<'_> {\n    \
              fn slot_entry<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> u64 {\n        0\n    }\n    \
-             fn row_range(&self, lane: &mut Lane<'_, Untraced>) {}\n}\n",
+             fn row_range(&self, lane: &mut Lane<'_, Untraced>) {}\n}\n\
+             impl HostGraph for Snap {\n    \
+             fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32, u64)) {}\n    \
+             #[inline]\n    fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32)) {}\n}\n\
+             impl<G: HostGraph> HostGraph for Wrap<G> {\n    \
+             fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32)) {}\n}\n\
+             impl Snap {\n    fn walk(&self, f: &mut dyn FnMut(u32)) {}\n}\n\
+             pub fn visit(f: &mut dyn FnMut(u32)) {}\n",
         );
         let items: Vec<_> = v
             .iter()
@@ -1415,7 +1434,14 @@ order = ["router", "partition"]
             .collect();
         assert_eq!(
             items,
-            vec![("bare", 1), ("slot", 10), ("find", 19), ("concrete", 27), ("row_range", 34)],
+            vec![
+                ("bare", 1),
+                ("slot", 10),
+                ("find", 19),
+                ("concrete", 27),
+                ("row_range", 34),
+                ("for_each_neighbor", 37),
+            ],
             "{v:?}"
         );
     }

@@ -38,6 +38,14 @@ fn fixture_trips_every_rule_class() {
         violations.iter().any(|v| v.rule == "thread-sleep" && v.item == "poll_for_ack"),
         "fixture's timed `recv_timeout` poll not flagged; got: {violations:?}"
     );
+    // The visitor flavor of `lane-inline`: the bare trait-impl walk is
+    // flagged, the one with `#[inline]` is not.
+    let visitors: Vec<_> = violations
+        .iter()
+        .filter(|v| v.rule == "lane-inline" && v.item.starts_with("for_each_"))
+        .map(|v| v.item.as_str())
+        .collect();
+    assert_eq!(visitors, ["for_each_neighbor"], "got: {violations:?}");
 }
 
 #[test]

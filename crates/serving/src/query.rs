@@ -4,7 +4,6 @@
 //! exactness proptest holds every cache-served answer to this function's
 //! output on the same epoch).
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use gpma_analytics::{bfs_host, cc_host, component_count, pagerank_host, UNREACHED};
@@ -145,17 +144,19 @@ pub fn execute(query: Query, snap: &GraphSnapshot, pr: PageRankParams) -> QueryR
 }
 
 /// Full PageRank, then the deterministic top-k selection: rank descending,
-/// vertex id ascending on exact ties.
+/// vertex id ascending on exact ties. The order is total (no two vertices
+/// compare equal), so selecting the first `k` and sorting only those gives
+/// exactly the first `k` of a full sort, in O(|V| + k log k).
 fn top_ranks(snap: &GraphSnapshot, top_k: u32, pr: PageRankParams) -> Vec<(u32, f64)> {
     let ranks = pagerank_host(snap, pr.damping, pr.epsilon, pr.max_iters).ranks;
+    let by_rank =
+        |&a: &u32, &b: &u32| ranks[b as usize].total_cmp(&ranks[a as usize]).then(a.cmp(&b));
     let mut order: Vec<u32> = (0..ranks.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        ranks[b as usize]
-            .partial_cmp(&ranks[a as usize])
-            .unwrap_or(Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    order.truncate(top_k as usize);
+    if (top_k as usize) < order.len() {
+        order.select_nth_unstable_by(top_k as usize, by_rank);
+        order.truncate(top_k as usize);
+    }
+    order.sort_unstable_by(by_rank);
     order.into_iter().map(|v| (v, ranks[v as usize])).collect()
 }
 
@@ -233,6 +234,34 @@ mod tests {
             panic!("wrong result shape");
         };
         assert_eq!(all.len(), 4);
+    }
+
+    #[test]
+    fn top_ranks_equal_the_first_k_of_a_full_sort() {
+        // Two 3-cycles, a 2-cycle, a 3-star and three isolated vertices:
+        // the vertices of each cycle, the two 3-cycles, the leaves and the
+        // isolated ones all tie exactly, so the selection has to break ties
+        // by vertex id.
+        let edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7), (7, 6)]
+            .into_iter()
+            .chain([(8, 11), (9, 11), (10, 11)]);
+        let nv = 15;
+        let s = GraphSnapshot::from_edges(1, nv, edges.map(|(s, d)| Edge::new(s, d)).collect());
+        let pr = PageRankParams::default();
+        let ranks = pagerank_host(&s, pr.damping, pr.epsilon, pr.max_iters).ranks;
+        assert_eq!(ranks[0].to_bits(), ranks[5].to_bits(), "the two 3-cycles tie");
+        assert_eq!(ranks[8].to_bits(), ranks[12].to_bits(), "leaves and isolated tie");
+        // The reference: the full sort the selection replaced.
+        let mut full: Vec<u32> = (0..nv).collect();
+        full.sort_by(|&a, &b| {
+            let by_rank = ranks[b as usize].partial_cmp(&ranks[a as usize]).unwrap();
+            by_rank.then(a.cmp(&b))
+        });
+        for k in [0, 1, 10, nv, nv + 5] {
+            let want: Vec<(u32, f64)> =
+                full.iter().take(k as usize).map(|&v| (v, ranks[v as usize])).collect();
+            assert_eq!(top_ranks(&s, k, pr), want, "k = {k}");
+        }
     }
 
     #[test]

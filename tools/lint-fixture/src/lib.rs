@@ -105,5 +105,40 @@ pub fn slot_key(lane: &mut Lane, keys: &[u64], slot: usize) -> u64 {
     keys[slot]
 }
 
+/// Stand-in for the analytics crate's host graph contract.
+pub trait Rows {
+    /// Visit each out-neighbour of `v`.
+    fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32));
+    /// Visit every edge.
+    fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32));
+}
+
+/// A row-indexed graph.
+pub struct Rowed {
+    /// Out-neighbours per vertex.
+    pub rows: Vec<Vec<u32>>,
+}
+
+impl Rows for Rowed {
+    /// Seeded `lane-inline` violation, visitor flavor: a generic traversal
+    /// compiled in another crate calls this once per vertex and cannot
+    /// devirtualise `f` through a body it cannot inline.
+    fn for_each_neighbor(&self, v: u32, f: &mut dyn FnMut(u32)) {
+        for &d in &self.rows[v as usize] {
+            f(d);
+        }
+    }
+
+    /// Not a violation: the inline attribute is there.
+    #[inline]
+    fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32)) {
+        for (u, row) in self.rows.iter().enumerate() {
+            for &d in row {
+                f(u as u32, d);
+            }
+        }
+    }
+}
+
 // Seeded `missing-docs` violation: a public function with no doc comment.
 pub fn undocumented() {}
