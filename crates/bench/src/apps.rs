@@ -85,29 +85,52 @@ pub fn run_app(app: App, store: &Store, root: u32) -> AppRun {
     }
 }
 
-/// The reference algorithms on a CPU store, wall-timed. Generic, so each
+/// Wall-timed calls [`run_host`] makes per cell. A cell's first call can
+/// read up to 1.8× its later ones, so the cell reports the fastest.
+const HOST_CALLS: usize = 3;
+
+/// The reference algorithms on a CPU store, wall-timed: the minimum of
+/// [`HOST_CALLS`] calls, whose digests must agree. Generic, so each
 /// store's neighbour walk is inlined into them; through `&dyn HostGraph`
 /// every neighbour visit would be a virtual call.
 fn run_host<G: HostGraph>(app: App, g: &G, root: u32) -> AppRun {
-    let t0 = std::time::Instant::now();
-    let digest = match app {
-        App::Bfs => bfs_host(g, root)
-            .iter()
-            .filter(|&&x| x != gpma_analytics::UNREACHED)
-            .count() as u64,
-        App::ConnectedComponent => gpma_analytics::component_count(&cc_host(g)) as u64,
-        App::PageRank => pagerank_host(
-            g,
-            gpma_analytics::DAMPING,
-            gpma_analytics::EPSILON,
-            gpma_analytics::MAX_ITERS,
-        )
-        .iterations as u64,
+    let once = || {
+        let t0 = std::time::Instant::now();
+        let digest = match app {
+            App::Bfs => bfs_host(g, root)
+                .iter()
+                .filter(|&&x| x != gpma_analytics::UNREACHED)
+                .count() as u64,
+            App::ConnectedComponent => gpma_analytics::component_count(&cc_host(g)) as u64,
+            App::PageRank => {
+                pagerank_host(
+                    g,
+                    gpma_analytics::DAMPING,
+                    gpma_analytics::EPSILON,
+                    gpma_analytics::MAX_ITERS,
+                )
+                .iterations as u64
+            }
+        };
+        AppRun {
+            seconds: t0.elapsed().as_secs_f64(),
+            digest,
+        }
     };
-    AppRun {
-        seconds: t0.elapsed().as_secs_f64(),
-        digest,
-    }
+    let first = once();
+    (1..HOST_CALLS).fold(first, |best, _| {
+        let run = once();
+        assert_eq!(
+            run.digest,
+            first.digest,
+            "{} digest moved between calls",
+            app.name()
+        );
+        AppRun {
+            seconds: best.seconds.min(run.seconds),
+            digest: first.digest,
+        }
+    })
 }
 
 #[cfg(test)]

@@ -42,6 +42,24 @@ impl IncrementalBfs {
         }
     }
 
+    /// A maintainer that takes over `dist`, the exact distances from
+    /// `root` on the graph some later [`apply`](Self::apply) starts from
+    /// (an answer computed earlier), instead of traversing a graph itself.
+    /// Hand the repaired vector back with
+    /// [`into_distances`](Self::into_distances).
+    pub fn seeded(root: u32, dist: Vec<u32>) -> Self {
+        IncrementalBfs {
+            root,
+            dist,
+            work: 0,
+        }
+    }
+
+    /// The distance vector, giving the maintainer up.
+    pub fn into_distances(self) -> Vec<u32> {
+        self.dist
+    }
+
     /// The BFS root.
     pub fn root(&self) -> u32 {
         self.root

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 
 use crate::bfs::IncrementalBfs;
 use crate::cc::IncrementalCc;
-use crate::graph::DeltaGraph;
+use crate::graph::{AppliedDelta, DeltaGraph};
 use crate::pagerank::DeltaPageRank;
 
 /// Cumulative engine accounting, split per maintainer.
@@ -93,11 +93,6 @@ impl IncrementalEngine {
         self.bfs.first()
     }
 
-    /// The BFS maintainer rooted at `root`, when enabled.
-    pub fn bfs_from(&self, root: u32) -> Option<&IncrementalBfs> {
-        self.bfs.iter().find(|m| m.root() == root)
-    }
-
     /// Every enabled BFS maintainer, in registration order.
     pub fn bfs_all(&self) -> &[IncrementalBfs] {
         &self.bfs
@@ -157,8 +152,9 @@ impl IncrementalEngine {
 
     /// Apply one epoch delta and repair every maintainer, adopting `next` —
     /// the image published for `delta.epoch()` — instead of advancing one
-    /// ([`DeltaGraph::apply_at`]).
-    pub fn apply_at(&mut self, delta: &SnapshotDelta, next: Arc<GraphSnapshot>) {
+    /// ([`DeltaGraph::apply_at`]). Returns the changes the delta really
+    /// made, for callers that repair answers of their own from them.
+    pub fn apply_at(&mut self, delta: &SnapshotDelta, next: Arc<GraphSnapshot>) -> AppliedDelta {
         let applied = self.graph.apply_at(delta, next);
         self.stats.epochs += 1;
         self.stats.changed_edges += applied.topology_changes() as u64;
@@ -171,6 +167,7 @@ impl IncrementalEngine {
         if let Some(m) = self.pagerank.as_mut() {
             m.apply(&self.graph, &applied);
         }
+        applied
     }
 
     /// Split into the monitor half (register with a service/cluster) and
@@ -297,13 +294,11 @@ mod tests {
         );
         engine.apply(&delta);
         let g = engine.graph().clone();
-        for root in [0u32, 3] {
-            let m = engine.bfs_from(root).unwrap();
+        for (m, root) in engine.bfs_all().iter().zip([0u32, 3]) {
             assert_eq!(m.root(), root);
             assert_eq!(m.distances(), bfs_host(&g, root), "root {root}");
         }
         assert_eq!(engine.bfs().unwrap().root(), 0, "bfs() is the first root");
-        assert!(engine.bfs_from(7).is_none());
         assert!(engine.stats().bfs_work > 0);
     }
 

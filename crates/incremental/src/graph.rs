@@ -9,6 +9,7 @@
 //! an absent key is dropped — so maintainers only ever repair around edges
 //! that really changed ([`AppliedDelta`]).
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use gpma_analytics::HostGraph;
@@ -45,6 +46,109 @@ impl AppliedDelta {
     pub fn topology_changes(&self) -> usize {
         self.added.len() + self.removed.len()
     }
+
+    /// Every record (added, removed and reweighted edges), counted.
+    pub fn len(&self) -> usize {
+        self.topology_changes() + self.reweighted.len()
+    }
+
+    /// The net change of applying `self` and then `later`, which must start
+    /// where `self` ends. Exact per edge: an edge added and then removed
+    /// (or removed and then re-added at its old weight) cancels, one
+    /// removed and then re-added at another weight is a reweight, and the
+    /// lists stay in ascending `(src, dst)` order. One merge walk over the
+    /// two deltas' sorted lists.
+    ///
+    /// # Panics
+    ///
+    /// When the two do not chain: `later` adds an edge `self` left present,
+    /// or removes or reweights one `self` left absent.
+    pub fn then(&self, later: &AppliedDelta) -> AppliedDelta {
+        use Change::{Added, Removed, Reweighted};
+        let mut net = AppliedDelta {
+            epoch: later.epoch,
+            ..Default::default()
+        };
+        for ((src, dst), first, second) in join(self.changes(), later.changes()) {
+            let change = match (first, second) {
+                (c, None) | (None, c) => c,
+                (Some(Added(_)), Some(Removed(_))) => None,
+                (Some(Added(_)), Some(Reweighted(_, w))) => Some(Added(w)),
+                (Some(Removed(w0)), Some(Added(w)))
+                | (Some(Reweighted(w0, _)), Some(Reweighted(_, w))) => {
+                    (w0 != w).then_some(Reweighted(w0, w))
+                }
+                (Some(Reweighted(w0, _)), Some(Removed(_))) => Some(Removed(w0)),
+                (a, b) => panic!("({src}, {dst}): {a:?} then {b:?} do not chain"),
+            };
+            match change {
+                Some(Added(w)) => net.added.push(Edge::weighted(src, dst, w)),
+                Some(Removed(w)) => net.removed.push(Edge::weighted(src, dst, w)),
+                Some(Reweighted(w0, w)) => net.reweighted.push((src, dst, w0, w)),
+                None => {}
+            }
+        }
+        net
+    }
+
+    /// The three lists as one ascending stream of `((src, dst), change)`
+    /// (an edge sits in at most one of them).
+    fn changes(&self) -> impl Iterator<Item = ((u32, u32), Change)> + '_ {
+        let added = self
+            .added
+            .iter()
+            .map(|e| ((e.src, e.dst), Change::Added(e.weight)));
+        let removed = self
+            .removed
+            .iter()
+            .map(|e| ((e.src, e.dst), Change::Removed(e.weight)));
+        let reweighted = self
+            .reweighted
+            .iter()
+            .map(|&(s, d, w0, w)| ((s, d), Change::Reweighted(w0, w)));
+        merge(merge(added, removed), reweighted)
+    }
+}
+
+/// What one [`AppliedDelta`] did to one edge (weights old → new).
+#[derive(Debug, Clone, Copy)]
+enum Change {
+    Added(u64),
+    Removed(u64),
+    Reweighted(u64, u64),
+}
+
+/// Two streams ascending by key as one (a key in both yields both items).
+fn merge<K: Ord + Copy, V>(
+    a: impl Iterator<Item = (K, V)>,
+    b: impl Iterator<Item = (K, V)>,
+) -> impl Iterator<Item = (K, V)> {
+    join(a, b).flat_map(|(k, x, y)| x.into_iter().chain(y).map(move |v| (k, v)))
+}
+
+/// Walk two streams, each ascending by key with distinct keys, in step:
+/// every key once, with what each stream holds for it.
+fn join<K: Ord + Copy, A, B>(
+    a: impl Iterator<Item = (K, A)>,
+    b: impl Iterator<Item = (K, B)>,
+) -> impl Iterator<Item = (K, Option<A>, Option<B>)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+        };
+        Some(match order {
+            Ordering::Less => a.next().map(|(k, x)| (k, Some(x), None))?,
+            Ordering::Greater => b.next().map(|(k, y)| (k, None, Some(y)))?,
+            Ordering::Equal => {
+                let ((k, x), (_, y)) = (a.next()?, b.next()?);
+                (k, Some(x), Some(y))
+            }
+        })
+    })
 }
 
 /// The image an engine is current with, plus its transpose.
@@ -294,6 +398,125 @@ mod tests {
         assert_eq!(**advancing.image(), *s1);
         assert_eq!(adopting.in_neighbors(3).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(adopting.in_degree(2), 0);
+    }
+
+    /// Apply `deltas` to `s0` one by one and compose what each really
+    /// changed; the oracle classifies the merged delta against `s0` in one
+    /// step.
+    fn composed_and_merged(
+        s0: &GraphSnapshot,
+        deltas: &[SnapshotDelta],
+    ) -> (AppliedDelta, AppliedDelta) {
+        let mut g = DeltaGraph::from_snapshot(s0);
+        let composed = deltas
+            .iter()
+            .map(|d| g.apply(d))
+            .reduce(|net, later| net.then(&later))
+            .expect("at least one delta");
+        let mut merged = deltas[0].clone();
+        for d in &deltas[1..] {
+            merged.merge(d);
+        }
+        (composed, DeltaGraph::from_snapshot(s0).apply(&merged))
+    }
+
+    #[test]
+    fn composition_cancels_and_reweights_like_the_merged_delta() {
+        let s0 = GraphSnapshot::from_edges(
+            0,
+            8,
+            vec![
+                Edge::weighted(0, 1, 5),
+                Edge::weighted(1, 2, 1),
+                Edge::weighted(2, 3, 4),
+            ],
+        );
+        let cases: [(&str, Vec<SnapshotDelta>); 7] = [
+            (
+                "add then remove",
+                vec![delta(1, &[(4, 5, 1)], &[]), delta(2, &[], &[(4, 5)])],
+            ),
+            (
+                "remove then re-add",
+                vec![delta(1, &[], &[(0, 1)]), delta(2, &[(0, 1, 5)], &[])],
+            ),
+            (
+                "remove then re-add heavier",
+                vec![delta(1, &[], &[(0, 1)]), delta(2, &[(0, 1, 9)], &[])],
+            ),
+            (
+                "reweight and back",
+                vec![delta(1, &[(1, 2, 7)], &[]), delta(2, &[(1, 2, 1)], &[])],
+            ),
+            (
+                "reweight then remove",
+                vec![delta(1, &[(1, 2, 7)], &[]), delta(2, &[], &[(1, 2)])],
+            ),
+            (
+                "add then reweight",
+                vec![delta(1, &[(6, 7, 2)], &[]), delta(2, &[(6, 7, 3)], &[])],
+            ),
+            (
+                "empty deltas",
+                vec![
+                    delta(1, &[], &[]),
+                    delta(2, &[(5, 6, 1)], &[(2, 3)]),
+                    delta(3, &[], &[]),
+                ],
+            ),
+        ];
+        for (name, deltas) in cases {
+            let (composed, oracle) = composed_and_merged(&s0, &deltas);
+            assert_eq!(composed, oracle, "{name}");
+            assert_eq!(composed.epoch, deltas.len() as u64, "{name}");
+        }
+        let (cancelled, _) = composed_and_merged(
+            &s0,
+            &[delta(1, &[(4, 5, 1)], &[]), delta(2, &[], &[(4, 5)])],
+        );
+        assert!(cancelled.is_empty());
+        let (heavier, _) = composed_and_merged(
+            &s0,
+            &[delta(1, &[], &[(0, 1)]), delta(2, &[(0, 1, 9)], &[])],
+        );
+        assert_eq!(heavier.reweighted, vec![(0, 1, 5, 9)]);
+    }
+
+    #[test]
+    fn composition_matches_the_merged_delta_on_random_chains() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(11);
+        for _ in 0..200 {
+            // Six vertices and two weights, so keys and weights collide.
+            let pick = |rng: &mut SmallRng| {
+                (
+                    rng.gen_range(0..6u32),
+                    rng.gen_range(0..6u32),
+                    rng.gen_range(1..3u64),
+                )
+            };
+            let initial: Vec<Edge> = (0..8)
+                .map(|_| pick(&mut rng))
+                .map(|(s, d, w)| Edge::weighted(s, d, w))
+                .collect();
+            let mut initial = initial;
+            initial.sort_by_key(|e| (e.src, e.dst));
+            initial.dedup_by_key(|e| (e.src, e.dst));
+            let s0 = GraphSnapshot::from_edges(0, 6, initial);
+            let deltas: Vec<SnapshotDelta> = (1..=rng.gen_range(1..6u64))
+                .map(|epoch| {
+                    let ins: Vec<_> = (0..rng.gen_range(0..5)).map(|_| pick(&mut rng)).collect();
+                    let del: Vec<_> = (0..rng.gen_range(0..5))
+                        .map(|_| pick(&mut rng))
+                        .map(|(s, d, _)| (s, d))
+                        .collect();
+                    delta(epoch, &ins, &del)
+                })
+                .collect();
+            let (composed, oracle) = composed_and_merged(&s0, &deltas);
+            assert_eq!(composed, oracle, "{deltas:?}");
+        }
     }
 
     #[test]

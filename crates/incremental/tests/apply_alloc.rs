@@ -112,7 +112,7 @@ fn measured(
     next: Arc<GraphSnapshot>,
 ) -> (usize, u64) {
     let work = engine.stats().cc_work;
-    let bytes = bytes_during(|| engine.apply_at(d, next));
+    let bytes = bytes_during(|| drop(engine.apply_at(d, next)));
     (bytes, engine.stats().cc_work - work)
 }
 

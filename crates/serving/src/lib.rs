@@ -18,7 +18,8 @@
 //!            ResultCache (tails the          execute() on the
 //!            backend's delta ring: one       cached epoch's snapshot,
 //!            merged delta per refresh;       then memoize whole-graph
-//!            refill / invalidate)            answers only
+//!            refill / stale / invalidate;    answers only
+//!            BFS repaired on lookup)
 //! ```
 //!
 //! The pieces:
@@ -29,9 +30,10 @@
 //! - [`Query`] / [`QueryResult`] / [`execute`]: the typed query vocabulary
 //!   and its fresh-from-snapshot oracle.
 //! - [`ResultCache`]: memoized whole-graph results (BFS, CC, PageRank)
-//!   keyed `(tenant, query)` at one epoch, advanced by tailing
-//!   [`SnapshotDelta`]s — a hit at the current epoch is oracle-exact by
-//!   construction (see the `cache` module docs). Point queries are
+//!   keyed `(tenant, query)`, advanced by tailing [`SnapshotDelta`]s —
+//!   every hit is oracle-exact at the current epoch by construction, a BFS
+//!   answer repaired on lookup from the net change since it was exact (see
+//!   the `cache` module docs). Point queries are
 //!   answered by the published image and never memoized.
 //! - [`TenantConfig`] / [`TokenBucket`]: per-tenant query and ingest
 //!   quotas; admission sheds ([`Rejected`]) and never blocks.

@@ -116,8 +116,8 @@ pub struct ServingMetrics {
     pub epoch: u64,
     /// Entries currently memoized.
     pub cache_entries: usize,
-    /// Cache maintenance counters (refreshes, invalidations, full
-    /// flushes).
+    /// Cache maintenance counters (refreshes, invalidations, repairs,
+    /// full flushes).
     pub cache: CacheStats,
 }
 
@@ -163,8 +163,11 @@ impl std::fmt::Display for ServingMetrics {
         .annotate(format_args!("{} shed", t.ingest_shed))
         .group()
         .raw(format_args!(
-            "cache {} refreshes, {} invalidated, {} flushes",
-            self.cache.refreshes, self.cache.invalidations, self.cache.flushes
+            "cache {} refreshes, {} invalidated, {} repaired, {} flushes",
+            self.cache.refreshes,
+            self.cache.invalidations,
+            self.cache.repairs,
+            self.cache.flushes
         ))
         .finish();
         f.write_str(&line)
@@ -207,6 +210,7 @@ mod tests {
         assert_eq!(t.ingested, 20);
         let line = m.to_string();
         assert!(line.contains("epoch 9") && line.contains("50.0% cache hits"), "{line}");
+        assert!(line.contains("0 invalidated, 0 repaired"), "{line}");
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!                                                      ▼
 //!                                        cache refresh (tail delta ring)
 //!                                            hit? ──► clone Arc, done
+//!                                                     (a stale BFS entry is
+//!                                                      repaired first)
 //!                                            miss ──► execute(), memoize
 //!                                           point ──► execute() on the image
 //! ```
@@ -79,8 +81,10 @@ pub struct ServingConfig {
     pub default_deadline: Duration,
     /// Enable the delta-maintained result cache.
     pub cache: bool,
-    /// BFS roots the cache maintains incrementally (hits at other roots
-    /// invalidate on every epoch instead).
+    /// BFS roots whose cached answers are never evicted. Every memoized
+    /// BFS answer is repaired on its next lookup from the net change since
+    /// it was exact; one at another root is dropped at a refresh when BFS
+    /// queries were asked since the refresh before and it was not.
     pub bfs_roots: Vec<u32>,
     /// Server-wide PageRank execution parameters.
     pub pagerank: PageRankParams,

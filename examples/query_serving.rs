@@ -3,10 +3,10 @@
 //! per-tenant ingest quotas while three tenants — an unlimited dashboard,
 //! a rate-limited analytics batch job, and a tightly-capped ad-hoc user —
 //! hammer the typed query vocabulary. The delta-maintained result cache
-//! memoizes the whole-graph answers and keeps the maintained ones (BFS at
-//! root 0, CC) across every flush, point queries read the published image
-//! directly, and the token buckets shed the ad-hoc tenant's overflow
-//! without ever blocking the others.
+//! memoizes the whole-graph answers and keeps BFS (repaired on lookup,
+//! root 0 never evicted) and CC across every flush, point queries read the
+//! published image directly, and the token buckets shed the ad-hoc
+//! tenant's overflow without ever blocking the others.
 //!
 //! ```sh
 //! cargo run --release --example query_serving
