@@ -155,7 +155,7 @@ mod tests {
         let d = dev();
         let mut g = GpmaPlus::build(&d, 6, &two_components());
         // Bridge the components, then cut the {3,4} pair from inside.
-        g.update_batch(
+        g.update_batch_lazy(
             &d,
             &UpdateBatch {
                 insertions: vec![Edge::new(2, 3)],
@@ -164,7 +164,7 @@ mod tests {
         );
         let view = GpmaView::build(&d, &g.storage);
         assert_eq!(component_count(&cc_device(&d, &view).to_vec()), 2);
-        g.update_batch(
+        g.update_batch_lazy(
             &d,
             &UpdateBatch {
                 insertions: vec![],

@@ -586,7 +586,7 @@ mod tests {
         // Redirect everything to vertex 1 (including cutting 1→0, so rank
         // no longer chains through to the old hub) and re-rank — the
         // continuous-monitoring pattern.
-        g.update_batch(
+        g.update_batch_lazy(
             &d,
             &UpdateBatch {
                 insertions: (2..8u32).map(|v| Edge::new(v, 1)).collect(),

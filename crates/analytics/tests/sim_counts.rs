@@ -55,6 +55,20 @@
 //! every batch is bit-identical (`gpma_plus` tests hold it to the kept
 //! three-launch tier).
 //!
+//! They were re-recorded last when GPMA+ lost its op-code stream: with
+//! deletions only ever tombstoned, every update that reaches the merges is
+//! an insertion, so `gather_payload`, `compact_promote` and
+//! `slice_updates` stopped moving a four-byte op per update and the merges
+//! stopped reading one. Store, benchmark device `[155, 954_873, 2_079_991,
+//! 11_200, 7_944]` → `[155, 954_622, 2_077_040, 11_200, 7_944]`,
+//! deterministic `[155, 954_836, 2_079_599, 11_200, 7_940]` → `[155,
+//! 954_585, 2_076_652, 11_200, 7_940]`. Small batches, benchmark `[232,
+//! 1_537_950, 4_465_888, 4_054, 2_934]` → `[232, 1_537_922, 4_465_506,
+//! 4_054, 2_934]`, deterministic `[232, 1_537_931, 4_465_724, 4_054, 2_934]`
+//! → `[232, 1_537_906, 4_465_370, 4_054, 2_934]`. Launches, atomics and
+//! conflicts did not move, and neither did the analytics half: the slot
+//! layout after every batch is bit-identical.
+//!
 //! A change to how `gpma_sim::Device::launch` traces or counts a sampled warp
 //! must leave every number here alone; a deliberate change to the kernels or
 //! the cost model re-records the half it touches and says so.
@@ -140,7 +154,7 @@ fn benchmark_device_counts_are_pinned() {
         host_parallelism: 1,
         ..Default::default()
     });
-    assert_eq!(store, [155, 954_873, 2_079_991, 11_200, 7_944]);
+    assert_eq!(store, [155, 954_622, 2_077_040, 11_200, 7_944]);
     assert_eq!(analytics_half(store, all), [89, 516_291, 756_674, 43_998, 32]);
 }
 
@@ -150,15 +164,15 @@ fn small_batch_counts_are_pinned() {
         host_parallelism: 1,
         ..Default::default()
     });
-    assert_eq!(benchmark, [232, 1_537_950, 4_465_888, 4_054, 2_934]);
+    assert_eq!(benchmark, [232, 1_537_922, 4_465_506, 4_054, 2_934]);
     let deterministic = run_small_batches(DeviceConfig::deterministic());
-    assert_eq!(deterministic, [232, 1_537_931, 4_465_724, 4_054, 2_934]);
+    assert_eq!(deterministic, [232, 1_537_906, 4_465_370, 4_054, 2_934]);
 }
 
 #[test]
 fn deterministic_device_counts_are_pinned() {
     // Every warp traced.
     let [store, all] = run(DeviceConfig::deterministic());
-    assert_eq!(store, [155, 954_836, 2_079_599, 11_200, 7_940]);
+    assert_eq!(store, [155, 954_585, 2_076_652, 11_200, 7_940]);
     assert_eq!(analytics_half(store, all), [89, 509_235, 672_103, 43_998, 14]);
 }

@@ -885,7 +885,7 @@ pub fn audit(cfg: &ExpConfig) {
     let mut image = GraphSnapshot::from_store(0, &g.storage);
     let mut epoch = 0u64;
     for b in stream.sliding(batch).take(slides) {
-        g.update_batch(&dev, &b);
+        g.update_batch_lazy(&dev, &b);
         g.validate()
             .unwrap_or_else(|e| panic!("epoch {}: {e}", epoch + 1));
         epoch += 1;

@@ -385,22 +385,12 @@ impl ClusterHandle {
         Ok(())
     }
 
-    /// Non-blocking insert: `Ok(false)` (and a counted drop) when the
-    /// router queue is full — the load-shedding policy for producers that
-    /// must not stall. Mirrors [`IngestHandle::offer_insert`].
-    pub fn offer_insert(&self, e: Edge) -> Result<bool, ClusterClosed> {
-        self.offer_batch(UpdateBatch::single_insert(e))
-    }
-
-    /// Non-blocking delete; same drop policy as [`Self::offer_insert`].
-    pub fn offer_delete(&self, e: Edge) -> Result<bool, ClusterClosed> {
-        self.offer_batch(UpdateBatch::single_delete(e))
-    }
-
-    /// Non-blocking batch ingest: the whole batch is accepted or shed as
-    /// one unit (a batch occupies a single router-queue slot, so partial
-    /// shedding is impossible). `Ok(false)` counts every contained update
-    /// as dropped. The ingest path a quota-metered serving front uses.
+    /// Non-blocking batch ingest — the load-shedding policy for producers
+    /// that must not stall, as [`IngestHandle::offer_batch`]: the whole
+    /// batch is accepted or shed as one unit (a batch occupies a single
+    /// router-queue slot, so partial shedding is impossible). `Ok(false)`
+    /// counts every contained update as dropped. The ingest path a
+    /// quota-metered serving front uses.
     pub fn offer_batch(&self, batch: UpdateBatch) -> Result<bool, ClusterClosed> {
         let (ins, del) = (batch.insertions.len() as u64, batch.deletions.len() as u64);
         let t0 = self.enqueue_t0();

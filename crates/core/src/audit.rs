@@ -163,8 +163,8 @@ impl GpmaPlus {
                 }
             }
         }
-        // Root lower bound: the shrink check of `apply_sorted` fires when
-        // the root drops below rho_root — unless the array is already at
+        // Root lower bound: the shrink check `update_batch_lazy` runs after
+        // every batch fires when the root drops below rho_root — unless the array is already at
         // its minimum capacity, or the power-of-two rounding of the resize
         // target means no smaller geometry could hold the entries (a fresh
         // build/resize can legally sit just below rho_root for that

@@ -148,7 +148,7 @@ mod tests {
     fn view_tracks_updates() {
         let d = dev();
         let mut g = GpmaPlus::build(&d, 4, &fig5_edges());
-        g.update_batch(
+        g.update_batch_lazy(
             &d,
             &UpdateBatch {
                 insertions: vec![Edge::weighted(3, 0, 9), Edge::weighted(1, 0, 8)],

@@ -108,9 +108,9 @@ impl GraphStreamBuffer {
     /// Remove still-buffered insertions of edge key `key`; returns how many
     /// were cancelled.
     ///
-    /// Within one flushed batch deletions apply *before* insertions (the
-    /// sliding-window convention of `prepare_updates_parts`), so a deletion that
-    /// arrives after a same-key insertion still sitting in this buffer would
+    /// Within one flushed batch deletions apply *before* insertions
+    /// ([`GpmaPlus::update_batch_lazy`] tombstones them before it merges the
+    /// insertions), so a deletion that arrives after a same-key insertion still sitting in this buffer would
     /// otherwise lose to it. A caller that needs arrival-order (sequential)
     /// semantics — the `gpma-service` ingest worker — cancels the pending
     /// insertion before offering the deletion.
@@ -120,8 +120,9 @@ impl GraphStreamBuffer {
         before - self.pending.insertions.len()
     }
 
-    /// Shared drain: up to `limit` updates, deletions first (the batch-apply
-    /// order fixed by `prepare_updates_parts`), remainder left buffered.
+    /// Shared drain: up to `limit` updates, deletions first (the order
+    /// [`GpmaPlus::update_batch_lazy`] applies them in), remainder left
+    /// buffered.
     fn take_up_to(&mut self, limit: usize) -> UpdateBatch {
         if self.pending.len() <= limit {
             return std::mem::take(&mut self.pending);

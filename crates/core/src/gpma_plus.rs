@@ -31,7 +31,7 @@ use gpma_sim::{launch, primitives, Device, DeviceBuffer, Lane, LaneMode};
 
 use crate::storage::{CompactScratch, GpmaStorage, EMPTY};
 use crate::update::{
-    merge_parallel_into, merge_window_into, merged_count_serial, prepare_updates_parts,
+    merge_parallel_into, merge_window_into, merged_count_serial, prepare_insertions,
     with_merge_scratch, DeviceUpdates, MergeScratch, UpdateScratch, WindowMerge,
 };
 
@@ -50,7 +50,7 @@ pub struct PlusStats {
     pub device_merges: u64,
     /// Full-array resizes (root doublings or shrinks).
     pub resizes: u64,
-    /// Lazily tombstoned deletions (sliding-window mode).
+    /// Deletions that tombstoned a live edge.
     pub lazy_deletes: usize,
 }
 
@@ -91,7 +91,6 @@ struct LevelScratch {
     positions: DeviceBuffer<u32>,
     keys: DeviceBuffer<u64>,
     vals: DeviceBuffer<u64>,
-    ops: DeviceBuffer<u32>,
     segs: DeviceBuffer<u32>,
     /// Segment id of every pending update at the current level (leaf ids
     /// from `locate_leaves`, then swapped with `segs` on each promotion).
@@ -115,7 +114,6 @@ impl Default for LevelScratch {
             positions: DeviceBuffer::new(0),
             keys: DeviceBuffer::new(0),
             vals: DeviceBuffer::new(0),
-            ops: DeviceBuffer::new(0),
             segs: DeviceBuffer::new(0),
             seg_ids: DeviceBuffer::new(0),
             rle: primitives::RleScratch::default(),
@@ -127,14 +125,13 @@ impl Default for LevelScratch {
 
 impl LevelScratch {
     /// Grow any buffer below `n` slots. Checked per buffer: the ping-pong
-    /// swaps hand the key/val/op/seg slots back buffers of *earlier batch*
+    /// swaps hand the key/val/seg slots back buffers of *earlier batch*
     /// sizes, so their capacities evolve independently of the mask pair.
     fn ensure(&mut self, n: usize) {
         self.keep.grow_to(n);
         self.positions.grow_to(n);
         self.keys.grow_to(n);
         self.vals.grow_to(n);
-        self.ops.grow_to(n);
         self.segs.grow_to(n);
         self.seg_ids.grow_to(n);
         self.accept.grow_to(n);
@@ -163,41 +160,49 @@ impl GpmaPlus {
         self
     }
 
-    /// Apply a batch with full merge semantics: deletions travel through the
-    /// segment-oriented path as first-class updates (the "dual" operation).
-    pub fn update_batch(&mut self, dev: &Device, batch: &UpdateBatch) -> PlusStats {
-        let nv = self.storage.num_vertices();
-        let u = prepare_updates_parts(
-            dev,
-            nv,
-            &batch.deletions,
-            &batch.insertions,
-            &mut self.scratch,
-        );
-        self.apply_sorted(dev, u, 0)
-    }
-
-    /// Sliding-window fast path (§6.1): deletions are lazily tombstoned
-    /// (recycled by later merges), insertions take the normal path — passed
-    /// as a slice so the insert-only view costs no batch clone.
+    /// Apply a batch, GPMA+'s one update path (§6.1's sliding-window
+    /// model): deletions first, each marking its slot deleted (the holes
+    /// are recycled by later merges), then the insertions merge level by
+    /// level. A key both deleted and inserted in one batch ends up present
+    /// with the inserted weight.
     pub fn update_batch_lazy(&mut self, dev: &Device, batch: &UpdateBatch) -> PlusStats {
-        let lazy = self.storage.delete_lazy(dev, &batch.deletions, &mut self.scratch);
-        let nv = self.storage.num_vertices();
-        let u = prepare_updates_parts(dev, nv, &[], &batch.insertions, &mut self.scratch);
-        self.apply_sorted(dev, u, lazy)
-    }
-
-    /// Algorithm 4: `GpmaPlusInsertion`, generalized to mixed updates.
-    // lint: hot-path
-    fn apply_sorted(&mut self, dev: &Device, updates: DeviceUpdates, lazy: usize) -> PlusStats {
         let mut stats = PlusStats {
-            lazy_deletes: lazy,
+            lazy_deletes: self.storage.delete_lazy(dev, &batch.deletions, &mut self.scratch),
             ..Default::default()
         };
-        if updates.is_empty() {
-            return stats;
+        if !batch.insertions.is_empty() {
+            let nv = self.storage.num_vertices();
+            let u = prepare_insertions(dev, nv, &batch.insertions, &mut self.scratch);
+            self.apply_sorted(dev, u, &mut stats);
         }
+        // Post-batch shrink check (delete-heavy workloads): below the root's
+        // lower density bound, rebuild at ~60 % density. Rounded up to a
+        // power of two, that rebuild lands a 33-40 % dense array on the
+        // capacity it has. An insert-free batch skips it there; after a
+        // batch with insertions it still runs, re-spreading the entries.
+        let density = self.storage.density_config();
+        let h = self.storage.geometry().height();
+        let (len, cap) = (self.storage.len(), self.storage.capacity());
+        let shrinks = GpmaStorage::geometry_for(len).capacity() < cap;
+        if cap > 128
+            && !density.within_rho(len, cap, h, h)
+            && (shrinks || !batch.insertions.is_empty())
+        {
+            let empty = DeviceUpdates {
+                keys: DeviceBuffer::new(0),
+                vals: DeviceBuffer::new(0),
+                len: 0,
+            };
+            self.resize_with_updates(dev, &empty);
+            stats.resizes += 1;
+        }
+        stats
+    }
 
+    /// Algorithm 4: `GpmaPlusInsertion` over a sorted, non-empty insertion
+    /// set.
+    // lint: hot-path
+    fn apply_sorted(&mut self, dev: &Device, updates: DeviceUpdates, stats: &mut PlusStats) {
         // Size every reused level buffer (incl. the RLE scratch inputs and
         // the keep mask process_level fills) once: the batch only shrinks
         // from here, and the ping-pong swaps below exchange buffers that
@@ -231,18 +236,18 @@ impl GpmaPlus {
                 break;
             }
             stats.levels = level + 1;
-            if self.process_level(dev, &cur, level, &mut stats) {
+            if self.process_level(dev, &cur, level, stats) {
                 // The level consumed the whole batch: lines 12-15 have
                 // nothing to drop or promote, so skip the keep-mask scan.
                 break;
             }
 
             // Lines 12-15: drop consumed updates, promote the rest. The
-            // four survivor streams share one keep-mask scan and scatter
+            // three survivor streams share one keep-mask scan and scatter
             // through reusable ping-pong buffers (capacities only grow),
             // so the steady-state level loop reallocates none of them
             // (the scan still allocates its own intermediates) and runs
-            // one fused kernel instead of four scans + five scatters.
+            // one fused kernel instead of three scans + four scatters.
             let nupd = cur.len;
             let scratch = &mut self.level_scratch;
             let remaining =
@@ -251,9 +256,8 @@ impl GpmaPlus {
             if remaining > 0 {
                 let k = &scratch.keep;
                 let pos = &scratch.positions;
-                let (sk, sv, so, sg) =
-                    (&scratch.keys, &scratch.vals, &scratch.ops, &scratch.segs);
-                let (ck, cv, co) = (&cur.keys, &cur.vals, &cur.ops);
+                let (sk, sv, sg) = (&scratch.keys, &scratch.vals, &scratch.segs);
+                let (ck, cv) = (&cur.keys, &cur.vals);
                 let sid = &scratch.seg_ids;
                 launch!(dev, "compact_promote", nupd, |lane| {
                     let i = lane.tid;
@@ -263,8 +267,6 @@ impl GpmaPlus {
                         sk.set(lane, p, key);
                         let val = cv.get(lane, i);
                         sv.set(lane, p, val);
-                        let op = co.get(lane, i);
-                        so.set(lane, p, op);
                         // Line 15 fused in: promote to the parent segment.
                         let seg = sid.get(lane, i);
                         sg.set(lane, p, seg >> 1);
@@ -273,30 +275,10 @@ impl GpmaPlus {
             }
             std::mem::swap(&mut cur.keys, &mut scratch.keys);
             std::mem::swap(&mut cur.vals, &mut scratch.vals);
-            std::mem::swap(&mut cur.ops, &mut scratch.ops);
             std::mem::swap(&mut scratch.seg_ids, &mut scratch.segs);
             cur.len = remaining;
             level += 1;
         }
-
-        // Post-batch shrink check (delete-heavy workloads): keep the root
-        // above its lower density bound.
-        let density = self.storage.density_config();
-        let h = self.storage.geometry().height();
-        let len = self.storage.len();
-        if !density.within_rho(len, self.storage.capacity(), h, h) && self.storage.capacity() > 128
-        {
-            let empty = DeviceUpdates {
-                keys: DeviceBuffer::new(0),
-                vals: DeviceBuffer::new(0),
-                ops: DeviceBuffer::new(0),
-                len: 0,
-            };
-            self.resize_with_updates(dev, &empty);
-            stats.resizes += 1;
-        }
-
-        stats
     }
 
     /// One level of Algorithm 4's loop: group updates (segment ids in
@@ -555,7 +537,6 @@ fn write_back<M: LaneMode>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::OP_INSERT;
     use gpma_sim::DeviceConfig;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -658,8 +639,8 @@ mod tests {
         merged_ctr.host_read(0)
     }
 
-    /// The reference tier's merge: window entries and effective updates in
-    /// key order, last update of a key wins, a deletion drops the entry.
+    /// The reference tier's merge: window entries and updates in key order,
+    /// last update of a key wins.
     fn ref_merge_window(
         lane: &mut Lane,
         storage: &GpmaStorage,
@@ -680,11 +661,9 @@ mod tests {
                         ui += 1;
                         continue;
                     }
-                    if u.ops.get(lane, ui) == OP_INSERT {
-                        let v = u.vals.get(lane, ui);
-                        merged.push((uk, v));
-                        lane.work(1);
-                    }
+                    let v = u.vals.get(lane, ui);
+                    merged.push((uk, v));
+                    lane.work(1);
                     ui += 1;
                 }
             };
@@ -699,10 +678,8 @@ mod tests {
                 while ui + 1 < ur.end && u.keys.get(lane, ui + 1) == k {
                     ui += 1;
                 }
-                if u.ops.get(lane, ui) == OP_INSERT {
-                    let v = u.vals.get(lane, ui);
-                    merged.push((k, v));
-                }
+                let v = u.vals.get(lane, ui);
+                merged.push((k, v));
                 ui += 1;
             } else {
                 let v = storage.vals.get(lane, i);
@@ -730,17 +707,9 @@ mod tests {
         fused: &mut GpmaPlus,
         reference: &mut GpmaPlus,
         batch: &UpdateBatch,
-        lazy: bool,
     ) -> PlusStats {
-        let apply = |g: &mut GpmaPlus| {
-            if lazy {
-                g.update_batch_lazy(d, batch)
-            } else {
-                g.update_batch(d, batch)
-            }
-        };
-        let stats = apply(fused);
-        assert_eq!(stats, apply(reference), "PlusStats differ");
+        let stats = fused.update_batch_lazy(d, batch);
+        assert_eq!(stats, reference.update_batch_lazy(d, batch), "PlusStats differ");
         let (a, b) = (&fused.storage, &reference.storage);
         assert_eq!(a.keys.as_slice(), b.keys.as_slice(), "keys differ");
         assert_eq!(a.vals.as_slice(), b.vals.as_slice(), "vals differ");
@@ -772,45 +741,29 @@ mod tests {
             .collect();
         let batches = [
             // Weight upserts: every key keeps its slot.
-            (insert(initial.iter().map(|e| Edge::weighted(e.src, e.dst, 7)).collect()), false),
+            insert(initial.iter().map(|e| Edge::weighted(e.src, e.dst, 7)).collect()),
             // Keys past a row's last edge (gaps) and below its first
             // (shifting the row right over its old slots).
-            (
-                insert(
-                    (0..NV)
-                        .step_by(5)
-                        .flat_map(|s| [Edge::new(s, (s + 11) % NV), Edge::new(s, (s + 1) % NV)])
-                        .collect(),
-                ),
-                false,
+            insert(
+                (0..NV)
+                    .step_by(5)
+                    .flat_map(|s| [Edge::new(s, (s + 11) % NV), Edge::new(s, (s + 1) % NV)])
+                    .collect(),
             ),
-            // Deletes through the merge: the leaves compact their holes.
-            (
-                UpdateBatch {
-                    insertions: vec![],
-                    deletions: initial.iter().step_by(4).copied().collect(),
-                },
-                false,
-            ),
-            // A lazy slide: tombstones, and inserts that recycle them.
-            (
-                UpdateBatch {
-                    insertions: (0..NV).step_by(3).map(|s| Edge::new(s, (s + 2) % NV)).collect(),
-                    deletions: initial.iter().skip(1).step_by(4).copied().collect(),
-                },
-                true,
-            ),
-            // Rows filled up: their leaves reject, a parent takes the run,
-            // and past the warp/block tier the device does.
-            (insert((0..10).map(|t| Edge::weighted(40, t, 3)).collect()), false),
-            (insert((0..NV).filter(|&t| t != 9).map(|t| Edge::weighted(9, t, 3)).collect()), false),
-            (
-                insert(
-                    (20..26)
-                        .flat_map(|s| (0..NV).filter(move |&t| t != s).map(move |t| Edge::new(s, t)))
-                        .collect(),
-                ),
-                false,
+            // A slide: tombstones, and inserts that recycle them.
+            UpdateBatch {
+                insertions: (0..NV).step_by(3).map(|s| Edge::new(s, (s + 2) % NV)).collect(),
+                deletions: initial.iter().skip(1).step_by(4).copied().collect(),
+            },
+            // Rows filled up: their leaves reject, a parent takes the run
+            // and spreads it over its leaves, and past the warp/block tier
+            // the device does.
+            insert((0..10).map(|t| Edge::weighted(40, t, 3)).collect()),
+            insert((0..NV).filter(|&t| t != 9).map(|t| Edge::weighted(9, t, 3)).collect()),
+            insert(
+                (20..26)
+                    .flat_map(|s| (0..NV).filter(move |&t| t != s).map(move |t| Edge::new(s, t)))
+                    .collect(),
             ),
         ];
         for pooled in [false, true] {
@@ -820,18 +773,19 @@ mod tests {
             // larger window on the device tier.
             let (mut fused, mut reference) = fused_and_reference(&d, NV, &initial, 2 * seg_len);
             let mut seen = [false; 7];
-            for (batch, lazy) in &batches {
+            for batch in &batches {
                 let keys = fused.storage.keys.to_vec();
                 let vals = fused.storage.vals.to_vec();
-                let stats = apply_both(&d, &mut fused, &mut reference, batch, *lazy);
+                let stats = apply_both(&d, &mut fused, &mut reference, batch);
                 if fused.storage.capacity() == keys.len() {
                     let (keys2, vals2) = (fused.storage.keys.as_slice(), fused.storage.vals.as_slice());
+                    let deleted: Vec<u64> = batch.deletions.iter().map(Edge::key).collect();
                     for i in 0..keys.len() {
                         let (k, k2) = (keys[i], keys2[i]);
                         seen[0] |= k != EMPTY && k2 == k && vals2[i] != vals[i]; // upsert in place
                         seen[1] |= k == EMPTY && k2 != EMPTY; // gap filled
                         seen[2] |= k != EMPTY && k2 != EMPTY && k2 != k; // entry shifted
-                        seen[3] |= !lazy && k != EMPTY && k2 == EMPTY; // hole compacted
+                        seen[3] |= k != EMPTY && k2 == EMPTY && !deleted.contains(&k); // slot vacated
                     }
                 }
                 seen[4] |= stats.lazy_deletes > 0;
@@ -840,7 +794,7 @@ mod tests {
             }
             assert_eq!(
                 seen, [true; 7],
-                "upsert, gap, shift, compact, lazy, promoted, device (pooled: {pooled})"
+                "upsert, gap, shift, vacate, delete, promoted, device (pooled: {pooled})"
             );
         }
     }
@@ -848,10 +802,8 @@ mod tests {
     /// One step of the layout-identity proptest.
     #[derive(Debug, Clone)]
     enum Shape {
-        /// Mixed inserts and deletes through the merges.
-        Merge(Vec<(u32, u32, u64, bool)>),
-        /// The same through the lazy-delete path.
-        Lazy(Vec<(u32, u32, u64, bool)>),
+        /// Mixed inserts and deletes.
+        Mixed(Vec<(u32, u32, u64, bool)>),
         /// Re-insert every other live edge with weight `w`.
         Reweigh(u64),
         /// Insert the whole out-row of a vertex: its leaf rejects.
@@ -867,8 +819,7 @@ mod tests {
             prop::collection::vec(op, 1..40)
         };
         prop_oneof![
-            4 => ops().prop_map(Shape::Merge),
-            3 => ops().prop_map(Shape::Lazy),
+            7 => ops().prop_map(Shape::Mixed),
             2 => (1u64..100).prop_map(Shape::Reweigh),
             2 => (0..PROP_NV).prop_map(Shape::Row),
         ]
@@ -902,20 +853,19 @@ mod tests {
             let tier_max = if tier_shift == 3 { SMALL_WINDOW_MAX } else { seg_len << tier_shift };
             let (mut fused, mut reference) = fused_and_reference(&d, PROP_NV, &[], tier_max);
             for shape in &shapes {
-                let (batch, lazy) = match shape {
-                    Shape::Merge(ops) => (to_batch(ops), false),
-                    Shape::Lazy(ops) => (to_batch(ops), true),
+                let batch = match shape {
+                    Shape::Mixed(ops) => to_batch(ops),
                     Shape::Reweigh(w) => {
                         let insertions = fused.storage.host_edges().into_iter().step_by(2)
                             .map(|e| Edge::weighted(e.src, e.dst, *w)).collect();
-                        (UpdateBatch { insertions, deletions: vec![] }, false)
+                        UpdateBatch { insertions, deletions: vec![] }
                     }
                     Shape::Row(r) => {
                         let insertions = (0..PROP_NV).filter(|t| t != r).map(|t| Edge::new(*r, t)).collect();
-                        (UpdateBatch { insertions, deletions: vec![] }, false)
+                        UpdateBatch { insertions, deletions: vec![] }
                     }
                 };
-                apply_both(&d, &mut fused, &mut reference, &batch, lazy);
+                apply_both(&d, &mut fused, &mut reference, &batch);
             }
         }
     }
@@ -940,25 +890,10 @@ mod tests {
             insertions: edges(&[(1, 5), (7, 0), (0, 2)]),
             deletions: vec![],
         };
-        g.update_batch(&d, &batch);
+        g.update_batch_lazy(&d, &batch);
         g.storage.check_invariants();
         let keys: Vec<(u32, u32)> = oracle_of(&g).into_keys().collect();
         assert_eq!(keys, vec![(0, 1), (0, 2), (1, 5), (3, 2), (7, 0)]);
-    }
-
-    #[test]
-    fn delete_batch_through_merge_path() {
-        let d = dev();
-        let mut g = GpmaPlus::build(&d, 4, &edges(&[(0, 1), (1, 2), (2, 3), (3, 0)]));
-        let batch = UpdateBatch {
-            insertions: vec![],
-            deletions: edges(&[(1, 2), (3, 0)]),
-        };
-        g.update_batch(&d, &batch);
-        g.storage.check_invariants();
-        let keys: Vec<(u32, u32)> = oracle_of(&g).into_keys().collect();
-        assert_eq!(keys, vec![(0, 1), (2, 3)]);
-        assert_eq!(g.storage.num_edges(), 2);
     }
 
     #[test]
@@ -966,7 +901,7 @@ mod tests {
         let d = dev();
         let mut g = GpmaPlus::build(&d, 4, &[Edge::weighted(0, 1, 5)]);
         let before_len = g.storage.len();
-        g.update_batch(
+        g.update_batch_lazy(
             &d,
             &UpdateBatch {
                 insertions: vec![Edge::weighted(0, 1, 42)],
@@ -991,7 +926,7 @@ mod tests {
             insertions: edges(&[(0, 1), (0, 4 + 1), (0, 9), (0, 35), (0, 48 + 1)]),
             deletions: vec![],
         };
-        let stats = g.update_batch(&d, &batch);
+        let stats = g.update_batch_lazy(&d, &batch);
         g.storage.check_invariants();
         assert!(stats.levels >= 1);
         let m = oracle_of(&g);
@@ -1014,7 +949,7 @@ mod tests {
         for e in &ins {
             expect.insert((e.src, e.dst), e.weight);
         }
-        let stats = g.update_batch(
+        let stats = g.update_batch_lazy(
             &d,
             &UpdateBatch {
                 insertions: ins,
@@ -1061,7 +996,7 @@ mod tests {
         let all: Vec<Edge> = (0..60u32).flat_map(|s| [(s, (s + 1) % 60), (s, (s + 2) % 60)]).map(|(s, t)| Edge::new(s, t)).collect();
         let mut g = GpmaPlus::build(&d, 60, &all);
         let cap0 = g.storage.capacity();
-        let stats = g.update_batch(
+        let stats = g.update_batch_lazy(
             &d,
             &UpdateBatch {
                 insertions: vec![],
@@ -1069,9 +1004,10 @@ mod tests {
             },
         );
         g.storage.check_invariants();
-        assert_eq!(g.storage.num_edges(), 0);
+        assert_eq!(oracle_of(&g), BTreeMap::new());
+        assert_eq!(stats.resizes, 1);
         assert!(
-            g.storage.capacity() < cap0 || stats.resizes > 0,
+            g.storage.capacity() < cap0,
             "mass deletion should shrink ({} -> {})",
             cap0,
             g.storage.capacity()
@@ -1083,7 +1019,7 @@ mod tests {
         let d = dev();
         let mut g = GpmaPlus::build(&d, 4, &edges(&[(0, 1)]));
         let before = g.storage.host_entries();
-        let stats = g.update_batch(&d, &UpdateBatch::default());
+        let stats = g.update_batch_lazy(&d, &UpdateBatch::default());
         assert_eq!(stats, PlusStats::default());
         assert_eq!(g.storage.host_entries(), before);
     }
@@ -1110,14 +1046,14 @@ mod tests {
                 }
             }
             // Oracle applies deletions first, then insertions (the batch
-            // semantics fixed by prepare_updates_parts).
+            // semantics of update_batch_lazy).
             for e in &batch.deletions {
                 oracle.remove(&(e.src, e.dst));
             }
             for e in &batch.insertions {
                 oracle.insert((e.src, e.dst), e.weight);
             }
-            g.update_batch(&d, &batch);
+            g.update_batch_lazy(&d, &batch);
             g.storage.check_invariants();
             assert_eq!(oracle_of(&g), oracle);
         }
@@ -1190,12 +1126,12 @@ mod tests {
         let d_slow = mk(2);
         let mut g_slow = GpmaPlus::build(&d_slow, n, &initial);
         let (_, t_slow) = d_slow.timed(|d| {
-            g_slow.update_batch(d, &batch);
+            g_slow.update_batch_lazy(d, &batch);
         });
         let d_fast = mk(32);
         let mut g_fast = GpmaPlus::build(&d_fast, n, &initial);
         let (_, t_fast) = d_fast.timed(|d| {
-            g_fast.update_batch(d, &batch);
+            g_fast.update_batch_lazy(d, &batch);
         });
         assert!(
             t_slow.secs() > 1.5 * t_fast.secs(),

@@ -37,7 +37,7 @@
 //!
 //! let dev = Device::new(DeviceConfig::deterministic());
 //! let mut graph = GpmaPlus::build(&dev, 4, &[Edge::new(0, 1), Edge::new(1, 2)]);
-//! graph.update_batch(&dev, &UpdateBatch {
+//! graph.update_batch_lazy(&dev, &UpdateBatch {
 //!     insertions: vec![Edge::new(2, 3)],
 //!     deletions: vec![Edge::new(0, 1)],
 //! });

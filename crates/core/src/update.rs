@@ -8,20 +8,15 @@ use gpma_sim::{launch, primitives, Device, DeviceBuffer, Lane, LaneMode};
 
 use crate::storage::{GpmaStorage, EMPTY};
 
-/// Operation code for an insertion/modification (stored lane-visible).
-pub const OP_INSERT: u32 = 0;
-/// Operation code for a deletion (stored lane-visible).
-pub const OP_DELETE: u32 = 1;
-
-/// A sorted update set resident on the device: `keys` ascending; for runs of
-/// equal keys the *last* element wins (update semantics).
+/// A sorted insertion set resident on the device: `keys` ascending; for
+/// runs of equal keys the *last* element wins (upsert semantics). Deletions
+/// never enter it: they are tombstoned in place before the merges run
+/// ([`GpmaStorage::delete_lazy`]).
 pub struct DeviceUpdates {
     /// Edge storage keys (`src << 32 | dst`), ascending.
     pub keys: DeviceBuffer<u64>,
-    /// Edge weights, aligned with `keys` (zero for deletions).
+    /// Edge weights, aligned with `keys`.
     pub vals: DeviceBuffer<u64>,
-    /// Operation codes aligned with `keys`: [`OP_INSERT`] or [`OP_DELETE`].
-    pub ops: DeviceBuffer<u32>,
     /// Number of updates in the set.
     pub len: usize,
 }
@@ -33,8 +28,8 @@ impl DeviceUpdates {
     }
 }
 
-/// Reusable host staging for [`prepare_updates_parts`]: the key / value /
-/// op upload vectors (and the sort-index iota) are cleared and refilled per
+/// Reusable host staging for [`prepare_insertions`]: the key / value
+/// upload vectors (and the sort-index iota) are cleared and refilled per
 /// batch instead of reallocated, so a steady-state stream of flushes does no
 /// per-launch host allocation on the upload path (the ROADMAP profiling
 /// item). Also stages the lazy-delete kernel's inputs (device key buffer,
@@ -44,7 +39,6 @@ impl DeviceUpdates {
 pub struct UpdateScratch {
     keys: Vec<u64>,
     vals: Vec<u64>,
-    ops: Vec<u32>,
     idx: Vec<u64>,
     del_keys: DeviceBuffer<u64>,
     del_count: DeviceBuffer<u64>,
@@ -55,7 +49,6 @@ impl Default for UpdateScratch {
         UpdateScratch {
             keys: Vec::new(),
             vals: Vec::new(),
-            ops: Vec::new(),
             idx: Vec::new(),
             del_keys: DeviceBuffer::new(0),
             del_count: DeviceBuffer::new(1),
@@ -82,39 +75,26 @@ impl UpdateScratch {
     }
 }
 
-/// Upload a batch's deletions and insertions and radix-sort them by key on
-/// the device. Deletions are placed *before* insertions so that a slide
-/// which deletes and re-inserts the same edge nets out to the edge being
-/// present (stable sort keeps the insert last). Takes raw slices and
-/// caller-owned staging: avoids both the per-batch `Vec` growth and the
-/// `UpdateBatch` clone the lazy deletion path would otherwise pay to strip
-/// deletions.
-pub fn prepare_updates_parts(
+/// Upload a batch's insertions and radix-sort them by key on the device
+/// (stable: of two insertions of one key the later wins). Takes a raw slice
+/// and caller-owned staging, so a batch costs neither `Vec` growth nor an
+/// `UpdateBatch` clone.
+pub fn prepare_insertions(
     dev: &Device,
     num_vertices: u32,
-    deletions: &[Edge],
     insertions: &[Edge],
     scratch: &mut UpdateScratch,
 ) -> DeviceUpdates {
-    let n = deletions.len() + insertions.len();
-    let UpdateScratch { keys, vals, ops, idx, .. } = scratch;
+    let n = insertions.len();
+    let UpdateScratch { keys, vals, idx, .. } = scratch;
     keys.clear();
     vals.clear();
-    ops.clear();
     keys.reserve(n);
     vals.reserve(n);
-    ops.reserve(n);
-    for e in deletions {
-        validate_edge(num_vertices, e.src, e.dst);
-        keys.push(e.key());
-        vals.push(0);
-        ops.push(OP_DELETE);
-    }
     for e in insertions {
         validate_edge(num_vertices, e.src, e.dst);
         keys.push(e.key());
         vals.push(e.weight);
-        ops.push(OP_INSERT);
     }
     idx.clear();
     idx.extend(0..n as u64);
@@ -124,25 +104,20 @@ pub fn prepare_updates_parts(
     let mask = edge_key_mask(num_vertices);
     primitives::radix_sort_pairs_u64_masked(dev, &mut dkeys, &mut idx, mask);
 
-    // Gather the payloads into sorted order.
+    // Gather the weights into sorted order.
     let src_vals = DeviceBuffer::from_slice(vals.as_slice());
-    let src_ops = DeviceBuffer::from_slice(ops.as_slice());
     let out_vals = DeviceBuffer::<u64>::new(n);
-    let out_ops = DeviceBuffer::<u32>::new(n);
     if n > 0 {
         launch!(dev, "gather_payload", n, |lane| {
             let i = lane.tid;
             let j = idx.get(lane, i) as usize;
             let v = src_vals.get(lane, j);
-            let o = src_ops.get(lane, j);
             out_vals.set(lane, i, v);
-            out_ops.set(lane, i, o);
         });
     }
     DeviceUpdates {
         keys: dkeys,
         vals: out_vals,
-        ops: out_ops,
         len: n,
     }
 }
@@ -194,8 +169,8 @@ pub fn with_merge_scratch<R>(f: impl FnOnce(&mut WindowMerge) -> R) -> R {
 /// write-back already overwrote). Returns the window's live entry count
 /// before the merge.
 ///
-/// Semantics per update run of equal keys (last wins): `INSERT` adds or
-/// overwrites; `DELETE` removes if present and is a no-op otherwise.
+/// Semantics per update run of equal keys: the last one adds its key or
+/// overwrites the entry's value.
 // lint: hot-path
 #[inline]
 pub fn merge_window_into<M: LaneMode>(
@@ -227,11 +202,9 @@ pub fn merge_window_into<M: LaneMode>(
                     ui += 1;
                     continue;
                 }
-                if u.ops.get(lane, ui) == OP_INSERT {
-                    let v = u.vals.get(lane, ui);
-                    merged.push((uk, v, true));
-                    lane.work(1);
-                }
+                let v = u.vals.get(lane, ui);
+                merged.push((uk, v, true));
+                lane.work(1);
                 ui += 1;
             }
         };
@@ -250,10 +223,8 @@ pub fn merge_window_into<M: LaneMode>(
             while ui + 1 < ur.end && u.keys.get(lane, ui + 1) == k {
                 ui += 1;
             }
-            if u.ops.get(lane, ui) == OP_INSERT {
-                let v = u.vals.get(lane, ui);
-                merged.push((k, v, true)); // modification
-            } // DELETE: drop the entry
+            let v = u.vals.get(lane, ui);
+            merged.push((k, v, true)); // modification
             ui += 1;
         } else {
             let v = storage.vals.get(lane, i);
@@ -289,9 +260,7 @@ pub fn merged_count_serial<M: LaneMode>(
                     ui += 1;
                     continue;
                 }
-                if u.ops.get(lane, ui) == OP_INSERT {
-                    count += 1;
-                }
+                count += 1;
                 ui += 1;
             }
         };
@@ -302,17 +271,11 @@ pub fn merged_count_serial<M: LaneMode>(
             continue;
         }
         drain_updates_below!(k);
-        if ui < ur.end && u.keys.get(lane, ui) == k {
-            while ui + 1 < ur.end && u.keys.get(lane, ui + 1) == k {
-                ui += 1;
-            }
-            if u.ops.get(lane, ui) == OP_INSERT {
-                count += 1;
-            }
+        // An update run equal to the existing key replaces it: one entry.
+        while ui < ur.end && u.keys.get(lane, ui) == k {
             ui += 1;
-        } else {
-            count += 1;
         }
+        count += 1;
         lane.work(1);
     }
     drain_updates_below!(u64::MAX);
@@ -330,7 +293,6 @@ pub fn merged_count_serial<M: LaneMode>(
 pub struct MergeScratch {
     u_keys: DeviceBuffer<u64>,
     u_vals: DeviceBuffer<u64>,
-    u_ops: DeviceBuffer<u32>,
     u_flags: DeviceBuffer<u32>,
     a_flags: DeviceBuffer<u32>,
     positions: DeviceBuffer<u32>,
@@ -350,7 +312,6 @@ impl Default for MergeScratch {
         MergeScratch {
             u_keys: DeviceBuffer::new(0),
             u_vals: DeviceBuffer::new(0),
-            u_ops: DeviceBuffer::new(0),
             u_flags: DeviceBuffer::new(0),
             a_flags: DeviceBuffer::new(0),
             positions: DeviceBuffer::new(0),
@@ -369,7 +330,6 @@ impl MergeScratch {
     fn ensure(&mut self, na: usize, m: usize) {
         self.u_keys.grow_to(m);
         self.u_vals.grow_to(m);
-        self.u_ops.grow_to(m);
         self.u_flags.grow_to(m);
         self.a_flags.grow_to(na);
         self.positions.grow_to(na.max(m));
@@ -406,7 +366,6 @@ pub fn merge_parallel_into(
     let MergeScratch {
         u_keys,
         u_vals,
-        u_ops,
         u_flags,
         a_flags,
         positions,
@@ -423,33 +382,27 @@ pub fn merge_parallel_into(
     if m > 0 {
         let uk = &u.keys;
         let uv = &u.vals;
-        let uo = &u.ops;
         launch!(dev, "slice_updates", m, |lane| {
             let i = lane.tid;
             let k = uk.get(lane, ustart + i);
             let v = uv.get(lane, ustart + i);
-            let o = uo.get(lane, ustart + i);
             u_keys.set(lane, i, k);
             u_vals.set(lane, i, v);
-            u_ops.set(lane, i, o);
         });
     }
 
-    // 2. Last-wins dedup of the updates, dropping effective DELETEs (they
-    //    act purely by overriding A below).
+    // 2. Last-wins dedup of the updates.
     if m > 0 {
         launch!(dev, "dedup_updates", m, |lane| {
             let i = lane.tid;
             let k = u_keys.get(lane, i);
             let is_last = i + 1 >= m || u_keys.get(lane, i + 1) != k;
-            let keep = is_last && u_ops.get(lane, i) == OP_INSERT;
-            u_flags.set(lane, i, keep as u32);
+            u_flags.set(lane, i, is_last as u32);
         });
     }
 
     // 3. Mark surviving A entries: those whose key does NOT appear in the
-    //    updates at all (any appearance overrides: insert replaces, delete
-    //    removes). The search is length-bounded: the staging buffers may be
+    //    updates at all (an update replaces the entry). The search is length-bounded: the staging buffers may be
     //    over-sized.
     if na > 0 {
         launch!(dev, "a_survivors", na, |lane| {
@@ -542,16 +495,14 @@ mod tests {
         Device::new(DeviceConfig::deterministic())
     }
 
-    fn prepare(d: &Device, num_vertices: u32, batch: &UpdateBatch) -> DeviceUpdates {
-        let mut scratch = UpdateScratch::default();
-        prepare_updates_parts(d, num_vertices, &batch.deletions, &batch.insertions, &mut scratch)
+    fn prepare(d: &Device, num_vertices: u32, insertions: &[Edge]) -> DeviceUpdates {
+        prepare_insertions(d, num_vertices, insertions, &mut UpdateScratch::default())
     }
 
-    fn updates(keys: &[u64], vals: &[u64], ops: &[u32]) -> DeviceUpdates {
+    fn updates(keys: &[u64], vals: &[u64]) -> DeviceUpdates {
         DeviceUpdates {
             keys: DeviceBuffer::from_slice(keys),
             vals: DeviceBuffer::from_slice(vals),
-            ops: DeviceBuffer::from_slice(ops),
             len: keys.len(),
         }
     }
@@ -573,62 +524,51 @@ mod tests {
     #[test]
     fn prepare_sorts_and_orders_ops() {
         let d = dev();
-        let batch = UpdateBatch {
-            insertions: vec![Edge::weighted(2, 1, 7), Edge::weighted(0, 5, 3)],
-            deletions: vec![Edge::new(1, 1)],
-        };
-        let u = prepare(&d, 8, &batch);
+        let insertions = [Edge::weighted(2, 1, 7), Edge::weighted(0, 5, 3), Edge::weighted(1, 1, 4)];
+        let u = prepare(&d, 8, &insertions);
         assert_eq!(u.len, 3);
         assert_eq!(
             u.keys.to_vec(),
             vec![encode_key(0, 5), encode_key(1, 1), encode_key(2, 1)]
         );
-        assert_eq!(u.ops.to_vec(), vec![OP_INSERT, OP_DELETE, OP_INSERT]);
-        assert_eq!(u.vals.to_vec(), vec![3, 0, 7]);
+        assert_eq!(u.vals.to_vec(), vec![3, 4, 7]);
     }
 
+    /// A slide that deletes and re-inserts one edge leaves it present
+    /// with the inserted weight: the deletion tombstones first.
     #[test]
     fn delete_then_insert_same_key_keeps_insert_last() {
         let d = dev();
-        let batch = UpdateBatch {
-            insertions: vec![Edge::weighted(1, 2, 9)],
-            deletions: vec![Edge::new(1, 2)],
-        };
-        let u = prepare(&d, 4, &batch);
-        assert_eq!(u.ops.to_vec(), vec![OP_DELETE, OP_INSERT]);
+        let mut g = crate::GpmaPlus::build(&d, 4, &[Edge::weighted(1, 2, 5)]);
+        g.update_batch_lazy(
+            &d,
+            &UpdateBatch {
+                insertions: vec![Edge::weighted(1, 2, 9)],
+                deletions: vec![Edge::new(1, 2)],
+            },
+        );
+        assert_eq!(g.storage.host_edges(), vec![Edge::weighted(1, 2, 9)]);
     }
 
     #[test]
     fn merge_parallel_disjoint_and_overrides() {
         let d = dev();
-        // A = keys 10,20,30; updates: delete 20, insert 25 (val 5),
-        // insert 10 (val 99, modification), insert 40.
-        let u = updates(
-            &[10, 20, 25, 40],
-            &[99, 0, 5, 7],
-            &[OP_INSERT, OP_DELETE, OP_INSERT, OP_INSERT],
-        );
+        // A = keys 10,20,30; updates: insert 10 (val 99, modification),
+        // insert 25 (val 5), insert 40.
+        let u = updates(&[10, 25, 40], &[99, 5, 7]);
         let (mk, mv) = merge(&d, &[10, 20, 30], &[1, 2, 3], &u, &mut MergeScratch::default());
-        assert_eq!(mk, vec![10, 25, 30, 40]);
-        assert_eq!(mv, vec![99, 5, 3, 7]);
+        assert_eq!(mk, vec![10, 20, 25, 30, 40]);
+        assert_eq!(mv, vec![99, 2, 5, 3, 7]);
     }
 
     #[test]
     fn merge_parallel_last_wins_within_batch() {
         let d = dev();
-        // insert 5=1, delete 5, insert 5=42 → final 5=42.
-        let u = updates(&[5, 5, 5], &[1, 0, 42], &[OP_INSERT, OP_DELETE, OP_INSERT]);
+        // insert 5=1, 5=3, 5=42 → final 5=42.
+        let u = updates(&[5, 5, 5], &[1, 3, 42]);
         let (mk, mv) = merge(&d, &[], &[], &u, &mut MergeScratch::default());
         assert_eq!(mk, vec![5]);
         assert_eq!(mv, vec![42]);
-    }
-
-    #[test]
-    fn merge_parallel_delete_of_absent_is_noop() {
-        let d = dev();
-        let u = updates(&[3], &[0], &[OP_DELETE]);
-        let (mk, _) = merge(&d, &[7], &[1], &u, &mut MergeScratch::default());
-        assert_eq!(mk, vec![7]);
     }
 
     /// One scratch reused across shrinking inputs merges what a freshly
@@ -639,28 +579,19 @@ mod tests {
         let mut scratch = MergeScratch::default();
         // Shrinking inputs across calls: the reused, over-sized scratch
         // keeps stale tails the length-bounded searches must ignore.
-        type Case<'a> = (&'a [u64], &'a [u64], (&'a [u64], &'a [u64], &'a [u32]), &'a [(u64, u64)]);
+        type Case<'a> = (&'a [u64], &'a [u64], (&'a [u64], &'a [u64]), &'a [(u64, u64)]);
         let cases: [Case; 3] = [
             (
                 &[10, 20, 30, 50, 60],
                 &[1, 2, 3, 5, 6],
-                (
-                    &[10, 20, 25, 40],
-                    &[99, 0, 5, 7],
-                    &[OP_INSERT, OP_DELETE, OP_INSERT, OP_INSERT],
-                ),
-                &[(10, 99), (25, 5), (30, 3), (40, 7), (50, 5), (60, 6)],
+                (&[10, 25, 25, 40], &[99, 4, 5, 7]),
+                &[(10, 99), (20, 2), (25, 5), (30, 3), (40, 7), (50, 5), (60, 6)],
             ),
-            (&[7], &[1], (&[3], &[0], &[OP_DELETE]), &[(7, 1)]),
-            (
-                &[],
-                &[],
-                (&[5, 5, 5], &[1, 0, 42], &[OP_INSERT, OP_DELETE, OP_INSERT]),
-                &[(5, 42)],
-            ),
+            (&[7], &[1], (&[3], &[8]), &[(3, 8), (7, 1)]),
+            (&[], &[], (&[5, 5, 5], &[1, 3, 42]), &[(5, 42)]),
         ];
-        for (ak, av, (uk, uv, uo), expect) in cases {
-            let u = updates(uk, uv, uo);
+        for (ak, av, (uk, uv), expect) in cases {
+            let u = updates(uk, uv);
             let fresh = merge(&d, ak, av, &u, &mut MergeScratch::default());
             assert_eq!(merge(&d, ak, av, &u, &mut scratch), fresh);
             let got: Vec<(u64, u64)> = fresh.0.into_iter().zip(fresh.1).collect();
@@ -692,10 +623,6 @@ mod tests {
     #[should_panic(expected = "outside vertex set")]
     fn prepare_rejects_out_of_range() {
         let d = dev();
-        let batch = UpdateBatch {
-            insertions: vec![Edge::new(9, 1)],
-            deletions: vec![],
-        };
-        prepare(&d, 4, &batch);
+        prepare(&d, 4, &[Edge::new(9, 1)]);
     }
 }

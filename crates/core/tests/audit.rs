@@ -39,7 +39,7 @@ fn delta_advanced_image_validates_against_the_store() {
         insertions: vec![Edge::new(3, 4), Edge::weighted(0, 2, 9), Edge::new(15, 0)],
         deletions: vec![Edge::new(0, 1), Edge::new(7, 7)],
     };
-    g.update_batch(&dev, &batch);
+    g.update_batch_lazy(&dev, &batch);
     let next = apply_delta(&base, &SnapshotDelta::from_batch(1, &batch));
     validate_image(&next, Some(&g.storage)).expect("image advanced by the batch's delta");
     // The image that missed the batch has a sound layout but a stale content.
@@ -70,7 +70,7 @@ fn edges_swapped_across_a_row_boundary_are_rejected() {
 fn intact_gpma_plus_validates() {
     let (dev, mut g) = build_plus(16, &star_edges(12));
     g.validate().expect("fresh build");
-    g.update_batch(
+    g.update_batch_lazy(
         &dev,
         &UpdateBatch {
             insertions: vec![Edge::new(3, 4), Edge::new(5, 6)],
@@ -302,22 +302,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Every epoch of a random insert/delete stream leaves both the PMA
-    /// state and the delta ring audit-clean, on the lazy and eager paths.
+    /// state and the delta ring audit-clean.
     #[test]
     fn random_stream_stays_audit_clean(
         batches in prop::collection::vec(prop::collection::vec(op_strategy(), 1..40), 1..7),
-        lazy in any::<bool>(),
     ) {
         let dev = Device::new(DeviceConfig::deterministic());
         let mut g = GpmaPlus::build(&dev, NV, &[]);
         let mut log = DeltaLog::new(4);
         for (i, ops) in batches.iter().enumerate() {
             let b = to_batch(ops);
-            if lazy {
-                g.update_batch_lazy(&dev, &b);
-            } else {
-                g.update_batch(&dev, &b);
-            }
+            g.update_batch_lazy(&dev, &b);
             log.push(Arc::new(SnapshotDelta::from_batch(i as u64 + 1, &b)));
             let storage_audit = g.validate();
             prop_assert!(storage_audit.is_ok(), "epoch {}: {:?}", i + 1, storage_audit);

@@ -61,14 +61,12 @@ fn edges_of_plus(g: &GpmaPlus) -> BTreeMap<(u32, u32), u64> {
         .collect()
 }
 
-/// One step of the leaf-index property test: the two GPMA+ update paths
-/// plus the shapes that stress a locally maintained index.
+/// One step of the leaf-index property test: a mixed batch plus the shapes
+/// that stress a locally maintained index.
 #[derive(Debug, Clone)]
 enum Step {
-    /// `update_batch`: deletions travel through the merges.
-    Merge(Vec<Op>),
-    /// `update_batch_lazy`: deletions tombstone, bounds stay.
-    Lazy(Vec<Op>),
+    /// Mixed inserts and deletes: deletions tombstone, bounds stay.
+    Mixed(Vec<Op>),
     /// Lazily delete the largest real edge of leaf `i % leaves` (its bound
     /// becomes overstated).
     DropLeafMax(usize),
@@ -77,15 +75,14 @@ enum Step {
     EmptyLeaf(usize),
     /// Insert six full rows at once: overflows the root, forcing a grow.
     Grow(u32),
-    /// Delete every edge through the merge path: forces a shrink.
+    /// Delete every edge: past 128 slots, forces a shrink.
     MassDelete,
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     let ops = || prop::collection::vec(op_strategy(), 1..40);
     prop_oneof![
-        4 => ops().prop_map(Step::Merge),
-        4 => ops().prop_map(Step::Lazy),
+        8 => ops().prop_map(Step::Mixed),
         3 => (0usize..1024).prop_map(Step::DropLeafMax),
         3 => (0usize..1024).prop_map(Step::EmptyLeaf),
         1 => (0..NV).prop_map(Step::Grow),
@@ -164,31 +161,32 @@ proptest! {
         let mut g = GpmaPlus::build(&dev, NV, &[]).with_tier_max(tier_max);
         let mut oracle = BTreeMap::new();
         for step in &steps {
-            let (batch, lazy) = match step {
-                Step::Merge(ops) => (to_batch(ops), false),
-                Step::Lazy(ops) => (to_batch(ops), true),
+            let batch = match step {
+                Step::Mixed(ops) => to_batch(ops),
                 Step::DropLeafMax(i) => {
                     let deletions = leaf_edges(&g, *i).pop().into_iter().collect();
-                    (UpdateBatch { insertions: vec![], deletions }, true)
+                    UpdateBatch { insertions: vec![], deletions }
                 }
-                Step::EmptyLeaf(i) => {
-                    (UpdateBatch { insertions: vec![], deletions: leaf_edges(&g, *i) }, true)
-                }
+                Step::EmptyLeaf(i) => UpdateBatch { insertions: vec![], deletions: leaf_edges(&g, *i) },
                 Step::Grow(row) => {
                     let insertions = (0..6)
                         .flat_map(|r| (0..NV).map(move |d| Edge::new((row + r) % NV, d)))
                         .collect();
-                    (UpdateBatch { insertions, deletions: vec![] }, false)
+                    UpdateBatch { insertions, deletions: vec![] }
                 }
                 Step::MassDelete => {
                     let deletions = oracle.keys().map(|&(s, d)| Edge::new(s, d)).collect();
-                    (UpdateBatch { insertions: vec![], deletions }, false)
+                    UpdateBatch { insertions: vec![], deletions }
                 }
             };
-            if lazy {
-                g.update_batch_lazy(&dev, &batch);
-            } else {
-                g.update_batch(&dev, &batch);
+            let cap_before = g.storage.capacity();
+            let stats = g.update_batch_lazy(&dev, &batch);
+            if let Step::MassDelete = step {
+                // Only the guards are left: below the root's lower density
+                // bound whenever the array is past its 128-slot floor.
+                let shrinks = cap_before > 128;
+                prop_assert_eq!(stats.resizes, u64::from(shrinks));
+                prop_assert!(!shrinks || g.storage.capacity() < cap_before);
             }
             apply_oracle(&mut oracle, &batch);
             g.storage.check_invariants();
@@ -204,7 +202,7 @@ proptest! {
         let mut oracle = BTreeMap::new();
         for ops in &batches {
             let b = to_batch(ops);
-            g.update_batch(&dev, &b);
+            g.update_batch_lazy(&dev, &b);
             apply_oracle(&mut oracle, &b);
             g.storage.check_invariants();
             prop_assert_eq!(edges_of_plus(&g), oracle.clone());
@@ -232,21 +230,6 @@ proptest! {
     }
 
     #[test]
-    fn lazy_and_merge_deletion_paths_agree(batches in batches_strategy()) {
-        let dev_a = Device::new(DeviceConfig::deterministic());
-        let dev_b = Device::new(DeviceConfig::deterministic());
-        let mut lazy = GpmaPlus::build(&dev_a, NV, &[]);
-        let mut full = GpmaPlus::build(&dev_b, NV, &[]);
-        for ops in &batches {
-            let b = to_batch(ops);
-            lazy.update_batch_lazy(&dev_a, &b);
-            full.update_batch(&dev_b, &b);
-            lazy.storage.check_invariants();
-            prop_assert_eq!(edges_of_plus(&lazy), edges_of_plus(&full));
-        }
-    }
-
-    #[test]
     fn csr_view_always_matches_reference(batches in batches_strategy()) {
         let dev = Device::new(DeviceConfig::deterministic());
         let mut g = GpmaPlus::build(&dev, NV, &[]);
@@ -265,7 +248,7 @@ proptest! {
         let dev = Device::new(DeviceConfig::deterministic());
         let mut g = GpmaPlus::build(&dev, NV, &[]);
         for ops in &batches {
-            g.update_batch(&dev, &to_batch(ops));
+            g.update_batch_lazy(&dev, &to_batch(ops));
         }
         // len = edges + one immortal guard per vertex.
         prop_assert_eq!(g.storage.len(), g.storage.num_edges() + NV as usize);

@@ -9,13 +9,12 @@
 //! an absent key is dropped — so maintainers only ever repair around edges
 //! that really changed ([`AppliedDelta`]).
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use gpma_analytics::HostGraph;
 use gpma_core::delta::SnapshotDelta;
 use gpma_core::framework::GraphSnapshot;
-use gpma_graph::{decode_key, Edge};
+use gpma_graph::{decode_key, encode_key, Edge};
 
 /// The *actual* topology changes one applied delta caused, after filtering
 /// no-ops against the pre-state. `added` and `removed` drive the repair
@@ -69,7 +68,14 @@ impl AppliedDelta {
             epoch: later.epoch,
             ..Default::default()
         };
-        for ((src, dst), first, second) in join(self.changes(), later.changes()) {
+        let (mut a, mut b) = (Changes::new(self), Changes::new(later));
+        loop {
+            let key = a.key().min(b.key());
+            if key == DONE {
+                break;
+            }
+            let (first, second) = (a.take(key), b.take(key));
+            let (src, dst) = decode_key(key);
             let change = match (first, second) {
                 (c, None) | (None, c) => c,
                 (Some(Added(_)), Some(Removed(_))) => None,
@@ -90,24 +96,6 @@ impl AppliedDelta {
         }
         net
     }
-
-    /// The three lists as one ascending stream of `((src, dst), change)`
-    /// (an edge sits in at most one of them).
-    fn changes(&self) -> impl Iterator<Item = ((u32, u32), Change)> + '_ {
-        let added = self
-            .added
-            .iter()
-            .map(|e| ((e.src, e.dst), Change::Added(e.weight)));
-        let removed = self
-            .removed
-            .iter()
-            .map(|e| ((e.src, e.dst), Change::Removed(e.weight)));
-        let reweighted = self
-            .reweighted
-            .iter()
-            .map(|&(s, d, w0, w)| ((s, d), Change::Reweighted(w0, w)));
-        merge(merge(added, removed), reweighted)
-    }
 }
 
 /// What one [`AppliedDelta`] did to one edge (weights old → new).
@@ -118,38 +106,60 @@ enum Change {
     Reweighted(u64, u64),
 }
 
-/// Two streams ascending by key as one (a key in both yields both items).
-fn merge<K: Ord + Copy, V>(
-    a: impl Iterator<Item = (K, V)>,
-    b: impl Iterator<Item = (K, V)>,
-) -> impl Iterator<Item = (K, V)> {
-    join(a, b).flat_map(|(k, x, y)| x.into_iter().chain(y).map(move |v| (k, v)))
+/// A cursor over one delta's three sorted lists, consumed in ascending key
+/// order (an edge sits in at most one of them).
+struct Changes<'a> {
+    delta: &'a AppliedDelta,
+    added: usize,
+    removed: usize,
+    reweighted: usize,
 }
 
-/// Walk two streams, each ascending by key with distinct keys, in step:
-/// every key once, with what each stream holds for it.
-fn join<K: Ord + Copy, A, B>(
-    a: impl Iterator<Item = (K, A)>,
-    b: impl Iterator<Item = (K, B)>,
-) -> impl Iterator<Item = (K, Option<A>, Option<B>)> {
-    let (mut a, mut b) = (a.peekable(), b.peekable());
-    std::iter::from_fn(move || {
-        let order = match (a.peek(), b.peek()) {
-            (None, None) => return None,
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
-        };
-        Some(match order {
-            Ordering::Less => a.next().map(|(k, x)| (k, Some(x), None))?,
-            Ordering::Greater => b.next().map(|(k, y)| (k, None, Some(y)))?,
-            Ordering::Equal => {
-                let ((k, x), (_, y)) = (a.next()?, b.next()?);
-                (k, Some(x), Some(y))
-            }
-        })
-    })
+impl<'a> Changes<'a> {
+    fn new(delta: &'a AppliedDelta) -> Self {
+        Changes {
+            delta,
+            added: 0,
+            removed: 0,
+            reweighted: 0,
+        }
+    }
+
+    /// The smallest edge key not yet consumed, or [`DONE`].
+    fn key(&self) -> u64 {
+        let d = self.delta;
+        let added = d.added.get(self.added).map_or(DONE, Edge::key);
+        let removed = d.removed.get(self.removed).map_or(DONE, Edge::key);
+        let reweighted = d
+            .reweighted
+            .get(self.reweighted)
+            .map_or(DONE, |&(s, t, ..)| encode_key(s, t));
+        added.min(removed).min(reweighted)
+    }
+
+    /// Consume edge `key` if it is next in one of the lists, with its
+    /// change.
+    fn take(&mut self, key: u64) -> Option<Change> {
+        let d = self.delta;
+        if let Some(e) = d.added.get(self.added).filter(|e| e.key() == key) {
+            self.added += 1;
+            Some(Change::Added(e.weight))
+        } else if let Some(e) = d.removed.get(self.removed).filter(|e| e.key() == key) {
+            self.removed += 1;
+            Some(Change::Removed(e.weight))
+        } else if let Some(&(_, _, w0, w)) =
+            d.reweighted.get(self.reweighted).filter(|&&(s, t, ..)| encode_key(s, t) == key)
+        {
+            self.reweighted += 1;
+            Some(Change::Reweighted(w0, w))
+        } else {
+            None
+        }
+    }
 }
+
+/// The key past every list's end: a guard key, which no delta holds.
+const DONE: u64 = u64::MAX;
 
 /// The image an engine is current with, plus its transpose.
 ///

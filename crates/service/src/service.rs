@@ -291,19 +291,9 @@ impl IngestHandle {
         Ok(())
     }
 
-    /// Non-blocking insert: `Ok(false)` (and a counted drop) when the queue
-    /// is full — the load-shedding policy for producers that must not stall.
-    pub fn offer_insert(&self, e: Edge) -> Result<bool, ServiceClosed> {
-        self.offer_batch(UpdateBatch::single_insert(e))
-    }
-
-    /// Non-blocking delete; same drop policy as [`Self::offer_insert`].
-    pub fn offer_delete(&self, e: Edge) -> Result<bool, ServiceClosed> {
-        self.offer_batch(UpdateBatch::single_delete(e))
-    }
-
-    /// Non-blocking batch ingest: the whole batch is accepted or shed as
-    /// one unit (`Ok(false)` counts every contained update as dropped).
+    /// Non-blocking batch ingest — the load-shedding policy for producers
+    /// that must not stall: the whole batch is accepted or shed as one unit
+    /// (`Ok(false)` counts every contained update as dropped).
     /// All-or-nothing by construction — a batch travels as a single queue
     /// slot, so partial shedding is impossible. This is the ingest path a
     /// quota-metered serving front uses: it must never stall a tenant.
@@ -1015,7 +1005,7 @@ mod tests {
         let h = svc.handle();
         drop(svc.shutdown());
         assert_eq!(h.insert(Edge::new(1, 2)), Err(ServiceClosed));
-        assert_eq!(h.offer_delete(Edge::new(1, 2)), Err(ServiceClosed));
+        assert_eq!(h.offer_batch(UpdateBatch::single_delete(Edge::new(1, 2))), Err(ServiceClosed));
     }
 
     #[test]
@@ -1153,7 +1143,7 @@ mod tests {
         let mut dropped = 0u64;
         let mut accepted = 0u64;
         for i in 0..10u32 {
-            match h.offer_insert(Edge::new(2, 3 + i)).unwrap() {
+            match h.offer_batch(UpdateBatch::single_insert(Edge::new(2, 3 + i))).unwrap() {
                 true => accepted += 1,
                 false => dropped += 1,
             }

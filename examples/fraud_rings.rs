@@ -62,7 +62,7 @@ fn main() {
             }
         }
         let (_, t) = dev.timed(|d| {
-            graph.update_batch(d, &batch);
+            graph.update_batch_lazy(d, &batch);
         });
 
         // Real-time ring analysis on the up-to-date graph.

@@ -34,7 +34,7 @@ fn main() {
         };
         let mut stats = None;
         let (_, t) = dev.timed(|d| {
-            stats = Some(g.update_batch(d, &batch));
+            stats = Some(g.update_batch_lazy(d, &batch));
         });
         (stats.unwrap(), t)
     };

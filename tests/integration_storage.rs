@@ -106,9 +106,9 @@ fn explicit_streams_agree() {
     let mut plus = GpmaPlus::build(&dev, nv, stream.initial_edges());
     let mut adj = AdjLists::build(nv, stream.initial_edges());
     for b in stream.explicit(200, 0.5, 5).take(6) {
-        // Explicit batches may delete an edge and reinsert it later; use the
-        // full merge path (not lazy) to exercise deletion rebalances too.
-        plus.update_batch(&dev, &b);
+        // Explicit batches may delete an edge and reinsert it later: the
+        // insert must recycle the tombstone its deletion left.
+        plus.update_batch_lazy(&dev, &b);
         adj.update_batch(&b);
         assert_eq!(
             edge_set_of(plus.storage.host_edges()),
@@ -127,7 +127,7 @@ fn full_churn_cycle() {
         .flat_map(|s| (1..8u32).map(move |i| Edge::new(s, (s + i) % nv)))
         .collect();
     let mut g = GpmaPlus::build(&dev, nv, &all);
-    g.update_batch(
+    g.update_batch_lazy(
         &dev,
         &UpdateBatch {
             insertions: vec![],
@@ -136,7 +136,7 @@ fn full_churn_cycle() {
     );
     assert_eq!(g.storage.num_edges(), 0);
     g.storage.check_invariants();
-    g.update_batch(
+    g.update_batch_lazy(
         &dev,
         &UpdateBatch {
             insertions: all.clone(),
