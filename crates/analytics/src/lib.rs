@@ -13,7 +13,10 @@
 //! * **multi-device variants** ([`multi`]) over a partitioned
 //!   [`gpma_core::multi::MultiGpma`] for the Figure 12 scaling study, plus
 //!   the *sharded* BFS ([`bfs_sharded`]) that runs supersteps over per-shard
-//!   host snapshots with a modeled frontier exchange.
+//!   host snapshots with a modeled frontier exchange;
+//! * **one device runner** ([`App::run_device`]) for the three applications,
+//!   and the framework monitor over it ([`AppMonitor`], Figure 1's
+//!   continuous monitoring) that Figure 11 measures.
 //!
 //! ## Quick example
 //!
@@ -40,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+pub mod app;
 pub mod bfs;
 pub mod cc;
 pub mod multi;
@@ -47,6 +51,7 @@ pub mod pagerank;
 pub mod util;
 pub mod view;
 
+pub use app::{App, AppMonitor, AppResult};
 pub use bfs::{bfs_device, bfs_host, UNREACHED};
 pub use cc::{cc_device, cc_host, component_count};
 pub use multi::{bfs_sharded, ExchangeStats};

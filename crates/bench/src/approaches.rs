@@ -5,11 +5,10 @@
 //! simulated device time (`gpma-sim` cost model). EXPERIMENTS.md discusses
 //! why comparing those directly still reproduces the paper's *shapes*.
 
-use gpma_analytics::view::{DeviceGraphView, GpmaView, RebuildView};
 use gpma_baselines::{AdjLists, PmaGraph, RebuildCsr, StingerGraph};
 use gpma_core::{Gpma, GpmaPlus};
 use gpma_graph::{Edge, UpdateBatch};
-use gpma_sim::{Device, DeviceBuffer, DeviceConfig, Lane, LaneMode};
+use gpma_sim::{Device, DeviceConfig};
 
 /// The compared approaches of §6.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,78 +183,6 @@ impl Store {
             Store::GpmaPlus { g, .. } => g.storage.num_edges(),
         }
     }
-
-    /// Run `f` with a device view when this is a device store.
-    pub fn with_device_view<R>(&self, f: impl FnOnce(&Device, &DeviceView) -> R) -> Option<R> {
-        let (dev, view) = match self {
-            Store::CuSparseCsr { dev, csr } => {
-                (dev, DeviceView::Rebuild(RebuildView::build(dev, csr)))
-            }
-            Store::Gpma { dev, g } => (dev, DeviceView::Gpma(GpmaView::build(dev, &g.storage))),
-            Store::GpmaPlus { dev, g } => (dev, DeviceView::Gpma(GpmaView::build(dev, &g.storage))),
-            _ => return None,
-        };
-        Some(f(dev, &view))
-    }
-}
-
-/// The device view of whichever device store is asked, picked at run time;
-/// each access dispatches on the variant.
-pub enum DeviceView<'a> {
-    /// GPMA or GPMA+ storage.
-    Gpma(GpmaView<'a>),
-    /// The rebuild baseline's dense CSR.
-    Rebuild(RebuildView<'a>),
-}
-
-impl DeviceGraphView for DeviceView<'_> {
-    #[inline]
-    fn num_vertices(&self) -> u32 {
-        match self {
-            DeviceView::Gpma(v) => v.num_vertices(),
-            DeviceView::Rebuild(v) => v.num_vertices(),
-        }
-    }
-
-    #[inline]
-    fn num_slots(&self) -> usize {
-        match self {
-            DeviceView::Gpma(v) => v.num_slots(),
-            DeviceView::Rebuild(v) => v.num_slots(),
-        }
-    }
-
-    #[inline]
-    fn row_range<M: LaneMode>(&self, lane: &mut Lane<'_, M>, v: u32) -> std::ops::Range<usize> {
-        match self {
-            DeviceView::Gpma(g) => g.row_range(lane, v),
-            DeviceView::Rebuild(g) => g.row_range(lane, v),
-        }
-    }
-
-    #[inline]
-    fn slot_entry<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> Option<(u32, u32)> {
-        match self {
-            DeviceView::Gpma(g) => g.slot_entry(lane, slot),
-            DeviceView::Rebuild(g) => g.slot_entry(lane, slot),
-        }
-    }
-
-    #[inline]
-    fn slot_weight<M: LaneMode>(&self, lane: &mut Lane<'_, M>, slot: usize) -> u64 {
-        match self {
-            DeviceView::Gpma(g) => g.slot_weight(lane, slot),
-            DeviceView::Rebuild(g) => g.slot_weight(lane, slot),
-        }
-    }
-
-    #[inline]
-    fn degrees(&self) -> &DeviceBuffer<u32> {
-        match self {
-            DeviceView::Gpma(v) => v.degrees(),
-            DeviceView::Rebuild(v) => v.degrees(),
-        }
-    }
 }
 
 fn wall<R>(f: impl FnOnce() -> R) -> f64 {
@@ -287,29 +214,5 @@ mod tests {
             assert_eq!(store.num_edges(), 5, "{} after batch", kind.name());
             assert_eq!(store.kind(), kind);
         }
-    }
-
-    #[test]
-    fn device_views_available_only_for_device_stores() {
-        let initial = edges(&[(0, 1)]);
-        for kind in ApproachKind::ALL {
-            let store = Store::build_with(kind, 2, &initial, DeviceConfig::deterministic());
-            let has_view = store.with_device_view(|_, v| v.num_vertices()).is_some();
-            assert_eq!(has_view, kind.is_device(), "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn erased_view_runs_analytics() {
-        let store = Store::build_with(
-            ApproachKind::GpmaPlus,
-            4,
-            &edges(&[(0, 1), (1, 2), (2, 3)]),
-            DeviceConfig::deterministic(),
-        );
-        let dist = store
-            .with_device_view(|dev, view| gpma_analytics::bfs_device(dev, &view, 0).to_vec())
-            .unwrap();
-        assert_eq!(dist, vec![0, 1, 2, 3]);
     }
 }

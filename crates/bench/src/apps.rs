@@ -2,35 +2,11 @@
 //! per-run timing in the store's native metric (wall vs simulated).
 
 use gpma_analytics::{
-    bfs_device, bfs_host, cc_device, cc_host, pagerank_device, pagerank_host, HostGraph,
+    bfs_host, cc_host, pagerank_host, App, DeviceGraphView, GpmaView, HostGraph, RebuildView,
 };
+use gpma_sim::Device;
 
 use crate::approaches::Store;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-/// The three evaluation applications of §6.3.
-pub enum App {
-    /// Breadth-first search.
-    Bfs,
-    /// Connected components (label propagation).
-    ConnectedComponent,
-    /// PageRank.
-    PageRank,
-}
-
-impl App {
-    /// All applications, in Figure 8-10 order.
-    pub const ALL: [App; 3] = [App::Bfs, App::ConnectedComponent, App::PageRank];
-
-    /// Display name used in tables and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            App::Bfs => "BFS",
-            App::ConnectedComponent => "ConnectedComponent",
-            App::PageRank => "PageRank",
-        }
-    }
-}
 
 /// Outcome of one analytic run: elapsed seconds plus a content digest used
 /// for cross-approach consistency checks.
@@ -42,46 +18,29 @@ pub struct AppRun {
     pub digest: u64,
 }
 
-/// Run `app` on `store` (device kernels for device stores, the reference
-/// algorithms for CPU stores), timing it in the store's native metric.
+/// Run `app` on `store` (the shared device runner for device stores, the
+/// reference algorithms for CPU stores), timing it in the store's native
+/// metric.
 pub fn run_app(app: App, store: &Store, root: u32) -> AppRun {
-    if let Some(run) = store.with_device_view(|dev, view| {
-        let (digest, t) = dev.timed(|d| match app {
-            App::Bfs => {
-                let dist = bfs_device(d, &view, root);
-                dist.as_slice()
-                    .iter()
-                    .filter(|&&x| x != gpma_analytics::UNREACHED)
-                    .count() as u64
-            }
-            App::ConnectedComponent => {
-                let labels = cc_device(d, &view);
-                gpma_analytics::component_count(labels.as_slice()) as u64
-            }
-            App::PageRank => {
-                let pr = pagerank_device(
-                    d,
-                    &view,
-                    gpma_analytics::DAMPING,
-                    gpma_analytics::EPSILON,
-                    gpma_analytics::MAX_ITERS,
-                );
-                pr.iterations as u64
-            }
-        });
-        AppRun {
-            seconds: t.secs(),
-            digest,
-        }
-    }) {
-        return run;
-    }
-
     match store {
         Store::AdjLists(g) => run_host(app, g, root),
         Store::Pma(g) => run_host(app, g, root),
         Store::Stinger(g) => run_host(app, g, root),
-        _ => unreachable!("store is neither device nor host"),
+        Store::CuSparseCsr { dev, csr } => {
+            run_device(app, dev, &RebuildView::build(dev, csr), root)
+        }
+        Store::Gpma { dev, g } => run_device(app, dev, &GpmaView::build(dev, &g.storage), root),
+        Store::GpmaPlus { dev, g } => run_device(app, dev, &GpmaView::build(dev, &g.storage), root),
+    }
+}
+
+/// [`App::run_device`] in simulated device time. The view is built before
+/// the clock starts: Figures 8–10 time the analytic, not the view.
+fn run_device<G: DeviceGraphView>(app: App, dev: &Device, view: &G, root: u32) -> AppRun {
+    let (run, t) = dev.timed(|d| app.run_device(d, view, root));
+    AppRun {
+        seconds: t.secs(),
+        digest: run.digest,
     }
 }
 

@@ -7,7 +7,7 @@
 //! EXPERIMENT is `all` or a name from `EXPERIMENTS` (`repro --help` lists
 //! them). An unknown name fails the run before any experiment starts.
 
-use gpma_bench::apps::App;
+use gpma_analytics::App;
 use gpma_bench::experiments as exp;
 use gpma_bench::ExpConfig;
 

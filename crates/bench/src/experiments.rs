@@ -6,16 +6,18 @@
 //! approaches, simulated device time for GPU approaches (see EXPERIMENTS.md
 //! for the comparison methodology).
 
+use gpma_analytics::{App, AppMonitor};
+use gpma_core::framework::DynamicGraphSystem;
 use gpma_core::multi::MultiGpma;
 use gpma_core::{Gpma, GpmaPlus};
 use gpma_graph::datasets::{generate, DatasetKind, DatasetStats};
 use gpma_graph::{GraphStream, UpdateBatch};
-use gpma_sim::pcie::{Pcie, Pipeline};
-use gpma_sim::{Device, DeviceConfig, PcieConfig};
+use gpma_sim::pcie::{StepCosts, StepSchedule};
+use gpma_sim::{Device, DeviceConfig, SimTime};
 use rand::{Rng, SeedableRng};
 
 use crate::approaches::{ApproachKind, Store};
-use crate::apps::{run_app, App};
+use crate::apps::run_app;
 use crate::report::{emit, fmt_meps, fmt_ms};
 
 /// Shared experiment configuration.
@@ -322,56 +324,67 @@ pub fn fig_app(cfg: &ExpConfig, app: App, fig_name: &str) {
 // Figure 11 — asynchronous-stream transfer hiding
 // ----------------------------------------------------------------------
 
+/// One Figure 11 row: stream `stream`'s first `cfg.max_slides` slides of
+/// `batch` insertions and `batch` deletions through a
+/// [`DynamicGraphSystem`] with a BFS monitor, one flush per slide, and
+/// return the steps' mean schedule (hidden when every step hid its
+/// transfers). `None` when the stream has no slide to take.
+fn fig11_row(cfg: &ExpConfig, stream: &GraphStream, batch: usize) -> Option<StepSchedule> {
+    let nv = stream.num_vertices;
+    let dev = Device::new(cfg.device_cfg.clone());
+    let mut sys = DynamicGraphSystem::new(dev, nv, stream.initial_edges(), 2 * batch);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(cfg.seed);
+    let (monitor, _) = AppMonitor::new(App::Bfs, move || rng.gen_range(0..nv));
+    sys.register_monitor(Box::new(monitor));
+    let steps: Vec<StepSchedule> = stream
+        .sliding(batch)
+        .take(cfg.max_slides)
+        .map(|b| {
+            sys.stream.offer_batch(&b);
+            sys.flush().schedule
+        })
+        .collect();
+    if steps.is_empty() {
+        return None;
+    }
+    // A running mean: exactly the value itself when every step has the same
+    // one (the fetch of a fixed-size result), which `sum / n` is not.
+    let mean = |f: fn(&StepSchedule) -> SimTime| {
+        let secs = steps.iter().map(|s| f(s).secs()).enumerate();
+        SimTime(secs.fold(0.0, |m, (i, x)| m + (x - m) / (i + 1) as f64))
+    };
+    Some(StepSchedule {
+        costs: StepCosts {
+            h2d_updates: mean(|s| s.costs.h2d_updates),
+            update_compute: mean(|s| s.costs.update_compute),
+            analytics_compute: mean(|s| s.costs.analytics_compute),
+            d2h_results: mean(|s| s.costs.d2h_results),
+        },
+        makespan: mean(|s| s.makespan),
+        serialized: mean(|s| s.serialized),
+        transfers_hidden: steps.iter().all(|s| s.transfers_hidden),
+    })
+}
+
 /// Figure 11: PCIe transfer hiding with the asynchronous-stream pipeline.
 pub fn fig11(cfg: &ExpConfig) {
-    let pipeline = Pipeline::new(Pcie::new(PcieConfig::default()));
     let mut rows = Vec::new();
     for kind in DatasetKind::ALL {
         let stream = generate(kind, cfg.scale, cfg.seed);
         for ratio in SLIDE_RATIOS {
-            let batch = stream.slide_batch_size(ratio);
-            let dev = Device::new(cfg.device_cfg.clone());
-            let mut g = GpmaPlus::build(&dev, stream.num_vertices, stream.initial_edges());
-            let mut update_t = 0.0;
-            let mut bfs_t = 0.0;
-            let mut slides = 0;
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(cfg.seed);
-            for b in stream.sliding(batch).take(cfg.max_slides) {
-                let (_, tu) = dev.timed(|d| {
-                    g.update_batch_lazy(d, &b);
-                });
-                let root = rng.gen_range(0..stream.num_vertices);
-                let (_, ta) = dev.timed(|d| {
-                    let view = gpma_analytics::GpmaView::build(d, &g.storage);
-                    let _ = gpma_analytics::bfs_device(d, &view, root);
-                });
-                update_t += tu.secs();
-                bfs_t += ta.secs();
-                slides += 1;
-            }
-            if slides == 0 {
+            let Some(s) = fig11_row(cfg, &stream, stream.slide_batch_size(ratio)) else {
                 continue;
-            }
-            let update_t = update_t / slides as f64;
-            let bfs_t = bfs_t / slides as f64;
-            let send_bytes = batch * crate::BYTES_PER_UPDATE;
-            let fetch_bytes = stream.num_vertices as usize * 4; // distance vector
-            let sched = pipeline.step_from_bytes(
-                send_bytes,
-                fetch_bytes,
-                gpma_sim::SimTime(update_t),
-                gpma_sim::SimTime(bfs_t),
-            );
+            };
             rows.push(vec![
                 kind.name().to_string(),
                 format!("{}%", ratio * 100.0),
-                fmt_ms(update_t),
-                fmt_ms(bfs_t),
-                fmt_ms(sched.costs.h2d_updates.secs()),
-                fmt_ms(sched.costs.d2h_results.secs()),
-                fmt_ms(sched.makespan.secs()),
-                fmt_ms(sched.serialized.secs()),
-                if sched.transfers_hidden { "yes" } else { "NO" }.to_string(),
+                fmt_ms(s.costs.update_compute.secs()),
+                fmt_ms(s.costs.analytics_compute.secs()),
+                fmt_ms(s.costs.h2d_updates.secs()),
+                fmt_ms(s.costs.d2h_results.secs()),
+                fmt_ms(s.makespan.secs()),
+                fmt_ms(s.serialized.secs()),
+                if s.transfers_hidden { "yes" } else { "NO" }.to_string(),
             ]);
         }
     }
@@ -472,15 +485,13 @@ pub fn sorted_stream(cfg: &ExpConfig) {
             slides += 1;
         }
         // GPMA+: insensitive to update locality.
-        let dev2 = Device::new(cfg.device_cfg.clone());
-        let mut gp = GpmaPlus::build(&dev2, s.num_vertices, s.initial_edges());
-        let mut t_plus = 0.0;
-        for b in s.sliding(batch).take(cfg.max_slides) {
-            let (_, t) = dev2.timed(|d| {
-                gp.update_batch_lazy(d, &b);
-            });
-            t_plus += t.secs();
-        }
+        let mut plus = Store::build_with(
+            ApproachKind::GpmaPlus,
+            s.num_vertices,
+            s.initial_edges(),
+            cfg.device_cfg.clone(),
+        );
+        let t_plus: f64 = s.sliding(batch).take(cfg.max_slides).map(|b| plus.apply(&b)).sum();
         let n = slides.max(1) as f64;
         rows.push(vec![
             label.to_string(),
@@ -809,15 +820,16 @@ pub fn ablation(cfg: &ExpConfig) {
     // (b) Theorem 1: K-scaling of GPMA+ updates.
     let mut rows = Vec::new();
     for k in [1usize, 2, 4, 8, 16, 32] {
-        let dev = Device::new(cfg.device_cfg.clone().with_sms(k));
-        let mut g = GpmaPlus::build(&dev, stream.num_vertices, stream.initial_edges());
+        let mut store = Store::build_with(
+            ApproachKind::GpmaPlus,
+            stream.num_vertices,
+            stream.initial_edges(),
+            cfg.device_cfg.clone().with_sms(k),
+        );
         let mut t = 0.0;
         let mut slides = 0;
         for b in stream.sliding(batch).take(cfg.max_slides) {
-            let (_, dt) = dev.timed(|d| {
-                g.update_batch_lazy(d, &b);
-            });
-            t += dt.secs();
+            t += store.apply(&b);
             slides += 1;
         }
         rows.push(vec![format!("{k}"), fmt_ms(t / slides.max(1) as f64)]);
@@ -1053,6 +1065,28 @@ mod tests {
         // names every other.
         one_off[0].1 = 12;
         assert_eq!(digest_mismatches(&one_off).len(), 5);
+    }
+
+    #[test]
+    fn fig11_sends_every_update_of_a_slide() {
+        use gpma_sim::pcie::Pcie;
+        use gpma_sim::PcieConfig;
+        let cfg = ExpConfig {
+            max_slides: 2,
+            device_cfg: DeviceConfig::deterministic(),
+            ..ExpConfig::quick()
+        };
+        let stream = generate(DatasetKind::RedditLike, 0.0004, cfg.seed);
+        let batch = stream.slide_batch_size(0.01);
+        let row = fig11_row(&cfg, &stream, batch).expect("the stream has two slides");
+        // A slide is `batch` insertions plus `batch` deletions; both cross
+        // the link, and the BFS distance vector comes back.
+        let link = Pcie::new(PcieConfig::default());
+        let send = link.transfer_time(2 * batch * gpma_core::framework::BYTES_PER_UPDATE);
+        assert_eq!(row.costs.h2d_updates, send);
+        let fetch = link.transfer_time(stream.num_vertices as usize * 4);
+        assert_eq!(row.costs.d2h_results, fetch);
+        assert!(row.costs.update_compute.secs() > 0.0 && row.costs.analytics_compute.secs() > 0.0);
     }
 
     #[test]

@@ -46,8 +46,5 @@ pub mod experiments;
 pub mod report;
 
 pub use approaches::{ApproachKind, Store};
-pub use apps::{run_app, App, AppRun};
+pub use apps::{run_app, AppRun};
 pub use experiments::ExpConfig;
-
-/// Bytes shipped per streamed update over PCIe (key + weight + op).
-pub const BYTES_PER_UPDATE: usize = gpma_core::framework::BYTES_PER_UPDATE;

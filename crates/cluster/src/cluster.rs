@@ -341,22 +341,14 @@ pub struct ClusterHandle {
 }
 
 impl ClusterHandle {
-    /// Start an `ingest.enqueue` timing sample, or `None` when telemetry is
-    /// off (the no-op path reads no clock at all).
-    fn enqueue_t0(&self) -> Option<Instant> {
-        self.shared.obs.is_enabled().then(Instant::now)
-    }
-
-    /// Finish an enqueue sample: always `ingest.enqueue`, plus
-    /// `ingest.reshard` while a live reshard holds the router — the
+    /// Finish an enqueue sample started at `t0`: always `ingest.enqueue`,
+    /// plus `ingest.reshard` while a live reshard holds the router — the
     /// latency-under-migration histogram.
-    fn record_enqueue(&self, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            let us = t0.elapsed().as_micros() as u64;
-            self.shared.obs.record(Stage::IngestEnqueue, us);
-            if self.shared.reshard_active.load(Ordering::Relaxed) {
-                self.shared.obs.record(Stage::IngestReshard, us);
-            }
+    fn record_enqueue(&self, t0: Instant) {
+        let us = t0.elapsed().as_micros() as u64;
+        self.shared.obs.record(Stage::IngestEnqueue, us);
+        if self.shared.reshard_active.load(Ordering::Relaxed) {
+            self.shared.obs.record(Stage::IngestReshard, us);
         }
     }
 
@@ -375,7 +367,7 @@ impl ClusterHandle {
     /// router queue is full.
     pub fn ingest(&self, batch: UpdateBatch) -> Result<(), ClusterClosed> {
         let (ins, del) = (batch.insertions.len() as u64, batch.deletions.len() as u64);
-        let t0 = self.enqueue_t0();
+        let t0 = Instant::now();
         self.tx
             .send(Command::Batch(batch))
             .map_err(|_| ClusterClosed)?;
@@ -393,7 +385,7 @@ impl ClusterHandle {
     /// quota-metered serving front uses.
     pub fn offer_batch(&self, batch: UpdateBatch) -> Result<bool, ClusterClosed> {
         let (ins, del) = (batch.insertions.len() as u64, batch.deletions.len() as u64);
-        let t0 = self.enqueue_t0();
+        let t0 = Instant::now();
         match self.tx.try_send(Command::Batch(batch)) {
             Ok(()) => {
                 self.record_enqueue(t0);

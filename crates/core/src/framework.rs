@@ -21,7 +21,8 @@ pub use crate::image::{Edges, GraphSnapshot};
 pub const BYTES_PER_UPDATE: usize = 8 + 8 + 4;
 
 /// A continuous monitoring task (Figure 1's "Continuous Monitoring"):
-/// invoked after every applied update batch.
+/// invoked after every applied update batch. `gpma_analytics::AppMonitor`
+/// runs one of the three §6.3 applications here (Figure 11's BFS).
 ///
 /// `Send` is a supertrait so a [`DynamicGraphSystem`] with registered
 /// monitors can move onto a service worker thread (the `gpma-service`

@@ -7,7 +7,6 @@ use crate::histogram::{HistSnapshot, Histogram};
 use crate::span::SpanGuard;
 use crate::stage::{EventKind, ObsEvent, Stage};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -56,12 +55,9 @@ impl EventRing {
 
 /// The telemetry hub one service or cluster owns (usually behind an
 /// `Arc`): per-stage histograms, span construction, the event ring, and
-/// every renderer. A registry built with [`Registry::disabled`] hands out
-/// inert spans and drops records/events without reading the clock — the
-/// baseline the overhead experiment measures against.
+/// every renderer.
 #[derive(Debug)]
 pub struct Registry {
-    enabled: AtomicBool,
     start: Instant,
     hists: Vec<Histogram>,
     events: Mutex<EventRing>,
@@ -74,60 +70,35 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An enabled registry with the default event capacity.
+    /// A registry with the default event capacity.
     pub fn new() -> Self {
         Self::with_event_capacity(DEFAULT_EVENT_CAP)
     }
 
-    /// An enabled registry whose event ring keeps `cap` events.
+    /// A registry whose event ring keeps `cap` events.
     pub fn with_event_capacity(cap: usize) -> Self {
         Registry {
-            enabled: AtomicBool::new(true),
             start: Instant::now(),
             hists: (0..Stage::COUNT).map(|_| Histogram::new()).collect(),
             events: Mutex::new(EventRing::new(cap)),
         }
     }
 
-    /// A no-op registry: spans are inert, records and events are dropped.
-    pub fn disabled() -> Self {
-        let r = Self::new();
-        r.enabled.store(false, Relaxed);
-        r
-    }
-
-    /// Is telemetry live?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Relaxed)
-    }
-
-    /// Flip telemetry on/off at runtime (the histograms keep their
-    /// contents; only future records are affected).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Relaxed);
-    }
-
-    /// The stage's histogram (always readable, even when disabled).
+    /// The stage's histogram.
     pub fn hist(&self, stage: Stage) -> &Histogram {
         &self.hists[stage.index()]
     }
 
-    /// Start a span for `stage`; inert when the registry is disabled.
+    /// Start a span for `stage`.
     #[inline]
     pub fn span(&self, stage: Stage) -> SpanGuard<'_> {
-        if self.enabled.load(Relaxed) {
-            SpanGuard::active(&self.hists[stage.index()])
-        } else {
-            SpanGuard::noop()
-        }
+        SpanGuard::active(&self.hists[stage.index()])
     }
 
     /// Record a raw sample for `stage` (a pre-measured duration in µs).
     #[inline]
     pub fn record(&self, stage: Stage, value: u64) {
-        if self.enabled.load(Relaxed) {
-            self.hists[stage.index()].record(value);
-        }
+        self.hists[stage.index()].record(value);
     }
 
     /// Record a wall-clock duration for `stage`, in microseconds.
@@ -140,9 +111,6 @@ impl Registry {
     /// creation). Kept off the span record path: callers emit events at
     /// stage boundaries, not per sample.
     pub fn event(&self, stage: Stage, shard: u32, epoch: u64, kind: EventKind, value: u64) {
-        if !self.enabled.load(Relaxed) {
-            return;
-        }
         let ev = ObsEvent {
             ts: self.start.elapsed().as_micros() as u64,
             stage,
@@ -311,7 +279,6 @@ pub fn parse_exposition(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage::NO_SHARD;
 
     #[test]
     fn span_records_into_the_right_stage() {
@@ -321,24 +288,6 @@ mod tests {
         }
         assert_eq!(r.hist(Stage::FlushApply).count(), 1);
         assert_eq!(r.hist(Stage::FlushDrain).count(), 0);
-    }
-
-    #[test]
-    fn disabled_registry_is_inert() {
-        let r = Registry::disabled();
-        {
-            let s = r.span(Stage::FlushApply);
-            assert!(!s.is_active());
-        }
-        r.record(Stage::QueryExec, 5);
-        r.event(Stage::CutBarrier, NO_SHARD, 1, EventKind::Cut, 0);
-        assert_eq!(r.hist(Stage::FlushApply).count(), 0);
-        assert_eq!(r.hist(Stage::QueryExec).count(), 0);
-        assert!(r.events().is_empty());
-        // Re-enabling makes future records land.
-        r.set_enabled(true);
-        r.record(Stage::QueryExec, 5);
-        assert_eq!(r.hist(Stage::QueryExec).count(), 1);
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //! `Drop` records the elapsed wall-clock into the stage's histogram.
 //!
 //! The guard is two words (an optional histogram reference and a start
-//! instant); a disabled registry hands out inert guards that never call
-//! `Instant::now`, so switching telemetry off removes its clock reads.
+//! instant); [`SpanGuard::cancel`] clears it so the drop records nothing.
 
 use crate::histogram::Histogram;
 use std::time::Instant;
 
 /// A running span timer. Records `elapsed µs` into its histogram when
-/// dropped; inert when obtained from a disabled registry.
+/// dropped, unless cancelled.
 #[derive(Debug)]
 #[must_use = "a span guard measures until dropped — bind it with `let _span = …`"]
 pub struct SpanGuard<'a> {
@@ -22,16 +21,6 @@ impl<'a> SpanGuard<'a> {
         SpanGuard {
             inner: Some((hist, Instant::now())),
         }
-    }
-
-    /// An inert span: no clock read, no record.
-    pub fn noop() -> Self {
-        SpanGuard { inner: None }
-    }
-
-    /// Is this span actually measuring?
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// End the span early without recording (e.g. an aborted stage whose
@@ -63,16 +52,6 @@ mod tests {
         }
         assert_eq!(h.count(), 1);
         assert!(h.max() >= 1_000, "recorded {} µs, expected ≥ 1 ms", h.max());
-    }
-
-    #[test]
-    fn noop_span_records_nothing() {
-        let h = Histogram::new();
-        {
-            let _span = SpanGuard::noop();
-            assert!(!_span.is_active());
-        }
-        assert_eq!(h.count(), 0);
     }
 
     #[test]

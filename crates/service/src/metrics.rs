@@ -5,16 +5,12 @@ use gpma_sim::ServiceCounters;
 
 /// Cumulative read-path publication accounting: what the worker shipped as
 /// epoch deltas and what advancing the published image by them copied —
-/// both O(|Δ|) per flush.
+/// both O(|Δ|) per flush. Every flush publishes one delta and one image, so
+/// [`ServiceCounters::flushes`] counts both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PublicationStats {
-    /// Epoch deltas published (one per flush).
-    pub deltas: u64,
     /// Modeled bytes shipped by delta publication.
     pub delta_bytes: u64,
-    /// Images published: one per flush, each the previous image advanced
-    /// by the flush's delta.
-    pub snapshots: u64,
     /// Modeled bytes image publication copied: 8 per publish plus
     /// [`BYTES_PER_EDGE`](gpma_core::delta::BYTES_PER_EDGE) for every edge
     /// of every row block the publish wrote — the blocks its delta changed
@@ -82,9 +78,9 @@ impl std::fmt::Display for ServiceMetrics {
             .field("duplicates", self.counters.duplicate_edges)
             .field("queries", self.counters.queries)
             .group()
-            .raw(format_args!("published {} deltas", self.publication.deltas))
+            .raw(format_args!("published {} deltas", self.counters.flushes))
             .annotate(format_args!("{}", gpma_obs::fmt_bytes(self.publication.delta_bytes)))
-            .count(self.publication.snapshots, "snapshots")
+            .raw("images")
             .annotate(format_args!("{}", gpma_obs::fmt_bytes(self.publication.snapshot_bytes)))
             .group()
             .field("worker errors", self.worker_errors)
@@ -112,9 +108,7 @@ mod tests {
             latest_epoch: 1,
             elapsed_secs: 50.0,
             publication: PublicationStats {
-                deltas: 4,
                 delta_bytes: 200,
-                snapshots: 2,
                 snapshot_bytes: 1000,
             },
             worker_errors: 0,
@@ -150,6 +144,7 @@ mod tests {
     fn publication_stats_appear_in_the_summary_line() {
         let m = sample();
         let line = m.to_string();
-        assert!(line.contains("4 deltas"), "{line}");
+        // One flush published one delta and one image.
+        assert!(line.contains("published 1 deltas (200 B), images (1000 B)"), "{line}");
     }
 }

@@ -155,12 +155,8 @@ struct Shared {
     /// a flush's image and delta in one acquisition, so the image is always
     /// at the ring head for every reader.
     published: Mutex<Published>,
-    /// Deltas published (one per flush).
-    published_deltas: AtomicU64,
     /// Modeled bytes shipped by delta publication (O(|Δ|) per epoch).
     delta_bytes: AtomicU64,
-    /// Images published (one per flush).
-    published_snapshots: AtomicU64,
     /// Modeled bytes of the row blocks image publication wrote.
     snapshot_bytes: AtomicU64,
     /// Errors the worker thread recovered from instead of panicking (a
@@ -198,9 +194,7 @@ impl Shared {
 
     fn publication_stats(&self) -> PublicationStats {
         PublicationStats {
-            deltas: self.published_deltas.load(Ordering::Relaxed),
             delta_bytes: self.delta_bytes.load(Ordering::Relaxed),
-            snapshots: self.published_snapshots.load(Ordering::Relaxed),
             snapshot_bytes: self.snapshot_bytes.load(Ordering::Relaxed),
         }
     }
@@ -411,9 +405,7 @@ impl StreamingService {
                 image: initial.clone(),
                 log: DeltaLog::new(delta_log_capacity),
             }),
-            published_deltas: AtomicU64::new(0),
             delta_bytes: AtomicU64::new(0),
-            published_snapshots: AtomicU64::new(0),
             snapshot_bytes: AtomicU64::new(0),
             worker_errors: AtomicU64::new(0),
             crash_at_barrier: AtomicBool::new(false),
@@ -892,11 +884,9 @@ fn publish(delta: &Arc<SnapshotDelta>, ctx: &WorkerCtx) {
     // Freed outside the lock: when no reader holds the old image this drop
     // frees its block vector and the slabs only it used.
     drop(old);
-    ctx.shared.published_deltas.fetch_add(1, Ordering::Relaxed);
     ctx.shared
         .delta_bytes
         .fetch_add(delta.wire_bytes() as u64, Ordering::Relaxed);
-    ctx.shared.published_snapshots.fetch_add(1, Ordering::Relaxed);
     ctx.shared
         .snapshot_bytes
         .fetch_add((8 + copied_bytes) as u64, Ordering::Relaxed);
@@ -1273,9 +1263,8 @@ mod tests {
         assert_eq!(report.final_snapshot.epoch(), 8);
         assert_eq!(report.final_snapshot.num_edges(), 9);
         assert_eq!(report.metrics.worker_errors, 0, "image and store agree");
+        assert_eq!(report.metrics.counters.flushes, 8, "one publish per epoch");
         let p = &report.metrics.publication;
-        assert_eq!(p.deltas, 8, "every epoch published a delta");
-        assert_eq!(p.snapshots, 8, "and advanced the image");
         assert!(p.delta_bytes > 0 && p.snapshot_bytes > 0);
     }
 

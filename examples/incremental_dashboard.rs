@@ -109,7 +109,8 @@ fn main() {
         "engine: {} epochs applied ({} changed edges), work bfs={} cc={} pagerank={}",
         stats.epochs, stats.changed_edges, stats.bfs_work, stats.cc_work, stats.pagerank_work
     );
-    let full_republication = p.deltas * (8 + final_snap.num_edges() * BYTES_PER_EDGE) as u64;
+    let full_republication =
+        report.metrics.counters.flushes * (8 + final_snap.num_edges() * BYTES_PER_EDGE) as u64;
     println!(
         "read path: {} delta bytes vs ~{} bytes had every epoch shipped a full snapshot ({}× saved)",
         p.delta_bytes,

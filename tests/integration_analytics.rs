@@ -4,13 +4,14 @@
 //! single-device runs on real generated datasets.
 
 use gpma_analytics::multi::{bfs_multi, cc_multi, pagerank_multi};
-use gpma_analytics::{bfs_host, cc_host, component_count, pagerank_host};
+use gpma_analytics::{bfs_host, cc_host, component_count, pagerank_host, App, AppMonitor};
 use gpma_baselines::AdjLists;
-use gpma_bench::apps::{run_app, App};
+use gpma_bench::apps::run_app;
 use gpma_bench::{ApproachKind, Store};
+use gpma_core::framework::DynamicGraphSystem;
 use gpma_core::multi::MultiGpma;
 use gpma_graph::datasets::{generate, DatasetKind};
-use gpma_sim::DeviceConfig;
+use gpma_sim::{Device, DeviceConfig};
 
 #[test]
 fn table1_matrix_agrees_after_streaming() {
@@ -33,10 +34,23 @@ fn table1_matrix_agrees_after_streaming() {
         }
     }
     for app in App::ALL {
-        let digests: Vec<(&str, u64)> = stores
+        let mut digests: Vec<(&str, u64)> = stores
             .iter()
             .map(|s| (s.kind().name(), run_app(app, s, 1).digest))
             .collect();
+        // The framework's monitor, fed the same slides one flush each.
+        let dev = Device::new(DeviceConfig::deterministic());
+        let mut sys =
+            DynamicGraphSystem::new(dev, stream.num_vertices, stream.initial_edges(), 2 * batch);
+        let (monitor, runs) = AppMonitor::new(app, || 1);
+        sys.register_monitor(Box::new(monitor));
+        for b in stream.sliding(batch).take(3) {
+            sys.stream.offer_batch(&b);
+            sys.flush();
+        }
+        let runs: Vec<u64> = runs.try_iter().collect();
+        assert_eq!(runs.len(), 3, "one run per flush");
+        digests.push(("framework monitor", runs[2]));
         let first = digests[0].1;
         for (name, d) in &digests {
             assert_eq!(*d, first, "{name} disagrees on {:?}", app);

@@ -191,9 +191,9 @@ fn publish_cost_follows_the_delta_not_the_graph() {
         svc.barrier().expect("service alive");
         let report = svc.shutdown();
         assert_eq!(report.metrics.worker_errors, 0);
-        let p = report.metrics.publication;
-        assert_eq!(p.snapshots, 20);
-        p.snapshot_bytes as f64 / p.snapshots as f64
+        let flushes = report.metrics.counters.flushes;
+        assert_eq!(flushes, 20);
+        report.metrics.publication.snapshot_bytes as f64 / flushes as f64
     };
     let (small, large) = (bytes_per_flush(400), bytes_per_flush(4_000));
     assert!(small > 0.0);

@@ -2,34 +2,11 @@
 //! monitors, the asynchronous pipeline and ad-hoc queries working together
 //! over generated datasets.
 
-use gpma_analytics::{bfs_device, GpmaView, UNREACHED};
-use gpma_core::framework::{DynamicGraphSystem, Monitor};
-use gpma_core::GpmaPlus;
+use gpma_analytics::{App, AppMonitor};
+use gpma_core::framework::DynamicGraphSystem;
 use gpma_graph::datasets::{generate, DatasetKind};
 use gpma_graph::UpdateBatch;
 use gpma_sim::{Device, DeviceConfig};
-
-struct ReachMonitor {
-    root: u32,
-    history: Vec<u64>,
-}
-
-impl Monitor for ReachMonitor {
-    fn name(&self) -> &str {
-        "bfs-reach"
-    }
-    fn run(&mut self, dev: &Device, graph: &GpmaPlus) -> usize {
-        let view = GpmaView::build(dev, &graph.storage);
-        let dist = bfs_device(dev, &view, self.root);
-        let reached = dist
-            .as_slice()
-            .iter()
-            .filter(|&&d| d != UNREACHED)
-            .count() as u64;
-        self.history.push(reached);
-        dist.len() * 4
-    }
-}
 
 #[test]
 fn framework_end_to_end_over_dataset_stream() {
@@ -39,10 +16,8 @@ fn framework_end_to_end_over_dataset_stream() {
     // Each slide carries `batch` insertions + `batch` deletions = one step.
     let mut sys =
         DynamicGraphSystem::new(dev, stream.num_vertices, stream.initial_edges(), batch * 2);
-    sys.register_monitor(Box::new(ReachMonitor {
-        root: 0,
-        history: vec![],
-    }));
+    let (monitor, reached) = AppMonitor::new(App::Bfs, || 0);
+    sys.register_monitor(Box::new(monitor));
 
     let mut steps = 0usize;
     let mut total_update = 0.0;
@@ -61,6 +36,10 @@ fn framework_end_to_end_over_dataset_stream() {
     }
     assert_eq!(steps, 4);
     assert!(total_update > 0.0 && total_analytics > 0.0);
+    // One BFS per step, each reaching at least its root.
+    let reached: Vec<u64> = reached.try_iter().collect();
+    assert_eq!(reached.len(), 4);
+    assert!(reached.iter().all(|&r| r >= 1 && r <= stream.num_vertices as u64));
 
     // The active window is intact: |edges| stays |Es| (no duplicate streams
     // edges in the generated datasets).
@@ -75,13 +54,13 @@ fn monitors_observe_every_flush_in_order() {
     let batch = stream.slide_batch_size(0.02);
     let mut sys =
         DynamicGraphSystem::new(dev, stream.num_vertices, stream.initial_edges(), batch * 2);
-    sys.register_monitor(Box::new(ReachMonitor {
-        root: 1,
-        history: vec![],
-    }));
+    let (monitor, digests) = AppMonitor::new(App::Bfs, || 1);
+    sys.register_monitor(Box::new(monitor));
     let mut flushes = 0;
     for b in stream.sliding(batch).take(3) {
         flushes += sys.ingest(&b).len();
+        // The monitor ran on this flush, before the next one.
+        assert_eq!(digests.try_iter().count(), 1);
     }
     assert_eq!(flushes, 3);
 }
