@@ -92,9 +92,9 @@ impl<R: FnMut() -> u32 + Send> AppMonitor<R> {
     /// A monitor running `app` from the root `roots` yields at each run,
     /// and the receiver of each run's digest, in flush order. The caller
     /// owns the root sequence (a seeded RNG, a fixed vertex), so this crate
-    /// draws no random numbers. Each root must be below the graph's vertex
-    /// count: [`bfs_device`] asserts it. Dropping the receiver discards the
-    /// digests.
+    /// draws no random numbers. A BFS root at or above the graph's vertex
+    /// count reaches nothing: the run launches no BFS, sends digest 0 and
+    /// ships 0 bytes. Dropping the receiver discards the digests.
     pub fn new(app: App, roots: R) -> (Self, Receiver<u64>) {
         let (digests, rx) = channel();
         (
@@ -114,10 +114,40 @@ impl<R: FnMut() -> u32 + Send> Monitor for AppMonitor<R> {
     }
 
     fn run(&mut self, dev: &Device, graph: &GpmaPlus) -> usize {
-        let view = GpmaView::build(dev, &graph.storage);
-        let out = self.app.run_device(dev, &view, (self.roots)());
+        let root = (self.roots)();
+        let out = if self.app == App::Bfs && root >= graph.storage.num_vertices() {
+            AppResult { digest: 0, bytes: 0 }
+        } else {
+            self.app.run_device(dev, &GpmaView::build(dev, &graph.storage), root)
+        };
         // A dropped receiver only means nobody reads the digests.
         let _ = self.digests.send(out.digest);
         out.bytes
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpma_core::framework::DynamicGraphSystem;
+    use gpma_graph::{Edge, UpdateBatch};
+    use gpma_sim::DeviceConfig;
+
+    /// A BFS root outside the vertex set reaches nothing: the flush runs no
+    /// kernel for it, ships nothing and does not panic.
+    #[test]
+    fn an_out_of_range_root_reaches_nothing() {
+        let dev = Device::new(DeviceConfig::deterministic());
+        let mut sys = DynamicGraphSystem::new(dev, 4, &[Edge::new(0, 1)], 1);
+        let (monitor, digests) = AppMonitor::new(App::Bfs, || 7);
+        sys.register_monitor(Box::new(monitor));
+        let reports = sys.ingest(&UpdateBatch {
+            insertions: vec![Edge::new(1, 2)],
+            deletions: vec![],
+        });
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].analytics[0].2, 0, "bytes shipped");
+        assert_eq!(reports[0].analytics_time().secs(), 0.0);
+        assert_eq!(digests.try_iter().collect::<Vec<_>>(), vec![0]);
     }
 }

@@ -55,7 +55,7 @@
 //! every batch is bit-identical (`gpma_plus` tests hold it to the kept
 //! three-launch tier).
 //!
-//! They were re-recorded last when GPMA+ lost its op-code stream: with
+//! They were re-recorded again when GPMA+ lost its op-code stream: with
 //! deletions only ever tombstoned, every update that reaches the merges is
 //! an insertion, so `gather_payload`, `compact_promote` and
 //! `slice_updates` stopped moving a four-byte op per update and the merges
@@ -68,6 +68,22 @@
 //! → `[232, 1_537_906, 4_465_370, 4_054, 2_934]`. Launches, atomics and
 //! conflicts did not move, and neither did the analytics half: the slot
 //! layout after every batch is bit-identical.
+//!
+//! They were re-recorded last when the batch path shed launches without
+//! shedding work: the sort carries the weights (`gather_payload` went),
+//! the run-length encoding is one block walk (one launch up to one block,
+//! three above it, where it was four plus a scan), and the parallel merge
+//! that the post-batch rebuild runs compacts keys and values under one
+//! scan per mask. Store, benchmark device `[155, 954_622, 2_077_040,
+//! 11_200, 7_944]` → `[131, 817_447, 1_872_628, 11_200, 7_944]`,
+//! deterministic `[155, 954_585, 2_076_652, 11_200, 7_940]` → `[131,
+//! 817_406, 1_872_195, 11_200, 7_940]`: eight launches fewer per slide.
+//! Small batches, benchmark `[232, 1_537_922, 4_465_506, 4_054, 2_934]` →
+//! `[168, 1_172_548, 3_925_284, 4_054, 2_934]`, deterministic `[232,
+//! 1_537_906, 4_465_370, 4_054, 2_934]` → `[168, 1_172_524, 3_925_106,
+//! 4_054, 2_934]`: eight launches fewer per slide, four on the insertion
+//! path and four in the rebuild. Atomics, conflicts and the analytics
+//! half did not move: the slot layout after every batch is bit-identical.
 //!
 //! A change to how `gpma_sim::Device::launch` traces or counts a sampled warp
 //! must leave every number here alone; a deliberate change to the kernels or
@@ -154,7 +170,7 @@ fn benchmark_device_counts_are_pinned() {
         host_parallelism: 1,
         ..Default::default()
     });
-    assert_eq!(store, [155, 954_622, 2_077_040, 11_200, 7_944]);
+    assert_eq!(store, [131, 817_447, 1_872_628, 11_200, 7_944]);
     assert_eq!(analytics_half(store, all), [89, 516_291, 756_674, 43_998, 32]);
 }
 
@@ -164,15 +180,15 @@ fn small_batch_counts_are_pinned() {
         host_parallelism: 1,
         ..Default::default()
     });
-    assert_eq!(benchmark, [232, 1_537_922, 4_465_506, 4_054, 2_934]);
+    assert_eq!(benchmark, [168, 1_172_548, 3_925_284, 4_054, 2_934]);
     let deterministic = run_small_batches(DeviceConfig::deterministic());
-    assert_eq!(deterministic, [232, 1_537_906, 4_465_370, 4_054, 2_934]);
+    assert_eq!(deterministic, [168, 1_172_524, 3_925_106, 4_054, 2_934]);
 }
 
 #[test]
 fn deterministic_device_counts_are_pinned() {
     // Every warp traced.
     let [store, all] = run(DeviceConfig::deterministic());
-    assert_eq!(store, [155, 954_585, 2_076_652, 11_200, 7_940]);
+    assert_eq!(store, [131, 817_406, 1_872_195, 11_200, 7_940]);
     assert_eq!(analytics_half(store, all), [89, 509_235, 672_103, 43_998, 14]);
 }

@@ -158,8 +158,7 @@ impl RebuildCsr {
                 f.set(lane, i, keep as u32);
             });
         }
-        self.keys = primitives::compact_flagged(dev, &sorted_keys, &flags);
-        self.vals = primitives::compact_flagged(dev, &vals, &flags);
+        (self.keys, self.vals) = primitives::compact_pairs_flagged(dev, &sorted_keys, &vals, &flags);
         self.rebuild_offsets(dev);
     }
 

@@ -17,8 +17,8 @@ use crate::delta::SnapshotDelta;
 use crate::gpma_plus::GpmaPlus;
 pub use crate::image::{Edges, GraphSnapshot};
 
-/// Bytes shipped over PCIe per streamed update (key + weight + op tag).
-pub const BYTES_PER_UPDATE: usize = 8 + 8 + 4;
+/// Bytes shipped over PCIe per streamed update (key + weight).
+pub const BYTES_PER_UPDATE: usize = 8 + 8;
 
 /// A continuous monitoring task (Figure 1's "Continuous Monitoring"):
 /// invoked after every applied update batch. `gpma_analytics::AppMonitor`

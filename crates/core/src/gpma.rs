@@ -186,8 +186,7 @@ impl Gpma {
                     k.set(lane, lane.tid, (s != ST_DONE) as u32);
                 });
             }
-            pend_keys = primitives::compact_flagged(dev, &pend_keys, &keep);
-            pend_vals = primitives::compact_flagged(dev, &pend_vals, &keep);
+            (pend_keys, pend_vals) = primitives::compact_pairs_flagged(dev, &pend_keys, &pend_vals, &keep);
             // Line 7: all locks released (buffer dropped each round).
         }
         self.storage.rebuild_leaf_max(dev);

@@ -81,11 +81,12 @@ pub struct GpmaPlus {
 }
 
 /// Device-buffer set the level loop ping-pongs survivors through instead
-/// of allocating four fresh buffers (plus a scan buffer each) per level.
+/// of allocating three fresh buffers (plus a scan buffer) per level.
 /// Capacities only grow ([`DeviceBuffer::grow_to`]), so a steady-state
 /// stream of equally sized batches reallocates none of these buffers after
-/// the first; the scans and the RLE still allocate their scan
-/// intermediates per call ([`primitives::exclusive_scan_u32_into`]).
+/// the first; the keep-mask scan, and the RLE's scan of its block counts
+/// above one [`primitives::BLOCK`], still allocate their intermediates per
+/// call ([`primitives::exclusive_scan_u32_into`]).
 struct LevelScratch {
     keep: DeviceBuffer<u32>,
     positions: DeviceBuffer<u32>,
@@ -96,8 +97,8 @@ struct LevelScratch {
     /// from `locate_leaves`, then swapped with `segs` on each promotion).
     seg_ids: DeviceBuffer<u32>,
     /// Reused by the per-level `UniqueSegments` run-length encoding
-    /// ([`process_level`](GpmaPlus::process_level)) — kills the five fresh
-    /// buffers the RLE otherwise allocates each level.
+    /// ([`process_level`](GpmaPlus::process_level)): each level's unique
+    /// segments and their update runs (`starts[j]..starts[j + 1]`).
     rle: primitives::RleScratch,
     /// Per-segment accept flags of the device tier's count phase (sized
     /// like the update count, an upper bound on the segment count).
@@ -203,8 +204,8 @@ impl GpmaPlus {
     /// set.
     // lint: hot-path
     fn apply_sorted(&mut self, dev: &Device, updates: DeviceUpdates, stats: &mut PlusStats) {
-        // Size every reused level buffer (incl. the RLE scratch inputs and
-        // the keep mask process_level fills) once: the batch only shrinks
+        // Size every reused level buffer (incl. the keep mask and accept
+        // flags process_level fills) once: the batch only shrinks
         // from here, and the ping-pong swaps below exchange buffers that
         // all hold at least this many slots.
         let mut cur = updates;
@@ -342,7 +343,7 @@ impl GpmaPlus {
             let storage = &*storage;
             let seg_len = geom.seg_len;
             let rle = &level_scratch.rle;
-            let (unique, starts, counts) = (&rle.unique, &rle.starts, &rle.counts);
+            let (unique, starts) = (&rle.unique, &rle.starts);
             let keep = &level_scratch.keep;
             level_scratch.merged_ctr.host_write(0, 0);
             let merged_ctr = &level_scratch.merged_ctr;
@@ -350,7 +351,7 @@ impl GpmaPlus {
                 let j = lane.tid;
                 let g = unique.get(lane, j) as usize;
                 let s = starts.get(lane, j) as usize;
-                let c = counts.get(lane, j) as usize;
+                let c = starts.get(lane, j + 1) as usize - s;
                 let ws = g * window_slots;
                 // The merge stages through the worker's reusable scratch
                 // (modeled shared memory) instead of a fresh Vec per
@@ -389,13 +390,12 @@ impl GpmaPlus {
             let storage = &*storage;
             let unique = &rle.unique;
             let starts = &rle.starts;
-            let counts = &rle.counts;
             let acc = accept;
             launch!(dev, "tryinsert_count", nseg, |lane| {
                 let j = lane.tid;
                 let g = unique.get(lane, j) as usize;
                 let s = starts.get(lane, j) as usize;
-                let c = counts.get(lane, j) as usize;
+                let c = starts.get(lane, j + 1) as usize - s;
                 let window = g * window_slots..(g + 1) * window_slots;
                 let merged = merged_count_serial(lane, storage, window, cur, s..s + c);
                 acc.set(lane, j, (merged <= max_entries) as u32);
@@ -403,15 +403,14 @@ impl GpmaPlus {
         }
         let accept_host = &accept.as_slice()[..nseg];
         let unique_host = &rle.unique.as_slice()[..nseg];
-        let starts_host = &rle.starts.as_slice()[..nseg];
-        let counts_host = &rle.counts.as_slice()[..nseg];
+        let starts_host = &rle.starts.as_slice()[..=nseg];
         for j in 0..nseg {
             if accept_host[j] == 0 {
                 continue;
             }
             let g = unique_host[j] as usize;
             let ws = g * window_slots;
-            let ur = starts_host[j] as usize..(starts_host[j] + counts_host[j]) as usize;
+            let ur = starts_host[j] as usize..starts_host[j + 1] as usize;
             let before = storage.compact_window_into(dev, ws..ws + window_slots, compact_scratch);
             let n = merge_parallel_into(
                 dev,
@@ -568,12 +567,12 @@ mod tests {
             merged_ctr,
             ..
         } = &*scratch;
-        let (unique, starts, counts) = (&rle.unique, &rle.starts, &rle.counts);
+        let (unique, starts) = (&rle.unique, &rle.starts);
         dev.launch("ref_tryinsert_count", nseg, |lane| {
             let j = lane.tid;
             let g = unique.get(lane, j) as usize;
             let s = starts.get(lane, j) as usize;
-            let c = counts.get(lane, j) as usize;
+            let c = starts.get(lane, j + 1) as usize - s;
             let window = g * window_slots..(g + 1) * window_slots;
             let merged = merged_count_serial(lane, storage, window, cur, s..s + c);
             accept.set(lane, j, (merged <= max_entries) as u32);
@@ -586,7 +585,7 @@ mod tests {
             }
             let g = unique.get(lane, j) as usize;
             let s = starts.get(lane, j) as usize;
-            let c = counts.get(lane, j) as usize;
+            let c = starts.get(lane, j + 1) as usize - s;
             let ws = g * window_slots;
             let mut before = 0usize;
             for i in ws..ws + window_slots {
@@ -894,6 +893,50 @@ mod tests {
         g.storage.check_invariants();
         let keys: Vec<(u32, u32)> = oracle_of(&g).into_keys().collect();
         assert_eq!(keys, vec![(0, 1), (0, 2), (1, 5), (3, 2), (7, 0)]);
+    }
+
+    /// A 128-deletion + 128-insertion batch whose merges all land on the
+    /// leaves is five launches: the lazy delete, the one-tile sort (it
+    /// carries the weights), `locate_leaves`, the one-block run-length
+    /// encoding and `tryinsert_small`.
+    #[test]
+    fn a_256_update_batch_is_five_launches() {
+        const NV: u32 = 1024;
+        let initial: Vec<Edge> = (0..NV).flat_map(|s| (1..4).map(move |k| Edge::new(s, (s + 2 * k) % NV))).collect();
+        let d = dev();
+        let mut g = GpmaPlus::build(&d, NV, &initial);
+        let batch = UpdateBatch {
+            insertions: (0..NV).step_by(8).map(|s| Edge::weighted(s, (s + 7) % NV, 3)).collect(),
+            deletions: initial.iter().step_by(24).copied().collect(),
+        };
+        assert_eq!((batch.insertions.len(), batch.deletions.len()), (128, 128));
+        let before = d.metrics().launches;
+        let stats = g.update_batch_lazy(&d, &batch);
+        assert_eq!((stats.levels, stats.resizes, stats.lazy_deletes), (1, 0, 128));
+        assert_eq!(d.metrics().launches - before, 5);
+        g.storage.check_invariants();
+    }
+
+    /// Of two insertions of one key in a batch, the later one's weight
+    /// stays: on the one-tile sort (at most one block of insertions) and on
+    /// the multi-block sort, for a key already present and for a new one.
+    #[test]
+    fn later_of_two_same_key_insertions_wins() {
+        use gpma_sim::primitives::BLOCK;
+        const NV: u32 = 64;
+        let d = dev();
+        for n in [4, BLOCK, BLOCK + 1, 3 * BLOCK] {
+            for (src, dst) in [(1, 2), (5, 9)] {
+                let mut g = GpmaPlus::build(&d, NV, &[Edge::weighted(1, 2, 1)]);
+                let filler = (0..n - 2).map(|i| Edge::new(10 + (i as u32 % 50), (i / 50) as u32));
+                let mut insertions = vec![Edge::weighted(src, dst, 40)];
+                insertions.extend(filler);
+                insertions.push(Edge::weighted(src, dst, 41));
+                assert_eq!(insertions.len(), n);
+                g.update_batch_lazy(&d, &UpdateBatch { insertions, deletions: vec![] });
+                assert_eq!(oracle_of(&g)[&(src, dst)], 41, "n={n} key=({src},{dst})");
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@ impl DeviceUpdates {
 }
 
 /// Reusable host staging for [`prepare_insertions`]: the key / value
-/// upload vectors (and the sort-index iota) are cleared and refilled per
-/// batch instead of reallocated, so a steady-state stream of flushes does no
+/// upload vectors are cleared and refilled per batch instead of
+/// reallocated, so a steady-state stream of flushes does no
 /// per-launch host allocation on the upload path (the ROADMAP profiling
 /// item). Also stages the lazy-delete kernel's inputs (device key buffer,
 /// capacity only grows, and its one-slot deleted counter).
@@ -39,7 +39,6 @@ impl DeviceUpdates {
 pub struct UpdateScratch {
     keys: Vec<u64>,
     vals: Vec<u64>,
-    idx: Vec<u64>,
     del_keys: DeviceBuffer<u64>,
     del_count: DeviceBuffer<u64>,
 }
@@ -49,7 +48,6 @@ impl Default for UpdateScratch {
         UpdateScratch {
             keys: Vec::new(),
             vals: Vec::new(),
-            idx: Vec::new(),
             del_keys: DeviceBuffer::new(0),
             del_count: DeviceBuffer::new(1),
         }
@@ -75,8 +73,9 @@ impl UpdateScratch {
     }
 }
 
-/// Upload a batch's insertions and radix-sort them by key on the device
-/// (stable: of two insertions of one key the later wins). Takes a raw slice
+/// Upload a batch's insertions and radix-sort the `(key, weight)` pairs by
+/// key on the device (stable: of two insertions of one key the later
+/// stays later, so it wins). Takes a raw slice
 /// and caller-owned staging, so a batch costs neither `Vec` growth nor an
 /// `UpdateBatch` clone.
 pub fn prepare_insertions(
@@ -86,7 +85,7 @@ pub fn prepare_insertions(
     scratch: &mut UpdateScratch,
 ) -> DeviceUpdates {
     let n = insertions.len();
-    let UpdateScratch { keys, vals, idx, .. } = scratch;
+    let UpdateScratch { keys, vals, .. } = scratch;
     keys.clear();
     vals.clear();
     keys.reserve(n);
@@ -96,28 +95,14 @@ pub fn prepare_insertions(
         keys.push(e.key());
         vals.push(e.weight);
     }
-    idx.clear();
-    idx.extend(0..n as u64);
     let mut dkeys = DeviceBuffer::from_slice(keys);
-    let mut idx = DeviceBuffer::from_slice(idx);
+    let mut dvals = DeviceBuffer::from_slice(vals);
     // Both ends were just checked below |V|: only the mask's digits vary.
     let mask = edge_key_mask(num_vertices);
-    primitives::radix_sort_pairs_u64_masked(dev, &mut dkeys, &mut idx, mask);
-
-    // Gather the weights into sorted order.
-    let src_vals = DeviceBuffer::from_slice(vals.as_slice());
-    let out_vals = DeviceBuffer::<u64>::new(n);
-    if n > 0 {
-        launch!(dev, "gather_payload", n, |lane| {
-            let i = lane.tid;
-            let j = idx.get(lane, i) as usize;
-            let v = src_vals.get(lane, j);
-            out_vals.set(lane, i, v);
-        });
-    }
+    primitives::radix_sort_pairs_u64_masked(dev, &mut dkeys, &mut dvals, mask);
     DeviceUpdates {
         keys: dkeys,
-        vals: out_vals,
+        vals: dvals,
         len: n,
     }
 }
@@ -283,11 +268,11 @@ pub fn merged_count_serial<M: LaneMode>(
 }
 
 /// Reusable buffer set for [`merge_parallel_into`]: the update slice, both
-/// flag masks, the shared scan buffer, the two compacted sides and the
-/// merged output. Capacities only grow ([`DeviceBuffer::grow_to`]), so a
-/// steady-state stream of device-tier merges reallocates none of these
-/// buffers after the first; the four scans still allocate their own
-/// intermediates per call ([`primitives::exclusive_scan_u32_into`]). Only
+/// flag masks, the scan buffer the two compactions share, the two compacted
+/// sides and the merged output. Capacities only grow
+/// ([`DeviceBuffer::grow_to`]), so a steady-state stream of device-tier
+/// merges reallocates none of these buffers after the first; the two scans
+/// still allocate their own intermediates per call ([`primitives::exclusive_scan_u32_into`]). Only
 /// the first `count` entries of [`Self::out_keys`] / [`Self::out_vals`] are
 /// meaningful after a call.
 pub struct MergeScratch {
@@ -413,15 +398,11 @@ pub fn merge_parallel_into(
         });
     }
 
-    // 4. Compact both sides, one scan per compaction.
-    let na2 = primitives::exclusive_scan_u32_into(dev, a_flags, na, positions) as usize;
-    primitives::compact_flagged_into(dev, a_keys, a_flags, na, positions, a2_keys);
-    primitives::exclusive_scan_u32_into(dev, a_flags, na, positions);
-    primitives::compact_flagged_into(dev, a_vals, a_flags, na, positions, a2_vals);
-    let m2 = primitives::exclusive_scan_u32_into(dev, u_flags, m, positions) as usize;
-    primitives::compact_flagged_into(dev, u_keys, u_flags, m, positions, u2_keys);
-    primitives::exclusive_scan_u32_into(dev, u_flags, m, positions);
-    primitives::compact_flagged_into(dev, u_vals, u_flags, m, positions, u2_vals);
+    // 4. Compact both sides, keys and values together: one scan per mask.
+    let na2 =
+        primitives::compact_pairs_flagged_into(dev, (a_keys, a_vals), a_flags, na, positions, (a2_keys, a2_vals));
+    let m2 =
+        primitives::compact_pairs_flagged_into(dev, (u_keys, u_vals), u_flags, m, positions, (u2_keys, u2_vals));
     let total = na2 + m2;
 
     // 5. Rank-merge scatter: the two sides are disjoint sorted sets, so each

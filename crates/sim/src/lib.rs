@@ -92,7 +92,8 @@ mod integration_tests {
         let low = DeviceBuffer::from_slice(&sorted.iter().map(|&k| k as u32).collect::<Vec<_>>());
         let mut rle = primitives::RleScratch::default();
         let runs = primitives::run_length_encode_u32_into(&dev, &low, n, &mut rle);
-        let total: u32 = rle.counts.to_vec()[..runs].iter().sum();
+        let starts = rle.starts.to_vec();
+        let total: u32 = starts[..=runs].windows(2).map(|w| w[1] - w[0]).sum();
         assert_eq!(total as usize, n);
         assert_eq!(runs, 97);
     }

@@ -96,53 +96,50 @@ pub fn exclusive_scan_u32_into(
 // Run-length encoding
 // ----------------------------------------------------------------------
 
-/// Reusable buffer set for [`run_length_encode_u32_into`]: the head-flag
-/// mask, its scan, and the three run outputs (sized to the *input* length,
-/// an upper bound on the run count). Capacities only grow
+/// Reusable buffer set for [`run_length_encode_u32_into`]: each block's
+/// run-head count and its scan, a one-slot run count, and the two run
+/// outputs (sized to the *input* length, an upper bound on the run count,
+/// plus the sentinel slot of [`Self::starts`]). Capacities only grow
 /// ([`DeviceBuffer::grow_to`]), so a steady stream of equally sized inputs
-/// reallocates none of these buffers after the first call; the scan's own
-/// intermediates are still allocated per call
-/// ([`exclusive_scan_u32_into`]).
+/// reallocates none of these buffers after the first call; above one
+/// [`BLOCK`] the scan of the block counts still allocates its intermediates
+/// per call ([`exclusive_scan_u32_into`]).
 pub struct RleScratch {
-    flags: DeviceBuffer<u32>,
-    positions: DeviceBuffer<u32>,
+    block_heads: DeviceBuffer<u32>,
+    block_offsets: DeviceBuffer<u32>,
+    runs: DeviceBuffer<u32>,
     /// Distinct run values, valid for the `num_runs` returned by the call
     /// that filled this scratch.
     pub unique: DeviceBuffer<u32>,
-    /// Run lengths, index-aligned with [`Self::unique`].
-    pub counts: DeviceBuffer<u32>,
-    /// Exclusive scan of `counts` — each run's first input index.
+    /// Each run's first input index, index-aligned with [`Self::unique`],
+    /// then the sentinel `starts[num_runs] = n`: run `j` is
+    /// `starts[j]..starts[j + 1]`.
     pub starts: DeviceBuffer<u32>,
 }
 
 impl Default for RleScratch {
     fn default() -> Self {
         RleScratch {
-            flags: DeviceBuffer::new(0),
-            positions: DeviceBuffer::new(0),
+            block_heads: DeviceBuffer::new(0),
+            block_offsets: DeviceBuffer::new(0),
+            runs: DeviceBuffer::new(1),
             unique: DeviceBuffer::new(0),
-            counts: DeviceBuffer::new(0),
             starts: DeviceBuffer::new(0),
         }
-    }
-}
-
-impl RleScratch {
-    fn ensure(&mut self, n: usize) {
-        self.flags.grow_to(n);
-        self.positions.grow_to(n);
-        self.unique.grow_to(n);
-        self.counts.grow_to(n);
-        self.starts.grow_to(n);
     }
 }
 
 /// Run-length encode `input[..n]` (CUB `DeviceRunLengthEncode::Encode`)
 /// into caller-owned scratch, so hot loops reuse one buffer set across
 /// launches. Returns the run count; run `j` repeats `scratch.unique[j]`
-/// `scratch.counts[j]` times from input index `scratch.starts[j]` (the index
-/// set `I` of Algorithm 4). The buffers are over-sized: only the first
-/// `num_runs` entries are meaningful.
+/// from input index `scratch.starts[j]` up to `scratch.starts[j + 1]` (the
+/// index set `I` of Algorithm 4). The buffers are over-sized: only the
+/// first `num_runs` entries (and the sentinel after them) are meaningful.
+///
+/// A block walk in the shape of [`exclusive_scan_u32_into`]: one lane per
+/// [`BLOCK`] counts its tile's run heads, the counts are scanned, and each
+/// lane walks its tile again writing its runs from its scanned offset. An
+/// input of at most one block needs neither count nor scan: one launch.
 // lint: hot-path
 pub fn run_length_encode_u32_into(
     dev: &Device,
@@ -154,113 +151,105 @@ pub fn run_length_encode_u32_into(
     if n == 0 {
         return 0;
     }
-    scratch.ensure(n);
-    rle_head_flags(dev, input, n, &scratch.flags);
-    let num_runs = exclusive_scan_u32_into(dev, &scratch.flags, n, &scratch.positions) as usize;
-    rle_scatter(
-        dev,
-        input,
-        n,
-        &scratch.flags,
-        &scratch.positions,
-        &scratch.unique,
-        &scratch.starts,
-    );
-    rle_counts(dev, n, num_runs, &scratch.starts, &scratch.counts);
-    num_runs
-}
-
-/// Mark the first element of every run in `input[..n]`.
-fn rle_head_flags(dev: &Device, input: &DeviceBuffer<u32>, n: usize, flags: &DeviceBuffer<u32>) {
-    launch!(dev, "rle_head_flags", n, |lane| {
-        let i = lane.tid;
-        let head = if i == 0 {
-            1
-        } else {
-            let prev = input.get(lane, i - 1);
-            let cur = input.get(lane, i);
-            (prev != cur) as u32
-        };
-        flags.set(lane, i, head);
-    });
-}
-
-/// Scatter each run head's value and start index to its run slot.
-fn rle_scatter(
-    dev: &Device,
-    input: &DeviceBuffer<u32>,
-    n: usize,
-    flags: &DeviceBuffer<u32>,
-    positions: &DeviceBuffer<u32>,
-    unique: &DeviceBuffer<u32>,
-    run_starts: &DeviceBuffer<u32>,
-) {
-    launch!(dev, "rle_scatter", n, |lane| {
-        let i = lane.tid;
-        if flags.get(lane, i) == 1 {
-            let p = positions.get(lane, i) as usize;
+    let nb = n.div_ceil(BLOCK);
+    scratch.block_heads.grow_to(nb);
+    scratch.block_offsets.grow_to(nb);
+    scratch.unique.grow_to(n);
+    scratch.starts.grow_to(n + 1);
+    let RleScratch {
+        block_heads,
+        block_offsets,
+        runs,
+        unique,
+        starts,
+    } = &*scratch;
+    if nb > 1 {
+        launch!(dev, "rle_block_heads", nb, |lane| {
+            let b = lane.tid;
+            let (start, end) = (b * BLOCK, ((b + 1) * BLOCK).min(n));
+            let mut prev = (start > 0).then(|| input.get(lane, start - 1));
+            let mut heads = 0u32;
+            for i in start..end {
+                let v = input.get(lane, i);
+                heads += u32::from(prev != Some(v));
+                prev = Some(v);
+            }
+            block_heads.set(lane, b, heads);
+        });
+        exclusive_scan_u32_into(dev, block_heads, nb, block_offsets);
+    }
+    launch!(dev, "rle_block_runs", nb, |lane| {
+        let b = lane.tid;
+        let (start, end) = (b * BLOCK, ((b + 1) * BLOCK).min(n));
+        let mut r = if nb > 1 { block_offsets.get(lane, b) } else { 0 };
+        let mut prev = (start > 0).then(|| input.get(lane, start - 1));
+        for i in start..end {
             let v = input.get(lane, i);
-            unique.set(lane, p, v);
-            run_starts.set(lane, p, i as u32);
+            if prev != Some(v) {
+                unique.set(lane, r as usize, v);
+                starts.set(lane, r as usize, i as u32);
+                r += 1;
+            }
+            prev = Some(v);
+        }
+        if b + 1 == nb {
+            starts.set(lane, r as usize, n as u32);
+            runs.set(lane, 0, r);
         }
     });
-}
-
-/// Derive each run's length from consecutive start indices.
-fn rle_counts(
-    dev: &Device,
-    n: usize,
-    num_runs: usize,
-    run_starts: &DeviceBuffer<u32>,
-    counts: &DeviceBuffer<u32>,
-) {
-    launch!(dev, "rle_counts", num_runs, |lane| {
-        let j = lane.tid;
-        let start = run_starts.get(lane, j);
-        let end = if j + 1 < num_runs {
-            run_starts.get(lane, j + 1)
-        } else {
-            n as u32
-        };
-        counts.set(lane, j, end - start);
-    });
+    scratch.runs.host_read(0) as usize
 }
 
 // ----------------------------------------------------------------------
 // Stream compaction
 // ----------------------------------------------------------------------
 
-/// Keep `data[i]` where `flags[i] != 0` (CUB `DeviceSelect::Flagged`).
-pub fn compact_flagged<T: DevicePod>(
+/// Keep the pairs `(keys[i], vals[i])` where `flags[i] != 0` (CUB
+/// `DeviceSelect::Flagged` over a key-value stream) into exactly-sized
+/// outputs: one scan of the mask, one scatter launch moving both streams.
+pub fn compact_pairs_flagged<K: DevicePod, V: DevicePod>(
     dev: &Device,
-    data: &DeviceBuffer<T>,
+    keys: &DeviceBuffer<K>,
+    vals: &DeviceBuffer<V>,
     flags: &DeviceBuffer<u32>,
-) -> DeviceBuffer<T> {
-    assert_eq!(data.len(), flags.len());
-    let n = data.len();
+) -> (DeviceBuffer<K>, DeviceBuffer<V>) {
+    let n = flags.len();
+    assert!(keys.len() == n && vals.len() == n);
     let (positions, kept) = exclusive_scan_u32(dev, flags);
-    let out = DeviceBuffer::<T>::new(kept as usize);
-    if n > 0 {
-        compact_flagged_into(dev, data, flags, n, &positions, &out);
-    }
+    let out = (DeviceBuffer::new(kept as usize), DeviceBuffer::new(kept as usize));
+    scatter_flagged_pairs(dev, (keys, vals), flags, n, &positions, (&out.0, &out.1));
     out
 }
 
-/// The scatter half of [`compact_flagged`] with caller-owned scan results
-/// and output: `positions` must be the exclusive scan of `flags[..n]` and
-/// `out` must have room for every kept element. Several streams flagged by
-/// the same mask can reuse one scan — the scan-sharing shape the GPMA+
-/// level loop uses.
+/// [`compact_pairs_flagged`] over the first `n` pairs of `src` into
+/// caller-owned buffers: `positions` receives the mask's scan and `out`
+/// must have room for every kept pair (both may be over-sized). Returns
+/// the kept count.
 // lint: hot-path
-pub fn compact_flagged_into<T: DevicePod>(
+pub fn compact_pairs_flagged_into<K: DevicePod, V: DevicePod>(
     dev: &Device,
-    data: &DeviceBuffer<T>,
+    src: (&DeviceBuffer<K>, &DeviceBuffer<V>),
     flags: &DeviceBuffer<u32>,
     n: usize,
     positions: &DeviceBuffer<u32>,
-    out: &DeviceBuffer<T>,
+    out: (&DeviceBuffer<K>, &DeviceBuffer<V>),
+) -> usize {
+    let kept = exclusive_scan_u32_into(dev, flags, n, positions);
+    scatter_flagged_pairs(dev, src, flags, n, positions, out);
+    kept as usize
+}
+
+/// The scatter of both compactions: each flagged pair moves to its scanned
+/// position.
+fn scatter_flagged_pairs<K: DevicePod, V: DevicePod>(
+    dev: &Device,
+    (keys, vals): (&DeviceBuffer<K>, &DeviceBuffer<V>),
+    flags: &DeviceBuffer<u32>,
+    n: usize,
+    positions: &DeviceBuffer<u32>,
+    (out_keys, out_vals): (&DeviceBuffer<K>, &DeviceBuffer<V>),
 ) {
-    assert!(data.len() >= n && flags.len() >= n && positions.len() >= n);
+    assert!(keys.len() >= n && vals.len() >= n && flags.len() >= n && positions.len() >= n);
     if n == 0 {
         return;
     }
@@ -268,8 +257,10 @@ pub fn compact_flagged_into<T: DevicePod>(
         let i = lane.tid;
         if flags.get(lane, i) != 0 {
             let p = positions.get(lane, i) as usize;
-            let v = data.get(lane, i);
-            out.set(lane, p, v);
+            let k = keys.get(lane, i);
+            out_keys.set(lane, p, k);
+            let v = vals.get(lane, i);
+            out_vals.set(lane, p, v);
         }
     });
 }
@@ -494,26 +485,23 @@ mod tests {
         }
     }
 
-    /// The runs of `input[..n]` as `(unique, counts, starts)`, read back
-    /// from `scratch`.
-    fn rle(
-        d: &Device,
-        input: &DeviceBuffer<u32>,
-        n: usize,
-        scratch: &mut RleScratch,
-    ) -> [Vec<u32>; 3] {
+    /// The runs of `input[..n]` as `(unique, starts)`, read back from
+    /// `scratch`; `starts` ends with its sentinel.
+    fn rle(d: &Device, input: &DeviceBuffer<u32>, n: usize, scratch: &mut RleScratch) -> [Vec<u32>; 2] {
         let runs = run_length_encode_u32_into(d, input, n, scratch);
-        [&scratch.unique, &scratch.counts, &scratch.starts].map(|b| b.to_vec()[..runs].to_vec())
+        let starts = if n == 0 { vec![] } else { scratch.starts.to_vec()[..=runs].to_vec() };
+        [scratch.unique.to_vec()[..runs].to_vec(), starts]
     }
 
     #[test]
     fn rle_basic() {
         let d = dev();
         let input = DeviceBuffer::from_slice(&[3u32, 3, 3, 5, 7, 7, 9]);
-        let [unique, counts, starts] = rle(&d, &input, 7, &mut RleScratch::default());
+        let [unique, starts] = rle(&d, &input, 7, &mut RleScratch::default());
         assert_eq!(unique, vec![3, 5, 7, 9]);
-        assert_eq!(counts, vec![3, 1, 2, 1]);
-        assert_eq!(starts, vec![0, 3, 4, 6]);
+        assert_eq!(starts, vec![0, 3, 4, 6, 7]);
+        // At most one block: one launch, no count and no scan.
+        assert_eq!(d.metrics().launches, 1);
     }
 
     #[test]
@@ -521,44 +509,45 @@ mod tests {
         let d = dev();
         let mut scratch = RleScratch::default();
         let input = DeviceBuffer::from_slice(&[8u32; 1000]);
-        let [unique, counts, _] = rle(&d, &input, 1000, &mut scratch);
-        assert_eq!((unique, counts), (vec![8], vec![1000]));
+        let [unique, starts] = rle(&d, &input, 1000, &mut scratch);
+        assert_eq!((unique, starts), (vec![8], vec![0, 1000]));
+        // Four blocks: head counts, their one-launch scan, the run walk.
+        assert_eq!(d.metrics().launches, 3);
         assert_eq!(run_length_encode_u32_into(&d, &DeviceBuffer::new(0), 0, &mut scratch), 0);
     }
 
     #[test]
     fn compact_keeps_flagged() {
         let d = dev();
-        let data = DeviceBuffer::from_slice(&[10u64, 11, 12, 13, 14]);
+        let keys = DeviceBuffer::from_slice(&[10u64, 11, 12, 13, 14]);
+        let vals = DeviceBuffer::from_slice(&[0u32, 1, 2, 3, 4]);
         let flags = DeviceBuffer::from_slice(&[1u32, 0, 1, 0, 1]);
-        let out = compact_flagged(&d, &data, &flags);
-        assert_eq!(out.to_vec(), vec![10, 12, 14]);
+        let (k, v) = compact_pairs_flagged(&d, &keys, &vals, &flags);
+        assert_eq!((k.to_vec(), v.to_vec()), (vec![10, 12, 14], vec![0, 2, 4]));
+        // One scan, one scatter for both streams.
+        assert_eq!(d.metrics().launches, 2);
     }
 
     #[test]
     fn length_bounded_variants_ignore_scratch_tails() {
         let d = dev();
         // Oversized buffers with garbage tails; only the first n count.
-        let data = DeviceBuffer::from_slice(&[10u64, 11, 12, 13, 99, 99]);
+        let keys = DeviceBuffer::from_slice(&[10u64, 11, 12, 13, 99, 99]);
+        let vals = DeviceBuffer::from_slice(&[5u32, 6, 7, 8, 9, 9]);
         let flags = DeviceBuffer::from_slice(&[0u32, 1, 1, 0, 1, 1]);
         let positions = DeviceBuffer::<u32>::new(6);
         let n = 4;
-        let kept = exclusive_scan_u32_into(&d, &flags, n, &positions);
+        let (out_k, out_v) = (DeviceBuffer::<u64>::new(6), DeviceBuffer::<u32>::new(6));
+        let kept = compact_pairs_flagged_into(&d, (&keys, &vals), &flags, n, &positions, (&out_k, &out_v));
         assert_eq!(kept, 2);
         assert_eq!(&positions.to_vec()[..n], &[0, 0, 1, 2]);
-        let out = DeviceBuffer::<u64>::new(6);
-        compact_flagged_into(&d, &data, &flags, n, &positions, &out);
-        assert_eq!(&out.to_vec()[..kept as usize], &[11, 12]);
-        // Reuse the same scan for a second stream under the same mask.
-        let data2 = DeviceBuffer::from_slice(&[5u32, 6, 7, 8, 9, 9]);
-        let out2 = DeviceBuffer::<u32>::new(6);
-        compact_flagged_into(&d, &data2, &flags, n, &positions, &out2);
-        assert_eq!(&out2.to_vec()[..kept as usize], &[6, 7]);
+        assert_eq!(&out_k.to_vec()[..kept], &[11, 12]);
+        assert_eq!(&out_v.to_vec()[..kept], &[6, 7]);
         // Bounded RLE stops at n.
         let runs = DeviceBuffer::from_slice(&[3u32, 3, 4, 4, 7, 7]);
         let mut scratch = RleScratch::default();
-        let [unique, counts, _] = rle(&d, &runs, 4, &mut scratch);
-        assert_eq!((unique, counts), (vec![3, 4], vec![2, 2]));
+        let [unique, starts] = rle(&d, &runs, 4, &mut scratch);
+        assert_eq!((unique, starts), (vec![3, 4], vec![0, 2, 4]));
         assert_eq!(run_length_encode_u32_into(&d, &runs, 0, &mut scratch), 0);
     }
 
@@ -573,10 +562,10 @@ mod tests {
         for (data, expect) in [
             (
                 vec![1u32, 1, 2, 2, 2, 9, 9, 4],
-                [vec![1, 2, 9, 4], vec![2, 3, 2, 1], vec![0, 2, 5, 7]],
+                [vec![1, 2, 9, 4], vec![0, 2, 5, 7, 8]],
             ),
-            (vec![5u32, 5, 5, 5, 5], [vec![5], vec![5], vec![0]]),
-            (vec![8u32, 7, 6], [vec![8, 7, 6], vec![1, 1, 1], vec![0, 1, 2]]),
+            (vec![5u32, 5, 5, 5, 5], [vec![5], vec![0, 5]]),
+            (vec![8u32, 7, 6], [vec![8, 7, 6], vec![0, 1, 2, 3]]),
         ] {
             let input = DeviceBuffer::from_slice(&data);
             let fresh = rle(&d, &input, data.len(), &mut RleScratch::default());

@@ -95,16 +95,39 @@ proptest! {
     }
 
     #[test]
-    fn rle_reconstructs_input(data in prop::collection::vec(0u32..20, 0..1500)) {
-        let d = det();
-        let mut rle = primitives::RleScratch::default();
-        let input = DeviceBuffer::from_slice(&data);
-        let runs = primitives::run_length_encode_u32_into(&d, &input, data.len(), &mut rle);
-        let mut rebuilt = Vec::new();
-        for (u, c) in rle.unique.to_vec().into_iter().zip(rle.counts.to_vec()).take(runs) {
-            rebuilt.extend(std::iter::repeat_n(u, c as usize));
+    fn rle_reconstructs_input(runs in prop::collection::vec((0u32..4, 1usize..=2 * BLOCK), 1..12),
+                            n in 0usize..=3 * BLOCK + 1) {
+        // Runs up to two blocks long over four values: they straddle block
+        // boundaries, and two neighbours of one value merge into one run.
+        let data: Vec<u32> = runs
+            .iter()
+            .flat_map(|&(v, len)| std::iter::repeat_n(v, len))
+            .chain(std::iter::repeat(9))
+            .take(n)
+            .collect();
+        let mut unique = Vec::new();
+        let mut starts = Vec::new();
+        for (i, &v) in data.iter().enumerate() {
+            if i == 0 || data[i - 1] != v {
+                unique.push(v);
+                starts.push(i as u32);
+            }
         }
-        prop_assert_eq!(rebuilt, data);
+        for d in [det(), pooled()] {
+            let mut rle = primitives::RleScratch::default();
+            let input = DeviceBuffer::from_slice(&data);
+            let runs = primitives::run_length_encode_u32_into(&d, &input, n, &mut rle);
+            prop_assert_eq!(runs, unique.len());
+            prop_assert_eq!(&rle.unique.to_vec()[..runs], &unique[..]);
+            if n > 0 {
+                prop_assert_eq!(&rle.starts.to_vec()[..runs], &starts[..]);
+                prop_assert_eq!(rle.starts.host_read(runs), n as u32, "sentinel");
+            }
+            // One block walk up to one block; above it, head counts, their
+            // one-launch scan and the walk.
+            let launches = match n { 0 => 0, 1..=BLOCK => 1, _ => 3 };
+            prop_assert_eq!(d.metrics().launches, launches);
+        }
     }
 
     #[test]
@@ -112,13 +135,16 @@ proptest! {
                              keep_mod in 1u64..7) {
         let d = det();
         let flags: Vec<u32> = data.iter().map(|&v| (v % keep_mod == 0) as u32).collect();
-        let out = primitives::compact_flagged(
+        let vals: Vec<u32> = (0..data.len() as u32).collect();
+        let (keys, idx) = primitives::compact_pairs_flagged(
             &d,
             &DeviceBuffer::from_slice(&data),
+            &DeviceBuffer::from_slice(&vals),
             &DeviceBuffer::from_slice(&flags),
         );
-        let expect: Vec<u64> = data.iter().copied().filter(|&v| v % keep_mod == 0).collect();
-        prop_assert_eq!(out.to_vec(), expect);
+        let expect: Vec<(u64, u32)> = data.iter().copied().zip(vals).filter(|&(v, _)| v % keep_mod == 0).collect();
+        let got: Vec<(u64, u32)> = keys.to_vec().into_iter().zip(idx.to_vec()).collect();
+        prop_assert_eq!(got, expect);
     }
 
     #[test]
