@@ -54,8 +54,7 @@ use super::{spawn_shard_service, BarrierRound, ReshardError, ReshardReport, Rout
 use crate::snapshot::ClusterSnapshot;
 use gpma_core::delta::SnapshotDelta;
 
-/// Where a reshard's caller waits for its report (`None` = fired by the
-/// [`RebalancePolicy`](super::RebalancePolicy), nobody waits).
+/// Where a reshard's caller waits for its report.
 pub(super) type ReshardAck = Sender<Result<ReshardReport, ReshardError>>;
 
 /// The two background phases. The copy + swap and the marker round start
@@ -68,8 +67,8 @@ enum Phase {
     Retire,
 }
 
-/// One in-flight reshard: explicit, auto-fired, or deferred — they differ
-/// only in who (if anyone) holds the other end of `ack`.
+/// One in-flight reshard, started at once or after waiting in the
+/// deferred queue.
 pub(super) struct Reshard {
     /// The target plan.
     new: Arc<dyn Partitioner>,
@@ -85,7 +84,7 @@ pub(super) struct Reshard {
     pub(super) round: BarrierRound,
     /// Policy name routed under before the swap (for the report).
     from_policy: String,
-    ack: Option<ReshardAck>,
+    ack: ReshardAck,
     /// When the reshard began. Everything from here to the report that is
     /// not `pause` is billed as background.
     started: Instant,
@@ -106,11 +105,7 @@ impl Reshard {
 impl Router {
     /// Reshard onto a degree-aware plan built from the observed per-vertex
     /// update load.
-    pub(super) fn begin_rebalance(
-        &mut self,
-        target_shards: Option<usize>,
-        ack: Option<ReshardAck>,
-    ) {
+    pub(super) fn begin_rebalance(&mut self, target_shards: Option<usize>, ack: ReshardAck) {
         let shards = target_shards.unwrap_or(self.services.len()).max(1);
         let plan = Arc::new(DegreePartition::from_degrees(&self.observed, shards));
         self.begin_reshard(plan, ack);
@@ -121,15 +116,13 @@ impl Router {
     /// reads, and start mirroring. [`Self::step_reshard`] does the rest.
     /// Never called with a cut round in flight: it would barrier against
     /// shards the copy floods with internal traffic.
-    pub(super) fn begin_reshard(&mut self, new: Arc<dyn Partitioner>, ack: Option<ReshardAck>) {
+    pub(super) fn begin_reshard(&mut self, new: Arc<dyn Partitioner>, ack: ReshardAck) {
         let nv = self.part.plan().num_vertices();
         if new.num_vertices() != nv {
-            if let Some(ack) = ack {
-                let _ = ack.send(Err(ReshardError::VertexMismatch {
-                    expected: nv,
-                    got: new.num_vertices(),
-                }));
-            }
+            let _ = ack.send(Err(ReshardError::VertexMismatch {
+                expected: nv,
+                got: new.num_vertices(),
+            }));
             return;
         }
         debug_assert!(self.pending_cut.is_none());
@@ -262,11 +255,9 @@ impl Router {
         // Fast path: same shard count and nothing moved — no edge of a
         // barrier image and no update since. The new plan only changes
         // where *future* updates route, so swap it, reset the skew window
-        // (the rebalance cooldown) and keep the delta ring intact: no
-        // internal traffic entered any shard, so consumers keep composing
-        // deltas across the boundary instead of rebasing. This is what
-        // keeps a persistently hot vertex (skew irreducible by any 1D plan)
-        // from thrashing every delta consumer once per window.
+        // and keep the delta ring intact: no internal traffic entered any
+        // shard, so consumers keep composing deltas across the boundary
+        // instead of rebasing.
         if rs.moved.is_empty() && new_n == old_n {
             {
                 let mut c = self.shared.router.lock();
@@ -404,7 +395,6 @@ impl Router {
             pause_secs,
             background_secs,
             cut,
-            auto: rs.ack.is_none(),
         };
         self.shared.reshards.lock().push(report.clone());
         self.shared.reshard_active.store(false, Ordering::Relaxed);
@@ -415,9 +405,7 @@ impl Router {
             EventKind::ReshardEnd,
             rs.pause.as_micros() as u64,
         );
-        if let Some(ack) = rs.ack {
-            let _ = ack.send(Ok(report));
-        }
+        let _ = rs.ack.send(Ok(report));
     }
 }
 

@@ -47,11 +47,11 @@
 //!   as one [`SnapshotDelta`], folded from the router's log of the client
 //!   updates it forwarded since the previous cut (the router is the only
 //!   record of what each shard was sent; no shard ring is read). Readers
-//!   catch up with [`GraphCluster::deltas_since`]; cluster-level
-//!   [`DeltaMonitor`]s — e.g. the `gpma-incremental` engine — consume one
-//!   delta per cut on a dedicated thread, each with the cut flattened into
-//!   one image that all of them share, rebasing on a full image only at a
-//!   reshard's marker cut.
+//!   pull them with [`GraphCluster::deltas_since`] — the
+//!   `gpma-incremental` engine's `catch_up` folds the chain into one delta
+//!   and adopts the cut's own [`image`](ClusterSnapshot::image) — and
+//!   rebase on a full image only past the ring or at a reshard's marker
+//!   cut.
 //! * **Observability** — [`ClusterMetrics`] reports routing balance and
 //!   per-shard skew, cut edges, modeled transfer totals, delta fallbacks,
 //!   migration and recovery counters and every shard's own
@@ -62,12 +62,13 @@
 //!   new owner and copies the untouched movers from barrier images;
 //!   ingest pauses only for the swap to the advanced [`PartitionEpoch`],
 //!   which issues no barrier; the old copies retire in the background and
-//!   a snapshot-style epoch marker makes delta readers and monitors
-//!   rebase exactly. The router steps the reshard as an explicit
-//!   phase machine, one step per pass of its loop (DESIGN.md §15). [`GraphCluster::rebalance`] (or an automatic
-//!   [`RebalancePolicy`] in [`ClusterConfig`]) targets a [`DegreePartition`]
-//!   built from the router's observed per-vertex load — the skew-driven
-//!   answer to the edge grid's ~2× power-law imbalance.
+//!   a snapshot-style epoch marker makes delta readers rebase exactly.
+//!   The router steps the reshard as an explicit phase machine, one step
+//!   per pass of its loop (DESIGN.md §15). [`GraphCluster::rebalance`]
+//!   targets a [`DegreePartition`] built from the router's observed
+//!   per-vertex load — the caller's answer, on demand, to the skew
+//!   [`ClusterMetrics::imbalance`] reports (the edge grid's ~2× power-law
+//!   imbalance).
 //! * **Durability & failover** — a barrier a shard leaves unanswered is
 //!   the one failure signal: the router rebuilds that shard's edge set
 //!   from a base image and the op log it folds cut deltas from, respawns
@@ -131,12 +132,11 @@ pub use gpma_core::multi::{
 };
 
 pub use cluster::{
-    ClusterClosed, ClusterConfig, ClusterHandle, ClusterReport, GraphCluster, RebalancePolicy,
-    ReshardError, ReshardReport,
+    ClusterClosed, ClusterConfig, ClusterHandle, ClusterReport, GraphCluster, ReshardError,
+    ReshardReport,
 };
 pub use gpma_core::checkpoint::{CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
 pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
-pub use gpma_service::DeltaMonitor;
 pub use metrics::ClusterMetrics;
 pub use snapshot::ClusterSnapshot;
 

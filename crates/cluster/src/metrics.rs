@@ -39,7 +39,7 @@ pub struct ClusterMetrics {
     pub elapsed_secs: f64,
     /// Updates the router shipped to each shard *under the current
     /// partition plan* (reset by every reshard: this is the skew window
-    /// the rebalance policy evaluates).
+    /// [`imbalance`](Self::imbalance) reads).
     pub routed: Vec<u64>,
     /// Non-empty sub-batches (modeled DMAs) forwarded to each shard.
     /// Reset with [`Self::routed`] at every reshard.

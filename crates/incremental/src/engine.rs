@@ -1,20 +1,14 @@
 //! The incremental engine: one [`DeltaGraph`] (the published image plus its
-//! transpose) feeding any subset of the three maintainers, packaged as a
-//! drop-in
-//! [`DeltaMonitor`](gpma_service::DeltaMonitor) for `gpma-service` workers
-//! and `gpma-cluster` coordinated cuts.
-//!
-//! Because the service hands monitors to a dedicated thread, results are
-//! read through a shared handle: [`IncrementalEngine::into_shared`] splits
-//! the engine into an [`EngineMonitor`] (give to the service/cluster) and an
-//! [`EngineHandle`] (keep, query from anywhere).
+//! transpose) feeding any subset of the three maintainers. A reader keeps
+//! it current by pulling: it reads a backend's latest image and its delta
+//! chain (`deltas_since` of `gpma-service` or `gpma-cluster`) and hands
+//! both to [`IncrementalEngine::catch_up`], the one catch-up rule.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use gpma_core::delta::SnapshotDelta;
+use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
 use gpma_core::framework::GraphSnapshot;
-use gpma_service::DeltaMonitor;
-use parking_lot::Mutex;
 
 use crate::bfs::IncrementalBfs;
 use crate::cc::IncrementalCc;
@@ -24,9 +18,11 @@ use crate::pagerank::DeltaPageRank;
 /// Cumulative engine accounting, split per maintainer.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
-    /// Epoch deltas applied since the last rebase.
+    /// Deltas applied since the last rebase (a catch-up's folded span
+    /// counts once).
     pub epochs: u64,
-    /// Rebases performed (1 at startup; more only after ring lag).
+    /// Rebases performed (1 at startup; more after ring lag or a reshard
+    /// marker).
     pub rebases: u64,
     /// Topology changes (added + removed edges) consumed.
     pub changed_edges: u64,
@@ -39,12 +35,24 @@ pub struct EngineStats {
     pub pagerank_work: u64,
 }
 
+/// What one [`IncrementalEngine::catch_up`] did.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CatchUp {
+    /// `latest` was not ahead of the engine: nothing changed.
+    Current,
+    /// The missed span was folded into one delta and applied; these are
+    /// the changes it really made.
+    Applied(AppliedDelta),
+    /// The engine rebased on a full image: the reader was outrun, or the
+    /// chain fell short of `latest`.
+    Rebased,
+}
+
 /// A shared-graph bundle of incremental maintainers.
 ///
-/// Build with the fluent constructors, then either drive it directly
-/// ([`rebase`](Self::rebase) / [`apply`](Self::apply)) or split it with
-/// [`into_shared`](Self::into_shared) and register the monitor half with a
-/// streaming service or cluster.
+/// Build with the fluent constructors, then drive it from a delta stream
+/// ([`rebase`](Self::rebase) / [`apply`](Self::apply)) or keep it current
+/// with a publisher by pulling ([`catch_up`](Self::catch_up)).
 #[derive(Debug, Default)]
 pub struct IncrementalEngine {
     graph: DeltaGraph,
@@ -143,7 +151,7 @@ impl IncrementalEngine {
 
     /// Apply one epoch delta and repair every maintainer, advancing a
     /// private image — for callers that drive the engine from a bare delta
-    /// stream. A [`DeltaMonitor`] is handed the published image and uses
+    /// stream. A reader of a publisher has the published image and uses
     /// [`apply_at`](Self::apply_at).
     pub fn apply(&mut self, delta: &SnapshotDelta) {
         let next = Arc::new(self.graph.image().advance(delta).0);
@@ -170,62 +178,47 @@ impl IncrementalEngine {
         applied
     }
 
-    /// Split into the monitor half (register with a service/cluster) and
-    /// the query half (keep).
-    pub fn into_shared(self) -> (EngineMonitor, EngineHandle) {
-        let shared = Arc::new(Mutex::new(self));
-        (EngineMonitor(shared.clone()), EngineHandle(shared))
+    /// Catch up to `latest`, a publisher's newest image, from `catchup`,
+    /// which the publisher returned for [`graph`](Self::graph)'s epoch.
+    /// The chain's span `(epoch, latest.epoch()]` is folded into one delta
+    /// and applied once, adopting `latest` itself. A chain head that leads
+    /// `latest` (a publish between the two reads) stops at `latest`, so the
+    /// engine holds exactly that image. Otherwise — the reader was outrun,
+    /// or the chain falls short of `latest` — the engine rebases on the
+    /// newer of the two images.
+    pub fn catch_up(
+        &mut self,
+        latest: Arc<GraphSnapshot>,
+        catchup: DeltaCatchUp<Arc<GraphSnapshot>>,
+    ) -> CatchUp {
+        let (from, to) = (self.graph.epoch(), latest.epoch());
+        if to <= from {
+            return CatchUp::Current;
+        }
+        let image = match catchup {
+            DeltaCatchUp::Deltas(chain) => {
+                let mut span = chain.iter().filter(|d| d.epoch() > from && d.epoch() <= to);
+                let merged = span.next().map(|first| {
+                    let mut merged = Cow::Borrowed(&**first);
+                    for d in span {
+                        merged.to_mut().merge(d);
+                    }
+                    merged
+                });
+                match merged {
+                    Some(delta) if delta.epoch() == to => {
+                        return CatchUp::Applied(self.apply_at(&delta, latest));
+                    }
+                    _ => latest,
+                }
+            }
+            DeltaCatchUp::Snapshot(s) if s.epoch() >= to => s,
+            DeltaCatchUp::Snapshot(_) => latest,
+        };
+        self.rebase_shared(image);
+        CatchUp::Rebased
     }
 }
-
-/// The [`DeltaMonitor`] half of a shared engine — hand this to
-/// [`StreamingService::spawn_with_delta_monitors`] or
-/// [`GraphCluster::spawn_with_delta_monitors`]. It adopts the image each
-/// callback carries, so the engine keeps no graph copy of its own.
-///
-/// [`StreamingService::spawn_with_delta_monitors`]:
-///     gpma_service::StreamingService::spawn_with_delta_monitors
-/// [`GraphCluster::spawn_with_delta_monitors`]:
-///     gpma_cluster::GraphCluster::spawn_with_delta_monitors
-pub struct EngineMonitor(Arc<Mutex<IncrementalEngine>>);
-
-impl DeltaMonitor for EngineMonitor {
-    fn name(&self) -> &str {
-        "incremental-engine"
-    }
-
-    fn on_rebase(&mut self, image: &Arc<GraphSnapshot>) {
-        self.0.lock().rebase_shared(image.clone());
-    }
-
-    fn on_delta(&mut self, delta: &SnapshotDelta, image: &Arc<GraphSnapshot>) {
-        self.0.lock().apply_at(delta, image.clone());
-    }
-}
-
-/// The query half of a shared engine: read live results from any thread
-/// while the monitor half keeps them current.
-#[derive(Clone)]
-pub struct EngineHandle(Arc<Mutex<IncrementalEngine>>);
-
-impl EngineHandle {
-    /// Run `f` against the engine under its lock (keep `f` short — the
-    /// monitor thread waits while it runs).
-    pub fn with<R>(&self, f: impl FnOnce(&mut IncrementalEngine) -> R) -> R {
-        f(&mut self.0.lock())
-    }
-
-    /// Epoch of the last state the engine absorbed.
-    pub fn epoch(&self) -> u64 {
-        self.0.lock().graph().epoch()
-    }
-
-    /// Cumulative accounting snapshot.
-    pub fn stats(&self) -> EngineStats {
-        self.0.lock().stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,52 +295,119 @@ mod tests {
         assert!(engine.stats().bfs_work > 0);
     }
 
-    #[test]
-    fn shared_halves_stay_consistent() {
-        let engine = IncrementalEngine::new().with_cc();
-        let (mut monitor, handle) = engine.into_shared();
-        let snap = Arc::new(GraphSnapshot::from_edges(0, 4, vec![Edge::new(0, 1)]));
-        monitor.on_rebase(&snap);
-        assert_eq!(handle.epoch(), 0);
-        let delta = SnapshotDelta::from_batch(
-            1,
+    fn delta(epoch: u64, ins: &[(u32, u32)], del: &[(u32, u32)]) -> Arc<SnapshotDelta> {
+        Arc::new(SnapshotDelta::from_batch(
+            epoch,
             &UpdateBatch {
-                insertions: vec![Edge::new(2, 3)],
-                deletions: vec![],
+                insertions: ins.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
+                deletions: del.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
             },
-        );
-        let next = Arc::new(snap.advance(&delta).0);
-        monitor.on_delta(&delta, &next);
-        assert_eq!(handle.epoch(), 1);
-        assert!(handle.with(|e| Arc::ptr_eq(e.graph().image(), &next)), "adopted, not copied");
-        let components = handle.with(|e| e.cc().unwrap().component_count());
-        assert_eq!(components, 2);
-        assert_eq!(handle.stats().epochs, 1);
+        ))
+    }
+
+    /// Images `s0..=s3` and the deltas `d1..=d3` between them; `d2` undoes
+    /// part of `d1`, so folding the chain is not concatenating it.
+    fn chain() -> (Vec<Arc<GraphSnapshot>>, Vec<Arc<SnapshotDelta>>) {
+        let s0 = Arc::new(GraphSnapshot::from_edges(
+            0,
+            8,
+            vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(3, 4)],
+        ));
+        let deltas = vec![
+            delta(1, &[(2, 3), (4, 5)], &[(0, 1)]),
+            delta(2, &[(0, 1), (5, 6)], &[(2, 3)]),
+            delta(3, &[(6, 7)], &[(1, 2)]),
+        ];
+        let mut images = vec![s0];
+        for d in &deltas {
+            let next = images.last().unwrap().advance(d).0;
+            images.push(Arc::new(next));
+        }
+        (images, deltas)
+    }
+
+    fn engine_at(image: &Arc<GraphSnapshot>) -> IncrementalEngine {
+        let mut engine = IncrementalEngine::new().with_bfs(0).with_cc();
+        engine.rebase_shared(image.clone());
+        engine
+    }
+
+    fn assert_exact(engine: &IncrementalEngine) {
+        let g = engine.graph().image();
+        assert_eq!(engine.bfs().unwrap().distances(), bfs_host(&**g, 0));
+        assert_eq!(engine.cc().unwrap().labels(), cc_host(&**g));
     }
 
     #[test]
-    fn service_monitor_holds_the_published_image() {
-        use gpma_core::framework::DynamicGraphSystem;
-        use gpma_service::{ServiceConfig, StreamingService};
-        use gpma_sim::{Device, DeviceConfig};
+    fn catch_up_folds_the_span_into_one_apply() {
+        let (s, d) = chain();
+        let mut stepped = engine_at(&s[0]);
+        let composed = (1..=3)
+            .map(|e| stepped.apply_at(&d[e - 1], s[e].clone()))
+            .reduce(|acc, a| acc.then(&a))
+            .unwrap();
+        let mut engine = engine_at(&s[0]);
+        let caught = engine.catch_up(s[3].clone(), DeltaCatchUp::Deltas(d.clone()));
+        assert_eq!(caught, CatchUp::Applied(composed));
+        assert!(Arc::ptr_eq(engine.graph().image(), &s[3]), "adopted, not copied");
+        assert_eq!(engine.stats().epochs, 1, "one apply for the whole span");
+        assert_exact(&engine);
+    }
 
-        let (monitor, handle) = IncrementalEngine::new().with_cc().into_shared();
-        let dev = Device::new(DeviceConfig::deterministic());
-        let sys = DynamicGraphSystem::new(dev, 16, &[Edge::new(0, 1)], 2);
-        let svc = StreamingService::spawn_with_delta_monitors(
-            ServiceConfig::default(),
-            sys,
-            vec![Box::new(monitor)],
-        );
-        let h = svc.handle();
-        for i in 1..8u32 {
-            h.insert(Edge::new(i, i + 1)).unwrap();
+    #[test]
+    fn a_chain_head_past_latest_stops_at_latest() {
+        let (s, d) = chain();
+        let mut stepped = engine_at(&s[0]);
+        let first = stepped.apply_at(&d[0], s[1].clone());
+        let composed = first.then(&stepped.apply_at(&d[1], s[2].clone()));
+        let mut engine = engine_at(&s[0]);
+        let caught = engine.catch_up(s[2].clone(), DeltaCatchUp::Deltas(d.clone()));
+        assert_eq!(caught, CatchUp::Applied(composed));
+        assert!(Arc::ptr_eq(engine.graph().image(), &s[2]));
+        assert_exact(&engine);
+    }
+
+    #[test]
+    fn a_chain_short_of_latest_rebases_on_latest() {
+        let (s, d) = chain();
+        for chain in [d[..2].to_vec(), Vec::new()] {
+            let mut engine = engine_at(&s[0]);
+            let caught = engine.catch_up(s[3].clone(), DeltaCatchUp::Deltas(chain));
+            assert_eq!(caught, CatchUp::Rebased);
+            assert!(Arc::ptr_eq(engine.graph().image(), &s[3]));
+            assert_eq!(engine.stats().rebases, 2);
+            assert_exact(&engine);
         }
-        let barrier = svc.barrier().unwrap();
-        svc.shutdown(); // joins the monitor thread
-        handle.with(|e| {
-            assert!(Arc::ptr_eq(e.graph().image(), &barrier), "no private copy");
-            assert_eq!(e.stats().epochs, barrier.epoch());
-        });
+    }
+
+    #[test]
+    fn a_snapshot_fallback_rebases_on_the_newer_image() {
+        let (s, _) = chain();
+        for (latest, fallback, newer) in [(2, 3, 3), (3, 1, 3), (2, 2, 2)] {
+            let mut engine = engine_at(&s[0]);
+            let caught =
+                engine.catch_up(s[latest].clone(), DeltaCatchUp::Snapshot(s[fallback].clone()));
+            assert_eq!(caught, CatchUp::Rebased);
+            assert!(Arc::ptr_eq(engine.graph().image(), &s[newer]));
+            assert_exact(&engine);
+        }
+    }
+
+    #[test]
+    fn catch_up_is_current_unless_latest_leads() {
+        let (s, d) = chain();
+        let mut engine = engine_at(&s[2]);
+        let before = engine.stats();
+        for latest in [&s[1], &s[2]] {
+            let pulled = [
+                DeltaCatchUp::Deltas(d.clone()),
+                DeltaCatchUp::Snapshot(s[3].clone()),
+            ];
+            for catchup in pulled {
+                assert_eq!(engine.catch_up(latest.clone(), catchup), CatchUp::Current);
+            }
+        }
+        assert!(Arc::ptr_eq(engine.graph().image(), &s[2]));
+        assert_eq!(engine.stats(), before);
     }
 }

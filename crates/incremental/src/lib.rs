@@ -22,69 +22,67 @@
 //! from-scratch oracles they are validated against.
 //!
 //! ```text
-//!  service worker                          monitor thread
-//!  ──────────────                          ──────────────
-//!  flush → SnapshotDelta ─┬─(Δ, image)──►  EngineMonitor ──► DeltaGraph.apply_at(Δ, image)
-//!        image.advance(Δ) ┘                    │                │ AppliedDelta
-//!        = the published snapshot              ▼                ▼
-//!        └─► DeltaLog (catch-up)      IncrementalBfs / Cc    (repair from the changes)
-//!                                     DeltaPageRank          (re-sweeps the image)
-//!                                      ▲ EngineHandle.with(..) — queries
+//!  service worker / cluster router            any reader thread
+//!  ───────────────────────────────            ─────────────────
+//!  flush → SnapshotDelta ──► DeltaLog ─ deltas_since(e) ─► IncrementalEngine::catch_up
+//!        image.advance(Δ)                                   │ fold (e, latest] into one Δ
+//!        = the published image ───────── latest ──────────► │ DeltaGraph.apply_at(Δ, latest)
+//!                                                           ▼ AppliedDelta
+//!                                       IncrementalBfs / Cc   (repair from the changes)
+//!                                       DeltaPageRank         (re-sweeps the image)
 //! ```
 //!
 //! The maintainers keep no copy of the edges: a [`DeltaGraph`] is the
 //! [`GraphSnapshot`](gpma_core::framework::GraphSnapshot) image it is
 //! current with — every forward read is a row lookup in it — plus sorted
-//! in-neighbour rows of its own. A caller that holds the published image
+//! in-neighbour rows of its own. A reader that holds the published image
 //! hands it over ([`IncrementalEngine::rebase_shared`],
-//! [`IncrementalEngine::apply_at`]) and shares it with every other reader —
-//! the [`EngineMonitor`] above does, since every monitor callback carries
-//! the image its delta produced. One that only has deltas
+//! [`IncrementalEngine::catch_up`], [`IncrementalEngine::apply_at`]) and
+//! shares it with every other reader. One that only has deltas
 //! ([`IncrementalEngine::apply`]) advances a private image by the same
 //! O(|Δ|) step the service takes.
 //!
-//! ## Example: a live engine on a streaming service
+//! ## Example: a live engine pulling from a streaming service
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use gpma_core::framework::DynamicGraphSystem;
 //! use gpma_graph::Edge;
-//! use gpma_incremental::IncrementalEngine;
+//! use gpma_incremental::{CatchUp, IncrementalEngine};
 //! use gpma_service::{ServiceConfig, StreamingService};
 //! use gpma_sim::{Device, DeviceConfig};
 //!
-//! let engine = IncrementalEngine::new()
+//! let dev = Device::new(DeviceConfig::deterministic());
+//! let sys = DynamicGraphSystem::new(dev, 64, &[Edge::new(0, 1)], 4);
+//! let svc = StreamingService::spawn(ServiceConfig::default(), sys);
+//!
+//! let mut engine = IncrementalEngine::new()
 //!     .with_bfs(0)
 //!     .with_cc()
 //!     .with_pagerank(0.85, 1e-6);
-//! let (monitor, handle) = engine.into_shared();
-//!
-//! let dev = Device::new(DeviceConfig::deterministic());
-//! let sys = DynamicGraphSystem::new(dev, 64, &[Edge::new(0, 1)], 4);
-//! let svc = StreamingService::spawn_with_delta_monitors(
-//!     ServiceConfig::default(),
-//!     sys,
-//!     vec![Box::new(monitor)],
-//! );
+//! engine.rebase_shared(svc.snapshot());
 //!
 //! let h = svc.handle();
 //! for i in 1..16u32 {
 //!     h.insert(Edge::new(i, i + 1)).unwrap();
 //! }
-//! svc.barrier().unwrap();
-//! let report = svc.shutdown(); // joins the delta thread: engine is final
+//! let latest = svc.barrier().unwrap();
 //!
-//! assert_eq!(handle.epoch(), report.final_snapshot.epoch());
-//! let reachable = handle.with(|e| {
-//!     e.bfs().unwrap().distances().iter().filter(|&&d| d != u32::MAX).count()
-//! });
+//! // Pull: every epoch since the engine's, folded into one delta.
+//! let pulled = engine.catch_up(latest.clone(), svc.deltas_since(engine.graph().epoch()));
+//! assert!(matches!(pulled, CatchUp::Applied(_)));
+//! assert!(Arc::ptr_eq(engine.graph().image(), &latest), "adopted, not copied");
+//! let reachable = engine.bfs().unwrap().distances().iter().filter(|&&d| d != u32::MAX).count();
 //! assert_eq!(reachable, 17);
+//! svc.shutdown();
 //! ```
 //!
-//! The engine plugs into `gpma-cluster` the same way
-//! (`GraphCluster::spawn_with_delta_monitors`), consuming one merged delta
-//! per coordinated cut with the cut flattened into one image. When a reader outruns a delta ring, the publication
-//! layer hands a full snapshot instead and the engine transparently
-//! [rebases](IncrementalEngine::rebase).
+//! A `gpma-cluster` reader pulls the same way: the latest cut's image and
+//! the cut chain of `GraphCluster::deltas_since`, one delta per
+//! coordinated cut. When a reader outruns a delta ring, or crosses a
+//! reshard's marker cut, the publisher hands a full snapshot instead and
+//! [`catch_up`](IncrementalEngine::catch_up) rebases on it.
 
 #![warn(missing_docs)]
 
@@ -96,7 +94,7 @@ mod pagerank;
 
 pub use bfs::IncrementalBfs;
 pub use cc::IncrementalCc;
-pub use engine::{EngineHandle, EngineMonitor, EngineStats, IncrementalEngine};
+pub use engine::{CatchUp, EngineStats, IncrementalEngine};
 pub use gpma_core::delta::{apply_delta, DeltaCatchUp, DeltaLog, SnapshotDelta};
 pub use graph::{AppliedDelta, DeltaGraph};
 pub use pagerank::DeltaPageRank;

@@ -4,7 +4,7 @@
 //! This is a *source-level* pass, not a compiler plugin: it tokenizes each
 //! `.rs` file just enough (comments stripped, string/char literals blanked,
 //! brace depth tracked) to enforce conventions the compiler and clippy
-//! cannot express. Six rule classes:
+//! cannot express. Six rule classes, and a seventh on the allowlist itself:
 //!
 //! | rule id            | convention enforced                                   |
 //! |--------------------|-------------------------------------------------------|
@@ -19,13 +19,17 @@
 //! | `lane-inline`      | a non-generic `pub` or trait-impl `fn` taking         |
 //! |                    | `&mut Lane`, and a non-generic trait-impl `fn` taking |
 //! |                    | a `&mut dyn FnMut` visitor, carry `#[inline]`         |
+//! | `unused-allow`     | every `lint.toml` allowlist entry silences a finding  |
 //!
 //! The pass is deliberately conservative and *approximate*: worker
 //! reachability is a same-file call-graph walk by function name, so a
 //! method call can resolve to an unrelated same-named function. False
 //! positives are silenced per item through the `lint.toml` allowlist
 //! (`<rule>:<file>:<item>`), which doubles as the triage record the issue
-//! tracker asked for. `#[cfg(test)]` modules are skipped entirely.
+//! tracker asked for; an entry that silences nothing (its item was renamed
+//! or deleted, or the finding went away) is itself a finding, so no stale
+//! exemption outlives its item. `#[cfg(test)]` modules are skipped
+//! entirely.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -142,7 +146,8 @@ fn quoted_strings(text: &str) -> Vec<String> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Rule id (`hot-path-alloc`, `worker-panic`, `lock-order`,
-    /// `missing-docs`, `missing-docs-attr`, `thread-sleep`, `lane-inline`).
+    /// `missing-docs`, `missing-docs-attr`, `thread-sleep`, `lane-inline`,
+    /// `unused-allow`).
     pub rule: &'static str,
     /// File path relative to the lint root, unix separators.
     pub file: String,
@@ -164,15 +169,12 @@ impl Violation {
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {} (allow with `{}`)",
-            self.file,
-            self.line,
-            self.rule,
-            self.message,
-            self.allow_key()
-        )
+        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)?;
+        // A stale allowlist entry is mended by deleting it, not allowed.
+        if self.rule != "unused-allow" {
+            write!(f, " (allow with `{}`)", self.allow_key())?;
+        }
+        Ok(())
     }
 }
 
@@ -558,6 +560,13 @@ const PANIC_TOKENS: &[&str] = &[
 /// the `missing-docs-attr` check; `is_bin` exempts the file from the
 /// `thread-sleep` rule (binaries may pace themselves).
 pub fn lint_source(rel: &str, text: &str, cfg: &Config, is_crate_root: bool, is_bin: bool) -> Vec<Violation> {
+    let mut out = findings(rel, text, cfg, is_crate_root, is_bin);
+    out.retain(|v| !cfg.allow.contains(&v.allow_key()));
+    out
+}
+
+/// Every rule's findings on one file, the allowlisted ones included.
+fn findings(rel: &str, text: &str, cfg: &Config, is_crate_root: bool, is_bin: bool) -> Vec<Violation> {
     let src = SourceFile::parse(rel, text);
     let mut out = Vec::new();
     rule_hot_path_alloc(&src, &mut out);
@@ -568,7 +577,6 @@ pub fn lint_source(rel: &str, text: &str, cfg: &Config, is_crate_root: bool, is_
         rule_thread_sleep(&src, &mut out);
     }
     rule_lane_inline(&src, &mut out);
-    out.retain(|v| !cfg.allow.contains(&v.allow_key()));
     out
 }
 
@@ -1184,7 +1192,9 @@ fn enclosing_fn(src: &SourceFile, line: usize) -> Option<&FnItem> {
 
 /// Lint every `.rs` file under the configured scan roots. Paths named
 /// `tests`, `benches`, `examples`, or `target` are skipped — those are not
-/// library code. Returns findings sorted by file and line.
+/// library code. Each allowlist entry that silenced no finding is itself
+/// an `unused-allow` finding, anchored to `lint.toml`. Returns findings
+/// sorted by file and line.
 pub fn lint_root(root: &Path, cfg: &Config) -> io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     for r in &cfg.roots {
@@ -1192,6 +1202,7 @@ pub fn lint_root(root: &Path, cfg: &Config) -> io::Result<Vec<Violation>> {
     }
     files.sort();
     let mut out = Vec::new();
+    let mut silenced = BTreeSet::new();
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -1201,7 +1212,27 @@ pub fn lint_root(root: &Path, cfg: &Config) -> io::Result<Vec<Violation>> {
         let is_crate_root = rel.ends_with("src/lib.rs");
         let is_bin = rel.contains("/bin/") || rel.ends_with("src/main.rs");
         let text = fs::read_to_string(path)?;
-        out.extend(lint_source(&rel, &text, cfg, is_crate_root, is_bin));
+        for v in findings(&rel, &text, cfg, is_crate_root, is_bin) {
+            let key = v.allow_key();
+            if cfg.allow.contains(&key) {
+                silenced.insert(key);
+            } else {
+                out.push(v);
+            }
+        }
+    }
+    let toml = fs::read_to_string(root.join("lint.toml")).unwrap_or_default();
+    for key in cfg.allow.difference(&silenced) {
+        let quoted = format!("\"{key}\"");
+        out.push(Violation {
+            rule: "unused-allow",
+            file: "lint.toml".to_string(),
+            line: toml.lines().position(|l| l.contains(&quoted)).map_or(0, |i| i + 1),
+            item: key.clone(),
+            message: "allowlist entry silences nothing (its item was renamed or deleted, \
+                      or the finding is gone): remove it"
+                .to_string(),
+        });
     }
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(out)

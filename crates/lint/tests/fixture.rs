@@ -28,6 +28,7 @@ fn fixture_trips_every_rule_class() {
         "missing-docs-attr",
         "thread-sleep",
         "lane-inline",
+        "unused-allow",
     ] {
         assert!(
             violations.iter().any(|v| v.rule == rule),
@@ -46,6 +47,16 @@ fn fixture_trips_every_rule_class() {
         .map(|v| v.item.as_str())
         .collect();
     assert_eq!(visitors, ["for_each_neighbor"], "got: {violations:?}");
+    let stale: Vec<_> = violations
+        .iter()
+        .filter(|v| v.rule == "unused-allow")
+        .map(|v| (v.file.as_str(), v.item.as_str()))
+        .collect();
+    assert_eq!(
+        stale,
+        [("lint.toml", "worker-panic:src/lib.rs:renamed_away")],
+        "got: {violations:?}"
+    );
 }
 
 #[test]

@@ -12,9 +12,10 @@
 //!  IngestHandle ─┐   bounded        ┌─────────────────┐
 //!  IngestHandle ─┼─► MPMC queue ──► │ GraphStreamBuffer│  flush  ┌──────────────┐
 //!  IngestHandle ─┘  (backpressure)  │  → GPMA+ update  │ ──────► │ GraphSnapshot │──► query()
-//!                                   │  → monitors      │  epoch  │  (Arc, immut) │──► DeltaMonitor
-//!                                   └─────────────────┘  N → N+1 └──────────────┘     (delta + image,
-//!                                                                                      monitor thread)
+//!                                   │  → monitors      │  epoch  │  (Arc, immut) │
+//!                                   └─────────────────┘  N → N+1 ├──────────────┤
+//!                                                                │  delta ring   │──► deltas_since()
+//!                                                                └──────────────┘     (readers pull)
 //! ```
 //!
 //! * **Ingest** — any number of producers hold cloneable [`IngestHandle`]s
@@ -27,18 +28,16 @@
 //! * **Epoch-versioned reads** — after every flush the worker publishes an
 //!   immutable, epoch-stamped [`GraphSnapshot`]: the previous image
 //!   advanced by the flush's delta, sharing every row block the delta did
-//!   not touch, so a publish costs O(|Δ|), not O(E). Queries and continuous
-//!   analytics ([`DeltaMonitor`]s on their own thread) always see a
-//!   consistent graph while updates keep flowing. The store itself is read
-//!   back only at spawn and at shutdown, where it is compared with the
-//!   published image ([`ServiceReport::final_snapshot`]).
+//!   not touch, so a publish costs O(|Δ|), not O(E). Queries and delta
+//!   readers always see a consistent graph while updates keep flowing. The
+//!   store itself is read back only at spawn and at shutdown, where it is
+//!   compared with the published image ([`ServiceReport::final_snapshot`]).
 //! * **Delta publication** — every flush also publishes its O(|Δ|) net
 //!   effect as a [`SnapshotDelta`] into a bounded ring
 //!   ([`StreamingService::deltas_since`] catches readers up, falling back
-//!   to the latest image past the ring); [`DeltaMonitor`]s consume every
-//!   epoch in order on their own thread, each delta with the image it
-//!   produced. The `gpma-incremental` crate builds live incremental BFS /
-//!   CC / PageRank on this seam.
+//!   to the latest image past the ring). Readers pull: the
+//!   `gpma-incremental` crate's `IncrementalEngine::catch_up` folds a pulled
+//!   chain into one delta and repairs live BFS / CC / PageRank from it.
 //! * **Failure** — [`StreamingService::inject_failure`] is the fault hook
 //!   that kills the worker mid-stream for crash-recovery tests; the front
 //!   object keeps serving the last published image, which any caller can
@@ -52,13 +51,13 @@
 //!
 //! ## Paper-section mapping
 //!
-//! | service piece                  | paper concept                               |
-//! |--------------------------------|---------------------------------------------|
-//! | [`IngestHandle`] + queue       | §3 graph stream buffer (host side)          |
-//! | worker flush loop              | §3 graph update module / Algorithm 4 batches |
-//! | [`GraphSnapshot`] epochs       | §6.5 concurrent streams & consistent queries |
-//! | [`DeltaMonitor`] thread        | §3 continuous monitoring, off the write path |
-//! | [`StreamingService::ad_hoc`]   | §3 dynamic query buffer (serialized reads)   |
+//! | service piece                      | paper concept                                |
+//! |------------------------------------|----------------------------------------------|
+//! | [`IngestHandle`] + queue           | §3 graph stream buffer (host side)           |
+//! | worker flush loop                  | §3 graph update module / Algorithm 4 batches |
+//! | [`GraphSnapshot`] epochs           | §6.5 concurrent streams & consistent queries |
+//! | [`StreamingService::deltas_since`] | §3 continuous monitoring, pulled by readers  |
+//! | [`StreamingService::ad_hoc`]       | §3 dynamic query buffer (serialized reads)   |
 //!
 //! ## Example: two producers, concurrent queries
 //!
@@ -111,6 +110,6 @@ pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
 pub use gpma_core::framework::GraphSnapshot;
 pub use metrics::{PublicationStats, ServiceMetrics};
 pub use service::{
-    BarrierAck, DeltaMonitor, IngestHandle, ServiceClosed, ServiceConfig, ServiceReport,
+    BarrierAck, IngestHandle, ServiceClosed, ServiceConfig, ServiceReport,
     StreamingService,
 };

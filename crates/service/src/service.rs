@@ -56,32 +56,6 @@ impl std::fmt::Display for ServiceClosed {
 
 impl std::error::Error for ServiceClosed {}
 
-/// A continuous analytic run on the service's monitor thread — the §3
-/// continuous-monitoring task of the paper's Figure 1, off the write path.
-/// A monitor sees *every* epoch in order, each as the [`SnapshotDelta`] the
-/// flush produced together with the published image it produced, so an
-/// analytic can repair incrementally from the delta (`gpma-incremental`'s
-/// maintainers), rerun from scratch on the image (PageRank / BFS / CC from
-/// `gpma-analytics`, which take a [`GraphSnapshot`] as a host graph), or
-/// both — without keeping a graph copy of its own.
-///
-/// The same trait plugs into `gpma-cluster`'s coordinated cuts, where the
-/// image is the cut flattened into one [`GraphSnapshot`].
-pub trait DeltaMonitor: Send {
-    /// Short stable name (used in logs and reports).
-    fn name(&self) -> &str;
-
-    /// (Re)base on a full image: called once with the initial state before
-    /// any delta arrives, and again if the consumer ever has to fall back
-    /// past the delta ring.
-    fn on_rebase(&mut self, image: &Arc<GraphSnapshot>);
-
-    /// Observe one epoch: its net effect and the image it produced
-    /// (`image.epoch() == delta.epoch()`; the very `Arc` readers of that
-    /// epoch get). Deltas arrive strictly in epoch order with no gaps.
-    fn on_delta(&mut self, delta: &SnapshotDelta, image: &Arc<GraphSnapshot>);
-}
-
 /// The answer to one barrier: a callback the service calls exactly once,
 /// with the image the barrier's flush published, or with `None` when the
 /// barrier is never served — the worker died at it or before reaching it,
@@ -327,9 +301,6 @@ pub struct ServiceReport {
     pub final_snapshot: Arc<GraphSnapshot>,
     /// Metrics frozen at shutdown.
     pub metrics: ServiceMetrics,
-    /// The [`DeltaMonitor`]s handed back after their thread drained every
-    /// published delta (empty when none were registered).
-    pub delta_monitors: Vec<Box<dyn DeltaMonitor>>,
 }
 
 /// The concurrent streaming facade over [`DynamicGraphSystem`].
@@ -342,7 +313,6 @@ pub struct ServiceReport {
 pub struct StreamingService {
     tx: Sender<Command>,
     worker: Option<JoinHandle<DynamicGraphSystem>>,
-    delta_monitors: Option<JoinHandle<Vec<Box<dyn DeltaMonitor>>>>,
     shared: Arc<Shared>,
 }
 
@@ -353,41 +323,21 @@ impl StreamingService {
     ///
     /// [`Monitor`]: gpma_core::framework::Monitor
     pub fn spawn(cfg: ServiceConfig, system: DynamicGraphSystem) -> Self {
-        Self::spawn_with_delta_monitors(cfg, system, Vec::new())
+        Self::spawn_instrumented(cfg, system, Arc::new(ObsRegistry::new()), NO_SHARD)
     }
 
-    /// Spawn with [`DeltaMonitor`]s on their own thread, concurrently with
-    /// ingest: they are rebased on the initial image, then fed *every*
-    /// epoch in order — its delta and the image it produced
-    /// (`gpma-incremental` maintainers and from-scratch analytics plug in
-    /// here).
-    pub fn spawn_with_delta_monitors(
-        cfg: ServiceConfig,
-        system: DynamicGraphSystem,
-        delta_monitors: Vec<Box<dyn DeltaMonitor>>,
-    ) -> Self {
-        Self::spawn_instrumented(
-            cfg,
-            system,
-            delta_monitors,
-            Arc::new(ObsRegistry::new()),
-            NO_SHARD,
-        )
-    }
-
-    /// The most general spawn: like [`Self::spawn_with_delta_monitors`] but
-    /// recording pipeline-stage telemetry into a caller-supplied
-    /// [`gpma_obs::Registry`], tagging timeline events with `shard`.
+    /// Like [`Self::spawn`] but recording pipeline-stage telemetry into a
+    /// caller-supplied [`gpma_obs::Registry`], tagging timeline events with
+    /// `shard`.
     ///
     /// This is how `gpma-cluster` gives all its shard workers one shared
     /// registry, so flush-stage histograms aggregate cluster-wide and
-    /// survive shard respawns. Standalone callers normally use the simpler
-    /// spawns, which allocate a private registry (reachable via
+    /// survive shard respawns. Standalone callers normally use
+    /// [`Self::spawn`], which allocates a private registry (reachable via
     /// [`Self::obs`]).
     pub fn spawn_instrumented(
         cfg: ServiceConfig,
         system: DynamicGraphSystem,
-        delta_monitors: Vec<Box<dyn DeltaMonitor>>,
         obs: Arc<ObsRegistry>,
         shard: u32,
     ) -> Self {
@@ -402,7 +352,7 @@ impl StreamingService {
             queries: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
             published: Mutex::new(Published {
-                image: initial.clone(),
+                image: initial,
                 log: DeltaLog::new(delta_log_capacity),
             }),
             delta_bytes: AtomicU64::new(0),
@@ -414,31 +364,15 @@ impl StreamingService {
             started: Instant::now(),
         });
 
-        let (delta_handle, delta_tx) = if delta_monitors.is_empty() {
-            (None, None)
-        } else {
-            let (delta_tx, delta_rx) =
-                crossbeam::channel::unbounded::<(Arc<SnapshotDelta>, Arc<GraphSnapshot>)>();
-            let handle = std::thread::Builder::new()
-                .name("gpma-service-monitors".into())
-                .spawn(move || run_delta_monitors(initial, delta_rx, delta_monitors))
-                .expect("spawn service monitor thread");
-            (Some(handle), Some(delta_tx))
-        };
-
-        let ctx = WorkerCtx {
-            shared: shared.clone(),
-            delta_tx,
-        };
+        let worker_shared = shared.clone();
         let worker = std::thread::Builder::new()
             .name("gpma-service-worker".into())
-            .spawn(move || run_worker(rx, system, ctx))
+            .spawn(move || run_worker(rx, system, worker_shared))
             .expect("spawn service worker thread");
 
         StreamingService {
             tx,
             worker: Some(worker),
-            delta_monitors: delta_handle,
             shared,
         }
     }
@@ -599,9 +533,7 @@ impl StreamingService {
     /// never applied — the same way a request can slip into any server's
     /// accept queue at the instant it stops.
     pub fn shutdown(mut self) -> ServiceReport {
-        let (worker_result, delta_monitors) =
-            self.stop_worker().expect("service worker already stopped");
-        let system = match worker_result {
+        let system = match self.stop_worker().expect("service worker already stopped") {
             Ok(system) => system,
             // Re-raise the worker's own panic with its original payload.
             Err(payload) => std::panic::resume_unwind(payload),
@@ -619,35 +551,15 @@ impl StreamingService {
                 worker_errors: self.shared.worker_errors.load(Ordering::Relaxed),
             },
             system,
-            delta_monitors,
         }
     }
 
-    /// Send `Shutdown`, join the worker (recovering the system or its panic
-    /// payload), then join the monitor thread (which exits once the worker
-    /// drops its sender). Used by both `shutdown` and `Drop`.
-    #[allow(clippy::type_complexity)]
-    fn stop_worker(
-        &mut self,
-    ) -> Option<(
-        std::thread::Result<DynamicGraphSystem>,
-        Vec<Box<dyn DeltaMonitor>>,
-    )> {
+    /// Send `Shutdown` and join the worker, recovering the system or its
+    /// panic payload. Used by both `shutdown` and `Drop`.
+    fn stop_worker(&mut self) -> Option<std::thread::Result<DynamicGraphSystem>> {
         let worker = self.worker.take()?;
         let _ = self.tx.send(Command::Shutdown);
-        let result = worker.join();
-        let delta_monitors = match self.delta_monitors.take().map(|h| h.join()) {
-            Some(Ok(monitors)) => monitors,
-            Some(Err(_)) => {
-                // Unlike the worker (whose panic is re-raised), monitors
-                // are advisory — but a silent empty vec would read as "no
-                // monitors were registered", so say what happened.
-                eprintln!("gpma-service: monitor thread panicked; results discarded");
-                Vec::new()
-            }
-            None => Vec::new(),
-        };
-        Some((result, delta_monitors))
+        Some(worker.join())
     }
 }
 
@@ -656,31 +568,24 @@ impl Drop for StreamingService {
         // Never panic out of Drop: re-raising a worker panic here would
         // double-panic (abort) when the service is dropped during an
         // unwind, hiding the original failure. Surface it on stderr only.
-        if let Some((Err(_), _)) = self.stop_worker() {
+        if let Some(Err(_)) = self.stop_worker() {
             eprintln!("gpma-service: worker thread panicked; state discarded");
         }
     }
 }
 
-/// Everything the worker loop threads through its helpers besides the
-/// system itself: shared state and the monitor thread's feed.
-struct WorkerCtx {
-    shared: Arc<Shared>,
-    delta_tx: Option<Sender<(Arc<SnapshotDelta>, Arc<GraphSnapshot>)>>,
-}
-
 /// The worker loop: block on the queue, buffer updates into the system's
 /// stream buffer, flush threshold-sized steps, and publish each epoch's
 /// delta and the image advanced by it.
-fn run_worker(rx: Receiver<Command>, mut sys: DynamicGraphSystem, ctx: WorkerCtx) -> DynamicGraphSystem {
+fn run_worker(rx: Receiver<Command>, mut sys: DynamicGraphSystem, shared: Arc<Shared>) -> DynamicGraphSystem {
     loop {
         let cmd = match rx.recv() {
             Ok(cmd) => cmd,
             // Every producer (and the front object) is gone: final flush.
             Err(_) => break,
         };
-        ctx.shared.observe_queue_depth(rx.len() + 1);
-        if handle_command(cmd, &rx, &mut sys, &ctx) {
+        shared.observe_queue_depth(rx.len() + 1);
+        if handle_command(cmd, &rx, &mut sys, &shared) {
             return sys;
         }
         // Opportunistically absorb whatever else is already queued before
@@ -692,10 +597,10 @@ fn run_worker(rx: Receiver<Command>, mut sys: DynamicGraphSystem, ctx: WorkerCtx
         let mut drain_t0 = Instant::now();
         loop {
             if sys.stream.ready() {
-                ctx.shared
+                shared
                     .obs
                     .record_duration(Stage::FlushDrain, drain_t0.elapsed());
-                flush_once(&mut sys, &ctx);
+                flush_once(&mut sys, &shared);
                 drain_t0 = Instant::now();
                 continue;
             }
@@ -704,8 +609,8 @@ fn run_worker(rx: Receiver<Command>, mut sys: DynamicGraphSystem, ctx: WorkerCtx
                     // Producers refill the queue while we flush; sample here
                     // too or the high-water mark misses exactly the bursts
                     // it exists to measure.
-                    ctx.shared.observe_queue_depth(rx.len() + 1);
-                    if handle_command(cmd, &rx, &mut sys, &ctx) {
+                    shared.observe_queue_depth(rx.len() + 1);
+                    if handle_command(cmd, &rx, &mut sys, &shared) {
                         return sys;
                     }
                 }
@@ -713,7 +618,7 @@ fn run_worker(rx: Receiver<Command>, mut sys: DynamicGraphSystem, ctx: WorkerCtx
             }
         }
     }
-    drain_and_stop(&rx, &mut sys, &ctx);
+    drain_and_stop(&rx, &mut sys, &shared);
     sys
 }
 
@@ -723,28 +628,28 @@ fn handle_command(
     cmd: Command,
     rx: &Receiver<Command>,
     sys: &mut DynamicGraphSystem,
-    ctx: &WorkerCtx,
+    shared: &Shared,
 ) -> bool {
     match cmd {
-        Command::Batch(b) => buffer_update(b, sys, &ctx.shared),
+        Command::Batch(b) => buffer_update(b, sys, shared),
         Command::Barrier(ack) => {
-            if ctx.shared.crash_at_barrier.swap(false, Ordering::Relaxed) {
+            if shared.crash_at_barrier.swap(false, Ordering::Relaxed) {
                 // Dropping `ack` unanswered answers `None`.
-                record_death(sys, ctx);
+                record_death(sys, shared);
                 return true;
             }
-            ack_barrier(ack, sys, ctx);
+            ack_barrier(ack, sys, shared);
         }
         Command::AdHoc(f) => f(sys),
         Command::Shutdown => {
-            drain_and_stop(rx, sys, ctx);
+            drain_and_stop(rx, sys, shared);
             return true;
         }
         Command::Crash(ack) => {
             // A crash is not a shutdown: skip the drain entirely so buffered
             // residue and queued commands die with the worker, exactly like
             // a real process kill between flushes.
-            record_death(sys, ctx);
+            record_death(sys, shared);
             let _ = ack.send(());
             return true;
         }
@@ -754,10 +659,10 @@ fn handle_command(
 
 /// Put an injected death on the telemetry timeline, so recovery latency
 /// can be read off it.
-fn record_death(sys: &DynamicGraphSystem, ctx: &WorkerCtx) {
-    ctx.shared.obs.event(
+fn record_death(sys: &DynamicGraphSystem, shared: &Shared) {
+    shared.obs.event(
         Stage::RecoveryDetect,
-        ctx.shared.obs_shard,
+        shared.obs_shard,
         sys.epoch(),
         EventKind::ShardDead,
         0,
@@ -786,12 +691,12 @@ fn buffer_update(b: UpdateBatch, sys: &mut DynamicGraphSystem, shared: &Shared) 
 /// flush, so updates accepted while the final flushes ran are still
 /// applied; only a send racing the very last empty-check can be discarded
 /// (see [`StreamingService::shutdown`] for the producer contract).
-fn drain_and_stop(rx: &Receiver<Command>, sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
+fn drain_and_stop(rx: &Receiver<Command>, sys: &mut DynamicGraphSystem, shared: &Shared) {
     loop {
         while let Ok(cmd) = rx.try_recv() {
             match cmd {
-                Command::Batch(b) => buffer_update(b, sys, &ctx.shared),
-                Command::Barrier(ack) => ack_barrier(ack, sys, ctx),
+                Command::Batch(b) => buffer_update(b, sys, shared),
+                Command::Barrier(ack) => ack_barrier(ack, sys, shared),
                 Command::AdHoc(f) => f(sys),
                 Command::Shutdown => {}
                 Command::Crash(ack) => {
@@ -802,7 +707,7 @@ fn drain_and_stop(rx: &Receiver<Command>, sys: &mut DynamicGraphSystem, ctx: &Wo
             }
         }
         while !sys.stream.is_empty() {
-            flush_once(sys, ctx);
+            flush_once(sys, shared);
         }
         if rx.is_empty() {
             break;
@@ -814,14 +719,14 @@ fn drain_and_stop(rx: &Receiver<Command>, sys: &mut DynamicGraphSystem, ctx: &Wo
 /// (already current — every flush publishes). Debug builds and the `audit`
 /// feature also read the store back here and compare, so a delta that lies
 /// about its batch is caught at the next barrier, not only at shutdown.
-fn ack_barrier(ack: BarrierAck, sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
+fn ack_barrier(ack: BarrierAck, sys: &mut DynamicGraphSystem, shared: &Shared) {
     while !sys.stream.is_empty() {
-        flush_once(sys, ctx);
+        flush_once(sys, shared);
     }
     if cfg!(any(debug_assertions, feature = "audit")) {
-        check_published(&sys.snapshot(), &ctx.shared);
+        check_published(&sys.snapshot(), shared);
     }
-    ack.answer(ctx.shared.latest());
+    ack.answer(shared.latest());
 }
 
 /// Compare a store readback with the published image; a divergence means a
@@ -840,8 +745,8 @@ fn check_published(readback: &GraphSnapshot, shared: &Shared) {
 /// One threshold-sized device step + metrics + publication of the epoch's
 /// delta and of the image advanced by it — both O(|Δ|); nothing here reads
 /// the store back.
-fn flush_once(sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
-    let obs = &ctx.shared.obs;
+fn flush_once(sys: &mut DynamicGraphSystem, shared: &Shared) {
+    let obs = &shared.obs;
     let t0 = Instant::now();
     let _total = obs.span(Stage::FlushTotal);
     let report = {
@@ -849,7 +754,7 @@ fn flush_once(sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
         sys.flush()
     };
     let wall = t0.elapsed().as_secs_f64();
-    ctx.shared.counters.lock().record_flush(
+    shared.counters.lock().record_flush(
         wall,
         report.duplicate_inserts as u64,
         report.update_time,
@@ -857,11 +762,11 @@ fn flush_once(sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
     );
     {
         let _publish = obs.span(Stage::FlushPublish);
-        publish(&report.delta, ctx);
+        publish(&report.delta, shared);
     }
     obs.event(
         Stage::FlushTotal,
-        ctx.shared.obs_shard,
+        shared.obs_shard,
         sys.epoch(),
         EventKind::Flush,
         (wall * 1e6) as u64,
@@ -871,47 +776,24 @@ fn flush_once(sys: &mut DynamicGraphSystem, ctx: &WorkerCtx) {
 /// Publish one epoch: advance the image by the delta outside any lock (a
 /// path copy: only the row blocks the delta touches are rewritten, into one
 /// new slab), then store image and delta together so no reader sees the
-/// ring ahead of the image; then hand the monitor thread, if any, the delta
-/// with the image it produced.
-fn publish(delta: &Arc<SnapshotDelta>, ctx: &WorkerCtx) {
-    let (next, copied_bytes) = ctx.shared.latest().advance(delta);
+/// ring ahead of the image.
+fn publish(delta: &Arc<SnapshotDelta>, shared: &Shared) {
+    let (next, copied_bytes) = shared.latest().advance(delta);
     let snap = Arc::new(next);
     let old = {
-        let mut published = ctx.shared.published.lock();
+        let mut published = shared.published.lock();
         published.log.push(delta.clone());
-        std::mem::replace(&mut published.image, snap.clone())
+        std::mem::replace(&mut published.image, snap)
     };
     // Freed outside the lock: when no reader holds the old image this drop
     // frees its block vector and the slabs only it used.
     drop(old);
-    ctx.shared
+    shared
         .delta_bytes
         .fetch_add(delta.wire_bytes() as u64, Ordering::Relaxed);
-    ctx.shared
+    shared
         .snapshot_bytes
         .fetch_add((8 + copied_bytes) as u64, Ordering::Relaxed);
-    if let Some(tx) = &ctx.delta_tx {
-        let _ = tx.send((delta.clone(), snap));
-    }
-}
-
-/// The monitor thread: rebase every monitor on the initial image, then feed
-/// each published epoch in order — its delta and the image it produced (no
-/// skipping: deltas compose).
-fn run_delta_monitors(
-    initial: Arc<GraphSnapshot>,
-    rx: Receiver<(Arc<SnapshotDelta>, Arc<GraphSnapshot>)>,
-    mut monitors: Vec<Box<dyn DeltaMonitor>>,
-) -> Vec<Box<dyn DeltaMonitor>> {
-    for m in monitors.iter_mut() {
-        m.on_rebase(&initial);
-    }
-    while let Ok((delta, image)) = rx.recv() {
-        for m in monitors.iter_mut() {
-            m.on_delta(&delta, &image);
-        }
-    }
-    monitors
 }
 
 #[cfg(test)]
@@ -1303,43 +1185,6 @@ mod tests {
             Arc::new(gpma_core::delta::apply_delta(&clean, &lie));
         svc.barrier().unwrap();
         assert_eq!(svc.metrics().worker_errors, 1);
-    }
-
-    #[test]
-    fn delta_monitors_see_every_epoch_in_order() {
-        type Log = Arc<parking_lot::Mutex<(u64, Vec<(u64, u64)>)>>;
-        struct Recorder(Log);
-        impl DeltaMonitor for Recorder {
-            fn name(&self) -> &str {
-                "recorder"
-            }
-            fn on_rebase(&mut self, image: &Arc<GraphSnapshot>) {
-                self.0.lock().0 = image.num_edges() as u64;
-            }
-            fn on_delta(&mut self, delta: &SnapshotDelta, image: &Arc<GraphSnapshot>) {
-                self.0.lock().1.push((delta.epoch(), image.epoch()));
-            }
-        }
-        let log: Log = Arc::new(parking_lot::Mutex::new((u64::MAX, Vec::new())));
-        let svc = StreamingService::spawn_with_delta_monitors(
-            ServiceConfig::default(),
-            system(2),
-            vec![Box::new(Recorder(log.clone()))],
-        );
-        let h = svc.handle();
-        for i in 1..=6u32 {
-            h.insert(Edge::new(i, 0)).unwrap();
-        }
-        let report = svc.shutdown();
-        assert_eq!(report.delta_monitors.len(), 1);
-        assert_eq!(report.delta_monitors[0].name(), "recorder");
-        // Shutdown joined the monitor thread: every epoch was observed, in
-        // order, with no gaps, each with the image its delta produced.
-        let (rebased_edges, seen) = log.lock().clone();
-        assert_eq!(rebased_edges, 1, "rebased on the initial snapshot");
-        let expect: Vec<(u64, u64)> = (1..=report.final_snapshot.epoch()).map(|e| (e, e)).collect();
-        assert_eq!(seen, expect);
-        assert_eq!(report.final_snapshot.num_edges(), 7);
     }
 
     #[test]

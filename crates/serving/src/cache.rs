@@ -7,10 +7,11 @@
 //! O(degree), so keeping a copy of its answer would only add maintenance.
 //! On refresh the cache pulls the backend's delta chain
 //! ([`DeltaLog::deltas_since`] semantics via
-//! [`ServingBackend::deltas_since`](crate::ServingBackend::deltas_since)),
-//! folds the span it missed into one delta with [`SnapshotDelta::merge`],
-//! applies it to its [`IncrementalEngine`] once, and maintains each entry
-//! by kind:
+//! [`ServingBackend::deltas_since`](crate::ServingBackend::deltas_since))
+//! and hands it to its [`IncrementalEngine`]'s
+//! [`catch_up`](IncrementalEngine::catch_up), which folds the span it
+//! missed into one delta and applies it once; the cache then maintains
+//! each entry by kind:
 //!
 //! | query kind | maintenance                                             |
 //! |------------|---------------------------------------------------------|
@@ -43,13 +44,12 @@
 //! [`DeltaLog::deltas_since`]: gpma_core::delta::DeltaLog::deltas_since
 //! [`DeltaLog::reset_to`]: gpma_core::delta::DeltaLog::reset_to
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
+use gpma_core::delta::DeltaCatchUp;
 use gpma_core::framework::GraphSnapshot;
-use gpma_incremental::{AppliedDelta, DeltaGraph, IncrementalBfs, IncrementalEngine};
+use gpma_incremental::{AppliedDelta, CatchUp, DeltaGraph, IncrementalBfs, IncrementalEngine};
 
 use crate::query::{Query, QueryResult};
 
@@ -230,55 +230,30 @@ impl ResultCache {
     }
 
     /// Advance the cache to `latest` using `catchup` (obtained from the
-    /// backend *for this cache's epoch*). The missed span of the chain is
-    /// folded into one delta and applied once; entries are refilled,
-    /// staled or invalidated per the module table. On a snapshot-fallback
-    /// catch-up everything flushes.
+    /// backend *for this cache's epoch*) through the engine's
+    /// [`catch_up`](IncrementalEngine::catch_up); entries are refilled,
+    /// staled or invalidated per the module table. When the engine rebased
+    /// instead, everything flushes. A `latest` the cache is already past (a
+    /// concurrent refresher won) changes nothing.
     pub fn refresh(
         &mut self,
         latest: Arc<GraphSnapshot>,
         catchup: DeltaCatchUp<Arc<GraphSnapshot>>,
     ) {
-        let (from, to) = (self.epoch(), latest.epoch());
-        if to <= from {
-            // A concurrent refresher already advanced us past `latest`.
-            return;
+        match self.engine.catch_up(latest, catchup) {
+            CatchUp::Current => return,
+            CatchUp::Applied(applied) => self.advance(applied),
+            CatchUp::Rebased => self.flush_all(),
         }
         self.stats.refreshes += 1;
-        match catchup {
-            DeltaCatchUp::Deltas(chain) => {
-                // The ring head can lead the snapshot we read (a publish
-                // between the two loads); entries must stop exactly at the
-                // snapshot epoch or hits would disagree with misses.
-                let mut span = chain.iter().filter(|d| d.epoch() > from && d.epoch() <= to);
-                let merged = span.next().map(|first| {
-                    let mut merged = Cow::Borrowed(&**first);
-                    for d in span {
-                        merged.to_mut().merge(d);
-                    }
-                    merged
-                });
-                match merged {
-                    Some(delta) if delta.epoch() == to => self.advance(&delta, latest),
-                    // The chain did not reach the snapshot (raced with a
-                    // ring reset): rebase rather than serve a stale mix.
-                    _ => self.flush_all(latest),
-                }
-            }
-            DeltaCatchUp::Snapshot(s) => {
-                let s = if s.epoch() >= latest.epoch() { s } else { latest };
-                self.flush_all(s);
-            }
-        }
     }
 
-    /// Apply the merged catch-up delta: the engine adopts `latest` (the
-    /// image `delta` produces), a CC entry is refilled from its maintainer,
-    /// a BFS entry goes stale or is evicted, and a PageRank entry is
-    /// dropped: it has no maintenance cheaper than recompute. The changes
-    /// the delta made join the log when a stale entry needs them.
-    fn advance(&mut self, delta: &SnapshotDelta, latest: Arc<GraphSnapshot>) {
-        let applied = self.engine.apply_at(delta, latest);
+    /// Maintain the entries after the engine applied `applied`: a CC entry
+    /// is refilled from its maintainer, a BFS entry goes stale or is
+    /// evicted, and a PageRank entry is dropped: it has no maintenance
+    /// cheaper than recompute. The changes join the log when a stale entry
+    /// needs them.
+    fn advance(&mut self, applied: AppliedDelta) {
         let (engine, roots) = (&self.engine, &self.bfs_roots);
         let evict = std::mem::take(&mut self.bfs_asked);
         let mut oldest: Option<u64> = None;
@@ -338,16 +313,15 @@ impl ResultCache {
         self.log = folded;
     }
 
-    /// Drop every entry and the log, and rebase the engine on `s` (the
+    /// Drop every entry and the log after the engine rebased (the
     /// snapshot-fallback path: ring outrun or reshard marker).
-    fn flush_all(&mut self, s: Arc<GraphSnapshot>) {
+    fn flush_all(&mut self) {
         self.stats.flushes += 1;
         self.stats.invalidations += self.entries.len() as u64;
         self.entries.clear();
         self.log.clear();
         self.net = None;
         self.bfs_asked = false;
-        self.engine.rebase_shared(s);
     }
 }
 
@@ -356,7 +330,7 @@ mod tests {
     use super::*;
     use crate::query::{execute, PageRankParams};
     use gpma_analytics::UNREACHED;
-    use gpma_core::delta::apply_delta;
+    use gpma_core::delta::{apply_delta, SnapshotDelta};
     use gpma_graph::{Edge, UpdateBatch};
 
     fn base() -> Arc<GraphSnapshot> {

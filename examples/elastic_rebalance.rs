@@ -1,20 +1,22 @@
 //! Elastic cluster demo: a 2D edge-grid cluster shows its known ~2×
-//! power-law routing skew, the skew-driven [`RebalancePolicy`] reshards it
-//! live onto a degree-aware plan mid-stream, and the second half of the
-//! stream routes balanced — with the migration cost (edges moved, modeled
+//! power-law routing skew, the demo reads it from the cluster metrics and
+//! rebalances live onto a degree-aware plan mid-stream, and the second half
+//! of the stream routes balanced — with the migration cost (edges moved, modeled
 //! bytes, ingest pause) and a shard-count resize (4 → 8) on top.
 //!
 //! ```sh
 //! cargo run --release --example elastic_rebalance
 //! ```
 
-use gpma_cluster::{ClusterConfig, GraphCluster, PartitionPolicy, RebalancePolicy};
+use gpma_cluster::{ClusterConfig, GraphCluster, PartitionPolicy};
 use gpma_obs::Stage;
 use gpma_graph::gen::rmat;
 use gpma_graph::GraphStream;
 use gpma_sim::DeviceConfig;
 
 const SHARDS: usize = 4;
+/// Max/mean routed-update skew above which the demo rebalances.
+const SKEW_THRESHOLD: f64 = 1.3;
 
 fn main() {
     let coo = rmat(11, 40_000, 7);
@@ -28,49 +30,38 @@ fn main() {
         stream.len() - stream.initial_size()
     );
 
-    // Spawn on the edge grid (storage-balanced but routing-skewed on
-    // power-law rows) with the automatic rebalancer armed: once 4096
-    // updates have routed and the max/mean skew exceeds 1.3×, the router
-    // live-migrates onto a degree-aware plan built from what it observed.
+    // Spawn on the edge grid: storage-balanced but routing-skewed on
+    // power-law rows.
     let cluster = GraphCluster::spawn(
         ClusterConfig {
             flush_threshold: 256,
-            rebalance: Some(RebalancePolicy {
-                skew_threshold: 1.3,
-                min_updates: 4096,
-                target_shards: None,
-            }),
             ..Default::default()
         },
         &DeviceConfig::default(),
         PartitionPolicy::EdgeGrid.build(nv, SHARDS),
         stream.initial_edges(),
     );
-    println!("\n=== edge-grid × {SHARDS}, rebalance at skew > 1.3 ===");
+    println!("\n=== edge-grid × {SHARDS}, rebalance at skew > {SKEW_THRESHOLD} ===");
 
     let h = cluster.handle();
     let tail: Vec<_> = stream.edges[stream.initial_size()..].to_vec();
-    for e in &tail {
+    let (first, second) = tail.split_at(tail.len() / 2);
+    for e in first {
         h.insert(*e).expect("cluster alive");
     }
-    let snap = cluster.epoch_cut().expect("cluster alive");
-    println!(
-        "streamed {} updates; cut {} holds {} edges on {} shards",
-        tail.len(),
-        snap.cut(),
-        snap.num_edges(),
-        snap.num_shards()
-    );
 
-    // What the policy did while we streamed. A reshard splits the cost:
-    // `paused` is the only window producers can feel (the plan swap), and
-    // `background` is the barrier wait, the copy and the retire that ran
-    // while ingest kept flowing.
-    for r in cluster.reshard_history() {
+    // Read the skew the first half routed with; past the threshold,
+    // live-migrate onto a degree-aware plan built from what the router
+    // observed. A reshard splits the cost: `paused` is the only window
+    // producers can feel (the plan swap), and `background` is the barrier
+    // wait, the copy and the retire that ran while ingest kept flowing.
+    let skew = cluster.metrics().expect("cluster alive").imbalance();
+    println!("first half: {} updates routed, max/mean skew {skew:.2}", first.len());
+    if skew > SKEW_THRESHOLD {
+        let r = cluster.rebalance(None).expect("rebalance");
         println!(
-            "reshard v{} ({}): {} × {} → {} × {} | moved {} edges ({} KB vs {} KB rebuild) | paused {:.2} ms + {:.2} ms background",
+            "reshard v{}: {} × {} → {} × {} | moved {} edges ({} KB vs {} KB rebuild) | paused {:.2} ms + {:.2} ms background",
             r.version,
-            if r.auto { "auto" } else { "manual" },
             r.from_policy,
             r.from_shards,
             r.to_policy,
@@ -82,6 +73,18 @@ fn main() {
             r.background_secs * 1e3,
         );
     }
+
+    for e in second {
+        h.insert(*e).expect("cluster alive");
+    }
+    let snap = cluster.epoch_cut().expect("cluster alive");
+    println!(
+        "streamed {} updates; cut {} holds {} edges on {} shards",
+        tail.len(),
+        snap.cut(),
+        snap.num_edges(),
+        snap.num_shards()
+    );
     let metrics = cluster.metrics().expect("cluster alive");
     println!(
         "post-rebalance window: routed {:?} (max/mean {:.2})",

@@ -1,9 +1,9 @@
 //! A live analytics dashboard on the incremental read path
 //! (`gpma-incremental`): producers stream a Reddit-like influence graph
 //! into a `gpma-service` worker that publishes O(|Δ|) epoch deltas, while
-//! the incremental engine keeps BFS reachability, connected components and
-//! PageRank *live* across every epoch — no snapshot copies, no from-scratch
-//! recomputes.
+//! the dashboard pulls them into the incremental engine before every line
+//! it prints, keeping BFS reachability, connected components and PageRank
+//! *live* — no snapshot copies, no from-scratch recomputes.
 //!
 //! ```sh
 //! cargo run --release --example incremental_dashboard
@@ -12,7 +12,7 @@
 use gpma_core::delta::BYTES_PER_EDGE;
 use gpma_core::framework::DynamicGraphSystem;
 use gpma_graph::datasets::{generate, DatasetKind};
-use gpma_incremental::IncrementalEngine;
+use gpma_incremental::{CatchUp, IncrementalEngine};
 use gpma_service::{ServiceConfig, StreamingService};
 use gpma_sim::{Device, DeviceConfig};
 
@@ -29,24 +29,23 @@ fn main() {
         stream.initial_size()
     );
 
-    // The engine bundles all three maintainers over one shared delta-fed
-    // graph; the monitor half rides the service's delta thread, the handle
-    // half answers dashboard queries from this thread.
-    let root = stream.initial_edges()[0].src;
-    let engine = IncrementalEngine::new()
-        .with_bfs(root)
-        .with_cc()
-        .with_pagerank(0.85, 1e-3);
-    let (monitor, dashboard) = engine.into_shared();
-
     let batch_size = stream.slide_batch_size(0.01);
     let dev = Device::new(DeviceConfig::default());
     let sys = DynamicGraphSystem::new(dev, stream.num_vertices, stream.initial_edges(), batch_size);
-    let svc = StreamingService::spawn_with_delta_monitors(
-        ServiceConfig::default(),
-        sys,
-        vec![Box::new(monitor)],
-    );
+    let svc = StreamingService::spawn(ServiceConfig::default(), sys);
+
+    // The engine bundles all three maintainers over one graph: the image
+    // the service published. The dashboard pulls every epoch since the
+    // engine's, folded into one delta, before each line it prints.
+    let root = stream.initial_edges()[0].src;
+    let mut engine = IncrementalEngine::new()
+        .with_bfs(root)
+        .with_cc()
+        .with_pagerank(0.85, 1e-3);
+    engine.rebase_shared(svc.snapshot());
+    let pull = |engine: &mut IncrementalEngine| {
+        engine.catch_up(svc.snapshot(), svc.deltas_since(engine.graph().epoch()))
+    };
 
     let tail: Vec<_> = stream.edges[stream.initial_size()..].to_vec();
     println!(
@@ -65,29 +64,35 @@ fn main() {
         })
         .collect();
 
-    // The dashboard loop: live results straight from the maintainers —
-    // each line reflects some fully-applied epoch, no recompute anywhere.
+    // The dashboard loop: pull, then read live results straight from the
+    // maintainers — each line reflects the epoch just caught up to, no
+    // recompute anywhere.
     for _ in 0..5 {
-        let (epoch, edges, reachable, components, top) = dashboard.with(|e| {
-            let reachable = e
-                .bfs()
-                .map(|b| b.distances().iter().filter(|&&d| d != u32::MAX).count())
-                .unwrap_or(0);
-            let top = e.pagerank().and_then(|p| {
+        let caught = match pull(&mut engine) {
+            CatchUp::Current => "current",
+            CatchUp::Applied(_) => "applied",
+            CatchUp::Rebased => "rebased",
+        };
+        let reachable = engine
+            .bfs()
+            .map(|b| b.distances().iter().filter(|&&d| d != u32::MAX).count())
+            .unwrap_or(0);
+        let (top_v, top_r) = engine
+            .pagerank()
+            .and_then(|p| {
                 p.ranks()
                     .iter()
                     .enumerate()
                     .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
                     .map(|(v, r)| (v, *r))
-            });
-            let graph_edges = e.graph().num_edges();
-            let components = e.cc().map(|c| c.component_count()).unwrap_or(0);
-            (e.graph().epoch(), graph_edges, reachable, components, top)
-        });
-        let (top_v, top_r) = top.unwrap_or((0, 0.0));
+            })
+            .unwrap_or((0, 0.0));
+        let components = engine.cc().map(|c| c.component_count()).unwrap_or(0);
         println!(
-            "  [live] epoch {epoch:>3}: {edges} edges | {reachable} reachable from v{root} | \
-             {components} components | top influencer v{top_v} (rank {top_r:.5})"
+            "  [live] epoch {:>3} ({caught}): {} edges | {reachable} reachable from v{root} | \
+             {components} components | top influencer v{top_v} (rank {top_r:.5})",
+            engine.graph().epoch(),
+            engine.graph().num_edges(),
         );
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
@@ -96,17 +101,18 @@ fn main() {
         t.join().unwrap();
     }
 
-    // Barrier, then let the delta thread drain: shutdown joins it, so the
-    // engine has absorbed every epoch when we read the final state.
+    // Barrier, then one last pull: the engine is current with the final
+    // state.
     let final_snap = svc.barrier().expect("service alive");
+    pull(&mut engine);
+    assert_eq!(engine.graph().epoch(), final_snap.epoch(), "engine is current");
     let report = svc.shutdown();
-    assert_eq!(dashboard.epoch(), final_snap.epoch(), "engine is current");
 
-    let stats = dashboard.stats();
+    let stats = engine.stats();
     let p = &report.metrics.publication;
     println!("service metrics: {}", report.metrics);
     println!(
-        "engine: {} epochs applied ({} changed edges), work bfs={} cc={} pagerank={}",
+        "engine: {} catch-ups applied ({} changed edges), work bfs={} cc={} pagerank={}",
         stats.epochs, stats.changed_edges, stats.bfs_work, stats.cc_work, stats.pagerank_work
     );
     let full_republication =
@@ -117,9 +123,8 @@ fn main() {
         full_republication,
         full_republication / p.delta_bytes.max(1),
     );
-    let engine_dist = dashboard.with(|e| e.bfs().unwrap().distances().to_vec());
     assert_eq!(
-        engine_dist,
+        engine.bfs().unwrap().distances(),
         gpma_analytics::bfs_host(&*final_snap, root),
         "incremental BFS equals the from-scratch oracle on the final state"
     );

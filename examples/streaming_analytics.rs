@@ -1,56 +1,56 @@
 //! Streaming analytics on the concurrent service facade (`gpma-service`):
 //! a Reddit-like influence stream is fed by multiple producer threads while
-//! PageRank tracks every published snapshot and ad-hoc queries read
-//! consistent epochs — the paper's §6.5 "concurrent streams and queries"
-//! scenario over the §3 framework.
+//! PageRank tracks every published epoch — pulled from the service's delta
+//! ring — and ad-hoc queries read consistent epochs: the paper's §6.5
+//! "concurrent streams and queries" scenario over the §3 framework.
 //!
 //! ```sh
 //! cargo run --release --example streaming_analytics
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use gpma_analytics::pagerank_host;
+use gpma_core::delta::apply_delta;
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot};
 use gpma_graph::datasets::{generate, DatasetKind};
-use gpma_service::{DeltaMonitor, ServiceConfig, SnapshotDelta, StreamingService};
+use gpma_service::{DeltaCatchUp, ServiceConfig, StreamingService};
 use gpma_sim::{Device, DeviceConfig};
 
 const PRODUCERS: usize = 4;
 
-/// Continuous PageRank tracking (the paper's TunkRank motivation), run on
-/// the service's monitor thread against the image every epoch published.
+/// Continuous PageRank tracking (the paper's TunkRank motivation): keeps
+/// its own image and advances it by every delta it pulls, so it ranks each
+/// published epoch in order.
 struct PageRankTracker {
-    epochs_analyzed: Arc<AtomicU64>,
+    image: GraphSnapshot,
+    epochs_analyzed: u64,
 }
 
-impl DeltaMonitor for PageRankTracker {
-    fn name(&self) -> &str {
-        "pagerank-tracker"
-    }
-
-    /// Stateless between epochs: nothing to rebase.
-    fn on_rebase(&mut self, _image: &Arc<GraphSnapshot>) {}
-
-    /// Rank the image this epoch's delta produced, from scratch.
-    fn on_delta(&mut self, _delta: &SnapshotDelta, snap: &Arc<GraphSnapshot>) {
-        let pr = pagerank_host(&**snap, 0.85, 1e-3, 50);
-        let top = pr
-            .ranks
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap());
-        if let Some((v, r)) = top {
-            println!(
-                "  [monitor] epoch {:>3}: {} edges, top influencer v{} (rank {:.5})",
-                snap.epoch(),
-                snap.num_edges(),
-                v,
-                r
-            );
+impl PageRankTracker {
+    /// Pull every epoch published since the tracker's and rank each one,
+    /// from scratch, on the image its delta produced.
+    fn track(&mut self, svc: &StreamingService) {
+        let DeltaCatchUp::Deltas(chain) = svc.deltas_since(self.image.epoch()) else {
+            panic!("the delta ring holds every epoch of this stream");
+        };
+        for delta in &chain {
+            self.image = apply_delta(&self.image, delta);
+            let pr = pagerank_host(&self.image, 0.85, 1e-3, 50);
+            let top = pr
+                .ranks
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap());
+            if let Some((v, r)) = top {
+                println!(
+                    "  [tracker] epoch {:>3}: {} edges, top influencer v{} (rank {:.5})",
+                    self.image.epoch(),
+                    self.image.num_edges(),
+                    v,
+                    r
+                );
+            }
+            self.epochs_analyzed += 1;
         }
-        self.epochs_analyzed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -69,14 +69,11 @@ fn main() {
     let batch_size = stream.slide_batch_size(0.01);
     let dev = Device::new(DeviceConfig::default());
     let sys = DynamicGraphSystem::new(dev, stream.num_vertices, stream.initial_edges(), batch_size);
-    let epochs_analyzed = Arc::new(AtomicU64::new(0));
-    let svc = StreamingService::spawn_with_delta_monitors(
-        ServiceConfig::default(),
-        sys,
-        vec![Box::new(PageRankTracker {
-            epochs_analyzed: epochs_analyzed.clone(),
-        })],
-    );
+    let svc = StreamingService::spawn(ServiceConfig::default(), sys);
+    let mut tracker = PageRankTracker {
+        image: (*svc.snapshot()).clone(),
+        epochs_analyzed: 0,
+    };
 
     // Concurrent producers: split the live tail of the stream round-robin
     // across threads, each feeding its own IngestHandle.
@@ -95,11 +92,13 @@ fn main() {
         .collect();
 
     // Meanwhile, this thread runs ad-hoc queries against consistent
-    // epoch-stamped snapshots — ingest never pauses for them.
+    // epoch-stamped snapshots — ingest never pauses for them — and the
+    // tracker pulls the epochs published since its last pass.
     for _ in 0..5 {
         let (epoch, edges, deg0) =
             svc.query(|snap| (snap.epoch(), snap.num_edges(), snap.out_degree(0)));
         println!("  [query]  epoch {epoch:>3}: {edges} edges live, deg(v0) = {deg0}");
+        tracker.track(&svc);
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
 
@@ -115,15 +114,17 @@ fn main() {
         final_snap.num_edges()
     );
 
+    tracker.track(&svc);
     let report = svc.shutdown();
     println!("service metrics: {}", report.metrics);
-    let analyzed = epochs_analyzed.load(Ordering::Relaxed);
-    println!("epochs analyzed by PageRank monitor: {analyzed}");
+    let analyzed = tracker.epochs_analyzed;
+    println!("epochs analyzed by the PageRank tracker: {analyzed}");
     assert_eq!(
         analyzed,
         report.final_snapshot.epoch(),
         "the tracker ranked every published epoch"
     );
+    assert_eq!(tracker.image, *report.final_snapshot, "the tracked image is the final state");
     assert_eq!(
         report.metrics.counters.ingested(),
         tail.len() as u64,

@@ -3,7 +3,7 @@
 //! hash → degree-aware, and shard counts 4 → 2 → 8 — must agree exactly
 //! with the single-device sequential oracle at every post-reshard cut
 //! (same edge set, same BFS/CC/PageRank), and an [`IncrementalEngine`]
-//! riding the cluster's delta stream must stay exact across the
+//! pulling the cluster's delta stream must stay exact across the
 //! snapshot-style epoch markers each reshard publishes.
 
 use std::collections::BTreeMap;
@@ -13,12 +13,12 @@ use std::sync::{Arc, Barrier};
 use gpma_analytics::{bfs_host, cc_host, pagerank_host};
 use gpma_baselines::AdjLists;
 use gpma_cluster::{
-    ClusterConfig, ClusterHandle, ClusterSnapshot, DegreePartition, GraphCluster,
-    HashVertexPartition, PartitionPolicy, RebalancePolicy, VertexPartition,
+    ClusterConfig, ClusterHandle, ClusterSnapshot, DegreePartition, DeltaCatchUp, GraphCluster,
+    HashVertexPartition, PartitionPolicy, VertexPartition,
 };
 use gpma_core::multi::Partitioner;
 use gpma_graph::Edge;
-use gpma_incremental::IncrementalEngine;
+use gpma_incremental::{CatchUp, IncrementalEngine};
 use gpma_sim::DeviceConfig;
 
 use proptest::prelude::*;
@@ -61,6 +61,34 @@ fn feed(h: &ClusterHandle, ops: &[(u8, u32, u32, u64)]) {
         } else {
             h.delete(Edge::new(src, dst)).expect("cluster alive");
         }
+    }
+}
+
+/// Catch `engine` up with the cluster's latest cut: its image and the cut
+/// chain since the engine's epoch.
+fn pull(cluster: &GraphCluster, engine: &mut IncrementalEngine) -> CatchUp {
+    let latest = cluster.snapshot().image().clone();
+    let catchup = match cluster.deltas_since(engine.graph().epoch()) {
+        DeltaCatchUp::Deltas(chain) => DeltaCatchUp::Deltas(chain),
+        DeltaCatchUp::Snapshot(cut) => DeltaCatchUp::Snapshot(cut.image().clone()),
+    };
+    engine.catch_up(latest, catchup)
+}
+
+/// The engine's maintained answers equal the from-scratch oracles on the
+/// oracle graph.
+fn assert_engine_matches(
+    engine: &IncrementalEngine,
+    oracle: &BTreeMap<(u32, u32), u64>,
+    label: &str,
+) {
+    let adj = oracle_graph(oracle);
+    assert_eq!(engine.graph().num_edges(), oracle.len(), "{label}: engine edge count");
+    assert_eq!(engine.bfs().unwrap().distances(), bfs_host(&adj, 0), "{label}: engine BFS");
+    assert_eq!(engine.cc().unwrap().labels(), cc_host(&adj), "{label}: engine CC");
+    let expect = pagerank_host(&adj, 0.85, 1e-10, 100_000).ranks;
+    for (got, want) in engine.pagerank().unwrap().ranks().iter().zip(&expect) {
+        assert!((got - want).abs() < 1e-6, "{label}: engine pagerank {got} vs {want}");
     }
 }
 
@@ -114,8 +142,8 @@ proptest! {
 
     /// Mid-stream reshards (hash → range 4 → 2, then degree-aware 2 → 8)
     /// are invisible to correctness: the final cut, the analytics on every
-    /// post-reshard cut, and the delta-fed IncrementalEngine all equal the
-    /// sequential oracle exactly.
+    /// post-reshard cut, and an IncrementalEngine pulling after every phase
+    /// all equal the sequential oracle exactly.
     #[test]
     fn reshard_stream_matches_sequential_oracle(
         ops_a in prop::collection::vec((0u8..4, 0u32..64, 0u32..64, 1u64..100), 1..60),
@@ -123,12 +151,11 @@ proptest! {
         ops_c in prop::collection::vec((0u8..4, 0u32..64, 0u32..64, 1u64..100), 1..60),
         threshold in 1usize..10,
     ) {
-        let engine = IncrementalEngine::new()
+        let mut engine = IncrementalEngine::new()
             .with_bfs(0)
             .with_cc()
             .with_pagerank(0.85, 1e-10);
-        let (monitor, engine_handle) = engine.into_shared();
-        let cluster = GraphCluster::spawn_with_delta_monitors(
+        let cluster = GraphCluster::spawn(
             ClusterConfig {
                 flush_threshold: threshold,
                 router_batch: 16,
@@ -140,8 +167,8 @@ proptest! {
                 num_shards: 4,
             }),
             &[],
-            vec![Box::new(monitor)],
         );
+        engine.rebase_shared(cluster.snapshot().image().clone());
         let h = cluster.handle();
         let mut oracle = BTreeMap::new();
 
@@ -149,6 +176,8 @@ proptest! {
         feed(&h, &ops_a);
         apply_oracle(&mut oracle, &ops_a);
         assert_cut_matches(&cluster, &oracle, "pre-reshard");
+        pull(&cluster, &mut engine);
+        assert_engine_matches(&engine, &oracle, "pre-reshard");
 
         // Reshard 1: hash × 4 → range × 2 (shrink), with ops_b streaming
         // *during* the copy-on-write reshard from a second producer. The
@@ -170,6 +199,9 @@ proptest! {
         prop_assert!(r1.pause_secs >= 0.0 && r1.background_secs >= 0.0);
         prop_assert_eq!(cluster.num_shards(), 2);
         assert_cut_matches(&cluster, &oracle, "post-shrink");
+        // Every reshard marker the engine pulls across rebases it.
+        prop_assert_eq!(pull(&cluster, &mut engine), CatchUp::Rebased);
+        assert_engine_matches(&engine, &oracle, "post-shrink");
 
         // Reshard 2: degree-aware × 8 (grow) from the router's
         // observations, again with a live concurrent stream (ops_c).
@@ -184,52 +216,34 @@ proptest! {
         prop_assert_eq!(r2.to_shards, 8);
         prop_assert_eq!(&r2.to_policy, "degree-aware");
         assert_cut_matches(&cluster, &oracle, "post-grow");
+        prop_assert_eq!(pull(&cluster, &mut engine), CatchUp::Rebased);
+        assert_engine_matches(&engine, &oracle, "post-grow");
 
         // Phase 3 under degree-aware × 8: a quiet tail, then the final cut.
         feed(&h, &ops_a);
         apply_oracle(&mut oracle, &ops_a);
         assert_cut_matches(&cluster, &oracle, "final");
+        pull(&cluster, &mut engine);
+        assert_engine_matches(&engine, &oracle, "final");
 
         let report = cluster.shutdown();
         prop_assert_eq!(report.metrics.reshard_count, 2);
         prop_assert_eq!(report.metrics.partition_version, 2);
-
-        // The engine consumed every delta and both reshard rebase markers
-        // (shutdown joined the monitor thread): its maintained state must
-        // equal the from-scratch oracles on the final graph.
-        let adj = oracle_graph(&oracle);
-        let final_edges = oracle.len();
-        engine_handle.with(|e| {
-            assert_eq!(e.graph().num_edges(), final_edges, "engine edge count");
-            assert_eq!(e.bfs().unwrap().distances(), bfs_host(&adj, 0), "engine BFS");
-            assert_eq!(e.cc().unwrap().labels(), cc_host(&adj), "engine CC");
-            let expect = pagerank_host(&adj, 0.85, 1e-10, 100_000).ranks;
-            for (got, want) in e.pagerank().unwrap().ranks().iter().zip(&expect) {
-                assert!((got - want).abs() < 1e-6, "engine pagerank {got} vs {want}");
-            }
-            let stats = e.stats();
-            // Initial rebase + one per reshard marker; a concurrent stream
-            // can additionally outrun the cluster ring between cuts, which
-            // surfaces as extra (counted, still-exact) rebases.
-            assert!(stats.rebases >= 3, "one rebase per epoch marker: {stats:?}");
-        });
+        // The rebase at spawn plus one per reshard marker.
+        let stats = engine.stats();
+        prop_assert!(stats.rebases >= 3, "one rebase per epoch marker: {:?}", stats);
     }
 }
 
-/// Deterministic end-to-end: the skew-driven policy fires on a hub-heavy
-/// stream and the degree-aware plan it installs actually flattens the
-/// routed-update skew for the rest of the stream.
+/// Deterministic end-to-end: after a hub-heavy stream, `rebalance(None)`
+/// installs a degree-aware plan that actually flattens the routed-update
+/// skew for the rest of the stream.
 #[test]
 fn automatic_rebalance_flattens_hub_skew() {
     let cluster = GraphCluster::spawn(
         ClusterConfig {
             flush_threshold: 16,
             router_batch: 16,
-            rebalance: Some(RebalancePolicy {
-                skew_threshold: 1.5,
-                min_updates: 256,
-                target_shards: None,
-            }),
             ..Default::default()
         },
         &DeviceConfig::deterministic(),
@@ -246,32 +260,28 @@ fn automatic_rebalance_flattens_hub_skew() {
             .unwrap();
     }
     cluster.epoch_cut().unwrap();
-    let history = cluster.reshard_history();
-    assert!(!history.is_empty(), "hub skew must trigger the policy");
-    assert!(history[0].auto);
-    assert_eq!(history[0].to_policy, "degree-aware");
+    let skew = cluster.metrics().unwrap().imbalance();
+    assert!(skew > 1.5, "the hub phase is skewed: {skew}");
+    let r = cluster.rebalance(None).expect("rebalance");
+    assert_eq!((r.to_policy.as_str(), r.to_shards), ("degree-aware", 4));
 
     // Tail phase under the degree-aware plan: same hub mix. The two hubs
     // now sit on different shards, so the window skew stays near 2.0
     // (two shards share all the load) instead of 4.0 (one shard owns it).
-    let resharded_at = cluster.reshard_history().len();
     for i in 0..512u32 {
         let src = if i % 2 == 0 { 7 } else { 9 };
         h.insert(Edge::weighted(src, i % NUM_VERTICES, u64::from(i)))
             .unwrap();
     }
-    // The routed-update *window* is not a stable observable here: a
-    // copy-on-write reshard keeps absorbing the tail mid-flight and then
-    // resets the window at its swap, so assert the flattening on what the
-    // degree-aware plan actually did — the two hub rows live on different
-    // shards in the final cut.
+    // Assert the flattening on what the degree-aware plan did: the two hub
+    // rows live on different shards in the final cut.
     let snap = cluster.epoch_cut().unwrap();
     let hub7 = snap.shards().iter().position(|s| s.out_degree(7) > 0);
     let hub9 = snap.shards().iter().position(|s| s.out_degree(9) > 0);
     assert!(hub7.is_some() && hub9.is_some(), "both hub rows must survive");
     assert_ne!(hub7, hub9, "degree-aware must split the two hubs");
     let report = cluster.shutdown();
-    assert!(report.metrics.reshard_count >= resharded_at as u64);
+    assert_eq!(report.metrics.reshard_count, 1);
     assert_eq!(report.final_snapshot.num_edges(), NUM_VERTICES as usize);
 }
 
@@ -448,39 +458,4 @@ fn commands_deferred_mid_reshard_run_in_arrival_order() {
     assert_cut_matches(&cluster, &oracle, "after both reshards");
     let report = cluster.shutdown();
     assert_eq!(report.metrics.worker_errors, 0);
-}
-
-/// `shutdown()` with an automatic rebalance in flight (or about to fire,
-/// or just done — the feed and the router race): the call returns, the
-/// final snapshot is oracle-exact and nothing was logged as an error.
-#[test]
-fn shutdown_racing_auto_rebalance_is_exact() {
-    let cluster = GraphCluster::spawn(
-        ClusterConfig {
-            flush_threshold: 8,
-            router_batch: 16,
-            rebalance: Some(RebalancePolicy {
-                skew_threshold: 1.5,
-                min_updates: 64,
-                target_shards: Some(2),
-            }),
-            ..Default::default()
-        },
-        &DeviceConfig::deterministic(),
-        PartitionPolicy::VertexHash.build(NUM_VERTICES, 4),
-        &[],
-    );
-    let h = cluster.handle();
-    // One hot source: max/mean = 4 on 4 shards, so the policy fires on the
-    // burst that takes the window past `min_updates` — with a few more
-    // updates and the shutdown right behind it.
-    let ops: Vec<_> = (0..96u32).map(|i| (i as u8 % 4, 7, i % 40, u64::from(i + 1))).collect();
-    let mut oracle = BTreeMap::new();
-    feed(&h, &ops);
-    apply_oracle(&mut oracle, &ops);
-    let report = cluster.shutdown();
-    assert_snapshot_matches(&report.final_snapshot, &oracle, "final snapshot");
-    assert_eq!(report.metrics.worker_errors, 0);
-    assert!(report.metrics.reshard_count >= 1, "the policy fired before the shutdown");
-    assert_eq!(report.final_snapshot.num_shards(), 2);
 }
