@@ -69,7 +69,7 @@
 //! conflicts did not move, and neither did the analytics half: the slot
 //! layout after every batch is bit-identical.
 //!
-//! They were re-recorded last when the batch path shed launches without
+//! They were re-recorded again when the batch path shed launches without
 //! shedding work: the sort carries the weights (`gather_payload` went),
 //! the run-length encoding is one block walk (one launch up to one block,
 //! three above it, where it was four plus a scan), and the parallel merge
@@ -84,6 +84,28 @@
 //! 4_054, 2_934]`: eight launches fewer per slide, four on the insertion
 //! path and four in the rebuild. Atomics, conflicts and the analytics
 //! half did not move: the slot layout after every batch is bit-identical.
+//!
+//! They were re-recorded last in two steps. First the sort of more than
+//! one block became a tile sort plus ⌈log₂ tiles⌉ merge passes (each
+//! 1 000-insertion sort: three launches, not 20) and the parallel merge
+//! staged and flagged its updates in one kernel. That step alone took the
+//! store, benchmark device, from `[131, 817_447, 1_872_628, 11_200, 7_944]`
+//! to `[80, 556_667, 1_804_913, 11_200, 7_944]` (deterministic `[131,
+//! 817_406, 1_872_195, 11_200, 7_940]` → `[80, 556_626, 1_804_480, 11_200,
+//! 7_940]`), left the small batches and the analytics half where they
+//! were, and moved no atomic: both sorts are stable, so every slot layout
+//! is bit-identical. Then the post-batch rebuild stopped running where it
+//! lands on the array's own capacity. This store is 33-40 % dense, so
+//! every slide had rebuilt it: store `[32, 194_499, 354_649, 11_180,
+//! 7_925]`, deterministic `[32, 194_532, 355_101, 11_180, 7_918]`; small
+//! batches `[168, 1_172_548, 3_925_284, 4_054, 2_934]` → `[40, 206_638,
+//! 56_236, 4_044, 2_924]`, deterministic `[168, 1_172_524, 3_925_106,
+//! 4_054, 2_934]` → `[40, 206_669, 56_614, 4_044, 2_924]`, five launches
+//! per slide. Without the rebuild's re-spreading the slot layout differs,
+//! so the analytics half moved with it: benchmark `[89, 516_291, 756_674,
+//! 43_998, 32]` → `[89, 516_523, 759_551, 43_998, 0]`, deterministic
+//! `[89, 509_235, 672_103, 43_998, 14]` → `[89, 509_394, 673_982, 43_998,
+//! 20]`.
 //!
 //! A change to how `gpma_sim::Device::launch` traces or counts a sampled warp
 //! must leave every number here alone; a deliberate change to the kernels or
@@ -170,8 +192,8 @@ fn benchmark_device_counts_are_pinned() {
         host_parallelism: 1,
         ..Default::default()
     });
-    assert_eq!(store, [131, 817_447, 1_872_628, 11_200, 7_944]);
-    assert_eq!(analytics_half(store, all), [89, 516_291, 756_674, 43_998, 32]);
+    assert_eq!(store, [32, 194_499, 354_649, 11_180, 7_925]);
+    assert_eq!(analytics_half(store, all), [89, 516_523, 759_551, 43_998, 0]);
 }
 
 #[test]
@@ -180,15 +202,15 @@ fn small_batch_counts_are_pinned() {
         host_parallelism: 1,
         ..Default::default()
     });
-    assert_eq!(benchmark, [168, 1_172_548, 3_925_284, 4_054, 2_934]);
+    assert_eq!(benchmark, [40, 206_638, 56_236, 4_044, 2_924]);
     let deterministic = run_small_batches(DeviceConfig::deterministic());
-    assert_eq!(deterministic, [168, 1_172_524, 3_925_106, 4_054, 2_934]);
+    assert_eq!(deterministic, [40, 206_669, 56_614, 4_044, 2_924]);
 }
 
 #[test]
 fn deterministic_device_counts_are_pinned() {
     // Every warp traced.
     let [store, all] = run(DeviceConfig::deterministic());
-    assert_eq!(store, [131, 817_406, 1_872_195, 11_200, 7_940]);
-    assert_eq!(analytics_half(store, all), [89, 509_235, 672_103, 43_998, 14]);
+    assert_eq!(store, [32, 194_532, 355_101, 11_180, 7_918]);
+    assert_eq!(analytics_half(store, all), [89, 509_394, 673_982, 43_998, 20]);
 }

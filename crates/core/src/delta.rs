@@ -311,6 +311,17 @@ pub enum DeltaCatchUp<S> {
     Snapshot(S),
 }
 
+impl<S> DeltaCatchUp<S> {
+    /// The same catch-up with its fallback state converted by `f` (a
+    /// cluster cut to its image, say); a delta chain passes through.
+    pub fn map<T>(self, f: impl FnOnce(S) -> T) -> DeltaCatchUp<T> {
+        match self {
+            DeltaCatchUp::Deltas(chain) => DeltaCatchUp::Deltas(chain),
+            DeltaCatchUp::Snapshot(s) => DeltaCatchUp::Snapshot(f(s)),
+        }
+    }
+}
+
 /// A bounded ring of published epoch deltas supporting reader catch-up.
 ///
 /// The producer pushes exactly one delta per epoch; the ring retains the
@@ -429,6 +440,16 @@ mod tests {
 
     fn e(s: u32, d: u32, w: u64) -> Edge {
         Edge::weighted(s, d, w)
+    }
+
+    #[test]
+    fn catch_up_map_converts_only_the_fallback() {
+        let chain = vec![Arc::new(SnapshotDelta::from_batch(4, &UpdateBatch::default()))];
+        match DeltaCatchUp::<u32>::Deltas(chain.clone()).map(|s| s * 2) {
+            DeltaCatchUp::Deltas(got) => assert!(got.len() == 1 && Arc::ptr_eq(&got[0], &chain[0])),
+            DeltaCatchUp::Snapshot(_) => panic!("a chain stays a chain"),
+        }
+        assert!(matches!(DeltaCatchUp::<u32>::Snapshot(21).map(|s| s * 2), DeltaCatchUp::Snapshot(42)));
     }
 
     #[test]

@@ -179,15 +179,13 @@ impl GpmaPlus {
         // Post-batch shrink check (delete-heavy workloads): below the root's
         // lower density bound, rebuild at ~60 % density. Rounded up to a
         // power of two, that rebuild lands a 33-40 % dense array on the
-        // capacity it has. An insert-free batch skips it there; after a
-        // batch with insertions it still runs, re-spreading the entries.
+        // capacity it has, so it runs only where the capacity shrinks.
         let density = self.storage.density_config();
         let h = self.storage.geometry().height();
         let (len, cap) = (self.storage.len(), self.storage.capacity());
-        let shrinks = GpmaStorage::geometry_for(len).capacity() < cap;
         if cap > 128
             && !density.within_rho(len, cap, h, h)
-            && (shrinks || !batch.insertions.is_empty())
+            && GpmaStorage::geometry_for(len).capacity() < cap
         {
             let empty = DeviceUpdates {
                 keys: DeviceBuffer::new(0),
@@ -1055,6 +1053,27 @@ mod tests {
             cap0,
             g.storage.capacity()
         );
+    }
+
+    /// A 33-40 % dense array is below the root's lower density bound, yet
+    /// a rebuild at ~60 % density would land on the capacity it has: an
+    /// insertion batch leaves it in place, with no resize.
+    #[test]
+    fn a_sparse_array_is_not_rebuilt_onto_its_own_capacity() {
+        const NV: u32 = 300;
+        let initial: Vec<Edge> = (0..NV).flat_map(|s| (1..5).map(move |k| Edge::new(s, (s + 3 * k) % NV))).collect();
+        let d = dev();
+        let mut g = GpmaPlus::build(&d, NV, &initial);
+        let cap = g.storage.capacity();
+        let mut oracle = oracle_of(&g);
+        let insertions: Vec<Edge> = (0..NV).step_by(10).map(|s| Edge::weighted(s, (s + 1) % NV, 2)).collect();
+        oracle.extend(insertions.iter().map(|e| ((e.src, e.dst), e.weight)));
+        let stats = g.update_batch_lazy(&d, &UpdateBatch { insertions, deletions: vec![] });
+        let density = g.storage.len() as f64 / cap as f64;
+        assert!((0.33..0.40).contains(&density), "density {density}");
+        assert_eq!((stats.resizes, g.storage.capacity()), (0, cap));
+        g.storage.check_invariants();
+        assert_eq!(oracle_of(&g), oracle);
     }
 
     #[test]

@@ -13,7 +13,8 @@ use crate::storage::{GpmaStorage, EMPTY};
 /// never enter it: they are tombstoned in place before the merges run
 /// ([`GpmaStorage::delete_lazy`]).
 pub struct DeviceUpdates {
-    /// Edge storage keys (`src << 32 | dst`), ascending.
+    /// Edge storage keys (`src << 32 | dst`), ascending in the first
+    /// `len` slots (the buffer may be longer).
     pub keys: DeviceBuffer<u64>,
     /// Edge weights, aligned with `keys`.
     pub vals: DeviceBuffer<u64>,
@@ -33,14 +34,17 @@ impl DeviceUpdates {
 /// reallocated, so a steady-state stream of flushes does no
 /// per-launch host allocation on the upload path (the ROADMAP profiling
 /// item). Also stages the lazy-delete kernel's inputs (device key buffer,
-/// capacity only grows, and its one-slot deleted counter).
-/// [`crate::GpmaPlus`] owns one and threads it through every batch.
+/// capacity only grows, and its one-slot deleted counter) and holds the
+/// sort's ping-pong pair for batches of more than one
+/// [`primitives::BLOCK`]. [`crate::GpmaPlus`] owns one and threads it
+/// through every batch.
 #[derive(Debug)]
 pub struct UpdateScratch {
     keys: Vec<u64>,
     vals: Vec<u64>,
     del_keys: DeviceBuffer<u64>,
     del_count: DeviceBuffer<u64>,
+    sort: primitives::SortScratch,
 }
 
 impl Default for UpdateScratch {
@@ -50,6 +54,7 @@ impl Default for UpdateScratch {
             vals: Vec::new(),
             del_keys: DeviceBuffer::new(0),
             del_count: DeviceBuffer::new(1),
+            sort: primitives::SortScratch::default(),
         }
     }
 }
@@ -73,11 +78,11 @@ impl UpdateScratch {
     }
 }
 
-/// Upload a batch's insertions and radix-sort the `(key, weight)` pairs by
-/// key on the device (stable: of two insertions of one key the later
-/// stays later, so it wins). Takes a raw slice
-/// and caller-owned staging, so a batch costs neither `Vec` growth nor an
-/// `UpdateBatch` clone.
+/// Upload a batch's insertions and sort the `(key, weight)` pairs by key on
+/// the device (stable: of two insertions of one key the later stays later,
+/// so it wins). Takes a raw slice and caller-owned staging, so a batch
+/// costs neither `Vec` growth, an `UpdateBatch` clone nor, batch after
+/// equal batch, a new sort scratch.
 pub fn prepare_insertions(
     dev: &Device,
     num_vertices: u32,
@@ -85,7 +90,7 @@ pub fn prepare_insertions(
     scratch: &mut UpdateScratch,
 ) -> DeviceUpdates {
     let n = insertions.len();
-    let UpdateScratch { keys, vals, .. } = scratch;
+    let UpdateScratch { keys, vals, sort, .. } = scratch;
     keys.clear();
     vals.clear();
     keys.reserve(n);
@@ -99,7 +104,8 @@ pub fn prepare_insertions(
     let mut dvals = DeviceBuffer::from_slice(vals);
     // Both ends were just checked below |V|: only the mask's digits vary.
     let mask = edge_key_mask(num_vertices);
-    primitives::radix_sort_pairs_u64_masked(dev, &mut dkeys, &mut dvals, mask);
+    // The sorted pairs are the first `n` of the (possibly longer) buffers.
+    primitives::sort_pairs_u64_into(dev, &mut dkeys, &mut dvals, mask, sort);
     DeviceUpdates {
         keys: dkeys,
         vals: dvals,
@@ -362,31 +368,24 @@ pub fn merge_parallel_into(
         out_vals,
     } = &*scratch;
 
-    // 1. Slice the updates into the contiguous staging buffers (kept
-    //    contiguous so the rank kernels below are coalesced).
+    // 1. Stage the update slice contiguously (so the rank kernels below
+    //    are coalesced), flagging the last of each equal-key run: the
+    //    updates' last-wins dedup in the same pass.
     if m > 0 {
         let uk = &u.keys;
         let uv = &u.vals;
-        launch!(dev, "slice_updates", m, |lane| {
+        launch!(dev, "stage_updates", m, |lane| {
             let i = lane.tid;
             let k = uk.get(lane, ustart + i);
             let v = uv.get(lane, ustart + i);
+            let is_last = i + 1 >= m || uk.get(lane, ustart + i + 1) != k;
             u_keys.set(lane, i, k);
             u_vals.set(lane, i, v);
-        });
-    }
-
-    // 2. Last-wins dedup of the updates.
-    if m > 0 {
-        launch!(dev, "dedup_updates", m, |lane| {
-            let i = lane.tid;
-            let k = u_keys.get(lane, i);
-            let is_last = i + 1 >= m || u_keys.get(lane, i + 1) != k;
             u_flags.set(lane, i, is_last as u32);
         });
     }
 
-    // 3. Mark surviving A entries: those whose key does NOT appear in the
+    // 2. Mark surviving A entries: those whose key does NOT appear in the
     //    updates at all (an update replaces the entry). The search is length-bounded: the staging buffers may be
     //    over-sized.
     if na > 0 {
@@ -398,14 +397,14 @@ pub fn merge_parallel_into(
         });
     }
 
-    // 4. Compact both sides, keys and values together: one scan per mask.
+    // 3. Compact both sides, keys and values together: one scan per mask.
     let na2 =
         primitives::compact_pairs_flagged_into(dev, (a_keys, a_vals), a_flags, na, positions, (a2_keys, a2_vals));
     let m2 =
         primitives::compact_pairs_flagged_into(dev, (u_keys, u_vals), u_flags, m, positions, (u2_keys, u2_vals));
     let total = na2 + m2;
 
-    // 5. Rank-merge scatter: the two sides are disjoint sorted sets, so each
+    // 4. Rank-merge scatter: the two sides are disjoint sorted sets, so each
     //    element's merged position is its own index plus its rank in the
     //    other side. One lane per element, O(log) each, length-bounded.
     if na2 > 0 {

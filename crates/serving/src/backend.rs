@@ -94,10 +94,7 @@ impl ServingBackend for ClusterBackend {
     }
 
     fn deltas_since(&self, epoch: u64) -> DeltaCatchUp<Arc<GraphSnapshot>> {
-        match self.cluster.deltas_since(epoch) {
-            DeltaCatchUp::Deltas(chain) => DeltaCatchUp::Deltas(chain),
-            DeltaCatchUp::Snapshot(cut) => DeltaCatchUp::Snapshot(cut.image().clone()),
-        }
+        self.cluster.deltas_since(epoch).map(|cut| cut.image().clone())
     }
 
     fn offer(&self, batch: UpdateBatch) -> Result<bool, BackendClosed> {

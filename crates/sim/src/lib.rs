@@ -10,7 +10,7 @@
 //! * [`DeviceBuffer`] — typed global memory with CUDA-like semantics
 //!   (racing lanes must use atomics).
 //! * [`primitives`] — the CUB-equivalent device primitives GPMA+ is built
-//!   from: radix sort, exclusive scan, run-length encoding, compaction,
+//!   from: sort, exclusive scan, run-length encoding, compaction,
 //!   reduction.
 //! * [`pcie`] — the PCIe transfer model and Figure 2's asynchronous-stream
 //!   pipeline used for the Figure 11 experiment.

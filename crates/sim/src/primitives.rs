@@ -1,6 +1,7 @@
 //! Device-wide parallel primitives, mirroring the NVIDIA CUB operations the
-//! paper builds GPMA+ from (Section 5.2): radix sort, exclusive scan,
-//! run-length encoding and stream compaction. (The one reduction that runs,
+//! paper builds GPMA+ from (Section 5.2): sort (tile sort and merge
+//! passes, or radix digit passes), exclusive scan, run-length encoding and
+//! stream compaction. (The one reduction that runs,
 //! the analytics' `f64` sum, lives beside its callers in `gpma-analytics`.)
 //!
 //! Every primitive is implemented as a sequence of real kernel launches on
@@ -9,7 +10,7 @@
 //! counterpart.
 
 use crate::buffer::{DeviceBuffer, DevicePod};
-use crate::device::Device;
+use crate::device::{Device, Lane, LaneMode};
 use crate::launch;
 
 /// Elements each block-thread processes sequentially in the blocked kernels
@@ -266,14 +267,33 @@ fn scatter_flagged_pairs<K: DevicePod, V: DevicePod>(
 }
 
 // ----------------------------------------------------------------------
-// Radix sort
+// Sort
 // ----------------------------------------------------------------------
 
 const RADIX_BITS: u32 = 8;
 const RADIX: usize = 1 << RADIX_BITS;
 
-/// Stable LSD radix sort of `(key, value)` pairs by all 64 key bits
-/// (CUB `DeviceRadixSort::SortPairs`). Sorts in place.
+/// The ping-pong pair a sort of more than one [`BLOCK`] moves its pairs
+/// through. Capacities only grow ([`DeviceBuffer::grow_to`]), so a steady
+/// stream of equally sized sorts allocates the pair once; a sort of at
+/// most one block never touches it.
+#[derive(Debug)]
+pub struct SortScratch {
+    keys: DeviceBuffer<u64>,
+    vals: DeviceBuffer<u64>,
+}
+
+impl Default for SortScratch {
+    fn default() -> Self {
+        SortScratch {
+            keys: DeviceBuffer::new(0),
+            vals: DeviceBuffer::new(0),
+        }
+    }
+}
+
+/// Stable sort of `(key, value)` pairs by all 64 key bits (CUB
+/// `DeviceRadixSort::SortPairs`). Sorts in place.
 pub fn radix_sort_pairs_u64(
     dev: &Device,
     keys: &mut DeviceBuffer<u64>,
@@ -283,16 +303,51 @@ pub fn radix_sort_pairs_u64(
 }
 
 /// [`radix_sort_pairs_u64`] over the key bits in `mask` only: every key
-/// must agree with every other on the bits outside it (zero, say). A digit
-/// pass runs only when its 8 bits meet the mask; any other digit has the
-/// same value in every key, so its pass would be an identity permutation
-/// and the result is bit-identical to the full sort. Like CUB, an input of
-/// at most [`BLOCK`] pairs is sorted by one launch (`radix_sort_tile`).
+/// must agree with every other on the bits outside it (zero, say). Sorts
+/// in place through a scratch of its own ([`sort_pairs_u64_into`]).
 pub fn radix_sort_pairs_u64_masked(
     dev: &Device,
     keys: &mut DeviceBuffer<u64>,
     vals: &mut DeviceBuffer<u64>,
     mask: u64,
+) {
+    sort_pairs_u64_into(dev, keys, vals, mask, &mut SortScratch::default());
+}
+
+/// Sort a key-only buffer.
+pub fn radix_sort_u64(dev: &Device, keys: &mut DeviceBuffer<u64>) {
+    let mut dummy = DeviceBuffer::<u64>::new(keys.len());
+    radix_sort_pairs_u64(dev, keys, &mut dummy);
+}
+
+/// The one sort behind the entry points above: a stable sort of the
+/// `(key, value)` pairs by the key bits in `mask`, every key agreeing with
+/// every other outside it. Only the 8-bit digits that meet the mask can
+/// differ, so a digit pass runs only for those, and the result is
+/// bit-identical to the full sort.
+///
+/// The sort first orders each [`BLOCK`]-pair tile in one launch
+/// (`radix_sort_tile`, the whole sort up to one block). Past one tile it
+/// then runs ⌈log₂ tiles⌉ stable pairwise merge passes, one launch each
+/// (`sort_merge_pass`). A merge pass moves each pair once, while a digit
+/// pass reads it in its histogram, again in its scatter, and scans 256
+/// counts per tile over three launches. So the merges run while their
+/// pass count is at most twice the mask's digit count; above that
+/// crossover the sort is the mask's digit passes (`radix_hist`, a scan of
+/// the counts, `radix_scatter`), which CUB's `DeviceRadixSort` runs.
+///
+/// The sorted pairs are left in `keys` and `vals`. The digit passes
+/// ping-pong by exchanging the caller's buffers with the scratch's, so
+/// after an odd count of them the caller holds the scratch's former pair,
+/// which may be longer than the input: only the first `n` slots are the
+/// sorted pairs.
+// lint: hot-path
+pub fn sort_pairs_u64_into(
+    dev: &Device,
+    keys: &mut DeviceBuffer<u64>,
+    vals: &mut DeviceBuffer<u64>,
+    mask: u64,
+    scratch: &mut SortScratch,
 ) {
     assert_eq!(keys.len(), vals.len());
     let n = keys.len();
@@ -303,38 +358,58 @@ pub fn radix_sort_pairs_u64_masked(
     if n <= 1 || mask == 0 {
         return;
     }
-    if n <= BLOCK {
-        radix_sort_tile(dev, keys, vals, mask);
-        return;
+    let tiles = n.div_ceil(BLOCK);
+    if tiles > 1 {
+        scratch.keys.grow_to(n);
+        scratch.vals.grow_to(n);
     }
-    let nb = n.div_ceil(BLOCK);
-    let mut other_k = DeviceBuffer::<u64>::new(n);
-    let mut other_v = DeviceBuffer::<u64>::new(n);
-
-    for shift in digit_shifts(mask) {
-        radix_pass(
-            dev,
-            n,
-            nb,
-            shift,
-            PassBufs {
-                src_k: keys,
-                src_v: vals,
-                dst_k: &other_k,
-                dst_v: &other_v,
-            },
-        );
-        // The pass's output becomes `keys` / `vals`, so after any number
-        // of passes the caller holds the sorted pairs.
-        std::mem::swap(keys, &mut other_k);
-        std::mem::swap(vals, &mut other_v);
+    let merge_passes = tiles.next_power_of_two().trailing_zeros();
+    if merge_passes <= 2 * digit_shifts(mask).count() as u32 {
+        sort_by_merges(dev, n, mask, merge_passes, (keys, vals), scratch);
+    } else {
+        sort_by_digits(dev, n, mask, keys, vals, scratch);
     }
 }
 
-/// Sort a key-only buffer.
-pub fn radix_sort_u64(dev: &Device, keys: &mut DeviceBuffer<u64>) {
-    let mut dummy = DeviceBuffer::<u64>::new(keys.len());
-    radix_sort_pairs_u64(dev, keys, &mut dummy);
+/// A key buffer and its value buffer.
+type Pairs<'a> = (&'a DeviceBuffer<u64>, &'a DeviceBuffer<u64>);
+
+/// The tile sort, then `passes` merge passes. The tiles land in whichever
+/// pair makes the last merge pass write the caller's.
+fn sort_by_merges(
+    dev: &Device,
+    n: usize,
+    mask: u64,
+    passes: u32,
+    caller: Pairs<'_>,
+    scratch: &SortScratch,
+) {
+    let bufs = [caller, (&scratch.keys, &scratch.vals)];
+    let mut cur = passes as usize % 2;
+    sort_tiles(dev, n, mask, caller, bufs[cur]);
+    for pass in 0..passes {
+        merge_runs(dev, n, BLOCK << pass, bufs[cur], bufs[cur ^ 1]);
+        cur ^= 1;
+    }
+}
+
+/// The mask's digit passes, least significant first, each exchanging the
+/// caller's pair with the scratch's.
+fn sort_by_digits(
+    dev: &Device,
+    n: usize,
+    mask: u64,
+    keys: &mut DeviceBuffer<u64>,
+    vals: &mut DeviceBuffer<u64>,
+    scratch: &mut SortScratch,
+) {
+    for shift in digit_shifts(mask) {
+        radix_pass(dev, n, shift, (keys, vals), (&scratch.keys, &scratch.vals));
+        // The pass's output becomes `keys` / `vals`, so after any number
+        // of passes the caller holds the sorted pairs.
+        std::mem::swap(keys, &mut scratch.keys);
+        std::mem::swap(vals, &mut scratch.vals);
+    }
 }
 
 /// The shifts of the 8-bit digits that meet `mask`, least significant
@@ -350,24 +425,31 @@ fn digit(key: u64, shift: u32) -> usize {
     ((key >> shift) as usize) & (RADIX - 1)
 }
 
-/// Sort at most [`BLOCK`] pairs in one one-lane launch, the analogue of
-/// CUB's single-tile sort: each pair is loaded and stored once, and each
-/// digit pass of `mask` is a lane-local histogram, digit scan and scatter
+/// Sort each [`BLOCK`]-pair tile of `src` into the same slots of `dst`
+/// (which may be `src`), one lane per tile, the analogue of CUB's
+/// single-tile sort: each pair is loaded and stored once, and each digit
+/// pass of `mask` is a lane-local histogram, digit scan and scatter
 /// charged through `lane.work`.
-fn radix_sort_tile(dev: &Device, keys: &DeviceBuffer<u64>, vals: &DeviceBuffer<u64>, mask: u64) {
-    let n = keys.len();
-    assert!(n <= BLOCK);
-    launch!(dev, "radix_sort_tile", 1, |lane| {
+fn sort_tiles(
+    dev: &Device,
+    n: usize,
+    mask: u64,
+    (src_k, src_v): Pairs<'_>,
+    (dst_k, dst_v): Pairs<'_>,
+) {
+    launch!(dev, "radix_sort_tile", n.div_ceil(BLOCK), |lane| {
+        let start = lane.tid * BLOCK;
+        let len = (n - start).min(BLOCK);
         let mut tile = [[(0u64, 0u64); BLOCK]; 2];
-        for (i, pair) in tile[0][..n].iter_mut().enumerate() {
-            *pair = (keys.get(lane, i), vals.get(lane, i));
+        for (i, pair) in tile[0][..len].iter_mut().enumerate() {
+            *pair = (src_k.get(lane, start + i), src_v.get(lane, start + i));
         }
         let mut cur = 0;
         for shift in digit_shifts(mask) {
             let [a, b] = &mut tile;
             let (src, dst) = if cur == 0 { (a, b) } else { (b, a) };
             let mut offset = [0u32; RADIX];
-            for &(k, _) in &src[..n] {
+            for &(k, _) in &src[..len] {
                 offset[digit(k, shift)] += 1;
             }
             let mut acc = 0;
@@ -376,37 +458,99 @@ fn radix_sort_tile(dev: &Device, keys: &DeviceBuffer<u64>, vals: &DeviceBuffer<u
                 *o = acc;
                 acc += c;
             }
-            for &(k, v) in &src[..n] {
+            for &(k, v) in &src[..len] {
                 let d = digit(k, shift);
                 dst[offset[d] as usize] = (k, v);
                 offset[d] += 1;
             }
-            lane.work((2 * n + RADIX) as u64);
+            lane.work((2 * len + RADIX) as u64);
             cur ^= 1;
         }
-        for (i, &(k, v)) in tile[cur][..n].iter().enumerate() {
-            keys.set(lane, i, k);
-            vals.set(lane, i, v);
+        for (i, &(k, v)) in tile[cur][..len].iter().enumerate() {
+            dst_k.set(lane, start + i, k);
+            dst_v.set(lane, start + i, v);
         }
     });
 }
 
-/// The ping-pong buffer set one radix pass reads from and scatters into.
-#[derive(Clone, Copy)]
-struct PassBufs<'a> {
-    src_k: &'a DeviceBuffer<u64>,
-    src_v: &'a DeviceBuffer<u64>,
-    dst_k: &'a DeviceBuffer<u64>,
-    dst_v: &'a DeviceBuffer<u64>,
+/// One stable merge pass: the sorted runs of `width` pairs in `src` merge
+/// two by two into `dst`, the left run's pair first on equal keys. One
+/// lane writes each [`BLOCK`]-output chunk (`width` is a multiple of it,
+/// so a chunk draws on one pair of runs): a merge-path co-rank search
+/// finds where the chunk starts in each run, then the lane merges
+/// sequentially from there. No lane waits on another.
+fn merge_runs(
+    dev: &Device,
+    n: usize,
+    width: usize,
+    (src_k, src_v): Pairs<'_>,
+    (dst_k, dst_v): Pairs<'_>,
+) {
+    launch!(dev, "sort_merge_pass", n.div_ceil(BLOCK), |lane| {
+        let out = lane.tid * BLOCK..((lane.tid + 1) * BLOCK).min(n);
+        let lo = out.start / (2 * width) * (2 * width);
+        let (mid, hi) = ((lo + width).min(n), (lo + 2 * width).min(n));
+        let (mut a, mut b) = co_rank(lane, src_k, lo, mid, hi, out.start - lo);
+        // The head key of each run, read once as the run advances.
+        let mut ka = (a < mid).then(|| src_k.get(lane, a));
+        let mut kb = (b < hi).then(|| src_k.get(lane, b));
+        for o in out {
+            let take_left = match (ka, kb) {
+                (Some(x), Some(y)) => x <= y,
+                (x, _) => x.is_some(),
+            };
+            let (head, next, end) = if take_left {
+                (&mut ka, &mut a, mid)
+            } else {
+                (&mut kb, &mut b, hi)
+            };
+            let k = head.expect("a chunk never outruns its two runs");
+            let v = src_v.get(lane, *next);
+            *next += 1;
+            *head = (*next < end).then(|| src_k.get(lane, *next));
+            dst_k.set(lane, o, k);
+            dst_v.set(lane, o, v);
+            lane.work(1);
+        }
+    });
 }
 
-fn radix_pass(dev: &Device, n: usize, nb: usize, shift: u32, bufs: PassBufs<'_>) {
-    let PassBufs {
-        src_k,
-        src_v,
-        dst_k,
-        dst_v,
-    } = bufs;
+/// Merge-path co-rank: how the first `diag` outputs of the stable merge of
+/// the runs `keys[lo..mid]` and `keys[mid..hi]` split between them,
+/// returned as each run's next index. A binary search over the diagonal:
+/// left pair `i` precedes right pair `j` exactly when its key is not
+/// greater.
+#[inline]
+fn co_rank<M: LaneMode>(
+    lane: &mut Lane<'_, M>,
+    keys: &DeviceBuffer<u64>,
+    lo: usize,
+    mid: usize,
+    hi: usize,
+    diag: usize,
+) -> (usize, usize) {
+    let (mut below, mut above) = (diag.saturating_sub(hi - mid), diag.min(mid - lo));
+    while below < above {
+        let i = (below + above) / 2;
+        if keys.get(lane, lo + i) <= keys.get(lane, mid + diag - i - 1) {
+            below = i + 1;
+        } else {
+            above = i;
+        }
+    }
+    (lo + below, mid + diag - below)
+}
+
+/// One digit pass over the first `n` pairs of `src` into `dst`: a
+/// per-tile histogram, a scan of the counts, a per-tile scatter.
+fn radix_pass(
+    dev: &Device,
+    n: usize,
+    shift: u32,
+    (src_k, src_v): Pairs<'_>,
+    (dst_k, dst_v): Pairs<'_>,
+) {
+    let nb = n.div_ceil(BLOCK);
     // Column-major histogram: hist[d * nb + b] so that the exclusive scan
     // yields digit-major/block-minor global offsets (stable order).
     let hist = DeviceBuffer::<u32>::new(RADIX * nb);
@@ -611,37 +755,68 @@ mod tests {
         assert_eq!(vals.to_vec(), vec![1, 3, 5, 7, 0, 2, 4, 6]);
     }
 
+    /// Sort `keys` with their input indices as values on `d`; returns the
+    /// sorted pairs and the launches the sort took.
+    fn sort_indexed(d: &Device, keys: &[u64], mask: u64) -> (Vec<(u64, u64)>, u64) {
+        let before = d.metrics().launches;
+        let mut k = DeviceBuffer::from_slice(keys);
+        let mut v = DeviceBuffer::from_slice(&(0..keys.len() as u64).collect::<Vec<_>>());
+        radix_sort_pairs_u64_masked(d, &mut k, &mut v, mask);
+        let got = k.to_vec().into_iter().zip(v.to_vec()).collect();
+        (got, d.metrics().launches - before)
+    }
+
+    /// `(key, input index)` in the stable order.
+    fn stable_order(keys: &[u64]) -> Vec<(u64, u64)> {
+        let mut expect: Vec<(u64, u64)> = keys.iter().copied().zip(0..).collect();
+        expect.sort();
+        expect
+    }
+
+    #[test]
+    fn sort_launches_follow_the_path_rule() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        // Four digits of eight: the edge keys of 20 000 vertices, so the
+        // merges run while there are at most eight passes of them.
+        let mask = 0x7FFF_0000_7FFFu64;
+        for (n, launches) in [(2, 1), (BLOCK, 1), (BLOCK + 1, 2), (2 * BLOCK, 2), (2 * BLOCK + 1, 3), (10_000, 7)] {
+            let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() & mask).collect();
+            let (got, took) = sort_indexed(&dev(), &data, mask);
+            // One tile launch, then one launch per merge pass.
+            assert_eq!(took, launches, "n={n}");
+            assert_eq!(got, stable_order(&data), "n={n}");
+        }
+    }
+
     #[test]
     fn masked_sort_runs_only_the_digits_it_needs() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-        // Four digits of eight: the edge keys of 20 000 vertices.
-        let mask = 0x7FFF_0000_7FFFu64;
-        for (n, launches) in [(BLOCK, 1), (BLOCK + 1, 4 * 5), (4_000, 4 * 5)] {
+        // Above the crossover: 65 537 keys need nine merge passes, more
+        // than twice four digits; 1 025 keys need three, more than twice
+        // one. Per digit pass a histogram, a scan of its 256 · blocks
+        // counts (five launches over 257 blocks, three over five) and a
+        // scatter.
+        for (mask, n, launches) in [(0x7FFF_0000_7FFFu64, 65_537, 4 * 7), (0xFF00, 1_025, 5)] {
             let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() & mask).collect();
-            let d = dev();
-            let mut keys = DeviceBuffer::from_slice(&data);
-            let mut vals = DeviceBuffer::from_slice(&(0..n as u64).collect::<Vec<_>>());
-            radix_sort_pairs_u64_masked(&d, &mut keys, &mut vals, mask);
-            // One tile launch, or per pass a histogram, a three-launch
-            // scan of its 256 · blocks counts and a scatter.
-            assert_eq!(d.metrics().launches, launches, "n={n}");
-            let mut expect: Vec<(u64, u64)> = data.iter().copied().zip(0..).collect();
-            expect.sort(); // (key, input index): the stable order
-            let got: Vec<(u64, u64)> = keys.to_vec().into_iter().zip(vals.to_vec()).collect();
-            assert_eq!(got, expect, "n={n}");
+            let (got, took) = sort_indexed(&dev(), &data, mask);
+            assert_eq!(took, launches, "n={n}");
+            assert_eq!(got, stable_order(&data), "n={n}");
         }
     }
 
     #[test]
     fn masked_sort_with_an_odd_pass_count_leaves_the_result_in_place() {
         let d = dev();
-        // One digit: a single pass, so the output sits in the scratch
-        // allocation the sort swapped into the caller's buffers.
-        let data: Vec<u64> = (0..1_000u64).map(|i| (i * 37) % 251).collect();
+        // One digit past its crossover: a single pass, so the output sits
+        // in the scratch allocation the sort swapped into the caller's
+        // buffers.
+        let data: Vec<u64> = (0..2_000u64).map(|i| (i * 37) % 251).collect();
         let mut keys = DeviceBuffer::from_slice(&data);
         let mut vals = DeviceBuffer::from_slice(&data);
         radix_sort_pairs_u64_masked(&d, &mut keys, &mut vals, 0xFF);
+        assert_eq!(d.metrics().launches, 5);
         let mut expect = data;
         expect.sort_unstable();
         assert_eq!(keys.to_vec(), expect);
@@ -653,6 +828,79 @@ mod tests {
         radix_sort_pairs_u64_masked(&d, &mut keys, &mut vals, 0);
         assert_eq!(d.metrics().launches, 0);
         assert_eq!(vals.to_vec(), (0..300u64).collect::<Vec<_>>());
+    }
+
+    /// A reused scratch sorts as a fresh one does, whatever it held, and a
+    /// steady stream of equal sorts grows it once.
+    #[test]
+    fn sort_scratch_is_reused() {
+        let d = dev();
+        let mut scratch = SortScratch::default();
+        for n in [700usize, 300, 700, 700] {
+            let data: Vec<u64> = (0..n as u64).map(|i| (i * 7919) % 113).collect();
+            let mut keys = DeviceBuffer::from_slice(&data);
+            let mut vals = DeviceBuffer::from_slice(&(0..n as u64).collect::<Vec<_>>());
+            sort_pairs_u64_into(&d, &mut keys, &mut vals, 0xFF, &mut scratch);
+            let got: Vec<(u64, u64)> = keys.to_vec().into_iter().zip(vals.to_vec()).collect();
+            assert_eq!(got, stable_order(&data), "n={n}");
+            assert_eq!(scratch.keys.len(), 700, "grown once, never shrunk");
+        }
+    }
+
+    /// Sort `keys` (with their input indices as values) by the merges and
+    /// by the digit passes, each through a fresh scratch; returns both.
+    fn both_paths(d: &Device, keys: &[u64], mask: u64) -> [Vec<(u64, u64)>; 2] {
+        let n = keys.len();
+        let idx: Vec<u64> = (0..n as u64).collect();
+        std::array::from_fn(|path| {
+            let (mut k, mut v) = (DeviceBuffer::from_slice(keys), DeviceBuffer::from_slice(&idx));
+            let mut scratch = SortScratch::default();
+            scratch.keys.grow_to(n);
+            scratch.vals.grow_to(n);
+            if path == 0 {
+                let passes = n.div_ceil(BLOCK).next_power_of_two().trailing_zeros();
+                sort_by_merges(d, n, mask, passes, (&k, &v), &scratch);
+            } else {
+                sort_by_digits(d, n, mask, &mut k, &mut v, &mut scratch);
+            }
+            k.to_vec().into_iter().zip(v.to_vec()).take(n).collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The merges and the digit passes are both stable, so they agree
+        /// pair for pair, on either side of every mask's crossover (one
+        /// digit crosses at 1 024 keys, two at 4 096), over ragged last
+        /// tiles, all-equal keys, a few distinct keys and sparse masks.
+        #[test]
+        fn merge_passes_are_bit_identical_to_digit_passes(
+            seed in proptest::prelude::any::<u64>(),
+            n in BLOCK + 1..4_400usize,
+            shape in 0..4u8,
+            mask in 0..4usize,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            // All eight digits, four (edge keys), one, and a sparse two.
+            let mask = [u64::MAX, 0x7FFF_0000_7FFF, 0xFF_0000_0000, 0x0300_0000_0001][mask];
+            let keys: Vec<u64> = (0..n)
+                .map(|_| match shape {
+                    0 => rng.gen::<u64>(),
+                    1 => 0x5A5A_5A5A_5A5A_5A5A,
+                    2 => rng.gen_range(0..6u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    _ => rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>(),
+                } & mask)
+                .collect();
+            let expect = stable_order(&keys);
+            for d in [dev(), pdev()] {
+                let [merged, digits] = both_paths(&d, &keys, mask);
+                proptest::prop_assert_eq!(&merged, &expect);
+                proptest::prop_assert_eq!(&digits, &expect);
+                proptest::prop_assert_eq!(sort_indexed(&d, &keys, mask).0, expect.clone());
+            }
+        }
     }
 
     #[test]

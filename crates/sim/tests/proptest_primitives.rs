@@ -56,8 +56,9 @@ proptest! {
     fn masked_sort_equals_full_sort(raw in prop::collection::vec(raw_key(), 2000),
                                     mask in sort_mask(),
                                     n in prop_oneof![0usize..=BLOCK, BLOCK + 1..=2 * BLOCK, 2 * BLOCK + 1..2000]) {
-        // Up to one block is the one-launch tile; past it every digit pass
-        // is three-plus launches, over two blocks or over up to eight.
+        // Up to one block is the one-launch tile; past it the tiles merge
+        // over two blocks or up to eight, or a mask of one or two digits
+        // runs its digit passes instead.
         let keys: Vec<u64> = raw[..n].iter().map(|&k| k & mask).collect();
         check_masked_sort(&det(), &keys, mask);
         check_masked_sort(&pooled(), &keys, mask);

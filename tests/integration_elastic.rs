@@ -13,8 +13,8 @@ use std::sync::{Arc, Barrier};
 use gpma_analytics::{bfs_host, cc_host, pagerank_host};
 use gpma_baselines::AdjLists;
 use gpma_cluster::{
-    ClusterConfig, ClusterHandle, ClusterSnapshot, DegreePartition, DeltaCatchUp, GraphCluster,
-    HashVertexPartition, PartitionPolicy, VertexPartition,
+    ClusterConfig, ClusterHandle, ClusterSnapshot, DegreePartition, GraphCluster, HashVertexPartition,
+    PartitionPolicy, VertexPartition,
 };
 use gpma_core::multi::Partitioner;
 use gpma_graph::Edge;
@@ -68,10 +68,9 @@ fn feed(h: &ClusterHandle, ops: &[(u8, u32, u32, u64)]) {
 /// chain since the engine's epoch.
 fn pull(cluster: &GraphCluster, engine: &mut IncrementalEngine) -> CatchUp {
     let latest = cluster.snapshot().image().clone();
-    let catchup = match cluster.deltas_since(engine.graph().epoch()) {
-        DeltaCatchUp::Deltas(chain) => DeltaCatchUp::Deltas(chain),
-        DeltaCatchUp::Snapshot(cut) => DeltaCatchUp::Snapshot(cut.image().clone()),
-    };
+    let catchup = cluster
+        .deltas_since(engine.graph().epoch())
+        .map(|cut| cut.image().clone());
     engine.catch_up(latest, catchup)
 }
 
