@@ -98,8 +98,9 @@ fn host_analytics_agree_with_adjlists_on_a_many_slab_image() {
     let mut graph = DeltaGraph::from_image(image.clone());
     for epoch in 1..=60 {
         let delta = random_delta(&mut rng, &image, epoch);
+        let net = delta.clone().classify(&image);
         image = Arc::new(image.advance(&delta).0);
-        graph.apply_at(&delta, image.clone());
+        graph.apply_at(&net, image.clone());
         if epoch % 20 != 0 {
             continue;
         }

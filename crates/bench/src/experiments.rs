@@ -901,10 +901,12 @@ pub fn audit(cfg: &ExpConfig) {
         g.validate()
             .unwrap_or_else(|e| panic!("epoch {}: {e}", epoch + 1));
         epoch += 1;
-        let delta = Arc::new(SnapshotDelta::from_batch(epoch, &b));
-        image = apply_delta(&image, &delta);
+        let delta = SnapshotDelta::from_batch(epoch, &b).classify(&image);
+        let next = apply_delta(&image, delta.blind());
+        delta.verify(&image, &next).unwrap_or_else(|e| panic!("{e}"));
+        image = next;
         validate_image(&image, Some(&g.storage)).unwrap_or_else(|e| panic!("{e}"));
-        log.push(delta);
+        log.push(Arc::new(delta));
         log.validate()
             .unwrap_or_else(|e| panic!("epoch {epoch}: {e}"));
     }

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use gpma_core::checkpoint::{self, CheckpointStore};
-use gpma_core::delta::{DeltaCatchUp, DeltaLog, OpLog, SnapshotDelta};
+use gpma_core::delta::{DeltaCatchUp, DeltaLog, NetDelta, OpLog, SnapshotDelta};
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot, BYTES_PER_UPDATE};
 use gpma_core::multi::{PartitionEpoch, Partitioner};
 use gpma_graph::{Edge, UpdateBatch};
@@ -587,9 +587,10 @@ impl GraphCluster {
     }
 
     /// Catch a delta reader up from cut number `cut`: the per-cut
-    /// [`SnapshotDelta`] chain when the cluster ring still covers it (one
-    /// delta per coordinated cut, epoch = cut number, each folded from what
-    /// the router forwarded between the two cuts), or the latest full cut
+    /// [`NetDelta`] chain when the cluster ring still covers it (one delta
+    /// per coordinated cut, epoch = cut number, each folded from what the
+    /// router forwarded between the two cuts and classified against the
+    /// cut before), or the latest full cut
     /// to rebase on when the reader lagged past the last 256 cuts or past
     /// a rebase point (a reshard's marker cut).
     /// The chain and the cut are read under one lock, so a chain always
@@ -747,12 +748,15 @@ impl GraphCluster {
     /// Coordinate a fresh epoch cut and cross-check it against the
     /// per-shard snapshots it was assembled from: shard count and vertex
     /// space match the active plan, every edge sits on the shard the plan
-    /// owns it to, endpoints stay inside the vertex space, and the cut's
-    /// image holds every shard edge (shards are edge-disjoint). Returns the
-    /// validated cut. Assumes no reshard runs concurrently — a plan swap
-    /// between the cut and the check makes ownership fail spuriously.
+    /// owns it to, endpoints stay inside the vertex space, the cut's image
+    /// holds every shard edge (shards are edge-disjoint), and the cut's
+    /// published delta is exactly the change from the cut before it
+    /// ([`NetDelta::verify`]). Returns the validated cut. Assumes no reshard
+    /// or other cut runs concurrently — a plan swap between the cut and the
+    /// check makes ownership fail spuriously.
     pub fn audit_cut(&self) -> Result<Arc<ClusterSnapshot>, gpma_core::AuditError> {
         use gpma_core::AuditError;
+        let prev = self.snapshot();
         let snap = self
             .epoch_cut()
             .map_err(|_| AuditError::Cluster("cluster closed mid-audit".into()))?;
@@ -808,6 +812,13 @@ impl GraphCluster {
                 snap.cut()
             )));
         }
+        if let DeltaCatchUp::Deltas(chain) = self.deltas_since(prev.cut()) {
+            match &chain[..] {
+                [delta] => delta.verify(prev.image(), snap.image()),
+                _ => Err(format!("{} cut deltas since cut {}, not one", chain.len(), prev.cut())),
+            }
+            .map_err(|m| AuditError::Cluster(format!("cut {} delta: {m}", snap.cut())))?;
+        }
         Ok(snap)
     }
 }
@@ -840,9 +851,9 @@ fn spawn_shard_service(
     let svc = StreamingService::spawn_instrumented(
         ServiceConfig {
             queue_capacity: cfg.shard_queue_capacity,
-            // Nothing reads a shard's delta ring: the router's op log is
-            // the record of what each shard was sent.
-            delta_log_capacity: 1,
+            // Nothing reads a shard's deltas, so its flushes classify none:
+            // the router's op log is the record of what each shard was sent.
+            delta_log_capacity: 0,
         },
         sys,
         obs.clone(),
@@ -913,8 +924,12 @@ struct PendingCut {
     acks: Vec<Sender<Arc<ClusterSnapshot>>>,
     round: BarrierRound,
     /// The router's op log, folded when the barriers were issued: exactly
-    /// what the round's images add to the previous cut.
+    /// what the round's images add to the previous cut. Blind, because a
+    /// recovery replays it onto a base taken anywhere in its span.
     delta: SnapshotDelta,
+    /// The fold classified against the previous cut, which readers get;
+    /// `None` for a marker round, which publishes as a rebase point.
+    net: Option<NetDelta>,
     /// The reshard whose marker this round is: it publishes as a rebase
     /// point, and completes the reshard.
     marker: Option<Reshard>,
@@ -965,6 +980,9 @@ struct Router {
     unsaved: SnapshotDelta,
     /// The non-blocking cut round in flight, if any.
     pending_cut: Option<PendingCut>,
+    /// The plan the latest published cut's shards follow; a no-op reshard
+    /// swaps [`Self::part`] without publishing a cut.
+    cut_plan: Arc<dyn Partitioner>,
     /// `epoch_cut` callers that arrived while a round was in flight; they
     /// join the *next* round (their pre-cut updates may not have been
     /// forwarded when the current round's barriers were issued).
@@ -1221,14 +1239,14 @@ impl Router {
     }
 
     /// Assemble and publish one coordinated cut from a round's barrier
-    /// images with its delta, and checkpoint it. A `rebase` cut (a
-    /// reshard's marker) publishes as a rebase point, and still
-    /// checkpoints its delta.
+    /// images with its net delta, and checkpoint it with the blind one. A
+    /// cut without a net delta (a reshard's marker) publishes as a rebase
+    /// point, and still checkpoints its delta.
     fn publish_cut(
         &mut self,
         snaps: Vec<Arc<GraphSnapshot>>,
         delta: SnapshotDelta,
-        rebase: bool,
+        net: Option<NetDelta>,
         t0: Instant,
     ) -> Arc<ClusterSnapshot> {
         let obs = self.shared.obs.clone();
@@ -1241,8 +1259,8 @@ impl Router {
                 snaps,
             ));
             debug_assert_eq!(delta.epoch(), cut);
-            let delta = Arc::new(delta);
-            self.publish(&snap, (!rebase).then(|| delta.clone()));
+            self.publish(&snap, net.map(Arc::new));
+            self.cut_plan = self.part.plan().clone();
             self.checkpoint_cut(&snap, &delta);
             snap
         };
@@ -1259,7 +1277,7 @@ impl Router {
     /// Publish `snap` with the delta that produced it from the previous
     /// cut, or — `None` — as a rebase point readers at older cuts must
     /// rebase past: cut and ring under one lock.
-    fn publish(&self, snap: &Arc<ClusterSnapshot>, delta: Option<Arc<SnapshotDelta>>) {
+    fn publish(&self, snap: &Arc<ClusterSnapshot>, delta: Option<Arc<NetDelta>>) {
         let mut published = self.shared.published_cut.lock();
         published.snapshot = snap.clone();
         match delta {
@@ -1361,18 +1379,34 @@ impl Router {
 
     /// Forward residue and issue one barrier to every shard, registering
     /// the round as [`Router::pending_cut`] with its delta: the op log,
-    /// folded. Only one round is in flight, so this round publishes the
-    /// next cut number; with `marker` it is that reshard's marker.
+    /// folded, and classified while the barriers are in flight. Only one
+    /// round is in flight, so this round publishes the next cut number;
+    /// with `marker` it is that reshard's marker.
     fn start_cut_round(&mut self, acks: Vec<Sender<Arc<ClusterSnapshot>>>, marker: Option<Reshard>) {
         self.forward();
         let cut = self.shared.cuts.load(Ordering::Relaxed) + 1;
         let round = self.issue_round();
+        let delta = self.ops.fold(cut);
+        let net = marker.is_none().then(|| self.classify_cut(&delta));
         self.pending_cut = Some(PendingCut {
             acks,
             round,
-            delta: self.ops.fold(cut),
+            delta,
+            net,
             marker,
         });
+    }
+
+    /// Classify a copy of a cut round's fold against the previous cut, the
+    /// latest published one: each key is looked up on the shard image that
+    /// owns it under [`Self::cut_plan`]. That cut and this round follow one
+    /// plan apart from a no-op reshard's swap, which moves no edge: cuts
+    /// wait for a reshard, and its marker publishes as a rebase point.
+    fn classify_cut(&self, fold: &SnapshotDelta) -> NetDelta {
+        let prev = self.shared.published_cut.lock().snapshot.clone();
+        let (shards, plan) = (prev.shards(), &self.cut_plan);
+        fold.clone()
+            .classify_by(|src, dst| shards[plan.shard_of_edge(src, dst)].weight(src, dst))
     }
 
     /// Once every shard has answered the in-flight cut round: publish the
@@ -1384,7 +1418,7 @@ impl Router {
         };
         let t0 = pc.round.issued;
         self.shared.obs.record_duration(Stage::CutBarrier, t0.elapsed());
-        let snap = self.publish_cut(pc.round.images(), pc.delta, pc.marker.is_some(), t0);
+        let snap = self.publish_cut(pc.round.images(), pc.delta, pc.net, t0);
         for ack in pc.acks {
             let _ = ack.send(snap.clone());
         }
@@ -1486,6 +1520,7 @@ fn run_router(
     let mut r = Router {
         handles: services.iter().map(|s| s.handle()).collect(),
         services,
+        cut_plan: part.clone(),
         part: PartitionEpoch::new(part),
         shared,
         cfg,
@@ -1751,13 +1786,13 @@ mod tests {
         );
         let mut replayed = cut0;
         for d in &chain {
-            replayed = apply_delta(&replayed, d);
+            replayed = apply_delta(&replayed, d.blind());
         }
         let flat = cut2.to_graph_snapshot();
         assert_eq!(replayed.edges(), flat.edges());
         assert_eq!(replayed.epoch(), cut2.cut());
         // Delta bytes are O(|Δ|): the second cut changed 4 edges.
-        assert_eq!(chain[1].len(), 4);
+        assert_eq!(chain[1].blind().len(), 4);
         let report = c.shutdown();
         assert_eq!(report.metrics.delta_fallbacks, 0);
     }
@@ -1917,7 +1952,7 @@ mod tests {
                 assert_eq!(chain[0].epoch(), next.cut());
                 // The post-reshard delta is the user's update only — the
                 // migration itself never leaks into the delta stream.
-                assert_eq!(chain[0].len(), 1);
+                assert_eq!(chain[0].blind().len(), 1);
             }
             DeltaCatchUp::Snapshot(_) => panic!("chain must resume after the marker"),
         }
@@ -1963,6 +1998,39 @@ mod tests {
         let m = c.metrics().unwrap();
         assert_eq!(m.routed, vec![0, 0]);
         assert_eq!(m.reshard_count, 1);
+        drop(c.shutdown());
+    }
+
+    #[test]
+    fn a_cut_after_a_noop_reshard_classifies_against_the_old_owners() {
+        // An edge the previous cut holds is deleted, then a reshard that
+        // moves no edge routes its key elsewhere: the next cut's delta
+        // must still remove it, so the cut is classified against the owners
+        // of the plan the previous cut was taken under.
+        let range = Arc::new(VertexPartition {
+            num_vertices: 16,
+            num_shards: 2,
+        });
+        let hash = Arc::new(HashVertexPartition {
+            num_vertices: 16,
+            num_shards: 2,
+        });
+        let v = (0..16u32)
+            .find(|&v| range.shard_of_edge(v, 0) != hash.shard_of_edge(v, 0))
+            .expect("the plans differ somewhere");
+        let c = spawn4(range, &[]);
+        let h = c.handle();
+        h.insert(Edge::new(v, 0)).unwrap();
+        let cut1 = c.epoch_cut().unwrap();
+        h.delete(Edge::new(v, 0)).unwrap();
+        let r = c.reshard(hash).unwrap();
+        assert_eq!((r.migrated_edges, r.cut), (0, cut1.cut()), "a no-op reshard");
+        let cut2 = c.epoch_cut().unwrap();
+        let DeltaCatchUp::Deltas(chain) = c.deltas_since(cut1.cut()) else {
+            panic!("a no-op reshard keeps the ring");
+        };
+        assert!(chain[0].removed().eq([(v, 0)]), "{:?}", chain[0]);
+        assert_eq!(chain[0].verify(cut1.image(), cut2.image()), Ok(()));
         drop(c.shutdown());
     }
 
@@ -2047,7 +2115,7 @@ mod tests {
         assert_eq!(chain.last().map(|d| d.epoch()), Some(to.cut()));
         let mut replayed = from.to_graph_snapshot();
         for d in &chain {
-            replayed = gpma_core::delta::apply_delta(&replayed, d);
+            replayed = gpma_core::delta::apply_delta(&replayed, d.blind());
         }
         assert_eq!(replayed.edges(), to.image().edges());
     }

@@ -43,13 +43,15 @@
 //!   [`shard_refs`](ClusterSnapshot::shard_refs) feed the distributed
 //!   supersteps of [`gpma_analytics::bfs_sharded`], which charges explicit
 //!   frontier exchange traffic.
-//! * **Delta cuts** — each coordinated cut also publishes its net effect
-//!   as one [`SnapshotDelta`], folded from the router's log of the client
-//!   updates it forwarded since the previous cut (the router is the only
-//!   record of what each shard was sent; no shard ring is read). Readers
-//!   pull them with [`GraphCluster::deltas_since`] — the
-//!   `gpma-incremental` engine's `catch_up` folds the chain into one delta
-//!   and adopts the cut's own [`image`](ClusterSnapshot::image) — and
+//! * **Delta cuts** — each coordinated cut also publishes its exact change
+//!   as one [`NetDelta`]: the router folds its log of the client updates
+//!   it forwarded since the previous cut into a blind [`SnapshotDelta`]
+//!   (the router is the only record of what each shard was sent; no shard
+//!   ring is read), keeps that for recovery, and classifies a copy against
+//!   the previous cut's shard images while the cut's barriers are in
+//!   flight. Readers pull them with [`GraphCluster::deltas_since`] — the
+//!   `gpma-incremental` engine's `catch_up` composes the chain into one
+//!   delta and adopts the cut's own [`image`](ClusterSnapshot::image) — and
 //!   rebase on a full image only past the ring or at a reshard's marker
 //!   cut.
 //! * **Observability** — [`ClusterMetrics`] reports routing balance and
@@ -136,7 +138,7 @@ pub use cluster::{
     ReshardReport,
 };
 pub use gpma_core::checkpoint::{CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
-pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
+pub use gpma_core::delta::{DeltaCatchUp, NetDelta, SnapshotDelta};
 pub use metrics::ClusterMetrics;
 pub use snapshot::ClusterSnapshot;
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use gpma_graph::edge::{Edge, GUARD_DST};
 
-use crate::delta::{apply_delta, DeltaLog, SnapshotDelta};
+use crate::delta::{DeltaLog, NetDelta};
 use crate::framework::GraphSnapshot;
 use crate::gpma_plus::GpmaPlus;
 use crate::multi::PartitionEpoch;
@@ -184,81 +184,74 @@ impl GpmaPlus {
 
 impl DeltaLog {
     /// Validate the publication ring: within capacity, a gap-free epoch
-    /// chain above the rebase floor, each delta internally normalized
-    /// (sorted, duplicate-free, insert/delete key sets disjoint), and a
-    /// merge-associativity spot check over the oldest retained deltas.
+    /// chain above the rebase floor, each net delta internally normalized
+    /// (sorted, duplicate-free, upsert/removal key sets disjoint, one class
+    /// bit per upsert), the whole chain composing ([`NetDelta::then`]: no
+    /// delta adds an edge an earlier one left present, or removes or
+    /// reweights one it left absent), and an associativity spot check of
+    /// that composition over the oldest three.
     pub fn validate(&self) -> Result<(), AuditError> {
+        let fail = |m: String| Err(AuditError::DeltaLog(m));
         if self.len() > self.capacity() {
-            return Err(AuditError::DeltaLog(format!(
+            return fail(format!(
                 "ring over capacity: {} retained > {}",
                 self.len(),
                 self.capacity()
-            )));
+            ));
         }
-        let chain: Vec<&Arc<SnapshotDelta>> = self.retained().collect();
-        for pair in chain.windows(2) {
-            if pair[1].epoch() != pair[0].epoch() + 1 {
-                return Err(AuditError::DeltaLog(format!(
-                    "epoch gap in ring: {} followed by {}",
-                    pair[0].epoch(),
-                    pair[1].epoch()
-                )));
-            }
-        }
+        let chain: Vec<&Arc<NetDelta>> = self.retained().collect();
         if let Some(first) = chain.first() {
             if first.epoch() <= self.floor() {
-                return Err(AuditError::DeltaLog(format!(
+                return fail(format!(
                     "oldest retained epoch {} not above the rebase floor {}",
                     first.epoch(),
                     self.floor()
-                )));
+                ));
             }
         }
         for d in &chain {
             let epoch = d.epoch();
-            if !d.inserted().windows(2).all(|w| w[0].key() < w[1].key()) {
-                return Err(AuditError::DeltaLog(format!(
-                    "epoch {epoch}: inserted edges not strictly key-sorted"
-                )));
+            let blind = d.blind();
+            if !blind.inserted().windows(2).all(|w| w[0].key() < w[1].key()) {
+                return fail(format!("epoch {epoch}: upserts not strictly key-sorted"));
             }
-            if !d.deleted_keys().windows(2).all(|w| w[0] < w[1]) {
-                return Err(AuditError::DeltaLog(format!(
-                    "epoch {epoch}: deleted keys not strictly sorted"
-                )));
+            if !blind.deleted_keys().windows(2).all(|w| w[0] < w[1]) {
+                return fail(format!("epoch {epoch}: removed keys not strictly sorted"));
             }
-            if d.deleted_keys()
+            if blind
+                .deleted_keys()
                 .iter()
-                .any(|k| d.inserted().binary_search_by_key(k, Edge::key).is_ok())
+                .any(|k| blind.inserted().binary_search_by_key(k, Edge::key).is_ok())
             {
-                return Err(AuditError::DeltaLog(format!(
-                    "epoch {epoch}: a key is both inserted and deleted"
-                )));
+                return fail(format!("epoch {epoch}: a key is both upserted and removed"));
+            }
+            if d.num_added() != d.added().count() {
+                return fail(format!("epoch {epoch}: class bits set past the last upsert"));
             }
         }
-        // Merge-associativity spot check: folding (a.b).c and a.(b.c) must
-        // replay identically on the empty base state.
-        if chain.len() >= 3 {
-            let (a, b, c) = (chain[0], chain[1], chain[2]);
-            let mut left = (**a).clone();
-            left.merge(b);
-            left.merge(c);
-            let mut bc = (**b).clone();
-            bc.merge(c);
-            let mut right = (**a).clone();
-            right.merge(&bc);
-            let nv = chain
-                .iter()
-                .flat_map(|d| d.inserted())
-                .map(|e| e.src.max(e.dst) + 1)
-                .max()
-                .unwrap_or(1);
-            let base = GraphSnapshot::from_edges(a.epoch() - 1, nv, Vec::new());
-            if apply_delta(&base, &left) != apply_delta(&base, &right) {
-                return Err(AuditError::DeltaLog(format!(
-                    "merge not associative over epochs {}..={}",
+        for pair in chain.windows(2) {
+            if pair[1].epoch() != pair[0].epoch() + 1 {
+                return fail(format!(
+                    "epoch gap in ring: {} followed by {}",
+                    pair[0].epoch(),
+                    pair[1].epoch()
+                ));
+            }
+        }
+        let compose = |x: &NetDelta, y: &NetDelta| {
+            x.try_then(y)
+                .map_err(|m| AuditError::DeltaLog(format!("epochs ..={}: {m}", y.epoch())))
+        };
+        if let Some((first, rest)) = chain.split_first() {
+            rest.iter().try_fold((***first).clone(), |net, d| compose(&net, d))?;
+        }
+        if let [a, b, c, ..] = chain[..] {
+            if compose(&compose(a, b)?, c)? != compose(a, &compose(b, c)?)? {
+                return fail(format!(
+                    "composition not associative over epochs {}..={}",
                     a.epoch(),
                     c.epoch()
-                )));
+                ));
             }
         }
         Ok(())

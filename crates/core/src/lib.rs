@@ -17,7 +17,8 @@
 //!   persistent row-block image over a few shared slabs that each epoch's
 //!   delta advances in O(|Δ|), sharing every untouched block with the
 //!   previous epoch.
-//! * [`delta`] — per-epoch [`SnapshotDelta`] capture and the bounded
+//! * [`delta`] — per-epoch [`SnapshotDelta`] capture, its classification
+//!   into the exact [`NetDelta`] a publisher publishes, and the bounded
 //!   [`DeltaLog`] publication ring, the O(|Δ|) read-path seam the
 //!   `gpma-incremental` engine consumes.
 //! * [`multi`] — vertex-partitioned GPMA+ across multiple devices (§6.4).
@@ -66,7 +67,7 @@ pub use audit::AuditError;
 pub use checkpoint::{CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
 pub use codec::CodecError;
 pub use csr::CsrView;
-pub use delta::{apply_delta, DeltaCatchUp, DeltaLog, OpLog, SnapshotDelta};
+pub use delta::{apply_delta, DeltaCatchUp, DeltaLog, NetDelta, OpLog, SnapshotDelta};
 pub use gpma::{Gpma, LockStats};
 pub use gpma_plus::{GpmaPlus, PlusStats};
 pub use storage::{GpmaStorage, EMPTY};

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use gpma_core::audit::{validate_image, AuditError};
-use gpma_core::delta::{apply_delta, DeltaLog, SnapshotDelta};
+use gpma_core::delta::{apply_delta, DeltaLog, NetDelta, SnapshotDelta};
 use gpma_core::framework::GraphSnapshot;
 use gpma_core::multi::{PartitionEpoch, Partitioner};
 use gpma_core::storage::EMPTY;
@@ -165,14 +165,17 @@ fn bound_raised_to_the_next_leafs_min_is_rejected() {
 
 // --------------------------------------------------------------- delta log
 
-fn delta(epoch: u64, inserts: &[(u32, u32)]) -> Arc<SnapshotDelta> {
-    Arc::new(SnapshotDelta::from_batch(
+/// The insertion of `inserts` at `epoch`, classified against an empty
+/// image: every edge added.
+fn delta(epoch: u64, inserts: &[(u32, u32)]) -> Arc<NetDelta> {
+    let blind = SnapshotDelta::from_batch(
         epoch,
         &UpdateBatch {
             insertions: inserts.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
             deletions: vec![],
         },
-    ))
+    );
+    Arc::new(blind.classify(&GraphSnapshot::from_edges(epoch - 1, 8, Vec::new())))
 }
 
 #[test]
@@ -182,6 +185,19 @@ fn contiguous_delta_chain_validates() {
     log.push(delta(2, &[(2, 3)]));
     log.push(delta(3, &[(3, 4), (0, 2)]));
     log.validate().expect("contiguous normalized chain");
+}
+
+#[test]
+fn a_ring_that_adds_an_edge_twice_is_rejected() {
+    let mut log = DeltaLog::new(8);
+    log.push(delta(1, &[(0, 1)]));
+    log.push(delta(2, &[(2, 3)]));
+    // Epoch 3 calls (0, 1) added, but epoch 1 left it present.
+    log.push(delta(3, &[(0, 1)]));
+    match log.validate() {
+        Err(AuditError::DeltaLog(m)) => assert!(m.contains("(0, 1)") && m.contains("do not chain"), "{m}"),
+        other => panic!("expected a chain rejection, got {other:?}"),
+    }
 }
 
 #[test]
@@ -310,10 +326,13 @@ proptest! {
         let dev = Device::new(DeviceConfig::deterministic());
         let mut g = GpmaPlus::build(&dev, NV, &[]);
         let mut log = DeltaLog::new(4);
+        let mut image = GraphSnapshot::from_edges(0, NV, Vec::new());
         for (i, ops) in batches.iter().enumerate() {
             let b = to_batch(ops);
             g.update_batch_lazy(&dev, &b);
-            log.push(Arc::new(SnapshotDelta::from_batch(i as u64 + 1, &b)));
+            let net = SnapshotDelta::from_batch(i as u64 + 1, &b).classify(&image);
+            image = apply_delta(&image, net.blind());
+            log.push(Arc::new(net));
             let storage_audit = g.validate();
             prop_assert!(storage_audit.is_ok(), "epoch {}: {:?}", i + 1, storage_audit);
             let log_audit = log.validate();

@@ -4,11 +4,14 @@
 //! row queries like it, share every block the delta left alone with its
 //! predecessor (unless the step also emptied a slab, which moves blocks) —
 //! and the predecessor must not have changed. A second property holds
-//! `GraphSnapshot::merged` to a from-scratch build of its parts' edges.
+//! `GraphSnapshot::merged` to a from-scratch build of its parts' edges, and
+//! a third holds a delta's classification (`SnapshotDelta::classify`) to a
+//! brute-force diff of the two images and `NetDelta::then` to classifying
+//! the merged chain.
 
 use std::collections::BTreeMap;
 
-use gpma_core::delta::{apply_delta, SnapshotDelta};
+use gpma_core::delta::{apply_delta, NetDelta, SnapshotDelta};
 use gpma_core::framework::GraphSnapshot;
 use gpma_core::image::ROWS_PER_BLOCK;
 use gpma_graph::{Edge, UpdateBatch};
@@ -113,6 +116,126 @@ proptest! {
             image = next;
         }
     }
+}
+
+/// One update of a small key space (rows `0..NV`, destinations `0..4`,
+/// weights 1 and 2), so absent deletes, identical re-inserts and reweights
+/// are common; kind 2 deletes a key and re-inserts it in one batch.
+fn churn_strategy() -> impl Strategy<Value = Vec<(u32, u32, u32, u64)>> {
+    prop::collection::vec((0u32..3, 0..NV, 0u32..4, 1u64..3), 0..16)
+}
+
+fn churn_batch(ops: &[(u32, u32, u32, u64)]) -> UpdateBatch {
+    let mut batch = UpdateBatch::default();
+    for &(kind, s, d, w) in ops {
+        if kind != 0 {
+            batch.deletions.push(Edge::new(s, d));
+        }
+        if kind != 1 {
+            batch.insertions.push(Edge::weighted(s, d, w));
+        }
+    }
+    batch
+}
+
+/// A delta's changes by key, from its class accessors: `Some((weight,
+/// added))` for an upsert, `None` for a removal.
+fn changes(net: &NetDelta) -> BTreeMap<(u32, u32), Option<(u64, bool)>> {
+    let upserts = net.upserts().map(|(e, added)| ((e.src, e.dst), Some((e.weight, added))));
+    upserts.chain(net.removed().map(|k| (k, None))).collect()
+}
+
+/// The same, by diffing every edge of `pre` against `post`.
+fn diff(pre: &GraphSnapshot, post: &GraphSnapshot) -> BTreeMap<(u32, u32), Option<(u64, bool)>> {
+    let map = |g: &GraphSnapshot| -> Oracle { g.edges().iter().map(|e| ((e.src, e.dst), e.weight)).collect() };
+    let (before, after) = (map(pre), map(post));
+    let mut out = BTreeMap::new();
+    for (&k, &w) in &after {
+        if before.get(&k) != Some(&w) {
+            out.insert(k, Some((w, !before.contains_key(&k))));
+        }
+    }
+    for &k in before.keys().filter(|k| !after.contains_key(k)) {
+        out.insert(k, None);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Classifying each blind delta against the image it advances equals a
+    /// brute-force diff of the two images; composing the classified chain
+    /// with `then` equals classifying the merged blind chain against the
+    /// base, except that an edge removed and re-added (or reweighted) back
+    /// to its base weight stays a reweight, which only the base's weight
+    /// could rule out.
+    #[test]
+    fn classification_is_the_image_diff_and_then_is_the_merge(
+        initial in churn_strategy(),
+        steps in prop::collection::vec(churn_strategy(), 1..8),
+    ) {
+        let base = apply_delta(
+            &GraphSnapshot::from_edges(0, NV, Vec::new()),
+            &SnapshotDelta::from_batch(0, &churn_batch(&initial)),
+        );
+        let (mut image, mut merged, mut composed) = (base.clone(), SnapshotDelta::default(), None::<NetDelta>);
+        for (i, ops) in steps.iter().enumerate() {
+            let blind = SnapshotDelta::from_batch(i as u64 + 1, &churn_batch(ops));
+            merged.merge(&blind);
+            let net = blind.classify(&image);
+            let next = apply_delta(&image, net.blind());
+            prop_assert_eq!(&next, &apply_delta(&image, &SnapshotDelta::from_batch(i as u64 + 1, &churn_batch(ops))));
+            prop_assert_eq!(changes(&net), diff(&image, &next));
+            prop_assert_eq!(net.verify(&image, &next), Ok(()));
+            composed = Some(match composed {
+                Some(c) => c.then(&net),
+                None => net,
+            });
+            image = next;
+        }
+        let composed = composed.expect("at least one step");
+        let whole = merged.classify(&base);
+        prop_assert_eq!(composed.epoch(), whole.epoch());
+        let (mut got, want) = (changes(&composed), changes(&whole));
+        got.retain(|&(s, d), change| match change {
+            Some((w, false)) if !want.contains_key(&(s, d)) => base.weight(s, d) != Some(*w),
+            _ => true,
+        });
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// The blind delta of `upserts` and `deletions`, classified against `pre`.
+fn classified(upserts: &[(u32, u32, u64)], deletions: &[(u32, u32)], pre: &GraphSnapshot) -> NetDelta {
+    let batch = UpdateBatch {
+        insertions: upserts.iter().map(|&(s, d, w)| Edge::weighted(s, d, w)).collect(),
+        deletions: deletions.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
+    };
+    SnapshotDelta::from_batch(1, &batch).classify(pre)
+}
+
+#[test]
+fn then_panics_on_pairs_that_do_not_chain() {
+    let base = GraphSnapshot::from_edges(0, 4, vec![Edge::weighted(0, 1, 1)]);
+    let empty = GraphSnapshot::from_edges(0, 4, Vec::new());
+    let add = classified(&[(2, 3, 1)], &[], &base);
+    let remove = classified(&[], &[(0, 1)], &base);
+    let reweight = classified(&[(0, 1, 5)], &[], &base);
+    let re_add = classified(&[(0, 1, 7)], &[], &empty);
+    for (name, first, later) in [
+        ("added twice", &add, &add),
+        ("removed twice", &remove, &remove),
+        ("removed, then reweighted", &remove, &reweight),
+        ("reweighted, then added", &reweight, &re_add),
+    ] {
+        let composed = std::panic::catch_unwind(|| first.then(later));
+        assert!(composed.is_err(), "{name} composed");
+    }
+    // The chaining counterparts compose.
+    assert!(remove.then(&re_add).reweighted().eq([&Edge::weighted(0, 1, 7)]));
+    let added = GraphSnapshot::from_edges(1, 4, vec![Edge::weighted(0, 1, 1), Edge::weighted(2, 3, 1)]);
+    assert!(add.then(&classified(&[], &[(2, 3)], &added)).blind().is_empty());
 }
 
 /// One part of a merge: the blocks it may populate (one bit per block) and

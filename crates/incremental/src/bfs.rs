@@ -20,8 +20,9 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use gpma_analytics::{bfs_host, UNREACHED};
+use gpma_core::delta::NetDelta;
 
-use crate::graph::{AppliedDelta, DeltaGraph};
+use crate::graph::DeltaGraph;
 
 /// A live BFS distance vector maintained from epoch deltas.
 #[derive(Debug, Clone)]
@@ -85,8 +86,8 @@ impl IncrementalBfs {
 
     /// Repair the distance vector for one applied delta (`g` is the
     /// post-delta graph).
-    pub fn apply(&mut self, g: &DeltaGraph, changes: &AppliedDelta) {
-        if changes.added.is_empty() && changes.removed.is_empty() {
+    pub fn apply(&mut self, g: &DeltaGraph, changes: &NetDelta) {
+        if changes.topology_changes() == 0 {
             return;
         }
         self.repair_removals(g, changes);
@@ -94,9 +95,9 @@ impl IncrementalBfs {
     }
 
     /// Decrease-only relaxation from the added edges.
-    fn repair_insertions(&mut self, g: &DeltaGraph, changes: &AppliedDelta) {
+    fn repair_insertions(&mut self, g: &DeltaGraph, changes: &NetDelta) {
         let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        for e in &changes.added {
+        for e in changes.added() {
             let du = self.dist[e.src as usize];
             if du != UNREACHED && du + 1 < self.dist[e.dst as usize] {
                 heap.push(Reverse((du + 1, e.dst)));
@@ -119,14 +120,14 @@ impl IncrementalBfs {
     }
 
     /// Orphan detection + bounded recompute for the removed edges.
-    fn repair_removals(&mut self, g: &DeltaGraph, changes: &AppliedDelta) {
+    fn repair_removals(&mut self, g: &DeltaGraph, changes: &NetDelta) {
         // Candidate orphans: targets of removed edges that just lost a
         // potential parent.
         let mut queue: VecDeque<u32> = VecDeque::new();
-        for e in &changes.removed {
-            let (du, dv) = (self.dist[e.src as usize], self.dist[e.dst as usize]);
+        for (src, dst) in changes.removed() {
+            let (du, dv) = (self.dist[src as usize], self.dist[dst as usize]);
             if du != UNREACHED && dv != UNREACHED && dv == du + 1 {
-                queue.push_back(e.dst);
+                queue.push_back(dst);
             }
             self.work += 1;
         }

@@ -20,7 +20,9 @@
 //! and splits, so they are bit-identical to
 //! [`cc_host`](gpma_analytics::cc_host).
 
-use crate::graph::{AppliedDelta, DeltaGraph};
+use gpma_core::delta::NetDelta;
+
+use crate::graph::DeltaGraph;
 
 /// The root of `x`'s set in the union-find `uf`, halving the path walked.
 fn find(uf: &mut [u32], mut x: u32) -> u32 {
@@ -204,16 +206,15 @@ impl IncrementalCc {
     /// search walks a forest whose edges are all live: a fragment is then
     /// exactly what its search can reach, and one whose search exhausts is
     /// split off whole, never in part.
-    pub fn apply(&mut self, g: &DeltaGraph, changes: &AppliedDelta) {
-        for e in &changes.added {
+    pub fn apply(&mut self, g: &DeltaGraph, changes: &NetDelta) {
+        for e in changes.added() {
             self.union(e.src, e.dst);
             self.work += 1;
         }
         let mut cut = std::mem::take(&mut self.cut);
         cut.clear();
-        for e in &changes.removed {
+        for (u, v) in changes.removed() {
             self.work += 1;
-            let (u, v) = (e.src, e.dst);
             // The edge is gone only when the reverse direction is not live.
             if u == v || g.contains(v, u) {
                 continue;

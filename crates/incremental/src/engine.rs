@@ -4,15 +4,14 @@
 //! chain (`deltas_since` of `gpma-service` or `gpma-cluster`) and hands
 //! both to [`IncrementalEngine::catch_up`], the one catch-up rule.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
-use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
+use gpma_core::delta::{DeltaCatchUp, NetDelta, SnapshotDelta};
 use gpma_core::framework::GraphSnapshot;
 
 use crate::bfs::IncrementalBfs;
 use crate::cc::IncrementalCc;
-use crate::graph::{AppliedDelta, DeltaGraph};
+use crate::graph::DeltaGraph;
 use crate::pagerank::DeltaPageRank;
 
 /// Cumulative engine accounting, split per maintainer.
@@ -40,9 +39,9 @@ pub struct EngineStats {
 pub enum CatchUp {
     /// `latest` was not ahead of the engine: nothing changed.
     Current,
-    /// The missed span was folded into one delta and applied; these are
-    /// the changes it really made.
-    Applied(AppliedDelta),
+    /// The missed span was composed into one net delta and applied: the
+    /// publisher's own `Arc` when the span is one delta.
+    Applied(Arc<NetDelta>),
     /// The engine rebased on a full image: the reader was outrun, or the
     /// chain fell short of `latest`.
     Rebased,
@@ -149,43 +148,49 @@ impl IncrementalEngine {
         self.stats.epochs = 0;
     }
 
-    /// Apply one epoch delta and repair every maintainer, advancing a
-    /// private image — for callers that drive the engine from a bare delta
-    /// stream. A reader of a publisher has the published image and uses
+    /// Apply one blind epoch delta and repair every maintainer: classify it
+    /// against the engine's image and advance a private image by it — for
+    /// callers that drive the engine from a bare delta stream. A reader of
+    /// a publisher has the net delta and the published image and uses
     /// [`apply_at`](Self::apply_at).
     pub fn apply(&mut self, delta: &SnapshotDelta) {
-        let next = Arc::new(self.graph.image().advance(delta).0);
-        self.apply_at(delta, next);
+        let net = self.graph.apply(delta);
+        self.repair(&net);
     }
 
-    /// Apply one epoch delta and repair every maintainer, adopting `next` —
+    /// Apply one net delta and repair every maintainer, adopting `next` —
     /// the image published for `delta.epoch()` — instead of advancing one
-    /// ([`DeltaGraph::apply_at`]). Returns the changes the delta really
-    /// made, for callers that repair answers of their own from them.
-    pub fn apply_at(&mut self, delta: &SnapshotDelta, next: Arc<GraphSnapshot>) -> AppliedDelta {
-        let applied = self.graph.apply_at(delta, next);
+    /// ([`DeltaGraph::apply_at`]).
+    pub fn apply_at(&mut self, delta: &NetDelta, next: Arc<GraphSnapshot>) {
+        self.graph.apply_at(delta, next);
+        self.repair(delta);
+    }
+
+    /// Count one applied delta and repair every maintainer from it.
+    fn repair(&mut self, delta: &NetDelta) {
         self.stats.epochs += 1;
-        self.stats.changed_edges += applied.topology_changes() as u64;
+        self.stats.changed_edges += delta.topology_changes() as u64;
         for m in &mut self.bfs {
-            m.apply(&self.graph, &applied);
+            m.apply(&self.graph, delta);
         }
         if let Some(m) = self.cc.as_mut() {
-            m.apply(&self.graph, &applied);
+            m.apply(&self.graph, delta);
         }
         if let Some(m) = self.pagerank.as_mut() {
-            m.apply(&self.graph, &applied);
+            m.apply(&self.graph, delta);
         }
-        applied
     }
 
     /// Catch up to `latest`, a publisher's newest image, from `catchup`,
     /// which the publisher returned for [`graph`](Self::graph)'s epoch.
-    /// The chain's span `(epoch, latest.epoch()]` is folded into one delta
-    /// and applied once, adopting `latest` itself. A chain head that leads
-    /// `latest` (a publish between the two reads) stops at `latest`, so the
-    /// engine holds exactly that image. Otherwise — the reader was outrun,
-    /// or the chain falls short of `latest` — the engine rebases on the
-    /// newer of the two images.
+    /// When the chain's span `(epoch, latest.epoch()]` starts right after
+    /// the engine's epoch and reaches `latest`, it is composed into one net
+    /// delta ([`NetDelta::then`]) and applied once, adopting `latest`
+    /// itself. A chain head that leads `latest` (a publish between the two
+    /// reads) stops at `latest`, so the engine holds exactly that image.
+    /// Otherwise — the reader was outrun, or the chain starts past the
+    /// engine's epoch or falls short of `latest` — the engine rebases on
+    /// the newer of the two images.
     pub fn catch_up(
         &mut self,
         latest: Arc<GraphSnapshot>,
@@ -197,17 +202,15 @@ impl IncrementalEngine {
         }
         let image = match catchup {
             DeltaCatchUp::Deltas(chain) => {
-                let mut span = chain.iter().filter(|d| d.epoch() > from && d.epoch() <= to);
-                let merged = span.next().map(|first| {
-                    let mut merged = Cow::Borrowed(&**first);
-                    for d in span {
-                        merged.to_mut().merge(d);
-                    }
-                    merged
-                });
-                match merged {
-                    Some(delta) if delta.epoch() == to => {
-                        return CatchUp::Applied(self.apply_at(&delta, latest));
+                let mut span = chain.into_iter().filter(|d| d.epoch() > from && d.epoch() <= to);
+                match span.next() {
+                    Some(first) if first.epoch() == from + 1 => {
+                        let net = span.fold(first, |net, d| Arc::new(net.then(&d)));
+                        if net.epoch() == to {
+                            self.apply_at(&net, latest);
+                            return CatchUp::Applied(net);
+                        }
+                        latest
                     }
                     _ => latest,
                 }
@@ -295,33 +298,36 @@ mod tests {
         assert!(engine.stats().bfs_work > 0);
     }
 
-    fn delta(epoch: u64, ins: &[(u32, u32)], del: &[(u32, u32)]) -> Arc<SnapshotDelta> {
-        Arc::new(SnapshotDelta::from_batch(
+    fn delta(epoch: u64, ins: &[(u32, u32)], del: &[(u32, u32)]) -> SnapshotDelta {
+        SnapshotDelta::from_batch(
             epoch,
             &UpdateBatch {
                 insertions: ins.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
                 deletions: del.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
             },
-        ))
+        )
     }
 
-    /// Images `s0..=s3` and the deltas `d1..=d3` between them; `d2` undoes
-    /// part of `d1`, so folding the chain is not concatenating it.
-    fn chain() -> (Vec<Arc<GraphSnapshot>>, Vec<Arc<SnapshotDelta>>) {
+    /// Images `s0..=s3` and the net deltas `d1..=d3` between them, as a
+    /// publisher classifies them; `d2` undoes part of `d1`, so composing
+    /// the chain is not concatenating it.
+    fn chain() -> (Vec<Arc<GraphSnapshot>>, Vec<Arc<NetDelta>>) {
         let s0 = Arc::new(GraphSnapshot::from_edges(
             0,
             8,
             vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(3, 4)],
         ));
-        let deltas = vec![
+        let blind = [
             delta(1, &[(2, 3), (4, 5)], &[(0, 1)]),
             delta(2, &[(0, 1), (5, 6)], &[(2, 3)]),
             delta(3, &[(6, 7)], &[(1, 2)]),
         ];
-        let mut images = vec![s0];
-        for d in &deltas {
-            let next = images.last().unwrap().advance(d).0;
-            images.push(Arc::new(next));
+        let (mut images, mut deltas) = (vec![s0], Vec::new());
+        for d in blind {
+            let pre = images.last().unwrap();
+            let net = d.classify(pre);
+            images.push(Arc::new(pre.advance(net.blind()).0));
+            deltas.push(Arc::new(net));
         }
         (images, deltas)
     }
@@ -341,14 +347,10 @@ mod tests {
     #[test]
     fn catch_up_folds_the_span_into_one_apply() {
         let (s, d) = chain();
-        let mut stepped = engine_at(&s[0]);
-        let composed = (1..=3)
-            .map(|e| stepped.apply_at(&d[e - 1], s[e].clone()))
-            .reduce(|acc, a| acc.then(&a))
-            .unwrap();
+        let composed = d[0].then(&d[1]).then(&d[2]);
         let mut engine = engine_at(&s[0]);
         let caught = engine.catch_up(s[3].clone(), DeltaCatchUp::Deltas(d.clone()));
-        assert_eq!(caught, CatchUp::Applied(composed));
+        assert_eq!(caught, CatchUp::Applied(Arc::new(composed)));
         assert!(Arc::ptr_eq(engine.graph().image(), &s[3]), "adopted, not copied");
         assert_eq!(engine.stats().epochs, 1, "one apply for the whole span");
         assert_exact(&engine);
@@ -357,13 +359,34 @@ mod tests {
     #[test]
     fn a_chain_head_past_latest_stops_at_latest() {
         let (s, d) = chain();
-        let mut stepped = engine_at(&s[0]);
-        let first = stepped.apply_at(&d[0], s[1].clone());
-        let composed = first.then(&stepped.apply_at(&d[1], s[2].clone()));
         let mut engine = engine_at(&s[0]);
         let caught = engine.catch_up(s[2].clone(), DeltaCatchUp::Deltas(d.clone()));
-        assert_eq!(caught, CatchUp::Applied(composed));
+        assert_eq!(caught, CatchUp::Applied(Arc::new(d[0].then(&d[1]))));
         assert!(Arc::ptr_eq(engine.graph().image(), &s[2]));
+        assert_exact(&engine);
+    }
+
+    #[test]
+    fn a_one_delta_span_passes_the_published_delta_through() {
+        let (s, d) = chain();
+        let mut engine = engine_at(&s[1]);
+        let CatchUp::Applied(net) = engine.catch_up(s[2].clone(), DeltaCatchUp::Deltas(d.clone()))
+        else {
+            panic!("the chain covers the span");
+        };
+        assert!(Arc::ptr_eq(&net, &d[1]), "the publisher's delta, not a copy");
+        assert_exact(&engine);
+    }
+
+    #[test]
+    fn a_chain_that_starts_past_the_engine_rebases() {
+        // Fetched for a reader at epoch 1, handed to an engine at epoch 0:
+        // applying it would skip epoch 1's changes.
+        let (s, d) = chain();
+        let mut engine = engine_at(&s[0]);
+        let caught = engine.catch_up(s[3].clone(), DeltaCatchUp::Deltas(d[1..].to_vec()));
+        assert_eq!(caught, CatchUp::Rebased);
+        assert!(Arc::ptr_eq(engine.graph().image(), &s[3]));
         assert_exact(&engine);
     }
 

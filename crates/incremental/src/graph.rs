@@ -1,165 +1,15 @@
 //! The graph every incremental maintainer reads: the published
 //! [`GraphSnapshot`] image itself for the forward adjacency, plus the one
 //! thing the image does not hold — sorted in-neighbour rows, built from the
-//! image once and patched from each delta's actual changes.
-//!
-//! [`DeltaGraph::apply_at`] also *classifies* each delta record against the
-//! pre-delta image — an upsert of an already-identical edge is a no-op, an
-//! upsert of a present edge with a new weight is a reweight, a deletion of
-//! an absent key is dropped — so maintainers only ever repair around edges
-//! that really changed ([`AppliedDelta`]).
+//! image once and patched from each [`NetDelta`]'s added and removed edges.
+//! The publisher classified the delta against the image it advanced, so
+//! nothing here looks the pre-state up.
 
 use std::sync::Arc;
 
 use gpma_analytics::HostGraph;
-use gpma_core::delta::SnapshotDelta;
+use gpma_core::delta::{NetDelta, SnapshotDelta};
 use gpma_core::framework::GraphSnapshot;
-use gpma_graph::{decode_key, encode_key, Edge};
-
-/// The *actual* topology changes one applied delta caused, after filtering
-/// no-ops against the pre-state. `added` and `removed` drive the repair
-/// logic of the maintainers; `reweighted` matters only to weight-sensitive
-/// consumers (the shipped analytics are unweighted). Each list is in
-/// ascending `(src, dst)` order, as the delta's own lists are.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AppliedDelta {
-    /// Epoch the graph reached by applying this delta.
-    pub epoch: u64,
-    /// Edges absent before and present after, with their new weights.
-    pub added: Vec<Edge>,
-    /// Edges present before and absent after, with their old weights.
-    pub removed: Vec<Edge>,
-    /// Edges present before and after whose weight changed:
-    /// `(src, dst, old_weight, new_weight)`.
-    pub reweighted: Vec<(u32, u32, u64, u64)>,
-}
-
-impl AppliedDelta {
-    /// True when the delta changed neither topology nor weights.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty() && self.reweighted.is_empty()
-    }
-
-    /// Topology changes (added + removed edges) — the |Δ| incremental
-    /// repair work scales with.
-    pub fn topology_changes(&self) -> usize {
-        self.added.len() + self.removed.len()
-    }
-
-    /// Every record (added, removed and reweighted edges), counted.
-    pub fn len(&self) -> usize {
-        self.topology_changes() + self.reweighted.len()
-    }
-
-    /// The net change of applying `self` and then `later`, which must start
-    /// where `self` ends. Exact per edge: an edge added and then removed
-    /// (or removed and then re-added at its old weight) cancels, one
-    /// removed and then re-added at another weight is a reweight, and the
-    /// lists stay in ascending `(src, dst)` order. One merge walk over the
-    /// two deltas' sorted lists.
-    ///
-    /// # Panics
-    ///
-    /// When the two do not chain: `later` adds an edge `self` left present,
-    /// or removes or reweights one `self` left absent.
-    pub fn then(&self, later: &AppliedDelta) -> AppliedDelta {
-        use Change::{Added, Removed, Reweighted};
-        let mut net = AppliedDelta {
-            epoch: later.epoch,
-            ..Default::default()
-        };
-        let (mut a, mut b) = (Changes::new(self), Changes::new(later));
-        loop {
-            let key = a.key().min(b.key());
-            if key == DONE {
-                break;
-            }
-            let (first, second) = (a.take(key), b.take(key));
-            let (src, dst) = decode_key(key);
-            let change = match (first, second) {
-                (c, None) | (None, c) => c,
-                (Some(Added(_)), Some(Removed(_))) => None,
-                (Some(Added(_)), Some(Reweighted(_, w))) => Some(Added(w)),
-                (Some(Removed(w0)), Some(Added(w)))
-                | (Some(Reweighted(w0, _)), Some(Reweighted(_, w))) => {
-                    (w0 != w).then_some(Reweighted(w0, w))
-                }
-                (Some(Reweighted(w0, _)), Some(Removed(_))) => Some(Removed(w0)),
-                (a, b) => panic!("({src}, {dst}): {a:?} then {b:?} do not chain"),
-            };
-            match change {
-                Some(Added(w)) => net.added.push(Edge::weighted(src, dst, w)),
-                Some(Removed(w)) => net.removed.push(Edge::weighted(src, dst, w)),
-                Some(Reweighted(w0, w)) => net.reweighted.push((src, dst, w0, w)),
-                None => {}
-            }
-        }
-        net
-    }
-}
-
-/// What one [`AppliedDelta`] did to one edge (weights old → new).
-#[derive(Debug, Clone, Copy)]
-enum Change {
-    Added(u64),
-    Removed(u64),
-    Reweighted(u64, u64),
-}
-
-/// A cursor over one delta's three sorted lists, consumed in ascending key
-/// order (an edge sits in at most one of them).
-struct Changes<'a> {
-    delta: &'a AppliedDelta,
-    added: usize,
-    removed: usize,
-    reweighted: usize,
-}
-
-impl<'a> Changes<'a> {
-    fn new(delta: &'a AppliedDelta) -> Self {
-        Changes {
-            delta,
-            added: 0,
-            removed: 0,
-            reweighted: 0,
-        }
-    }
-
-    /// The smallest edge key not yet consumed, or [`DONE`].
-    fn key(&self) -> u64 {
-        let d = self.delta;
-        let added = d.added.get(self.added).map_or(DONE, Edge::key);
-        let removed = d.removed.get(self.removed).map_or(DONE, Edge::key);
-        let reweighted = d
-            .reweighted
-            .get(self.reweighted)
-            .map_or(DONE, |&(s, t, ..)| encode_key(s, t));
-        added.min(removed).min(reweighted)
-    }
-
-    /// Consume edge `key` if it is next in one of the lists, with its
-    /// change.
-    fn take(&mut self, key: u64) -> Option<Change> {
-        let d = self.delta;
-        if let Some(e) = d.added.get(self.added).filter(|e| e.key() == key) {
-            self.added += 1;
-            Some(Change::Added(e.weight))
-        } else if let Some(e) = d.removed.get(self.removed).filter(|e| e.key() == key) {
-            self.removed += 1;
-            Some(Change::Removed(e.weight))
-        } else if let Some(&(_, _, w0, w)) =
-            d.reweighted.get(self.reweighted).filter(|&&(s, t, ..)| encode_key(s, t) == key)
-        {
-            self.reweighted += 1;
-            Some(Change::Reweighted(w0, w))
-        } else {
-            None
-        }
-    }
-}
-
-/// The key past every list's end: a guard key, which no delta holds.
-const DONE: u64 = u64::MAX;
 
 /// The image an engine is current with, plus its transpose.
 ///
@@ -235,11 +85,6 @@ impl DeltaGraph {
         self.image.num_edges()
     }
 
-    /// Weight of `(src, dst)` if the edge is live.
-    pub fn weight(&self, src: u32, dst: u32) -> Option<u64> {
-        self.image.weight(src, dst)
-    }
-
     /// True when `(src, dst)` is live.
     pub fn contains(&self, src: u32, dst: u32) -> bool {
         self.image.contains(src, dst)
@@ -265,58 +110,45 @@ impl DeltaGraph {
         self.incoming[v as usize].len()
     }
 
-    /// Apply one epoch delta when nobody has the image it leads to: advance
-    /// a private image ([`GraphSnapshot::advance`], O(|Δ|)) and adopt it.
-    pub fn apply(&mut self, delta: &SnapshotDelta) -> AppliedDelta {
-        let next = Arc::new(self.image.advance(delta).0);
-        self.apply_at(delta, next)
+    /// Apply one blind epoch delta when nobody has classified it or has the
+    /// image it leads to: classify it against the current image, advance a
+    /// private image by it ([`GraphSnapshot::advance`], O(|Δ|)) and adopt
+    /// it. Returns the classified delta.
+    pub fn apply(&mut self, delta: &SnapshotDelta) -> NetDelta {
+        let net = delta.clone().classify(&self.image);
+        let next = Arc::new(self.image.advance(net.blind()).0);
+        self.apply_at(&net, next);
+        net
     }
 
-    /// Apply one epoch delta and adopt `next`, which must be the image
-    /// `delta` produces from the current one (the snapshot the service
-    /// published for `delta.epoch()`). Classifies the delta's records
-    /// against the current image, patches the in-neighbour rows from the
-    /// edges that really appeared or disappeared, and returns them.
-    pub fn apply_at(&mut self, delta: &SnapshotDelta, next: Arc<GraphSnapshot>) -> AppliedDelta {
-        let mut applied = AppliedDelta {
-            epoch: delta.epoch(),
-            ..Default::default()
-        };
-        for &key in delta.deleted_keys() {
-            let (s, d) = decode_key(key);
-            if let Some(w) = self.image.weight(s, d) {
-                let row = &mut self.incoming[d as usize];
-                let at = row.binary_search(&s);
-                debug_assert!(at.is_ok(), "in-rows mirror the image");
-                if let Ok(at) = at {
-                    row.remove(at);
-                }
-                applied.removed.push(Edge::weighted(s, d, w));
+    /// Apply one net delta and adopt `next`, which must be the image
+    /// `delta` produces from the current one (the snapshot the publisher
+    /// published for `delta.epoch()`): patch the in-neighbour rows from the
+    /// edges it adds and removes.
+    pub fn apply_at(&mut self, delta: &NetDelta, next: Arc<GraphSnapshot>) {
+        for (s, d) in delta.removed() {
+            let row = &mut self.incoming[d as usize];
+            let at = row.binary_search(&s);
+            debug_assert!(at.is_ok(), "removed ({s}, {d}) is not in the in-rows");
+            if let Ok(at) = at {
+                row.remove(at);
             }
         }
-        for e in delta.inserted() {
-            match self.image.weight(e.src, e.dst) {
-                Some(w) if w == e.weight => {} // exact re-insert: no-op
-                Some(w) => applied.reweighted.push((e.src, e.dst, w, e.weight)),
-                None => {
-                    let row = &mut self.incoming[e.dst as usize];
-                    let at = row.binary_search(&e.src);
-                    debug_assert!(at.is_err(), "in-rows mirror the image");
-                    if let Err(at) = at {
-                        row.insert(at, e.src);
-                    }
-                    applied.added.push(*e);
-                }
+        for e in delta.added() {
+            let row = &mut self.incoming[e.dst as usize];
+            let at = row.binary_search(&e.src);
+            debug_assert!(at.is_err(), "added ({}, {}) is already in the in-rows", e.src, e.dst);
+            if let Err(at) = at {
+                row.insert(at, e.src);
             }
         }
         debug_assert_eq!(next.epoch(), delta.epoch(), "adopted image is of another epoch");
         debug_assert_eq!(
-            next.num_edges() + applied.removed.len(),
-            self.image.num_edges() + applied.added.len(),
+            next.num_edges() + delta.removed().count(),
+            self.image.num_edges() + delta.num_added(),
             "adopted image is not what the delta produces from the current one"
         );
         self.image = next;
-        applied
     }
 }
 
@@ -345,7 +177,7 @@ impl HostGraph for DeltaGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpma_graph::UpdateBatch;
+    use gpma_graph::{Edge, UpdateBatch};
 
     fn delta(epoch: u64, ins: &[(u32, u32, u64)], del: &[(u32, u32)]) -> SnapshotDelta {
         SnapshotDelta::from_batch(
@@ -372,21 +204,19 @@ mod tests {
             &[(0, 1, 5), (1, 2, 9), (3, 4, 2)],
             &[(1, 2), (6, 6)],
         ));
-        assert_eq!(applied.epoch, 2);
-        // (0,1,5) is an exact re-insert: dropped. (1,2) was deleted and
-        // re-inserted with a new weight in the same delta, so it nets to an
-        // upsert at the core layer — here it classifies as removed+added? No:
-        // the delta normalized it to inserted-only, and the pre-state weight
-        // differs, so it is a reweight.
-        assert_eq!(applied.added, vec![Edge::weighted(3, 4, 2)]);
-        assert!(applied.removed.is_empty(), "{:?}", applied.removed);
-        assert_eq!(applied.reweighted, vec![(1, 2, 1, 9)]);
+        assert_eq!(applied.epoch(), 2);
+        // (0,1,5) is an exact re-insert and (6,6) an absent delete: both
+        // dropped. (1,2) is deleted and re-inserted with a new weight in the
+        // same batch, which nets to an upsert of a present edge: a reweight.
+        assert!(applied.added().eq([&Edge::weighted(3, 4, 2)]));
+        assert_eq!(applied.removed().count(), 0);
+        assert!(applied.reweighted().eq([&Edge::weighted(1, 2, 9)]));
         assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.weight(1, 2), Some(9));
+        assert_eq!(g.image().weight(1, 2), Some(9));
         assert_eq!(g.epoch(), 2);
         // Real deletion now.
         let applied = g.apply(&delta(3, &[], &[(1, 2)]));
-        assert_eq!(applied.removed, vec![Edge::weighted(1, 2, 9)]);
+        assert!(applied.removed().eq([(1, 2)]));
         assert_eq!(g.num_edges(), 2);
         assert!(!g.contains(1, 2));
     }
@@ -394,18 +224,12 @@ mod tests {
     #[test]
     fn apply_at_adopts_the_published_image() {
         let s0 = Arc::new(GraphSnapshot::from_edges(0, 6, vec![Edge::new(0, 3), Edge::new(3, 2)]));
-        let d = delta(1, &[(1, 3, 1), (0, 3, 4)], &[(3, 2), (5, 5)]);
-        let s1 = Arc::new(s0.advance(&d).0);
-        let mut advancing = DeltaGraph::from_image(s0.clone());
+        let d = delta(1, &[(1, 3, 1), (0, 3, 4)], &[(3, 2), (5, 5)]).classify(&s0);
+        let s1 = Arc::new(s0.advance(d.blind()).0);
         let mut adopting = DeltaGraph::from_image(s0.clone());
         assert!(Arc::ptr_eq(adopting.image(), &s0));
-        let applied = adopting.apply_at(&d, s1.clone());
-        assert_eq!(applied, advancing.apply(&d));
-        assert_eq!(applied.added, vec![Edge::weighted(1, 3, 1)]);
-        assert_eq!(applied.removed, vec![Edge::weighted(3, 2, 1)]);
-        assert_eq!(applied.reweighted, vec![(0, 3, 1, 4)]);
+        adopting.apply_at(&d, s1.clone());
         assert!(Arc::ptr_eq(adopting.image(), &s1));
-        assert_eq!(**advancing.image(), *s1);
         assert_eq!(adopting.in_neighbors(3).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(adopting.in_degree(2), 0);
     }
@@ -413,10 +237,7 @@ mod tests {
     /// Apply `deltas` to `s0` one by one and compose what each really
     /// changed; the oracle classifies the merged delta against `s0` in one
     /// step.
-    fn composed_and_merged(
-        s0: &GraphSnapshot,
-        deltas: &[SnapshotDelta],
-    ) -> (AppliedDelta, AppliedDelta) {
+    fn composed_and_merged(s0: &GraphSnapshot, deltas: &[SnapshotDelta]) -> (NetDelta, NetDelta) {
         let mut g = DeltaGraph::from_snapshot(s0);
         let composed = deltas
             .iter()
@@ -428,6 +249,15 @@ mod tests {
             merged.merge(d);
         }
         (composed, DeltaGraph::from_snapshot(s0).apply(&merged))
+    }
+
+    /// Whether `composed` is `oracle`'s change, but for reweights back to
+    /// `s0`'s weight, which a composition cannot tell from a change.
+    fn same_change(composed: &NetDelta, oracle: &NetDelta, s0: &GraphSnapshot) -> bool {
+        let restored = |e: &&Edge| s0.weight(e.src, e.dst) == Some(e.weight);
+        composed.added().eq(oracle.added())
+            && composed.removed().eq(oracle.removed())
+            && composed.reweighted().filter(|e| !restored(e)).eq(oracle.reweighted())
     }
 
     #[test]
@@ -477,19 +307,19 @@ mod tests {
         ];
         for (name, deltas) in cases {
             let (composed, oracle) = composed_and_merged(&s0, &deltas);
-            assert_eq!(composed, oracle, "{name}");
-            assert_eq!(composed.epoch, deltas.len() as u64, "{name}");
+            assert!(same_change(&composed, &oracle, &s0), "{name}: {composed:?} vs {oracle:?}");
+            assert_eq!(composed.epoch(), deltas.len() as u64, "{name}");
         }
         let (cancelled, _) = composed_and_merged(
             &s0,
             &[delta(1, &[(4, 5, 1)], &[]), delta(2, &[], &[(4, 5)])],
         );
-        assert!(cancelled.is_empty());
+        assert!(cancelled.blind().is_empty());
         let (heavier, _) = composed_and_merged(
             &s0,
             &[delta(1, &[], &[(0, 1)]), delta(2, &[(0, 1, 9)], &[])],
         );
-        assert_eq!(heavier.reweighted, vec![(0, 1, 5, 9)]);
+        assert!(heavier.reweighted().eq([&Edge::weighted(0, 1, 9)]));
     }
 
     #[test]
@@ -525,9 +355,10 @@ mod tests {
                 })
                 .collect();
             let (composed, oracle) = composed_and_merged(&s0, &deltas);
-            assert_eq!(composed, oracle, "{deltas:?}");
+            assert!(same_change(&composed, &oracle, &s0), "{deltas:?}");
         }
     }
+
 
     #[test]
     fn reverse_adjacency_tracks_edges() {

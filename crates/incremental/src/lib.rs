@@ -6,8 +6,9 @@
 //! Following the delta-consumption designs of Meerkat (arXiv:2305.17813)
 //! and GraphVine (arXiv:2306.08252), this crate closes that gap: the core
 //! layer captures each flush's net effect as a [`SnapshotDelta`], the
-//! service/cluster layers publish those deltas through bounded rings, and
-//! the maintainers
+//! service/cluster layers classify it once against the image it advances
+//! and publish the resulting [`NetDelta`]s — which edges were added,
+//! reweighted and removed — through bounded rings, and the maintainers
 //! here keep results *live* across epochs — BFS and CC with work
 //! proportional to the affected region, PageRank by re-converging from the
 //! previous ranks instead of from scratch:
@@ -22,13 +23,13 @@
 //! from-scratch oracles they are validated against.
 //!
 //! ```text
-//!  service worker / cluster router            any reader thread
-//!  ───────────────────────────────            ─────────────────
-//!  flush → SnapshotDelta ──► DeltaLog ─ deltas_since(e) ─► IncrementalEngine::catch_up
-//!        image.advance(Δ)                                   │ fold (e, latest] into one Δ
-//!        = the published image ───────── latest ──────────► │ DeltaGraph.apply_at(Δ, latest)
-//!                                                           ▼ AppliedDelta
-//!                                       IncrementalBfs / Cc   (repair from the changes)
+//!  service worker / cluster router                      any reader thread
+//!  ───────────────────────────────                      ─────────────────
+//!  flush → SnapshotDelta                                 IncrementalEngine::catch_up
+//!        .classify(image) = NetDelta ──► DeltaLog ─ deltas_since(e) ─► │ then: (e, latest] as one Δ
+//!        image.advance(Δ)                                              │ DeltaGraph.apply_at(Δ, latest)
+//!        = the published image ────────────── latest ────────────────► ▼ (patches the in-rows)
+//!                                       IncrementalBfs / Cc   (repair from Δ's added/removed)
 //!                                       DeltaPageRank         (re-sweeps the image)
 //! ```
 //!
@@ -38,9 +39,9 @@
 //! in-neighbour rows of its own. A reader that holds the published image
 //! hands it over ([`IncrementalEngine::rebase_shared`],
 //! [`IncrementalEngine::catch_up`], [`IncrementalEngine::apply_at`]) and
-//! shares it with every other reader. One that only has deltas
-//! ([`IncrementalEngine::apply`]) advances a private image by the same
-//! O(|Δ|) step the service takes.
+//! shares it with every other reader. One that only has blind deltas
+//! ([`IncrementalEngine::apply`]) classifies each against its image and
+//! advances a private image by the same O(|Δ|) steps the service takes.
 //!
 //! ## Example: a live engine pulling from a streaming service
 //!
@@ -69,7 +70,7 @@
 //! }
 //! let latest = svc.barrier().unwrap();
 //!
-//! // Pull: every epoch since the engine's, folded into one delta.
+//! // Pull: every epoch since the engine's, composed into one delta.
 //! let pulled = engine.catch_up(latest.clone(), svc.deltas_since(engine.graph().epoch()));
 //! assert!(matches!(pulled, CatchUp::Applied(_)));
 //! assert!(Arc::ptr_eq(engine.graph().image(), &latest), "adopted, not copied");
@@ -95,6 +96,6 @@ mod pagerank;
 pub use bfs::IncrementalBfs;
 pub use cc::IncrementalCc;
 pub use engine::{CatchUp, EngineStats, IncrementalEngine};
-pub use gpma_core::delta::{apply_delta, DeltaCatchUp, DeltaLog, SnapshotDelta};
-pub use graph::{AppliedDelta, DeltaGraph};
+pub use gpma_core::delta::{apply_delta, DeltaCatchUp, DeltaLog, NetDelta, SnapshotDelta};
+pub use graph::DeltaGraph;
 pub use pagerank::DeltaPageRank;

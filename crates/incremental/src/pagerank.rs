@@ -13,8 +13,9 @@
 //! only host implementation.
 
 use gpma_analytics::{pagerank_host, pagerank_host_from, PageRank, MAX_ITERS};
+use gpma_core::delta::NetDelta;
 
-use crate::graph::{AppliedDelta, DeltaGraph};
+use crate::graph::DeltaGraph;
 
 /// A live PageRank vector re-converged from its previous value after every
 /// epoch delta.
@@ -59,8 +60,8 @@ impl DeltaPageRank {
 
     /// Repair the ranks for one applied delta (`g` is the post-delta
     /// graph): re-converge from the pre-delta ranks.
-    pub fn apply(&mut self, g: &DeltaGraph, changes: &AppliedDelta) {
-        if changes.added.is_empty() && changes.removed.is_empty() {
+    pub fn apply(&mut self, g: &DeltaGraph, changes: &NetDelta) {
+        if changes.topology_changes() == 0 {
             return;
         }
         let start = std::mem::take(&mut self.ranks);

@@ -1,14 +1,14 @@
-//! Applying a deletion allocates only what it returns — the `AppliedDelta`
-//! vectors — whatever the CC maintainer does with it: a non-tree deletion
-//! costs it O(1) work, a tree-edge deletion that relinks searches in
-//! scratch kept between deltas, and a bridge deletion splits off exactly
-//! the cut side in that same scratch. The forward adjacency is the image
-//! the caller hands in, not a copy.
+//! Adopting a published deletion allocates nothing, whatever the CC
+//! maintainer does with it: a non-tree deletion costs it O(1) work, a
+//! tree-edge deletion that relinks searches in scratch kept between deltas,
+//! and a bridge deletion splits off exactly the cut side in that same
+//! scratch. The delta arrives classified and the forward adjacency is the
+//! image the caller hands in, so the engine copies neither.
 //!
 //! The allocator below counts per thread, so the other tests of this binary
 //! (the harness runs them on sibling threads) cannot disturb a count.
 
-use gpma_core::delta::{apply_delta, SnapshotDelta};
+use gpma_core::delta::{apply_delta, NetDelta, SnapshotDelta};
 use gpma_core::framework::GraphSnapshot;
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_incremental::IncrementalEngine;
@@ -59,9 +59,6 @@ fn bytes_during(f: impl FnOnce()) -> usize {
     BYTES.with(Cell::get) - before
 }
 
-/// What one delta may allocate: its `AppliedDelta`.
-const CEILING: usize = 512;
-
 const RING: u32 = 1_024;
 const TAIL: u32 = 64;
 /// Vertices per component: a ring `0 → 1 → … → RING-1 → 0` plus a tail path
@@ -82,19 +79,20 @@ fn twins() -> Arc<GraphSnapshot> {
     Arc::new(GraphSnapshot::from_edges(0, 2 * COMPONENT, edges))
 }
 
-/// The delta of `epoch` over `prev`, and the image it leads to.
+/// The delta of `epoch` over `prev`, classified as its publisher would,
+/// and the image it leads to.
 fn delta(
     prev: &GraphSnapshot,
     epoch: u64,
     ins: &[(u32, u32)],
     del: &[(u32, u32)],
-) -> (SnapshotDelta, Arc<GraphSnapshot>) {
+) -> (NetDelta, Arc<GraphSnapshot>) {
     let batch = UpdateBatch {
         insertions: ins.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
         deletions: del.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
     };
-    let delta = SnapshotDelta::from_batch(epoch, &batch);
-    let next = Arc::new(apply_delta(prev, &delta));
+    let delta = SnapshotDelta::from_batch(epoch, &batch).classify(prev);
+    let next = Arc::new(apply_delta(prev, delta.blind()));
     (delta, next)
 }
 
@@ -108,18 +106,18 @@ fn cc_engine(s0: &Arc<GraphSnapshot>) -> IncrementalEngine {
 /// did.
 fn measured(
     engine: &mut IncrementalEngine,
-    d: &SnapshotDelta,
+    d: &NetDelta,
     next: Arc<GraphSnapshot>,
 ) -> (usize, u64) {
     let work = engine.stats().cc_work;
-    let bytes = bytes_during(|| drop(engine.apply_at(d, next)));
+    let bytes = bytes_during(|| engine.apply_at(d, next));
     (bytes, engine.stats().cc_work - work)
 }
 
 #[test]
 fn a_deletion_that_splits_nothing_allocates_only_its_result() {
     // A chord inserted inside the ring's component is a non-tree edge, so
-    // deleting it again is one classification and nothing else.
+    // deleting it again is one in-row removal and nothing else.
     let s0 = twins();
     let mut engine = cc_engine(&s0);
     let chord = [(0, RING / 2)];
@@ -130,10 +128,7 @@ fn a_deletion_that_splits_nothing_allocates_only_its_result() {
     assert!(work <= 2, "a non-tree deletion did {work} units of work");
     assert_eq!(engine.cc().unwrap().component_count(), 2);
     assert!(Arc::ptr_eq(engine.graph().image(), &s2));
-    assert!(
-        bytes <= CEILING,
-        "a non-tree deletion requested {bytes} bytes"
-    );
+    assert_eq!(bytes, 0, "a non-tree deletion requested {bytes} bytes");
 }
 
 #[test]
@@ -156,10 +151,7 @@ fn a_tree_edge_deletion_relinks_in_scratch_kept_between_deltas() {
         2,
         "the ring held together"
     );
-    assert!(
-        bytes <= CEILING,
-        "a {work}-unit relinking search requested {bytes} bytes"
-    );
+    assert_eq!(bytes, 0, "a {work}-unit relinking search requested {bytes} bytes");
 }
 
 #[test]
@@ -182,10 +174,7 @@ fn a_bridge_deletion_splits_off_exactly_the_cut_side() {
         want,
         "each tail is its own component, labelled by its head"
     );
-    assert!(
-        bytes <= CEILING,
-        "a {TAIL}-vertex split requested {bytes} bytes"
-    );
+    assert_eq!(bytes, 0, "a {TAIL}-vertex split requested {bytes} bytes");
 }
 
 #[test]

@@ -8,7 +8,7 @@ use gpma_analytics::bfs_host;
 use gpma_core::delta::SnapshotDelta;
 use gpma_core::framework::GraphSnapshot;
 use gpma_graph::{Edge, UpdateBatch};
-use gpma_incremental::{AppliedDelta, DeltaGraph, IncrementalBfs, IncrementalEngine};
+use gpma_incremental::{DeltaGraph, IncrementalBfs, IncrementalEngine, NetDelta};
 
 const VERTICES: u32 = 2_000;
 const ROOTS: [u32; 3] = [0, 1, 977];
@@ -88,7 +88,7 @@ fn one_repair_over_five_composed_deltas_equals_a_fresh_bfs() {
             .map(|_| g.apply(&window.next()))
             .reduce(|net, later| net.then(&later))
             .expect("five deltas");
-        assert_eq!(net.epoch, g.epoch());
+        assert_eq!(net.epoch(), g.epoch());
         for (&root, dist) in ROOTS.iter().zip(before) {
             let mut bfs = IncrementalBfs::seeded(root, dist);
             bfs.apply(&g, &net);
@@ -104,11 +104,11 @@ fn one_repair_over_five_composed_deltas_equals_a_fresh_bfs() {
 fn the_composed_change_is_what_the_window_moved() {
     let (mut window, snap) = Window::new();
     let mut g = DeltaGraph::from_snapshot(&snap);
-    let net: AppliedDelta = (0..5)
+    let net: NetDelta = (0..5)
         .map(|_| g.apply(&window.next()))
         .reduce(|net, later| net.then(&later))
         .expect("five deltas");
     // Five slides of 112 distinct edges each, none of them back again.
-    assert_eq!((net.added.len(), net.removed.len()), (560, 560));
-    assert!(net.reweighted.is_empty());
+    assert_eq!((net.added().count(), net.removed().count()), (560, 560));
+    assert_eq!(net.reweighted().count(), 0);
 }

@@ -33,11 +33,12 @@
 //!   store itself is read back only at spawn and at shutdown, where it is
 //!   compared with the published image ([`ServiceReport::final_snapshot`]).
 //! * **Delta publication** — every flush also publishes its O(|Δ|) net
-//!   effect as a [`SnapshotDelta`] into a bounded ring
-//!   ([`StreamingService::deltas_since`] catches readers up, falling back
-//!   to the latest image past the ring). Readers pull: the
-//!   `gpma-incremental` crate's `IncrementalEngine::catch_up` folds a pulled
-//!   chain into one delta and repairs live BFS / CC / PageRank from it.
+//!   effect, classified once against the image it advances, as a
+//!   [`NetDelta`] into a bounded ring ([`StreamingService::deltas_since`]
+//!   catches readers up, falling back to the latest image past the ring).
+//!   Readers pull: the `gpma-incremental` crate's
+//!   `IncrementalEngine::catch_up` composes a pulled chain into one delta
+//!   and repairs live BFS / CC / PageRank from it.
 //! * **Failure** — [`StreamingService::inject_failure`] is the fault hook
 //!   that kills the worker mid-stream for crash-recovery tests; the front
 //!   object keeps serving the last published image, which any caller can
@@ -106,7 +107,7 @@
 mod metrics;
 mod service;
 
-pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
+pub use gpma_core::delta::{DeltaCatchUp, NetDelta, SnapshotDelta};
 pub use gpma_core::framework::GraphSnapshot;
 pub use metrics::{PublicationStats, ServiceMetrics};
 pub use service::{

@@ -30,7 +30,9 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Epoch deltas retained for reader catch-up
     /// ([`StreamingService::deltas_since`]). A reader that lags past the
-    /// ring falls back to a full snapshot. Clamped to at least 1.
+    /// ring falls back to a full snapshot. 0 publishes no deltas: a flush
+    /// classifies none, and a reader behind the latest image rebases on it
+    /// (a cluster's shards, whose deltas nobody reads).
     pub delta_log_capacity: usize,
 }
 
@@ -129,6 +131,8 @@ struct Shared {
     /// a flush's image and delta in one acquisition, so the image is always
     /// at the ring head for every reader.
     published: Mutex<Published>,
+    /// Whether flushes publish deltas (`delta_log_capacity` above 0).
+    publishes_deltas: bool,
     /// Modeled bytes shipped by delta publication (O(|Δ|) per epoch).
     delta_bytes: AtomicU64,
     /// Modeled bytes of the row blocks image publication wrote.
@@ -159,7 +163,15 @@ struct Published {
     /// Published epoch deltas retained for reader catch-up; its head is
     /// `image`'s epoch.
     log: DeltaLog,
+    /// The image before `image`, kept where barriers check the ring's head
+    /// against the two ([`CROSS_CHECK`]).
+    previous: Option<Arc<GraphSnapshot>>,
 }
+
+/// Whether every barrier re-reads the store and checks the published image
+/// and the ring's head delta (debug builds and the `audit` feature);
+/// release builds check the image at shutdown only.
+const CROSS_CHECK: bool = cfg!(any(debug_assertions, feature = "audit"));
 
 impl Shared {
     fn latest(&self) -> Arc<GraphSnapshot> {
@@ -354,7 +366,9 @@ impl StreamingService {
             published: Mutex::new(Published {
                 image: initial,
                 log: DeltaLog::new(delta_log_capacity),
+                previous: None,
             }),
+            publishes_deltas: cfg.delta_log_capacity > 0,
             delta_bytes: AtomicU64::new(0),
             snapshot_bytes: AtomicU64::new(0),
             worker_errors: AtomicU64::new(0),
@@ -723,21 +737,33 @@ fn ack_barrier(ack: BarrierAck, sys: &mut DynamicGraphSystem, shared: &Shared) {
     while !sys.stream.is_empty() {
         flush_once(sys, shared);
     }
-    if cfg!(any(debug_assertions, feature = "audit")) {
+    if CROSS_CHECK {
         check_published(&sys.snapshot(), shared);
     }
     ack.answer(shared.latest());
 }
 
-/// Compare a store readback with the published image; a divergence means a
-/// flush's delta did not describe what the store did. Logged and counted,
-/// never fatal.
+/// Compare a store readback with the published image, and check the ring's
+/// head delta against the image before it, when one is kept: a divergence
+/// means a flush's delta did not describe what the store did. Logged and
+/// counted once, never fatal.
 fn check_published(readback: &GraphSnapshot, shared: &Shared) {
-    if *shared.latest() != *readback {
+    let (image, previous, chain) = {
+        let published = shared.published.lock();
+        let since = published.previous.as_ref().map(|pre| pre.epoch());
+        let chain = since.and_then(|epoch| published.log.deltas_since(epoch));
+        (published.image.clone(), published.previous.clone(), chain)
+    };
+    let head = match (previous, chain.as_deref()) {
+        (Some(pre), Some([head])) => head.verify(&pre, &image).err(),
+        _ => None,
+    };
+    if *image != *readback || head.is_some() {
         shared.worker_errors.fetch_add(1, Ordering::Relaxed);
         eprintln!(
-            "gpma-service: published image diverged from the store at epoch {}",
-            readback.epoch()
+            "gpma-service: published image or delta diverged from the store at epoch {} ({})",
+            readback.epoch(),
+            head.unwrap_or_default()
         );
     }
 }
@@ -762,7 +788,7 @@ fn flush_once(sys: &mut DynamicGraphSystem, shared: &Shared) {
     );
     {
         let _publish = obs.span(Stage::FlushPublish);
-        publish(&report.delta, shared);
+        publish(report.delta, shared);
     }
     obs.event(
         Stage::FlushTotal,
@@ -773,24 +799,36 @@ fn flush_once(sys: &mut DynamicGraphSystem, shared: &Shared) {
     );
 }
 
-/// Publish one epoch: advance the image by the delta outside any lock (a
-/// path copy: only the row blocks the delta touches are rewritten, into one
-/// new slab), then store image and delta together so no reader sees the
-/// ring ahead of the image.
-fn publish(delta: &Arc<SnapshotDelta>, shared: &Shared) {
-    let (next, copied_bytes) = shared.latest().advance(delta);
-    let snap = Arc::new(next);
+/// Publish one epoch: classify the flush's delta against the latest image
+/// and advance that image by it, both outside any lock (a path copy: only
+/// the row blocks the delta changes are rewritten, into one new slab), then
+/// store image and net delta together so no reader sees the ring ahead of
+/// the image.
+fn publish(delta: Arc<SnapshotDelta>, shared: &Shared) {
+    let pre = shared.latest();
+    let (net, (next, copied_bytes)) = match shared.publishes_deltas {
+        true => {
+            let net = Arc::unwrap_or_clone(delta).classify(&pre);
+            let step = pre.advance(net.blind());
+            (Some(Arc::new(net)), step)
+        }
+        false => (None, pre.advance(&delta)),
+    };
+    let wire_bytes = net.as_ref().map_or(0, |net| net.blind().wire_bytes() as u64);
     let old = {
         let mut published = shared.published.lock();
-        published.log.push(delta.clone());
-        std::mem::replace(&mut published.image, snap)
+        match net {
+            Some(net) => published.log.push(net),
+            // No ring: a reader behind the new image rebases on it.
+            None => published.log.reset_to(next.epoch()),
+        }
+        let old = std::mem::replace(&mut published.image, Arc::new(next));
+        CROSS_CHECK.then(|| published.previous.replace(old))
     };
     // Freed outside the lock: when no reader holds the old image this drop
     // frees its block vector and the slabs only it used.
-    drop(old);
-    shared
-        .delta_bytes
-        .fetch_add(delta.wire_bytes() as u64, Ordering::Relaxed);
+    drop((pre, old));
+    shared.delta_bytes.fetch_add(wire_bytes, Ordering::Relaxed);
     shared
         .snapshot_bytes
         .fetch_add((8 + copied_bytes) as u64, Ordering::Relaxed);
@@ -1087,7 +1125,7 @@ mod tests {
         assert_eq!(chain.last().unwrap().epoch(), snap.epoch());
         let mut replayed = (*epoch0).clone();
         for d in &chain {
-            replayed = apply_delta(&replayed, d);
+            replayed = apply_delta(&replayed, d.blind());
         }
         assert_eq!(replayed, *snap);
         // A current reader gets an empty chain; a future epoch falls back.
@@ -1126,6 +1164,25 @@ mod tests {
             DeltaCatchUp::Deltas(_) => panic!("must fall back past the ring"),
         }
         drop(svc.shutdown());
+    }
+
+    #[test]
+    fn a_service_without_a_ring_publishes_no_deltas() {
+        let cfg = ServiceConfig {
+            delta_log_capacity: 0,
+            ..Default::default()
+        };
+        let svc = StreamingService::spawn(cfg, system(1));
+        let h = svc.handle();
+        for i in 1..=3u32 {
+            h.insert(Edge::new(i, 0)).unwrap();
+        }
+        let snap = svc.barrier().unwrap();
+        assert_eq!(snap.epoch(), 3);
+        assert!(matches!(svc.deltas_since(0), DeltaCatchUp::Snapshot(s) if Arc::ptr_eq(&s, &snap)));
+        assert!(matches!(svc.deltas_since(3), DeltaCatchUp::Deltas(c) if c.is_empty()));
+        let report = svc.shutdown();
+        assert_eq!((report.metrics.publication.delta_bytes, report.metrics.worker_errors), (0, 0));
     }
 
     #[test]
@@ -1174,7 +1231,7 @@ mod tests {
     fn barrier_cross_check_catches_a_diverged_image() {
         // Debug builds (and the `audit` feature) re-read the store at every
         // barrier; release builds without it check at shutdown only.
-        if !cfg!(any(debug_assertions, feature = "audit")) {
+        if !CROSS_CHECK {
             return;
         }
         let svc = StreamingService::spawn(ServiceConfig::default(), system(4));
@@ -1183,6 +1240,30 @@ mod tests {
         let lie = SnapshotDelta::from_parts(clean.epoch(), vec![], vec![Edge::new(0, 1).key()]);
         svc.shared.published.lock().image =
             Arc::new(gpma_core::delta::apply_delta(&clean, &lie));
+        svc.barrier().unwrap();
+        assert_eq!(svc.metrics().worker_errors, 1);
+    }
+
+    #[test]
+    fn barrier_cross_check_catches_a_delta_that_adds_a_present_edge() {
+        if !CROSS_CHECK {
+            return;
+        }
+        let svc = StreamingService::spawn(ServiceConfig::default(), system(4));
+        let h = svc.handle();
+        for i in 1..=4u32 {
+            h.insert(Edge::new(i, 0)).unwrap();
+        }
+        let image = svc.barrier().unwrap();
+        assert_eq!(svc.metrics().worker_errors, 0);
+        // The honest head adds the four new edges; the lie replacing it
+        // also calls (0, 1) added, which was present before.
+        let mut upserts: Vec<Edge> = (1..=4u32).map(|i| Edge::new(i, 0)).collect();
+        upserts.push(Edge::new(0, 1));
+        upserts.sort_by_key(Edge::key);
+        let nobody = GraphSnapshot::from_edges(0, 64, Vec::new());
+        let lie = SnapshotDelta::from_parts(image.epoch(), upserts, vec![]).classify(&nobody);
+        svc.shared.published.lock().log.push(Arc::new(lie));
         svc.barrier().unwrap();
         assert_eq!(svc.metrics().worker_errors, 1);
     }

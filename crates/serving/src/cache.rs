@@ -9,8 +9,8 @@
 //! ([`DeltaLog::deltas_since`] semantics via
 //! [`ServingBackend::deltas_since`](crate::ServingBackend::deltas_since))
 //! and hands it to its [`IncrementalEngine`]'s
-//! [`catch_up`](IncrementalEngine::catch_up), which folds the span it
-//! missed into one delta and applies it once; the cache then maintains
+//! [`catch_up`](IncrementalEngine::catch_up), which composes the span it
+//! missed into one net delta and applies it once; the cache then maintains
 //! each entry by kind:
 //!
 //! | query kind | maintenance                                             |
@@ -20,11 +20,12 @@
 //! | `PageRank` | invalidated by any delta                                |
 //!
 //! A BFS entry turns *stale* at a refresh: it keeps the epoch it is exact
-//! at, and the refresh logs the [`AppliedDelta`] the engine returns. The
-//! refresh repairs nothing. The next lookup of the entry composes the
-//! logged changes since its epoch into one net change
-//! ([`AppliedDelta::then`]), repairs the distances in place with an
-//! [`IncrementalBfs`] seeded from them, and serves the result as a hit.
+//! at, and the refresh logs the [`NetDelta`] the engine applied — the
+//! publisher's own `Arc` for a one-epoch refresh. The refresh repairs
+//! nothing. The next lookup of the entry composes the logged deltas since
+//! its epoch into one ([`NetDelta::then`]), repairs the distances in place
+//! with an [`IncrementalBfs`] seeded from them, and serves the result as a
+//! hit.
 //! One fixed rule evicts: at a refresh that follows a BFS lookup, every
 //! BFS entry not looked up since the refresh before is dropped, unless its
 //! root is one the server was configured with. The log keeps only what the
@@ -47,9 +48,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gpma_core::delta::DeltaCatchUp;
+use gpma_core::delta::{DeltaCatchUp, NetDelta};
 use gpma_core::framework::GraphSnapshot;
-use gpma_incremental::{AppliedDelta, CatchUp, DeltaGraph, IncrementalBfs, IncrementalEngine};
+use gpma_incremental::{CatchUp, DeltaGraph, IncrementalBfs, IncrementalEngine};
 
 use crate::query::{Query, QueryResult};
 
@@ -85,13 +86,13 @@ pub struct ResultCache {
     entries: HashMap<(u32, Query), Entry>,
     engine: IncrementalEngine,
     bfs_roots: Vec<u32>,
-    /// The net change of each refresh since the oldest stale entry's epoch,
-    /// oldest first: each ends at its `epoch` and starts where the one
+    /// The net delta of each refresh since the oldest stale entry's epoch,
+    /// oldest first: each ends at its epoch and starts where the one
     /// before it ends.
-    log: Vec<AppliedDelta>,
+    log: Vec<Arc<NetDelta>>,
     /// The log composed from an epoch to the cache's, kept for the next
     /// stale entry of that epoch.
-    net: Option<(u64, AppliedDelta)>,
+    net: Option<(u64, NetDelta)>,
     /// A BFS query was looked up since the last refresh.
     bfs_asked: bool,
     stats: CacheStats,
@@ -185,26 +186,26 @@ impl ResultCache {
     fn repair(
         entry: &mut Entry,
         query: Query,
-        log: &[AppliedDelta],
-        net: &mut Option<(u64, AppliedDelta)>,
+        log: &[Arc<NetDelta>],
+        net: &mut Option<(u64, NetDelta)>,
         g: &DeltaGraph,
     ) {
         let (Query::Bfs { src }, QueryResult::Distances(dist)) = (query, &mut entry.result) else {
             unreachable!("only BFS entries go stale");
         };
-        let since = &log[log.partition_point(|d| d.epoch <= entry.epoch)..];
+        let since = &log[log.partition_point(|d| d.epoch() <= entry.epoch)..];
         let change = match since {
-            [one] => one,
+            [one] => &**one,
             [first, rest @ ..] => {
                 if !matches!(net, Some((from, _)) if *from == entry.epoch) {
-                    let composed = rest.iter().fold(first.clone(), |acc, d| acc.then(d));
+                    let composed = rest.iter().fold((**first).clone(), |acc, d| acc.then(d));
                     *net = Some((entry.epoch, composed));
                 }
                 &net.as_ref().expect("composed above").1
             }
             [] => unreachable!("a stale entry's changes are logged"),
         };
-        debug_assert_eq!(change.epoch, g.epoch(), "the log reaches the cache epoch");
+        debug_assert_eq!(change.epoch(), g.epoch(), "the log reaches the cache epoch");
         let dist = Arc::make_mut(dist);
         let mut bfs = IncrementalBfs::seeded(src, std::mem::take(dist));
         bfs.apply(g, change);
@@ -253,7 +254,7 @@ impl ResultCache {
     /// evicted, and a PageRank entry is dropped: it has no maintenance
     /// cheaper than recompute. The changes join the log when a stale entry
     /// needs them.
-    fn advance(&mut self, applied: AppliedDelta) {
+    fn advance(&mut self, applied: Arc<NetDelta>) {
         let (engine, roots) = (&self.engine, &self.bfs_roots);
         let evict = std::mem::take(&mut self.bfs_asked);
         let mut oldest: Option<u64> = None;
@@ -274,7 +275,7 @@ impl ResultCache {
                             count: m.component_count(),
                             labels: Arc::new(m.labels()),
                         };
-                        entry.epoch = applied.epoch;
+                        entry.epoch = applied.epoch();
                         true
                     }
                     None => false,
@@ -286,7 +287,7 @@ impl ResultCache {
         self.net = None;
         match oldest {
             Some(epoch) => {
-                self.log.retain(|d| d.epoch > epoch);
+                self.log.retain(|d| d.epoch() > epoch);
                 self.log.push(applied);
                 self.compact_log();
             }
@@ -299,14 +300,14 @@ impl ResultCache {
     /// net change is bounded by the graph, so the log stays bounded however
     /// long stale entries go unasked.
     fn compact_log(&mut self) {
-        if self.log.iter().map(AppliedDelta::len).sum::<usize>() <= self.snapshot().num_edges() {
+        if self.log.iter().map(|d| d.blind().len()).sum::<usize>() <= self.snapshot().num_edges() {
             return;
         }
         let needed: Vec<u64> = self.entries.values().map(|e| e.epoch).collect();
-        let mut folded: Vec<AppliedDelta> = Vec::with_capacity(self.log.len());
+        let mut folded: Vec<Arc<NetDelta>> = Vec::with_capacity(self.log.len());
         for d in self.log.drain(..) {
             match folded.last_mut() {
-                Some(prev) if !needed.contains(&prev.epoch) => *prev = prev.then(&d),
+                Some(prev) if !needed.contains(&prev.epoch()) => *prev = Arc::new(prev.then(&d)),
                 _ => folded.push(d),
             }
         }
@@ -341,14 +342,23 @@ mod tests {
         ))
     }
 
-    fn delta(epoch: u64, ins: &[(u32, u32)], del: &[(u32, u32)]) -> Arc<SnapshotDelta> {
-        Arc::new(SnapshotDelta::from_batch(
-            epoch,
+    /// The delta of `(ins, del)` over `prev`, classified as its publisher
+    /// would, and the image it leads to.
+    fn delta(
+        prev: &GraphSnapshot,
+        ins: &[(u32, u32)],
+        del: &[(u32, u32)],
+    ) -> (Arc<NetDelta>, Arc<GraphSnapshot>) {
+        let blind = SnapshotDelta::from_batch(
+            prev.epoch() + 1,
             &UpdateBatch {
                 insertions: ins.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
                 deletions: del.iter().map(|&(s, d)| Edge::new(s, d)).collect(),
             },
-        ))
+        );
+        let net = blind.classify(prev);
+        let next = Arc::new(apply_delta(prev, net.blind()));
+        (Arc::new(net), next)
     }
 
     /// Refresh `cache` by one delta over `prev`; returns the new snapshot.
@@ -358,8 +368,7 @@ mod tests {
         ins: &[(u32, u32)],
         del: &[(u32, u32)],
     ) -> Arc<GraphSnapshot> {
-        let d = delta(prev.epoch() + 1, ins, del);
-        let next = Arc::new(apply_delta(prev, &d));
+        let (d, next) = delta(prev, ins, del);
         cache.refresh(next.clone(), DeltaCatchUp::Deltas(vec![d]));
         next
     }
@@ -397,10 +406,8 @@ mod tests {
         }
         assert_eq!(cache.len(), queries.len());
 
-        let d1 = delta(1, &[(2, 3), (1, 5)], &[(0, 1)]);
-        let d2 = delta(2, &[(6, 7)], &[(3, 4)]);
-        let s1 = Arc::new(apply_delta(&s0, &d1));
-        let s2 = Arc::new(apply_delta(&s1, &d2));
+        let (d1, s1) = delta(&s0, &[(2, 3), (1, 5)], &[(0, 1)]);
+        let (d2, s2) = delta(&s1, &[(6, 7)], &[(3, 4)]);
         cache.refresh(s2.clone(), DeltaCatchUp::Deltas(vec![d1, d2]));
         assert_eq!(cache.epoch(), 2);
         // The engine adopted the published image, not a copy equal to it.
@@ -435,16 +442,13 @@ mod tests {
         whole_graph_entries(&mut cache, &s0);
         let before = cache.engine.stats().epochs;
 
-        // (2, 6) appears in d1 and goes again in d3, so the merged delta
-        // deletes a key the cache's image never held.
-        let d1 = delta(1, &[(1, 5), (2, 6)], &[(0, 1)]);
-        let d2 = delta(2, &[(0, 1), (5, 6)], &[(3, 4)]);
-        let d3 = delta(3, &[(6, 7)], &[(2, 6), (1, 2)]);
+        // (2, 6) appears in d1 and goes again in d3, and (0, 1) goes in d1
+        // and comes back in d2: the composed delta has neither.
+        let (d1, s1) = delta(&s0, &[(1, 5), (2, 6)], &[(0, 1)]);
+        let (d2, s2) = delta(&s1, &[(0, 1), (5, 6)], &[(3, 4)]);
+        let (d3, s3) = delta(&s2, &[(6, 7)], &[(2, 6), (1, 2)]);
         // The ring head may lead the snapshot the reader loaded.
-        let d4 = delta(4, &[(7, 0)], &[]);
-        let s1 = Arc::new(apply_delta(&s0, &d1));
-        let s2 = Arc::new(apply_delta(&s1, &d2));
-        let s3 = Arc::new(apply_delta(&s2, &d3));
+        let (d4, _) = delta(&s3, &[(7, 0)], &[]);
         cache.refresh(s3.clone(), DeltaCatchUp::Deltas(vec![d1, d2, d3, d4]));
 
         assert_eq!(cache.epoch(), 3);
@@ -574,7 +578,7 @@ mod tests {
             };
             snap = step(&mut cache, &snap, &ins, &del);
             // Folded, the log is at most the difference of two graphs.
-            let records: usize = cache.log.iter().map(AppliedDelta::len).sum();
+            let records: usize = cache.log.iter().map(|d| d.blind().len()).sum();
             let bound = base().num_edges() + snap.num_edges();
             assert!(
                 records <= bound,
@@ -591,10 +595,8 @@ mod tests {
         let s0 = base();
         let mut cache = ResultCache::new(s0.clone(), vec![0]);
         whole_graph_entries(&mut cache, &s0);
-        let d1 = delta(1, &[(2, 3)], &[]);
-        let d2 = delta(2, &[(6, 7)], &[]);
-        let s1 = Arc::new(apply_delta(&s0, &d1));
-        let s2 = Arc::new(apply_delta(&s1, &d2));
+        let (d1, s1) = delta(&s0, &[(2, 3)], &[]);
+        let (_, s2) = delta(&s1, &[(6, 7)], &[]);
         cache.refresh(s2.clone(), DeltaCatchUp::Deltas(vec![d1]));
         assert!(cache.is_empty());
         assert_eq!(cache.stats().flushes, 1);

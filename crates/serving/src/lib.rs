@@ -30,7 +30,7 @@
 //! - [`Query`] / [`QueryResult`] / [`execute`]: the typed query vocabulary
 //!   and its fresh-from-snapshot oracle.
 //! - [`ResultCache`]: memoized whole-graph results (BFS, CC, PageRank)
-//!   keyed `(tenant, query)`, advanced by tailing [`SnapshotDelta`]s —
+//!   keyed `(tenant, query)`, advanced by tailing [`NetDelta`]s —
 //!   every hit is oracle-exact at the current epoch by construction, a BFS
 //!   answer repaired on lookup from the net change since it was exact (see
 //!   the `cache` module docs). Point queries are
@@ -90,7 +90,7 @@
 //! assert_eq!(report.metrics.counters.ingested(), 2);
 //! ```
 //!
-//! [`SnapshotDelta`]: gpma_core::delta::SnapshotDelta
+//! [`NetDelta`]: gpma_core::delta::NetDelta
 //! [`StreamingService`]: gpma_service::StreamingService
 //! [`GraphCluster`]: gpma_cluster::GraphCluster
 

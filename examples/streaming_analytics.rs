@@ -33,7 +33,7 @@ impl PageRankTracker {
             panic!("the delta ring holds every epoch of this stream");
         };
         for delta in &chain {
-            self.image = apply_delta(&self.image, delta);
+            self.image = apply_delta(&self.image, delta.blind());
             let pr = pagerank_host(&self.image, 0.85, 1e-3, 50);
             let top = pr
                 .ranks

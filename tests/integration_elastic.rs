@@ -16,6 +16,7 @@ use gpma_cluster::{
     ClusterConfig, ClusterHandle, ClusterSnapshot, DegreePartition, GraphCluster, HashVertexPartition,
     PartitionPolicy, VertexPartition,
 };
+use gpma_core::delta::{apply_delta, DeltaCatchUp};
 use gpma_core::multi::Partitioner;
 use gpma_graph::Edge;
 use gpma_incremental::{CatchUp, IncrementalEngine};
@@ -99,14 +100,40 @@ fn oracle_graph(oracle: &BTreeMap<(u32, u32), u64>) -> AdjLists {
     AdjLists::build(NUM_VERTICES, &edges)
 }
 
-/// A fresh cut's contents + host analytics must equal the oracle's.
+/// A fresh cut's contents + host analytics must equal the oracle's, and
+/// its delta must be exact — the first cut after a marker's included.
 fn assert_cut_matches(
     cluster: &GraphCluster,
     oracle: &BTreeMap<(u32, u32), u64>,
     label: &str,
 ) {
+    let prev = cluster.snapshot();
     let snap = cluster.epoch_cut().expect("cluster alive");
+    assert_cut_delta_exact(cluster, &prev, &snap, label);
     assert_snapshot_matches(&snap, oracle, label);
+}
+
+/// The delta `cluster` published for cut `snap` is exactly the change from
+/// `prev`, the cut before it: every class holds against the two cut images
+/// (`NetDelta::verify`), and it replays `prev`'s image into `snap`'s.
+fn assert_cut_delta_exact(
+    cluster: &GraphCluster,
+    prev: &ClusterSnapshot,
+    snap: &ClusterSnapshot,
+    label: &str,
+) {
+    let DeltaCatchUp::Deltas(chain) = cluster.deltas_since(prev.cut()) else {
+        panic!("{label}: no delta chain from cut {}", prev.cut());
+    };
+    let [delta] = &chain[..] else {
+        panic!("{label}: {} deltas after cut {}", chain.len(), prev.cut());
+    };
+    assert_eq!(delta.epoch(), snap.cut(), "{label}: delta epoch");
+    delta
+        .verify(prev.image(), snap.image())
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let replayed = apply_delta(prev.image(), delta.blind());
+    assert_eq!(replayed.edges(), snap.image().edges(), "{label}: replay");
 }
 
 fn assert_snapshot_matches(

@@ -1,5 +1,5 @@
 //! End-to-end tests of the epoch-delta read path (`gpma-incremental`):
-//! replaying the published `SnapshotDelta` chain from epoch 0 must
+//! replaying the published `NetDelta` chain from epoch 0 must
 //! reconstruct the barrier `GraphSnapshot` exactly — through the streaming
 //! service *and* through a 4-shard cluster's coordinated cuts — and every
 //! incremental maintainer must equal its from-scratch oracle after every
@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use gpma_analytics::{bfs_host, cc_host, pagerank_host};
 use gpma_cluster::{ClusterConfig, GraphCluster, PartitionPolicy};
-use gpma_core::delta::{apply_delta, DeltaCatchUp, SnapshotDelta};
+use gpma_core::delta::{apply_delta, DeltaCatchUp, NetDelta, SnapshotDelta};
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot};
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_incremental::{DeltaGraph, IncrementalEngine};
@@ -39,11 +39,15 @@ fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn replay(base: &GraphSnapshot, chain: &[Arc<SnapshotDelta>]) -> GraphSnapshot {
+/// Replay `chain` on `base`, checking that each delta is exactly the change
+/// it makes.
+fn replay(base: &GraphSnapshot, chain: &[Arc<NetDelta>]) -> GraphSnapshot {
     let mut snap = base.clone();
     for d in chain {
         assert_eq!(d.epoch(), snap.epoch() + 1, "chain must be gap-free");
-        snap = apply_delta(&snap, d);
+        let next = apply_delta(&snap, d.blind());
+        d.verify(&snap, &next).unwrap();
+        snap = next;
     }
     snap
 }
@@ -155,7 +159,8 @@ proptest! {
                 }
             }
             let delta = SnapshotDelta::from_batch(epoch as u64 + 1, &batch);
-            shadow = apply_delta(&shadow, &delta);
+            let next = apply_delta(&shadow, &delta);
+            let before = std::mem::replace(&mut shadow, next);
             engine.apply(&delta);
             prop_assert_eq!(&**engine.graph().image(), &shadow);
             prop_assert_eq!(engine.graph().num_edges(), shadow.num_edges());
@@ -173,11 +178,13 @@ proptest! {
                 );
             }
             let published = Arc::new(shadow.clone());
-            prop_assert_eq!(
-                advancing.apply(&delta),
-                adopting.apply_at(&delta, published.clone())
-            );
+            let net = advancing.apply(&delta);
+            prop_assert_eq!(net.verify(&before, &shadow), Ok(()));
+            adopting.apply_at(&net, published.clone());
             prop_assert!(Arc::ptr_eq(adopting.image(), &published));
+            for v in 0..NUM_VERTICES {
+                prop_assert!(adopting.in_neighbors(v).eq(advancing.in_neighbors(v)));
+            }
             prop_assert_eq!(
                 engine.bfs().unwrap().distances(),
                 bfs_host(&shadow, root).as_slice(),

@@ -7,7 +7,10 @@
 //! BFS/CC/PageRank. Deterministic cases cover a kill straddling a live
 //! reshard, a delta ring too small to cover the gap, an update forwarded
 //! while a cut round is in flight, checkpoints that must equal the cut's
-//! shard images, and a store whose saves fail.
+//! shard images, and a store whose saves fail. Every checked cut's
+//! published delta must be exactly its change from the cut before — the
+//! cut a killed shard's reissued round publishes, and the first cut after
+//! a reshard's marker, included.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,6 +24,7 @@ use gpma_cluster::{
     HashVertexPartition, MemoryCheckpointStore, VertexPartition,
 };
 use gpma_core::checkpoint;
+use gpma_core::delta::{apply_delta, DeltaCatchUp};
 use gpma_core::multi::Partitioner;
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_sim::DeviceConfig;
@@ -70,9 +74,12 @@ fn oracle_graph(oracle: &BTreeMap<(u32, u32), u64>) -> AdjLists {
     AdjLists::build(NUM_VERTICES, &edges)
 }
 
-/// Cut contents + host analytics on the cut must equal the oracle's.
+/// Cut contents + host analytics on the cut must equal the oracle's, and
+/// the cut's delta must be exact.
 fn assert_cut_matches(cluster: &GraphCluster, oracle: &BTreeMap<(u32, u32), u64>, label: &str) {
+    let prev = cluster.snapshot();
     let snap = cluster.epoch_cut().expect("cluster alive");
+    assert_cut_delta_exact(cluster, &prev, &snap, label);
     let image = snap.image();
     let got: BTreeMap<(u32, u32), u64> = image
         .edges()
@@ -92,6 +99,29 @@ fn assert_cut_matches(cluster: &GraphCluster, oracle: &BTreeMap<(u32, u32), u64>
             "{label}: pagerank vertex {v}"
         );
     }
+}
+
+/// The delta `cluster` published for cut `snap` is exactly the change from
+/// `prev`, the cut before it: every class holds against the two cut images
+/// (`NetDelta::verify`), and it replays `prev`'s image into `snap`'s.
+fn assert_cut_delta_exact(
+    cluster: &GraphCluster,
+    prev: &ClusterSnapshot,
+    snap: &ClusterSnapshot,
+    label: &str,
+) {
+    let DeltaCatchUp::Deltas(chain) = cluster.deltas_since(prev.cut()) else {
+        panic!("{label}: no delta chain from cut {}", prev.cut());
+    };
+    let [delta] = &chain[..] else {
+        panic!("{label}: {} deltas after cut {}", chain.len(), prev.cut());
+    };
+    assert_eq!(delta.epoch(), snap.cut(), "{label}: delta epoch");
+    delta
+        .verify(prev.image(), snap.image())
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let replayed = apply_delta(prev.image(), delta.blind());
+    assert_eq!(replayed.edges(), snap.image().edges(), "{label}: replay");
 }
 
 proptest! {
