@@ -851,9 +851,9 @@ fn spawn_shard_service(
     let svc = StreamingService::spawn_instrumented(
         ServiceConfig {
             queue_capacity: cfg.shard_queue_capacity,
-            // Nothing reads a shard's deltas, so its flushes classify none:
-            // the router's op log is the record of what each shard was sent.
-            delta_log_capacity: 0,
+            // Nothing reads a shard's delta ring: the router's op log is
+            // the record of what each shard was sent.
+            delta_log_capacity: 1,
         },
         sys,
         obs.clone(),

@@ -173,40 +173,49 @@ impl SnapshotDelta {
     /// Classify this delta against the pre-state `weight` looks edges up
     /// in: an upsert of an absent edge is *added*, one of a present edge
     /// with another weight *reweighted*, and an identical re-insert or the
-    /// deletion of an absent key is dropped. Works in place on this
-    /// delta's buffers, so the class bits are the only allocation. Looks
-    /// the keys up in ascending order, upserts and deletions interleaved,
-    /// so consecutive lookups land in nearby rows.
-    pub fn classify_by(mut self, weight: impl Fn(u32, u32) -> Option<u64>) -> NetDelta {
-        let mut added = vec![0u64; self.inserted.len().div_ceil(64)];
-        let (mut kept, mut del, mut kept_del) = (0, 0, 0);
-        let mut deletes_below = |key: u64, deleted: &mut Vec<u64>| {
-            while let Some(&k) = deleted.get(del).filter(|&&k| k < key) {
-                let (src, dst) = decode_key(k);
-                if weight(src, dst).is_some() {
-                    deleted[kept_del] = k;
-                    kept_del += 1;
+    /// deletion of an absent key is dropped. Calls `weight` once per
+    /// record, in ascending key order with upserts and deletions
+    /// interleaved, so consecutive lookups land in nearby rows. Works in
+    /// place on this delta's buffers, so the class bits are the only
+    /// allocation.
+    pub fn classify_by(mut self, mut weight: impl FnMut(u32, u32) -> Option<u64>) -> NetDelta {
+        let mut added = Vec::with_capacity(self.inserted.len().div_ceil(64));
+        let (mut i, mut d, mut kept, mut kept_del) = (0, 0, 0, 0);
+        while i < self.inserted.len() || d < self.deleted.len() {
+            let upsert = self.inserted.get(i).copied();
+            match self.deleted.get(d) {
+                Some(&k) if upsert.is_none_or(|e| k < e.key()) => {
+                    let (src, dst) = decode_key(k);
+                    if weight(src, dst).is_some() {
+                        self.deleted[kept_del] = k;
+                        kept_del += 1;
+                    }
+                    d += 1;
                 }
-                del += 1;
+                _ => {
+                    let e = upsert.expect("records left, none of them deletions");
+                    let before = weight(e.src, e.dst);
+                    if before != Some(e.weight) {
+                        push_class(&mut added, kept, before.is_none());
+                        self.inserted[kept] = e;
+                        kept += 1;
+                    }
+                    i += 1;
+                }
             }
-        };
-        for i in 0..self.inserted.len() {
-            let e = self.inserted[i];
-            deletes_below(e.key(), &mut self.deleted);
-            match weight(e.src, e.dst) {
-                Some(w) if w == e.weight => continue,
-                Some(_) => {}
-                None => added[kept / 64] |= 1 << (kept % 64),
-            }
-            self.inserted[kept] = e;
-            kept += 1;
         }
-        deletes_below(u64::MAX, &mut self.deleted);
         self.inserted.truncate(kept);
         self.deleted.truncate(kept_del);
-        added.truncate(kept.div_ceil(64));
         NetDelta { delta: self, added }
     }
+}
+
+/// Append upsert `i`'s class bit to `bits`, which hold the first `i`.
+fn push_class(bits: &mut Vec<u64>, i: usize, added: bool) {
+    if i.is_multiple_of(64) {
+        bits.push(0);
+    }
+    bits[i / 64] |= u64::from(added) << (i % 64);
 }
 
 /// One epoch's exact change, as its publisher classified it against the
@@ -228,8 +237,8 @@ pub struct NetDelta {
 /// What one [`NetDelta`] does to one key.
 #[derive(Debug, Clone, Copy)]
 enum Change {
-    Added(u64),
-    Reweighted(u64),
+    Added(Edge),
+    Reweighted(Edge),
     Removed,
 }
 
@@ -280,8 +289,8 @@ impl NetDelta {
     /// Every record as `(key, change)`, in key order.
     fn changes(&self) -> impl Iterator<Item = (u64, Change)> + '_ {
         let class = |(e, added): (&Edge, bool)| match added {
-            true => (e.key(), Change::Added(e.weight)),
-            false => (e.key(), Change::Reweighted(e.weight)),
+            true => (e.key(), Change::Added(*e)),
+            false => (e.key(), Change::Reweighted(*e)),
         };
         let mut upserts = self.upserts().map(class).peekable();
         let mut removed = self.delta.deleted.iter().map(|&k| (k, Change::Removed)).peekable();
@@ -318,9 +327,9 @@ impl NetDelta {
             let change = match (first.map(|c| c.1), second.map(|c| c.1)) {
                 (c, None) | (None, c) => c,
                 (Some(Added(_)), Some(Removed)) => None,
-                (Some(Added(_)), Some(Reweighted(w))) => Some(Added(w)),
-                (Some(Removed), Some(Added(w))) | (Some(Reweighted(_)), Some(Reweighted(w))) => {
-                    Some(Reweighted(w))
+                (Some(Added(_)), Some(Reweighted(e))) => Some(Added(e)),
+                (Some(Removed), Some(Added(e))) | (Some(Reweighted(_)), Some(Reweighted(e))) => {
+                    Some(Reweighted(e))
                 }
                 (Some(Reweighted(_)), Some(Removed)) => Some(Removed),
                 (x, y) => {
@@ -328,51 +337,33 @@ impl NetDelta {
                     return Err(format!("({src}, {dst}): {x:?} then {y:?} do not chain"));
                 }
             };
-            let (src, dst) = decode_key(key);
-            let (weight, added) = match change {
-                Some(Added(w)) => (w, true),
-                Some(Reweighted(w)) => (w, false),
-                Some(Removed) => {
-                    net.delta.deleted.push(key);
-                    continue;
+            match change {
+                Some(Removed) => net.delta.deleted.push(key),
+                Some(Added(e) | Reweighted(e)) => {
+                    let added = matches!(change, Some(Added(_)));
+                    push_class(&mut net.added, net.delta.inserted.len(), added);
+                    net.delta.inserted.push(e);
                 }
-                None => continue,
-            };
-            let i = net.delta.inserted.len();
-            if i.is_multiple_of(64) {
-                net.added.push(0);
+                None => {}
             }
-            net.added[i / 64] |= u64::from(added) << (i % 64);
-            net.delta.inserted.push(Edge::weighted(src, dst, weight));
         }
         Ok(net)
     }
 
     /// Check that this delta is exactly the change from `pre` to `post`:
-    /// `post` is at its epoch, each added edge absent from `pre`, each
-    /// reweighted one there with another weight, each upsert in `post` with
-    /// its weight, each removed key in `pre` and not in `post`, and the edge
-    /// counts agree, so no change went unrecorded. O(|Δ| log degree).
+    /// classifying its records against `pre` gives it back (every class
+    /// bit right, no no-op kept), and replaying them on `pre` gives `post`'s
+    /// epoch and edges. O(E). Meant for a delta as its publisher classified
+    /// it: a composition may call an edge restored to its old weight a
+    /// reweight, which this rejects.
     pub fn verify(&self, pre: &GraphSnapshot, post: &GraphSnapshot) -> Result<(), String> {
-        let epoch = self.epoch();
-        let fail = |what: String| Err(format!("epoch {epoch}: {what}"));
-        if post.epoch() != epoch {
-            return fail(format!("checked against an image of epoch {}", post.epoch()));
+        let (epoch, from) = (self.epoch(), pre.epoch());
+        if self.delta.clone().classify(pre) != *self {
+            return Err(format!("epoch {epoch}: not its records' classes against epoch {from}"));
         }
-        for (e, added) in self.upserts() {
-            let (before, after) = (pre.weight(e.src, e.dst), post.weight(e.src, e.dst));
-            if before.map_or(!added, |w| added || w == e.weight) || after != Some(e.weight) {
-                let class = if added { "added" } else { "reweighted" };
-                return fail(format!("{e:?} {class}, but was {before:?} and is {after:?}"));
-            }
-        }
-        if let Some((s, d)) = self.removed().find(|&(s, d)| !pre.contains(s, d) || post.contains(s, d)) {
-            return fail(format!("({s}, {d}) removed, but was absent or is present"));
-        }
-        let (added, removed) = (self.num_added(), self.delta.deleted.len());
-        if pre.num_edges() + added != post.num_edges() + removed {
-            let (before, after) = (pre.num_edges(), post.num_edges());
-            return fail(format!("{before} edges + {added} - {removed} != {after} edges"));
+        let replayed = apply_delta(pre, &self.delta);
+        if replayed.epoch() != post.epoch() || replayed.edges() != post.edges() {
+            return Err(format!("epoch {epoch}: replayed on epoch {from}, not epoch {}", post.epoch()));
         }
         Ok(())
     }

@@ -7,8 +7,6 @@
 //! scheduled through the asynchronous-stream pipeline of Figure 2 so that
 //! PCIe transfers overlap device compute — the effect measured in Figure 11.
 
-use std::sync::Arc;
-
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_sim::pcie::{Pcie, Pipeline, StepSchedule};
 use gpma_sim::{Device, PcieConfig, SimTime};
@@ -153,10 +151,9 @@ pub struct StepReport {
     /// duplicate-edge counter.
     pub duplicate_inserts: usize,
     /// The net effect of this step on the live edge set — the O(|Δ|) record
-    /// service layers publish and advance their [`GraphSnapshot`] with.
-    /// Shared, because the same delta typically fans out to a delta log,
-    /// monitor threads, and cluster-level chains.
-    pub delta: Arc<SnapshotDelta>,
+    /// service layers classify, publish and advance their [`GraphSnapshot`]
+    /// with.
+    pub delta: SnapshotDelta,
     /// Simulated device time of the GPMA+ batch apply.
     pub update_time: SimTime,
     /// `(monitor name, simulated compute time, result bytes)`.
@@ -251,7 +248,7 @@ impl DynamicGraphSystem {
     pub fn flush(&mut self) -> StepReport {
         let batch = self.stream.take_batch();
         let batch_size = batch.len();
-        let delta = Arc::new(SnapshotDelta::from_batch(self.epoch + 1, &batch));
+        let delta = SnapshotDelta::from_batch(self.epoch + 1, &batch);
         // `from_batch` keeps one insertion per key (last write wins).
         let duplicate_inserts = batch.insertions.len() - delta.inserted().len();
         let graph = &mut self.graph;

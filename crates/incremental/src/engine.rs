@@ -347,10 +347,22 @@ mod tests {
     #[test]
     fn catch_up_folds_the_span_into_one_apply() {
         let (s, d) = chain();
-        let composed = d[0].then(&d[1]).then(&d[2]);
         let mut engine = engine_at(&s[0]);
         let caught = engine.catch_up(s[3].clone(), DeltaCatchUp::Deltas(d.clone()));
-        assert_eq!(caught, CatchUp::Applied(Arc::new(composed)));
+        let CatchUp::Applied(net) = caught else {
+            panic!("the chain covers the span");
+        };
+        // The oracle classifies the blind merge of the span against s[0].
+        // It drops (0, 1), removed and re-added at its old weight; the
+        // composition, which keeps no old weights, calls that a reweight.
+        let mut merged = d[0].blind().clone();
+        merged.merge(d[1].blind());
+        merged.merge(d[2].blind());
+        let oracle = merged.classify(&s[0]);
+        assert!(net.added().eq(oracle.added()) && net.removed().eq(oracle.removed()), "{net:?}");
+        assert_eq!(oracle.reweighted().count(), 0);
+        assert!(net.reweighted().eq([&Edge::new(0, 1)]), "{net:?}");
+        assert_eq!(net.epoch(), 3);
         assert!(Arc::ptr_eq(engine.graph().image(), &s[3]), "adopted, not copied");
         assert_eq!(engine.stats().epochs, 1, "one apply for the whole span");
         assert_exact(&engine);

@@ -30,9 +30,7 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Epoch deltas retained for reader catch-up
     /// ([`StreamingService::deltas_since`]). A reader that lags past the
-    /// ring falls back to a full snapshot. 0 publishes no deltas: a flush
-    /// classifies none, and a reader behind the latest image rebases on it
-    /// (a cluster's shards, whose deltas nobody reads).
+    /// ring falls back to a full snapshot. Clamped to at least 1.
     pub delta_log_capacity: usize,
 }
 
@@ -131,8 +129,6 @@ struct Shared {
     /// a flush's image and delta in one acquisition, so the image is always
     /// at the ring head for every reader.
     published: Mutex<Published>,
-    /// Whether flushes publish deltas (`delta_log_capacity` above 0).
-    publishes_deltas: bool,
     /// Modeled bytes shipped by delta publication (O(|Δ|) per epoch).
     delta_bytes: AtomicU64,
     /// Modeled bytes of the row blocks image publication wrote.
@@ -368,7 +364,6 @@ impl StreamingService {
                 log: DeltaLog::new(delta_log_capacity),
                 previous: None,
             }),
-            publishes_deltas: cfg.delta_log_capacity > 0,
             delta_bytes: AtomicU64::new(0),
             snapshot_bytes: AtomicU64::new(0),
             worker_errors: AtomicU64::new(0),
@@ -804,26 +799,19 @@ fn flush_once(sys: &mut DynamicGraphSystem, shared: &Shared) {
 /// the row blocks the delta changes are rewritten, into one new slab), then
 /// store image and net delta together so no reader sees the ring ahead of
 /// the image.
-fn publish(delta: Arc<SnapshotDelta>, shared: &Shared) {
+fn publish(delta: SnapshotDelta, shared: &Shared) {
     let pre = shared.latest();
-    let (net, (next, copied_bytes)) = match shared.publishes_deltas {
-        true => {
-            let net = Arc::unwrap_or_clone(delta).classify(&pre);
-            let step = pre.advance(net.blind());
-            (Some(Arc::new(net)), step)
-        }
-        false => (None, pre.advance(&delta)),
-    };
-    let wire_bytes = net.as_ref().map_or(0, |net| net.blind().wire_bytes() as u64);
+    let net = delta.classify(&pre);
+    let (next, copied_bytes) = pre.advance(net.blind());
+    let wire_bytes = net.blind().wire_bytes() as u64;
     let old = {
         let mut published = shared.published.lock();
-        match net {
-            Some(net) => published.log.push(net),
-            // No ring: a reader behind the new image rebases on it.
-            None => published.log.reset_to(next.epoch()),
-        }
+        published.log.push(Arc::new(net));
         let old = std::mem::replace(&mut published.image, Arc::new(next));
-        CROSS_CHECK.then(|| published.previous.replace(old))
+        match CROSS_CHECK {
+            true => published.previous.replace(old),
+            false => Some(old),
+        }
     };
     // Freed outside the lock: when no reader holds the old image this drop
     // frees its block vector and the slabs only it used.
@@ -1164,25 +1152,6 @@ mod tests {
             DeltaCatchUp::Deltas(_) => panic!("must fall back past the ring"),
         }
         drop(svc.shutdown());
-    }
-
-    #[test]
-    fn a_service_without_a_ring_publishes_no_deltas() {
-        let cfg = ServiceConfig {
-            delta_log_capacity: 0,
-            ..Default::default()
-        };
-        let svc = StreamingService::spawn(cfg, system(1));
-        let h = svc.handle();
-        for i in 1..=3u32 {
-            h.insert(Edge::new(i, 0)).unwrap();
-        }
-        let snap = svc.barrier().unwrap();
-        assert_eq!(snap.epoch(), 3);
-        assert!(matches!(svc.deltas_since(0), DeltaCatchUp::Snapshot(s) if Arc::ptr_eq(&s, &snap)));
-        assert!(matches!(svc.deltas_since(3), DeltaCatchUp::Deltas(c) if c.is_empty()));
-        let report = svc.shutdown();
-        assert_eq!((report.metrics.publication.delta_bytes, report.metrics.worker_errors), (0, 0));
     }
 
     #[test]
