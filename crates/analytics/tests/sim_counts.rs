@@ -85,7 +85,7 @@
 //! path and four in the rebuild. Atomics, conflicts and the analytics
 //! half did not move: the slot layout after every batch is bit-identical.
 //!
-//! They were re-recorded last in two steps. First the sort of more than
+//! They were re-recorded in two steps. First the sort of more than
 //! one block became a tile sort plus ⌈log₂ tiles⌉ merge passes (each
 //! 1 000-insertion sort: three launches, not 20) and the parallel merge
 //! staged and flagged its updates in one kernel. That step alone took the
@@ -106,6 +106,37 @@
 //! 43_998, 32]` → `[89, 516_523, 759_551, 43_998, 0]`, deterministic
 //! `[89, 509_235, 672_103, 43_998, 14]` → `[89, 509_394, 673_982, 43_998,
 //! 20]`.
+//!
+//! They were re-recorded last in two more steps, each folding a launch of
+//! every GPMA+ batch into a neighbour. First the batch's lazy deletions
+//! became the first lanes of `locate_leaves` (one launch fewer per slide):
+//! store, benchmark device `[32, 194_499, 354_649, 11_180, 7_925]` → `[29,
+//! 179_485, 354_522, 11_180, 7_925]`, deterministic `[32, 194_532, 355_101,
+//! 11_180, 7_918]` → `[29, 179_546, 355_288, 11_180, 7_918]`; small
+//! batches `[40, 206_638, 56_236, 4_044, 2_924]` → `[32, 166_974, 60_306,
+//! 4_044, 2_924]`, deterministic `[40, 206_669, 56_614, 4_044, 2_924]` →
+//! `[32, 166_666, 56_614, 4_044, 2_924]`. The deletion lanes come first,
+//! so the sampled warps of the old `lazy_delete` launch are the sampled
+//! warps here and no atomic or conflict moved. The benchmark device's
+//! small-batch transactions rose 7 %: its one sampled warp per launch is
+//! now a deletion warp, whose scattered ratio is extrapolated over the
+//! coalesced leaf searches; traced in full (deterministic) they did not
+//! move. Then `tryinsert_small` launched over the level's updates and each
+//! run's head lane found its own run, so the warp/block tier stopped
+//! running the run-length encoding (one launch per level up to one block
+//! of updates, three above it): store `[29, 179_485, 354_522, 11_180,
+//! 7_925]` → `[20, 133_445, 342_423, 11_180, 7_898]`, deterministic `[29,
+//! 179_546, 355_288, 11_180, 7_918]` → `[20, 133_540, 343_586, 11_180,
+//! 7_892]`; small batches `[32, 166_974, 60_306, 4_044, 2_924]` → `[24,
+//! 126_697, 57_399, 4_044, 2_924]`, deterministic `[32, 166_666, 56_614,
+//! 4_044, 2_924]` → `[24, 126_373, 53_536, 4_044, 2_924]`. Each accepted
+//! run still makes one length and one counter atomic, so atomics did not
+//! move; the store's conflicts fell by 27 and 26 because a warp of update
+//! lanes holds fewer run heads than a warp of one lane per run, so fewer
+//! of them meet on the counter at one step. The small batches' conflicts
+//! did not move. The analytics half did not move in either step: the slot layout after
+//! every batch is bit-identical (`fused_deletions_lay_out_like_a_delete_launch_first`,
+//! and the one-pass layout tests in `gpma_plus`).
 //!
 //! A change to how `gpma_sim::Device::launch` traces or counts a sampled warp
 //! must leave every number here alone; a deliberate change to the kernels or
@@ -192,7 +223,7 @@ fn benchmark_device_counts_are_pinned() {
         host_parallelism: 1,
         ..Default::default()
     });
-    assert_eq!(store, [32, 194_499, 354_649, 11_180, 7_925]);
+    assert_eq!(store, [20, 133_445, 342_423, 11_180, 7_898]);
     assert_eq!(analytics_half(store, all), [89, 516_523, 759_551, 43_998, 0]);
 }
 
@@ -202,15 +233,15 @@ fn small_batch_counts_are_pinned() {
         host_parallelism: 1,
         ..Default::default()
     });
-    assert_eq!(benchmark, [40, 206_638, 56_236, 4_044, 2_924]);
+    assert_eq!(benchmark, [24, 126_697, 57_399, 4_044, 2_924]);
     let deterministic = run_small_batches(DeviceConfig::deterministic());
-    assert_eq!(deterministic, [40, 206_669, 56_614, 4_044, 2_924]);
+    assert_eq!(deterministic, [24, 126_373, 53_536, 4_044, 2_924]);
 }
 
 #[test]
 fn deterministic_device_counts_are_pinned() {
     // Every warp traced.
     let [store, all] = run(DeviceConfig::deterministic());
-    assert_eq!(store, [32, 194_532, 355_101, 11_180, 7_918]);
+    assert_eq!(store, [20, 133_540, 343_586, 11_180, 7_892]);
     assert_eq!(analytics_half(store, all), [89, 509_394, 673_982, 43_998, 20]);
 }

@@ -2,24 +2,28 @@
 //! (Section 5.2, Algorithm 4).
 //!
 //! The batch is sorted once, leaf segments are located by coalesced binary
-//! search, and updates are then processed **level by level**: updates
-//! grouped into the same segment (via run-length encoding + exclusive scan,
-//! the CUB primitives of the paper) are merged together by `TryInsert+`
-//! wherever the density threshold permits; survivors move to their parent
-//! segment. No locks are taken anywhere, thread workloads at one level are
-//! identical by construction, and the root overflow path doubles the array.
+//! search (the batch's lazy deletions ride in the same launch), and updates
+//! are then processed **level by level**: updates grouped into the same
+//! segment are merged together by `TryInsert+` wherever the density
+//! threshold permits; survivors move to their parent segment. No locks are
+//! taken anywhere, thread workloads at one level are identical by
+//! construction, and the root overflow path doubles the array.
 //!
 //! Tiers (§5.2's warp/block/device optimization): segments whose window fits
 //! a block-sized scratch are merged by a single lane over fast local memory,
-//! in **one launch per level** — the lane reads its window once, merges,
-//! decides, writes back only the slots that change and marks its own
-//! updates consumed or promoted (all windows at one level have equal
-//! capacity, so the launch is perfectly balanced). Larger windows switch to
-//! a fully parallel count + compact + rank-merge + redispatch pipeline over
-//! global memory.
+//! in **one launch per level** over the level's updates — the lane heading
+//! a segment's run finds the run's end, reads its window once, merges,
+//! decides, writes back only the slots that change and marks the run
+//! consumed or promoted (all windows at one level have equal capacity, so
+//! the merges are perfectly balanced). Larger windows switch to a fully
+//! parallel count + compact + rank-merge + redispatch pipeline over global
+//! memory.
 //!
-//! Algorithm 4's lines in the code: line 3 is `locate_leaves`, line 7 the
-//! run-length encoding in `process_level`; `TryInsert+` (lines 23-28) is
+//! Algorithm 4's lines in the code: line 3 is `locate_leaves`. Line 7
+//! (`UniqueSegments`) has two forms: on the warp/block tier each run's head
+//! lane in `tryinsert_small` finds its run, and on the device tier it is
+//! the run-length encoding + exclusive scan of the paper's CUB primitives
+//! (`run_length_encode_u32_into`). `TryInsert+` (lines 23-28) is
 //! `tryinsert_small` on the warp/block tier and `tryinsert_count` (23-25)
 //! plus the parallel merge (26-28) on the device tier; lines 12-15 (drop the
 //! consumed updates, promote the rest) are the keep-mask scan and
@@ -84,9 +88,9 @@ pub struct GpmaPlus {
 /// of allocating three fresh buffers (plus a scan buffer) per level.
 /// Capacities only grow ([`DeviceBuffer::grow_to`]), so a steady-state
 /// stream of equally sized batches reallocates none of these buffers after
-/// the first; the keep-mask scan, and the RLE's scan of its block counts
-/// above one [`primitives::BLOCK`], still allocate their intermediates per
-/// call ([`primitives::exclusive_scan_u32_into`]).
+/// the first; the keep-mask scan, and on the device tier the RLE's scan of
+/// its block counts above one [`primitives::BLOCK`], still allocate their
+/// intermediates per call ([`primitives::exclusive_scan_u32_into`]).
 struct LevelScratch {
     keep: DeviceBuffer<u32>,
     positions: DeviceBuffer<u32>,
@@ -96,9 +100,10 @@ struct LevelScratch {
     /// Segment id of every pending update at the current level (leaf ids
     /// from `locate_leaves`, then swapped with `segs` on each promotion).
     seg_ids: DeviceBuffer<u32>,
-    /// Reused by the per-level `UniqueSegments` run-length encoding
-    /// ([`process_level`](GpmaPlus::process_level)): each level's unique
-    /// segments and their update runs (`starts[j]..starts[j + 1]`).
+    /// Reused by the device tier's `UniqueSegments` run-length encoding
+    /// ([`process_level`](GpmaPlus::process_level)): the level's unique
+    /// segments and their update runs (`starts[j]..starts[j + 1]`). The
+    /// warp/block tier finds its runs from `seg_ids` itself.
     rle: primitives::RleScratch,
     /// Per-segment accept flags of the device tier's count phase (sized
     /// like the update count, an upper bound on the segment count).
@@ -162,19 +167,22 @@ impl GpmaPlus {
     }
 
     /// Apply a batch, GPMA+'s one update path (§6.1's sliding-window
-    /// model): deletions first, each marking its slot deleted (the holes
-    /// are recycled by later merges), then the insertions merge level by
-    /// level. A key both deleted and inserted in one batch ends up present
-    /// with the inserted weight.
+    /// model): every deletion marks its slot deleted (the holes are
+    /// recycled by later merges) before any merge runs, then the insertions
+    /// merge level by level. A key both deleted and inserted in one batch
+    /// ends up present with the inserted weight. The deletions ride in the
+    /// insertions' `locate_leaves` launch; an insert-free batch runs them
+    /// alone ([`GpmaStorage::delete_lazy`]).
     pub fn update_batch_lazy(&mut self, dev: &Device, batch: &UpdateBatch) -> PlusStats {
-        let mut stats = PlusStats {
-            lazy_deletes: self.storage.delete_lazy(dev, &batch.deletions, &mut self.scratch),
-            ..Default::default()
-        };
-        if !batch.insertions.is_empty() {
+        let mut stats = PlusStats::default();
+        if batch.insertions.is_empty() {
+            stats.lazy_deletes = self
+                .storage
+                .delete_lazy(dev, &batch.deletions, &mut self.scratch);
+        } else {
             let nv = self.storage.num_vertices();
             let u = prepare_insertions(dev, nv, &batch.insertions, &mut self.scratch);
-            self.apply_sorted(dev, u, &mut stats);
+            self.apply_sorted(dev, u, &batch.deletions, &mut stats);
         }
         // Post-batch shrink check (delete-heavy workloads): below the root's
         // lower density bound, rebuild at ~60 % density. Rounded up to a
@@ -199,9 +207,15 @@ impl GpmaPlus {
     }
 
     /// Algorithm 4: `GpmaPlusInsertion` over a sorted, non-empty insertion
-    /// set.
+    /// set, after the batch's lazy `deletions`.
     // lint: hot-path
-    fn apply_sorted(&mut self, dev: &Device, updates: DeviceUpdates, stats: &mut PlusStats) {
+    fn apply_sorted(
+        &mut self,
+        dev: &Device,
+        updates: DeviceUpdates,
+        deletions: &[Edge],
+        stats: &mut PlusStats,
+    ) {
         // Size every reused level buffer (incl. the keep mask and accept
         // flags process_level fills) once: the batch only shrinks
         // from here, and the ping-pong swaps below exchange buffers that
@@ -210,16 +224,31 @@ impl GpmaPlus {
         self.level_scratch.ensure(cur.len);
 
         // Line 3: locate every update's leaf segment (coalesced binary
-        // search — updates are sorted, so adjacent lanes walk the same path).
+        // search — updates are sorted, so adjacent lanes walk the same
+        // path). The deletions run as the launch's first lanes, so warp 0,
+        // which is always sampled, is a deletion warp as it was in a
+        // launch of its own. A deletion writes only keys and a lane here
+        // reads only the leaf index, so the lanes cannot see each other,
+        // and every deletion has landed before the first merge reads a
+        // slot.
         {
             let storage = &self.storage;
+            let ndel = deletions.len();
+            let (del_keys, deleted) = self.scratch.stage_deletions(deletions);
             let keys = &cur.keys;
             let sid = &self.level_scratch.seg_ids;
-            launch!(dev, "locate_leaves", cur.len, |lane| {
-                let k = keys.get(lane, lane.tid);
-                let leaf = storage.find_leaf(lane, k) as u32;
-                sid.set(lane, lane.tid, leaf);
+            launch!(dev, "locate_leaves", ndel + cur.len, |lane| {
+                if lane.tid < ndel {
+                    let key = del_keys.get(lane, lane.tid);
+                    storage.delete_lane(lane, key, deleted);
+                } else {
+                    let i = lane.tid - ndel;
+                    let k = keys.get(lane, i);
+                    let leaf = storage.find_leaf(lane, k) as u32;
+                    sid.set(lane, i, leaf);
+                }
             });
+            stats.lazy_deletes = self.storage.settle_deletions(deleted);
         }
 
         let height = self.storage.geometry().height();
@@ -281,13 +310,14 @@ impl GpmaPlus {
     }
 
     /// One level of Algorithm 4's loop: group updates (segment ids in
-    /// `level_scratch.seg_ids`) into unique segments, run `TryInsert+` on
-    /// each, and fill the per-update keep mask (`level_scratch.keep`: 1 for
-    /// an update whose segment was too dense; pre-sized by the caller's
-    /// `ensure`). Every merge writes its window's routing bounds as it
-    /// places the keys (`storage` module docs). Returns true when the level
-    /// consumed every update — the warp/block tier counts what it merged —
-    /// so the caller has no survivors to scan for.
+    /// `level_scratch.seg_ids`, ascending) into their segments' runs, run
+    /// `TryInsert+` on each, and fill the per-update keep mask
+    /// (`level_scratch.keep`: 1 for an update whose segment was too dense;
+    /// pre-sized by the caller's `ensure`). Every merge writes its window's
+    /// routing bounds as it places the keys (`storage` module docs).
+    /// Returns true when the level consumed every update — the warp/block
+    /// tier counts what it merged — so the caller has no survivors to scan
+    /// for.
     // lint: hot-path
     fn process_level(
         &mut self,
@@ -312,60 +342,75 @@ impl GpmaPlus {
         let tau = storage.density_config().tau(level, height);
         let max_entries = (tau * window_slots as f64).floor() as usize;
 
-        // Line 7: UniqueSegments via RunLengthEncoding + ExclusiveScan.
-        // Length-bounded: seg_ids may be an over-sized reused buffer, and
-        // the RLE writes into the reused level scratch (the per-call
-        // allocation churn the ROADMAP called out).
-        let nseg = primitives::run_length_encode_u32_into(
-            dev,
-            &level_scratch.seg_ids,
-            cur.len,
-            &mut level_scratch.rle,
-        );
-
+        // Line 7: UniqueSegments. Length-bounded: seg_ids may be an
+        // over-sized reused buffer. The warp/block tier finds each run from
+        // its head lane; the device tier encodes them
+        // (`run_length_encode_u32_into`, below).
+        let nupd = cur.len;
         if window_slots <= *tier_max {
             #[cfg(test)]
             if reference {
-                stats.small_merges +=
-                    tests::ref_small_tier(dev, storage, level_scratch, cur, nseg, window_slots, max_entries);
+                let nseg = primitives::run_length_encode_u32_into(
+                    dev,
+                    &level_scratch.seg_ids,
+                    nupd,
+                    &mut level_scratch.rle,
+                );
+                stats.small_merges += tests::ref_small_tier(
+                    dev,
+                    storage,
+                    level_scratch,
+                    cur,
+                    nseg,
+                    window_slots,
+                    max_entries,
+                );
                 return false;
             }
-            // Warp/block tier, `TryInsert+` (lines 23-28) in one launch:
-            // one lane per unique segment merges its window with its update
-            // run over local scratch, accepts when the merged size fits the
-            // threshold, writes the window back (`write_back`) and flags its
-            // run consumed (`keep` 0) or promoted (1). Every window at this
-            // level has identical capacity → perfectly balanced lanes (the
-            // paper's observation). An accepted segment adds `1 << 32 | run
-            // length` to one counter: merges above, consumed updates below.
+            // Warp/block tier, `TryInsert+` (lines 23-28) in one launch
+            // over the level's updates. A lane whose segment differs from
+            // its predecessor's heads its segment's run: it walks to the
+            // run's end, merges the window with the run over local scratch,
+            // accepts when the merged size fits the threshold, writes the
+            // window back (`write_back`) and flags the run consumed (`keep`
+            // 0) or promoted (1); every other lane stops at that compare.
+            // Every window at this level has identical capacity → perfectly
+            // balanced merges (the paper's observation). An accepted
+            // segment adds `1 << 32 | run length` to one counter: merges
+            // above, consumed updates below.
             let storage = &*storage;
             let seg_len = geom.seg_len;
-            let rle = &level_scratch.rle;
-            let (unique, starts) = (&rle.unique, &rle.starts);
+            let seg_ids = &level_scratch.seg_ids;
             let keep = &level_scratch.keep;
             level_scratch.merged_ctr.host_write(0, 0);
             let merged_ctr = &level_scratch.merged_ctr;
-            launch!(dev, "tryinsert_small", nseg, |lane| {
-                let j = lane.tid;
-                let g = unique.get(lane, j) as usize;
-                let s = starts.get(lane, j) as usize;
-                let c = starts.get(lane, j + 1) as usize - s;
-                let ws = g * window_slots;
+            launch!(dev, "tryinsert_small", nupd, |lane| {
+                let s = lane.tid;
+                let g = seg_ids.get(lane, s);
+                if s > 0 && seg_ids.get(lane, s - 1) == g {
+                    return;
+                }
+                let mut end = s + 1;
+                while end < nupd && seg_ids.get(lane, end) == g {
+                    end += 1;
+                }
+                let ws = g as usize * window_slots;
                 // The merge stages through the worker's reusable scratch
                 // (modeled shared memory) instead of a fresh Vec per
                 // segment — the merge-tier hot path stays allocation-free
                 // in steady state.
                 with_merge_scratch(|m| {
-                    let before = merge_window_into(lane, storage, ws..ws + window_slots, cur, s..s + c, m);
+                    let before =
+                        merge_window_into(lane, storage, ws..ws + window_slots, cur, s..end, m);
                     let n = m.merged.len();
                     let accepted = n <= max_entries;
-                    for i in s..s + c {
+                    for i in s..end {
                         keep.set(lane, i, u32::from(!accepted));
                     }
                     if accepted {
                         write_back(lane, storage, ws, seg_len, m);
                         storage.add_len_delta(lane, n as i64 - before as i64);
-                        merged_ctr.atomic_add(lane, 0, 1 << 32 | c as u64);
+                        merged_ctr.atomic_add(lane, 0, 1 << 32 | (end - s) as u64);
                     }
                 });
             });
@@ -374,16 +419,22 @@ impl GpmaPlus {
             return (tally & 0xffff_ffff) as usize == cur.len;
         }
 
-        // Device tier: few large segments. The count phase (lines 23-25)
-        // sizes each window exactly against the level's threshold; each
-        // accepted one is merged by fully parallel kernels (compaction +
-        // rank merge + redispatch). Host views (free) instead of per-level
-        // `to_vec` copies; only the first `nseg` entries of the reused
-        // buffers are meaningful.
+        // Device tier: few large segments, found by run-length encoding
+        // (RunLengthEncoding + ExclusiveScan, into the reused level
+        // scratch). The count phase (lines 23-25) sizes each window exactly
+        // against the level's threshold; each accepted one is merged by
+        // fully parallel kernels (compaction + rank merge + redispatch).
+        // Host views (free) instead of per-level `to_vec` copies; only the
+        // first `nseg` entries of the reused buffers are meaningful.
+        let nseg = primitives::run_length_encode_u32_into(
+            dev,
+            &level_scratch.seg_ids,
+            nupd,
+            &mut level_scratch.rle,
+        );
         let seg_ids = &level_scratch.seg_ids;
         let rle = &level_scratch.rle;
         let accept = &level_scratch.accept;
-        let nupd = cur.len;
         {
             let storage = &*storage;
             let unique = &rle.unique;
@@ -894,11 +945,11 @@ mod tests {
     }
 
     /// A 128-deletion + 128-insertion batch whose merges all land on the
-    /// leaves is five launches: the lazy delete, the one-tile sort (it
-    /// carries the weights), `locate_leaves`, the one-block run-length
-    /// encoding and `tryinsert_small`.
+    /// leaves is three launches: the one-tile sort (it carries the
+    /// weights), `locate_leaves` (the deletions ride in it) and
+    /// `tryinsert_small` (it finds its own runs).
     #[test]
-    fn a_256_update_batch_is_five_launches() {
+    fn a_256_update_batch_is_three_launches() {
         const NV: u32 = 1024;
         let initial: Vec<Edge> = (0..NV).flat_map(|s| (1..4).map(move |k| Edge::new(s, (s + 2 * k) % NV))).collect();
         let d = dev();
@@ -911,8 +962,112 @@ mod tests {
         let before = d.metrics().launches;
         let stats = g.update_batch_lazy(&d, &batch);
         assert_eq!((stats.levels, stats.resizes, stats.lazy_deletes), (1, 0, 128));
-        assert_eq!(d.metrics().launches - before, 5);
+        assert_eq!(d.metrics().launches - before, 3);
         g.storage.check_invariants();
+    }
+
+    /// Launches per batch on a 200 000-edge store, each batch half
+    /// insertions and half deletions and consumed at the leaves: the sort
+    /// (one tile, then one launch per merge pass), `locate_leaves` and
+    /// `tryinsert_small`. An insert-free batch is its `lazy_delete`.
+    #[test]
+    fn launches_per_batch_are_the_sort_plus_two() {
+        const NV: u32 = 20_000;
+        const INITIAL: usize = 200_000;
+        let edges = gpma_graph::datasets::pokec_like(NV, INITIAL + 11_000, 7).edges;
+        let d = Device::new(DeviceConfig {
+            host_parallelism: 1,
+            ..DeviceConfig::default()
+        });
+        let mut g = GpmaPlus::build(&d, NV, &edges[..INITIAL]);
+        let (mut oldest, mut next) = (0, INITIAL);
+        for (inserted, deleted, launches) in [(0, 256, 1), (128, 128, 3), (512, 512, 4), (10_000, 10_000, 9)] {
+            let batch = UpdateBatch {
+                insertions: edges[next..next + inserted].to_vec(),
+                deletions: edges[oldest..oldest + deleted].to_vec(),
+            };
+            (oldest, next) = (oldest + deleted, next + inserted);
+            let before = d.metrics().launches;
+            let stats = g.update_batch_lazy(&d, &batch);
+            let levels = usize::from(inserted > 0);
+            assert_eq!((stats.levels, stats.resizes, stats.lazy_deletes), (levels, 0, deleted));
+            assert_eq!(d.metrics().launches - before, launches, "{} updates", inserted + deleted);
+        }
+        g.storage.check_invariants();
+    }
+
+    /// Deletions carried by `locate_leaves` leave every slot, the leaf
+    /// index, the length and the deleted count as a `delete_lazy` launch
+    /// before the insert-only batch does: on scripted batches (a key
+    /// deleted and re-inserted, duplicate deletions, deletions of absent
+    /// keys, rows filled past their leaves) and random ones, on inline and
+    /// pooled devices.
+    #[test]
+    fn fused_deletions_lay_out_like_a_delete_launch_first() {
+        use rand::{Rng, SeedableRng};
+        const NV: u32 = 64;
+        let initial: Vec<Edge> = (0..NV)
+            .flat_map(|s| (1..4).map(move |k| Edge::weighted(s, (s + 3 * k) % NV, 1)))
+            .collect();
+        let mut batches = vec![
+            // (0, 3) deleted and re-inserted; (5, 6) absent, deleted and
+            // inserted.
+            UpdateBatch {
+                insertions: vec![Edge::weighted(0, 3, 9), Edge::weighted(5, 6, 4), Edge::new(0, 10)],
+                deletions: edges(&[(0, 3), (1, 4), (5, 6)]),
+            },
+            // One key deleted three times, absent keys, and more than a
+            // warp of deletions beside the insertions.
+            UpdateBatch {
+                insertions: (0..NV).step_by(7).map(|s| Edge::new(s, (s + 1) % NV)).collect(),
+                deletions: [(2, 5), (2, 5), (3, 4), (2, 5), (7, 8)]
+                    .iter()
+                    .map(|&(s, t)| Edge::new(s, t))
+                    .chain(initial.iter().skip(2).step_by(3).copied())
+                    .collect(),
+            },
+            // Rows filled past their leaves: merges above level 0 read
+            // slots the deletions emptied.
+            UpdateBatch {
+                insertions: (0..NV).filter(|&t| t != 9).map(|t| Edge::weighted(9, t, 3)).collect(),
+                deletions: initial.iter().step_by(5).copied().collect(),
+            },
+        ];
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        for _ in 0..12 {
+            let mut edge = || {
+                let s = rng.gen_range(0..NV);
+                Edge::weighted(s, (s + rng.gen_range(1..NV)) % NV, rng.gen_range(1..100))
+            };
+            let insertions = (0..40).map(|_| edge()).collect();
+            let deletions = (0..40).map(|_| edge()).collect();
+            batches.push(UpdateBatch { insertions, deletions });
+        }
+        for pooled in [false, true] {
+            let d = device(pooled);
+            let mut fused = GpmaPlus::build(&d, NV, &initial);
+            let mut split = GpmaPlus::build(&d, NV, &initial);
+            for (i, batch) in batches.iter().enumerate() {
+                let stats = fused.update_batch_lazy(&d, batch);
+                let deleted = split.storage.delete_lazy(&d, &batch.deletions, &mut split.scratch);
+                let insertions = UpdateBatch {
+                    insertions: batch.insertions.clone(),
+                    deletions: vec![],
+                };
+                split.update_batch_lazy(&d, &insertions);
+                let (a, b) = (&fused.storage, &split.storage);
+                assert_eq!(stats.lazy_deletes, deleted, "deleted count differs (pooled: {pooled})");
+                assert_eq!(a.keys.as_slice(), b.keys.as_slice(), "keys differ (pooled: {pooled})");
+                assert_eq!(a.vals.as_slice(), b.vals.as_slice(), "vals differ (pooled: {pooled})");
+                assert_eq!(a.leaf_max_prefix.as_slice(), b.leaf_max_prefix.as_slice(), "leaf index differs");
+                assert_eq!(a.len(), b.len(), "len differs (pooled: {pooled})");
+                a.check_invariants();
+                if i == 0 {
+                    let present = oracle_of(&fused);
+                    assert_eq!((present[&(0, 3)], present[&(5, 6)]), (9, 4), "the insertion wins");
+                }
+            }
+        }
     }
 
     /// Of two insertions of one key in a batch, the later one's weight

@@ -176,27 +176,51 @@ impl GpmaStorage {
         self.len_counter.host_write(0, cur.wrapping_add(delta as u64));
     }
 
-    /// Lazy deletions for the sliding-window model (§6.1): mark each slot
-    /// `EMPTY` without density maintenance; the holes are recycled by later
-    /// insert merges. A CAS guards against duplicate deletes of one key.
-    /// Routing bounds are left alone (an overstated bound still routes).
-    /// Keys and the deleted count are staged through `scratch`.
+    /// Lazy deletions for the sliding-window model (§6.1) in their own
+    /// `lazy_delete` launch: mark each slot `EMPTY` without density
+    /// maintenance; the holes are recycled by later insert merges. The
+    /// launch of an insert-free GPMA+ batch and of the lock-based GPMA; a
+    /// GPMA+ batch with insertions runs the same lanes inside
+    /// `locate_leaves` instead. Keys and the deleted count are staged
+    /// through `scratch`.
     // lint: hot-path
     pub fn delete_lazy(&mut self, dev: &Device, edges: &[Edge], scratch: &mut UpdateScratch) -> usize {
         if edges.is_empty() {
             return 0;
         }
         let (del_keys, deleted) = scratch.stage_deletions(edges);
-        let keys = &self.keys;
         let this = &*self;
         launch!(dev, "lazy_delete", edges.len(), |lane| {
             let key = del_keys.get(lane, lane.tid);
-            if let Some(slot) = this.find_slot(lane, key) {
-                if keys.atomic_cas(lane, slot, key, EMPTY) == key {
-                    deleted.atomic_add(lane, 0, 1);
-                }
-            }
+            this.delete_lane(lane, key, deleted);
         });
+        self.settle_deletions(deleted)
+    }
+
+    /// One lane of a lazy deletion: find `key`'s slot and CAS it to
+    /// `EMPTY`, counting the deletion in `deleted[0]` when this lane's CAS
+    /// won (of duplicate deletions of one key, one counts). Writes keys
+    /// only: routing bounds are left alone (an overstated bound still
+    /// routes), so a lane that reads only the leaf index may share the
+    /// launch.
+    // lint: hot-path
+    #[inline]
+    pub(crate) fn delete_lane<M: LaneMode>(
+        &self,
+        lane: &mut Lane<'_, M>,
+        key: u64,
+        deleted: &DeviceBuffer<u64>,
+    ) {
+        if let Some(slot) = self.find_slot(lane, key) {
+            if self.keys.atomic_cas(lane, slot, key, EMPTY) == key {
+                deleted.atomic_add(lane, 0, 1);
+            }
+        }
+    }
+
+    /// Take the count of a launch of [`Self::delete_lane`]s off the length;
+    /// returns it.
+    pub(crate) fn settle_deletions(&mut self, deleted: &DeviceBuffer<u64>) -> usize {
         let n = deleted.host_read(0) as usize;
         self.host_adjust_len(-(n as i64));
         n

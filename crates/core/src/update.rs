@@ -10,8 +10,9 @@ use crate::storage::{GpmaStorage, EMPTY};
 
 /// A sorted insertion set resident on the device: `keys` ascending; for
 /// runs of equal keys the *last* element wins (upsert semantics). Deletions
-/// never enter it: they are tombstoned in place before the merges run
-/// ([`GpmaStorage::delete_lazy`]).
+/// never enter it: they are tombstoned in place before the merges run, by
+/// the first lanes of GPMA+'s `locate_leaves` launch or, in a batch
+/// without insertions, by [`GpmaStorage::delete_lazy`].
 pub struct DeviceUpdates {
     /// Edge storage keys (`src << 32 | dst`), ascending in the first
     /// `len` slots (the buffer may be longer).
@@ -33,7 +34,7 @@ impl DeviceUpdates {
 /// upload vectors are cleared and refilled per batch instead of
 /// reallocated, so a steady-state stream of flushes does no
 /// per-launch host allocation on the upload path (the ROADMAP profiling
-/// item). Also stages the lazy-delete kernel's inputs (device key buffer,
+/// item). Also stages the lazy deletions' inputs (device key buffer,
 /// capacity only grows, and its one-slot deleted counter) and holds the
 /// sort's ping-pong pair for batches of more than one
 /// [`primitives::BLOCK`]. [`crate::GpmaPlus`] owns one and threads it
@@ -60,7 +61,8 @@ impl Default for UpdateScratch {
 }
 
 impl UpdateScratch {
-    /// Upload the keys of `edges` for [`GpmaStorage::delete_lazy`] and zero
+    /// Upload the keys of `edges` for a launch of lazy deletions
+    /// ([`GpmaStorage::delete_lazy`], or GPMA+'s `locate_leaves`) and zero
     /// its counter. Returns `(keys, deleted count)`; only the first
     /// `edges.len()` keys are meaningful.
     // lint: hot-path

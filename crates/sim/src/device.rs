@@ -30,6 +30,7 @@ use std::cell::Cell;
 use std::cmp::Reverse;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::time::Instant;
 
 use crate::config::DeviceConfig;
 use crate::metrics::{DeviceMetrics, KernelStats, SimTime};
@@ -398,12 +399,14 @@ impl Device {
     /// Run every warp of an `n`-lane launch through `warp_fn(lanes, sampled,
     /// trace, local)`, which runs the lanes and returns the warp's largest
     /// lane op count; `trace` is the cleared trace when the warp is traced.
-    /// Counts the traced warps, applies the cost model and records it.
+    /// Counts the traced warps, applies the cost model and records it with
+    /// the launch's host time (one clock read at each end) under its name.
     // lint: hot-path
     fn launch_warps<W>(&self, name: &'static str, n: usize, warp_fn: W) -> KernelStats
     where
         W: Fn(Range<usize>, bool, Option<&mut WarpTrace>, &mut LaunchAccum) -> u64 + Sync,
     {
+        let start = Instant::now();
         if n == 0 {
             // Real drivers still charge a launch; an empty grid is usually a
             // host-side bug worth seeing in the metrics.
@@ -412,7 +415,9 @@ impl Device {
                 cycles: self.cfg.launch_overhead_cycles,
                 ..Default::default()
             };
-            self.metrics.lock().record(&stats);
+            self.metrics
+                .lock()
+                .record(&stats, start.elapsed().as_nanos() as u64);
             return stats;
         }
 
@@ -466,7 +471,9 @@ impl Device {
         };
 
         let stats = self.cost_model(name, n, &acc);
-        self.metrics.lock().record(&stats);
+        self.metrics
+            .lock()
+            .record(&stats, start.elapsed().as_nanos() as u64);
         stats
     }
 
@@ -1174,6 +1181,33 @@ mod tests {
         assert_eq!(m.launches, 1);
         dev.reset_clock();
         assert_eq!(dev.elapsed().secs(), 0.0);
+    }
+
+    /// Each kernel name keeps its own launches, cycles and host time; they
+    /// sum to the device's totals, and a reset empties the table.
+    #[test]
+    fn metrics_keep_both_clocks_per_kernel() {
+        let dev = det_device();
+        let buf = DeviceBuffer::<u64>::new(4_096);
+        let mut fill = KernelStats::default();
+        for _ in 0..3 {
+            fill = dev.launch("fill", 4_096, |lane| buf.set(lane, lane.tid, 1));
+        }
+        let sum = dev.launch("sum", 1, |lane| {
+            let _ = (0..4_096).map(|i| buf.get(lane, i)).sum::<u64>();
+        });
+        dev.launch("empty", 0, |_| {});
+        let m = dev.metrics();
+        let names: Vec<&str> = m.kernels.iter().map(|k| k.name).collect();
+        assert_eq!(names, ["fill", "sum", "empty"]);
+        let (fills, sums) = (&m.kernels[0], &m.kernels[1]);
+        assert_eq!((fills.launches, fills.cycles), (3, 3 * fill.cycles));
+        assert_eq!((sums.launches, sums.cycles), (1, sum.cycles));
+        assert!(fills.host_ns > 0 && sums.host_ns > 0);
+        assert_eq!(m.kernels.iter().map(|k| k.launches).sum::<u64>(), m.launches);
+        assert_eq!(m.kernels.iter().map(|k| k.cycles).sum::<u64>(), m.total_cycles);
+        dev.reset_clock();
+        assert!(dev.metrics().kernels.is_empty());
     }
 
     #[test]

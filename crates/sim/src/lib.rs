@@ -68,7 +68,7 @@ pub mod primitives;
 pub use buffer::{DeviceBuffer, DevicePod};
 pub use config::{DeviceConfig, PcieConfig};
 pub use device::{Device, Lane, LaneMode, Traced, Untraced};
-pub use metrics::{DeviceMetrics, KernelStats, ServiceCounters, SimTime};
+pub use metrics::{DeviceMetrics, KernelClock, KernelStats, ServiceCounters, SimTime};
 
 #[cfg(test)]
 mod integration_tests {

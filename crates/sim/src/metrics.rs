@@ -30,6 +30,21 @@ pub struct KernelStats {
     pub coalescing_factor: f64,
 }
 
+/// One kernel name's launches on a device: both clocks, summed over every
+/// launch whose site passed that name.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct KernelClock {
+    /// The kernel name.
+    pub name: &'static str,
+    /// Launches under this name.
+    pub launches: u64,
+    /// Simulated cycles they consumed (launch overhead included).
+    pub cycles: u64,
+    /// Host nanoseconds they took: their lanes, the lanes' counting and
+    /// the cost model, on whatever host threads ran them.
+    pub host_ns: u64,
+}
+
 /// Aggregate metrics for a device since the last clock reset.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DeviceMetrics {
@@ -43,15 +58,31 @@ pub struct DeviceMetrics {
     pub total_atomic_ops: u64,
     /// Atomics serialized by a same-address conflict.
     pub total_atomic_conflicts: u64,
+    /// Launches, cycles and host time per kernel name, in the order the
+    /// names first launched.
+    pub kernels: Vec<KernelClock>,
 }
 
 impl DeviceMetrics {
-    pub(crate) fn record(&mut self, stats: &KernelStats) {
+    pub(crate) fn record(&mut self, stats: &KernelStats, host_ns: u64) {
         self.launches += 1;
         self.total_cycles += stats.cycles;
         self.total_mem_transactions += stats.mem_transactions;
         self.total_atomic_ops += stats.atomic_ops;
         self.total_atomic_conflicts += stats.atomic_conflicts;
+        let k = match self.kernels.iter().position(|k| k.name == stats.name) {
+            Some(i) => &mut self.kernels[i],
+            None => {
+                self.kernels.push(KernelClock {
+                    name: stats.name,
+                    ..Default::default()
+                });
+                self.kernels.last_mut().expect("just pushed")
+            }
+        };
+        k.launches += 1;
+        k.cycles += stats.cycles;
+        k.host_ns += host_ns;
     }
 }
 
